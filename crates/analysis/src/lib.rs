@@ -14,12 +14,10 @@
 //!   dependencies, no parser) that enforces the machine-checkable project
 //!   invariants: `// SAFETY:` adjacency and an allowlisted-module
 //!   registry for every `unsafe`; `//! atomics:` audit headers (or
-//!   per-site `// RELAXED:` notes) for every `Ordering::Relaxed`; the
+//!   per-site `// RELAXED:` notes) for every `Ordering::Relaxed`; and the
 //!   PR-8 panic policy (`// INVARIANT:` grammar) for non-test
-//!   `unwrap`/`expect` on hot-path modules; and a ban on the
-//!   re-associated `sq_dist_tile_expanded` kernel anywhere on the
-//!   serving path. The rules and their annotation grammar are documented
-//!   in `docs/INVARIANTS.md`.
+//!   `unwrap`/`expect` on hot-path modules. The rules and their
+//!   annotation grammar are documented in `docs/INVARIANTS.md`.
 //! * [`schedule`] — a deterministic, memoized DFS over **all**
 //!   interleavings of a modeled hazard-slot protocol (announce /
 //!   validate / publish / free / reclaim as explicit atomic steps on a

@@ -15,11 +15,9 @@
 //! | [`RuleId::UnsafeRegistry`] | `unsafe` only appears in registry-allowlisted files |
 //! | [`RuleId::RelaxedAudit`] | `Ordering::Relaxed` requires an `//! atomics:` module header or an adjacent `// RELAXED:` justification |
 //! | [`RuleId::PanicPolicy`] | non-test `.unwrap()` / `.expect(` in hot-path registry files carries an adjacent `// INVARIANT:` comment |
-//! | [`RuleId::ExpandedTileServing`] | `sq_dist_tile_expanded*` in serving-path files only under an adjacent `// SCREENING:` comment stating the slack bound |
 
 use crate::scanner::{
-    self, adjacent_marker_mentions, code_token_sites, has_adjacent_marker, has_module_header,
-    test_regions, Line,
+    self, code_token_sites, has_adjacent_marker, has_module_header, test_regions, Line,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -37,12 +35,6 @@ pub enum RuleId {
     /// A non-test `.unwrap()` / `.expect(` in a hot-path registry file
     /// without an adjacent `// INVARIANT:` comment.
     PanicPolicy,
-    /// A reference to `sq_dist_tile_expanded` /
-    /// `sq_dist_tile_expanded_with_norms` (re-associated summation — not
-    /// bit-stable) from a serving-path file without the screening
-    /// grammar: an adjacent `// SCREENING:` comment that mentions the
-    /// `slack` bound making the phase conservative-only.
-    ExpandedTileServing,
 }
 
 impl RuleId {
@@ -53,7 +45,6 @@ impl RuleId {
             RuleId::UnsafeRegistry => "unsafe-registry",
             RuleId::RelaxedAudit => "relaxed-audit",
             RuleId::PanicPolicy => "panic-policy",
-            RuleId::ExpandedTileServing => "expanded-tile-serving",
         }
     }
 }
@@ -98,14 +89,6 @@ pub struct Registry {
     /// `.unwrap()` / `.expect(` must be typed away, counted, or annotated
     /// `// INVARIANT:`.
     pub panic_policy: Vec<String>,
-    /// Serving-path files where the re-associated `sq_dist_tile_expanded`
-    /// kernels (summation order differs from the scalar path) may only
-    /// feed a *screening* phase — never an answer. Every reference must
-    /// carry an adjacent `// SCREENING:` comment stating the conservative
-    /// slack bound; an unannotated reference breaks the bit-identity
-    /// contract pinned by `crates/core/tests/batch_equivalence.rs` and
-    /// `crates/core/tests/pruned_equivalence.rs`.
-    pub serving_path: Vec<String>,
     /// Path prefixes never scanned (build artifacts).
     pub skip_prefixes: Vec<String>,
 }
@@ -126,18 +109,6 @@ impl Registry {
                 "crates/core/src/arena.rs",
                 "crates/core/src/confidence.rs",
                 "crates/core/src/overlap.rs",
-            ]),
-            serving_path: own(&[
-                "crates/serve/src/cell.rs",
-                "crates/serve/src/engine.rs",
-                "crates/serve/src/shard.rs",
-                "crates/serve/src/fault.rs",
-                "crates/core/src/snapshot.rs",
-                "crates/core/src/predict.rs",
-                "crates/core/src/arena.rs",
-                "crates/core/src/confidence.rs",
-                "crates/core/src/overlap.rs",
-                "crates/sql/src/session.rs",
             ]),
             skip_prefixes: own(&["target/"]),
         }
@@ -175,7 +146,6 @@ pub fn lint_source(rel: &str, src: &str, registry: &Registry) -> Vec<Finding> {
     if !file_is_test {
         rule_relaxed(rel, &lines, &in_test, &mut findings);
         rule_panic_policy(rel, &lines, &in_test, registry, &mut findings);
-        rule_expanded_tile(rel, &lines, registry, &mut findings);
     }
     findings.sort_by(|a, b| (a.line, a.rule.name()).cmp(&(b.line, b.rule.name())));
     findings
@@ -268,33 +238,6 @@ fn rule_panic_policy(
                       invariant that rules it out"
                 .to_string(),
         });
-    }
-}
-
-/// Rule `expanded-tile-serving`. Both expanded-form kernels are covered;
-/// `code_token_sites` is boundary-exact, so each spelling is matched as
-/// its own token and a `_with_norms` call never double-reports.
-fn rule_expanded_tile(rel: &str, lines: &[Line], registry: &Registry, findings: &mut Vec<Finding>) {
-    if !Registry::in_list(&registry.serving_path, rel) {
-        return;
-    }
-    for token in ["sq_dist_tile_expanded", "sq_dist_tile_expanded_with_norms"] {
-        for (idx, _) in code_token_sites(lines, token) {
-            if adjacent_marker_mentions(lines, idx, "SCREENING:", "slack") {
-                continue;
-            }
-            findings.push(Finding {
-                path: rel.to_string(),
-                line: idx + 1,
-                rule: RuleId::ExpandedTileServing,
-                message: "serving-path module references an expanded-form distance kernel \
-                          (re-associated summation — not bit-stable) outside the screening \
-                          grammar; exact answers must use `winner_overlap_block` / \
-                          `sq_dist_tile`, and a screening phase must carry an adjacent \
-                          `// SCREENING:` comment stating its conservative slack bound"
-                    .to_string(),
-            });
-        }
     }
 }
 
@@ -424,44 +367,6 @@ mod tests {
     fn unwrap_or_else_is_not_a_panic_site() {
         let src = "fn f(m: &Mutex<u8>) { m.lock().unwrap_or_else(PoisonError::into_inner); }\n";
         assert!(lint_source("crates/serve/src/engine.rs", src, &reg()).is_empty());
-    }
-
-    #[test]
-    fn expanded_tile_banned_on_serving_path_only() {
-        let src = "fn f() { sq_dist_tile_expanded(&q, 1, &r, 2, &mut out); }\n";
-        let f = lint_source("crates/core/src/snapshot.rs", src, &reg());
-        assert!(f.iter().any(|f| f.rule == RuleId::ExpandedTileServing));
-        assert!(lint_source("crates/linalg/src/vector.rs", src, &reg()).is_empty());
-    }
-
-    #[test]
-    fn expanded_tile_with_norms_is_also_banned() {
-        let src = "fn f() { sq_dist_tile_expanded_with_norms(&q, 1, &r, &n, 2, &mut out); }\n";
-        let f = lint_source("crates/core/src/arena.rs", src, &reg());
-        assert_eq!(f.len(), 1, "one finding, not one per token spelling");
-        assert_eq!(f[0].rule, RuleId::ExpandedTileServing);
-    }
-
-    #[test]
-    fn screening_annotation_legalises_expanded_tile() {
-        let ok = "fn f() {\n    // SCREENING: lower bounds only, minus a conservative slack;\n    // survivors are exact-verified, so answers stay bit-identical.\n    sq_dist_tile_expanded_with_norms(&q, 1, &r, &n, 2, &mut out);\n}\n";
-        assert!(lint_source("crates/core/src/arena.rs", ok, &reg()).is_empty());
-    }
-
-    #[test]
-    fn screening_annotation_must_mention_slack() {
-        let vague = "fn f() {\n    // SCREENING: trust me, it is fine.\n    sq_dist_tile_expanded(&q, 1, &r, 2, &mut out);\n}\n";
-        let f = lint_source("crates/core/src/arena.rs", vague, &reg());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::ExpandedTileServing);
-    }
-
-    #[test]
-    fn screening_annotation_must_be_adjacent() {
-        let far = "fn f() {\n    // SCREENING: slack-bounded lower bounds.\n    let x = 1;\n    sq_dist_tile_expanded(&q, 1, &r, 2, &mut out);\n}\n";
-        let f = lint_source("crates/core/src/arena.rs", far, &reg());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::ExpandedTileServing);
     }
 
     #[test]

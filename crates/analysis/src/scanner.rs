@@ -323,28 +323,6 @@ pub fn has_adjacent_marker(lines: &[Line], idx: usize, marker: &str) -> bool {
     false
 }
 
-/// Like [`has_adjacent_marker`], but the adjacent comment block carrying
-/// `marker` must also mention `word` (case-sensitive). The block is
-/// `idx`'s own trailing comment plus the contiguous comment/blank/
-/// attribute run directly above — the same adjacency window. Used by the
-/// `// SCREENING:` grammar, whose annotation must state the conservative
-/// slack bound that keeps screening exact-safe.
-pub fn adjacent_marker_mentions(lines: &[Line], idx: usize, marker: &str, word: &str) -> bool {
-    let mut block = lines[idx].comment.clone();
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let line = &lines[j];
-        if line.code_is_blank() || line.code_is_attribute() {
-            block.push('\n');
-            block.push_str(&line.comment);
-            continue;
-        }
-        break;
-    }
-    block.contains(marker) && block.contains(word)
-}
-
 /// `true` when the file opens with (or contains) a module-level doc
 /// header line — `//! …` — carrying `marker`. Used for the
 /// `//! atomics:` audit-header rule.

@@ -97,64 +97,6 @@ fn bare_unwrap_on_hot_path_fixture_fails() {
 }
 
 #[test]
-fn expanded_tile_on_serving_path_fixture_fails() {
-    let root = fixture(
-        "bad_expanded_tile",
-        &[(
-            "crates/core/src/snapshot.rs",
-            "pub fn f() { sq_dist_tile_expanded(&[], 1, &[], 1, &mut []); }\n",
-        )],
-    );
-    assert_finding(&lint(&root), "expanded-tile-serving");
-}
-
-#[test]
-fn expanded_tile_with_norms_fixture_fails_without_screening_comment() {
-    let root = fixture(
-        "bad_expanded_tile_norms",
-        &[(
-            "crates/core/src/arena.rs",
-            "pub fn f() { sq_dist_tile_expanded_with_norms(&[], 1, &[], &[], 1, &mut []); }\n",
-        )],
-    );
-    assert_finding(&lint(&root), "expanded-tile-serving");
-}
-
-#[test]
-fn screening_annotation_without_slack_fixture_fails() {
-    let root = fixture(
-        "bad_screening_no_slack",
-        &[(
-            "crates/core/src/arena.rs",
-            "pub fn f() {\n\
-             \x20   // SCREENING: discards only, honest.\n\
-             \x20   sq_dist_tile_expanded_with_norms(&[], 1, &[], &[], 1, &mut []);\n\
-             }\n",
-        )],
-    );
-    assert_finding(&lint(&root), "expanded-tile-serving");
-}
-
-#[test]
-fn screening_annotated_expanded_tile_fixture_passes() {
-    let root = fixture(
-        "good_screening",
-        &[(
-            "crates/core/src/arena.rs",
-            "pub fn f() {\n\
-             \x20   // SCREENING: lower bounds minus a conservative slack; every\n\
-             \x20   // answer comes from the exact kernel over surviving blocks.\n\
-             \x20   sq_dist_tile_expanded_with_norms(&[], 1, &[], &[], 1, &mut []);\n\
-             }\n",
-        )],
-    );
-    let out = lint(&root);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "expected clean lint:\n{stdout}");
-    assert!(stdout.contains("invariant lint: clean"));
-}
-
-#[test]
 fn compliant_fixture_passes() {
     let root = fixture(
         "good_tree",
@@ -174,10 +116,9 @@ fn compliant_fixture_passes() {
                  }\n",
             ),
             (
-                // Off the hot path and off the serving path: unwrap and the
-                // expanded tile are both fine here.
+                // Off the hot path: unwrap is fine here.
                 "crates/bench/src/lib.rs",
-                "pub fn f(x: Option<u8>) -> u8 { sq_dist_tile_expanded(); x.unwrap() }\n",
+                "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
             ),
         ],
     );

@@ -26,12 +26,13 @@
 //!    distance tiles vs the scalar per-query loop over the same
 //!    snapshot (batch sizes × K), plus the shard fabric's `q1_batch`
 //!    vs per-query `q1` at shard counts {1, 2, 4};
-//! 9. the two-phase pruned serving path — block screening (bounding-box
-//!    bounds + expanded-form lower bounds under conservative slack)
-//!    vs the unpruned resolution on *clustered* prototype sets, scalar
-//!    and batched, with every pruned answer verified bit-identical
-//!    in-run and the screening telemetry (blocks screened / skipped /
-//!    verified — counted, never silent) in the ledger;
+//! 9. the bound-and-verify pruned serving path — a slack-free
+//!    direct-form lower bound per block (bounding-box gap² + radius-range
+//!    gap²), then one whole-block AoSoA kernel per block the bound cannot
+//!    rule out — vs the unpruned resolution on *clustered* prototype
+//!    sets, scalar and batched, with every pruned answer verified
+//!    bit-identical in-run and the pruning telemetry (blocks bounded /
+//!    skipped / verified — counted, never silent) in the ledger;
 //! 10. the self-healing serve fabric under concept drift — the
 //!     deterministic drifting closed loop (`regq_workload::drift`) run
 //!     clean and with a seeded fault plan (trainer panics, lock
@@ -608,15 +609,16 @@ fn main() {
         batched_shard_rows.push((shards, scalar_us, batch_us));
     }
 
-    // ---- Section 9: two-phase pruned serving — block screening (bbox
-    // bounds + expanded-form lower bounds under conservative slack) vs
-    // the unpruned resolution. Clustered prototype sets and localized
-    // queries: the workload where whole blocks are provably irrelevant
-    // and screening pays. Uniform sets (sections 5/8) leave little for
-    // the screen to discard — that regime is covered there; this section
-    // measures the pruning win itself. Every pruned answer is verified
-    // bit-identical to the unpruned path in-run before any timing, and
-    // every screening decision is counted into the ledger (never silent).
+    // ---- Section 9: bound-and-verify pruned serving — a slack-free
+    // direct-form block bound, then the whole-block exact kernel on what
+    // it cannot rule out — vs the unpruned resolution. Clustered
+    // prototype sets and localized queries: the workload where whole
+    // blocks are provably irrelevant and pruning pays. Uniform sets
+    // (sections 5/8) leave little for the bound to discard — that regime
+    // is covered there; this section measures the pruning win itself.
+    // Every pruned answer is verified bit-identical to the unpruned path
+    // in-run before any timing, and every pruning decision is counted
+    // into the ledger (never silent).
     let pruned_anchor_n = 16usize;
     let pruned_anchors: Vec<Vec<f64>> = {
         let mut rng = seeded(31_337);

@@ -50,13 +50,9 @@ pub struct BatchResolution {
     entries: Vec<(usize, f64)>,
     // Scratch (retained capacity, contents meaningless between calls).
     block_sets: Vec<Vec<(usize, f64)>>,
-    // Pruned-path screening scratch ([`BlockLayout::resolve_batch_pruned`]):
-    // one expanded-distance row, per-block bounds/flags for one query, and
-    // the per-(query, block) survivor mask for one query chunk.
-    screen: Vec<f64>,
+    // Pruned-path scratch ([`BlockLayout::resolve_batch_pruned`]): the
+    // per-block lower bounds of one query.
     lbs: Vec<f64>,
-    ovl: Vec<bool>,
-    survive: Vec<bool>,
 }
 
 impl BatchResolution {
@@ -583,7 +579,7 @@ impl PrototypeArena {
     }
 }
 
-/// Counted — never silent — screening telemetry from the two-phase pruned
+/// Counted — never silent — pruning telemetry from the bound-and-verify
 /// resolution ([`BlockLayout::resolve_batch_pruned`]). One unit is one
 /// `(query, block)` visit; `blocks = skipped + verified` always holds, so
 /// a consumer can compute a skip rate without wondering whether some path
@@ -592,8 +588,9 @@ impl PrototypeArena {
 pub struct ScreenCounters {
     /// `(query, block)` visits considered (`queries × layout blocks`).
     pub blocks: u64,
-    /// Visits whose expanded screening tile actually ran (the rest were
-    /// resolved by the cheap bounding-box bound alone).
+    /// Visits whose block bound was evaluated — every visit on a
+    /// multi-block layout, none on a single-block one (which goes
+    /// straight to the kernel).
     pub screened: u64,
     /// Visits pruned away — blocks never exact-verified for that query.
     pub skipped: u64,
@@ -622,7 +619,7 @@ impl ScreenCounters {
 }
 
 /// Per-block metadata of a [`BlockLayout`]: slot range, padded AoSoA
-/// range, and the cached bounds the screening phase prunes with.
+/// range, and the cached radius range the block bound prunes with.
 #[derive(Debug, Clone)]
 struct BlockMeta {
     /// First slot of this block in the permuted (unpadded) arrays.
@@ -638,25 +635,42 @@ struct BlockMeta {
     r_min: f64,
     /// Largest prototype radius in the block.
     r_max: f64,
-    /// Largest `‖center‖²` in the block (the slack scale contribution).
-    max_norm: f64,
 }
 
-/// The clustered, bounds-cached serving layout behind two-phase pruned
-/// resolution: [`PrototypeArena`] prototypes regrouped into spatially
-/// coherent blocks of at most [`ROW_TILE`] rows (recursive widest-axis
-/// median splits), each block carrying a cached center bounding box,
-/// radius range, and precomputed `‖r‖²` row norms, with centers stored
-/// both row-major (for the expanded screening tile) and AoSoA
-/// quad-interleaved (for the runtime-SIMD exact kernel, partial quads
+/// Winner slot meaning "this block holds no candidate": the seed index
+/// handed to the block kernel, left in place when no row's joint distance
+/// reaches the running best.
+const NO_CANDIDATE: usize = usize::MAX;
+
+/// The clustered, bounds-cached serving layout behind bound-and-verify
+/// pruned resolution: [`PrototypeArena`] prototypes regrouped into
+/// spatially coherent blocks of at most [`ROW_TILE`] rows (recursive
+/// widest-axis median splits), each block carrying a cached center
+/// bounding box and radius range, with centers stored AoSoA
+/// quad-interleaved for the runtime-SIMD exact kernel (partial quads
 /// padded with `+inf` inert rows).
 ///
-/// [`BlockLayout::resolve_batch_pruned`] runs winner/overlap as two
-/// phases — a conservative screening pass that discards blocks which
+/// [`BlockLayout::resolve_batch_pruned`] resolves winner/overlap in two
+/// stages per query — a per-block lower bound that discards blocks which
 /// provably cannot contain the winner or any overlapping ball, then the
-/// bit-exact kernel over survivors — and produces a [`BatchResolution`]
+/// bit-exact kernel over the rest — and produces a [`BatchResolution`]
 /// **bit-identical** to [`PrototypeArena::resolve_batch`] on the source
 /// arena (the `pruned_equivalence` batteries pin this).
+///
+/// **Why the bound needs no slack.** The bound replays the kernel's own
+/// operation sequence on the block's box instead of a row: `acc = 0`,
+/// `acc += gap_c · gap_c` in coordinate order with `gap_c` the distance
+/// from `q_c` to the interval `[lo_c, hi_c]`, then `+ rad_gap · rad_gap`
+/// with `rad_gap` the distance from `θ_q` to `[r_min, r_max]`. For every
+/// row of the block `|gap_c| ≤ |r_c − q_c|` and `rad_gap ≤ |θ_q − θ_k|`
+/// hold after rounding, because the operands are ordered before the
+/// subtraction and IEEE rounding is monotone; squaring non-negatives,
+/// adding and rounding again are monotone too. So `bb ≤ ‖c − q‖²` and
+/// `lb ≤ joint` hold **exactly** in floating point, for the values the
+/// kernel itself would compute — no error budget, no overflow guard
+/// (`∞ ≤ ∞` keeps the inequalities true), and a NaN bound fails every
+/// `>` and therefore verifies. Likewise `(θ_q + θ_k)²` is at most the
+/// larger of the squares at the two ends of the radius range.
 ///
 /// Why the permutation cannot change answers: every per-pair distance,
 /// joint distance and overlap degree is computed by the same
@@ -671,21 +685,10 @@ struct BlockMeta {
 pub struct BlockLayout {
     dim: usize,
     len: usize,
-    /// Multiplier on the conservative screening slack — `1.0` in
-    /// production; a test hook ([`BlockLayout::with_slack_scale`]).
-    slack_scale: f64,
-    /// Largest `‖center‖²` across all blocks (overflow guard input).
-    max_norm_all: f64,
-    /// Largest prototype radius across all blocks (overflow guard input).
-    r_max_all: f64,
     blocks: Vec<BlockMeta>,
     /// Per-block bounding box, `nblocks × dim` each.
     bbox_lo: Vec<f64>,
     bbox_hi: Vec<f64>,
-    /// Permuted centers, row-major, `len × dim` (screening tile input).
-    centers_perm: Vec<f64>,
-    /// Cached `‖r‖²` per slot, `len` (screening tile input).
-    norms: Vec<f64>,
     /// Permuted radii padded per block to `padded_len` (pad value `0.0`).
     radii_pad: Vec<f64>,
     /// AoSoA quad-interleaved centers padded per block (pad rows `+inf`).
@@ -733,10 +736,10 @@ impl BlockLayout {
                 }
             }
             let mid = n / 2;
+            // `total_cmp`: a NaN coordinate must not hand the selection
+            // an inconsistent order (it may panic on one).
             seg.select_nth_unstable_by(mid, |&a, &b| {
-                arena.center(a)[widest]
-                    .partial_cmp(&arena.center(b)[widest])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                arena.center(a)[widest].total_cmp(&arena.center(b)[widest])
             });
             stack.push((lo, lo + mid));
             stack.push((lo + mid, hi));
@@ -746,14 +749,9 @@ impl BlockLayout {
         let mut layout = BlockLayout {
             dim: d,
             len: k,
-            slack_scale: 1.0,
-            max_norm_all: 0.0,
-            r_max_all: 0.0,
             blocks: Vec::with_capacity(ranges.len()),
             bbox_lo: Vec::with_capacity(ranges.len() * d),
             bbox_hi: Vec::with_capacity(ranges.len() * d),
-            centers_perm: Vec::with_capacity(k * d),
-            norms: Vec::with_capacity(k),
             radii_pad: Vec::new(),
             aosoa: Vec::new(),
             gids: Vec::with_capacity(k),
@@ -770,19 +768,18 @@ impl BlockLayout {
             let padded = n.div_ceil(QUAD) * QUAD;
             let start = layout.gids.len();
             let (mut r_min, mut r_max) = (f64::INFINITY, f64::NEG_INFINITY);
-            let mut max_norm = f64::NEG_INFINITY;
+            let mut finite = true;
             let bbox_at = layout.bbox_lo.len();
             layout.bbox_lo.resize(bbox_at + d, f64::INFINITY);
             layout.bbox_hi.resize(bbox_at + d, f64::NEG_INFINITY);
+            row_major.clear();
             for &g in &order[lo..hi] {
                 let center = arena.center(g);
-                layout.centers_perm.extend_from_slice(center);
-                let norm = vector::dot(center, center);
-                layout.norms.push(norm);
-                max_norm = max_norm.max(norm);
+                row_major.extend_from_slice(center);
                 let radius = arena.radius(g);
                 r_min = r_min.min(radius);
                 r_max = r_max.max(radius);
+                finite &= radius.is_finite() && vector::all_finite(center);
                 layout.radii_pad.push(radius);
                 layout.gids.push(g);
                 for (c, &v) in center.iter().enumerate() {
@@ -790,17 +787,24 @@ impl BlockLayout {
                     layout.bbox_hi[bbox_at + c] = layout.bbox_hi[bbox_at + c].max(v);
                 }
             }
+            if !finite {
+                // A NaN would silently drop out of the min/max folds
+                // above. A block holding any non-finite parameter
+                // (impossible through validated training) gets the
+                // unbounded box instead: its bounds are 0 against an
+                // infinite overlap reach, so it is verified for every
+                // query and the exact kernel decides.
+                layout.bbox_lo[bbox_at..].fill(f64::NEG_INFINITY);
+                layout.bbox_hi[bbox_at..].fill(f64::INFINITY);
+                (r_min, r_max) = (f64::NEG_INFINITY, f64::INFINITY);
+            }
             layout.radii_pad.resize(pad_row + padded, 0.0);
             // Pad partial quads with +inf rows — inert under both the
             // strict-`<` winner update and the membership test (see
-            // `winner_overlap_block_aosoa`) — then repack AoSoA.
-            row_major.clear();
-            row_major.extend_from_slice(&layout.centers_perm[start * d..(start + n) * d]);
+            // `simd::winner_overlap_block_aosoa`) — then repack AoSoA.
             row_major.resize(padded * d, f64::INFINITY);
             simd::pack_quads_aosoa(&row_major, d, &mut packed);
             layout.aosoa.extend_from_slice(&packed);
-            layout.max_norm_all = layout.max_norm_all.max(max_norm);
-            layout.r_max_all = layout.r_max_all.max(r_max);
             layout.blocks.push(BlockMeta {
                 start,
                 len: n,
@@ -808,7 +812,6 @@ impl BlockLayout {
                 padded_len: padded,
                 r_min,
                 r_max,
-                max_norm,
             });
             pad_row += padded;
         }
@@ -830,159 +833,127 @@ impl BlockLayout {
         self.blocks.len()
     }
 
-    /// **Test hook**: scale the conservative screening slack by `s`.
-    /// `1.0` (the production value) keeps the proven-conservative bound;
-    /// `0.0` deliberately under-slacks the screen so equivalence
-    /// batteries can demonstrate that the slack is load-bearing. Never
-    /// called on the serving path.
-    #[must_use]
-    pub fn with_slack_scale(mut self, s: f64) -> Self {
-        self.slack_scale = s;
-        self
+    /// Direct-form bounds of block `b` for `q`: `(bb, lb, reach)` with
+    /// `bb ≤ ‖c − q‖²` and `lb ≤ joint` for every row of the block, and
+    /// `reach ≥ (θ_q + θ_k)²` for every row — all three exact in floating
+    /// point (see the type docs), so `bb > reach` proves the block holds
+    /// no overlap member and `lb > best` that it cannot hold the winner.
+    #[inline]
+    fn block_bounds(&self, b: usize, q: &Query) -> (f64, f64, f64) {
+        let d = self.dim;
+        let meta = &self.blocks[b];
+        let lo = &self.bbox_lo[b * d..(b + 1) * d];
+        let hi = &self.bbox_hi[b * d..(b + 1) * d];
+        let mut bb = 0.0;
+        for ((&l, &h), &qc) in lo.iter().zip(hi).zip(q.center.iter()) {
+            let gap = (l - qc).max(qc - h).max(0.0);
+            bb += gap * gap;
+        }
+        let rad_gap = (meta.r_min - q.radius).max(q.radius - meta.r_max).max(0.0);
+        let s_lo = q.radius + meta.r_min;
+        let s_hi = q.radius + meta.r_max;
+        (bb, bb + rad_gap * rad_gap, (s_lo * s_lo).max(s_hi * s_hi))
     }
 
-    /// Screening phase for one query: fill `lbs`/`ovl` with per-block
-    /// joint-distance lower bounds and overlap-possibility flags
-    /// (slack-adjusted, so both are conservative with respect to every
-    /// value the exact kernel can compute), then mark survivors.
-    #[allow(clippy::too_many_arguments)]
-    fn screen_query(
+    /// Exact-verify block `b` for `q`: run the whole-block kernel seeded
+    /// one ulp above the running `best` distance, so its strict `<`
+    /// reports the block's first row with `joint ≤ best` (ties must reach
+    /// the merge) or leaves [`NO_CANDIDATE`]; merge that candidate
+    /// lexicographically by `(distance, arena index)` and append the
+    /// block's overlap members to `set` under their arena indices.
+    #[inline]
+    fn verify_block(
+        &self,
+        b: usize,
+        q: &Query,
+        best: &mut (usize, f64),
+        set: &mut Vec<(usize, f64)>,
+    ) {
+        let d = self.dim;
+        let meta = &self.blocks[b];
+        tune::assert_tile_invariants(meta.pad_row);
+        let quads = &self.aosoa[meta.pad_row * d..(meta.pad_row + meta.padded_len) * d];
+        let radii = &self.radii_pad[meta.pad_row..meta.pad_row + meta.padded_len];
+        let gids = &self.gids[meta.start..meta.start + meta.len];
+        let mut local = (NO_CANDIDATE, best.1.next_up());
+        let before = set.len();
+        simd::winner_overlap_block_aosoa(&q.center, q.radius, quads, radii, 0, &mut local, set);
+        // Slot → arena index; +inf pad rows can never be pushed nor win,
+        // so every slot here is a real row.
+        for e in set[before..].iter_mut() {
+            e.0 = gids[e.0];
+        }
+        if local.0 != NO_CANDIDATE {
+            let gid = gids[local.0];
+            // Lexicographic (distance, index) merge — reproduces the
+            // ascending-scan strict-`<` tie-break across the permuted
+            // blocks.
+            if local.1 < best.1 || (local.1 == best.1 && gid < best.0) {
+                *best = (gid, local.1);
+            }
+        }
+    }
+
+    /// Resolve one query: winner as `(arena index, squared joint)`,
+    /// overlap members appended to `set` (arena indices, block order —
+    /// the caller sorts). Stage 1 bounds every block; stage 2 verifies
+    /// the block with the smallest bound first, so the running best is
+    /// tight before any other block is compared against it.
+    fn resolve_query(
         &self,
         q: &Query,
         lbs: &mut Vec<f64>,
-        ovl: &mut Vec<bool>,
-        screen: &mut Vec<f64>,
-        survive: &mut [bool],
+        set: &mut Vec<(usize, f64)>,
         counters: &mut ScreenCounters,
-    ) {
-        let d = self.dim;
+    ) -> (usize, f64) {
+        debug_assert_eq!(
+            q.center.len(),
+            self.dim,
+            "resolve_batch_pruned: dimension mismatch"
+        );
         let nb = self.blocks.len();
         counters.blocks += nb as u64;
-        let q_sq = vector::dot(&q.center, &q.center);
-        // Overflow guard: the slack argument needs every intermediate of
-        // the expanded form to stay finite. `2·√(q²·r²)` bounds |2⟨q,r⟩|
-        // (Cauchy–Schwarz), so if this sum is finite no screening value
-        // can have overflowed. Otherwise pruning is disabled — slower,
-        // never wrong.
-        let guard = q_sq
-            + self.max_norm_all
-            + 2.0 * (q_sq * self.max_norm_all).sqrt()
-            + (q.radius + self.r_max_all) * (q.radius + self.r_max_all);
-        if !guard.is_finite() {
-            survive.fill(true);
-            counters.verified += nb as u64;
-            return;
+        // Seeded like the unpruned scan's `(0, ∞)`.
+        let mut best = (0usize, f64::INFINITY);
+        if nb == 1 {
+            counters.verified += 1;
+            self.verify_block(0, q, &mut best, set);
+            return best;
         }
+        counters.screened += nb as u64;
         lbs.clear();
-        ovl.clear();
-        for (b, meta) in self.blocks.iter().enumerate() {
-            let lo = &self.bbox_lo[b * d..(b + 1) * d];
-            let hi = &self.bbox_hi[b * d..(b + 1) * d];
-            let mut bb = 0.0;
-            for ((&l, &h), &qc) in lo.iter().zip(hi).zip(q.center.iter()) {
-                let gap = if qc < l {
-                    l - qc
-                } else if qc > h {
-                    qc - h
-                } else {
-                    0.0
-                };
-                bb += gap * gap;
-            }
-            let rad_lb = if q.radius < meta.r_min {
-                let t = meta.r_min - q.radius;
-                t * t
-            } else if q.radius > meta.r_max {
-                let t = q.radius - meta.r_max;
-                t * t
-            } else {
-                0.0
-            };
-            let slack = self.block_slack(q, q_sq, meta);
-            let rs = q.radius + meta.r_max;
-            lbs.push(bb + rad_lb - slack);
-            ovl.push(bb - slack <= rs * rs);
-        }
-        // Screen the cheapest-looking block first so `best_ub` starts
-        // tight and the bbox bound can discard most blocks without ever
-        // running their expanded tile.
-        let first = lbs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(b, _)| b)
-            .unwrap_or(0);
-        let mut best_ub = f64::INFINITY;
-        for b in std::iter::once(first).chain((0..nb).filter(|&b| b != first)) {
-            if lbs[b] > best_ub && !ovl[b] {
-                // Cheap skip: the bbox bound alone proves this block can
-                // contain neither the winner nor an overlap member, and
-                // `best_ub` only decreases, so the final filter below
-                // rejects it too.
-                continue;
-            }
-            counters.screened += 1;
-            let meta = &self.blocks[b];
-            let rows = &self.centers_perm[meta.start * d..(meta.start + meta.len) * d];
-            let norms = &self.norms[meta.start..meta.start + meta.len];
-            screen.clear();
-            screen.resize(meta.len, 0.0);
-            // SCREENING: expanded-form distances only ever *discard*
-            // blocks here, under the conservative `screening_slack`
-            // bound (≥ the expanded-vs-direct cancellation error at this
-            // scale), so no true winner or overlap member is screened
-            // out; every answer comes from the exact kernel over the
-            // surviving blocks.
-            vector::sq_dist_tile_expanded_with_norms(&q.center, 1, rows, d, norms, screen);
-            let radii = &self.radii_pad[meta.pad_row..meta.pad_row + meta.len];
-            let slack = self.block_slack(q, q_sq, meta);
-            let mut block_min = f64::INFINITY;
-            let mut row_ovl = false;
-            for (&e, &rk) in screen.iter().zip(radii) {
-                let dr = q.radius - rk;
-                let joint = e + dr * dr;
-                if joint < block_min {
-                    block_min = joint;
-                }
-                let rs = q.radius + rk;
-                row_ovl |= e <= rs * rs + slack;
-            }
-            if block_min - slack > lbs[b] {
-                lbs[b] = block_min - slack;
-            }
-            if block_min + slack < best_ub {
-                best_ub = block_min + slack;
-            }
-            ovl[b] = ovl[b] && row_ovl;
-        }
+        let (mut first, mut first_lb) = (0usize, f64::INFINITY);
         for b in 0..nb {
-            // `≤` (not `<`): boundary and slack-band ties always survive
-            // to the exact phase — pruning must only ever remove blocks
-            // that *provably* cannot matter.
-            let s = lbs[b] <= best_ub || ovl[b];
-            survive[b] = s;
-            if s {
-                counters.verified += 1;
-            } else {
+            let (bb, lb, reach) = self.block_bounds(b, q);
+            if lb < first_lb {
+                (first, first_lb) = (b, lb);
+            }
+            // A block that may hold an overlap member is verified
+            // whatever the winner does: record that as a bound no best
+            // can undercut. A NaN on either side compares false and
+            // lands here too.
+            lbs.push(if bb > reach { lb } else { f64::NEG_INFINITY });
+        }
+        for b in std::iter::once(first).chain((0..nb).filter(|&b| b != first)) {
+            // `>` (not `≥`): a block whose bound ties the best may hold
+            // a lower-index tie, and a NaN bound verifies. Nothing
+            // exceeds the initial `∞`, so `first` is always verified.
+            if lbs[b] > best.1 {
                 counters.skipped += 1;
+            } else {
+                counters.verified += 1;
+                self.verify_block(b, q, &mut best, set);
             }
         }
+        best
     }
 
-    /// Conservative absolute slack for screening comparisons against
-    /// block `meta` — see [`vector::screening_slack`] for the bound it
-    /// must (and does, generously) dominate.
-    #[inline]
-    fn block_slack(&self, q: &Query, q_sq: f64, meta: &BlockMeta) -> f64 {
-        let rs = q.radius + meta.r_max;
-        vector::screening_slack(self.dim, q_sq + meta.max_norm + rs * rs) * self.slack_scale
-    }
-
-    /// Two-phase pruned batched resolution: screening
-    /// (`screen_query`, above) discards blocks that provably cannot
-    /// contain the winner or any overlapping ball, then the bit-exact
-    /// AoSoA kernel ([`vector::winner_overlap_block_aosoa`]) resolves the
-    /// survivors. The filled [`BatchResolution`] is **bit-identical** to
+    /// Bound-and-verify pruned batched resolution: per query, a
+    /// direct-form lower bound per block (`block_bounds`) discards blocks
+    /// that provably cannot contain the winner or any overlapping ball,
+    /// and the bit-exact whole-block AoSoA kernel
+    /// ([`simd::winner_overlap_block_aosoa`]) resolves the rest. The
+    /// filled [`BatchResolution`] is **bit-identical** to
     /// [`PrototypeArena::resolve_batch`] on the source arena for every
     /// query (see the type docs for the argument); `counters` is
     /// accumulated, never reset, so callers can aggregate across calls.
@@ -997,87 +968,22 @@ impl BlockLayout {
     ) {
         out.clear();
         debug_assert!(self.len > 0, "resolve_batch_pruned: empty layout");
-        let d = self.dim;
-        let nb = self.blocks.len();
         let BatchResolution {
             winners,
             offsets,
             entries,
-            block_sets,
-            screen,
             lbs,
-            ovl,
-            survive,
+            ..
         } = out;
         offsets.push(0);
-        while block_sets.len() < QUERY_BLOCK {
-            block_sets.push(Vec::new());
-        }
-        for chunk in queries.chunks(QUERY_BLOCK) {
-            let bq = chunk.len();
-            survive.clear();
-            survive.resize(bq * nb, false);
-            for set in block_sets.iter_mut().take(bq) {
-                set.clear();
-            }
-            // Merged winner per query as `(arena index, squared joint)`,
-            // seeded like the unpruned scan's `(0, ∞)`.
-            let mut best = [(0usize, f64::INFINITY); QUERY_BLOCK];
-            for (qi, q) in chunk.iter().enumerate() {
-                debug_assert_eq!(
-                    q.center.len(),
-                    d,
-                    "resolve_batch_pruned: dimension mismatch"
-                );
-                self.screen_query(
-                    q,
-                    lbs,
-                    ovl,
-                    screen,
-                    &mut survive[qi * nb..(qi + 1) * nb],
-                    counters,
-                );
-            }
-            // Verify phase, block-outer: each surviving AoSoA tile stays
-            // hot while every query that kept it runs the exact kernel.
-            for (b, meta) in self.blocks.iter().enumerate() {
-                tune::assert_tile_invariants(meta.pad_row);
-                let quads = &self.aosoa[meta.pad_row * d..(meta.pad_row + meta.padded_len) * d];
-                let radii = &self.radii_pad[meta.pad_row..meta.pad_row + meta.padded_len];
-                for (qi, q) in chunk.iter().enumerate() {
-                    if !survive[qi * nb + b] {
-                        continue;
-                    }
-                    let mut local = (0usize, f64::INFINITY);
-                    let set = &mut block_sets[qi];
-                    let before = set.len();
-                    vector::winner_overlap_block_aosoa(
-                        &q.center, q.radius, quads, radii, d, 0, &mut local, set,
-                    );
-                    // Slot → arena index; +inf pad rows can never be
-                    // pushed, so every slot here is a real row.
-                    for e in set[before..].iter_mut() {
-                        e.0 = self.gids[meta.start + e.0];
-                    }
-                    let gid = self.gids[meta.start + local.0];
-                    let (best_gid, best_sq) = best[qi];
-                    // Lexicographic (distance, index) merge — reproduces
-                    // the ascending-scan strict-`<` tie-break across the
-                    // permuted blocks.
-                    if local.1 < best_sq || (local.1 == best_sq && gid < best_gid) {
-                        best[qi] = (gid, local.1);
-                    }
-                }
-            }
-            for qi in 0..bq {
-                // Ascending arena order restores the scalar path's exact
-                // fusion summation order; degrees are per-pair
-                // bit-identical, so the CSR equals the unpruned one.
-                block_sets[qi].sort_unstable_by_key(|e| e.0);
-                winners.push(best[qi]);
-                entries.extend_from_slice(&block_sets[qi]);
-                offsets.push(entries.len());
-            }
+        for q in queries {
+            let at = entries.len();
+            winners.push(self.resolve_query(q, lbs, entries, counters));
+            // Ascending arena order restores the scalar path's exact
+            // fusion summation order; degrees are per-pair
+            // bit-identical, so the CSR equals the unpruned one.
+            entries[at..].sort_unstable_by_key(|e| e.0);
+            offsets.push(entries.len());
         }
     }
 }
@@ -1087,6 +993,7 @@ mod tests {
     use super::*;
     use crate::overlap::overlap_degree_parts;
     use crate::query::Query;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -1371,13 +1278,19 @@ mod tests {
                     }
                 }
                 // Counted — never silent: every visit lands in exactly
-                // one bucket and screening never exceeds visits.
+                // one bucket, and a bound is evaluated for every visit
+                // unless the layout is a single block.
                 assert_eq!(
                     counters.blocks,
                     (queries.len() * layout.num_blocks()) as u64
                 );
                 assert_eq!(counters.skipped + counters.verified, counters.blocks);
-                assert!(counters.screened <= counters.blocks);
+                let bounded = if layout.num_blocks() > 1 {
+                    counters.blocks
+                } else {
+                    0
+                };
+                assert_eq!(counters.screened, bounded);
             }
         }
     }
@@ -1450,23 +1363,85 @@ mod tests {
     }
 
     #[test]
-    fn screening_overflow_guard_disables_pruning_not_correctness() {
-        // Centers near f64::MAX make the expanded form overflow; the
-        // guard must fall back to verifying every block.
-        let mut protos = random_protos(8, 2, 31);
+    fn screening_overflowing_squares_stay_bit_identical() {
+        // Centers near 1e200 square to +inf in kernel and bound alike;
+        // `∞ ≤ ∞` keeps the bound valid, so no guard is needed.
+        let mut protos = random_protos(200, 2, 31);
         protos[3].center = vec![1e200, -1e200];
+        protos[150].center = vec![-1e200, 1e200];
         let arena = PrototypeArena::from_prototypes(2, &protos);
         let layout = arena.build_layout();
-        let q = Query::new_unchecked(vec![1e200, 0.0], 0.1);
+        assert!(layout.num_blocks() > 1);
+        let queries = [
+            Query::new_unchecked(vec![1e200, 0.0], 0.1),
+            Query::new_unchecked(vec![0.2, -0.1], 0.3),
+            Query::new_unchecked(vec![-1e200, 1e200], 1e190),
+        ];
         let mut want = BatchResolution::new();
-        arena.resolve_batch(std::slice::from_ref(&q), &mut want);
+        arena.resolve_batch(&queries, &mut want);
         let mut got = BatchResolution::new();
         let mut counters = ScreenCounters::default();
-        layout.resolve_batch_pruned(std::slice::from_ref(&q), &mut got, &mut counters);
-        assert_eq!(got.winner(0), want.winner(0));
-        assert_eq!(got.overlap(0), want.overlap(0));
-        assert_eq!(counters.skipped, 0, "guard must disable pruning");
-        assert_eq!(counters.verified, counters.blocks);
+        layout.resolve_batch_pruned(&queries, &mut got, &mut counters);
+        for i in 0..queries.len() {
+            assert_eq!(got.winner(i), want.winner(i), "q{i}");
+            assert_eq!(got.overlap(i), want.overlap(i), "q{i}");
+        }
+        assert_eq!(counters.skipped + counters.verified, counters.blocks);
+    }
+
+    proptest! {
+        /// The soundness core of the pruned path, with **no tolerance**:
+        /// for every row of a block, the block bound never exceeds the
+        /// value the exact kernel computes for that row — `bb ≤ ‖c − q‖²`,
+        /// `lb ≤ joint`, `reach ≥ (θ_q + θ_k)²` — at any magnitude, for
+        /// probes inside and outside the box, for radii of either sign.
+        #[test]
+        fn screening_bounds_never_exceed_any_row(
+            dim_at in 0usize..10,
+            exp in -150i32..=150,
+            rows in 1usize..=ROW_TILE,
+            signed_radii in any::<bool>(),
+            rng_seed in any::<u64>(),
+        ) {
+            let d = [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 64][dim_at];
+            let mut rng = StdRng::seed_from_u64(rng_seed);
+            let value = |rng: &mut StdRng| {
+                rng.random_range(-1.0..1.0) * 10f64.powi(exp + rng.random_range(-2..=2))
+            };
+            let protos: Vec<Prototype> = (0..rows)
+                .map(|_| Prototype {
+                    center: (0..d).map(|_| value(&mut rng)).collect(),
+                    radius: if signed_radii { value(&mut rng) } else { value(&mut rng).abs() },
+                    y: 0.0,
+                    b_x: vec![0.0; d],
+                    b_theta: 0.0,
+                    updates: 0,
+                })
+                .collect();
+            let arena = PrototypeArena::from_prototypes(d, &protos);
+            let layout = arena.build_layout();
+            prop_assert_eq!(layout.num_blocks(), 1);
+            for probe in 0..8 {
+                // Even probes sit next to a row (zero gaps, near
+                // cancellation); odd ones anywhere at this magnitude.
+                let center: Vec<f64> = if probe % 2 == 0 {
+                    let near = &protos[rng.random_range(0..rows)].center;
+                    near.iter().map(|&c| c * rng.random_range(0.999..1.001)).collect()
+                } else {
+                    (0..d).map(|_| value(&mut rng)).collect()
+                };
+                let q = Query::new_unchecked(center, value(&mut rng).abs());
+                let (bb, lb, reach) = layout.block_bounds(0, &q);
+                for p in &protos {
+                    let csq = vector::sq_dist(&p.center, &q.center);
+                    let dr = q.radius - p.radius;
+                    let rs = q.radius + p.radius;
+                    prop_assert!(bb <= csq, "bb {bb:e} > csq {csq:e}");
+                    prop_assert!(lb <= csq + dr * dr, "lb {lb:e} > joint");
+                    prop_assert!(reach >= rs * rs, "reach {reach:e} < (θq+θk)²");
+                }
+            }
+        }
     }
 
     #[test]

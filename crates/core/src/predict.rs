@@ -4,11 +4,11 @@
 //! Prediction never touches the underlying data — it is `O(dK)` over the
 //! prototype set, which is the paper's efficiency/scalability claim
 //! (Section V, "Convergence & Complexity"). On top of that bound, the
-//! snapshot serving path can go *output-sensitive*: the two-phase pruned
+//! snapshot serving path can go *output-sensitive*: the pruned
 //! resolvers ([`crate::snapshot::ServingSnapshot::predict_q1_with_confidence_pruned`]
-//! and siblings) screen whole prototype blocks through
+//! and siblings) discard whole prototype blocks through
 //! [`crate::arena::BlockLayout`]'s cached bounds before the exact `O(dK)`
-//! kernels run over the survivors — bit-identical answers, with every
+//! kernels run over the rest — bit-identical answers, with every
 //! pruning decision counted into [`crate::arena::ScreenCounters`]. The
 //! fusion drivers in this module are shared by both resolutions, so a
 //! pruned and an unpruned answer can never disagree about the route.

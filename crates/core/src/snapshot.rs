@@ -396,18 +396,8 @@ impl ServingSnapshot {
         queries: &[Query],
     ) -> Result<Vec<(f64, Confidence)>, CoreError> {
         let rho = self.inner.config.rho();
-        self.batch_fold(queries, |arena, q, (wk, wsq), set| {
-            let mut yhat = 0.0;
-            let mut support_updates = 0.0;
-            let info = predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    yhat += w * arena.eval(k, &q.center, q.radius);
-                    support_updates += w * arena.updates(k) as f64;
-                },
-            );
-            (yhat, confidence::combine(wsq, rho, support_updates, info))
+        self.batch_fold(queries, |arena, q, winner, set| {
+            fold_q1(arena, rho, q, winner, set)
         })
     }
 
@@ -421,31 +411,21 @@ impl ServingSnapshot {
         queries: &[Query],
     ) -> Result<Vec<(Vec<LocalModel>, Confidence)>, CoreError> {
         let rho = self.inner.config.rho();
-        self.batch_fold(queries, |arena, _, (wk, wsq), set| {
-            let mut s = Vec::new();
-            let mut support_updates = 0.0;
-            let info = predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    s.push(predict::local_model_at(arena, k, w));
-                    support_updates += w * arena.updates(k) as f64;
-                },
-            );
-            (s, confidence::combine(wsq, rho, support_updates, info))
+        self.batch_fold(queries, |arena, _, winner, set| {
+            fold_q2(arena, rho, winner, set)
         })
     }
 
-    // ---- Two-phase pruned serving ----------------------------------------
+    // ---- Bound-and-verify pruned serving ----------------------------------
     //
     // Same fusion folds as the batched path above, but the winner/overlap
-    // resolution comes from the capture-time [`BlockLayout`]: a
-    // conservative screening pass discards prototype blocks that provably
-    // cannot contain the winner or any overlapping ball, then the exact
-    // kernel runs over the survivors only. Answers stay **bit-identical**
-    // to the unpruned (and scalar) paths — the layout docs carry the
-    // argument, the `pruned_equivalence` battery pins it — while the work
-    // becomes output-sensitive on clustered prototype sets. Every pruning
+    // resolution comes from the capture-time [`BlockLayout`]: a per-block
+    // lower bound discards prototype blocks that provably cannot contain
+    // the winner or any overlapping ball, then the exact kernel runs over
+    // the rest only. Answers stay **bit-identical** to the unpruned (and
+    // scalar) paths — the layout docs carry the argument, the
+    // `pruned_equivalence` battery pins it — while the work becomes
+    // output-sensitive on clustered prototype sets. Every pruning
     // decision is counted into the caller's [`ScreenCounters`], never
     // silent.
 
@@ -455,9 +435,29 @@ impl ServingSnapshot {
         &self.inner.layout
     }
 
-    /// [`Self::batch_fold`] with two-phase pruned resolution: identical
-    /// validation, scratch and per-query fold; only the resolver differs
-    /// (and its screening telemetry lands in `counters`).
+    /// Validate `queries` (non-empty), resolve them through the pruned
+    /// layout in the thread-local scratch (telemetry into `counters`) and
+    /// hand the resolution to `fold`.
+    fn with_pruned_resolution<R>(
+        &self,
+        queries: &[Query],
+        counters: &mut ScreenCounters,
+        fold: impl FnOnce(&PrototypeArena, &BatchResolution) -> R,
+    ) -> Result<R, CoreError> {
+        for q in queries {
+            self.check_query(q)?;
+        }
+        BATCH_SCRATCH.with(|scratch| {
+            let mut res = scratch.borrow_mut();
+            self.inner
+                .layout
+                .resolve_batch_pruned(queries, &mut res, counters);
+            Ok(fold(&self.inner.arena, &res))
+        })
+    }
+
+    /// [`Self::batch_fold`] with pruned resolution: identical validation,
+    /// scratch and per-query fold; only the resolver differs.
     fn batch_fold_pruned<T>(
         &self,
         queries: &[Query],
@@ -467,25 +467,17 @@ impl ServingSnapshot {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        for q in queries {
-            self.check_query(q)?;
-        }
-        BATCH_SCRATCH.with(|scratch| {
-            let mut res = scratch.borrow_mut();
-            let arena = &self.inner.arena;
-            self.inner
-                .layout
-                .resolve_batch_pruned(queries, &mut res, counters);
-            Ok(queries
+        self.with_pruned_resolution(queries, counters, |arena, res| {
+            queries
                 .iter()
                 .enumerate()
                 .map(|(i, q)| per_query(arena, q, res.winner(i), res.overlap(i)))
-                .collect())
+                .collect()
         })
     }
 
-    /// Two-phase pruned Q1 + confidence — bit-identical to
-    /// [`ServingSnapshot::predict_q1_with_confidence`], with screening
+    /// Pruned Q1 + confidence — bit-identical to
+    /// [`ServingSnapshot::predict_q1_with_confidence`], with pruning
     /// telemetry accumulated into `counters`.
     ///
     /// # Errors
@@ -495,15 +487,14 @@ impl ServingSnapshot {
         q: &Query,
         counters: &mut ScreenCounters,
     ) -> Result<(f64, Confidence), CoreError> {
-        let mut out =
-            self.predict_q1_with_confidence_batch_pruned(std::slice::from_ref(q), counters)?;
-        // INVARIANT: the batch driver returns exactly one answer per
-        // query and we passed exactly one query.
-        Ok(out.pop().expect("one query in, one answer out"))
+        let rho = self.inner.config.rho();
+        self.with_pruned_resolution(std::slice::from_ref(q), counters, |arena, res| {
+            fold_q1(arena, rho, q, res.winner(0), res.overlap(0))
+        })
     }
 
-    /// Two-phase pruned Q2 + confidence — bit-identical to
-    /// [`ServingSnapshot::predict_q2_with_confidence`], with screening
+    /// Pruned Q2 + confidence — bit-identical to
+    /// [`ServingSnapshot::predict_q2_with_confidence`], with pruning
     /// telemetry accumulated into `counters`.
     ///
     /// # Errors
@@ -513,15 +504,13 @@ impl ServingSnapshot {
         q: &Query,
         counters: &mut ScreenCounters,
     ) -> Result<(Vec<LocalModel>, Confidence), CoreError> {
-        let mut out =
-            self.predict_q2_with_confidence_batch_pruned(std::slice::from_ref(q), counters)?;
-        // INVARIANT: the batch driver returns exactly one answer per
-        // query and we passed exactly one query.
-        Ok(out.pop().expect("one query in, one answer out"))
+        let rho = self.inner.config.rho();
+        self.with_pruned_resolution(std::slice::from_ref(q), counters, |arena, res| {
+            fold_q2(arena, rho, res.winner(0), res.overlap(0))
+        })
     }
 
-    /// Two-phase pruned batched Q1 + confidence: `out[i]` is
-    /// bit-identical to
+    /// Pruned batched Q1 + confidence: `out[i]` is bit-identical to
     /// [`ServingSnapshot::predict_q1_with_confidence`] on `queries[i]`.
     ///
     /// # Errors
@@ -532,23 +521,12 @@ impl ServingSnapshot {
         counters: &mut ScreenCounters,
     ) -> Result<Vec<(f64, Confidence)>, CoreError> {
         let rho = self.inner.config.rho();
-        self.batch_fold_pruned(queries, counters, |arena, q, (wk, wsq), set| {
-            let mut yhat = 0.0;
-            let mut support_updates = 0.0;
-            let info = predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    yhat += w * arena.eval(k, &q.center, q.radius);
-                    support_updates += w * arena.updates(k) as f64;
-                },
-            );
-            (yhat, confidence::combine(wsq, rho, support_updates, info))
+        self.batch_fold_pruned(queries, counters, |arena, q, winner, set| {
+            fold_q1(arena, rho, q, winner, set)
         })
     }
 
-    /// Two-phase pruned batched Q2 + confidence: `out[i]` is
-    /// bit-identical to
+    /// Pruned batched Q2 + confidence: `out[i]` is bit-identical to
     /// [`ServingSnapshot::predict_q2_with_confidence`] on `queries[i]`.
     ///
     /// # Errors
@@ -559,20 +537,54 @@ impl ServingSnapshot {
         counters: &mut ScreenCounters,
     ) -> Result<Vec<(Vec<LocalModel>, Confidence)>, CoreError> {
         let rho = self.inner.config.rho();
-        self.batch_fold_pruned(queries, counters, |arena, _, (wk, wsq), set| {
-            let mut s = Vec::new();
-            let mut support_updates = 0.0;
-            let info = predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    s.push(predict::local_model_at(arena, k, w));
-                    support_updates += w * arena.updates(k) as f64;
-                },
-            );
-            (s, confidence::combine(wsq, rho, support_updates, info))
+        self.batch_fold_pruned(queries, counters, |arena, _, winner, set| {
+            fold_q2(arena, rho, winner, set)
         })
     }
+}
+
+/// The Q1 + confidence fold of one resolved query: fuse the overlap set
+/// `set` (or fall back to the winner) into the prediction and the support
+/// the confidence needs. Shared by the batched and pruned predictors so
+/// they replay one floating-point operation sequence.
+fn fold_q1(
+    arena: &PrototypeArena,
+    rho: f64,
+    q: &Query,
+    (wk, wsq): (usize, f64),
+    set: &[(usize, f64)],
+) -> (f64, Confidence) {
+    let mut yhat = 0.0;
+    let mut support_updates = 0.0;
+    let info = predict::fuse_weights_from_set(
+        set,
+        || wk,
+        |k, w| {
+            yhat += w * arena.eval(k, &q.center, q.radius);
+            support_updates += w * arena.updates(k) as f64;
+        },
+    );
+    (yhat, confidence::combine(wsq, rho, support_updates, info))
+}
+
+/// The Q2 + confidence fold of one resolved query — see [`fold_q1`].
+fn fold_q2(
+    arena: &PrototypeArena,
+    rho: f64,
+    (wk, wsq): (usize, f64),
+    set: &[(usize, f64)],
+) -> (Vec<LocalModel>, Confidence) {
+    let mut s = Vec::new();
+    let mut support_updates = 0.0;
+    let info = predict::fuse_weights_from_set(
+        set,
+        || wk,
+        |k, w| {
+            s.push(predict::local_model_at(arena, k, w));
+            support_updates += w * arena.updates(k) as f64;
+        },
+    );
+    (s, confidence::combine(wsq, rho, support_updates, info))
 }
 
 impl LlmModel {
@@ -733,36 +745,18 @@ pub fn sharded_q2_with_confidence(
     ))
 }
 
-/// Shared driver of the sharded **batch** predictors: resolve the whole
-/// batch once per part (one fused arena pass per shard, amortized over
-/// the query block), then per query replay the scalar sharded path —
-/// winner selection with the same strict-`<`/lowest-gid tie-break as
-/// [`sharded_winner`], the same gid-sorted entry merge as the scalar
-/// driver, and the shared [`fuse_sharded_entries`] fold. `out[i]` is
-/// `None` exactly when the scalar call would return `None` (every part
-/// empty).
-fn sharded_batch_drive<T>(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    per_query: impl FnMut(&Query, (usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
-) -> Vec<Option<T>> {
-    sharded_batch_drive_impl(parts, queries, None, per_query)
-}
-
-/// [`sharded_batch_drive`] with an optional two-phase pruned resolver:
-/// when `counters` is `Some`, every part resolves through its snapshot's
-/// capture-time [`BlockLayout`] (screening telemetry accumulated there)
-/// instead of the unpruned arena scan. Both resolvers fill bit-identical
-/// [`BatchResolution`]s, so the merge/fold below is shared verbatim.
-fn sharded_batch_drive_impl<T>(
+/// Resolve `queries` once per non-empty part into the thread-local
+/// scratch — through each snapshot's capture-time [`BlockLayout`] when
+/// `counters` is `Some` (pruning telemetry accumulated there), through
+/// the unpruned arena scan otherwise; both fill bit-identical
+/// [`BatchResolution`]s — then hand the per-part resolutions and the
+/// merged-entry buffer to `fold`.
+fn with_sharded_resolutions<R>(
     parts: &[ShardPart<'_>],
     queries: &[Query],
     mut counters: Option<&mut ScreenCounters>,
-    mut per_query: impl FnMut(&Query, (usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
-) -> Vec<Option<T>> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
+    fold: impl FnOnce(&[BatchResolution], &mut Vec<(usize, usize, usize, f64)>) -> R,
+) -> R {
     SHARD_BATCH_SCRATCH.with(|scratch| {
         let mut s = scratch.borrow_mut();
         let (resolutions, merged) = &mut *s;
@@ -787,42 +781,114 @@ fn sharded_batch_drive_impl<T>(
                 }
             }
         }
+        fold(resolutions, merged)
+    })
+}
+
+/// Query `i` of a sharded resolution, replaying the scalar sharded path:
+/// winner selection with the same strict-`<`/lowest-gid tie-break as
+/// [`sharded_winner`], the same gid-sorted entry merge as the scalar
+/// driver, then `per_query` (which folds through the shared
+/// [`fuse_sharded_entries`]). `None` exactly when the scalar call would
+/// return `None` (every part empty).
+fn sharded_fold_one<T>(
+    parts: &[ShardPart<'_>],
+    resolutions: &[BatchResolution],
+    merged: &mut Vec<(usize, usize, usize, f64)>,
+    i: usize,
+    per_query: impl FnOnce((usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
+) -> Option<T> {
+    let mut best: Option<(usize, usize, f64, usize)> = None;
+    for (pi, part) in parts.iter().enumerate() {
+        if part.snapshot.k() == 0 {
+            continue;
+        }
+        let (lk, sq) = resolutions[pi].winner(i);
+        let gid = part.ids[lk];
+        let better = match best {
+            None => true,
+            Some((_, _, best_sq, best_gid)) => sq < best_sq || (sq == best_sq && gid < best_gid),
+        };
+        if better {
+            best = Some((pi, lk, sq, gid));
+        }
+    }
+    let (wp, wl, wsq, _) = best?;
+    merged.clear();
+    for (pi, part) in parts.iter().enumerate() {
+        if part.snapshot.k() == 0 {
+            continue;
+        }
+        for &(lk, d) in resolutions[pi].overlap(i) {
+            merged.push((part.ids[lk], pi, lk, d));
+        }
+    }
+    merged.sort_unstable_by_key(|e| e.0);
+    Some(per_query((wp, wl, wsq), merged))
+}
+
+/// Shared driver of the sharded **batch** predictors: resolve the whole
+/// batch once per part (one fused arena pass per shard, amortized over
+/// the query block), then fold each query ([`sharded_fold_one`]).
+fn sharded_batch_drive<T>(
+    parts: &[ShardPart<'_>],
+    queries: &[Query],
+    counters: Option<&mut ScreenCounters>,
+    mut per_query: impl FnMut(&Query, (usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
+) -> Vec<Option<T>> {
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    with_sharded_resolutions(parts, queries, counters, |resolutions, merged| {
         queries
             .iter()
             .enumerate()
             .map(|(i, q)| {
-                let mut best: Option<(usize, usize, f64, usize)> = None;
-                for (pi, part) in parts.iter().enumerate() {
-                    if part.snapshot.k() == 0 {
-                        continue;
-                    }
-                    let (lk, sq) = resolutions[pi].winner(i);
-                    let gid = part.ids[lk];
-                    let better = match best {
-                        None => true,
-                        Some((_, _, best_sq, best_gid)) => {
-                            sq < best_sq || (sq == best_sq && gid < best_gid)
-                        }
-                    };
-                    if better {
-                        best = Some((pi, lk, sq, gid));
-                    }
-                }
-                let (wp, wl, wsq, _) = best?;
-                merged.clear();
-                for (pi, part) in parts.iter().enumerate() {
-                    if part.snapshot.k() == 0 {
-                        continue;
-                    }
-                    for &(lk, d) in resolutions[pi].overlap(i) {
-                        merged.push((part.ids[lk], pi, lk, d));
-                    }
-                }
-                merged.sort_unstable_by_key(|e| e.0);
-                Some(per_query(q, (wp, wl, wsq), merged))
+                sharded_fold_one(parts, resolutions, merged, i, |winner, entries| {
+                    per_query(q, winner, entries)
+                })
             })
             .collect()
     })
+}
+
+/// The sharded Q1 + confidence fold of one resolved query — the
+/// cross-shard twin of the snapshot's `fold_q1`.
+fn sharded_fold_q1(
+    parts: &[ShardPart<'_>],
+    q: &Query,
+    (wp, wl, wsq): (usize, usize, f64),
+    entries: &[(usize, usize, usize, f64)],
+) -> (f64, Confidence) {
+    let rho = parts[wp].snapshot.config().rho();
+    let mut yhat = 0.0;
+    let mut support_updates = 0.0;
+    let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
+        let arena = parts[pi].snapshot.arena();
+        yhat += w * arena.eval(lk, &q.center, q.radius);
+        support_updates += w * arena.updates(lk) as f64;
+    });
+    (yhat, confidence::combine(wsq, rho, support_updates, info))
+}
+
+/// The sharded Q2 + confidence fold of one resolved query (list elements
+/// carry the **global** prototype id).
+fn sharded_fold_q2(
+    parts: &[ShardPart<'_>],
+    (wp, wl, wsq): (usize, usize, f64),
+    entries: &[(usize, usize, usize, f64)],
+) -> (Vec<LocalModel>, Confidence) {
+    let rho = parts[wp].snapshot.config().rho();
+    let mut s = Vec::new();
+    let mut support_updates = 0.0;
+    let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
+        let arena = parts[pi].snapshot.arena();
+        let mut lm = predict::local_model_at(arena, lk, w);
+        lm.prototype = parts[pi].ids[lk];
+        s.push(lm);
+        support_updates += w * arena.updates(lk) as f64;
+    });
+    (s, confidence::combine(wsq, rho, support_updates, info))
 }
 
 /// Batched Q1 + confidence fused across shards: `out[i]` is bit-identical
@@ -834,16 +900,8 @@ pub fn sharded_q1_with_confidence_batch(
     parts: &[ShardPart<'_>],
     queries: &[Query],
 ) -> Vec<Option<(f64, Confidence)>> {
-    sharded_batch_drive(parts, queries, |q, (wp, wl, wsq), entries| {
-        let rho = parts[wp].snapshot.config().rho();
-        let mut yhat = 0.0;
-        let mut support_updates = 0.0;
-        let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-            let arena = parts[pi].snapshot.arena();
-            yhat += w * arena.eval(lk, &q.center, q.radius);
-            support_updates += w * arena.updates(lk) as f64;
-        });
-        (yhat, confidence::combine(wsq, rho, support_updates, info))
+    sharded_batch_drive(parts, queries, None, |q, winner, entries| {
+        sharded_fold_q1(parts, q, winner, entries)
     })
 }
 
@@ -854,49 +912,26 @@ pub fn sharded_q2_with_confidence_batch(
     parts: &[ShardPart<'_>],
     queries: &[Query],
 ) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
-    sharded_batch_drive(parts, queries, |_, (wp, wl, wsq), entries| {
-        let rho = parts[wp].snapshot.config().rho();
-        let mut s = Vec::new();
-        let mut support_updates = 0.0;
-        let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-            let arena = parts[pi].snapshot.arena();
-            let mut lm = predict::local_model_at(arena, lk, w);
-            lm.prototype = parts[pi].ids[lk];
-            s.push(lm);
-            support_updates += w * arena.updates(lk) as f64;
-        });
-        (s, confidence::combine(wsq, rho, support_updates, info))
+    sharded_batch_drive(parts, queries, None, |_, winner, entries| {
+        sharded_fold_q2(parts, winner, entries)
     })
 }
 
-/// Two-phase pruned batched Q1 + confidence across shards: `out[i]` is
+/// Pruned batched Q1 + confidence across shards: `out[i]` is
 /// bit-identical to [`sharded_q1_with_confidence_batch`] on the same
 /// parts — each part resolves through its capture-time [`BlockLayout`],
-/// with screening telemetry from all parts accumulated into `counters`.
+/// with pruning telemetry from all parts accumulated into `counters`.
 pub fn sharded_q1_with_confidence_batch_pruned(
     parts: &[ShardPart<'_>],
     queries: &[Query],
     counters: &mut ScreenCounters,
 ) -> Vec<Option<(f64, Confidence)>> {
-    sharded_batch_drive_impl(
-        parts,
-        queries,
-        Some(counters),
-        |q, (wp, wl, wsq), entries| {
-            let rho = parts[wp].snapshot.config().rho();
-            let mut yhat = 0.0;
-            let mut support_updates = 0.0;
-            let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-                let arena = parts[pi].snapshot.arena();
-                yhat += w * arena.eval(lk, &q.center, q.radius);
-                support_updates += w * arena.updates(lk) as f64;
-            });
-            (yhat, confidence::combine(wsq, rho, support_updates, info))
-        },
-    )
+    sharded_batch_drive(parts, queries, Some(counters), |q, winner, entries| {
+        sharded_fold_q1(parts, q, winner, entries)
+    })
 }
 
-/// Two-phase pruned batched Q2 + confidence across shards: `out[i]` is
+/// Pruned batched Q2 + confidence across shards: `out[i]` is
 /// bit-identical to [`sharded_q2_with_confidence_batch`] on the same
 /// parts, global prototype ids included.
 pub fn sharded_q2_with_confidence_batch_pruned(
@@ -904,52 +939,39 @@ pub fn sharded_q2_with_confidence_batch_pruned(
     queries: &[Query],
     counters: &mut ScreenCounters,
 ) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
-    sharded_batch_drive_impl(
-        parts,
-        queries,
-        Some(counters),
-        |_, (wp, wl, wsq), entries| {
-            let rho = parts[wp].snapshot.config().rho();
-            let mut s = Vec::new();
-            let mut support_updates = 0.0;
-            let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-                let arena = parts[pi].snapshot.arena();
-                let mut lm = predict::local_model_at(arena, lk, w);
-                lm.prototype = parts[pi].ids[lk];
-                s.push(lm);
-                support_updates += w * arena.updates(lk) as f64;
-            });
-            (s, confidence::combine(wsq, rho, support_updates, info))
-        },
-    )
+    sharded_batch_drive(parts, queries, Some(counters), |_, winner, entries| {
+        sharded_fold_q2(parts, winner, entries)
+    })
 }
 
-/// Two-phase pruned scalar Q1 + confidence across shards — bit-identical
-/// to [`sharded_q1_with_confidence`] (screening telemetry in `counters`).
+/// Pruned scalar Q1 + confidence across shards — bit-identical to
+/// [`sharded_q1_with_confidence`] (pruning telemetry in `counters`).
 pub fn sharded_q1_with_confidence_pruned(
     parts: &[ShardPart<'_>],
     q: &Query,
     counters: &mut ScreenCounters,
 ) -> Option<(f64, Confidence)> {
-    sharded_q1_with_confidence_batch_pruned(parts, std::slice::from_ref(q), counters)
-        .pop()
-        // INVARIANT: the batch driver returns exactly one entry per
-        // query and we passed exactly one query.
-        .expect("one query in, one answer out")
+    let queries = std::slice::from_ref(q);
+    with_sharded_resolutions(parts, queries, Some(counters), |resolutions, merged| {
+        sharded_fold_one(parts, resolutions, merged, 0, |winner, entries| {
+            sharded_fold_q1(parts, q, winner, entries)
+        })
+    })
 }
 
-/// Two-phase pruned scalar Q2 + confidence across shards — bit-identical
-/// to [`sharded_q2_with_confidence`] (screening telemetry in `counters`).
+/// Pruned scalar Q2 + confidence across shards — bit-identical to
+/// [`sharded_q2_with_confidence`] (pruning telemetry in `counters`).
 pub fn sharded_q2_with_confidence_pruned(
     parts: &[ShardPart<'_>],
     q: &Query,
     counters: &mut ScreenCounters,
 ) -> Option<(Vec<LocalModel>, Confidence)> {
-    sharded_q2_with_confidence_batch_pruned(parts, std::slice::from_ref(q), counters)
-        .pop()
-        // INVARIANT: the batch driver returns exactly one entry per
-        // query and we passed exactly one query.
-        .expect("one query in, one answer out")
+    let queries = std::slice::from_ref(q);
+    with_sharded_resolutions(parts, queries, Some(counters), |resolutions, merged| {
+        sharded_fold_one(parts, resolutions, merged, 0, |winner, entries| {
+            sharded_fold_q2(parts, winner, entries)
+        })
+    })
 }
 
 #[cfg(test)]

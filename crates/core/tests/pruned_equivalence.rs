@@ -5,17 +5,18 @@
 //! Pruned resolution ([`regq_core::BlockLayout::resolve_batch_pruned`])
 //! is **bit-identical** to the unpruned scan
 //! ([`regq_core::PrototypeArena::resolve_batch`]) — not merely close.
-//! The expanded-form screening tile may only *discard* blocks, and only
-//! under a conservative slack that over-covers its re-association error;
-//! every surviving block is verified by the exact AoSoA kernel, which
-//! replays the scalar kernels' operation order per row. These properties
-//! pin that contract across arena sizes K ∈ {64, 257, 1024, 4096} ×
-//! batch sizes {1, 7, 64, 1000} × shard counts {1, 2, 4, 8}, with balls
-//! straddling cluster/shard boundaries, near-tie queries whose top
-//! candidates differ by less than the screening slack, and — the
-//! load-bearing direction — a directed test showing that *removing* the
-//! slack (`with_slack_scale(0.0)`) makes screening wrong on adversarial
-//! large-magnitude geometry, so the slack term is doing real work.
+//! The per-block bound may only *discard* blocks, and it replays the
+//! kernel's own operation sequence on the block's box, so it never
+//! exceeds what the kernel computes for any row (no slack — the exact
+//! inequality is pinned by `screening_bounds_never_exceed_any_row` in
+//! `arena.rs`); every other block is verified by the exact AoSoA kernel,
+//! which replays the scalar kernels' operation order per row. These
+//! properties pin that contract across arena sizes K ∈ {64, 257, 1024,
+//! 4096} × batch sizes {1, 7, 64, 1000} × shard counts {1, 2, 4, 8}, with
+//! balls straddling cluster/shard boundaries, near-tie queries whose top
+//! candidates differ by a few ulps, geometry at magnitude 3 × 10⁸ whose
+//! overlap margins sit far below one ulp of the squared coordinates, and
+//! blocks poisoned with NaN / ±∞ parameters.
 //!
 //! On failure the proptest shim prints a `REGQ_PROPTEST_SEED=<n>` line —
 //! re-run with that env var set to reproduce the exact case.
@@ -101,7 +102,13 @@ fn assert_pruned_matches(arena: &PrototypeArena, queries: &[Query]) {
         "every (query, block) visit must be counted"
     );
     assert_eq!(counters.blocks, counters.skipped + counters.verified);
-    assert!(counters.screened <= counters.blocks);
+    // A bound is evaluated for every visit unless the layout is one block.
+    let bounded = if layout.num_blocks() > 1 {
+        counters.blocks
+    } else {
+        0
+    };
+    assert_eq!(counters.screened, bounded);
 }
 
 /// Boundary-straddling probe balls over the synthetic arenas' [-10, 10]^d
@@ -185,26 +192,25 @@ fn pruned_matches_unpruned_across_the_k_matrix() {
     }
 }
 
-/// Directed: near-tie queries whose best candidates sit within the
-/// screening slack band of each other, across blocks. The winner must
-/// still be the lowest-index prototype among the bit-equal minima, and
-/// pruning must not disturb that.
+/// Directed: near-tie queries whose best candidates sit within a few
+/// thousand ulps of each other, across blocks. The winner must still be
+/// the lowest-index prototype among the bit-equal minima, and pruning
+/// must not disturb that.
 #[test]
-fn near_ties_inside_the_slack_band_survive_pruning() {
+fn near_ties_within_a_few_ulps_survive_pruning() {
     let dim = 3;
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(0xBEE5 + seed);
         let q_center: Vec<f64> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
         // Candidates on a sphere of radius ~2 around the query center,
-        // jittered by less than the slack bound at this scale, so their
-        // squared distances differ by (much) less than the screening
-        // slack and block-level bounds cannot separate them.
-        let slack = regq_linalg::vector::screening_slack(dim + 1, 16.0);
+        // jittered by rounding-error-sized amounts, so block-level
+        // bounds cannot separate them.
+        let band = 3072.0 * f64::EPSILON;
         let protos: Vec<Prototype> = (0..192)
             .map(|i| {
                 let dir: Vec<f64> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
                 let norm = dir.iter().map(|d| d * d).sum::<f64>().sqrt().max(1e-9);
-                let r = 2.0 + (i % 3) as f64 * slack * rng.random_range(0.0..0.25);
+                let r = 2.0 + (i % 3) as f64 * band * rng.random_range(0.0..0.25);
                 Prototype {
                     center: q_center
                         .iter()
@@ -227,23 +233,19 @@ fn near_ties_inside_the_slack_band_survive_pruning() {
     }
 }
 
-/// Directed: the slack is load-bearing. With the slack zeroed
-/// (`with_slack_scale(0.0)`) and geometry far from the origin — where the
-/// expanded form `‖q‖² − 2q·r + ‖r‖²` cancels catastrophically — the
-/// screen prunes true winners and resolution diverges from the exact
-/// scan. If this test ever stops failing-without-slack, the screening
-/// phase has stopped depending on the bound and the grammar should be
-/// revisited.
+/// Directed: geometry at magnitude ~3e8 — squared magnitudes ~1.8e17,
+/// where one ulp is ~32 — with overlap margins of ~2e-3. An
+/// expanded-form screen (`‖q‖² − 2q·r + ‖r‖²`) cancels catastrophically
+/// here and needed an error budget to stay correct; the direct-form
+/// bound subtracts before it squares, so it stays exact with no slack at
+/// all. Block A holds the winner (a tight cluster around the probe
+/// center); block B sits just inside the overlap boundary along axis 0,
+/// so its membership hinges on exactly the comparisons a sloppy bound
+/// would get wrong.
 #[test]
-fn zeroed_slack_is_caught_by_the_equivalence_battery() {
+fn large_magnitude_geometry_stays_bit_identical_without_slack() {
     let dim = 2;
     let mut rng = StdRng::seed_from_u64(42);
-    // Geometry at magnitude ~3e8: squared magnitudes ~1.8e17, where one
-    // ulp is ~32 — so the expanded form's cancellation error dwarfs the
-    // deliberately tiny (~2e-3) overlap margins below. Block A holds the
-    // winner (a tight cluster around the probe center); block B sits
-    // just inside the overlap boundary along axis 0, so its membership
-    // hinges on exactly the comparisons the slack is there to protect.
     let base = 3.0e8;
     let q_radius = 1.0;
     let proto_radius = 0.01;
@@ -257,10 +259,9 @@ fn zeroed_slack_is_caught_by_the_equivalence_battery() {
     };
     let protos: Vec<Prototype> = (0..128)
         .map(|i| Prototype {
-            // Block B's rows share ONE coordinate vector: its overlap
-            // flag then rides a single rounding of the expanded form
-            // instead of an OR over 64 independent roundings (which
-            // would almost surely keep one row inside the ball).
+            // Block B's rows share ONE coordinate vector, so its overlap
+            // decision rides a single comparison instead of an OR over
+            // 64 independent ones.
             center: if i < 64 {
                 cluster(&mut rng)
             } else {
@@ -274,54 +275,84 @@ fn zeroed_slack_is_caught_by_the_equivalence_battery() {
         })
         .collect();
     let arena = PrototypeArena::from_prototypes(dim, &protos);
-    let layout_honest = arena.build_layout();
-    let layout_underslacked = arena.build_layout().with_slack_scale(0.0);
     // Probe centers jitter far below the margin but far above the ulp of
-    // the coordinates, so every query sees a fresh set of roundings in
-    // `‖q‖² − 2⟨q, r⟩ + ‖r‖²` while all of block B stays truly inside
-    // its overlap ball.
+    // the coordinates, so every query sees a fresh set of roundings while
+    // all of block B stays truly inside its overlap ball.
     let queries: Vec<Query> = (0..64)
         .map(|_| Query::new_unchecked(cluster(&mut rng), q_radius))
         .collect();
+    assert_pruned_matches(&arena, &queries);
+    // The far block is a member block for every probe: were the bound
+    // loose in the wrong direction, these entries would go missing.
     let mut plain = BatchResolution::new();
     arena.resolve_batch(&queries, &mut plain);
-
-    // The honest slack stays bit-identical even here.
-    let mut pruned = BatchResolution::new();
-    let mut counters = ScreenCounters::default();
-    layout_honest.resolve_batch_pruned(&queries, &mut pruned, &mut counters);
-    for i in 0..plain.len() {
-        assert_eq!(plain.winner(i).0, pruned.winner(i).0);
-        assert_eq!(plain.winner(i).1.to_bits(), pruned.winner(i).1.to_bits());
+    for i in 0..queries.len() {
+        assert!(plain.overlap(i).iter().any(|e| e.0 >= 64), "query {i}");
     }
+}
 
-    // The zeroed slack must diverge somewhere: winner index, winner
-    // bits, or overlap set. Otherwise the slack term is dead weight.
-    let mut zeroed = BatchResolution::new();
-    let mut zc = ScreenCounters::default();
-    layout_underslacked.resolve_batch_pruned(&queries, &mut zeroed, &mut zc);
-    let mut mismatches = 0usize;
-    for i in 0..plain.len() {
-        let winners_differ = plain.winner(i).0 != zeroed.winner(i).0
-            || plain.winner(i).1.to_bits() != zeroed.winner(i).1.to_bits();
-        let overlaps_differ = plain.overlap(i).len() != zeroed.overlap(i).len()
-            || plain
-                .overlap(i)
-                .iter()
-                .zip(zeroed.overlap(i))
-                .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits());
-        if winners_differ || overlaps_differ {
-            mismatches += 1;
-        }
+/// Directed: hostile parameters. One far-away block that every probe
+/// skips while healthy is poisoned with a NaN or ±∞ center coordinate or
+/// radius; from then on that block is verified — and counted — for every
+/// query, never skipped, and the answers equal the unpruned scan's
+/// (which treats such rows as whatever IEEE comparison makes of them).
+#[test]
+fn hostile_block_is_always_verified_never_skipped() {
+    let dim = 3;
+    let mut rng = StdRng::seed_from_u64(7);
+    let queries: Vec<Query> = (0..16)
+        .map(|_| {
+            let c: Vec<f64> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+            Query::new_unchecked(c, rng.random_range(0.05..0.5))
+        })
+        .collect();
+    let skipped_visits = |protos: &[Prototype]| -> u64 {
+        let arena = PrototypeArena::from_prototypes(dim, protos);
+        let layout = arena.build_layout();
+        assert_eq!(layout.num_blocks(), 2);
+        assert_pruned_matches(&arena, &queries);
+        let mut res = BatchResolution::new();
+        let mut counters = ScreenCounters::default();
+        layout.resolve_batch_pruned(&queries, &mut res, &mut counters);
+        counters.skipped
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        // Two tight clusters 1000 apart, one block each: slots 0..64
+        // near the origin, 64..128 far away — on the side the poisoned
+        // coordinate sorts to, so the median split keeps the clusters
+        // apart with or without it.
+        let far = if bad == f64::NEG_INFINITY {
+            -1000.0
+        } else {
+            1000.0
+        };
+        let healthy: Vec<Prototype> = (0..128)
+            .map(|i| {
+                let off = if i < 64 { 0.0 } else { far };
+                Prototype {
+                    center: (0..dim)
+                        .map(|_| off + rng.random_range(-1.0..1.0))
+                        .collect(),
+                    radius: rng.random_range(0.05..0.3),
+                    y: 0.0,
+                    b_x: vec![0.0; dim],
+                    b_theta: 0.0,
+                    updates: 0,
+                }
+            })
+            .collect();
+        assert_eq!(
+            skipped_visits(&healthy),
+            queries.len() as u64,
+            "healthy: every probe skips the far block"
+        );
+        let mut center_poisoned = healthy.clone();
+        center_poisoned[100].center[1] = bad;
+        assert_eq!(skipped_visits(&center_poisoned), 0, "center {bad}");
+        let mut radius_poisoned = healthy;
+        radius_poisoned[100].radius = bad;
+        assert_eq!(skipped_visits(&radius_poisoned), 0, "radius {bad}");
     }
-    assert!(
-        mismatches > 0,
-        "zeroing the screening slack must break equivalence on \
-         large-magnitude geometry — the slack is supposed to be load-bearing \
-         ({} blocks skipped under-slacked vs {} honestly)",
-        zc.skipped,
-        counters.skipped,
-    );
 }
 
 proptest! {

@@ -12,23 +12,25 @@
 //! * **AoSoA layout.** A quad of four rows is stored coordinate-major —
 //!   `quad[4·c + j]` is coordinate `c` of row `j` — so the four lanes of
 //!   one coordinate are contiguous and a 256-bit load needs no shuffle.
-//! * **Runtime dispatch.** [`sq_dists4_aosoa`] consults
+//! * **Runtime dispatch.** [`winner_overlap_block_aosoa`] (the serving
+//!   kernel: one dispatch per block of up to `tune::ROW_TILE` rows) and
+//!   [`sq_dists4_aosoa`] (one quad) consult
 //!   `is_x86_feature_detected!("avx2")` (a cached atomic load after the
-//!   first call) and routes to a hand-written AVX2 kernel when available,
-//!   falling back to a scalar kernel otherwise. Release binaries are
+//!   first call) and route to a hand-written AVX2 kernel when available,
+//!   falling back to a scalar twin otherwise. Release binaries are
 //!   therefore portable to any x86-64 (and any other architecture) while
 //!   still running 4-lane f64 SIMD on 2013+ hardware.
 //!
-//! **Bit-identity contract.** Both the scalar and the AVX2 kernel give
+//! **Bit-identity contract.** Both the scalar and the AVX2 kernels give
 //! each row its own accumulator and add the squared coordinate
 //! differences in coordinate order — exactly the operation sequence of a
 //! scalar [`crate::vector::sq_dist`] per row. The AVX2 path uses separate
 //! multiply and add instructions (never FMA, which would skip the
-//! intermediate rounding), so all three forms agree bit for bit — pinned
-//! by the tests below and by the serving equivalence batteries in
-//! `regq_core`.
+//! intermediate rounding), so all forms agree bit for bit — pinned by the
+//! tests below and by the serving equivalence batteries in `regq_core`.
 
 use crate::tune::QUAD;
+use crate::vector::resolve_quad;
 
 /// `true` when the AVX2 fast path is available on this host. The
 /// detection macro caches its CPUID result internally, so this is an
@@ -158,6 +160,166 @@ unsafe fn sq_dists4_aosoa_avx2(q: &[f64], quad: &[f64]) -> [f64; 4] {
     out
 }
 
+/// Fused winner-and-overlap kernel for one query over a whole **AoSoA**
+/// block: [`crate::vector::winner_overlap_block`] with the centers
+/// quad-interleaved ([`pack_quads_aosoa`]) and the runtime dispatch paid
+/// **once per block**. Per row it computes the squared center distance,
+/// the squared joint distance `‖c − q‖² + (θ_q − θ_k)²` and the two
+/// compares — strict `<` against the running best, `≤ (θ_q + θ_k)²` for
+/// overlap membership — and only a quad in which some compare fires
+/// reaches the scalar winner scan / root + degree + push
+/// (`resolve_quad`, shared with the row-major kernel). Bit-identical per
+/// pair to the row-major kernel (see the module docs), so the two produce
+/// identical `(best, hits)` for the same rows.
+///
+/// `quads` holds `radii.len() / 4` AoSoA quads of dimension `q.len()`;
+/// the row count must be a multiple of 4 — callers pad partial quads with
+/// `+inf` centers (and any finite radius), which can never win the
+/// strict-`<` update nor pass the membership test, so pad rows are inert.
+///
+/// `base` is the caller-space index of the first row and `best` carries
+/// the running winner in and out, as in
+/// [`crate::vector::winner_overlap_block`]. Seeding `best` with
+/// `(sentinel, bound.next_up())` turns the strict `<` into "first row
+/// with `joint ≤ bound`, else the sentinel index is left in place".
+///
+/// # Panics
+/// Panics on an empty query, a row count that is not a multiple of 4, or
+/// `quads`/`radii` length disagreement (the AVX2 loads rely on these).
+#[inline]
+pub fn winner_overlap_block_aosoa(
+    q: &[f64],
+    q_radius: f64,
+    quads: &[f64],
+    radii: &[f64],
+    base: usize,
+    best: &mut (usize, f64),
+    hits: &mut Vec<(usize, f64)>,
+) {
+    assert!(
+        !q.is_empty(),
+        "winner_overlap_block_aosoa: dim must be positive"
+    );
+    assert_eq!(
+        radii.len() % QUAD,
+        0,
+        "winner_overlap_block_aosoa: row count must be a multiple of QUAD (pad first)"
+    );
+    assert_eq!(
+        quads.len(),
+        radii.len() * q.len(),
+        "winner_overlap_block_aosoa: quads/radii length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 availability was verified by the runtime check on
+        // the line above, and the three asserts establish the shape
+        // contract (`quads.len() == radii.len() * q.len()`, whole quads)
+        // the kernel's loads rely on.
+        return unsafe {
+            winner_overlap_block_aosoa_avx2(q, q_radius, quads, radii, base, best, hits)
+        };
+    }
+    winner_overlap_block_aosoa_scalar(q, q_radius, quads, radii, base, best, hits);
+}
+
+/// Portable scalar twin of [`winner_overlap_block_aosoa`] — the reference
+/// operation sequence the AVX2 kernel must replay, and the kernel that
+/// runs under Miri and on non-AVX2 hosts.
+fn winner_overlap_block_aosoa_scalar(
+    q: &[f64],
+    q_radius: f64,
+    quads: &[f64],
+    radii: &[f64],
+    base: usize,
+    best: &mut (usize, f64),
+    hits: &mut Vec<(usize, f64)>,
+) {
+    let (mut best_k, mut best_sq) = *best;
+    let mut k = base;
+    for (quad, r) in quads
+        .chunks_exact(QUAD * q.len())
+        .zip(radii.chunks_exact(QUAD))
+    {
+        let sq = sq_dists4_aosoa_scalar(q, quad);
+        resolve_quad(sq, r, q_radius, k, &mut best_k, &mut best_sq, hits);
+        k += QUAD;
+    }
+    *best = (best_k, best_sq);
+}
+
+/// AVX2 form of [`winner_overlap_block_aosoa`]: per quad the distance
+/// accumulator, the joint distance and both compares stay in 256-bit
+/// registers (separate multiply and add, **no FMA**, as in
+/// [`sq_dists4_aosoa_avx2`]); a `movemask` of the OR-ed compare lanes
+/// decides whether the quad is spilled to the scalar `resolve_quad`, which
+/// recomputes the same compares with the same operations and so takes
+/// exactly the decisions the scalar twin takes.
+///
+/// # Safety
+/// The caller must ensure the host supports AVX2, that `q` is non-empty,
+/// that `radii.len()` is a multiple of 4 and that
+/// `quads.len() == radii.len() * q.len()` (all checked at the dispatch
+/// site).
+// SAFETY: `unsafe fn` solely for `#[target_feature]`; the body's only
+// unchecked operations are the unaligned loads and stores justified at
+// their sites, and the single caller verifies AVX2 and the shape contract
+// before dispatching here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn winner_overlap_block_aosoa_avx2(
+    q: &[f64],
+    q_radius: f64,
+    quads: &[f64],
+    radii: &[f64],
+    base: usize,
+    best: &mut (usize, f64),
+    hits: &mut Vec<(usize, f64)>,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
+        _mm256_or_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _CMP_LE_OQ, _CMP_LT_OQ,
+    };
+    let (mut best_k, mut best_sq) = *best;
+    let mut k = base;
+    let qr = _mm256_set1_pd(q_radius);
+    let mut best_v = _mm256_set1_pd(best_sq);
+    for (quad, r) in quads
+        .chunks_exact(QUAD * q.len())
+        .zip(radii.chunks_exact(QUAD))
+    {
+        let mut acc = _mm256_setzero_pd();
+        for (c, &qc) in q.iter().enumerate() {
+            // SAFETY: `quad` is a `chunks_exact(4 * q.len())` chunk, so
+            // the 4-wide unaligned load at offset `4 * c` is in bounds
+            // for every `c < q.len()`.
+            let lanes = _mm256_loadu_pd(quad.as_ptr().add(QUAD * c));
+            let d = _mm256_sub_pd(lanes, _mm256_set1_pd(qc));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+        }
+        // SAFETY: `r` is a `chunks_exact(4)` chunk — exactly four f64s.
+        let rv = _mm256_loadu_pd(r.as_ptr());
+        let dr = _mm256_sub_pd(qr, rv);
+        let joint = _mm256_add_pd(acc, _mm256_mul_pd(dr, dr));
+        let rs = _mm256_add_pd(qr, rv);
+        // Ordered, non-signalling compares: a NaN lane is false in both,
+        // exactly like the scalar `<` / `<=`.
+        let better = _mm256_cmp_pd::<_CMP_LT_OQ>(joint, best_v);
+        let hit = _mm256_cmp_pd::<_CMP_LE_OQ>(acc, _mm256_mul_pd(rs, rs));
+        if _mm256_movemask_pd(_mm256_or_pd(better, hit)) != 0 {
+            let mut sq = [0.0f64; QUAD];
+            // SAFETY: `sq` is exactly four f64s and the unaligned store
+            // has no alignment requirement.
+            _mm256_storeu_pd(sq.as_mut_ptr(), acc);
+            resolve_quad(sq, r, q_radius, k, &mut best_k, &mut best_sq, hits);
+            best_v = _mm256_set1_pd(best_sq);
+        }
+        k += QUAD;
+    }
+    *best = (best_k, best_sq);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,5 +407,155 @@ mod tests {
         assert_eq!(got[1], f64::INFINITY);
         assert!(got[2].is_finite());
         assert_eq!(got[3], f64::INFINITY);
+    }
+
+    /// Run the dispatched block kernel and its scalar twin on the same
+    /// inputs and assert identical `(best, hits)`, bit for bit; returns
+    /// the result. On AVX2 hosts this pins the whole-block SIMD kernel
+    /// against the scalar one; under Miri and elsewhere it is a
+    /// self-comparison.
+    fn block_kernel_pair(
+        q: &[f64],
+        q_radius: f64,
+        aosoa: &[f64],
+        radii: &[f64],
+        base: usize,
+        seed: (usize, f64),
+    ) -> ((usize, f64), Vec<(usize, f64)>) {
+        let (mut best_s, mut best_d) = (seed, seed);
+        let (mut hits_s, mut hits_d) = (Vec::new(), Vec::new());
+        winner_overlap_block_aosoa_scalar(
+            q,
+            q_radius,
+            aosoa,
+            radii,
+            base,
+            &mut best_s,
+            &mut hits_s,
+        );
+        winner_overlap_block_aosoa(q, q_radius, aosoa, radii, base, &mut best_d, &mut hits_d);
+        assert_eq!(best_d.0, best_s.0, "winner index");
+        assert_eq!(best_d.1.to_bits(), best_s.1.to_bits(), "winner distance");
+        assert_eq!(hits_d.len(), hits_s.len(), "hit count");
+        for ((kd, dd), (ks, ds)) in hits_d.iter().zip(&hits_s) {
+            assert_eq!(kd, ks);
+            assert_eq!(dd.to_bits(), ds.to_bits());
+        }
+        (best_d, hits_d)
+    }
+
+    #[test]
+    fn block_kernel_matches_row_major_kernel() {
+        for d in [1usize, 2, 3, 4, 7, 9] {
+            for nr in [4usize, 8, 16, 64] {
+                let q = random_rows(1, d, 17 + d as u64);
+                let rows = random_rows(nr, d, 500 + (d * nr) as u64);
+                let radii: Vec<f64> = (0..nr)
+                    .map(|i| 0.3 + (i as f64 * 0.41).sin().abs())
+                    .collect();
+                let mut aosoa = Vec::new();
+                pack_quads_aosoa(&rows, d, &mut aosoa);
+                for q_radius in [0.05, 0.4, 1.2, 6.0] {
+                    let mut best_want = (0usize, f64::INFINITY);
+                    let mut hits_want = Vec::new();
+                    vector::winner_overlap_block(
+                        &q,
+                        q_radius,
+                        &rows,
+                        &radii,
+                        d,
+                        7,
+                        &mut best_want,
+                        &mut hits_want,
+                    );
+                    let (best, hits) =
+                        block_kernel_pair(&q, q_radius, &aosoa, &radii, 7, (0, f64::INFINITY));
+                    assert_eq!(best.0, best_want.0, "d={d} nr={nr} θ={q_radius}");
+                    assert_eq!(best.1.to_bits(), best_want.1.to_bits());
+                    assert_eq!(hits.len(), hits_want.len(), "d={d} nr={nr} hit count");
+                    for ((ka, da), (kb, db)) in hits.iter().zip(&hits_want) {
+                        assert_eq!(ka, kb);
+                        assert_eq!(da.to_bits(), db.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernel_infinite_pad_rows_are_inert() {
+        let d = 3usize;
+        let q = random_rows(1, d, 5);
+        let rows = random_rows(6, d, 6);
+        let radii: Vec<f64> = (0..6).map(|i| 0.2 + i as f64 * 0.1).collect();
+        // Reference: exact kernel over the six real rows.
+        let mut best_want = (0usize, f64::INFINITY);
+        let mut hits_want = Vec::new();
+        vector::winner_overlap_block(&q, 4.0, &rows, &radii, d, 0, &mut best_want, &mut hits_want);
+        assert!(!hits_want.is_empty(), "the probe must overlap something");
+        // Pad to eight rows with +inf centers and zero radii.
+        let mut padded = rows.clone();
+        padded.extend_from_slice(&[f64::INFINITY; 6]);
+        let mut radii_pad = radii.clone();
+        radii_pad.extend_from_slice(&[0.0; 2]);
+        let mut aosoa = Vec::new();
+        pack_quads_aosoa(&padded, d, &mut aosoa);
+        let (best, hits) = block_kernel_pair(&q, 4.0, &aosoa, &radii_pad, 0, (0, f64::INFINITY));
+        assert_eq!(best.0, best_want.0);
+        assert_eq!(best.1.to_bits(), best_want.1.to_bits());
+        assert_eq!(hits, hits_want);
+    }
+
+    #[test]
+    fn block_kernel_agrees_with_its_scalar_twin_on_ties_pads_and_seeds() {
+        const NONE: usize = usize::MAX;
+        for d in [1usize, 2, 4, 5, 8, 16] {
+            for nr in [3usize, 8, 21, 64] {
+                let padded = nr.div_ceil(QUAD) * QUAD;
+                let q = random_rows(1, d, 900 + d as u64);
+                let mut rows = random_rows(nr, d, 77 + (d + nr) as u64);
+                // Exact ties: every third row repeats row 0, so several
+                // rows share one bit-identical joint distance.
+                let row0 = rows[..d].to_vec();
+                for r in (0..nr).step_by(3) {
+                    rows[r * d..(r + 1) * d].copy_from_slice(&row0);
+                }
+                rows.resize(padded * d, f64::INFINITY);
+                let mut radii = vec![0.25; nr];
+                radii.resize(padded, 0.0);
+                let mut aosoa = Vec::new();
+                pack_quads_aosoa(&rows, d, &mut aosoa);
+                let q_radius = 0.25;
+                // The tied rows' joint distance (radii equal the probe's).
+                let tie = vector::sq_dist(&q, &row0);
+                let (free, _) =
+                    block_kernel_pair(&q, q_radius, &aosoa, &radii, 0, (NONE, f64::INFINITY));
+                assert!(free.0 < nr, "pad rows never win");
+                // Seeded exactly at the block minimum: strict `<` finds
+                // nothing and the sentinel survives ...
+                let (at, _) = block_kernel_pair(&q, q_radius, &aosoa, &radii, 0, (NONE, free.1));
+                assert_eq!(at, (NONE, free.1));
+                // ... one ulp above it, the first minimal row is reported.
+                let (above, _) =
+                    block_kernel_pair(&q, q_radius, &aosoa, &radii, 0, (NONE, free.1.next_up()));
+                assert_eq!(above.0, free.0);
+                assert_eq!(above.1.to_bits(), free.1.to_bits());
+                // Seeded just above the tie value: the lowest tied row.
+                let (tied, _) =
+                    block_kernel_pair(&q, q_radius, &aosoa, &radii, 0, (NONE, tie.next_up()));
+                if free.1 == tie {
+                    assert_eq!(tied.0, 0, "ties keep the lowest row");
+                }
+                // A seed below everything leaves best untouched but still
+                // reports overlap members.
+                let (below, hits) = block_kernel_pair(&q, 50.0, &aosoa, &radii, 0, (NONE, -1.0));
+                assert_eq!(below, (NONE, -1.0));
+                assert_eq!(
+                    hits.len(),
+                    nr,
+                    "a domain-sized ball overlaps every real row"
+                );
+            }
+        }
     }
 }

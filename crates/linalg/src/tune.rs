@@ -33,7 +33,10 @@ pub const ROW_TILE: usize = 64;
 pub const QUERY_BLOCK: usize = 16;
 
 // Compile-time checks: the bit-identity precondition and basic sanity.
-const _: () = assert!(ROW_TILE.is_multiple_of(QUAD), "ROW_TILE must be a multiple of QUAD");
+const _: () = assert!(
+    ROW_TILE.is_multiple_of(QUAD),
+    "ROW_TILE must be a multiple of QUAD"
+);
 const _: () = assert!(ROW_TILE > 0 && QUERY_BLOCK > 0);
 
 /// Debug-assert the tile divisibility invariants at a use site.

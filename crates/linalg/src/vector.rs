@@ -278,59 +278,61 @@ pub fn sq_dists_into(q: &[f64], rows: &[f64], dim: usize, out: &mut Vec<f64>) {
     }
 }
 
-/// Q×R squared-distance tile: `out[qi * nrows + r] = ‖q_qi − row_r‖₂²`
-/// for every query row of `queries` (`nq` rows, `dim`-strided) against
-/// every row of `rows`, in **lockstep summation order**.
-///
-/// This is the batched-serving tile kernel on the *bit-identical* side of
-/// the equivalence contract: each `(query, row)` pair runs exactly the
-/// additions of a scalar [`sq_dist`], in the same order (quads via
-/// [`sq_dists4`], tail via [`sq_dist`]), so a batch of size 1 — and every
-/// larger batch — reproduces the scalar serving path bit for bit. The
-/// batching win is memory-shaped, not algebraic: each 4-row prototype
-/// block is loaded once and reused across the whole query block, instead
-/// of once per query.
-///
-/// For the GEMM-shaped expanded form (`‖q‖² + ‖r‖² − 2q·r`), which
-/// re-associates the summation and is therefore *not* bit-identical, see
-/// [`sq_dist_tile_expanded`].
-///
-/// # Panics
-/// Panics in debug builds on ragged blocks or an undersized `out`
-/// (`out.len() ≥ nq * nrows` required; only the tile prefix is written).
-pub fn sq_dist_tile(queries: &[f64], nq: usize, rows: &[f64], dim: usize, out: &mut [f64]) {
-    debug_assert!(dim > 0, "sq_dist_tile: dim must be positive");
-    debug_assert_eq!(queries.len(), nq * dim, "sq_dist_tile: ragged query block");
-    debug_assert_eq!(rows.len() % dim, 0, "sq_dist_tile: ragged row block");
-    let nrows = rows.len() / dim;
-    debug_assert!(out.len() >= nq * nrows, "sq_dist_tile: undersized out");
-    if nrows == 0 {
-        return;
-    }
-    // Queries outer, row quads inner: the caller keeps `rows` small enough
-    // to stay L1-resident (one `tune::ROW_TILE` cut), so every query streams the
-    // same hot block while its output row fills contiguously — no strided
-    // stores, and the zipped exact chunks elide every bounds check.
-    for (q, orow) in queries
-        .chunks_exact(dim)
-        .zip(out.chunks_exact_mut(nrows))
-        .take(nq)
-    {
-        let mut quads = rows.chunks_exact(4 * dim);
-        let mut ochunks = orow.chunks_exact_mut(4);
-        for (quad, o) in quads.by_ref().zip(ochunks.by_ref()) {
-            let sq = sq_dists4(q, quad, dim);
-            o[0] = sq[0];
-            o[1] = sq[1];
-            o[2] = sq[2];
-            o[3] = sq[3];
+/// Winner update and overlap membership for one quad of squared center
+/// distances `sq` (rows `k .. k + 4`, radii `r`) — the per-quad body shared
+/// by [`winner_overlap_block`] and the AoSoA block kernels in
+/// [`crate::simd`], so every layout resolves a quad with one operation
+/// sequence.
+#[inline(always)]
+pub(crate) fn resolve_quad(
+    sq: [f64; 4],
+    r: &[f64],
+    q_radius: f64,
+    k: usize,
+    best_k: &mut usize,
+    best_sq: &mut f64,
+    hits: &mut Vec<(usize, f64)>,
+) {
+    let d0 = q_radius - r[0];
+    let d1 = q_radius - r[1];
+    let d2 = q_radius - r[2];
+    let d3 = q_radius - r[3];
+    let j0 = sq[0] + d0 * d0;
+    let j1 = sq[1] + d1 * d1;
+    let j2 = sq[2] + d2 * d2;
+    let j3 = sq[3] + d3 * d3;
+    // Branchless quad screens: the winner compare and the membership
+    // test are both evaluated 4-wide with no data-dependent control
+    // flow, and the slow paths (ascending winner scan, root + degree
+    // + push) hide behind one rarely-taken branch per quad. The slow
+    // winner scan is literally the scalar ascending strict-`<` scan,
+    // so `(best_k, best_sq)` stays bit-identical to an uncut pass.
+    let any_better = (j0 < *best_sq) | (j1 < *best_sq) | (j2 < *best_sq) | (j3 < *best_sq);
+    let s0 = q_radius + r[0];
+    let s1 = q_radius + r[1];
+    let s2 = q_radius + r[2];
+    let s3 = q_radius + r[3];
+    let any_hit = (sq[0] <= s0 * s0) | (sq[1] <= s1 * s1) | (sq[2] <= s2 * s2) | (sq[3] <= s3 * s3);
+    if any_hit | any_better {
+        if any_better {
+            for (t, j) in [j0, j1, j2, j3].into_iter().enumerate() {
+                if j < *best_sq {
+                    *best_sq = j;
+                    *best_k = k + t;
+                }
+            }
         }
-        for (row, o) in quads
-            .remainder()
-            .chunks_exact(dim)
-            .zip(ochunks.into_remainder())
-        {
-            *o = sq_dist(q, row);
+        if any_hit {
+            for (t, (&csq, &rk)) in sq.iter().zip(r).enumerate() {
+                let radius_sum = q_radius + rk;
+                if csq <= radius_sum * radius_sum {
+                    let spread = csq.sqrt().max((q_radius - rk).abs());
+                    let degree = 1.0 - spread / radius_sum;
+                    if degree > 0.0 {
+                        hits.push((k + t, degree));
+                    }
+                }
+            }
         }
     }
 }
@@ -395,59 +397,7 @@ pub fn winner_overlap_block(
     let mut r_quads = radii.chunks_exact(4);
     for (quad, r) in quads.by_ref().zip(r_quads.by_ref()) {
         let sq = sq_dists4(q, quad, dim);
-        let d0 = q_radius - r[0];
-        let d1 = q_radius - r[1];
-        let d2 = q_radius - r[2];
-        let d3 = q_radius - r[3];
-        let j0 = sq[0] + d0 * d0;
-        let j1 = sq[1] + d1 * d1;
-        let j2 = sq[2] + d2 * d2;
-        let j3 = sq[3] + d3 * d3;
-        // Branchless quad screens: the winner compare and the membership
-        // test are both evaluated 4-wide with no data-dependent control
-        // flow, and the slow paths (ascending winner scan, root + degree
-        // + push) hide behind one rarely-taken branch per quad. The slow
-        // winner scan is literally the scalar ascending strict-`<` scan,
-        // so `(best_k, best_sq)` stays bit-identical to an uncut pass.
-        let any_better = (j0 < best_sq) | (j1 < best_sq) | (j2 < best_sq) | (j3 < best_sq);
-        let s0 = q_radius + r[0];
-        let s1 = q_radius + r[1];
-        let s2 = q_radius + r[2];
-        let s3 = q_radius + r[3];
-        let any_hit =
-            (sq[0] <= s0 * s0) | (sq[1] <= s1 * s1) | (sq[2] <= s2 * s2) | (sq[3] <= s3 * s3);
-        if any_hit | any_better {
-            if any_better {
-                if j0 < best_sq {
-                    best_sq = j0;
-                    best_k = k;
-                }
-                if j1 < best_sq {
-                    best_sq = j1;
-                    best_k = k + 1;
-                }
-                if j2 < best_sq {
-                    best_sq = j2;
-                    best_k = k + 2;
-                }
-                if j3 < best_sq {
-                    best_sq = j3;
-                    best_k = k + 3;
-                }
-            }
-            if any_hit {
-                for (t, (&csq, &rk)) in sq.iter().zip(r).enumerate() {
-                    let radius_sum = q_radius + rk;
-                    if csq <= radius_sum * radius_sum {
-                        let spread = csq.sqrt().max((q_radius - rk).abs());
-                        let degree = 1.0 - spread / radius_sum;
-                        if degree > 0.0 {
-                            hits.push((k + t, degree));
-                        }
-                    }
-                }
-            }
-        }
+        resolve_quad(sq, r, q_radius, k, &mut best_k, &mut best_sq, hits);
         k += 4;
     }
     for (row, &rk) in quads.remainder().chunks_exact(dim).zip(r_quads.remainder()) {
@@ -467,225 +417,6 @@ pub fn winner_overlap_block(
             }
         }
         k += 1;
-    }
-    *best = (best_k, best_sq);
-}
-
-/// Q×R squared-distance tile via the GEMM-shaped expanded form
-/// `‖q − r‖₂² = ‖q‖₂² + ‖r‖₂² − 2 ⟨q, r⟩`, with per-row and per-query
-/// norms hoisted out of the pair loop and tiny negative results of the
-/// cancellation clamped to zero.
-///
-/// **Not bit-identical** to [`sq_dist`]/[`sq_dist_tile`]: the expanded
-/// form re-associates the summation, so results differ from the direct
-/// form by cancellation error — tiny relative to `‖q‖² + ‖r‖²`, but
-/// unbounded relative to a small true distance (two nearly equal
-/// far-from-origin points can come out as any small non-negative number,
-/// including exact 0). The serving path therefore never lets this kernel
-/// decide an *answer*; it is legal there only as a screening pass under a
-/// `// SCREENING:` annotation stating the conservative slack
-/// ([`screening_slack`]) that accounts for the cancellation error before
-/// candidates are re-checked with the exact kernel.
-///
-/// # Panics
-/// Same shape contract as [`sq_dist_tile`].
-pub fn sq_dist_tile_expanded(
-    queries: &[f64],
-    nq: usize,
-    rows: &[f64],
-    dim: usize,
-    out: &mut [f64],
-) {
-    // ‖r‖² per row, hoisted: paid once per tile, amortized over nq.
-    let row_norms: Vec<f64> = rows.chunks_exact(dim).map(|r| dot(r, r)).collect();
-    sq_dist_tile_expanded_with_norms(queries, nq, rows, dim, &row_norms, out);
-}
-
-/// [`sq_dist_tile_expanded`] with the per-row `‖r‖²` norms supplied by
-/// the caller instead of recomputed per tile — the form the pruned
-/// serving layout uses, where norms are computed once at snapshot capture
-/// and amortized over every query thereafter. Same output (bit for bit)
-/// and the same *non*-bit-identical caveat as the recomputing form.
-///
-/// # Panics
-/// Same shape contract as [`sq_dist_tile`], plus `row_norms.len()` must
-/// equal the row count (debug-asserted).
-pub fn sq_dist_tile_expanded_with_norms(
-    queries: &[f64],
-    nq: usize,
-    rows: &[f64],
-    dim: usize,
-    row_norms: &[f64],
-    out: &mut [f64],
-) {
-    debug_assert!(dim > 0, "sq_dist_tile_expanded: dim must be positive");
-    debug_assert_eq!(
-        queries.len(),
-        nq * dim,
-        "sq_dist_tile_expanded: ragged query block"
-    );
-    debug_assert_eq!(
-        rows.len() % dim,
-        0,
-        "sq_dist_tile_expanded: ragged row block"
-    );
-    let nrows = rows.len() / dim;
-    debug_assert_eq!(
-        row_norms.len(),
-        nrows,
-        "sq_dist_tile_expanded: row/norm length mismatch"
-    );
-    debug_assert!(
-        out.len() >= nq * nrows,
-        "sq_dist_tile_expanded: undersized out"
-    );
-    for qi in 0..nq {
-        let q = &queries[qi * dim..(qi + 1) * dim];
-        let q_norm = dot(q, q);
-        let out_row = &mut out[qi * nrows..(qi + 1) * nrows];
-        for (r, (row, &rn)) in rows.chunks_exact(dim).zip(row_norms.iter()).enumerate() {
-            // max(0.0) clamps the negative cancellation residue a true
-            // distance can never have (and eats NaN from inf − inf only
-            // for non-finite inputs, which the validated paths exclude).
-            out_row[r] = (q_norm + rn - 2.0 * dot(q, row)).max(0.0);
-        }
-    }
-}
-
-/// Append `‖r‖²` of every `dim`-strided row to `out` (cleared first) —
-/// the cached-norm half of [`sq_dist_tile_expanded_with_norms`], paid
-/// once per layout build.
-///
-/// # Panics
-/// Panics in debug builds on a ragged row block.
-pub fn row_sq_norms_into(rows: &[f64], dim: usize, out: &mut Vec<f64>) {
-    debug_assert!(dim > 0, "row_sq_norms_into: dim must be positive");
-    debug_assert_eq!(rows.len() % dim, 0, "row_sq_norms_into: ragged row block");
-    out.clear();
-    out.reserve(rows.len() / dim);
-    out.extend(rows.chunks_exact(dim).map(|r| dot(r, r)));
-}
-
-/// Conservative absolute error slack for expanded-form screening values
-/// against their direct-form counterparts.
-///
-/// Both the direct kernel ([`sq_dist`], `d` additions of exactly rounded
-/// squares) and the expanded kernel ([`sq_dist_tile_expanded`], two norms
-/// plus a dot product and a 3-term combination) accumulate rounding error
-/// bounded by a small multiple of `d · ε` **relative to the magnitude of
-/// the intermediate terms** — `‖q‖² + ‖r‖²`, not the (possibly tiny)
-/// true distance. A screening comparison is therefore sound only with an
-/// absolute slack proportional to that magnitude: this helper returns
-/// `8 · (2d + 16) · ε · scale`, where `scale` must upper-bound every
-/// intermediate term of the values being compared (for the pruned serving
-/// path: `‖q‖² + max_block ‖r‖² + (θ_q + max θ_k)²`). The constant is
-/// deliberately generous — several times the worst-case textbook bound —
-/// because an oversized slack only costs skipped-block *count*, while an
-/// undersized one would break the bit-identity contract. A non-finite
-/// `scale` yields an infinite slack, which disables pruning entirely
-/// (still correct, never fast-and-wrong).
-#[inline]
-pub fn screening_slack(dim: usize, scale: f64) -> f64 {
-    8.0 * (2.0 * dim as f64 + 16.0) * f64::EPSILON * scale
-}
-
-/// [`winner_overlap_block`] over an **AoSoA** (quad-interleaved) center
-/// cut: same fused winner update and overlap membership per row, with the
-/// squared center distances coming from the runtime-dispatched
-/// [`crate::simd::sq_dists4_aosoa`] kernel instead of the row-major
-/// [`sq_dists4`] — bit-identical per pair (see `crate::simd`), so the
-/// two block kernels produce identical `(best, hits)` for the same rows.
-///
-/// `quads` holds `radii.len() / 4` AoSoA quads
-/// ([`crate::simd::pack_quads_aosoa`]); the row count must be a multiple
-/// of 4 — callers pad partial quads with `+inf` centers (and any finite
-/// radius), which can never win the strict-`<` update nor pass the
-/// membership test, so pad rows are inert.
-///
-/// `base` is the caller-space index of the first row, as in
-/// [`winner_overlap_block`].
-///
-/// # Panics
-/// Panics in debug builds on ragged blocks or `quads`/`radii` length
-/// disagreement.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn winner_overlap_block_aosoa(
-    q: &[f64],
-    q_radius: f64,
-    quads: &[f64],
-    radii: &[f64],
-    dim: usize,
-    base: usize,
-    best: &mut (usize, f64),
-    hits: &mut Vec<(usize, f64)>,
-) {
-    debug_assert!(dim > 0, "winner_overlap_block_aosoa: dim must be positive");
-    debug_assert_eq!(
-        quads.len() % (4 * dim),
-        0,
-        "winner_overlap_block_aosoa: ragged quad block"
-    );
-    debug_assert_eq!(
-        quads.len() / dim,
-        radii.len(),
-        "winner_overlap_block_aosoa: quads/radii length mismatch"
-    );
-    let (mut best_k, mut best_sq) = *best;
-    let mut k = base;
-    for (quad, r) in quads.chunks_exact(4 * dim).zip(radii.chunks_exact(4)) {
-        let sq = crate::simd::sq_dists4_aosoa(q, quad);
-        let d0 = q_radius - r[0];
-        let d1 = q_radius - r[1];
-        let d2 = q_radius - r[2];
-        let d3 = q_radius - r[3];
-        let j0 = sq[0] + d0 * d0;
-        let j1 = sq[1] + d1 * d1;
-        let j2 = sq[2] + d2 * d2;
-        let j3 = sq[3] + d3 * d3;
-        // Same branchless screens and rarely-taken slow paths as
-        // `winner_overlap_block` — see its comments for the bit-identity
-        // argument; only the distance-kernel layout differs.
-        let any_better = (j0 < best_sq) | (j1 < best_sq) | (j2 < best_sq) | (j3 < best_sq);
-        let s0 = q_radius + r[0];
-        let s1 = q_radius + r[1];
-        let s2 = q_radius + r[2];
-        let s3 = q_radius + r[3];
-        let any_hit =
-            (sq[0] <= s0 * s0) | (sq[1] <= s1 * s1) | (sq[2] <= s2 * s2) | (sq[3] <= s3 * s3);
-        if any_hit | any_better {
-            if any_better {
-                if j0 < best_sq {
-                    best_sq = j0;
-                    best_k = k;
-                }
-                if j1 < best_sq {
-                    best_sq = j1;
-                    best_k = k + 1;
-                }
-                if j2 < best_sq {
-                    best_sq = j2;
-                    best_k = k + 2;
-                }
-                if j3 < best_sq {
-                    best_sq = j3;
-                    best_k = k + 3;
-                }
-            }
-            if any_hit {
-                for (t, (&csq, &rk)) in sq.iter().zip(r).enumerate() {
-                    let radius_sum = q_radius + rk;
-                    if csq <= radius_sum * radius_sum {
-                        let spread = csq.sqrt().max((q_radius - rk).abs());
-                        let degree = 1.0 - spread / radius_sum;
-                        if degree > 0.0 {
-                            hits.push((k + t, degree));
-                        }
-                    }
-                }
-            }
-        }
-        k += 4;
     }
     *best = (best_k, best_sq);
 }
@@ -1016,75 +747,6 @@ mod tests {
         assert!(hits.is_empty());
     }
 
-    /// Deterministic query block (n queries of width d), phase-shifted
-    /// from [`row_block`] so queries and rows do not coincide.
-    fn query_block(n: usize, d: usize) -> Vec<f64> {
-        (0..n * d).map(|i| (i as f64 * 0.19 + 0.5).sin()).collect()
-    }
-
-    #[test]
-    fn sq_dist_tile_is_bit_identical_to_scalar_kernel() {
-        for d in [1usize, 2, 3, 4, 5, 8, 9, 24, 25] {
-            for nr in [0usize, 1, 3, 4, 5, 8, 11] {
-                for nq in [0usize, 1, 2, 7] {
-                    let (_, rows) = row_block(nr, d);
-                    let qs = query_block(nq, d);
-                    let mut out = vec![f64::NAN; nq * nr + 3];
-                    sq_dist_tile(&qs, nq, &rows, d, &mut out);
-                    for qi in 0..nq {
-                        for r in 0..nr {
-                            let got = out[qi * nr + r];
-                            let want =
-                                sq_dist(&qs[qi * d..(qi + 1) * d], &rows[r * d..(r + 1) * d]);
-                            assert!(got == want, "d={d} nq={nq} q {qi} row {r}: {got} vs {want}");
-                        }
-                    }
-                    // Only the tile prefix is written.
-                    assert!(out[nq * nr..].iter().all(|v| v.is_nan()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sq_dist_tile_expanded_is_close_and_clamped() {
-        for d in [1usize, 2, 4, 7, 9, 25] {
-            for nr in [1usize, 4, 5, 11] {
-                for nq in [1usize, 2, 7] {
-                    let (_, rows) = row_block(nr, d);
-                    let qs = query_block(nq, d);
-                    let mut exact = vec![0.0; nq * nr];
-                    let mut approx = vec![0.0; nq * nr];
-                    sq_dist_tile(&qs, nq, &rows, d, &mut exact);
-                    sq_dist_tile_expanded(&qs, nq, &rows, d, &mut approx);
-                    for (i, (&e, &a)) in exact.iter().zip(approx.iter()).enumerate() {
-                        assert!(a >= 0.0, "clamped form must be non-negative ({i})");
-                        // Cancellation error scales with the norms, not
-                        // with the distance — bound it accordingly.
-                        let qi = i / nr;
-                        let r = i % nr;
-                        let scale = dot(&qs[qi * d..(qi + 1) * d], &qs[qi * d..(qi + 1) * d])
-                            + dot(&rows[r * d..(r + 1) * d], &rows[r * d..(r + 1) * d]);
-                        assert!(
-                            (a - e).abs() <= 1e-14 * scale.max(1.0),
-                            "d={d} pair {i}: {a} vs {e}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sq_dist_tile_expanded_is_exactly_zero_on_identical_points() {
-        // q == r: ‖q‖² + ‖r‖² − 2⟨q, r⟩ sums the identical dot three
-        // times, so the cancellation is exact and the clamp never fires.
-        let q: Vec<f64> = (0..6).map(|i| (i as f64 * 1.3e7).sin() * 1e6).collect();
-        let mut out = [f64::NAN];
-        sq_dist_tile_expanded(&q, 1, &q, 6, &mut out);
-        assert_eq!(out[0], 0.0);
-    }
-
     #[test]
     fn sq_dists4_matches_four_scalar_calls() {
         let (q, rows) = row_block(4, 9);
@@ -1092,143 +754,6 @@ mod tests {
         for (r, &got) in quad.iter().enumerate() {
             assert!(got == sq_dist(&q, &rows[r * 9..(r + 1) * 9]), "row {r}");
         }
-    }
-
-    #[test]
-    fn expanded_with_norms_is_bit_identical_to_recomputing_form() {
-        for d in [1usize, 3, 4, 9] {
-            for nr in [1usize, 4, 11] {
-                let (_, rows) = row_block(nr, d);
-                let qs = query_block(2, d);
-                let mut norms = Vec::new();
-                row_sq_norms_into(&rows, d, &mut norms);
-                assert_eq!(norms.len(), nr);
-                for (r, &n) in norms.iter().enumerate() {
-                    let row = &rows[r * d..(r + 1) * d];
-                    assert_eq!(n.to_bits(), dot(row, row).to_bits());
-                }
-                let mut a = vec![f64::NAN; 2 * nr];
-                let mut b = vec![f64::NAN; 2 * nr];
-                sq_dist_tile_expanded(&qs, 2, &rows, d, &mut a);
-                sq_dist_tile_expanded_with_norms(&qs, 2, &rows, d, &norms, &mut b);
-                for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "d={d} nr={nr} pair {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screening_slack_bounds_expanded_vs_direct_error() {
-        // The slack must dominate the observed expanded-vs-direct gap on
-        // every pair, including far-from-origin blocks where the
-        // cancellation error is large in absolute terms.
-        for scale_up in [1.0f64, 1e4, 1e8] {
-            for d in [1usize, 2, 4, 7, 25] {
-                let nr = 8usize;
-                let (_, mut rows) = row_block(nr, d);
-                let mut qs = query_block(3, d);
-                for v in rows.iter_mut().chain(qs.iter_mut()) {
-                    *v = v.mul_add(scale_up, scale_up);
-                }
-                let mut exact = vec![0.0; 3 * nr];
-                let mut approx = vec![0.0; 3 * nr];
-                sq_dist_tile(&qs, 3, &rows, d, &mut exact);
-                sq_dist_tile_expanded(&qs, 3, &rows, d, &mut approx);
-                for (i, (&e, &a)) in exact.iter().zip(approx.iter()).enumerate() {
-                    let qi = i / nr;
-                    let r = i % nr;
-                    let scale = dot(&qs[qi * d..(qi + 1) * d], &qs[qi * d..(qi + 1) * d])
-                        + dot(&rows[r * d..(r + 1) * d], &rows[r * d..(r + 1) * d]);
-                    let slack = screening_slack(d, scale);
-                    assert!(
-                        (a - e).abs() <= slack,
-                        "d={d} scale_up={scale_up} pair {i}: |{a} - {e}| > {slack}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screening_slack_is_infinite_on_non_finite_scale() {
-        assert_eq!(screening_slack(4, f64::INFINITY), f64::INFINITY);
-        assert!(screening_slack(4, 0.0) == 0.0);
-        assert!(screening_slack(4, 1.0) > 0.0);
-    }
-
-    #[test]
-    fn winner_overlap_block_aosoa_matches_row_major_kernel() {
-        for d in [1usize, 2, 3, 4, 7, 9] {
-            for nr in [4usize, 8, 16, 64] {
-                let (q, rows) = row_block(nr, d);
-                let radii: Vec<f64> = (0..nr)
-                    .map(|i| 0.3 + (i as f64 * 0.41).sin().abs())
-                    .collect();
-                for q_radius in [0.05, 0.4, 1.2] {
-                    let mut best_a = (0usize, f64::INFINITY);
-                    let mut best_b = (0usize, f64::INFINITY);
-                    let mut hits_a = Vec::new();
-                    let mut hits_b = Vec::new();
-                    winner_overlap_block(
-                        &q,
-                        q_radius,
-                        &rows,
-                        &radii,
-                        d,
-                        7,
-                        &mut best_a,
-                        &mut hits_a,
-                    );
-                    let mut aosoa = Vec::new();
-                    crate::simd::pack_quads_aosoa(&rows, d, &mut aosoa);
-                    winner_overlap_block_aosoa(
-                        &q,
-                        q_radius,
-                        &aosoa,
-                        &radii,
-                        d,
-                        7,
-                        &mut best_b,
-                        &mut hits_b,
-                    );
-                    assert_eq!(
-                        best_a.0, best_b.0,
-                        "d={d} nr={nr} θ={q_radius} winner index"
-                    );
-                    assert_eq!(best_a.1.to_bits(), best_b.1.to_bits(), "winner distance");
-                    assert_eq!(hits_a.len(), hits_b.len(), "d={d} nr={nr} hit count");
-                    for ((ka, da), (kb, db)) in hits_a.iter().zip(hits_b.iter()) {
-                        assert_eq!(ka, kb);
-                        assert_eq!(da.to_bits(), db.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn aosoa_infinite_pad_rows_are_inert() {
-        let d = 3usize;
-        let (q, rows) = row_block(6, d);
-        let radii: Vec<f64> = (0..6).map(|i| 0.2 + i as f64 * 0.1).collect();
-        // Reference: exact kernel over the six real rows.
-        let mut best_want = (0usize, f64::INFINITY);
-        let mut hits_want = Vec::new();
-        winner_overlap_block(&q, 0.5, &rows, &radii, d, 0, &mut best_want, &mut hits_want);
-        // Pad to eight rows with +inf centers and zero radii.
-        let mut padded = rows.clone();
-        padded.extend_from_slice(&[f64::INFINITY; 6]);
-        let mut radii_pad = radii.clone();
-        radii_pad.extend_from_slice(&[0.0; 2]);
-        let mut aosoa = Vec::new();
-        crate::simd::pack_quads_aosoa(&padded, d, &mut aosoa);
-        let mut best = (0usize, f64::INFINITY);
-        let mut hits = Vec::new();
-        winner_overlap_block_aosoa(&q, 0.5, &aosoa, &radii_pad, d, 0, &mut best, &mut hits);
-        assert_eq!(best.0, best_want.0);
-        assert_eq!(best.1.to_bits(), best_want.1.to_bits());
-        assert_eq!(hits, hits_want);
     }
 
     #[test]

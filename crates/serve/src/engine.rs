@@ -107,9 +107,9 @@ pub struct Served<T> {
     /// panicking trainer. Always `false` on model and degraded routes and
     /// with feedback disabled.
     pub feedback_dropped: bool,
-    /// Screening telemetry of the two-phase pruned snapshot consultation
+    /// Pruning telemetry of the bound-and-verify snapshot consultation
     /// that produced (or rejected) the model answer: prototype blocks
-    /// considered / screened / skipped / verified. All-zero when no
+    /// considered / bounded / skipped / verified. All-zero when no
     /// snapshot was consulted; for batch entry points the counters of the
     /// whole batch's single consultation are shared by every answer in
     /// it. `screen.skip_rate()` is the query's pruning win.
@@ -219,12 +219,14 @@ pub struct ServeStats {
     /// Poisoned trainer locks encountered and healed (restart + poison
     /// cleared).
     pub lock_poisonings: u64,
-    /// Prototype blocks whose expanded screening tile ran during pruned
-    /// snapshot consultations ([`regq_core::ScreenCounters::screened`],
-    /// summed over all consultations).
+    /// Prototype block visits whose lower bound was evaluated during
+    /// pruned snapshot consultations — every visit on a multi-block
+    /// layout, none on a single-block one
+    /// ([`regq_core::ScreenCounters::screened`], summed over all
+    /// consultations).
     pub blocks_screened: u64,
-    /// Prototype blocks pruned away — never exact-verified — by the
-    /// two-phase screening pass. The serving scan's output-sensitivity
+    /// Prototype blocks pruned away — never exact-verified — because
+    /// their bound ruled them out. The serving scan's output-sensitivity
     /// win; `blocks_skipped + blocks_verified` is the total block visits.
     pub blocks_skipped: u64,
     /// Prototype blocks exact-verified by the bit-exact kernel.

@@ -298,10 +298,11 @@ pub struct RouterStats {
     /// Shards currently flagged degraded (restarted trainer awaiting its
     /// next publish).
     pub degraded_shards: usize,
-    /// Prototype blocks whose expanded screening tile ran during pruned
-    /// snapshot consultations, summed over every shard consulted.
+    /// Prototype block visits whose lower bound was evaluated during
+    /// pruned snapshot consultations (none on single-block layouts),
+    /// summed over every shard consulted.
     pub blocks_screened: u64,
-    /// Prototype blocks pruned away by the two-phase screening pass —
+    /// Prototype blocks pruned away because their bound ruled them out —
     /// the fabric's output-sensitivity win.
     pub blocks_skipped: u64,
     /// Prototype blocks exact-verified by the bit-exact kernel.

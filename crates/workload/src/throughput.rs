@@ -525,18 +525,22 @@ mod tests {
             let f = GasSensorSurrogate::new(2, 5);
             let gen = QueryGenerator::for_function(&f, 0.1);
             let mut rng = seeded(22);
-            let reader_queries = gen.generate_many(600, &mut rng);
+            // Enough reader work to outlast the scheduling latency of the
+            // writer (the calling thread) on a 2-core host: with a few
+            // hundred sub-microsecond queries the readers can drain the
+            // workload before the writer runs once.
+            let reader_queries = gen.generate_many(6_000, &mut rng);
             let writer_queries = gen.generate_many(5_000, &mut rng);
             let r = serve_closed_loop(&engine, &reader_queries, 2, &writer_queries);
-            assert_eq!(r.queries, 600);
+            assert_eq!(r.queries, 6_000);
             assert_eq!(r.readers, 2);
             // Every reader query routes somewhere; the handful whose
             // fallback selection is empty are answered as SQL NULL and
             // bump neither counter.
             let routed = r.model_served + r.exact_served;
             assert!(
-                routed <= 600 && routed > 550,
-                "unexpected route accounting: {routed}/600"
+                routed <= 6_000 && routed > 5_500,
+                "unexpected route accounting: {routed}/6000"
             );
             assert!(r.qps() > 0.0);
             assert!(
