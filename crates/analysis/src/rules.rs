@@ -85,9 +85,11 @@ pub struct Registry {
     /// documented in module docs (today: the hazard-slot cell and the
     /// runtime-dispatched AVX2 distance kernels).
     pub unsafe_allowlist: Vec<String>,
-    /// Hot-path files under the PR-8 panic policy: every non-test
+    /// Hot-path sources under the PR-8 panic policy: every non-test
     /// `.unwrap()` / `.expect(` must be typed away, counted, or annotated
-    /// `// INVARIANT:`.
+    /// `// INVARIANT:`. An entry ending in `/` covers every file below
+    /// that directory (a new or renamed file cannot leave the policy);
+    /// any other entry names one file.
     pub panic_policy: Vec<String>,
     /// Path prefixes never scanned (build artifacts).
     pub skip_prefixes: Vec<String>,
@@ -100,10 +102,7 @@ impl Registry {
         Registry {
             unsafe_allowlist: own(&["crates/serve/src/cell.rs", "crates/linalg/src/simd.rs"]),
             panic_policy: own(&[
-                "crates/serve/src/cell.rs",
-                "crates/serve/src/engine.rs",
-                "crates/serve/src/shard.rs",
-                "crates/serve/src/fault.rs",
+                "crates/serve/src/",
                 "crates/core/src/snapshot.rs",
                 "crates/core/src/predict.rs",
                 "crates/core/src/arena.rs",
@@ -120,6 +119,12 @@ impl Registry {
 
     fn in_list(list: &[String], rel: &str) -> bool {
         list.iter().any(|p| p == rel)
+    }
+
+    fn under_panic_policy(&self, rel: &str) -> bool {
+        self.panic_policy
+            .iter()
+            .any(|p| p == rel || (p.ends_with('/') && rel.starts_with(p.as_str())))
     }
 }
 
@@ -215,7 +220,7 @@ fn rule_panic_policy(
     registry: &Registry,
     findings: &mut Vec<Finding>,
 ) {
-    if !Registry::in_list(&registry.panic_policy, rel) {
+    if !registry.under_panic_policy(rel) {
         return;
     }
     for (idx, line) in lines.iter().enumerate() {
@@ -329,44 +334,53 @@ mod tests {
     #[test]
     fn relaxed_needs_header_or_site_note() {
         let bare = "fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        let f = lint_source("crates/serve/src/engine.rs", bare, &reg());
+        let f = lint_source("crates/serve/src/shard.rs", bare, &reg());
         assert!(f.iter().any(|f| f.rule == RuleId::RelaxedAudit));
 
         let with_header = format!("//! atomics: counters only, no cross-field ordering.\n{bare}");
-        assert!(lint_source("crates/serve/src/engine.rs", &with_header, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", &with_header, &reg()).is_empty());
 
         let with_site =
             "fn f(c: &AtomicU64) {\n    // RELAXED: monotonic counter, read for display only.\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
-        assert!(lint_source("crates/serve/src/engine.rs", with_site, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", with_site, &reg()).is_empty());
     }
 
     #[test]
     fn relaxed_in_test_code_is_exempt() {
         let src =
             "#[cfg(test)]\nmod tests {\n    fn t(c: &AtomicU64) { c.load(Ordering::Relaxed); }\n}\n";
-        assert!(lint_source("crates/serve/src/engine.rs", src, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", src, &reg()).is_empty());
     }
 
     #[test]
     fn panic_policy_only_applies_to_registry_files() {
         let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        let hot = lint_source("crates/serve/src/engine.rs", src, &reg());
-        assert!(hot.iter().any(|f| f.rule == RuleId::PanicPolicy));
+        // The serve crate is covered by prefix (a file the registry has
+        // never heard of is still under the policy); core files by name.
+        for hot in [
+            "crates/serve/src/shard.rs",
+            "crates/serve/src/not_written_yet.rs",
+            "crates/core/src/arena.rs",
+        ] {
+            let f = lint_source(hot, src, &reg());
+            assert!(f.iter().any(|f| f.rule == RuleId::PanicPolicy), "{hot}");
+        }
         assert!(lint_source("crates/data/src/csv.rs", src, &reg()).is_empty());
+        assert!(lint_source("crates/core/src/model.rs", src, &reg()).is_empty());
     }
 
     #[test]
     fn panic_policy_accepts_invariant_annotation_and_skips_tests() {
         let ok = "fn f(x: Option<u8>) {\n    // INVARIANT: set in the constructor, never cleared.\n    x.unwrap();\n}\n";
-        assert!(lint_source("crates/serve/src/engine.rs", ok, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", ok, &reg()).is_empty());
         let test = "#[cfg(test)]\nmod tests {\n    fn t(x: Option<u8>) { x.unwrap(); }\n}\n";
-        assert!(lint_source("crates/serve/src/engine.rs", test, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", test, &reg()).is_empty());
     }
 
     #[test]
     fn unwrap_or_else_is_not_a_panic_site() {
         let src = "fn f(m: &Mutex<u8>) { m.lock().unwrap_or_else(PoisonError::into_inner); }\n";
-        assert!(lint_source("crates/serve/src/engine.rs", src, &reg()).is_empty());
+        assert!(lint_source("crates/serve/src/shard.rs", src, &reg()).is_empty());
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn bare_relaxed_fixture_fails() {
     let root = fixture(
         "bad_relaxed",
         &[(
-            "crates/serve/src/engine.rs",
+            "crates/serve/src/shard.rs",
             "use std::sync::atomic::{AtomicU64, Ordering};\n\
              pub fn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n",
         )],
@@ -89,7 +89,7 @@ fn bare_unwrap_on_hot_path_fixture_fails() {
     let root = fixture(
         "bad_panic",
         &[(
-            "crates/serve/src/engine.rs",
+            "crates/serve/src/shard.rs",
             "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
         )],
     );

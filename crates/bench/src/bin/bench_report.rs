@@ -14,32 +14,29 @@
 //!    struct-of-arrays arena with batched kernels vs the retained
 //!    per-prototype reference path (`regq_core::predict::reference`),
 //!    in Q1 predictions/sec;
-//! 6. the concurrent snapshot-serving engine — closed-loop reader-count
-//!    scaling through `regq_serve::ServeEngine` with one live writer
-//!    (Fig. 2 trainer) feeding and republishing, confidence-gated exact
-//!    fallback exercised end-to-end;
-//! 7. the sharded serve/train fabric — the same closed loop through
+//! 6. the serve/train fabric — closed-loop serving through
 //!    `regq_serve::ShardRouter` at shard counts {1, 2, 4, 8} with a fixed
-//!    reader pool, cross-shard fusion and bounded feedback queues live
-//!    (drops are counted, never silent);
-//! 8. the batched serving path — `predict_q1_batch`'s blocked Q×K
+//!    reader pool and one live writer (Fig. 2 trainer) feeding and
+//!    republishing: confidence-gated exact fallback, cross-shard fusion
+//!    and bounded feedback queues live (drops are counted, never silent);
+//! 7. the batched serving path — `predict_q1_batch`'s blocked Q×K
 //!    distance tiles vs the scalar per-query loop over the same
 //!    snapshot (batch sizes × K), plus the shard fabric's `q1_batch`
 //!    vs per-query `q1` at shard counts {1, 2, 4};
-//! 9. the bound-and-verify pruned serving path — a slack-free
+//! 8. the bound-and-verify pruned serving path — a slack-free
 //!    direct-form lower bound per block (bounding-box gap² + radius-range
 //!    gap²), then one whole-block AoSoA kernel per block the bound cannot
 //!    rule out — vs the unpruned resolution on *clustered* prototype
 //!    sets, scalar and batched, with every pruned answer verified
 //!    bit-identical in-run and the pruning telemetry (blocks bounded /
 //!    skipped / verified — counted, never silent) in the ledger;
-//! 10. the self-healing serve fabric under concept drift — the
-//!     deterministic drifting closed loop (`regq_workload::drift`) run
-//!     clean and with a seeded fault plan (trainer panics, lock
-//!     poisonings, overflow bursts) live: per-window model-share
-//!     trajectory, the dip → fallback-spike → retrain → recovery arc,
-//!     recovery-time-to-confidence in queries, and the recovery counters
-//!     proving every injected fault was answered.
+//! 9. the self-healing serve fabric under concept drift — the
+//!    deterministic drifting closed loop (`regq_workload::drift`) run
+//!    clean and with a seeded fault plan (trainer panics, lock
+//!    poisonings, overflow bursts) live: per-window model-share
+//!    trajectory, the dip → fallback-spike → retrain → recovery arc,
+//!    recovery-time-to-confidence in queries, and the recovery counters
+//!    proving every injected fault was answered.
 //!
 //! The emitted JSON carries a `host` object (core count, `--smoke`,
 //! os/arch) so single-core-container runs are machine-readable.
@@ -59,11 +56,11 @@ use regq_core::predict::reference;
 use regq_core::{LlmModel, ModelConfig, Query, ScreenCounters};
 use regq_data::rng::seeded;
 use regq_exact::{fit_ols, fit_ols_design, q1_mean_materialized, ExactEngine};
-use regq_serve::{FaultKind, FaultPlan, RoutePolicy, ServeEngine, ShardRouter};
+use regq_serve::{FaultKind, FaultPlan, RoutePolicy, ShardRouter};
 use regq_store::AccessPathKind;
 use regq_workload::{
-    drift_recovery_loop, serve_closed_loop, serve_closed_loop_sharded, train_from_engine,
-    train_from_engine_parallel, DriftReport, ParallelTrainOptions, QueryGenerator, ShiftingValley,
+    drift_recovery_loop, serve_closed_loop, train_from_engine, train_from_engine_parallel,
+    DriftReport, ParallelTrainOptions, QueryGenerator, ShiftingValley,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -424,12 +421,13 @@ fn main() {
         });
     }
 
-    // ---- Section 6: concurrent snapshot serving (readers × 1 writer).
-    // A fresh ServeEngine per reader count (same pre-trained model clone,
-    // same workloads) so rows are comparable: the only variable is the
-    // reader thread count. The pre-training budget is deliberately
-    // partial — the confidence gate must route both ways.
-    let serve_reader_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
+    // ---- Section 6: the serve/train fabric — shard-count scaling at
+    // fixed readers, one live writer. A fresh router per shard count (same
+    // pre-trained model clone, same workloads) so rows are comparable: the
+    // only variable is the shard count, so any qps movement is the fabric
+    // itself (routing + per-shard trainers + cross-shard fusion on
+    // boundary balls). The pre-training budget is deliberately partial —
+    // the confidence gate must route both ways.
     let serve_queries_n = if smoke { 400 } else { 4_000 };
     let serve_exact = || ExactEngine::new(data.clone(), AccessPathKind::KdTree);
     let pretrain_budget = if smoke { 300 } else { 3_000 };
@@ -455,33 +453,13 @@ fn main() {
             gen.generate_many(100_000, &mut rng),
         )
     };
-    let mut serve_rows = Vec::new();
-    for &readers in serve_reader_counts {
-        let engine = ServeEngine::with_model(serve_exact(), pretrained.clone(), serve_policy);
-        let r = serve_closed_loop(&engine, &reader_workload, readers, &writer_workload);
-        eprintln!(
-            "  concurrent serving x{readers}: {} qps, model share {:.2}, \
-             {} feedback examples, {} publishes",
-            r.qps_label(),
-            r.model_share(),
-            r.feedback_fed,
-            r.publishes
-        );
-        serve_rows.push(r);
-    }
-
-    // ---- Section 7: sharded fabric — shard-count scaling at fixed readers.
-    // Same pre-trained model and workloads as section 6; the only variable
-    // is the shard count, so any qps movement is the fabric itself (routing
-    // + per-shard trainers + cross-shard fusion on boundary balls).
     let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let shard_readers = 2usize;
     let mut shard_rows = Vec::new();
     for &shards in shard_counts {
         let router =
             ShardRouter::with_model(serve_exact(), pretrained.clone(), serve_policy, shards);
-        let r =
-            serve_closed_loop_sharded(&router, &reader_workload, shard_readers, &writer_workload);
+        let r = serve_closed_loop(&router, &reader_workload, shard_readers, &writer_workload);
         eprintln!(
             "  sharded serving x{shards} shards: {} qps, model share {:.2}, \
              feedback {} fed / {} dropped, {} publishes",
@@ -494,7 +472,7 @@ fn main() {
         shard_rows.push(r);
     }
 
-    // ---- Section 8: batched serving — Q×K distance tiles vs the scalar
+    // ---- Section 7: batched serving — Q×K distance tiles vs the scalar
     // per-query loop. Same snapshot, same queries, bit-identical answers;
     // the only variable is how many queries share one arena pass. The
     // scalar loop here pays the production serving cost (winner pass for
@@ -609,7 +587,7 @@ fn main() {
         batched_shard_rows.push((shards, scalar_us, batch_us));
     }
 
-    // ---- Section 9: bound-and-verify pruned serving — a slack-free
+    // ---- Section 8: bound-and-verify pruned serving — a slack-free
     // direct-form block bound, then the whole-block exact kernel on what
     // it cannot rule out — vs the unpruned resolution. Clustered
     // prototype sets and localized queries: the workload where whole
@@ -876,37 +854,6 @@ fn main() {
         );
     }
     json.push_str("    ]\n  },\n");
-    let _ = writeln!(
-        json,
-        "  \"serving_concurrent\": {{\n    \"engine\": \"kd_tree\", \"queries\": {serve_queries_n}, \
-         \"pretrain_budget\": {pretrain_budget}, \"confidence_threshold\": {}, \
-         \"publish_interval\": {}, \
-         \"setup\": \"closed loop: N readers auto-route a shared workload through \
-         ServeEngine (lock-free snapshot reads, confidence-gated exact fallback) \
-         while 1 writer executes ground truth, feeds the trainer and republishes\",",
-        fmt_f(serve_policy.confidence_threshold),
-        serve_policy.publish_interval
-    );
-    json.push_str("    \"by_readers\": [\n");
-    for (i, r) in serve_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"readers\": {}, \"qps\": {}, \"model_share\": {}, \
-             \"model_served\": {}, \"exact_served\": {}, \"feedback_fed\": {}, \
-             \"feedback_skipped\": {}, \"publishes\": {}, \"writer_examples\": {}}}{}",
-            r.readers,
-            fmt_f(r.qps()),
-            fmt_f(r.model_share()),
-            r.model_served,
-            r.exact_served,
-            r.feedback_fed,
-            r.feedback_skipped,
-            r.publishes,
-            r.writer_examples,
-            if i + 1 < serve_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n");
     let shard_note = if cores <= 1 {
         "recorded on a 1-core host: shard scaling is necessarily flat here; \
          re-record on a multi-core host before reading the scaling shape"
@@ -1055,7 +1002,7 @@ fn main() {
         )
     );
 
-    // ---- Section 10: drift recovery, clean and under injected faults.
+    // ---- Section 9: drift recovery, clean and under injected faults.
     let drift_total = if smoke { 2_000 } else { 8_000 };
     let drift_window = if smoke { 100 } else { 250 };
     let valley = ShiftingValley {

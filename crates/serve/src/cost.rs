@@ -5,10 +5,10 @@
 //! read-modify-write atomicity (lost-update freedom), which is a
 //! property of the CAS itself, not of the memory ordering.
 //!
-//! Exponentially-weighted cost estimate shared by [`crate::ServeEngine`]
-//! and [`crate::ShardRouter`] deadline routing.
+//! Exponentially-weighted cost estimate behind [`crate::ShardRouter`]'s
+//! deadline routing ([`crate::RoutePolicy::deadline_us`]).
 //!
-//! Both previously folded exact-path latency samples with a racy
+//! The router previously folded exact-path latency samples with a racy
 //! load-then-store ("the EMA is a heuristic, the race is acceptable").
 //! The in-tree invariant audit (`cargo run -p regq_analysis -- check`)
 //! flagged the pattern, and it is in fact a genuine lost-update bug with

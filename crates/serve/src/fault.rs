@@ -142,7 +142,6 @@ struct Inner {
 ///
 /// Configure with the builder methods **before** installing the plan
 /// (they require sole ownership); install with
-/// [`crate::ServeEngine::set_fault_plan`] /
 /// [`crate::ShardRouter::set_fault_plan`] /
 /// [`crate::SnapshotCell::arm_faults`].
 #[derive(Debug, Clone, Default)]

@@ -14,17 +14,17 @@
 //!   current one through per-reader hazard slots — **no `Mutex`/`RwLock`
 //!   on the serve path** — and the writer reclaims superseded epochs, so
 //!   retention stays bounded by the reader count (not the publish count);
-//! * [`ServeEngine`] — confidence-gated hybrid routing: score each query
-//!   with [`regq_core::confidence`], serve from the snapshot above the
-//!   [`RoutePolicy`] threshold, fall back to the
+//! * [`ShardRouter`] — the one serving engine: confidence-gated hybrid
+//!   routing (score each query with [`regq_core::confidence`], serve from
+//!   the snapshots above the [`RoutePolicy`] threshold, fall back to the
 //!   [`regq_exact::ExactEngine`] below it — and feed the exact answer
-//!   back to the trainer as a free training example, closing Algorithm 1's
-//!   loop in production;
-//! * [`ShardRouter`] — the sharded fabric: a kd-split of the joint query
-//!   space `[x, θ]` assigns each feedback example to one of `n`
-//!   trainer+cell shards (bounded per-shard queues, work-stealing drain),
-//!   while predictions fuse overlap weights **across** shards
-//!   bit-identically to the single-model answer;
+//!   back to the trainer as a free training example, closing Algorithm
+//!   1's loop in production) over a sharded fabric: a kd-split of the
+//!   joint query space `[x, θ]` assigns each feedback example to one of
+//!   `n` trainer+cell shards (bounded per-shard queues, work-stealing
+//!   drain), while predictions fuse overlap weights **across** shards
+//!   bit-identically to the single-model answer. One shard is the
+//!   smallest fabric, not a separate engine;
 //! * [`FaultPlan`] — the deterministic fault-injection plane behind the
 //!   self-healing story: scripted trainer panics, lock poisonings, queue
 //!   overflow bursts, publish stalls and exact-path delays fire at exact
@@ -41,7 +41,7 @@
 //!
 //! The serve path must not unwind under any input the public API admits.
 //! Fallible outcomes are typed ([`ServeError`], [`Feedback`]) or counted
-//! (drops, quarantines, poisonings in [`ServeStats`] / [`RouterStats`]);
+//! (drops, quarantines, poisonings in [`RouterStats`]);
 //! trainer panics are contained by `catch_unwind` supervision and
 //! answered with a restart. The few remaining `expect`s in this crate
 //! assert local invariants that hold by construction (a model that was
@@ -55,7 +55,7 @@
 //! use regq_data::generators::GasSensorSurrogate;
 //! use regq_data::{rng::seeded, Dataset, SampleOptions};
 //! use regq_exact::ExactEngine;
-//! use regq_serve::{Route, RoutePolicy, ServeEngine};
+//! use regq_serve::{Route, RoutePolicy, ShardRouter};
 //! use regq_store::AccessPathKind;
 //! use std::sync::Arc;
 //!
@@ -64,15 +64,15 @@
 //! let data = Dataset::from_function(&field, 5_000, SampleOptions::default(), &mut rng);
 //! let exact = ExactEngine::new(Arc::new(data), AccessPathKind::KdTree);
 //!
-//! // An empty trainer: the engine starts on the exact route and trains
-//! // itself from its own fallbacks (the closed loop).
+//! // An empty trainer on one shard: the router starts on the exact route
+//! // and trains itself from its own fallbacks (the closed loop).
 //! let model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-//! let engine = ServeEngine::with_model(exact, model, RoutePolicy::default());
+//! let router = ShardRouter::with_model(exact, model, RoutePolicy::default(), 1);
 //!
 //! let q = Query::new(vec![0.4, 0.6], 0.1).unwrap();
-//! let served = engine.q1(&q).unwrap();
+//! let served = router.q1(&q).unwrap();
 //! assert_eq!(served.route, Route::Exact); // nothing learned yet
-//! assert!(engine.stats().feedback_fed >= 1); // …but the trainer just ate it
+//! assert!(router.stats().feedback_fed >= 1); // …but the trainer just ate it
 //! ```
 
 #![deny(missing_docs)]
@@ -80,11 +80,12 @@
 
 pub mod cell;
 pub(crate) mod cost;
-pub mod engine;
 pub mod fault;
+pub(crate) mod partition;
+pub mod route;
 pub mod shard;
 
 pub use cell::{ReadGuard, ReaderHandle, SnapshotCell, TlsReader};
-pub use engine::{Feedback, Route, RoutePolicy, ServeEngine, ServeError, ServeStats, Served};
 pub use fault::{FaultKind, FaultPlan, StallGate};
+pub use route::{Feedback, Route, RoutePolicy, ServeError, Served};
 pub use shard::{RouterStats, ShardRouter, ShardSnapshot};

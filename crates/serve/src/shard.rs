@@ -1,64 +1,87 @@
-//! [`ShardRouter`]: the sharded serve/train fabric.
+//! [`ShardRouter`]: the serving engine — confidence-gated routing
+//! between the learned snapshots and the exact DBMS backend, with the
+//! training loop closed in production over a sharded serve/train fabric.
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
-//! counter (read only for [`RouterStats`]) or a per-shard advisory
-//! `degraded` flag whose readers tolerate staleness (it biases routing
-//! until the shard's next publish, nothing more). The two orderings that
-//! matter are explicit: `next_id` (the spawn ticket counter whose values
-//! become prototype identities) is SeqCst, and snapshot hand-off goes
-//! through the SeqCst [`SnapshotCell`] protocol. The exact-cost EMA
-//! lives in `crate::cost::CostEma` with its own audit header.
+//! counter or a per-shard advisory `degraded` flag, both read only for
+//! [`RouterStats`], whose readers tolerate staleness. The two orderings
+//! that matter are explicit: `next_id` (the spawn ticket counter whose
+//! values become prototype identities) is SeqCst, and snapshot hand-off
+//! goes through the SeqCst [`SnapshotCell`] protocol. The exact-cost EMA
+//! lives in `crate::cost::CostEma` with its own audit header; the
+//! partitioner (`crate::partition`) has no atomics at all.
 //!
-//! One [`crate::ServeEngine`] serializes all training through a single
-//! trainer mutex — fine for one feedback stream, a bottleneck for many.
-//! The router partitions the **joint query space** `[x, θ]` (a kd-split
-//! over the attached model's prototypes, hash fallback while there is
-//! nothing to split) into `n` shards, each owning
+//! # Query flow (the paper's desideratum D2 made operational)
+//!
+//! 1. resolve one hazard-slot read guard per shard — the serve path holds
+//!    **no `Mutex`/`RwLock`**, and the guards pin every involved epoch
+//!    for exactly the prediction's duration;
+//! 2. predict and score in one pass: the confidence assessment
+//!    ([`regq_core::confidence`]) shares the prediction's own
+//!    overlap-weight resolution;
+//! 3. serve from the snapshots when the score clears
+//!    [`RoutePolicy::confidence_threshold`]; otherwise execute on the
+//!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
+//!    answer on its shard's bounded feedback queue. Feedback never blocks
+//!    a serving thread: queues are drained under `try_lock`, a contended
+//!    trainer leaves the example queued for the next drain, and only a
+//!    full queue loses one (counted, see [`Feedback`]);
+//! 4. each shard's trainer republishes a fresh snapshot every
+//!    [`RoutePolicy::publish_interval`] consumed examples.
+//!
+//! # Shards
+//!
+//! A single trainer mutex is fine for one feedback stream and a
+//! bottleneck for many, so the router partitions the **joint query
+//! space** `[x, θ]` (a kd-split over the attached model's prototypes,
+//! hash fallback while there is nothing to split) into `n` shards, each
+//! owning
 //!
 //! * its own trainer (an [`LlmModel`] over the shard's prototype subset),
 //! * its own [`SnapshotCell`] (so publishes on one shard never disturb
 //!   readers of another),
-//! * a bounded feedback queue drained with work stealing: any caller that
-//!   fails to find work on its own shard drains whichever shard's trainer
-//!   lock it can grab.
+//! * a bounded feedback queue drained with work stealing: any caller
+//!   drains whichever shard's trainer lock it can grab.
 //!
-//! Prediction is the interesting half. A query ball near a shard boundary
-//! overlaps prototypes in *several* shards, and the paper's fused answer
-//! (Algorithm 3) is a normalized overlap-weighted sum over **all** of
-//! them. The router therefore resolves one hazard-slot read guard per
-//! shard and hands the guarded snapshots to
-//! [`regq_core::sharded_q1_with_confidence`] /
-//! [`regq_core::sharded_q2_with_confidence`], which replay the exact
-//! floating-point operation sequence of the single-arena predictors —
-//! the sharded answer is **bit-identical** to the unsharded one, not
-//! merely close. The contract making that possible: every prototype
-//! carries a *global id* (its index in the pre-split arena, or a fresh
-//! `next_id` ticket on spawn), per-shard id lists stay strictly
-//! ascending (training only ever appends), and the fusion driver merges
-//! the per-shard overlap sets back into global-id order.
+//! A query ball near a shard boundary overlaps prototypes in *several*
+//! shards, and the paper's fused answer (Algorithm 3) is a normalized
+//! overlap-weighted sum over **all** of them. The router therefore hands
+//! every shard's guarded snapshot to the cross-shard predictors of
+//! `regq_core`, which replay the exact floating-point operation sequence
+//! of the single-arena predictors — the answer is **bit-identical** to
+//! the unsharded model's at any shard count, not merely close. The
+//! contract making that possible: every prototype carries a *global id*
+//! (its index in the pre-split arena, or a fresh `next_id` ticket on
+//! spawn), per-shard id lists stay strictly ascending (training only
+//! ever appends), and the fusion driver merges the per-shard overlap sets
+//! back into global-id order. One shard is simply the smallest fabric.
 //!
 //! # Fault tolerance
 //!
-//! Each shard's trainer is supervised exactly like the unsharded
-//! engine's (see `crate::engine` module docs): a panicking drain
-//! quarantines the offending example, restarts that shard's trainer from
-//! its last published [`ShardSnapshot`], flags the shard *degraded*
-//! until its next publish, and counts everything in [`RouterStats`]. A
-//! poisoned trainer lock gets the same restart-from-snapshot before the
-//! poison is cleared — recovery never trains on (or publishes) a
-//! half-applied update. Feedback that hits a full bounded queue gets a
-//! bounded deterministic retry-with-backoff budget
+//! Training is *supervised*: every SGD ingestion runs under
+//! `catch_unwind`. A panicking drain (including injected
+//! [`FaultKind::TrainerPanic`] faults) quarantines the offending example
+//! ([`ShardRouter::quarantined`]), restarts that shard's trainer from its
+//! last published [`ShardSnapshot`], flags the shard *degraded* until its
+//! next publish, and counts everything in [`RouterStats`] — serving never
+//! stops and recovery is never silent. A poisoned trainer lock gets the
+//! same restart-from-snapshot before the poison is cleared (a poisoned
+//! guard may hold a half-applied update, which must be neither trained on
+//! nor published). Feedback that hits a full bounded queue gets a bounded
+//! deterministic retry-with-backoff budget
 //! ([`RoutePolicy::overflow_retries`]) before the counted drop, and
 //! fallbacks degrade to the flagged snapshot answer under a deadline
 //! budget or queue-pressure watermark ([`Route::Degraded`]).
 
 use crate::cell::SnapshotCell;
 use crate::cost::CostEma;
-use crate::engine::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
 use crate::fault::{FaultKind, FaultPlan};
+use crate::partition::{joint_point, Partitioner};
+use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
 use regq_core::{
-    sharded_q1_with_confidence_pruned, sharded_q2_with_confidence_pruned, CoreError, LlmModel,
-    LocalModel, Prototype, Query, ScreenCounters, ServingSnapshot, ShardPart,
+    sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
+    sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, Confidence,
+    CoreError, LlmModel, LocalModel, Prototype, Query, ScreenCounters, ServingSnapshot, ShardPart,
 };
 use regq_exact::ExactEngine;
 use regq_linalg::LinalgError;
@@ -66,6 +89,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::Instant;
 
 /// Default bound on each shard's feedback queue (examples, not bytes).
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -79,150 +103,6 @@ pub struct ShardSnapshot {
     pub snapshot: ServingSnapshot,
     /// Global prototype ids, one per arena slot, strictly ascending.
     pub ids: Arc<Vec<usize>>,
-}
-
-/// FNV-1a over the joint point's bit patterns — the partitioner of last
-/// resort (no prototypes to split yet), still deterministic per query.
-fn hash_route(center: &[f64], radius: f64, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in center.iter().chain(std::iter::once(&radius)) {
-        for b in c.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    (h % shards.max(1) as u64) as usize
-}
-
-#[derive(Debug, Clone)]
-enum KdNode {
-    Leaf {
-        shard: usize,
-    },
-    Split {
-        dim: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-/// Deterministic map from a joint query point `[x, θ]` to a shard.
-#[derive(Debug, Clone)]
-enum Partitioner {
-    /// No spatial structure available: hash the joint point.
-    Hash { shards: usize },
-    /// kd-split of the joint space, built from the prototype set.
-    Kd { nodes: Vec<KdNode> },
-}
-
-impl Partitioner {
-    /// Build a kd-split putting roughly `len/shards` of `points` in each
-    /// region. Degenerate inputs (too few points, zero spread) collapse
-    /// branches into leaves early — some shards then simply stay empty.
-    fn kd(points: &[Vec<f64>], shards: usize) -> Partitioner {
-        if shards <= 1 || points.len() < 2 {
-            return Partitioner::Hash {
-                shards: shards.max(1),
-            };
-        }
-        let mut nodes = Vec::new();
-        let mut next_shard = 0usize;
-        let mut pts: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        Self::build(&mut nodes, &mut pts, shards, &mut next_shard);
-        Partitioner::Kd { nodes }
-    }
-
-    fn build(
-        nodes: &mut Vec<KdNode>,
-        pts: &mut [&[f64]],
-        want: usize,
-        next_shard: &mut usize,
-    ) -> usize {
-        let leaf = |nodes: &mut Vec<KdNode>, next_shard: &mut usize| {
-            let id = nodes.len();
-            nodes.push(KdNode::Leaf { shard: *next_shard });
-            *next_shard += 1;
-            id
-        };
-        if want <= 1 || pts.len() < 2 {
-            return leaf(nodes, next_shard);
-        }
-        // Split the widest joint dimension; zero spread everywhere means
-        // the points are indistinguishable — stop early.
-        let d = pts[0].len();
-        let (mut best_dim, mut best_spread) = (0usize, 0.0f64);
-        for dim in 0..d {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for p in pts.iter() {
-                lo = lo.min(p[dim]);
-                hi = hi.max(p[dim]);
-            }
-            if hi - lo > best_spread {
-                best_spread = hi - lo;
-                best_dim = dim;
-            }
-        }
-        if best_spread <= 0.0 {
-            return leaf(nodes, next_shard);
-        }
-        let (nl, nr) = (want / 2, want - want / 2);
-        pts.sort_unstable_by(|a, b| a[best_dim].total_cmp(&b[best_dim]));
-        // Proportional cut, nudged off any run of ties so the threshold
-        // genuinely separates the two sides (spread > 0 guarantees some
-        // valid cut exists).
-        let target = (pts.len() * nl / want).clamp(1, pts.len() - 1);
-        let mut cut = None;
-        for delta in 0..pts.len() {
-            for cand in [target.saturating_sub(delta), target + delta] {
-                if (1..pts.len()).contains(&cand) && pts[cand - 1][best_dim] < pts[cand][best_dim] {
-                    cut = Some(cand);
-                    break;
-                }
-            }
-            if cut.is_some() {
-                break;
-            }
-        }
-        let Some(cut) = cut else {
-            return leaf(nodes, next_shard);
-        };
-        let threshold = (pts[cut - 1][best_dim] + pts[cut][best_dim]) / 2.0;
-        let id = nodes.len();
-        nodes.push(KdNode::Leaf { shard: usize::MAX }); // placeholder
-        let (lpts, rpts) = pts.split_at_mut(cut);
-        let left = Self::build(nodes, lpts, nl, next_shard);
-        let right = Self::build(nodes, rpts, nr, next_shard);
-        nodes[id] = KdNode::Split {
-            dim: best_dim,
-            threshold,
-            left,
-            right,
-        };
-        id
-    }
-
-    fn route(&self, center: &[f64], radius: f64) -> usize {
-        match self {
-            Partitioner::Hash { shards } => hash_route(center, radius, *shards),
-            Partitioner::Kd { nodes } => {
-                let mut i = 0usize;
-                loop {
-                    match &nodes[i] {
-                        KdNode::Leaf { shard } => return *shard,
-                        KdNode::Split {
-                            dim,
-                            threshold,
-                            left,
-                            right,
-                        } => {
-                            let v = center.get(*dim).copied().unwrap_or(radius);
-                            i = if v <= *threshold { *left } else { *right };
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 struct ShardTrainer {
@@ -309,9 +189,10 @@ pub struct RouterStats {
     pub blocks_verified: u64,
 }
 
-/// The sharded serve/train fabric (see module docs). API mirrors
-/// [`crate::ServeEngine`]: `&self` prediction/feedback from any number of
-/// threads; attaching models and resharding are `&mut self`
+/// The serving engine (see module docs). `&self` prediction/feedback
+/// from any number of threads (`ShardRouter: Send + Sync`); the mutable
+/// trainers live behind writer-side mutexes that the serve path only ever
+/// `try_lock`s. Attaching models and resharding are `&mut self`
 /// administrative operations.
 pub struct ShardRouter {
     exact: ExactEngine,
@@ -344,12 +225,13 @@ pub struct ShardRouter {
     blocks_verified: AtomicU64,
 }
 
-/// The gate decision, mirroring the unsharded engine's.
-enum Gate<T> {
-    NoSnapshot,
-    Hit { value: T, score: f64, version: u64 },
-    Fallback { value: T, score: f64, version: u64 },
-}
+/// What the snapshots said about one query: the fused prediction with its
+/// confidence, or `None` when no shard has a non-empty snapshot.
+type Predicted<T> = Option<(T, Confidence)>;
+
+/// One gated query: the answer and, on the exact route, the label its
+/// caller owes the fabric as feedback.
+type Routed<T> = (Served<T>, Option<f64>);
 
 /// Poison-tolerant lock for *queue* mutexes and read-only test access.
 ///
@@ -877,7 +759,9 @@ impl ShardRouter {
         self.stats().publishes
     }
 
-    fn check_dim(&self, q: &Query) -> Result<(), ServeError> {
+    /// `q` itself once its dimensionality matches the relation's — the one
+    /// input check every serve entry point runs, exactly once per query.
+    fn check_dim<'q>(&self, q: &'q Query) -> Result<&'q Query, ServeError> {
         let expected = self.exact.relation().dim();
         if q.dim() != expected {
             return Err(ServeError::Model(CoreError::DimensionMismatch {
@@ -885,14 +769,21 @@ impl ShardRouter {
                 actual: q.dim(),
             }));
         }
-        Ok(())
+        Ok(q)
     }
 
-    /// Resolve one read guard per shard and run `f` over the non-empty
-    /// parts (plus the max snapshot version). The guards pin every
-    /// involved epoch for exactly the call's duration — publishes land
-    /// concurrently, reclamation frees what no guard pins.
-    fn with_parts<R>(&self, f: impl FnOnce(&[ShardPart<'_>], u64) -> R) -> R {
+    /// Consult the shard snapshots once about `queries` (one query or a
+    /// whole batch): resolve one read guard per shard, run `predict` over
+    /// the non-empty parts, and return what it made of them, the newest
+    /// snapshot version involved and the consultation's pruning telemetry
+    /// (already folded into the router-lifetime counters). The guards pin
+    /// every involved epoch for exactly the prediction's duration —
+    /// publishes land concurrently, reclamation frees what no guard pins.
+    fn consult<Q: ?Sized, P>(
+        &self,
+        queries: &Q,
+        predict: impl FnOnce(&[ShardPart<'_>], &Q, &mut ScreenCounters) -> P,
+    ) -> (P, u64, ScreenCounters) {
         let mut readers: Vec<_> = self.shards.iter().map(|s| s.cell.tls_reader()).collect();
         let mut guards = Vec::with_capacity(readers.len());
         for reader in &mut readers {
@@ -911,42 +802,55 @@ impl ShardRouter {
                 }
             })
             .collect();
-        f(&parts, version)
+        let mut screen = ScreenCounters::default();
+        let predicted = predict(&parts, queries, &mut screen);
+        self.record_screen(&screen);
+        (predicted, version, screen)
     }
 
-    fn gate<T>(
-        &self,
-        q: &Query,
-        predict: impl FnOnce(&[ShardPart<'_>], &Query) -> Option<(T, regq_core::Confidence)>,
-    ) -> Gate<T> {
-        self.with_parts(|parts, version| match predict(parts, q) {
-            None => Gate::NoSnapshot,
-            Some((value, conf)) if conf.score >= self.policy.confidence_threshold => Gate::Hit {
-                value,
-                score: conf.score,
-                version,
-            },
-            Some((value, conf)) => Gate::Fallback {
-                value,
-                score: conf.score,
-                version,
-            },
-        })
+    /// Offer a routed answer's label (exact route only, policy
+    /// permitting) to the fabric, surfacing a lost example on the answer.
+    fn feed_back<T>(&self, q: &Query, (mut served, label): Routed<T>) -> Served<T> {
+        if let (true, Some(y)) = (self.policy.feedback, label) {
+            served.feedback_dropped = self.observe_outcome(q, y).is_lost();
+        }
+        served
     }
 
-    /// Feed the fabric (policy permitting) and report whether *this*
-    /// example was lost (dropped after the retry budget, or quarantined
-    /// by a panicking shard trainer).
-    fn feed_back(&self, q: &Query, y: f64) -> bool {
-        self.policy.feedback && self.observe_outcome(q, y).is_lost()
-    }
-
-    fn exact_q1_value(&self, q: &Query) -> Result<f64, ServeError> {
-        self.timed_exact(|| {
+    /// The exact Q1 execution: the subspace mean, which is both the
+    /// answer and the label to feed back.
+    fn exact_q1(&self, q: &Query) -> Result<(f64, f64), ServeError> {
+        let y = self.timed_exact(|| {
             self.exact
                 .q1(&q.center, q.radius)
                 .ok_or(ServeError::EmptySubspace)
-        })
+        })?;
+        Ok((y, y))
+    }
+
+    /// The exact Q2 execution: the per-query OLS fit in [`LocalModel`]
+    /// shape (weight 1, the query ball as the region) plus the subspace
+    /// mean as the label to feed back — the fused Q1+OLS traversal
+    /// computes it anyway, so the free training example costs no extra
+    /// data pass.
+    fn exact_q2(&self, q: &Query) -> Result<(Vec<LocalModel>, f64), ServeError> {
+        let fit = self.timed_exact(|| {
+            self.exact
+                .q1_reg_fused(&q.center, q.radius)
+                .map_err(|e| match e {
+                    LinalgError::Empty => ServeError::EmptySubspace,
+                    other => ServeError::Numeric(other),
+                })
+        })?;
+        let list = vec![LocalModel {
+            intercept: fit.model.intercept,
+            slope: fit.model.slope,
+            prototype: 0,
+            weight: 1.0,
+            center: q.center.clone(),
+            radius: q.radius,
+        }];
+        Ok((list, fit.moments.mean))
     }
 
     /// Run an exact-path computation, timing it when a deadline budget
@@ -957,15 +861,11 @@ impl ShardRouter {
         if self.policy.deadline_us.is_none() && !self.fault.is_armed(FaultKind::ExactDelay) {
             return run();
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         self.fault.delay_exact();
         let out = run();
-        self.record_exact_cost(start.elapsed().as_secs_f64() * 1e6);
+        self.exact_cost.record(start.elapsed().as_secs_f64() * 1e6);
         out
-    }
-
-    fn record_exact_cost(&self, us: f64) {
-        self.exact_cost.record(us);
     }
 
     /// The exact-path cost estimate driving [`RoutePolicy::deadline_us`]:
@@ -996,71 +896,96 @@ impl ShardRouter {
         })
     }
 
-    fn degraded_serve<T>(
+    /// The gate: route one query given what the snapshots `predicted` for
+    /// it. Serves the prediction when its score clears the threshold,
+    /// flags it [`Route::Degraded`] when the exact fallback is refused,
+    /// and otherwise runs `exact` — annotated with the rejecting score
+    /// when there was one. Offering the label is the caller's job: scalar
+    /// callers do it at once, batches offer all of theirs together.
+    fn route_one<T>(
         &self,
-        value: T,
-        score: f64,
+        q: &Query,
+        predicted: Predicted<T>,
         version: u64,
         screen: ScreenCounters,
-    ) -> Served<T> {
-        self.degraded_served.fetch_add(1, Ordering::Relaxed);
-        Served {
-            value,
-            route: Route::Degraded,
-            score: Some(score),
-            snapshot_version: Some(version),
-            feedback_dropped: false,
-            screen,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+    ) -> Result<Routed<T>, ServeError> {
+        match predicted {
+            Some((value, conf)) if conf.score >= self.policy.confidence_threshold => {
+                self.model_served.fetch_add(1, Ordering::Relaxed);
+                Ok((Served::model(value, conf.score, version, screen), None))
+            }
+            Some((value, conf)) if self.should_degrade(q) => {
+                self.degraded_served.fetch_add(1, Ordering::Relaxed);
+                let served = Served {
+                    route: Route::Degraded,
+                    ..Served::model(value, conf.score, version, screen)
+                };
+                Ok((served, None))
+            }
+            below => {
+                let score = below.map(|(_, conf)| conf.score);
+                let (value, y) = exact(self, q)?;
+                self.exact_served.fetch_add(1, Ordering::Relaxed);
+                let served = Served {
+                    score,
+                    snapshot_version: score.is_some().then_some(version),
+                    // All-zero exactly when no snapshot was consulted.
+                    screen,
+                    ..Served::exact_only(value)
+                };
+                Ok((served, Some(y)))
+            }
         }
     }
 
-    /// **Auto-routed Q1** across the shard fabric — the fused cross-shard
-    /// answer when the confidence score clears the policy threshold,
-    /// exact fallback (with feedback) otherwise. Bit-identical to
-    /// [`crate::ServeEngine::q1`] over the same model.
+    /// Scalar auto-routing driver: consult the snapshots once, gate, and
+    /// offer the fallback's label to the fabric.
+    fn serve_auto<T>(
+        &self,
+        q: &Query,
+        predict: impl FnOnce(&[ShardPart<'_>], &Query, &mut ScreenCounters) -> Predicted<T>,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+    ) -> Result<Served<T>, ServeError> {
+        let (predicted, version, screen) = self.consult(q, predict);
+        Ok(self.feed_back(q, self.route_one(q, predicted, version, screen, exact)?))
+    }
+
+    /// Scalar forced-model driver: the fused snapshot answer at whatever
+    /// score it carries.
+    fn serve_model<T>(
+        &self,
+        q: &Query,
+        predict: impl FnOnce(&[ShardPart<'_>], &Query, &mut ScreenCounters) -> Predicted<T>,
+    ) -> Result<Served<T>, ServeError> {
+        let (predicted, version, screen) = self.consult(q, predict);
+        let (value, conf) = predicted.ok_or(ServeError::NoModel)?;
+        self.model_served.fetch_add(1, Ordering::Relaxed);
+        Ok(Served::model(value, conf.score, version, screen))
+    }
+
+    /// Scalar forced-exact driver: no snapshot consulted, the label still
+    /// offered — analyst-issued exact queries *are* the paper's training
+    /// stream.
+    fn serve_exact<T>(
+        &self,
+        q: &Query,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+    ) -> Result<Served<T>, ServeError> {
+        let routed = self.route_one(q, None, 0, ScreenCounters::default(), exact)?;
+        Ok(self.feed_back(q, routed))
+    }
+
+    /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the fused
+    /// cross-shard answer when the confidence score clears the policy
+    /// threshold, exact fallback (with feedback) otherwise.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the fallback selection is
     /// empty; [`ServeError::Model`] on a dimension mismatch.
     pub fn q1(&self, q: &Query) -> Result<Served<f64>, ServeError> {
-        self.check_dim(q)?;
-        let mut screen = ScreenCounters::default();
-        let gate = self.gate(q, |parts, q| {
-            sharded_q1_with_confidence_pruned(parts, q, &mut screen)
-        });
-        self.record_screen(&screen);
-        match gate {
-            Gate::NoSnapshot => self.q1_exact(q),
-            Gate::Hit {
-                value,
-                score,
-                version,
-            } => {
-                self.model_served.fetch_add(1, Ordering::Relaxed);
-                Ok(Served {
-                    value,
-                    route: Route::Model,
-                    score: Some(score),
-                    snapshot_version: Some(version),
-                    feedback_dropped: false,
-                    screen,
-                })
-            }
-            Gate::Fallback {
-                value,
-                score,
-                version,
-            } => {
-                if self.should_degrade(q) {
-                    return Ok(self.degraded_serve(value, score, version, screen));
-                }
-                let mut served = self.q1_exact(q)?;
-                served.score = Some(score);
-                served.snapshot_version = Some(version);
-                served.screen = screen;
-                Ok(served)
-            }
-        }
+        let q = self.check_dim(q)?;
+        self.serve_auto(q, sharded_q1_with_confidence_pruned, Self::exact_q1)
     }
 
     /// **Forced model Q1** (the SQL `USING MODEL` route).
@@ -1069,23 +994,7 @@ impl ShardRouter {
     /// [`ServeError::NoModel`] when every shard is empty;
     /// [`ServeError::Model`] on a dimension mismatch.
     pub fn q1_model(&self, q: &Query) -> Result<Served<f64>, ServeError> {
-        self.check_dim(q)?;
-        let mut screen = ScreenCounters::default();
-        let (value, score, version) = self.with_parts(|parts, version| {
-            let (y, conf) = sharded_q1_with_confidence_pruned(parts, q, &mut screen)
-                .ok_or(ServeError::NoModel)?;
-            Ok::<_, ServeError>((y, conf.score, version))
-        })?;
-        self.record_screen(&screen);
-        self.model_served.fetch_add(1, Ordering::Relaxed);
-        Ok(Served {
-            value,
-            route: Route::Model,
-            score: Some(score),
-            snapshot_version: Some(version),
-            feedback_dropped: false,
-            screen,
-        })
+        self.serve_model(self.check_dim(q)?, sharded_q1_with_confidence_pruned)
     }
 
     /// **Forced exact Q1** (the SQL `USING EXACT` route); still feeds the
@@ -1094,91 +1003,28 @@ impl ShardRouter {
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the selection is empty.
     pub fn q1_exact(&self, q: &Query) -> Result<Served<f64>, ServeError> {
-        self.check_dim(q)?;
-        let y = self.exact_q1_value(q)?;
-        let dropped = self.feed_back(q, y);
-        self.exact_served.fetch_add(1, Ordering::Relaxed);
-        Ok(Served {
-            value: y,
-            route: Route::Exact,
-            score: None,
-            snapshot_version: None,
-            feedback_dropped: dropped,
-            screen: ScreenCounters::default(),
-        })
+        self.serve_exact(self.check_dim(q)?, Self::exact_q1)
     }
 
-    /// **Auto-routed Q2** across the shard fabric. List elements carry
-    /// global prototype ids, so the answer is indistinguishable from the
-    /// unsharded engine's.
+    /// **Auto-routed Q2** (regression-model list vs per-query OLS). List
+    /// elements carry global prototype ids, so the answer does not depend
+    /// on the shard count.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] / [`ServeError::Numeric`] from the
     /// fallback; [`ServeError::Model`] on a dimension mismatch.
     pub fn q2(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
-        self.check_dim(q)?;
-        let mut screen = ScreenCounters::default();
-        let gate = self.gate(q, |parts, q| {
-            sharded_q2_with_confidence_pruned(parts, q, &mut screen)
-        });
-        self.record_screen(&screen);
-        match gate {
-            Gate::NoSnapshot => self.q2_exact(q),
-            Gate::Hit {
-                value,
-                score,
-                version,
-            } => {
-                self.model_served.fetch_add(1, Ordering::Relaxed);
-                Ok(Served {
-                    value,
-                    route: Route::Model,
-                    score: Some(score),
-                    snapshot_version: Some(version),
-                    feedback_dropped: false,
-                    screen,
-                })
-            }
-            Gate::Fallback {
-                value,
-                score,
-                version,
-            } => {
-                if self.should_degrade(q) {
-                    return Ok(self.degraded_serve(value, score, version, screen));
-                }
-                let mut served = self.q2_exact(q)?;
-                served.score = Some(score);
-                served.snapshot_version = Some(version);
-                served.screen = screen;
-                Ok(served)
-            }
-        }
+        let q = self.check_dim(q)?;
+        self.serve_auto(q, sharded_q2_with_confidence_pruned, Self::exact_q2)
     }
 
-    /// **Forced model Q2**.
+    /// **Forced model Q2** (Algorithm 3's list `S`).
     ///
     /// # Errors
     /// [`ServeError::NoModel`] when every shard is empty;
     /// [`ServeError::Model`] on a dimension mismatch.
     pub fn q2_model(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
-        self.check_dim(q)?;
-        let mut screen = ScreenCounters::default();
-        let (value, score, version) = self.with_parts(|parts, version| {
-            let (s, conf) = sharded_q2_with_confidence_pruned(parts, q, &mut screen)
-                .ok_or(ServeError::NoModel)?;
-            Ok::<_, ServeError>((s, conf.score, version))
-        })?;
-        self.record_screen(&screen);
-        self.model_served.fetch_add(1, Ordering::Relaxed);
-        Ok(Served {
-            value,
-            route: Route::Model,
-            score: Some(score),
-            snapshot_version: Some(version),
-            feedback_dropped: false,
-            screen,
-        })
+        self.serve_model(self.check_dim(q)?, sharded_q2_with_confidence_pruned)
     }
 
     /// **Forced exact Q2**: the per-query OLS fit in [`LocalModel`]
@@ -1188,32 +1034,7 @@ impl ShardRouter {
     /// [`ServeError::EmptySubspace`] on an empty selection;
     /// [`ServeError::Numeric`] on a numerical failure.
     pub fn q2_exact(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
-        self.check_dim(q)?;
-        let fit = self.timed_exact(|| {
-            self.exact
-                .q1_reg_fused(&q.center, q.radius)
-                .map_err(|e| match e {
-                    LinalgError::Empty => ServeError::EmptySubspace,
-                    other => ServeError::Numeric(other),
-                })
-        })?;
-        let dropped = self.feed_back(q, fit.moments.mean);
-        self.exact_served.fetch_add(1, Ordering::Relaxed);
-        Ok(Served {
-            value: vec![LocalModel {
-                intercept: fit.model.intercept,
-                slope: fit.model.slope,
-                prototype: 0,
-                weight: 1.0,
-                center: q.center.clone(),
-                radius: q.radius,
-            }],
-            route: Route::Exact,
-            score: None,
-            snapshot_version: None,
-            feedback_dropped: dropped,
-            screen: ScreenCounters::default(),
-        })
+        self.serve_exact(self.check_dim(q)?, Self::exact_q2)
     }
 
     // ---- Batched serving ----------------------------------------------
@@ -1222,9 +1043,10 @@ impl ShardRouter {
     // whole `&[Query]`, run the blocked cross-shard batch predictors,
     // and enqueue the exact-fallback feedback with one queue lock per
     // involved shard plus a single drain pass. Per-query answers are
-    // bit-identical to the scalar fabric (and therefore to the unsharded
-    // engine); the observable difference is consistency — a batch never
-    // straddles a shard republish.
+    // bit-identical to the scalar path (the batch predictors replay the
+    // scalar kernels' floating-point operation sequence exactly); the
+    // observable difference is consistency — a batch never straddles a
+    // shard republish, whereas a scalar loop can.
 
     /// Offer a batch of `(q, y)` feedback examples to the fabric:
     /// examples are grouped per shard, each involved shard's bounded
@@ -1277,20 +1099,17 @@ impl ShardRouter {
         out
     }
 
-    /// Shared batch driver: dimension-check every query up front, gate
-    /// the whole batch against one pinned set of shard snapshots, serve
-    /// the confident answers from the model, run the rest on the exact
-    /// engine (after the guards drop), and feed the exact answers back in
-    /// one batched fabric offer. Fails fast on the first exact error.
+    /// Batch auto-routing driver: dimension-check every query up front,
+    /// consult one pinned set of shard snapshots for the whole batch, gate
+    /// each query exactly as the scalar driver does (exact executions run
+    /// after the guards drop), and offer the fallbacks' labels in one
+    /// batched fabric offer. Fails fast on the first exact error (a batch
+    /// is one all-or-nothing call).
     fn route_batch<T>(
         &self,
         queries: &[Query],
-        predict: impl FnOnce(
-            &[ShardPart<'_>],
-            &[Query],
-            &mut ScreenCounters,
-        ) -> Vec<Option<(T, regq_core::Confidence)>>,
-        mut exact: impl FnMut(&Query) -> Result<(T, f64), ServeError>,
+        predict: impl FnOnce(&[ShardPart<'_>], &[Query], &mut ScreenCounters) -> Vec<Predicted<T>>,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
     ) -> Result<Vec<Served<T>>, ServeError> {
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -1298,56 +1117,20 @@ impl ShardRouter {
         for q in queries {
             self.check_dim(q)?;
         }
-        let mut screen = ScreenCounters::default();
-        let (gates, version) =
-            self.with_parts(|parts, version| (predict(parts, queries, &mut screen), version));
-        self.record_screen(&screen);
-        debug_assert_eq!(gates.len(), queries.len());
+        let (predicted, version, screen) = self.consult(queries, predict);
+        debug_assert_eq!(predicted.len(), queries.len());
         let mut out: Vec<Served<T>> = Vec::with_capacity(queries.len());
         let mut fb_pairs: Vec<(Query, f64)> = Vec::new();
         let mut fb_slots: Vec<usize> = Vec::new();
-        for (q, gate) in queries.iter().zip(gates) {
-            match gate {
-                Some((value, conf)) if conf.score >= self.policy.confidence_threshold => {
-                    self.model_served.fetch_add(1, Ordering::Relaxed);
-                    out.push(Served {
-                        value,
-                        route: Route::Model,
-                        score: Some(conf.score),
-                        snapshot_version: Some(version),
-                        feedback_dropped: false,
-                        screen,
-                    });
-                }
-                Some((value, conf)) if self.should_degrade(q) => {
-                    // Below threshold but the exact fallback is over
-                    // budget (or this query's shard queue is at the
-                    // watermark): flagged snapshot answer.
-                    out.push(self.degraded_serve(value, conf.score, version, screen));
-                }
-                gate => {
-                    // Below threshold (`Some`) or every shard empty
-                    // (`None`): exact fallback, annotated with the
-                    // rejecting score when there was one.
-                    let score = gate.map(|(_, conf)| conf.score);
-                    let (value, y) = exact(q)?;
-                    if self.policy.feedback {
-                        fb_pairs.push((q.clone(), y));
-                        fb_slots.push(out.len());
-                    }
-                    self.exact_served.fetch_add(1, Ordering::Relaxed);
-                    // The batch's single consultation covered this query
-                    // too, so it carries the same aggregate counters.
-                    out.push(Served {
-                        value,
-                        route: Route::Exact,
-                        score,
-                        snapshot_version: score.is_some().then_some(version),
-                        feedback_dropped: false,
-                        screen,
-                    });
-                }
+        // Every answer carries the aggregate counters of the batch's
+        // single consultation, which covered all of them.
+        for (q, predicted) in queries.iter().zip(predicted) {
+            let (served, label) = self.route_one(q, predicted, version, screen, &exact)?;
+            if let (true, Some(y)) = (self.policy.feedback, label) {
+                fb_pairs.push((q.clone(), y));
+                fb_slots.push(out.len());
             }
+            out.push(served);
         }
         let feedback = self.observe_outcome_batch(&fb_pairs);
         for (&slot, fb) in fb_slots.iter().zip(feedback) {
@@ -1356,12 +1139,11 @@ impl ShardRouter {
         Ok(out)
     }
 
-    /// **Batched auto-routed Q1** across the shard fabric:
-    /// [`ShardRouter::q1`] over a slice with one guard resolution, the
-    /// blocked Q×K distance kernels, and one batched feedback offer.
-    /// Answers are bit-identical to per-query [`ShardRouter::q1`] calls
-    /// against the same pinned snapshots. An empty batch returns an
-    /// empty vec.
+    /// **Batched auto-routed Q1**: [`ShardRouter::q1`] over a slice with
+    /// one guard resolution, the blocked Q×K distance kernels, and one
+    /// batched feedback offer. Answers are bit-identical to per-query
+    /// [`ShardRouter::q1`] calls against the same pinned snapshots. An
+    /// empty batch returns an empty vec.
     ///
     /// # Errors
     /// As [`ShardRouter::q1`]; the typed dimension mismatch is checked
@@ -1369,46 +1151,22 @@ impl ShardRouter {
     pub fn q1_batch(&self, queries: &[Query]) -> Result<Vec<Served<f64>>, ServeError> {
         self.route_batch(
             queries,
-            regq_core::sharded_q1_with_confidence_batch_pruned,
-            |q| {
-                let y = self.exact_q1_value(q)?;
-                Ok((y, y))
-            },
+            sharded_q1_with_confidence_batch_pruned,
+            Self::exact_q1,
         )
     }
 
-    /// **Batched auto-routed Q2** across the shard fabric — same
-    /// single-resolution semantics as [`ShardRouter::q1_batch`], list
-    /// elements carrying global prototype ids, the fused Q1+OLS fallback
-    /// feeding the subspace mean back.
+    /// **Batched auto-routed Q2** — same single-resolution semantics as
+    /// [`ShardRouter::q1_batch`], list elements carrying global prototype
+    /// ids, the fused Q1+OLS fallback feeding the subspace mean back.
     ///
     /// # Errors
     /// As [`ShardRouter::q2`], plus the up-front batched dimension check.
     pub fn q2_batch(&self, queries: &[Query]) -> Result<Vec<Served<Vec<LocalModel>>>, ServeError> {
         self.route_batch(
             queries,
-            regq_core::sharded_q2_with_confidence_batch_pruned,
-            |q| {
-                let fit = self
-                    .exact
-                    .q1_reg_fused(&q.center, q.radius)
-                    .map_err(|e| match e {
-                        LinalgError::Empty => ServeError::EmptySubspace,
-                        other => ServeError::Numeric(other),
-                    })?;
-                let y = fit.moments.mean;
-                Ok((
-                    vec![LocalModel {
-                        intercept: fit.model.intercept,
-                        slope: fit.model.slope,
-                        prototype: 0,
-                        weight: 1.0,
-                        center: q.center.clone(),
-                        radius: q.radius,
-                    }],
-                    y,
-                ))
-            },
+            sharded_q2_with_confidence_batch_pruned,
+            Self::exact_q2,
         )
     }
 }
@@ -1423,17 +1181,9 @@ impl std::fmt::Debug for ShardRouter {
     }
 }
 
-fn joint_point(center: &[f64], radius: f64) -> Vec<f64> {
-    let mut p = Vec::with_capacity(center.len() + 1);
-    p.extend_from_slice(center);
-    p.push(radius);
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ServeEngine;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use regq_core::ModelConfig;
@@ -1441,6 +1191,7 @@ mod tests {
     use regq_data::rng::seeded;
     use regq_data::{Dataset, SampleOptions};
     use regq_store::AccessPathKind;
+    use std::sync::OnceLock;
 
     fn q(center: &[f64], r: f64) -> Query {
         Query::new_unchecked(center.to_vec(), r)
@@ -1492,42 +1243,375 @@ mod tests {
         probes
     }
 
-    #[test]
-    fn router_matches_the_unsharded_engine_bit_for_bit() {
-        let data = dataset(20_000, 1);
-        let model = trained_model(&exact_over(&data), 30_000, 2);
-        assert!(model.k() >= 4, "need prototypes to shard: k={}", model.k());
-        let policy = RoutePolicy {
-            feedback: false, // hold both models fixed for the comparison
+    /// The fixture most tests serve from: 20k rows and a model trained on
+    /// them short of convergence (so its trainers still learn).
+    fn fixture() -> (Arc<Dataset>, LlmModel) {
+        static FIX: OnceLock<(Arc<Dataset>, LlmModel)> = OnceLock::new();
+        FIX.get_or_init(|| {
+            let data = dataset(20_000, 1);
+            let model = trained_model(&exact_over(&data), 30_000, 2);
+            (data, model)
+        })
+        .clone()
+    }
+
+    fn fixture_router(policy: RoutePolicy, shards: usize) -> ShardRouter {
+        let (data, model) = fixture();
+        ShardRouter::with_model(exact_over(&data), model, policy, shards)
+    }
+
+    /// The default policy with the trainers held fixed.
+    fn no_feedback() -> RoutePolicy {
+        RoutePolicy {
+            feedback: false,
             ..RoutePolicy::default()
+        }
+    }
+
+    /// Mixed-route probe set: prototype-centered balls clear the gate,
+    /// huge balls at untrained far centers select the whole table but
+    /// carry no overlap confidence — guaranteed exact fallbacks.
+    fn mixed_probes() -> Vec<Query> {
+        let mut probes: Vec<Query> = fixture()
+            .1
+            .prototypes()
+            .iter()
+            .take(6)
+            .map(|p| q(&p.center, p.radius.max(0.05)))
+            .collect();
+        probes.push(q(&[30.0, 30.0], 50.0));
+        probes.push(q(&[-20.0, 40.0], 60.0));
+        probes
+    }
+
+    #[test]
+    fn send_sync_and_static_bounds() {
+        fn assert_bounds<T: Send + Sync>() {}
+        assert_bounds::<ShardRouter>();
+        assert_bounds::<SnapshotCell>();
+        assert_bounds::<ServingSnapshot>();
+    }
+
+    /// The bit-identity oracle: the unsharded model's own **unpruned
+    /// scalar** prediction (the path furthest from production) decides
+    /// the route the router must take and the bits it must serve;
+    /// `exact` is the exact engine's answer (`None` = empty selection).
+    fn assert_gated_like_the_model<T: PartialEq + std::fmt::Debug>(
+        got: Result<Served<T>, ServeError>,
+        (value, conf): (T, Confidence),
+        exact: Option<T>,
+        shards: usize,
+    ) {
+        let (route, want) = if conf.score >= no_feedback().confidence_threshold {
+            (Route::Model, Some(value))
+        } else {
+            (Route::Exact, exact)
         };
-        let engine = ServeEngine::with_model(exact_over(&data), model.clone(), policy);
+        match (got, want) {
+            (Ok(got), Some(want)) => {
+                assert_eq!(got.route, route, "route diverged at {shards} shards");
+                assert_eq!(got.value, want, "value diverged at {shards} shards");
+                assert_eq!(got.score.map(f64::to_bits), Some(conf.score.to_bits()));
+            }
+            (Err(ServeError::EmptySubspace), None) => {}
+            (got, want) => panic!("outcome diverged at {shards} shards: {got:?} vs {want:?}"),
+        }
+    }
+
+    #[test]
+    fn router_matches_the_unsharded_model_bit_for_bit() {
+        let (data, model) = fixture();
+        assert!(model.k() >= 4, "need prototypes to shard: k={}", model.k());
+        let (snap, exact) = (model.snapshot(), exact_over(&data));
         for shards in [1usize, 2, 3, 5] {
-            let router = ShardRouter::with_model(exact_over(&data), model.clone(), policy, shards);
+            // Feedback off: the published model stays the one under test.
+            let router = fixture_router(no_feedback(), shards);
             for probe in probes() {
-                let (a, b) = (engine.q1(&probe), router.q1(&probe));
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.route, b.route, "route diverged at {shards} shards");
-                        assert_eq!(a.value.to_bits(), b.value.to_bits());
-                        assert_eq!(
-                            a.score.map(f64::to_bits),
-                            b.score.map(f64::to_bits),
-                            "score diverged at {shards} shards"
-                        );
-                    }
-                    (Err(ServeError::EmptySubspace), Err(ServeError::EmptySubspace)) => {}
-                    (a, b) => panic!("outcome diverged: {a:?} vs {b:?}"),
+                assert_gated_like_the_model(
+                    router.q1(&probe).map(|s| s.map_value(f64::to_bits)),
+                    snap.predict_q1_with_confidence(&probe)
+                        .map(|(y, conf)| (y.to_bits(), conf))
+                        .unwrap(),
+                    exact.q1(&probe.center, probe.radius).map(f64::to_bits),
+                    shards,
+                );
+                let ols = match exact.q1_reg_fused(&probe.center, probe.radius) {
+                    Ok(fit) => Some(vec![LocalModel {
+                        intercept: fit.model.intercept,
+                        slope: fit.model.slope,
+                        prototype: 0,
+                        weight: 1.0,
+                        center: probe.center.clone(),
+                        radius: probe.radius,
+                    }]),
+                    Err(LinalgError::Empty) => None,
+                    Err(e) => panic!("unexpected {e}"),
+                };
+                assert_gated_like_the_model(
+                    router.q2(&probe),
+                    snap.predict_q2_with_confidence(&probe).unwrap(),
+                    ols,
+                    shards,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_q1_and_q2_match_scalar_calls_bit_for_bit() {
+        // Feedback off: the scalar loop must not retrain between calls,
+        // so both paths consult the same snapshots. `Served` derives
+        // `PartialEq`, so this compares value, route, score, version and
+        // the feedback flag in one shot — after normalising `screen`,
+        // which legitimately differs: a batch shares its single
+        // consultation's aggregate counters across every answer, while a
+        // scalar call carries its own one-query counters.
+        fn descreened<T>(mut s: Served<T>) -> Served<T> {
+            s.screen = ScreenCounters::default();
+            s
+        }
+        let probes = mixed_probes();
+        for shards in [1usize, 4] {
+            let router = fixture_router(no_feedback(), shards);
+            let batch = router.q1_batch(&probes).unwrap();
+            assert_eq!(batch.len(), probes.len());
+            let shared = batch[0].screen;
+            assert_eq!(shared.blocks, shared.skipped + shared.verified);
+            assert!(shared.blocks > 0, "batch consulted the snapshots");
+            for (query, served) in probes.iter().zip(&batch) {
+                assert_eq!(served.screen, shared);
+                assert_eq!(
+                    descreened(served.clone()),
+                    descreened(router.q1(query).unwrap())
+                );
+            }
+            let model_routes = batch.iter().filter(|s| s.route == Route::Model).count();
+            assert!(
+                model_routes > 0 && model_routes < batch.len(),
+                "probe set must exercise both routes ({model_routes}/{})",
+                batch.len()
+            );
+            for (query, served) in probes.iter().zip(router.q2_batch(&probes).unwrap()) {
+                assert_eq!(descreened(served), descreened(router.q2(query).unwrap()));
+            }
+            // A singleton batch is the scalar call — including its
+            // counters, because a one-query batch IS one consultation.
+            for query in &probes {
+                assert_eq!(
+                    router.q1_batch(std::slice::from_ref(query)).unwrap()[0],
+                    router.q1(query).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_empty_not_a_panic() {
+        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default(), 1);
+        for router in [fixture_router(RoutePolicy::default(), 2), bare] {
+            assert!(router.q1_batch(&[]).unwrap().is_empty());
+            assert!(router.q2_batch(&[]).unwrap().is_empty());
+            assert!(router.observe_outcome_batch(&[]).is_empty());
+        }
+    }
+
+    #[test]
+    fn batch_dimension_mismatch_is_a_typed_error() {
+        let queries = vec![q(&[0.5, 0.5], 0.2), q(&[0.5, 0.5, 0.5], 0.2)];
+        // With and without a published snapshot: the up-front check must
+        // fire before any route would.
+        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default(), 1);
+        for router in [fixture_router(RoutePolicy::default(), 2), bare] {
+            match router.q1_batch(&queries) {
+                Err(ServeError::Model(CoreError::DimensionMismatch { expected, actual })) => {
+                    assert_eq!((expected, actual), (2, 3));
                 }
-                let (a2, b2) = (engine.q2(&probe), router.q2(&probe));
-                match (a2, b2) {
-                    (Ok(a2), Ok(b2)) => {
-                        assert_eq!(a2.route, b2.route);
-                        assert_eq!(a2.value, b2.value, "q2 list diverged at {shards} shards");
-                    }
-                    (Err(ServeError::EmptySubspace), Err(ServeError::EmptySubspace)) => {}
-                    (a2, b2) => panic!("q2 outcome diverged: {a2:?} vs {b2:?}"),
+                other => panic!("expected typed dimension mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn batched_feedback_feeds_the_trainer_once_per_fallback() {
+        let router = fixture_router(RoutePolicy::default(), 1);
+        // Guaranteed fallbacks: each one produces a feedback example.
+        let wide = vec![
+            q(&[30.0, 30.0], 50.0),
+            q(&[-20.0, 40.0], 60.0),
+            q(&[25.0, -25.0], 55.0),
+        ];
+        let served = router.q1_batch(&wide).unwrap();
+        let exact_count = served.iter().filter(|s| s.route == Route::Exact).count() as u64;
+        assert!(exact_count > 0, "probe set must hit the exact route");
+        let stats = router.stats();
+        assert_eq!(stats.exact_served, exact_count);
+        assert_eq!(stats.feedback_enqueued, exact_count);
+        assert_eq!(stats.feedback_fed, exact_count);
+        assert!(served.iter().all(|s| !s.feedback_dropped));
+    }
+
+    #[test]
+    fn contended_trainer_leaves_feedback_queued_not_dropped() {
+        let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
+        let router = ShardRouter::with_model(
+            exact_over(&dataset(500, 9)),
+            model,
+            RoutePolicy::default(),
+            1,
+        );
+        let probe = q(&[0.5, 0.5], 0.2);
+        // Std mutexes are not reentrant: while this thread holds the
+        // trainer, every `try_lock` in the pump reports WouldBlock.
+        let guard = router.shards[0].trainer.lock().unwrap();
+        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
+        let held = router.stats();
+        assert_eq!((held.feedback_enqueued, held.feedback_fed), (1, 0));
+        assert_eq!(held.feedback_dropped, 0, "contention is not a loss");
+        drop(guard);
+        assert_eq!(router.pump(), 1, "the next pump trains the queued example");
+        assert_eq!(router.stats().feedback_fed, 1);
+    }
+
+    #[test]
+    fn batched_q2_fallbacks_are_timed_and_feed_the_deadline_estimate() {
+        // Regression: `q2_batch` used to call the fused exact kernel
+        // directly, skipping `timed_exact` — no injected delay, no cost
+        // sample, so a deadline budget never learned from batch-only
+        // LINREG traffic.
+        let mut router = fixture_router(
+            RoutePolicy {
+                confidence_threshold: 2.0, // everything falls below
+                feedback: false,
+                deadline_us: Some(1e-3), // any measured exact call blows it
+                ..RoutePolicy::default()
+            },
+            2,
+        );
+        let plan = FaultPlan::new().inject(FaultKind::ExactDelay, &[1]);
+        router.set_fault_plan(plan.clone());
+        let wide = q(&[30.0, 30.0], 50.0);
+        let batch = router.q2_batch(std::slice::from_ref(&wide)).unwrap();
+        assert_eq!(batch[0].route, Route::Exact, "no estimate yet: run exact");
+        assert_eq!(plan.fired(FaultKind::ExactDelay), 1);
+        assert_eq!(router.q2(&wide).unwrap().route, Route::Degraded);
+    }
+
+    #[test]
+    fn q2_routes_and_shapes_match_the_session_contract() {
+        let router = fixture_router(RoutePolicy::default(), 2);
+        let protos = fixture().1.prototypes();
+        let p = protos.iter().max_by_key(|p| p.updates).unwrap();
+        let query = q(&p.center, p.radius);
+        let model_route = router.q2_model(&query).unwrap();
+        assert!(!model_route.value.is_empty());
+        let wsum: f64 = model_route.value.iter().map(|m| m.weight).sum();
+        assert!((wsum - 1.0).abs() < 1e-9);
+
+        let exact_route = router.q2_exact(&query).unwrap();
+        assert_eq!(exact_route.value.len(), 1);
+        assert_eq!(exact_route.value[0].weight, 1.0);
+        assert_eq!(exact_route.value[0].slope.len(), 2);
+
+        let auto = router.q2(&query).unwrap();
+        assert_eq!(auto.route, Route::Model, "in-distribution Q2 must serve");
+        assert_eq!(auto.value, model_route.value);
+    }
+
+    #[test]
+    fn serve_error_sources_chain() {
+        use std::error::Error as _;
+        let err = fixture_router(no_feedback(), 1)
+            .q1(&q(&[0.5], 0.1))
+            .unwrap_err();
+        let ServeError::Model(inner) = &err else {
+            panic!("expected model error, got {err:?}");
+        };
+        assert!(matches!(inner, CoreError::DimensionMismatch { .. }));
+        assert!(err.source().is_some(), "source must thread the cause");
+        assert!(ServeError::EmptySubspace.source().is_none());
+    }
+
+    #[test]
+    fn concurrent_readers_with_live_writer_never_block_or_tear() {
+        // 4 reader threads auto-route a fixed workload while the main
+        // thread keeps feeding/publishing; every answer must be finite,
+        // and model-served answers must be deterministic per published
+        // version: two readers seeing the same (query, version) pair must
+        // read the same value, even though publishes land mid-flight (and
+        // superseded snapshots are being *freed* mid-flight by the cell's
+        // reclamation).
+        let router = ShardRouter::with_model(
+            exact_over(&dataset(10_000, 9)),
+            LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap(),
+            RoutePolicy {
+                confidence_threshold: 0.25,
+                feedback: false, // readers must not train: the writer owns it
+                publish_interval: 128,
+                ..RoutePolicy::default()
+            },
+            1,
+        );
+        let mut rng = StdRng::seed_from_u64(10);
+        let queries: Vec<Query> = (0..400)
+            .map(|_| {
+                let c = vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
+                q(&c, rng.random_range(0.08..0.2))
+            })
+            .collect();
+        let per_reader: Vec<Vec<(usize, u64, f64)>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut answers = Vec::new();
+                        // Loop the workload so later passes see later
+                        // publishes.
+                        for _pass in 0..4 {
+                            for (i, query) in queries.iter().enumerate() {
+                                match router.q1(query) {
+                                    Ok(served) => {
+                                        assert!(served.value.is_finite());
+                                        if served.route == Route::Model {
+                                            answers.push((
+                                                i,
+                                                served.snapshot_version.unwrap(),
+                                                served.value,
+                                            ));
+                                        }
+                                    }
+                                    Err(ServeError::EmptySubspace) => {}
+                                    Err(e) => panic!("unexpected {e}"),
+                                }
+                            }
+                        }
+                        answers
+                    })
+                })
+                .collect();
+            // Live writer: train + publish while readers run.
+            let mut wrng = StdRng::seed_from_u64(11);
+            for _ in 0..2_000 {
+                let c = vec![wrng.random_range(0.0..1.0), wrng.random_range(0.0..1.0)];
+                let query = q(&c, 0.15);
+                if let Some(y) = router.exact_engine().q1(&query.center, query.radius) {
+                    router.observe(&query, y);
                 }
+            }
+            router.publish_now();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let stats = router.stats();
+        assert!(stats.publishes >= 2);
+        // Reclamation kept the cell bounded: 4 reader threads + this one.
+        assert!(stats.retained <= 6);
+        // Per-version determinism across readers.
+        let mut by_key = std::collections::HashMap::new();
+        for &(i, version, value) in per_reader.iter().flatten() {
+            if let Some(prev) = by_key.insert((i, version), value) {
+                assert_eq!(
+                    prev.to_bits(),
+                    value.to_bits(),
+                    "query {i} diverged within snapshot version {version}"
+                );
             }
         }
     }
@@ -1615,6 +1699,7 @@ mod tests {
             },
             4,
         );
+        let attached = router.stats().publishes;
         let mut rng = StdRng::seed_from_u64(8);
         let mut model_routes = 0usize;
         for _ in 0..4_000 {
@@ -1634,7 +1719,16 @@ mod tests {
             "sharded closed loop never graduated: {model_routes} model routes"
         );
         let stats = router.stats();
-        assert!(stats.feedback_fed > 0 && stats.publishes > 1);
+        assert!(stats.feedback_fed > 0 && stats.publishes > attached);
+        assert!(stats.model_served > 0 && stats.exact_served > 0);
+        // The served snapshots carry what the fallbacks taught, at a
+        // version no newer than the examples the trainers consumed.
+        let version = router
+            .q1_model(&q(&[0.5, 0.5], 0.15))
+            .unwrap()
+            .snapshot_version
+            .unwrap();
+        assert!(version > 0 && version <= stats.feedback_fed);
         // Spawned ids stayed disjoint and per-shard ascending.
         let mut all: Vec<usize> = Vec::new();
         for shard in &router.shards {
@@ -1691,7 +1785,7 @@ mod tests {
             router.q1_model(&q(&[0.5, 0.5], 0.2)),
             Err(ServeError::NoModel)
         ));
-        // Dimension mismatches surface like the unsharded engine's.
+        // Dimension mismatches are typed, with or without a model.
         assert!(matches!(
             router.q1(&q(&[0.5], 0.2)),
             Err(ServeError::Model(CoreError::DimensionMismatch { .. }))
@@ -1860,6 +1954,8 @@ mod tests {
         slow.set_fault_plan(FaultPlan::new().with_exact_cost_hint_us(1e6));
         assert_eq!(slow.q1(&probe).unwrap().route, Route::Degraded);
         assert_eq!(slow.q2(&probe).unwrap().route, Route::Degraded);
-        assert_eq!(slow.stats().degraded_served, 2);
+        let batch = slow.q1_batch(std::slice::from_ref(&probe)).unwrap();
+        assert_eq!(batch[0].route, Route::Degraded);
+        assert_eq!(slow.stats().degraded_served, 3);
     }
 }

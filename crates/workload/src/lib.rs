@@ -14,7 +14,7 @@
 //!   and throughput drivers;
 //! * [`throughput`] — concurrent serving measurement: frozen-model vs
 //!   exact thread sweeps, plus the closed-loop readers × 1 writer driver
-//!   over a live `regq_serve::ServeEngine`;
+//!   over a live `regq_serve::ShardRouter`;
 //! * [`eval`] — the A1 / A2 / FVU / CoD evaluators comparing LLM against
 //!   global REG, per-query REG and PLR on unseen query sets `V`;
 //! * [`experiment`] — tiny series/table printer used by every `fig*`
@@ -45,6 +45,6 @@ pub use stream::{
 };
 pub use throughput::{
     exact_q1_throughput, model_q1_throughput, qps_label, qps_value, serve_closed_loop,
-    serve_closed_loop_sharded, ServeLoopResult, ShardedLoopResult, ThroughputResult,
+    ServeLoopResult, ThroughputResult,
 };
 pub use timer::LatencyStats;

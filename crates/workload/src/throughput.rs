@@ -19,7 +19,7 @@ use crate::pool;
 use crate::querygen::QueryGenerator;
 use regq_core::{LlmModel, Query};
 use regq_exact::ExactEngine;
-use regq_serve::{ServeEngine, ServeError, ShardRouter};
+use regq_serve::{ServeError, ShardRouter};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -115,28 +115,33 @@ fn run_parallel(
 
 /// Result of one closed-loop concurrent-serving measurement
 /// ([`serve_closed_loop`]): `readers` serving threads auto-routing a
-/// shared workload through a [`ServeEngine`] while one writer thread
-/// keeps executing ground-truth queries, feeding the trainer and
-/// publishing fresh snapshots.
+/// shared workload through a [`ShardRouter`] while one writer thread
+/// keeps executing ground-truth queries and feeding the fabric. Feedback
+/// flows through bounded per-shard queues, so the ledger distinguishes
+/// enqueued / fed / dropped.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeLoopResult {
+    /// Number of shards in the router.
+    pub shards: usize,
     /// Number of reader (serving) threads.
     pub readers: usize,
     /// Reader queries answered (each exactly once across the readers).
     pub queries: usize,
     /// Wall-clock until the last reader finished.
     pub elapsed: Duration,
-    /// Reader queries served from the model snapshot.
+    /// Reader queries served from the fused shard snapshots.
     pub model_served: u64,
     /// Reader queries that fell back to the exact engine.
     pub exact_served: u64,
-    /// Training examples the trainer accepted during the run (writer
-    /// stream + reader-fallback feedback).
+    /// Feedback examples accepted into shard queues during the run
+    /// (writer stream + reader-fallback feedback).
+    pub feedback_enqueued: u64,
+    /// Feedback examples the shard trainers consumed during the run.
     pub feedback_fed: u64,
-    /// Feedback examples dropped to lock contention (serving never
-    /// blocks on training).
-    pub feedback_skipped: u64,
-    /// Snapshots published during the run.
+    /// Feedback examples dropped at full shard queues (every drop is
+    /// counted).
+    pub feedback_dropped: u64,
+    /// Snapshot publishes (summed over shard cells) during the run.
     pub publishes: u64,
     /// Ground-truth queries the writer executed before the readers
     /// drained the workload.
@@ -156,7 +161,7 @@ impl ServeLoopResult {
         qps_label(self.queries, self.elapsed)
     }
 
-    /// Fraction of reader queries served from the model snapshot.
+    /// Fraction of reader queries served from the shard snapshots.
     pub fn model_share(&self) -> f64 {
         let total = self.model_served + self.exact_served;
         if total == 0 {
@@ -169,12 +174,13 @@ impl ServeLoopResult {
 
 /// Closed-loop concurrent serving: `readers` threads drain
 /// `reader_queries` (work-stealing over a shared cursor) through
-/// [`ServeEngine::q1`] — lock-free snapshot reads, confidence-gated exact
-/// fallback — while **one** writer thread (the caller's) runs the Fig. 2
-/// trainer loop over `writer_queries`: execute exactly, feed the trainer,
-/// let the engine republish snapshots at its policy cadence. The writer
-/// stops as soon as the readers drain the workload, so `elapsed` measures
-/// reader throughput under live training.
+/// [`ShardRouter::q1`] — one hazard-slot guard per shard, cross-shard
+/// fusion, confidence-gated exact fallback — while **one** writer thread
+/// (the caller's) runs the Fig. 2 trainer loop over `writer_queries`:
+/// execute exactly, enqueue into the shard fabric, and steal whatever
+/// drain work its `observe` can grab; the shard trainers republish at
+/// the policy cadence. The writer stops as soon as the readers drain the
+/// workload, so `elapsed` measures reader throughput under live training.
 ///
 /// Reader queries whose exact fallback selects an empty subspace count as
 /// answered (SQL NULL); any other serve error panics (measurement bug).
@@ -182,13 +188,13 @@ impl ServeLoopResult {
 /// # Panics
 /// Panics if `readers == 0` or on a non-NULL serve error.
 pub fn serve_closed_loop(
-    engine: &ServeEngine,
+    router: &ShardRouter,
     reader_queries: &[Query],
     readers: usize,
     writer_queries: &[Query],
 ) -> ServeLoopResult {
     assert!(readers >= 1, "need at least one reader thread");
-    let before = engine.stats();
+    let before = router.stats();
     let cursor = AtomicUsize::new(0);
     let drained = AtomicBool::new(false);
     let mut writer_examples = 0usize;
@@ -205,7 +211,7 @@ pub fn serve_closed_loop(
                         if i >= reader_queries.len() {
                             break;
                         }
-                        match engine.q1(&reader_queries[i]) {
+                        match router.q1(&reader_queries[i]) {
                             Ok(_) | Err(ServeError::EmptySubspace) => {}
                             Err(e) => panic!("closed-loop serve failed: {e}"),
                         }
@@ -215,133 +221,8 @@ pub fn serve_closed_loop(
                 })
             })
             .collect();
-        // The single writer: ground-truth execution + trainer feedback on
+        // The single writer: ground-truth execution + fabric feedback on
         // the calling thread, until the readers finish.
-        for q in writer_queries {
-            if drained.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(y) = engine.exact_engine().q1(&q.center, q.radius) {
-                engine.observe(q, y);
-            }
-            writer_examples += 1;
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reader thread"))
-            .max()
-            .expect("at least one reader")
-    });
-    let after = engine.stats();
-    ServeLoopResult {
-        readers,
-        queries: reader_queries.len(),
-        elapsed,
-        model_served: after.model_served - before.model_served,
-        exact_served: after.exact_served - before.exact_served,
-        feedback_fed: after.feedback_fed - before.feedback_fed,
-        feedback_skipped: after.feedback_skipped - before.feedback_skipped,
-        publishes: after.publishes - before.publishes,
-        writer_examples,
-    }
-}
-
-/// Result of one sharded closed-loop measurement
-/// ([`serve_closed_loop_sharded`]): like [`ServeLoopResult`], but over a
-/// [`ShardRouter`] — feedback flows through bounded per-shard queues, so
-/// the drop accounting distinguishes enqueued/fed/dropped.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedLoopResult {
-    /// Number of shards in the router.
-    pub shards: usize,
-    /// Number of reader (serving) threads.
-    pub readers: usize,
-    /// Reader queries answered (each exactly once across the readers).
-    pub queries: usize,
-    /// Wall-clock until the last reader finished.
-    pub elapsed: Duration,
-    /// Reader queries served from the fused shard snapshots.
-    pub model_served: u64,
-    /// Reader queries that fell back to the exact engine.
-    pub exact_served: u64,
-    /// Feedback examples accepted into shard queues during the run.
-    pub feedback_enqueued: u64,
-    /// Feedback examples the shard trainers consumed during the run.
-    pub feedback_fed: u64,
-    /// Feedback examples dropped at full shard queues (every drop is
-    /// counted — the satellite accounting fix).
-    pub feedback_dropped: u64,
-    /// Snapshot publishes (summed over shard cells) during the run.
-    pub publishes: u64,
-    /// Ground-truth queries the writer executed before the readers
-    /// drained the workload.
-    pub writer_examples: usize,
-}
-
-impl ShardedLoopResult {
-    /// Reader queries per second (`NaN` on a sub-timer-tick run — see
-    /// [`ThroughputResult::qps`]; print [`ShardedLoopResult::qps_label`]
-    /// instead of formatting this directly).
-    pub fn qps(&self) -> f64 {
-        qps_value(self.queries, self.elapsed)
-    }
-
-    /// [`ShardedLoopResult::qps`] as display text that never prints `inf`.
-    pub fn qps_label(&self) -> String {
-        qps_label(self.queries, self.elapsed)
-    }
-
-    /// Fraction of reader queries served from the shard snapshots.
-    pub fn model_share(&self) -> f64 {
-        let total = self.model_served + self.exact_served;
-        if total == 0 {
-            0.0
-        } else {
-            self.model_served as f64 / total as f64
-        }
-    }
-}
-
-/// Closed-loop concurrent serving over a [`ShardRouter`]: the sharded
-/// counterpart of [`serve_closed_loop`]. `readers` threads drain
-/// `reader_queries` through [`ShardRouter::q1`] (one hazard-slot guard
-/// per shard, cross-shard fusion) while the calling thread runs the
-/// writer loop — execute exactly, enqueue into the shard fabric, and
-/// steal whatever drain work its `observe` can grab.
-///
-/// # Panics
-/// Panics if `readers == 0` or on a non-NULL serve error.
-pub fn serve_closed_loop_sharded(
-    router: &ShardRouter,
-    reader_queries: &[Query],
-    readers: usize,
-    writer_queries: &[Query],
-) -> ShardedLoopResult {
-    assert!(readers >= 1, "need at least one reader thread");
-    let before = router.stats();
-    let cursor = AtomicUsize::new(0);
-    let drained = AtomicBool::new(false);
-    let mut writer_examples = 0usize;
-    let t0 = Instant::now();
-    let elapsed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                scope.spawn(|| {
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= reader_queries.len() {
-                            break;
-                        }
-                        match router.q1(&reader_queries[i]) {
-                            Ok(_) | Err(ServeError::EmptySubspace) => {}
-                            Err(e) => panic!("sharded closed-loop serve failed: {e}"),
-                        }
-                    }
-                    drained.store(true, Ordering::Release);
-                    t0.elapsed()
-                })
-            })
-            .collect();
         for q in writer_queries {
             if drained.load(Ordering::Acquire) {
                 break;
@@ -360,7 +241,7 @@ pub fn serve_closed_loop_sharded(
             .expect("at least one reader")
     });
     let after = router.stats();
-    ShardedLoopResult {
+    ServeLoopResult {
         shards: router.shards(),
         readers,
         queries: reader_queries.len(),
@@ -497,7 +378,7 @@ mod tests {
         use regq_core::ModelConfig;
         use regq_serve::RoutePolicy;
 
-        fn serve_engine(trained: bool) -> ServeEngine {
+        fn router(trained: bool, shards: usize) -> ShardRouter {
             let f = GasSensorSurrogate::new(2, 5);
             let mut rng = seeded(21);
             let ds = Dataset::from_function(&f, 20_000, SampleOptions::default(), &mut rng);
@@ -507,81 +388,6 @@ mod tests {
                 let gen = QueryGenerator::for_function(&f, 0.1);
                 train_from_engine(&mut model, &exact, &gen, 10_000, &mut rng).unwrap();
             }
-            ServeEngine::with_model(
-                exact,
-                model,
-                RoutePolicy {
-                    confidence_threshold: 0.3,
-                    feedback: true,
-                    publish_interval: 64,
-                    ..RoutePolicy::default()
-                },
-            )
-        }
-
-        #[test]
-        fn closed_loop_answers_every_reader_query_and_trains() {
-            let engine = serve_engine(false);
-            let f = GasSensorSurrogate::new(2, 5);
-            let gen = QueryGenerator::for_function(&f, 0.1);
-            let mut rng = seeded(22);
-            // Enough reader work to outlast the scheduling latency of the
-            // writer (the calling thread) on a 2-core host: with a few
-            // hundred sub-microsecond queries the readers can drain the
-            // workload before the writer runs once.
-            let reader_queries = gen.generate_many(6_000, &mut rng);
-            let writer_queries = gen.generate_many(5_000, &mut rng);
-            let r = serve_closed_loop(&engine, &reader_queries, 2, &writer_queries);
-            assert_eq!(r.queries, 6_000);
-            assert_eq!(r.readers, 2);
-            // Every reader query routes somewhere; the handful whose
-            // fallback selection is empty are answered as SQL NULL and
-            // bump neither counter.
-            let routed = r.model_served + r.exact_served;
-            assert!(
-                routed <= 6_000 && routed > 5_500,
-                "unexpected route accounting: {routed}/6000"
-            );
-            assert!(r.qps() > 0.0);
-            assert!(
-                r.feedback_fed > 0,
-                "the live writer must train the model mid-run"
-            );
-            assert!(r.writer_examples > 0);
-        }
-
-        #[test]
-        fn trained_engine_serves_mostly_from_the_model() {
-            let engine = serve_engine(true);
-            let f = GasSensorSurrogate::new(2, 5);
-            let gen = QueryGenerator::for_function(&f, 0.1);
-            let mut rng = seeded(23);
-            let reader_queries = gen.generate_many(400, &mut rng);
-            let writer_queries = gen.generate_many(2_000, &mut rng);
-            let r = serve_closed_loop(&engine, &reader_queries, 4, &writer_queries);
-            assert!(
-                r.model_share() > 0.5,
-                "trained engine should clear the gate for most in-distribution \
-                 queries (model share {})",
-                r.model_share()
-            );
-        }
-
-        #[test]
-        #[should_panic(expected = "at least one reader")]
-        fn zero_readers_panics() {
-            let engine = serve_engine(false);
-            let _ = serve_closed_loop(&engine, &[], 0, &[]);
-        }
-
-        fn shard_router(shards: usize) -> ShardRouter {
-            let f = GasSensorSurrogate::new(2, 5);
-            let mut rng = seeded(25);
-            let ds = Dataset::from_function(&f, 20_000, SampleOptions::default(), &mut rng);
-            let exact = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-            let mut model = LlmModel::new(ModelConfig::with_vigilance(2, 0.08)).unwrap();
-            let gen = QueryGenerator::for_function(&f, 0.1);
-            train_from_engine(&mut model, &exact, &gen, 10_000, &mut rng).unwrap();
             ShardRouter::with_model(
                 exact,
                 model,
@@ -596,34 +402,63 @@ mod tests {
         }
 
         #[test]
-        fn sharded_closed_loop_answers_trains_and_accounts_for_drops() {
-            for shards in [1usize, 2, 4] {
-                let router = shard_router(shards);
+        fn closed_loop_answers_every_reader_query_and_trains() {
+            for shards in [1usize, 4] {
+                let router = router(false, shards);
                 let f = GasSensorSurrogate::new(2, 5);
                 let gen = QueryGenerator::for_function(&f, 0.1);
-                let mut rng = seeded(26);
-                let reader_queries = gen.generate_many(400, &mut rng);
-                let writer_queries = gen.generate_many(3_000, &mut rng);
-                let r = serve_closed_loop_sharded(&router, &reader_queries, 2, &writer_queries);
-                assert_eq!(r.shards, shards);
-                assert_eq!(r.queries, 400);
+                let mut rng = seeded(22);
+                // Enough reader work to outlast the scheduling latency of
+                // the writer (the calling thread) on a 2-core host: with a
+                // few hundred sub-microsecond queries the readers can
+                // drain the workload before the writer runs once.
+                let reader_queries = gen.generate_many(6_000, &mut rng);
+                let writer_queries = gen.generate_many(5_000, &mut rng);
+                let r = serve_closed_loop(&router, &reader_queries, 2, &writer_queries);
+                assert_eq!((r.shards, r.readers, r.queries), (shards, 2, 6_000));
+                // Every reader query routes somewhere; the handful whose
+                // fallback selection is empty are answered as SQL NULL and
+                // bump neither counter.
                 let routed = r.model_served + r.exact_served;
                 assert!(
-                    routed <= 400 && routed > 350,
-                    "unexpected route accounting at {shards} shards: {routed}/400"
+                    routed <= 6_000 && routed > 5_500,
+                    "unexpected route accounting at {shards} shards: {routed}/6000"
                 );
+                assert!(r.qps() > 0.0);
                 assert!(
-                    r.model_share() > 0.5,
-                    "trained router should serve mostly from the model \
-                     (share {} at {shards} shards)",
-                    r.model_share()
+                    r.feedback_fed > 0,
+                    "the closed loop must train the model mid-run"
                 );
+                assert!(r.writer_examples > 0);
                 // Nothing leaks from the accounting: everything the fabric
                 // consumed was first enqueued, and every loss is counted.
-                // (A fast reader pool may drain before the writer starts,
-                // so writer_examples itself carries no lower bound.)
                 assert!(r.feedback_fed <= r.feedback_enqueued);
             }
+        }
+
+        #[test]
+        fn trained_router_serves_mostly_from_the_model() {
+            for shards in [1usize, 4] {
+                let router = router(true, shards);
+                let f = GasSensorSurrogate::new(2, 5);
+                let gen = QueryGenerator::for_function(&f, 0.1);
+                let mut rng = seeded(23);
+                let reader_queries = gen.generate_many(400, &mut rng);
+                let writer_queries = gen.generate_many(2_000, &mut rng);
+                let r = serve_closed_loop(&router, &reader_queries, 4, &writer_queries);
+                assert!(
+                    r.model_share() > 0.5,
+                    "trained router should clear the gate for most in-distribution \
+                     queries (model share {} at {shards} shards)",
+                    r.model_share()
+                );
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "at least one reader")]
+        fn zero_readers_panics() {
+            let _ = serve_closed_loop(&router(false, 1), &[], 0, &[]);
         }
     }
 }

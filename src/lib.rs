@@ -81,8 +81,8 @@ pub mod prelude {
         Mars, MarsModel, MarsParams, Moments,
     };
     pub use regq_serve::{
-        FaultKind, FaultPlan, Feedback, Route, RoutePolicy, RouterStats, ServeEngine, ServeError,
-        Served, ShardRouter, ShardSnapshot, SnapshotCell, StallGate,
+        FaultKind, FaultPlan, Feedback, Route, RoutePolicy, RouterStats, ServeError, Served,
+        ShardRouter, ShardSnapshot, SnapshotCell, StallGate,
     };
     pub use regq_store::{AccessPathKind, Norm, Relation};
     pub use regq_workload::{

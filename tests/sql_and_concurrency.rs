@@ -256,7 +256,7 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
     let mut rng = seeded(11);
     let ds = Dataset::from_function(&field, 20_000, SampleOptions::default(), &mut rng);
     let exact = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-    let engine = ServeEngine::with_model(
+    let router = ShardRouter::with_model(
         exact,
         LlmModel::new(ModelConfig::with_vigilance(2, 0.08)).unwrap(),
         RoutePolicy {
@@ -265,19 +265,20 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
             publish_interval: 64,
             ..RoutePolicy::default()
         },
+        1,
     );
     let gen = QueryGenerator::for_function(&field, 0.1);
     let reader_queries = gen.generate_many(3_000, &mut rng);
     let writer_queries = gen.generate_many(20_000, &mut rng);
-    let r = serve_closed_loop(&engine, &reader_queries, 4, &writer_queries);
+    let r = serve_closed_loop(&router, &reader_queries, 4, &writer_queries);
     assert_eq!(r.queries, 3_000);
-    assert!(r.exact_served > 0, "a fresh engine must fall back at first");
+    assert!(r.exact_served > 0, "a fresh router must fall back at first");
     assert!(
         r.feedback_fed > 0,
         "the closed loop must train from fallbacks/writer"
     );
     assert!(r.publishes >= 1, "the trainer must republish mid-run");
-    let stats = engine.stats();
+    let stats = router.stats();
     assert_eq!(
         stats.model_served + stats.exact_served,
         r.model_served + r.exact_served
@@ -376,13 +377,17 @@ mod snapshot_equivalence {
 
 mod shard_equivalence {
     //! Proptest: the `ShardRouter`'s fused cross-shard answer is
-    //! **bit-identical** to the unsharded `ServeEngine` over the same
-    //! model — routes, values, confidence scores and Q2 lists — at 1, 2,
-    //! 4 and 8 shards, including wide balls that straddle every shard
-    //! boundary. This is the invariant that makes sharding a pure
-    //! throughput decision: no answer may depend on the shard count.
+    //! **bit-identical** to the unsharded model it was partitioned from
+    //! — routes, values, confidence scores and Q2 lists — at 1, 2, 4 and
+    //! 8 shards, including wide balls that straddle every shard boundary.
+    //! The oracle is the model's own snapshot through the **unpruned
+    //! scalar** predictors (the path furthest from the pruned, fused one
+    //! production runs) plus the exact engine for fallbacks. This is the
+    //! invariant that makes sharding a pure throughput decision: no
+    //! answer may depend on the shard count.
 
     use proptest::prelude::*;
+    use regq::linalg::LinalgError;
     use regq::prelude::*;
     use std::sync::{Arc, OnceLock};
 
@@ -403,11 +408,38 @@ mod shard_equivalence {
         ExactEngine::new(data.clone(), AccessPathKind::KdTree)
     }
 
+    /// What the router must answer, decided by the unsharded model alone:
+    /// its prediction above the threshold, the exact answer (with the
+    /// rejecting score attached) below it, `None` = an empty selection.
+    fn expected<T>(
+        (value, conf): (T, Confidence),
+        threshold: f64,
+        exact: impl FnOnce() -> Option<T>,
+    ) -> Option<(Route, T, u64)> {
+        if conf.score >= threshold {
+            Some((Route::Model, value, conf.score.to_bits()))
+        } else {
+            exact().map(|y| (Route::Exact, y, conf.score.to_bits()))
+        }
+    }
+
+    fn observed<T>(served: Result<Served<T>, ServeError>) -> Option<(Route, T, u64)> {
+        match served {
+            Ok(s) => Some((
+                s.route,
+                s.value,
+                s.score.expect("snapshot consulted").to_bits(),
+            )),
+            Err(ServeError::EmptySubspace) => None,
+            Err(e) => panic!("unexpected serve error: {e}"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         #[test]
-        fn shard_router_answers_are_bit_identical_to_the_unsharded_engine(
+        fn shard_router_answers_are_bit_identical_to_the_unsharded_model(
             pairs in prop::collection::vec(
                 (prop::collection::vec(0.0..1.0f64, 2), 0.02..0.5f64, -3.0..3.0f64),
                 30..90,
@@ -424,45 +456,42 @@ mod shard_equivalence {
             for (c, r, y) in &pairs {
                 model.train_step(&Query::new_unchecked(c.clone(), *r), *y).unwrap();
             }
-            // Feedback off: both sides hold the published model fixed, so
+            // Feedback off: the routers hold the published model fixed, so
             // any divergence is the fusion itself, not training drift.
             let policy = RoutePolicy { feedback: false, ..RoutePolicy::default() };
-            let engine = ServeEngine::with_model(shared_exact(), model.clone(), policy);
+            let threshold = policy.confidence_threshold;
+            let (snap, exact) = (model.snapshot(), shared_exact());
             for shards in [1usize, 2, 4, 8] {
                 let router =
                     ShardRouter::with_model(shared_exact(), model.clone(), policy, shards);
                 for (c, r) in &probes {
                     let q = Query::new_unchecked(c.clone(), *r);
-                    match (engine.q1(&q), router.q1(&q)) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(a.route, b.route, "q1 route at {} shards", shards);
-                            prop_assert_eq!(
-                                a.value.to_bits(),
-                                b.value.to_bits(),
-                                "q1 value at {} shards",
-                                shards
-                            );
-                            prop_assert_eq!(
-                                a.score.map(f64::to_bits),
-                                b.score.map(f64::to_bits),
-                                "q1 score at {} shards",
-                                shards
-                            );
-                        }
-                        (Err(ServeError::EmptySubspace), Err(ServeError::EmptySubspace)) => {}
-                        (a, b) => prop_assert!(false, "q1 outcome diverged: {:?} vs {:?}", a, b),
-                    }
-                    match (engine.q2(&q), router.q2(&q)) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(a.route, b.route, "q2 route at {} shards", shards);
-                            prop_assert_eq!(
-                                a.value, b.value,
-                                "q2 list at {} shards", shards
-                            );
-                        }
-                        (Err(ServeError::EmptySubspace), Err(ServeError::EmptySubspace)) => {}
-                        (a, b) => prop_assert!(false, "q2 outcome diverged: {:?} vs {:?}", a, b),
-                    }
+                    let (y, conf) = snap.predict_q1_with_confidence(&q).unwrap();
+                    prop_assert_eq!(
+                        observed(router.q1(&q).map(|s| s.map_value(f64::to_bits))),
+                        expected((y.to_bits(), conf), threshold, || {
+                            exact.q1(&q.center, q.radius).map(f64::to_bits)
+                        }),
+                        "q1 at {} shards", shards
+                    );
+                    prop_assert_eq!(
+                        observed(router.q2(&q)),
+                        expected(snap.predict_q2_with_confidence(&q).unwrap(), threshold, || {
+                            match exact.q1_reg_fused(&q.center, q.radius) {
+                                Ok(fit) => Some(vec![LocalModel {
+                                    intercept: fit.model.intercept,
+                                    slope: fit.model.slope,
+                                    prototype: 0,
+                                    weight: 1.0,
+                                    center: q.center.clone(),
+                                    radius: q.radius,
+                                }]),
+                                Err(LinalgError::Empty) => None,
+                                Err(e) => panic!("unexpected exact error: {e}"),
+                            }
+                        }),
+                        "q2 at {} shards", shards
+                    );
                 }
             }
         }
@@ -754,26 +783,27 @@ mod fault_injection {
     fn a_stalled_publish_never_blocks_serving() {
         let mut model = trained_model();
         model.freeze();
-        let mut engine = ServeEngine::with_model(
+        let mut router = ShardRouter::with_model(
             exact(),
             model,
             RoutePolicy {
                 feedback: false,
                 ..RoutePolicy::default()
             },
+            1,
         );
         let probe = Query::new_unchecked(vec![0.5, 0.5], 0.15);
         // Serve once first: this registers the main thread's hazard-slot
         // reader, which is what lets it ignore the wedged writer below.
-        let before = engine.q1(&probe).unwrap();
+        let before = router.q1(&probe).unwrap();
         assert_eq!(before.route, Route::Model);
         let (plan, gate) = FaultPlan::new()
             .inject(FaultKind::PublishStall, &[1])
             .with_publish_gate();
-        engine.set_fault_plan(plan.clone());
-        let engine = &engine;
+        router.set_fault_plan(plan.clone());
+        let router = &router;
         std::thread::scope(|scope| {
-            let writer = scope.spawn(move || engine.publish_now());
+            let writer = scope.spawn(move || router.publish_now());
             while plan.fired(FaultKind::PublishStall) == 0 {
                 std::hint::spin_loop();
             }
@@ -781,7 +811,7 @@ mod fault_injection {
             // lock; the serve path must keep answering from the current
             // snapshot, bit-identically.
             for _ in 0..100 {
-                let served = engine.q1(&probe).unwrap();
+                let served = router.q1(&probe).unwrap();
                 assert_eq!(served.route, Route::Model);
                 assert_eq!(served.value.to_bits(), before.value.to_bits());
                 assert_eq!(served.snapshot_version, before.snapshot_version);
