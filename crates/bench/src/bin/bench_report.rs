@@ -1,13 +1,10 @@
 //! Machine-readable performance trajectory for the aggregation-pushdown
 //! work: emits `BENCH_pushdown.json` with
 //!
-//! 1. per-access-path exact Q1 latency — pushed-down fold vs the
-//!    materialize-then-recompute reference;
+//! 1. per-access-path exact Q1 latency of the pushed-down fold;
 //! 2. per-access-path fused Q1+OLS latency — one traversal answering both
-//!    ground-truth queries vs the two-traversal materialized pipeline
-//!    (selection + mean pass, selection + design matrix + `lstsq`);
-//! 3. the OLS fit kernel on a fixed selection — Gram accumulation vs
-//!    design-matrix materialization;
+//!    ground-truth queries;
+//! 3. the OLS fit kernel (Gram accumulation) on a fixed selection;
 //! 4. end-to-end Fig. 2 training wall-clock at 1/4/8 worker threads with
 //!    the `StreamReport` query-side share and a determinism fingerprint;
 //! 5. the `O(dK)` serving path at K ∈ {64, 256, 1024, 4096} — the
@@ -55,7 +52,7 @@ use regq_bench::Family;
 use regq_core::predict::reference;
 use regq_core::{LlmModel, ModelConfig, Query, ScreenCounters};
 use regq_data::rng::seeded;
-use regq_exact::{fit_ols, fit_ols_design, q1_mean_materialized, ExactEngine};
+use regq_exact::{fit_ols, ExactEngine};
 use regq_serve::{FaultKind, FaultPlan, RoutePolicy, ShardRouter};
 use regq_store::AccessPathKind;
 use regq_workload::{
@@ -94,9 +91,7 @@ fn fmt_f(v: f64) -> String {
 
 struct PathRow {
     path: AccessPathKind,
-    q1_materialized_us: f64,
     q1_fused_us: f64,
-    pair_materialized_us: f64,
     pair_fused_us: f64,
 }
 
@@ -232,41 +227,22 @@ fn main() {
         AccessPathKind::Grid,
     ] {
         let engine = ExactEngine::new(data.clone(), path);
-        let rel = engine.relation();
 
-        // Q1 alone: materialized (id buffer + second pass) vs pushed-down.
-        let q1_materialized_us = mean_us(&queries, passes, |q| {
-            black_box(q1_mean_materialized(rel, &q.center, q.radius));
-        });
+        // Q1 alone: the SUM/COUNT state folds inside the traversal.
         let q1_fused_us = mean_us(&queries, passes, |q| {
             black_box(engine.q1(&q.center, q.radius));
         });
 
-        // Ground-truth pair (Q1 mean + per-query OLS): the materialized
-        // pipeline runs two traversals and builds a design matrix; the
-        // fused operator folds Gram + moments in one traversal.
-        let pair_materialized_us = mean_us(&queries, passes, |q| {
-            black_box(q1_mean_materialized(rel, &q.center, q.radius));
-            let ids = rel.select(&q.center, q.radius);
-            if !ids.is_empty() {
-                black_box(fit_ols_design(rel.dataset(), &ids).ok());
-            }
-        });
+        // Ground-truth pair (Q1 mean + per-query OLS): the fused operator
+        // folds Gram + moments in one traversal.
         let pair_fused_us = mean_us(&queries, passes, |q| {
             black_box(engine.q1_reg_fused(&q.center, q.radius).ok());
         });
 
-        eprintln!(
-            "  {path}: q1 {q1_materialized_us:.1} -> {q1_fused_us:.1} us, \
-             q1+ols {pair_materialized_us:.1} -> {pair_fused_us:.1} us \
-             ({:.2}x)",
-            pair_materialized_us / pair_fused_us
-        );
+        eprintln!("  {path}: q1 {q1_fused_us:.1} us, q1+ols {pair_fused_us:.1} us");
         path_rows.push(PathRow {
             path,
-            q1_materialized_us,
             q1_fused_us,
-            pair_materialized_us,
             pair_fused_us,
         });
     }
@@ -288,14 +264,11 @@ fn main() {
         }
         best
     };
-    let fit_design_us = timed(&|| {
-        black_box(fit_ols_design(ds, &ids).ok());
-    });
     let fit_gram_us = timed(&|| {
         black_box(fit_ols(ds, &ids).ok());
     });
     eprintln!(
-        "  ols fit over {} rows: design {fit_design_us:.1} us -> gram {fit_gram_us:.1} us",
+        "  ols fit over {} rows: gram {fit_gram_us:.1} us",
         ids.len()
     );
 
@@ -780,11 +753,9 @@ fn main() {
     for (i, r) in path_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"path\": \"{}\", \"materialized\": {}, \"fused\": {}, \"speedup\": {}}}{}",
+            "    {{\"path\": \"{}\", \"fused\": {}}}{}",
             r.path,
-            fmt_f(r.q1_materialized_us),
             fmt_f(r.q1_fused_us),
-            fmt_f(r.q1_materialized_us / r.q1_fused_us),
             if i + 1 < path_rows.len() { "," } else { "" }
         );
     }
@@ -793,22 +764,18 @@ fn main() {
     for (i, r) in path_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"path\": \"{}\", \"materialized\": {}, \"fused\": {}, \"speedup\": {}}}{}",
+            "    {{\"path\": \"{}\", \"fused\": {}}}{}",
             r.path,
-            fmt_f(r.pair_materialized_us),
             fmt_f(r.pair_fused_us),
-            fmt_f(r.pair_materialized_us / r.pair_fused_us),
             if i + 1 < path_rows.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"ols_fit_us\": {{\"rows\": {}, \"design\": {}, \"gram\": {}, \"speedup\": {}}},",
+        "  \"ols_fit_us\": {{\"rows\": {}, \"gram\": {}}},",
         ids.len(),
-        fmt_f(fit_design_us),
-        fmt_f(fit_gram_us),
-        fmt_f(fit_design_us / fit_gram_us)
+        fmt_f(fit_gram_us)
     );
     let _ = writeln!(json, "  \"training\": {{");
     let _ = writeln!(

@@ -28,5 +28,5 @@ pub mod q1;
 pub use engine::ExactEngine;
 pub use fit::GoodnessOfFit;
 pub use mars::{Mars, MarsModel, MarsParams};
-pub use ols::{fit_ols, fit_ols_ball, fit_ols_design, fit_ols_global, BallFit, LinearModel};
-pub use q1::{q1_mean, q1_mean_materialized, q1_moments, q1_moments_materialized, Moments};
+pub use ols::{fit_ols, fit_ols_ball, fit_ols_global, BallFit, LinearModel};
+pub use q1::{q1_mean, q1_moments, Moments};

@@ -12,7 +12,7 @@
 use crate::fit::GoodnessOfFit;
 use crate::q1::Moments;
 use regq_data::Dataset;
-use regq_linalg::{lstsq, GramAccumulator, LinalgError, LstsqOptions, Matrix, OnlineStats};
+use regq_linalg::{GramAccumulator, LinalgError, LstsqOptions, OnlineStats};
 use regq_store::Relation;
 
 /// A fitted linear model `u ≈ intercept + slope · x`.
@@ -96,46 +96,6 @@ pub fn fit_ols(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> 
         intercept,
         slope,
         fit: GoodnessOfFit::from_sums(ids.len(), ssr, tss),
-    })
-}
-
-/// Reference OLS that materializes the full `n × (d+1)` design matrix and
-/// goes through [`lstsq`] — the pre-pushdown execution shape (what the
-/// paper's PostgreSQL+XLeratorDB baseline does). Kept for equivalence
-/// tests and as the benchmark baseline.
-pub fn fit_ols_design(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> {
-    if ids.is_empty() {
-        return Err(LinalgError::Empty);
-    }
-    let d = ds.dim();
-    let n = ids.len();
-    let mut design = Matrix::zeros(n, d + 1);
-    let mut y = Vec::with_capacity(n);
-    for (r, &i) in ids.iter().enumerate() {
-        let row = design.row_mut(r);
-        row[0] = 1.0;
-        row[1..].copy_from_slice(ds.x(i));
-        y.push(ds.y(i));
-    }
-    let sol = lstsq(&design, &y, LstsqOptions::default())?;
-    let intercept = sol.coeffs[0];
-    let slope = sol.coeffs[1..].to_vec();
-    let predicted: Vec<f64> = ids
-        .iter()
-        .map(|&i| {
-            let x = ds.x(i);
-            let mut v = intercept;
-            for (b, xi) in slope.iter().zip(x.iter()) {
-                v += b * xi;
-            }
-            v
-        })
-        .collect();
-    let fit = GoodnessOfFit::evaluate(&y, &predicted).expect("non-empty");
-    Ok(LinearModel {
-        intercept,
-        slope,
-        fit,
     })
 }
 
@@ -265,20 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn gram_fit_matches_design_matrix_fit() {
-        let ds = linear_dataset(3, 200, -0.5, &[1.0, 0.3, -2.0], 7);
-        let ids: Vec<usize> = (0..ds.len()).collect();
-        let gram = fit_ols(&ds, &ids).unwrap();
-        let design = fit_ols_design(&ds, &ids).unwrap();
-        assert!((gram.intercept - design.intercept).abs() < 1e-9);
-        for (a, b) in gram.slope.iter().zip(design.slope.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        assert!((gram.fit.fvu - design.fit.fvu).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_ball_fit_matches_materialized_pipeline() {
+    fn fused_ball_fit_matches_select_then_fit() {
         use regq_store::AccessPathKind;
         use std::sync::Arc;
         let ds = linear_dataset(2, 500, 1.0, &[0.5, -1.5], 11);
@@ -286,7 +233,7 @@ mod tests {
         let (c, r) = ([0.2, -0.3], 1.4);
         let fused = fit_ols_ball(&rel, &c, r).unwrap();
         let ids = rel.select(&c, r);
-        let reference = fit_ols_design(rel.dataset(), &ids).unwrap();
+        let reference = fit_ols(rel.dataset(), &ids).unwrap();
         assert_eq!(fused.moments.n, ids.len());
         assert!((fused.model.intercept - reference.intercept).abs() < 1e-8);
         for (a, b) in fused.model.slope.iter().zip(reference.slope.iter()) {

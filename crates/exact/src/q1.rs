@@ -65,43 +65,6 @@ pub fn q1_moments(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments
     })
 }
 
-/// Reference implementation of [`q1_mean`] that materializes the selection
-/// and re-reads the rows in a second pass — the pre-pushdown execution
-/// shape. Kept as the equivalence-test and benchmark baseline.
-pub fn q1_mean_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
-    rel.with_selection(center, radius, |ds, ids| {
-        if ids.is_empty() {
-            None
-        } else {
-            let sum: f64 = ids.iter().map(|&i| ds.y(i)).sum();
-            Some(sum / ids.len() as f64)
-        }
-    })
-}
-
-/// Reference implementation of [`q1_moments`] over a materialized
-/// selection (see [`q1_mean_materialized`]).
-pub fn q1_moments_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments> {
-    rel.with_selection(center, radius, |ds, ids| {
-        if ids.is_empty() {
-            return None;
-        }
-        let mut acc = OnlineStats::new();
-        let mut sum_sq = 0.0;
-        for &i in ids {
-            let u = ds.y(i);
-            acc.push(u);
-            sum_sq += u * u;
-        }
-        Some(Moments {
-            n: ids.len(),
-            mean: acc.mean(),
-            variance: acc.variance(),
-            second_moment: sum_sq / ids.len() as f64,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,17 +123,5 @@ mod tests {
         let rel = line_relation();
         // u = 0..90 step 10: mean 45.
         assert_eq!(q1_mean(&rel, &[4.5], 100.0), Some(45.0));
-    }
-
-    #[test]
-    fn pushdown_and_materialized_paths_agree_exactly() {
-        let rel = line_relation();
-        for (c, r) in [(5.0, 1.5), (3.0, 0.0), (4.5, 100.0), (100.0, 0.5)] {
-            assert_eq!(q1_mean(&rel, &[c], r), q1_mean_materialized(&rel, &[c], r));
-            assert_eq!(
-                q1_moments(&rel, &[c], r),
-                q1_moments_materialized(&rel, &[c], r)
-            );
-        }
     }
 }

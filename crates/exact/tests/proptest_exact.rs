@@ -6,11 +6,105 @@
 use proptest::prelude::*;
 use regq_data::Dataset;
 use regq_exact::{
-    fit_ols, fit_ols_ball, fit_ols_design, q1_mean, q1_mean_materialized, q1_moments,
-    q1_moments_materialized, GoodnessOfFit, Mars, MarsParams,
+    fit_ols, fit_ols_ball, q1_mean, q1_moments, GoodnessOfFit, LinearModel, Mars, MarsParams,
+    Moments,
 };
+use regq_linalg::{lstsq, LinalgError, LstsqOptions, Matrix, OnlineStats};
 use regq_store::{AccessPathKind, Norm, Relation};
 use std::sync::Arc;
+
+// The pre-pushdown execution shapes, kept here as the references the
+// pushed-down executors are tested against: materialize the selection,
+// then read the rows in a second pass.
+
+/// Q1 over a materialized id list.
+fn q1_mean_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
+    rel.with_selection(center, radius, |ds, ids| {
+        if ids.is_empty() {
+            None
+        } else {
+            let sum: f64 = ids.iter().map(|&i| ds.y(i)).sum();
+            Some(sum / ids.len() as f64)
+        }
+    })
+}
+
+/// Q1 moments over a materialized id list.
+fn q1_moments_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments> {
+    rel.with_selection(center, radius, |ds, ids| {
+        if ids.is_empty() {
+            return None;
+        }
+        let mut acc = OnlineStats::new();
+        let mut sum_sq = 0.0;
+        for &i in ids {
+            let u = ds.y(i);
+            acc.push(u);
+            sum_sq += u * u;
+        }
+        Some(Moments {
+            n: ids.len(),
+            mean: acc.mean(),
+            variance: acc.variance(),
+            second_moment: sum_sq / ids.len() as f64,
+        })
+    })
+}
+
+/// OLS through the full `n × (d+1)` design matrix and `lstsq` (what the
+/// paper's PostgreSQL+XLeratorDB baseline does).
+fn fit_ols_design(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> {
+    if ids.is_empty() {
+        return Err(LinalgError::Empty);
+    }
+    let d = ds.dim();
+    let n = ids.len();
+    let mut design = Matrix::zeros(n, d + 1);
+    let mut y = Vec::with_capacity(n);
+    for (r, &i) in ids.iter().enumerate() {
+        let row = design.row_mut(r);
+        row[0] = 1.0;
+        row[1..].copy_from_slice(ds.x(i));
+        y.push(ds.y(i));
+    }
+    let sol = lstsq(&design, &y, LstsqOptions::default())?;
+    let intercept = sol.coeffs[0];
+    let slope = sol.coeffs[1..].to_vec();
+    let predicted: Vec<f64> = ids
+        .iter()
+        .map(|&i| {
+            let x = ds.x(i);
+            let mut v = intercept;
+            for (b, xi) in slope.iter().zip(x.iter()) {
+                v += b * xi;
+            }
+            v
+        })
+        .collect();
+    let fit = GoodnessOfFit::evaluate(&y, &predicted).expect("non-empty");
+    Ok(LinearModel {
+        intercept,
+        slope,
+        fit,
+    })
+}
+
+#[test]
+fn pushdown_and_materialized_q1_agree_exactly_on_a_known_line() {
+    // Points at x = 0, 1, ..., 9 with u = 10x.
+    let mut ds = Dataset::new(1);
+    for i in 0..10 {
+        ds.push(&[i as f64], 10.0 * i as f64).unwrap();
+    }
+    let rel = Relation::new(Arc::new(ds), AccessPathKind::Scan);
+    for (c, r) in [(5.0, 1.5), (3.0, 0.0), (4.5, 100.0), (100.0, 0.5)] {
+        assert_eq!(q1_mean(&rel, &[c], r), q1_mean_materialized(&rel, &[c], r));
+        assert_eq!(
+            q1_moments(&rel, &[c], r),
+            q1_moments_materialized(&rel, &[c], r)
+        );
+    }
+}
 
 /// Random dataset: n rows, d dims, values bounded.
 fn dataset_strategy(d: usize, min_rows: usize) -> impl Strategy<Value = Dataset> {

@@ -13,8 +13,10 @@
 //!   `quad[4·c + j]` is coordinate `c` of row `j` — so the four lanes of
 //!   one coordinate are contiguous and a 256-bit load needs no shuffle.
 //! * **Runtime dispatch.** [`winner_overlap_block_aosoa`] (the serving
-//!   kernel: one dispatch per block of up to `tune::ROW_TILE` rows) and
-//!   [`sq_dists4_aosoa`] (one quad) consult
+//!   kernel: one dispatch per block of up to `tune::ROW_TILE` rows),
+//!   [`within_mask_aosoa`] (the store's kd-tree leaf kernel: one dispatch
+//!   per leaf, a ball-membership bit per row) and [`sq_dists4_aosoa`]
+//!   (one quad) consult
 //!   `is_x86_feature_detected!("avx2")` (a cached atomic load after the
 //!   first call) and route to a hand-written AVX2 kernel when available,
 //!   falling back to a scalar twin otherwise. Release binaries are
@@ -27,7 +29,8 @@
 //! scalar [`crate::vector::sq_dist`] per row. The AVX2 path uses separate
 //! multiply and add instructions (never FMA, which would skip the
 //! intermediate rounding), so all forms agree bit for bit — pinned by the
-//! tests below and by the serving equivalence batteries in `regq_core`.
+//! tests below, by the serving equivalence batteries in `regq_core` and by
+//! `regq_store`'s `kd_leaf_equivalence` battery.
 
 use crate::tune::QUAD;
 use crate::vector::resolve_quad;
@@ -81,6 +84,40 @@ pub fn pack_quads_aosoa(rows: &[f64], dim: usize, out: &mut Vec<f64>) {
     }
 }
 
+/// Offset of coordinate 0 of row `r` in an AoSoA block of dimension
+/// `dim`; coordinate `c` of that row sits `QUAD * c` further on.
+#[inline]
+fn aosoa_row_base(r: usize, dim: usize) -> usize {
+    r / QUAD * QUAD * dim + r % QUAD
+}
+
+/// Store `row` as row `r` of an AoSoA block of dimension `row.len()`
+/// (lane `r % 4` of quad `r / 4`, layout per [`pack_quads_aosoa`]) — the
+/// row-at-a-time packer for blocks too large to stage row-major first.
+///
+/// # Panics
+/// Panics when quad `r / 4` lies outside `quads`.
+#[inline]
+pub fn aosoa_set_row(quads: &mut [f64], r: usize, row: &[f64]) {
+    let base = aosoa_row_base(r, row.len());
+    for (c, &v) in row.iter().enumerate() {
+        quads[base + QUAD * c] = v;
+    }
+}
+
+/// Copy row `r` of an AoSoA block of dimension `out.len()` into `out` —
+/// the inverse of [`aosoa_set_row`], bit for bit.
+///
+/// # Panics
+/// Panics when quad `r / 4` lies outside `quads`.
+#[inline]
+pub fn aosoa_row_into(quads: &[f64], r: usize, out: &mut [f64]) {
+    let base = aosoa_row_base(r, out.len());
+    for (c, v) in out.iter_mut().enumerate() {
+        *v = quads[base + QUAD * c];
+    }
+}
+
 /// Squared Euclidean distances of `q` against the four rows of one AoSoA
 /// quad (`quad.len() == 4 * q.len()`, layout per [`pack_quads_aosoa`]).
 ///
@@ -123,41 +160,147 @@ fn sq_dists4_aosoa_scalar(q: &[f64], quad: &[f64]) -> [f64; 4] {
     [a0, a1, a2, a3]
 }
 
-/// AVX2 form of [`sq_dists4_aosoa`]: one 256-bit lane vector per
-/// coordinate, subtract a broadcast of `q[c]`, then separate multiply and
-/// add (**no FMA** — fusing would skip the product rounding and break
-/// bit-identity with the scalar kernels). Per lane this performs exactly
-/// the scalar kernel's operation sequence, so results agree bit for bit.
+/// AVX2 form of [`sq_dists4_aosoa`]: [`quad_sq_dists_avx2`], stored.
 ///
 /// # Safety
 /// The caller must ensure the host supports AVX2 (checked via
 /// [`avx2_available`] at the dispatch site).
 // SAFETY: `unsafe fn` solely for `#[target_feature]`; the body's only
-// unchecked operations are the unaligned loads justified at their sites,
-// and the single caller verifies AVX2 before dispatching here.
+// unchecked operations are the call below, whose contract is the
+// caller's, and the store justified at its site.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn sq_dists4_aosoa_avx2(q: &[f64], quad: &[f64]) -> [f64; 4] {
+    let acc = quad_sq_dists_avx2(q, quad);
+    let mut out = [0.0f64; 4];
+    // SAFETY: `out` is exactly four f64s and the unaligned store has no
+    // alignment requirement.
+    std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), acc);
+    out
+}
+
+/// The four squared distances of one AoSoA quad, left in a vector
+/// register: one 256-bit lane vector per coordinate, subtract a broadcast
+/// of `q[c]`, then separate multiply and add (**no FMA** — fusing would
+/// skip the product rounding and break bit-identity with the scalar
+/// kernels). Per lane this performs exactly the scalar kernel's operation
+/// sequence, so results agree bit for bit.
+///
+/// # Safety
+/// The caller must ensure the host supports AVX2 and that
+/// `quad.len() == 4 * q.len()`.
+// SAFETY: `unsafe fn` for `#[target_feature]` and the unchecked loads
+// justified at their site; both callers are AVX2 kernels that pass a quad
+// of exactly `4 * q.len()` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn quad_sq_dists_avx2(q: &[f64], quad: &[f64]) -> std::arch::x86_64::__m256d {
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd,
+        _mm256_sub_pd,
     };
     debug_assert_eq!(quad.len(), QUAD * q.len());
     let mut acc = _mm256_setzero_pd();
     for (c, &qc) in q.iter().enumerate() {
-        let qv = _mm256_set1_pd(qc);
-        // SAFETY: `quad.len() == 4 * q.len()` (debug-asserted above,
-        // guaranteed by the dispatch wrapper), so the 4-wide unaligned
-        // load at offset `4 * c` is in bounds for every `c < q.len()`.
+        // SAFETY: `quad.len() == 4 * q.len()` (this function's contract),
+        // so the 4-wide unaligned load at offset `4 * c` is in bounds for
+        // every `c < q.len()`.
         let lanes = _mm256_loadu_pd(quad.as_ptr().add(QUAD * c));
-        let d = _mm256_sub_pd(lanes, qv);
+        let d = _mm256_sub_pd(lanes, _mm256_set1_pd(qc));
         acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
     }
-    let mut out = [0.0f64; 4];
-    // SAFETY: `out` is exactly four f64s and the unaligned store has no
-    // alignment requirement.
-    _mm256_storeu_pd(out.as_mut_ptr(), acc);
-    out
+    acc
+}
+
+/// Most quads one [`within_mask_aosoa`] call can cover: one mask bit per
+/// row of a `u64`.
+pub const MASK_QUADS: usize = 64 / QUAD;
+
+/// Ball-membership mask of one query over a run of **AoSoA** quads: bit
+/// `4·k + j` of the result is set iff row `j` of quad `k` satisfies
+/// `‖row − q‖₂² ≤ limit`.
+///
+/// This is the leaf kernel of the store's kd-tree: per row it performs
+/// exactly the operation sequence of a scalar
+/// [`crate::vector::sq_dist`] (see the module docs), then one ordered
+/// `≤` — so a row's bit equals `sq_dist(row, q) <= limit`, the
+/// squared-space membership contract of
+/// [`crate::vector::sq_dist_within`]. A NaN distance compares false
+/// (bit clear), like the scalar `<=`. The kernel has no notion of a
+/// "valid" row: callers that run it over lanes they do not own (a
+/// neighbouring leaf's rows, `+inf` pad rows) trim those bits from the
+/// mask, which is what makes such lanes inert whatever they compare to.
+///
+/// # Panics
+/// Panics on an empty query, a `quads` length that is not a whole number
+/// of quads of dimension `q.len()`, or more than [`MASK_QUADS`] quads
+/// (the AVX2 loads and the mask width rely on these).
+#[inline]
+pub fn within_mask_aosoa(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+    assert!(!q.is_empty(), "within_mask_aosoa: dim must be positive");
+    assert_eq!(
+        quads.len() % (QUAD * q.len()),
+        0,
+        "within_mask_aosoa: ragged quad block"
+    );
+    assert!(
+        quads.len() <= MASK_QUADS * QUAD * q.len(),
+        "within_mask_aosoa: more than MASK_QUADS quads"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 availability was verified by the runtime check on
+        // the line above, and the asserts establish the shape contract
+        // (non-empty `q`, whole quads of dimension `q.len()`, at most 16
+        // of them) the kernel's loads and shifts rely on.
+        return unsafe { within_mask_aosoa_avx2(q, quads, limit) };
+    }
+    within_mask_aosoa_scalar(q, quads, limit)
+}
+
+/// Portable scalar twin of [`within_mask_aosoa`] — the reference
+/// operation sequence the AVX2 kernel must replay, and the kernel that
+/// runs under Miri and on non-AVX2 hosts.
+fn within_mask_aosoa_scalar(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+    let mut mask = 0u64;
+    for (k, quad) in quads.chunks_exact(QUAD * q.len()).enumerate() {
+        for (j, sq) in sq_dists4_aosoa_scalar(q, quad).into_iter().enumerate() {
+            mask |= u64::from(sq <= limit) << (QUAD * k + j);
+        }
+    }
+    mask
+}
+
+/// AVX2 form of [`within_mask_aosoa`]: [`quad_sq_dists_avx2`] per quad,
+/// then one ordered non-signalling `≤` against the broadcast limit and a
+/// `movemask` — four membership bits per quad without leaving the vector
+/// registers.
+///
+/// # Safety
+/// The caller must ensure the host supports AVX2, that `q` is non-empty
+/// and that `quads` holds at most 16 whole quads of dimension `q.len()`
+/// (all checked at the dispatch site).
+// SAFETY: `unsafe fn` solely for `#[target_feature]`; the body's only
+// unchecked operation is the per-quad call below, and the single caller
+// verifies AVX2 and the shape contract before dispatching here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn within_mask_aosoa_avx2(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+    use std::arch::x86_64::{_mm256_cmp_pd, _mm256_movemask_pd, _mm256_set1_pd, _CMP_LE_OQ};
+    let lim = _mm256_set1_pd(limit);
+    let mut mask = 0u64;
+    for (k, quad) in quads.chunks_exact(QUAD * q.len()).enumerate() {
+        // SAFETY: `quad` is a `chunks_exact(4 * q.len())` chunk — the
+        // length `quad_sq_dists_avx2` requires.
+        let acc = quad_sq_dists_avx2(q, quad);
+        // Ordered, non-signalling compare: a NaN lane is false, exactly
+        // like the scalar `<=`. `movemask` yields the four sign bits in
+        // lane order (0..=15), and `k < 16`, so the shift stays in range.
+        let hit = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(acc, lim));
+        mask |= (hit as u64) << (QUAD * k);
+    }
+    mask
 }
 
 /// Fused winner-and-overlap kernel for one query over a whole **AoSoA**
@@ -407,6 +550,110 @@ mod tests {
         assert_eq!(got[1], f64::INFINITY);
         assert!(got[2].is_finite());
         assert_eq!(got[3], f64::INFINITY);
+    }
+
+    #[test]
+    fn row_helpers_agree_with_the_quad_packer() {
+        for dim in [1usize, 2, 3, 8, 17] {
+            let rows = random_rows(12, dim, 40 + dim as u64);
+            let mut packed = Vec::new();
+            pack_quads_aosoa(&rows, dim, &mut packed);
+            let mut scattered = vec![0.0; rows.len()];
+            for (r, row) in rows.chunks_exact(dim).enumerate() {
+                aosoa_set_row(&mut scattered, r, row);
+            }
+            assert_eq!(scattered, packed, "dim {dim}");
+            let mut out = vec![0.0; dim];
+            for (r, row) in rows.chunks_exact(dim).enumerate() {
+                aosoa_row_into(&packed, r, &mut out);
+                assert_eq!(out, row, "dim {dim} row {r}");
+            }
+        }
+    }
+
+    /// Dispatched membership mask, asserted equal to its scalar twin (the
+    /// AVX2-vs-scalar pin on AVX2 hosts, a self-comparison elsewhere).
+    fn mask_pair(q: &[f64], aosoa: &[f64], limit: f64) -> u64 {
+        let mask = within_mask_aosoa(q, aosoa, limit);
+        assert_eq!(
+            mask,
+            within_mask_aosoa_scalar(q, aosoa, limit),
+            "dim {} limit {limit:e}",
+            q.len()
+        );
+        mask
+    }
+
+    #[test]
+    fn mask_kernel_matches_sq_dist_exactly_at_the_limit() {
+        for dim in [1usize, 2, 3, 4, 7, 8, 17, 64] {
+            for quads in [1usize, 2, 5, MASK_QUADS] {
+                let n = quads * QUAD;
+                let rows = random_rows(n, dim, 700 + (dim * quads) as u64);
+                let q = random_rows(1, dim, 800 + dim as u64);
+                let mut aosoa = Vec::new();
+                pack_quads_aosoa(&rows, dim, &mut aosoa);
+                let dists: Vec<f64> = rows
+                    .chunks_exact(dim)
+                    .map(|row| vector::sq_dist(row, &q))
+                    .collect();
+                // Every row's own distance as the limit (inclusive), then
+                // one ulp to either side of it.
+                for &at in &dists {
+                    for limit in [at, at.next_down(), at.next_up()] {
+                        let mask = mask_pair(&q, &aosoa, limit);
+                        for (r, &dist) in dists.iter().enumerate() {
+                            assert_eq!(
+                                mask >> r & 1 == 1,
+                                dist <= limit,
+                                "dim {dim} quads {quads} row {r}"
+                            );
+                        }
+                        let beyond = mask.checked_shr(n as u32).unwrap_or(0);
+                        assert_eq!(beyond, 0, "no bits beyond the block");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_kernel_nan_and_infinite_lanes() {
+        for dim in [1usize, 3, 64] {
+            let n = 2 * QUAD;
+            let mut rows = random_rows(n, dim, 31 + dim as u64);
+            // Row 1: a NaN coordinate. Row 2: a -inf coordinate. Rows 5..8:
+            // the `+inf` pad rows of a partial last quad.
+            rows[dim] = f64::NAN;
+            rows[3 * dim - 1] = f64::NEG_INFINITY;
+            rows[5 * dim..].fill(f64::INFINITY);
+            let q = random_rows(1, dim, 32);
+            let mut aosoa = Vec::new();
+            pack_quads_aosoa(&rows, dim, &mut aosoa);
+            // A finite limit admits the finite rows only.
+            assert_eq!(mask_pair(&q, &aosoa, 1e9), 0b0001_1001);
+            // An infinite one also admits infinite distances — which is
+            // why the kd-tree trims pad lanes instead of trusting them —
+            // but never a NaN distance.
+            assert_eq!(mask_pair(&q, &aosoa, f64::INFINITY), 0b1111_1101);
+            // A NaN limit, or a query that turns `inf − inf` into NaN,
+            // admits nothing it touches.
+            assert_eq!(mask_pair(&q, &aosoa, f64::NAN), 0);
+            let q_inf = vec![f64::INFINITY; dim];
+            assert_eq!(mask_pair(&q_inf, &aosoa, f64::INFINITY) & 0b1110_0000, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged quad block")]
+    fn mask_kernel_rejects_a_partial_quad() {
+        within_mask_aosoa(&[0.0, 0.0], &[0.0; 7], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than MASK_QUADS quads")]
+    fn mask_kernel_rejects_more_rows_than_mask_bits() {
+        within_mask_aosoa(&[0.0], &[0.0; (MASK_QUADS + 1) * QUAD], 1.0);
     }
 
     /// Run the dispatched block kernel and its scalar twin on the same

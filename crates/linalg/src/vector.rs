@@ -136,12 +136,16 @@ pub fn l1_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
 }
 
 /// `true` when `‖a − b‖_∞ ≤ limit` — exits on the first coordinate whose
-/// difference exceeds the bound.
+/// difference is not within the bound. A NaN difference (or bound) is
+/// never within, as in the summing kernels above, where it poisons the
+/// final `acc <= limit`: a row with a NaN coordinate matches under no
+/// norm, which is what lets the indexes file such rows anywhere.
 #[inline]
 pub fn linf_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
     debug_assert_eq!(a.len(), b.len(), "linf_dist_within: length mismatch");
     for (x, y) in a.iter().zip(b.iter()) {
-        if (x - y).abs() > limit {
+        let within = (x - y).abs() <= limit;
+        if !within {
             return false;
         }
     }
@@ -715,6 +719,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_nan_coordinate_or_bound_is_within_nothing_under_every_norm() {
+        let a = [0.0, 0.0, 0.0, 0.0, 0.0];
+        for nan_at in 0..a.len() {
+            let mut b = a;
+            b[nan_at] = f64::NAN;
+            for limit in [0.0, 1.0, f64::INFINITY] {
+                assert!(!sq_dist_within(&a, &b, limit));
+                assert!(!l1_dist_within(&a, &b, limit));
+                assert!(!linf_dist_within(&a, &b, limit));
+                assert!(!lp_dist_within(&a, &b, 3.0, limit));
+            }
+        }
+        assert!(!sq_dist_within(&a, &a, f64::NAN));
+        assert!(!l1_dist_within(&a, &a, f64::NAN));
+        assert!(!linf_dist_within(&a, &a, f64::NAN));
+        assert!(!lp_dist_within(&a, &a, 3.0, f64::NAN));
     }
 
     #[test]

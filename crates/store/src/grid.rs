@@ -28,8 +28,8 @@ pub struct GridIndex {
     ids: Vec<u32>,
     /// Feature rows copied in `ids` order: each bucket owns a contiguous
     /// dimension-strided block for the batched membership kernel
-    /// ([`Norm::within_batch`]). Doubles feature memory, like the
-    /// kd-tree's leaf copy.
+    /// ([`Norm::within_batch`]). Doubles feature memory — the classic
+    /// index space/time trade.
     bucket_xs: Vec<f64>,
 }
 

@@ -21,8 +21,11 @@ pub trait SpatialIndex: Send + Sync {
     /// `‖x_i − center‖_p ≤ radius`, during a single index traversal.
     ///
     /// Rows arrive in ascending id order for
-    /// [`LinearScan`](crate::LinearScan) and in a deterministic but
-    /// unspecified order otherwise.
+    /// [`LinearScan`](crate::LinearScan), in the depth-first order of the
+    /// permuted id array for [`KdTree`](crate::KdTree) (a contract: exact
+    /// answers fold in that order, see the [`kd_tree`](crate::kd_tree)
+    /// module docs) and in a deterministic but unspecified order for
+    /// [`GridIndex`](crate::GridIndex).
     fn visit_ball(
         &self,
         center: &[f64],

@@ -65,7 +65,9 @@ impl Norm {
     ///
     /// `L2` dispatches to the 4-row lockstep kernel
     /// ([`vector::sq_dist_within_batch`]) — the dense inner loop of the
-    /// scan, kd-tree-leaf and grid-bucket access paths; the other norms
+    /// scan and grid-bucket access paths (the kd-tree tests its AoSoA
+    /// leaves with `regq_linalg::simd::within_mask_aosoa`, under the same
+    /// membership contract); the other norms
     /// fall back to the per-row early-exit kernels. Membership follows the
     /// [`Norm::within`] boundary contract exactly for every norm.
     #[inline]

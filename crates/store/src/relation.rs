@@ -101,8 +101,9 @@ impl Relation {
     /// This is the aggregation-pushdown path (no id buffer, no second data
     /// pass): Q1 means, moment accumulators and OLS Gram state all ride
     /// the scan itself, the way a user-defined aggregate runs inside a
-    /// DBMS executor. Lock-free and allocation-free, so concurrent readers
-    /// scale linearly.
+    /// DBMS executor. Lock-free, and allocation-free but for the kd-tree's
+    /// one `d`-float row scratch per traversal, so concurrent readers scale
+    /// linearly.
     pub fn fold_ball<S>(
         &self,
         center: &[f64],

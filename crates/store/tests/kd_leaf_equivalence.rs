@@ -1,0 +1,205 @@
+//! The kd-tree's leaf storage is a private copy of the rows in visiting
+//! order, tested four rows at a time by a SIMD mask kernel. This battery
+//! pins that none of it is observable: the tree must behave **bit for
+//! bit** like the textbook tree that keeps nothing but a permuted id
+//! array and asks [`Norm::within`] about `dataset.x(id)`, one row at a
+//! time.
+//!
+//! The reference below is that textbook tree, rebuilt from the documented
+//! shape (median split under `total_cmp`, axis = depth mod `d`, leaves of
+//! at most sixteen rows, prune a child only when proven far). Agreement
+//! on the **unsorted** id sequence pins the depth-first visiting order —
+//! the contract every exact answer's floating-point fold order rests on —
+//! together with leaves that start at every lane offset of a quad, the
+//! padded last quad, and the inclusive boundary.
+//!
+//! Failures print `REGQ_PROPTEST_SEED=<seed>`; re-run with that variable
+//! set to reproduce the exact case.
+
+use proptest::prelude::*;
+use rand::RngExt;
+use regq_data::rng::seeded;
+use regq_data::Dataset;
+use regq_linalg::{GramAccumulator, OnlineStats};
+use regq_store::{KdTree, Norm, SpatialIndex};
+use std::sync::Arc;
+
+// 35 and 77 split into leaves that start at lanes 1, 2 and 3 of a quad
+// (17 and 33 only ever produce lane-0 starts); 1 000 has every offset.
+const SIZES: [usize; 12] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 35, 77, 1_000];
+const DIMS: [usize; 8] = [1, 2, 3, 4, 8, 16, 17, 32];
+const NORMS: [Norm; 4] = [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)];
+const LEAF_SIZE: usize = 16;
+
+/// The textbook tree: ids only, rows fetched from the dataset.
+enum RefNode {
+    Leaf(Vec<usize>),
+    Split {
+        axis: usize,
+        split: f64,
+        left: Box<RefNode>,
+        right: Box<RefNode>,
+    },
+}
+
+fn build_reference(data: &Dataset, ids: &mut [usize], depth: usize) -> RefNode {
+    if ids.len() <= LEAF_SIZE {
+        return RefNode::Leaf(ids.to_vec());
+    }
+    let axis = depth % data.dim();
+    let mid = ids.len() / 2;
+    ids.select_nth_unstable_by(mid, |&a, &b| data.x(a)[axis].total_cmp(&data.x(b)[axis]));
+    let split = data.x(ids[mid])[axis];
+    let (lo, hi) = ids.split_at_mut(mid);
+    RefNode::Split {
+        axis,
+        split,
+        left: Box::new(build_reference(data, lo, depth + 1)),
+        right: Box::new(build_reference(data, hi, depth + 1)),
+    }
+}
+
+fn walk_reference(
+    node: &RefNode,
+    data: &Dataset,
+    center: &[f64],
+    radius: f64,
+    norm: Norm,
+    out: &mut Vec<usize>,
+) {
+    match node {
+        RefNode::Leaf(ids) => out.extend(
+            ids.iter()
+                .filter(|&&id| norm.within(center, data.x(id), radius)),
+        ),
+        RefNode::Split {
+            axis,
+            split,
+            left,
+            right,
+        } => {
+            let delta = center[*axis] - split;
+            let (left_far, right_far) = (delta > radius, -delta > radius);
+            if !left_far {
+                walk_reference(left, data, center, radius, norm, out);
+            }
+            if !right_far {
+                walk_reference(right, data, center, radius, norm, out);
+            }
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The three fold states the exact engines ride on the traversal.
+struct Folds {
+    sum: f64,
+    stats: OnlineStats,
+    gram: GramAccumulator,
+}
+
+impl Folds {
+    fn new(d: usize) -> Self {
+        Folds {
+            sum: 0.0,
+            stats: OnlineStats::new(),
+            gram: GramAccumulator::new(d + 1),
+        }
+    }
+
+    fn push(&mut self, x: &[f64], u: f64) {
+        self.sum += u;
+        self.stats.push(u);
+        self.gram.push_affine(x, u);
+    }
+
+    fn to_bits(&self) -> Vec<u64> {
+        let mut out = vec![self.stats.count()];
+        out.extend(bits(&[
+            self.sum,
+            self.stats.mean(),
+            self.stats.variance(),
+            self.gram.sum_y(),
+            self.gram.yty(),
+        ]));
+        out.extend(bits(self.gram.xty()));
+        out.extend(bits(self.gram.gram_matrix().as_slice()));
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn leaf_kernel_is_unobservable(seed in any::<u64>()) {
+        let mut rng = seeded(seed);
+        for n in SIZES {
+            for d in DIMS {
+                let mut ds = Dataset::new(d);
+                for _ in 0..n {
+                    let x: Vec<f64> = (0..d).map(|_| rng.random_range(-1.0..1.0)).collect();
+                    ds.push(&x, rng.random_range(-5.0..5.0)).unwrap();
+                }
+                let data = Arc::new(ds);
+                let tree = KdTree::build(data.clone());
+                let mut ids: Vec<usize> = (0..n).collect();
+                let reference = build_reference(&data, &mut ids, 0);
+
+                for norm in NORMS {
+                    for probe in 0..4 {
+                        // Balls centred on (or near) a stored row, with a
+                        // radius that puts another stored row exactly on
+                        // the boundary — or a random ball when there is no
+                        // row to aim at.
+                        let (center, radius) = if n == 0 || probe == 3 {
+                            let c: Vec<f64> =
+                                (0..d).map(|_| rng.random_range(-1.2..1.2)).collect();
+                            (c, rng.random_range(0.0..1.5) * (d as f64).sqrt())
+                        } else {
+                            let c = data.x(rng.random_range(0..n)).to_vec();
+                            let r = norm.dist(&c, data.x(rng.random_range(0..n)));
+                            (c, r)
+                        };
+
+                        let mut want = Vec::new();
+                        walk_reference(&reference, &data, &center, radius, norm, &mut want);
+
+                        // (a) the same id sequence, unsorted.
+                        let mut got = Vec::new();
+                        tree.query_ball(&center, radius, norm, &mut got);
+                        prop_assert_eq!(&got, &want, "n {} d {} {:?} r {}", n, d, norm, radius);
+                        prop_assert_eq!(tree.count_ball(&center, radius, norm), want.len());
+
+                        // (b) folds over the traversal carry the same bits
+                        // as folds over the dataset in reference order.
+                        let folded =
+                            tree.fold_ball(&center, radius, norm, Folds::new(d), |s, _, x, u| {
+                                s.push(x, u)
+                            });
+                        let mut from_data = Folds::new(d);
+                        for &id in &want {
+                            from_data.push(data.x(id), data.y(id));
+                        }
+                        prop_assert_eq!(
+                            folded.to_bits(),
+                            from_data.to_bits(),
+                            "n {} d {} {:?}: fold state", n, d, norm
+                        );
+
+                        // (c) the visitor's row is the dataset's row, bitwise.
+                        let mut rows_match = true;
+                        tree.visit_ball(&center, radius, norm, &mut |id, x, u| {
+                            rows_match &= bits(x) == bits(data.x(id));
+                            rows_match &= u.to_bits() == data.y(id).to_bits();
+                        });
+                        prop_assert!(rows_match, "n {} d {} {:?}: visitor row", n, d, norm);
+                    }
+                }
+            }
+        }
+    }
+}

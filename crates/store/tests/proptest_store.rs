@@ -25,6 +25,17 @@ fn norm_strategy() -> impl Strategy<Value = Norm> {
     ]
 }
 
+/// Mostly finite coordinates, with NaN (either sign) and ±∞ mixed in.
+fn hostile_coordinate() -> impl Strategy<Value = f64> {
+    (0..16u32, -1.0..1.0f64).prop_map(|(kind, finite)| match kind {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        _ => finite,
+    })
+}
+
 fn sorted(mut v: Vec<usize>) -> Vec<usize> {
     v.sort_unstable();
     v
@@ -193,6 +204,36 @@ proptest! {
         grid.query_ball(&[constant + center_offset, cy], r, norm, &mut got);
         scan.query_ball(&[constant + center_offset, cy], r, norm, &mut want);
         prop_assert_eq!(sorted(got.clone()), want, "off-value ball");
+    }
+
+    /// Hostile rows: `Dataset::push` accepts any `f64`, so a table may
+    /// carry NaN and ±∞ coordinates. Every index builds over them without
+    /// panicking and all three paths still return the same row set under
+    /// all four norms — a NaN coordinate matches nothing, an infinite one
+    /// only an infinite ball — for finite and non-finite balls alike.
+    #[test]
+    fn access_paths_agree_on_non_finite_rows(
+        rows in prop::collection::vec(prop::collection::vec(hostile_coordinate(), 3), 0..120),
+        c in prop::collection::vec(hostile_coordinate(), 3),
+        r in prop_oneof![0.0..3.0f64, 0.0..3.0f64, Just(f64::INFINITY), Just(f64::NAN)],
+    ) {
+        let mut ds = Dataset::new(3);
+        for row in &rows {
+            ds.push(row, 0.0).unwrap();
+        }
+        let data = Arc::new(ds);
+        let scan = LinearScan::new(data.clone());
+        let tree = KdTree::build(data.clone());
+        let grid = GridIndex::build(data);
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
+            let (mut s, mut t, mut g) = (Vec::new(), Vec::new(), Vec::new());
+            scan.query_ball(&c, r, norm, &mut s);
+            tree.query_ball(&c, r, norm, &mut t);
+            grid.query_ball(&c, r, norm, &mut g);
+            prop_assert_eq!(&s, &sorted(t), "kd-tree vs scan, {:?} r {}", norm, r);
+            prop_assert_eq!(&s, &sorted(g), "grid vs scan, {:?} r {}", norm, r);
+            prop_assert_eq!(tree.count_ball(&c, r, norm), s.len());
+        }
     }
 
     /// Selections are monotone in the radius: a bigger ball returns a
