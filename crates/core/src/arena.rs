@@ -20,10 +20,16 @@
 //! so the winner search and the overlap scan stream linearly through
 //! memory as single fused passes over the 4-row batched distance kernel
 //! ([`regq_linalg::vector::sq_dists4`]; the store-side scans route
-//! through its sibling `sq_dist_within_batch`). All batched
-//! results are **bit-identical** to the per-prototype scalar path (the
-//! kernels perform the same additions in the same order), which the
-//! `arena_equivalence` proptests pin.
+//! through its sibling `sq_dist_within_batch`). These two **scalar
+//! passes** ([`PrototypeArena::winner`],
+//! [`PrototypeArena::overlap_set_into`]) are the oracle of the crate:
+//! bit-identical to the per-prototype reference path (the kernels perform
+//! the same additions in the same order — the `arena_equivalence`
+//! proptests pin it), shared by the trainer, `LlmModel` and the
+//! snapshot's unpruned predictors. The served path resolves through the
+//! [`BlockLayout`] below instead — the one production resolver, pinned
+//! bit-identical to the scalar passes by the `serving_equivalence`
+//! battery.
 //!
 //! [`crate::prototype::Prototype`] remains the *owned* exchange form used
 //! at the API edges (persistence, codebook surgery, snapshots); on the
@@ -33,12 +39,12 @@
 use crate::prototype::Prototype;
 use crate::query::Query;
 use regq_linalg::simd;
-use regq_linalg::tune::{self, QUAD, QUERY_BLOCK, ROW_TILE};
+use regq_linalg::tune::{self, QUAD, ROW_TILE};
 use regq_linalg::vector;
 use serde::{Deserialize, Serialize};
 
-/// The result of one fused batched winner/overlap pass
-/// ([`PrototypeArena::resolve_batch`]): per query, the winner `(index,
+/// The result of one batched winner/overlap resolution
+/// ([`BlockLayout::resolve_batch_pruned`]): per query, the winner `(index,
 /// squared joint distance)` and the overlap neighborhood `W(q)` as CSR
 /// `(offsets, entries)` slices. Reusable — internal buffers are
 /// retained across calls, so a serving thread resolves batches
@@ -48,16 +54,14 @@ pub struct BatchResolution {
     winners: Vec<(usize, f64)>,
     offsets: Vec<usize>,
     entries: Vec<(usize, f64)>,
-    // Scratch (retained capacity, contents meaningless between calls).
-    block_sets: Vec<Vec<(usize, f64)>>,
-    // Pruned-path scratch ([`BlockLayout::resolve_batch_pruned`]): the
-    // per-block lower bounds of one query.
+    // Scratch (retained capacity, contents meaningless between calls):
+    // the per-block lower bounds of one query.
     lbs: Vec<f64>,
 }
 
 impl BatchResolution {
     /// Empty resolution ready to be filled by
-    /// [`PrototypeArena::resolve_batch`].
+    /// [`BlockLayout::resolve_batch_pruned`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -495,82 +499,6 @@ impl PrototypeArena {
         }
     }
 
-    /// Fused batched winner **and** overlap resolution: one pass over the
-    /// packed prototype blocks per query block, each center distance
-    /// computed once and reused for both the winner update and the
-    /// membership test (the scalar path pays two passes — winner, then
-    /// overlap — and computes every distance twice).
-    ///
-    /// **Bit-identity contract.** The whole resolution runs on
-    /// [`regq_linalg::vector::winner_overlap_block`], whose per-pair
-    /// summation order is exactly the scalar kernel's; the packed center
-    /// block is cut at `ROW_TILE` (a multiple of 4) rows, so quad
-    /// boundaries — and with them the `sq_dists4`-vs-`sq_dist` tail split
-    /// — line up with [`PrototypeArena::winner`] /
-    /// [`PrototypeArena::overlap_set_into`] for any `K`. Winner updates
-    /// keep strict-`<` ascending-scan semantics (ties keep the lowest
-    /// index), and overlap members are pushed in ascending index with the
-    /// same membership arithmetic, so for every query the resolution
-    /// equals the scalar calls **bit for bit** — the invariant the
-    /// `batch_equivalence` proptests pin.
-    ///
-    /// Must be called on a non-empty arena with dimension-checked
-    /// queries (the snapshot layer enforces both).
-    pub fn resolve_batch(&self, queries: &[Query], out: &mut BatchResolution) {
-        out.clear();
-        debug_assert!(self.len > 0, "resolve_batch: empty arena");
-        let d = self.dim;
-        let BatchResolution {
-            winners,
-            offsets,
-            entries,
-            block_sets,
-            ..
-        } = out;
-        offsets.push(0);
-        while block_sets.len() < QUERY_BLOCK {
-            block_sets.push(Vec::new());
-        }
-        for block in queries.chunks(QUERY_BLOCK) {
-            let bq = block.len();
-            for q in block {
-                debug_assert_eq!(q.center.len(), d, "resolve_batch: dimension mismatch");
-            }
-            let mut best = [(0usize, f64::INFINITY); QUERY_BLOCK];
-            for set in block_sets.iter_mut().take(bq) {
-                set.clear();
-            }
-            let mut k = 0usize;
-            for rows in self.centers.chunks(ROW_TILE * d) {
-                let nr = rows.len() / d;
-                // `k` is a multiple of ROW_TILE (itself a multiple of
-                // `tune::QUAD`), so quad boundaries inside the cut line up
-                // with the arena-global quad boundaries of the scalar
-                // kernels.
-                tune::assert_tile_invariants(k);
-                let radii = &self.radii[k..k + nr];
-                for (qi, q) in block.iter().enumerate() {
-                    vector::winner_overlap_block(
-                        &q.center,
-                        q.radius,
-                        rows,
-                        radii,
-                        d,
-                        k,
-                        &mut best[qi],
-                        &mut block_sets[qi],
-                    );
-                }
-                k += nr;
-            }
-            for qi in 0..bq {
-                winners.push(best[qi]);
-                entries.extend_from_slice(&block_sets[qi]);
-                offsets.push(entries.len());
-            }
-        }
-    }
-
     /// Build the clustered, bounds-cached serving layout over the current
     /// prototypes ([`BlockLayout::build`]) — `O(dK + K log K)`, paid once
     /// per immutable snapshot capture.
@@ -654,8 +582,9 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// stages per query — a per-block lower bound that discards blocks which
 /// provably cannot contain the winner or any overlapping ball, then the
 /// bit-exact kernel over the rest — and produces a [`BatchResolution`]
-/// **bit-identical** to [`PrototypeArena::resolve_batch`] on the source
-/// arena (the `pruned_equivalence` batteries pin this).
+/// **bit-identical** to the scalar passes ([`PrototypeArena::winner`] +
+/// [`PrototypeArena::overlap_set_into`]) on the source arena for every
+/// query (the `serving_equivalence` battery pins this).
 ///
 /// **Why the bound needs no slack.** The bound replays the kernel's own
 /// operation sequence on the block's box instead of a row: `acc = 0`,
@@ -762,7 +691,7 @@ impl BlockLayout {
         for &(lo, hi) in &ranges {
             // Ascending arena order inside the block: the kernel's
             // strict-`<` first-wins scan then picks the lowest arena
-            // index per block, as the unpruned scan does globally.
+            // index per block, as the scalar scan does globally.
             order[lo..hi].sort_unstable();
             let n = hi - lo;
             let padded = n.div_ceil(QUAD) * QUAD;
@@ -913,7 +842,7 @@ impl BlockLayout {
         );
         let nb = self.blocks.len();
         counters.blocks += nb as u64;
-        // Seeded like the unpruned scan's `(0, ∞)`.
+        // Seeded like the scalar winner scan's `(0, ∞)`.
         let mut best = (0usize, f64::INFINITY);
         if nb == 1 {
             counters.verified += 1;
@@ -953,10 +882,10 @@ impl BlockLayout {
     /// that provably cannot contain the winner or any overlapping ball,
     /// and the bit-exact whole-block AoSoA kernel
     /// ([`simd::winner_overlap_block_aosoa`]) resolves the rest. The
-    /// filled [`BatchResolution`] is **bit-identical** to
-    /// [`PrototypeArena::resolve_batch`] on the source arena for every
-    /// query (see the type docs for the argument); `counters` is
-    /// accumulated, never reset, so callers can aggregate across calls.
+    /// filled [`BatchResolution`] is **bit-identical** to the scalar
+    /// passes on the source arena for every query (see the type docs for
+    /// the argument); `counters` is accumulated, never reset, so callers
+    /// can aggregate across calls.
     ///
     /// Must be called on a non-empty layout with dimension-checked
     /// queries (the snapshot layer enforces both).
@@ -981,7 +910,7 @@ impl BlockLayout {
             winners.push(self.resolve_query(q, lbs, entries, counters));
             // Ascending arena order restores the scalar path's exact
             // fusion summation order; degrees are per-pair
-            // bit-identical, so the CSR equals the unpruned one.
+            // bit-identical, so the CSR equals the scalar pass's set.
             entries[at..].sort_unstable_by_key(|e| e.0);
             offsets.push(entries.len());
         }
@@ -1099,40 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_batch_is_bit_identical_to_scalar_passes() {
-        let mut rng = StdRng::seed_from_u64(9);
-        // K values straddling the quad and ROW_TILE boundaries.
-        for k in [1usize, 3, 4, 5, 63, 64, 65, 130] {
-            let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, k as u64));
-            let queries: Vec<Query> = (0..37)
-                .map(|_| {
-                    let c: Vec<f64> = (0..3).map(|_| rng.random_range(-1.5..1.5)).collect();
-                    Query::new_unchecked(c, rng.random_range(0.01..1.0))
-                })
-                .collect();
-            let mut res = BatchResolution::new();
-            arena.resolve_batch(&queries, &mut res);
-            assert_eq!(res.len(), queries.len());
-            let mut scalar_set = Vec::new();
-            for (i, q) in queries.iter().enumerate() {
-                let want = arena.winner(&q.center, q.radius).unwrap();
-                assert_eq!(res.winner(i), want, "K={k} query {i} winner");
-                arena.overlap_set_into(&q.center, q.radius, &mut scalar_set);
-                assert_eq!(res.overlap(i), &scalar_set[..], "K={k} query {i} overlap");
-            }
-        }
-    }
-
-    #[test]
-    fn resolve_batch_of_empty_query_slice_is_empty() {
-        let arena = PrototypeArena::from_prototypes(2, &random_protos(5, 2, 1));
-        let mut res = BatchResolution::new();
-        arena.resolve_batch(&[], &mut res);
-        assert!(res.is_empty());
-        assert_eq!(res.len(), 0);
-    }
-
-    #[test]
     fn empty_arena_has_no_winner_and_no_overlap() {
         let arena = PrototypeArena::new(2);
         assert!(arena.winner(&[0.0, 0.0], 0.1).is_none());
@@ -1244,53 +1139,66 @@ mod tests {
         }
     }
 
+    /// Resolve `queries` through `layout` and assert the resolution equals
+    /// the scalar passes over `arena` — winner and overlap set, bit for
+    /// bit — with every `(query, block)` visit counted exactly once.
+    fn assert_matches_scalar_passes(
+        arena: &PrototypeArena,
+        layout: &BlockLayout,
+        queries: &[Query],
+        res: &mut BatchResolution,
+    ) -> ScreenCounters {
+        let mut counters = ScreenCounters::default();
+        layout.resolve_batch_pruned(queries, res, &mut counters);
+        assert_eq!(res.len(), queries.len());
+        assert_eq!(res.is_empty(), queries.is_empty());
+        let mut set = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let (wk, wsq) = arena.winner(&q.center, q.radius).unwrap();
+            let (gk, gsq) = res.winner(i);
+            assert_eq!((gk, gsq.to_bits()), (wk, wsq.to_bits()), "q{i} winner");
+            arena.overlap_set_into(&q.center, q.radius, &mut set);
+            let got = res.overlap(i);
+            assert_eq!(got.len(), set.len(), "q{i} overlap size");
+            for (a, b) in got.iter().zip(&set) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "q{i} overlap");
+            }
+        }
+        // Counted — never silent: every visit lands in exactly one
+        // bucket, and a bound is evaluated for every visit unless the
+        // layout is a single block.
+        assert_eq!(
+            counters.blocks,
+            (queries.len() * layout.num_blocks()) as u64
+        );
+        assert_eq!(counters.skipped + counters.verified, counters.blocks);
+        let bounded = if layout.num_blocks() > 1 {
+            counters.blocks
+        } else {
+            0
+        };
+        assert_eq!(counters.screened, bounded);
+        counters
+    }
+
     #[test]
-    fn screening_resolve_pruned_matches_resolve_batch() {
+    fn screening_resolve_pruned_matches_scalar_passes() {
         let mut rng = StdRng::seed_from_u64(11);
-        // K values straddling the quad and ROW_TILE boundaries, batch
-        // sizes straddling QUERY_BLOCK.
+        let mut res = BatchResolution::new();
+        // K values straddling the quad and ROW_TILE boundaries; an empty
+        // batch resolves to an empty resolution.
         for k in [1usize, 3, 4, 5, 63, 64, 65, 130, 257] {
             let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, k as u64));
             let layout = arena.build_layout();
             assert_layout_well_formed(&layout, k, 3);
-            for nq in [1usize, 7, 16, 37] {
+            for nq in [0usize, 1, 7, 16, 37] {
                 let queries: Vec<Query> = (0..nq)
                     .map(|_| {
                         let c: Vec<f64> = (0..3).map(|_| rng.random_range(-1.5..1.5)).collect();
                         Query::new_unchecked(c, rng.random_range(0.01..1.0))
                     })
                     .collect();
-                let mut want = BatchResolution::new();
-                arena.resolve_batch(&queries, &mut want);
-                let mut got = BatchResolution::new();
-                let mut counters = ScreenCounters::default();
-                layout.resolve_batch_pruned(&queries, &mut got, &mut counters);
-                assert_eq!(got.len(), want.len());
-                for i in 0..queries.len() {
-                    let (wg, ws) = want.winner(i);
-                    let (gg, gs) = got.winner(i);
-                    assert_eq!((gg, gs.to_bits()), (wg, ws.to_bits()), "K={k} q{i} winner");
-                    let we = want.overlap(i);
-                    let ge = got.overlap(i);
-                    assert_eq!(ge.len(), we.len(), "K={k} q{i} overlap size");
-                    for (a, b) in ge.iter().zip(we) {
-                        assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "K={k} q{i}");
-                    }
-                }
-                // Counted — never silent: every visit lands in exactly
-                // one bucket, and a bound is evaluated for every visit
-                // unless the layout is a single block.
-                assert_eq!(
-                    counters.blocks,
-                    (queries.len() * layout.num_blocks()) as u64
-                );
-                assert_eq!(counters.skipped + counters.verified, counters.blocks);
-                let bounded = if layout.num_blocks() > 1 {
-                    counters.blocks
-                } else {
-                    0
-                };
-                assert_eq!(counters.screened, bounded);
+                assert_matches_scalar_passes(&arena, &layout, &queries, &mut res);
             }
         }
     }
@@ -1321,15 +1229,8 @@ mod tests {
                 Query::new_unchecked(c, 0.05)
             })
             .collect();
-        let mut want = BatchResolution::new();
-        arena.resolve_batch(&queries, &mut want);
-        let mut got = BatchResolution::new();
-        let mut counters = ScreenCounters::default();
-        layout.resolve_batch_pruned(&queries, &mut got, &mut counters);
-        for i in 0..queries.len() {
-            assert_eq!(got.winner(i), want.winner(i), "q{i}");
-            assert_eq!(got.overlap(i), want.overlap(i), "q{i}");
-        }
+        let counters =
+            assert_matches_scalar_passes(&arena, &layout, &queries, &mut BatchResolution::new());
         // Each query must at least prune the far cluster (half the blocks).
         assert!(
             counters.skip_rate() >= 0.5,
@@ -1340,25 +1241,23 @@ mod tests {
 
     #[test]
     fn screening_scratch_reuse_is_clean_across_calls() {
-        // Re-using one BatchResolution + counters across layouts of
-        // different block counts must not leak stale scratch.
+        // Re-using one BatchResolution across layouts of different block
+        // counts must not leak stale scratch.
         let mut res = BatchResolution::new();
-        let mut counters = ScreenCounters::default();
         let q = Query::new_unchecked(vec![0.1, -0.2, 0.3], 0.2);
-        let mut total_blocks = 0u64;
         for k in [257usize, 4, 130] {
             let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, 90 + k as u64));
             let layout = arena.build_layout();
-            layout.resolve_batch_pruned(std::slice::from_ref(&q), &mut res, &mut counters);
-            let mut want = BatchResolution::new();
-            arena.resolve_batch(std::slice::from_ref(&q), &mut want);
-            assert_eq!(res.len(), 1);
-            assert_eq!(res.winner(0), want.winner(0), "K={k}");
-            assert_eq!(res.overlap(0), want.overlap(0), "K={k}");
-            total_blocks += layout.num_blocks() as u64;
+            assert_matches_scalar_passes(&arena, &layout, std::slice::from_ref(&q), &mut res);
         }
         // Counters accumulate (never reset) across calls.
-        assert_eq!(counters.blocks, total_blocks);
+        let arena = PrototypeArena::from_prototypes(3, &random_protos(130, 3, 3));
+        let layout = arena.build_layout();
+        let mut counters = ScreenCounters::default();
+        for _ in 0..3 {
+            layout.resolve_batch_pruned(std::slice::from_ref(&q), &mut res, &mut counters);
+        }
+        assert_eq!(counters.blocks, 3 * layout.num_blocks() as u64);
         assert_eq!(counters.skipped + counters.verified, counters.blocks);
     }
 
@@ -1377,16 +1276,7 @@ mod tests {
             Query::new_unchecked(vec![0.2, -0.1], 0.3),
             Query::new_unchecked(vec![-1e200, 1e200], 1e190),
         ];
-        let mut want = BatchResolution::new();
-        arena.resolve_batch(&queries, &mut want);
-        let mut got = BatchResolution::new();
-        let mut counters = ScreenCounters::default();
-        layout.resolve_batch_pruned(&queries, &mut got, &mut counters);
-        for i in 0..queries.len() {
-            assert_eq!(got.winner(i), want.winner(i), "q{i}");
-            assert_eq!(got.overlap(i), want.overlap(i), "q{i}");
-        }
-        assert_eq!(counters.skipped + counters.verified, counters.blocks);
+        assert_matches_scalar_passes(&arena, &layout, &queries, &mut BatchResolution::new());
     }
 
     proptest! {

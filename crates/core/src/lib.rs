@@ -37,8 +37,8 @@
 //!   (Definition 5).
 //! * [`overlap`] — overlap predicate and degree `δ` (Eq. 9).
 //! * [`prototype`] — the owned prototype exchange form (Theorem 3 views).
-//! * [`arena`] — struct-of-arrays prototype storage + batched
-//!   winner/overlap scans (the serving-path data layout).
+//! * [`arena`] — struct-of-arrays prototype storage, the scalar
+//!   winner/overlap passes and the pruned serving layout.
 //! * [`schedule`] — SGD learning-rate schedules (§II-B).
 //! * [`config`] — vigilance/γ/schedule configuration.
 //! * [`model`] — the [`LlmModel`]: Algorithm 1 training.
@@ -48,7 +48,7 @@
 //! * [`adapt`] — extension E-2/E-3: drift adaptation, merge & prune.
 //! * [`confidence`] — desideratum D2: when to trust a served answer.
 //! * [`snapshot`] — the immutable, publishable serving half of the
-//!   train/serve split.
+//!   train/serve split, and the one resolver behind every served answer.
 //! * [`persist`] — versioned text persistence (plus `serde` derives).
 
 #![deny(missing_docs)]
@@ -84,9 +84,7 @@ pub use prototype::Prototype;
 pub use query::Query;
 pub use schedule::LearningSchedule;
 pub use snapshot::{
-    sharded_q1_with_confidence, sharded_q1_with_confidence_batch,
     sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
-    sharded_q2_with_confidence, sharded_q2_with_confidence_batch,
     sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, ServingSnapshot,
     ShardPart,
 };

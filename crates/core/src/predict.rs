@@ -3,15 +3,18 @@
 //!
 //! Prediction never touches the underlying data — it is `O(dK)` over the
 //! prototype set, which is the paper's efficiency/scalability claim
-//! (Section V, "Convergence & Complexity"). On top of that bound, the
-//! snapshot serving path can go *output-sensitive*: the pruned
-//! resolvers ([`crate::snapshot::ServingSnapshot::predict_q1_with_confidence_pruned`]
-//! and siblings) discard whole prototype blocks through
-//! [`crate::arena::BlockLayout`]'s cached bounds before the exact `O(dK)`
-//! kernels run over the rest — bit-identical answers, with every
-//! pruning decision counted into [`crate::arena::ScreenCounters`]. The
-//! fusion drivers in this module are shared by both resolutions, so a
-//! pruned and an unpruned answer can never disagree about the route.
+//! (Section V, "Convergence & Complexity"). The drivers in this module
+//! are the **scalar oracle**: two plain passes over the arena (winner,
+//! then `W(q)`), shared by [`LlmModel`], the trainer and the snapshot's
+//! unpruned predictors. On top of that bound the served path goes
+//! *output-sensitive*: [`crate::snapshot`]'s one resolver
+//! ([`crate::snapshot::ServingSnapshot::predict_q1_with_confidence_pruned`]
+//! and siblings) discards whole prototype blocks through
+//! [`crate::arena::BlockLayout`]'s cached bounds before the exact kernel
+//! runs over the rest — bit-identical answers, with every pruning
+//! decision counted into [`crate::arena::ScreenCounters`]. The fusion
+//! fold (`fuse_weights_from_set`) is shared by both, so a served and
+//! an oracle answer can never disagree about the route.
 
 use crate::arena::PrototypeArena;
 use crate::error::CoreError;
@@ -76,37 +79,28 @@ pub(crate) fn for_each_overlap_weight_with_winner(
     drive_overlap_weights(arena, center, radius, Some(winner), f)
 }
 
-/// Length/total form of the fallback decision, shared with the
-/// cross-shard fusion driver ([`crate::snapshot`]'s sharded predictors),
-/// which stores its merged overlap set in a different shape. One function
-/// so the degeneracy rule cannot drift between the single-arena and
-/// sharded paths.
-#[inline]
-pub(crate) fn fusion_degenerate(len: usize, total: f64) -> bool {
-    len == 0 || total <= 0.0
-}
-
 /// Fold a *resolved* overlap set into normalized fusion weights: sum the
-/// degrees, decide degeneracy ([`fusion_degenerate`] — empty set, or a
-/// non-empty set whose members are all exactly tangent), and hand each
-/// `(k, δ/total)` pair to `f` — or the winner with weight 1 on the
-/// fallback path. `winner` is resolved lazily so the scalar no-winner
-/// path still skips its extra `O(dK)` scan unless the fallback fires.
+/// degrees in slice order, decide degeneracy (an empty set, or a
+/// non-empty set whose members are all exactly tangent — zero total
+/// weight either way), and hand each `(slot, δ/total)` pair to `f` — or
+/// the winner with weight 1 on the fallback path. `winner` is resolved
+/// lazily so the scalar no-winner path still skips its extra `O(dK)`
+/// scan unless the fallback fires.
 ///
-/// This is the single fusion fold shared by the scalar drivers (below,
-/// via the thread-local scratch) and the batched predictors
-/// ([`crate::snapshot`], over CSR slices of a
-/// [`crate::arena::BatchResolution`]): one function, so the batch path
-/// replays the exact floating-point operation sequence of the scalar
-/// path — summation order, degeneracy rule, division — and stays
-/// bit-identical to it.
-pub(crate) fn fuse_weights_from_set(
-    set: &[(usize, f64)],
-    winner: impl FnOnce() -> usize,
-    mut f: impl FnMut(usize, f64),
+/// This is the **single fusion fold** of the crate. The scalar oracle
+/// runs it over `(arena index, δ)` pairs in the thread-local scratch
+/// (below); the served path ([`crate::snapshot`]) runs it over merged
+/// `((global id, part, local index), δ)` entries sorted into global arena
+/// order. One function, so the served path replays the exact
+/// floating-point operation sequence of the oracle — summation order,
+/// degeneracy rule, division — and stays bit-identical to it.
+pub(crate) fn fuse_weights_from_set<S: Copy>(
+    set: &[(S, f64)],
+    winner: impl FnOnce() -> S,
+    mut f: impl FnMut(S, f64),
 ) -> FusionInfo {
     let total: f64 = set.iter().map(|(_, d)| d).sum();
-    if fusion_degenerate(set.len(), total) {
+    if set.is_empty() || total <= 0.0 {
         f(winner(), 1.0);
         FusionInfo {
             fused: false,
@@ -318,12 +312,11 @@ impl LlmModel {
 /// prototype carrying its own heap allocations), exactly as the serving
 /// loop ran before the struct-of-arrays refactor.
 ///
-/// Two consumers keep it alive:
-///
-/// * the `arena_equivalence` proptests, which pin the arena path
-///   bit-identical to this one (Q1, Q2, data value, winner, overlap set);
-/// * `bench_report`'s `serving` section, which measures the arena's
-///   throughput win against this baseline at K ∈ {64 … 4096}.
+/// One consumer keeps it alive: the `arena_equivalence` proptests, which
+/// pin the arena's scalar passes bit-identical to this one (Q1, Q2, data
+/// value, winner, overlap set) — the first link of the bit-identity
+/// chain `reference` ← scalar oracle ← the one served resolver
+/// (`docs/INVARIANTS.md`).
 ///
 /// Functions take the snapshot from [`LlmModel::prototypes`] and return
 /// `None` where the model methods would report
@@ -429,16 +422,20 @@ mod tests {
     fn fusion_fallback_decision_covers_the_non_empty_all_tangent_set() {
         // The non-empty zero-total-weight case cannot be reached end to
         // end today (`overlap_set_into` filters δ = 0 members), so the
-        // decision is pinned here directly: a non-empty but all-tangent
-        // set must take the winner fallback, never the weighted fusion.
-        assert!(fusion_degenerate(0, 0.0), "empty set falls back");
-        assert!(
-            fusion_degenerate(2, 0.0),
-            "non-empty all-tangent set falls back (zero total weight)"
+        // decision is pinned on the shared fold directly: a non-empty but
+        // all-tangent set must take the winner-with-weight-1 fallback,
+        // never the weighted fusion — exactly like the empty set.
+        let mut calls = Vec::new();
+        let info = fuse_weights_from_set(&[], || 7usize, |k, w| calls.push((k, w)));
+        assert_eq!((calls, info.fused, info.mass), (vec![(7, 1.0)], false, 0.0));
+        // Any positive mass, however small, fuses.
+        let mut calls = Vec::new();
+        let info = fuse_weights_from_set(&[(2usize, 1e-300)], || 7, |k, w| calls.push((k, w)));
+        assert_eq!(
+            (calls, info.fused, info.mass),
+            (vec![(2, 1.0)], true, 1e-300)
         );
-        assert!(!fusion_degenerate(1, 0.5), "positive mass fuses");
-        assert!(!fusion_degenerate(2, 0.2 + 1e-300));
-        // And the shared fold takes the winner-with-weight-1 path on it.
+        // The non-empty all-tangent set (zero total weight) falls back.
         let mut calls = Vec::new();
         let info = fuse_weights_from_set(&[(0, 0.0), (3, 0.0)], || 7, |k, w| calls.push((k, w)));
         assert_eq!(calls, vec![(7, 1.0)]);

@@ -10,11 +10,20 @@
 //! [`crate::confidence`] assessment needs — together with the
 //! configuration that fixes the vigilance `ρ`.
 //!
-//! Every prediction algorithm on the snapshot delegates to the *same*
-//! arena-level drivers as the model ([`crate::predict`] /
-//! [`crate::confidence`]), so a snapshot taken at step `t` answers every
-//! query **bit-identically** to the model frozen at step `t` — the
-//! invariant the serving layer's equivalence proptests pin.
+//! Two predictor families live here, and only two. The **scalar
+//! oracle** (`predict_q1/q2/value`, `confidence`,
+//! `predict_q{1,2}_with_confidence`, `winner`, `overlap_set_into`)
+//! delegates to the *same* arena-level drivers as the model
+//! ([`crate::predict`] / [`crate::confidence`]), so a snapshot taken at
+//! step `t` answers every query **bit-identically** to the model frozen
+//! at step `t`. The **served path** (`*_pruned` on the snapshot, the four
+//! `sharded_*_pruned` functions) is one resolve-and-fold driver over
+//! [`ShardPart`]s — bound-and-verify resolution through each part's
+//! [`BlockLayout`], a merge into global arena order, one shared fusion
+//! fold, a Q1 or a Q2 head — where scalar is a batch of one and an
+//! unsharded snapshot is one part. The bit-identity chain is therefore
+//! short: per-prototype `reference` ← scalar oracle (`arena_equivalence`)
+//! ← the one resolver (`serving_equivalence`).
 //!
 //! Cost model: taking a snapshot clones the arena (`O(dK)` — the publish
 //! cost, paid by the trainer at publication cadence); cloning a
@@ -26,24 +35,11 @@ use crate::confidence::{self, Confidence};
 use crate::config::ModelConfig;
 use crate::error::CoreError;
 use crate::model::LlmModel;
-use crate::predict::{self, FusionInfo, LocalModel};
+use crate::predict::{self, LocalModel};
 use crate::prototype::Prototype;
 use crate::query::Query;
 use std::cell::RefCell;
 use std::sync::Arc;
-
-thread_local! {
-    /// Reusable batch-resolution scratch for the snapshot batch
-    /// predictors — like the scalar path's overlap scratch, it keeps the
-    /// batched serving path allocation-free per call in steady state.
-    static BATCH_SCRATCH: RefCell<BatchResolution> = RefCell::new(BatchResolution::new());
-
-    /// Per-part resolutions plus the merged-entry buffer for the sharded
-    /// batch predictors.
-    #[allow(clippy::type_complexity)]
-    static SHARD_BATCH_SCRATCH: RefCell<(Vec<BatchResolution>, Vec<(usize, usize, usize, f64)>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -243,191 +239,13 @@ impl ServingSnapshot {
             .ok_or(CoreError::EmptyModel)
     }
 
-    // ---- Batched serving -------------------------------------------------
+    // ---- The served path: one resolver, two heads -------------------------
     //
-    // One fused winner+overlap pass over the arena per query block
-    // (`PrototypeArena::resolve_batch`), then the *same* per-query fusion
-    // fold the scalar path runs (`predict::fuse_weights_from_set`). Every
-    // batch answer is therefore **bit-identical** to the corresponding
-    // scalar call on the same snapshot — the equivalence contract this
-    // reproduction chose (see the `batch_equivalence` test battery) over
-    // the re-baselined-tolerance alternative.
-
-    /// Shared driver of the batch predictors: validate, resolve the batch
-    /// in the thread-local scratch, then fold each query. An empty batch
-    /// short-circuits to an empty result *before* the model checks, so a
-    /// zero-length request never errors.
-    fn batch_fold<T>(
-        &self,
-        queries: &[Query],
-        mut per_query: impl FnMut(&PrototypeArena, &Query, (usize, f64), &[(usize, f64)]) -> T,
-    ) -> Result<Vec<T>, CoreError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        for q in queries {
-            self.check_query(q)?;
-        }
-        BATCH_SCRATCH.with(|scratch| {
-            let mut res = scratch.borrow_mut();
-            let arena = &self.inner.arena;
-            arena.resolve_batch(queries, &mut res);
-            Ok(queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| per_query(arena, q, res.winner(i), res.overlap(i)))
-                .collect())
-        })
-    }
-
-    /// Batched Algorithm 2 (Q1): `out[i]` is bit-identical to
-    /// [`ServingSnapshot::predict_q1`] on `queries[i]`, computed from one
-    /// fused pass over the arena per query block.
-    ///
-    /// # Errors
-    /// [`CoreError::DimensionMismatch`] on the first wrong-dimension
-    /// query, [`CoreError::EmptyModel`] on an empty snapshot (a
-    /// zero-length batch returns `Ok(vec![])` without either check).
-    pub fn predict_q1_batch(&self, queries: &[Query]) -> Result<Vec<f64>, CoreError> {
-        self.batch_fold(queries, |arena, q, (wk, _), set| {
-            let mut yhat = 0.0;
-            predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    yhat += w * arena.eval(k, &q.center, q.radius);
-                },
-            );
-            yhat
-        })
-    }
-
-    /// Batched Algorithm 3 (Q2): `out[i]` is bit-identical to
-    /// [`ServingSnapshot::predict_q2`] on `queries[i]`.
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
-    pub fn predict_q2_batch(&self, queries: &[Query]) -> Result<Vec<Vec<LocalModel>>, CoreError> {
-        self.batch_fold(queries, |arena, _, (wk, _), set| {
-            let mut s = Vec::new();
-            predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    s.push(predict::local_model_at(arena, k, w));
-                },
-            );
-            s
-        })
-    }
-
-    /// Batched Eq. 14 (data value): `out[i]` is bit-identical to
-    /// [`ServingSnapshot::predict_value`] on `(queries[i], xs[i])`.
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`], plus a dimension
-    /// check on every probe point.
-    ///
-    /// # Panics
-    /// Panics when `queries` and `xs` have different lengths (a malformed
-    /// request shape, as with ragged slices in the kernels below).
-    pub fn predict_value_batch(
-        &self,
-        queries: &[Query],
-        xs: &[Vec<f64>],
-    ) -> Result<Vec<f64>, CoreError> {
-        assert_eq!(
-            queries.len(),
-            xs.len(),
-            "predict_value_batch: query/probe length mismatch"
-        );
-        for x in xs {
-            if x.len() != self.dim() {
-                return Err(CoreError::DimensionMismatch {
-                    expected: self.dim(),
-                    actual: x.len(),
-                });
-            }
-        }
-        let mut i = 0usize;
-        self.batch_fold(queries, |arena, _, (wk, _), set| {
-            let x = &xs[i];
-            i += 1;
-            let mut uhat = 0.0;
-            predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    uhat += w * arena.eval_at_own_radius(k, x);
-                },
-            );
-            uhat
-        })
-    }
-
-    /// Batched confidence assessment: `out[i]` is bit-identical to
-    /// [`ServingSnapshot::confidence`] on `queries[i]`.
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
-    pub fn confidence_batch(&self, queries: &[Query]) -> Result<Vec<Confidence>, CoreError> {
-        let rho = self.inner.config.rho();
-        self.batch_fold(queries, |arena, _, (wk, wsq), set| {
-            let mut support_updates = 0.0;
-            let info = predict::fuse_weights_from_set(
-                set,
-                || wk,
-                |k, w| {
-                    support_updates += w * arena.updates(k) as f64;
-                },
-            );
-            confidence::combine(wsq, rho, support_updates, info)
-        })
-    }
-
-    /// Batched Q1 + confidence (the serving layers' routing fast path,
-    /// batch form): `out[i]` is bit-identical to
-    /// [`ServingSnapshot::predict_q1_with_confidence`] on `queries[i]`.
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
-    pub fn predict_q1_with_confidence_batch(
-        &self,
-        queries: &[Query],
-    ) -> Result<Vec<(f64, Confidence)>, CoreError> {
-        let rho = self.inner.config.rho();
-        self.batch_fold(queries, |arena, q, winner, set| {
-            fold_q1(arena, rho, q, winner, set)
-        })
-    }
-
-    /// Batched Q2 + confidence: `out[i]` is bit-identical to
-    /// [`ServingSnapshot::predict_q2_with_confidence`] on `queries[i]`.
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
-    pub fn predict_q2_with_confidence_batch(
-        &self,
-        queries: &[Query],
-    ) -> Result<Vec<(Vec<LocalModel>, Confidence)>, CoreError> {
-        let rho = self.inner.config.rho();
-        self.batch_fold(queries, |arena, _, winner, set| {
-            fold_q2(arena, rho, winner, set)
-        })
-    }
-
-    // ---- Bound-and-verify pruned serving ----------------------------------
-    //
-    // Same fusion folds as the batched path above, but the winner/overlap
-    // resolution comes from the capture-time [`BlockLayout`]: a per-block
-    // lower bound discards prototype blocks that provably cannot contain
-    // the winner or any overlapping ball, then the exact kernel runs over
-    // the rest only. Answers stay **bit-identical** to the unpruned (and
-    // scalar) paths — the layout docs carry the argument, the
-    // `pruned_equivalence` battery pins it — while the work becomes
-    // output-sensitive on clustered prototype sets. Every pruning
-    // decision is counted into the caller's [`ScreenCounters`], never
-    // silent.
+    // Everything above is the scalar unpruned **oracle**. A served answer
+    // takes the one production path instead ([`resolve_and_fold`]); the
+    // four methods below validate, present `self` as
+    // [`ShardPart::whole`] and call the cross-shard drivers the serving
+    // fabric calls — scalar is a batch of one, unsharded is one part.
 
     /// The capture-time pruned serving layout (blocked, bounds-cached
     /// view of [`ServingSnapshot::arena`]).
@@ -435,48 +253,7 @@ impl ServingSnapshot {
         &self.inner.layout
     }
 
-    /// Validate `queries` (non-empty), resolve them through the pruned
-    /// layout in the thread-local scratch (telemetry into `counters`) and
-    /// hand the resolution to `fold`.
-    fn with_pruned_resolution<R>(
-        &self,
-        queries: &[Query],
-        counters: &mut ScreenCounters,
-        fold: impl FnOnce(&PrototypeArena, &BatchResolution) -> R,
-    ) -> Result<R, CoreError> {
-        for q in queries {
-            self.check_query(q)?;
-        }
-        BATCH_SCRATCH.with(|scratch| {
-            let mut res = scratch.borrow_mut();
-            self.inner
-                .layout
-                .resolve_batch_pruned(queries, &mut res, counters);
-            Ok(fold(&self.inner.arena, &res))
-        })
-    }
-
-    /// [`Self::batch_fold`] with pruned resolution: identical validation,
-    /// scratch and per-query fold; only the resolver differs.
-    fn batch_fold_pruned<T>(
-        &self,
-        queries: &[Query],
-        counters: &mut ScreenCounters,
-        mut per_query: impl FnMut(&PrototypeArena, &Query, (usize, f64), &[(usize, f64)]) -> T,
-    ) -> Result<Vec<T>, CoreError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.with_pruned_resolution(queries, counters, |arena, res| {
-            queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| per_query(arena, q, res.winner(i), res.overlap(i)))
-                .collect()
-        })
-    }
-
-    /// Pruned Q1 + confidence — bit-identical to
+    /// Served Q1 + confidence — bit-identical to
     /// [`ServingSnapshot::predict_q1_with_confidence`], with pruning
     /// telemetry accumulated into `counters`.
     ///
@@ -487,13 +264,12 @@ impl ServingSnapshot {
         q: &Query,
         counters: &mut ScreenCounters,
     ) -> Result<(f64, Confidence), CoreError> {
-        let rho = self.inner.config.rho();
-        self.with_pruned_resolution(std::slice::from_ref(q), counters, |arena, res| {
-            fold_q1(arena, rho, q, res.winner(0), res.overlap(0))
-        })
+        self.check_query(q)?;
+        sharded_q1_with_confidence_pruned(&[ShardPart::whole(self)], q, counters)
+            .ok_or(CoreError::EmptyModel)
     }
 
-    /// Pruned Q2 + confidence — bit-identical to
+    /// Served Q2 + confidence — bit-identical to
     /// [`ServingSnapshot::predict_q2_with_confidence`], with pruning
     /// telemetry accumulated into `counters`.
     ///
@@ -504,87 +280,46 @@ impl ServingSnapshot {
         q: &Query,
         counters: &mut ScreenCounters,
     ) -> Result<(Vec<LocalModel>, Confidence), CoreError> {
-        let rho = self.inner.config.rho();
-        self.with_pruned_resolution(std::slice::from_ref(q), counters, |arena, res| {
-            fold_q2(arena, rho, res.winner(0), res.overlap(0))
-        })
+        self.check_query(q)?;
+        sharded_q2_with_confidence_pruned(&[ShardPart::whole(self)], q, counters)
+            .ok_or(CoreError::EmptyModel)
     }
 
-    /// Pruned batched Q1 + confidence: `out[i]` is bit-identical to
+    /// Served batched Q1 + confidence: `out[i]` is bit-identical to
     /// [`ServingSnapshot::predict_q1_with_confidence`] on `queries[i]`.
     ///
     /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
+    /// [`CoreError::DimensionMismatch`] on the first wrong-dimension
+    /// query, [`CoreError::EmptyModel`] on an empty snapshot (a
+    /// zero-length batch returns `Ok(vec![])` without either check).
     pub fn predict_q1_with_confidence_batch_pruned(
         &self,
         queries: &[Query],
         counters: &mut ScreenCounters,
     ) -> Result<Vec<(f64, Confidence)>, CoreError> {
-        let rho = self.inner.config.rho();
-        self.batch_fold_pruned(queries, counters, |arena, q, winner, set| {
-            fold_q1(arena, rho, q, winner, set)
-        })
+        queries.iter().try_for_each(|q| self.check_query(q))?;
+        sharded_q1_with_confidence_batch_pruned(&[ShardPart::whole(self)], queries, counters)
+            .into_iter()
+            .map(|answer| answer.ok_or(CoreError::EmptyModel))
+            .collect()
     }
 
-    /// Pruned batched Q2 + confidence: `out[i]` is bit-identical to
+    /// Served batched Q2 + confidence: `out[i]` is bit-identical to
     /// [`ServingSnapshot::predict_q2_with_confidence`] on `queries[i]`.
     ///
     /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1_batch`].
+    /// Same as [`ServingSnapshot::predict_q1_with_confidence_batch_pruned`].
     pub fn predict_q2_with_confidence_batch_pruned(
         &self,
         queries: &[Query],
         counters: &mut ScreenCounters,
     ) -> Result<Vec<(Vec<LocalModel>, Confidence)>, CoreError> {
-        let rho = self.inner.config.rho();
-        self.batch_fold_pruned(queries, counters, |arena, _, winner, set| {
-            fold_q2(arena, rho, winner, set)
-        })
+        queries.iter().try_for_each(|q| self.check_query(q))?;
+        sharded_q2_with_confidence_batch_pruned(&[ShardPart::whole(self)], queries, counters)
+            .into_iter()
+            .map(|answer| answer.ok_or(CoreError::EmptyModel))
+            .collect()
     }
-}
-
-/// The Q1 + confidence fold of one resolved query: fuse the overlap set
-/// `set` (or fall back to the winner) into the prediction and the support
-/// the confidence needs. Shared by the batched and pruned predictors so
-/// they replay one floating-point operation sequence.
-fn fold_q1(
-    arena: &PrototypeArena,
-    rho: f64,
-    q: &Query,
-    (wk, wsq): (usize, f64),
-    set: &[(usize, f64)],
-) -> (f64, Confidence) {
-    let mut yhat = 0.0;
-    let mut support_updates = 0.0;
-    let info = predict::fuse_weights_from_set(
-        set,
-        || wk,
-        |k, w| {
-            yhat += w * arena.eval(k, &q.center, q.radius);
-            support_updates += w * arena.updates(k) as f64;
-        },
-    );
-    (yhat, confidence::combine(wsq, rho, support_updates, info))
-}
-
-/// The Q2 + confidence fold of one resolved query — see [`fold_q1`].
-fn fold_q2(
-    arena: &PrototypeArena,
-    rho: f64,
-    (wk, wsq): (usize, f64),
-    set: &[(usize, f64)],
-) -> (Vec<LocalModel>, Confidence) {
-    let mut s = Vec::new();
-    let mut support_updates = 0.0;
-    let info = predict::fuse_weights_from_set(
-        set,
-        || wk,
-        |k, w| {
-            s.push(predict::local_model_at(arena, k, w));
-            support_updates += w * arena.updates(k) as f64;
-        },
-    );
-    (s, confidence::combine(wsq, rho, support_updates, info))
 }
 
 impl LlmModel {
@@ -595,383 +330,263 @@ impl LlmModel {
     }
 }
 
-/// One shard's contribution to a cross-shard fused prediction: the
-/// shard's snapshot plus the **global** prototype id of each local arena
-/// slot.
+/// One part of the prototype set a served answer is resolved against: a
+/// snapshot plus the **global** prototype id of each of its arena slots.
 ///
-/// The sharded predictors ([`sharded_q1_with_confidence`] /
-/// [`sharded_q2_with_confidence`]) reconstruct the single-arena answer
-/// bit-for-bit from such parts, provided the sharding invariants hold:
+/// The served predictors ([`sharded_q1_with_confidence_pruned`] and
+/// siblings) reconstruct the single-arena answer bit-for-bit from such
+/// parts, provided the sharding invariants hold:
 ///
-/// * `ids.len() == snapshot.k()`, and `ids` is strictly ascending — a
-///   shard holds its prototypes in global arena order (the shard fabric
-///   assigns ids in arena order and only ever appends);
+/// * `ids` maps every slot (`ids.len() == snapshot.k()`) and is strictly
+///   ascending — a shard holds its prototypes in global arena order (the
+///   shard fabric assigns ids in arena order and only ever appends);
 /// * ids are disjoint across the parts of one query;
 /// * every part shares one [`ModelConfig`] (in particular one vigilance
 ///   `ρ` and one dimension).
+///
+/// An unsharded snapshot is the one-part case, [`ShardPart::whole`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPart<'a> {
-    /// The shard's published snapshot.
+    /// The part's published snapshot.
     pub snapshot: &'a ServingSnapshot,
-    /// Global prototype ids, one per arena slot, strictly ascending.
-    pub ids: &'a [usize],
+    /// Global prototype ids, one per arena slot, strictly ascending;
+    /// `None` when the part is the whole prototype set, where the local
+    /// index *is* the global id.
+    pub ids: Option<&'a [usize]>,
 }
 
-/// Global winner across parts: `(part, local index, squared distance)`.
-/// Matches the single-arena first-wins tie-break — strict `<` on the
-/// squared distance, lowest global id on ties. `None` when every part is
-/// empty.
-fn sharded_winner(parts: &[ShardPart<'_>], q: &Query) -> Option<(usize, usize, f64)> {
-    let mut best: Option<(usize, usize, f64, usize)> = None;
-    for (pi, part) in parts.iter().enumerate() {
-        debug_assert_eq!(part.ids.len(), part.snapshot.k(), "ids must map every slot");
-        if let Some((lk, sq)) = part.snapshot.winner(q) {
-            let gid = part.ids[lk];
-            let better = match best {
-                None => true,
-                Some((_, _, best_sq, best_gid)) => {
-                    sq < best_sq || (sq == best_sq && gid < best_gid)
-                }
-            };
-            if better {
-                best = Some((pi, lk, sq, gid));
+impl<'a> ShardPart<'a> {
+    /// `snapshot` as the single part of an unsharded prototype set (local
+    /// index = global id; no identity vector is materialized).
+    pub fn whole(snapshot: &'a ServingSnapshot) -> Self {
+        ShardPart {
+            snapshot,
+            ids: None,
+        }
+    }
+
+    #[inline]
+    fn gid(&self, local: usize) -> usize {
+        self.ids.map_or(local, |ids| ids[local])
+    }
+}
+
+/// One prototype as the served fold sees it:
+/// `(global id, part, local index)`.
+type Slot = (usize, usize, usize);
+
+/// A slot with its distance-like payload: an overlap member `(slot, δ)`
+/// or the winner `(slot, squared joint distance)`.
+type Scored = (Slot, f64);
+
+thread_local! {
+    /// Per-part resolutions plus the merged-entry buffer of
+    /// [`resolve_and_fold`] — like the oracle's overlap scratch, it keeps
+    /// the served path allocation-free per call in steady state.
+    static RESOLVE_SCRATCH: RefCell<(Vec<BatchResolution>, Vec<Scored>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The **one** resolve-and-fold driver behind every served answer
+/// (PAPER.md Algorithms 2–3: find the winner, find `W(q)`, fuse).
+///
+/// *Resolve:* each non-empty part resolves the whole batch once through
+/// its capture-time [`BlockLayout`] (the only production call of
+/// [`BlockLayout::resolve_batch_pruned`]; telemetry from all parts lands
+/// in `counters`). *Merge, per query:* the global winner is the
+/// lexicographic `(distance, global id)` minimum of the part winners —
+/// strict `<` on the squared distance, lowest id on ties, the
+/// single-arena first-wins rule — and the parts' overlap members are
+/// merged into **global arena order** (ids are disjoint, so sorting by id
+/// is a deterministic k-way merge). *Fold:* `head` projects the merged
+/// set through the shared fusion fold
+/// ([`predict::fuse_weights_from_set`]). Per-prototype `δ`, the summation
+/// order and the degeneracy rule all equal the scalar oracle's, so every
+/// accumulation replays its exact floating-point operation sequence.
+///
+/// `emit` receives one answer per query, in order: `None` exactly when
+/// every part is empty. Queries must be dimension-checked by the caller
+/// (the snapshot wrappers and the serve fabric do this up front).
+fn resolve_and_fold<T>(
+    parts: &[ShardPart<'_>],
+    queries: &[Query],
+    counters: &mut ScreenCounters,
+    mut head: impl FnMut(&Query, Scored, &[Scored]) -> T,
+    mut emit: impl FnMut(Option<T>),
+) {
+    RESOLVE_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let (resolutions, merged) = &mut *scratch;
+        if resolutions.len() < parts.len() {
+            resolutions.resize_with(parts.len(), BatchResolution::new);
+        }
+        for (part, resolution) in parts.iter().zip(resolutions.iter_mut()) {
+            debug_assert!(
+                part.ids.is_none_or(|ids| ids.len() == part.snapshot.k()),
+                "ids must map every slot"
+            );
+            if part.snapshot.k() > 0 {
+                part.snapshot
+                    .layout()
+                    .resolve_batch_pruned(queries, resolution, counters);
             }
         }
-    }
-    best.map(|(pi, lk, sq, _)| (pi, lk, sq))
+        for (i, q) in queries.iter().enumerate() {
+            let mut winner: Option<Scored> = None;
+            merged.clear();
+            for (pi, (part, resolution)) in parts.iter().zip(resolutions.iter()).enumerate() {
+                if part.snapshot.k() == 0 {
+                    continue;
+                }
+                let (lk, sq) = resolution.winner(i);
+                let gid = part.gid(lk);
+                if winner.is_none_or(|((best, ..), best_sq)| {
+                    sq < best_sq || (sq == best_sq && gid < best)
+                }) {
+                    winner = Some(((gid, pi, lk), sq));
+                }
+                let members = resolution.overlap(i).iter();
+                merged.extend(members.map(|&(lk, degree)| ((part.gid(lk), pi, lk), degree)));
+            }
+            merged.sort_unstable_by_key(|&((gid, ..), _)| gid);
+            emit(winner.map(|winner| head(q, winner, merged)));
+        }
+    })
 }
 
-/// Resolve the merged overlap set across parts, **in global arena order**
-/// (ascending global id), then hand each `(part, local, δ/total)` triple
-/// to `apply` — or the winner with weight 1 on the degenerate path. This
-/// is [`crate::predict`]'s overlap-weight driver re-run over a
-/// partitioned arena: because per-prototype `δ`, the merged summation
-/// order and the degeneracy rule are all identical, every accumulation
-/// below replays the exact floating-point operation sequence of the
-/// single-arena drivers.
-fn drive_sharded_overlap(
+/// The Q1 + confidence head over one query's merged resolution: fuse the
+/// overlap set (or fall back to the winner) into the prediction and the
+/// support the confidence needs.
+fn head_q1(
     parts: &[ShardPart<'_>],
     q: &Query,
-    winner: (usize, usize),
-    apply: impl FnMut(usize, usize, f64),
-) -> FusionInfo {
-    // (gid, part, local, δ) — sorted by gid below; ids are disjoint, so
-    // the sort is a deterministic k-way merge into global arena order.
-    let mut entries: Vec<(usize, usize, usize, f64)> = Vec::new();
-    let mut buf: Vec<(usize, f64)> = Vec::new();
-    for (pi, part) in parts.iter().enumerate() {
-        part.snapshot.overlap_set_into(q, &mut buf);
-        for &(lk, d) in &buf {
-            entries.push((part.ids[lk], pi, lk, d));
-        }
-    }
-    entries.sort_unstable_by_key(|e| e.0);
-    fuse_sharded_entries(&entries, winner, apply)
-}
-
-/// The fold half of the sharded fusion driver, over an already-merged,
-/// gid-sorted entry list: sum the degrees in global arena order, decide
-/// degeneracy with the shared rule, and apply either the normalized
-/// weights or the winner fallback. Shared by the scalar driver above and
-/// the batched driver ([`sharded_batch_drive`]) so the two replay one
-/// floating-point operation sequence.
-fn fuse_sharded_entries(
-    entries: &[(usize, usize, usize, f64)],
-    winner: (usize, usize),
-    mut apply: impl FnMut(usize, usize, f64),
-) -> FusionInfo {
-    let total: f64 = entries.iter().map(|e| e.3).sum();
-    if predict::fusion_degenerate(entries.len(), total) {
-        let (wp, wl) = winner;
-        apply(wp, wl, 1.0);
-        FusionInfo {
-            fused: false,
-            mass: 0.0,
-        }
-    } else {
-        for &(_, pi, lk, d) in entries {
-            apply(pi, lk, d / total);
-        }
-        FusionInfo {
-            fused: true,
-            mass: total,
-        }
-    }
-}
-
-/// Q1 prediction and confidence fused **across shards** — bit-identical
-/// to [`ServingSnapshot::predict_q1_with_confidence`] on the single
-/// unpartitioned snapshot (see [`ShardPart`] for the invariants that make
-/// this hold). `None` when every part is empty.
-pub fn sharded_q1_with_confidence(parts: &[ShardPart<'_>], q: &Query) -> Option<(f64, Confidence)> {
-    let (wp, wl, winner_sq) = sharded_winner(parts, q)?;
-    let rho = parts[wp].snapshot.config().rho();
+    (winner, winner_sq): Scored,
+    set: &[Scored],
+) -> (f64, Confidence) {
+    let rho = parts[winner.1].snapshot.config().rho();
     let mut yhat = 0.0;
     let mut support_updates = 0.0;
-    let info = drive_sharded_overlap(parts, q, (wp, wl), |pi, lk, w| {
-        let arena = parts[pi].snapshot.arena();
-        yhat += w * arena.eval(lk, &q.center, q.radius);
-        support_updates += w * arena.updates(lk) as f64;
-    });
-    Some((
+    let info = predict::fuse_weights_from_set(
+        set,
+        || winner,
+        |(_, pi, lk), w| {
+            let arena = parts[pi].snapshot.arena();
+            yhat += w * arena.eval(lk, &q.center, q.radius);
+            support_updates += w * arena.updates(lk) as f64;
+        },
+    );
+    (
         yhat,
         confidence::combine(winner_sq, rho, support_updates, info),
-    ))
+    )
 }
 
-/// Q2 list and confidence fused across shards — bit-identical to
-/// [`ServingSnapshot::predict_q2_with_confidence`] on the unpartitioned
-/// snapshot; list elements carry the **global** prototype id, so the list
-/// is indistinguishable from the single-arena one. `None` when every part
-/// is empty.
-pub fn sharded_q2_with_confidence(
+/// The Q2 + confidence head — see [`head_q1`]. List elements carry the
+/// **global** prototype id, so the list is indistinguishable from the
+/// single-arena one.
+fn head_q2(
     parts: &[ShardPart<'_>],
-    q: &Query,
-) -> Option<(Vec<LocalModel>, Confidence)> {
-    let (wp, wl, winner_sq) = sharded_winner(parts, q)?;
-    let rho = parts[wp].snapshot.config().rho();
+    (winner, winner_sq): Scored,
+    set: &[Scored],
+) -> (Vec<LocalModel>, Confidence) {
+    let rho = parts[winner.1].snapshot.config().rho();
     let mut s = Vec::new();
     let mut support_updates = 0.0;
-    let info = drive_sharded_overlap(parts, q, (wp, wl), |pi, lk, w| {
-        let arena = parts[pi].snapshot.arena();
-        let mut lm = predict::local_model_at(arena, lk, w);
-        lm.prototype = parts[pi].ids[lk];
-        s.push(lm);
-        support_updates += w * arena.updates(lk) as f64;
-    });
-    Some((
+    let info = predict::fuse_weights_from_set(
+        set,
+        || winner,
+        |(gid, pi, lk), w| {
+            let arena = parts[pi].snapshot.arena();
+            let mut lm = predict::local_model_at(arena, lk, w);
+            lm.prototype = gid;
+            s.push(lm);
+            support_updates += w * arena.updates(lk) as f64;
+        },
+    );
+    (
         s,
         confidence::combine(winner_sq, rho, support_updates, info),
-    ))
+    )
 }
 
-/// Resolve `queries` once per non-empty part into the thread-local
-/// scratch — through each snapshot's capture-time [`BlockLayout`] when
-/// `counters` is `Some` (pruning telemetry accumulated there), through
-/// the unpruned arena scan otherwise; both fill bit-identical
-/// [`BatchResolution`]s — then hand the per-part resolutions and the
-/// merged-entry buffer to `fold`.
-fn with_sharded_resolutions<R>(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    mut counters: Option<&mut ScreenCounters>,
-    fold: impl FnOnce(&[BatchResolution], &mut Vec<(usize, usize, usize, f64)>) -> R,
-) -> R {
-    SHARD_BATCH_SCRATCH.with(|scratch| {
-        let mut s = scratch.borrow_mut();
-        let (resolutions, merged) = &mut *s;
-        while resolutions.len() < parts.len() {
-            resolutions.push(BatchResolution::new());
-        }
-        for (pi, part) in parts.iter().enumerate() {
-            debug_assert_eq!(part.ids.len(), part.snapshot.k(), "ids must map every slot");
-            if part.snapshot.k() == 0 {
-                continue;
-            }
-            match counters.as_deref_mut() {
-                Some(c) => {
-                    part.snapshot
-                        .layout()
-                        .resolve_batch_pruned(queries, &mut resolutions[pi], c);
-                }
-                None => {
-                    part.snapshot
-                        .arena()
-                        .resolve_batch(queries, &mut resolutions[pi]);
-                }
-            }
-        }
-        fold(resolutions, merged)
-    })
-}
-
-/// Query `i` of a sharded resolution, replaying the scalar sharded path:
-/// winner selection with the same strict-`<`/lowest-gid tie-break as
-/// [`sharded_winner`], the same gid-sorted entry merge as the scalar
-/// driver, then `per_query` (which folds through the shared
-/// [`fuse_sharded_entries`]). `None` exactly when the scalar call would
-/// return `None` (every part empty).
-fn sharded_fold_one<T>(
-    parts: &[ShardPart<'_>],
-    resolutions: &[BatchResolution],
-    merged: &mut Vec<(usize, usize, usize, f64)>,
-    i: usize,
-    per_query: impl FnOnce((usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
-) -> Option<T> {
-    let mut best: Option<(usize, usize, f64, usize)> = None;
-    for (pi, part) in parts.iter().enumerate() {
-        if part.snapshot.k() == 0 {
-            continue;
-        }
-        let (lk, sq) = resolutions[pi].winner(i);
-        let gid = part.ids[lk];
-        let better = match best {
-            None => true,
-            Some((_, _, best_sq, best_gid)) => sq < best_sq || (sq == best_sq && gid < best_gid),
-        };
-        if better {
-            best = Some((pi, lk, sq, gid));
-        }
-    }
-    let (wp, wl, wsq, _) = best?;
-    merged.clear();
-    for (pi, part) in parts.iter().enumerate() {
-        if part.snapshot.k() == 0 {
-            continue;
-        }
-        for &(lk, d) in resolutions[pi].overlap(i) {
-            merged.push((part.ids[lk], pi, lk, d));
-        }
-    }
-    merged.sort_unstable_by_key(|e| e.0);
-    Some(per_query((wp, wl, wsq), merged))
-}
-
-/// Shared driver of the sharded **batch** predictors: resolve the whole
-/// batch once per part (one fused arena pass per shard, amortized over
-/// the query block), then fold each query ([`sharded_fold_one`]).
-fn sharded_batch_drive<T>(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    counters: Option<&mut ScreenCounters>,
-    mut per_query: impl FnMut(&Query, (usize, usize, f64), &[(usize, usize, usize, f64)]) -> T,
-) -> Vec<Option<T>> {
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    with_sharded_resolutions(parts, queries, counters, |resolutions, merged| {
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                sharded_fold_one(parts, resolutions, merged, i, |winner, entries| {
-                    per_query(q, winner, entries)
-                })
-            })
-            .collect()
-    })
-}
-
-/// The sharded Q1 + confidence fold of one resolved query — the
-/// cross-shard twin of the snapshot's `fold_q1`.
-fn sharded_fold_q1(
-    parts: &[ShardPart<'_>],
-    q: &Query,
-    (wp, wl, wsq): (usize, usize, f64),
-    entries: &[(usize, usize, usize, f64)],
-) -> (f64, Confidence) {
-    let rho = parts[wp].snapshot.config().rho();
-    let mut yhat = 0.0;
-    let mut support_updates = 0.0;
-    let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-        let arena = parts[pi].snapshot.arena();
-        yhat += w * arena.eval(lk, &q.center, q.radius);
-        support_updates += w * arena.updates(lk) as f64;
-    });
-    (yhat, confidence::combine(wsq, rho, support_updates, info))
-}
-
-/// The sharded Q2 + confidence fold of one resolved query (list elements
-/// carry the **global** prototype id).
-fn sharded_fold_q2(
-    parts: &[ShardPart<'_>],
-    (wp, wl, wsq): (usize, usize, f64),
-    entries: &[(usize, usize, usize, f64)],
-) -> (Vec<LocalModel>, Confidence) {
-    let rho = parts[wp].snapshot.config().rho();
-    let mut s = Vec::new();
-    let mut support_updates = 0.0;
-    let info = fuse_sharded_entries(entries, (wp, wl), |pi, lk, w| {
-        let arena = parts[pi].snapshot.arena();
-        let mut lm = predict::local_model_at(arena, lk, w);
-        lm.prototype = parts[pi].ids[lk];
-        s.push(lm);
-        support_updates += w * arena.updates(lk) as f64;
-    });
-    (s, confidence::combine(wsq, rho, support_updates, info))
-}
-
-/// Batched Q1 + confidence fused across shards: `out[i]` is bit-identical
-/// to [`sharded_q1_with_confidence`] on `queries[i]` — and therefore to
-/// the unsharded [`ServingSnapshot::predict_q1_with_confidence`] under
-/// the [`ShardPart`] invariants. Queries must be dimension-checked by the
-/// caller (the serve fabric does this up front).
-pub fn sharded_q1_with_confidence_batch(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-) -> Vec<Option<(f64, Confidence)>> {
-    sharded_batch_drive(parts, queries, None, |q, winner, entries| {
-        sharded_fold_q1(parts, q, winner, entries)
-    })
-}
-
-/// Batched Q2 + confidence fused across shards: `out[i]` is bit-identical
-/// to [`sharded_q2_with_confidence`] on `queries[i]`, global prototype
-/// ids included.
-pub fn sharded_q2_with_confidence_batch(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
-    sharded_batch_drive(parts, queries, None, |_, winner, entries| {
-        sharded_fold_q2(parts, winner, entries)
-    })
-}
-
-/// Pruned batched Q1 + confidence across shards: `out[i]` is
-/// bit-identical to [`sharded_q1_with_confidence_batch`] on the same
-/// parts — each part resolves through its capture-time [`BlockLayout`],
-/// with pruning telemetry from all parts accumulated into `counters`.
-pub fn sharded_q1_with_confidence_batch_pruned(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    counters: &mut ScreenCounters,
-) -> Vec<Option<(f64, Confidence)>> {
-    sharded_batch_drive(parts, queries, Some(counters), |q, winner, entries| {
-        sharded_fold_q1(parts, q, winner, entries)
-    })
-}
-
-/// Pruned batched Q2 + confidence across shards: `out[i]` is
-/// bit-identical to [`sharded_q2_with_confidence_batch`] on the same
-/// parts, global prototype ids included.
-pub fn sharded_q2_with_confidence_batch_pruned(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    counters: &mut ScreenCounters,
-) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
-    sharded_batch_drive(parts, queries, Some(counters), |_, winner, entries| {
-        sharded_fold_q2(parts, winner, entries)
-    })
-}
-
-/// Pruned scalar Q1 + confidence across shards — bit-identical to
-/// [`sharded_q1_with_confidence`] (pruning telemetry in `counters`).
+/// Served Q1 + confidence fused **across parts** — bit-identical to
+/// [`ServingSnapshot::predict_q1_with_confidence`] on the single
+/// unpartitioned snapshot (see [`ShardPart`] for the invariants that make
+/// this hold), pruning telemetry accumulated into `counters`. `None` when
+/// every part is empty.
 pub fn sharded_q1_with_confidence_pruned(
     parts: &[ShardPart<'_>],
     q: &Query,
     counters: &mut ScreenCounters,
 ) -> Option<(f64, Confidence)> {
-    let queries = std::slice::from_ref(q);
-    with_sharded_resolutions(parts, queries, Some(counters), |resolutions, merged| {
-        sharded_fold_one(parts, resolutions, merged, 0, |winner, entries| {
-            sharded_fold_q1(parts, q, winner, entries)
-        })
-    })
+    let mut out = None;
+    resolve_and_fold(
+        parts,
+        std::slice::from_ref(q),
+        counters,
+        |q, winner, set| head_q1(parts, q, winner, set),
+        |answer| out = answer,
+    );
+    out
 }
 
-/// Pruned scalar Q2 + confidence across shards — bit-identical to
-/// [`sharded_q2_with_confidence`] (pruning telemetry in `counters`).
+/// Served Q2 list + confidence fused across parts — bit-identical to
+/// [`ServingSnapshot::predict_q2_with_confidence`] on the unpartitioned
+/// snapshot, global prototype ids included. `None` when every part is
+/// empty.
 pub fn sharded_q2_with_confidence_pruned(
     parts: &[ShardPart<'_>],
     q: &Query,
     counters: &mut ScreenCounters,
 ) -> Option<(Vec<LocalModel>, Confidence)> {
-    let queries = std::slice::from_ref(q);
-    with_sharded_resolutions(parts, queries, Some(counters), |resolutions, merged| {
-        sharded_fold_one(parts, resolutions, merged, 0, |winner, entries| {
-            sharded_fold_q2(parts, winner, entries)
-        })
-    })
+    let mut out = None;
+    resolve_and_fold(
+        parts,
+        std::slice::from_ref(q),
+        counters,
+        |_, winner, set| head_q2(parts, winner, set),
+        |answer| out = answer,
+    );
+    out
+}
+
+/// Served batched Q1 + confidence across parts: `out[i]` is bit-identical
+/// to [`sharded_q1_with_confidence_pruned`] on `queries[i]` — one
+/// resolution of the whole batch per part, amortized over the query
+/// block.
+pub fn sharded_q1_with_confidence_batch_pruned(
+    parts: &[ShardPart<'_>],
+    queries: &[Query],
+    counters: &mut ScreenCounters,
+) -> Vec<Option<(f64, Confidence)>> {
+    let mut out = Vec::with_capacity(queries.len());
+    resolve_and_fold(
+        parts,
+        queries,
+        counters,
+        |q, winner, set| head_q1(parts, q, winner, set),
+        |answer| out.push(answer),
+    );
+    out
+}
+
+/// Served batched Q2 + confidence across parts: `out[i]` is bit-identical
+/// to [`sharded_q2_with_confidence_pruned`] on `queries[i]`, global
+/// prototype ids included.
+pub fn sharded_q2_with_confidence_batch_pruned(
+    parts: &[ShardPart<'_>],
+    queries: &[Query],
+    counters: &mut ScreenCounters,
+) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
+    let mut out = Vec::with_capacity(queries.len());
+    resolve_and_fold(
+        parts,
+        queries,
+        counters,
+        |_, winner, set| head_q2(parts, winner, set),
+        |answer| out.push(answer),
+    );
+    out
 }
 
 #[cfg(test)]
@@ -1128,122 +743,18 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn sharded_fusion_is_bit_identical_to_the_single_snapshot() {
-        let m = trained(21, 4_000);
-        assert!(m.k() >= 5, "need enough prototypes to shard: k={}", m.k());
-        let full = m.snapshot();
-        for n in [1usize, 2, 3, 5] {
-            let split = split_round_robin(&m, n);
-            let parts: Vec<ShardPart<'_>> = split
-                .iter()
-                .map(|(s, ids)| ShardPart { snapshot: s, ids })
-                .collect();
-            for probe in probe_grid() {
-                let (fy, fc) = full.predict_q1_with_confidence(&probe).unwrap();
-                let (y, c) = sharded_q1_with_confidence(&parts, &probe).unwrap();
-                assert_eq!(y.to_bits(), fy.to_bits(), "q1 value drifted at n={n}");
-                assert_eq!(c.score.to_bits(), fc.score.to_bits());
-                assert_eq!(c, fc, "confidence drifted at n={n}");
-                let (flist, fconf) = full.predict_q2_with_confidence(&probe).unwrap();
-                let (list, conf) = sharded_q2_with_confidence(&parts, &probe).unwrap();
-                assert_eq!(list, flist, "q2 list drifted at n={n}");
-                assert_eq!(conf, fconf);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_predictors_are_bit_identical_to_scalar_calls() {
-        let m = trained(31, 4_000);
-        let s = m.snapshot();
-        let probes = probe_grid();
-        let xs: Vec<Vec<f64>> = probes.iter().map(|p| p.center.clone()).collect();
-        let q1 = s.predict_q1_batch(&probes).unwrap();
-        let q2 = s.predict_q2_batch(&probes).unwrap();
-        let vals = s.predict_value_batch(&probes, &xs).unwrap();
-        let confs = s.confidence_batch(&probes).unwrap();
-        let q1c = s.predict_q1_with_confidence_batch(&probes).unwrap();
-        let q2c = s.predict_q2_with_confidence_batch(&probes).unwrap();
-        for (i, probe) in probes.iter().enumerate() {
-            assert_eq!(q1[i].to_bits(), s.predict_q1(probe).unwrap().to_bits());
-            assert_eq!(q2[i], s.predict_q2(probe).unwrap());
-            assert_eq!(
-                vals[i].to_bits(),
-                s.predict_value(probe, &probe.center).unwrap().to_bits()
-            );
-            assert_eq!(confs[i], s.confidence(probe).unwrap());
-            assert_eq!(q1c[i], s.predict_q1_with_confidence(probe).unwrap());
-            assert_eq!(q2c[i], s.predict_q2_with_confidence(probe).unwrap());
-        }
-    }
-
-    #[test]
-    fn batch_predictor_edges_are_typed_not_panics() {
-        let m = trained(32, 2_000);
-        let s = m.snapshot();
-        // Empty batch: empty result, no model checks.
-        assert_eq!(s.predict_q1_batch(&[]).unwrap(), Vec::<f64>::new());
-        let empty = LlmModel::new(ModelConfig::with_vigilance(2, 0.15))
-            .unwrap()
-            .snapshot();
-        assert!(empty.predict_q1_batch(&[]).unwrap().is_empty());
-        assert_eq!(
-            empty.predict_q1_batch(&[q(&[0.5, 0.5], 0.1)]),
-            Err(CoreError::EmptyModel)
-        );
-        // Wrong-dimension query anywhere in the batch: typed error.
-        let batch = [q(&[0.5, 0.5], 0.1), q(&[0.5, 0.5, 0.5], 0.1)];
-        assert_eq!(
-            s.predict_q1_batch(&batch),
-            Err(CoreError::DimensionMismatch {
-                expected: 2,
-                actual: 3
-            })
-        );
-        assert_eq!(
-            s.predict_q2_with_confidence_batch(&batch).unwrap_err(),
-            CoreError::DimensionMismatch {
-                expected: 2,
-                actual: 3
-            }
-        );
-        // Wrong-dimension probe point on the value path.
-        assert_eq!(
-            s.predict_value_batch(&[q(&[0.5, 0.5], 0.1)], &[vec![0.1]]),
-            Err(CoreError::DimensionMismatch {
-                expected: 2,
-                actual: 1
-            })
-        );
-    }
-
-    #[test]
-    fn sharded_batch_fusion_matches_scalar_sharded_calls() {
-        let m = trained(33, 4_000);
-        let probes = probe_grid();
-        for n in [1usize, 2, 3, 5] {
-            let split = split_round_robin(&m, n);
-            let parts: Vec<ShardPart<'_>> = split
-                .iter()
-                .map(|(s, ids)| ShardPart { snapshot: s, ids })
-                .collect();
-            let q1 = sharded_q1_with_confidence_batch(&parts, &probes);
-            let q2 = sharded_q2_with_confidence_batch(&parts, &probes);
-            for (i, probe) in probes.iter().enumerate() {
-                assert_eq!(q1[i], sharded_q1_with_confidence(&parts, probe), "n={n}");
-                assert_eq!(q2[i], sharded_q2_with_confidence(&parts, probe), "n={n}");
-            }
-        }
-        // Empty parts → per-query None; empty batch → empty vec.
-        assert!(sharded_q1_with_confidence_batch(&[], &probes)
+    fn borrow_parts(split: &[(ServingSnapshot, Vec<usize>)]) -> Vec<ShardPart<'_>> {
+        split
             .iter()
-            .all(Option::is_none));
-        assert!(sharded_q1_with_confidence_batch(&[], &[]).is_empty());
+            .map(|(snapshot, ids)| ShardPart {
+                snapshot,
+                ids: Some(ids),
+            })
+            .collect()
     }
 
     #[test]
-    fn pruned_predictors_are_bit_identical_and_counted() {
+    fn served_predictors_are_bit_identical_to_the_oracle_and_counted() {
         let m = trained(41, 4_000);
         let s = m.snapshot();
         let probes = probe_grid();
@@ -1262,7 +773,7 @@ mod tests {
                 s.predict_q1_with_confidence_pruned(probe, &mut c).unwrap(),
                 q1[i]
             );
-            assert!(c.blocks > 0, "scalar pruned call must be counted");
+            assert!(c.blocks > 0, "scalar served call must be counted");
             assert_eq!(
                 s.predict_q2_with_confidence_pruned(probe, &mut c).unwrap(),
                 q2[i]
@@ -1274,37 +785,77 @@ mod tests {
             2 * (probes.len() * s.layout().num_blocks()) as u64
         );
         assert_eq!(counters.skipped + counters.verified, counters.blocks);
-        // Errors match the unpruned path.
+    }
+
+    #[test]
+    fn served_predictor_edges_are_typed_not_panics() {
+        let s = trained(32, 2_000).snapshot();
         let mut c = ScreenCounters::default();
+        // Empty batch: empty result, no model checks, nothing counted.
         assert!(s
             .predict_q1_with_confidence_batch_pruned(&[], &mut c)
             .unwrap()
             .is_empty());
+        let empty = LlmModel::new(ModelConfig::with_vigilance(2, 0.15))
+            .unwrap()
+            .snapshot();
+        assert!(empty
+            .predict_q2_with_confidence_batch_pruned(&[], &mut c)
+            .unwrap()
+            .is_empty());
+        let ok = q(&[0.5, 0.5], 0.1);
         assert_eq!(
-            s.predict_q1_with_confidence_pruned(&q(&[0.5], 0.1), &mut c),
-            Err(CoreError::DimensionMismatch {
-                expected: 2,
-                actual: 1
-            })
+            empty.predict_q1_with_confidence_batch_pruned(std::slice::from_ref(&ok), &mut c),
+            Err(CoreError::EmptyModel)
         );
+        assert_eq!(
+            empty.predict_q2_with_confidence_pruned(&ok, &mut c),
+            Err(CoreError::EmptyModel)
+        );
+        // Wrong-dimension query, alone or anywhere in a batch: typed error.
+        let mismatch = CoreError::DimensionMismatch {
+            expected: 2,
+            actual: 3,
+        };
+        let bad = q(&[0.5, 0.5, 0.5], 0.1);
+        assert_eq!(
+            s.predict_q1_with_confidence_pruned(&bad, &mut c),
+            Err(mismatch.clone())
+        );
+        let batch = [ok, bad];
+        assert_eq!(
+            s.predict_q1_with_confidence_batch_pruned(&batch, &mut c),
+            Err(mismatch.clone())
+        );
+        assert_eq!(
+            s.predict_q2_with_confidence_batch_pruned(&batch, &mut c),
+            Err(mismatch)
+        );
+        assert_eq!(c, ScreenCounters::default(), "rejected before resolving");
     }
 
     #[test]
-    fn pruned_sharded_fusion_matches_unpruned_sharded_calls() {
-        let m = trained(42, 4_000);
+    fn sharded_fusion_is_bit_identical_to_the_single_snapshot() {
+        let m = trained(21, 4_000);
+        assert!(m.k() >= 5, "need enough prototypes to shard: k={}", m.k());
+        let full = m.snapshot();
         let probes = probe_grid();
         for n in [1usize, 2, 3, 5] {
             let split = split_round_robin(&m, n);
-            let parts: Vec<ShardPart<'_>> = split
-                .iter()
-                .map(|(s, ids)| ShardPart { snapshot: s, ids })
-                .collect();
+            let parts = borrow_parts(&split);
             let mut counters = ScreenCounters::default();
             let q1 = sharded_q1_with_confidence_batch_pruned(&parts, &probes, &mut counters);
             let q2 = sharded_q2_with_confidence_batch_pruned(&parts, &probes, &mut counters);
             for (i, probe) in probes.iter().enumerate() {
-                assert_eq!(q1[i], sharded_q1_with_confidence(&parts, probe), "n={n}");
-                assert_eq!(q2[i], sharded_q2_with_confidence(&parts, probe), "n={n}");
+                let (fy, fc) = full.predict_q1_with_confidence(probe).unwrap();
+                let (y, c) = q1[i].unwrap();
+                assert_eq!(y.to_bits(), fy.to_bits(), "q1 value drifted at n={n}");
+                assert_eq!(c.score.to_bits(), fc.score.to_bits());
+                assert_eq!(c, fc, "confidence drifted at n={n}");
+                // Global prototype ids make the list the single-arena one.
+                let want_q2 = full.predict_q2_with_confidence(probe).unwrap();
+                assert_eq!(q2[i].as_ref(), Some(&want_q2), "q2 drifted at n={n}");
+                // Scalar = batch of one.
                 let mut c = ScreenCounters::default();
                 assert_eq!(
                     sharded_q1_with_confidence_pruned(&parts, probe, &mut c),
@@ -1318,48 +869,36 @@ mod tests {
             assert_eq!(counters.skipped + counters.verified, counters.blocks);
             assert!(counters.blocks > 0);
         }
-        // Empty parts → per-query None, counters untouched.
+    }
+
+    #[test]
+    fn sharded_fusion_handles_empty_and_missing_parts() {
+        let probes = probe_grid();
         let mut c = ScreenCounters::default();
+        // No parts at all, or only empty parts → None, counters untouched;
+        // an empty batch → an empty vec.
+        assert!(sharded_q1_with_confidence_pruned(&[], &probes[0], &mut c).is_none());
         assert!(
             sharded_q1_with_confidence_batch_pruned(&[], &probes, &mut c)
                 .iter()
                 .all(Option::is_none)
         );
-        assert_eq!(c, ScreenCounters::default());
-    }
-
-    #[test]
-    fn sharded_fusion_handles_empty_and_missing_parts() {
-        // No parts at all, or only empty parts → None.
-        assert!(sharded_q1_with_confidence(&[], &q(&[0.5, 0.5], 0.1)).is_none());
+        assert!(sharded_q1_with_confidence_batch_pruned(&[], &[], &mut c).is_empty());
         let empty = LlmModel::new(ModelConfig::with_vigilance(2, 0.15))
             .unwrap()
             .snapshot();
-        let parts = [ShardPart {
-            snapshot: &empty,
-            ids: &[],
-        }];
-        assert!(sharded_q1_with_confidence(&parts, &q(&[0.5, 0.5], 0.1)).is_none());
-        assert!(sharded_q2_with_confidence(&parts, &q(&[0.5, 0.5], 0.1)).is_none());
+        let parts = [ShardPart::whole(&empty)];
+        assert!(sharded_q1_with_confidence_pruned(&parts, &probes[0], &mut c).is_none());
+        assert!(sharded_q2_with_confidence_pruned(&parts, &probes[0], &mut c).is_none());
+        assert_eq!(c, ScreenCounters::default());
 
         // A mix of an empty shard and a full one ≡ the full snapshot alone.
-        let m = trained(22, 2_000);
-        let full = m.snapshot();
-        let all_ids: Vec<usize> = (0..m.k()).collect();
-        let mixed = [
-            ShardPart {
-                snapshot: &empty,
-                ids: &[],
-            },
-            ShardPart {
-                snapshot: &full,
-                ids: &all_ids,
-            },
-        ];
-        for probe in probe_grid() {
+        let full = trained(22, 2_000).snapshot();
+        let mixed = [ShardPart::whole(&empty), ShardPart::whole(&full)];
+        for probe in &probes {
             assert_eq!(
-                sharded_q1_with_confidence(&mixed, &probe),
-                Some(full.predict_q1_with_confidence(&probe).unwrap())
+                sharded_q1_with_confidence_pruned(&mixed, probe, &mut c),
+                Some(full.predict_q1_with_confidence(probe).unwrap())
             );
         }
     }

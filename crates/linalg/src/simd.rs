@@ -304,25 +304,28 @@ unsafe fn within_mask_aosoa_avx2(q: &[f64], quads: &[f64], limit: f64) -> u64 {
 }
 
 /// Fused winner-and-overlap kernel for one query over a whole **AoSoA**
-/// block: [`crate::vector::winner_overlap_block`] with the centers
-/// quad-interleaved ([`pack_quads_aosoa`]) and the runtime dispatch paid
-/// **once per block**. Per row it computes the squared center distance,
-/// the squared joint distance `‖c − q‖² + (θ_q − θ_k)²` and the two
-/// compares — strict `<` against the running best, `≤ (θ_q + θ_k)²` for
-/// overlap membership — and only a quad in which some compare fires
-/// reaches the scalar winner scan / root + degree + push
-/// (`resolve_quad`, shared with the row-major kernel). Bit-identical per
-/// pair to the row-major kernel (see the module docs), so the two produce
-/// identical `(best, hits)` for the same rows.
+/// block — centers quad-interleaved ([`pack_quads_aosoa`]), the runtime
+/// dispatch paid **once per block**. Per row it computes the squared
+/// center distance, the squared joint distance
+/// `‖c − q‖² + (θ_q − θ_k)²` and the two compares — strict `<` against the
+/// running best (ties keep the lowest row), `≤ (θ_q + θ_k)²` for overlap
+/// membership — consuming each distance **in registers**; only a quad in
+/// which some compare fires reaches the scalar winner scan / root +
+/// degree + push (`resolve_quad`). Per row the additions are exactly a
+/// scalar [`crate::vector::sq_dist`]'s in the same order (see the module
+/// docs), so `(best, hits)` equal what a row-at-a-time scalar pass over
+/// the same rows produces, bit for bit — the serving path's side of the
+/// bit-identity contract.
 ///
 /// `quads` holds `radii.len() / 4` AoSoA quads of dimension `q.len()`;
 /// the row count must be a multiple of 4 — callers pad partial quads with
 /// `+inf` centers (and any finite radius), which can never win the
 /// strict-`<` update nor pass the membership test, so pad rows are inert.
 ///
-/// `base` is the caller-space index of the first row and `best` carries
-/// the running winner in and out, as in
-/// [`crate::vector::winner_overlap_block`]. Seeding `best` with
+/// `base` is the caller-space index of the first row: winner indices and
+/// membership entries come out as `base + row`, in ascending row order.
+/// `best` carries the running winner in and out (seed with
+/// `(0, f64::INFINITY)`). Seeding `best` with
 /// `(sentinel, bound.next_up())` turns the strict `<` into "first row
 /// with `joint ≤ bound`, else the sentinel index is left in place".
 ///
@@ -691,8 +694,39 @@ mod tests {
         (best_d, hits_d)
     }
 
+    /// The row-at-a-time scalar pass the block kernel must replay: one
+    /// [`vector::sq_dist`] per row, strict-`<` winner from `(0, ∞)`,
+    /// members pushed in ascending row order under `base + row`.
+    fn scalar_row_pass(
+        q: &[f64],
+        q_radius: f64,
+        rows: &[f64],
+        radii: &[f64],
+        base: usize,
+    ) -> ((usize, f64), Vec<(usize, f64)>) {
+        let mut best = (0usize, f64::INFINITY);
+        let mut hits = Vec::new();
+        for (k, (row, &rk)) in rows.chunks_exact(q.len()).zip(radii).enumerate() {
+            let csq = vector::sq_dist(q, row);
+            let dr = q_radius - rk;
+            let joint = csq + dr * dr;
+            if joint < best.1 {
+                best = (base + k, joint);
+            }
+            let radius_sum = q_radius + rk;
+            if csq <= radius_sum * radius_sum {
+                let spread = csq.sqrt().max((q_radius - rk).abs());
+                let degree = 1.0 - spread / radius_sum;
+                if degree > 0.0 {
+                    hits.push((base + k, degree));
+                }
+            }
+        }
+        (best, hits)
+    }
+
     #[test]
-    fn block_kernel_matches_row_major_kernel() {
+    fn block_kernel_matches_the_scalar_row_pass() {
         for d in [1usize, 2, 3, 4, 7, 9] {
             for nr in [4usize, 8, 16, 64] {
                 let q = random_rows(1, d, 17 + d as u64);
@@ -703,18 +737,7 @@ mod tests {
                 let mut aosoa = Vec::new();
                 pack_quads_aosoa(&rows, d, &mut aosoa);
                 for q_radius in [0.05, 0.4, 1.2, 6.0] {
-                    let mut best_want = (0usize, f64::INFINITY);
-                    let mut hits_want = Vec::new();
-                    vector::winner_overlap_block(
-                        &q,
-                        q_radius,
-                        &rows,
-                        &radii,
-                        d,
-                        7,
-                        &mut best_want,
-                        &mut hits_want,
-                    );
+                    let (best_want, hits_want) = scalar_row_pass(&q, q_radius, &rows, &radii, 7);
                     let (best, hits) =
                         block_kernel_pair(&q, q_radius, &aosoa, &radii, 7, (0, f64::INFINITY));
                     assert_eq!(best.0, best_want.0, "d={d} nr={nr} θ={q_radius}");
@@ -735,10 +758,8 @@ mod tests {
         let q = random_rows(1, d, 5);
         let rows = random_rows(6, d, 6);
         let radii: Vec<f64> = (0..6).map(|i| 0.2 + i as f64 * 0.1).collect();
-        // Reference: exact kernel over the six real rows.
-        let mut best_want = (0usize, f64::INFINITY);
-        let mut hits_want = Vec::new();
-        vector::winner_overlap_block(&q, 4.0, &rows, &radii, d, 0, &mut best_want, &mut hits_want);
+        // Reference: the scalar pass over the six real rows.
+        let (best_want, hits_want) = scalar_row_pass(&q, 4.0, &rows, &radii, 0);
         assert!(!hits_want.is_empty(), "the probe must overlap something");
         // Pad to eight rows with +inf centers and zero radii.
         let mut padded = rows.clone();

@@ -2,49 +2,43 @@
 //! numbers that used to live as duplicated doc-knowledge in
 //! `regq_core::arena` and [`crate::vector`].
 //!
-//! The batched serving drivers cut their work into two nested tiles:
+//! The pruned serving layout (`regq_core::arena::BlockLayout`) clusters
+//! the prototypes into blocks of at most [`ROW_TILE`] rows. One block is
+//! `ROW_TILE × d` doubles — 2 KiB at `d = 4` — sized to stay L1-resident
+//! while the whole-block kernel
+//! ([`crate::simd::winner_overlap_block_aosoa`]) streams over it, and it
+//! is the unit a block bound skips or verifies.
 //!
-//! * [`ROW_TILE`] prototype rows per cut of the packed center block. One
-//!   cut is `ROW_TILE × d` doubles — 2 KiB at `d = 4` — sized to stay
-//!   L1-resident while every query of a block streams over it.
-//! * [`QUERY_BLOCK`] queries resolved per prototype pass, so the
-//!   per-query winner state and overlap scratch of one block stay
-//!   cache-resident while the prototype tiles stream past them.
-//!
-//! Both shapes carry *correctness* load beyond tuning: the fused kernels
-//! process rows four at a time ([`crate::vector::sq_dists4`]), and the
-//! bit-identity argument of the batched drivers requires quad boundaries
-//! inside a tile to line up with the arena-global quad boundaries of the
-//! scalar kernels. That holds exactly when `ROW_TILE` is a multiple of
+//! The shape carries *correctness* load beyond tuning: the kernels
+//! process rows four at a time ([`QUAD`]), centers are stored
+//! quad-interleaved, and every block must start on a quad boundary of the
+//! padded arrays. That holds exactly when `ROW_TILE` is a multiple of
 //! [`QUAD`], which is asserted at compile time below and re-asserted (as
-//! a debug assertion) wherever a tile is actually cut
+//! a debug assertion) wherever a block is handed to the kernel
 //! ([`assert_tile_invariants`]).
 
 /// Rows processed per fused-kernel iteration (the 4-lane quad of
 /// [`crate::vector::sq_dists4`]). Fixed by the kernel shape, not tunable.
 pub const QUAD: usize = 4;
 
-/// Prototype rows per cut of a packed center block. Must stay a multiple
-/// of [`QUAD`] so quad boundaries inside a cut line up with the scalar
-/// kernels' — the bit-identity precondition of the batched drivers.
+/// Largest prototype block of the pruned serving layout. Must stay a
+/// multiple of [`QUAD`] so a full block needs no pad rows and every block
+/// starts on a quad boundary.
 pub const ROW_TILE: usize = 64;
 
-/// Queries resolved per prototype pass of the batched drivers.
-pub const QUERY_BLOCK: usize = 16;
-
-// Compile-time checks: the bit-identity precondition and basic sanity.
+// Compile-time checks: the quad-alignment precondition and basic sanity.
 const _: () = assert!(
     ROW_TILE.is_multiple_of(QUAD),
     "ROW_TILE must be a multiple of QUAD"
 );
-const _: () = assert!(ROW_TILE > 0 && QUERY_BLOCK > 0);
+const _: () = assert!(ROW_TILE > 0);
 
 /// Debug-assert the tile divisibility invariants at a use site.
 ///
-/// `base` is the arena-global index of a tile's first row: the fused
-/// kernels only preserve bit-identity when every tile starts on a quad
-/// boundary, so callers cutting the packed center block assert their cut
-/// points through this before handing tiles to the kernels.
+/// `base` is the index of a block's first row in the padded arrays: the
+/// quad-interleaved kernels are only correct when every block starts on a
+/// quad boundary, so the layout asserts its block starts through this
+/// before handing a block to the kernel.
 #[inline]
 pub fn assert_tile_invariants(base: usize) {
     debug_assert!(

@@ -255,38 +255,16 @@ fn sq_dists4_generic(q: &[f64], quad: &[f64], dim: usize) -> [f64; 4] {
     [a0, a1, a2, a3]
 }
 
-/// Squared Euclidean distance of `q` to every `dim`-strided row of `rows`,
-/// written into `out` (cleared first, then one value per row in row order).
-///
-/// The all-distances batch variant: four rows per iteration over a
-/// contiguous struct-of-arrays block ([`sq_dists4`]), tail via
-/// [`sq_dist`], every output bit-identical to `sq_dist(q, row)`. The
-/// serving and store scans fuse their predicates into the quad loop
-/// directly (`PrototypeArena` in `regq_core`, [`sq_dist_within_batch`])
-/// and skip the buffer; this form is for consumers that need the full
-/// distance vector — soft weighting, k-NN-style selection.
-///
-/// # Panics
-/// Panics in debug builds if `rows.len()` is not a multiple of `dim`.
-pub fn sq_dists_into(q: &[f64], rows: &[f64], dim: usize, out: &mut Vec<f64>) {
-    debug_assert!(dim > 0, "sq_dists_into: dim must be positive");
-    debug_assert_eq!(rows.len() % dim, 0, "sq_dists_into: ragged row block");
-    out.clear();
-    out.reserve(rows.len() / dim);
-    let mut quads = rows.chunks_exact(4 * dim);
-    for quad in quads.by_ref() {
-        out.extend_from_slice(&sq_dists4(q, quad, dim));
-    }
-    for row in quads.remainder().chunks_exact(dim) {
-        out.push(sq_dist(q, row));
-    }
-}
-
 /// Winner update and overlap membership for one quad of squared center
-/// distances `sq` (rows `k .. k + 4`, radii `r`) — the per-quad body shared
-/// by [`winner_overlap_block`] and the AoSoA block kernels in
-/// [`crate::simd`], so every layout resolves a quad with one operation
-/// sequence.
+/// distances `sq` (rows `k .. k + 4`, radii `r`) — the per-quad body of
+/// the AoSoA block kernels in [`crate::simd`] (scalar twin and AVX2
+/// spill alike), so both resolve a quad with one operation sequence:
+/// squared *joint* distance `‖c − q‖² + (θ_q − θ_k)²` against the running
+/// best (strict `<`, ties keep the lowest index), membership
+/// `‖c − q‖² ≤ (θ_q + θ_k)²`, degree `1 − spread / (θ_q + θ_k)` with
+/// `spread = max(‖c − q‖, |θ_q − θ_k|)` pushed as `(row index, degree)`
+/// when positive — the arithmetic of `regq_core`'s scalar winner and
+/// overlap passes, per row.
 #[inline(always)]
 pub(crate) fn resolve_quad(
     sq: [f64; 4],
@@ -339,90 +317,6 @@ pub(crate) fn resolve_quad(
             }
         }
     }
-}
-
-/// Fused blocked winner-and-overlap kernel for one query over an
-/// L1-sized cut of a packed ball block: squared center distances come out
-/// of [`sq_dists4`] quad by quad and are consumed **in registers** — each
-/// feeds the running winner update (squared *joint* distance
-/// `‖c − q‖² + (θ_q − θ_k)²`, strict `<`, ties keep the lowest index) and
-/// the overlap membership test (`‖c − q‖² ≤ (θ_q + θ_k)²`, degree
-/// `1 − spread / (θ_q + θ_k)` with `spread = max(‖c − q‖, |θ_q − θ_k|)`,
-/// appended as `(row index, degree)` when positive) without ever
-/// materializing the distance row.
-///
-/// This is the serving path's side of the bit-identity contract: per row
-/// the additions are exactly a scalar [`sq_dist`]'s, in the same order
-/// (quads via [`sq_dists4`], tail via [`sq_dist`]), the winner update is
-/// a branchless 4-wide compare whose rare improving quad falls back to
-/// the exact ascending strict-`<` scan (ties keep the lowest index), and
-/// members are pushed in
-/// ascending row order. Callers cut `rows` at multiples of four rows so
-/// quad boundaries — and with them the quad-vs-tail split — line up with
-/// an uncut pass for any block length.
-///
-/// `base` is the global index of the cut's first row: winner indices and
-/// membership entries come out in the caller's global numbering, and
-/// `best` carries the running winner across cuts (seed with
-/// `(0, f64::INFINITY)`).
-///
-/// # Panics
-/// Panics in debug builds on ragged blocks or `rows`/`radii` length
-/// disagreement.
-#[inline]
-// Flat scalar parameters on purpose: bundling them into a struct would
-// buy nothing at the single call site and this is the innermost serving
-// kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn winner_overlap_block(
-    q: &[f64],
-    q_radius: f64,
-    rows: &[f64],
-    radii: &[f64],
-    dim: usize,
-    base: usize,
-    best: &mut (usize, f64),
-    hits: &mut Vec<(usize, f64)>,
-) {
-    debug_assert!(dim > 0, "winner_overlap_block: dim must be positive");
-    debug_assert_eq!(
-        rows.len() % dim,
-        0,
-        "winner_overlap_block: ragged row block"
-    );
-    debug_assert_eq!(
-        rows.len() / dim,
-        radii.len(),
-        "winner_overlap_block: rows/radii length mismatch"
-    );
-    let (mut best_k, mut best_sq) = *best;
-    let mut k = base;
-    let mut quads = rows.chunks_exact(4 * dim);
-    let mut r_quads = radii.chunks_exact(4);
-    for (quad, r) in quads.by_ref().zip(r_quads.by_ref()) {
-        let sq = sq_dists4(q, quad, dim);
-        resolve_quad(sq, r, q_radius, k, &mut best_k, &mut best_sq, hits);
-        k += 4;
-    }
-    for (row, &rk) in quads.remainder().chunks_exact(dim).zip(r_quads.remainder()) {
-        let csq = sq_dist(q, row);
-        let dr = q_radius - rk;
-        let joint = csq + dr * dr;
-        if joint < best_sq {
-            best_sq = joint;
-            best_k = k;
-        }
-        let radius_sum = q_radius + rk;
-        if csq <= radius_sum * radius_sum {
-            let spread = csq.sqrt().max((q_radius - rk).abs());
-            let degree = 1.0 - spread / radius_sum;
-            if degree > 0.0 {
-                hits.push((k, degree));
-            }
-        }
-        k += 1;
-    }
-    *best = (best_k, best_sq);
 }
 
 /// [`sq_dists4`] with block skipping: the coordinate loop runs in blocks
@@ -704,24 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn sq_dists_into_is_bit_identical_to_scalar_kernel() {
-        // Row counts straddling the 4-row quad boundary, dims straddling
-        // the block-skip boundary.
-        for d in [1usize, 2, 3, 5, 8, 9, 24, 25, 40] {
-            for n in [0usize, 1, 3, 4, 5, 8, 11] {
-                let (q, rows) = row_block(n, d);
-                let mut out = vec![f64::NAN; 2];
-                sq_dists_into(&q, &rows, d, &mut out);
-                assert_eq!(out.len(), n, "d={d} n={n}");
-                for (r, &got) in out.iter().enumerate() {
-                    let want = sq_dist(&q, &rows[r * d..(r + 1) * d]);
-                    assert!(got == want, "d={d} n={n} row {r}: {got} vs {want}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn a_nan_coordinate_or_bound_is_within_nothing_under_every_norm() {
         let a = [0.0, 0.0, 0.0, 0.0, 0.0];
         for nan_at in 0..a.len() {
@@ -772,10 +648,14 @@ mod tests {
 
     #[test]
     fn sq_dists4_matches_four_scalar_calls() {
-        let (q, rows) = row_block(4, 9);
-        let quad = sq_dists4(&q, &rows, 9);
-        for (r, &got) in quad.iter().enumerate() {
-            assert!(got == sq_dist(&q, &rows[r * 9..(r + 1) * 9]), "row {r}");
+        // Every monomorphized dimension (1..=8) plus the generic loop.
+        for d in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 24, 25, 40] {
+            let (q, rows) = row_block(4, d);
+            let quad = sq_dists4(&q, &rows, d);
+            for (r, &got) in quad.iter().enumerate() {
+                let want = sq_dist(&q, &rows[r * d..(r + 1) * d]);
+                assert!(got == want, "d={d} row {r}: {got} vs {want}");
+            }
         }
     }
 

@@ -103,12 +103,15 @@ mod tests {
     /// The regression test for the lost-update race the invariant audit
     /// surfaced: every successful `record` returns its (prev, next) bit
     /// transition, and with a CAS fold those transitions must form one
-    /// single chain from the initial state — each produced value is
-    /// consumed by exactly one later fold (or is the final value). The
+    /// single chain from the initial state — one walk that consumes every
+    /// transition exactly once and ends at the published estimate. The
     /// old load-then-store version forks the chain whenever two threads
-    /// read the same `prev`, which this test catches deterministically
-    /// from the collected transitions (no timing luck needed in the
-    /// assertion itself).
+    /// read the same `prev` (one branch is a dead end no later fold
+    /// consumes), which this test catches deterministically from the
+    /// collected transitions (no timing luck needed in the assertion
+    /// itself). The transitions are a **multiset**: the EMA may
+    /// legitimately revisit a bit pattern, so a repeated `prev` alone
+    /// proves nothing — only the walk does.
     #[test]
     fn concurrent_records_form_one_transition_chain() {
         const THREADS: usize = 4;
@@ -120,9 +123,9 @@ mod tests {
                     let ema = Arc::clone(&ema);
                     s.spawn(move || {
                         (0..PER_THREAD)
-                            // Disjoint per-thread sample ranges keep every
-                            // folded value distinct, so chain forks can't
-                            // hide behind coincidentally equal bits.
+                            // Disjoint per-thread sample ranges: no two
+                            // folds carry the same sample, so a fork can't
+                            // hide behind two identical transitions.
                             .map(|i| ema.record(1.0 + (t * PER_THREAD + i) as f64 / 7.0))
                             .collect::<Vec<_>>()
                     })
@@ -135,21 +138,32 @@ mod tests {
         });
 
         assert_eq!(transitions.len(), THREADS * PER_THREAD);
-        // Build prev -> next; a duplicate prev is exactly a lost update.
-        let mut chain: HashMap<u64, u64> = HashMap::new();
+        // prev -> {next…}; walk it from the seed (Hierholzer: follow unused
+        // transitions, emit a node once it has none left), which finds the
+        // one walk over all of them whenever such a walk exists.
+        let mut unused: HashMap<u64, Vec<u64>> = HashMap::new();
         for &(prev, next) in &transitions {
-            let clash = chain.insert(prev, next);
-            assert!(
-                clash.is_none(),
-                "two folds consumed the same previous value {prev:#x}: lost update"
-            );
+            unused.entry(prev).or_default().push(next);
         }
-        // Walking the chain from the initial state must visit every
-        // transition and end at the published estimate.
-        let mut at = 0u64;
-        for _ in 0..transitions.len() {
-            at = *chain.get(&at).expect("chain is connected from the seed");
+        let (mut stack, mut walk) = (vec![0u64], Vec::new());
+        while let Some(&at) = stack.last() {
+            match unused.get_mut(&at).and_then(Vec::pop) {
+                Some(next) => stack.push(next),
+                None => walk.extend(stack.pop()),
+            }
         }
+        walk.reverse();
+        // A lost update leaves a dead-end branch: the emitted sequence then
+        // steps across a pair that is not a transition (or misses some).
+        let mut walked: Vec<Transition> = walk.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut recorded = transitions.clone();
+        walked.sort_unstable();
+        recorded.sort_unstable();
+        assert!(
+            walked == recorded,
+            "no single walk from the seed consumes every fold exactly once: lost update"
+        );
+        let at = *walk.last().expect("the walk holds at least the seed");
         assert_eq!(Some(f64::from_bits(at)), ema.estimate_us());
     }
 }

@@ -798,7 +798,7 @@ impl ShardRouter {
                 version = version.max(ss.snapshot.version());
                 ShardPart {
                     snapshot: &ss.snapshot,
-                    ids: &ss.ids,
+                    ids: Some(&ss.ids),
                 }
             })
             .collect();
