@@ -1,7 +1,9 @@
 //! # regq-bench
 //!
-//! Shared harness for the figure-regeneration binaries (`src/bin/fig*.rs`)
-//! and the Criterion microbenchmarks (`benches/`).
+//! Shared harness for the 14 figure-regeneration binaries (`src/bin/`).
+//! Nothing here measures the served path: timings are the ledger's
+//! (`benchmark/` + `BENCHMARK.json`); these binaries reprint the paper's
+//! own figures.
 //!
 //! Every binary prints the same series the corresponding paper figure
 //! plots, as titled TSV blocks (see `regq_workload::experiment`). Scale is

@@ -128,24 +128,6 @@ impl Dataset {
         self.xs.chunks_exact(self.dim).zip(self.ys.iter().copied())
     }
 
-    /// Per-dimension `(min, max)` of the stored features.
-    ///
-    /// # Errors
-    /// [`DataError::Empty`] on an empty dataset.
-    pub fn feature_bounds(&self) -> Result<Vec<(f64, f64)>, DataError> {
-        if self.is_empty() {
-            return Err(DataError::Empty);
-        }
-        let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); self.dim];
-        for row in self.xs.chunks_exact(self.dim) {
-            for (b, &v) in bounds.iter_mut().zip(row.iter()) {
-                b.0 = b.0.min(v);
-                b.1 = b.1.max(v);
-            }
-        }
-        Ok(bounds)
-    }
-
     /// `(min, max)` of the output column.
     ///
     /// # Errors
@@ -157,16 +139,6 @@ impl Dataset {
         let lo = self.ys.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = self.ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Ok((lo, hi))
-    }
-
-    /// New dataset consisting of the given rows (indices may repeat).
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::with_capacity(self.dim, indices.len());
-        for &i in indices {
-            out.xs.extend_from_slice(self.x(i));
-            out.ys.push(self.ys[i]);
-        }
-        out
     }
 
     /// Materialize `n` rows by sampling the function's domain uniformly.
@@ -247,29 +219,7 @@ mod tests {
     #[test]
     fn bounds_of_empty_dataset_error() {
         let ds = Dataset::new(2);
-        assert!(matches!(ds.feature_bounds(), Err(DataError::Empty)));
         assert!(matches!(ds.output_bounds(), Err(DataError::Empty)));
-    }
-
-    #[test]
-    fn feature_bounds_computed_per_dimension() {
-        let mut ds = Dataset::new(2);
-        ds.push(&[0.0, 5.0], 0.0).unwrap();
-        ds.push(&[2.0, -1.0], 0.0).unwrap();
-        assert_eq!(ds.feature_bounds().unwrap(), vec![(0.0, 2.0), (-1.0, 5.0)]);
-    }
-
-    #[test]
-    fn subset_selects_rows_in_order() {
-        let mut ds = Dataset::new(1);
-        for i in 0..5 {
-            ds.push(&[i as f64], i as f64 * 10.0).unwrap();
-        }
-        let sub = ds.subset(&[4, 0, 0]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.y(0), 40.0);
-        assert_eq!(sub.y(1), 0.0);
-        assert_eq!(sub.y(2), 0.0);
     }
 
     #[test]
@@ -286,11 +236,9 @@ mod tests {
             &mut rng,
         );
         assert_eq!(ds.len(), 500);
-        let b = ds.feature_bounds().unwrap();
-        assert!(b[0].0 >= -1.0 && b[0].1 <= 1.0);
-        assert!(b[1].0 >= 2.0 && b[1].1 <= 3.0);
-        // Target equals the clean function of the stored features (no noise).
         for (x, u) in ds.iter() {
+            assert!((-1.0..=1.0).contains(&x[0]) && (2.0..=3.0).contains(&x[1]));
+            // Target equals the clean function of the stored features (no noise).
             assert!((u - (x[0] + x[1])).abs() < 1e-12);
         }
     }

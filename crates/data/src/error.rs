@@ -1,8 +1,8 @@
-//! Error type for dataset construction and IO.
+//! Error type for dataset construction.
 
 use std::fmt;
 
-/// Errors from dataset construction, scaling and (de)serialization.
+/// Errors from dataset construction and summary statistics.
 #[derive(Debug)]
 pub enum DataError {
     /// Row/feature dimension disagreement.
@@ -14,15 +14,6 @@ pub enum DataError {
     },
     /// Operation requires a non-empty dataset.
     Empty,
-    /// Underlying IO failure.
-    Io(std::io::Error),
-    /// CSV parse failure with 1-based line number.
-    Parse {
-        /// Line where parsing failed.
-        line: usize,
-        /// Description of the failure.
-        message: String,
-    },
 }
 
 impl fmt::Display for DataError {
@@ -32,25 +23,8 @@ impl fmt::Display for DataError {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
             DataError::Empty => write!(f, "dataset is empty"),
-            DataError::Io(e) => write!(f, "io error: {e}"),
-            DataError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
         }
     }
 }
 
-impl std::error::Error for DataError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io(e)
-    }
-}
+impl std::error::Error for DataError {}

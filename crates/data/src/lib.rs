@@ -25,17 +25,13 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod csv;
 pub mod dataset;
 pub mod error;
 pub mod function;
 pub mod generators;
 pub mod rng;
-pub mod scale;
-pub mod split;
 
 pub use dataset::{Dataset, SampleOptions};
 pub use error::DataError;
 pub use function::DataFunction;
 pub use rng::{sample_gaussian, sample_truncated_gaussian, seeded, SeededRng};
-pub use scale::MinMaxScaler;

@@ -249,7 +249,7 @@ mod tests {
         use regq_store::AccessPathKind;
         use std::sync::Arc;
         let ds = linear_dataset(2, 50, 0.0, &[1.0, 1.0], 3);
-        let rel = Relation::new(Arc::new(ds), AccessPathKind::Grid);
+        let rel = Relation::new(Arc::new(ds), AccessPathKind::KdTree);
         assert!(matches!(
             fit_ols_ball(&rel, &[100.0, 100.0], 0.1),
             Err(LinalgError::Empty)

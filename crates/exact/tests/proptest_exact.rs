@@ -152,11 +152,7 @@ fn norm_strategy() -> impl Strategy<Value = Norm> {
     ]
 }
 
-const ALL_PATHS: [AccessPathKind; 3] = [
-    AccessPathKind::Scan,
-    AccessPathKind::KdTree,
-    AccessPathKind::Grid,
-];
+const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::KdTree];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

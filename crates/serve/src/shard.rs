@@ -78,6 +78,7 @@ use crate::cost::CostEma;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::partition::{joint_point, Partitioner};
 use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
+use regq_core::moments::MomentsModel;
 use regq_core::{
     sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
     sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, Confidence,
@@ -143,7 +144,9 @@ impl Shard {
 pub struct RouterStats {
     /// Queries answered from the fused shard snapshots.
     pub model_served: u64,
-    /// Queries answered by the exact engine.
+    /// Queries answered by the exact engine. Like its two siblings this
+    /// counts the snapshot-served heads (`AVG`, `LINREG`); `VAR` passes
+    /// the same gate uncounted.
     pub exact_served: u64,
     /// Feedback examples accepted into a shard queue.
     pub feedback_enqueued: u64,
@@ -199,6 +202,10 @@ pub struct ShardRouter {
     policy: RoutePolicy,
     partitioner: Partitioner,
     shards: Vec<Shard>,
+    /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]):
+    /// immutable once attached and consulted whole, so it lives beside
+    /// the shards, not in them.
+    moments: Option<MomentsModel>,
     queue_capacity: usize,
     fault: FaultPlan,
     /// Examples quarantined by panicking shard trainers (bounded at
@@ -228,6 +235,10 @@ pub struct ShardRouter {
 /// What the snapshots said about one query: the fused prediction with its
 /// confidence, or `None` when no shard has a non-empty snapshot.
 type Predicted<T> = Option<(T, Confidence)>;
+
+/// One consultation: what it predicted, the newest model version
+/// involved and its pruning telemetry.
+type Consulted<P> = (P, u64, ScreenCounters);
 
 /// One gated query: the answer and, on the exact route, the label its
 /// caller owes the fabric as feedback.
@@ -280,6 +291,7 @@ impl ShardRouter {
             policy,
             partitioner: Partitioner::Hash { shards },
             shards: (0..shards).map(|_| Shard::empty()).collect(),
+            moments: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fault: FaultPlan::new(),
             quarantine: Mutex::new(Vec::new()),
@@ -361,6 +373,15 @@ impl ShardRouter {
             });
             shard.degraded.store(false, Ordering::Relaxed);
         }
+    }
+
+    /// Attach a trained moments model: enables the model route of
+    /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. The model is
+    /// served as attached — exact `VAR` fallbacks feed their subspace
+    /// mean to the Q1 trainers, not to these heads — and resharding
+    /// leaves it untouched.
+    pub fn attach_moments(&mut self, model: MomentsModel) {
+        self.moments = Some(model);
     }
 
     /// Re-shard in place: drain every queue, merge the per-shard models
@@ -783,7 +804,7 @@ impl ShardRouter {
         &self,
         queries: &Q,
         predict: impl FnOnce(&[ShardPart<'_>], &Q, &mut ScreenCounters) -> P,
-    ) -> (P, u64, ScreenCounters) {
+    ) -> Consulted<P> {
         let mut readers: Vec<_> = self.shards.iter().map(|s| s.cell.tls_reader()).collect();
         let mut guards = Vec::with_capacity(readers.len());
         for reader in &mut readers {
@@ -853,6 +874,37 @@ impl ShardRouter {
         Ok((list, fit.moments.mean))
     }
 
+    /// The exact `VAR` execution: the subspace variance, with the mean
+    /// the same traversal computed as the label to feed back (a
+    /// `VAR`-heavy workload still trains the Q1 model).
+    fn exact_var(&self, q: &Query) -> Result<(f64, f64), ServeError> {
+        let m = self.timed_exact(|| {
+            self.exact
+                .q1_moments(&q.center, q.radius)
+                .ok_or(ServeError::EmptySubspace)
+        })?;
+        Ok((m.variance, m.mean))
+    }
+
+    /// Consult the moments model about `q`: the variance head's
+    /// prediction (clamped non-negative), scored on the mean head — the
+    /// heads share one codebook, so the mean head's confidence is the
+    /// variance head's too. Two arena passes, no shard guard (the model is
+    /// immutable once attached); the version is the heads' step count.
+    /// Predicts nothing without a moments model.
+    ///
+    /// # Errors
+    /// [`CoreError::EmptyModel`] while the heads are untrained.
+    fn consult_moments(&self, q: &Query) -> Result<Consulted<Predicted<f64>>, CoreError> {
+        let Some(m) = self.moments.as_ref() else {
+            return Ok(Default::default());
+        };
+        let conf = m.mean_head().confidence(q)?;
+        let variance = m.second_head().predict_q1(q)?.max(0.0);
+        let version = m.mean_head().steps();
+        Ok((Some((variance, conf)), version, ScreenCounters::default()))
+    }
+
     /// Run an exact-path computation, timing it when a deadline budget
     /// (or an injected delay) makes the cost estimate matter. With no
     /// deadline and no armed delay this is a plain call — zero overhead
@@ -896,13 +948,13 @@ impl ShardRouter {
         })
     }
 
-    /// The gate: route one query given what the snapshots `predicted` for
+    /// The gate: route one query given what the models `predicted` for
     /// it. Serves the prediction when its score clears the threshold,
     /// flags it [`Route::Degraded`] when the exact fallback is refused,
     /// and otherwise runs `exact` — annotated with the rejecting score
     /// when there was one. Offering the label is the caller's job: scalar
     /// callers do it at once, batches offer all of theirs together.
-    fn route_one<T>(
+    fn gate<T>(
         &self,
         q: &Query,
         predicted: Predicted<T>,
@@ -912,11 +964,9 @@ impl ShardRouter {
     ) -> Result<Routed<T>, ServeError> {
         match predicted {
             Some((value, conf)) if conf.score >= self.policy.confidence_threshold => {
-                self.model_served.fetch_add(1, Ordering::Relaxed);
                 Ok((Served::model(value, conf.score, version, screen), None))
             }
             Some((value, conf)) if self.should_degrade(q) => {
-                self.degraded_served.fetch_add(1, Ordering::Relaxed);
                 let served = Served {
                     route: Route::Degraded,
                     ..Served::model(value, conf.score, version, screen)
@@ -926,7 +976,6 @@ impl ShardRouter {
             below => {
                 let score = below.map(|(_, conf)| conf.score);
                 let (value, y) = exact(self, q)?;
-                self.exact_served.fetch_add(1, Ordering::Relaxed);
                 let served = Served {
                     score,
                     snapshot_version: score.is_some().then_some(version),
@@ -937,6 +986,26 @@ impl ShardRouter {
                 Ok((served, Some(y)))
             }
         }
+    }
+
+    /// [`ShardRouter::gate`] for the snapshot-served heads (`AVG`,
+    /// `LINREG`), counting the route taken.
+    fn route_one<T>(
+        &self,
+        q: &Query,
+        predicted: Predicted<T>,
+        version: u64,
+        screen: ScreenCounters,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+    ) -> Result<Routed<T>, ServeError> {
+        let routed = self.gate(q, predicted, version, screen, exact)?;
+        let counter = match routed.0.route {
+            Route::Model => &self.model_served,
+            Route::Exact => &self.exact_served,
+            Route::Degraded => &self.degraded_served,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(routed)
     }
 
     /// Scalar auto-routing driver: consult the snapshots once, gate, and
@@ -1035,6 +1104,55 @@ impl ShardRouter {
     /// [`ServeError::Numeric`] on a numerical failure.
     pub fn q2_exact(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
         self.serve_exact(self.check_dim(q)?, Self::exact_q2)
+    }
+
+    // ---- VAR -----------------------------------------------------------
+    //
+    // The moments head passes the same gate, deadline/pressure
+    // degradation, exact-cost clock and feedback seam as the snapshot
+    // heads. It moves none of `model_served` / `exact_served` /
+    // `degraded_served`: those count snapshot-head answers, a scope the
+    // ledger's smoke test pins (`benchmark/tests/smoke.rs`).
+
+    /// **Auto-routed `VAR`**: the moments model's variance head when the
+    /// mean head's confidence clears the policy threshold, otherwise the
+    /// gate every answer passes — [`Route::Degraded`] under the deadline
+    /// budget / pressure watermark, else exact execution with the
+    /// subspace mean fed back. No (or an untrained) moments model routes
+    /// exact with no score.
+    ///
+    /// # Errors
+    /// [`ServeError::EmptySubspace`] when the fallback selection is
+    /// empty; [`ServeError::Model`] on a dimension mismatch.
+    pub fn var(&self, q: &Query) -> Result<Served<f64>, ServeError> {
+        let q = self.check_dim(q)?;
+        let (predicted, version, screen) = self.consult_moments(q).unwrap_or_default();
+        let routed = self.gate(q, predicted, version, screen, Self::exact_var)?;
+        Ok(self.feed_back(q, routed))
+    }
+
+    /// **Forced model `VAR`** (the SQL `USING MODEL` route).
+    ///
+    /// # Errors
+    /// [`ServeError::NoModel`] without a moments model;
+    /// [`ServeError::Model`] while its heads are untrained or on a
+    /// dimension mismatch.
+    pub fn var_model(&self, q: &Query) -> Result<Served<f64>, ServeError> {
+        let q = self.check_dim(q)?;
+        let (predicted, version, screen) = self.consult_moments(q).map_err(ServeError::Model)?;
+        let (value, conf) = predicted.ok_or(ServeError::NoModel)?;
+        Ok(Served::model(value, conf.score, version, screen))
+    }
+
+    /// **Forced exact `VAR`**; still feeds the subspace mean to the
+    /// fabric when feedback is on.
+    ///
+    /// # Errors
+    /// [`ServeError::EmptySubspace`] when the selection is empty.
+    pub fn var_exact(&self, q: &Query) -> Result<Served<f64>, ServeError> {
+        let q = self.check_dim(q)?;
+        let routed = self.gate(q, None, 0, ScreenCounters::default(), Self::exact_var)?;
+        Ok(self.feed_back(q, routed))
     }
 
     // ---- Batched serving ----------------------------------------------

@@ -6,6 +6,8 @@
 //! `USING MODEL` forces the published snapshots, and `USING AUTO` lets
 //! the router gate per query on its confidence score — falling back to
 //! exact execution (and feeding the shard trainers) below the threshold.
+//! That holds for every aggregate but `COUNT(*)`: the router also holds
+//! the table's moments model, so `VAR` passes the same gate.
 //! Executions take `&self` and the session is `Send + Sync`, so one
 //! session serves any number of threads concurrently; the serve path is
 //! lock-free (see `regq_serve`). Resharding ([`Session::set_shards`],
@@ -19,7 +21,7 @@ use regq_core::moments::MomentsModel;
 use regq_core::{CoreError, LlmModel, LocalModel, Query};
 use regq_exact::ExactEngine;
 use regq_linalg::LinalgError;
-use regq_serve::{FaultPlan, Feedback, Route, RoutePolicy, ServeError, Served, ShardRouter};
+use regq_serve::{FaultPlan, Route, RoutePolicy, ServeError, Served, ShardRouter};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -217,16 +219,11 @@ impl fmt::Display for QueryOutput {
     }
 }
 
-struct TableEntry {
-    serve: ShardRouter,
-    moments: Option<MomentsModel>,
-}
-
 /// A catalog of named tables with optional trained models, executing
 /// statements of the dialect through per-table [`ShardRouter`]s.
 #[derive(Default)]
 pub struct Session {
-    tables: HashMap<String, TableEntry>,
+    tables: HashMap<String, ShardRouter>,
 }
 
 impl Session {
@@ -249,13 +246,8 @@ impl Session {
         engine: ExactEngine,
         policy: RoutePolicy,
     ) {
-        self.tables.insert(
-            name.into(),
-            TableEntry {
-                serve: ShardRouter::new(engine, policy, 1),
-                moments: None,
-            },
-        );
+        self.tables
+            .insert(name.into(), ShardRouter::new(engine, policy, 1));
     }
 
     /// Re-shard a table's serve/train fabric in place (`SET SHARDS n FOR
@@ -265,11 +257,7 @@ impl Session {
     /// # Errors
     /// [`SqlError::UnknownTable`] when the table is not registered.
     pub fn set_shards(&mut self, table: &str, shards: usize) -> Result<(), SqlError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        entry.serve.set_shards(shards);
+        self.router_mut(table)?.set_shards(shards);
         Ok(())
     }
 
@@ -280,11 +268,8 @@ impl Session {
     /// [`SqlError::UnknownTable`] when the table is not registered;
     /// [`SqlError::DimensionMismatch`] when model and table disagree.
     pub fn register_model(&mut self, table: &str, model: LlmModel) -> Result<(), SqlError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        let expected = entry.serve.exact_engine().relation().dim();
+        let router = self.router_mut(table)?;
+        let expected = router.exact_engine().relation().dim();
         if model.dim() != expected {
             return Err(SqlError::DimensionMismatch {
                 table: table.to_string(),
@@ -292,11 +277,12 @@ impl Session {
                 actual: model.dim(),
             });
         }
-        entry.serve.attach_model(model);
+        router.attach_model(model);
         Ok(())
     }
 
-    /// Attach a trained moments model (enables `VAR(u) … USING MODEL`).
+    /// Attach a trained moments model (enables `VAR(u) … USING MODEL` and
+    /// the model route of `VAR(u) … USING AUTO`).
     ///
     /// # Errors
     /// Same as [`Session::register_model`].
@@ -305,11 +291,8 @@ impl Session {
         table: &str,
         model: MomentsModel,
     ) -> Result<(), SqlError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        let expected = entry.serve.exact_engine().relation().dim();
+        let router = self.router_mut(table)?;
+        let expected = router.exact_engine().relation().dim();
         if model.mean_head().dim() != expected {
             return Err(SqlError::DimensionMismatch {
                 table: table.to_string(),
@@ -317,7 +300,7 @@ impl Session {
                 actual: model.mean_head().dim(),
             });
         }
-        entry.moments = Some(model);
+        router.attach_moments(model);
         Ok(())
     }
 
@@ -339,11 +322,7 @@ impl Session {
         table: &str,
         capacity: usize,
     ) -> Result<(), SqlError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        entry.serve.set_queue_capacity(capacity);
+        self.router_mut(table)?.set_queue_capacity(capacity);
         Ok(())
     }
 
@@ -357,24 +336,28 @@ impl Session {
     /// # Errors
     /// [`SqlError::UnknownTable`] when the table is not registered.
     pub fn set_fault_plan(&mut self, table: &str, plan: FaultPlan) -> Result<(), SqlError> {
-        let entry = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-        entry.serve.set_fault_plan(plan);
+        self.router_mut(table)?.set_fault_plan(plan);
         Ok(())
     }
 
     /// The shard router backing a table (routing stats, merged-model
     /// access, manual pump/publish).
     ///
-    /// Scope note: the router's route counters cover the statements it
-    /// executes — `AVG`/`LINREG` in every mode. `VAR` and `COUNT` are
-    /// session-level operators (the moments head and cardinality live
-    /// outside the snapshots) and do not move `model_served`/
-    /// `exact_served`, though exact `VAR` still feeds the trainers.
+    /// Scope note: `model_served` / `exact_served` / `degraded_served`
+    /// count the snapshot-served heads — `AVG`/`LINREG` in every mode.
+    /// `VAR` passes the same router gate (threshold, deadline/pressure
+    /// degradation, feedback) but answers from the moments model, and
+    /// `COUNT(*)` is the one session-level operator (cardinality needs
+    /// the data by definition); neither moves a route counter, though
+    /// exact `VAR` still feeds the trainers.
     pub fn router(&self, table: &str) -> Option<&ShardRouter> {
-        self.tables.get(table).map(|e| &e.serve)
+        self.tables.get(table)
+    }
+
+    fn router_mut(&mut self, table: &str) -> Result<&mut ShardRouter, SqlError> {
+        self.tables
+            .get_mut(table)
+            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))
     }
 
     /// Parse and execute one command: `SELECT …` statements return
@@ -391,8 +374,8 @@ impl Session {
                 match table {
                     Some(t) => self.set_shards(&t, shards)?,
                     None => {
-                        for entry in self.tables.values_mut() {
-                            entry.serve.set_shards(shards);
+                        for router in self.tables.values_mut() {
+                            router.set_shards(shards);
                         }
                     }
                 }
@@ -478,11 +461,11 @@ impl Session {
                 i = j;
                 continue;
             }
-            let entry = self
+            let router = self
                 .tables
                 .get(&s.table)
                 .ok_or_else(|| SqlError::UnknownTable(s.table.clone()))?;
-            let dim = entry.serve.exact_engine().relation().dim();
+            let dim = router.exact_engine().relation().dim();
             let mut queries = Vec::with_capacity(j - i);
             for t in &stmts[i..j] {
                 if t.center.len() != dim {
@@ -494,15 +477,15 @@ impl Session {
                 }
                 queries.push(Query::new(t.center.clone(), t.radius).map_err(SqlError::Model)?);
             }
-            let serve_err = |e: ServeError| convert_serve_error(&s.table, e);
+            let serve_err = |e: ServeError| convert_serve_error(s, e);
             match s.aggregate {
                 Aggregate::Avg => {
-                    for served in entry.serve.q1_batch(&queries).map_err(serve_err)? {
+                    for served in router.q1_batch(&queries).map_err(serve_err)? {
                         out.push(QueryOutput::served(served.map_value(QueryValue::Scalar)));
                     }
                 }
                 Aggregate::LinReg => {
-                    for served in entry.serve.q2_batch(&queries).map_err(serve_err)? {
+                    for served in router.q2_batch(&queries).map_err(serve_err)? {
                         out.push(QueryOutput::served(
                             served.map_value(QueryValue::Regression),
                         ));
@@ -515,16 +498,19 @@ impl Session {
         Ok(out)
     }
 
-    /// Execute an already-parsed statement.
+    /// Execute an already-parsed statement: one `(aggregate, mode)`
+    /// dispatch onto the table's router, so every answer but `COUNT(*)`
+    /// passes the same gate, deadline/pressure degradation and feedback
+    /// seam.
     ///
     /// # Errors
     /// See [`SqlError`].
     pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryOutput, SqlError> {
-        let entry = self
+        let router = self
             .tables
             .get(&stmt.table)
             .ok_or_else(|| SqlError::UnknownTable(stmt.table.clone()))?;
-        let dim = entry.serve.exact_engine().relation().dim();
+        let dim = router.exact_engine().relation().dim();
         if stmt.center.len() != dim {
             return Err(SqlError::DimensionMismatch {
                 table: stmt.table.clone(),
@@ -536,8 +522,7 @@ impl Session {
         // COUNT requires the data by definition; the model never sees
         // cardinalities. Route to the exact engine regardless of mode.
         if stmt.aggregate == Aggregate::Count {
-            let n = entry
-                .serve
+            let n = router
                 .exact_engine()
                 .relation()
                 .count(&stmt.center, stmt.radius);
@@ -545,106 +530,33 @@ impl Session {
         }
 
         let q = Query::new(stmt.center.clone(), stmt.radius).map_err(SqlError::Model)?;
-        let serve_err = |e: ServeError| convert_serve_error(&stmt.table, e);
-        match stmt.aggregate {
-            Aggregate::Avg => {
-                let served = match stmt.mode {
-                    ExecMode::Exact => entry.serve.q1_exact(&q),
-                    ExecMode::Model => entry.serve.q1_model(&q),
-                    ExecMode::Auto => entry.serve.q1(&q),
-                }
-                .map_err(serve_err)?;
-                Ok(QueryOutput::served(served.map_value(QueryValue::Scalar)))
-            }
-            Aggregate::LinReg => {
-                let served = match stmt.mode {
-                    ExecMode::Exact => entry.serve.q2_exact(&q),
-                    ExecMode::Model => entry.serve.q2_model(&q),
-                    ExecMode::Auto => entry.serve.q2(&q),
-                }
-                .map_err(serve_err)?;
-                Ok(QueryOutput::served(
-                    served.map_value(QueryValue::Regression),
-                ))
-            }
-            Aggregate::Var => self.execute_var(entry, stmt, &q),
-            Aggregate::Count => unreachable!("handled above"),
+        let scalar = |s: Served<f64>| s.map_value(QueryValue::Scalar);
+        let list = |s: Served<Vec<LocalModel>>| s.map_value(QueryValue::Regression);
+        match (stmt.aggregate, stmt.mode) {
+            (Aggregate::Avg, ExecMode::Exact) => router.q1_exact(&q).map(scalar),
+            (Aggregate::Avg, ExecMode::Model) => router.q1_model(&q).map(scalar),
+            (Aggregate::Avg, ExecMode::Auto) => router.q1(&q).map(scalar),
+            (Aggregate::LinReg, ExecMode::Exact) => router.q2_exact(&q).map(list),
+            (Aggregate::LinReg, ExecMode::Model) => router.q2_model(&q).map(list),
+            (Aggregate::LinReg, ExecMode::Auto) => router.q2(&q).map(list),
+            (Aggregate::Var, ExecMode::Exact) => router.var_exact(&q).map(scalar),
+            (Aggregate::Var, ExecMode::Model) => router.var_model(&q).map(scalar),
+            (Aggregate::Var, ExecMode::Auto) => router.var(&q).map(scalar),
+            (Aggregate::Count, _) => unreachable!("handled above"),
         }
-    }
-
-    /// `VAR(u)`: the moments model lives beside the serve engine (the
-    /// variance head is a session-level extension), so the confidence
-    /// gate for `USING AUTO` is evaluated here against the same policy
-    /// threshold, scoring the query on the moments model's mean head.
-    fn execute_var(
-        &self,
-        entry: &TableEntry,
-        stmt: &Statement,
-        q: &Query,
-    ) -> Result<QueryOutput, SqlError> {
-        let exact = || -> Result<QueryOutput, SqlError> {
-            let m = entry
-                .serve
-                .exact_engine()
-                .q1_moments(&stmt.center, stmt.radius)
-                .ok_or(SqlError::EmptySubspace)?;
-            // The exact traversal computed the subspace mean anyway —
-            // feed it to the trainers like the router's own exact routes
-            // do (a VAR-heavy workload still trains the Q1 model), and
-            // surface a drop like any other route.
-            let dropped = entry.serve.policy().feedback
-                && entry.serve.observe_outcome(q, m.mean) == Feedback::Dropped;
-            let mut out = QueryOutput::exact(QueryValue::Scalar(m.variance));
-            out.feedback_dropped = dropped;
-            Ok(out)
-        };
-        match stmt.mode {
-            ExecMode::Exact => exact(),
-            ExecMode::Model => {
-                let moments = entry
-                    .moments
-                    .as_ref()
-                    .ok_or_else(|| SqlError::NoMomentsModel(stmt.table.clone()))?;
-                let p = moments.predict(q).map_err(SqlError::Model)?;
-                let score = moments.mean_head().confidence(q).ok().map(|c| c.score);
-                Ok(QueryOutput {
-                    value: QueryValue::Scalar(p.variance),
-                    route: Route::Model,
-                    confidence: score,
-                    snapshot_version: None,
-                    feedback_dropped: false,
-                })
-            }
-            ExecMode::Auto => {
-                let Some(moments) = entry.moments.as_ref() else {
-                    return exact();
-                };
-                let score = match moments.mean_head().confidence(q) {
-                    Ok(c) => c.score,
-                    Err(_) => return exact(), // untrained head: exact route
-                };
-                if score >= entry.serve.policy().confidence_threshold {
-                    let p = moments.predict(q).map_err(SqlError::Model)?;
-                    Ok(QueryOutput {
-                        value: QueryValue::Scalar(p.variance),
-                        route: Route::Model,
-                        confidence: Some(score),
-                        snapshot_version: None,
-                        feedback_dropped: false,
-                    })
-                } else {
-                    let mut out = exact()?;
-                    out.confidence = Some(score);
-                    Ok(out)
-                }
-            }
-        }
+        .map(QueryOutput::served)
+        .map_err(|e| convert_serve_error(stmt, e))
     }
 }
 
-fn convert_serve_error(table: &str, e: ServeError) -> SqlError {
+/// A router error in the statement's terms: the missing model of a `VAR`
+/// is the moments model.
+fn convert_serve_error(stmt: &Statement, e: ServeError) -> SqlError {
     match e {
-        ServeError::NoModel => SqlError::NoModel(table.to_string()),
+        ServeError::NoModel if stmt.aggregate == Aggregate::Var => {
+            SqlError::NoMomentsModel(stmt.table.clone())
+        }
+        ServeError::NoModel => SqlError::NoModel(stmt.table.clone()),
         ServeError::EmptySubspace => SqlError::EmptySubspace,
         ServeError::Model(c) => SqlError::Model(c),
         ServeError::Numeric(n) => SqlError::Numeric(n),
@@ -663,11 +575,14 @@ mod tests {
     use regq_store::AccessPathKind;
     use std::sync::Arc;
 
-    fn session_with_model() -> Session {
+    /// The table's rows plus a Q1 model and a moments model trained on
+    /// them.
+    fn trained_parts() -> (Arc<Dataset>, LlmModel, MomentsModel) {
         let field = GasSensorSurrogate::new(2, 3);
         let mut rng = seeded(1);
         let ds = Dataset::from_function(&field, 20_000, SampleOptions::default(), &mut rng);
-        let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
+        let data = Arc::new(ds);
+        let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
 
         // Train a model + a moments model on the engine.
         let mut cfg = ModelConfig::with_vigilance(2, 0.15);
@@ -694,12 +609,26 @@ mod tests {
                 }
             }
         }
+        (data, model, moments)
+    }
 
+    fn session_over(
+        data: &Arc<Dataset>,
+        model: LlmModel,
+        moments: MomentsModel,
+        policy: RoutePolicy,
+    ) -> Session {
+        let engine = ExactEngine::new(Arc::clone(data), AccessPathKind::KdTree);
         let mut s = Session::new();
-        s.register_table("readings", engine);
+        s.register_table_with_policy("readings", engine, policy);
         s.register_model("readings", model).unwrap();
         s.register_moments_model("readings", moments).unwrap();
         s
+    }
+
+    fn session_with_model() -> Session {
+        let (data, model, moments) = trained_parts();
+        session_over(&data, model, moments, RoutePolicy::default())
     }
 
     #[test]
@@ -874,6 +803,142 @@ mod tests {
             .execute("SELECT VAR(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0 USING AUTO")
             .unwrap();
         assert_eq!(var.route, Route::Exact);
+    }
+
+    fn var_sql(c: &[f64], r: f64, mode: &str) -> String {
+        format!(
+            "SELECT VAR(u) FROM readings WHERE DIST(x, [{}, {}]) <= {r} USING {mode}",
+            c[0], c[1]
+        )
+    }
+
+    #[test]
+    fn var_auto_is_the_router_gate_over_the_moments_heads() {
+        let (data, model, moments) = trained_parts();
+        let policy = RoutePolicy::default();
+        let mut s = session_over(&data, model, moments.clone(), policy);
+        let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
+        // In-distribution probes (every prototype's own subspace, random
+        // training-shaped balls) and out-of-distribution ones (far, wide,
+        // tiny) that still select rows.
+        let mut probes: Vec<(Vec<f64>, f64)> = moments
+            .mean_head()
+            .prototypes()
+            .into_iter()
+            .map(|p| (p.center, p.radius))
+            .collect();
+        let mut rng = seeded(77);
+        for _ in 0..40 {
+            let c = vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
+            probes.push((c, rng.random_range(0.05..0.2)));
+        }
+        probes.extend([
+            (vec![30.0, 30.0], 50.0),
+            (vec![1.6, 1.6], 1.2),
+            (vec![-0.4, 0.5], 0.6),
+            (vec![0.5, 0.5], 3.0),
+            (vec![0.5, 0.5], 0.02),
+        ]);
+        let mut reference = Vec::new();
+        for shards in [1usize, 4] {
+            if shards > 1 {
+                s.execute_command("SET SHARDS 4").unwrap();
+            }
+            let mut routes = [0usize; 2];
+            for (i, (c, r)) in probes.iter().enumerate() {
+                let out = s.execute(&var_sql(c, *r, "AUTO")).unwrap();
+                // Reference gate: the variance head if the mean head's
+                // score clears the threshold, else the exact moments.
+                let q = Query::new_unchecked(c.clone(), *r);
+                let score = moments.mean_head().confidence(&q).unwrap().score;
+                let (want, route) = if score >= policy.confidence_threshold {
+                    let v = moments.second_head().predict_q1(&q).unwrap().max(0.0);
+                    (v, Route::Model)
+                } else {
+                    (engine.q1_moments(c, *r).unwrap().variance, Route::Exact)
+                };
+                assert_eq!(out.route, route, "probe {i} (score {score})");
+                assert_eq!(out.scalar().unwrap().to_bits(), want.to_bits(), "probe {i}");
+                assert_eq!(out.confidence.map(f64::to_bits), Some(score.to_bits()));
+                assert_eq!(
+                    out.snapshot_version,
+                    Some(moments.mean_head().steps()),
+                    "a consulted moments model reports its version"
+                );
+                routes[usize::from(route == Route::Exact)] += 1;
+                // Resharding leaves every VAR answer bit-identical.
+                if shards == 1 {
+                    reference.push(out);
+                } else {
+                    assert_eq!(out, reference[i], "probe {i} changed at 4 shards");
+                }
+            }
+            assert!(routes[0] > 0 && routes[1] > 0, "both routes: {routes:?}");
+        }
+        // Forced modes answer from the same two sources.
+        let (c, r) = &probes[0];
+        let q = Query::new_unchecked(c.clone(), *r);
+        let forced = s.execute(&var_sql(c, *r, "MODEL")).unwrap();
+        let head = moments.second_head().predict_q1(&q).unwrap().max(0.0);
+        assert_eq!(forced.scalar().unwrap().to_bits(), head.to_bits());
+        let forced = s.execute(&var_sql(c, *r, "EXACT")).unwrap();
+        let truth = engine.q1_moments(c, *r).unwrap().variance;
+        assert_eq!(forced.scalar().unwrap().to_bits(), truth.to_bits());
+        assert_eq!((forced.route, forced.confidence), (Route::Exact, None));
+        // The route counters stay the snapshot heads' (the ledger's smoke
+        // test equates them with the answered `AVG` + `LINREG` statements).
+        let st = s.router("readings").unwrap().stats();
+        assert_eq!(
+            (st.model_served, st.exact_served, st.degraded_served),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn var_degrades_under_the_deadline_like_every_other_answer() {
+        let (data, model, moments) = trained_parts();
+        // Everything falls below the threshold; the deadline budget plus
+        // a standing exact-cost hint refuses the exact fallback.
+        let policy = RoutePolicy {
+            confidence_threshold: 2.0,
+            deadline_us: Some(50.0),
+            ..RoutePolicy::default()
+        };
+        let mut s = session_over(&data, model, moments, policy);
+        let sql = var_sql(&[0.5, 0.5], 0.15, "AUTO");
+        let exact = s.execute(&sql).unwrap();
+        assert_eq!(exact.route, Route::Exact, "no cost estimate yet: exact");
+        s.set_fault_plan("readings", FaultPlan::new().with_exact_cost_hint_us(1e6))
+            .unwrap();
+        let fed = |s: &Session| s.router("readings").unwrap().stats().feedback_enqueued;
+        let fed_before = fed(&s);
+        let out = s.execute(&sql).unwrap();
+        assert_eq!(out.route, Route::Degraded, "degraded must never be silent");
+        assert!(out.confidence.is_some() && out.snapshot_version.is_some());
+        assert_eq!(fed(&s), fed_before, "a degraded serve has no label to feed");
+        // The degraded value is the forced model route's, bit for bit.
+        let forced = s.execute(&var_sql(&[0.5, 0.5], 0.15, "MODEL")).unwrap();
+        assert_eq!(
+            out.scalar().unwrap().to_bits(),
+            forced.scalar().unwrap().to_bits()
+        );
+        assert_eq!(forced.route, Route::Model);
+    }
+
+    #[test]
+    fn var_without_a_trained_moments_model_routes_exact_or_errors_typed() {
+        let (data, model, _) = trained_parts();
+        let untrained = MomentsModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
+        let s = session_over(&data, model, untrained, RoutePolicy::default());
+        // AUTO: an untrained head predicts nothing — exact, no score.
+        let out = s.execute(&var_sql(&[0.5, 0.5], 0.2, "AUTO")).unwrap();
+        assert_eq!((out.route, out.confidence), (Route::Exact, None));
+        assert_eq!(out.snapshot_version, None);
+        // MODEL: the typed model-side error, not "no moments model".
+        assert!(matches!(
+            s.execute(&var_sql(&[0.5, 0.5], 0.2, "MODEL")),
+            Err(SqlError::Model(CoreError::EmptyModel))
+        ));
     }
 
     #[test]

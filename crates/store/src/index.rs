@@ -21,11 +21,10 @@ pub trait SpatialIndex: Send + Sync {
     /// `‖x_i − center‖_p ≤ radius`, during a single index traversal.
     ///
     /// Rows arrive in ascending id order for
-    /// [`LinearScan`](crate::LinearScan), in the depth-first order of the
-    /// permuted id array for [`KdTree`](crate::KdTree) (a contract: exact
-    /// answers fold in that order, see the [`kd_tree`](crate::kd_tree)
-    /// module docs) and in a deterministic but unspecified order for
-    /// [`GridIndex`](crate::GridIndex).
+    /// [`LinearScan`](crate::LinearScan) and in the depth-first order of
+    /// the permuted id array for [`KdTree`](crate::KdTree) (a contract:
+    /// exact answers fold in that order, see the
+    /// [`kd_tree`](crate::kd_tree) module docs).
     fn visit_ball(
         &self,
         center: &[f64],
@@ -82,12 +81,10 @@ pub trait SpatialIndex: Send + Sync {
 /// Which access path a relation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPathKind {
-    /// Full sequential scan.
+    /// Full sequential scan — the reference every test compares against.
     Scan,
-    /// Balanced k-d tree.
+    /// Balanced k-d tree — the production path.
     KdTree,
-    /// Uniform grid.
-    Grid,
 }
 
 impl std::fmt::Display for AccessPathKind {
@@ -95,7 +92,6 @@ impl std::fmt::Display for AccessPathKind {
         match self {
             AccessPathKind::Scan => write!(f, "scan"),
             AccessPathKind::KdTree => write!(f, "kd-tree"),
-            AccessPathKind::Grid => write!(f, "grid"),
         }
     }
 }
@@ -108,6 +104,5 @@ mod tests {
     fn kind_display_names() {
         assert_eq!(AccessPathKind::Scan.to_string(), "scan");
         assert_eq!(AccessPathKind::KdTree.to_string(), "kd-tree");
-        assert_eq!(AccessPathKind::Grid.to_string(), "grid");
     }
 }

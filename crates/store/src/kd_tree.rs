@@ -219,7 +219,10 @@ impl KdTree {
         mut on_leaf: impl FnMut(usize, u64, &mut [f64]),
     ) {
         assert_eq!(center.len(), self.data.dim(), "query dimension mismatch");
-        if self.nodes.is_empty() {
+        // A negative radius admits nothing (`Norm::within`); the `L2` leaf
+        // kernel only ever sees `radius²`, so the sign is settled here,
+        // once per traversal.
+        if self.nodes.is_empty() || radius < 0.0 {
             return;
         }
         let mut row = vec![0.0; center.len()];

@@ -7,30 +7,27 @@
 //! The selection operator is the paper's Definition 3: given a query center
 //! `x ∈ R^d`, radius `θ` and an `L_p` norm, return every row `i` of the
 //! relation with `‖x_i − x‖_p ≤ θ` (a *distance near neighbor* / radius
-//! selection). Three interchangeable access paths implement it:
+//! selection). Two access paths implement it:
 //!
-//! * [`LinearScan`] — sequential scan over the contiguous feature block;
-//!   the baseline every DBMS falls back to, `O(n·d)` per query.
 //! * [`KdTree`] — static balanced k-d tree with splitting-plane pruning;
-//!   sub-linear for selective balls in low dimension.
-//! * [`GridIndex`] — uniform grid; best when radii are comparable to the
-//!   cell size (the paper's workloads fix `θ` around 10–20 % of the domain).
+//!   sub-linear for selective balls in low dimension. The production
+//!   path: every exact fallback, `COUNT(*)` and training query runs on it.
+//! * [`LinearScan`] — sequential scan over the contiguous feature block,
+//!   `O(n·d)` per query; the reference the kd-tree is tested against and
+//!   the scan column of the paper's Fig. 12.
 //!
-//! All three return *identical* row sets (property-tested), so experiments
-//! can vary the access path purely as a performance knob — exactly the role
-//! PostgreSQL's planner plays in the paper's setup.
+//! Both return *identical* row sets for every centre and every radius —
+//! negative, zero, `NaN` and infinite included (property-tested).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod grid;
 pub mod index;
 pub mod kd_tree;
 pub mod linear_scan;
 pub mod norms;
 pub mod relation;
 
-pub use grid::GridIndex;
 pub use index::{AccessPathKind, SpatialIndex};
 pub use kd_tree::KdTree;
 pub use linear_scan::LinearScan;

@@ -41,9 +41,12 @@ impl Norm {
     /// Membership is **inclusive** and, for `L2` (and `Lp` with finite
     /// `p ≠ 1`), decided in *power space*: the row matches iff
     /// `‖a − b‖₂² ≤ radius²` (resp. `Σ|aᵢ−bᵢ|^p ≤ radius^p`). This is the
-    /// contract every access path (scan, kd-tree, grid) and the batched
-    /// kernel ([`Norm::within_batch`]) implement, so all paths always
-    /// agree exactly. The root-space predicate `dist(a, b) ≤ radius` can
+    /// contract both access paths (scan, kd-tree) and the batched kernel
+    /// ([`Norm::within_batch`]) implement, so they always agree exactly.
+    /// A **negative radius admits nothing** under every norm: no distance
+    /// is below zero, and the power-space forms check the sign before an
+    /// even power squares it away (`-0.0` is zero, a `NaN` radius admits
+    /// nothing either). The root-space predicate `dist(a, b) ≤ radius` can
     /// disagree with it only when rounding places `dist` within one ulp of
     /// `radius` (squaring moves the rounding point); the power-space form
     /// is taken as canonical because it is what the early-exit kernels
@@ -54,9 +57,9 @@ impl Norm {
     pub fn within(&self, a: &[f64], b: &[f64], radius: f64) -> bool {
         match self {
             Norm::L1 => vector::l1_dist_within(a, b, radius),
-            Norm::L2 => vector::sq_dist_within(a, b, radius * radius),
+            Norm::L2 => radius >= 0.0 && vector::sq_dist_within(a, b, radius * radius),
             Norm::LInf => vector::linf_dist_within(a, b, radius),
-            Norm::Lp(p) => vector::lp_dist_within(a, b, *p, radius),
+            Norm::Lp(p) => radius >= 0.0 && vector::lp_dist_within(a, b, *p, radius),
         }
     }
 
@@ -65,11 +68,12 @@ impl Norm {
     ///
     /// `L2` dispatches to the 4-row lockstep kernel
     /// ([`vector::sq_dist_within_batch`]) — the dense inner loop of the
-    /// scan and grid-bucket access paths (the kd-tree tests its AoSoA
-    /// leaves with `regq_linalg::simd::within_mask_aosoa`, under the same
-    /// membership contract); the other norms
-    /// fall back to the per-row early-exit kernels. Membership follows the
-    /// [`Norm::within`] boundary contract exactly for every norm.
+    /// scan access path (the kd-tree tests its AoSoA leaves with
+    /// `regq_linalg::simd::within_mask_aosoa`, under the same membership
+    /// contract); the other norms fall back to the per-row early-exit
+    /// kernels. Membership follows the [`Norm::within`] boundary contract
+    /// exactly for every norm; the negative-radius rule costs one
+    /// comparison per call, none per row.
     #[inline]
     pub fn within_batch(
         &self,
@@ -79,6 +83,9 @@ impl Norm {
         radius: f64,
         visit: &mut dyn FnMut(usize),
     ) {
+        if radius < 0.0 {
+            return;
+        }
         match self {
             Norm::L2 => vector::sq_dist_within_batch(center, rows, dim, radius * radius, visit),
             _ => {
@@ -117,6 +124,17 @@ mod tests {
     }
 
     #[test]
+    fn negative_radius_admits_nothing_under_every_norm() {
+        let a = [0.5, 0.5];
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0), Norm::Lp(4.0)] {
+            for radius in [-0.2, -f64::MIN_POSITIVE, f64::NEG_INFINITY, f64::NAN] {
+                assert!(!norm.within(&a, &a, radius), "{norm:?} r {radius}");
+            }
+            assert!(norm.within(&a, &a, -0.0), "{norm:?}: -0.0 is zero");
+        }
+    }
+
+    #[test]
     fn default_is_l2() {
         assert_eq!(Norm::default(), Norm::L2);
     }
@@ -127,7 +145,7 @@ mod tests {
         let rows: Vec<f64> = (0..33).map(|i| (i as f64 * 0.61).sin()).collect();
         let center = [0.2, -0.1, 0.4];
         for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
-            for radius in [0.0, 0.3, 0.8, 2.0] {
+            for radius in [0.0, 0.3, 0.8, 2.0, -0.3, f64::NEG_INFINITY, f64::NAN] {
                 let mut got = Vec::new();
                 norm.within_batch(&center, &rows, 3, radius, &mut |r| got.push(r));
                 let want: Vec<usize> = rows

@@ -3,10 +3,9 @@
 //! This is the component that plays "the DBMS" in the paper's Fig. 2: exact
 //! engines (`regq-exact`) and the training workload (`regq-workload`) issue
 //! radius selections against a [`Relation`] and never touch index
-//! internals. Swapping access paths is a one-line change, which is how the
-//! index-choice ablation bench works.
+//! internals. The kd-tree is the production path; the linear scan is the
+//! reference every test compares it against.
 
-use crate::grid::GridIndex;
 use crate::index::{AccessPathKind, SpatialIndex};
 use crate::kd_tree::KdTree;
 use crate::linear_scan::LinearScan;
@@ -31,7 +30,6 @@ impl Relation {
         let index: Box<dyn SpatialIndex> = match path {
             AccessPathKind::Scan => Box::new(LinearScan::new(data)),
             AccessPathKind::KdTree => Box::new(KdTree::build(data)),
-            AccessPathKind::Grid => Box::new(GridIndex::build(data)),
         };
         Relation {
             index,
@@ -179,19 +177,15 @@ mod tests {
     fn all_access_paths_agree() {
         let scan = relation(AccessPathKind::Scan);
         let kd = relation(AccessPathKind::KdTree);
-        let grid = relation(AccessPathKind::Grid);
         let mut rng = seeded(19);
         for _ in 0..25 {
             let c = [rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
             let r = rng.random_range(0.05..0.4);
             let mut a = scan.select(&c, r);
             let mut b = kd.select(&c, r);
-            let mut g = grid.select(&c, r);
             a.sort_unstable();
             b.sort_unstable();
-            g.sort_unstable();
             assert_eq!(a, b);
-            assert_eq!(a, g);
         }
     }
 
@@ -204,11 +198,7 @@ mod tests {
 
     #[test]
     fn fold_ball_matches_materialized_selection() {
-        for path in [
-            AccessPathKind::Scan,
-            AccessPathKind::KdTree,
-            AccessPathKind::Grid,
-        ] {
+        for path in [AccessPathKind::Scan, AccessPathKind::KdTree] {
             let rel = relation(path);
             let (c, r) = ([0.4, 0.6], 0.25);
             let (n, sum_y, sum_x0) =
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn with_selection_passes_rows() {
-        let rel = relation(AccessPathKind::Grid);
+        let rel = relation(AccessPathKind::KdTree);
         let sum: f64 = rel.with_selection(&[0.5, 0.5], 0.3, |ds, ids| {
             ids.iter().map(|&i| ds.y(i)).sum()
         });
@@ -270,8 +260,8 @@ mod tests {
 
     #[test]
     fn debug_format_mentions_path() {
-        let rel = relation(AccessPathKind::Grid);
+        let rel = relation(AccessPathKind::KdTree);
         let s = format!("{rel:?}");
-        assert!(s.contains("Grid"));
+        assert!(s.contains("KdTree"));
     }
 }

@@ -1,9 +1,10 @@
-//! Property tests: every access path implements the same selection
-//! semantics as the linear scan, for random data, centers, radii and norms.
+//! Property tests: the kd-tree implements the same selection semantics as
+//! the linear scan, for random data, centers, norms and *every* radius —
+//! negative, zero, `NaN` and infinite included.
 
 use proptest::prelude::*;
 use regq_data::Dataset;
-use regq_store::{GridIndex, KdTree, LinearScan, Norm, SpatialIndex};
+use regq_store::{KdTree, LinearScan, Norm, SpatialIndex};
 use std::sync::Arc;
 
 fn dataset_strategy(d: usize) -> impl Strategy<Value = Dataset> {
@@ -22,7 +23,24 @@ fn norm_strategy() -> impl Strategy<Value = Norm> {
         Just(Norm::L2),
         Just(Norm::LInf),
         (1.0..4.0f64).prop_map(Norm::Lp),
+        // An even `p` squares a negative radius' sign away like `L2` does.
+        Just(Norm::Lp(4.0)),
     ]
+}
+
+/// Mostly ordinary radii below `max`, with the hostile ones mixed in:
+/// negative (finite and −∞), ±0, NaN and +∞. A negative or NaN radius
+/// selects nothing, an infinite one every row without a NaN coordinate.
+fn radius_strategy(max: f64) -> impl Strategy<Value = f64> {
+    (0..16u32, 0.0..max).prop_map(|(kind, r)| match kind {
+        0 | 1 => -r,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        4 => -0.0,
+        5 => f64::NAN,
+        6 => f64::INFINITY,
+        _ => r,
+    })
 }
 
 /// Mostly finite coordinates, with NaN (either sign) and ±∞ mixed in.
@@ -47,7 +65,7 @@ proptest! {
     #[test]
     fn kd_tree_equals_scan_2d(ds in dataset_strategy(2),
                               cx in -1.5..1.5f64, cy in -1.5..1.5f64,
-                              r in 0.0..1.5f64,
+                              r in radius_strategy(1.5),
                               norm in norm_strategy()) {
         let data = Arc::new(ds);
         let tree = KdTree::build(data.clone());
@@ -59,23 +77,9 @@ proptest! {
     }
 
     #[test]
-    fn grid_equals_scan_2d(ds in dataset_strategy(2),
-                           cx in -1.5..1.5f64, cy in -1.5..1.5f64,
-                           r in 0.0..1.5f64,
-                           norm in norm_strategy()) {
-        let data = Arc::new(ds);
-        let grid = GridIndex::build(data.clone());
-        let scan = LinearScan::new(data);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        grid.query_ball(&[cx, cy], r, norm, &mut got);
-        scan.query_ball(&[cx, cy], r, norm, &mut want);
-        prop_assert_eq!(sorted(got), want);
-    }
-
-    #[test]
     fn kd_tree_equals_scan_4d(ds in dataset_strategy(4),
                               c in prop::collection::vec(-1.5..1.5f64, 4),
-                              r in 0.0..2.0f64,
+                              r in radius_strategy(2.0),
                               norm in norm_strategy()) {
         let data = Arc::new(ds);
         let tree = KdTree::build(data.clone());
@@ -86,33 +90,18 @@ proptest! {
         prop_assert_eq!(sorted(got), want);
     }
 
-    #[test]
-    fn grid_equals_scan_4d(ds in dataset_strategy(4),
-                           c in prop::collection::vec(-1.5..1.5f64, 4),
-                           r in 0.0..2.0f64,
-                           norm in norm_strategy()) {
-        let data = Arc::new(ds);
-        let grid = GridIndex::build(data.clone());
-        let scan = LinearScan::new(data);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        grid.query_ball(&c, r, norm, &mut got);
-        scan.query_ball(&c, r, norm, &mut want);
-        prop_assert_eq!(sorted(got), want);
-    }
-
     /// The push-based fold traversal visits exactly the rows the
     /// materializing selection returns — same ids, same coordinates, same
-    /// outputs — for every access path and norm.
+    /// outputs — for both access paths, every norm and every radius.
     #[test]
     fn fold_ball_equals_query_ball_on_every_path(ds in dataset_strategy(3),
                                                  c in prop::collection::vec(-1.5..1.5f64, 3),
-                                                 r in 0.0..1.5f64,
+                                                 r in radius_strategy(1.5),
                                                  norm in norm_strategy()) {
         let data = Arc::new(ds);
         let scan = LinearScan::new(data.clone());
         let tree = KdTree::build(data.clone());
-        let grid = GridIndex::build(data.clone());
-        let paths: [&dyn SpatialIndex; 3] = [&scan, &tree, &grid];
+        let paths: [&dyn SpatialIndex; 2] = [&scan, &tree];
         for index in paths {
             let mut visited = Vec::new();
             let mut rows_match = true;
@@ -153,69 +142,16 @@ proptest! {
         }
     }
 
-    /// Exactly *on* the boundary (a representable dist == r), membership
-    /// must be inclusive for every norm and agree across all access paths.
-    #[test]
-    fn boundary_membership_is_inclusive_on_every_path(
-        ds in dataset_strategy(2),
-        cx in -1.5..1.5f64, cy in -1.5..1.5f64,
-        r in 0.0..1.5f64,
-        norm in norm_strategy(),
-    ) {
-        let data = Arc::new(ds);
-        let scan = LinearScan::new(data.clone());
-        let tree = KdTree::build(data.clone());
-        let grid = GridIndex::build(data);
-        let (mut s, mut t, mut g) = (Vec::new(), Vec::new(), Vec::new());
-        scan.query_ball(&[cx, cy], r, norm, &mut s);
-        tree.query_ball(&[cx, cy], r, norm, &mut t);
-        grid.query_ball(&[cx, cy], r, norm, &mut g);
-        prop_assert_eq!(&s, &sorted(t));
-        prop_assert_eq!(&s, &sorted(g));
-    }
-
-    /// Degenerate (zero-extent) grid dimensions: a dataset whose first
-    /// feature is a constant column still answers every ball exactly —
-    /// centered on the constant value, off it, or far away — because the
-    /// clamped binning maps the whole degenerate axis to cell 0 for data
-    /// and queries alike.
-    #[test]
-    fn grid_handles_constant_feature_column(
-        others in prop::collection::vec(-1.0..1.0f64, 1..120),
-        constant in -2.0..2.0f64,
-        center_offset in -1.5..1.5f64,
-        cy in -1.5..1.5f64,
-        r in 0.0..1.5f64,
-        norm in norm_strategy(),
-    ) {
-        let mut ds = Dataset::new(2);
-        for &v in &others {
-            ds.push(&[constant, v], 0.0).unwrap();
-        }
-        let data = Arc::new(ds);
-        let grid = GridIndex::build(data.clone());
-        let scan = LinearScan::new(data);
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        // Centered exactly on the constant value…
-        grid.query_ball(&[constant, cy], r, norm, &mut got);
-        scan.query_ball(&[constant, cy], r, norm, &mut want);
-        prop_assert_eq!(sorted(got.clone()), want.clone(), "on-value ball");
-        // …and off it along the degenerate axis.
-        grid.query_ball(&[constant + center_offset, cy], r, norm, &mut got);
-        scan.query_ball(&[constant + center_offset, cy], r, norm, &mut want);
-        prop_assert_eq!(sorted(got.clone()), want, "off-value ball");
-    }
-
     /// Hostile rows: `Dataset::push` accepts any `f64`, so a table may
-    /// carry NaN and ±∞ coordinates. Every index builds over them without
-    /// panicking and all three paths still return the same row set under
-    /// all four norms — a NaN coordinate matches nothing, an infinite one
-    /// only an infinite ball — for finite and non-finite balls alike.
+    /// carry NaN and ±∞ coordinates. Both indexes build over them without
+    /// panicking and still return the same row set under all four norms —
+    /// a NaN coordinate matches nothing, an infinite one only an infinite
+    /// ball — for every radius, hostile ones included.
     #[test]
     fn access_paths_agree_on_non_finite_rows(
         rows in prop::collection::vec(prop::collection::vec(hostile_coordinate(), 3), 0..120),
         c in prop::collection::vec(hostile_coordinate(), 3),
-        r in prop_oneof![0.0..3.0f64, 0.0..3.0f64, Just(f64::INFINITY), Just(f64::NAN)],
+        r in radius_strategy(3.0),
     ) {
         let mut ds = Dataset::new(3);
         for row in &rows {
@@ -223,15 +159,12 @@ proptest! {
         }
         let data = Arc::new(ds);
         let scan = LinearScan::new(data.clone());
-        let tree = KdTree::build(data.clone());
-        let grid = GridIndex::build(data);
-        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
-            let (mut s, mut t, mut g) = (Vec::new(), Vec::new(), Vec::new());
+        let tree = KdTree::build(data);
+        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0), Norm::Lp(4.0)] {
+            let (mut s, mut t) = (Vec::new(), Vec::new());
             scan.query_ball(&c, r, norm, &mut s);
             tree.query_ball(&c, r, norm, &mut t);
-            grid.query_ball(&c, r, norm, &mut g);
             prop_assert_eq!(&s, &sorted(t), "kd-tree vs scan, {:?} r {}", norm, r);
-            prop_assert_eq!(&s, &sorted(g), "grid vs scan, {:?} r {}", norm, r);
             prop_assert_eq!(tree.count_ball(&c, r, norm), s.len());
         }
     }

@@ -1,4 +1,4 @@
-//! Series/table printing for the `fig*` bench targets.
+//! Series/table printing for the figure binaries.
 //!
 //! Every figure harness produces one [`SeriesTable`] — the same rows the
 //! paper plots — printed as aligned TSV so the output can be piped

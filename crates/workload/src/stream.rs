@@ -3,13 +3,8 @@
 //!
 //! The paper's cost breakdown (§VI-B) attributes 99.62 % of training time
 //! to executing the queries against the RDBMS and only the remainder to
-//! model updates; [`StreamReport`] reproduces that accounting. Because the
-//! ground-truth executions dominate so completely, they are the phase
-//! worth parallelizing: [`train_from_engine_parallel`] executes them in
-//! batches across a worker pool while the SGD consumer stays sequential —
-//! same model, fraction of the wall-clock.
+//! model updates; [`StreamReport`] reproduces that accounting.
 
-use crate::pool;
 use crate::querygen::QueryGenerator;
 use rand::Rng;
 use regq_core::{CoreError, LlmModel, Query};
@@ -102,96 +97,6 @@ pub fn train_from_engine<R: Rng + ?Sized>(
     Ok(report)
 }
 
-/// Options for [`train_from_engine_parallel`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelTrainOptions {
-    /// Worker threads executing ground-truth queries. `1` runs the batch
-    /// inline (no threads spawned).
-    pub threads: usize,
-    /// Queries pre-generated and executed per batch. Larger batches
-    /// amortize fan-out overhead; smaller batches stop closer to the
-    /// convergence point.
-    pub batch_size: usize,
-}
-
-impl Default for ParallelTrainOptions {
-    fn default() -> Self {
-        ParallelTrainOptions {
-            threads: 1,
-            batch_size: 256,
-        }
-    }
-}
-
-/// The Fig. 2 loop with the dominant phase parallelized: queries are drawn
-/// from `rng` in batches (same stream as [`train_from_engine`]), their
-/// exact Q1 answers are computed across `threads` workers
-/// ([`pool::parallel_map`], deterministic slot-per-query assignment), and
-/// the SGD consumer feeds `(q, y)` pairs to the model **sequentially in
-/// issue order**. The trained model is therefore bit-identical for every
-/// thread count; only the wall-clock changes.
-///
-/// Compared to [`train_from_engine`], queries in the batch that follows
-/// convergence are executed but discarded (the report counts only
-/// consumed-or-skipped queries), and `rng` advances by whole batches.
-///
-/// # Errors
-/// Propagates model-side [`CoreError`]s (dimension mismatch etc.).
-///
-/// # Panics
-/// Panics if `opts.threads == 0` or `opts.batch_size == 0`.
-pub fn train_from_engine_parallel<R: Rng + ?Sized>(
-    model: &mut LlmModel,
-    engine: &ExactEngine,
-    gen: &QueryGenerator,
-    max_queries: usize,
-    opts: ParallelTrainOptions,
-    rng: &mut R,
-) -> Result<StreamReport, CoreError> {
-    assert!(opts.threads >= 1, "need at least one thread");
-    assert!(opts.batch_size >= 1, "need a positive batch size");
-    let mut report = StreamReport {
-        issued: 0,
-        consumed: 0,
-        skipped_empty: 0,
-        converged: false,
-        prototypes: 0,
-        gamma_trace: Vec::new(),
-        query_exec_time: Duration::ZERO,
-        model_update_time: Duration::ZERO,
-    };
-    'stream: while report.issued < max_queries {
-        let batch = opts.batch_size.min(max_queries - report.issued);
-        let queries = gen.generate_many(batch, rng);
-
-        let t0 = Instant::now();
-        let answers = pool::parallel_map(&queries, opts.threads, |q: &Query| {
-            engine.q1(&q.center, q.radius)
-        });
-        report.query_exec_time += t0.elapsed();
-
-        for (q, answer) in queries.iter().zip(answers) {
-            report.issued += 1;
-            let Some(y) = answer else {
-                report.skipped_empty += 1;
-                continue;
-            };
-            let t1 = Instant::now();
-            let out = model.train_step(q, y)?;
-            report.model_update_time += t1.elapsed();
-
-            report.consumed += 1;
-            report.gamma_trace.push(out.gamma_j.max(out.gamma_h));
-            if out.converged {
-                break 'stream;
-            }
-        }
-    }
-    report.prototypes = model.k();
-    report.converged = model.is_frozen();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,58 +157,6 @@ mod tests {
         assert!(report.skipped_empty > 0);
         assert_eq!(report.issued, 300.min(report.issued));
         assert_eq!(report.consumed + report.skipped_empty, report.issued);
-    }
-
-    #[test]
-    fn parallel_training_is_deterministic_across_thread_counts() {
-        let (engine, gen) = setup(10_000);
-        let run = |threads: usize| {
-            let mut model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-            let mut rng = seeded(9);
-            let opts = ParallelTrainOptions {
-                threads,
-                batch_size: 64,
-            };
-            let report =
-                train_from_engine_parallel(&mut model, &engine, &gen, 4_000, opts, &mut rng)
-                    .unwrap();
-            (model, report)
-        };
-        let (m1, r1) = run(1);
-        let (m8, r8) = run(8);
-        // Bit-identical learned parameters regardless of thread count.
-        assert_eq!(m1.prototypes(), m8.prototypes());
-        assert_eq!(r1.issued, r8.issued);
-        assert_eq!(r1.consumed, r8.consumed);
-        assert_eq!(r1.skipped_empty, r8.skipped_empty);
-        assert_eq!(r1.gamma_trace, r8.gamma_trace);
-    }
-
-    #[test]
-    fn parallel_single_thread_matches_sequential_training() {
-        // Same rng stream, same consumption order ⇒ the batched driver at
-        // threads = 1 trains the exact same model as the sequential loop.
-        let (engine, gen) = setup(8_000);
-        let mut seq_model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-        let mut rng = seeded(11);
-        let seq = train_from_engine(&mut seq_model, &engine, &gen, 2_000, &mut rng).unwrap();
-
-        let mut par_model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-        let mut rng = seeded(11);
-        let par = train_from_engine_parallel(
-            &mut par_model,
-            &engine,
-            &gen,
-            2_000,
-            ParallelTrainOptions::default(),
-            &mut rng,
-        )
-        .unwrap();
-
-        assert_eq!(seq_model.prototypes(), par_model.prototypes());
-        assert_eq!(seq.issued, par.issued);
-        assert_eq!(seq.consumed, par.consumed);
-        assert_eq!(seq.gamma_trace, par.gamma_trace);
     }
 
     #[test]

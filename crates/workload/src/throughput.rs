@@ -1,56 +1,18 @@
-//! Query-throughput scalability (the paper's second scalability dimension,
-//! §I: serving predictions "saves resources that can be devoted to support
-//! larger numbers of queries at any given point in time").
+//! Closed-loop concurrent serving: reader threads auto-routing a shared
+//! workload through a live [`ShardRouter`] while one writer keeps the
+//! Fig. 2 trainer loop running ([`serve_closed_loop`]), plus the rate
+//! helpers every report prints through ([`qps_value`] / [`qps_label`]).
 //!
-//! atomics: audited — the `Ordering::Relaxed` sites are the work-claim
-//! cursors (`fetch_add` atomicity gives exactly-once claiming over a
+//! atomics: audited — the `Ordering::Relaxed` site is the work-claim
+//! cursor (`fetch_add` atomicity gives exactly-once claiming over a
 //! shared immutable query slice); the `drained` flag is Release/Acquire
 //! because the measuring thread reads the tallies the workers wrote
 //! before setting it.
-//!
-//! A frozen [`LlmModel`] is immutable and `Sync`, so any number of serving
-//! threads can answer queries from one shared instance with no locking;
-//! the exact engine can also serve concurrently (its access paths are
-//! read-only), but each query costs a data pass. [`model_q1_throughput`]
-//! and [`exact_q1_throughput`] drive both with the same workload and
-//! thread counts.
 
-use crate::pool;
-use crate::querygen::QueryGenerator;
-use regq_core::{LlmModel, Query};
-use regq_exact::ExactEngine;
+use regq_core::Query;
 use regq_serve::{ServeError, ShardRouter};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Result of one throughput measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputResult {
-    /// Number of worker threads.
-    pub threads: usize,
-    /// Queries answered.
-    pub queries: usize,
-    /// Wall-clock for the whole batch.
-    pub elapsed: Duration,
-}
-
-impl ThroughputResult {
-    /// Queries per second. A wall-clock below the timer's resolution
-    /// (`elapsed == 0`) yields `f64::NAN` — *not* infinity, so a JSON
-    /// writer's non-finite guard turns it into `null` instead of an
-    /// unparseable `inf`. Human-readable reports should print
-    /// [`ThroughputResult::qps_label`], which degrades to a counted
-    /// sentinel.
-    pub fn qps(&self) -> f64 {
-        qps_value(self.queries, self.elapsed)
-    }
-
-    /// [`ThroughputResult::qps`] as display text: the rate, or a counted
-    /// sentinel (never `inf`/`NaN`) when the run beat the timer.
-    pub fn qps_label(&self) -> String {
-        qps_label(self.queries, self.elapsed)
-    }
-}
 
 /// Queries/second, degrading to `NaN` when `elapsed` is below the timer's
 /// resolution (a sub-tick run proves a *lower bound*, not a rate).
@@ -72,44 +34,6 @@ pub fn qps_label(queries: usize, elapsed: Duration) -> String {
         format!(">={queries} queries in <1 timer tick")
     } else {
         format!("{:.0}", queries as f64 / secs)
-    }
-}
-
-/// Answer `queries` Q1 requests from the model across `threads` workers
-/// (work-stealing over a shared atomic cursor).
-pub fn model_q1_throughput(
-    model: &LlmModel,
-    queries: &[Query],
-    threads: usize,
-) -> ThroughputResult {
-    run_parallel(queries, threads, |q| {
-        std::hint::black_box(model.predict_q1(q).expect("trained model"));
-    })
-}
-
-/// Answer `queries` Q1 requests on the exact engine across `threads`
-/// workers.
-pub fn exact_q1_throughput(
-    engine: &ExactEngine,
-    queries: &[Query],
-    threads: usize,
-) -> ThroughputResult {
-    run_parallel(queries, threads, |q| {
-        std::hint::black_box(engine.q1(&q.center, q.radius));
-    })
-}
-
-fn run_parallel(
-    queries: &[Query],
-    threads: usize,
-    work: impl Fn(&Query) + Sync,
-) -> ThroughputResult {
-    let t0 = Instant::now();
-    pool::parallel_for_each(queries, threads, work);
-    ThroughputResult {
-        threads,
-        queries: queries.len(),
-        elapsed: t0.elapsed(),
     }
 }
 
@@ -149,9 +73,11 @@ pub struct ServeLoopResult {
 }
 
 impl ServeLoopResult {
-    /// Reader queries per second (`NaN` on a sub-timer-tick run — see
-    /// [`ThroughputResult::qps`]; print [`ServeLoopResult::qps_label`]
-    /// instead of formatting this directly).
+    /// Reader queries per second. A wall-clock below the timer's
+    /// resolution (`elapsed == 0`) yields `f64::NAN` — *not* infinity, so
+    /// a JSON writer's non-finite guard turns it into `null` instead of an
+    /// unparseable `inf`. Print [`ServeLoopResult::qps_label`] instead of
+    /// formatting this directly.
     pub fn qps(&self) -> f64 {
         qps_value(self.queries, self.elapsed)
     }
@@ -256,121 +182,46 @@ pub fn serve_closed_loop(
     }
 }
 
-/// Convenience: generate a workload and sweep thread counts for both
-/// serving paths. Returns `(threads, model_qps, exact_qps)` rows.
-pub fn throughput_sweep(
-    model: &LlmModel,
-    engine: &ExactEngine,
-    gen: &QueryGenerator,
-    queries: usize,
-    thread_counts: &[usize],
-    rng: &mut regq_data::SeededRng,
-) -> Vec<(usize, f64, f64)> {
-    let workload = gen.generate_many(queries, rng);
-    thread_counts
-        .iter()
-        .map(|&t| {
-            let m = model_q1_throughput(model, &workload, t);
-            let e = exact_q1_throughput(engine, &workload, t);
-            (t, m.qps(), e.qps())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::querygen::QueryGenerator;
     use crate::stream::train_from_engine;
-    use regq_core::ModelConfig;
+    use regq_core::LlmModel;
     use regq_data::generators::GasSensorSurrogate;
     use regq_data::rng::seeded;
     use regq_data::{Dataset, SampleOptions};
+    use regq_exact::ExactEngine;
     use regq_store::AccessPathKind;
     use std::sync::Arc;
-
-    fn setup() -> (ExactEngine, QueryGenerator, LlmModel) {
-        let f = GasSensorSurrogate::new(2, 5);
-        let mut rng = seeded(1);
-        let ds = Dataset::from_function(&f, 20_000, SampleOptions::default(), &mut rng);
-        let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-        let gen = QueryGenerator::for_function(&f, 0.1);
-        let mut model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-        train_from_engine(&mut model, &engine, &gen, 10_000, &mut rng).unwrap();
-        (engine, gen, model)
-    }
-
-    #[test]
-    fn all_queries_are_answered_once() {
-        let (engine, gen, model) = setup();
-        let mut rng = seeded(2);
-        let queries = gen.generate_many(500, &mut rng);
-        let m = model_q1_throughput(&model, &queries, 4);
-        assert_eq!(m.queries, 500);
-        assert_eq!(m.threads, 4);
-        assert!(m.qps() > 0.0);
-        let e = exact_q1_throughput(&engine, &queries, 4);
-        assert_eq!(e.queries, 500);
-    }
-
-    #[test]
-    fn model_throughput_dwarfs_exact_throughput() {
-        let (engine, gen, model) = setup();
-        let mut rng = seeded(3);
-        let queries = gen.generate_many(2_000, &mut rng);
-        let m = model_q1_throughput(&model, &queries, 2);
-        let e = exact_q1_throughput(&engine, &queries, 2);
-        assert!(
-            m.qps() > 5.0 * e.qps(),
-            "model {} qps vs exact {} qps",
-            m.qps(),
-            e.qps()
-        );
-    }
-
-    #[test]
-    fn sweep_produces_requested_rows() {
-        let (engine, gen, model) = setup();
-        let mut rng = seeded(4);
-        let rows = throughput_sweep(&model, &engine, &gen, 400, &[1, 2], &mut rng);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, 1);
-        assert_eq!(rows[1].0, 2);
-        for (_, mq, eq) in rows {
-            assert!(mq.is_finite() && eq.is_finite());
-        }
-    }
 
     #[test]
     fn sub_resolution_elapsed_degrades_to_nan_and_a_counted_sentinel() {
         // Satellite bugfix regression: a run faster than the timer tick
         // used to report `inf` qps, which the JSON guard caught but the
         // human-readable `{:.0}` prints did not.
-        let r = ThroughputResult {
-            threads: 1,
+        let run = |elapsed| ServeLoopResult {
+            shards: 1,
+            readers: 1,
             queries: 1_000,
-            elapsed: Duration::ZERO,
+            elapsed,
+            model_served: 0,
+            exact_served: 0,
+            feedback_enqueued: 0,
+            feedback_fed: 0,
+            feedback_dropped: 0,
+            publishes: 0,
+            writer_examples: 0,
         };
+        let r = run(Duration::ZERO);
         assert!(r.qps().is_nan(), "sub-tick qps must be NaN, not inf");
         assert_eq!(r.qps_label(), ">=1000 queries in <1 timer tick");
-        let real = ThroughputResult {
-            threads: 1,
-            queries: 1_000,
-            elapsed: Duration::from_millis(500),
-        };
+        let real = run(Duration::from_millis(500));
         assert_eq!(real.qps(), 2_000.0);
         assert_eq!(real.qps_label(), "2000");
-        // The free helpers drive every result type's label identically.
+        // The free helpers drive every report's label identically.
         assert!(qps_value(7, Duration::ZERO).is_nan());
         assert_eq!(qps_label(7, Duration::ZERO), ">=7 queries in <1 timer tick");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        let (_, gen, model) = setup();
-        let mut rng = seeded(5);
-        let queries = gen.generate_many(10, &mut rng);
-        let _ = model_q1_throughput(&model, &queries, 0);
     }
 
     mod closed_loop {

@@ -48,7 +48,7 @@ fn main() {
         },
         &mut rng,
     );
-    let engine = ExactEngine::new(Arc::new(data), AccessPathKind::Grid);
+    let engine = ExactEngine::new(Arc::new(data), AccessPathKind::KdTree);
 
     // Train from a survey campaign's query log. Radii ~ N(0.1, 0.1²):
     // discs covering ≈20% of the region diameter, as in the paper.

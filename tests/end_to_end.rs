@@ -110,11 +110,7 @@ fn exact_q1_equals_manual_average_through_all_access_paths() {
         },
         &mut rng,
     ));
-    for path in [
-        AccessPathKind::Scan,
-        AccessPathKind::KdTree,
-        AccessPathKind::Grid,
-    ] {
+    for path in [AccessPathKind::Scan, AccessPathKind::KdTree] {
         let engine = ExactEngine::new(data.clone(), path);
         let ids = engine.select(&[0.2, -0.3], 0.5);
         let manual: f64 = ids.iter().map(|&i| data.y(i)).sum::<f64>() / ids.len() as f64;

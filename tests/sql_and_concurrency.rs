@@ -230,26 +230,6 @@ fn frozen_model_serves_concurrently_with_identical_answers() {
 }
 
 #[test]
-fn parallel_serving_throughput_beats_exact() {
-    use regq::workload::{exact_q1_throughput, model_q1_throughput};
-    let f = fixture();
-    let field = GasSensorSurrogate::new(2, 21);
-    let mut rng = seeded(9);
-    let ds = Dataset::from_function(&field, 30_000, SampleOptions::default(), &mut rng);
-    let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-    let gen = QueryGenerator::for_function(&field, 0.1);
-    let queries = gen.generate_many(2_000, &mut rng);
-    let m = model_q1_throughput(&f.model, &queries, 4);
-    let e = exact_q1_throughput(&engine, &queries, 4);
-    assert!(
-        m.qps() > 3.0 * e.qps(),
-        "model {} qps vs exact {} qps",
-        m.qps(),
-        e.qps()
-    );
-}
-
-#[test]
 fn closed_loop_serving_exercises_both_routes_under_live_training() {
     use regq::workload::serve_closed_loop;
     let field = GasSensorSurrogate::new(2, 33);
