@@ -7,7 +7,7 @@
 //! * Q1 prediction ≈ 0.18 ms/query, Q2 ≈ 0.56 ms/query, flat in n;
 //! * 99.62 % of training wall-clock spent executing queries;
 //! * 10⁵–10⁶× speedup over exact execution (at the paper's 10¹⁰ rows; the
-//!   separation measured here is at in-memory sizes — see EXPERIMENTS.md).
+//!   separation measured here is at in-memory sizes).
 //!
 //! Run: `cargo run --release -p regq-bench --bin headline_claims`
 

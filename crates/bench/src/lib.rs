@@ -11,7 +11,8 @@
 //!
 //! * `quick` — CI-sized runs (default when unset): small datasets, short
 //!   sweeps; shapes are already visible.
-//! * `full`  — the sizes recorded in `EXPERIMENTS.md` (minutes per figure).
+//! * `full`  — the larger of each binary's two size sets (minutes per
+//!   figure).
 //!
 //! ## Dataset conventions (paper §VI-A)
 //!
@@ -132,7 +133,7 @@ pub fn dataset(family: Family, d: usize, n: usize, seed: u64) -> Arc<Dataset> {
 /// The paper's query workload for a family (`µ_θ` fraction of the range;
 /// R1: θ ~ N(0.1, 0.1²) on unit ranges, R2: θ ~ N(1, 0.5²) on `[-10,10]`).
 ///
-/// **Scale substitution (documented in EXPERIMENTS.md):** at the paper's
+/// **Scale substitution:** at the paper's
 /// R2 radius (θ = 1) a ball in `[-10,10]^5` holds ~10⁻⁶ of the volume —
 /// fine at their 10¹⁰ rows, empty at our in-memory sizes. For `d ≥ 4` the
 /// radius is widened to `θ ~ N(3, 0.5²)` so subspaces hold enough tuples

@@ -5,7 +5,7 @@ use crate::schedule::LearningSchedule;
 use serde::{Deserialize, Serialize};
 
 /// How the LLM slope coefficients `(b_X, b_Θ)` are stepped (design
-/// decision D-8 in DESIGN.md).
+/// decision D-8, stated here).
 ///
 /// Theorem 4's raw rule `Δb = η e (q − w)` scales the effective slope
 /// learning rate by `‖q − w‖²` — with unit-normalized workloads that is

@@ -3,7 +3,7 @@
 //! The paper uses the hyperbolic schedule `η_t = 1/(t + 1)`, which satisfies
 //! the Robbins–Monro conditions `Σ η_t = ∞`, `Σ η_t² < ∞`. What the paper
 //! leaves open is *which* `t`: a global step counter or a per-prototype
-//! update counter (design decision D-1 in DESIGN.md). Per-prototype is the
+//! update counter (design decision D-1, stated here). Per-prototype is the
 //! default here — each prototype's parameters are then a proper stochastic
 //! average of the queries it wins, matching the AVQ convergence analyses the
 //! paper cites — and the global variant is kept for the ablation bench.

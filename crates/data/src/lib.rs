@@ -16,8 +16,7 @@
 //! property the paper actually exploits: strong non-linearity (a global
 //! linear fit explains little of the output variance in small subspaces).
 //! R2 is generated exactly from the paper's formula
-//! ([`generators::rosenbrock`]). See `DESIGN.md` §2 (S2) for the
-//! substitution rationale.
+//! ([`generators::rosenbrock`]).
 //!
 //! Everything is deterministic given a seed: experiments are reproducible
 //! bit-for-bit.

@@ -1,11 +1,22 @@
 //! High-level least-squares front door.
 //!
-//! [`lstsq`] is what the exact `REG` engine and the MARS fitter call: it
-//! builds the normal equations and solves them with Cholesky, falling back
-//! to (a) a small ridge perturbation and then (b) Householder QR when the
-//! design is rank deficient. This mirrors what production in-DBMS analytics
-//! extensions (MADlib, Oracle UTL_NLA) do for robustness, while keeping the
-//! fast path allocation-light.
+//! Both entry points solve the normal equations with Cholesky, falling
+//! back to (a) a small ridge perturbation and then (b) Householder QR when
+//! the system is rank deficient. This mirrors what production in-DBMS
+//! analytics extensions (MADlib, Oracle UTL_NLA) do for robustness, while
+//! keeping the fast path allocation-light.
+//!
+//! * [`solve_normal_equations`] is what the exact `REG` engine runs: the
+//!   Gram state is folded during the data scan
+//!   ([`crate::gram::GramAccumulator::solve`]) and no design matrix ever
+//!   exists.
+//! * [`lstsq`] takes a materialized design matrix. Nothing on a served
+//!   path calls it; it is the straight-line reference the pushdown fit is
+//!   tested against (`gram::tests`, `regq_exact`'s proptests) and what the
+//!   gas-sensor surrogate's self-check fits with.
+//!
+//! The MARS fitter calls neither: it factors its own basis Gram matrices
+//! with [`Cholesky`] directly.
 
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;

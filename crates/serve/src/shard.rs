@@ -145,8 +145,8 @@ pub struct RouterStats {
     /// Queries answered from the fused shard snapshots.
     pub model_served: u64,
     /// Queries answered by the exact engine. Like its two siblings this
-    /// counts the snapshot-served heads (`AVG`, `LINREG`); `VAR` passes
-    /// the same gate uncounted.
+    /// counts the shard-snapshot heads (`AVG`, `LINREG`); `VAR` passes
+    /// the same gate and moves only the `blocks_*` counters.
     pub exact_served: u64,
     /// Feedback examples accepted into a shard queue.
     pub feedback_enqueued: u64,
@@ -183,7 +183,8 @@ pub struct RouterStats {
     pub degraded_shards: usize,
     /// Prototype block visits whose lower bound was evaluated during
     /// pruned snapshot consultations (none on single-block layouts),
-    /// summed over every shard consulted.
+    /// summed over every shard consulted — and, for `VAR`, over the
+    /// variance head's snapshot.
     pub blocks_screened: u64,
     /// Prototype blocks pruned away because their bound ruled them out —
     /// the fabric's output-sensitivity win.
@@ -202,10 +203,10 @@ pub struct ShardRouter {
     policy: RoutePolicy,
     partitioner: Partitioner,
     shards: Vec<Shard>,
-    /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]):
-    /// immutable once attached and consulted whole, so it lives beside
-    /// the shards, not in them.
-    moments: Option<MomentsModel>,
+    /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]),
+    /// captured once: immutable and consulted whole, so it lives beside
+    /// the shards, not in them, and needs no cell.
+    moments: Option<ServingSnapshot>,
     queue_capacity: usize,
     fault: FaultPlan,
     /// Examples quarantined by panicking shard trainers (bounded at
@@ -376,12 +377,14 @@ impl ShardRouter {
     }
 
     /// Attach a trained moments model: enables the model route of
-    /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. The model is
-    /// served as attached — exact `VAR` fallbacks feed their subspace
-    /// mean to the Q1 trainers, not to these heads — and resharding
-    /// leaves it untouched.
+    /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. Only the
+    /// variance head is kept, as a snapshot: the heads share one codebook
+    /// and its update counts, so its confidence is the mean head's, bit
+    /// for bit. It is served as attached — exact `VAR` fallbacks feed
+    /// their subspace mean to the Q1 trainers, not to this head — and
+    /// resharding leaves it untouched.
     pub fn attach_moments(&mut self, model: MomentsModel) {
-        self.moments = Some(model);
+        self.moments = Some(model.second_head().snapshot());
     }
 
     /// Re-shard in place: drain every queue, merge the per-shard models
@@ -887,22 +890,22 @@ impl ShardRouter {
     }
 
     /// Consult the moments model about `q`: the variance head's
-    /// prediction (clamped non-negative), scored on the mean head — the
-    /// heads share one codebook, so the mean head's confidence is the
-    /// variance head's too. Two arena passes, no shard guard (the model is
+    /// prediction (clamped non-negative) and its confidence from the one
+    /// pruned resolution every served answer takes, telemetry folded into
+    /// the router-lifetime counters. No shard guard (the snapshot is
     /// immutable once attached); the version is the heads' step count.
     /// Predicts nothing without a moments model.
     ///
     /// # Errors
     /// [`CoreError::EmptyModel`] while the heads are untrained.
     fn consult_moments(&self, q: &Query) -> Result<Consulted<Predicted<f64>>, CoreError> {
-        let Some(m) = self.moments.as_ref() else {
+        let Some(head) = self.moments.as_ref() else {
             return Ok(Default::default());
         };
-        let conf = m.mean_head().confidence(q)?;
-        let variance = m.second_head().predict_q1(q)?.max(0.0);
-        let version = m.mean_head().steps();
-        Ok((Some((variance, conf)), version, ScreenCounters::default()))
+        let mut screen = ScreenCounters::default();
+        let (variance, conf) = head.predict_q1_with_confidence_pruned(q, &mut screen)?;
+        self.record_screen(&screen);
+        Ok((Some((variance.max(0.0), conf)), head.version(), screen))
     }
 
     /// Run an exact-path computation, timing it when a deadline budget
@@ -1108,14 +1111,15 @@ impl ShardRouter {
 
     // ---- VAR -----------------------------------------------------------
     //
-    // The moments head passes the same gate, deadline/pressure
-    // degradation, exact-cost clock and feedback seam as the snapshot
-    // heads. It moves none of `model_served` / `exact_served` /
-    // `degraded_served`: those count snapshot-head answers, a scope the
-    // ledger's smoke test pins (`benchmark/tests/smoke.rs`).
+    // The variance head is resolved by the same pruned driver and passes
+    // the same gate, deadline/pressure degradation, exact-cost clock and
+    // feedback seam as the shard-snapshot heads. It moves none of
+    // `model_served` / `exact_served` / `degraded_served`: those count
+    // `AVG` + `LINREG` answers, a scope the ledger's smoke test pins
+    // (`benchmark/tests/smoke.rs`).
 
-    /// **Auto-routed `VAR`**: the moments model's variance head when the
-    /// mean head's confidence clears the policy threshold, otherwise the
+    /// **Auto-routed `VAR`**: the moments model's variance head when its
+    /// confidence clears the policy threshold, otherwise the
     /// gate every answer passes — [`Route::Degraded`] under the deadline
     /// budget / pressure watermark, else exact execution with the
     /// subspace mean fed back. No (or an untrained) moments model routes

@@ -40,7 +40,7 @@ pub enum ExecMode {
 }
 
 /// One parsed statement:
-/// `SELECT <agg> FROM <table> WHERE DIST(x, [c…]) <= θ [USING EXACT|MODEL];`
+/// `SELECT <agg> FROM <table> WHERE DIST(x, [c…]) <= θ [USING EXACT|MODEL|AUTO];`
 #[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     /// Requested aggregate.
@@ -51,7 +51,7 @@ pub struct Statement {
     pub center: Vec<f64>,
     /// Query radius `θ`.
     pub radius: f64,
-    /// Exact or model-served execution.
+    /// Exact, model-served or confidence-gated execution.
     pub mode: ExecMode,
 }
 

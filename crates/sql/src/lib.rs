@@ -3,7 +3,8 @@
 //! A declarative front end for the `regq` engines — the in-DBMS face of
 //! the paper. The paper's Appendix IV specifies SQL syntax for its Q1/Q2
 //! queries (the appendix itself is no longer retrievable, so this dialect
-//! is reconstructed from the queries' semantics; see DESIGN.md D-9):
+//! is reconstructed from the queries' semantics: a radius selection
+//! `DIST(x, [c…]) <= θ` under one aggregate per statement):
 //!
 //! ```sql
 //! -- Q1: mean of the output attribute within a radius selection
@@ -41,9 +42,9 @@
 //! ```
 //!
 //! ## Modules
-//! * [`token`] — lexer with positioned errors;
 //! * [`ast`] — statements and aggregates;
-//! * [`parser`] — recursive-descent parser;
+//! * [`parser`] — one-pass scanner-parser with positioned errors (no
+//!   token stream: one borrowed token of lookahead);
 //! * [`session`] — catalog (tables + models) and the executor.
 
 #![deny(missing_docs)]
@@ -52,7 +53,6 @@
 pub mod ast;
 pub mod parser;
 pub mod session;
-pub mod token;
 
 pub use ast::{Aggregate, Command, ExecMode, Statement};
 pub use parser::{parse, parse_command, parse_script};

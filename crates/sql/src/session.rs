@@ -7,7 +7,8 @@
 //! the router gate per query on its confidence score — falling back to
 //! exact execution (and feeding the shard trainers) below the threshold.
 //! That holds for every aggregate but `COUNT(*)`: the router also holds
-//! the table's moments model, so `VAR` passes the same gate.
+//! the variance head of the table's moments model as a snapshot, so `VAR`
+//! is resolved by the same pruned driver and passes the same gate.
 //! Executions take `&self` and the session is `Send + Sync`, so one
 //! session serves any number of threads concurrently; the serve path is
 //! lock-free (see `regq_serve`). Resharding ([`Session::set_shards`],
@@ -344,12 +345,13 @@ impl Session {
     /// access, manual pump/publish).
     ///
     /// Scope note: `model_served` / `exact_served` / `degraded_served`
-    /// count the snapshot-served heads — `AVG`/`LINREG` in every mode.
-    /// `VAR` passes the same router gate (threshold, deadline/pressure
-    /// degradation, feedback) but answers from the moments model, and
-    /// `COUNT(*)` is the one session-level operator (cardinality needs
-    /// the data by definition); neither moves a route counter, though
-    /// exact `VAR` still feeds the trainers.
+    /// count `AVG`/`LINREG` answers in every mode. `VAR` passes the same
+    /// router gate (threshold, deadline/pressure degradation, feedback)
+    /// over the moments model's variance-head snapshot, and `COUNT(*)` is
+    /// the one session-level operator (cardinality needs the data by
+    /// definition); neither moves a route counter, though a consulted
+    /// `VAR` moves the `blocks_*` pruning counters and an exact one still
+    /// feeds the trainers.
     pub fn router(&self, table: &str) -> Option<&ShardRouter> {
         self.tables.get(table)
     }
@@ -461,21 +463,12 @@ impl Session {
                 i = j;
                 continue;
             }
-            let router = self
-                .tables
-                .get(&s.table)
-                .ok_or_else(|| SqlError::UnknownTable(s.table.clone()))?;
-            let dim = router.exact_engine().relation().dim();
+            // One table per run: the first statement's router serves it.
+            let (router, first) = self.bind(s)?;
             let mut queries = Vec::with_capacity(j - i);
-            for t in &stmts[i..j] {
-                if t.center.len() != dim {
-                    return Err(SqlError::DimensionMismatch {
-                        table: t.table.clone(),
-                        expected: dim,
-                        actual: t.center.len(),
-                    });
-                }
-                queries.push(Query::new(t.center.clone(), t.radius).map_err(SqlError::Model)?);
+            queries.push(first);
+            for t in &stmts[i + 1..j] {
+                queries.push(self.bind(t)?.1);
             }
             let serve_err = |e: ServeError| convert_serve_error(s, e);
             match s.aggregate {
@@ -498,38 +491,46 @@ impl Session {
         Ok(out)
     }
 
+    /// Bind a statement to the catalog — the one step between a parsed
+    /// statement and a router call, under both executors: the router
+    /// behind `FROM`, and the statement's ball as a validated [`Query`]
+    /// of the table's dimensionality.
+    fn bind(&self, stmt: &Statement) -> Result<(&ShardRouter, Query), SqlError> {
+        let router = self
+            .tables
+            .get(&stmt.table)
+            .ok_or_else(|| SqlError::UnknownTable(stmt.table.clone()))?;
+        let expected = router.exact_engine().relation().dim();
+        if stmt.center.len() != expected {
+            return Err(SqlError::DimensionMismatch {
+                table: stmt.table.clone(),
+                expected,
+                actual: stmt.center.len(),
+            });
+        }
+        let q = Query::new(stmt.center.clone(), stmt.radius).map_err(SqlError::Model)?;
+        Ok((router, q))
+    }
+
     /// Execute an already-parsed statement: one `(aggregate, mode)`
     /// dispatch onto the table's router, so every answer but `COUNT(*)`
     /// passes the same gate, deadline/pressure degradation and feedback
     /// seam.
     ///
     /// # Errors
-    /// See [`SqlError`].
+    /// See [`SqlError`]. A hand-built statement whose ball the parser
+    /// would have rejected (non-finite coordinate, `θ ≤ 0`) is a typed
+    /// [`SqlError::Model`] under every aggregate, `COUNT(*)` included.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryOutput, SqlError> {
-        let router = self
-            .tables
-            .get(&stmt.table)
-            .ok_or_else(|| SqlError::UnknownTable(stmt.table.clone()))?;
-        let dim = router.exact_engine().relation().dim();
-        if stmt.center.len() != dim {
-            return Err(SqlError::DimensionMismatch {
-                table: stmt.table.clone(),
-                expected: dim,
-                actual: stmt.center.len(),
-            });
-        }
+        let (router, q) = self.bind(stmt)?;
 
         // COUNT requires the data by definition; the model never sees
         // cardinalities. Route to the exact engine regardless of mode.
         if stmt.aggregate == Aggregate::Count {
-            let n = router
-                .exact_engine()
-                .relation()
-                .count(&stmt.center, stmt.radius);
+            let n = router.exact_engine().relation().count(&q.center, q.radius);
             return Ok(QueryOutput::exact(QueryValue::Count(n)));
         }
 
-        let q = Query::new(stmt.center.clone(), stmt.radius).map_err(SqlError::Model)?;
         let scalar = |s: Served<f64>| s.map_value(QueryValue::Scalar);
         let list = |s: Served<Vec<LocalModel>>| s.map_value(QueryValue::Regression);
         match (stmt.aggregate, stmt.mode) {
@@ -952,6 +953,37 @@ mod tests {
             s.execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5]) <= 0.2"),
             Err(SqlError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn hand_built_statements_are_validated_when_bound() {
+        // The parser cannot produce these; `execute_statement` is public.
+        let s = session_with_model();
+        for (center, radius) in [
+            (vec![0.5, 0.5], -1.0),
+            (vec![0.5, 0.5], 0.0),
+            (vec![f64::NAN, 0.5], 0.2),
+            (vec![0.5, 0.5], f64::INFINITY),
+        ] {
+            for aggregate in [Aggregate::Avg, Aggregate::Var, Aggregate::Count] {
+                let stmt = Statement {
+                    aggregate,
+                    table: "readings".into(),
+                    center: center.clone(),
+                    radius,
+                    mode: ExecMode::Auto,
+                };
+                assert!(
+                    matches!(s.execute_statement(&stmt), Err(SqlError::Model(_))),
+                    "{stmt:?}"
+                );
+                let run = [stmt.clone(), stmt];
+                assert!(matches!(
+                    s.execute_statements(&run),
+                    Err(SqlError::Model(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -141,7 +141,8 @@ pub struct Q2Eval {
     /// Mean CoD of global REG.
     pub reg_global_cod: f64,
     /// Mean FVU of per-query REG (OLS re-fit inside each subspace; always
-    /// ≤ 1 — reported for completeness, see DESIGN.md).
+    /// ≤ 1, since an in-sample fit with an intercept cannot do worse than
+    /// the subspace mean — reported for completeness).
     pub reg_local_fvu: f64,
     /// Mean FVU of per-query PLR (present when requested).
     pub plr_fvu: Option<f64>,

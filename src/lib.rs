@@ -52,8 +52,10 @@
 //! | [`workload`] | query generation, Fig.-2 training loop, evaluators |
 //! | [`linalg`] | dense linear algebra substrate |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the paper-vs-measured record of every reproduced figure.
+//! See `README.md` for the crate map and how to run things,
+//! `docs/INVARIANTS.md` for the bit-identity and concurrency contracts and
+//! `benchmark/README.md` for the measured end-to-end ledger; the
+//! `regq_bench` binaries reprint the paper's figures.
 
 pub use regq_core as core;
 pub use regq_data as data;

@@ -18,7 +18,8 @@ fn nonlinear_fixture() -> &'static (ExactEngine, QueryGenerator, LlmModel) {
         let mut cfg = ModelConfig::with_vigilance(2, 0.12);
         // γ = 5e-3: deep enough for accurate slopes, shallow enough that
         // the slope head's slower (p = 0.6) Γ_H decay crosses it within
-        // this workload (see D-7/D-8 in DESIGN.md).
+        // this workload (`ModelConfig::convergence_window` and
+        // `coeff_rate_power` document both choices).
         cfg.gamma = 5e-3;
         let mut model = LlmModel::new(cfg).unwrap();
         let report = train_from_engine(&mut model, &engine, &gen, 120_000, &mut rng).unwrap();
