@@ -100,7 +100,11 @@ impl Registry {
     pub fn workspace() -> Self {
         let own = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Registry {
-            unsafe_allowlist: own(&["crates/serve/src/cell.rs", "crates/linalg/src/simd.rs"]),
+            unsafe_allowlist: own(&[
+                "crates/serve/src/cell.rs",
+                "crates/linalg/src/simd.rs",
+                "crates/core/tests/served_allocations.rs",
+            ]),
             panic_policy: own(&[
                 "crates/serve/src/",
                 "crates/core/src/snapshot.rs",

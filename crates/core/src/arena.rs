@@ -49,6 +49,14 @@ use serde::{Deserialize, Serialize};
 /// `(offsets, entries)` slices. Reusable — internal buffers are
 /// retained across calls, so a serving thread resolves batches
 /// allocation-free in steady state.
+///
+/// The members of one query are left in **block order**: the verified
+/// blocks in the order they were verified, ascending arena index inside
+/// each. That is the set the scalar pass finds, every degree bit for bit,
+/// but not its order — putting `W(q)` in ascending id is done once, for
+/// all parts of a served answer, by `regq_core::snapshot`'s
+/// resolve-and-fold driver (`docs/INVARIANTS.md`, "ordered emission"),
+/// so a part never pays for an order its caller is about to redo.
 #[derive(Debug, Default)]
 pub struct BatchResolution {
     winners: Vec<(usize, f64)>,
@@ -82,9 +90,9 @@ impl BatchResolution {
         self.winners[i]
     }
 
-    /// Overlap neighborhood `W(q_i)` in ascending prototype index —
-    /// identical to [`PrototypeArena::overlap_set_into`] for the same
-    /// query.
+    /// Overlap neighborhood `W(q_i)` in block order (see the type docs)
+    /// — as a set, members and degrees identical to
+    /// [`PrototypeArena::overlap_set_into`] for the same query.
     pub fn overlap(&self, i: usize) -> &[(usize, f64)] {
         &self.entries[self.offsets[i]..self.offsets[i + 1]]
     }
@@ -608,8 +616,10 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// lowest index per block; across blocks, per-block winners merge
 /// lexicographically by `(distance, index)` from the global seed
 /// `(∞, 0)`, which reproduces the ascending-scan tie-break; and overlap
-/// members are re-sorted into ascending arena order before the CSR is
-/// emitted, so the fusion fold sums in the scalar path's exact order.
+/// members — emitted in block order here — are put in ascending arena
+/// order by the one consumer, [`crate::snapshot`]'s resolve-and-fold
+/// driver, before the fusion fold sums them, so the fold runs in the
+/// scalar path's exact order.
 #[derive(Debug, Clone)]
 pub struct BlockLayout {
     dim: usize,
@@ -824,10 +834,10 @@ impl BlockLayout {
     }
 
     /// Resolve one query: winner as `(arena index, squared joint)`,
-    /// overlap members appended to `set` (arena indices, block order —
-    /// the caller sorts). Stage 1 bounds every block; stage 2 verifies
-    /// the block with the smallest bound first, so the running best is
-    /// tight before any other block is compared against it.
+    /// overlap members appended to `set` (arena indices, block order).
+    /// Stage 1 bounds every block; stage 2 verifies the block with the
+    /// smallest bound first, so the running best is tight before any
+    /// other block is compared against it.
     fn resolve_query(
         &self,
         q: &Query,
@@ -882,10 +892,11 @@ impl BlockLayout {
     /// that provably cannot contain the winner or any overlapping ball,
     /// and the bit-exact whole-block AoSoA kernel
     /// ([`simd::winner_overlap_block_aosoa`]) resolves the rest. The
-    /// filled [`BatchResolution`] is **bit-identical** to the scalar
-    /// passes on the source arena for every query (see the type docs for
-    /// the argument); `counters` is accumulated, never reset, so callers
-    /// can aggregate across calls.
+    /// filled [`BatchResolution`] holds, for every query, the scalar
+    /// passes' winner and overlap set on the source arena **bit for bit**
+    /// (see the type docs for the argument), the set in block order —
+    /// documented output, see [`BatchResolution`]; `counters` is
+    /// accumulated, never reset, so callers can aggregate across calls.
     ///
     /// Must be called on a non-empty layout with dimension-checked
     /// queries (the snapshot layer enforces both).
@@ -906,12 +917,7 @@ impl BlockLayout {
         } = out;
         offsets.push(0);
         for q in queries {
-            let at = entries.len();
             winners.push(self.resolve_query(q, lbs, entries, counters));
-            // Ascending arena order restores the scalar path's exact
-            // fusion summation order; degrees are per-pair
-            // bit-identical, so the CSR equals the scalar pass's set.
-            entries[at..].sort_unstable_by_key(|e| e.0);
             offsets.push(entries.len());
         }
     }
@@ -1158,7 +1164,11 @@ mod tests {
             let (gk, gsq) = res.winner(i);
             assert_eq!((gk, gsq.to_bits()), (wk, wsq.to_bits()), "q{i} winner");
             arena.overlap_set_into(&q.center, q.radius, &mut set);
-            let got = res.overlap(i);
+            // The resolution emits block order; the set and every degree
+            // bit are pinned on an id-sorted copy (the order itself is
+            // pinned where it decides bits: through the served predictors).
+            let mut got = res.overlap(i).to_vec();
+            got.sort_unstable_by_key(|e| e.0);
             assert_eq!(got.len(), set.len(), "q{i} overlap size");
             for (a, b) in got.iter().zip(&set) {
                 assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "q{i} overlap");

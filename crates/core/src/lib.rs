@@ -43,6 +43,7 @@
 //! * [`config`] — vigilance/γ/schedule configuration.
 //! * [`model`] — the [`LlmModel`]: Algorithm 1 training.
 //! * [`predict`] — Algorithms 2 & 3 and Eq. 14 prediction.
+//! * [`coeffs`] — the inline coefficient vector of a Q2 list element.
 //! * [`metrics`] — RMSE / FVU / CoD used by the paper's §VI metrics.
 //! * [`moments`] — extension E-1: second-moment head → variance prediction.
 //! * [`adapt`] — extension E-2/E-3: drift adaptation, merge & prune.
@@ -56,6 +57,7 @@
 
 pub mod adapt;
 pub mod arena;
+pub mod coeffs;
 pub mod confidence;
 pub mod config;
 pub mod error;
@@ -73,6 +75,7 @@ pub mod snapshot;
 pub use arena::{
     BatchResolution, BlockLayout, PrototypeArena, PrototypeRef, PrototypeRefMut, ScreenCounters,
 };
+pub use coeffs::Coeffs;
 pub use confidence::Confidence;
 pub use config::ModelConfig;
 pub use error::CoreError;

@@ -17,6 +17,7 @@
 //! an oracle answer can never disagree about the route.
 
 use crate::arena::PrototypeArena;
+use crate::coeffs::Coeffs;
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::query::Query;
@@ -89,11 +90,12 @@ pub(crate) fn for_each_overlap_weight_with_winner(
 ///
 /// This is the **single fusion fold** of the crate. The scalar oracle
 /// runs it over `(arena index, δ)` pairs in the thread-local scratch
-/// (below); the served path ([`crate::snapshot`]) runs it over merged
-/// `((global id, part, local index), δ)` entries sorted into global arena
-/// order. One function, so the served path replays the exact
-/// floating-point operation sequence of the oracle — summation order,
-/// degeneracy rule, division — and stays bit-identical to it.
+/// (below); the served path ([`crate::snapshot`]) runs it over
+/// `((global id, part, local index), δ)` entries of all parts, gathered
+/// into global arena order. One function, so the served path replays
+/// the exact floating-point operation sequence of the oracle —
+/// summation order, degeneracy rule, division — and stays bit-identical
+/// to it.
 pub(crate) fn fuse_weights_from_set<S: Copy>(
     set: &[(S, f64)],
     winner: impl FnOnce() -> S,
@@ -151,15 +153,16 @@ pub(crate) fn q1_over_arena(arena: &PrototypeArena, q: &Query) -> f64 {
 /// Materialize the Theorem-3 local model of prototype `k` with fusion
 /// weight `weight` — the one place the `S`-list element is built, shared
 /// by the Q2 prediction and the fused Q2+confidence drivers so the list
-/// construction cannot drift between them.
+/// construction cannot drift between them. Allocation-free up to the
+/// inline capacity of [`Coeffs`].
 pub(crate) fn local_model_at(arena: &PrototypeArena, k: usize, weight: f64) -> LocalModel {
     let (intercept, slope) = arena.local_line(k);
     LocalModel {
         intercept,
-        slope: slope.to_vec(),
+        slope: slope.into(),
         prototype: k,
         weight,
-        center: arena.center(k).to_vec(),
+        center: arena.center(k).into(),
         radius: arena.radius(k),
     }
 }
@@ -187,19 +190,26 @@ pub(crate) fn value_over_arena(arena: &PrototypeArena, q: &Query, x: &[f64]) -> 
 /// One local linear model returned by a Q2 query (an element of the
 /// paper's list `S`): `u ≈ intercept + slope · x` over the data subspace
 /// `D_k` (Theorem 3).
+///
+/// The two `d`-vectors are [`Coeffs`] — inline for the dimensions the
+/// paper works at, so building a list element costs no allocation and a
+/// served `LINREG` answer allocates its list buffer and nothing else.
+/// They read as slices (`lm.slope[0]`, `lm.slope.iter()`,
+/// `lm.predict(&lm.center)`); build one from a `Vec<f64>` or a slice with
+/// `.into()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LocalModel {
     /// `u`-intercept `y_k − b_{X,k} x_kᵀ`.
     pub intercept: f64,
     /// `u`-slope `b_{X,k}`.
-    pub slope: Vec<f64>,
+    pub slope: Coeffs,
     /// Index of the prototype this model comes from.
     pub prototype: usize,
     /// Normalized overlap weight `δ̃(q, w_k)` (1.0 for the closest-prototype
     /// fallback) — diagnostic, not part of the paper's `S`.
     pub weight: f64,
     /// The subspace representative `x_k` (for region attribution).
-    pub center: Vec<f64>,
+    pub center: Coeffs,
     /// The subspace radius `θ_k`.
     pub radius: f64,
 }
@@ -387,10 +397,10 @@ pub mod reference {
             let (intercept, slope) = p.local_line();
             s.push(LocalModel {
                 intercept,
-                slope: slope.to_vec(),
+                slope: slope.into(),
                 prototype: k,
                 weight,
-                center: p.center.clone(),
+                center: p.center.as_slice().into(),
                 radius: p.radius,
             });
         })?;

@@ -19,11 +19,14 @@
 //! at step `t`. The **served path** (`*_pruned` on the snapshot, the four
 //! `sharded_*_pruned` functions) is one resolve-and-fold driver over
 //! [`ShardPart`]s — bound-and-verify resolution through each part's
-//! [`BlockLayout`], a merge into global arena order, one shared fusion
-//! fold, a Q1 or a Q2 head — where scalar is a batch of one and an
-//! unsharded snapshot is one part. The bit-identity chain is therefore
-//! short: per-prototype `reference` ← scalar oracle (`arena_equivalence`)
-//! ← the one resolver (`serving_equivalence`).
+//! [`BlockLayout`], which leaves `W(q)` in block order; one
+//! scatter/gather over a global-id bitmap that puts the members of all
+//! parts in global arena order (the only place anything is ordered, and
+//! no comparison sort); one shared fusion fold; a Q1 or a Q2 head —
+//! where scalar is a batch of one and an unsharded snapshot is one part.
+//! The bit-identity chain is therefore short: per-prototype `reference`
+//! ← scalar oracle (`arena_equivalence`) ← the one resolver
+//! (`serving_equivalence`).
 //!
 //! Cost model: taking a snapshot clones the arena (`O(dK)` — the publish
 //! cost, paid by the trainer at publication cadence); cloning a
@@ -379,12 +382,120 @@ type Slot = (usize, usize, usize);
 /// or the winner `(slot, squared joint distance)`.
 type Scored = (Slot, f64);
 
+/// Everything [`resolve_and_fold`] keeps between calls on one thread, so
+/// the served path is allocation-free per call in steady state (like the
+/// oracle's overlap scratch). Only the capacity of `resolutions`,
+/// `staged` and `ordered` carries over; `bits` and `index_of` carry
+/// *state*, under one rule each:
+///
+/// * `bits` is **all zero between calls** — the gather clears every word
+///   it reads, and the two early exits (an id carried twice, an id beyond
+///   the declared span) clear what was set before they panic;
+/// * an `index_of` entry means something only while its bit is set — it
+///   is written before it is read, so stale entries from earlier calls
+///   (other layouts, other part counts) are never observed and the table
+///   is never cleared.
+///
+/// Both are sized per call from the parts at hand, each on its own
+/// (`bits` by words, `index_of` by ids), grow-only, and never assumed to
+/// be dense: sparse ids just leave zero words for the walk to step over.
+struct ResolveScratch {
+    /// One resolution per part, in part order.
+    resolutions: Vec<BatchResolution>,
+    /// One query's members as the parts emitted them: part order, block
+    /// order inside a part.
+    staged: Vec<Scored>,
+    /// The same members in ascending global id, when `staged` is not
+    /// already.
+    ordered: Vec<Scored>,
+    /// Membership bitmap over global ids, one word per [`ID_WORD`] ids.
+    bits: Vec<u64>,
+    /// Global id → index into `staged`.
+    index_of: Vec<u32>,
+}
+
+/// Global ids per bitmap word — one word per `ROW_TILE` prototypes, so the
+/// gather's word walk is the same order as the block-bound stage.
+const ID_WORD: usize = u64::BITS as usize;
+
 thread_local! {
-    /// Per-part resolutions plus the merged-entry buffer of
-    /// [`resolve_and_fold`] — like the oracle's overlap scratch, it keeps
-    /// the served path allocation-free per call in steady state.
-    static RESOLVE_SCRATCH: RefCell<(Vec<BatchResolution>, Vec<Scored>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// This thread's [`ResolveScratch`] — borrowed for the length of one
+    /// [`resolve_and_fold`] call, which never re-enters itself.
+    static RESOLVE_SCRATCH: RefCell<ResolveScratch> = const {
+        RefCell::new(ResolveScratch {
+            resolutions: Vec::new(),
+            staged: Vec::new(),
+            ordered: Vec::new(),
+            bits: Vec::new(),
+            index_of: Vec::new(),
+        })
+    };
+}
+
+/// Put one query's `staged` members in ascending global id, into
+/// `ordered`, without comparing any two of them: **scatter** every member
+/// into the id bitmap and note where it was staged, then **gather** by
+/// walking the touched words upwards and each word from its lowest set
+/// bit. Ids are unique across the parts of one query (the [`ShardPart`]
+/// contract), so ascending id is a total order and this is exactly what a
+/// sort by id produces — each member written once and read once.
+///
+/// `staged` holds at least the two members that were out of order.
+/// `bits` and `index_of` are the scratch tables cut to the id span of
+/// the parts at hand; `bits` must be all zero on entry and is all zero
+/// on exit, panics included (see [`ResolveScratch`]).
+///
+/// # Panics
+/// If two members carry one global id — two parts sharing a prototype
+/// break the [`ShardPart`] contract, and under a bitmap the second would
+/// otherwise vanish without a trace — or if an id lies beyond the span
+/// (a part whose `ids` do not ascend declares too small a last id).
+fn order_by_gid(
+    staged: &[Scored],
+    ordered: &mut Vec<Scored>,
+    bits: &mut [u64],
+    index_of: &mut [u32],
+) {
+    // Words set so far: `lo..=hi` once a member is in.
+    let (mut lo, mut hi) = (usize::MAX, 0usize);
+    for (at, &((gid, pi, _), _)) in staged.iter().enumerate() {
+        let (word, bit) = (gid / ID_WORD, 1u64 << (gid % ID_WORD));
+        // One test of a word the scatter loads anyway.
+        if gid >= index_of.len() || bits[word] & bit != 0 {
+            let earlier = index_of.get(gid).map(|&at| staged[at as usize].0 .1);
+            if lo <= hi {
+                bits[lo..=hi].fill(0);
+            }
+            match earlier {
+                Some(earlier) => panic!(
+                    "global prototype id {gid} is carried by part {earlier} and by part {pi}: \
+                     the ids of one query's ShardParts must be disjoint"
+                ),
+                None => panic!(
+                    "global prototype id {gid} of part {pi} lies beyond the last id a part \
+                     declares: a ShardPart's ids must be strictly ascending"
+                ),
+            }
+        }
+        (lo, hi) = (lo.min(word), hi.max(word));
+        bits[word] |= bit;
+        // `as`: `resolve_and_fold` checked that every index fits.
+        index_of[gid] = at as u32;
+    }
+    ordered.clear();
+    for (word, set) in (lo..).zip(&mut bits[lo..=hi]) {
+        let mut left = std::mem::take(set);
+        while left != 0 {
+            let gid = word * ID_WORD + left.trailing_zeros() as usize;
+            ordered.push(staged[index_of[gid] as usize]);
+            left &= left - 1;
+        }
+    }
+    assert_eq!(
+        ordered.len(),
+        staged.len(),
+        "the gather must emit every staged member exactly once"
+    );
 }
 
 /// The **one** resolve-and-fold driver behind every served answer
@@ -393,13 +504,17 @@ thread_local! {
 /// *Resolve:* each non-empty part resolves the whole batch once through
 /// its capture-time [`BlockLayout`] (the only production call of
 /// [`BlockLayout::resolve_batch_pruned`]; telemetry from all parts lands
-/// in `counters`). *Merge, per query:* the global winner is the
+/// in `counters`), leaving each query's members in block order.
+/// *Order, per query — here and nowhere else:* the global winner is the
 /// lexicographic `(distance, global id)` minimum of the part winners —
 /// strict `<` on the squared distance, lowest id on ties, the
-/// single-arena first-wins rule — and the parts' overlap members are
-/// merged into **global arena order** (ids are disjoint, so sorting by id
-/// is a deterministic k-way merge). *Fold:* `head` projects the merged
-/// set through the shared fusion fold
+/// single-arena first-wins rule — and the members of **all** parts are
+/// staged under their global ids and put in **global arena order** by one
+/// scatter/gather over an id bitmap ([`order_by_gid`]; no comparison
+/// sort, per part or across parts). Members that arrive ascending
+/// already — everything one verified block of one part emitted, the
+/// common case at small `K` — are folded as staged. *Fold:* `head`
+/// projects the ordered set through the shared fusion fold
 /// ([`predict::fuse_weights_from_set`]). Per-prototype `δ`, the summation
 /// order and the degeneracy rule all equal the scalar oracle's, so every
 /// accumulation replays its exact floating-point operation sequence.
@@ -407,6 +522,9 @@ thread_local! {
 /// `emit` receives one answer per query, in order: `None` exactly when
 /// every part is empty. Queries must be dimension-checked by the caller
 /// (the snapshot wrappers and the serve fabric do this up front).
+///
+/// # Panics
+/// If two parts carry the same global id (see [`order_by_gid`]).
 fn resolve_and_fold<T>(
     parts: &[ShardPart<'_>],
     queries: &[Query],
@@ -416,24 +534,52 @@ fn resolve_and_fold<T>(
 ) {
     RESOLVE_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
-        let (resolutions, merged) = &mut *scratch;
+        let ResolveScratch {
+            resolutions,
+            staged,
+            ordered,
+            bits,
+            index_of,
+        } = &mut *scratch;
         if resolutions.len() < parts.len() {
             resolutions.resize_with(parts.len(), BatchResolution::new);
         }
+        // One past the largest global id these parts can emit.
+        let mut id_span = 0usize;
         for (part, resolution) in parts.iter().zip(resolutions.iter_mut()) {
             debug_assert!(
                 part.ids.is_none_or(|ids| ids.len() == part.snapshot.k()),
                 "ids must map every slot"
             );
             if part.snapshot.k() > 0 {
+                let span = part.ids.map_or(part.snapshot.k(), |ids| {
+                    ids.last().map_or(0, |&last| last + 1)
+                });
+                id_span = id_span.max(span);
                 part.snapshot
                     .layout()
                     .resolve_batch_pruned(queries, resolution, counters);
             }
         }
+        // A query stages at most one member per id, so this also bounds
+        // every index `order_by_gid` stores as `u32`.
+        assert!(
+            u32::try_from(id_span).is_ok(),
+            "global prototype ids must fit in 32 bits, got {id_span}"
+        );
+        let id_words = id_span.div_ceil(ID_WORD);
+        if bits.len() < id_words {
+            bits.resize(id_words, 0);
+        }
+        if index_of.len() < id_span {
+            index_of.resize(id_span, 0);
+        }
         for (i, q) in queries.iter().enumerate() {
             let mut winner: Option<Scored> = None;
-            merged.clear();
+            staged.clear();
+            // Whether the staged ids ascend so far, and the smallest id
+            // that would keep them ascending.
+            let (mut ascending, mut floor) = (true, 0usize);
             for (pi, (part, resolution)) in parts.iter().zip(resolutions.iter()).enumerate() {
                 if part.snapshot.k() == 0 {
                     continue;
@@ -445,16 +591,26 @@ fn resolve_and_fold<T>(
                 }) {
                     winner = Some(((gid, pi, lk), sq));
                 }
-                let members = resolution.overlap(i).iter();
-                merged.extend(members.map(|&(lk, degree)| ((part.gid(lk), pi, lk), degree)));
+                for &(lk, degree) in resolution.overlap(i) {
+                    let gid = part.gid(lk);
+                    ascending &= gid >= floor;
+                    floor = gid + 1;
+                    staged.push(((gid, pi, lk), degree));
+                }
             }
-            merged.sort_unstable_by_key(|&((gid, ..), _)| gid);
-            emit(winner.map(|winner| head(q, winner, merged)));
+            let set: &[Scored] = if ascending {
+                staged
+            } else {
+                let (bits, index_of) = (&mut bits[..id_words], &mut index_of[..id_span]);
+                order_by_gid(staged, ordered, bits, index_of);
+                ordered
+            };
+            emit(winner.map(|winner| head(q, winner, set)));
         }
     })
 }
 
-/// The Q1 + confidence head over one query's merged resolution: fuse the
+/// The Q1 + confidence head over one query's ordered resolution: fuse the
 /// overlap set (or fall back to the winner) into the prediction and the
 /// support the confidence needs.
 fn head_q1(
@@ -483,14 +639,17 @@ fn head_q1(
 
 /// The Q2 + confidence head — see [`head_q1`]. List elements carry the
 /// **global** prototype id, so the list is indistinguishable from the
-/// single-arena one.
+/// single-arena one. The list is sized once — one element per member, or
+/// the winner alone — and its elements hold their coefficients inline
+/// ([`crate::coeffs::Coeffs`]), so this is the one allocation of a served
+/// `LINREG` answer.
 fn head_q2(
     parts: &[ShardPart<'_>],
     (winner, winner_sq): Scored,
     set: &[Scored],
 ) -> (Vec<LocalModel>, Confidence) {
     let rho = parts[winner.1].snapshot.config().rho();
-    let mut s = Vec::new();
+    let mut s = Vec::with_capacity(set.len().max(1));
     let mut support_updates = 0.0;
     let info = predict::fuse_weights_from_set(
         set,
@@ -901,5 +1060,251 @@ mod tests {
                 Some(full.predict_q1_with_confidence(probe).unwrap())
             );
         }
+    }
+
+    // --- Ordered emission (prefix `screening_`: the nightly Miri job
+    // --- filters `-p regq_core screening_`, which puts the word walk and
+    // --- the table indexing of `order_by_gid` under the interpreter).
+
+    /// `k` seeded prototypes scattered over the unit square, small enough
+    /// that a mid-sized probe ball collects members from many blocks.
+    fn scattered(k: usize, seed: u64) -> LlmModel {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let protos = (0..k)
+            .map(|i| Prototype {
+                center: vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)],
+                radius: rng.random_range(0.01..0.03),
+                y: rng.random_range(-1.0..1.0),
+                b_x: vec![rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)],
+                b_theta: rng.random_range(-1.0..1.0),
+                updates: 1 + i as u64 % 7,
+            })
+            .collect();
+        LlmModel::from_parts_public(ModelConfig::with_vigilance(2, 0.15), protos, k as u64, true)
+            .unwrap()
+    }
+
+    /// A snapshot of the prototypes `model` holds in `slots`, in that
+    /// order.
+    fn subset(model: &LlmModel, slots: &[usize]) -> ServingSnapshot {
+        let protos = model.prototypes();
+        let chosen = slots.iter().map(|&k| protos[k].clone()).collect();
+        LlmModel::from_parts_public(model.config().clone(), chosen, model.steps(), true)
+            .unwrap()
+            .snapshot()
+    }
+
+    /// Members from many blocks, from one block, from none (the winner
+    /// fallback), from every block — and hostile balls.
+    fn ordering_probes() -> Vec<Query> {
+        vec![
+            q(&[0.5, 0.5], 0.12),
+            q(&[0.31, 0.64], 0.004),
+            q(&[5.0, 5.0], 0.01),
+            q(&[0.5, 0.5], 3.0),
+            q(&[0.2, 0.9], 0.0),
+            q(&[0.2, 0.9], -0.1),
+            q(&[f64::NAN, 0.5], 0.2),
+            q(&[0.5, f64::INFINITY], 0.2),
+            q(&[0.5, 0.5], f64::INFINITY),
+            q(&[0.5, 0.5], f64::NAN),
+        ]
+    }
+
+    fn confidence_bits(c: &Confidence) -> ([u64; 4], bool) {
+        let axes = [
+            c.overlap_mass,
+            c.support_updates,
+            c.winner_distance_ratio,
+            c.score,
+        ];
+        (axes.map(f64::to_bits), c.fused)
+    }
+
+    type Q1Bits = (u64, ([u64; 4], bool));
+    type Q2Bits = (Vec<(usize, Vec<u64>)>, ([u64; 4], bool));
+
+    fn q1_bits((y, c): &(f64, Confidence)) -> Q1Bits {
+        (y.to_bits(), confidence_bits(c))
+    }
+
+    /// A Q2 answer as bits, with the list's prototype indices sent through
+    /// `gids` (the oracle numbers its own arena, the parts carry ids).
+    fn q2_bits((list, c): &(Vec<LocalModel>, Confidence), gids: Option<&[usize]>) -> Q2Bits {
+        let list = list
+            .iter()
+            .map(|lm| {
+                let scalars = [lm.intercept, lm.weight, lm.radius];
+                let all = scalars.iter().chain(&lm.slope).chain(&lm.center);
+                (
+                    gids.map_or(lm.prototype, |g| g[lm.prototype]),
+                    all.map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect();
+        (list, confidence_bits(c))
+    }
+
+    fn assert_id_bitmap_is_clean() {
+        RESOLVE_SCRATCH.with(|scratch| {
+            assert!(
+                scratch.borrow().bits.iter().all(|&word| word == 0),
+                "every id-bitmap word must be zero between calls"
+            );
+        });
+    }
+
+    /// Serve the ordering probes from `parts` through all four served
+    /// drivers and require every answer `to_bits`-equal to the scalar
+    /// oracle on `whole` — whose arena index `k` is global id `gids[k]` —
+    /// and the id bitmap all zero after every call.
+    fn assert_served_like_the_oracle(
+        parts: &[ShardPart<'_>],
+        whole: &ServingSnapshot,
+        gids: Option<&[usize]>,
+    ) {
+        let probes = ordering_probes();
+        let want: Vec<(Q1Bits, Q2Bits)> = probes
+            .iter()
+            .map(|probe| {
+                (
+                    q1_bits(&whole.predict_q1_with_confidence(probe).unwrap()),
+                    q2_bits(&whole.predict_q2_with_confidence(probe).unwrap(), gids),
+                )
+            })
+            .collect();
+        let mut counters = ScreenCounters::default();
+        let q1 = sharded_q1_with_confidence_batch_pruned(parts, &probes, &mut counters);
+        assert_id_bitmap_is_clean();
+        let q2 = sharded_q2_with_confidence_batch_pruned(parts, &probes, &mut counters);
+        assert_id_bitmap_is_clean();
+        for (i, probe) in probes.iter().enumerate() {
+            assert!(
+                q1_bits(q1[i].as_ref().unwrap()) == want[i].0,
+                "batch q1 {i}"
+            );
+            assert!(
+                q2_bits(q2[i].as_ref().unwrap(), None) == want[i].1,
+                "batch q2 {i}"
+            );
+            let y = sharded_q1_with_confidence_pruned(parts, probe, &mut counters).unwrap();
+            assert_id_bitmap_is_clean();
+            let s = sharded_q2_with_confidence_pruned(parts, probe, &mut counters).unwrap();
+            assert_id_bitmap_is_clean();
+            assert!(q1_bits(&y) == want[i].0, "scalar q1 {i}");
+            assert!(q2_bits(&s, None) == want[i].1, "scalar q2 {i}");
+        }
+        assert_eq!(counters.skipped + counters.verified, counters.blocks);
+    }
+
+    /// The scratch-hygiene battery: everything below runs on ONE thread,
+    /// hence through one `RESOLVE_SCRATCH`, whose bitmap and id table were
+    /// sized by whatever was served before.
+    #[test]
+    fn screening_order_scratch_survives_layout_part_and_id_changes() {
+        // Large, tiny, large again; then larger by less than a word, so
+        // the table must grow where the bitmap need not.
+        for k in [4_000usize, 5, 4_000, 4_030] {
+            let whole = scattered(k, k as u64).snapshot();
+            assert_served_like_the_oracle(&[ShardPart::whole(&whole)], &whole, None);
+        }
+        // 1 → 4 → 1 parts of one prototype set.
+        let model = scattered(4_000, 9);
+        let whole = model.snapshot();
+        for n in [1usize, 4, 1] {
+            let split = split_round_robin(&model, n);
+            assert_served_like_the_oracle(&borrow_parts(&split), &whole, None);
+        }
+        // Sparse ids far beyond anything served so far, interleaved across
+        // two parts so they are staged out of order: 3, 70 000, 1 000.
+        let sparse = scattered(3, 11);
+        let whole = sparse.snapshot();
+        let gids = [3usize, 1_000, 70_000];
+        let (outer, inner) = (subset(&sparse, &[0, 2]), subset(&sparse, &[1]));
+        let parts = [
+            ShardPart {
+                snapshot: &outer,
+                ids: Some(&[3, 70_000]),
+            },
+            ShardPart {
+                snapshot: &inner,
+                ids: Some(&[1_000]),
+            },
+        ];
+        assert_served_like_the_oracle(&parts, &whole, Some(&gids));
+        // Ids on both sides of every word edge, K a multiple of the word:
+        // three parts put 63, 64 and 65 in three different parts, and the
+        // fourth probe's ball holds all 128 — first and last bit included.
+        let edges = scattered(2 * ID_WORD, 13);
+        let whole = edges.snapshot();
+        let mut all = Vec::new();
+        whole.overlap_set_into(&ordering_probes()[3], &mut all);
+        assert_eq!(all.len(), 2 * ID_WORD);
+        let split = split_round_robin(&edges, 3);
+        assert_served_like_the_oracle(&borrow_parts(&split), &whole, None);
+    }
+
+    /// Two parts carrying one global id break [`ShardPart`]'s contract.
+    /// The former sort kept both members; a bitmap would drop the second
+    /// without a trace — so it is a panic that names the id and both
+    /// parts, and it leaves the scratch fit for the next call. The twin
+    /// arrives after a smaller id (`0 2 | 1 2`) or right behind itself
+    /// (`0 1 | 1 2`, which must not pass for an ascending run).
+    #[test]
+    #[should_panic(expected = "global prototype id 2 is carried by part 0 and by part 1")]
+    fn screening_two_parts_sharing_a_global_id_panic() {
+        let model = scattered(4, 17);
+        let serve = |first: [usize; 2], second: [usize; 2]| {
+            let (a, b) = (subset(&model, &first), subset(&model, &second));
+            let parts = [
+                ShardPart {
+                    snapshot: &a,
+                    ids: Some(&first),
+                },
+                ShardPart {
+                    snapshot: &b,
+                    ids: Some(&second),
+                },
+            ];
+            let everything = q(&[0.5, 0.5], 3.0);
+            let caught = std::panic::catch_unwind(|| {
+                let mut c = ScreenCounters::default();
+                sharded_q1_with_confidence_pruned(&parts, &everything, &mut c)
+            });
+            // Never silent — and never sticky: the same thread serves a
+            // well-formed partition right afterwards.
+            assert_id_bitmap_is_clean();
+            let whole = model.snapshot();
+            let halves = split_round_robin(&model, 2);
+            assert_served_like_the_oracle(&borrow_parts(&halves), &whole, None);
+            caught.expect_err("a shared id must not be served")
+        };
+        let adjacent = serve([0, 1], [1, 2]);
+        let message = adjacent.downcast_ref::<String>().unwrap();
+        assert!(
+            message.starts_with("global prototype id 1 is carried by part 0 and by part 1"),
+            "{message}"
+        );
+        std::panic::resume_unwind(serve([0, 2], [1, 2]));
+    }
+
+    /// A part whose ids do not ascend declares too small a last id; the
+    /// scatter must refuse the id that overshoots it — by name, not by an
+    /// index out of bounds — and leave the bitmap clean.
+    #[test]
+    #[should_panic(expected = "global prototype id 9 of part 0 lies beyond the last id")]
+    fn screening_an_id_beyond_the_declared_span_panics() {
+        let part = scattered(3, 19).snapshot();
+        let parts = [ShardPart {
+            snapshot: &part,
+            ids: Some(&[1, 9, 4]),
+        }];
+        let everything = q(&[0.5, 0.5], 3.0);
+        let caught = std::panic::catch_unwind(|| {
+            let mut c = ScreenCounters::default();
+            sharded_q2_with_confidence_pruned(&parts, &everything, &mut c)
+        });
+        assert_id_bitmap_is_clean();
+        std::panic::resume_unwind(caught.expect_err("an undeclared id must not be served"));
     }
 }

@@ -4,13 +4,15 @@
 //!
 //! Every served answer comes out of one resolve-and-fold driver
 //! (`regq_core::snapshot`): bound-and-verify resolution per part
-//! ([`regq_core::BlockLayout::resolve_batch_pruned`]), a merge into
-//! global arena order, one fusion fold, a Q1 or Q2 head. That path is
+//! ([`regq_core::BlockLayout::resolve_batch_pruned`], members left in
+//! block order), one scatter/gather of all parts' members into global
+//! arena order, one fusion fold, a Q1 or Q2 head. That path is
 //! **bit-identical** — not merely close — to the scalar unpruned oracle,
 //! and the oracle is consulted *directly*, not through a chain:
 //!
 //! * **resolution level** — per query, the layout's winner and overlap
-//!   set equal [`PrototypeArena::winner`] +
+//!   set (as a set: compared on an id-sorted copy, every degree bit
+//!   included) equal [`PrototypeArena::winner`] +
 //!   [`PrototypeArena::overlap_set_into`] on the source arena (the block
 //!   bound may only *discard* blocks, and it replays the kernel's own
 //!   operation sequence on the block's box, so it never exceeds what the
@@ -112,7 +114,11 @@ fn assert_resolution_matches(arena: &PrototypeArena, queries: &[Query]) -> Scree
             "winner, query {i}"
         );
         arena.overlap_set_into(&q.center, q.radius, &mut set);
-        let got = res.overlap(i);
+        // The layout emits block order: set and degree bits are pinned
+        // here on an id-sorted copy, the order at the answer level below
+        // (it decides the fold's bits).
+        let mut got = res.overlap(i).to_vec();
+        got.sort_unstable_by_key(|e| e.0);
         assert_eq!(got.len(), set.len(), "overlap cardinality, query {i}");
         for (a, b) in got.iter().zip(&set) {
             assert_eq!(

@@ -868,10 +868,10 @@ impl ShardRouter {
         })?;
         let list = vec![LocalModel {
             intercept: fit.model.intercept,
-            slope: fit.model.slope,
+            slope: fit.model.slope.into(),
             prototype: 0,
             weight: 1.0,
-            center: q.center.clone(),
+            center: q.center.as_slice().into(),
             radius: q.radius,
         }];
         Ok((list, fit.moments.mean))
@@ -1460,10 +1460,10 @@ mod tests {
                 let ols = match exact.q1_reg_fused(&probe.center, probe.radius) {
                     Ok(fit) => Some(vec![LocalModel {
                         intercept: fit.model.intercept,
-                        slope: fit.model.slope,
+                        slope: fit.model.slope.into(),
                         prototype: 0,
                         weight: 1.0,
-                        center: probe.center.clone(),
+                        center: probe.center.clone().into(),
                         radius: probe.radius,
                     }]),
                     Err(LinalgError::Empty) => None,

@@ -1057,10 +1057,10 @@ mod tests {
         assert_eq!(QueryValue::Count(42).to_string(), "42");
         let reg = QueryValue::Regression(vec![LocalModel {
             intercept: 1.0,
-            slope: vec![2.0, -3.0],
+            slope: vec![2.0, -3.0].into(),
             prototype: 0,
             weight: 1.0,
-            center: vec![0.0, 0.0],
+            center: vec![0.0, 0.0].into(),
             radius: 0.1,
         }]);
         let text = reg.to_string();

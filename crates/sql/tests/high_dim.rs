@@ -88,10 +88,10 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
             assert_eq!(fit.slope.len(), D);
             QueryValue::Regression(vec![regq_core::LocalModel {
                 intercept: fit.intercept,
-                slope: fit.slope,
+                slope: fit.slope.into(),
                 prototype: 0,
                 weight: 1.0,
-                center: c.clone(),
+                center: c.clone().into(),
                 radius: r,
             }])
         }

@@ -460,10 +460,10 @@ mod shard_equivalence {
                             match exact.q1_reg_fused(&q.center, q.radius) {
                                 Ok(fit) => Some(vec![LocalModel {
                                     intercept: fit.model.intercept,
-                                    slope: fit.model.slope,
+                                    slope: fit.model.slope.into(),
                                     prototype: 0,
                                     weight: 1.0,
-                                    center: q.center.clone(),
+                                    center: q.center.clone().into(),
                                     radius: q.radius,
                                 }]),
                                 Err(LinalgError::Empty) => None,
