@@ -57,14 +57,31 @@ use serde::{Deserialize, Serialize};
 /// all parts of a served answer, by `regq_core::snapshot`'s
 /// resolve-and-fold driver (`docs/INVARIANTS.md`, "ordered emission"),
 /// so a part never pays for an order its caller is about to redo.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BatchResolution {
     winners: Vec<(usize, f64)>,
     offsets: Vec<usize>,
     entries: Vec<(usize, f64)>,
-    // Scratch (retained capacity, contents meaningless between calls):
-    // the per-block lower bounds of one query.
+    // Scratch (retained, never cleared, contents meaningless between
+    // calls). `lbs`: one query's block bounds, plain then gated, one
+    // lane per block of the layout's bound groups. `csq`: the squared
+    // centre distances pass 1 of the block kernel leaves for the walk
+    // over its mask — written for every row the mask can name before it
+    // is read, so stale slots from another block are never observed.
     lbs: Vec<f64>,
+    csq: [f64; ROW_TILE],
+}
+
+impl Default for BatchResolution {
+    fn default() -> Self {
+        BatchResolution {
+            winners: Vec::new(),
+            offsets: Vec::new(),
+            entries: Vec::new(),
+            lbs: Vec::new(),
+            csq: [0.0; ROW_TILE],
+        }
+    }
 }
 
 impl BatchResolution {
@@ -554,8 +571,9 @@ impl ScreenCounters {
     }
 }
 
-/// Per-block metadata of a [`BlockLayout`]: slot range, padded AoSoA
-/// range, and the cached radius range the block bound prunes with.
+/// Per-block metadata of a [`BlockLayout`]: slot range and padded AoSoA
+/// range (the bounds the block is pruned with live in the layout's
+/// [`simd::BoundGroups`]).
 #[derive(Debug, Clone)]
 struct BlockMeta {
     /// First slot of this block in the permuted (unpadded) arrays.
@@ -567,10 +585,6 @@ struct BlockMeta {
     pad_row: usize,
     /// `len` rounded up to a multiple of [`QUAD`].
     padded_len: usize,
-    /// Smallest prototype radius in the block.
-    r_min: f64,
-    /// Largest prototype radius in the block.
-    r_max: f64,
 }
 
 /// Winner slot meaning "this block holds no candidate": the seed index
@@ -584,12 +598,18 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// widest-axis median splits), each block carrying a cached center
 /// bounding box and radius range, with centers stored AoSoA
 /// quad-interleaved for the runtime-SIMD exact kernel (partial quads
-/// padded with `+inf` inert rows).
+/// padded with `+inf` inert rows). Everything a query streams — the
+/// centers, the padded radii, the bound groups — sits in
+/// [`simd::AlignedF64s`], on a cache line by construction (and again
+/// after a `clone`), so no 32-byte load straddles two lines whatever the
+/// allocator handed out before the capture.
 ///
 /// [`BlockLayout::resolve_batch_pruned`] resolves winner/overlap in two
-/// stages per query — a per-block lower bound that discards blocks which
-/// provably cannot contain the winner or any overlapping ball, then the
-/// bit-exact kernel over the rest — and produces a [`BatchResolution`]
+/// stages per query — the per-block lower bounds, four blocks per vector
+/// iteration ([`simd::BoundGroups::bounds_into`]), discard blocks which
+/// provably cannot contain the winner or any overlapping ball; then the
+/// bit-exact two-pass block kernel runs over the rest (`verify_block`:
+/// mask, then walk) — and produces a [`BatchResolution`]
 /// **bit-identical** to the scalar passes ([`PrototypeArena::winner`] +
 /// [`PrototypeArena::overlap_set_into`]) on the source arena for every
 /// query (the `serving_equivalence` battery pins this).
@@ -605,9 +625,10 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// adding and rounding again are monotone too. So `bb ≤ ‖c − q‖²` and
 /// `lb ≤ joint` hold **exactly** in floating point, for the values the
 /// kernel itself would compute — no error budget, no overflow guard
-/// (`∞ ≤ ∞` keeps the inequalities true), and a NaN bound fails every
-/// `>` and therefore verifies. Likewise `(θ_q + θ_k)²` is at most the
-/// larger of the squares at the two ends of the radius range.
+/// (`∞ ≤ ∞` keeps the inequalities true), and a NaN can only zero a gap
+/// or fail the `>` that skips, and therefore verifies. Likewise
+/// `(θ_q + θ_k)²` is at most the larger of the squares at the two ends of
+/// the radius range.
 ///
 /// Why the permutation cannot change answers: every per-pair distance,
 /// joint distance and overlap degree is computed by the same
@@ -625,13 +646,12 @@ pub struct BlockLayout {
     dim: usize,
     len: usize,
     blocks: Vec<BlockMeta>,
-    /// Per-block bounding box, `nblocks × dim` each.
-    bbox_lo: Vec<f64>,
-    bbox_hi: Vec<f64>,
+    /// Per-block bounding box and radius range, in groups of four blocks.
+    bounds: simd::BoundGroups,
     /// Permuted radii padded per block to `padded_len` (pad value `0.0`).
-    radii_pad: Vec<f64>,
+    radii_pad: simd::AlignedF64s,
     /// AoSoA quad-interleaved centers padded per block (pad rows `+inf`).
-    aosoa: Vec<f64>,
+    aosoa: simd::AlignedF64s,
     /// Slot → arena index, `len`, ascending within each block.
     gids: Vec<usize>,
 }
@@ -685,72 +705,67 @@ impl BlockLayout {
         }
         ranges.sort_unstable();
 
+        // Pad rows are written here, once: `+inf` centers and `0.0` radii
+        // are inert under both the strict-`<` winner update and the
+        // membership test (see `simd::winner_mask_block_aosoa`).
+        let padded_len = |&(lo, hi): &(usize, usize)| (hi - lo).div_ceil(QUAD) * QUAD;
+        let padded_rows: usize = ranges.iter().map(padded_len).sum();
         let mut layout = BlockLayout {
             dim: d,
             len: k,
             blocks: Vec::with_capacity(ranges.len()),
-            bbox_lo: Vec::with_capacity(ranges.len() * d),
-            bbox_hi: Vec::with_capacity(ranges.len() * d),
-            radii_pad: Vec::new(),
-            aosoa: Vec::new(),
+            bounds: simd::BoundGroups::unbounded(ranges.len(), d),
+            radii_pad: simd::AlignedF64s::filled(padded_rows, 0.0),
+            aosoa: simd::AlignedF64s::filled(padded_rows * d, f64::INFINITY),
             gids: Vec::with_capacity(k),
         };
-        let mut row_major = Vec::new();
-        let mut packed = Vec::new();
+        // Sized inside the loop: a layout over no prototypes allocates
+        // nothing from `d` (a loaded header can state any dimension).
+        let (mut box_lo, mut box_hi) = (Vec::new(), Vec::new());
         let mut pad_row = 0usize;
-        for &(lo, hi) in &ranges {
+        for (b, range) in ranges.iter().enumerate() {
+            let &(lo, hi) = range;
             // Ascending arena order inside the block: the kernel's
             // strict-`<` first-wins scan then picks the lowest arena
             // index per block, as the scalar scan does globally.
             order[lo..hi].sort_unstable();
-            let n = hi - lo;
-            let padded = n.div_ceil(QUAD) * QUAD;
             let start = layout.gids.len();
             let (mut r_min, mut r_max) = (f64::INFINITY, f64::NEG_INFINITY);
             let mut finite = true;
-            let bbox_at = layout.bbox_lo.len();
-            layout.bbox_lo.resize(bbox_at + d, f64::INFINITY);
-            layout.bbox_hi.resize(bbox_at + d, f64::NEG_INFINITY);
-            row_major.clear();
-            for &g in &order[lo..hi] {
+            box_lo.clear();
+            box_lo.resize(d, f64::INFINITY);
+            box_hi.clear();
+            box_hi.resize(d, f64::NEG_INFINITY);
+            let quads = &mut layout.aosoa[pad_row * d..];
+            for (slot, &g) in order[lo..hi].iter().enumerate() {
                 let center = arena.center(g);
-                row_major.extend_from_slice(center);
+                simd::aosoa_set_row(quads, slot, center);
                 let radius = arena.radius(g);
                 r_min = r_min.min(radius);
                 r_max = r_max.max(radius);
                 finite &= radius.is_finite() && vector::all_finite(center);
-                layout.radii_pad.push(radius);
+                layout.radii_pad[pad_row + slot] = radius;
                 layout.gids.push(g);
                 for (c, &v) in center.iter().enumerate() {
-                    layout.bbox_lo[bbox_at + c] = layout.bbox_lo[bbox_at + c].min(v);
-                    layout.bbox_hi[bbox_at + c] = layout.bbox_hi[bbox_at + c].max(v);
+                    box_lo[c] = box_lo[c].min(v);
+                    box_hi[c] = box_hi[c].max(v);
                 }
             }
-            if !finite {
-                // A NaN would silently drop out of the min/max folds
-                // above. A block holding any non-finite parameter
-                // (impossible through validated training) gets the
-                // unbounded box instead: its bounds are 0 against an
-                // infinite overlap reach, so it is verified for every
-                // query and the exact kernel decides.
-                layout.bbox_lo[bbox_at..].fill(f64::NEG_INFINITY);
-                layout.bbox_hi[bbox_at..].fill(f64::INFINITY);
-                (r_min, r_max) = (f64::NEG_INFINITY, f64::INFINITY);
+            // A NaN would silently drop out of the min/max folds above.
+            // A block holding any non-finite parameter (impossible
+            // through validated training) keeps the unbounded box it was
+            // created with: its bounds are 0 against an infinite overlap
+            // reach, so it is verified for every query and the exact
+            // kernel decides.
+            if finite {
+                layout.bounds.set_block(b, &box_lo, &box_hi, r_min, r_max);
             }
-            layout.radii_pad.resize(pad_row + padded, 0.0);
-            // Pad partial quads with +inf rows — inert under both the
-            // strict-`<` winner update and the membership test (see
-            // `simd::winner_overlap_block_aosoa`) — then repack AoSoA.
-            row_major.resize(padded * d, f64::INFINITY);
-            simd::pack_quads_aosoa(&row_major, d, &mut packed);
-            layout.aosoa.extend_from_slice(&packed);
+            let padded = padded_len(range);
             layout.blocks.push(BlockMeta {
                 start,
-                len: n,
+                len: hi - lo,
                 pad_row,
                 padded_len: padded,
-                r_min,
-                r_max,
             });
             pad_row += padded;
         }
@@ -772,40 +787,25 @@ impl BlockLayout {
         self.blocks.len()
     }
 
-    /// Direct-form bounds of block `b` for `q`: `(bb, lb, reach)` with
-    /// `bb ≤ ‖c − q‖²` and `lb ≤ joint` for every row of the block, and
-    /// `reach ≥ (θ_q + θ_k)²` for every row — all three exact in floating
-    /// point (see the type docs), so `bb > reach` proves the block holds
-    /// no overlap member and `lb > best` that it cannot hold the winner.
-    #[inline]
-    fn block_bounds(&self, b: usize, q: &Query) -> (f64, f64, f64) {
-        let d = self.dim;
-        let meta = &self.blocks[b];
-        let lo = &self.bbox_lo[b * d..(b + 1) * d];
-        let hi = &self.bbox_hi[b * d..(b + 1) * d];
-        let mut bb = 0.0;
-        for ((&l, &h), &qc) in lo.iter().zip(hi).zip(q.center.iter()) {
-            let gap = (l - qc).max(qc - h).max(0.0);
-            bb += gap * gap;
-        }
-        let rad_gap = (meta.r_min - q.radius).max(q.radius - meta.r_max).max(0.0);
-        let s_lo = q.radius + meta.r_min;
-        let s_hi = q.radius + meta.r_max;
-        (bb, bb + rad_gap * rad_gap, (s_lo * s_lo).max(s_hi * s_hi))
-    }
-
-    /// Exact-verify block `b` for `q`: run the whole-block kernel seeded
+    /// Exact-verify block `b` for `q` — **mask, then walk**. Pass 1 is
+    /// the whole-block kernel ([`simd::winner_mask_block_aosoa`]): seeded
     /// one ulp above the running `best` distance, so its strict `<`
     /// reports the block's first row with `joint ≤ best` (ties must reach
-    /// the merge) or leaves [`NO_CANDIDATE`]; merge that candidate
-    /// lexicographically by `(distance, arena index)` and append the
-    /// block's overlap members to `set` under their arena indices.
+    /// the merge) or leaves [`NO_CANDIDATE`]; it returns the block's
+    /// overlap membership as one bit per row and leaves every row's
+    /// squared centre distance in `csq`. Pass 2 walks the set bits in
+    /// ascending slot order and computes each member's degree from the
+    /// stored `csq` — [`PrototypeArena::overlap_set_into`]'s operation
+    /// sequence per member, on the very bits the membership compare read
+    /// — appending `(arena index, degree)` to `set`. The block's winner
+    /// candidate is merged lexicographically by `(distance, arena index)`.
     #[inline]
     fn verify_block(
         &self,
         b: usize,
         q: &Query,
         best: &mut (usize, f64),
+        csq: &mut [f64; ROW_TILE],
         set: &mut Vec<(usize, f64)>,
     ) {
         let d = self.dim;
@@ -815,14 +815,25 @@ impl BlockLayout {
         let radii = &self.radii_pad[meta.pad_row..meta.pad_row + meta.padded_len];
         let gids = &self.gids[meta.start..meta.start + meta.len];
         let mut local = (NO_CANDIDATE, best.1.next_up());
-        let before = set.len();
-        simd::winner_overlap_block_aosoa(&q.center, q.radius, quads, radii, 0, &mut local, set);
-        // Slot → arena index; +inf pad rows can never be pushed nor win,
-        // so every slot here is a real row.
-        for e in set[before..].iter_mut() {
-            e.0 = gids[e.0];
+        let mask =
+            simd::winner_mask_block_aosoa(&q.center, q.radius, quads, radii, &mut local, csq);
+        // Cut the mask to the real rows (`1 ≤ len ≤ ROW_TILE ≤ 64`): a
+        // `+inf` pad row fails `inf ≤ (θ_q + 0)²` unless that square
+        // overflows too, and the trim makes it inert even then.
+        let mut left = mask & (u64::MAX >> (u64::BITS as usize - meta.len));
+        while left != 0 {
+            let slot = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let rk = radii[slot];
+            let radius_sum = q.radius + rk;
+            let spread = csq[slot].sqrt().max((q.radius - rk).abs());
+            let degree = 1.0 - spread / radius_sum;
+            if degree > 0.0 {
+                set.push((gids[slot], degree));
+            }
         }
         if local.0 != NO_CANDIDATE {
+            // `+inf` pad rows can never win, so this slot is a real row.
             let gid = gids[local.0];
             // Lexicographic (distance, index) merge — reproduces the
             // ascending-scan strict-`<` tie-break across the permuted
@@ -842,6 +853,7 @@ impl BlockLayout {
         &self,
         q: &Query,
         lbs: &mut Vec<f64>,
+        csq: &mut [f64; ROW_TILE],
         set: &mut Vec<(usize, f64)>,
         counters: &mut ScreenCounters,
     ) -> (usize, f64) {
@@ -856,42 +868,46 @@ impl BlockLayout {
         let mut best = (0usize, f64::INFINITY);
         if nb == 1 {
             counters.verified += 1;
-            self.verify_block(0, q, &mut best, set);
+            self.verify_block(0, q, &mut best, csq, set);
             return best;
         }
         counters.screened += nb as u64;
-        lbs.clear();
+        let lanes = self.bounds.lanes();
+        if lbs.len() < 2 * lanes {
+            lbs.resize(2 * lanes, 0.0);
+        }
+        // `gated[b]` is `lb[b]` for a block that provably holds no
+        // overlap member and `−∞` — a bound no best can undercut — for
+        // one that may (a NaN on either side of that test lands there
+        // too): such a block is verified whatever the winner does.
+        let (lb, gated) = lbs[..2 * lanes].split_at_mut(lanes);
+        self.bounds.bounds_into(&q.center, q.radius, lb, gated);
         let (mut first, mut first_lb) = (0usize, f64::INFINITY);
-        for b in 0..nb {
-            let (bb, lb, reach) = self.block_bounds(b, q);
-            if lb < first_lb {
-                (first, first_lb) = (b, lb);
+        for (b, &bound) in lb[..nb].iter().enumerate() {
+            if bound < first_lb {
+                (first, first_lb) = (b, bound);
             }
-            // A block that may hold an overlap member is verified
-            // whatever the winner does: record that as a bound no best
-            // can undercut. A NaN on either side compares false and
-            // lands here too.
-            lbs.push(if bb > reach { lb } else { f64::NEG_INFINITY });
         }
         for b in std::iter::once(first).chain((0..nb).filter(|&b| b != first)) {
             // `>` (not `≥`): a block whose bound ties the best may hold
             // a lower-index tie, and a NaN bound verifies. Nothing
             // exceeds the initial `∞`, so `first` is always verified.
-            if lbs[b] > best.1 {
+            if gated[b] > best.1 {
                 counters.skipped += 1;
             } else {
                 counters.verified += 1;
-                self.verify_block(b, q, &mut best, set);
+                self.verify_block(b, q, &mut best, csq, set);
             }
         }
         best
     }
 
     /// Bound-and-verify pruned batched resolution: per query, a
-    /// direct-form lower bound per block (`block_bounds`) discards blocks
-    /// that provably cannot contain the winner or any overlapping ball,
-    /// and the bit-exact whole-block AoSoA kernel
-    /// ([`simd::winner_overlap_block_aosoa`]) resolves the rest. The
+    /// direct-form lower bound per block
+    /// ([`simd::BoundGroups::bounds_into`]) discards blocks that provably
+    /// cannot contain the winner or any overlapping ball, and the
+    /// bit-exact two-pass block kernel (`verify_block` over
+    /// [`simd::winner_mask_block_aosoa`]) resolves the rest. The
     /// filled [`BatchResolution`] holds, for every query, the scalar
     /// passes' winner and overlap set on the source arena **bit for bit**
     /// (see the type docs for the argument), the set in block order —
@@ -913,11 +929,11 @@ impl BlockLayout {
             offsets,
             entries,
             lbs,
-            ..
+            csq,
         } = out;
         offsets.push(0);
         for q in queries {
-            winners.push(self.resolve_query(q, lbs, entries, counters));
+            winners.push(self.resolve_query(q, lbs, csq, entries, counters));
             offsets.push(entries.len());
         }
     }
@@ -1294,7 +1310,12 @@ mod tests {
         /// for every row of a block, the block bound never exceeds the
         /// value the exact kernel computes for that row — `bb ≤ ‖c − q‖²`,
         /// `lb ≤ joint`, `reach ≥ (θ_q + θ_k)²` — at any magnitude, for
-        /// probes inside and outside the box, for radii of either sign.
+        /// probes inside and outside the box, for radii of either sign;
+        /// the dispatched four-blocks-at-a-time kernel writes exactly
+        /// that `lb` and gates it on exactly that `bb > reach`. A
+        /// poisoned probe (a NaN or ±∞ coordinate or radius) may skip
+        /// only what the exact kernel would reject too — a NaN coordinate
+        /// zeroes its own gap, a NaN radius fails the gate and verifies.
         #[test]
         fn screening_bounds_never_exceed_any_row(
             dim_at in 0usize..10,
@@ -1321,26 +1342,142 @@ mod tests {
             let arena = PrototypeArena::from_prototypes(d, &protos);
             let layout = arena.build_layout();
             prop_assert_eq!(layout.num_blocks(), 1);
-            for probe in 0..8 {
+            let lanes = layout.bounds.lanes();
+            let (mut lbs, mut gated) = (vec![0.0; lanes], vec![0.0; lanes]);
+            for probe in 0..12 {
                 // Even probes sit next to a row (zero gaps, near
-                // cancellation); odd ones anywhere at this magnitude.
-                let center: Vec<f64> = if probe % 2 == 0 {
+                // cancellation); odd ones anywhere at this magnitude; the
+                // last four carry one poisoned coordinate or radius.
+                let mut center: Vec<f64> = if probe % 2 == 0 {
                     let near = &protos[rng.random_range(0..rows)].center;
                     near.iter().map(|&c| c * rng.random_range(0.999..1.001)).collect()
                 } else {
                     (0..d).map(|_| value(&mut rng)).collect()
                 };
-                let q = Query::new_unchecked(center, value(&mut rng).abs());
-                let (bb, lb, reach) = layout.block_bounds(0, &q);
+                let mut radius = value(&mut rng).abs();
+                let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.random_range(0..3usize)];
+                match probe {
+                    8 | 9 => center[rng.random_range(0..d)] = poison,
+                    10 | 11 => radius = poison,
+                    _ => {}
+                }
+                let q = Query::new_unchecked(center, radius);
+                let (bb, lb, reach) = layout.bounds.lane_bounds(0, &q.center, q.radius);
+                layout.bounds.bounds_into(&q.center, q.radius, &mut lbs, &mut gated);
+                prop_assert_eq!(lbs[0].to_bits(), lb.to_bits());
+                let gate = if bb > reach { lb } else { f64::NEG_INFINITY };
+                prop_assert_eq!(gated[0].to_bits(), gate.to_bits());
+                // Pad lanes are the unbounded box: never skipped.
+                prop_assert!(gated[1..].iter().all(|&g| g == f64::NEG_INFINITY));
+                if q.radius.is_nan() {
+                    prop_assert_eq!(gate, f64::NEG_INFINITY, "a NaN radius must verify");
+                }
                 for p in &protos {
                     let csq = vector::sq_dist(&p.center, &q.center);
                     let dr = q.radius - p.radius;
                     let rs = q.radius + p.radius;
-                    prop_assert!(bb <= csq, "bb {bb:e} > csq {csq:e}");
-                    prop_assert!(lb <= csq + dr * dr, "lb {lb:e} > joint");
-                    prop_assert!(reach >= rs * rs, "reach {reach:e} < (θq+θk)²");
+                    if probe < 8 {
+                        prop_assert!(bb <= csq, "bb {bb:e} > csq {csq:e}");
+                        prop_assert!(lb <= csq + dr * dr, "lb {lb:e} > joint");
+                        prop_assert!(reach >= rs * rs, "reach {reach:e} < (θq+θk)²");
+                    } else {
+                        // Poisoned: the row's own values may be NaN, so
+                        // state what resolution relies on instead — a
+                        // bound above a row's joint, or an open gate over
+                        // a member, would be a wrong skip.
+                        let (above, member) = (lb > csq + dr * dr, csq <= rs * rs);
+                        prop_assert!(!above, "lb {lb:e} above a joint");
+                        prop_assert!(
+                            gate == f64::NEG_INFINITY || !member,
+                            "gate open over a member (bb {bb:e}, reach {reach:e})"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    /// A one-block arena of block `b`'s rows in slot order — what the
+    /// scalar passes see of that block.
+    fn block_arena(arena: &PrototypeArena, layout: &BlockLayout, b: usize) -> PrototypeArena {
+        let meta = &layout.blocks[b];
+        let rows: Vec<Prototype> = layout.gids[meta.start..meta.start + meta.len]
+            .iter()
+            .map(|&g| arena.view(g).to_prototype())
+            .collect();
+        PrototypeArena::from_prototypes(arena.dim(), &rows)
+    }
+
+    #[test]
+    fn screening_walk_emits_the_scalar_members_per_block() {
+        // Pass 2 of `verify_block`, block by block: exactly the members
+        // `overlap_set_into` finds among the block's rows, in slot order,
+        // every degree bit for bit — partial last quads (pad rows),
+        // hostile balls and a radius whose square overflows included.
+        let mut rng = StdRng::seed_from_u64(5);
+        for (k, d) in [(3usize, 1usize), (64, 2), (130, 3), (301, 4), (70, 9)] {
+            let arena = PrototypeArena::from_prototypes(d, &random_protos(k, d, 60 + k as u64));
+            let layout = arena.build_layout();
+            let mut queries: Vec<Query> = (0..12)
+                .map(|_| {
+                    let c: Vec<f64> = (0..d).map(|_| rng.random_range(-1.2..1.2)).collect();
+                    Query::new_unchecked(c, rng.random_range(0.01..1.5))
+                })
+                .collect();
+            for theta in [0.0, -0.1, 1e200, -1e200, f64::INFINITY, f64::NAN] {
+                queries.push(Query::new_unchecked(vec![0.1; d], theta));
+            }
+            queries.push(Query::new_unchecked(vec![f64::INFINITY; d], 0.3));
+            queries.push(Query::new_unchecked(vec![f64::NAN; d], 0.3));
+            let mut csq = [f64::NAN; ROW_TILE];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for b in 0..layout.num_blocks() {
+                let rows = block_arena(&arena, &layout, b);
+                let gids = &layout.gids[layout.blocks[b].start..];
+                for (i, q) in queries.iter().enumerate() {
+                    got.clear();
+                    let mut best = (0usize, f64::INFINITY);
+                    layout.verify_block(b, q, &mut best, &mut csq, &mut got);
+                    rows.overlap_set_into(&q.center, q.radius, &mut want);
+                    assert_eq!(got.len(), want.len(), "k={k} block {b} q{i} size");
+                    for (a, w) in got.iter().zip(&want) {
+                        assert_eq!(
+                            (a.0, a.1.to_bits()),
+                            (gids[w.0], w.1.to_bits()),
+                            "k={k} block {b} q{i}"
+                        );
+                    }
+                    let (wk, wsq) = rows.winner(&q.center, q.radius).unwrap();
+                    if wsq < f64::INFINITY {
+                        assert_eq!((best.0, best.1.to_bits()), (gids[wk], wsq.to_bits()));
+                    } else {
+                        assert_eq!((best.0, best.1.to_bits()), (0, wsq.to_bits()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "the interpreter may keep addresses symbolic")]
+    fn screening_layout_arrays_sit_on_cache_lines() {
+        // By construction, not by allocator luck: after `build` and again
+        // after `clone` (a new allocation at a new address). Odd-sized
+        // live allocations in between shift what `malloc` hands out.
+        let on_line = |a: &[f64]| (a.as_ptr() as usize).is_multiple_of(simd::AlignedF64s::ALIGN);
+        let mut keep_alive = Vec::new();
+        for k in [1usize, 63, 64, 65, 4096] {
+            keep_alive.push(vec![0u8; 24 + k % 7 * 8]);
+            let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, k as u64));
+            let layout = arena.build_layout();
+            keep_alive.push(vec![0u8; 40]);
+            let copy = layout.clone();
+            for l in [&layout, &copy] {
+                assert!(on_line(&l.aosoa), "K={k} centers");
+                assert!(on_line(&l.radii_pad), "K={k} radii");
+            }
+            assert_eq!(&copy.aosoa[..], &layout.aosoa[..]);
+            assert_eq!(&copy.radii_pad[..], &layout.radii_pad[..]);
         }
     }
 

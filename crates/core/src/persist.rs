@@ -13,7 +13,11 @@
 //! ```
 //!
 //! Floats are written with `{:?}` (shortest round-trip representation), so
-//! save → load is bit-exact. The model types additionally derive
+//! save → load is bit-exact. Every line ends in `\n` and the header states
+//! the prototype count, so a file cut at any byte short of its full
+//! length fails to load; a damaged byte ends in a typed [`CoreError`] or
+//! in a model whose parameters are all finite (the corruption battery in
+//! this module's tests). The model types additionally derive
 //! `serde::{Serialize, Deserialize}` for embedding in host applications
 //! that bring their own format crate.
 
@@ -169,28 +173,53 @@ pub fn load_snapshot(path: &Path) -> Result<ServingSnapshot, CoreError> {
 /// Load a model saved by [`save_model`].
 ///
 /// # Errors
-/// [`CoreError::Persist`] on IO/format problems; configuration and
-/// dimension invariants are re-validated on load.
+/// [`CoreError::Persist`] on IO/format problems — a line without its
+/// terminating newline included, so a file cut anywhere short of its full
+/// length is rejected rather than read as a model with a shortened last
+/// value; [`CoreError::NonFinite`] on a NaN or infinite prototype
+/// parameter (`1e999` parses, to `inf`); configuration and dimension
+/// invariants are re-validated on load. Nothing is allocated from a
+/// count the file states: a corrupt `k` costs a comparison, not memory.
 pub fn load_model(path: &Path) -> Result<LlmModel, CoreError> {
-    let io = |e: std::io::Error| CoreError::Persist(e.to_string());
-    let file = std::fs::File::open(path).map_err(io)?;
-    let mut lines = BufReader::new(file).lines();
+    let file = std::fs::File::open(path).map_err(|e| CoreError::Persist(e.to_string()))?;
+    read_model(BufReader::new(file))
+}
 
-    let magic = lines
-        .next()
-        .ok_or_else(|| CoreError::Persist("empty file".into()))?
-        .map_err(io)?;
-    if magic.trim() != MAGIC {
+/// Read the next line into `line` (terminator stripped); `false` at end
+/// of input. A last line that ends without `\n` is a truncated file.
+fn next_line(reader: &mut impl BufRead, line: &mut String) -> Result<bool, CoreError> {
+    line.clear();
+    let read = reader
+        .read_line(line)
+        .map_err(|e| CoreError::Persist(e.to_string()))?;
+    if read == 0 {
+        return Ok(false);
+    }
+    if line.pop() != Some('\n') {
+        return Err(CoreError::Persist(
+            "unterminated last line (truncated file?)".into(),
+        ));
+    }
+    Ok(true)
+}
+
+/// [`load_model`] over any reader — the whole format, no file system.
+fn read_model(mut reader: impl BufRead) -> Result<LlmModel, CoreError> {
+    let mut line = String::new();
+    if !next_line(&mut reader, &mut line)? {
+        return Err(CoreError::Persist("empty file".into()));
+    }
+    if line.trim() != MAGIC {
         return Err(CoreError::Persist(format!(
             "bad magic '{}', expected '{MAGIC}'",
-            magic.trim()
+            line.trim()
         )));
     }
 
-    let header = lines
-        .next()
-        .ok_or_else(|| CoreError::Persist("missing header".into()))?
-        .map_err(io)?;
+    let mut header = String::new();
+    if !next_line(&mut reader, &mut header)? {
+        return Err(CoreError::Persist("missing header".into()));
+    }
     let tokens: Vec<&str> = header.split_whitespace().collect();
     let mut fields = std::collections::HashMap::new();
     let mut i = 0;
@@ -235,18 +264,20 @@ pub fn load_model(path: &Path) -> Result<LlmModel, CoreError> {
     };
     let steps = parse_u("steps")?;
     let frozen = parse_u("frozen")? != 0;
-    let k = parse_u("k")? as usize;
+    let k = parse_u("k")?;
 
-    let mut prototypes = Vec::with_capacity(k);
-    for (line_no, line) in lines.enumerate() {
-        let line = line.map_err(io)?;
+    // Grown by the lines actually read, never sized from `k`.
+    let mut prototypes = Vec::new();
+    let mut line_no = 2usize;
+    while next_line(&mut reader, &mut line)? {
+        line_no += 1;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         let body = line
             .strip_prefix("proto ")
-            .ok_or_else(|| CoreError::Persist(format!("line {}: expected 'proto'", line_no + 3)))?;
+            .ok_or_else(|| CoreError::Persist(format!("line {line_no}: expected 'proto'")))?;
         let mut sections = body.split('|');
         let head: Vec<&str> = sections
             .next()
@@ -255,8 +286,7 @@ pub fn load_model(path: &Path) -> Result<LlmModel, CoreError> {
             .collect();
         if head.len() != 4 {
             return Err(CoreError::Persist(format!(
-                "line {}: proto head needs 4 fields",
-                line_no + 3
+                "line {line_no}: proto head needs 4 fields"
             )));
         }
         let parse = |s: &str| -> Result<f64, CoreError> {
@@ -281,6 +311,14 @@ pub fn load_model(path: &Path) -> Result<LlmModel, CoreError> {
             .split_whitespace()
             .map(parse)
             .collect::<Result<_, _>>()?;
+        let finite = [radius, y, b_theta].iter().all(|v| v.is_finite())
+            && regq_linalg::vector::all_finite(&center)
+            && regq_linalg::vector::all_finite(&b_x);
+        if !finite {
+            return Err(CoreError::NonFinite {
+                location: "persisted prototype",
+            });
+        }
         prototypes.push(Prototype {
             center,
             radius,
@@ -290,7 +328,7 @@ pub fn load_model(path: &Path) -> Result<LlmModel, CoreError> {
             updates,
         });
     }
-    if prototypes.len() != k {
+    if prototypes.len() as u64 != k {
         return Err(CoreError::Persist(format!(
             "expected {k} prototypes, found {}",
             prototypes.len()
@@ -431,6 +469,192 @@ mod tests {
         let err = load_model(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, CoreError::Persist(_)));
+    }
+
+    // --- Corruption battery: a damaged file ends in a typed error or in
+    // --- a model that answers finitely — never a panic, never an
+    // --- allocation sized by a count the file states.
+
+    /// A small trained model (a few dozen prototypes: every byte length
+    /// and thousands of flips stay cheap) and probe balls over its domain.
+    fn small_model() -> (LlmModel, Vec<Query>) {
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut m = LlmModel::new(ModelConfig::with_vigilance(2, 0.06)).unwrap();
+        for _ in 0..600 {
+            let c: Vec<f64> = (0..2).map(|_| rng.random_range(0.0..1.0)).collect();
+            // Small slopes and answers, so the file holds two-digit
+            // exponents (one flipped sign away from an overflow).
+            let y = 1e-11 * c[0] - 3e-15 * c[1];
+            m.train_step(&Query::new_unchecked(c, rng.random_range(0.05..0.2)), y)
+                .unwrap();
+        }
+        let probes = (0..6)
+            .map(|i| Query::new_unchecked(vec![0.1 + 0.15 * i as f64, 0.8 - 0.1 * i as f64], 0.12))
+            .collect();
+        (m, probes)
+    }
+
+    fn saved_bytes(name: &str, save: impl FnOnce(&Path) -> Result<(), CoreError>) -> Vec<u8> {
+        let path = tmp(name);
+        save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// Load `bytes`; `false` on a typed error. A model that loads must
+    /// capture and answer every probe finitely, scalar and served. A
+    /// panic anywhere fails the test naming `what`.
+    fn loads_and_answers(bytes: &[u8], probes: &[Query], what: &str) -> bool {
+        let outcome = std::panic::catch_unwind(|| {
+            let model: LlmModel = match read_model(bytes) {
+                Ok(model) => model,
+                Err(_) => return false,
+            };
+            let snap = model.snapshot();
+            let mut counters = crate::arena::ScreenCounters::default();
+            for q in probes.iter().filter(|_| model.k() > 0) {
+                assert!(model.predict_q1(q).unwrap().is_finite());
+                let (y, conf) = snap
+                    .predict_q1_with_confidence_pruned(q, &mut counters)
+                    .unwrap();
+                assert!(y.is_finite() && conf.score.is_finite());
+                let (list, _) = snap
+                    .predict_q2_with_confidence_pruned(q, &mut counters)
+                    .unwrap();
+                assert!(!list.is_empty());
+                for m in &list {
+                    assert!(m.intercept.is_finite() && m.weight.is_finite());
+                    assert!(regq_linalg::vector::all_finite(&m.slope));
+                }
+            }
+            true
+        });
+        outcome.unwrap_or_else(|_| panic!("{what}: panicked instead of returning an error"))
+    }
+
+    #[test]
+    fn corrupt_files_end_in_a_typed_error_or_a_finite_model() {
+        let (m, probes) = small_model();
+        let files = [
+            ("model", saved_bytes("battery.model", |p| save_model(&m, p))),
+            (
+                "snapshot",
+                saved_bytes("battery.snap", |p| save_snapshot(&m.snapshot(), p)),
+            ),
+        ];
+        for (kind, bytes) in &files {
+            assert!(loads_and_answers(bytes, &probes, "intact file"));
+            let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+            let header_end = header_end
+                + bytes[header_end..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap()
+                + 1;
+
+            // Cut at every byte length: every line ends in its newline
+            // and the header states the line count, so nothing short of
+            // the whole file loads.
+            for cut in 0..bytes.len() {
+                assert!(
+                    !loads_and_answers(&bytes[..cut], &probes, &format!("{kind} cut at {cut}")),
+                    "{kind} cut at {cut} of {} loaded",
+                    bytes.len()
+                );
+            }
+
+            // One byte replaced: every offset of the two header lines,
+            // and a seeded sample of the rest, each against bytes that
+            // mean something to the format and one that means nothing.
+            let alphabet = b"0123456789-+.eE |\n\tinfNa\0\xff";
+            let mut rng = StdRng::seed_from_u64(41);
+            let mut sites: Vec<(usize, u8)> = Vec::new();
+            for at in 0..header_end {
+                for _ in 0..3 {
+                    sites.push((at, alphabet[rng.random_range(0..alphabet.len())]));
+                }
+            }
+            while sites.len() < header_end * 3 + 2_500 {
+                let at = rng.random_range(header_end..bytes.len());
+                let with = if rng.random_range(0..4usize) == 0 {
+                    rng.random_range(0..=255u32) as u8
+                } else {
+                    alphabet[rng.random_range(0..alphabet.len())]
+                };
+                sites.push((at, with));
+            }
+            let (mut flipped, mut loaded) = (0usize, 0usize);
+            let mut damaged = bytes.clone();
+            for (at, with) in sites {
+                if bytes[at] == with {
+                    continue;
+                }
+                damaged[at] = with;
+                flipped += 1;
+                let what = format!(
+                    "{kind} byte {at}: {:?} -> {:?}",
+                    bytes[at] as char, with as char
+                );
+                loaded += usize::from(loads_and_answers(&damaged, &probes, &what));
+                damaged[at] = bytes[at];
+            }
+            assert!(flipped >= 2_000, "{kind}: only {flipped} flips ran");
+            // Both ends are exercised: a changed digit is still a model,
+            // a changed separator is not.
+            assert!(
+                loaded > 0 && loaded < flipped,
+                "{kind}: {loaded} of {flipped} loaded"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_counts_cost_a_comparison_not_an_allocation() {
+        let (m, probes) = small_model();
+        let text = String::from_utf8(saved_bytes("counts.model", |p| save_model(&m, p))).unwrap();
+        let k_field = format!(" k {}", m.k());
+        assert!(text.contains(&k_field));
+        let huge = u64::MAX.to_string();
+        for (from, to) in [
+            (k_field.as_str(), format!(" k {huge}")),
+            (k_field.as_str(), " k 1000000000000000".to_string()),
+            (k_field.as_str(), format!(" k {huge}0")),
+            ("dim 2 ", format!("dim {huge} ")),
+            ("dim 2 ", "dim 0 ".to_string()),
+        ] {
+            let damaged = text.replacen(from, &to, 1);
+            assert!(
+                !loads_and_answers(damaged.as_bytes(), &probes, &to),
+                "'{to}' loaded"
+            );
+        }
+        // Counts no prototype contradicts are carried, not allocated: an
+        // empty codebook of any stated dimension, any window, any step
+        // count loads — and captures — without sizing anything by them.
+        let header = text.lines().nth(1).unwrap();
+        let empty = format!(
+            "{MAGIC}\n{}\n",
+            header
+                .replacen(&k_field, " k 0", 1)
+                .replacen("dim 2 ", "dim 1000000000000000 ", 1)
+                .replacen("window 10 ", &format!("window {huge} "), 1)
+        );
+        assert!(loads_and_answers(
+            empty.as_bytes(),
+            &probes,
+            "empty codebook, huge counts"
+        ));
+        // An exponent that overflows parses — to `inf` — and is refused.
+        let first = text.lines().nth(2).unwrap();
+        let radius = first.split_whitespace().nth(2).unwrap();
+        let damaged = text.replacen(&format!(" {radius} "), " 1e999 ", 1);
+        assert_eq!(
+            read_model(damaged.as_bytes()).unwrap_err(),
+            CoreError::NonFinite {
+                location: "persisted prototype"
+            }
+        );
     }
 
     #[test]

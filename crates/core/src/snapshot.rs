@@ -415,7 +415,9 @@ struct ResolveScratch {
 }
 
 /// Global ids per bitmap word — one word per `ROW_TILE` prototypes, so the
-/// gather's word walk is the same order as the block-bound stage.
+/// gather's word walk is the same order as the block-bound stage
+/// (`regq_linalg::tune` asserts `ROW_TILE ≤ u64::BITS` at compile time:
+/// a block's membership mask is one such word too).
 const ID_WORD: usize = u64::BITS as usize;
 
 thread_local! {

@@ -255,70 +255,6 @@ fn sq_dists4_generic(q: &[f64], quad: &[f64], dim: usize) -> [f64; 4] {
     [a0, a1, a2, a3]
 }
 
-/// Winner update and overlap membership for one quad of squared center
-/// distances `sq` (rows `k .. k + 4`, radii `r`) — the per-quad body of
-/// the AoSoA block kernels in [`crate::simd`] (scalar twin and AVX2
-/// spill alike), so both resolve a quad with one operation sequence:
-/// squared *joint* distance `‖c − q‖² + (θ_q − θ_k)²` against the running
-/// best (strict `<`, ties keep the lowest index), membership
-/// `‖c − q‖² ≤ (θ_q + θ_k)²`, degree `1 − spread / (θ_q + θ_k)` with
-/// `spread = max(‖c − q‖, |θ_q − θ_k|)` pushed as `(row index, degree)`
-/// when positive — the arithmetic of `regq_core`'s scalar winner and
-/// overlap passes, per row.
-#[inline(always)]
-pub(crate) fn resolve_quad(
-    sq: [f64; 4],
-    r: &[f64],
-    q_radius: f64,
-    k: usize,
-    best_k: &mut usize,
-    best_sq: &mut f64,
-    hits: &mut Vec<(usize, f64)>,
-) {
-    let d0 = q_radius - r[0];
-    let d1 = q_radius - r[1];
-    let d2 = q_radius - r[2];
-    let d3 = q_radius - r[3];
-    let j0 = sq[0] + d0 * d0;
-    let j1 = sq[1] + d1 * d1;
-    let j2 = sq[2] + d2 * d2;
-    let j3 = sq[3] + d3 * d3;
-    // Branchless quad screens: the winner compare and the membership
-    // test are both evaluated 4-wide with no data-dependent control
-    // flow, and the slow paths (ascending winner scan, root + degree
-    // + push) hide behind one rarely-taken branch per quad. The slow
-    // winner scan is literally the scalar ascending strict-`<` scan,
-    // so `(best_k, best_sq)` stays bit-identical to an uncut pass.
-    let any_better = (j0 < *best_sq) | (j1 < *best_sq) | (j2 < *best_sq) | (j3 < *best_sq);
-    let s0 = q_radius + r[0];
-    let s1 = q_radius + r[1];
-    let s2 = q_radius + r[2];
-    let s3 = q_radius + r[3];
-    let any_hit = (sq[0] <= s0 * s0) | (sq[1] <= s1 * s1) | (sq[2] <= s2 * s2) | (sq[3] <= s3 * s3);
-    if any_hit | any_better {
-        if any_better {
-            for (t, j) in [j0, j1, j2, j3].into_iter().enumerate() {
-                if j < *best_sq {
-                    *best_sq = j;
-                    *best_k = k + t;
-                }
-            }
-        }
-        if any_hit {
-            for (t, (&csq, &rk)) in sq.iter().zip(r).enumerate() {
-                let radius_sum = q_radius + rk;
-                if csq <= radius_sum * radius_sum {
-                    let spread = csq.sqrt().max((q_radius - rk).abs());
-                    let degree = 1.0 - spread / radius_sum;
-                    if degree > 0.0 {
-                        hits.push((k + t, degree));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// [`sq_dists4`] with block skipping: the coordinate loop runs in blocks
 /// of eight lanes, and after each block the quad is abandoned when **all
 /// four** partial sums already exceed `limit` (squared distances only
