@@ -41,7 +41,6 @@ use crate::query::Query;
 use regq_linalg::simd;
 use regq_linalg::tune::{self, QUAD, ROW_TILE};
 use regq_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// The result of one batched winner/overlap resolution
 /// ([`BlockLayout::resolve_batch_pruned`]): per query, the winner `(index,
@@ -125,7 +124,7 @@ impl BatchResolution {
 ///
 /// Invariants: `centers.len() == b_xs.len() == len·dim` and
 /// `radii/ys/b_thetas/updates` all have length `len`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrototypeArena {
     dim: usize,
     len: usize,
@@ -353,49 +352,6 @@ impl PrototypeArena {
         self.b_thetas.push(p.b_theta);
         self.updates.push(p.updates);
         self.len += 1;
-    }
-
-    /// Remove prototype `k`, shifting later prototypes down (`O(K·d)`;
-    /// codebook surgery only, never the serving path).
-    pub fn remove(&mut self, k: usize) {
-        assert!(k < self.len, "remove: index out of bounds");
-        let d = self.dim;
-        self.centers.drain(k * d..(k + 1) * d);
-        self.b_xs.drain(k * d..(k + 1) * d);
-        self.radii.remove(k);
-        self.ys.remove(k);
-        self.b_thetas.remove(k);
-        self.updates.remove(k);
-        self.len -= 1;
-    }
-
-    /// Keep only the prototypes for which `f` returns `true`, preserving
-    /// order (in-place compaction; codebook surgery only).
-    pub fn retain(&mut self, mut f: impl FnMut(PrototypeRef<'_>) -> bool) {
-        let mask: Vec<bool> = (0..self.len).map(|k| f(self.view(k))).collect();
-        let d = self.dim;
-        let mut w = 0usize;
-        for (k, &keep) in mask.iter().enumerate() {
-            if !keep {
-                continue;
-            }
-            if w != k {
-                self.centers.copy_within(k * d..(k + 1) * d, w * d);
-                self.b_xs.copy_within(k * d..(k + 1) * d, w * d);
-                self.radii[w] = self.radii[k];
-                self.ys[w] = self.ys[k];
-                self.b_thetas[w] = self.b_thetas[k];
-                self.updates[w] = self.updates[k];
-            }
-            w += 1;
-        }
-        self.centers.truncate(w * d);
-        self.b_xs.truncate(w * d);
-        self.radii.truncate(w);
-        self.ys.truncate(w);
-        self.b_thetas.truncate(w);
-        self.updates.truncate(w);
-        self.len = w;
     }
 
     /// Evaluate the LLM of prototype `k` at `(x, θ)` (Eq. 5/12) —
@@ -1056,33 +1012,6 @@ mod tests {
         let mut out = vec![(1usize, 1.0)];
         arena.overlap_set_into(&[0.0, 0.0], 0.1, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn remove_shifts_later_prototypes_down() {
-        let protos = random_protos(4, 2, 5);
-        let mut arena = PrototypeArena::from_prototypes(2, &protos);
-        arena.remove(1);
-        assert_eq!(arena.len(), 3);
-        assert_eq!(arena.view(0).to_prototype(), protos[0]);
-        assert_eq!(arena.view(1).to_prototype(), protos[2]);
-        assert_eq!(arena.view(2).to_prototype(), protos[3]);
-    }
-
-    #[test]
-    fn retain_compacts_in_place() {
-        let protos = random_protos(6, 3, 6);
-        let mut arena = PrototypeArena::from_prototypes(3, &protos);
-        let mut i = 0usize;
-        arena.retain(|_| {
-            let keep = i.is_multiple_of(2);
-            i += 1;
-            keep
-        });
-        assert_eq!(arena.len(), 3);
-        for (slot, orig) in [0usize, 2, 4].into_iter().enumerate() {
-            assert_eq!(arena.view(slot).to_prototype(), protos[orig]);
-        }
     }
 
     #[test]

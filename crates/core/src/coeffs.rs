@@ -14,7 +14,6 @@
 //! It is a value, not a container: built once from a slice or a `Vec`,
 //! read through `Deref<Target = [f64]>`, never grown.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 
@@ -24,10 +23,10 @@ const INLINE_DIMS: usize = 8;
 /// An immutable `f64` vector that lives inline up to 8 coordinates and on
 /// the heap beyond — reads like the `Vec<f64>` it replaces (`Deref` to
 /// `[f64]`, slice-shaped `Debug`, slice equality, `for b in &coeffs`).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Coeffs(Repr);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Repr {
     /// `buf[..len]` are the coordinates; the tail stays `0.0`.
     Inline {

@@ -36,13 +36,12 @@ use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::predict::{self, FusionInfo, LocalModel};
 use crate::query::Query;
-use serde::{Deserialize, Serialize};
 
 /// Update count at which a prototype is considered half-mature.
 const MATURITY_HALF_LIFE: f64 = 20.0;
 
 /// Confidence breakdown for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Confidence {
     /// Raw overlap mass `Σ δ(q, w_k)` over the fused neighborhood (0 when
     /// the prediction fell back to the winner prototype).

@@ -2,7 +2,6 @@
 
 use crate::error::CoreError;
 use crate::schedule::LearningSchedule;
-use serde::{Deserialize, Serialize};
 
 /// How the LLM slope coefficients `(b_X, b_Θ)` are stepped (design
 /// decision D-8, stated here).
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// paper's reported behaviour (Fig. 5 local lines matching `g`'s slopes
 /// within thousands of training pairs); it is the default. `Raw` is kept
 /// for the ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlopeUpdate {
     /// Normalized LMS step (default): `Δb = η e (q−w)/(ε + ‖q−w‖²)`.
     Normalized {
@@ -33,7 +32,7 @@ impl Default for SlopeUpdate {
 }
 
 /// Configuration of an [`LlmModel`](crate::model::LlmModel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Input dimensionality `d` of the data space.
     pub dim: usize,

@@ -46,16 +46,14 @@
 //! * [`coeffs`] — the inline coefficient vector of a Q2 list element.
 //! * [`metrics`] — RMSE / FVU / CoD used by the paper's §VI metrics.
 //! * [`moments`] — extension E-1: second-moment head → variance prediction.
-//! * [`adapt`] — extension E-2/E-3: drift adaptation, merge & prune.
 //! * [`confidence`] — desideratum D2: when to trust a served answer.
 //! * [`snapshot`] — the immutable, publishable serving half of the
 //!   train/serve split, and the one resolver behind every served answer.
-//! * [`persist`] — versioned text persistence (plus `serde` derives).
+//! * [`persist`] — versioned text persistence.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod adapt;
 pub mod arena;
 pub mod coeffs;
 pub mod confidence;

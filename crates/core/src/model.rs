@@ -21,8 +21,8 @@
 //!    consecutive steps.
 //!
 //! After convergence the model freezes (the paper performs no further
-//! modification at prediction time); extension E-2 ([`crate::adapt`]) can
-//! unfreeze it for drift tracking.
+//! modification at prediction time); [`LlmModel::unfreeze`] re-opens it
+//! for further training.
 
 use crate::arena::PrototypeArena;
 use crate::config::ModelConfig;
@@ -30,7 +30,6 @@ use crate::error::CoreError;
 use crate::prototype::Prototype;
 use crate::query::Query;
 use regq_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// What a single training step did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,7 @@ pub struct StepOutcome {
 }
 
 /// Summary of a full training run ([`LlmModel::fit_stream`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Number of `(q, y)` pairs consumed.
     pub steps: usize,
@@ -83,7 +82,7 @@ pub struct TrainReport {
 /// let y = model.predict_q1(&q).unwrap();
 /// assert!((y - 2.4).abs() < 0.1, "got {y}");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LlmModel {
     config: ModelConfig,
     /// The learned parameters `α`, packed struct-of-arrays
@@ -153,7 +152,7 @@ impl LlmModel {
         self.global_step
     }
 
-    /// Unfreeze (extension E-2): subsequent [`LlmModel::train_step`] calls
+    /// Unfreeze: subsequent [`LlmModel::train_step`] calls
     /// update parameters again.
     pub fn unfreeze(&mut self) {
         self.frozen = false;
@@ -354,14 +353,15 @@ impl LlmModel {
         })
     }
 
-    /// Mutable arena access for the adaptation extensions
-    /// ([`crate::adapt`]). Not part of the paper's interface.
-    pub(crate) fn arena_mut(&mut self) -> &mut PrototypeArena {
-        &mut self.arena
-    }
-
-    /// Rebuild from parts (persistence).
-    pub(crate) fn from_parts(
+    /// Assemble a model from explicit parts: configuration, prototype
+    /// set, consumed-step count and frozen flag — how `persist` rebuilds a
+    /// saved model and how the serving layer's shard fabric builds
+    /// per-shard models from prototype subsets.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidConfig`] / [`CoreError::DimensionMismatch`] on
+    /// inconsistent parts.
+    pub fn from_parts(
         config: ModelConfig,
         prototypes: Vec<Prototype>,
         global_step: u64,

@@ -19,10 +19,9 @@ use crate::config::ModelConfig;
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::query::Query;
-use serde::{Deserialize, Serialize};
 
 /// Mean + second-moment predictor over data subspaces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MomentsModel {
     mean: LlmModel,
     second: LlmModel,

@@ -14,7 +14,7 @@
 //!
 //! # Boundary contract
 //!
-//! Like `Norm::within` in the store crate, the overlap *predicate* is
+//! Like `norms::within` in the store crate, the overlap *predicate* is
 //! decided in **squared space**: `A(q, q') ⇔ ‖x − x'‖₂² ≤ (θ + θ')²`.
 //! The square root — needed only for the degree's `spread` term — is
 //! taken after a ball has already qualified, so the non-overlapping
@@ -64,16 +64,6 @@ pub fn overlap_degree_parts(
     // In the one-ulp band where root-space would have rejected, the raw
     // degree can dip below zero; clamp so δ ∈ [0, 1] holds unconditionally.
     (1.0 - spread / radius_sum).max(0.0)
-}
-
-/// Normalize raw degrees into weights summing to 1 (`δ̃` of Algorithm 2).
-/// Returns `None` when every degree is zero.
-pub fn normalized_weights(degrees: &[f64]) -> Option<Vec<f64>> {
-    let total: f64 = degrees.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    Some(degrees.iter().map(|d| d / total).collect())
 }
 
 #[cfg(test)]
@@ -152,18 +142,5 @@ mod tests {
         let a = q(&[0.0], 0.2);
         let b = q(&[0.3], 0.2);
         assert!((overlap_degree(&a, &b) - (1.0 - 0.3 / 0.4)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weights_normalize_to_one() {
-        let w = normalized_weights(&[0.2, 0.3, 0.5]).unwrap();
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((w[2] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_zero_degrees_give_none() {
-        assert!(normalized_weights(&[0.0, 0.0]).is_none());
-        assert!(normalized_weights(&[]).is_none());
     }
 }

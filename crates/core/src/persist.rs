@@ -17,17 +17,13 @@
 //! the prototype count, so a file cut at any byte short of its full
 //! length fails to load; a damaged byte ends in a typed [`CoreError`] or
 //! in a model whose parameters are all finite (the corruption battery in
-//! this module's tests). The model types additionally derive
-//! `serde::{Serialize, Deserialize}` for embedding in host applications
-//! that bring their own format crate.
+//! this module's tests).
 
-use crate::arena::PrototypeArena;
 use crate::config::{ModelConfig, SlopeUpdate};
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::prototype::Prototype;
 use crate::schedule::LearningSchedule;
-use crate::snapshot::ServingSnapshot;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
@@ -86,38 +82,7 @@ fn parse_schedule(tag: &str) -> Result<LearningSchedule, CoreError> {
 /// # Errors
 /// [`CoreError::Persist`] wrapping any IO failure.
 pub fn save_model(model: &LlmModel, path: &Path) -> Result<(), CoreError> {
-    save_parts(
-        model.config(),
-        model.arena(),
-        model.steps(),
-        model.is_frozen(),
-        path,
-    )
-}
-
-/// Save a [`ServingSnapshot`] to `path` — same on-disk format as
-/// [`save_model`] (a snapshot persists as the frozen parameter set it
-/// captured; [`load_snapshot`] reads either).
-///
-/// # Errors
-/// [`CoreError::Persist`] wrapping any IO failure.
-pub fn save_snapshot(snapshot: &ServingSnapshot, path: &Path) -> Result<(), CoreError> {
-    save_parts(
-        snapshot.config(),
-        snapshot.arena(),
-        snapshot.version(),
-        snapshot.is_frozen(),
-        path,
-    )
-}
-
-fn save_parts(
-    c: &ModelConfig,
-    arena: &PrototypeArena,
-    steps: u64,
-    frozen: bool,
-    path: &Path,
-) -> Result<(), CoreError> {
+    let (c, arena) = (model.config(), model.arena());
     let io = |e: std::io::Error| CoreError::Persist(e.to_string());
     let file = std::fs::File::create(path).map_err(io)?;
     let mut w = BufWriter::new(file);
@@ -132,8 +97,8 @@ fn save_parts(
         schedule_tag(&c.schedule),
         slope_tag(&c.slope_update),
         c.coeff_rate_power,
-        steps,
-        u8::from(frozen),
+        model.steps(),
+        u8::from(model.is_frozen()),
         arena.len(),
     )
     .map_err(io)?;
@@ -159,15 +124,6 @@ fn save_parts(
         writeln!(w).map_err(io)?;
     }
     w.flush().map_err(io)
-}
-
-/// Load a [`ServingSnapshot`] saved by [`save_snapshot`] (or capture one
-/// from a file written by [`save_model`] — the formats are identical).
-///
-/// # Errors
-/// Same as [`load_model`].
-pub fn load_snapshot(path: &Path) -> Result<ServingSnapshot, CoreError> {
-    load_model(path).map(|m| m.snapshot())
 }
 
 /// Load a model saved by [`save_model`].
@@ -334,7 +290,7 @@ fn read_model(mut reader: impl BufRead) -> Result<LlmModel, CoreError> {
             prototypes.len()
         )));
     }
-    LlmModel::from_parts_public(config, prototypes, steps, frozen)
+    LlmModel::from_parts(config, prototypes, steps, frozen)
 }
 
 #[cfg(test)]
@@ -392,15 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_is_bit_exact() {
-        // Guard for the serving split: a published snapshot must survive a
-        // restart bit-for-bit — parameters, version and probe-grid
+    fn loaded_model_captures_a_bit_exact_snapshot() {
+        // Guard for the serving split: what a model publishes must survive
+        // a restart bit-for-bit — parameters, version and probe-grid
         // predictions (Q1, Q2, data value, confidence score).
         let m = trained_model(7);
         let snap = m.snapshot();
         let path = tmp("snapshot.model");
-        save_snapshot(&snap, &path).unwrap();
-        let loaded = load_snapshot(&path).unwrap();
+        save_model(&m, &path).unwrap();
+        let loaded = load_model(&path).unwrap().snapshot();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.k(), snap.k());
         assert_eq!(loaded.version(), snap.version());
@@ -536,77 +492,66 @@ mod tests {
     #[test]
     fn corrupt_files_end_in_a_typed_error_or_a_finite_model() {
         let (m, probes) = small_model();
-        let files = [
-            ("model", saved_bytes("battery.model", |p| save_model(&m, p))),
-            (
-                "snapshot",
-                saved_bytes("battery.snap", |p| save_snapshot(&m.snapshot(), p)),
-            ),
-        ];
-        for (kind, bytes) in &files {
-            assert!(loads_and_answers(bytes, &probes, "intact file"));
-            let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-            let header_end = header_end
-                + bytes[header_end..]
-                    .iter()
-                    .position(|&b| b == b'\n')
-                    .unwrap()
-                + 1;
+        let bytes = saved_bytes("battery.model", |p| save_model(&m, p));
+        assert!(loads_and_answers(&bytes, &probes, "intact file"));
+        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let header_end = header_end
+            + bytes[header_end..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .unwrap()
+            + 1;
 
-            // Cut at every byte length: every line ends in its newline
-            // and the header states the line count, so nothing short of
-            // the whole file loads.
-            for cut in 0..bytes.len() {
-                assert!(
-                    !loads_and_answers(&bytes[..cut], &probes, &format!("{kind} cut at {cut}")),
-                    "{kind} cut at {cut} of {} loaded",
-                    bytes.len()
-                );
-            }
-
-            // One byte replaced: every offset of the two header lines,
-            // and a seeded sample of the rest, each against bytes that
-            // mean something to the format and one that means nothing.
-            let alphabet = b"0123456789-+.eE |\n\tinfNa\0\xff";
-            let mut rng = StdRng::seed_from_u64(41);
-            let mut sites: Vec<(usize, u8)> = Vec::new();
-            for at in 0..header_end {
-                for _ in 0..3 {
-                    sites.push((at, alphabet[rng.random_range(0..alphabet.len())]));
-                }
-            }
-            while sites.len() < header_end * 3 + 2_500 {
-                let at = rng.random_range(header_end..bytes.len());
-                let with = if rng.random_range(0..4usize) == 0 {
-                    rng.random_range(0..=255u32) as u8
-                } else {
-                    alphabet[rng.random_range(0..alphabet.len())]
-                };
-                sites.push((at, with));
-            }
-            let (mut flipped, mut loaded) = (0usize, 0usize);
-            let mut damaged = bytes.clone();
-            for (at, with) in sites {
-                if bytes[at] == with {
-                    continue;
-                }
-                damaged[at] = with;
-                flipped += 1;
-                let what = format!(
-                    "{kind} byte {at}: {:?} -> {:?}",
-                    bytes[at] as char, with as char
-                );
-                loaded += usize::from(loads_and_answers(&damaged, &probes, &what));
-                damaged[at] = bytes[at];
-            }
-            assert!(flipped >= 2_000, "{kind}: only {flipped} flips ran");
-            // Both ends are exercised: a changed digit is still a model,
-            // a changed separator is not.
+        // Cut at every byte length: every line ends in its newline
+        // and the header states the line count, so nothing short of
+        // the whole file loads.
+        for cut in 0..bytes.len() {
             assert!(
-                loaded > 0 && loaded < flipped,
-                "{kind}: {loaded} of {flipped} loaded"
+                !loads_and_answers(&bytes[..cut], &probes, &format!("cut at {cut}")),
+                "cut at {cut} of {} loaded",
+                bytes.len()
             );
         }
+
+        // One byte replaced: every offset of the two header lines,
+        // and a seeded sample of the rest, each against bytes that
+        // mean something to the format and one that means nothing.
+        let alphabet = b"0123456789-+.eE |\n\tinfNa\0\xff";
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut sites: Vec<(usize, u8)> = Vec::new();
+        for at in 0..header_end {
+            for _ in 0..3 {
+                sites.push((at, alphabet[rng.random_range(0..alphabet.len())]));
+            }
+        }
+        while sites.len() < header_end * 3 + 2_500 {
+            let at = rng.random_range(header_end..bytes.len());
+            let with = if rng.random_range(0..4usize) == 0 {
+                rng.random_range(0..=255u32) as u8
+            } else {
+                alphabet[rng.random_range(0..alphabet.len())]
+            };
+            sites.push((at, with));
+        }
+        let (mut flipped, mut loaded) = (0usize, 0usize);
+        let mut damaged = bytes.clone();
+        for (at, with) in sites {
+            if bytes[at] == with {
+                continue;
+            }
+            damaged[at] = with;
+            flipped += 1;
+            let what = format!("byte {at}: {:?} -> {:?}", bytes[at] as char, with as char);
+            loaded += usize::from(loads_and_answers(&damaged, &probes, &what));
+            damaged[at] = bytes[at];
+        }
+        assert!(flipped >= 2_000, "only {flipped} flips ran");
+        // Both ends are exercised: a changed digit is still a model,
+        // a changed separator is not.
+        assert!(
+            loaded > 0 && loaded < flipped,
+            "{loaded} of {flipped} loaded"
+        );
     }
 
     #[test]

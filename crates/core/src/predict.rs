@@ -21,7 +21,6 @@ use crate::coeffs::Coeffs;
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::query::Query;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 thread_local! {
@@ -197,7 +196,7 @@ pub(crate) fn value_over_arena(arena: &PrototypeArena, q: &Query, x: &[f64]) -> 
 /// They read as slices (`lm.slope[0]`, `lm.slope.iter()`,
 /// `lm.predict(&lm.center)`); build one from a `Vec<f64>` or a slice with
 /// `.into()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalModel {
     /// `u`-intercept `y_k − b_{X,k} x_kᵀ`.
     pub intercept: f64,

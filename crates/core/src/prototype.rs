@@ -2,21 +2,20 @@
 //! coefficients `(y_k, b_{X,k}, b_{Θ,k})` — the parameter triplet `α_k`
 //! of Eq. (6).
 //!
-//! Since the struct-of-arrays refactor, the model's *storage* is the
-//! packed [`crate::arena::PrototypeArena`]; an owned [`Prototype`] is
-//! what crosses API edges (persistence, codebook surgery, snapshots for
-//! the retained reference serving path) and what
+//! The model's *storage* is the packed
+//! [`crate::arena::PrototypeArena`]; an owned [`Prototype`] is what
+//! crosses API edges (persistence, assembling per-shard models from
+//! prototype subsets) and what
 //! [`LlmModel::prototypes`](crate::model::LlmModel::prototypes)
 //! materializes on demand. The serving hot path never touches this type —
 //! it runs on the borrowed views [`crate::arena::PrototypeRef`] /
 //! [`crate::arena::PrototypeRefMut`].
 
 use crate::query::Query;
-use serde::{Deserialize, Serialize};
 
 /// One query-space prototype with its Local Linear Mapping (owned
 /// exchange form; see the module docs for its relation to the arena).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Prototype {
     /// Prototype center `x_k` (the `E[x]` component of `w_k`).
     pub center: Vec<f64>,
@@ -88,11 +87,6 @@ impl Prototype {
         (intercept, &self.b_x)
     }
 
-    /// View of the prototype as a query vector (for overlap computations).
-    pub fn as_query(&self) -> Query {
-        Query::new_unchecked(self.center.clone(), self.radius)
-    }
-
     /// Squared joint `L2` distance from a query (Definition 5).
     #[inline]
     pub fn sq_dist_to(&self, q: &Query) -> f64 {
@@ -155,14 +149,5 @@ mod tests {
         let x = [0.7, -1.3];
         let line_val = intercept + slope[0] * x[0] + slope[1] * x[1];
         assert!((line_val - p.eval_at_own_radius(&x)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn as_query_round_trips() {
-        let p = proto();
-        let q = p.as_query();
-        assert_eq!(q.center, p.center);
-        assert_eq!(q.radius, p.radius);
-        assert_eq!(p.sq_dist_to(&q), 0.0);
     }
 }

@@ -3,11 +3,10 @@
 
 use crate::error::CoreError;
 use regq_linalg::vector;
-use serde::{Deserialize, Serialize};
 
 /// A radius (dNN) analytics query: center `x ∈ R^d` and radius `θ > 0`,
 /// treated as one `(d+1)`-dimensional vector in the query space `Q`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Query center `x`.
     pub center: Vec<f64>,

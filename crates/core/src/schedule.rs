@@ -8,10 +8,8 @@
 //! average of the queries it wins, matching the AVQ convergence analyses the
 //! paper cites — and the global variant is kept for the ablation bench.
 
-use serde::{Deserialize, Serialize};
-
 /// Learning-rate schedule for the Theorem-4 updates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LearningSchedule {
     /// `η = 1/(1 + t_k)` with `t_k` = number of updates prototype `k` has
     /// received (default; D-1).
@@ -19,8 +17,8 @@ pub enum LearningSchedule {
     HyperbolicPerPrototype,
     /// `η = 1/(1 + t)` with `t` = global training step.
     HyperbolicGlobal,
-    /// Constant rate (mainly for drift adaptation, extension E-2: a floor
-    /// on plasticity keeps the model tracking non-stationary data).
+    /// Constant rate (a floor on plasticity keeps the model tracking
+    /// non-stationary data).
     Constant(f64),
 }
 

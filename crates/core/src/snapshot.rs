@@ -92,7 +92,7 @@ impl ServingSnapshot {
     /// the snapshot was built from inconsistent parts (impossible through
     /// [`ServingSnapshot::capture`]).
     pub fn to_model(&self) -> Result<LlmModel, CoreError> {
-        LlmModel::from_parts_public(
+        LlmModel::from_parts(
             self.inner.config.clone(),
             self.prototypes(),
             self.inner.steps,
@@ -897,8 +897,8 @@ mod tests {
                         ids.push(gid);
                     }
                 }
-                let part = LlmModel::from_parts_public(m.config().clone(), subset, m.steps(), true)
-                    .unwrap();
+                let part =
+                    LlmModel::from_parts(m.config().clone(), subset, m.steps(), true).unwrap();
                 (part.snapshot(), ids)
             })
             .collect()
@@ -1082,8 +1082,7 @@ mod tests {
                 updates: 1 + i as u64 % 7,
             })
             .collect();
-        LlmModel::from_parts_public(ModelConfig::with_vigilance(2, 0.15), protos, k as u64, true)
-            .unwrap()
+        LlmModel::from_parts(ModelConfig::with_vigilance(2, 0.15), protos, k as u64, true).unwrap()
     }
 
     /// A snapshot of the prototypes `model` holds in `slots`, in that
@@ -1091,7 +1090,7 @@ mod tests {
     fn subset(model: &LlmModel, slots: &[usize]) -> ServingSnapshot {
         let protos = model.prototypes();
         let chosen = slots.iter().map(|&k| protos[k].clone()).collect();
-        LlmModel::from_parts_public(model.config().clone(), chosen, model.steps(), true)
+        LlmModel::from_parts(model.config().clone(), chosen, model.steps(), true)
             .unwrap()
             .snapshot()
     }

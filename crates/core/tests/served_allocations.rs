@@ -109,7 +109,7 @@ fn fixture(dim: usize, parts: usize) -> Vec<(ServingSnapshot, Vec<usize>)> {
         .map(|part| {
             let ids: Vec<usize> = (part..K).step_by(parts).collect();
             let subset = ids.iter().map(|&g| protos[g].clone()).collect();
-            let model = LlmModel::from_parts_public(
+            let model = LlmModel::from_parts(
                 ModelConfig::with_vigilance(dim, 0.15),
                 subset,
                 K as u64,

@@ -148,7 +148,7 @@ fn assert_resolution_matches(arena: &PrototypeArena, queries: &[Query]) -> Scree
 
 fn snapshot_of(dim: usize, protos: Vec<Prototype>) -> ServingSnapshot {
     let steps = protos.len() as u64;
-    LlmModel::from_parts_public(ModelConfig::with_vigilance(dim, 0.15), protos, steps, true)
+    LlmModel::from_parts(ModelConfig::with_vigilance(dim, 0.15), protos, steps, true)
         .unwrap()
         .snapshot()
 }

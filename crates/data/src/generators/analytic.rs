@@ -87,12 +87,6 @@ impl PiecewiseLinear1d {
         Self::new(&[(0.0, 0.1), (0.25, 0.8), (0.5, 0.3), (0.75, 0.9), (1.0, 0.2)])
     }
 
-    /// Slope of the segment containing `t` (right-continuous).
-    pub fn slope_at(&self, t: f64) -> f64 {
-        let i = self.segment_index(t);
-        (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
-    }
-
     fn segment_index(&self, t: f64) -> usize {
         let last = self.knots.len() - 2;
         for i in 0..=last {
@@ -207,15 +201,6 @@ mod tests {
         assert_eq!(f.eval(&[1.0]), 0.2);
         // Midpoint of first segment.
         assert!((f.eval(&[0.125]) - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn piecewise_linear_slopes() {
-        let f = PiecewiseLinear1d::zigzag();
-        assert!((f.slope_at(0.1) - (0.8 - 0.1) / 0.25).abs() < 1e-12);
-        assert!((f.slope_at(0.3) - (0.3 - 0.8) / 0.25).abs() < 1e-12);
-        // Right edge belongs to the last segment.
-        assert!((f.slope_at(1.0) - (0.2 - 0.9) / 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -60,11 +60,6 @@ pub fn sample_truncated_gaussian<R: Rng + ?Sized>(
     mean.clamp(lo + f64::EPSILON, hi - f64::EPSILON)
 }
 
-/// `n` uniform draws in `[lo, hi)`.
-pub fn uniform_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, lo: f64, hi: f64) -> Vec<f64> {
-    (0..n).map(|_| rng.random_range(lo..hi)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,13 +121,5 @@ mod tests {
         // fallback must still return something inside.
         let v = sample_truncated_gaussian(&mut rng, 100.0, 1e-12, 0.0, 1.0);
         assert!(v > 0.0 && v < 1.0);
-    }
-
-    #[test]
-    fn uniform_vec_in_range() {
-        let mut rng = seeded(5);
-        let v = uniform_vec(&mut rng, 100, -2.0, 3.0);
-        assert_eq!(v.len(), 100);
-        assert!(v.iter().all(|&x| (-2.0..3.0).contains(&x)));
     }
 }

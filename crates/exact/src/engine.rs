@@ -48,14 +48,6 @@ impl ExactEngine {
         }
     }
 
-    /// Wrap an existing relation.
-    pub fn from_relation(rel: Relation) -> Self {
-        ExactEngine {
-            rel,
-            global_reg: parking_lot_free::Lazy::new(),
-        }
-    }
-
     /// The underlying relation.
     pub fn relation(&self) -> &Relation {
         &self.rel
@@ -127,17 +119,6 @@ impl ExactEngine {
     ) -> (Result<LinearModel, LinalgError>, Duration) {
         let t0 = Instant::now();
         let r = self.q2_reg(center, radius);
-        (r, t0.elapsed())
-    }
-
-    /// Timed fused Q1 + REG execution (single traversal).
-    pub fn q1_reg_fused_timed(
-        &self,
-        center: &[f64],
-        radius: f64,
-    ) -> (Result<BallFit, LinalgError>, Duration) {
-        let t0 = Instant::now();
-        let r = self.q1_reg_fused(center, radius);
         (r, t0.elapsed())
     }
 
@@ -249,8 +230,5 @@ mod tests {
         let reg = e.q2_reg(&c, r).unwrap();
         assert_eq!(fused.model, reg);
         assert_eq!(fused.moments.n, e.select(&c, r).len());
-        let (timed, dur) = e.q1_reg_fused_timed(&c, r);
-        assert_eq!(timed.unwrap(), fused);
-        assert!(dur.as_nanos() > 0);
     }
 }

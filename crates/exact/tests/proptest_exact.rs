@@ -1,7 +1,7 @@
 //! Property-based tests for the exact engines: OLS optimality, MARS
 //! dominance over OLS, Q1 consistency, and equivalence of the
 //! aggregation-pushdown executors with the materialize-then-recompute
-//! reference path across every access path and norm.
+//! reference path across every access path.
 
 use proptest::prelude::*;
 use regq_data::Dataset;
@@ -10,7 +10,7 @@ use regq_exact::{
     Moments,
 };
 use regq_linalg::{lstsq, LinalgError, LstsqOptions, Matrix, OnlineStats};
-use regq_store::{AccessPathKind, Norm, Relation};
+use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
 // The pre-pushdown execution shapes, kept here as the references the
@@ -143,15 +143,6 @@ fn surface_strategy(d: usize) -> impl Strategy<Value = Dataset> {
     })
 }
 
-fn norm_strategy() -> impl Strategy<Value = Norm> {
-    prop_oneof![
-        Just(Norm::L1),
-        Just(Norm::L2),
-        Just(Norm::LInf),
-        (1.0..4.0f64).prop_map(Norm::Lp),
-    ]
-}
-
 const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::KdTree];
 
 proptest! {
@@ -191,40 +182,37 @@ proptest! {
     }
 
     /// Pushed-down Q1 / moments equal the materialize-then-recompute path
-    /// bit-for-bit (same traversal order feeds both) on every access path
-    /// and every norm.
+    /// bit-for-bit (same traversal order feeds both) on every access path.
     #[test]
     fn pushdown_q1_equals_materialized(ds in surface_strategy(2),
                                        c in prop::collection::vec(-2.5..2.5f64, 2),
-                                       r in 0.0..2.5f64,
-                                       norm in norm_strategy()) {
+                                       r in 0.0..2.5f64) {
         let data = Arc::new(ds);
         for path in ALL_PATHS {
-            let rel = Relation::new(data.clone(), path).with_norm(norm);
+            let rel = Relation::new(data.clone(), path);
             prop_assert_eq!(
                 q1_mean(&rel, &c, r),
                 q1_mean_materialized(&rel, &c, r),
-                "q1 mismatch on {:?}/{:?}", path, norm
+                "q1 mismatch on {:?}", path
             );
             prop_assert_eq!(
                 q1_moments(&rel, &c, r),
                 q1_moments_materialized(&rel, &c, r),
-                "moments mismatch on {:?}/{:?}", path, norm
+                "moments mismatch on {:?}", path
             );
         }
     }
 
     /// The fused in-scan OLS matches the reference pipeline (materialized
     /// selection + design matrix + lstsq) up to numerical tolerance, on
-    /// every access path and norm, whenever the reference succeeds.
+    /// every access path, whenever the reference succeeds.
     #[test]
     fn pushdown_ols_equals_materialized(ds in surface_strategy(3),
                                         c in prop::collection::vec(-2.5..2.5f64, 3),
-                                        r in 0.5..3.0f64,
-                                        norm in norm_strategy()) {
+                                        r in 0.5..3.0f64) {
         let data = Arc::new(ds);
         for path in ALL_PATHS {
-            let rel = Relation::new(data.clone(), path).with_norm(norm);
+            let rel = Relation::new(data.clone(), path);
             let ids = rel.select(&c, r);
             let Ok(reference) = fit_ols_design(rel.dataset(), &ids) else { continue };
             // Skip numerically fragile selections: coefficient comparisons
@@ -238,14 +226,14 @@ proptest! {
             let scale = 1.0 + reference.intercept.abs();
             prop_assert!(
                 (fused.model.intercept - reference.intercept).abs() < 1e-5 * scale,
-                "intercept {} vs {} on {:?}/{:?}",
-                fused.model.intercept, reference.intercept, path, norm
+                "intercept {} vs {} on {:?}",
+                fused.model.intercept, reference.intercept, path
             );
             for (a, b) in fused.model.slope.iter().zip(reference.slope.iter()) {
                 let scale = 1.0 + b.abs();
                 prop_assert!(
                     (a - b).abs() < 1e-5 * scale,
-                    "slope {} vs {} on {:?}/{:?}", a, b, path, norm
+                    "slope {} vs {} on {:?}", a, b, path
                 );
             }
         }

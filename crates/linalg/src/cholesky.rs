@@ -129,11 +129,6 @@ impl Cholesky {
         }
         Ok(inv)
     }
-
-    /// `log det A = 2 Σ log L_ii` — useful for information criteria.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +169,6 @@ mod tests {
     fn identity_factor_is_identity() {
         let ch = Cholesky::factor(&Matrix::identity(4)).unwrap();
         assert!(ch.l().max_abs_diff(&Matrix::identity(4)).unwrap() < 1e-15);
-        assert!(ch.log_det().abs() < 1e-15);
     }
 
     #[test]
@@ -218,14 +212,6 @@ mod tests {
         let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn log_det_matches_known_value() {
-        // det(diag(2, 3)) = 6.
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 3.0]]).unwrap();
-        let ld = Cholesky::factor(&a).unwrap().log_det();
-        assert!((ld - 6.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The ICDE'17 paper reproduced by `regq` leans on three numerical kernels:
 //!
-//! * vector arithmetic under `L_p` norms (query/prototype distances,
-//!   Definition 2 of the paper),
+//! * Euclidean vector arithmetic (query/prototype distances, Definition 2
+//!   of the paper at `p = 2`),
 //! * ordinary least squares via the normal equations (the exact `REG`
 //!   baseline and the MARS/PLR forward pass), and
 //! * online first/second-moment accumulation (training diagnostics).
@@ -18,14 +18,14 @@
 //!
 //! ## Modules
 //!
-//! * [`vector`] — slice-level arithmetic, `L_p` distances and their
-//!   early-exit bounded variants (the radius-selection hot loop).
+//! * [`vector`] — slice-level arithmetic, Euclidean distances and their
+//!   early-exit bounded variant (the radius-selection hot loop).
 //! * [`simd`] — runtime-dispatched (AVX2-or-scalar) distance kernels
 //!   over the AoSoA quad-interleaved layout.
 //! * [`tune`] — the serving-path tile-shape constants and their
 //!   divisibility invariants.
 //! * [`matrix`] — row-major dense [`Matrix`].
-//! * [`cholesky`] — SPD factorization, solves, inverse, log-determinant.
+//! * [`cholesky`] — SPD factorization, solves, inverse.
 //! * [`qr`] — Householder QR and least-squares solves for `m ≥ n`.
 //! * [`solve`] — high-level least-squares front door with ridge fallback,
 //!   plus the normal-equation entry point for pushed-down aggregates.

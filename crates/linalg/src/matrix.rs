@@ -232,21 +232,6 @@ impl Matrix {
         vector::all_finite(&self.data)
     }
 
-    /// `true` if the matrix is square and symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Add `lambda` to every diagonal entry (ridge regularization), in place.
     pub fn add_diagonal(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
@@ -354,7 +339,8 @@ mod tests {
 
     #[test]
     fn gram_is_symmetric() {
-        assert!(sample().gram().is_symmetric(0.0));
+        let g = sample().gram();
+        assert_eq!(g, g.transpose());
     }
 
     #[test]
@@ -363,11 +349,6 @@ mod tests {
         let before = g[(0, 0)];
         g.add_diagonal(0.5);
         assert_eq!(g[(0, 0)], before + 0.5);
-        assert!(g.is_symmetric(0.0));
-    }
-
-    #[test]
-    fn is_symmetric_rejects_rectangular() {
-        assert!(!sample().is_symmetric(1e-9));
+        assert_eq!(g, g.transpose());
     }
 }

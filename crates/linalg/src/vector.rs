@@ -1,7 +1,8 @@
-//! Slice-level vector arithmetic and `L_p` distances.
+//! Slice-level vector arithmetic and Euclidean distances.
 //!
-//! The paper's Definition 2 defines the `L_p` distance between input vectors;
-//! Definition 5 defines the query-space similarity
+//! The paper's Definition 2 defines the `L_p` distance between input vectors
+//! (the reproduction fixes `p = 2`, see PAPER.md); Definition 5 defines the
+//! query-space similarity
 //! `‖q − q'‖₂² = ‖x − x'‖₂² + (θ − θ')²`. These kernels sit on the hot path
 //! of both the exact selection operator and the model's winner search, so
 //! they are written over plain `&[f64]` with no allocation.
@@ -38,59 +39,16 @@ pub fn l2_dist(a: &[f64], b: &[f64]) -> f64 {
     sq_dist(a, b).sqrt()
 }
 
-/// Euclidean norm `‖a‖₂`.
-#[inline]
-pub fn l2_norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// Manhattan distance `‖a − b‖₁`.
-#[inline]
-pub fn l1_dist(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "l1_dist: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Chebyshev distance `‖a − b‖_∞ = max_i |a_i − b_i|`.
-#[inline]
-pub fn linf_dist(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "linf_dist: length mismatch");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-/// General Minkowski distance `‖a − b‖_p` for `p ≥ 1` (Definition 2).
-///
-/// `p = 1`, `p = 2` and `p = ∞` (pass [`f64::INFINITY`]) dispatch to the
-/// specialized kernels.
-#[inline]
-pub fn lp_dist(a: &[f64], b: &[f64], p: f64) -> f64 {
-    debug_assert!(p >= 1.0, "lp_dist requires p >= 1");
-    if p == 1.0 {
-        l1_dist(a, b)
-    } else if p == 2.0 {
-        l2_dist(a, b)
-    } else if p.is_infinite() {
-        linf_dist(a, b)
-    } else {
-        let sum: f64 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x - y).abs().powf(p))
-            .sum();
-        sum.powf(1.0 / p)
-    }
-}
-
 /// `true` when `‖a − b‖₂² ≤ limit`, bailing out as soon as the running
 /// partial sum exceeds `limit`.
 ///
 /// This is the innermost predicate of every radius selection: for
 /// non-matching rows (the vast majority of a scan) most coordinates never
 /// need to be touched. The accumulation is chunked so the early-exit
-/// check costs one branch per four lanes, not one per lane.
+/// check costs one branch per four lanes, not one per lane. A NaN
+/// difference (or bound) poisons the final `acc <= limit`: a row with a
+/// NaN coordinate is never within, which is what lets the indexes file
+/// such rows anywhere.
 #[inline]
 pub fn sq_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
     debug_assert_eq!(a.len(), b.len(), "sq_dist_within: length mismatch");
@@ -111,72 +69,6 @@ pub fn sq_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
         acc += d * d;
     }
     acc <= limit
-}
-
-/// `true` when `‖a − b‖₁ ≤ limit`, with the same chunked early exit as
-/// [`sq_dist_within`].
-#[inline]
-pub fn l1_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
-    debug_assert_eq!(a.len(), b.len(), "l1_dist_within: length mismatch");
-    let mut acc = 0.0;
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (ca, cb) in ac.by_ref().zip(bc.by_ref()) {
-        for (x, y) in ca.iter().zip(cb.iter()) {
-            acc += (x - y).abs();
-        }
-        if acc > limit {
-            return false;
-        }
-    }
-    for (x, y) in ac.remainder().iter().zip(bc.remainder().iter()) {
-        acc += (x - y).abs();
-    }
-    acc <= limit
-}
-
-/// `true` when `‖a − b‖_∞ ≤ limit` — exits on the first coordinate whose
-/// difference is not within the bound. A NaN difference (or bound) is
-/// never within, as in the summing kernels above, where it poisons the
-/// final `acc <= limit`: a row with a NaN coordinate matches under no
-/// norm, which is what lets the indexes file such rows anywhere.
-#[inline]
-pub fn linf_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
-    debug_assert_eq!(a.len(), b.len(), "linf_dist_within: length mismatch");
-    for (x, y) in a.iter().zip(b.iter()) {
-        let within = (x - y).abs() <= limit;
-        if !within {
-            return false;
-        }
-    }
-    true
-}
-
-/// `true` when `‖a − b‖_p ≤ limit` for `p ≥ 1`, comparing the partial sum
-/// `Σ |a_i − b_i|^p` against `limit^p` so no root is ever taken. `p = 1`,
-/// `p = 2` and `p = ∞` dispatch to the specialized bounded kernels.
-#[inline]
-pub fn lp_dist_within(a: &[f64], b: &[f64], p: f64, limit: f64) -> bool {
-    debug_assert!(p >= 1.0, "lp_dist_within requires p >= 1");
-    if p == 1.0 {
-        return l1_dist_within(a, b, limit);
-    }
-    if p == 2.0 {
-        return sq_dist_within(a, b, limit * limit);
-    }
-    if p.is_infinite() {
-        return linf_dist_within(a, b, limit);
-    }
-    debug_assert_eq!(a.len(), b.len(), "lp_dist_within: length mismatch");
-    let bound = limit.powf(p);
-    let mut acc = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc += (x - y).abs().powf(p);
-        if acc > bound {
-            return false;
-        }
-    }
-    acc <= bound
 }
 
 /// Squared Euclidean distances of `q` against four consecutive
@@ -429,40 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn l1_dist_is_sum_of_abs() {
-        assert_eq!(l1_dist(&[1.0, -2.0], &[-1.0, 2.0]), 6.0);
-    }
-
-    #[test]
-    fn linf_dist_is_max_component() {
-        assert_eq!(linf_dist(&[1.0, -2.0, 0.0], &[0.0, 3.0, 0.5]), 5.0);
-    }
-
-    #[test]
-    fn lp_dist_specializations_agree_with_general_formula() {
-        let a: [f64; 3] = [0.3, -1.2, 2.5];
-        let b: [f64; 3] = [1.1, 0.4, -0.6];
-        let general = |p: f64| -> f64 {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| (x - y).abs().powf(p))
-                .sum::<f64>()
-                .powf(1.0 / p)
-        };
-        assert!((lp_dist(&a, &b, 1.0) - general(1.0)).abs() < 1e-12);
-        assert!((lp_dist(&a, &b, 2.0) - general(2.0)).abs() < 1e-12);
-        assert!((lp_dist(&a, &b, 3.0) - general(3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lp_dist_infinite_p_is_chebyshev() {
-        let a = [0.0, 1.0];
-        let b = [2.0, -1.0];
-        assert_eq!(lp_dist(&a, &b, f64::INFINITY), 2.0);
-    }
-
-    #[test]
-    fn bounded_kernels_agree_with_full_distances() {
+    fn bounded_kernel_agrees_with_full_distance() {
         // Dimensions straddling the 4-lane chunk boundary.
         for d in [1usize, 2, 3, 4, 5, 7, 8, 9, 13] {
             let a: Vec<f64> = (0..d).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -473,57 +332,22 @@ mod tests {
                     sq_dist(&a, &b) <= limit * limit,
                     "sq d={d} limit={limit}"
                 );
-                assert_eq!(
-                    l1_dist_within(&a, &b, limit),
-                    l1_dist(&a, &b) <= limit,
-                    "l1 d={d} limit={limit}"
-                );
-                assert_eq!(
-                    linf_dist_within(&a, &b, limit),
-                    linf_dist(&a, &b) <= limit,
-                    "linf d={d} limit={limit}"
-                );
-                assert_eq!(
-                    lp_dist_within(&a, &b, 3.0, limit),
-                    lp_dist(&a, &b, 3.0) <= limit,
-                    "lp3 d={d} limit={limit}"
-                );
             }
         }
     }
 
     #[test]
-    fn bounded_kernels_are_inclusive_at_the_boundary() {
+    fn bounded_kernel_is_inclusive_at_the_boundary() {
         let a = [0.0, 0.0];
         let b = [3.0, 4.0];
         assert!(sq_dist_within(&a, &b, 25.0));
         assert!(!sq_dist_within(&a, &b, 25.0 - 1e-9));
-        assert!(l1_dist_within(&a, &b, 7.0));
-        assert!(!l1_dist_within(&a, &b, 7.0 - 1e-9));
-        assert!(linf_dist_within(&a, &b, 4.0));
-        assert!(!linf_dist_within(&a, &b, 4.0 - 1e-9));
     }
 
     #[test]
-    fn bounded_kernels_reject_everything_for_negative_limits() {
+    fn bounded_kernel_rejects_everything_for_negative_limits() {
         let a = [1.0];
         assert!(!sq_dist_within(&a, &a, -1.0));
-        assert!(!l1_dist_within(&a, &a, -1.0));
-        assert!(!linf_dist_within(&a, &a, -1.0));
-    }
-
-    #[test]
-    fn lp_within_dispatches_to_specialized_kernels() {
-        let a = [0.3, -1.2, 2.5, 0.1, -0.4];
-        let b = [1.1, 0.4, -0.6, 0.0, 0.2];
-        for limit in [0.5, 2.0, 5.0] {
-            assert_eq!(lp_dist_within(&a, &b, 1.0, limit), l1_dist(&a, &b) <= limit);
-            assert_eq!(lp_dist_within(&a, &b, 2.0, limit), l2_dist(&a, &b) <= limit);
-            assert_eq!(
-                lp_dist_within(&a, &b, f64::INFINITY, limit),
-                linf_dist(&a, &b) <= limit
-            );
-        }
     }
 
     /// Deterministic pseudo-random row block (n rows of width d).
@@ -534,22 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn a_nan_coordinate_or_bound_is_within_nothing_under_every_norm() {
+    fn a_nan_coordinate_or_bound_is_within_nothing() {
         let a = [0.0, 0.0, 0.0, 0.0, 0.0];
         for nan_at in 0..a.len() {
             let mut b = a;
             b[nan_at] = f64::NAN;
             for limit in [0.0, 1.0, f64::INFINITY] {
                 assert!(!sq_dist_within(&a, &b, limit));
-                assert!(!l1_dist_within(&a, &b, limit));
-                assert!(!linf_dist_within(&a, &b, limit));
-                assert!(!lp_dist_within(&a, &b, 3.0, limit));
             }
         }
         assert!(!sq_dist_within(&a, &a, f64::NAN));
-        assert!(!l1_dist_within(&a, &a, f64::NAN));
-        assert!(!linf_dist_within(&a, &a, f64::NAN));
-        assert!(!lp_dist_within(&a, &a, 3.0, f64::NAN));
     }
 
     #[test]

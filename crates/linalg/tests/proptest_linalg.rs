@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use regq_linalg::vector::{l1_dist, l2_dist, linf_dist, lp_dist};
+use regq_linalg::vector::l2_dist;
 use regq_linalg::{lstsq, Cholesky, LstsqOptions, Matrix, QrFactorization};
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -19,24 +19,6 @@ proptest! {
         prop_assert!((ab - ba).abs() < 1e-9);
         prop_assert!(l2_dist(&a, &a) < 1e-12);
         prop_assert!(l2_dist(&a, &c) <= ab + l2_dist(&b, &c) + 1e-9);
-    }
-
-    /// Lp distances are ordered: L_inf <= L2 <= L1.
-    #[test]
-    fn lp_norm_ordering(a in finite_vec(5), b in finite_vec(5)) {
-        let d1 = l1_dist(&a, &b);
-        let d2 = l2_dist(&a, &b);
-        let di = linf_dist(&a, &b);
-        prop_assert!(di <= d2 + 1e-9);
-        prop_assert!(d2 <= d1 + 1e-9);
-    }
-
-    /// General Minkowski distance is monotone non-increasing in p.
-    #[test]
-    fn lp_monotone_in_p(a in finite_vec(3), b in finite_vec(3)) {
-        let d15 = lp_dist(&a, &b, 1.5);
-        let d3 = lp_dist(&a, &b, 3.0);
-        prop_assert!(d3 <= d15 + 1e-6 * (1.0 + d15));
     }
 
     /// Cholesky of X'X + I always succeeds and reconstructs the input.

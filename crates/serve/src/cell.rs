@@ -41,9 +41,9 @@
 //! Reclamation runs inside every `publish` (and on explicit
 //! [`SnapshotCell::reclaim`]): after it, the cell retains only the current
 //! node plus nodes pinned by reader slots — **retained ≤ active readers +
-//! 1**, regardless of how many epochs were ever published. This replaces
-//! the previous retain-forever design whose footprint grew `O(epochs × dK)`
-//! under perpetual training. The only slack in the bound: a thread-cached
+//! 1**, regardless of how many epochs were ever published (retaining
+//! every epoch would grow `O(epochs × dK)` under perpetual training). The
+//! only slack in the bound: a thread-cached
 //! reader handle ([`SnapshotCell::tls_reader`]) keeps its registration (and
 //! whatever its slot pins) alive until the thread touches another cell's
 //! cache or exits.

@@ -8,16 +8,15 @@
 //! Exponentially-weighted cost estimate behind [`crate::ShardRouter`]'s
 //! deadline routing ([`crate::RoutePolicy::deadline_us`]).
 //!
-//! The router previously folded exact-path latency samples with a racy
-//! load-then-store ("the EMA is a heuristic, the race is acceptable").
-//! The in-tree invariant audit (`cargo run -p regq_analysis -- check`)
-//! flagged the pattern, and it is in fact a genuine lost-update bug with
-//! an observable effect: two concurrent exact calls — one slow, one fast
-//! — can interleave so the fast sample's store *overwrites* (not folds)
-//! the slow sample, rolling the estimate back and flipping
-//! `should_degrade` from degrade to exact on the next deadline check.
-//! The fix is a compare-exchange fold: every sample lands exactly once,
-//! in some serial order.
+//! Exact-path latency samples are folded with a compare-exchange loop,
+//! not a load-then-store. The racy form is a genuine lost-update bug with
+//! an observable effect (the in-tree invariant audit,
+//! `cargo run -p regq_analysis -- check`, flags the pattern): two
+//! concurrent exact calls — one slow, one fast — can interleave so the
+//! fast sample's store *overwrites* (not folds) the slow sample, rolling
+//! the estimate back and flipping `should_degrade` from degrade to exact
+//! on the next deadline check. Under the CAS fold every sample lands
+//! exactly once, in some serial order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

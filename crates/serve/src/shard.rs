@@ -247,8 +247,8 @@ type Routed<T> = (Served<T>, Option<f64>);
 
 /// Poison-tolerant lock for *queue* mutexes and read-only test access.
 ///
-/// Satellite audit (PR 8): this helper is deliberately **not** used for
-/// trainer locks anymore. A `VecDeque` of `(Query, f64)` pairs has no
+/// Deliberately **not** used for trainer locks. A `VecDeque` of
+/// `(Query, f64)` pairs has no
 /// cross-field invariant a mid-operation panic could break (an element is
 /// either in the queue or it isn't), so `into_inner` is sound here. A
 /// *trainer* guard, by contrast, may hold a half-applied SGD update —
@@ -352,13 +352,13 @@ impl ShardRouter {
         self.next_id
             .store(per.iter().map(|(s, _)| s.len()).sum(), Ordering::SeqCst);
         for (shard, (subset, ids)) in self.shards.iter().zip(per) {
-            let m = LlmModel::from_parts_public(
+            let m = LlmModel::from_parts(
                 model.config().clone(),
                 subset,
                 model.steps(),
                 model.is_frozen(),
             )
-            // INVARIANT: `from_parts_public` validates dimensions and
+            // INVARIANT: `from_parts` validates dimensions and
             // finiteness, and every part here is a subset of a model that
             // already passed that validation with the same config.
             .expect("subset of a valid model is valid");
@@ -433,9 +433,9 @@ impl ShardRouter {
         entries.sort_unstable_by_key(|e| e.0);
         let protos = entries.into_iter().map(|(_, p)| p).collect();
         Some(
-            LlmModel::from_parts_public(config, protos, steps, frozen)
+            LlmModel::from_parts(config, protos, steps, frozen)
                 // INVARIANT: every prototype being merged came out of a
-                // shard model that passed `from_parts_public` validation
+                // shard model that passed `from_parts` validation
                 // against a clone of this same config, so re-validation
                 // cannot fail.
                 .expect("merged shard parts are consistent"),

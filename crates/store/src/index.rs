@@ -1,14 +1,13 @@
 //! The access-path abstraction for radius (dNN) selections.
 
-use crate::norms::Norm;
 use regq_data::Dataset;
 use std::sync::Arc;
 
 /// A spatial access path answering radius selections over a fixed dataset.
 ///
 /// Implementations hold an `Arc<Dataset>` snapshot; the relation is
-/// immutable once indexed (append requires a rebuild, matching the paper's
-/// static-table evaluation; see [`crate::relation::Relation::rebuild`]).
+/// immutable once indexed (appending rows means building a new index,
+/// matching the paper's static-table evaluation).
 ///
 /// The required primitive is [`SpatialIndex::visit_ball`]: a push-based
 /// traversal that hands every qualifying row to a visitor *during* the
@@ -18,33 +17,27 @@ use std::sync::Arc;
 /// ([`SpatialIndex::query_ball`]) is a derived convenience.
 pub trait SpatialIndex: Send + Sync {
     /// Invoke `visit(id, x_i, u_i)` for every row `i` with
-    /// `‖x_i − center‖_p ≤ radius`, during a single index traversal.
+    /// `‖x_i − center‖₂ ≤ radius`, during a single index traversal.
     ///
     /// Rows arrive in ascending id order for
     /// [`LinearScan`](crate::LinearScan) and in the depth-first order of
     /// the permuted id array for [`KdTree`](crate::KdTree) (a contract:
     /// exact answers fold in that order, see the
     /// [`kd_tree`](crate::kd_tree) module docs).
-    fn visit_ball(
-        &self,
-        center: &[f64],
-        radius: f64,
-        norm: Norm,
-        visit: &mut dyn FnMut(usize, &[f64], f64),
-    );
+    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64));
 
-    /// Append to `out` the ids of all rows within `radius` of `center`
-    /// under `norm`. `out` is cleared first; ids arrive in the
+    /// Append to `out` the ids of all rows within `radius` of `center`.
+    /// `out` is cleared first; ids arrive in the
     /// [`SpatialIndex::visit_ball`] traversal order.
-    fn query_ball(&self, center: &[f64], radius: f64, norm: Norm, out: &mut Vec<usize>) {
+    fn query_ball(&self, center: &[f64], radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        self.visit_ball(center, radius, norm, &mut |id, _, _| out.push(id));
+        self.visit_ball(center, radius, &mut |id, _, _| out.push(id));
     }
 
     /// Number of rows within `radius` of `center` (no materialization).
-    fn count_ball(&self, center: &[f64], radius: f64, norm: Norm) -> usize {
+    fn count_ball(&self, center: &[f64], radius: f64) -> usize {
         let mut n = 0;
-        self.visit_ball(center, radius, norm, &mut |_, _, _| n += 1);
+        self.visit_ball(center, radius, &mut |_, _, _| n += 1);
         n
     }
 
@@ -57,7 +50,6 @@ pub trait SpatialIndex: Send + Sync {
         &self,
         center: &[f64],
         radius: f64,
-        norm: Norm,
         state: S,
         mut f: impl FnMut(&mut S, usize, &[f64], f64),
     ) -> S
@@ -65,9 +57,7 @@ pub trait SpatialIndex: Send + Sync {
         Self: Sized,
     {
         let mut state = state;
-        self.visit_ball(center, radius, norm, &mut |id, x, y| {
-            f(&mut state, id, x, y)
-        });
+        self.visit_ball(center, radius, &mut |id, x, y| f(&mut state, id, x, y));
         state
     }
 

@@ -16,9 +16,9 @@
 //! **Pruning.** A subtree is skipped only when the splitting plane
 //! *proves* it out of reach: `center[axis] − split > radius` for the left
 //! child, the mirrored test for the right. The per-axis difference
-//! lower-bounds every `L_p` distance (`p ≥ 1`), so the rule is sound for
-//! all supported norms; a NaN on either side proves nothing and both
-//! children are visited. Membership is always re-checked per row.
+//! lower-bounds the Euclidean distance, so the rule is sound; a NaN on
+//! either side proves nothing and both children are visited. Membership
+//! is always re-checked per row.
 //!
 //! **Leaf storage.** The index keeps its own copy of the rows *in
 //! visiting order*: the features as one global AoSoA block
@@ -29,8 +29,8 @@
 //! touches; the mask is shifted and trimmed to the leaf's own rows and
 //! walked in ascending bit order, and each hit reaches the visitor as
 //! `(id, row unpacked from the quad just tested, target)`. A traversal
-//! never dereferences the `Dataset`. Norms other than `L2` unpack each
-//! leaf row and ask [`Norm::within`].
+//! never dereferences the `Dataset`. Membership follows the
+//! [`crate::norms::within`] contract.
 //!
 //! **Memory.** `8·n·d` bytes of features (as the row-major copy before
 //! it), `8·n` of targets, `4·n` of ids, 16 bytes per node at roughly one
@@ -38,7 +38,6 @@
 //! half-size nodes, so the index is no larger than the one it replaced.
 
 use crate::index::{AccessPathKind, SpatialIndex};
-use crate::norms::Norm;
 use regq_data::Dataset;
 use regq_linalg::simd;
 use regq_linalg::tune::QUAD;
@@ -181,86 +180,50 @@ impl KdTree {
     }
 
     /// Membership mask of the leaf rows `[start, end)`: bit `r − start` is
-    /// set iff row `r` lies in the ball. `row` is a `d`-float scratch.
-    fn leaf_mask(
-        &self,
-        start: usize,
-        end: usize,
-        center: &[f64],
-        radius: f64,
-        norm: Norm,
-        row: &mut [f64],
-    ) -> u64 {
-        match norm {
-            Norm::L2 => {
-                // Every quad the leaf touches (at most five for sixteen
-                // rows), then drop the lanes before `start` and after
-                // `end`: a neighbouring leaf's rows or the `+inf` pad.
-                let stride = QUAD * center.len();
-                let block = &self.quads[start / QUAD * stride..end.div_ceil(QUAD) * stride];
-                let mask = simd::within_mask_aosoa(center, block, radius * radius);
-                (mask >> (start % QUAD)) & ((1u64 << (end - start)) - 1)
-            }
-            _ => (start..end).fold(0u64, |mask, r| {
-                simd::aosoa_row_into(&self.quads, r, row);
-                mask | u64::from(norm.within(center, row, radius)) << (r - start)
-            }),
-        }
+    /// set iff row `r` lies in the ball.
+    fn leaf_mask(&self, start: usize, end: usize, center: &[f64], radius: f64) -> u64 {
+        // Every quad the leaf touches (at most five for sixteen rows),
+        // then drop the lanes before `start` and after `end`: a
+        // neighbouring leaf's rows or the `+inf` pad.
+        let stride = QUAD * center.len();
+        let block = &self.quads[start / QUAD * stride..end.div_ceil(QUAD) * stride];
+        let mask = simd::within_mask_aosoa(center, block, radius * radius);
+        (mask >> (start % QUAD)) & ((1u64 << (end - start)) - 1)
     }
 
-    /// One traversal: `on_leaf(start, mask, row)` for every leaf the ball
-    /// can reach, in visiting order, with the leaf's membership mask and
-    /// the `d`-float scratch it was computed with.
-    fn visit_leaf_masks(
-        &self,
-        center: &[f64],
-        radius: f64,
-        norm: Norm,
-        mut on_leaf: impl FnMut(usize, u64, &mut [f64]),
-    ) {
+    /// One traversal: `on_leaf(start, mask)` for every leaf the ball can
+    /// reach, in visiting order, with the leaf's membership mask.
+    fn visit_leaf_masks(&self, center: &[f64], radius: f64, mut on_leaf: impl FnMut(usize, u64)) {
         assert_eq!(center.len(), self.data.dim(), "query dimension mismatch");
-        // A negative radius admits nothing (`Norm::within`); the `L2` leaf
+        // A negative radius admits nothing (`norms::within`); the leaf
         // kernel only ever sees `radius²`, so the sign is settled here,
         // once per traversal.
         if self.nodes.is_empty() || radius < 0.0 {
             return;
         }
-        let mut row = vec![0.0; center.len()];
         self.reach_leaves(0, 0, center, radius, &mut |start, end| {
-            let mask = self.leaf_mask(start, end, center, radius, norm, &mut row);
-            on_leaf(start, mask, &mut row);
+            on_leaf(start, self.leaf_mask(start, end, center, radius));
         });
-    }
-
-    /// Number of tree nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 }
 
 impl SpatialIndex for KdTree {
-    fn visit_ball(
-        &self,
-        center: &[f64],
-        radius: f64,
-        norm: Norm,
-        visit: &mut dyn FnMut(usize, &[f64], f64),
-    ) {
-        self.visit_leaf_masks(center, radius, norm, |start, mut mask, row| {
+    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64)) {
+        // The one allocation of a traversal: hits are unpacked into it.
+        let mut row = vec![0.0; center.len()];
+        self.visit_leaf_masks(center, radius, |start, mut mask| {
             while mask != 0 {
                 let r = start + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                simd::aosoa_row_into(&self.quads, r, row);
-                visit(self.ids[r] as usize, row, self.leaf_ys[r]);
+                simd::aosoa_row_into(&self.quads, r, &mut row);
+                visit(self.ids[r] as usize, &row, self.leaf_ys[r]);
             }
         });
     }
 
-    fn count_ball(&self, center: &[f64], radius: f64, norm: Norm) -> usize {
+    fn count_ball(&self, center: &[f64], radius: f64) -> usize {
         let mut n = 0;
-        self.visit_leaf_masks(center, radius, norm, |_, mask, _| {
-            n += mask.count_ones() as usize;
-        });
+        self.visit_leaf_masks(center, radius, |_, mask| n += mask.count_ones() as usize);
         n
     }
 
@@ -306,11 +269,9 @@ mod tests {
         for _ in 0..50 {
             let c: Vec<f64> = (0..3).map(|_| rng.random_range(-1.2..1.2)).collect();
             let r = rng.random_range(0.0..0.8);
-            for norm in [Norm::L1, Norm::L2, Norm::LInf] {
-                tree.query_ball(&c, r, norm, &mut got);
-                scan.query_ball(&c, r, norm, &mut want);
-                assert_eq!(sorted(got.clone()), want, "norm {norm:?} r {r}");
-            }
+            tree.query_ball(&c, r, &mut got);
+            scan.query_ball(&c, r, &mut want);
+            assert_eq!(sorted(got.clone()), want, "r {r}");
         }
     }
 
@@ -318,7 +279,7 @@ mod tests {
     fn empty_dataset_returns_nothing() {
         let tree = KdTree::build(Arc::new(Dataset::new(2)));
         let mut out = vec![1];
-        tree.query_ball(&[0.0, 0.0], 1.0, Norm::L2, &mut out);
+        tree.query_ball(&[0.0, 0.0], 1.0, &mut out);
         assert!(out.is_empty());
     }
 
@@ -328,9 +289,9 @@ mod tests {
         ds.push(&[0.5, 0.5], 1.0).unwrap();
         let tree = KdTree::build(Arc::new(ds));
         let mut out = Vec::new();
-        tree.query_ball(&[0.5, 0.5], 0.0, Norm::L2, &mut out);
+        tree.query_ball(&[0.5, 0.5], 0.0, &mut out);
         assert_eq!(out, vec![0]);
-        tree.query_ball(&[2.0, 2.0], 1.0, Norm::L2, &mut out);
+        tree.query_ball(&[2.0, 2.0], 1.0, &mut out);
         assert!(out.is_empty());
     }
 
@@ -342,7 +303,7 @@ mod tests {
         }
         let tree = KdTree::build(Arc::new(ds));
         let mut out = Vec::new();
-        tree.query_ball(&[3.0], 0.1, Norm::L2, &mut out);
+        tree.query_ball(&[3.0], 0.1, &mut out);
         assert_eq!(out.len(), 100);
     }
 
@@ -352,7 +313,7 @@ mod tests {
         let tree = KdTree::build(data.clone());
         let mut out = Vec::new();
         let target = data.x(17).to_vec();
-        tree.query_ball(&target, 0.0, Norm::L2, &mut out);
+        tree.query_ball(&target, 0.0, &mut out);
         assert!(out.contains(&17));
         for &id in &out {
             assert_eq!(data.x(id), &target[..]);
@@ -377,26 +338,16 @@ mod tests {
         let tree = KdTree::build(data.clone());
         let scan = LinearScan::new(data);
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)] {
-            for (c, r) in [([20.0, 0.5], 3.0), ([0.0, 0.0], 1e9), ([5.0, 0.5], 0.0)] {
-                tree.query_ball(&c, r, norm, &mut got);
-                scan.query_ball(&c, r, norm, &mut want);
-                assert!(!want.is_empty());
-                assert_eq!(sorted(got.clone()), want, "norm {norm:?} r {r}");
-            }
+        for (c, r) in [([20.0, 0.5], 3.0), ([0.0, 0.0], 1e9), ([5.0, 0.5], 0.0)] {
+            tree.query_ball(&c, r, &mut got);
+            scan.query_ball(&c, r, &mut want);
+            assert!(!want.is_empty());
+            assert_eq!(sorted(got.clone()), want, "r {r}");
         }
     }
 
     #[test]
     fn nodes_are_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Node>(), 16);
-    }
-
-    #[test]
-    fn tree_is_compact() {
-        let data = random_dataset(1000, 2, 5);
-        let tree = KdTree::build(data);
-        // Roughly 2 * n / LEAF_SIZE nodes for a balanced tree.
-        assert!(tree.node_count() < 300, "got {}", tree.node_count());
     }
 }

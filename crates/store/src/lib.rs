@@ -4,10 +4,11 @@
 //! the paper runs its exact baselines on (PostgreSQL with a B-tree on `x` in
 //! the original evaluation).
 //!
-//! The selection operator is the paper's Definition 3: given a query center
-//! `x ∈ R^d`, radius `θ` and an `L_p` norm, return every row `i` of the
-//! relation with `‖x_i − x‖_p ≤ θ` (a *distance near neighbor* / radius
-//! selection). Two access paths implement it:
+//! The selection operator is the paper's Definition 3 with `p = 2`, the
+//! geometry the model's overlap predicate is defined in: given a query
+//! center `x ∈ R^d` and radius `θ`, return every row `i` of the relation
+//! with `‖x_i − x‖₂ ≤ θ` (a *distance near neighbor* / radius selection).
+//! Two access paths implement it:
 //!
 //! * [`KdTree`] — static balanced k-d tree with splitting-plane pruning;
 //!   sub-linear for selective balls in low dimension. The production
@@ -31,5 +32,4 @@ pub mod relation;
 pub use index::{AccessPathKind, SpatialIndex};
 pub use kd_tree::KdTree;
 pub use linear_scan::LinearScan;
-pub use norms::Norm;
 pub use relation::Relation;

@@ -1,12 +1,12 @@
 //! Full-scan access path — the universal baseline.
 
 use crate::index::{AccessPathKind, SpatialIndex};
-use crate::norms::Norm;
+use crate::norms;
 use regq_data::Dataset;
 use std::sync::Arc;
 
 /// Sequential scan over the contiguous feature block. `O(n·d)` per query,
-/// zero build cost, works for any dimension and norm.
+/// zero build cost, works for any dimension.
 #[derive(Debug, Clone)]
 pub struct LinearScan {
     data: Arc<Dataset>,
@@ -20,20 +20,14 @@ impl LinearScan {
 }
 
 impl SpatialIndex for LinearScan {
-    fn visit_ball(
-        &self,
-        center: &[f64],
-        radius: f64,
-        norm: Norm,
-        visit: &mut dyn FnMut(usize, &[f64], f64),
-    ) {
+    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64)) {
         debug_assert_eq!(center.len(), self.data.dim());
         let d = self.data.dim();
         let ys = self.data.ys();
         let xs = self.data.xs_flat();
         // The dataset's feature block is already the contiguous
         // dimension-strided layout the batched membership kernel wants.
-        norm.within_batch(center, xs, d, radius, &mut |i| {
+        norms::within_batch(center, xs, d, radius, &mut |i| {
             visit(i, &xs[i * d..(i + 1) * d], ys[i]);
         });
     }
@@ -66,14 +60,11 @@ mod tests {
     fn ball_around_center_point() {
         let scan = LinearScan::new(grid_points());
         let mut out = Vec::new();
-        // Radius 1 around (2,2) under L2: center + 4 axis neighbours.
-        scan.query_ball(&[2.0, 2.0], 1.0, Norm::L2, &mut out);
+        // Radius 1 around (2,2): center + 4 axis neighbours.
+        scan.query_ball(&[2.0, 2.0], 1.0, &mut out);
         assert_eq!(out.len(), 5);
-        // Under L1 the same (diamond radius 1).
-        scan.query_ball(&[2.0, 2.0], 1.0, Norm::L1, &mut out);
-        assert_eq!(out.len(), 5);
-        // Under Linf: the full 3x3 block.
-        scan.query_ball(&[2.0, 2.0], 1.0, Norm::LInf, &mut out);
+        // Radius 1.5 reaches the diagonals too: the full 3x3 block.
+        scan.query_ball(&[2.0, 2.0], 1.5, &mut out);
         assert_eq!(out.len(), 9);
     }
 
@@ -81,7 +72,7 @@ mod tests {
     fn empty_ball_returns_nothing() {
         let scan = LinearScan::new(grid_points());
         let mut out = vec![99];
-        scan.query_ball(&[-10.0, -10.0], 0.5, Norm::L2, &mut out);
+        scan.query_ball(&[-10.0, -10.0], 0.5, &mut out);
         assert!(out.is_empty(), "out must be cleared then left empty");
     }
 
@@ -89,7 +80,7 @@ mod tests {
     fn whole_domain_ball_returns_everything() {
         let scan = LinearScan::new(grid_points());
         let mut out = Vec::new();
-        scan.query_ball(&[2.0, 2.0], 100.0, Norm::L2, &mut out);
+        scan.query_ball(&[2.0, 2.0], 100.0, &mut out);
         assert_eq!(out, (0..25).collect::<Vec<_>>());
     }
 
@@ -98,18 +89,18 @@ mod tests {
         let scan = LinearScan::new(grid_points());
         let mut out = Vec::new();
         for r in [0.0, 0.5, 1.0, 2.0, 3.5] {
-            scan.query_ball(&[1.5, 2.5], r, Norm::L2, &mut out);
-            assert_eq!(out.len(), scan.count_ball(&[1.5, 2.5], r, Norm::L2));
+            scan.query_ball(&[1.5, 2.5], r, &mut out);
+            assert_eq!(out.len(), scan.count_ball(&[1.5, 2.5], r));
         }
     }
 
     #[test]
     fn fold_ball_accumulates_during_the_scan() {
         let scan = LinearScan::new(grid_points());
-        // Sum of u over the 3x3 Linf block around (2,2).
-        let sum = scan.fold_ball(&[2.0, 2.0], 1.0, Norm::LInf, 0.0, |acc, _, _, y| *acc += y);
+        // Sum of u over the 3x3 block around (2,2).
+        let sum = scan.fold_ball(&[2.0, 2.0], 1.5, 0.0, |acc, _, _, y| *acc += y);
         let mut out = Vec::new();
-        scan.query_ball(&[2.0, 2.0], 1.0, Norm::LInf, &mut out);
+        scan.query_ball(&[2.0, 2.0], 1.5, &mut out);
         let want: f64 = out.iter().map(|&i| scan.dataset().y(i)).sum();
         assert_eq!(sum, want);
     }
@@ -118,7 +109,7 @@ mod tests {
     fn visit_order_is_ascending_ids() {
         let scan = LinearScan::new(grid_points());
         let mut prev = None;
-        scan.visit_ball(&[2.0, 2.0], 10.0, Norm::L2, &mut |id, _, _| {
+        scan.visit_ball(&[2.0, 2.0], 10.0, &mut |id, _, _| {
             if let Some(p) = prev {
                 assert!(id > p);
             }
@@ -131,7 +122,7 @@ mod tests {
     fn boundary_point_is_included() {
         let scan = LinearScan::new(grid_points());
         let mut out = Vec::new();
-        scan.query_ball(&[0.0, 0.0], 1.0, Norm::L2, &mut out);
+        scan.query_ball(&[0.0, 0.0], 1.0, &mut out);
         // (0,0), (0,1), (1,0) — (1,1) is at distance sqrt(2) > 1.
         assert_eq!(out.len(), 3);
     }

@@ -9,23 +9,20 @@
 use crate::index::{AccessPathKind, SpatialIndex};
 use crate::kd_tree::KdTree;
 use crate::linear_scan::LinearScan;
-use crate::norms::Norm;
 use parking_lot::Mutex;
 use regq_data::Dataset;
 use std::sync::Arc;
 
-/// A queryable relation: dataset snapshot + access path + default norm.
+/// A queryable relation: dataset snapshot + access path.
 pub struct Relation {
     index: Box<dyn SpatialIndex>,
-    norm: Norm,
     /// Scratch buffer reused across selections issued through `&mut self`
     /// helpers; guarded so `&self` methods stay thread-safe.
     scratch: Mutex<Vec<usize>>,
 }
 
 impl Relation {
-    /// Build a relation over `data` using the given access path and the
-    /// paper's default `L2` norm.
+    /// Build a relation over `data` using the given access path.
     pub fn new(data: Arc<Dataset>, path: AccessPathKind) -> Self {
         let index: Box<dyn SpatialIndex> = match path {
             AccessPathKind::Scan => Box::new(LinearScan::new(data)),
@@ -33,15 +30,8 @@ impl Relation {
         };
         Relation {
             index,
-            norm: Norm::L2,
             scratch: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Override the selection norm (default `L2`).
-    pub fn with_norm(mut self, norm: Norm) -> Self {
-        self.norm = norm;
-        self
     }
 
     /// The relation's dataset snapshot.
@@ -64,33 +54,18 @@ impl Relation {
         self.dataset().dim()
     }
 
-    /// The norm selections use.
-    pub fn norm(&self) -> Norm {
-        self.norm
-    }
-
-    /// Which access path this relation uses.
-    pub fn access_path(&self) -> AccessPathKind {
-        self.index.kind()
-    }
-
     /// Radius selection (paper Definition 3): ids of rows within `radius`
-    /// of `center`, into `out`.
-    pub fn select_into(&self, center: &[f64], radius: f64, out: &mut Vec<usize>) {
-        self.index.query_ball(center, radius, self.norm, out);
-    }
-
-    /// Radius selection returning a fresh id vector.
+    /// of `center`, as a fresh id vector.
     pub fn select(&self, center: &[f64], radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.select_into(center, radius, &mut out);
+        self.index.query_ball(center, radius, &mut out);
         out
     }
 
     /// Cardinality `n_θ(x)` of a selection without materializing ids when
     /// the access path can avoid it.
     pub fn count(&self, center: &[f64], radius: f64) -> usize {
-        self.index.count_ball(center, radius, self.norm)
+        self.index.count_ball(center, radius)
     }
 
     /// Fold `state` over the rows of `D(center, radius)` during a single
@@ -110,9 +85,7 @@ impl Relation {
         mut f: impl FnMut(&mut S, usize, &[f64], f64),
     ) -> S {
         self.index
-            .visit_ball(center, radius, self.norm, &mut |id, x, y| {
-                f(&mut state, id, x, y)
-            });
+            .visit_ball(center, radius, &mut |id, x, y| f(&mut state, id, x, y));
         state
     }
 
@@ -128,21 +101,13 @@ impl Relation {
         f: impl FnOnce(&Dataset, &[usize]) -> T,
     ) -> T {
         if let Some(mut buf) = self.scratch.try_lock() {
-            self.index.query_ball(center, radius, self.norm, &mut buf);
+            self.index.query_ball(center, radius, &mut buf);
             f(self.dataset(), &buf)
         } else {
             let mut local = Vec::new();
-            self.index.query_ball(center, radius, self.norm, &mut local);
+            self.index.query_ball(center, radius, &mut local);
             f(self.dataset(), &local)
         }
-    }
-
-    /// Rebuild with a new snapshot (the supported mutation path: relations
-    /// are immutable between rebuilds, like the paper's static tables).
-    pub fn rebuild(&mut self, data: Arc<Dataset>) {
-        let path = self.index.kind();
-        let norm = self.norm;
-        *self = Relation::new(data, path).with_norm(norm);
     }
 }
 
@@ -151,8 +116,7 @@ impl std::fmt::Debug for Relation {
         f.debug_struct("Relation")
             .field("rows", &self.len())
             .field("dim", &self.dim())
-            .field("access_path", &self.access_path())
-            .field("norm", &self.norm)
+            .field("access_path", &self.index.kind())
             .finish()
     }
 }
@@ -234,28 +198,6 @@ mod tests {
         let ids = rel.select(&[0.5, 0.5], 0.3);
         let expect: f64 = ids.iter().map(|&i| rel.dataset().y(i)).sum();
         assert_eq!(sum, expect);
-    }
-
-    #[test]
-    fn rebuild_swaps_snapshot_keeping_path() {
-        let mut rel = relation(AccessPathKind::KdTree);
-        assert_eq!(rel.len(), 300);
-        let mut ds = Dataset::new(2);
-        ds.push(&[0.0, 0.0], 1.0).unwrap();
-        rel.rebuild(Arc::new(ds));
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel.access_path(), AccessPathKind::KdTree);
-    }
-
-    #[test]
-    fn norm_override_changes_result() {
-        let rel = relation(AccessPathKind::Scan).with_norm(Norm::LInf);
-        // Linf balls are supersets of L2 balls of the same radius.
-        let linf = rel.select(&[0.5, 0.5], 0.2).len();
-        let l2 = relation(AccessPathKind::Scan)
-            .select(&[0.5, 0.5], 0.2)
-            .len();
-        assert!(linf >= l2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! order, tested four rows at a time by a SIMD mask kernel. This battery
 //! pins that none of it is observable: the tree must behave **bit for
 //! bit** like the textbook tree that keeps nothing but a permuted id
-//! array and asks [`Norm::within`] about `dataset.x(id)`, one row at a
+//! array and asks [`norms::within`] about `dataset.x(id)`, one row at a
 //! time.
 //!
 //! The reference below is that textbook tree, rebuilt from the documented
@@ -20,15 +20,17 @@ use proptest::prelude::*;
 use rand::RngExt;
 use regq_data::rng::seeded;
 use regq_data::Dataset;
-use regq_linalg::{GramAccumulator, OnlineStats};
-use regq_store::{KdTree, Norm, SpatialIndex};
+use regq_linalg::{vector, GramAccumulator, OnlineStats};
+use regq_store::{norms, KdTree, SpatialIndex};
 use std::sync::Arc;
 
 // 35 and 77 split into leaves that start at lanes 1, 2 and 3 of a quad
 // (17 and 33 only ever produce lane-0 starts); 1 000 has every offset.
 const SIZES: [usize; 12] = [0, 1, 3, 4, 5, 15, 16, 17, 33, 35, 77, 1_000];
 const DIMS: [usize; 8] = [1, 2, 3, 4, 8, 16, 17, 32];
-const NORMS: [Norm; 4] = [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0)];
+/// Probes per dataset: three aimed at stored rows then one random ball,
+/// four times over.
+const PROBES: usize = 16;
 const LEAF_SIZE: usize = 16;
 
 /// The textbook tree: ids only, rows fetched from the dataset.
@@ -64,13 +66,12 @@ fn walk_reference(
     data: &Dataset,
     center: &[f64],
     radius: f64,
-    norm: Norm,
     out: &mut Vec<usize>,
 ) {
     match node {
         RefNode::Leaf(ids) => out.extend(
             ids.iter()
-                .filter(|&&id| norm.within(center, data.x(id), radius)),
+                .filter(|&&id| norms::within(center, data.x(id), radius)),
         ),
         RefNode::Split {
             axis,
@@ -81,10 +82,10 @@ fn walk_reference(
             let delta = center[*axis] - split;
             let (left_far, right_far) = (delta > radius, -delta > radius);
             if !left_far {
-                walk_reference(left, data, center, radius, norm, out);
+                walk_reference(left, data, center, radius, out);
             }
             if !right_far {
-                walk_reference(right, data, center, radius, norm, out);
+                walk_reference(right, data, center, radius, out);
             }
         }
     }
@@ -149,55 +150,51 @@ proptest! {
                 let mut ids: Vec<usize> = (0..n).collect();
                 let reference = build_reference(&data, &mut ids, 0);
 
-                for norm in NORMS {
-                    for probe in 0..4 {
-                        // Balls centred on (or near) a stored row, with a
-                        // radius that puts another stored row exactly on
-                        // the boundary — or a random ball when there is no
-                        // row to aim at.
-                        let (center, radius) = if n == 0 || probe == 3 {
-                            let c: Vec<f64> =
-                                (0..d).map(|_| rng.random_range(-1.2..1.2)).collect();
-                            (c, rng.random_range(0.0..1.5) * (d as f64).sqrt())
-                        } else {
-                            let c = data.x(rng.random_range(0..n)).to_vec();
-                            let r = norm.dist(&c, data.x(rng.random_range(0..n)));
-                            (c, r)
-                        };
+                for probe in 0..PROBES {
+                    // Balls centred on (or near) a stored row, with a
+                    // radius that puts another stored row exactly on
+                    // the boundary — or a random ball when there is no
+                    // row to aim at.
+                    let (center, radius) = if n == 0 || probe % 4 == 3 {
+                        let c: Vec<f64> =
+                            (0..d).map(|_| rng.random_range(-1.2..1.2)).collect();
+                        (c, rng.random_range(0.0..1.5) * (d as f64).sqrt())
+                    } else {
+                        let c = data.x(rng.random_range(0..n)).to_vec();
+                        let r = vector::l2_dist(&c, data.x(rng.random_range(0..n)));
+                        (c, r)
+                    };
 
-                        let mut want = Vec::new();
-                        walk_reference(&reference, &data, &center, radius, norm, &mut want);
+                    let mut want = Vec::new();
+                    walk_reference(&reference, &data, &center, radius, &mut want);
 
-                        // (a) the same id sequence, unsorted.
-                        let mut got = Vec::new();
-                        tree.query_ball(&center, radius, norm, &mut got);
-                        prop_assert_eq!(&got, &want, "n {} d {} {:?} r {}", n, d, norm, radius);
-                        prop_assert_eq!(tree.count_ball(&center, radius, norm), want.len());
+                    // (a) the same id sequence, unsorted.
+                    let mut got = Vec::new();
+                    tree.query_ball(&center, radius, &mut got);
+                    prop_assert_eq!(&got, &want, "n {} d {} r {}", n, d, radius);
+                    prop_assert_eq!(tree.count_ball(&center, radius), want.len());
 
-                        // (b) folds over the traversal carry the same bits
-                        // as folds over the dataset in reference order.
-                        let folded =
-                            tree.fold_ball(&center, radius, norm, Folds::new(d), |s, _, x, u| {
-                                s.push(x, u)
-                            });
-                        let mut from_data = Folds::new(d);
-                        for &id in &want {
-                            from_data.push(data.x(id), data.y(id));
-                        }
-                        prop_assert_eq!(
-                            folded.to_bits(),
-                            from_data.to_bits(),
-                            "n {} d {} {:?}: fold state", n, d, norm
-                        );
-
-                        // (c) the visitor's row is the dataset's row, bitwise.
-                        let mut rows_match = true;
-                        tree.visit_ball(&center, radius, norm, &mut |id, x, u| {
-                            rows_match &= bits(x) == bits(data.x(id));
-                            rows_match &= u.to_bits() == data.y(id).to_bits();
-                        });
-                        prop_assert!(rows_match, "n {} d {} {:?}: visitor row", n, d, norm);
+                    // (b) folds over the traversal carry the same bits
+                    // as folds over the dataset in reference order.
+                    let folded =
+                        tree.fold_ball(&center, radius, Folds::new(d), |s, _, x, u| s.push(x, u));
+                    let mut from_data = Folds::new(d);
+                    for &id in &want {
+                        from_data.push(data.x(id), data.y(id));
                     }
+                    prop_assert_eq!(
+                        folded.to_bits(),
+                        from_data.to_bits(),
+                        "n {} d {}: fold state", n, d
+                    );
+
+                    // (c) the visitor's row is the dataset's row, bitwise.
+                    let mut rows_match = true;
+                    tree.visit_ball(&center, radius, &mut |id, x, u| {
+                        rows_match &= bits(x) == bits(data.x(id));
+                        rows_match &= u.to_bits() == data.y(id).to_bits();
+                    });
+                    prop_assert!(rows_match, "n {} d {}: visitor row", n, d);
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! Property tests: the kd-tree implements the same selection semantics as
-//! the linear scan, for random data, centers, norms and *every* radius —
+//! the linear scan, for random data, centers and *every* radius —
 //! negative, zero, `NaN` and infinite included.
 
 use proptest::prelude::*;
 use regq_data::Dataset;
-use regq_store::{KdTree, LinearScan, Norm, SpatialIndex};
+use regq_linalg::vector;
+use regq_store::{norms, KdTree, LinearScan, SpatialIndex};
 use std::sync::Arc;
 
 fn dataset_strategy(d: usize) -> impl Strategy<Value = Dataset> {
@@ -15,17 +16,6 @@ fn dataset_strategy(d: usize) -> impl Strategy<Value = Dataset> {
         }
         ds
     })
-}
-
-fn norm_strategy() -> impl Strategy<Value = Norm> {
-    prop_oneof![
-        Just(Norm::L1),
-        Just(Norm::L2),
-        Just(Norm::LInf),
-        (1.0..4.0f64).prop_map(Norm::Lp),
-        // An even `p` squares a negative radius' sign away like `L2` does.
-        Just(Norm::Lp(4.0)),
-    ]
 }
 
 /// Mostly ordinary radii below `max`, with the hostile ones mixed in:
@@ -65,39 +55,36 @@ proptest! {
     #[test]
     fn kd_tree_equals_scan_2d(ds in dataset_strategy(2),
                               cx in -1.5..1.5f64, cy in -1.5..1.5f64,
-                              r in radius_strategy(1.5),
-                              norm in norm_strategy()) {
+                              r in radius_strategy(1.5)) {
         let data = Arc::new(ds);
         let tree = KdTree::build(data.clone());
         let scan = LinearScan::new(data);
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        tree.query_ball(&[cx, cy], r, norm, &mut got);
-        scan.query_ball(&[cx, cy], r, norm, &mut want);
+        tree.query_ball(&[cx, cy], r, &mut got);
+        scan.query_ball(&[cx, cy], r, &mut want);
         prop_assert_eq!(sorted(got), want);
     }
 
     #[test]
     fn kd_tree_equals_scan_4d(ds in dataset_strategy(4),
                               c in prop::collection::vec(-1.5..1.5f64, 4),
-                              r in radius_strategy(2.0),
-                              norm in norm_strategy()) {
+                              r in radius_strategy(2.0)) {
         let data = Arc::new(ds);
         let tree = KdTree::build(data.clone());
         let scan = LinearScan::new(data);
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        tree.query_ball(&c, r, norm, &mut got);
-        scan.query_ball(&c, r, norm, &mut want);
+        tree.query_ball(&c, r, &mut got);
+        scan.query_ball(&c, r, &mut want);
         prop_assert_eq!(sorted(got), want);
     }
 
     /// The push-based fold traversal visits exactly the rows the
     /// materializing selection returns — same ids, same coordinates, same
-    /// outputs — for both access paths, every norm and every radius.
+    /// outputs — for both access paths and every radius.
     #[test]
     fn fold_ball_equals_query_ball_on_every_path(ds in dataset_strategy(3),
                                                  c in prop::collection::vec(-1.5..1.5f64, 3),
-                                                 r in radius_strategy(1.5),
-                                                 norm in norm_strategy()) {
+                                                 r in radius_strategy(1.5)) {
         let data = Arc::new(ds);
         let scan = LinearScan::new(data.clone());
         let tree = KdTree::build(data.clone());
@@ -105,48 +92,47 @@ proptest! {
         for index in paths {
             let mut visited = Vec::new();
             let mut rows_match = true;
-            index.visit_ball(&c, r, norm, &mut |id, x, y| {
+            index.visit_ball(&c, r, &mut |id, x, y| {
                 rows_match &= x == data.x(id) && y == data.y(id);
                 visited.push(id);
             });
             prop_assert!(rows_match, "visitor row mismatch on {}", index.kind());
             let mut ids = Vec::new();
-            index.query_ball(&c, r, norm, &mut ids);
+            index.query_ball(&c, r, &mut ids);
             prop_assert_eq!(&visited, &ids, "visit vs query on {}", index.kind());
-            prop_assert_eq!(index.count_ball(&c, r, norm), ids.len());
+            prop_assert_eq!(index.count_ball(&c, r), ids.len());
         }
     }
 
-    /// `Norm::within` boundary contract: the power-space membership test
-    /// agrees with the root-space predicate `dist(a, b) ≤ r` everywhere
-    /// except (at most) a one-ulp band around the boundary, where the
-    /// documented squared/power-space form is canonical. See the contract
-    /// note on `Norm::within`.
+    /// `norms::within` boundary contract: the squared-space membership
+    /// test agrees with the root-space predicate `dist(a, b) ≤ r`
+    /// everywhere except (at most) a one-ulp band around the boundary,
+    /// where the documented squared form is canonical. See the contract
+    /// note on `norms::within`.
     #[test]
     fn within_agrees_with_dist_up_to_boundary_ulp(
         a in prop::collection::vec(-3.0..3.0f64, 4),
         b in prop::collection::vec(-3.0..3.0f64, 4),
         r in 0.0..8.0f64,
-        norm in norm_strategy(),
     ) {
-        let dist = norm.dist(&a, &b);
-        let within = norm.within(&a, &b, r);
+        let dist = vector::l2_dist(&a, &b);
+        let within = norms::within(&a, &b, r);
         if within != (dist <= r) {
             // Disagreement is only legal in the rounding band around the
             // boundary itself.
             let scale = dist.abs().max(r.abs()).max(1.0);
             prop_assert!(
                 (dist - r).abs() <= 8.0 * f64::EPSILON * scale,
-                "{norm:?}: within = {within} but dist = {dist} vs r = {r}"
+                "within = {within} but dist = {dist} vs r = {r}"
             );
         }
     }
 
     /// Hostile rows: `Dataset::push` accepts any `f64`, so a table may
     /// carry NaN and ±∞ coordinates. Both indexes build over them without
-    /// panicking and still return the same row set under all four norms —
-    /// a NaN coordinate matches nothing, an infinite one only an infinite
-    /// ball — for every radius, hostile ones included.
+    /// panicking and still return the same row set — a NaN coordinate
+    /// matches nothing, an infinite one only an infinite ball — for every
+    /// radius, hostile ones included.
     #[test]
     fn access_paths_agree_on_non_finite_rows(
         rows in prop::collection::vec(prop::collection::vec(hostile_coordinate(), 3), 0..120),
@@ -160,13 +146,11 @@ proptest! {
         let data = Arc::new(ds);
         let scan = LinearScan::new(data.clone());
         let tree = KdTree::build(data);
-        for norm in [Norm::L1, Norm::L2, Norm::LInf, Norm::Lp(3.0), Norm::Lp(4.0)] {
-            let (mut s, mut t) = (Vec::new(), Vec::new());
-            scan.query_ball(&c, r, norm, &mut s);
-            tree.query_ball(&c, r, norm, &mut t);
-            prop_assert_eq!(&s, &sorted(t), "kd-tree vs scan, {:?} r {}", norm, r);
-            prop_assert_eq!(tree.count_ball(&c, r, norm), s.len());
-        }
+        let (mut s, mut t) = (Vec::new(), Vec::new());
+        scan.query_ball(&c, r, &mut s);
+        tree.query_ball(&c, r, &mut t);
+        prop_assert_eq!(&s, &sorted(t), "kd-tree vs scan, r {}", r);
+        prop_assert_eq!(tree.count_ball(&c, r), s.len());
     }
 
     /// Selections are monotone in the radius: a bigger ball returns a
@@ -178,8 +162,8 @@ proptest! {
         let data = Arc::new(ds);
         let tree = KdTree::build(data);
         let (mut small, mut big) = (Vec::new(), Vec::new());
-        tree.query_ball(&c, r1, Norm::L2, &mut small);
-        tree.query_ball(&c, r1 + extra, Norm::L2, &mut big);
+        tree.query_ball(&c, r1, &mut small);
+        tree.query_ball(&c, r1 + extra, &mut big);
         let big_set: std::collections::HashSet<usize> = big.into_iter().collect();
         for id in small {
             prop_assert!(big_set.contains(&id));

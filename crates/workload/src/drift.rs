@@ -103,10 +103,6 @@ pub struct DriftWindow {
     pub empty: usize,
     /// Feedback examples this window's own queries lost.
     pub feedback_dropped: usize,
-    /// Sum of confidence scores (over the queries that reported one).
-    score_sum: f64,
-    /// Count behind [`DriftWindow::mean_score`].
-    scored: usize,
 }
 
 impl DriftWindow {
@@ -118,15 +114,6 @@ impl DriftWindow {
             0.0
         } else {
             (self.model_served + self.degraded_served) as f64 / answered as f64
-        }
-    }
-
-    /// Mean confidence score over the queries that reported one.
-    pub fn mean_score(&self) -> f64 {
-        if self.scored == 0 {
-            0.0
-        } else {
-            self.score_sum / self.scored as f64
         }
     }
 }
@@ -199,10 +186,6 @@ pub fn drift_recovery_loop(
                     Route::Model => w.model_served += 1,
                     Route::Degraded => w.degraded_served += 1,
                     Route::Exact => w.exact_served += 1,
-                }
-                if let Some(score) = served.score {
-                    w.score_sum += score;
-                    w.scored += 1;
                 }
                 if served.feedback_dropped {
                     w.feedback_dropped += 1;

@@ -50,14 +50,6 @@ fn main() {
         model.k()
     );
 
-    // Compact the codebook before serving: prototypes spawned near the end
-    // of training carry zero-initialized coefficients and would surface as
-    // all-zero rows in LINREG lists (extension E-3).
-    let pruned = regq::core::adapt::prune_rare_prototypes(&mut model, 2);
-    if pruned > 0 {
-        println!("-- pruned {pruned} under-trained prototypes before serving");
-    }
-
     let mut session = Session::new();
     session.register_table("readings", engine);
     session.register_model("readings", model).expect("register");

@@ -86,7 +86,7 @@ pub mod prelude {
         FaultKind, FaultPlan, Feedback, Route, RoutePolicy, RouterStats, ServeError, Served,
         ShardRouter, ShardSnapshot, SnapshotCell, StallGate,
     };
-    pub use regq_store::{AccessPathKind, Norm, Relation};
+    pub use regq_store::{AccessPathKind, Relation};
     pub use regq_workload::{
         eval::{
             evaluate_data_values, evaluate_q1, evaluate_q2, time_q1_exact, time_q1_llm,

@@ -1,16 +1,15 @@
 //! Integration tests for the paper's future-work extensions implemented in
-//! this reproduction: moments (E-1), drift adaptation (E-2), compaction
-//! (E-3), confidence scoring (E-4 / desideratum D2).
+//! this reproduction: moments (E-1) and confidence scoring (E-4 /
+//! desideratum D2).
 
-use regq::core::adapt::{enable_drift_tracking, prune_rare_prototypes};
 use regq::core::moments::{MomentPair, MomentsModel};
 use regq::prelude::*;
 use std::sync::Arc;
 
-fn build_engine(seed: u64, shift: f64, n: usize) -> (ExactEngine, GasSensorSurrogate) {
+fn build_engine(seed: u64, n: usize) -> (ExactEngine, GasSensorSurrogate) {
     let field = GasSensorSurrogate::new(2, 33);
     let mut rng = seeded(seed);
-    let base = Dataset::from_function(
+    let data = Dataset::from_function(
         &field,
         n,
         SampleOptions {
@@ -19,15 +18,6 @@ fn build_engine(seed: u64, shift: f64, n: usize) -> (ExactEngine, GasSensorSurro
         },
         &mut rng,
     );
-    let data = if shift == 0.0 {
-        base
-    } else {
-        let mut shifted = Dataset::new(2);
-        for (x, u) in base.iter() {
-            shifted.push(x, u + shift).unwrap();
-        }
-        shifted
-    };
     (
         ExactEngine::new(Arc::new(data), AccessPathKind::KdTree),
         field,
@@ -36,7 +26,7 @@ fn build_engine(seed: u64, shift: f64, n: usize) -> (ExactEngine, GasSensorSurro
 
 #[test]
 fn moments_model_tracks_conditional_mean_and_variance() {
-    let (engine, field) = build_engine(1, 0.0, 30_000);
+    let (engine, field) = build_engine(1, 30_000);
     let gen = QueryGenerator::for_function(&field, 0.15);
     let mut cfg = ModelConfig::with_vigilance(2, 0.15);
     cfg.gamma = 1e-3;
@@ -103,63 +93,8 @@ fn moments_model_tracks_conditional_mean_and_variance() {
 }
 
 #[test]
-fn drift_tracking_beats_frozen_model_after_shift() {
-    let (engine, field) = build_engine(4, 0.0, 25_000);
-    let gen = QueryGenerator::for_function(&field, 0.12);
-    let mut cfg = ModelConfig::with_vigilance(2, 0.2);
-    cfg.gamma = 2e-3;
-    let mut model = LlmModel::new(cfg).unwrap();
-    let mut rng = seeded(5);
-    train_from_engine(&mut model, &engine, &gen, 60_000, &mut rng).unwrap();
-
-    // The world shifts by +0.4.
-    let (shifted_engine, _) = build_engine(6, 0.4, 25_000);
-    let frozen = model.clone();
-    enable_drift_tracking(&mut model, 0.2);
-    for _ in 0..8_000 {
-        let q = gen.generate(&mut rng);
-        if let Some(y) = shifted_engine.q1(&q.center, q.radius) {
-            model.train_step(&q, y).unwrap();
-        }
-    }
-    let frozen_eval = evaluate_q1(&frozen, &shifted_engine, &gen, 1_000, &mut rng);
-    let adapted_eval = evaluate_q1(&model, &shifted_engine, &gen, 1_000, &mut rng);
-    // The frozen model carries the full +0.4 bias; the adapted one must
-    // recover most of it.
-    assert!(frozen_eval.rmse > 0.3, "frozen rmse {}", frozen_eval.rmse);
-    assert!(
-        adapted_eval.rmse < frozen_eval.rmse / 2.0,
-        "adapted {} vs frozen {}",
-        adapted_eval.rmse,
-        frozen_eval.rmse
-    );
-}
-
-#[test]
-fn pruning_keeps_serving_quality() {
-    let (engine, field) = build_engine(7, 0.0, 25_000);
-    let gen = QueryGenerator::for_function(&field, 0.12);
-    let mut cfg = ModelConfig::with_vigilance(2, 0.1);
-    cfg.gamma = 1e-3;
-    let mut model = LlmModel::new(cfg).unwrap();
-    let mut rng = seeded(8);
-    train_from_engine(&mut model, &engine, &gen, 60_000, &mut rng).unwrap();
-
-    let before = evaluate_q1(&model, &engine, &gen, 1_500, &mut rng);
-    let pruned = prune_rare_prototypes(&mut model, 3);
-    let after = evaluate_q1(&model, &engine, &gen, 1_500, &mut rng);
-    // Dropping under-trained prototypes must not blow up accuracy.
-    assert!(
-        after.rmse < before.rmse * 1.5 + 0.02,
-        "pruning {pruned} prototypes hurt: {} -> {}",
-        before.rmse,
-        after.rmse
-    );
-}
-
-#[test]
 fn confidence_routes_extrapolations_to_the_engine() {
-    let (engine, field) = build_engine(9, 0.0, 25_000);
+    let (engine, field) = build_engine(9, 25_000);
     let gen = QueryGenerator::for_function(&field, 0.12);
     let mut cfg = ModelConfig::with_vigilance(2, 0.15);
     cfg.gamma = 1e-3;
