@@ -33,13 +33,13 @@ fn main() {
         };
         total += 1;
         // Algorithm 2 (weighted overlap neighborhood).
-        let alg2 = t.model.predict_q1(&q).expect("trained");
+        let (alg2, confidence) = t.model.predict_q1_with_confidence(&q).expect("trained");
         weighted.push(actual, alg2);
         // Closest-prototype-only variant.
         let (j, _) = t.model.winner(&q).expect("non-empty");
         let near = t.model.arena().eval(j, &q.center, q.radius);
         closest.push(actual, near);
-        if t.model.overlap_set(&q).is_empty() {
+        if !confidence.fused {
             fallback_count += 1;
         }
     }

@@ -17,16 +17,15 @@
 //! updates   [n_0, …, n_{K−1}]           K
 //! ```
 //!
-//! so the winner search and the overlap scan stream linearly through
-//! memory as single fused passes over the 4-row batched distance kernel
-//! ([`regq_linalg::vector::sq_dists4`]; the store-side scans route
-//! through its sibling `sq_dist_within_batch`). These two **scalar
-//! passes** ([`PrototypeArena::winner`],
-//! [`PrototypeArena::overlap_set_into`]) are the oracle of the crate:
-//! bit-identical to the per-prototype reference path (the kernels perform
-//! the same additions in the same order — the `arena_equivalence`
-//! proptests pin it), shared by the trainer, `LlmModel` and the
-//! snapshot's unpruned predictors. The served path resolves through the
+//! so a scan over the `K` prototypes streams linearly through memory.
+//! Two **scalar passes** over these blocks are the oracle of the crate:
+//! [`PrototypeArena::winner`] — which the trainer runs on every pair, so
+//! it goes four rows per iteration through
+//! [`regq_linalg::vector::sq_dists4`] and is pinned to its one-row-at-a-time
+//! definition by `winner_is_its_definition` below — and
+//! [`PrototypeArena::overlap_set_into`], the paper's Eq. 9 evaluated row
+//! by row. `LlmModel` and the snapshot's unpruned predictors fuse over
+//! them (`predict::fuse_oracle`). The served path resolves through the
 //! [`BlockLayout`] below instead — the one production resolver, pinned
 //! bit-identical to the scalar passes by the `serving_equivalence`
 //! battery.
@@ -36,6 +35,7 @@
 //! serving path it is reduced to the borrowed views [`PrototypeRef`] /
 //! [`PrototypeRefMut`] over the arena blocks.
 
+use crate::overlap::overlap_degree_parts;
 use crate::prototype::Prototype;
 use crate::query::Query;
 use regq_linalg::simd;
@@ -324,9 +324,13 @@ impl PrototypeArena {
         self.iter().map(|p| p.to_prototype()).collect()
     }
 
-    /// Append a prototype spawned from a query: zero-initialized
-    /// coefficients, `updates = 1` (Algorithm 1 init / design decision
-    /// D-4 — see [`Prototype::from_query`]).
+    /// Append a prototype spawned from a query with zero-initialized
+    /// coefficients (Algorithm 1 initialization / design decision D-4).
+    ///
+    /// `updates` starts at 1: creation *is* the first observation, so the
+    /// next hyperbolic-schedule update uses `η = 1/2` and the prototype
+    /// becomes the running average of the queries it wins (rather than
+    /// fully forgetting its spawn position at `η = 1`).
     pub fn push_query(&mut self, center: &[f64], radius: f64) {
         assert_eq!(center.len(), self.dim, "push_query: dimension mismatch");
         self.centers.extend_from_slice(center);
@@ -354,8 +358,8 @@ impl PrototypeArena {
         self.len += 1;
     }
 
-    /// Evaluate the LLM of prototype `k` at `(x, θ)` (Eq. 5/12) —
-    /// bit-identical to [`Prototype::eval`].
+    /// Evaluate the LLM `f_k(x, θ)` of prototype `k` (Eq. 5/12):
+    /// `y_k + b_{X,k}(x − x_k)ᵀ + b_{Θ,k}(θ − θ_k)`.
     #[inline]
     pub fn eval(&self, k: usize, x: &[f64], theta: f64) -> f64 {
         debug_assert_eq!(x.len(), self.dim);
@@ -366,15 +370,16 @@ impl PrototypeArena {
         v
     }
 
-    /// Evaluate the LLM of prototype `k` at its own radius (Theorem 3 /
-    /// Eq. 13) — bit-identical to [`Prototype::eval_at_own_radius`].
+    /// Evaluate the LLM of prototype `k` at its own radius, `f_k(x, θ_k)`
+    /// — the data-function approximation of Theorem 3 / Eq. (13).
     #[inline]
     pub fn eval_at_own_radius(&self, k: usize, x: &[f64]) -> f64 {
         self.eval(k, x, self.radii[k])
     }
 
-    /// The Theorem-3 local line of prototype `k`: `(intercept, slope)` —
-    /// bit-identical to [`Prototype::local_line`].
+    /// The local linear model of the *data* function over `D_k`
+    /// (Theorem 3): `(intercept, slope)` with
+    /// `intercept = y_k − b_{X,k}·x_kᵀ` and `slope = b_{X,k}`.
     pub fn local_line(&self, k: usize) -> (f64, &[f64]) {
         let mut intercept = self.ys[k];
         for (bi, ci) in self.b_x(k).iter().zip(self.center(k).iter()) {
@@ -388,9 +393,11 @@ impl PrototypeArena {
     /// `(center, radius)`; `None` on an empty arena.
     ///
     /// Single pass over the packed center block, four prototypes per
-    /// iteration ([`vector::sq_dists4`]); ties keep the lowest index, as
-    /// the per-prototype scan did. With non-finite parameters (impossible
-    /// through validated training) the winner choice is unspecified.
+    /// iteration ([`vector::sq_dists4`]) — the trainer runs this on every
+    /// pair. By definition it is the per-row scan of
+    /// [`Query::sq_dist_parts`] under strict `<`: ties keep the lowest
+    /// index. With non-finite parameters (impossible through validated
+    /// training) the winner choice is unspecified.
     pub fn winner(&self, center: &[f64], radius: f64) -> Option<(usize, f64)> {
         if self.len == 0 {
             return None;
@@ -426,57 +433,15 @@ impl PrototypeArena {
 
     /// The overlap neighborhood `W(q)` (Eq. 10): `(k, δ(q, w_k))` for every
     /// prototype with `δ > 0`, appended to `out` (cleared first) in
-    /// ascending `k`.
-    ///
-    /// A single fused pass over the packed center and radius blocks: four
-    /// squared distances per iteration ([`vector::sq_dists4`]), membership
-    /// decided in squared space (the `overlap` module's boundary
-    /// contract), and a root taken only for prototypes that actually
-    /// overlap. Degrees are bit-identical to
-    /// [`crate::overlap::overlap_degree_parts`] per prototype.
+    /// ascending `k` — one [`overlap_degree_parts`] (Eq. 9) per row, as
+    /// the paper prints it.
     pub fn overlap_set_into(&self, center: &[f64], radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        if self.len == 0 {
-            return;
-        }
-        debug_assert_eq!(center.len(), self.dim);
-        let d = self.dim;
-        let mut k = 0usize;
-        let push_if_member = |k: usize, csq: f64, out: &mut Vec<(usize, f64)>| {
-            let rk = self.radii[k];
-            let radius_sum = radius + rk;
-            if csq <= radius_sum * radius_sum {
-                let spread = csq.sqrt().max((radius - rk).abs());
-                let degree = 1.0 - spread / radius_sum;
-                if degree > 0.0 {
-                    out.push((k, degree));
-                }
+        for k in 0..self.len {
+            let degree = overlap_degree_parts(center, radius, self.center(k), self.radii[k]);
+            if degree > 0.0 {
+                out.push((k, degree));
             }
-        };
-        let mut quads = self.centers.chunks_exact(4 * d);
-        for quad in quads.by_ref() {
-            let sq = vector::sq_dists4(center, quad, d);
-            // Branchless membership for the whole quad: the per-row slow
-            // path (root + degree + push) runs only when at least one of
-            // the four prototypes overlaps — for selective workloads the
-            // common case is one predictable untaken branch per quad.
-            let r = &self.radii[k..k + 4];
-            let s0 = radius + r[0];
-            let s1 = radius + r[1];
-            let s2 = radius + r[2];
-            let s3 = radius + r[3];
-            let any_hit =
-                (sq[0] <= s0 * s0) | (sq[1] <= s1 * s1) | (sq[2] <= s2 * s2) | (sq[3] <= s3 * s3);
-            if any_hit {
-                for (j, &csq) in sq.iter().enumerate() {
-                    push_if_member(k + j, csq, out);
-                }
-            }
-            k += 4;
-        }
-        for row in quads.remainder().chunks_exact(d) {
-            push_if_member(k, vector::sq_dist(center, row), out);
-            k += 1;
         }
     }
 
@@ -898,7 +863,6 @@ impl BlockLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlap::overlap_degree_parts;
     use crate::query::Query;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -943,65 +907,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eval_and_local_line_match_owned_prototype() {
-        let protos = random_protos(9, 4, 3);
-        let arena = PrototypeArena::from_prototypes(4, &protos);
-        let x = [0.3, -0.2, 0.9, 0.1];
-        for (k, p) in protos.iter().enumerate() {
-            assert_eq!(arena.eval(k, &x, 0.17), p.eval(&x, 0.17));
-            assert_eq!(arena.eval_at_own_radius(k, &x), p.eval_at_own_radius(&x));
-            let (ia, sa) = arena.local_line(k);
-            let (ip, sp) = p.local_line();
-            assert_eq!(ia, ip);
-            assert_eq!(sa, sp);
-        }
+    /// `x_k = (1, 2)`, `θ_k = 0.5`, `y_k = 10`, `b_X = (2, −1)`, `b_Θ = 4`.
+    fn one_proto_arena() -> PrototypeArena {
+        let p = Prototype {
+            center: vec![1.0, 2.0],
+            radius: 0.5,
+            y: 10.0,
+            b_x: vec![2.0, -1.0],
+            b_theta: 4.0,
+            updates: 7,
+        };
+        PrototypeArena::from_prototypes(2, &[p])
     }
 
     #[test]
-    fn winner_matches_per_prototype_scan() {
-        // Counts straddling the 4-row quad boundary.
-        for k in [1usize, 2, 3, 4, 5, 7, 8, 9, 31] {
-            let protos = random_protos(k, 3, 100 + k as u64);
-            let arena = PrototypeArena::from_prototypes(3, &protos);
-            let q = Query::new_unchecked(vec![0.1, -0.3, 0.4], 0.2);
-            let mut best: Option<(usize, f64)> = None;
-            for (i, p) in protos.iter().enumerate() {
-                let d = p.sq_dist_to(&q);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
+    fn eval_matches_equation_5() {
+        let arena = one_proto_arena();
+        // f(x, θ) = 10 + 2(x1-1) - 1(x2-2) + 4(θ-0.5)
+        let v = arena.eval(0, &[2.0, 1.0], 1.0);
+        assert!((v - (10.0 + 2.0 + 1.0 + 2.0)).abs() < 1e-12);
+        // At the prototype itself: f = y_k.
+        assert_eq!(arena.eval(0, &[1.0, 2.0], 0.5), 10.0);
+    }
+
+    #[test]
+    fn eval_at_own_radius_drops_theta_term() {
+        let arena = one_proto_arena();
+        assert_eq!(arena.eval_at_own_radius(0, &[1.0, 2.0]), 10.0);
+        assert_eq!(
+            arena.eval_at_own_radius(0, &[2.0, 2.0]),
+            arena.eval(0, &[2.0, 2.0], 0.5)
+        );
+    }
+
+    #[test]
+    fn local_line_matches_theorem_3() {
+        let arena = one_proto_arena();
+        let (intercept, slope) = arena.local_line(0);
+        // intercept = 10 - (2*1 + (-1)*2) = 10.
+        assert_eq!(intercept, 10.0);
+        assert_eq!(slope, &[2.0, -1.0]);
+        // The line and the LLM-at-own-radius agree everywhere.
+        let x = [0.7, -1.3];
+        let line_val = intercept + slope[0] * x[0] + slope[1] * x[1];
+        assert!((line_val - arena.eval_at_own_radius(0, &x)).abs() < 1e-12);
+    }
+
+    /// The winner by definition: one [`Query::sq_dist_parts`] per row,
+    /// strict `<`, first wins.
+    fn winner_by_definition(arena: &PrototypeArena, q: &Query) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for k in 0..arena.len() {
+            let joint = q.sq_dist_parts(arena.center(k), arena.radius(k));
+            if best.is_none_or(|(_, b)| joint < b) {
+                best = Some((k, joint));
+            }
+        }
+        best
+    }
+
+    /// The one optimised pass the oracle keeps (the trainer runs it on
+    /// every pair), against its definition — index and distance bits —
+    /// on random and trained arenas: every `K mod 4` (the remainder rows
+    /// behind the last whole quad), `d` on both sides of `sq_dists4`'s
+    /// const-generic cut, and exact ties at every position of a quad and
+    /// in the remainder, where the lowest index must win.
+    #[test]
+    fn winner_is_its_definition() {
+        fn check(arena: &PrototypeArena, rng: &mut StdRng, what: &str) {
+            let d = arena.dim();
+            for probe in 0..40 {
+                let c: Vec<f64> = if probe % 4 == 0 {
+                    // On a prototype: a zero distance, and a tie when the
+                    // arena holds the row twice.
+                    arena.center(rng.random_range(0..arena.len())).to_vec()
+                } else {
+                    (0..d).map(|_| rng.random_range(-1.5..1.5)).collect()
+                };
+                let q = Query::new_unchecked(c, rng.random_range(0.01..1.0));
+                let (gk, gsq) = arena.winner(&q.center, q.radius).unwrap();
+                let (wk, wsq) = winner_by_definition(arena, &q).unwrap();
+                assert_eq!(
+                    (gk, gsq.to_bits()),
+                    (wk, wsq.to_bits()),
+                    "{what} probe {probe}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(23);
+        for d in 1..=9usize {
+            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 61, 62, 63, 64] {
+                let protos = random_protos(k, d, (100 * d + k) as u64);
+                let arena = PrototypeArena::from_prototypes(d, &protos);
+                check(&arena, &mut rng, &format!("d={d} K={k}"));
+                // The same rows with row `first` repeated at `twin`:
+                // probed on that row both tie at distance 0, and the
+                // lower index must win — in one quad, across two, in
+                // the remainder.
+                for twin in 1..k.min(8) {
+                    for first in 0..twin {
+                        let mut tied = protos.clone();
+                        tied[twin] = tied[first].clone();
+                        let arena = PrototypeArena::from_prototypes(d, &tied);
+                        let p = &tied[first];
+                        let q = Query::new_unchecked(p.center.clone(), p.radius);
+                        assert_eq!(arena.winner(&q.center, q.radius), Some((first, 0.0)));
+                        assert_eq!(winner_by_definition(&arena, &q), Some((first, 0.0)));
+                    }
                 }
             }
-            assert_eq!(arena.winner(&q.center, q.radius), best, "k = {k}");
         }
-    }
-
-    #[test]
-    fn winner_ties_keep_the_lowest_index() {
-        // Two identical prototypes: the scalar scan keeps the first.
-        let p = random_protos(1, 2, 7).pop().unwrap();
-        let arena = PrototypeArena::from_prototypes(2, &[p.clone(), p.clone()]);
-        let (k, _) = arena.winner(&[0.0, 0.0], 0.1).unwrap();
-        assert_eq!(k, 0);
-    }
-
-    #[test]
-    fn overlap_set_matches_per_prototype_degrees() {
-        for k in [1usize, 4, 6, 17] {
-            let protos = random_protos(k, 2, 200 + k as u64);
-            let arena = PrototypeArena::from_prototypes(2, &protos);
-            let (c, r) = (vec![0.2, 0.1], 0.45);
-            let mut got = vec![(9usize, 9.0)];
-            arena.overlap_set_into(&c, r, &mut got);
-            let want: Vec<(usize, f64)> = protos
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| {
-                    let d = overlap_degree_parts(&c, r, &p.center, p.radius);
-                    (d > 0.0).then_some((i, d))
-                })
-                .collect();
-            assert_eq!(got, want, "k = {k}");
+        for (d, steps) in [(1usize, 2_000usize), (2, 3_000), (3, 4_000)] {
+            let mut cfg = crate::ModelConfig::with_vigilance(d, 0.03);
+            cfg.gamma = 1e-9;
+            let mut m = crate::LlmModel::new(cfg).unwrap();
+            for _ in 0..steps {
+                let c: Vec<f64> = (0..d).map(|_| rng.random_range(0.0..1.0)).collect();
+                let y = c.iter().sum::<f64>();
+                m.train_step(&Query::new_unchecked(c, rng.random_range(0.05..0.2)), y)
+                    .unwrap();
+            }
+            assert!(m.k() > 8, "d={d}: K={}", m.k());
+            check(m.arena(), &mut rng, &format!("trained d={d} K={}", m.k()));
         }
     }
 

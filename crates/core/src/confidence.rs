@@ -21,20 +21,20 @@
 //!
 //! # Route consistency
 //!
-//! The assessment is derived from the **same fusion driver** the
-//! prediction algorithms run ([`crate::predict`]'s overlap-weight
-//! resolution), not from a parallel re-scan of the prototype set. The two
-//! can therefore never disagree about the path taken: whenever the served
+//! The assessment comes out of the **same fusion driver** the prediction
+//! algorithms run (`predict::fuse_oracle` folds the support alongside the
+//! answer; the served heads of [`crate::snapshot`] do the same), not from
+//! a parallel re-scan of the prototype set. The two can therefore never
+//! disagree about the path taken: whenever the served
 //! answer falls back to the winner prototype — empty `W(q)`, or the
 //! zero-total-weight case where every member of a non-empty overlap set is
 //! exactly tangent to the query ball — [`Confidence::fused`] is `false`,
 //! `overlap_mass` is 0 and `support_updates` is the winner's update count,
 //! matching what the prediction actually used.
 
-use crate::arena::PrototypeArena;
 use crate::error::CoreError;
 use crate::model::LlmModel;
-use crate::predict::{self, FusionInfo, LocalModel};
+use crate::predict::FusionInfo;
 use crate::query::Query;
 
 /// Update count at which a prototype is considered half-mature.
@@ -60,9 +60,9 @@ pub struct Confidence {
     pub score: f64,
 }
 
-/// Fold the three axes into a [`Confidence`] (shared by the model, the
-/// snapshot and the cross-shard fusion paths so the heuristic is combined
-/// identically everywhere).
+/// Fold the three axes into a [`Confidence`] (shared by the oracle and
+/// the served cross-shard heads so the heuristic is combined identically
+/// everywhere).
 pub(crate) fn combine(
     winner_sq: f64,
     rho: f64,
@@ -87,62 +87,6 @@ pub(crate) fn combine(
     }
 }
 
-/// Confidence over an arena; `None` on an empty arena. Runs the *same*
-/// overlap-weight driver as prediction (see module docs).
-pub(crate) fn confidence_over_arena(
-    arena: &PrototypeArena,
-    rho: f64,
-    q: &Query,
-) -> Option<Confidence> {
-    let (winner, winner_sq) = arena.winner(&q.center, q.radius)?;
-    let mut support_updates = 0.0;
-    let info =
-        predict::for_each_overlap_weight_with_winner(arena, &q.center, q.radius, winner, |k, w| {
-            support_updates += w * arena.updates(k) as f64;
-        });
-    Some(combine(winner_sq, rho, support_updates, info))
-}
-
-/// Q1 prediction and confidence from **one** overlap resolution (the
-/// serve-path fast path: a routing layer needs both, and the fused answer
-/// plus its assessment come out of one overlap scan plus the winner scan
-/// the assessment needs anyway — the fallback branch reuses that winner
-/// instead of scanning again). `None` on an empty arena.
-pub(crate) fn q1_with_confidence_over_arena(
-    arena: &PrototypeArena,
-    rho: f64,
-    q: &Query,
-) -> Option<(f64, Confidence)> {
-    let (winner, winner_sq) = arena.winner(&q.center, q.radius)?;
-    let mut yhat = 0.0;
-    let mut support_updates = 0.0;
-    let info =
-        predict::for_each_overlap_weight_with_winner(arena, &q.center, q.radius, winner, |k, w| {
-            yhat += w * arena.eval(k, &q.center, q.radius);
-            support_updates += w * arena.updates(k) as f64;
-        });
-    Some((yhat, combine(winner_sq, rho, support_updates, info)))
-}
-
-/// Q2 list and confidence from one overlap resolution (the Q2 sibling of
-/// [`q1_with_confidence_over_arena`] — a routing layer scores and serves
-/// the list from the same scan). `None` on an empty arena.
-pub(crate) fn q2_with_confidence_over_arena(
-    arena: &PrototypeArena,
-    rho: f64,
-    q: &Query,
-) -> Option<(Vec<LocalModel>, Confidence)> {
-    let (winner, winner_sq) = arena.winner(&q.center, q.radius)?;
-    let mut s = Vec::new();
-    let mut support_updates = 0.0;
-    let info =
-        predict::for_each_overlap_weight_with_winner(arena, &q.center, q.radius, winner, |k, w| {
-            s.push(predict::local_model_at(arena, k, w));
-            support_updates += w * arena.updates(k) as f64;
-        });
-    Some((s, combine(winner_sq, rho, support_updates, info)))
-}
-
 impl LlmModel {
     /// Assess prediction confidence for a query (extension; see module
     /// docs for the axes and the heuristic combination).
@@ -151,30 +95,21 @@ impl LlmModel {
     /// [`CoreError::EmptyModel`] on an untrained model;
     /// [`CoreError::DimensionMismatch`] on a wrong-dimension query.
     pub fn confidence(&self, q: &Query) -> Result<Confidence, CoreError> {
-        if q.dim() != self.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dim(),
-                actual: q.dim(),
-            });
-        }
-        confidence_over_arena(self.arena(), self.config().rho(), q).ok_or(CoreError::EmptyModel)
+        self.fuse(q, |_, _| {})
     }
 
     /// Predict Q1 together with its confidence, resolving the overlap
-    /// neighborhood **once** (the serving layers route on the score and
-    /// serve the value from the same scan).
+    /// neighborhood **once** (a routing layer scores and serves from the
+    /// same scan).
     ///
     /// # Errors
     /// Same as [`LlmModel::predict_q1`].
     pub fn predict_q1_with_confidence(&self, q: &Query) -> Result<(f64, Confidence), CoreError> {
-        if q.dim() != self.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dim(),
-                actual: q.dim(),
-            });
-        }
-        q1_with_confidence_over_arena(self.arena(), self.config().rho(), q)
-            .ok_or(CoreError::EmptyModel)
+        let mut yhat = 0.0;
+        let confidence = self.fuse(q, |k, w| {
+            yhat += w * self.arena().eval(k, &q.center, q.radius);
+        })?;
+        Ok((yhat, confidence))
     }
 }
 
@@ -282,46 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn all_tangent_overlap_is_scored_as_the_fallback_it_serves() {
-        // Regression (the PR 4 zero-total-weight family): a query ball
-        // exactly tangent to every prototype ball makes the fusion fall
-        // back to the winner prototype (today the δ > 0 membership filter
-        // yields an *empty* set for this geometry; the non-empty
-        // zero-total variant of the same decision is pinned directly in
-        // `predict::fuse_weights_from_set`'s unit test). The confidence
-        // assessment must describe that same path — winner support, zero
-        // mass, fused = false — not a phantom fused route, because it now
-        // *derives from* the prediction's own overlap-weight resolution.
-        let mut cfg = ModelConfig::paper_defaults(2);
-        cfg.vigilance_override = Some(1e-9);
-        let mut m = LlmModel::new(cfg).unwrap();
-        for _ in 0..3 {
-            m.train_step(&q(&[0.0, 0.0], 0.5), 1.0).unwrap();
-            m.train_step(&q(&[2.0, 0.0], 0.5), 5.0).unwrap();
-        }
-        assert_eq!(m.k(), 2);
-        // Tangent to both prototypes: center distance 1.0 == 0.5 + 0.5.
-        let tangent = q(&[1.0, 0.0], 0.5);
-        assert!(m.overlap_set(&tangent).is_empty());
-        let (j, _) = m.winner(&tangent).unwrap();
-
-        let (y, c) = m.predict_q1_with_confidence(&tangent).unwrap();
-        // The served value took the winner fallback …
-        assert_eq!(y, m.arena().eval(j, &tangent.center, tangent.radius));
-        // … and the confidence reports exactly that route.
-        assert!(!c.fused);
-        assert_eq!(c.overlap_mass, 0.0);
-        assert_eq!(c.support_updates, m.arena().updates(j) as f64);
-        assert_eq!(c, m.confidence(&tangent).unwrap());
-    }
-
-    #[test]
     fn errors_mirror_prediction_errors() {
-        let empty = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-        assert!(matches!(
-            empty.confidence(&q(&[0.5, 0.5], 0.1)),
-            Err(CoreError::EmptyModel)
-        ));
         let m = trained(5);
         assert!(matches!(
             m.confidence(&q(&[0.5], 0.1)),

@@ -7,8 +7,6 @@
 //! * **FVU / CoD** — re-exported shape used by the Q2 goodness-of-fit
 //!   comparison (the data-touching side lives in `regq-exact`).
 
-pub use regq_linalg::stats::{mae, rmse};
-
 /// Streaming RMSE accumulator (avoids buffering full prediction vectors in
 /// long evaluation sweeps).
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,6 +53,7 @@ impl RmseAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regq_linalg::stats::rmse;
 
     #[test]
     fn accumulator_matches_batch_rmse() {

@@ -166,9 +166,8 @@ impl LlmModel {
 
     /// Winner search: index and squared joint distance of the closest
     /// prototype. `None` for an empty model. Runs the batched single-pass
-    /// scan over the arena ([`PrototypeArena::winner`]); results are
-    /// bit-identical to the per-prototype reference scan
-    /// ([`crate::predict::reference::winner`]).
+    /// scan over the arena ([`PrototypeArena::winner`]), which is pinned
+    /// to its per-row definition there.
     pub fn winner(&self, q: &Query) -> Option<(usize, f64)> {
         self.arena.winner(&q.center, q.radius)
     }
@@ -476,8 +475,8 @@ mod tests {
         let mut errs = Vec::with_capacity(400);
         for _ in 0..400 {
             m.train_step(&query, 3.0).unwrap();
-            let p = &m.prototypes()[0];
-            errs.push((3.0 - p.eval(&query.center, query.radius)).abs());
+            let f = m.arena().eval(0, &query.center, query.radius);
+            errs.push((3.0 - f).abs());
         }
         assert!(
             errs[399] < 0.02,
@@ -587,12 +586,6 @@ mod tests {
         let mut m = LlmModel::new(cfg).unwrap();
         let report = m.fit_stream(linear_stream(2, 50_000, 6)).unwrap();
         assert!(report.converged);
-    }
-
-    #[test]
-    fn winner_on_empty_model_is_none() {
-        let m = LlmModel::new(ModelConfig::paper_defaults(1)).unwrap();
-        assert!(m.winner(&q(&[0.0], 0.1)).is_none());
     }
 
     #[test]

@@ -56,14 +56,16 @@ pub fn overlap_degree_parts(
     let radius_sum = radius_a + radius_b;
     // Squared-space membership (module-level boundary contract): the
     // non-overlapping majority of a prototype scan never takes a root.
-    if center_sq > radius_sum * radius_sum {
-        return 0.0;
+    // Asked with `≤`, exactly as `overlaps` and the served block kernel
+    // ask it, so a NaN distance is no member on any path.
+    if center_sq <= radius_sum * radius_sum {
+        let spread = center_sq.sqrt().max((radius_a - radius_b).abs());
+        // In the one-ulp band where root-space would have rejected, the raw
+        // degree can dip below zero; clamp so δ ∈ [0, 1] holds unconditionally.
+        (1.0 - spread / radius_sum).max(0.0)
+    } else {
+        0.0
     }
-    let center_dist = center_sq.sqrt();
-    let spread = center_dist.max((radius_a - radius_b).abs());
-    // In the one-ulp band where root-space would have rejected, the raw
-    // degree can dip below zero; clamp so δ ∈ [0, 1] holds unconditionally.
-    (1.0 - spread / radius_sum).max(0.0)
 }
 
 #[cfg(test)]
@@ -93,6 +95,16 @@ mod tests {
     fn disjoint_balls_have_degree_zero() {
         let a = q(&[0.0], 0.3);
         let b = q(&[1.0], 0.3);
+        assert!(!overlaps(&a, &b));
+        assert_eq!(overlap_degree(&a, &b), 0.0);
+    }
+
+    #[test]
+    fn a_nan_distance_is_no_member_and_has_degree_zero() {
+        // `f64::max` would drop the NaN root and leave the radius term to
+        // produce a positive degree; membership is asked first, with `≤`.
+        let a = Query::new_unchecked(vec![f64::NAN], 0.3);
+        let b = q(&[0.0], 0.3);
         assert!(!overlaps(&a, &b));
         assert_eq!(overlap_degree(&a, &b), 0.0);
     }

@@ -351,7 +351,7 @@ mod tests {
     fn loaded_model_captures_a_bit_exact_snapshot() {
         // Guard for the serving split: what a model publishes must survive
         // a restart bit-for-bit — parameters, version and probe-grid
-        // predictions (Q1, Q2, data value, confidence score).
+        // predictions (Q1, Q2 list, confidence).
         let m = trained_model(7);
         let snap = m.snapshot();
         let path = tmp("snapshot.model");
@@ -367,13 +367,14 @@ mod tests {
         for _ in 0..60 {
             let c: Vec<f64> = (0..3).map(|_| rng.random_range(-0.5..1.5)).collect();
             let q = Query::new_unchecked(c, rng.random_range(0.01..0.5));
-            assert_eq!(snap.predict_q1(&q), loaded.predict_q1(&q));
-            assert_eq!(snap.predict_q2(&q), loaded.predict_q2(&q));
             assert_eq!(
-                snap.predict_value(&q, &q.center),
-                loaded.predict_value(&q, &q.center)
+                snap.predict_q1_with_confidence(&q),
+                loaded.predict_q1_with_confidence(&q)
             );
-            assert_eq!(snap.confidence(&q), loaded.confidence(&q));
+            assert_eq!(
+                snap.predict_q2_with_confidence(&q),
+                loaded.predict_q2_with_confidence(&q)
+            );
         }
     }
 

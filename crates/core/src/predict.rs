@@ -3,11 +3,12 @@
 //!
 //! Prediction never touches the underlying data — it is `O(dK)` over the
 //! prototype set, which is the paper's efficiency/scalability claim
-//! (Section V, "Convergence & Complexity"). The drivers in this module
-//! are the **scalar oracle**: two plain passes over the arena (winner,
-//! then `W(q)`), shared by [`LlmModel`], the trainer and the snapshot's
-//! unpruned predictors. On top of that bound the served path goes
-//! *output-sensitive*: [`crate::snapshot`]'s one resolver
+//! (Section V, "Convergence & Complexity"). `fuse_oracle` is the
+//! **oracle**: Algorithms 2–3 once, as printed — find the winner, find
+//! `W(q)` with one `δ(q, w_k)` per prototype, fuse — behind every
+//! [`LlmModel`] predictor and the snapshot's three unpruned methods. On
+//! top of that bound the served path goes *output-sensitive*:
+//! [`crate::snapshot`]'s one resolver
 //! ([`crate::snapshot::ServingSnapshot::predict_q1_with_confidence_pruned`]
 //! and siblings) discards whole prototype blocks through
 //! [`crate::arena::BlockLayout`]'s cached bounds before the exact kernel
@@ -18,17 +19,16 @@
 
 use crate::arena::PrototypeArena;
 use crate::coeffs::Coeffs;
+use crate::confidence::{self, Confidence};
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::query::Query;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Reusable overlap-set buffer for the serving path. Prediction is
-    /// `O(dK)` compute; with this scratch (and the slice-level overlap
-    /// kernel) it is also allocation-free per query, so a serving thread
-    /// never touches the allocator in steady state. Thread-local because a
-    /// frozen model is served from `&self` by many threads at once.
+    /// Reusable overlap-set buffer of the oracle: with it a prediction
+    /// allocates nothing per query beyond a Q2 list. Thread-local because
+    /// a frozen model is read from `&self` by many threads at once.
     static OVERLAP_SCRATCH: RefCell<Vec<(usize, f64)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -47,62 +47,28 @@ pub(crate) struct FusionInfo {
     pub mass: f64,
 }
 
-/// The shared driver of all prediction algorithms **and** the confidence
-/// assessment: resolve `W(q)` in the thread-local scratch and hand each
-/// `(k, δ̃(q, w_k))` pair to `f` with weights normalized to 1. Zero total
-/// weight means the fusion is undefined: either `W(q)` is empty, or every
-/// member is exactly tangent to the query ball (`δ = 0` each — possible if
-/// membership ever admits the `A(q, q')` boundary, and guarded here so the
-/// weighted sum can never divide by zero). Both cases fall back to the
-/// winner prototype with weight 1. Must be called on a non-empty arena.
-pub(crate) fn for_each_overlap_weight(
-    arena: &PrototypeArena,
-    center: &[f64],
-    radius: f64,
-    f: impl FnMut(usize, f64),
-) -> FusionInfo {
-    drive_overlap_weights(arena, center, radius, None, f)
-}
-
-/// [`for_each_overlap_weight`] with the winner already in hand (the
-/// confidence path needs the winner distance anyway — reusing it saves
-/// the fallback branch a second full `O(dK)` scan). `winner` must be the
-/// arena's own winner for this query; the scan is deterministic, so the
-/// result is bit-identical to recomputing it.
-pub(crate) fn for_each_overlap_weight_with_winner(
-    arena: &PrototypeArena,
-    center: &[f64],
-    radius: f64,
-    winner: usize,
-    f: impl FnMut(usize, f64),
-) -> FusionInfo {
-    drive_overlap_weights(arena, center, radius, Some(winner), f)
-}
-
 /// Fold a *resolved* overlap set into normalized fusion weights: sum the
 /// degrees in slice order, decide degeneracy (an empty set, or a
 /// non-empty set whose members are all exactly tangent — zero total
-/// weight either way), and hand each `(slot, δ/total)` pair to `f` — or
-/// the winner with weight 1 on the fallback path. `winner` is resolved
-/// lazily so the scalar no-winner path still skips its extra `O(dK)`
-/// scan unless the fallback fires.
+/// weight either way, so the weighted sum can never divide by zero), and
+/// hand each `(slot, δ/total)` pair to `f` — or `winner` with weight 1 on
+/// the fallback path.
 ///
-/// This is the **single fusion fold** of the crate. The scalar oracle
-/// runs it over `(arena index, δ)` pairs in the thread-local scratch
-/// (below); the served path ([`crate::snapshot`]) runs it over
-/// `((global id, part, local index), δ)` entries of all parts, gathered
-/// into global arena order. One function, so the served path replays
-/// the exact floating-point operation sequence of the oracle —
-/// summation order, degeneracy rule, division — and stays bit-identical
-/// to it.
+/// This is the **single fusion fold** of the crate. The oracle runs it
+/// over `(arena index, δ)` pairs ([`fuse_oracle`]); the served path
+/// ([`crate::snapshot`]) runs it over `((global id, part, local index),
+/// δ)` entries of all parts, gathered into global arena order. One
+/// function, so the served path replays the exact floating-point
+/// operation sequence of the oracle — summation order, degeneracy rule,
+/// division — and stays bit-identical to it.
 pub(crate) fn fuse_weights_from_set<S: Copy>(
     set: &[(S, f64)],
-    winner: impl FnOnce() -> S,
+    winner: S,
     mut f: impl FnMut(S, f64),
 ) -> FusionInfo {
     let total: f64 = set.iter().map(|(_, d)| d).sum();
     if set.is_empty() || total <= 0.0 {
-        f(winner(), 1.0);
+        f(winner, 1.0);
         FusionInfo {
             fused: false,
             mass: 0.0,
@@ -118,42 +84,55 @@ pub(crate) fn fuse_weights_from_set<S: Copy>(
     }
 }
 
-fn drive_overlap_weights(
+/// **Algorithms 2–3, as printed** — the one arena-level driver of the
+/// crate and the oracle every served answer is pinned to. Three steps:
+/// the winner `j = argmin_k ‖q − w_k‖` ([`PrototypeArena::winner`]); the
+/// overlap neighborhood `W(q) = {k : δ(q, w_k) > 0}` in ascending `k`
+/// ([`PrototypeArena::overlap_set_into`], one Eq. 9 degree per
+/// prototype); the fusion fold ([`fuse_weights_from_set`]), which hands
+/// each `(k, δ̃(q, w_k))` — or `(j, 1)` when `W(q)` carries no weight — to
+/// `head`. The head is what tells the predictors apart: `δ̃ · f_k(x, θ)`
+/// summed is Q1 (Eq. 11–12), one [`local_model_at`] per member is Q2's
+/// list `S` (Theorem 3), `δ̃ · f_k(x, θ_k)` summed is a data value
+/// (Eq. 14). The `δ̃`-weighted update count is folded alongside, so the
+/// returned [`Confidence`] describes exactly the route `head` saw.
+///
+/// # Errors
+/// [`CoreError::DimensionMismatch`] on a wrong-dimension query, then
+/// [`CoreError::EmptyModel`] on an empty arena — the two checks every
+/// oracle entry point makes, made here once.
+pub(crate) fn fuse_oracle(
     arena: &PrototypeArena,
-    center: &[f64],
-    radius: f64,
-    winner: Option<usize>,
-    f: impl FnMut(usize, f64),
-) -> FusionInfo {
+    rho: f64,
+    q: &Query,
+    mut head: impl FnMut(usize, f64),
+) -> Result<Confidence, CoreError> {
+    if q.dim() != arena.dim() {
+        return Err(CoreError::DimensionMismatch {
+            expected: arena.dim(),
+            actual: q.dim(),
+        });
+    }
+    let (winner, winner_sq) = arena
+        .winner(&q.center, q.radius)
+        .ok_or(CoreError::EmptyModel)?;
     OVERLAP_SCRATCH.with(|scratch| {
         let mut w = scratch.borrow_mut();
-        arena.overlap_set_into(center, radius, &mut w);
-        fuse_weights_from_set(
-            &w,
-            // INVARIANT: both pub(crate) entry points require a non-empty
-            // arena (documented on `for_each_overlap_weight`), and
-            // `PrototypeArena::winner` is `None` only when empty.
-            || winner.unwrap_or_else(|| arena.winner(center, radius).expect("non-empty arena").0),
-            f,
-        )
+        arena.overlap_set_into(&q.center, q.radius, &mut w);
+        let mut support_updates = 0.0;
+        let info = fuse_weights_from_set(&w, winner, |k, weight| {
+            head(k, weight);
+            support_updates += weight * arena.updates(k) as f64;
+        });
+        Ok(confidence::combine(winner_sq, rho, support_updates, info))
     })
-}
-
-/// Algorithm 2 (Q1) over an arena. Must be called on a non-empty arena
-/// with a dimension-checked query.
-pub(crate) fn q1_over_arena(arena: &PrototypeArena, q: &Query) -> f64 {
-    let mut yhat = 0.0;
-    for_each_overlap_weight(arena, &q.center, q.radius, |k, w| {
-        yhat += w * arena.eval(k, &q.center, q.radius);
-    });
-    yhat
 }
 
 /// Materialize the Theorem-3 local model of prototype `k` with fusion
 /// weight `weight` — the one place the `S`-list element is built, shared
-/// by the Q2 prediction and the fused Q2+confidence drivers so the list
-/// construction cannot drift between them. Allocation-free up to the
-/// inline capacity of [`Coeffs`].
+/// by the oracle's and the served Q2 heads so the list construction
+/// cannot drift between them. Allocation-free up to the inline capacity
+/// of [`Coeffs`].
 pub(crate) fn local_model_at(arena: &PrototypeArena, k: usize, weight: f64) -> LocalModel {
     let (intercept, slope) = arena.local_line(k);
     LocalModel {
@@ -164,26 +143,6 @@ pub(crate) fn local_model_at(arena: &PrototypeArena, k: usize, weight: f64) -> L
         center: arena.center(k).into(),
         radius: arena.radius(k),
     }
-}
-
-/// Algorithm 3 (Q2) over an arena. Must be called on a non-empty arena
-/// with a dimension-checked query.
-pub(crate) fn q2_over_arena(arena: &PrototypeArena, q: &Query) -> Vec<LocalModel> {
-    let mut s = Vec::new();
-    for_each_overlap_weight(arena, &q.center, q.radius, |k, weight| {
-        s.push(local_model_at(arena, k, weight));
-    });
-    s
-}
-
-/// Eq. 14 (data value) over an arena. Must be called on a non-empty arena
-/// with dimension-checked query and probe point.
-pub(crate) fn value_over_arena(arena: &PrototypeArena, q: &Query, x: &[f64]) -> f64 {
-    let mut uhat = 0.0;
-    for_each_overlap_weight(arena, &q.center, q.radius, |k, w| {
-        uhat += w * arena.eval_at_own_radius(k, x);
-    });
-    uhat
 }
 
 /// One local linear model returned by a Q2 query (an element of the
@@ -226,36 +185,21 @@ impl LocalModel {
 }
 
 impl LlmModel {
-    fn check_query(&self, q: &Query) -> Result<(), CoreError> {
-        if q.dim() != self.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dim(),
-                actual: q.dim(),
-            });
-        }
-        if self.k() == 0 {
-            return Err(CoreError::EmptyModel);
-        }
-        Ok(())
+    /// [`fuse_oracle`] over this model's arena.
+    pub(crate) fn fuse(
+        &self,
+        q: &Query,
+        head: impl FnMut(usize, f64),
+    ) -> Result<Confidence, CoreError> {
+        fuse_oracle(self.arena(), self.config().rho(), q, head)
     }
 
     /// The overlap neighborhood `W(q)` (Eq. 10): indices and degrees of all
-    /// prototypes with `δ(q, w_k) > 0`, appended to `out` (cleared first).
-    /// A single batched pass over the arena's packed center block
-    /// ([`crate::arena::PrototypeArena::overlap_set_into`]);
-    /// allocation-free once the scratch buffers have warmed up, and
-    /// bit-identical to the per-prototype reference scan
-    /// ([`reference::overlap_set`]).
+    /// prototypes with `δ(q, w_k) > 0`, appended to `out` (cleared first)
+    /// in ascending index — one Eq. 9 degree per prototype
+    /// ([`crate::arena::PrototypeArena::overlap_set_into`]).
     pub fn overlap_set_into(&self, q: &Query, out: &mut Vec<(usize, f64)>) {
         self.arena().overlap_set_into(&q.center, q.radius, out);
-    }
-
-    /// The overlap neighborhood `W(q)` as a fresh vector (convenience over
-    /// [`LlmModel::overlap_set_into`]).
-    pub fn overlap_set(&self, q: &Query) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        self.overlap_set_into(q, &mut out);
-        out
     }
 
     /// **Algorithm 2 — Q1 query processing.** Predict the mean value `ŷ`
@@ -264,15 +208,11 @@ impl LlmModel {
     /// `ŷ = Σ_{w_k ∈ W(q)} δ̃(q, w_k) f_k(x, θ)` (Eq. 11/12); when `W(q)`
     /// is empty the closest prototype extrapolates: `ŷ = f_j(x, θ)`.
     ///
-    /// Shared with [`crate::snapshot::ServingSnapshot::predict_q1`]
-    /// (identical arena-level driver, bit-identical results).
-    ///
     /// # Errors
     /// [`CoreError::EmptyModel`] on an untrained model,
     /// [`CoreError::DimensionMismatch`] on a wrong-dimension query.
     pub fn predict_q1(&self, q: &Query) -> Result<f64, CoreError> {
-        self.check_query(q)?;
-        Ok(q1_over_arena(self.arena(), q))
+        self.predict_q1_with_confidence(q).map(|(yhat, _)| yhat)
     }
 
     /// **Algorithm 3 — Q2 query processing.** Return the list `S` of local
@@ -285,8 +225,11 @@ impl LlmModel {
     /// # Errors
     /// Same as [`LlmModel::predict_q1`].
     pub fn predict_q2(&self, q: &Query) -> Result<Vec<LocalModel>, CoreError> {
-        self.check_query(q)?;
-        Ok(q2_over_arena(self.arena(), q))
+        let mut s = Vec::new();
+        self.fuse(q, |k, weight| {
+            s.push(local_model_at(self.arena(), k, weight))
+        })?;
+        Ok(s)
     }
 
     /// **Eq. 14 — data-value prediction.** Predict `û ≈ g(x)` for a point
@@ -297,14 +240,15 @@ impl LlmModel {
     /// # Errors
     /// Same as [`LlmModel::predict_q1`], plus a dimension check on `x`.
     pub fn predict_value(&self, q: &Query, x: &[f64]) -> Result<f64, CoreError> {
-        self.check_query(q)?;
         if x.len() != self.dim() {
             return Err(CoreError::DimensionMismatch {
                 expected: self.dim(),
                 actual: x.len(),
             });
         }
-        Ok(value_over_arena(self.arena(), q, x))
+        let mut uhat = 0.0;
+        self.fuse(q, |k, w| uhat += w * self.arena().eval_at_own_radius(k, x))?;
+        Ok(uhat)
     }
 
     /// Convenience: data-value prediction using a point-centered probe ball
@@ -313,106 +257,6 @@ impl LlmModel {
     pub fn predict_value_at(&self, x: &[f64], theta: f64) -> Result<f64, CoreError> {
         let q = Query::new_unchecked(x.to_vec(), theta);
         self.predict_value(&q, x)
-    }
-}
-
-/// The retained **pre-arena serving path**: per-prototype scans over an
-/// owned [`Prototype`](crate::prototype::Prototype) snapshot (each
-/// prototype carrying its own heap allocations), exactly as the serving
-/// loop ran before the struct-of-arrays refactor.
-///
-/// One consumer keeps it alive: the `arena_equivalence` proptests, which
-/// pin the arena's scalar passes bit-identical to this one (Q1, Q2, data
-/// value, winner, overlap set) — the first link of the bit-identity
-/// chain `reference` ← scalar oracle ← the one served resolver
-/// (`docs/INVARIANTS.md`).
-///
-/// Functions take the snapshot from [`LlmModel::prototypes`] and return
-/// `None` where the model methods would report
-/// [`CoreError::EmptyModel`]; dimension checks are the caller's job. The
-/// zero-total-weight fallback matches the arena path (winner with
-/// weight 1).
-pub mod reference {
-    use super::{LocalModel, Query};
-    use crate::overlap::overlap_degree_parts;
-    use crate::prototype::Prototype;
-
-    /// Per-prototype winner scan (index + squared joint distance).
-    pub fn winner(protos: &[Prototype], q: &Query) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (k, p) in protos.iter().enumerate() {
-            let d = p.sq_dist_to(q);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((k, d));
-            }
-        }
-        best
-    }
-
-    /// Per-prototype overlap scan: `(k, δ)` for every `δ > 0`.
-    pub fn overlap_set(protos: &[Prototype], q: &Query) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        for (k, p) in protos.iter().enumerate() {
-            let d = overlap_degree_parts(&q.center, q.radius, &p.center, p.radius);
-            if d > 0.0 {
-                out.push((k, d));
-            }
-        }
-        out
-    }
-
-    fn for_each_overlap_weight(
-        protos: &[Prototype],
-        q: &Query,
-        mut f: impl FnMut(usize, f64),
-    ) -> Option<()> {
-        let w = overlap_set(protos, q);
-        let total: f64 = w.iter().map(|(_, d)| d).sum();
-        if w.is_empty() || total <= 0.0 {
-            let (j, _) = winner(protos, q)?;
-            f(j, 1.0);
-            return Some(());
-        }
-        for (k, d) in w {
-            f(k, d / total);
-        }
-        Some(())
-    }
-
-    /// Algorithm 2 (Q1) over the snapshot; `None` on an empty snapshot.
-    pub fn predict_q1(protos: &[Prototype], q: &Query) -> Option<f64> {
-        let mut yhat = 0.0;
-        for_each_overlap_weight(protos, q, |k, w| {
-            yhat += w * protos[k].eval(&q.center, q.radius);
-        })?;
-        Some(yhat)
-    }
-
-    /// Algorithm 3 (Q2) over the snapshot; `None` on an empty snapshot.
-    pub fn predict_q2(protos: &[Prototype], q: &Query) -> Option<Vec<LocalModel>> {
-        let mut s = Vec::new();
-        for_each_overlap_weight(protos, q, |k, weight| {
-            let p = &protos[k];
-            let (intercept, slope) = p.local_line();
-            s.push(LocalModel {
-                intercept,
-                slope: slope.into(),
-                prototype: k,
-                weight,
-                center: p.center.as_slice().into(),
-                radius: p.radius,
-            });
-        })?;
-        Some(s)
-    }
-
-    /// Eq. 14 (data value) over the snapshot; `None` on an empty snapshot.
-    pub fn predict_value(protos: &[Prototype], q: &Query, x: &[f64]) -> Option<f64> {
-        let mut uhat = 0.0;
-        for_each_overlap_weight(protos, q, |k, w| {
-            uhat += w * protos[k].eval_at_own_radius(x);
-        })?;
-        Some(uhat)
     }
 }
 
@@ -427,6 +271,127 @@ mod tests {
         Query::new(center.to_vec(), r).unwrap()
     }
 
+    fn overlap_set(m: &LlmModel, q: &Query) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        m.overlap_set_into(q, &mut out);
+        out
+    }
+
+    /// Three prototypes in `d = 2`, small enough to fuse by hand:
+    ///
+    /// | k | `x_k`        | `θ_k` | `y_k` | `b_X`         | `b_Θ` | updates |
+    /// |---|--------------|-------|-------|---------------|-------|---------|
+    /// | 0 | (0, 0)       | 0.75  | 1     | (2, −1)       | 4     | 3       |
+    /// | 1 | (0.625, 0)   | 0.25  | 5     | (0.5, 0.25)   | −2    | 7       |
+    /// | 2 | (10, 10)     | 0.25  | −3    | (1, 1)        | 1     | 20      |
+    fn three_prototypes() -> LlmModel {
+        let proto = |center: [f64; 2], radius, y, b_x: [f64; 2], b_theta, updates| {
+            crate::prototype::Prototype {
+                center: center.to_vec(),
+                radius,
+                y,
+                b_x: b_x.to_vec(),
+                b_theta,
+                updates,
+            }
+        };
+        let protos = vec![
+            proto([0.0, 0.0], 0.75, 1.0, [2.0, -1.0], 4.0, 3),
+            proto([0.625, 0.0], 0.25, 5.0, [0.5, 0.25], -2.0, 7),
+            proto([10.0, 10.0], 0.25, -3.0, [1.0, 1.0], 1.0, 20),
+        ];
+        LlmModel::from_parts(ModelConfig::paper_defaults(2), protos, 30, true).unwrap()
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() < 1e-12
+    }
+
+    /// The oracle against the paper's equations worked out by hand — no
+    /// call into the fold, so a change to the normalisation, the
+    /// degeneracy rule or a head moves this test and nothing else has to
+    /// be believed.
+    #[test]
+    fn three_prototype_answers_match_the_equations_by_hand() {
+        let m = three_prototypes();
+        let rho = m.config().rho();
+        let probe = q(&[0.25, 0.0], 0.25);
+        // Eq. 9, δ = 1 − max(‖x − x_k‖, |θ − θ_k|) / (θ + θ_k):
+        //   k = 0: 1 − max(0.25, 0.5) / 1.0   = 0.5
+        //   k = 1: 1 − max(0.375, 0)  / 0.5   = 0.25
+        //   k = 2: ‖x − x_2‖ ≈ 13.9 > 0.5     → not in W(q)
+        assert_eq!(overlap_set(&m, &probe), vec![(0, 0.5), (1, 0.25)]);
+        // Normalised (Eq. 11): δ̃ = δ / 0.75 = 2/3 and 1/3.
+        let (w0, w1) = (2.0 / 3.0, 1.0 / 3.0);
+        // Eq. 5 / 12, f_k(x, θ) = y_k + b_X (x − x_k)ᵀ + b_Θ (θ − θ_k):
+        //   f_0 = 1 + 2(0.25) − 1(0) + 4(0.25 − 0.75)    = −0.5
+        //   f_1 = 5 + 0.5(0.25 − 0.625) + 0.25(0) − 2(0) = 4.8125
+        let yhat = m.predict_q1(&probe).unwrap();
+        assert!(close(yhat, w0 * -0.5 + w1 * 4.8125), "ŷ = {yhat}");
+        assert!(close(yhat, 3.8125 / 3.0));
+        // Theorem 3, the line over D_k: intercept y_k − b_X x_kᵀ, slope b_X:
+        //   k = 0: 1 − 0                    = 1       slope (2, −1)
+        //   k = 1: 5 − (0.5·0.625 + 0.25·0) = 4.6875  slope (0.5, 0.25)
+        let s = m.predict_q2(&probe).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!((s[0].prototype, s[0].intercept), (0, 1.0));
+        assert_eq!(
+            (&s[0].slope[..], &s[0].center[..]),
+            (&[2.0, -1.0][..], &[0.0, 0.0][..])
+        );
+        assert_eq!((s[1].prototype, s[1].intercept), (1, 4.6875));
+        assert_eq!(
+            (&s[1].slope[..], &s[1].center[..]),
+            (&[0.5, 0.25][..], &[0.625, 0.0][..])
+        );
+        assert_eq!((s[0].radius, s[1].radius), (0.75, 0.25));
+        assert!(close(s[0].weight, w0) && close(s[1].weight, w1));
+        // Eq. 14 at x = (0.5, 0.5), each LLM at its own radius:
+        //   f_0 = 1 + 2(0.5) − 1(0.5)                   = 1.5
+        //   f_1 = 5 + 0.5(0.5 − 0.625) + 0.25(0.5)      = 5.0625
+        let uhat = m.predict_value(&probe, &[0.5, 0.5]).unwrap();
+        assert!(close(uhat, w0 * 1.5 + w1 * 5.0625), "û = {uhat}");
+        assert!(close(uhat, 2.6875));
+        // The confidence axes of that route: mass Σδ = 0.75, support
+        // 2/3·3 + 1/3·7, and the winner is k = 1 (joint² 0.375² against
+        // 0.25² + 0.5²).
+        let c = m.confidence(&probe).unwrap();
+        assert_eq!(m.winner(&probe), Some((1, 0.140625)));
+        assert!(c.fused);
+        assert_eq!(c.overlap_mass, 0.75);
+        assert!(close(c.support_updates, 13.0 / 3.0));
+        assert!(close(c.winner_distance_ratio, 0.375 / rho));
+        assert_eq!(m.predict_q1_with_confidence(&probe).unwrap(), (yhat, c));
+
+        // The two fallbacks end at the winner with weight 1. *Empty*
+        // `W(q)`: nothing within reach of (5, 5); k = 1 is nearest.
+        // *All tangent*: ‖x − x_1‖ = 0.5 = θ + θ_1 exactly, so δ_1 = 0,
+        // and ball 0 is out of reach (1.125 > 1.0).
+        //   empty:   f_1 = 5 + 0.5(5 − 0.625) + 0.25(5)   = 8.4375
+        //   tangent: f_1 = 5 + 0.5(1.125 − 0.625)         = 5.25
+        for (probe, f1) in [
+            (q(&[5.0, 5.0], 0.25), 8.4375),
+            (q(&[1.125, 0.0], 0.25), 5.25),
+        ] {
+            assert!(overlap_set(&m, &probe).is_empty());
+            assert_eq!(m.winner(&probe).unwrap().0, 1);
+            assert_eq!(m.predict_q1(&probe).unwrap(), f1);
+            let s = m.predict_q2(&probe).unwrap();
+            assert_eq!(s.len(), 1);
+            assert_eq!(
+                (s[0].prototype, s[0].weight, s[0].intercept),
+                (1, 1.0, 4.6875)
+            );
+            assert_eq!(m.predict_value(&probe, &[0.5, 0.5]).unwrap(), 5.0625);
+            let c = m.confidence(&probe).unwrap();
+            assert_eq!(
+                (c.fused, c.overlap_mass, c.support_updates),
+                (false, 0.0, 7.0)
+            );
+            assert_eq!(m.predict_q1_with_confidence(&probe).unwrap(), (f1, c));
+        }
+    }
+
     #[test]
     fn fusion_fallback_decision_covers_the_non_empty_all_tangent_set() {
         // The non-empty zero-total-weight case cannot be reached end to
@@ -435,18 +400,18 @@ mod tests {
         // all-tangent set must take the winner-with-weight-1 fallback,
         // never the weighted fusion — exactly like the empty set.
         let mut calls = Vec::new();
-        let info = fuse_weights_from_set(&[], || 7usize, |k, w| calls.push((k, w)));
+        let info = fuse_weights_from_set(&[], 7usize, |k, w| calls.push((k, w)));
         assert_eq!((calls, info.fused, info.mass), (vec![(7, 1.0)], false, 0.0));
         // Any positive mass, however small, fuses.
         let mut calls = Vec::new();
-        let info = fuse_weights_from_set(&[(2usize, 1e-300)], || 7, |k, w| calls.push((k, w)));
+        let info = fuse_weights_from_set(&[(2usize, 1e-300)], 7, |k, w| calls.push((k, w)));
         assert_eq!(
             (calls, info.fused, info.mass),
             (vec![(2, 1.0)], true, 1e-300)
         );
         // The non-empty all-tangent set (zero total weight) falls back.
         let mut calls = Vec::new();
-        let info = fuse_weights_from_set(&[(0, 0.0), (3, 0.0)], || 7, |k, w| calls.push((k, w)));
+        let info = fuse_weights_from_set(&[(0, 0.0), (3, 0.0)], 7, |k, w| calls.push((k, w)));
         assert_eq!(calls, vec![(7, 1.0)]);
         assert!(!info.fused);
         assert_eq!(info.mass, 0.0);
@@ -536,7 +501,7 @@ mod tests {
         let m = trained_linear_model(23);
         // A far-away query ball that overlaps nothing.
         let far = q(&[5.0, 5.0], 0.01);
-        assert!(m.overlap_set(&far).is_empty());
+        assert!(overlap_set(&m, &far).is_empty());
         let pred = m.predict_q1(&far).unwrap();
         assert!(pred.is_finite());
         let s = m.predict_q2(&far).unwrap();
@@ -547,8 +512,8 @@ mod tests {
     #[test]
     fn bigger_radius_overlaps_more_prototypes() {
         let m = trained_linear_model(29);
-        let small = m.overlap_set(&q(&[0.5, 0.5], 0.05)).len();
-        let large = m.overlap_set(&q(&[0.5, 0.5], 0.5)).len();
+        let small = overlap_set(&m, &q(&[0.5, 0.5], 0.05)).len();
+        let large = overlap_set(&m, &q(&[0.5, 0.5], 0.5)).len();
         assert!(large >= small);
         assert!(large >= 2, "large ball should overlap several prototypes");
     }
@@ -557,26 +522,9 @@ mod tests {
     fn s_list_size_tracks_overlap_count() {
         let m = trained_linear_model(31);
         let query = q(&[0.5, 0.5], 0.3);
-        let w = m.overlap_set(&query).len();
+        let w = overlap_set(&m, &query).len();
         let s = m.predict_q2(&query).unwrap();
         assert_eq!(s.len(), w);
-    }
-
-    #[test]
-    fn empty_model_errors() {
-        let m = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-        assert!(matches!(
-            m.predict_q1(&q(&[0.5, 0.5], 0.1)),
-            Err(CoreError::EmptyModel)
-        ));
-        assert!(matches!(
-            m.predict_q2(&q(&[0.5, 0.5], 0.1)),
-            Err(CoreError::EmptyModel)
-        ));
-        assert!(matches!(
-            m.predict_value(&q(&[0.5, 0.5], 0.1), &[0.5, 0.5]),
-            Err(CoreError::EmptyModel)
-        ));
     }
 
     #[test]
@@ -608,54 +556,15 @@ mod tests {
     }
 
     #[test]
-    fn overlap_set_into_reuses_buffer_and_matches_allocating_api() {
+    fn overlap_set_into_clears_the_buffer_it_reuses() {
         let m = trained_linear_model(47);
         let mut buf = vec![(99usize, 0.0)];
-        let query = q(&[0.5, 0.5], 0.2);
-        m.overlap_set_into(&query, &mut buf);
-        assert_eq!(buf, m.overlap_set(&query));
+        m.overlap_set_into(&q(&[0.5, 0.5], 0.2), &mut buf);
+        assert!(!buf.is_empty() && !buf.contains(&(99, 0.0)));
         // A second query through the same buffer clears the first result.
         let far = q(&[5.0, 5.0], 0.01);
         m.overlap_set_into(&far, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn tangent_only_overlap_falls_back_to_winner() {
-        // Regression: a query ball exactly tangent to *every* prototype
-        // ball has A(q, w_k) true but δ(q, w_k) = 0 for all k — the fusion
-        // carries zero total weight and must fall back to the winner
-        // prototype (never divide by zero into a NaN prediction).
-        let mut cfg = ModelConfig::paper_defaults(2);
-        cfg.vigilance_override = Some(1e-9);
-        let mut m = LlmModel::new(cfg).unwrap();
-        // Spawn prototypes at exactly (0,0) and (2,0) with radius 0.5,
-        // then revisit each once so the intercepts are non-zero.
-        for _ in 0..2 {
-            m.train_step(&q(&[0.0, 0.0], 0.5), 1.0).unwrap();
-            m.train_step(&q(&[2.0, 0.0], 0.5), 5.0).unwrap();
-        }
-        assert_eq!(m.k(), 2);
-        // Tangent to both: center distance 1.0 == 0.5 + 0.5 exactly.
-        let tangent = q(&[1.0, 0.0], 0.5);
-        assert!(m.overlap_set(&tangent).is_empty());
-        let (j, _) = m.winner(&tangent).unwrap();
-        let pred = m.predict_q1(&tangent).unwrap();
-        assert!(pred.is_finite(), "tangent fusion produced {pred}");
-        assert_eq!(pred, m.arena().eval(j, &tangent.center, tangent.radius));
-        let s = m.predict_q2(&tangent).unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].weight, 1.0);
-        assert_eq!(s[0].prototype, j);
-        // The retained reference path takes the same fallback.
-        let snapshot = m.prototypes();
-        assert_eq!(pred, reference::predict_q1(&snapshot, &tangent).unwrap());
-        let u = m.predict_value(&tangent, &[1.0, 0.0]).unwrap();
-        assert!(u.is_finite());
-        assert_eq!(
-            u,
-            reference::predict_value(&snapshot, &tangent, &[1.0, 0.0]).unwrap()
-        );
     }
 
     #[test]

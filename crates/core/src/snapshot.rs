@@ -10,23 +10,23 @@
 //! [`crate::confidence`] assessment needs — together with the
 //! configuration that fixes the vigilance `ρ`.
 //!
-//! Two predictor families live here, and only two. The **scalar
-//! oracle** (`predict_q1/q2/value`, `confidence`,
-//! `predict_q{1,2}_with_confidence`, `winner`, `overlap_set_into`)
-//! delegates to the *same* arena-level drivers as the model
-//! ([`crate::predict`] / [`crate::confidence`]), so a snapshot taken at
-//! step `t` answers every query **bit-identically** to the model frozen
-//! at step `t`. The **served path** (`*_pruned` on the snapshot, the four
-//! `sharded_*_pruned` functions) is one resolve-and-fold driver over
-//! [`ShardPart`]s — bound-and-verify resolution through each part's
-//! [`BlockLayout`], which leaves `W(q)` in block order; one
-//! scatter/gather over a global-id bitmap that puts the members of all
-//! parts in global arena order (the only place anything is ordered, and
-//! no comparison sort); one shared fusion fold; a Q1 or a Q2 head —
-//! where scalar is a batch of one and an unsharded snapshot is one part.
-//! The bit-identity chain is therefore short: per-prototype `reference`
-//! ← scalar oracle (`arena_equivalence`) ← the one resolver
-//! (`serving_equivalence`).
+//! Two predictor families live here, and only two. The **oracle**
+//! (`predict_q1_with_confidence`, `predict_q2_with_confidence`,
+//! `overlap_set_into`) is the *same* arena-level driver the model runs
+//! (`predict::fuse_oracle` — Algorithms 2–3 as printed) over the cloned
+//! arena, so a snapshot taken at step `t` answers **bit-identically** to
+//! the model frozen at step `t` by construction. The **served path**
+//! (`*_pruned` on the snapshot, the four `sharded_*_pruned` functions) is
+//! one resolve-and-fold driver over [`ShardPart`]s — bound-and-verify
+//! resolution through each part's [`BlockLayout`], which leaves `W(q)` in
+//! block order; one scatter/gather over a global-id bitmap that puts the
+//! members of all parts in global arena order (the only place anything
+//! is ordered, and no comparison sort); one shared fusion fold; a Q1 or a
+//! Q2 head — where scalar is a batch of one and an unsharded snapshot is
+//! one part. The bit-identity chain is therefore two links: the oracle ←
+//! the one resolver (`serving_equivalence`), with the oracle's one
+//! optimised pass, [`PrototypeArena::winner`], pinned to its definition
+//! in `arena.rs`.
 //!
 //! Cost model: taking a snapshot clones the arena (`O(dK)` — the publish
 //! cost, paid by the trainer at publication cadence); cloning a
@@ -157,94 +157,48 @@ impl ServingSnapshot {
         Ok(())
     }
 
-    /// Winner search (index + squared joint distance); `None` when empty.
-    pub fn winner(&self, q: &Query) -> Option<(usize, f64)> {
-        self.inner.arena.winner(&q.center, q.radius)
-    }
-
     /// The overlap neighborhood `W(q)`, appended to `out` (cleared first).
     pub fn overlap_set_into(&self, q: &Query, out: &mut Vec<(usize, f64)>) {
         self.inner.arena.overlap_set_into(&q.center, q.radius, out);
     }
 
-    /// Algorithm 2 (Q1) — bit-identical to
-    /// [`LlmModel::predict_q1`] on the captured parameters.
+    /// Algorithm 2 (Q1) with its confidence, from the oracle —
+    /// bit-identical to [`LlmModel::predict_q1_with_confidence`] on the
+    /// captured parameters.
     ///
     /// # Errors
     /// [`CoreError::EmptyModel`] on an empty snapshot,
     /// [`CoreError::DimensionMismatch`] on a wrong-dimension query.
-    pub fn predict_q1(&self, q: &Query) -> Result<f64, CoreError> {
-        self.check_query(q)?;
-        Ok(predict::q1_over_arena(&self.inner.arena, q))
-    }
-
-    /// Algorithm 3 (Q2) — bit-identical to [`LlmModel::predict_q2`].
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
-    pub fn predict_q2(&self, q: &Query) -> Result<Vec<LocalModel>, CoreError> {
-        self.check_query(q)?;
-        Ok(predict::q2_over_arena(&self.inner.arena, q))
-    }
-
-    /// Eq. 14 (data value) — bit-identical to
-    /// [`LlmModel::predict_value`].
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`], plus a dimension check on
-    /// `x`.
-    pub fn predict_value(&self, q: &Query, x: &[f64]) -> Result<f64, CoreError> {
-        self.check_query(q)?;
-        if x.len() != self.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dim(),
-                actual: x.len(),
-            });
-        }
-        Ok(predict::value_over_arena(&self.inner.arena, q, x))
-    }
-
-    /// Confidence assessment — bit-identical to [`LlmModel::confidence`].
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
-    pub fn confidence(&self, q: &Query) -> Result<Confidence, CoreError> {
-        self.check_query(q)?;
-        confidence::confidence_over_arena(&self.inner.arena, self.inner.config.rho(), q)
-            .ok_or(CoreError::EmptyModel)
-    }
-
-    /// Q1 prediction and confidence from one overlap resolution (the
-    /// routing fast path) — bit-identical to
-    /// [`LlmModel::predict_q1_with_confidence`].
-    ///
-    /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
     pub fn predict_q1_with_confidence(&self, q: &Query) -> Result<(f64, Confidence), CoreError> {
-        self.check_query(q)?;
-        confidence::q1_with_confidence_over_arena(&self.inner.arena, self.inner.config.rho(), q)
-            .ok_or(CoreError::EmptyModel)
+        let (arena, rho) = (&self.inner.arena, self.inner.config.rho());
+        let mut yhat = 0.0;
+        let confidence = predict::fuse_oracle(arena, rho, q, |k, w| {
+            yhat += w * arena.eval(k, &q.center, q.radius);
+        })?;
+        Ok((yhat, confidence))
     }
 
-    /// Q2 list and confidence from one overlap resolution (the routing
-    /// fast path for `LINREG`) — the list is bit-identical to
-    /// [`ServingSnapshot::predict_q2`], the confidence to
-    /// [`ServingSnapshot::confidence`].
+    /// Algorithm 3 (Q2) with its confidence, from the oracle — the list
+    /// is bit-identical to [`LlmModel::predict_q2`], the confidence to
+    /// [`LlmModel::confidence`].
     ///
     /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
+    /// Same as [`ServingSnapshot::predict_q1_with_confidence`].
     pub fn predict_q2_with_confidence(
         &self,
         q: &Query,
     ) -> Result<(Vec<LocalModel>, Confidence), CoreError> {
-        self.check_query(q)?;
-        confidence::q2_with_confidence_over_arena(&self.inner.arena, self.inner.config.rho(), q)
-            .ok_or(CoreError::EmptyModel)
+        let (arena, rho) = (&self.inner.arena, self.inner.config.rho());
+        let mut s = Vec::new();
+        let confidence = predict::fuse_oracle(arena, rho, q, |k, w| {
+            s.push(predict::local_model_at(arena, k, w));
+        })?;
+        Ok((s, confidence))
     }
 
     // ---- The served path: one resolver, two heads -------------------------
     //
-    // Everything above is the scalar unpruned **oracle**. A served answer
+    // Everything above is the unpruned **oracle**. A served answer
     // takes the one production path instead ([`resolve_and_fold`]); the
     // four methods below validate, present `self` as
     // [`ShardPart::whole`] and call the cross-shard drivers the serving
@@ -261,7 +215,7 @@ impl ServingSnapshot {
     /// telemetry accumulated into `counters`.
     ///
     /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
+    /// Same as [`ServingSnapshot::predict_q1_with_confidence`].
     pub fn predict_q1_with_confidence_pruned(
         &self,
         q: &Query,
@@ -277,7 +231,7 @@ impl ServingSnapshot {
     /// telemetry accumulated into `counters`.
     ///
     /// # Errors
-    /// Same as [`ServingSnapshot::predict_q1`].
+    /// Same as [`ServingSnapshot::predict_q1_with_confidence`].
     pub fn predict_q2_with_confidence_pruned(
         &self,
         q: &Query,
@@ -518,7 +472,7 @@ fn order_by_gid(
 /// common case at small `K` — are folded as staged. *Fold:* `head`
 /// projects the ordered set through the shared fusion fold
 /// ([`predict::fuse_weights_from_set`]). Per-prototype `δ`, the summation
-/// order and the degeneracy rule all equal the scalar oracle's, so every
+/// order and the degeneracy rule all equal the oracle's, so every
 /// accumulation replays its exact floating-point operation sequence.
 ///
 /// `emit` receives one answer per query, in order: `None` exactly when
@@ -624,15 +578,11 @@ fn head_q1(
     let rho = parts[winner.1].snapshot.config().rho();
     let mut yhat = 0.0;
     let mut support_updates = 0.0;
-    let info = predict::fuse_weights_from_set(
-        set,
-        || winner,
-        |(_, pi, lk), w| {
-            let arena = parts[pi].snapshot.arena();
-            yhat += w * arena.eval(lk, &q.center, q.radius);
-            support_updates += w * arena.updates(lk) as f64;
-        },
-    );
+    let info = predict::fuse_weights_from_set(set, winner, |(_, pi, lk), w| {
+        let arena = parts[pi].snapshot.arena();
+        yhat += w * arena.eval(lk, &q.center, q.radius);
+        support_updates += w * arena.updates(lk) as f64;
+    });
     (
         yhat,
         confidence::combine(winner_sq, rho, support_updates, info),
@@ -653,17 +603,13 @@ fn head_q2(
     let rho = parts[winner.1].snapshot.config().rho();
     let mut s = Vec::with_capacity(set.len().max(1));
     let mut support_updates = 0.0;
-    let info = predict::fuse_weights_from_set(
-        set,
-        || winner,
-        |(gid, pi, lk), w| {
-            let arena = parts[pi].snapshot.arena();
-            let mut lm = predict::local_model_at(arena, lk, w);
-            lm.prototype = gid;
-            s.push(lm);
-            support_updates += w * arena.updates(lk) as f64;
-        },
-    );
+    let info = predict::fuse_weights_from_set(set, winner, |(gid, pi, lk), w| {
+        let arena = parts[pi].snapshot.arena();
+        let mut lm = predict::local_model_at(arena, lk, w);
+        lm.prototype = gid;
+        s.push(lm);
+        support_updates += w * arena.updates(lk) as f64;
+    });
     (
         s,
         confidence::combine(winner_sq, rho, support_updates, info),
@@ -795,23 +741,18 @@ mod tests {
         assert_eq!(s.version(), m.steps());
         assert_eq!(s.is_frozen(), m.is_frozen());
         assert_eq!(s.prototypes(), m.prototypes());
+        let (mut ws, mut wm) = (Vec::new(), Vec::new());
         for probe in probe_grid() {
-            assert_eq!(s.predict_q1(&probe), m.predict_q1(&probe));
-            assert_eq!(s.predict_q2(&probe), m.predict_q2(&probe));
-            assert_eq!(
-                s.predict_value(&probe, &probe.center),
-                m.predict_value(&probe, &probe.center)
-            );
-            assert_eq!(s.confidence(&probe), m.confidence(&probe));
             assert_eq!(
                 s.predict_q1_with_confidence(&probe),
                 m.predict_q1_with_confidence(&probe)
             );
-            // The fused Q2 path decomposes into the two separate calls.
             let (list, conf) = s.predict_q2_with_confidence(&probe).unwrap();
-            assert_eq!(list, s.predict_q2(&probe).unwrap());
-            assert_eq!(conf, s.confidence(&probe).unwrap());
-            assert_eq!(s.winner(&probe), m.winner(&probe));
+            assert_eq!(list, m.predict_q2(&probe).unwrap());
+            assert_eq!(conf, m.confidence(&probe).unwrap());
+            s.overlap_set_into(&probe, &mut ws);
+            m.overlap_set_into(&probe, &mut wm);
+            assert_eq!(ws, wm);
         }
     }
 
@@ -821,7 +762,7 @@ mod tests {
         let s = m.snapshot();
         let before: Vec<f64> = probe_grid()
             .iter()
-            .map(|p| s.predict_q1(p).unwrap())
+            .map(|p| s.predict_q1_with_confidence(p).unwrap().0)
             .collect();
         // Keep training the source model well past the capture point.
         let mut rng = StdRng::seed_from_u64(3);
@@ -832,7 +773,7 @@ mod tests {
         }
         let after: Vec<f64> = probe_grid()
             .iter()
-            .map(|p| s.predict_q1(p).unwrap())
+            .map(|p| s.predict_q1_with_confidence(p).unwrap().0)
             .collect();
         assert_eq!(before, after, "snapshot must be immutable");
         assert!(m.steps() > s.version());
@@ -860,25 +801,78 @@ mod tests {
         }
     }
 
+    /// `K = 0` through every head — the model's predictors, the
+    /// snapshot's oracle and served methods, the cross-shard drivers over
+    /// no parts and over only empty parts — ends typed, never in a panic.
     #[test]
-    fn empty_snapshot_errors_like_an_empty_model() {
+    fn k_zero_is_typed_through_every_head() {
         let m = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
         let s = m.snapshot();
-        assert!(matches!(
-            s.predict_q1(&q(&[0.5, 0.5], 0.1)),
-            Err(CoreError::EmptyModel)
-        ));
-        assert!(matches!(
-            s.confidence(&q(&[0.5, 0.5], 0.1)),
-            Err(CoreError::EmptyModel)
-        ));
+        let probe = q(&[0.5, 0.5], 0.1);
+        let empty = CoreError::EmptyModel;
+        assert_eq!(m.winner(&probe), None);
+        assert_eq!(m.predict_q1(&probe), Err(empty.clone()));
+        assert_eq!(m.predict_q2(&probe), Err(empty.clone()));
+        assert_eq!(m.predict_value(&probe, &[0.5, 0.5]), Err(empty.clone()));
+        assert_eq!(m.predict_value_at(&[0.5, 0.5], 0.1), Err(empty.clone()));
+        assert_eq!(m.confidence(&probe), Err(empty.clone()));
+        assert_eq!(m.predict_q1_with_confidence(&probe), Err(empty.clone()));
+        let mut w = vec![(1usize, 1.0)];
+        m.overlap_set_into(&probe, &mut w);
+        assert!(w.is_empty());
+
+        assert_eq!(s.predict_q1_with_confidence(&probe), Err(empty.clone()));
+        assert_eq!(s.predict_q2_with_confidence(&probe), Err(empty.clone()));
+        w.push((1, 1.0));
+        s.overlap_set_into(&probe, &mut w);
+        assert!(w.is_empty());
+
+        let mut c = ScreenCounters::default();
+        let one = std::slice::from_ref(&probe);
+        assert_eq!(
+            s.predict_q1_with_confidence_pruned(&probe, &mut c),
+            Err(empty.clone())
+        );
+        assert_eq!(
+            s.predict_q2_with_confidence_pruned(&probe, &mut c),
+            Err(empty.clone())
+        );
+        assert_eq!(
+            s.predict_q1_with_confidence_batch_pruned(one, &mut c),
+            Err(empty.clone())
+        );
+        assert_eq!(
+            s.predict_q2_with_confidence_batch_pruned(one, &mut c),
+            Err(empty)
+        );
+        for parts in [&[][..], &[ShardPart::whole(&s), ShardPart::whole(&s)][..]] {
+            assert_eq!(
+                sharded_q1_with_confidence_pruned(parts, &probe, &mut c),
+                None
+            );
+            assert_eq!(
+                sharded_q2_with_confidence_pruned(parts, &probe, &mut c),
+                None
+            );
+            assert_eq!(
+                sharded_q1_with_confidence_batch_pruned(parts, one, &mut c),
+                vec![None]
+            );
+            assert_eq!(
+                sharded_q2_with_confidence_batch_pruned(parts, one, &mut c),
+                vec![None]
+            );
+        }
+        assert_eq!(c, ScreenCounters::default(), "nothing to resolve");
+
+        // A wrong dimension is typed too, on the oracle like on the model.
         let t = trained(6, 200).snapshot();
         assert!(matches!(
-            t.predict_q1(&q(&[0.5], 0.1)),
+            t.predict_q1_with_confidence(&q(&[0.5], 0.1)),
             Err(CoreError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            t.predict_value(&q(&[0.5, 0.5], 0.1), &[0.5]),
+            t.predict_q2_with_confidence(&q(&[0.5], 0.1)),
             Err(CoreError::DimensionMismatch { .. })
         ));
     }

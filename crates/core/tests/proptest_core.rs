@@ -84,7 +84,8 @@ proptest! {
         for (q, y) in &pairs {
             m.train_step(q, *y).unwrap();
         }
-        let w = m.overlap_set(&probe);
+        let mut w = Vec::new();
+        m.overlap_set_into(&probe, &mut w);
         if w.is_empty() {
             return Ok(());
         }

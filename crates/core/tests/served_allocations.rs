@@ -147,7 +147,7 @@ fn probes(dim: usize) -> [Query; 3] {
 fn list_lengths(whole: &ServingSnapshot, probes: &[Query]) -> Vec<usize> {
     probes
         .iter()
-        .map(|q| whole.predict_q2(q).unwrap().len())
+        .map(|q| whole.predict_q2_with_confidence(q).unwrap().0.len())
         .collect()
 }
 

@@ -381,7 +381,7 @@ fn exact_ties_across_parts_keep_the_lowest_global_id() {
     }));
     let full = snapshot_of(dim, protos.clone());
     for q in &queries {
-        let (winner, _) = full.winner(q).unwrap();
+        let (winner, _) = full.arena().winner(&q.center, q.radius).unwrap();
         assert!(winner.is_multiple_of(2), "the lower twin always wins");
     }
     assert_every_partition_serves_the_oracle(&protos, dim, &queries);

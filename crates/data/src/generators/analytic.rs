@@ -117,61 +117,6 @@ impl DataFunction for PiecewiseLinear1d {
     }
 }
 
-/// The classic Doppler function
-/// `g(x) = sqrt(x(1−x)) · sin(2.1π / (x + 0.05))` — extreme non-stationary
-/// non-linearity, a stress test for local-linear methods.
-#[derive(Debug, Clone, Default)]
-pub struct Doppler1d;
-
-impl DataFunction for Doppler1d {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), 1);
-        let t = x[0];
-        (t * (1.0 - t)).max(0.0).sqrt() * ((2.1 * std::f64::consts::PI) / (t + 0.05)).sin()
-    }
-    fn domain(&self) -> Vec<(f64, f64)> {
-        vec![(0.0, 1.0)]
-    }
-    fn name(&self) -> &str {
-        "doppler-1d"
-    }
-    fn output_range(&self) -> Option<(f64, f64)> {
-        Some((-0.5, 0.5))
-    }
-}
-
-/// Friedman #1 benchmark (`d = 5`):
-/// `g(x) = 10 sin(π x₁ x₂) + 20 (x₃ − 0.5)² + 10 x₄ + 5 x₅` over `[0,1]⁵` —
-/// the standard MARS validation function (Friedman 1991), used to test the
-/// PLR baseline in higher dimension.
-#[derive(Debug, Clone, Default)]
-pub struct Friedman1;
-
-impl DataFunction for Friedman1 {
-    fn dim(&self) -> usize {
-        5
-    }
-    fn eval(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), 5);
-        10.0 * (std::f64::consts::PI * x[0] * x[1]).sin()
-            + 20.0 * (x[2] - 0.5) * (x[2] - 0.5)
-            + 10.0 * x[3]
-            + 5.0 * x[4]
-    }
-    fn domain(&self) -> Vec<(f64, f64)> {
-        vec![(0.0, 1.0); 5]
-    }
-    fn name(&self) -> &str {
-        "friedman1"
-    }
-    fn output_range(&self) -> Option<(f64, f64)> {
-        Some((-10.0, 30.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,20 +159,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn piecewise_linear_rejects_unsorted_knots() {
         let _ = PiecewiseLinear1d::new(&[(0.0, 0.0), (0.0, 1.0)]);
-    }
-
-    #[test]
-    fn doppler_is_zero_at_boundaries() {
-        let f = Doppler1d;
-        assert_eq!(f.eval(&[0.0]), 0.0);
-        assert!(f.eval(&[1.0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn friedman1_matches_hand_computation() {
-        let f = Friedman1;
-        // x = (0.5, 1, 0.5, 0, 0): 10 sin(pi/2) + 0 + 0 + 0 = 10.
-        let v = f.eval(&[0.5, 1.0, 0.5, 0.0, 0.0]);
-        assert!((v - 10.0).abs() < 1e-12);
     }
 }

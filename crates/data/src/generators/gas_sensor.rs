@@ -168,7 +168,7 @@ mod tests {
     fn is_strongly_non_linear() {
         // The defining property of R1: a least-squares plane fit over the
         // whole domain leaves a large unexplained fraction of variance.
-        use regq_linalg::{lstsq, LstsqOptions, Matrix};
+        use regq_linalg::{lstsq, Matrix};
         let f = GasSensorSurrogate::new(2, 42);
         let mut rng = seeded(123);
         let n = 2000;
@@ -180,7 +180,7 @@ mod tests {
             rows.push(vec![1.0, x[0], x[1]]);
         }
         let xm = Matrix::from_rows(&rows).unwrap();
-        let sol = lstsq(&xm, &ys, LstsqOptions::default()).unwrap();
+        let sol = lstsq(&xm, &ys).unwrap();
         let pred = xm.matvec(&sol.coeffs).unwrap();
         let mean = ys.iter().sum::<f64>() / n as f64;
         let ssr: f64 = ys.iter().zip(&pred).map(|(y, p)| (y - p) * (y - p)).sum();

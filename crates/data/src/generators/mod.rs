@@ -10,6 +10,6 @@ pub mod analytic;
 pub mod gas_sensor;
 pub mod rosenbrock;
 
-pub use analytic::{Doppler1d, Friedman1, PiecewiseLinear1d, Saddle2d, SineRidge1d};
+pub use analytic::{PiecewiseLinear1d, Saddle2d, SineRidge1d};
 pub use gas_sensor::GasSensorSurrogate;
 pub use rosenbrock::Rosenbrock;

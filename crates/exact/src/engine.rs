@@ -13,30 +13,14 @@ use crate::q1::{q1_mean, q1_moments, Moments};
 use regq_data::Dataset;
 use regq_linalg::LinalgError;
 use regq_store::{AccessPathKind, Relation};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A relation bundled with exact Q1/Q2 executors.
 pub struct ExactEngine {
     rel: Relation,
     /// Lazily computed global REG (the accuracy baseline of Figs. 9–11).
-    global_reg: parking_lot_free::Lazy<Result<LinearModel, LinalgError>>,
-}
-
-/// Minimal once-cell so this crate does not need `once_cell`/`parking_lot`.
-mod parking_lot_free {
-    use std::sync::OnceLock;
-
-    pub struct Lazy<T>(OnceLock<T>);
-
-    impl<T> Lazy<T> {
-        pub fn new() -> Self {
-            Lazy(OnceLock::new())
-        }
-        pub fn get_or_init(&self, f: impl FnOnce() -> T) -> &T {
-            self.0.get_or_init(f)
-        }
-    }
+    global_reg: OnceLock<Result<LinearModel, LinalgError>>,
 }
 
 impl ExactEngine {
@@ -44,7 +28,7 @@ impl ExactEngine {
     pub fn new(data: Arc<Dataset>, path: AccessPathKind) -> Self {
         ExactEngine {
             rel: Relation::new(data, path),
-            global_reg: parking_lot_free::Lazy::new(),
+            global_reg: OnceLock::new(),
         }
     }
 

@@ -12,7 +12,7 @@
 use crate::fit::GoodnessOfFit;
 use crate::q1::Moments;
 use regq_data::Dataset;
-use regq_linalg::{GramAccumulator, LinalgError, LstsqOptions, OnlineStats};
+use regq_linalg::{GramAccumulator, LinalgError, OnlineStats};
 use regq_store::Relation;
 
 /// A fitted linear model `u ≈ intercept + slope · x`.
@@ -74,7 +74,7 @@ pub fn fit_ols(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> 
     for &i in ids {
         acc.push_affine(ds.x(i), ds.y(i));
     }
-    let sol = acc.solve(LstsqOptions::default())?;
+    let sol = acc.solve()?;
     let intercept = sol.coeffs[0];
     let slope = sol.coeffs[1..].to_vec();
     // Exact residual accounting (cheap O(n·d) pass, numerically preferable
@@ -134,7 +134,7 @@ pub fn fit_ols_ball(rel: &Relation, center: &[f64], radius: f64) -> Result<BallF
     if acc.is_empty() {
         return Err(LinalgError::Empty);
     }
-    let sol = acc.solve(LstsqOptions::default())?;
+    let sol = acc.solve()?;
     let intercept = sol.coeffs[0];
     let slope = sol.coeffs[1..].to_vec();
     let n = acc.count();

@@ -9,7 +9,7 @@ use regq_exact::{
     fit_ols, fit_ols_ball, q1_mean, q1_moments, GoodnessOfFit, LinearModel, Mars, MarsParams,
     Moments,
 };
-use regq_linalg::{lstsq, LinalgError, LstsqOptions, Matrix, OnlineStats};
+use regq_linalg::{lstsq, LinalgError, Matrix, OnlineStats};
 use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ fn fit_ols_design(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgErro
         row[1..].copy_from_slice(ds.x(i));
         y.push(ds.y(i));
     }
-    let sol = lstsq(&design, &y, LstsqOptions::default())?;
+    let sol = lstsq(&design, &y)?;
     let intercept = sol.coeffs[0];
     let slope = sol.coeffs[1..].to_vec();
     let predicted: Vec<f64> = ids

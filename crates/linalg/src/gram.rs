@@ -10,7 +10,7 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::solve::{solve_normal_equations, LstsqOptions, LstsqSolution};
+use crate::solve::{solve_normal_equations, LstsqSolution};
 
 /// Single-pass accumulator of the normal equations `XᵀX b = Xᵀy`.
 ///
@@ -172,11 +172,11 @@ impl GramAccumulator {
     /// # Errors
     /// [`LinalgError::Empty`] before any row was folded; solver errors
     /// otherwise.
-    pub fn solve(&self, opts: LstsqOptions) -> Result<LstsqSolution, LinalgError> {
+    pub fn solve(&self) -> Result<LstsqSolution, LinalgError> {
         if self.n == 0 {
             return Err(LinalgError::Empty);
         }
-        solve_normal_equations(&self.gram_matrix(), &self.xty, opts)
+        solve_normal_equations(&self.gram_matrix(), &self.xty)
     }
 
     /// Sum of squared residuals of a coefficient vector against the
@@ -245,8 +245,8 @@ mod tests {
             acc.push_affine(x, *u);
         }
         let x = Matrix::from_rows(&design).unwrap();
-        let via_design = lstsq(&x, &y, LstsqOptions::default()).unwrap();
-        let via_gram = acc.solve(LstsqOptions::default()).unwrap();
+        let via_design = lstsq(&x, &y).unwrap();
+        let via_gram = acc.solve().unwrap();
         assert_eq!(via_gram.path, SolvePath::Cholesky);
         for (a, b) in via_gram.coeffs.iter().zip(via_design.coeffs.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -300,7 +300,7 @@ mod tests {
         for (x, u) in &rows {
             acc.push_affine(x, *u);
         }
-        let sol = acc.solve(LstsqOptions::default()).unwrap();
+        let sol = acc.solve().unwrap();
         let b = &sol.coeffs;
         let mean = acc.sum_y() / acc.count() as f64;
         let mut ssr = 0.0;
@@ -321,7 +321,7 @@ mod tests {
         for (x, u) in &rows {
             acc.push_affine(x, *u);
         }
-        let sol = acc.solve(LstsqOptions::default()).unwrap();
+        let sol = acc.solve().unwrap();
         let ssr = acc.ssr(&sol.coeffs);
         assert!(ssr >= 0.0);
         assert!(ssr < 1e-8, "exact plane must have ~zero SSR, got {ssr}");
@@ -330,10 +330,7 @@ mod tests {
     #[test]
     fn empty_accumulator_errors_on_solve() {
         let acc = GramAccumulator::new(2);
-        assert!(matches!(
-            acc.solve(LstsqOptions::default()),
-            Err(LinalgError::Empty)
-        ));
+        assert!(matches!(acc.solve(), Err(LinalgError::Empty)));
         assert_eq!(acc.tss(), 0.0);
     }
 

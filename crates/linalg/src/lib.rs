@@ -51,5 +51,5 @@ pub use error::LinalgError;
 pub use gram::GramAccumulator;
 pub use matrix::Matrix;
 pub use qr::QrFactorization;
-pub use solve::{lstsq, solve_normal_equations, solve_spd, LstsqOptions, LstsqSolution};
+pub use solve::{lstsq, solve_normal_equations, LstsqSolution};
 pub use stats::{OnlineStats, Summary};

@@ -23,24 +23,11 @@ use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::qr::QrFactorization;
 
-/// Options for [`lstsq`].
-#[derive(Debug, Clone, Copy)]
-pub struct LstsqOptions {
-    /// Ridge strength used on the first Cholesky retry, relative to the mean
-    /// diagonal of the Gram matrix. `0.0` disables the ridge fallback.
-    pub ridge_rel: f64,
-    /// Relative tolerance used by the QR fallback's rank check.
-    pub rank_rel_tol: f64,
-}
-
-impl Default for LstsqOptions {
-    fn default() -> Self {
-        LstsqOptions {
-            ridge_rel: 1e-8,
-            rank_rel_tol: 1e-10,
-        }
-    }
-}
+/// Ridge strength of the one Cholesky retry, relative to the mean diagonal
+/// of the Gram matrix: small enough that a well-posed fit never sees it
+/// (plain Cholesky succeeds first), large enough to make an exactly
+/// collinear Gram matrix positive definite in `f64`.
+const RIDGE_REL: f64 = 1e-8;
 
 /// How a least-squares solution was obtained (diagnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +58,7 @@ pub struct LstsqSolution {
 /// * [`LinalgError::DimensionMismatch`] if `y.len() != X.rows()`.
 /// * [`LinalgError::Empty`] for an empty design.
 /// * [`LinalgError::RankDeficient`] if even QR cannot produce a solution.
-pub fn lstsq(x: &Matrix, y: &[f64], opts: LstsqOptions) -> Result<LstsqSolution, LinalgError> {
+pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<LstsqSolution, LinalgError> {
     if x.rows() == 0 || x.cols() == 0 {
         return Err(LinalgError::Empty);
     }
@@ -85,7 +72,7 @@ pub fn lstsq(x: &Matrix, y: &[f64], opts: LstsqOptions) -> Result<LstsqSolution,
     let gram = x.gram();
     let xty = x.t_matvec(y)?;
 
-    if let Some(sol) = cholesky_then_ridge(&gram, &xty, opts)? {
+    if let Some(sol) = cholesky_then_ridge(&gram, &xty)? {
         return Ok(sol);
     }
 
@@ -99,12 +86,6 @@ pub fn lstsq(x: &Matrix, y: &[f64], opts: LstsqOptions) -> Result<LstsqSolution,
         });
     }
     Err(LinalgError::RankDeficient { column: 0 })
-}
-
-/// Solve a symmetric positive-definite system `A x = b` (thin wrapper over
-/// [`Cholesky`], used for pre-accumulated normal equations).
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Cholesky::factor(a)?.solve(b)
 }
 
 /// Solve least squares directly from pre-accumulated normal-equation state
@@ -121,11 +102,7 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 /// * [`LinalgError::DimensionMismatch`] if `gram` is not square or
 ///   `xty.len() != gram.rows()`.
 /// * [`LinalgError::RankDeficient`] when every path fails.
-pub fn solve_normal_equations(
-    gram: &Matrix,
-    xty: &[f64],
-    opts: LstsqOptions,
-) -> Result<LstsqSolution, LinalgError> {
+pub fn solve_normal_equations(gram: &Matrix, xty: &[f64]) -> Result<LstsqSolution, LinalgError> {
     if gram.rows() == 0 || gram.cols() == 0 {
         return Err(LinalgError::Empty);
     }
@@ -144,7 +121,7 @@ pub fn solve_normal_equations(
         });
     }
 
-    if let Some(sol) = cholesky_then_ridge(gram, xty, opts)? {
+    if let Some(sol) = cholesky_then_ridge(gram, xty)? {
         return Ok(sol);
     }
 
@@ -160,11 +137,7 @@ pub fn solve_normal_equations(
 /// The shared front of both solve chains: plain Cholesky on the normal
 /// equations, then one ridge-perturbed retry. `Ok(None)` means "fall
 /// through to the caller's QR last resort".
-fn cholesky_then_ridge(
-    gram: &Matrix,
-    xty: &[f64],
-    opts: LstsqOptions,
-) -> Result<Option<LstsqSolution>, LinalgError> {
+fn cholesky_then_ridge(gram: &Matrix, xty: &[f64]) -> Result<Option<LstsqSolution>, LinalgError> {
     match Cholesky::factor(gram) {
         Ok(ch) => {
             let coeffs = ch.solve(xty)?;
@@ -177,19 +150,17 @@ fn cholesky_then_ridge(
         Err(e) => return Err(e),
     }
 
-    if opts.ridge_rel > 0.0 {
-        let n = gram.rows();
-        let mean_diag = (0..n).map(|i| gram[(i, i)]).sum::<f64>() / n as f64;
-        let lambda = (mean_diag * opts.ridge_rel).max(f64::MIN_POSITIVE);
-        let mut ridged = gram.clone();
-        ridged.add_diagonal(lambda);
-        if let Ok(ch) = Cholesky::factor(&ridged) {
-            let coeffs = ch.solve(xty)?;
-            return Ok(Some(LstsqSolution {
-                coeffs,
-                path: SolvePath::Ridged,
-            }));
-        }
+    let n = gram.rows();
+    let mean_diag = (0..n).map(|i| gram[(i, i)]).sum::<f64>() / n as f64;
+    let lambda = (mean_diag * RIDGE_REL).max(f64::MIN_POSITIVE);
+    let mut ridged = gram.clone();
+    ridged.add_diagonal(lambda);
+    if let Ok(ch) = Cholesky::factor(&ridged) {
+        let coeffs = ch.solve(xty)?;
+        return Ok(Some(LstsqSolution {
+            coeffs,
+            path: SolvePath::Ridged,
+        }));
     }
     Ok(None)
 }
@@ -215,7 +186,7 @@ mod tests {
     #[test]
     fn recovers_exact_coefficients_via_cholesky() {
         let (x, y) = design_and_target();
-        let sol = lstsq(&x, &y, LstsqOptions::default()).unwrap();
+        let sol = lstsq(&x, &y).unwrap();
         assert_eq!(sol.path, SolvePath::Cholesky);
         assert!((sol.coeffs[0] - 1.0).abs() < 1e-9);
         assert!((sol.coeffs[1] - 2.0).abs() < 1e-9);
@@ -233,7 +204,7 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = rows.iter().map(|r| 2.0 + 3.0 * r[1]).collect();
-        let sol = lstsq(&x, &y, LstsqOptions::default()).unwrap();
+        let sol = lstsq(&x, &y).unwrap();
         assert_eq!(sol.path, SolvePath::Ridged);
         // Prediction must still be exact even though individual coefficients
         // are not identifiable: b1 + b2 == 3.
@@ -243,17 +214,14 @@ mod tests {
     #[test]
     fn empty_design_is_an_error() {
         let x = Matrix::zeros(0, 0);
-        assert!(matches!(
-            lstsq(&x, &[], LstsqOptions::default()),
-            Err(LinalgError::Empty)
-        ));
+        assert!(matches!(lstsq(&x, &[]), Err(LinalgError::Empty)));
     }
 
     #[test]
     fn mismatched_target_length_is_an_error() {
         let (x, _) = design_and_target();
         assert!(matches!(
-            lstsq(&x, &[1.0, 2.0], LstsqOptions::default()),
+            lstsq(&x, &[1.0, 2.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
     }
@@ -263,8 +231,8 @@ mod tests {
         let (x, y) = design_and_target();
         let gram = x.gram();
         let xty = x.t_matvec(&y).unwrap();
-        let via_gram = solve_normal_equations(&gram, &xty, LstsqOptions::default()).unwrap();
-        let via_design = lstsq(&x, &y, LstsqOptions::default()).unwrap();
+        let via_gram = solve_normal_equations(&gram, &xty).unwrap();
+        let via_design = lstsq(&x, &y).unwrap();
         assert_eq!(via_gram.path, SolvePath::Cholesky);
         for (a, b) in via_gram.coeffs.iter().zip(via_design.coeffs.iter()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -275,7 +243,7 @@ mod tests {
     fn normal_equations_singular_gram_falls_back_to_ridge() {
         // Rank-1 Gram (duplicated column): Cholesky fails, ridge succeeds.
         let gram = Matrix::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]).unwrap();
-        let sol = solve_normal_equations(&gram, &[1.0, 1.0], LstsqOptions::default()).unwrap();
+        let sol = solve_normal_equations(&gram, &[1.0, 1.0]).unwrap();
         assert_eq!(sol.path, SolvePath::Ridged);
         // The ridged solution splits the weight across the twin columns.
         assert!((sol.coeffs[0] + sol.coeffs[1] - 0.5).abs() < 1e-4);
@@ -285,47 +253,18 @@ mod tests {
     fn normal_equations_rejects_bad_shapes() {
         let gram = Matrix::zeros(0, 0);
         assert!(matches!(
-            solve_normal_equations(&gram, &[], LstsqOptions::default()),
+            solve_normal_equations(&gram, &[]),
             Err(LinalgError::Empty)
         ));
         let rect = Matrix::zeros(2, 3);
         assert!(matches!(
-            solve_normal_equations(&rect, &[0.0, 0.0], LstsqOptions::default()),
+            solve_normal_equations(&rect, &[0.0, 0.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
         let sq = Matrix::identity(2);
         assert!(matches!(
-            solve_normal_equations(&sq, &[0.0], LstsqOptions::default()),
+            solve_normal_equations(&sq, &[0.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn solve_spd_round_trips() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let x = solve_spd(&a, &[1.0, 2.0]).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        assert!((ax[0] - 1.0).abs() < 1e-12);
-        assert!((ax[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ridge_disabled_goes_to_qr() {
-        let rows: Vec<Vec<f64>> = (0..10)
-            .map(|i| {
-                let x1 = i as f64;
-                vec![1.0, x1, 2.0 * x1]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = rows.iter().map(|r| r[1]).collect();
-        let opts = LstsqOptions {
-            ridge_rel: 0.0,
-            ..Default::default()
-        };
-        // QR also sees rank deficiency here, so the whole chain errors out —
-        // that is the correct surfaced behaviour with ridge disabled.
-        let res = lstsq(&x, &y, opts);
-        assert!(matches!(res, Err(LinalgError::RankDeficient { .. })));
     }
 }

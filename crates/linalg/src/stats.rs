@@ -182,18 +182,6 @@ pub fn rmse(actual: &[f64], predicted: &[f64]) -> f64 {
     (ss / actual.len() as f64).sqrt()
 }
 
-/// Mean absolute error between paired samples.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(actual.len(), predicted.len(), "mae: length mismatch");
-    assert!(!actual.is_empty(), "mae of empty sample");
-    let s: f64 = actual
-        .iter()
-        .zip(predicted.iter())
-        .map(|(a, p)| (a - p).abs())
-        .sum();
-    s / actual.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,10 +277,5 @@ mod tests {
         // Errors 3 and 4 -> RMSE = sqrt((9+16)/2).
         let e = rmse(&[0.0, 0.0], &[3.0, 4.0]);
         assert!((e - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mae_matches_hand_computation() {
-        assert_eq!(mae(&[0.0, 0.0], &[3.0, -4.0]), 3.5);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use regq_linalg::vector::l2_dist;
-use regq_linalg::{lstsq, Cholesky, LstsqOptions, Matrix, QrFactorization};
+use regq_linalg::{lstsq, Cholesky, Matrix, QrFactorization};
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3..1e3f64, len)
@@ -85,7 +85,7 @@ proptest! {
         let rows: Vec<Vec<f64>> = xs.iter().map(|&v| vec![1.0, v]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = xs.iter().map(|&v| b0 + b1 * v).collect();
-        let sol = lstsq(&x, &y, LstsqOptions::default()).unwrap();
+        let sol = lstsq(&x, &y).unwrap();
         prop_assert!((sol.coeffs[0] - b0).abs() < 1e-5);
         prop_assert!((sol.coeffs[1] - b1).abs() < 1e-5);
     }

@@ -184,7 +184,7 @@ impl<T: Send + Sync> SnapshotCell<T> {
         // Injected publish stall ([`FaultKind::PublishStall`]): the writer
         // wedges here *holding the state lock*, before the new epoch is
         // stored — the most adversarial spot. Hazard-slot readers
-        // ([`SnapshotCell::with_current`] etc.) keep serving the previous
+        // ([`SnapshotCell::tls_reader`] guards) keep serving the previous
         // epoch untouched; only lock-taking paths (`load_owned`,
         // diagnostics, other publishers) wait, which is exactly what the
         // stall battery asserts.
@@ -257,8 +257,7 @@ impl<T: Send + Sync> SnapshotCell<T> {
     /// Register a reader: allocates (or re-issues a retired) hazard slot.
     /// The handle is the reader's identity for the announce/validate
     /// protocol; drop it to deregister. Most callers want the thread-cached
-    /// [`SnapshotCell::tls_reader`] / [`SnapshotCell::with_current`]
-    /// conveniences instead.
+    /// [`SnapshotCell::tls_reader`] convenience instead.
     pub fn reader(&self) -> ReaderHandle<T> {
         let mut state = self.lock_state();
         let reused = state
@@ -354,15 +353,6 @@ impl<T: Send + Sync + 'static> SnapshotCell<T> {
             id: self.inner.id,
             handle: Some(take_cached(self)),
         }
-    }
-
-    /// Run `f` against the current value (or `None` before the first
-    /// publish) under hazard-slot protection: lock-free, and the value
-    /// cannot be reclaimed while `f` runs.
-    pub fn with_current<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
-        let mut reader = self.tls_reader();
-        let guard = reader.enter();
-        f(guard.get())
     }
 }
 
@@ -650,7 +640,7 @@ mod tests {
     fn empty_cell_loads_none() {
         let cell: SnapshotCell = SnapshotCell::new();
         assert!(cell.load_owned().is_none());
-        assert!(cell.with_current(|s| s.is_none()));
+        assert!(cell.tls_reader().enter().get().is_none());
         assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.retained(), 0);
     }
@@ -659,10 +649,10 @@ mod tests {
     fn publish_makes_the_snapshot_visible() {
         let cell = SnapshotCell::new();
         assert_eq!(cell.publish(snapshot_with_k(3)), 1);
-        assert_eq!(cell.with_current(|s| s.unwrap().k()), 3);
+        assert_eq!(cell.tls_reader().enter().get().unwrap().k(), 3);
         assert_eq!(cell.epoch(), 1);
         assert_eq!(cell.publish(snapshot_with_k(5)), 2);
-        assert_eq!(cell.with_current(|s| s.unwrap().k()), 5);
+        assert_eq!(cell.tls_reader().enter().get().unwrap().k(), 5);
     }
 
     #[test]
@@ -671,7 +661,7 @@ mod tests {
         let pinned = cell.load_owned().unwrap();
         cell.publish(snapshot_with_k(7));
         assert_eq!(pinned.k(), 2, "pinned version must not move");
-        assert_eq!(cell.with_current(|s| s.unwrap().k()), 7);
+        assert_eq!(cell.tls_reader().enter().get().unwrap().k(), 7);
         assert!(pinned.same_capture(&pinned.clone()));
     }
 
@@ -703,7 +693,7 @@ mod tests {
         drop(guard);
         cell.reclaim();
         assert_eq!(cell.retained(), 1);
-        assert_eq!(cell.with_current(|v| *v.unwrap()), 30);
+        assert_eq!(cell.tls_reader().enter().get(), Some(&30));
     }
 
     #[test]
@@ -742,17 +732,15 @@ mod tests {
         let cell: SnapshotCell<u64> = SnapshotCell::new();
         cell.publish(5);
         for _ in 0..100 {
-            cell.with_current(|v| assert_eq!(v, Some(&5)));
+            assert_eq!(cell.tls_reader().enter().get(), Some(&5));
         }
         assert_eq!(cell.reader_slots(), 1);
         // Nested reads on one thread (router-style: several cells, or
         // re-entrant use of one cell) must not panic or deadlock.
         let cell2: SnapshotCell<u64> = SnapshotCell::with_snapshot(7);
-        cell.with_current(|a| {
-            cell2.with_current(|b| {
-                assert_eq!((a, b), (Some(&5), Some(&7)));
-            })
-        });
+        let (mut a, mut b) = (cell.tls_reader(), cell2.tls_reader());
+        let (a, b) = (a.enter(), b.enter());
+        assert_eq!((a.get(), b.get()), (Some(&5), Some(&7)));
     }
 
     #[test]
@@ -819,7 +807,7 @@ mod tests {
             gate.release();
             assert_eq!(writer.join().unwrap(), 2);
         });
-        assert_eq!(cell.with_current(|v| *v.unwrap()), 2);
+        assert_eq!(cell.tls_reader().enter().get(), Some(&2));
         assert_eq!(cell.epoch(), 2);
     }
 

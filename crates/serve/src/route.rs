@@ -160,6 +160,11 @@ pub enum Feedback {
     /// [`crate::RouterStats::feedback_dropped`] and surfaced per-query via
     /// [`Served::feedback_dropped`].
     Dropped,
+    /// The example's shard cannot train — it holds no model, or a frozen
+    /// one — so the example was not enqueued: nothing could have been
+    /// learned from it, and nothing was lost. Counted in
+    /// [`crate::RouterStats::feedback_declined`].
+    Declined,
 }
 
 impl Feedback {

@@ -3,8 +3,11 @@
 //! training loop closed in production over a sharded serve/train fabric.
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
-//! counter or a per-shard advisory `degraded` flag, both read only for
-//! [`RouterStats`], whose readers tolerate staleness. The two orderings
+//! counter or a per-shard advisory flag: `degraded`, read only for
+//! [`RouterStats`], and `trainable`, read by the feedback doors — a stale
+//! read queues one example for a trainer that just froze (it stays
+//! queued, bounded) or declines one for a trainer that just came back;
+//! both tolerate staleness. The two orderings
 //! that matter are explicit: `next_id` (the spawn ticket counter whose
 //! values become prototype identities) is SeqCst, and snapshot hand-off
 //! goes through the SeqCst [`SnapshotCell`] protocol. The exact-cost EMA
@@ -24,8 +27,10 @@
 //!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
 //!    answer on its shard's bounded feedback queue. Feedback never blocks
 //!    a serving thread: queues are drained under `try_lock`, a contended
-//!    trainer leaves the example queued for the next drain, and only a
-//!    full queue loses one (counted, see [`Feedback`]);
+//!    trainer leaves the example queued for the next drain, only a
+//!    full queue loses one, and a shard whose trainer cannot learn (no
+//!    model, or a frozen one) is not offered any (both counted, see
+//!    [`Feedback`]);
 //! 4. each shard's trainer republishes a fresh snapshot every
 //!    [`RoutePolicy::publish_interval`] consumed examples.
 //!
@@ -122,6 +127,12 @@ struct Shard {
     /// cleared at its next publish: answers stay correct (they come from
     /// the published snapshot) but learning regressed to it.
     degraded: AtomicBool,
+    /// Whether this shard's trainer holds a model that still learns
+    /// (present and not frozen). Advisory: written where the model changes
+    /// hands — `attach_model`, `recover_shard_trainer`, the end of a drain
+    /// (a step may have frozen it) — so the feedback doors can decline
+    /// examples nobody would ever drain without locking the trainer.
+    trainable: AtomicBool,
 }
 
 impl Shard {
@@ -135,7 +146,14 @@ impl Shard {
             cell: SnapshotCell::new(),
             queue: Mutex::new(VecDeque::new()),
             degraded: AtomicBool::new(false),
+            trainable: AtomicBool::new(false),
         }
+    }
+
+    /// Re-derive `trainable` from the trainer the caller holds locked.
+    fn note_trainable(&self, t: &ShardTrainer) {
+        let learns = t.model.as_ref().is_some_and(|m| !m.is_frozen());
+        self.trainable.store(learns, Ordering::Relaxed);
     }
 }
 
@@ -156,6 +174,10 @@ pub struct RouterStats {
     /// full. Every drop is counted and surfaced per-query via
     /// [`Served::feedback_dropped`].
     pub feedback_dropped: u64,
+    /// Feedback examples *declined*: the target shard's trainer holds no
+    /// model or a frozen one, so nothing could have been learned and
+    /// nothing was queued ([`Feedback::Declined`]) — not a loss.
+    pub feedback_declined: u64,
     /// Snapshot publishes summed over all shard cells.
     pub publishes: u64,
     /// Number of shards.
@@ -223,6 +245,7 @@ pub struct ShardRouter {
     feedback_enqueued: AtomicU64,
     feedback_fed: AtomicU64,
     feedback_dropped: AtomicU64,
+    feedback_declined: AtomicU64,
     degraded_served: AtomicU64,
     trainer_panics: AtomicU64,
     trainer_restarts: AtomicU64,
@@ -303,6 +326,7 @@ impl ShardRouter {
             feedback_enqueued: AtomicU64::new(0),
             feedback_fed: AtomicU64::new(0),
             feedback_dropped: AtomicU64::new(0),
+            feedback_declined: AtomicU64::new(0),
             degraded_served: AtomicU64::new(0),
             trainer_panics: AtomicU64::new(0),
             trainer_restarts: AtomicU64::new(0),
@@ -368,6 +392,7 @@ impl ShardRouter {
             t.model = Some(m);
             t.ids = ids.clone();
             t.since_publish = 0;
+            shard.note_trainable(&t);
             shard.cell.publish(ShardSnapshot {
                 snapshot,
                 ids: Arc::new(ids),
@@ -471,6 +496,7 @@ impl ShardRouter {
             feedback_enqueued: self.feedback_enqueued.load(Ordering::Relaxed),
             feedback_fed: self.feedback_fed.load(Ordering::Relaxed),
             feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
+            feedback_declined: self.feedback_declined.load(Ordering::Relaxed),
             publishes: self.shards.iter().map(|s| s.cell.epoch()).sum(),
             shards: self.shards.len(),
             retained: self.shards.iter().map(|s| s.cell.retained()).sum(),
@@ -572,6 +598,7 @@ impl ShardRouter {
                 t.ids.clear();
             }
         }
+        shard.note_trainable(t);
         self.trainer_restarts.fetch_add(1, Ordering::Relaxed);
         shard.degraded.store(true, Ordering::Relaxed);
     }
@@ -582,10 +609,16 @@ impl ShardRouter {
     /// bounded retry-with-backoff budget of
     /// [`RoutePolicy::overflow_retries`] (each attempt pumps the fabric
     /// first, so retries actively make room) before the example is lost
-    /// as a `Dropped` — counted in [`RouterStats::feedback_dropped`].
-    /// Never blocks on a trainer lock.
+    /// as a `Dropped` — counted in [`RouterStats::feedback_dropped`]. A
+    /// shard whose trainer cannot learn (no model, or a frozen one) is
+    /// offered nothing: the example is `Declined`, counted in
+    /// [`RouterStats::feedback_declined`], and no queue fills up with
+    /// examples nobody would drain. Never blocks on a trainer lock.
     pub fn observe_outcome(&self, q: &Query, y: f64) -> Feedback {
         let idx = self.partitioner.route(&q.center, q.radius);
+        if self.declines(&self.shards[idx], 1) {
+            return Feedback::Declined;
+        }
         // An injected overflow burst makes the first offer behave as if
         // the queue were full — the retry/drop path must absorb it.
         if !self.fault.fires(FaultKind::QueueOverflow) && self.try_enqueue(idx, q, y) {
@@ -596,6 +629,17 @@ impl ShardRouter {
             return Feedback::Accepted;
         }
         self.retry_enqueue(idx, q, y)
+    }
+
+    /// Whether `shard` cannot train and so declines the `n` examples on
+    /// offer — counted here, for both feedback doors.
+    fn declines(&self, shard: &Shard, n: usize) -> bool {
+        let declines = !shard.trainable.load(Ordering::Relaxed);
+        if declines {
+            self.feedback_declined
+                .fetch_add(n as u64, Ordering::Relaxed);
+        }
+        declines
     }
 
     /// One lock-and-offer against shard `idx`'s bounded queue.
@@ -625,12 +669,6 @@ impl ShardRouter {
         }
         self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
         Feedback::Dropped
-    }
-
-    /// [`ShardRouter::observe_outcome`] collapsed to "did the fabric
-    /// accept it".
-    pub fn observe(&self, q: &Query, y: f64) -> bool {
-        self.observe_outcome(q, y) == Feedback::Accepted
     }
 
     /// Drain queued feedback into whichever shard trainers are free
@@ -671,8 +709,8 @@ impl ShardRouter {
 
     /// Drain one shard's queue into its trainer (caller holds the lock).
     /// A shard that cannot train (no model, frozen) leaves its queue
-    /// untouched — the bound then converts sustained pressure into
-    /// counted drops instead of silent discards.
+    /// untouched; the feedback doors stop offering it examples
+    /// (`Shard::trainable`), so what a freeze left behind stays bounded.
     ///
     /// Every `train_step` runs supervised: a panic (real or injected)
     /// quarantines the offending example, restarts this shard's trainer
@@ -741,6 +779,8 @@ impl ShardRouter {
         }
         self.feedback_fed
             .fetch_add(trained as u64, Ordering::Relaxed);
+        // A step above may have frozen the model (convergence).
+        shard.note_trainable(t);
         if t.since_publish >= self.policy.publish_interval {
             t.since_publish = 0;
             if let Some(model) = t.model.as_ref() {
@@ -1176,8 +1216,9 @@ impl ShardRouter {
     /// Per-example outcomes match [`ShardRouter::observe_outcome`]
     /// (`Accepted` = enqueued; a full shard queue gets the bounded
     /// retry-with-backoff budget — after the batch's queue locks are
-    /// released — before the counted `Dropped`). Never blocks on a
-    /// trainer lock.
+    /// released — before the counted `Dropped`; a shard that cannot
+    /// train declines all of its examples). Never blocks on a trainer
+    /// lock.
     pub fn observe_outcome_batch(&self, pairs: &[(Query, f64)]) -> Vec<Feedback> {
         if pairs.is_empty() {
             return Vec::new();
@@ -1193,6 +1234,12 @@ impl ShardRouter {
         let mut overflowed: Vec<(usize, usize)> = Vec::new();
         for (shard_idx, (shard, idxs)) in self.shards.iter().zip(&by_shard).enumerate() {
             if idxs.is_empty() {
+                continue;
+            }
+            if self.declines(shard, idxs.len()) {
+                for &i in idxs {
+                    out[i] = Feedback::Declined;
+                }
                 continue;
             }
             let mut queue = lock(&shard.queue);
@@ -1715,7 +1762,7 @@ mod tests {
                 let c = vec![wrng.random_range(0.0..1.0), wrng.random_range(0.0..1.0)];
                 let query = q(&c, 0.15);
                 if let Some(y) = router.exact_engine().q1(&query.center, query.radius) {
-                    router.observe(&query, y);
+                    router.observe_outcome(&query, y);
                 }
             }
             router.publish_now();
@@ -1780,7 +1827,7 @@ mod tests {
     fn bounded_queues_drop_deterministically_and_surface_on_answers() {
         let data = dataset(5_000, 5);
         let mut model = trained_model(&exact_over(&data), 10_000, 6);
-        model.freeze();
+        model.unfreeze();
         let mut router = ShardRouter::with_model(
             exact_over(&data),
             model,
@@ -1793,7 +1840,10 @@ mod tests {
             1, // single shard: every example targets the same queue
         );
         router.set_queue_capacity(2);
-        // A frozen trainer never drains, so the third enqueue must drop.
+        // While someone else holds the trainer lock nothing drains (the
+        // feedback doors only ever `try_lock` it), so the third enqueue
+        // must drop.
+        let _busy = lock(&router.shards[0].trainer);
         let probe = q(&[0.5, 0.5], 0.2);
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
@@ -1804,6 +1854,81 @@ mod tests {
         assert_eq!(served.route, Route::Exact);
         assert!(served.feedback_dropped, "drop must surface on the answer");
         assert_eq!(router.stats().feedback_dropped, 2);
+    }
+
+    #[test]
+    fn a_trainer_that_cannot_train_is_not_offered_feedback() {
+        let data = dataset(5_000, 23);
+        let forced_exact = RoutePolicy {
+            confidence_threshold: 2.0, // every answer is a fallback with a label
+            ..RoutePolicy::default()
+        };
+        let probe = q(&[0.5, 0.5], 0.2);
+        let pairs = vec![(probe.clone(), 1.0); 3];
+        let learner = trained_model(&exact_over(&data), 5_000, 24);
+        let mut frozen = learner.clone();
+        frozen.freeze();
+        let with_frozen = ShardRouter::with_model(exact_over(&data), frozen, forced_exact, 2);
+        let model_less = ShardRouter::new(exact_over(&data), forced_exact, 2);
+        for mut router in [with_frozen, model_less] {
+            // Were anything queued, a 1-slot queue would drop the second.
+            router.set_queue_capacity(1);
+            // The scalar door, the batch door, and each behind a fallback.
+            assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Declined);
+            assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Declined);
+            assert_eq!(
+                router.observe_outcome_batch(&pairs),
+                vec![Feedback::Declined; 3]
+            );
+            let served = router.q1(&probe).unwrap();
+            assert_eq!(
+                (served.route, served.feedback_dropped),
+                (Route::Exact, false)
+            );
+            let batch = router.q1_batch(&[probe.clone(), probe.clone()]).unwrap();
+            assert!(batch
+                .iter()
+                .all(|s| s.route == Route::Exact && !s.feedback_dropped));
+            let stats = router.stats();
+            assert_eq!(stats.feedback_declined, 2 + 3 + 1 + 2, "never silent");
+            assert_eq!(
+                (
+                    stats.feedback_enqueued,
+                    stats.feedback_dropped,
+                    stats.feedback_fed
+                ),
+                (0, 0, 0)
+            );
+            assert!(router.shards.iter().all(|s| lock(&s.queue).is_empty()));
+        }
+
+        // A trainer that freezes *inside a drain* (γ so large that its
+        // first step converges) stops being offered feedback from the next
+        // example on, while the shard beside it still learns.
+        let mut cfg = learner.config().clone();
+        cfg.gamma = 1e9;
+        cfg.convergence_window = 1;
+        let eager =
+            LlmModel::from_parts(cfg, learner.prototypes(), learner.steps(), false).unwrap();
+        let router = ShardRouter::with_model(exact_over(&data), eager, forced_exact, 2);
+        let probe_of = |shard: usize| {
+            (0..400)
+                .map(|i| q(&[(i % 20) as f64 / 20.0, (i / 20) as f64 / 20.0], 0.1))
+                .find(|p| router.partitioner.route(&p.center, p.radius) == shard)
+                .expect("a two-way kd split leaves no shard without a grid point")
+        };
+        let (a, b) = (probe_of(0), probe_of(1));
+        assert_eq!(router.observe_outcome(&a, 1.0), Feedback::Accepted);
+        assert_eq!(router.stats().feedback_fed, 1, "drained, and frozen by it");
+        assert_eq!(router.observe_outcome(&a, 1.0), Feedback::Declined);
+        assert_eq!(
+            router.observe_outcome_batch(&[(a, 1.0), (b.clone(), 1.0)]),
+            vec![Feedback::Declined, Feedback::Accepted]
+        );
+        let stats = router.stats();
+        assert_eq!((stats.feedback_enqueued, stats.feedback_fed), (2, 2));
+        assert_eq!((stats.feedback_declined, stats.feedback_dropped), (2, 0));
+        assert_eq!(router.observe_outcome(&b, 1.0), Feedback::Declined);
     }
 
     #[test]
@@ -2034,11 +2159,15 @@ mod tests {
         let mut model = trained_model(&exact_over(&data), 30_000, 20);
         model.freeze();
         let probe = q(&[0.5, 0.5], 0.15);
-        // Queue-pressure watermark: one queued example on the frozen
-        // (never-draining) shard crosses watermark 1.
+        // Queue-pressure watermark: one queued example on a shard whose
+        // trainer is busy (its lock is held, so nothing drains) crosses
+        // watermark 1. The trainer must be one that learns — a frozen one
+        // is offered no feedback to queue.
+        let mut learner = model.clone();
+        learner.unfreeze();
         let router = ShardRouter::with_model(
             exact_over(&data),
-            model.clone(),
+            learner,
             RoutePolicy {
                 confidence_threshold: 2.0, // everything falls below
                 pressure_watermark: Some(1),
@@ -2048,6 +2177,7 @@ mod tests {
         );
         let reference = router.q1_model(&probe).unwrap();
         assert_eq!(router.q1(&probe).unwrap().route, Route::Exact);
+        let busy = lock(&router.shards[0].trainer);
         router.observe_outcome(&probe, 1.0); // park one example
         let served = router.q1(&probe).unwrap();
         assert_eq!(served.route, Route::Degraded);
@@ -2061,6 +2191,7 @@ mod tests {
         let batch = router.q1_batch(std::slice::from_ref(&probe)).unwrap();
         assert_eq!(batch[0].route, Route::Degraded);
         assert_eq!(batch[0].value.to_bits(), reference.value.to_bits());
+        drop(busy);
         // Deadline budget: a standing cost hint over the budget degrades
         // without ever running (or timing) the exact path.
         let mut slow = ShardRouter::with_model(

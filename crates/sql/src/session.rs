@@ -1114,9 +1114,9 @@ mod tests {
 
     #[test]
     fn feedback_drops_surface_on_query_outputs() {
-        // A frozen trainer never drains its queue, so a capacity-1 queue
-        // overflows on the second exact-routed query — deterministically —
-        // and the drop must be visible on the output that caused it.
+        // An injected overflow burst on the second and third offers makes
+        // those exact-routed queries lose their example — deterministically
+        // — and the drop must be visible on the output that caused it.
         let field = GasSensorSurrogate::new(2, 3);
         let mut rng = seeded(12);
         let ds = Dataset::from_function(&field, 5_000, SampleOptions::default(), &mut rng);
@@ -1125,7 +1125,6 @@ mod tests {
         model
             .train_step(&Query::new_unchecked(vec![0.5, 0.5], 0.1), 1.0)
             .unwrap();
-        model.freeze();
         let mut moments = MomentsModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
         moments
             .train_step(
@@ -1141,11 +1140,13 @@ mod tests {
         s.register_model("readings", model).unwrap();
         s.register_moments_model("readings", moments).unwrap();
         s.set_feedback_queue_capacity("readings", 1).unwrap();
+        let burst = FaultPlan::new().inject(regq_serve::FaultKind::QueueOverflow, &[2, 3]);
+        s.set_fault_plan("readings", burst).unwrap();
         let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING EXACT";
         let first = s.execute(sql).unwrap();
         assert!(!first.feedback_dropped, "first example fits the queue");
         let second = s.execute(sql).unwrap();
-        assert!(second.feedback_dropped, "queue full: drop must surface");
+        assert!(second.feedback_dropped, "overflow: drop must surface");
         assert_eq!(s.router("readings").unwrap().stats().feedback_dropped, 1);
         // VAR's exact path reports drops too (it feeds the same fabric).
         let var = s

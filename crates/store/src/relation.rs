@@ -9,9 +9,8 @@
 use crate::index::{AccessPathKind, SpatialIndex};
 use crate::kd_tree::KdTree;
 use crate::linear_scan::LinearScan;
-use parking_lot::Mutex;
 use regq_data::Dataset;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A queryable relation: dataset snapshot + access path.
 pub struct Relation {
@@ -91,16 +90,17 @@ impl Relation {
 
     /// Run `f` over the selected row ids using an internal scratch buffer
     /// (no per-query allocation once warmed up). Under concurrent use the
-    /// scratch is claimed with `try_lock`; contending callers fall back to
-    /// a local buffer so parallel readers scale instead of serializing on
-    /// the mutex.
+    /// scratch is claimed with `try_lock`; a contending caller — or any
+    /// caller after a panic poisoned the lock — falls back to a local
+    /// buffer, so parallel readers scale instead of serializing on the
+    /// mutex.
     pub fn with_selection<T>(
         &self,
         center: &[f64],
         radius: f64,
         f: impl FnOnce(&Dataset, &[usize]) -> T,
     ) -> T {
-        if let Some(mut buf) = self.scratch.try_lock() {
+        if let Ok(mut buf) = self.scratch.try_lock() {
             self.index.query_ball(center, radius, &mut buf);
             f(self.dataset(), &buf)
         } else {

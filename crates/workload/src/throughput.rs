@@ -154,7 +154,7 @@ pub fn serve_closed_loop(
                 break;
             }
             if let Some(y) = router.exact_engine().q1(&q.center, q.radius) {
-                router.observe(q, y);
+                router.observe_outcome(q, y);
             }
             writer_examples += 1;
         }

@@ -73,8 +73,7 @@ pub mod prelude {
         ModelConfig, MomentsModel, Prototype, Query, ServingSnapshot, StepOutcome, TrainReport,
     };
     pub use regq_data::generators::{
-        Doppler1d, Friedman1, GasSensorSurrogate, PiecewiseLinear1d, Rosenbrock, Saddle2d,
-        SineRidge1d,
+        GasSensorSurrogate, PiecewiseLinear1d, Rosenbrock, Saddle2d, SineRidge1d,
     };
     pub use regq_data::rng::seeded;
     pub use regq_data::{DataFunction, Dataset, SampleOptions};

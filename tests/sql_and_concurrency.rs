@@ -294,17 +294,13 @@ mod snapshot_equivalence {
         assert_eq!(snap.version(), model.steps());
         assert_eq!(snap.prototypes(), model.prototypes());
         for probe in probe_grid() {
-            assert_eq!(snap.predict_q1(&probe), model.predict_q1(&probe));
-            assert_eq!(snap.predict_q2(&probe), model.predict_q2(&probe));
-            assert_eq!(
-                snap.predict_value(&probe, &probe.center),
-                model.predict_value(&probe, &probe.center)
-            );
-            assert_eq!(snap.confidence(&probe), model.confidence(&probe));
             assert_eq!(
                 snap.predict_q1_with_confidence(&probe),
                 model.predict_q1_with_confidence(&probe)
             );
+            let (list, confidence) = snap.predict_q2_with_confidence(&probe).unwrap();
+            assert_eq!(Ok(list), model.predict_q2(&probe));
+            assert_eq!(Ok(confidence), model.confidence(&probe));
         }
     }
 
@@ -587,19 +583,23 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
     use regq::core::moments::{MomentPair, MomentsModel};
     use regq::sql::Session;
 
-    // A self-contained table whose trainer can never drain: the model is
-    // frozen, so queued feedback stays queued and the 1-slot queue turns
-    // sustained pressure into *counted* drops (never silent ones).
+    // A self-contained table with a 1-slot feedback queue. A two-statement
+    // script offers both fallbacks' labels in one batch: the first takes
+    // the slot, the second overflows, and with no retry budget sustained
+    // pressure becomes a *counted* drop (never a silent one).
     let field = GasSensorSurrogate::new(2, 13);
     let mut rng = seeded(17);
-    let ds = Dataset::from_function(&field, 5_000, SampleOptions::default(), &mut rng);
-    let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
+    let ds = Arc::new(Dataset::from_function(
+        &field,
+        5_000,
+        SampleOptions::default(),
+        &mut rng,
+    ));
 
     let cfg = ModelConfig::with_vigilance(2, 0.15);
     let mut model = LlmModel::new(cfg.clone()).unwrap();
     let q0 = Query::new_unchecked(vec![0.5, 0.5], 0.1);
     model.train_step(&q0, 0.0).unwrap();
-    model.freeze();
     let mut moments = MomentsModel::new(cfg).unwrap();
     moments
         .train_step(
@@ -610,37 +610,60 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
             },
         )
         .unwrap();
+    let mut frozen = model.clone();
+    frozen.freeze();
 
     let mut session = Session::new();
-    session.register_table_with_policy(
-        "readings",
-        engine,
-        RoutePolicy {
-            confidence_threshold: 2.0, // force exact routing; feedback still flows
-            feedback: true,
-            publish_interval: 64,
-            ..RoutePolicy::default()
-        },
-    );
-    session.register_model("readings", model).unwrap();
+    for (table, model) in [("readings", model), ("archive", frozen)] {
+        session.register_table_with_policy(
+            table,
+            ExactEngine::new(ds.clone(), AccessPathKind::KdTree),
+            RoutePolicy {
+                confidence_threshold: 2.0, // force exact routing; feedback still flows
+                feedback: true,
+                publish_interval: 64,
+                ..RoutePolicy::default()
+            },
+        );
+        session.register_model(table, model).unwrap();
+        session.set_feedback_queue_capacity(table, 1).unwrap();
+    }
     session.register_moments_model("readings", moments).unwrap();
-    session.set_feedback_queue_capacity("readings", 1).unwrap();
 
-    let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2";
-    let first = session.execute(sql).unwrap();
-    assert_eq!(first.route, Route::Exact);
+    let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO";
+    let out = session.execute_batch(&format!("{sql}; {sql}")).unwrap();
+    assert_eq!(out[0].route, Route::Exact);
     assert!(
-        !first.feedback_dropped,
+        !out[0].feedback_dropped,
         "the first example fits the 1-slot queue"
     );
-    let second = session.execute(sql).unwrap();
     assert!(
-        second.feedback_dropped,
+        out[1].feedback_dropped,
         "overflow must surface on the answer, not vanish"
     );
     let stats = session.router("readings").unwrap().stats();
     assert_eq!(stats.feedback_enqueued, 1);
-    assert!(stats.feedback_dropped >= 1, "drops must be counted");
+    assert_eq!(stats.feedback_dropped, 1, "drops must be counted");
+    assert_eq!(stats.feedback_declined, 0);
+
+    // A trainer that cannot train is not offered feedback at all: behind a
+    // frozen model the same script loses nothing, fills no queue, and the
+    // two labels are counted as declined.
+    let sql = sql.replace("readings", "archive");
+    let out = session.execute_batch(&format!("{sql}; {sql}")).unwrap();
+    assert!(out
+        .iter()
+        .all(|o| o.route == Route::Exact && !o.feedback_dropped));
+    assert!(!session.execute(&sql).unwrap().feedback_dropped);
+    let stats = session.router("archive").unwrap().stats();
+    assert_eq!(
+        (
+            stats.feedback_enqueued,
+            stats.feedback_dropped,
+            stats.feedback_declined
+        ),
+        (0, 0, 3)
+    );
 }
 
 mod fault_injection {
@@ -804,8 +827,9 @@ mod fault_injection {
     #[test]
     fn overflow_bursts_surface_through_sql_until_given_a_retry_budget() {
         use regq::sql::Session;
+        // Unfrozen: a frozen trainer is not offered feedback to begin with.
         let mut model = trained_model();
-        model.freeze();
+        model.unfreeze();
         let mut session = Session::new();
         session.register_table_with_policy(
             "readings",
@@ -836,6 +860,8 @@ mod fault_injection {
         let stats = session.router("readings").unwrap().stats();
         assert_eq!(stats.feedback_dropped, 1);
         // The same burst with a retry budget is absorbed invisibly.
+        let mut learner = trained_model();
+        learner.unfreeze();
         let mut patient = Session::new();
         patient.register_table_with_policy(
             "patient",
@@ -848,6 +874,7 @@ mod fault_injection {
                 ..RoutePolicy::default()
             },
         );
+        patient.register_model("patient", learner).unwrap();
         patient
             .set_fault_plan(
                 "patient",
