@@ -104,6 +104,7 @@ impl Registry {
                 "crates/serve/src/cell.rs",
                 "crates/linalg/src/simd.rs",
                 "crates/core/tests/served_allocations.rs",
+                "crates/exact/tests/exact_allocations.rs",
             ]),
             panic_policy: own(&[
                 "crates/serve/src/",

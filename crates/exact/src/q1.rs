@@ -23,14 +23,14 @@ pub struct Moments {
 /// Execute Q1 exactly: average of `u` over `D(center, radius)`.
 ///
 /// The `SUM`/`COUNT` state folds *inside* the index traversal
-/// ([`Relation::fold_ball`]) — no id buffer is materialized and the rows
-/// are never read a second time, exactly how a DBMS executor pushes an
-/// `AVG` aggregate into the scan.
+/// ([`Relation::fold_targets`]) — no id buffer is materialized, no
+/// feature row is handed over and the rows are never read a second time,
+/// exactly how a DBMS executor pushes an `AVG` aggregate into the scan.
 ///
 /// Returns `None` when the subspace is empty (the DBMS would return SQL
 /// `NULL` for `AVG` over zero rows).
 pub fn q1_mean(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
-    let (n, sum) = rel.fold_ball(center, radius, (0usize, 0.0f64), |s, _, _, u| {
+    let (n, sum) = rel.fold_targets(center, radius, (0usize, 0.0f64), |s, u| {
         s.0 += 1;
         s.1 += u;
     });
@@ -45,15 +45,10 @@ pub fn q1_mean(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
 /// moments" future-work item, implemented in `regq-core::moments`). The
 /// Welford state folds during the traversal, like [`q1_mean`].
 pub fn q1_moments(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments> {
-    let (acc, sum_sq) = rel.fold_ball(
-        center,
-        radius,
-        (OnlineStats::new(), 0.0f64),
-        |s, _, _, u| {
-            s.0.push(u);
-            s.1 += u * u;
-        },
-    );
+    let (acc, sum_sq) = rel.fold_targets(center, radius, (OnlineStats::new(), 0.0f64), |s, u| {
+        s.0.push(u);
+        s.1 += u * u;
+    });
     if acc.count() == 0 {
         return None;
     }

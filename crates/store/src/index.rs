@@ -13,8 +13,10 @@ use std::sync::Arc;
 /// traversal that hands every qualifying row to a visitor *during* the
 /// scan. Aggregates (Q1 means, moments, OLS Gram state) fold over the
 /// visitor and never materialize an id list — the aggregation-pushdown
-/// shape of MADlib-style in-DBMS analytics. Materializing selections
-/// ([`SpatialIndex::query_ball`]) is a derived convenience.
+/// shape of MADlib-style in-DBMS analytics. The visitor is a generic
+/// parameter: the aggregate's transition function is compiled into the
+/// scan loop, not called through a pointer per row. Materializing
+/// selections ([`SpatialIndex::query_ball`]) is a derived convenience.
 pub trait SpatialIndex: Send + Sync {
     /// Invoke `visit(id, x_i, u_i)` for every row `i` with
     /// `‖x_i − center‖₂ ≤ radius`, during a single index traversal.
@@ -24,40 +26,44 @@ pub trait SpatialIndex: Send + Sync {
     /// the permuted id array for [`KdTree`](crate::KdTree) (a contract:
     /// exact answers fold in that order, see the
     /// [`kd_tree`](crate::kd_tree) module docs).
-    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64));
+    fn visit_ball(&self, center: &[f64], radius: f64, visit: impl FnMut(usize, &[f64], f64));
+
+    /// [`SpatialIndex::visit_ball`] for an aggregate over the output
+    /// attribute alone: `visit(u_i)` for the same rows in the same order.
+    /// An access path that stores `u` beside its rows answers without
+    /// reading a feature row or an id.
+    fn visit_targets(&self, center: &[f64], radius: f64, mut visit: impl FnMut(f64)) {
+        self.visit_ball(center, radius, |_, _, u| visit(u));
+    }
 
     /// Append to `out` the ids of all rows within `radius` of `center`.
     /// `out` is cleared first; ids arrive in the
     /// [`SpatialIndex::visit_ball`] traversal order.
     fn query_ball(&self, center: &[f64], radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        self.visit_ball(center, radius, &mut |id, _, _| out.push(id));
+        self.visit_ball(center, radius, |id, _, _| out.push(id));
     }
 
     /// Number of rows within `radius` of `center` (no materialization).
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
         let mut n = 0;
-        self.visit_ball(center, radius, &mut |_, _, _| n += 1);
+        self.visit_ball(center, radius, |_, _, _| n += 1);
         n
     }
 
     /// Fold `state` over the selection: `f(&mut state, id, x_i, u_i)` per
-    /// qualifying row, returning the final state. This is the typed front
-    /// door over [`SpatialIndex::visit_ball`] for statically-known index
-    /// types; through `dyn SpatialIndex` use
-    /// [`Relation::fold_ball`](crate::relation::Relation::fold_ball).
+    /// qualifying row, returning the final state — the typed front door
+    /// over [`SpatialIndex::visit_ball`];
+    /// [`Relation::fold_ball`](crate::relation::Relation::fold_ball) is
+    /// the same fold over whichever access path a relation holds.
     fn fold_ball<S>(
         &self,
         center: &[f64],
         radius: f64,
-        state: S,
+        mut state: S,
         mut f: impl FnMut(&mut S, usize, &[f64], f64),
-    ) -> S
-    where
-        Self: Sized,
-    {
-        let mut state = state;
-        self.visit_ball(center, radius, &mut |id, x, y| f(&mut state, id, x, y));
+    ) -> S {
+        self.visit_ball(center, radius, |id, x, y| f(&mut state, id, x, y));
         state
     }
 

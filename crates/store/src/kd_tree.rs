@@ -5,46 +5,79 @@
 //! coordinates order like any other value), axis cycling with depth,
 //! leaves of at most sixteen rows (`LEAF_SIZE`). The nodes sit in one
 //! flat array in depth-first order (left child = next node), the row ids
-//! in one array permuted so that every leaf owns a contiguous range — and
-//! a traversal visits leaves left to right, rows in ascending position.
-//! **The visiting order is therefore the order of `ids`**, a function of
-//! the dataset alone. That is a contract, not an accident: exact answers
-//! are floating-point folds over the visited rows, and the trainer's
-//! bit-identity guarantees rest on those folds (`docs/INVARIANTS.md`,
-//! "kd-tree leaf kernel").
+//! in one array permuted so that every subtree owns a contiguous range of
+//! positions — and a traversal visits subtrees left to right, rows in
+//! ascending position. **The visiting order is therefore the order of
+//! `ids`**, a function of the dataset alone. That is a contract, not an
+//! accident: exact answers are floating-point folds over the visited
+//! rows, and the trainer's bit-identity guarantees rest on those folds
+//! (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
 //!
-//! **Pruning.** A subtree is skipped only when the splitting plane
-//! *proves* it out of reach: `center[axis] − split > radius` for the left
-//! child, the mirrored test for the right. The per-axis difference
-//! lower-bounds the Euclidean distance, so the rule is sound; a NaN on
-//! either side proves nothing and both children are visited. Membership
-//! is always re-checked per row.
+//! **Pruning.** The traversal carries the current cell's box — the root
+//! box narrowed by one side per split on the way down — and the
+//! subtree's position range, halved the way the build halved it. From
+//! the box it takes two bounds on a row's squared distance to the
+//! centre, both evaluated with the membership kernel's own operation
+//! sequence (coordinate order, separate multiply and add, as
+//! [`regq_linalg::vector::sq_dist`]):
+//!
+//! * `near = Σ_c max(lo_c − q_c, q_c − hi_c, 0)²`. Rounding is monotone,
+//!   so every row of the cell computes a distance `≥ near`;
+//!   `near > radius²` *proves* the kernel would reject them all and the
+//!   subtree is skipped.
+//! * `far = Σ_c max(q_c − lo_c, hi_c − q_c)²`. By the same argument
+//!   every row computes a distance `≤ far`; `far ≤ radius²` *proves* the
+//!   kernel would admit them all and the whole range is handed on
+//!   without a distance test.
+//!
+//! Neither is a heuristic: a subtree is skipped or admitted exactly when
+//! a per-row test of each of its rows would have said the same. NaN goes
+//! the safe way in both: a NaN term drops out of `near` (less pruning)
+//! and poisons `far` (no admission) — and a row with a NaN coordinate
+//! forces a NaN side onto every cell that holds it, because the box
+//! sides are ordered by `total_cmp` like the splits. `±∞` needs no case.
+//!
+//! **Granularity.** Descent stops at the largest subtree one
+//! [`regq_linalg::simd::within_mask_aosoa`] call covers — the mask's 64
+//! rows, lane offset included — not at the sixteen-row build leaves:
+//! the leaves fix the order of `ids`, the mask fixes the cost of a
+//! visit, and the two are independent.
 //!
 //! **Leaf storage.** The index keeps its own copy of the rows *in
 //! visiting order*: the features as one global AoSoA block
 //! ([`regq_linalg::simd::pack_quads_aosoa`] layout — quads run over the
-//! whole permuted row array, a leaf may start at any lane, only the last
-//! quad is padded) and the target column beside it. A leaf is tested by
-//! one [`regq_linalg::simd::within_mask_aosoa`] call over the quads it
-//! touches; the mask is shifted and trimmed to the leaf's own rows and
-//! walked in ascending bit order, and each hit reaches the visitor as
-//! `(id, row unpacked from the quad just tested, target)`. A traversal
-//! never dereferences the `Dataset`. Membership follows the
-//! [`crate::norms::within`] contract.
+//! whole permuted row array, a subtree may start at any lane, only the
+//! last quad is padded) and the target column beside it. The mask of a
+//! tested subtree is shifted and trimmed to its own rows and walked in
+//! ascending bit order; a hit reaches the visitor as `(id, row unpacked
+//! from the quad just tested, target)`, or as the target alone for a
+//! fold that reads nothing else. A traversal never dereferences the
+//! `Dataset`. Membership follows the [`crate::norms::within`] contract.
 //!
 //! **Memory.** `8·n·d` bytes of features (as the row-major copy before
 //! it), `8·n` of targets, `4·n` of ids, 16 bytes per node at roughly one
-//! node per six rows — the target column is paid for by `u32` ids and
-//! half-size nodes, so the index is no larger than the one it replaced.
+//! node per six rows, and the root box: `2d` doubles, nothing per node.
+//! A traversal keeps its cell box and the visitor's row on the stack
+//! (`INLINE_SCRATCH`) and makes no allocator call; only a table wider
+//! than that spills to the one `Vec` every traversal used to pay.
 
 use crate::index::{AccessPathKind, SpatialIndex};
 use regq_data::Dataset;
-use regq_linalg::simd;
+use regq_linalg::simd::{self, MASK_QUADS};
 use regq_linalg::tune::QUAD;
 use std::sync::Arc;
 
-/// Leaves hold up to this many points; below it, scanning beats recursing.
+/// Leaves hold up to this many points. Part of the visiting-order
+/// contract (it decides where the recursive median splits stop), not a
+/// traversal knob.
 const LEAF_SIZE: usize = 16;
+
+/// Rows one membership-kernel call decides: the width of its mask.
+const MASK_ROWS: usize = MASK_QUADS * QUAD;
+
+/// Doubles of traversal scratch kept on the stack: the cell box of a
+/// table up to 32 columns wide, the visitor's row up to 64.
+const INLINE_SCRATCH: usize = 64;
 
 /// One 16-byte tree node; `rows == 0` marks an internal node (a leaf is
 /// never empty). The split axis is not stored: it cycles with depth, and
@@ -65,7 +98,7 @@ struct Node {
 pub struct KdTree {
     data: Arc<Dataset>,
     nodes: Vec<Node>,
-    /// Row ids, permuted so each leaf owns a contiguous range of
+    /// Row ids, permuted so each subtree owns a contiguous range of
     /// positions; the three arrays below are all indexed by position.
     ids: Vec<u32>,
     /// Feature rows in `ids` order as one AoSoA block: position `r` is
@@ -73,6 +106,142 @@ pub struct KdTree {
     quads: Vec<f64>,
     /// Target column in `ids` order.
     leaf_ys: Vec<f64>,
+    /// The root cell: per-column minima then maxima (`2d` doubles) under
+    /// `f64::total_cmp` — the order the splits use, so a column holding a
+    /// NaN has a NaN side.
+    root_box: Vec<f64>,
+}
+
+/// The rows of one subtree that lie in the ball, as positions into the
+/// permuted arrays, ascending.
+enum Hits {
+    /// The cell lies inside the ball: every row of `[start, end)`.
+    All { start: usize, end: usize },
+    /// Bit `i` is set iff row `start + i` lies in the ball.
+    Mask { start: usize, mask: u64 },
+}
+
+impl Hits {
+    fn count(&self) -> usize {
+        match *self {
+            Hits::All { start, end } => end - start,
+            Hits::Mask { mask, .. } => mask.count_ones() as usize,
+        }
+    }
+
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        match self {
+            Hits::All { start, end } => (start..end).for_each(f),
+            Hits::Mask { start, mut mask } => {
+                while mask != 0 {
+                    f(start + mask.trailing_zeros() as usize);
+                    mask &= mask - 1;
+                }
+            }
+        }
+    }
+}
+
+/// Run `f` over `len` zeroed doubles of scratch: stack memory up to
+/// [`INLINE_SCRATCH`], one `Vec` beyond.
+fn with_scratch(len: usize, f: impl FnOnce(&mut [f64])) {
+    let mut inline = [0.0; INLINE_SCRATCH];
+    match inline.get_mut(..len) {
+        Some(scratch) => f(scratch),
+        None => f(&mut vec![0.0; len]),
+    }
+}
+
+/// `true` when one membership-kernel call decides rows `[start, end)`:
+/// the quads the range touches — `start`'s lane offset included — hold
+/// at most [`MASK_ROWS`] rows. A sixty-four-row range that starts
+/// mid-quad needs a seventeenth quad and does not qualify; a leaf always
+/// does.
+fn one_mask_covers(start: usize, end: usize) -> bool {
+    start % QUAD + (end - start) <= MASK_ROWS
+}
+
+/// The state of one traversal: the ball, the current cell's box and the
+/// consumer of the hits.
+struct Descent<'a, F> {
+    tree: &'a KdTree,
+    center: &'a [f64],
+    /// `radius²`, what the membership kernel compares against.
+    limit: f64,
+    /// The current cell, one entry per column. Every row below the
+    /// current node has `lo[c] ≤ x[c] ≤ hi[c]` under `total_cmp`.
+    lo: &'a mut [f64],
+    hi: &'a mut [f64],
+    on_hits: F,
+}
+
+impl<F: FnMut(Hits)> Descent<'_, F> {
+    /// `(near, far)`: bounds on the squared distance the membership
+    /// kernel computes for any row of the current cell, in the kernel's
+    /// own operation sequence (module docs, **Pruning**).
+    fn cell_bounds(&self) -> (f64, f64) {
+        let (mut near, mut far) = (0.0, 0.0);
+        for ((&q, &lo), &hi) in self.center.iter().zip(&*self.lo).zip(&*self.hi) {
+            // How far the centre sits inside each side; negative when it
+            // lies beyond that side.
+            let (below, above) = (q - lo, hi - q);
+            // A NaN side drops out of `near`: comparisons with it are
+            // false, which leaves the other side or zero.
+            let inside = if below < above { below } else { above };
+            let gap = if inside < 0.0 { -inside } else { 0.0 };
+            near += gap * gap;
+            // ... and poisons `far`: a cell with a NaN side may hold a
+            // NaN row, which no ball admits.
+            let reach = if below > above {
+                below
+            } else if below <= above {
+                above
+            } else {
+                f64::NAN
+            };
+            far += reach * reach;
+        }
+        (near, far)
+    }
+
+    /// Visit the subtree at `node`, which owns positions `[start, end)`
+    /// and splits on `axis`.
+    fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) {
+        let (near, far) = self.cell_bounds();
+        // A NaN bound proves nothing: both tests are false and the
+        // subtree is examined row by row.
+        if near > self.limit {
+            return;
+        }
+        if far <= self.limit {
+            (self.on_hits)(Hits::All { start, end });
+            return;
+        }
+        let tree = self.tree;
+        if one_mask_covers(start, end) {
+            let mask = tree.range_mask(start, end, self.center, self.limit);
+            (self.on_hits)(Hits::Mask { start, mask });
+            return;
+        }
+        // More than one mask of rows, so more than a leaf: an internal
+        // node, whose children own the halves `build_recursive` gave them.
+        let Node { split, link, rows } = tree.nodes[node];
+        debug_assert_eq!(rows, 0, "a range wider than a mask is not a leaf");
+        let mid = start + (end - start) / 2;
+        let next = if axis + 1 == self.center.len() {
+            0
+        } else {
+            axis + 1
+        };
+        // The left child holds keys <= split, the right >= split (equal
+        // keys may sit on either side): narrow one side, descend, restore.
+        let outer = std::mem::replace(&mut self.hi[axis], split);
+        self.visit(node + 1, start, mid, next);
+        self.hi[axis] = outer;
+        let outer = std::mem::replace(&mut self.lo[axis], split);
+        self.visit(link as usize, mid, end, next);
+        self.lo[axis] = outer;
+    }
 }
 
 impl KdTree {
@@ -95,12 +264,30 @@ impl KdTree {
             simd::aosoa_set_row(&mut quads, r, data.x(id as usize));
             leaf_ys.push(data.y(id as usize));
         }
+        // An empty table has no root cell, and no traversal asks for one.
+        let mut root_box = Vec::with_capacity(2 * d);
+        if n > 0 {
+            root_box.extend_from_slice(data.x(0));
+            root_box.extend_from_slice(data.x(0));
+            let (lo, hi) = root_box.split_at_mut(d);
+            for row in data.xs_flat().chunks_exact(d) {
+                for ((lo, hi), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+                    if x.total_cmp(lo).is_lt() {
+                        *lo = x;
+                    }
+                    if x.total_cmp(hi).is_gt() {
+                        *hi = x;
+                    }
+                }
+            }
+        }
         KdTree {
             data,
             nodes,
             ids,
             quads,
             leaf_ys,
+            root_box,
         }
     }
 
@@ -145,85 +332,72 @@ impl KdTree {
         Self::build_recursive(data, ids, start + mid, end, depth + 1, nodes);
     }
 
-    /// Call `on_leaf(start, end)` for every leaf the ball can reach, left
-    /// to right. `axis` is the split axis of `node` (depth mod `d`).
-    fn reach_leaves(
-        &self,
-        node: usize,
-        axis: usize,
-        center: &[f64],
-        radius: f64,
-        on_leaf: &mut impl FnMut(usize, usize),
-    ) {
-        let Node { split, link, rows } = self.nodes[node];
-        if rows != 0 {
-            on_leaf(link as usize, (link + rows) as usize);
-            return;
-        }
-        let delta = center[axis] - split;
-        let next = if axis + 1 == center.len() {
-            0
-        } else {
-            axis + 1
-        };
-        // The left child holds coordinates <= split, the right >= split
-        // (equal keys may sit on either side, and every row is re-checked,
-        // so only pruning must be conservative). A child is skipped when
-        // proven out of reach; a NaN `delta` proves nothing.
-        let (left_far, right_far) = (delta > radius, -delta > radius);
-        if !left_far {
-            self.reach_leaves(node + 1, next, center, radius, on_leaf);
-        }
-        if !right_far {
-            self.reach_leaves(link as usize, next, center, radius, on_leaf);
-        }
-    }
-
-    /// Membership mask of the leaf rows `[start, end)`: bit `r − start` is
-    /// set iff row `r` lies in the ball.
-    fn leaf_mask(&self, start: usize, end: usize, center: &[f64], radius: f64) -> u64 {
-        // Every quad the leaf touches (at most five for sixteen rows),
-        // then drop the lanes before `start` and after `end`: a
-        // neighbouring leaf's rows or the `+inf` pad.
+    /// Membership mask of the rows `[start, end)` (non-empty, and
+    /// [`one_mask_covers`] them): bit `r − start` is set iff row `r` lies
+    /// in the ball `‖row − center‖₂² ≤ limit`.
+    fn range_mask(&self, start: usize, end: usize, center: &[f64], limit: f64) -> u64 {
+        // One kernel call over every quad the range touches, then drop
+        // the lanes before `start` and after `end`: a neighbouring
+        // subtree's rows or the `+inf` pad. The trim is total over
+        // `1..=64` rows, where `(1 << len) − 1` is not.
         let stride = QUAD * center.len();
         let block = &self.quads[start / QUAD * stride..end.div_ceil(QUAD) * stride];
-        let mask = simd::within_mask_aosoa(center, block, radius * radius);
-        (mask >> (start % QUAD)) & ((1u64 << (end - start)) - 1)
+        let mask = simd::within_mask_aosoa(center, block, limit);
+        (mask >> (start % QUAD)) & (u64::MAX >> (MASK_ROWS - (end - start)))
     }
 
-    /// One traversal: `on_leaf(start, mask)` for every leaf the ball can
-    /// reach, in visiting order, with the leaf's membership mask.
-    fn visit_leaf_masks(&self, center: &[f64], radius: f64, mut on_leaf: impl FnMut(usize, u64)) {
-        assert_eq!(center.len(), self.data.dim(), "query dimension mismatch");
-        // A negative radius admits nothing (`norms::within`); the leaf
-        // kernel only ever sees `radius²`, so the sign is settled here,
-        // once per traversal.
+    /// The one traversal: `on_hits` for every subtree the ball reaches
+    /// that holds a row of it or had to be tested, in visiting order.
+    fn for_each_hits(&self, center: &[f64], radius: f64, on_hits: impl FnMut(Hits)) {
+        let d = self.data.dim();
+        assert_eq!(center.len(), d, "query dimension mismatch");
+        // A negative radius admits nothing (`norms::within`); the bounds
+        // and the kernel only ever see `radius²`, so the sign is settled
+        // here, once per traversal.
         if self.nodes.is_empty() || radius < 0.0 {
             return;
         }
-        self.reach_leaves(0, 0, center, radius, &mut |start, end| {
-            on_leaf(start, self.leaf_mask(start, end, center, radius));
+        with_scratch(2 * d, |cell| {
+            cell.copy_from_slice(&self.root_box);
+            let (lo, hi) = cell.split_at_mut(d);
+            let mut descent = Descent {
+                tree: self,
+                center,
+                limit: radius * radius,
+                lo,
+                hi,
+                on_hits,
+            };
+            descent.visit(0, 0, self.ids.len(), 0);
         });
     }
 }
 
 impl SpatialIndex for KdTree {
-    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64)) {
-        // The one allocation of a traversal: hits are unpacked into it.
-        let mut row = vec![0.0; center.len()];
-        self.visit_leaf_masks(center, radius, |start, mut mask| {
-            while mask != 0 {
-                let r = start + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                simd::aosoa_row_into(&self.quads, r, &mut row);
-                visit(self.ids[r] as usize, &row, self.leaf_ys[r]);
-            }
+    fn visit_ball(&self, center: &[f64], radius: f64, mut visit: impl FnMut(usize, &[f64], f64)) {
+        with_scratch(center.len(), |row| {
+            self.for_each_hits(center, radius, |hits| {
+                hits.for_each(|r| {
+                    simd::aosoa_row_into(&self.quads, r, row);
+                    visit(self.ids[r] as usize, row, self.leaf_ys[r]);
+                });
+            });
+        });
+    }
+
+    fn visit_targets(&self, center: &[f64], radius: f64, mut visit: impl FnMut(f64)) {
+        // An admitted range is walked as a slice, not position by
+        // position: on a ball that holds most of its rows in such ranges
+        // the indexed form doubles the cost of a `Σu` fold.
+        self.for_each_hits(center, radius, |hits| match hits {
+            Hits::All { start, end } => self.leaf_ys[start..end].iter().for_each(|&u| visit(u)),
+            masked => masked.for_each(|r| visit(self.leaf_ys[r])),
         });
     }
 
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
         let mut n = 0;
-        self.visit_leaf_masks(center, radius, |_, mask| n += mask.count_ones() as usize);
+        self.for_each_hits(center, radius, |hits| n += hits.count());
         n
     }
 
@@ -343,6 +517,120 @@ mod tests {
             scan.query_ball(&c, r, &mut want);
             assert!(!want.is_empty());
             assert_eq!(sorted(got.clone()), want, "r {r}");
+        }
+    }
+
+    /// Rows `0, 1, …, n − 1` on a line.
+    fn line(n: usize) -> Arc<Dataset> {
+        let mut ds = Dataset::new(1);
+        for i in 0..n {
+            ds.push(&[i as f64], i as f64).unwrap();
+        }
+        Arc::new(ds)
+    }
+
+    #[test]
+    fn one_mask_covers_sixty_four_rows_less_the_lane_offset() {
+        for lane in 0..QUAD {
+            for (len, fits) in [(1, true), (16, true), (60, true), (63, lane <= 1)] {
+                assert_eq!(one_mask_covers(lane, lane + len), fits, "{lane}+{len}");
+            }
+            assert_eq!(one_mask_covers(lane, lane + 64), lane == 0);
+            assert!(!one_mask_covers(lane, lane + 65));
+            assert!(!one_mask_covers(lane, lane + 128));
+        }
+    }
+
+    #[test]
+    fn range_mask_is_the_per_row_test_at_every_lane_offset_and_width() {
+        // The widest ranges a mask covers at each lane offset — where
+        // `(1 << len) − 1` wraps to an empty mask (or panics) — and a few
+        // narrow ones, each against a ball that cuts it and one that
+        // holds all of it.
+        let tree = KdTree::build(line(72));
+        let row = |r: usize| tree.data.x(tree.ids[r] as usize);
+        for lane in 0..QUAD {
+            for len in [1, 2, 15, 16, 17, 63 - lane, 64 - lane] {
+                let (start, end) = (QUAD + lane, QUAD + lane + len);
+                assert!(one_mask_covers(start, end));
+                for (center, radius) in [(start as f64, len as f64 / 2.0), (36.0, 100.0)] {
+                    let want = (start..end)
+                        .filter(|&r| crate::norms::within(&[center], row(r), radius))
+                        .fold(0u64, |m, r| m | 1 << (r - start));
+                    let got = tree.range_mask(start, end, &[center], radius * radius);
+                    assert_eq!(got, want, "lane {lane} len {len} r {radius}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trees_around_one_mask_of_rows_match_the_scan() {
+        // 63 / 64: the root is one mask. 65 / 128: it splits first. 122 …
+        // 127: the right child starts at lanes 1, 2 and 3, with and
+        // without room for its rows in sixteen quads. Balls that hold
+        // every row but the outermost keep each cell's box outside, so
+        // full-width masks are computed, not admitted.
+        for n in [63usize, 64, 65, 122, 123, 124, 125, 126, 127, 128] {
+            let data = line(n);
+            let tree = KdTree::build(data.clone());
+            let scan = LinearScan::new(data);
+            let mid = (n - 1) as f64 / 2.0;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (c, r) in [(mid, mid - 0.5), (mid, mid), (0.0, mid), (mid + 3.0, 40.0)] {
+                tree.query_ball(&[c], r, &mut got);
+                scan.query_ball(&[c], r, &mut want);
+                assert_eq!(sorted(got.clone()), want, "n {n} c {c} r {r}");
+                assert_eq!(tree.count_ball(&[c], r), want.len(), "n {n} c {c} r {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_inside_the_ball_is_admitted_unless_it_holds_a_nan_row() {
+        let mut ds = Dataset::new(2);
+        for i in 0..200 {
+            ds.push(&[(i % 20) as f64, (i / 20) as f64], i as f64)
+                .unwrap();
+        }
+        // Two hundred rows on a grid, then the same with two NaN rows.
+        let finite = Arc::new(ds.clone());
+        ds.push(&[f64::NAN, 3.0], -1.0).unwrap();
+        ds.push(&[7.0, -f64::NAN], -2.0).unwrap();
+        let rows = 200;
+        for data in [finite, Arc::new(ds)] {
+            let tree = KdTree::build(data);
+            // The whole table, root cell included, lies inside this ball:
+            // one `All` when every side is a number, none that covers a
+            // NaN row otherwise.
+            let mut admitted = 0;
+            let mut hits = 0;
+            tree.for_each_hits(&[10.0, 5.0], 1e3, |h| {
+                hits += h.count();
+                if let Hits::All { start, end } = h {
+                    admitted += end - start;
+                    for &id in &tree.ids[start..end] {
+                        assert!(tree.data.x(id as usize).iter().all(|x| !x.is_nan()));
+                    }
+                }
+            });
+            assert_eq!(hits, rows);
+            assert!(admitted > 0 && admitted <= rows);
+            assert_eq!(admitted == rows, tree.ids.len() == rows);
+            assert_eq!(tree.count_ball(&[10.0, 5.0], f64::INFINITY), rows);
+            assert_eq!(tree.count_ball(&[f64::NAN, 5.0], f64::INFINITY), 0);
+        }
+    }
+
+    #[test]
+    fn target_visitor_sees_the_row_visitor_targets_in_order() {
+        let data = random_dataset(300, 2, 5);
+        let tree = KdTree::build(data);
+        for r in [0.0, 0.2, 1.2, 5.0] {
+            let (mut rows, mut targets) = (Vec::new(), Vec::new());
+            tree.visit_ball(&[0.1, -0.2], r, |_, _, u| rows.push(u.to_bits()));
+            tree.visit_targets(&[0.1, -0.2], r, |u| targets.push(u.to_bits()));
+            assert_eq!(rows, targets, "r {r}");
         }
     }
 

@@ -10,9 +10,12 @@
 //! with `‖x_i − x‖₂ ≤ θ` (a *distance near neighbor* / radius selection).
 //! Two access paths implement it:
 //!
-//! * [`KdTree`] — static balanced k-d tree with splitting-plane pruning;
-//!   sub-linear for selective balls in low dimension. The production
-//!   path: every exact fallback, `COUNT(*)` and training query runs on it.
+//! * [`KdTree`] — static balanced k-d tree whose traversal skips a
+//!   subtree whose cell lies outside the ball and takes one whose cell
+//!   lies inside without a distance test, so a query's cost follows the
+//!   ball's boundary; sub-linear for selective balls in low dimension.
+//!   The production path: every exact fallback, `COUNT(*)` and training
+//!   query runs on it.
 //! * [`LinearScan`] — sequential scan over the contiguous feature block,
 //!   `O(n·d)` per query; the reference the kd-tree is tested against and
 //!   the scan column of the paper's Fig. 12.

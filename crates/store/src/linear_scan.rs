@@ -20,7 +20,7 @@ impl LinearScan {
 }
 
 impl SpatialIndex for LinearScan {
-    fn visit_ball(&self, center: &[f64], radius: f64, visit: &mut dyn FnMut(usize, &[f64], f64)) {
+    fn visit_ball(&self, center: &[f64], radius: f64, mut visit: impl FnMut(usize, &[f64], f64)) {
         debug_assert_eq!(center.len(), self.data.dim());
         let d = self.data.dim();
         let ys = self.data.ys();
@@ -109,7 +109,7 @@ mod tests {
     fn visit_order_is_ascending_ids() {
         let scan = LinearScan::new(grid_points());
         let mut prev = None;
-        scan.visit_ball(&[2.0, 2.0], 10.0, &mut |id, _, _| {
+        scan.visit_ball(&[2.0, 2.0], 10.0, |id, _, _| {
             if let Some(p) = prev {
                 assert!(id > p);
             }

@@ -12,9 +12,27 @@ use crate::linear_scan::LinearScan;
 use regq_data::Dataset;
 use std::sync::{Arc, Mutex};
 
+/// The access path of a relation. Two variants, matched per call: the
+/// fold a caller passes is compiled into the traversal of whichever path
+/// the relation holds, with no call through a pointer per row.
+enum AccessPath {
+    Scan(LinearScan),
+    KdTree(KdTree),
+}
+
+/// `$body` with `$index` bound to the concrete access path.
+macro_rules! with_index {
+    ($path:expr, $index:ident => $body:expr) => {
+        match $path {
+            AccessPath::Scan($index) => $body,
+            AccessPath::KdTree($index) => $body,
+        }
+    };
+}
+
 /// A queryable relation: dataset snapshot + access path.
 pub struct Relation {
-    index: Box<dyn SpatialIndex>,
+    index: AccessPath,
     /// Scratch buffer reused across selections issued through `&mut self`
     /// helpers; guarded so `&self` methods stay thread-safe.
     scratch: Mutex<Vec<usize>>,
@@ -23,9 +41,9 @@ pub struct Relation {
 impl Relation {
     /// Build a relation over `data` using the given access path.
     pub fn new(data: Arc<Dataset>, path: AccessPathKind) -> Self {
-        let index: Box<dyn SpatialIndex> = match path {
-            AccessPathKind::Scan => Box::new(LinearScan::new(data)),
-            AccessPathKind::KdTree => Box::new(KdTree::build(data)),
+        let index = match path {
+            AccessPathKind::Scan => AccessPath::Scan(LinearScan::new(data)),
+            AccessPathKind::KdTree => AccessPath::KdTree(KdTree::build(data)),
         };
         Relation {
             index,
@@ -35,7 +53,7 @@ impl Relation {
 
     /// The relation's dataset snapshot.
     pub fn dataset(&self) -> &Arc<Dataset> {
-        self.index.dataset()
+        with_index!(&self.index, index => index.dataset())
     }
 
     /// Number of rows.
@@ -53,38 +71,56 @@ impl Relation {
         self.dataset().dim()
     }
 
+    fn query_ball(&self, center: &[f64], radius: f64, out: &mut Vec<usize>) {
+        with_index!(&self.index, index => index.query_ball(center, radius, out));
+    }
+
     /// Radius selection (paper Definition 3): ids of rows within `radius`
     /// of `center`, as a fresh id vector.
     pub fn select(&self, center: &[f64], radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.index.query_ball(center, radius, &mut out);
+        self.query_ball(center, radius, &mut out);
         out
     }
 
     /// Cardinality `n_θ(x)` of a selection without materializing ids when
     /// the access path can avoid it.
     pub fn count(&self, center: &[f64], radius: f64) -> usize {
-        self.index.count_ball(center, radius)
+        with_index!(&self.index, index => index.count_ball(center, radius))
     }
 
     /// Fold `state` over the rows of `D(center, radius)` during a single
     /// index traversal: `f(&mut state, id, x_i, u_i)` per qualifying row.
     ///
     /// This is the aggregation-pushdown path (no id buffer, no second data
-    /// pass): Q1 means, moment accumulators and OLS Gram state all ride
-    /// the scan itself, the way a user-defined aggregate runs inside a
-    /// DBMS executor. Lock-free, and allocation-free but for the kd-tree's
-    /// one `d`-float row scratch per traversal, so concurrent readers scale
+    /// pass): moment accumulators and OLS Gram state ride the scan itself,
+    /// the way a user-defined aggregate runs inside a DBMS executor — `f`
+    /// is compiled into the traversal. Lock-free and allocation-free (up
+    /// to the kd-tree's inline scratch width), so concurrent readers scale
     /// linearly.
     pub fn fold_ball<S>(
         &self,
         center: &[f64],
         radius: f64,
-        mut state: S,
-        mut f: impl FnMut(&mut S, usize, &[f64], f64),
+        state: S,
+        f: impl FnMut(&mut S, usize, &[f64], f64),
     ) -> S {
-        self.index
-            .visit_ball(center, radius, &mut |id, x, y| f(&mut state, id, x, y));
+        with_index!(&self.index, index => index.fold_ball(center, radius, state, f))
+    }
+
+    /// [`Relation::fold_ball`] for an aggregate over the output attribute
+    /// alone: `f(&mut state, u_i)` for the same rows in the same order.
+    /// Over the kd-tree no feature row is unpacked and no id is loaded,
+    /// and a cell lying inside the ball is one pass over a contiguous
+    /// slice of the target column.
+    pub fn fold_targets<S>(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut state: S,
+        mut f: impl FnMut(&mut S, f64),
+    ) -> S {
+        with_index!(&self.index, index => index.visit_targets(center, radius, |u| f(&mut state, u)));
         state
     }
 
@@ -101,11 +137,11 @@ impl Relation {
         f: impl FnOnce(&Dataset, &[usize]) -> T,
     ) -> T {
         if let Ok(mut buf) = self.scratch.try_lock() {
-            self.index.query_ball(center, radius, &mut buf);
+            self.query_ball(center, radius, &mut buf);
             f(self.dataset(), &buf)
         } else {
             let mut local = Vec::new();
-            self.index.query_ball(center, radius, &mut local);
+            self.query_ball(center, radius, &mut local);
             f(self.dataset(), &local)
         }
     }
@@ -116,7 +152,10 @@ impl std::fmt::Debug for Relation {
         f.debug_struct("Relation")
             .field("rows", &self.len())
             .field("dim", &self.dim())
-            .field("access_path", &self.index.kind())
+            .field(
+                "access_path",
+                &with_index!(&self.index, index => index.kind()),
+            )
             .finish()
     }
 }

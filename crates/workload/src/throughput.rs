@@ -51,7 +51,8 @@ pub struct ServeLoopResult {
     pub readers: usize,
     /// Reader queries answered (each exactly once across the readers).
     pub queries: usize,
-    /// Wall-clock until the last reader finished.
+    /// Wall-clock from the writer's first fed example, when the readers
+    /// start, until the last reader finished.
     pub elapsed: Duration,
     /// Reader queries served from the fused shard snapshots.
     pub model_served: u64,
@@ -105,8 +106,11 @@ impl ServeLoopResult {
 /// (the caller's) runs the Fig. 2 trainer loop over `writer_queries`:
 /// execute exactly, enqueue into the shard fabric, and steal whatever
 /// drain work its `observe` can grab; the shard trainers republish at
-/// the policy cadence. The writer stops as soon as the readers drain the
-/// workload, so `elapsed` measures reader throughput under live training.
+/// the policy cadence. The readers — and the clock — start once the
+/// writer's first example is in the fabric, and the writer stops as soon
+/// as the readers drain the workload. So `elapsed` measures reader
+/// throughput under live training on any host, however fast the readers
+/// and however late the writer would have been scheduled beside them.
 ///
 /// Reader queries whose exact fallback selects an empty subspace count as
 /// answered (SQL NULL); any other serve error panics (measurement bug).
@@ -124,6 +128,19 @@ pub fn serve_closed_loop(
     let cursor = AtomicUsize::new(0);
     let drained = AtomicBool::new(false);
     let mut writer_examples = 0usize;
+    let mut writer_step = |q: &Query| {
+        if let Some(y) = router.exact_engine().q1(&q.center, q.radius) {
+            router.observe_outcome(q, y);
+        }
+        writer_examples += 1;
+    };
+    // The writer's first example goes in before any reader exists: a
+    // reader pool fast enough to drain the workload within a scheduling
+    // quantum would otherwise be measured against no writer at all.
+    let mut writer_queries = writer_queries.iter();
+    if let Some(q) = writer_queries.next() {
+        writer_step(q);
+    }
     let t0 = Instant::now();
     // `elapsed` is taken per reader at its own finish and maxed — the
     // writer's in-flight ground-truth query after the drain must not
@@ -153,10 +170,7 @@ pub fn serve_closed_loop(
             if drained.load(Ordering::Acquire) {
                 break;
             }
-            if let Some(y) = router.exact_engine().q1(&q.center, q.radius) {
-                router.observe_outcome(q, y);
-            }
-            writer_examples += 1;
+            writer_step(q);
         }
         // Flush whatever the opportunistic pumps left queued.
         router.pump();
@@ -259,10 +273,6 @@ mod tests {
                 let f = GasSensorSurrogate::new(2, 5);
                 let gen = QueryGenerator::for_function(&f, 0.1);
                 let mut rng = seeded(22);
-                // Enough reader work to outlast the scheduling latency of
-                // the writer (the calling thread) on a 2-core host: with a
-                // few hundred sub-microsecond queries the readers can
-                // drain the workload before the writer runs once.
                 let reader_queries = gen.generate_many(6_000, &mut rng);
                 let writer_queries = gen.generate_many(5_000, &mut rng);
                 let r = serve_closed_loop(&router, &reader_queries, 2, &writer_queries);
