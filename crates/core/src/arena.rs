@@ -19,16 +19,17 @@
 //!
 //! so a scan over the `K` prototypes streams linearly through memory.
 //! Two **scalar passes** over these blocks are the oracle of the crate:
-//! [`PrototypeArena::winner`] — which the trainer runs on every pair, so
-//! it goes four rows per iteration through
-//! [`regq_linalg::vector::sq_dists4`] and is pinned to its one-row-at-a-time
+//! [`PrototypeArena::winner`] — four rows per iteration through
+//! [`regq_linalg::vector::sq_dists4`], pinned to its one-row-at-a-time
 //! definition by `winner_is_its_definition` below — and
 //! [`PrototypeArena::overlap_set_into`], the paper's Eq. 9 evaluated row
-//! by row. `LlmModel` and the snapshot's unpruned predictors fuse over
-//! them (`predict::fuse_oracle`). The served path resolves through the
-//! [`BlockLayout`] below instead — the one production resolver, pinned
-//! bit-identical to the scalar passes by the `serving_equivalence`
-//! battery.
+//! by row. `LlmModel`'s predictors and the snapshot's unpruned ones fuse
+//! over them (`predict::fuse_oracle`). Production searches go through
+//! the [`BlockLayout`] below instead, and are pinned bit-identical to
+//! the scalar passes: the served path resolves through a capture-time
+//! layout (the `serving_equivalence` battery), and the trainer finds
+//! Algorithm 1's winner on a live one that follows every update and
+//! spawn (the `trainer_equivalence` battery).
 //!
 //! [`crate::prototype::Prototype`] remains the *owned* exchange form used
 //! at the API edges (persistence, codebook surgery, snapshots); on the
@@ -56,31 +57,12 @@ use regq_linalg::vector;
 /// all parts of a served answer, by `regq_core::snapshot`'s
 /// resolve-and-fold driver (`docs/INVARIANTS.md`, "ordered emission"),
 /// so a part never pays for an order its caller is about to redo.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchResolution {
     winners: Vec<(usize, f64)>,
     offsets: Vec<usize>,
     entries: Vec<(usize, f64)>,
-    // Scratch (retained, never cleared, contents meaningless between
-    // calls). `lbs`: one query's block bounds, plain then gated, one
-    // lane per block of the layout's bound groups. `csq`: the squared
-    // centre distances pass 1 of the block kernel leaves for the walk
-    // over its mask — written for every row the mask can name before it
-    // is read, so stale slots from another block are never observed.
-    lbs: Vec<f64>,
-    csq: [f64; ROW_TILE],
-}
-
-impl Default for BatchResolution {
-    fn default() -> Self {
-        BatchResolution {
-            winners: Vec::new(),
-            offsets: Vec::new(),
-            entries: Vec::new(),
-            lbs: Vec::new(),
-            csq: [0.0; ROW_TILE],
-        }
-    }
+    scratch: SearchScratch,
 }
 
 impl BatchResolution {
@@ -393,8 +375,9 @@ impl PrototypeArena {
     /// `(center, radius)`; `None` on an empty arena.
     ///
     /// Single pass over the packed center block, four prototypes per
-    /// iteration ([`vector::sq_dists4`]) — the trainer runs this on every
-    /// pair. By definition it is the per-row scan of
+    /// iteration ([`vector::sq_dists4`]) — the oracle the trainer's
+    /// search (`BlockLayout::winner`) and the served resolver are held
+    /// to. By definition it is the per-row scan of
     /// [`Query::sq_dist_parts`] under strict `<`: ties keep the lowest
     /// index. With non-finite parameters (impossible through validated
     /// training) the winner choice is unspecified.
@@ -445,7 +428,7 @@ impl PrototypeArena {
         }
     }
 
-    /// Build the clustered, bounds-cached serving layout over the current
+    /// Build the clustered, bounds-cached layout over the current
     /// prototypes ([`BlockLayout::build`]) — `O(dK + K log K)`, paid once
     /// per immutable snapshot capture.
     pub fn build_layout(&self) -> BlockLayout {
@@ -492,39 +475,60 @@ impl ScreenCounters {
     }
 }
 
-/// Per-block metadata of a [`BlockLayout`]: slot range and padded AoSoA
-/// range (the bounds the block is pruned with live in the layout's
-/// [`simd::BoundGroups`]).
-#[derive(Debug, Clone)]
-struct BlockMeta {
-    /// First slot of this block in the permuted (unpadded) arrays.
-    start: usize,
-    /// Real rows in this block (`1 ..= ROW_TILE`).
-    len: usize,
-    /// First row of this block in the padded arrays (`radii_pad`, and
-    /// `× dim` into `aosoa`).
-    pad_row: usize,
-    /// `len` rounded up to a multiple of [`QUAD`].
-    padded_len: usize,
-}
-
 /// Winner slot meaning "this block holds no candidate": the seed index
 /// handed to the block kernel, left in place when no row's joint distance
 /// reaches the running best.
 const NO_CANDIDATE: usize = usize::MAX;
 
-/// The clustered, bounds-cached serving layout behind bound-and-verify
-/// pruned resolution: [`PrototypeArena`] prototypes regrouped into
-/// spatially coherent blocks of at most [`ROW_TILE`] rows (recursive
-/// widest-axis median splits), each block carrying a cached center
-/// bounding box and radius range, with centers stored AoSoA
-/// quad-interleaved for the runtime-SIMD exact kernel (partial quads
-/// padded with `+inf` inert rows). Everything a query streams — the
-/// centers, the padded radii, the bound groups — sits in
-/// [`simd::AlignedF64s`], on a cache line by construction (and again
-/// after a `clone`), so no 32-byte load straddles two lines whatever the
-/// allocator handed out before the capture.
+/// The scratch one bound-and-verify search runs in — retained, never
+/// cleared, contents meaningless between calls, so a warm search makes no
+/// allocator call. `lbs`: one query's block bounds, plain then gated, one
+/// lane per block of the layout's bound groups (grown, never shrunk, as a
+/// layout gains blocks). `csq`: the squared centre distances pass 1 of the
+/// block kernel leaves for the walk over its mask — written for every row
+/// the mask can name before it is read, so stale slots from another block
+/// are never observed.
+#[derive(Debug, Clone)]
+pub(crate) struct SearchScratch {
+    lbs: Vec<f64>,
+    csq: [f64; ROW_TILE],
+}
+
+impl Default for SearchScratch {
+    fn default() -> Self {
+        SearchScratch {
+            lbs: Vec::new(),
+            csq: [0.0; ROW_TILE],
+        }
+    }
+}
+
+impl SearchScratch {
+    /// Make room for `layout`'s bounds now. Every search does this
+    /// first; a trainer also does it in the step that added a block
+    /// ([`BlockLayout::push_row`]), so that the growth lands on that
+    /// spawning step and not on the next search, which may be an update.
+    pub(crate) fn size_for(&mut self, layout: &BlockLayout) {
+        let lanes = layout.bounds.lanes();
+        if self.lbs.len() < 2 * lanes {
+            self.lbs.resize(2 * lanes, 0.0);
+        }
+    }
+}
+
+/// The clustered, bounds-cached layout behind bound-and-verify
+/// resolution: [`PrototypeArena`] prototypes regrouped into spatially
+/// coherent blocks of at most [`ROW_TILE`] rows (recursive widest-axis
+/// median splits), each block carrying a cached center bounding box and
+/// radius range, with centers stored AoSoA quad-interleaved for the
+/// runtime-SIMD exact kernel (partial quads padded with `+inf` inert
+/// rows). Everything a query streams — the centers, the padded radii, the
+/// bound groups — sits in [`simd::AlignedF64s`], on a cache line by
+/// construction (and again after a `clone` or a growth), so no 32-byte
+/// load straddles two lines whatever the allocator handed out before.
 ///
+/// It has two users, one storage. A [`crate::snapshot::ServingSnapshot`]
+/// builds one at capture and never changes it:
 /// [`BlockLayout::resolve_batch_pruned`] resolves winner/overlap in two
 /// stages per query — the per-block lower bounds, four blocks per vector
 /// iteration ([`simd::BoundGroups::bounds_into`]), discard blocks which
@@ -533,7 +537,14 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// mask, then walk) — and produces a [`BatchResolution`]
 /// **bit-identical** to the scalar passes ([`PrototypeArena::winner`] +
 /// [`PrototypeArena::overlap_set_into`]) on the source arena for every
-/// query (the `serving_equivalence` battery pins this).
+/// query (the `serving_equivalence` battery pins this). A trainable
+/// [`crate::LlmModel`] keeps one **live**: `BlockLayout::winner` is
+/// Algorithm 1's winner search — the same bounds and the same block
+/// kernel, the winner alone — and `BlockLayout::set_row` /
+/// `BlockLayout::push_row` follow every update and spawn, so the
+/// layout always describes the arena's current rows. Every block owns a
+/// fixed stride of `ROW_TILE` rows in the padded arrays (its real rows
+/// first, pad rows after), which is what lets a row be appended in place.
 ///
 /// **Why the bound needs no slack.** The bound replays the kernel's own
 /// operation sequence on the block's box instead of a row: `acc = 0`,
@@ -549,7 +560,9 @@ const NO_CANDIDATE: usize = usize::MAX;
 /// (`∞ ≤ ∞` keeps the inequalities true), and a NaN can only zero a gap
 /// or fail the `>` that skips, and therefore verifies. Likewise
 /// `(θ_q + θ_k)²` is at most the larger of the squares at the two ends of
-/// the radius range.
+/// the radius range. All of it needs the box to hold the block's rows —
+/// which is why a live layout of two or more blocks refits a block's box
+/// on every write to it (one block is verified without a bound).
 ///
 /// Why the permutation cannot change answers: every per-pair distance,
 /// joint distance and overlap degree is computed by the same
@@ -565,28 +578,29 @@ const NO_CANDIDATE: usize = usize::MAX;
 #[derive(Debug, Clone)]
 pub struct BlockLayout {
     dim: usize,
-    len: usize,
-    blocks: Vec<BlockMeta>,
+    /// Real rows of each block (`1 ..= ROW_TILE`); block `b` owns rows
+    /// `b·ROW_TILE ..` of the padded arrays.
+    lens: Vec<usize>,
     /// Per-block bounding box and radius range, in groups of four blocks.
     bounds: simd::BoundGroups,
-    /// Permuted radii padded per block to `padded_len` (pad value `0.0`).
+    /// Radii, `ROW_TILE` per block (pad value `0.0`).
     radii_pad: simd::AlignedF64s,
-    /// AoSoA quad-interleaved centers padded per block (pad rows `+inf`).
+    /// AoSoA quad-interleaved centers, `ROW_TILE` rows per block (pad rows
+    /// `+inf`).
     aosoa: simd::AlignedF64s,
-    /// Slot → arena index, `len`, ascending within each block.
+    /// Padded row → arena index; ascending over each block's real rows.
     gids: Vec<usize>,
+    /// Arena index → padded row: where `set_row` finds a prototype.
+    rows: Vec<usize>,
 }
 
 impl BlockLayout {
-    /// Cluster the arena into the pruned serving layout (see the type
-    /// docs). `O(dK + K log K)`; call once per immutable capture.
+    /// Cluster the arena (see the type docs). `O(dK + K log K)`; once per
+    /// immutable capture, and whenever a model becomes trainable.
     pub fn build(arena: &PrototypeArena) -> Self {
-        let d = arena.dim();
         let k = arena.len();
         let mut order: Vec<usize> = (0..k).collect();
-        // Recursive widest-axis median splits until every leaf fits in
-        // one ROW_TILE cut. `select_nth_unstable` keeps this O(K log K)
-        // total without fully sorting any axis.
+        // Recursive splits until every leaf fits in one ROW_TILE cut.
         let mut ranges: Vec<(usize, usize)> = Vec::new();
         let mut stack = if k == 0 {
             Vec::new()
@@ -594,108 +608,39 @@ impl BlockLayout {
             vec![(0usize, k)]
         };
         while let Some((lo, hi)) = stack.pop() {
-            let n = hi - lo;
-            if n <= ROW_TILE {
+            if hi - lo <= ROW_TILE {
                 ranges.push((lo, hi));
                 continue;
             }
-            let seg = &mut order[lo..hi];
-            let mut widest = 0usize;
-            let mut spread = f64::NEG_INFINITY;
-            for c in 0..d {
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                for &g in seg.iter() {
-                    let v = arena.center(g)[c];
-                    mn = mn.min(v);
-                    mx = mx.max(v);
-                }
-                if mx - mn > spread {
-                    spread = mx - mn;
-                    widest = c;
-                }
-            }
-            let mid = n / 2;
-            // `total_cmp`: a NaN coordinate must not hand the selection
-            // an inconsistent order (it may panic on one).
-            seg.select_nth_unstable_by(mid, |&a, &b| {
-                arena.center(a)[widest].total_cmp(&arena.center(b)[widest])
-            });
-            stack.push((lo, lo + mid));
-            stack.push((lo + mid, hi));
+            let mid = lo + split_at_median(arena, &mut order[lo..hi]);
+            stack.push((lo, mid));
+            stack.push((mid, hi));
         }
         ranges.sort_unstable();
-
         // Pad rows are written here, once: `+inf` centers and `0.0` radii
         // are inert under both the strict-`<` winner update and the
-        // membership test (see `simd::winner_mask_block_aosoa`).
-        let padded_len = |&(lo, hi): &(usize, usize)| (hi - lo).div_ceil(QUAD) * QUAD;
-        let padded_rows: usize = ranges.iter().map(padded_len).sum();
+        // membership test (see `simd::winner_mask_block_aosoa`). Nothing
+        // is sized from `d` alone: a layout over no prototypes allocates
+        // the same few bytes whatever dimension a loaded header states.
+        let (d, blocks) = (arena.dim(), ranges.len());
         let mut layout = BlockLayout {
             dim: d,
-            len: k,
-            blocks: Vec::with_capacity(ranges.len()),
-            bounds: simd::BoundGroups::unbounded(ranges.len(), d),
-            radii_pad: simd::AlignedF64s::filled(padded_rows, 0.0),
-            aosoa: simd::AlignedF64s::filled(padded_rows * d, f64::INFINITY),
-            gids: Vec::with_capacity(k),
+            lens: vec![0; blocks],
+            bounds: simd::BoundGroups::unbounded(blocks, d),
+            radii_pad: simd::AlignedF64s::filled(blocks * ROW_TILE, 0.0),
+            aosoa: simd::AlignedF64s::filled(blocks * ROW_TILE * d, f64::INFINITY),
+            gids: vec![0; blocks * ROW_TILE],
+            rows: vec![0; k],
         };
-        // Sized inside the loop: a layout over no prototypes allocates
-        // nothing from `d` (a loaded header can state any dimension).
-        let (mut box_lo, mut box_hi) = (Vec::new(), Vec::new());
-        let mut pad_row = 0usize;
-        for (b, range) in ranges.iter().enumerate() {
-            let &(lo, hi) = range;
-            // Ascending arena order inside the block: the kernel's
-            // strict-`<` first-wins scan then picks the lowest arena
-            // index per block, as the scalar scan does globally.
-            order[lo..hi].sort_unstable();
-            let start = layout.gids.len();
-            let (mut r_min, mut r_max) = (f64::INFINITY, f64::NEG_INFINITY);
-            let mut finite = true;
-            box_lo.clear();
-            box_lo.resize(d, f64::INFINITY);
-            box_hi.clear();
-            box_hi.resize(d, f64::NEG_INFINITY);
-            let quads = &mut layout.aosoa[pad_row * d..];
-            for (slot, &g) in order[lo..hi].iter().enumerate() {
-                let center = arena.center(g);
-                simd::aosoa_set_row(quads, slot, center);
-                let radius = arena.radius(g);
-                r_min = r_min.min(radius);
-                r_max = r_max.max(radius);
-                finite &= radius.is_finite() && vector::all_finite(center);
-                layout.radii_pad[pad_row + slot] = radius;
-                layout.gids.push(g);
-                for (c, &v) in center.iter().enumerate() {
-                    box_lo[c] = box_lo[c].min(v);
-                    box_hi[c] = box_hi[c].max(v);
-                }
-            }
-            // A NaN would silently drop out of the min/max folds above.
-            // A block holding any non-finite parameter (impossible
-            // through validated training) keeps the unbounded box it was
-            // created with: its bounds are 0 against an infinite overlap
-            // reach, so it is verified for every query and the exact
-            // kernel decides.
-            if finite {
-                layout.bounds.set_block(b, &box_lo, &box_hi, r_min, r_max);
-            }
-            let padded = padded_len(range);
-            layout.blocks.push(BlockMeta {
-                start,
-                len: hi - lo,
-                pad_row,
-                padded_len: padded,
-            });
-            pad_row += padded;
+        for (b, &(lo, hi)) in ranges.iter().enumerate() {
+            layout.place(arena, b, &mut order[lo..hi]);
         }
         layout
     }
 
     /// Number of prototypes covered by the layout.
     pub fn k(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// Input dimensionality `d`.
@@ -705,21 +650,171 @@ impl BlockLayout {
 
     /// Number of clustered blocks.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.lens.len()
+    }
+
+    /// Block `b`'s real rows: `(first padded row, count)`.
+    #[inline]
+    fn extent(&self, b: usize) -> (usize, usize) {
+        (b * ROW_TILE, self.lens[b])
+    }
+
+    /// Fill block `b` with the prototypes `ids` (`1 ..= ROW_TILE` of
+    /// them) over a block reset to pad rows, and fit its bounds. `ids` is
+    /// sorted ascending first: the kernel's strict-`<` first-wins scan
+    /// then picks the lowest arena index per block, as the scalar scan
+    /// does globally.
+    fn place(&mut self, arena: &PrototypeArena, b: usize, ids: &mut [usize]) {
+        ids.sort_unstable();
+        let (d, row) = (self.dim, b * ROW_TILE);
+        self.aosoa[row * d..(row + ROW_TILE) * d].fill(f64::INFINITY);
+        self.radii_pad[row..row + ROW_TILE].fill(0.0);
+        for (slot, &id) in ids.iter().enumerate() {
+            self.write_row(arena, row + slot, id);
+        }
+        self.lens[b] = ids.len();
+        self.fit(b);
+    }
+
+    /// Copy prototype `id`'s centre and radius from `arena` into padded
+    /// row `row` and record where it lives.
+    fn write_row(&mut self, arena: &PrototypeArena, row: usize, id: usize) {
+        let d = self.dim;
+        let first = row - row % ROW_TILE;
+        let quads = &mut self.aosoa[first * d..(first + ROW_TILE) * d];
+        simd::aosoa_set_row(quads, row % ROW_TILE, arena.center(id));
+        self.radii_pad[row] = arena.radius(id);
+        self.gids[row] = id;
+        self.rows[id] = row;
+    }
+
+    /// Fit block `b`'s bounds to the tight box of its current rows (the
+    /// unbounded box if one of them is not finite).
+    fn fit(&mut self, b: usize) {
+        let (d, (row, len)) = (self.dim, self.extent(b));
+        let quads = &self.aosoa[row * d..(row + ROW_TILE) * d];
+        self.bounds
+            .fit_block(b, quads, &self.radii_pad[row..row + len]);
+    }
+
+    /// Append an empty block — pad rows, an unbounded lane — and return
+    /// its number. Storage grows amortised (doubling), never per row.
+    fn add_block(&mut self) -> usize {
+        let (b, d) = (self.lens.len(), self.dim);
+        self.lens.push(0);
+        self.bounds.grow(b + 1);
+        self.radii_pad.resize((b + 1) * ROW_TILE, 0.0);
+        self.aosoa.resize((b + 1) * ROW_TILE * d, f64::INFINITY);
+        self.gids.resize((b + 1) * ROW_TILE, 0);
+        b
+    }
+
+    /// Whether the block bounds are read. A one-block layout is verified
+    /// without a bound by both searches, so its lane is not kept while
+    /// the layout has one block: the split that adds the second block
+    /// fits both halves (`place`).
+    #[inline]
+    fn bounds_read(&self) -> bool {
+        self.lens.len() > 1
+    }
+
+    /// Follow a training update: rewrite prototype `id`'s row from
+    /// `arena` (its AoSoA slot and its padded radius) and refit its
+    /// block's bounds to the tight box of the block's current rows,
+    /// `O(ROW_TILE · d)` — so a moved row never escapes its box and the
+    /// box never stays wider than the rows.
+    pub(crate) fn set_row(&mut self, arena: &PrototypeArena, id: usize) {
+        let row = self.rows[id];
+        self.write_row(arena, row, id);
+        if self.bounds_read() {
+            self.fit(row / ROW_TILE);
+        }
+    }
+
+    /// Follow a spawn: file prototype `id` — just appended to `arena`, so
+    /// the largest index there is — into block `b`, the block
+    /// [`BlockLayout::winner`] reported nearest to the query it was
+    /// spawned at (ignored while the layout has no block). Appending the
+    /// largest index keeps the block's slots ascending. A block already
+    /// holding `ROW_TILE` rows is split with [`BlockLayout::build`]'s own
+    /// rule — widest-axis median under `total_cmp` — into itself and one
+    /// new block, each half re-sorted by arena index. Allocates only when
+    /// a block is added, and then amortised.
+    ///
+    /// # Panics
+    /// Panics unless `id` is the layout's `K` (the next arena index).
+    pub(crate) fn push_row(&mut self, arena: &PrototypeArena, id: usize, b: usize) {
+        assert_eq!(id, self.rows.len(), "push_row: not the next arena index");
+        self.rows.push(0);
+        if self.lens.is_empty() {
+            let b = self.add_block();
+            self.place(arena, b, &mut [id]);
+            return;
+        }
+        let (row, len) = self.extent(b);
+        if len < ROW_TILE {
+            self.write_row(arena, row + len, id);
+            self.lens[b] = len + 1;
+            if self.bounds_read() {
+                self.fit(b);
+            }
+            return;
+        }
+        let mut ids = [0usize; ROW_TILE + 1];
+        ids[..ROW_TILE].copy_from_slice(&self.gids[row..row + ROW_TILE]);
+        ids[ROW_TILE] = id;
+        let mid = split_at_median(arena, &mut ids);
+        let new = self.add_block();
+        let (left, right) = ids.split_at_mut(mid);
+        self.place(arena, b, left);
+        self.place(arena, new, right);
+    }
+
+    /// Pass 1 of verifying block `b` for `q`
+    /// ([`simd::winner_mask_block_aosoa`]): seeded one ulp above the
+    /// running `best` distance, so its strict `<` reports the block's
+    /// first row with `joint ≤ best` (ties must reach the merge) or leaves
+    /// [`NO_CANDIDATE`]; that candidate is merged lexicographically by
+    /// `(distance, arena index)`, which reproduces the ascending-scan
+    /// strict-`<` tie-break across the permuted blocks. Leaves every row's
+    /// squared centre distance in `csq` and returns the block's overlap
+    /// membership, one bit per row, cut to its real rows
+    /// (`1 ≤ len ≤ ROW_TILE ≤ 64`): a `+inf` pad row fails
+    /// `inf ≤ (θ_q + 0)²` unless that square overflows too, and the trim
+    /// makes it inert even then.
+    #[inline]
+    fn scan_block(
+        &self,
+        b: usize,
+        q: &Query,
+        best: &mut (usize, f64),
+        csq: &mut [f64; ROW_TILE],
+    ) -> u64 {
+        let (d, (row, len)) = (self.dim, self.extent(b));
+        let padded = len.div_ceil(QUAD) * QUAD;
+        tune::assert_tile_invariants(row);
+        let quads = &self.aosoa[row * d..(row + padded) * d];
+        let radii = &self.radii_pad[row..row + padded];
+        let mut local = (NO_CANDIDATE, best.1.next_up());
+        let mask =
+            simd::winner_mask_block_aosoa(&q.center, q.radius, quads, radii, &mut local, csq);
+        if local.0 != NO_CANDIDATE {
+            // `+inf` pad rows can never win, so this slot is a real row.
+            let gid = self.gids[row + local.0];
+            if local.1 < best.1 || (local.1 == best.1 && gid < best.0) {
+                *best = (gid, local.1);
+            }
+        }
+        mask & (u64::MAX >> (u64::BITS as usize - len))
     }
 
     /// Exact-verify block `b` for `q` — **mask, then walk**. Pass 1 is
-    /// the whole-block kernel ([`simd::winner_mask_block_aosoa`]): seeded
-    /// one ulp above the running `best` distance, so its strict `<`
-    /// reports the block's first row with `joint ≤ best` (ties must reach
-    /// the merge) or leaves [`NO_CANDIDATE`]; it returns the block's
-    /// overlap membership as one bit per row and leaves every row's
-    /// squared centre distance in `csq`. Pass 2 walks the set bits in
-    /// ascending slot order and computes each member's degree from the
-    /// stored `csq` — [`PrototypeArena::overlap_set_into`]'s operation
-    /// sequence per member, on the very bits the membership compare read
-    /// — appending `(arena index, degree)` to `set`. The block's winner
-    /// candidate is merged lexicographically by `(distance, arena index)`.
+    /// `scan_block` (the whole-block kernel and the winner merge). Pass 2
+    /// walks the mask's set bits in ascending slot order and computes
+    /// each member's degree from the stored `csq` —
+    /// [`PrototypeArena::overlap_set_into`]'s operation sequence per
+    /// member, on the very bits the membership compare read — appending
+    /// `(arena index, degree)` to `set`.
     #[inline]
     fn verify_block(
         &self,
@@ -729,19 +824,9 @@ impl BlockLayout {
         csq: &mut [f64; ROW_TILE],
         set: &mut Vec<(usize, f64)>,
     ) {
-        let d = self.dim;
-        let meta = &self.blocks[b];
-        tune::assert_tile_invariants(meta.pad_row);
-        let quads = &self.aosoa[meta.pad_row * d..(meta.pad_row + meta.padded_len) * d];
-        let radii = &self.radii_pad[meta.pad_row..meta.pad_row + meta.padded_len];
-        let gids = &self.gids[meta.start..meta.start + meta.len];
-        let mut local = (NO_CANDIDATE, best.1.next_up());
-        let mask =
-            simd::winner_mask_block_aosoa(&q.center, q.radius, quads, radii, &mut local, csq);
-        // Cut the mask to the real rows (`1 ≤ len ≤ ROW_TILE ≤ 64`): a
-        // `+inf` pad row fails `inf ≤ (θ_q + 0)²` unless that square
-        // overflows too, and the trim makes it inert even then.
-        let mut left = mask & (u64::MAX >> (u64::BITS as usize - meta.len));
+        let mut left = self.scan_block(b, q, best, csq);
+        let (row, len) = self.extent(b);
+        let (radii, gids) = (&self.radii_pad[row..row + len], &self.gids[row..row + len]);
         while left != 0 {
             let slot = left.trailing_zeros() as usize;
             left &= left - 1;
@@ -753,28 +838,85 @@ impl BlockLayout {
                 set.push((gids[slot], degree));
             }
         }
-        if local.0 != NO_CANDIDATE {
-            // `+inf` pad rows can never win, so this slot is a real row.
-            let gid = gids[local.0];
-            // Lexicographic (distance, index) merge — reproduces the
-            // ascending-scan strict-`<` tie-break across the permuted
-            // blocks.
-            if local.1 < best.1 || (local.1 == best.1 && gid < best.0) {
-                *best = (gid, local.1);
+    }
+
+    /// Stage 1 of a multi-block search: bound every block against `q`
+    /// into `lbs` (sized by [`SearchScratch::size_for`]) and return
+    /// `(lb, gated, first)` — `lb[b]` ≤ the squared
+    /// joint distance of every row of block `b`, `gated[b]` that bound
+    /// where the block provably holds no overlap member and `−∞` (a bound
+    /// no best can undercut) where it may, and `first` the block with the
+    /// smallest `lb` (strict `<`), which both searches verify first so the
+    /// running best is tight before any other block is compared against
+    /// it.
+    fn bound_blocks<'s>(&self, q: &Query, lbs: &'s mut [f64]) -> (&'s [f64], &'s [f64], usize) {
+        let lanes = self.bounds.lanes();
+        let (lb, gated) = lbs[..2 * lanes].split_at_mut(lanes);
+        self.bounds.bounds_into(&q.center, q.radius, lb, gated);
+        let (mut first, mut first_lb) = (0usize, f64::INFINITY);
+        for (b, &bound) in lb[..self.lens.len()].iter().enumerate() {
+            if bound < first_lb {
+                (first, first_lb) = (b, bound);
+            }
+        }
+        (lb, gated, first)
+    }
+
+    /// The order both searches visit blocks in: `first`, then the others
+    /// ascending.
+    fn visit_order(&self, first: usize) -> impl Iterator<Item = usize> {
+        std::iter::once(first).chain((0..self.lens.len()).filter(move |&b| b != first))
+    }
+
+    /// Algorithm 1's winner search: `(arena index, squared joint
+    /// distance)` of the prototype closest to `q` — [`PrototypeArena::winner`]
+    /// on the arena this layout follows, **bit for bit** — and the block
+    /// with the smallest bound to `q`, where [`BlockLayout::push_row`]
+    /// files a prototype spawned at `q`; `None` on an empty layout.
+    ///
+    /// The served resolution without the overlap set: every block is
+    /// bounded ([`simd::BoundGroups::bounds_into`]), the block with the
+    /// smallest bound is verified first, and every other block is
+    /// verified unless `lb > best` — `lb`, not the overlap gate, since no
+    /// member is wanted; `>`, not `≥`, since a block whose bound ties the
+    /// best may hold a lower-index tie. Per block the served kernel runs
+    /// seeded `(NO_CANDIDATE, best.next_up())` and the candidates merge
+    /// lexicographically by `(distance, index)`. A one-block layout is
+    /// verified directly. No allocator call once `scratch` has seen the
+    /// layout's block count.
+    pub(crate) fn winner(
+        &self,
+        q: &Query,
+        scratch: &mut SearchScratch,
+    ) -> Option<((usize, f64), usize)> {
+        debug_assert_eq!(q.center.len(), self.dim, "winner: dimension mismatch");
+        let mut best = (0usize, f64::INFINITY);
+        match self.lens.len() {
+            0 => None,
+            1 => {
+                self.scan_block(0, q, &mut best, &mut scratch.csq);
+                Some((best, 0))
+            }
+            _ => {
+                scratch.size_for(self);
+                let (lb, _, first) = self.bound_blocks(q, &mut scratch.lbs);
+                for b in self.visit_order(first) {
+                    if lb[b] > best.1 {
+                        continue;
+                    }
+                    self.scan_block(b, q, &mut best, &mut scratch.csq);
+                }
+                Some((best, first))
             }
         }
     }
 
     /// Resolve one query: winner as `(arena index, squared joint)`,
     /// overlap members appended to `set` (arena indices, block order).
-    /// Stage 1 bounds every block; stage 2 verifies the block with the
-    /// smallest bound first, so the running best is tight before any
-    /// other block is compared against it.
     fn resolve_query(
         &self,
         q: &Query,
-        lbs: &mut Vec<f64>,
-        csq: &mut [f64; ROW_TILE],
+        scratch: &mut SearchScratch,
         set: &mut Vec<(usize, f64)>,
         counters: &mut ScreenCounters,
     ) -> (usize, f64) {
@@ -783,36 +925,25 @@ impl BlockLayout {
             self.dim,
             "resolve_batch_pruned: dimension mismatch"
         );
-        let nb = self.blocks.len();
+        let nb = self.lens.len();
         counters.blocks += nb as u64;
         // Seeded like the scalar winner scan's `(0, ∞)`.
         let mut best = (0usize, f64::INFINITY);
         if nb == 1 {
             counters.verified += 1;
-            self.verify_block(0, q, &mut best, csq, set);
+            self.verify_block(0, q, &mut best, &mut scratch.csq, set);
             return best;
         }
         counters.screened += nb as u64;
-        let lanes = self.bounds.lanes();
-        if lbs.len() < 2 * lanes {
-            lbs.resize(2 * lanes, 0.0);
-        }
-        // `gated[b]` is `lb[b]` for a block that provably holds no
-        // overlap member and `−∞` — a bound no best can undercut — for
-        // one that may (a NaN on either side of that test lands there
-        // too): such a block is verified whatever the winner does.
-        let (lb, gated) = lbs[..2 * lanes].split_at_mut(lanes);
-        self.bounds.bounds_into(&q.center, q.radius, lb, gated);
-        let (mut first, mut first_lb) = (0usize, f64::INFINITY);
-        for (b, &bound) in lb[..nb].iter().enumerate() {
-            if bound < first_lb {
-                (first, first_lb) = (b, bound);
-            }
-        }
-        for b in std::iter::once(first).chain((0..nb).filter(|&b| b != first)) {
-            // `>` (not `≥`): a block whose bound ties the best may hold
-            // a lower-index tie, and a NaN bound verifies. Nothing
-            // exceeds the initial `∞`, so `first` is always verified.
+        scratch.size_for(self);
+        let SearchScratch { lbs, csq } = scratch;
+        let (_, gated, first) = self.bound_blocks(q, lbs);
+        for b in self.visit_order(first) {
+            // `gated` — a block that may hold an overlap member is
+            // verified whatever the winner does; `>` (not `≥`): a block
+            // whose bound ties the best may hold a lower-index tie, and a
+            // NaN bound verifies. Nothing exceeds the initial `∞`, so
+            // `first` is always verified.
             if gated[b] > best.1 {
                 counters.skipped += 1;
             } else {
@@ -844,20 +975,50 @@ impl BlockLayout {
         counters: &mut ScreenCounters,
     ) {
         out.clear();
-        debug_assert!(self.len > 0, "resolve_batch_pruned: empty layout");
+        debug_assert!(self.k() > 0, "resolve_batch_pruned: empty layout");
         let BatchResolution {
             winners,
             offsets,
             entries,
-            lbs,
-            csq,
+            scratch,
         } = out;
         offsets.push(0);
         for q in queries {
-            winners.push(self.resolve_query(q, lbs, csq, entries, counters));
+            winners.push(self.resolve_query(q, scratch, entries, counters));
             offsets.push(entries.len());
         }
     }
+}
+
+/// The layout's one split rule, shared by [`BlockLayout::build`] and the
+/// split of a full block in [`BlockLayout::push_row`]: find the axis along
+/// which the centres of `ids` spread widest and partition `ids` at its
+/// median — `select_nth_unstable`, so `O(n)` without sorting the axis,
+/// under `total_cmp`, since a NaN coordinate must not hand the selection
+/// an inconsistent order (it may panic on one). Returns the cut `n / 2`;
+/// each side is in no particular order, and the callers sort each by
+/// arena index before placing it.
+fn split_at_median(arena: &PrototypeArena, ids: &mut [usize]) -> usize {
+    let mut widest = 0usize;
+    let mut spread = f64::NEG_INFINITY;
+    for c in 0..arena.dim() {
+        let mut mn = f64::INFINITY;
+        let mut mx = f64::NEG_INFINITY;
+        for &g in ids.iter() {
+            let v = arena.center(g)[c];
+            mn = mn.min(v);
+            mx = mx.max(v);
+        }
+        if mx - mn > spread {
+            spread = mx - mn;
+            widest = c;
+        }
+    }
+    let mid = ids.len() / 2;
+    ids.select_nth_unstable_by(mid, |&a, &b| {
+        arena.center(a)[widest].total_cmp(&arena.center(b)[widest])
+    });
+    mid
 }
 
 #[cfg(test)]
@@ -966,8 +1127,9 @@ mod tests {
         best
     }
 
-    /// The one optimised pass the oracle keeps (the trainer runs it on
-    /// every pair), against its definition — index and distance bits —
+    /// The one optimised pass the oracle keeps (what the trainer's and
+    /// the served searches are held to), against its definition — index
+    /// and distance bits —
     /// on random and trained arenas: every `K mod 4` (the remainder rows
     /// behind the last whole quad), `d` on both sides of `sq_dists4`'s
     /// const-generic cut, and exact ties at every position of a quad and
@@ -1082,39 +1244,238 @@ mod tests {
     // --- Pruned serving layout (prefix `screening_` so the nightly Miri
     // --- job can filter `-p regq_core screening_`).
 
-    /// Assert the layout permutation covers exactly `0..K` with ascending
-    /// arena indices inside each block.
-    fn assert_layout_well_formed(layout: &BlockLayout, k: usize, d: usize) {
+    /// Assert `layout` describes `arena` exactly: every arena index in
+    /// exactly one block, its centre and radius stored bit for bit where
+    /// `rows` says, slots ascending by arena index, pad rows inert
+    /// (`+inf` centres, `0.0` radii), every block's lane the tight box of
+    /// its current rows (or unbounded when one is not finite) and every
+    /// lane past the last block unbounded — lanes checked once the layout
+    /// has two blocks, since a one-block layout's lane is never read and
+    /// not kept.
+    fn assert_layout_follows(layout: &BlockLayout, arena: &PrototypeArena) {
+        let (k, d) = (arena.len(), arena.dim());
         assert_eq!(layout.k(), k);
         assert_eq!(layout.dim(), d);
         let mut seen = vec![false; k];
-        for meta in &layout.blocks {
-            assert!(meta.len >= 1 && meta.len <= ROW_TILE);
-            assert_eq!(meta.padded_len % QUAD, 0);
-            assert_eq!(meta.pad_row % QUAD, 0);
-            let gids = &layout.gids[meta.start..meta.start + meta.len];
+        let mut fresh = simd::BoundGroups::unbounded(layout.num_blocks(), d);
+        let mut row = vec![0.0; d];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for b in 0..layout.num_blocks() {
+            let (first, len) = layout.extent(b);
+            assert!((1..=ROW_TILE).contains(&len), "block {b} holds {len} rows");
+            let quads = &layout.aosoa[first * d..(first + ROW_TILE) * d];
+            let gids = &layout.gids[first..first + len];
             for w in gids.windows(2) {
                 assert!(w[0] < w[1], "block gids must be strictly ascending");
             }
-            for &g in gids {
+            for (slot, &g) in gids.iter().enumerate() {
                 assert!(!seen[g], "gid {g} appears twice");
                 seen[g] = true;
+                assert_eq!(layout.rows[g], first + slot, "gid {g}'s row");
+                simd::aosoa_row_into(quads, slot, &mut row);
+                assert_eq!(bits(&row), bits(arena.center(g)), "gid {g}'s centre");
+                let radius = layout.radii_pad[first + slot];
+                assert_eq!(radius.to_bits(), arena.radius(g).to_bits());
             }
-            // Pad rows are +inf centers with 0.0 radii — inert.
-            for pad in meta.len..meta.padded_len {
-                assert_eq!(layout.radii_pad[meta.pad_row + pad], 0.0);
+            for slot in len..ROW_TILE {
+                simd::aosoa_row_into(quads, slot, &mut row);
+                assert!(row.iter().all(|&v| v == f64::INFINITY), "pad centre");
+                assert_eq!(layout.radii_pad[first + slot], 0.0, "pad radius");
             }
+            fresh.fit_block(b, quads, &layout.radii_pad[first..first + len]);
         }
         assert!(seen.iter().all(|&s| s), "layout must cover every gid");
+        assert_eq!(layout.bounds.lanes(), fresh.lanes());
+        if layout.num_blocks() < 2 {
+            return;
+        }
+        // Probes far out on every side read every box side.
+        for b in 0..fresh.lanes() {
+            for (at, theta) in [(-1e6, -1e6), (1e6, 1e6), (0.3, 0.1)] {
+                let q = vec![at; d];
+                let (got, want) = (
+                    layout.bounds.lane_bounds(b, &q, theta),
+                    fresh.lane_bounds(b, &q, theta),
+                );
+                assert_eq!(
+                    bits(&[got.0, got.1, got.2]),
+                    bits(&[want.0, want.1, want.2]),
+                    "lane {b} of {} blocks",
+                    layout.num_blocks()
+                );
+            }
+        }
     }
 
     #[test]
     fn screening_layout_partitions_the_arena() {
-        for k in [1usize, 3, 4, 5, 63, 64, 65, 130, 257, 1000] {
+        for k in [0usize, 1, 3, 4, 5, 63, 64, 65, 130, 257, 1000] {
             let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, 40 + k as u64));
             let layout = arena.build_layout();
-            assert_layout_well_formed(&layout, k, 3);
+            assert_layout_follows(&layout, &arena);
         }
+    }
+
+    /// Spawn a prototype at `(center, radius)` the way the trainer does:
+    /// search first, append to the arena, file it in the nearest block.
+    fn spawn(
+        arena: &mut PrototypeArena,
+        layout: &mut BlockLayout,
+        scratch: &mut SearchScratch,
+        center: &[f64],
+        radius: f64,
+    ) {
+        let q = Query::new_unchecked(center.to_vec(), radius);
+        let nearest = layout.winner(&q, scratch).map_or(0, |(_, b)| b);
+        arena.push_query(center, radius);
+        layout.push_row(arena, arena.len() - 1, nearest);
+    }
+
+    /// The live layout's winner against the scan's — index and distance
+    /// bits — at random probes and on (a copy of) every tenth prototype.
+    fn assert_winners_match(
+        arena: &PrototypeArena,
+        layout: &BlockLayout,
+        scratch: &mut SearchScratch,
+        rng: &mut StdRng,
+    ) {
+        let d = arena.dim();
+        let mut probes: Vec<Query> = (0..6)
+            .map(|_| {
+                let c: Vec<f64> = (0..d).map(|_| rng.random_range(-1.5..1.5)).collect();
+                Query::new_unchecked(c, rng.random_range(0.01..0.6))
+            })
+            .collect();
+        for k in (0..arena.len()).step_by(10) {
+            probes.push(Query::new_unchecked(
+                arena.center(k).to_vec(),
+                arena.radius(k),
+            ));
+        }
+        for q in &probes {
+            let want = arena.winner(&q.center, q.radius);
+            let got = layout.winner(q, scratch).map(|(w, _)| w);
+            assert_eq!(
+                got.map(|(k, sq)| (k, sq.to_bits())),
+                want.map(|(k, sq)| (k, sq.to_bits())),
+                "K={} blocks={}",
+                arena.len(),
+                layout.num_blocks()
+            );
+        }
+    }
+
+    #[test]
+    fn screening_live_layout_follows_moves_and_spawns() {
+        // From empty and from a built layout: spawns (uniform, and piled
+        // into one corner so the same region splits again and again) and
+        // moves (small, and far enough to leave the block's box), each
+        // followed by the full structural check and the winner against
+        // the scan.
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut scratch = SearchScratch::default();
+        for (d, k0) in [(1usize, 0usize), (3, 0), (2, 150), (5, 70)] {
+            let mut arena = PrototypeArena::from_prototypes(d, &random_protos(k0, d, 7 + d as u64));
+            let mut layout = arena.build_layout();
+            assert_layout_follows(&layout, &arena);
+            for op in 0..260 {
+                if arena.is_empty() || op % 3 != 0 {
+                    let spread = if op % 2 == 0 { 1.0 } else { 0.05 };
+                    let c: Vec<f64> = (0..d).map(|_| rng.random_range(-spread..spread)).collect();
+                    let r = rng.random_range(0.05..0.5);
+                    spawn(&mut arena, &mut layout, &mut scratch, &c, r);
+                } else {
+                    let id = rng.random_range(0..arena.len());
+                    let step = if op % 2 == 0 { 0.01 } else { 1.0 };
+                    let p = arena.view_mut(id);
+                    for c in p.center.iter_mut() {
+                        *c += rng.random_range(-step..step);
+                    }
+                    *p.radius += rng.random_range(-0.01..0.01);
+                    layout.set_row(&arena, id);
+                }
+                assert_layout_follows(&layout, &arena);
+                assert_winners_match(&arena, &layout, &mut scratch, &mut rng);
+            }
+            assert!(layout.num_blocks() > 2, "d={d}: splits happened");
+        }
+    }
+
+    #[test]
+    fn screening_live_layout_keeps_poisoned_rows_unbounded() {
+        // Poisoned prototypes — a NaN centre coordinate, an infinite one,
+        // an infinite radius — spread over several blocks, then moved,
+        // healed and carried into new blocks by the splits that spawns
+        // force: every block holding one keeps the unbounded box, every
+        // other block is tight again, and the winner is still the scan's.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut scratch = SearchScratch::default();
+        let d = 2;
+        let mut protos = random_protos(200, d, 3);
+        let poisons = [0usize, 37, 74, 111, 148, 185];
+        for (n, &id) in poisons.iter().enumerate() {
+            match n % 3 {
+                0 => protos[id].center[1] = f64::NAN,
+                1 => protos[id].center[0] = f64::NEG_INFINITY,
+                _ => protos[id].radius = f64::INFINITY,
+            }
+        }
+        let mut arena = PrototypeArena::from_prototypes(d, &protos);
+        let mut layout = arena.build_layout();
+        let unbounded_blocks = |arena: &PrototypeArena, layout: &BlockLayout| {
+            let mut blocks: Vec<usize> = (0..arena.len())
+                .filter(|&id| {
+                    !(arena.radius(id).is_finite() && vector::all_finite(arena.center(id)))
+                })
+                .map(|id| layout.rows[id] / ROW_TILE)
+                .collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            for &b in &blocks {
+                let far = layout.bounds.lane_bounds(b, &[1e9; 2], 1e9);
+                assert_eq!(
+                    (far.0, far.1, far.2),
+                    (0.0, 0.0, f64::INFINITY),
+                    "block {b}"
+                );
+            }
+            blocks
+        };
+        assert!(
+            unbounded_blocks(&arena, &layout).len() > 1,
+            "poison spread over blocks"
+        );
+        assert_layout_follows(&layout, &arena);
+        for op in 0..200 {
+            match op % 4 {
+                // Move a poisoned row (it stays poisoned), or heal one.
+                0 => {
+                    let id = poisons[op / 4 % poisons.len()];
+                    let p = arena.view_mut(id);
+                    p.center[0] += 0.5;
+                    if op % 40 == 0 {
+                        p.center.fill(0.25);
+                        *p.radius = 0.2;
+                    }
+                    layout.set_row(&arena, id);
+                }
+                // Poison a clean row in place.
+                1 if op % 20 == 1 => {
+                    let id = rng.random_range(0..arena.len());
+                    arena.view_mut(id).center[op % d] = f64::NAN;
+                    layout.set_row(&arena, id);
+                }
+                // Spawns near the poisoned rows' region: splits.
+                _ => {
+                    let c: Vec<f64> = (0..d).map(|_| rng.random_range(-1.0..1.0)).collect();
+                    spawn(&mut arena, &mut layout, &mut scratch, &c, 0.2);
+                }
+            }
+            assert_layout_follows(&layout, &arena);
+            unbounded_blocks(&arena, &layout);
+            assert_winners_match(&arena, &layout, &mut scratch, &mut rng);
+        }
+        assert!(layout.num_blocks() > 4);
     }
 
     /// Resolve `queries` through `layout` and assert the resolution equals
@@ -1172,7 +1533,7 @@ mod tests {
         for k in [1usize, 3, 4, 5, 63, 64, 65, 130, 257] {
             let arena = PrototypeArena::from_prototypes(3, &random_protos(k, 3, k as u64));
             let layout = arena.build_layout();
-            assert_layout_well_formed(&layout, k, 3);
+            assert_layout_follows(&layout, &arena);
             for nq in [0usize, 1, 7, 16, 37] {
                 let queries: Vec<Query> = (0..nq)
                     .map(|_| {
@@ -1356,8 +1717,8 @@ mod tests {
     /// A one-block arena of block `b`'s rows in slot order — what the
     /// scalar passes see of that block.
     fn block_arena(arena: &PrototypeArena, layout: &BlockLayout, b: usize) -> PrototypeArena {
-        let meta = &layout.blocks[b];
-        let rows: Vec<Prototype> = layout.gids[meta.start..meta.start + meta.len]
+        let (first, len) = layout.extent(b);
+        let rows: Vec<Prototype> = layout.gids[first..first + len]
             .iter()
             .map(|&g| arena.view(g).to_prototype())
             .collect();
@@ -1389,7 +1750,7 @@ mod tests {
             let (mut got, mut want) = (Vec::new(), Vec::new());
             for b in 0..layout.num_blocks() {
                 let rows = block_arena(&arena, &layout, b);
-                let gids = &layout.gids[layout.blocks[b].start..];
+                let gids = &layout.gids[b * ROW_TILE..];
                 for (i, q) in queries.iter().enumerate() {
                     got.clear();
                     let mut best = (0usize, f64::INFINITY);

@@ -4,7 +4,13 @@
 //! Training consumes a stream of `(q_t, y_t)` pairs (query, exact answer)
 //! obtained from the DBMS — the Fig. 2 loop. Each step:
 //!
-//! 1. find the winner `j = argmin_k ‖q − w_k‖₂` (joint query-space `L2`);
+//! 1. find the winner `j = argmin_k ‖q − w_k‖₂` (joint query-space `L2`)
+//!    — not by an `O(dK)` scan: a trainable model keeps a live
+//!    [`BlockLayout`] over its prototypes (derived state: built when the
+//!    model becomes trainable, kept current by every update and spawn,
+//!    dropped on freeze), whose per-block bounds skip the blocks that
+//!    provably cannot hold the winner, bit-identical to the scan
+//!    [`PrototypeArena::winner`] that defines it;
 //! 2. if `‖q − w_j‖₂ ≤ ρ`, apply the Theorem 4 SGD updates
 //!    ```text
 //!    Δw_j = η (q − w_j)
@@ -21,10 +27,12 @@
 //!    consecutive steps.
 //!
 //! After convergence the model freezes (the paper performs no further
-//! modification at prediction time); [`LlmModel::unfreeze`] re-opens it
-//! for further training.
+//! modification at prediction time) and drops its layout, so a frozen
+//! model — and every serving or shard copy made of it — costs nothing
+//! beyond its arena; [`LlmModel::unfreeze`] rebuilds the layout and
+//! re-opens the model for further training.
 
-use crate::arena::PrototypeArena;
+use crate::arena::{BlockLayout, PrototypeArena, SearchScratch};
 use crate::config::ModelConfig;
 use crate::error::CoreError;
 use crate::prototype::Prototype;
@@ -86,15 +94,34 @@ pub struct TrainReport {
 pub struct LlmModel {
     config: ModelConfig,
     /// The learned parameters `α`, packed struct-of-arrays
-    /// ([`PrototypeArena`]) so the `O(dK)` winner/overlap scans stream
-    /// through contiguous memory.
+    /// ([`PrototypeArena`]) so the oracle's `O(dK)` winner/overlap scans
+    /// stream through contiguous memory.
     arena: PrototypeArena,
+    /// The winner search of a trainable model — derived from `arena` and
+    /// kept current with it; `None` exactly when the model is frozen
+    /// (training steps are then no-ops).
+    search: Option<Search>,
     /// Global SGD step counter `t`.
     global_step: u64,
     /// Consecutive steps with `Γ ≤ γ` so far.
     quiet_steps: usize,
-    /// Frozen after convergence: training steps become no-ops.
-    frozen: bool,
+}
+
+/// What a trainable model keeps beside its arena: the live layout its
+/// winner search runs on, and the search's scratch.
+#[derive(Debug, Clone)]
+struct Search {
+    layout: BlockLayout,
+    scratch: SearchScratch,
+}
+
+impl Search {
+    fn over(arena: &PrototypeArena) -> Self {
+        Search {
+            layout: BlockLayout::build(arena),
+            scratch: SearchScratch::default(),
+        }
+    }
 }
 
 impl LlmModel {
@@ -106,11 +133,11 @@ impl LlmModel {
         config.validate()?;
         let arena = PrototypeArena::new(config.dim);
         Ok(LlmModel {
+            search: Some(Search::over(&arena)),
             config,
             arena,
             global_step: 0,
             quiet_steps: 0,
-            frozen: false,
         })
     }
 
@@ -142,9 +169,10 @@ impl LlmModel {
         self.config.dim
     }
 
-    /// `true` once the convergence criterion froze the model.
+    /// `true` once the convergence criterion (or [`LlmModel::freeze`])
+    /// froze the model.
     pub fn is_frozen(&self) -> bool {
-        self.frozen
+        self.search.is_none()
     }
 
     /// Number of training steps consumed so far.
@@ -153,21 +181,26 @@ impl LlmModel {
     }
 
     /// Unfreeze: subsequent [`LlmModel::train_step`] calls
-    /// update parameters again.
+    /// update parameters again. Rebuilds the winner search's layout
+    /// (`O(dK + K log K)`).
     pub fn unfreeze(&mut self) {
-        self.frozen = false;
+        if self.search.is_none() {
+            self.search = Some(Search::over(&self.arena));
+        }
         self.quiet_steps = 0;
     }
 
-    /// Freeze: training steps become no-ops (prediction-only serving).
+    /// Freeze: training steps become no-ops (prediction-only serving),
+    /// and the winner search's layout is dropped.
     pub fn freeze(&mut self) {
-        self.frozen = true;
+        self.search = None;
     }
 
     /// Winner search: index and squared joint distance of the closest
-    /// prototype. `None` for an empty model. Runs the batched single-pass
-    /// scan over the arena ([`PrototypeArena::winner`]), which is pinned
-    /// to its per-row definition there.
+    /// prototype. `None` for an empty model. Runs the definition — the
+    /// batched single-pass scan over the arena ([`PrototypeArena::winner`],
+    /// pinned to its per-row definition there), which the trainer's
+    /// layout search reproduces bit for bit.
     pub fn winner(&self, q: &Query) -> Option<(usize, f64)> {
         self.arena.winner(&q.center, q.radius)
     }
@@ -213,6 +246,9 @@ impl LlmModel {
         // First pair initializes the codebook (Algorithm 1 init phase).
         if self.arena.is_empty() {
             self.arena.push_query(&q.center, q.radius);
+            if let Some(search) = &mut self.search {
+                search.layout.push_row(&self.arena, 0, 0);
+            }
             self.global_step += 1;
             return Ok(StepOutcome {
                 winner: 0,
@@ -223,13 +259,14 @@ impl LlmModel {
             });
         }
 
-        let (j, sq) = self.winner(q).expect("non-empty codebook");
-        let dist = sq.sqrt();
         self.global_step += 1;
-
-        if self.frozen {
+        let Some(search) = self.search.as_mut() else {
             // Paper: after convergence "no further modification is
-            // performed".
+            // performed". A frozen model holds no layout; the winner it
+            // reports comes from the definition.
+            // INVARIANT: the arena is non-empty (the branch above
+            // returned otherwise), and `winner` is `None` only when empty.
+            let (j, _) = self.winner(q).expect("non-empty codebook");
             return Ok(StepOutcome {
                 winner: j,
                 spawned: false,
@@ -237,24 +274,41 @@ impl LlmModel {
                 gamma_h: 0.0,
                 converged: true,
             });
-        }
+        };
+        let ((j, sq), nearest) = search
+            .layout
+            .winner(q, &mut search.scratch)
+            // INVARIANT: the live layout covers the non-empty arena (every
+            // push is followed by a `push_row`), and `winner` is `None`
+            // only on an empty layout.
+            .expect("non-empty codebook");
 
-        let (gamma_j, gamma_h, winner, spawned) = if dist <= rho {
+        let (gamma_j, gamma_h, winner, spawned) = if sq.sqrt() <= rho {
             let updates = self.arena.updates(j);
             let eta = self.config.schedule.rate(updates, self.global_step);
 
             // Joint query-space residual vector (q − w_j), split into its
             // input part and radius part. Theorem 4 updates all of α_j
-            // simultaneously against this *pre-update* residual.
-            let dq = vector::sub(&q.center, self.arena.center(j));
+            // simultaneously against this *pre-update* residual. Its input
+            // part is never stored: each pass recomputes `q_i − w_{j,i}`
+            // from operands that have not moved yet — the bits a stored
+            // copy would hold — so a step allocates nothing at any `d`.
+            let (mut dq_sq, mut b_dot_dq) = (0.0, 0.0);
+            for ((qi, wi), bi) in q
+                .center
+                .iter()
+                .zip(self.arena.center(j))
+                .zip(self.arena.b_x(j))
+            {
+                let dqi = qi - wi;
+                dq_sq += dqi * dqi;
+                b_dot_dq += bi * dqi;
+            }
             let dtheta = q.radius - self.arena.radius(j);
-            let dq_sq = vector::dot(&dq, &dq) + dtheta * dtheta;
+            let dq_sq = dq_sq + dtheta * dtheta;
 
             // Prediction error of the current LLM at q (Theorem 4's e).
-            let err = y
-                - self.arena.y(j)
-                - vector::dot(self.arena.b_x(j), &dq)
-                - self.arena.b_theta(j) * dtheta;
+            let err = y - self.arena.y(j) - b_dot_dq - self.arena.b_theta(j) * dtheta;
 
             // Coefficient steps run on their own (slower-decaying)
             // Robbins–Monro schedule — see coeff_rate_power (D-8).
@@ -264,13 +318,6 @@ impl LlmModel {
                 self.config.coeff_rate_power,
             );
 
-            let p = self.arena.view_mut(j);
-
-            // Δw_j = η (q − w_j).
-            let w_disp = eta * dq_sq.sqrt();
-            vector::axpy(eta, &dq, p.center);
-            *p.radius += eta * dtheta;
-
             // Slope step: Δb_j = η_c e (q − w_j), optionally
             // NLMS-normalized by (ε + ‖q − w_j‖²) — see SlopeUpdate (D-8).
             let slope_scale = match self.config.slope_update {
@@ -279,25 +326,40 @@ impl LlmModel {
                 }
                 crate::config::SlopeUpdate::Raw => eta_c * err,
             };
+
+            let p = self.arena.view_mut(j);
+
+            // Δw_j = η (q − w_j) and Δb_{X,j} = slope_scale (x − x_j), one
+            // coordinate at a time: coordinate i's residual is read
+            // before coordinate i of the centre moves.
+            let w_disp = eta * dq_sq.sqrt();
             let mut b_disp_sq = 0.0;
-            for (b, dqi) in p.b_x.iter_mut().zip(dq.iter()) {
+            for ((w, b), qi) in p.center.iter_mut().zip(p.b_x.iter_mut()).zip(&q.center) {
+                let dqi = qi - *w;
+                *w += eta * dqi;
                 let delta = slope_scale * dqi;
                 *b += delta;
                 b_disp_sq += delta * delta;
             }
+            *p.radius += eta * dtheta;
             let delta_btheta = slope_scale * dtheta;
             *p.b_theta += delta_btheta;
             b_disp_sq += delta_btheta * delta_btheta;
             let delta_y = eta_c * err;
             *p.y += delta_y;
             *p.updates += 1;
+            search.layout.set_row(&self.arena, j);
 
             // Γ contributions: ‖Δw‖₂ and ‖Δb‖₂ + |Δy| of the winner.
             (w_disp, b_disp_sq.sqrt() + delta_y.abs(), j, false)
         } else {
-            // Vigilance violated: grow the codebook (K += 1).
+            // Vigilance violated: grow the codebook (K += 1), filed in the
+            // block the search found nearest to q.
             self.arena.push_query(&q.center, q.radius);
-            (rho, 0.0, self.arena.len() - 1, true)
+            let k = self.arena.len() - 1;
+            search.layout.push_row(&self.arena, k, nearest);
+            search.scratch.size_for(&search.layout);
+            (rho, 0.0, k, true)
         };
 
         // Convergence accounting.
@@ -306,7 +368,7 @@ impl LlmModel {
             if gamma <= self.config.gamma {
                 self.quiet_steps += 1;
                 if self.quiet_steps >= self.config.convergence_window {
-                    self.frozen = true;
+                    self.freeze();
                 }
             } else {
                 self.quiet_steps = 0;
@@ -318,7 +380,7 @@ impl LlmModel {
             spawned,
             gamma_j,
             gamma_h,
-            converged: self.frozen,
+            converged: self.is_frozen(),
         })
     }
 
@@ -347,7 +409,7 @@ impl LlmModel {
         Ok(TrainReport {
             steps,
             prototypes: self.k(),
-            converged: self.frozen,
+            converged: self.is_frozen(),
             gamma_trace: trace,
         })
     }
@@ -355,7 +417,11 @@ impl LlmModel {
     /// Assemble a model from explicit parts: configuration, prototype
     /// set, consumed-step count and frozen flag — how `persist` rebuilds a
     /// saved model and how the serving layer's shard fabric builds
-    /// per-shard models from prototype subsets.
+    /// per-shard models from prototype subsets. An unfrozen model builds
+    /// its winner search's layout here (`O(dK + K log K)`); a frozen one
+    /// holds none. Prototypes are not checked for finiteness: a NaN or
+    /// infinite parameter is carried as is, and the layout keeps the
+    /// block holding it unbounded, so the winner is still the scan's.
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] / [`CoreError::DimensionMismatch`] on
@@ -377,11 +443,11 @@ impl LlmModel {
         }
         let arena = PrototypeArena::from_prototypes(config.dim, &prototypes);
         Ok(LlmModel {
+            search: (!frozen).then(|| Search::over(&arena)),
             config,
             arena,
             global_step,
             quiet_steps: 0,
-            frozen,
         })
     }
 }

@@ -541,6 +541,55 @@ fn max_pd(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Running minimum, maximum and finiteness of a fold, one lane per
+/// position of an AoSoA quad — so a fold over quads is lane-parallel
+/// compare-and-selects, and the lanes meet once, in [`Extent::finish`].
+/// A NaN never enters an extremum (`NaN < x` is false); it is caught by
+/// the finiteness lanes instead.
+#[derive(Clone, Copy)]
+struct Extent {
+    lo: [f64; QUAD],
+    hi: [f64; QUAD],
+    finite: [bool; QUAD],
+}
+
+impl Default for Extent {
+    fn default() -> Self {
+        Extent {
+            lo: [f64::INFINITY; QUAD],
+            hi: [f64::NEG_INFINITY; QUAD],
+            finite: [true; QUAD],
+        }
+    }
+}
+
+impl Extent {
+    /// Fold up to [`QUAD`] values, value `j` into lane `j`.
+    #[inline]
+    fn add(&mut self, values: &[f64]) {
+        let lanes = self.lo.iter_mut().zip(&mut self.hi).zip(&mut self.finite);
+        for (&v, ((lo, hi), finite)) in values.iter().zip(lanes) {
+            *lo = if v < *lo { v } else { *lo };
+            *hi = if v > *hi { v } else { *hi };
+            *finite &= v.is_finite();
+        }
+    }
+
+    /// `(minimum, maximum, all finite)` over everything folded.
+    #[inline]
+    fn finish(self) -> (f64, f64, bool) {
+        let lo = self
+            .lo
+            .iter()
+            .fold(f64::INFINITY, |m, &v| if v < m { v } else { m });
+        let hi = self
+            .hi
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        (lo, hi, self.finite.iter().all(|&ok| ok))
+    }
+}
+
 /// `len` doubles whose first element sits on a 64-byte cache line — by
 /// construction, not by allocator luck (`malloc` promises 16 bytes). The
 /// serving layout streams these with 32-byte loads at 32-byte strides, so
@@ -562,8 +611,15 @@ impl AlignedF64s {
 
     /// `len` copies of `value`, the first on an [`Self::ALIGN`] boundary.
     pub fn filled(len: usize, value: f64) -> Self {
+        let mut out = Self::with_room(len);
+        out.buf.resize(out.skip + len, value);
+        out
+    }
+
+    /// Empty, with room for `capacity` elements behind an aligned base.
+    fn with_room(capacity: usize) -> Self {
         let lanes = Self::ALIGN / std::mem::size_of::<f64>();
-        let mut buf: Vec<f64> = Vec::with_capacity(len + lanes - 1);
+        let mut buf: Vec<f64> = Vec::with_capacity(capacity + lanes - 1);
         // Elements from the (real — the capacity is never zero)
         // allocation's base to the next line. An implementation may
         // decline to answer (`usize::MAX`, e.g. an interpreter that keeps
@@ -572,8 +628,22 @@ impl AlignedF64s {
         let skip = buf.as_ptr().align_offset(Self::ALIGN);
         let skip = if skip < lanes { skip } else { 0 };
         // Within the reserved capacity: the base never moves again.
-        buf.resize(skip + len, value);
+        buf.resize(skip, 0.0);
         AlignedF64s { buf, skip }
+    }
+
+    /// Grow (or cut) to `len` elements, new ones `value`, the first still
+    /// on a line. Growth beyond the room reserved moves the contents to a
+    /// new allocation of at least twice the old length — re-aligned, as
+    /// [`Clone`] does — so a run of appends makes `O(log n)` allocator
+    /// calls, not one per append.
+    pub fn resize(&mut self, len: usize, value: f64) {
+        if self.skip + len > self.buf.capacity() {
+            let mut grown = Self::with_room(len.max(2 * self.len()));
+            grown.buf.extend_from_slice(self);
+            *self = grown;
+        }
+        self.buf.resize(self.skip + len, value);
     }
 }
 
@@ -605,7 +675,10 @@ impl Clone for AlignedF64s {
 /// **groups of [`QUAD`] blocks** so one vector iteration bounds four
 /// blocks: `lo/hi[(g·d + c)·4 + j]` is coordinate `c` of block `4g + j`,
 /// `r_min/r_max[4g + j]` its radius range. Lanes past the last block hold
-/// the unbounded box; their outputs are written and never read.
+/// the unbounded box; their outputs are written and never read. A layout
+/// that gains blocks ([`Self::grow`]) gains whole groups of unbounded
+/// lanes, and a lane holds a box only once [`Self::fit_block`] has fitted
+/// it to rows — so no lane ever reports a bound of rows it does not hold.
 #[derive(Debug, Clone)]
 pub struct BoundGroups {
     dim: usize,
@@ -637,13 +710,83 @@ impl BoundGroups {
         self.r_min.len()
     }
 
+    /// Room for at least `blocks` blocks: whole groups of unbounded lanes
+    /// are appended (amortised — see [`AlignedF64s::resize`]); existing
+    /// lanes keep their boxes.
+    pub fn grow(&mut self, blocks: usize) {
+        let lanes = blocks.div_ceil(QUAD) * QUAD;
+        if lanes > self.lanes() {
+            self.lo.resize(lanes * self.dim, f64::NEG_INFINITY);
+            self.hi.resize(lanes * self.dim, f64::INFINITY);
+            self.r_min.resize(lanes, f64::NEG_INFINITY);
+            self.r_max.resize(lanes, f64::INFINITY);
+        }
+    }
+
+    /// Fit block `b`'s lane to its rows: the tight centre box and radius
+    /// range of the `radii.len()` rows stored AoSoA in `quads` (layout per
+    /// [`pack_quads_aosoa`]; lanes past the last real row are not read).
+    /// A block holding any non-finite centre coordinate or radius gets the
+    /// **unbounded** box instead, so it is verified for every query and
+    /// the exact kernel decides. Every box kept is therefore folded from
+    /// finite values only, and the fold is four lane-wise compare-and-select
+    /// running extrema per coordinate — `minpd` / `maxpd`, not
+    /// a NaN-aware scalar `f64::min` per row. Minimum and maximum round
+    /// nothing, so the fold order cannot change a side's value; it can
+    /// only pick which of `-0.0` and `+0.0` a zero side holds, and no bound
+    /// sees that (a zero gap is clamped to `+0` by the outer `max(·, 0)`,
+    /// and `(θ ± 0)²` does not depend on the sign). Allocates nothing;
+    /// `O(rows · dim)`.
+    ///
+    /// # Panics
+    /// Panics when `b` is not below [`Self::lanes`] or `quads` holds fewer
+    /// than `radii.len()` rows of dimension `dim`.
+    pub fn fit_block(&mut self, b: usize, quads: &[f64], radii: &[f64]) {
+        let (d, rows) = (self.dim, radii.len());
+        let lane = aosoa_row_base(b, d);
+        // The whole quads, then the real lanes of a partial last one.
+        let (whole, tail) = (QUAD * d * (rows / QUAD), rows % QUAD);
+        let mut finite = true;
+        for c in 0..d {
+            let mut fold = Extent::default();
+            for quad in quads[..whole].chunks_exact(QUAD * d) {
+                fold.add(&quad[QUAD * c..QUAD * (c + 1)]);
+            }
+            if tail > 0 {
+                fold.add(&quads[whole + QUAD * c..][..tail]);
+            }
+            let (lo, hi, ok) = fold.finish();
+            finite &= ok;
+            self.lo[lane + QUAD * c] = lo;
+            self.hi[lane + QUAD * c] = hi;
+        }
+        let mut fold = Extent::default();
+        for four in radii.chunks(QUAD) {
+            fold.add(four);
+        }
+        let (r_min, r_max, ok) = fold.finish();
+        if finite && ok {
+            self.r_min[b] = r_min;
+            self.r_max[b] = r_max;
+            return;
+        }
+        for c in 0..d {
+            self.lo[lane + QUAD * c] = f64::NEG_INFINITY;
+            self.hi[lane + QUAD * c] = f64::INFINITY;
+        }
+        self.r_min[b] = f64::NEG_INFINITY;
+        self.r_max[b] = f64::INFINITY;
+    }
+
     /// Set block `b`'s box to `[lo, hi]` (one value per coordinate) and
-    /// its radius range to `[r_min, r_max]`.
+    /// its radius range to `[r_min, r_max]` — any box, rows or not (the
+    /// tests' way to pose one).
     ///
     /// # Panics
     /// Panics when `b` is not below [`Self::lanes`] or a box side is not
     /// `dim` long.
-    pub fn set_block(&mut self, b: usize, lo: &[f64], hi: &[f64], r_min: f64, r_max: f64) {
+    #[cfg(test)]
+    fn set_block(&mut self, b: usize, lo: &[f64], hi: &[f64], r_min: f64, r_max: f64) {
         assert_eq!(lo.len(), self.dim, "set_block: box dimension mismatch");
         assert_eq!(hi.len(), self.dim, "set_block: box dimension mismatch");
         let base = aosoa_row_base(b, self.dim);
@@ -691,7 +834,8 @@ impl BoundGroups {
         if avx2_available() {
             // SAFETY: AVX2 availability was verified by the runtime check
             // on the line above, and the three asserts — with the lengths
-            // `unbounded` gave the four arrays, which nothing changes —
+            // of the four arrays, which `unbounded` and `grow` (the only
+            // code that sizes them) keep at `lanes · dim` and `lanes` —
             // establish the shape contract the kernel's loads and stores
             // rely on.
             return unsafe { self.bounds_into_avx2(q, q_radius, lb, gated) };
@@ -761,7 +905,7 @@ impl BoundGroups {
             for (c, &qc) in q.iter().enumerate() {
                 let at = (g * self.dim + c) * QUAD;
                 // SAFETY: `lo` and `hi` hold `lanes · dim` doubles
-                // (`unbounded`), `g < lanes / 4` and `c < q.len() == dim`
+                // (`unbounded`, `grow`), `g < lanes / 4` and `c < q.len() == dim`
                 // (this function's contract), so the four doubles from
                 // `at` are in bounds of both.
                 let (l, h) = (_mm256_loadu_pd(lo.add(at)), _mm256_loadu_pd(hi.add(at)));
@@ -1387,10 +1531,107 @@ mod tests {
         }
         for blocks in [1usize, 4, 5, 64, 65] {
             keep_alive.push(vec![0u8; 40]);
-            let groups = random_bounds(blocks, 3, blocks as u64).0;
+            let mut groups = random_bounds(blocks, 3, blocks as u64).0;
             for g in [&groups, &groups.clone()] {
                 for a in [&g.lo, &g.hi, &g.r_min, &g.r_max] {
                     assert!(on_line(a), "{blocks} blocks");
+                }
+            }
+            // ... and after growth moved every array to a new allocation.
+            groups.grow(4 * blocks + 1);
+            for a in [&groups.lo, &groups.hi, &groups.r_min, &groups.r_max] {
+                assert!(on_line(a), "{blocks} blocks grown");
+            }
+        }
+        let mut a = AlignedF64s::filled(3, 1.0);
+        for len in [4usize, 9, 40, 41, 1000, 7] {
+            keep_alive.push(vec![0u8; 8 + len % 3 * 8]);
+            a.resize(len, len as f64);
+            assert!(on_line(&a), "resized to {len}");
+        }
+    }
+
+    #[test]
+    fn resize_keeps_the_contents_and_fills_the_tail() {
+        let mut a = AlignedF64s::filled(5, 0.5);
+        a[4] = -3.0;
+        a.resize(200, 2.0);
+        assert_eq!(&a[..5], &[0.5, 0.5, 0.5, 0.5, -3.0]);
+        assert!(a[5..].iter().all(|&v| v == 2.0));
+        a.resize(3, 9.0);
+        assert_eq!(&a[..], &[0.5; 3]);
+        a.resize(6, 7.0);
+        assert_eq!(&a[..], &[0.5, 0.5, 0.5, 7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    fn grown_lanes_start_unbounded_and_old_lanes_keep_their_boxes() {
+        for d in [1usize, 3, 9] {
+            let (mut groups, boxes) = random_bounds(5, d, 60 + d as u64);
+            let q = random_rows(1, d, 61);
+            let (lb_before, gated_before) = bounds_pair(&groups, &q, 0.2);
+            groups.grow(5);
+            assert_eq!(groups.lanes(), 8, "room for five blocks is two groups");
+            groups.grow(13);
+            assert_eq!(groups.lanes(), 16);
+            let (lb, gated) = bounds_pair(&groups, &q, 0.2);
+            for b in 0..boxes.len() {
+                assert_eq!(lb[b].to_bits(), lb_before[b].to_bits(), "d={d} block {b}");
+                assert_eq!(gated[b].to_bits(), gated_before[b].to_bits());
+            }
+            for b in boxes.len()..groups.lanes() {
+                assert_eq!(
+                    (lb[b], gated[b]),
+                    (0.0, f64::NEG_INFINITY),
+                    "d={d} lane {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fit_block_is_the_row_fold_or_the_unbounded_box() {
+        for d in [1usize, 2, 5, 9] {
+            for rows in [1usize, 3, 4, 7, ROW_TILE] {
+                let centers = random_rows(rows, d, 90 + (d * rows) as u64);
+                let radii: Vec<f64> = (0..rows).map(|i| 0.1 + (i as f64 * 0.7).cos()).collect();
+                let mut padded = centers.clone();
+                padded.resize(rows.div_ceil(QUAD) * QUAD * d, f64::INFINITY);
+                let mut quads = Vec::new();
+                pack_quads_aosoa(&padded, d, &mut quads);
+                // The fold the layout used to run on its row-major rows.
+                let (mut lo, mut hi) = (vec![f64::INFINITY; d], vec![f64::NEG_INFINITY; d]);
+                for row in centers.chunks_exact(d) {
+                    for c in 0..d {
+                        lo[c] = lo[c].min(row[c]);
+                        hi[c] = hi[c].max(row[c]);
+                    }
+                }
+                let r_min = radii.iter().fold(f64::INFINITY, |m, &r| m.min(r));
+                let r_max = radii.iter().fold(f64::NEG_INFINITY, |m, &r| m.max(r));
+                let mut want = BoundGroups::unbounded(6, d);
+                want.set_block(5, &lo, &hi, r_min, r_max);
+                let mut got = BoundGroups::unbounded(6, d);
+                got.fit_block(5, &quads, &radii);
+                let q = random_rows(1, d, 7);
+                for theta in [0.05, 0.4] {
+                    assert_eq!(bounds_pair(&got, &q, theta), bounds_pair(&want, &q, theta));
+                }
+                // One poisoned centre coordinate or radius: the lane goes
+                // back to the unbounded box, and fitting clean rows again
+                // makes it tight again.
+                for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut bad = quads.clone();
+                    bad[aosoa_row_base(rows - 1, d) + QUAD * (d - 1)] = poison;
+                    got.fit_block(5, &bad, &radii);
+                    let (lb, gated) = bounds_pair(&got, &q, 0.2);
+                    assert_eq!((lb[5], gated[5]), (0.0, f64::NEG_INFINITY));
+                    let mut bad_radii = radii.clone();
+                    bad_radii[0] = poison;
+                    got.fit_block(5, &quads, &bad_radii);
+                    assert_eq!(bounds_pair(&got, &q, 0.2).1[5], f64::NEG_INFINITY);
+                    got.fit_block(5, &quads, &radii);
+                    assert_eq!(bounds_pair(&got, &q, 0.2), bounds_pair(&want, &q, 0.2));
                 }
             }
         }
