@@ -106,6 +106,7 @@ impl Registry {
                 "crates/core/tests/served_allocations.rs",
                 "crates/core/tests/trainer_allocations.rs",
                 "crates/exact/tests/exact_allocations.rs",
+                "crates/sql/tests/front_door_allocations.rs",
             ]),
             panic_policy: own(&[
                 "crates/serve/src/",

@@ -536,7 +536,9 @@ impl<T> Drop for ReadGuard<'_, T> {
 /// returns itself to the cache on drop. Deref to drive the protocol.
 pub struct TlsReader<T: Send + Sync + 'static> {
     id: u64,
-    handle: Option<ReaderHandle<T>>,
+    /// Boxed from check-out to check-in: the cache keeps handles boxed,
+    /// so moving one in or out of it allocates nothing.
+    handle: Option<Box<ReaderHandle<T>>>,
 }
 
 impl<T: Send + Sync + 'static> std::ops::Deref for TlsReader<T> {
@@ -544,21 +546,21 @@ impl<T: Send + Sync + 'static> std::ops::Deref for TlsReader<T> {
     fn deref(&self) -> &ReaderHandle<T> {
         // INVARIANT: `handle` is `Some` from construction in `tls_reader`
         // until `Drop::drop` takes it; no other code writes the field.
-        self.handle.as_ref().expect("present until drop")
+        self.handle.as_deref().expect("present until drop")
     }
 }
 
 impl<T: Send + Sync + 'static> std::ops::DerefMut for TlsReader<T> {
     fn deref_mut(&mut self) -> &mut ReaderHandle<T> {
         // INVARIANT: as in `deref` — `Some` until `Drop::drop`.
-        self.handle.as_mut().expect("present until drop")
+        self.handle.as_deref_mut().expect("present until drop")
     }
 }
 
 impl<T: Send + Sync + 'static> Drop for TlsReader<T> {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
-            stash_cached(self.id, Box::new(handle));
+            stash_cached(self.id, handle);
         }
     }
 }
@@ -587,7 +589,7 @@ thread_local! {
         const { RefCell::new(Vec::new()) };
 }
 
-fn take_cached<T: Send + Sync + 'static>(cell: &SnapshotCell<T>) -> ReaderHandle<T> {
+fn take_cached<T: Send + Sync + 'static>(cell: &SnapshotCell<T>) -> Box<ReaderHandle<T>> {
     let cached = HANDLE_CACHE
         .try_with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -599,8 +601,8 @@ fn take_cached<T: Send + Sync + 'static>(cell: &SnapshotCell<T>) -> ReaderHandle
         .ok()
         .flatten();
     match cached.and_then(|boxed| boxed.into_any().downcast::<ReaderHandle<T>>().ok()) {
-        Some(handle) => *handle,
-        None => cell.reader(),
+        Some(handle) => handle,
+        None => Box::new(cell.reader()),
     }
 }
 

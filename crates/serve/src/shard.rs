@@ -78,7 +78,7 @@
 //! fallbacks degrade to the flagged snapshot answer under a deadline
 //! budget or queue-pressure watermark ([`Route::Degraded`]).
 
-use crate::cell::SnapshotCell;
+use crate::cell::{ReadGuard, SnapshotCell};
 use crate::cost::CostEma;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::partition::{joint_point, Partitioner};
@@ -99,6 +99,36 @@ use std::time::Instant;
 
 /// Default bound on each shard's feedback queue (examples, not bytes).
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
+
+/// Shards whose read state a consultation keeps in place; a fabric with
+/// more spills it to the heap (the `regq_core::Coeffs` pattern). Covers
+/// every shard count the workloads and tests run.
+const INLINE_SHARDS: usize = 8;
+
+/// One empty slot per shard: in place up to [`INLINE_SHARDS`] shards, on
+/// the heap beyond.
+enum PerShard<T> {
+    Inline([Option<T>; INLINE_SHARDS]),
+    Heap(Vec<Option<T>>),
+}
+
+impl<T> PerShard<T> {
+    fn new(shards: usize) -> Self {
+        if shards <= INLINE_SHARDS {
+            PerShard::Inline(std::array::from_fn(|_| None))
+        } else {
+            PerShard::Heap(std::iter::repeat_with(|| None).take(shards).collect())
+        }
+    }
+
+    /// The slots; zip them with the shards (an inline buffer has spares).
+    fn slots(&mut self) -> &mut [Option<T>] {
+        match self {
+            PerShard::Inline(slots) => slots,
+            PerShard::Heap(slots) => slots,
+        }
+    }
+}
 
 /// What one shard publishes: its snapshot plus the global prototype id of
 /// each local arena slot, as **one atomic unit** — a reader never sees a
@@ -843,31 +873,59 @@ impl ShardRouter {
     /// (already folded into the router-lifetime counters). The guards pin
     /// every involved epoch for exactly the prediction's duration —
     /// publishes land concurrently, reclamation frees what no guard pins.
+    ///
+    /// Readers, guards and parts sit in place for up to [`INLINE_SHARDS`]
+    /// shards, so a warm consultation calls the allocator only for what
+    /// `predict` returns.
     fn consult<Q: ?Sized, P>(
         &self,
         queries: &Q,
         predict: impl FnOnce(&[ShardPart<'_>], &Q, &mut ScreenCounters) -> P,
     ) -> Consulted<P> {
-        let mut readers: Vec<_> = self.shards.iter().map(|s| s.cell.tls_reader()).collect();
-        let mut guards = Vec::with_capacity(readers.len());
-        for reader in &mut readers {
-            guards.push(reader.enter());
+        let n = self.shards.len();
+        let mut readers = PerShard::new(n);
+        let mut guards = PerShard::new(n);
+        for ((reader, guard), shard) in readers
+            .slots()
+            .iter_mut()
+            .zip(guards.slots())
+            .zip(&self.shards)
+        {
+            *guard = Some(reader.insert(shard.cell.tls_reader()).enter());
         }
         let mut version = 0u64;
-        let parts: Vec<ShardPart<'_>> = guards
+        let mut live = guards
+            .slots()
             .iter()
-            .filter_map(|g| g.get())
+            .flatten()
+            .filter_map(ReadGuard::get)
             .filter(|ss| ss.snapshot.k() > 0)
-            .map(|ss| {
-                version = version.max(ss.snapshot.version());
-                ShardPart {
-                    snapshot: &ss.snapshot,
-                    ids: Some(&ss.ids),
+            .inspect(|ss| version = version.max(ss.snapshot.version()))
+            .map(|ss| ShardPart {
+                snapshot: &ss.snapshot,
+                ids: Some(&ss.ids),
+            });
+        // The predictors take the live parts as one slice: in place
+        // (padded with the first) up to INLINE_SHARDS, on the heap beyond.
+        let (mut inline, spilled): (_, Vec<_>);
+        let parts: &[ShardPart<'_>] = match live.next() {
+            None => &[],
+            Some(first) if n <= INLINE_SHARDS => {
+                inline = [first; INLINE_SHARDS];
+                let mut len = 1;
+                for (slot, part) in inline[1..].iter_mut().zip(live) {
+                    *slot = part;
+                    len += 1;
                 }
-            })
-            .collect();
+                &inline[..len]
+            }
+            Some(first) => {
+                spilled = std::iter::once(first).chain(live).collect();
+                &spilled
+            }
+        };
         let mut screen = ScreenCounters::default();
-        let predicted = predict(&parts, queries, &mut screen);
+        let predicted = predict(parts, queries, &mut screen);
         self.record_screen(&screen);
         (predicted, version, screen)
     }
@@ -1492,7 +1550,8 @@ mod tests {
         let (data, model) = fixture();
         assert!(model.k() >= 4, "need prototypes to shard: k={}", model.k());
         let (snap, exact) = (model.snapshot(), exact_over(&data));
-        for shards in [1usize, 2, 3, 5] {
+        // 12: past the shards a consultation keeps in place (it spills).
+        for shards in [1usize, 2, 3, 5, 12] {
             // Feedback off: the published model stays the one under test.
             let router = fixture_router(no_feedback(), shards);
             for probe in probes() {

@@ -1,4 +1,6 @@
-//! Abstract syntax of the regq SQL dialect.
+//! Abstract syntax of the regq SQL dialect: the owned [`Statement`] /
+//! [`Command`] of the public surface, and the crate's borrowed twins that
+//! the text entry points execute without copying the table name.
 
 /// Aggregate requested by the `SELECT` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +71,64 @@ pub enum Command {
         /// Target table; `None` applies to every registered table.
         table: Option<String>,
     },
+}
+
+/// A [`Statement`] as the parser yields it and the session executes it:
+/// the table name borrows from the SQL text, and the centre — the one
+/// allocation of a parse — moves on into the bound query.
+pub(crate) struct StatementRef<'a> {
+    pub(crate) aggregate: Aggregate,
+    pub(crate) table: &'a str,
+    pub(crate) center: Vec<f64>,
+    pub(crate) radius: f64,
+    pub(crate) mode: ExecMode,
+}
+
+impl StatementRef<'_> {
+    pub(crate) fn into_owned(self) -> Statement {
+        Statement {
+            aggregate: self.aggregate,
+            table: self.table.to_owned(),
+            center: self.center,
+            radius: self.radius,
+            mode: self.mode,
+        }
+    }
+}
+
+impl<'a> From<&'a Statement> for StatementRef<'a> {
+    /// Borrows the table name and copies the centre (a query owns its
+    /// centre).
+    fn from(s: &'a Statement) -> Self {
+        StatementRef {
+            aggregate: s.aggregate,
+            table: &s.table,
+            center: s.center.clone(),
+            radius: s.radius,
+            mode: s.mode,
+        }
+    }
+}
+
+/// A [`Command`] whose table names borrow from the SQL text.
+pub(crate) enum CommandRef<'a> {
+    Query(StatementRef<'a>),
+    SetShards {
+        shards: usize,
+        table: Option<&'a str>,
+    },
+}
+
+impl CommandRef<'_> {
+    pub(crate) fn into_owned(self) -> Command {
+        match self {
+            CommandRef::Query(s) => Command::Query(s.into_owned()),
+            CommandRef::SetShards { shards, table } => Command::SetShards {
+                shards,
+                table: table.map(str::to_owned),
+            },
+        }
+    }
 }
 
 #[cfg(test)]

@@ -43,9 +43,19 @@
 //!
 //! ## Modules
 //! * [`ast`] — statements and aggregates;
-//! * [`parser`] — one-pass scanner-parser with positioned errors (no
-//!   token stream: one borrowed token of lookahead);
+//! * [`parser`] — expectation-driven recursive descent with positioned
+//!   errors: the grammar tests the text at its cursor against what comes
+//!   next, and tokens are scanned only to describe an error;
 //! * [`session`] — catalog (tables + models) and the executor.
+//!
+//! The text doors ([`Session::execute`], [`Session::execute_batch`],
+//! [`Session::execute_command`]) execute the parser's statement as it
+//! comes: its table name still borrowed from the SQL text, its centre —
+//! allocated once, at its final size — moved into the bound query. A warm
+//! `USING MODEL` `AVG` therefore allocates that centre and nothing else
+//! (`tests/front_door_allocations.rs`). The owned doors
+//! ([`Session::execute_statement`], [`Session::execute_statements`]) run
+//! the same bind and dispatch on a [`Statement`] the caller built.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

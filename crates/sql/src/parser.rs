@@ -1,4 +1,4 @@
-//! One-pass scanner-parser for the regq SQL dialect.
+//! Expectation-driven recursive descent for the regq SQL dialect.
 //!
 //! Grammar (keywords case-insensitive, identifiers case-sensitive):
 //!
@@ -13,16 +13,20 @@
 //! vector    := '[' number (',' number)* ']'
 //! ```
 //!
-//! There is no token stream: the parser scans the input on demand into
-//! one token of lookahead that borrows its text from the input, and
-//! builds the [`Statement`] / [`Command`] directly. The only heap a
-//! successful parse touches is what the returned value keeps (the table
-//! name, the centre, a script's statement list). Scanning on demand also
-//! fixes the error order: whatever is wrong first in the text — a bad
-//! character, a misplaced token, a rejected value — is what is reported,
-//! at the byte offset where it starts.
+//! The grammar always knows what comes next, so there are no tokens: one
+//! cursor skips whitespace and tests the text there against the one thing
+//! expected — a keyword by a case-insensitive compare (not followed by an
+//! identifier character), punctuation by a byte compare. Only identifiers
+//! and numbers are scanned. The token scanner runs only when an
+//! expectation fails, to describe what is there instead, so the first
+//! offender in the text — a bad character, a misplaced token, a rejected
+//! value — is what is reported, at the byte offset where it starts.
+//!
+//! A parse borrows its table name from the input and allocates the centre
+//! once, at its final size. The session executes that; [`parse`],
+//! [`parse_script`] and [`parse_command`] build owned values from it.
 
-use crate::ast::{Aggregate, Command, ExecMode, Statement};
+use crate::ast::{Aggregate, Command, CommandRef, ExecMode, Statement, StatementRef};
 use std::fmt;
 
 /// Parse error with byte offset.
@@ -42,10 +46,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A lexical token; words and punctuation are slices of the input
-/// (keywords are matched case-insensitively where the grammar expects
-/// one).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Every error is built here, off the accepting path.
+#[cold]
+fn error_at(offset: usize, message: String) -> ParseError {
+    ParseError { offset, message }
+}
+
+/// What an error reports as found where something else was expected;
+/// words and punctuation are slices of the input.
 enum Token<'a> {
     Word(&'a str),
     Number(f64),
@@ -53,13 +61,6 @@ enum Token<'a> {
     Punct(&'a str),
     Eof,
 }
-
-// The lookahead is copied out of the parser, never cloned: a `Copy` token
-// cannot own a `String`, so scanning cannot allocate.
-const _: () = {
-    const fn assert_copy<T: Copy>() {}
-    assert_copy::<Token<'_>>()
-};
 
 impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -71,172 +72,180 @@ impl fmt::Display for Token<'_> {
     }
 }
 
-struct Parser<'a> {
+/// Whether `b` continues an identifier (or a keyword).
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// One past the identifier starting at `end`.
+fn word_end(bytes: &[u8], mut end: usize) -> usize {
+    while bytes.get(end).copied().is_some_and(is_word_byte) {
+        end += 1;
+    }
+    end
+}
+
+/// The numeric literal starting at `start` and the offset one past it. A
+/// sign continues a literal only right after an exponent marker ("3-2" is
+/// 3 then -2).
+fn scan_number(input: &str, start: usize) -> Result<(f64, usize), ParseError> {
+    let bytes = input.as_bytes();
+    let mut end = start + 1;
+    while bytes.get(end).is_some_and(|&b| match b {
+        b'0'..=b'9' | b'.' | b'e' | b'E' => true,
+        b'-' | b'+' => matches!(bytes[end - 1], b'e' | b'E'),
+        _ => false,
+    }) {
+        end += 1;
+    }
+    let text = &input[start..end];
+    match text.parse() {
+        Ok(n) => Ok((n, end)),
+        Err(e) => Err(error_at(start, format!("malformed number '{text}': {e}"))),
+    }
+}
+
+/// The token starting at `at` (a char boundary past any whitespace), or
+/// the error for text that starts none.
+fn token_at(input: &str, at: usize) -> Result<Token<'_>, ParseError> {
+    let bytes = input.as_bytes();
+    Ok(match bytes.get(at) {
+        None => Token::Eof,
+        Some(b'(' | b')' | b'[' | b']' | b',' | b';' | b'*') => Token::Punct(&input[at..at + 1]),
+        Some(b'<') if bytes.get(at + 1) == Some(&b'=') => Token::Punct(&input[at..at + 2]),
+        Some(b'<') => {
+            let message = "expected '<=' (only inclusive radius predicates are supported)";
+            return Err(error_at(at, message.into()));
+        }
+        Some(b'-' | b'+' | b'0'..=b'9' | b'.') => Token::Number(scan_number(input, at)?.0),
+        Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => Token::Word(&input[at..word_end(bytes, at)]),
+        Some(_) => {
+            // INVARIANT: `at < len` (this arm saw a byte) and `at` is a
+            // char boundary, so a character starts here.
+            let c = input[at..].chars().next().expect("a char starts at `at`");
+            return Err(error_at(at, format!("unexpected character '{c}'")));
+        }
+    })
+}
+
+pub(crate) struct Parser<'a> {
     input: &'a str,
-    /// The lookahead token and the byte offset it starts at.
-    peek: Token<'a>,
-    offset: usize,
-    /// Byte offset just past the lookahead, where scanning resumes.
-    /// Everything before it is ASCII, so it is always a char boundary.
-    next: usize,
+    /// The cursor. Everything before it was consumed and is ASCII, so it
+    /// is always a char boundary.
+    pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    /// A parser with the first token of `input` under the cursor.
-    fn new(input: &'a str) -> Result<Self, ParseError> {
-        let mut p = Parser {
-            input,
-            peek: Token::Eof,
-            offset: 0,
-            next: 0,
-        };
-        p.advance()?;
-        Ok(p)
+    pub(crate) fn new(input: &'a str) -> Self {
+        Parser { input, pos: 0 }
     }
 
-    /// An error at the lookahead token.
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            offset: self.offset,
-            message: message.into(),
-        }
-    }
-
-    /// Consume the lookahead: scan the next token of the input into its
-    /// place. At the end of input the lookahead stays [`Token::Eof`].
-    fn advance(&mut self) -> Result<(), ParseError> {
+    /// Move the cursor past whitespace and return the bytes from there.
+    fn rest(&mut self) -> &'a [u8] {
         let bytes = self.input.as_bytes();
-        let mut i = self.next;
-        while matches!(bytes.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            i += 1;
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        self.offset = i;
-        let mut end = i + 1;
-        self.peek = match bytes.get(i) {
-            None => {
-                end = i;
-                Token::Eof
-            }
-            Some(b'(' | b')' | b'[' | b']' | b',' | b';' | b'*') => {
-                Token::Punct(&self.input[i..end])
-            }
-            Some(b'<') if bytes.get(end) == Some(&b'=') => {
-                end += 1;
-                Token::Punct(&self.input[i..end])
-            }
-            Some(b'<') => {
-                return Err(
-                    self.error("expected '<=' (only inclusive radius predicates are supported)")
-                )
-            }
-            Some(b'-' | b'+' | b'0'..=b'9' | b'.') => {
-                // Scientific notation: a sign continues the literal only
-                // right after an exponent marker ("3-2" is 3 then -2).
-                while bytes.get(end).is_some_and(|&b| match b {
-                    b'0'..=b'9' | b'.' | b'e' | b'E' => true,
-                    b'-' | b'+' => matches!(bytes[end - 1], b'e' | b'E'),
-                    _ => false,
-                }) {
-                    end += 1;
-                }
-                let text = &self.input[i..end];
-                Token::Number(
-                    text.parse()
-                        .map_err(|e| self.error(format!("malformed number '{text}': {e}")))?,
-                )
-            }
-            Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => {
-                while bytes
-                    .get(end)
-                    .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-                {
-                    end += 1;
-                }
-                Token::Word(&self.input[i..end])
-            }
-            Some(_) => {
-                // INVARIANT: `i < len` (this arm saw a byte) and `i` is a
-                // char boundary (see `next`), so a character starts here.
-                let c = self.input[i..].chars().next().expect("a char starts at i");
-                return Err(self.error(format!("unexpected character '{c}'")));
-            }
-        };
-        self.next = end;
-        Ok(())
+        &bytes[self.pos..]
+    }
+
+    /// An unmet expectation: the scanner's own error when no token starts
+    /// at the cursor, else `message` about the token that does.
+    #[cold]
+    fn unexpected(&self, message: impl FnOnce(Token<'_>) -> String) -> ParseError {
+        match token_at(self.input, self.pos) {
+            Ok(found) => error_at(self.pos, message(found)),
+            Err(e) => e,
+        }
+    }
+
+    /// Consume the punctuation `punct` if it is next.
+    fn eat(&mut self, punct: &str) -> bool {
+        let hit = self.rest().starts_with(punct.as_bytes());
+        self.pos += if hit { punct.len() } else { 0 };
+        hit
     }
 
     /// Consume the punctuation `punct`, or fail naming it.
     fn expect(&mut self, punct: &str) -> Result<(), ParseError> {
-        if self.peek != Token::Punct(punct) {
-            return Err(self.error(format!("expected '{punct}', found {}", self.peek)));
+        if self.eat(punct) {
+            return Ok(());
         }
-        self.advance()
+        Err(self.unexpected(|found| format!("expected '{punct}', found {found}")))
     }
 
-    /// Consume the keyword `kw` if it is next (case-insensitive match).
-    fn eat_keyword(&mut self, kw: &str) -> Result<bool, ParseError> {
-        let hit = matches!(self.peek, Token::Word(w) if w.eq_ignore_ascii_case(kw));
-        if hit {
-            self.advance()?;
-        }
-        Ok(hit)
+    /// Consume the keyword `kw` if it is next: its letters in any case,
+    /// not followed by an identifier character.
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        let rest = self.rest();
+        // `kw` is upper-case letters: clearing bit 5 folds only a letter.
+        let hit = rest.len() >= kw.len()
+            && rest.iter().zip(kw.bytes()).all(|(&b, k)| (b & !0x20) == k)
+            && !rest.get(kw.len()).copied().is_some_and(is_word_byte);
+        self.pos += if hit { kw.len() } else { 0 };
+        hit
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if !self.eat_keyword(kw)? {
-            return Err(self.error(format!("expected keyword {kw}, found {}", self.peek)));
+        if self.eat_keyword(kw) {
+            return Ok(());
         }
-        Ok(())
+        Err(self.unexpected(|found| format!("expected keyword {kw}, found {found}")))
     }
 
-    /// The word under the cursor, **not yet consumed**: callers that
-    /// validate it reject it at its own offset, then [`Parser::advance`].
-    fn word(&self, what: &str) -> Result<&'a str, ParseError> {
-        match self.peek {
-            Token::Word(w) => Ok(w),
-            other => Err(self.error(format!("expected {what}, found {other}"))),
-        }
-    }
-
-    /// Consume an identifier.
+    /// Consume an identifier; `what` names it in the error.
     fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
-        let w = self.word(what)?;
-        self.advance()?;
-        Ok(w)
+        if !matches!(self.rest().first(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) {
+            return Err(self.unexpected(|found| format!("expected {what}, found {found}")));
+        }
+        let start = self.pos;
+        self.pos = word_end(self.input.as_bytes(), start);
+        Ok(&self.input[start..self.pos])
     }
 
-    /// The finite numeric literal under the cursor, not yet consumed
-    /// (see [`Parser::word`]).
-    fn number(&self, what: &str) -> Result<f64, ParseError> {
-        match self.peek {
-            // A literal like 1e999 scans fine but overflows f64 to
-            // infinity; reject it here so no non-finite value ever
-            // reaches the engines (Query validation would otherwise
-            // surface it later as a confusing model-side error).
-            Token::Number(n) if !n.is_finite() => {
-                Err(self.error(format!("{what} overflows f64 (not finite)")))
-            }
-            Token::Number(n) => Ok(n),
-            other => Err(self.error(format!("expected {what}, found {other}"))),
+    /// Consume whichever keyword of `choices` is next; any other word is
+    /// rejected at its own offset with `unknown(word)`.
+    fn choice<T: Copy>(
+        &mut self,
+        what: &str,
+        choices: &[(&str, T)],
+        unknown: impl FnOnce(&str) -> String,
+    ) -> Result<T, ParseError> {
+        if let Some(&(_, value)) = choices.iter().find(|(kw, _)| self.eat_keyword(kw)) {
+            return Ok(value);
         }
+        let word = self.ident(what)?;
+        Err(error_at(self.pos - word.len(), unknown(word)))
+    }
+
+    /// Consume a finite numeric literal, returned with its offset so the
+    /// caller can reject its value there.
+    fn number(&mut self, what: &str) -> Result<(usize, f64), ParseError> {
+        if !matches!(self.rest().first(), Some(b'-' | b'+' | b'0'..=b'9' | b'.')) {
+            return Err(self.unexpected(|found| format!("expected {what}, found {found}")));
+        }
+        let start = self.pos;
+        let (n, end) = scan_number(self.input, start)?;
+        // 1e999 scans fine but is infinite: no such value may go further.
+        if !n.is_finite() {
+            let message = format!("{what} overflows f64 (not finite)");
+            return Err(error_at(start, message));
+        }
+        self.pos = end;
+        Ok((start, n))
     }
 
     fn aggregate(&mut self) -> Result<Aggregate, ParseError> {
-        let name = self.word("an aggregate (AVG, LINREG, VAR, COUNT)")?;
-        let agg = if name.eq_ignore_ascii_case("AVG") {
-            Aggregate::Avg
-        } else if name.eq_ignore_ascii_case("LINREG") {
-            Aggregate::LinReg
-        } else if name.eq_ignore_ascii_case("VAR") {
-            Aggregate::Var
-        } else if name.eq_ignore_ascii_case("COUNT") {
-            Aggregate::Count
-        } else {
-            return Err(self.error(format!(
-                "unknown aggregate '{name}' (expected AVG, LINREG, VAR or COUNT)"
-            )));
-        };
-        self.advance()?;
+        let agg = self.choice(
+            "an aggregate (AVG, LINREG, VAR, COUNT)",
+            &[
+                ("AVG", Aggregate::Avg),
+                ("LINREG", Aggregate::LinReg),
+                ("VAR", Aggregate::Var),
+                ("COUNT", Aggregate::Count),
+            ],
+            |name| format!("unknown aggregate '{name}' (expected AVG, LINREG, VAR or COUNT)"),
+        )?;
         self.expect("(")?;
         if agg == Aggregate::Count {
             self.expect("*")?;
@@ -247,16 +256,29 @@ impl<'a> Parser<'a> {
         Ok(agg)
     }
 
+    /// The execution mode after `USING`.
+    fn mode(&mut self) -> Result<ExecMode, ParseError> {
+        let modes = [
+            ("EXACT", ExecMode::Exact),
+            ("MODEL", ExecMode::Model),
+            ("AUTO", ExecMode::Auto),
+        ];
+        self.choice("EXACT, MODEL or AUTO", &modes, |which| {
+            format!("unknown execution mode '{which}' (expected EXACT, MODEL or AUTO)")
+        })
+    }
+
     fn vector(&mut self) -> Result<Vec<f64>, ParseError> {
         self.expect("[")?;
-        let mut out = Vec::new();
+        // Sized once: a vector that parses has one component more than
+        // it has commas before its ']'.
+        let inside = self.rest().split(|&b| b == b']').next().unwrap_or_default();
+        let mut out = Vec::with_capacity(1 + inside.iter().filter(|&&b| b == b',').count());
         loop {
-            out.push(self.number("a vector component")?);
-            self.advance()?;
-            if self.peek != Token::Punct(",") {
+            out.push(self.number("a vector component")?.1);
+            if !self.eat(",") {
                 break;
             }
-            self.advance()?;
         }
         self.expect("]")?;
         Ok(out)
@@ -264,11 +286,11 @@ impl<'a> Parser<'a> {
 
     /// One statement, leaving the separator/EOF tail to the caller
     /// (shared by the single-statement and script surfaces).
-    fn statement_body(&mut self) -> Result<Statement, ParseError> {
+    fn statement_body(&mut self) -> Result<StatementRef<'a>, ParseError> {
         self.expect_keyword("SELECT")?;
         let aggregate = self.aggregate()?;
         self.expect_keyword("FROM")?;
-        let table = self.ident("a table name")?.to_string();
+        let table = self.ident("a table name")?;
         self.expect_keyword("WHERE")?;
         self.expect_keyword("DIST")?;
         self.expect("(")?;
@@ -277,29 +299,16 @@ impl<'a> Parser<'a> {
         let center = self.vector()?;
         self.expect(")")?;
         self.expect("<=")?;
-        let radius = self.number("the radius")?;
+        let (at, radius) = self.number("the radius")?;
         if radius <= 0.0 {
-            return Err(self.error(format!("radius must be positive, got {radius}")));
+            return Err(error_at(
+                at,
+                format!("radius must be positive, got {radius}"),
+            ));
         }
-        self.advance()?;
-
-        let mut mode = ExecMode::Exact;
-        if self.eat_keyword("USING")? {
-            let which = self.word("EXACT, MODEL or AUTO")?;
-            mode = if which.eq_ignore_ascii_case("EXACT") {
-                ExecMode::Exact
-            } else if which.eq_ignore_ascii_case("MODEL") {
-                ExecMode::Model
-            } else if which.eq_ignore_ascii_case("AUTO") {
-                ExecMode::Auto
-            } else {
-                return Err(self.error(format!(
-                    "unknown execution mode '{which}' (expected EXACT, MODEL or AUTO)"
-                )));
-            };
-            self.advance()?;
-        }
-        Ok(Statement {
+        let mode = self.eat_keyword("USING").then(|| self.mode());
+        let mode = mode.transpose()?.unwrap_or_default();
+        Ok(StatementRef {
             aggregate,
             table,
             center,
@@ -311,69 +320,59 @@ impl<'a> Parser<'a> {
     /// The optional `';'` and the end of input that close a single
     /// command.
     fn end(&mut self) -> Result<(), ParseError> {
-        if self.peek == Token::Punct(";") {
-            self.advance()?;
+        self.eat(";");
+        if self.rest().is_empty() {
+            return Ok(());
         }
-        match self.peek {
-            Token::Eof => Ok(()),
-            other => Err(self.error(format!("unexpected trailing {other}"))),
-        }
+        Err(self.unexpected(|found| format!("unexpected trailing {found}")))
     }
 
-    fn statement(&mut self) -> Result<Statement, ParseError> {
+    pub(crate) fn statement(&mut self) -> Result<StatementRef<'a>, ParseError> {
         let stmt = self.statement_body()?;
-        self.end()?;
-        Ok(stmt)
+        self.end().map(|()| stmt)
     }
 
     /// A `';'`-separated script of statements (empty segments — leading,
     /// trailing or doubled separators — are skipped).
-    fn script(&mut self) -> Result<Vec<Statement>, ParseError> {
+    pub(crate) fn script(&mut self) -> Result<Vec<StatementRef<'a>>, ParseError> {
         let mut out = Vec::new();
         loop {
-            while self.peek == Token::Punct(";") {
-                self.advance()?;
-            }
-            if self.peek == Token::Eof {
+            while self.eat(";") {}
+            if self.rest().is_empty() {
                 return Ok(out);
             }
             out.push(self.statement_body()?);
-            if !matches!(self.peek, Token::Punct(";") | Token::Eof) {
-                return Err(self.error(format!(
-                    "expected ';' between statements, found {}",
-                    self.peek
-                )));
+            if !(self.rest().is_empty() || self.rest().starts_with(b";")) {
+                return Err(self.unexpected(|found| {
+                    format!("expected ';' between statements, found {found}")
+                }));
             }
         }
     }
 
     /// `SET SHARDS <n> [FOR <table>]` — the leading `SET` is already
     /// consumed.
-    fn set_shards(&mut self) -> Result<Command, ParseError> {
+    fn set_shards(&mut self) -> Result<CommandRef<'a>, ParseError> {
         self.expect_keyword("SHARDS")?;
-        let n = self.number("the shard count")?;
+        let (at, n) = self.number("the shard count")?;
         if n < 1.0 || n.fract() != 0.0 || n > 4096.0 {
-            return Err(self.error(format!(
-                "shard count must be an integer in 1..=4096, got {n}"
-            )));
+            let message = format!("shard count must be an integer in 1..=4096, got {n}");
+            return Err(error_at(at, message));
         }
-        self.advance()?;
-        let mut table = None;
-        if self.eat_keyword("FOR")? {
-            table = Some(self.ident("a table name")?.to_string());
-        }
+        let table = self.eat_keyword("FOR").then(|| self.ident("a table name"));
+        let table = table.transpose()?;
         self.end()?;
-        Ok(Command::SetShards {
+        Ok(CommandRef::SetShards {
             shards: n as usize,
             table,
         })
     }
 
-    fn command(&mut self) -> Result<Command, ParseError> {
-        if self.eat_keyword("SET")? {
+    pub(crate) fn command(&mut self) -> Result<CommandRef<'a>, ParseError> {
+        if self.eat_keyword("SET") {
             return self.set_shards();
         }
-        self.statement().map(Command::Query)
+        self.statement().map(CommandRef::Query)
     }
 }
 
@@ -397,7 +396,7 @@ impl<'a> Parser<'a> {
 /// [`ParseError`] with the byte offset of the first offending token or
 /// character.
 pub fn parse(input: &str) -> Result<Statement, ParseError> {
-    Parser::new(input)?.statement()
+    Parser::new(input).statement().map(StatementRef::into_owned)
 }
 
 /// Parse a `';'`-separated multi-statement script into its statements
@@ -420,7 +419,8 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
 /// # Errors
 /// [`ParseError`], as for [`parse`].
 pub fn parse_script(input: &str) -> Result<Vec<Statement>, ParseError> {
-    Parser::new(input)?.script()
+    let stmts = Parser::new(input).script()?;
+    Ok(stmts.into_iter().map(StatementRef::into_owned).collect())
 }
 
 /// Parse one command: a statement, or an administration directive such as
@@ -429,7 +429,7 @@ pub fn parse_script(input: &str) -> Result<Vec<Statement>, ParseError> {
 /// # Errors
 /// [`ParseError`], as for [`parse`].
 pub fn parse_command(input: &str) -> Result<Command, ParseError> {
-    Parser::new(input)?.command()
+    Parser::new(input).command().map(CommandRef::into_owned)
 }
 
 #[cfg(test)]

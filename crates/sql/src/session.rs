@@ -16,8 +16,8 @@
 //! [`Session::execute_command`]) takes `&mut self` and preserves the
 //! merged model bit-for-bit.
 
-use crate::ast::{Aggregate, Command, ExecMode, Statement};
-use crate::parser::{parse, parse_command, parse_script, ParseError};
+use crate::ast::{Aggregate, CommandRef, ExecMode, Statement, StatementRef};
+use crate::parser::{ParseError, Parser};
 use regq_core::moments::MomentsModel;
 use regq_core::{CoreError, LlmModel, LocalModel, Query};
 use regq_exact::ExactEngine;
@@ -25,7 +25,6 @@ use regq_linalg::LinalgError;
 use regq_serve::{FaultPlan, Route, RoutePolicy, ServeError, Served, ShardRouter};
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 /// Errors from statement execution.
 #[derive(Debug)]
@@ -370,11 +369,11 @@ impl Session {
     /// See [`SqlError`]; `SET SHARDS` on an unknown table is
     /// [`SqlError::UnknownTable`].
     pub fn execute_command(&mut self, sql: &str) -> Result<Option<QueryOutput>, SqlError> {
-        match parse_command(sql)? {
-            Command::Query(stmt) => self.execute_statement(&stmt).map(Some),
-            Command::SetShards { shards, table } => {
+        match Parser::new(sql).command()? {
+            CommandRef::Query(stmt) => self.run(stmt).map(Some),
+            CommandRef::SetShards { shards, table } => {
                 match table {
-                    Some(t) => self.set_shards(&t, shards)?,
+                    Some(t) => self.set_shards(t, shards)?,
                     None => {
                         for router in self.tables.values_mut() {
                             router.set_shards(shards);
@@ -386,24 +385,15 @@ impl Session {
         }
     }
 
-    /// Parse and execute one statement.
+    /// Parse and execute one statement. The statement is never built as
+    /// an owned [`Statement`]: its table name stays a slice of `sql` and
+    /// its centre moves into the bound query, so a warm model-served call
+    /// allocates that centre and whatever the answer owns, nothing else.
     ///
     /// # Errors
     /// See [`SqlError`].
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, SqlError> {
-        let stmt = parse(sql)?;
-        self.execute_statement(&stmt)
-    }
-
-    /// Parse and execute, also reporting wall-clock execution time.
-    ///
-    /// # Errors
-    /// See [`SqlError`].
-    pub fn execute_timed(&self, sql: &str) -> Result<(QueryOutput, Duration), SqlError> {
-        let stmt = parse(sql)?;
-        let t0 = std::time::Instant::now();
-        let out = self.execute_statement(&stmt)?;
-        Ok((out, t0.elapsed()))
+        self.run(Parser::new(sql).statement()?)
     }
 
     /// Parse and execute a `';'`-separated multi-statement script,
@@ -432,8 +422,7 @@ impl Session {
     /// the scalar path produces, before any statement in the run
     /// executes.
     pub fn execute_batch(&self, sql: &str) -> Result<Vec<QueryOutput>, SqlError> {
-        let stmts = parse_script(sql)?;
-        self.execute_statements(&stmts)
+        self.run_script(Parser::new(sql).script()?)
     }
 
     /// Execute already-parsed statements with the same run-batching as
@@ -442,36 +431,45 @@ impl Session {
     /// # Errors
     /// See [`Session::execute_batch`].
     pub fn execute_statements(&self, stmts: &[Statement]) -> Result<Vec<QueryOutput>, SqlError> {
+        self.run_script(stmts.iter().map(StatementRef::from).collect())
+    }
+
+    /// Execute an already-parsed statement: the same bind and the same
+    /// `(aggregate, mode)` dispatch as [`Session::execute`].
+    ///
+    /// # Errors
+    /// See [`SqlError`]. A hand-built statement whose ball the parser
+    /// would have rejected (non-finite coordinate, `θ ≤ 0`) is a typed
+    /// [`SqlError::Model`] under every aggregate, `COUNT(*)` included.
+    pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryOutput, SqlError> {
+        self.run(stmt.into())
+    }
+
+    /// The script executor behind [`Session::execute_batch`] and
+    /// [`Session::execute_statements`].
+    fn run_script(&self, stmts: Vec<StatementRef<'_>>) -> Result<Vec<QueryOutput>, SqlError> {
         let mut out = Vec::with_capacity(stmts.len());
-        let mut i = 0;
-        while i < stmts.len() {
-            let s = &stmts[i];
-            let batchable = s.mode == ExecMode::Auto
-                && matches!(s.aggregate, Aggregate::Avg | Aggregate::LinReg);
-            // Extend the run while the statement shape stays batchable.
-            let mut j = i + 1;
-            while batchable
-                && j < stmts.len()
-                && stmts[j].mode == s.mode
-                && stmts[j].aggregate == s.aggregate
-                && stmts[j].table == s.table
-            {
-                j += 1;
-            }
-            if j == i + 1 {
-                out.push(self.execute_statement(s)?);
-                i = j;
+        let mut stmts = stmts.into_iter().peekable();
+        while let Some(s) = stmts.next() {
+            let (aggregate, mode, table) = (s.aggregate, s.mode, s.table);
+            let batchable =
+                mode == ExecMode::Auto && matches!(aggregate, Aggregate::Avg | Aggregate::LinReg);
+            let same_run = |t: &StatementRef<'_>| {
+                batchable && t.mode == mode && t.aggregate == aggregate && t.table == table
+            };
+            if !stmts.peek().is_some_and(same_run) {
+                out.push(self.run(s)?);
                 continue;
             }
-            // One table per run: the first statement's router serves it.
+            // One table per run: the first statement's router serves it,
+            // and every statement binds before any executes.
             let (router, first) = self.bind(s)?;
-            let mut queries = Vec::with_capacity(j - i);
-            queries.push(first);
-            for t in &stmts[i + 1..j] {
+            let mut queries = vec![first];
+            while let Some(t) = stmts.next_if(same_run) {
                 queries.push(self.bind(t)?.1);
             }
-            let serve_err = |e: ServeError| convert_serve_error(s, e);
-            match s.aggregate {
+            let serve_err = |e| convert_serve_error(aggregate, table, e);
+            match aggregate {
                 Aggregate::Avg => {
                     for served in router.q1_batch(&queries).map_err(serve_err)? {
                         out.push(QueryOutput::served(served.map_value(QueryValue::Scalar)));
@@ -486,7 +484,6 @@ impl Session {
                 }
                 _ => unreachable!("only AVG/LINREG runs are batched"),
             }
-            i = j;
         }
         Ok(out)
     }
@@ -494,46 +491,41 @@ impl Session {
     /// Bind a statement to the catalog — the one step between a parsed
     /// statement and a router call, under both executors: the router
     /// behind `FROM`, and the statement's ball as a validated [`Query`]
-    /// of the table's dimensionality.
-    fn bind(&self, stmt: &Statement) -> Result<(&ShardRouter, Query), SqlError> {
+    /// of the table's dimensionality, which takes over its centre.
+    fn bind(&self, stmt: StatementRef<'_>) -> Result<(&ShardRouter, Query), SqlError> {
         let router = self
             .tables
-            .get(&stmt.table)
-            .ok_or_else(|| SqlError::UnknownTable(stmt.table.clone()))?;
+            .get(stmt.table)
+            .ok_or_else(|| SqlError::UnknownTable(stmt.table.to_owned()))?;
         let expected = router.exact_engine().relation().dim();
         if stmt.center.len() != expected {
             return Err(SqlError::DimensionMismatch {
-                table: stmt.table.clone(),
+                table: stmt.table.to_owned(),
                 expected,
                 actual: stmt.center.len(),
             });
         }
-        let q = Query::new(stmt.center.clone(), stmt.radius).map_err(SqlError::Model)?;
+        let q = Query::new(stmt.center, stmt.radius).map_err(SqlError::Model)?;
         Ok((router, q))
     }
 
-    /// Execute an already-parsed statement: one `(aggregate, mode)`
-    /// dispatch onto the table's router, so every answer but `COUNT(*)`
-    /// passes the same gate, deadline/pressure degradation and feedback
-    /// seam.
-    ///
-    /// # Errors
-    /// See [`SqlError`]. A hand-built statement whose ball the parser
-    /// would have rejected (non-finite coordinate, `θ ≤ 0`) is a typed
-    /// [`SqlError::Model`] under every aggregate, `COUNT(*)` included.
-    pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryOutput, SqlError> {
+    /// Bind and execute one statement: one `(aggregate, mode)` dispatch
+    /// onto the table's router, so every answer but `COUNT(*)` passes the
+    /// same gate, deadline/pressure degradation and feedback seam.
+    fn run(&self, stmt: StatementRef<'_>) -> Result<QueryOutput, SqlError> {
+        let (aggregate, mode, table) = (stmt.aggregate, stmt.mode, stmt.table);
         let (router, q) = self.bind(stmt)?;
 
         // COUNT requires the data by definition; the model never sees
         // cardinalities. Route to the exact engine regardless of mode.
-        if stmt.aggregate == Aggregate::Count {
+        if aggregate == Aggregate::Count {
             let n = router.exact_engine().relation().count(&q.center, q.radius);
             return Ok(QueryOutput::exact(QueryValue::Count(n)));
         }
 
         let scalar = |s: Served<f64>| s.map_value(QueryValue::Scalar);
         let list = |s: Served<Vec<LocalModel>>| s.map_value(QueryValue::Regression);
-        match (stmt.aggregate, stmt.mode) {
+        match (aggregate, mode) {
             (Aggregate::Avg, ExecMode::Exact) => router.q1_exact(&q).map(scalar),
             (Aggregate::Avg, ExecMode::Model) => router.q1_model(&q).map(scalar),
             (Aggregate::Avg, ExecMode::Auto) => router.q1(&q).map(scalar),
@@ -546,18 +538,18 @@ impl Session {
             (Aggregate::Count, _) => unreachable!("handled above"),
         }
         .map(QueryOutput::served)
-        .map_err(|e| convert_serve_error(stmt, e))
+        .map_err(|e| convert_serve_error(aggregate, table, e))
     }
 }
 
 /// A router error in the statement's terms: the missing model of a `VAR`
 /// is the moments model.
-fn convert_serve_error(stmt: &Statement, e: ServeError) -> SqlError {
+fn convert_serve_error(aggregate: Aggregate, table: &str, e: ServeError) -> SqlError {
     match e {
-        ServeError::NoModel if stmt.aggregate == Aggregate::Var => {
-            SqlError::NoMomentsModel(stmt.table.clone())
+        ServeError::NoModel if aggregate == Aggregate::Var => {
+            SqlError::NoMomentsModel(table.to_owned())
         }
-        ServeError::NoModel => SqlError::NoModel(stmt.table.clone()),
+        ServeError::NoModel => SqlError::NoModel(table.to_owned()),
         ServeError::EmptySubspace => SqlError::EmptySubspace,
         ServeError::Model(c) => SqlError::Model(c),
         ServeError::Numeric(n) => SqlError::Numeric(n),
@@ -567,6 +559,7 @@ fn convert_serve_error(stmt: &Statement, e: ServeError) -> SqlError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_script;
     use rand::RngExt;
     use regq_core::moments::MomentPair;
     use regq_core::ModelConfig;
@@ -1034,21 +1027,6 @@ mod tests {
             s.register_model("t", wrong_dim),
             Err(SqlError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn timed_execution_reports_duration() {
-        let s = session_with_model();
-        let (_, exact_dur) = s
-            .execute_timed("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
-            .unwrap();
-        let (_, model_dur) = s
-            .execute_timed(
-                "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING MODEL",
-            )
-            .unwrap();
-        assert!(exact_dur.as_nanos() > 0);
-        assert!(model_dur.as_nanos() > 0);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! Every answer is checked against the component below the session that
 //! defines it (exact engine, scalar model oracle, a `Scan` relation for
 //! `COUNT(*)`), so a width the 2-d fixtures never reach cannot be
-//! silently truncated anywhere between the parser and the kernels.
+//! silently truncated anywhere between the parser and the kernels. A twin
+//! session takes every statement through `parse` + `execute_statement`
+//! and must answer (and count) exactly as the text door does.
 
 use rand::RngExt;
 use regq_core::moments::{MomentPair, MomentsModel};
@@ -13,11 +15,22 @@ use regq_data::rng::seeded;
 use regq_data::Dataset;
 use regq_exact::ExactEngine;
 use regq_serve::{Route, RoutePolicy};
-use regq_sql::{QueryValue, Session};
+use regq_sql::{parse, QueryOutput, QueryValue, Session};
 use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
 const D: usize = 64;
+
+/// `text` through `s.execute` and through `twin.execute_statement` of its
+/// public parse: the same output bit for bit, the same counters after.
+fn both(s: &Session, twin: &Session, text: &str) -> QueryOutput {
+    let out = s.execute(text);
+    let want = twin.execute_statement(&parse(text).unwrap());
+    assert_eq!(format!("{out:?}"), format!("{want:?}"), "{text}");
+    let stats = |s: &Session| s.router("wide").unwrap().stats();
+    assert_eq!(stats(s), stats(twin), "{text}");
+    out.unwrap()
+}
 
 #[test]
 fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
@@ -120,15 +133,15 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
     };
 
     for (threshold, auto_route) in [(0.0, Route::Model), (2.0, Route::Exact)] {
-        let s = session(threshold);
+        let (s, twin) = (session(threshold), session(threshold));
         let stats = || s.router("wide").unwrap().stats();
         for aggregate in ["AVG(u)", "LINREG(u)", "VAR(u)"] {
-            let out = s.execute(&sql(aggregate, "EXACT")).unwrap();
+            let out = both(&s, &twin, &sql(aggregate, "EXACT"));
             assert_eq!((out.route, out.confidence), (Route::Exact, None));
             assert_eq!(out.value, exact(aggregate), "{aggregate} EXACT");
 
             let screened = stats().blocks_screened;
-            let out = s.execute(&sql(aggregate, "MODEL")).unwrap();
+            let out = both(&s, &twin, &sql(aggregate, "MODEL"));
             assert_eq!(out.route, Route::Model);
             assert_eq!(out.value, served(aggregate), "{aggregate} MODEL");
             assert_eq!(out.snapshot_version, Some(model.steps()));
@@ -137,7 +150,7 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
                 "{aggregate} takes the pruned resolver"
             );
 
-            let auto = s.execute(&sql(aggregate, "AUTO")).unwrap();
+            let auto = both(&s, &twin, &sql(aggregate, "AUTO"));
             assert_eq!(auto.route, auto_route, "{aggregate} at {threshold}");
             assert_eq!(auto.confidence, out.confidence, "{aggregate}: one score");
             let want = match auto_route {
@@ -147,7 +160,7 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
             assert_eq!(auto.value, want, "{aggregate} AUTO at {threshold}");
         }
         for mode in ["EXACT", "MODEL", "AUTO"] {
-            let out = s.execute(&sql("COUNT(*)", mode)).unwrap();
+            let out = both(&s, &twin, &sql("COUNT(*)", mode));
             assert_eq!((out.count(), out.route), (Some(rows), Route::Exact));
         }
     }

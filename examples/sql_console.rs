@@ -9,6 +9,7 @@ use regq::core::moments::{MomentPair, MomentsModel};
 use regq::prelude::*;
 use regq::sql::Session;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     // A relation and its analyst workload.
@@ -78,8 +79,12 @@ fn main() {
 
     for sql in script {
         println!("\nregq> {sql}");
-        match session.execute_timed(sql) {
-            Ok((out, dur)) => {
+        // The whole call, parse included.
+        let t0 = Instant::now();
+        let result = session.execute(sql);
+        let dur = t0.elapsed();
+        match result {
+            Ok(out) => {
                 for line in out.to_string().lines() {
                     println!("  {line}");
                 }
