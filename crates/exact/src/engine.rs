@@ -209,7 +209,7 @@ mod tests {
         let e = engine();
         let (c, r) = ([0.5, 0.5], 0.3);
         let fused = e.q1_reg_fused(&c, r).unwrap();
-        // Welford mean vs plain-sum mean: equal up to rounding.
+        // Welford mean vs tree-shaped sum: equal up to rounding.
         assert!((fused.moments.mean - e.q1(&c, r).unwrap()).abs() < 1e-12);
         let reg = e.q2_reg(&c, r).unwrap();
         assert_eq!(fused.model, reg);

@@ -3,6 +3,13 @@
 //! `y = (1/n_θ(x)) Σ u_i` over all rows with `‖x_i − x‖_p ≤ θ`. This is the
 //! query whose `(q, y)` answers train the model, and whose execution cost
 //! the model's `O(dK)` prediction replaces.
+//!
+//! The two executors fold differently. [`q1_mean`] takes the access
+//! path's `(n, Σu)`: serial over the scan, tree-shaped over the kd-tree,
+//! whose nodes carry their `Σu` so a subtree inside the ball costs one
+//! load — equal to the serial mean up to rounding, not bit for bit.
+//! [`q1_moments`] folds its Welford state row by row in visiting order,
+//! the order the OLS Gram state folds in too.
 
 use regq_linalg::OnlineStats;
 use regq_store::Relation;
@@ -22,18 +29,19 @@ pub struct Moments {
 
 /// Execute Q1 exactly: average of `u` over `D(center, radius)`.
 ///
-/// The `SUM`/`COUNT` state folds *inside* the index traversal
-/// ([`Relation::fold_targets`]) — no id buffer is materialized, no
+/// The `SUM`/`COUNT` state is computed *inside* the index traversal
+/// ([`Relation::sum_targets`]) — no id buffer is materialized, no
 /// feature row is handed over and the rows are never read a second time,
 /// exactly how a DBMS executor pushes an `AVG` aggregate into the scan.
+/// Over the kd-tree the sum is tree-shaped — per-mask partial sums
+/// joined up the build's halving, a subtree inside the ball contributing
+/// its sum cached at build — so it differs from the serial sum in the
+/// last bits only (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
 ///
 /// Returns `None` when the subspace is empty (the DBMS would return SQL
 /// `NULL` for `AVG` over zero rows).
 pub fn q1_mean(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
-    let (n, sum) = rel.fold_targets(center, radius, (0usize, 0.0f64), |s, u| {
-        s.0 += 1;
-        s.1 += u;
-    });
+    let (n, sum) = rel.sum_targets(center, radius);
     if n == 0 {
         None
     } else {

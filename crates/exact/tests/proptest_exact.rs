@@ -3,6 +3,11 @@
 //! aggregation-pushdown executors with the materialize-then-recompute
 //! reference path across every access path.
 
+// The textbook kd-tree of the store's batteries: the specification the
+// kd-tree's tree-shaped `Σu` is held to.
+#[path = "../../store/tests/textbook/mod.rs"]
+mod textbook;
+
 use proptest::prelude::*;
 use regq_data::Dataset;
 use regq_exact::{
@@ -17,13 +22,14 @@ use std::sync::Arc;
 // pushed-down executors are tested against: materialize the selection,
 // then read the rows in a second pass.
 
-/// Q1 over a materialized id list.
+/// Q1 over a materialized id list: the serial sum from `−0.0`, the
+/// identity of addition, in visiting order.
 fn q1_mean_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
     rel.with_selection(center, radius, |ds, ids| {
         if ids.is_empty() {
             None
         } else {
-            let sum: f64 = ids.iter().map(|&i| ds.y(i)).sum();
+            let sum = ids.iter().fold(-0.0, |sum, &i| sum + ds.y(i));
             Some(sum / ids.len() as f64)
         }
     })
@@ -181,23 +187,39 @@ proptest! {
         }
     }
 
-    /// Pushed-down Q1 / moments equal the materialize-then-recompute path
-    /// bit-for-bit (same traversal order feeds both) on every access path.
+    /// Pushed-down Q1 against the materialize-then-recompute path. Over
+    /// the scan `AVG` is the serial sum, bit for bit; over the kd-tree it
+    /// is tree-shaped — the textbook tree's sum bit for bit, the serial
+    /// one within rounding. The moments fold row by row on both paths and
+    /// stay bit-exact.
     #[test]
     fn pushdown_q1_equals_materialized(ds in surface_strategy(2),
                                        c in prop::collection::vec(-2.5..2.5f64, 2),
                                        r in 0.0..2.5f64) {
         let data = Arc::new(ds);
+        let reference = textbook::build(&data);
         for path in ALL_PATHS {
             let rel = Relation::new(data.clone(), path);
+            let (got, serial) = (q1_mean(&rel, &c, r), q1_mean_materialized(&rel, &c, r));
+            if path == AccessPathKind::Scan {
+                prop_assert_eq!(got.map(f64::to_bits), serial.map(f64::to_bits));
+            } else {
+                let (n, sum) = textbook::sum_targets(&reference, &data, &c, r);
+                let tree_shaped = (n > 0).then(|| sum / n as f64);
+                prop_assert_eq!(got.map(f64::to_bits), tree_shaped.map(f64::to_bits));
+                prop_assert_eq!(got.is_some(), serial.is_some());
+                if let (Some(got), Some(serial)) = (got, serial) {
+                    let abs: f64 = rel.select(&c, r).iter().map(|&i| data.y(i).abs()).sum();
+                    let bound = 1e-12 * (1.0 + abs) / n as f64;
+                    prop_assert!((got - serial).abs() <= bound, "{} vs serial {}", got, serial);
+                }
+            }
+            let moments = |m: Option<Moments>| m.map(|m| {
+                (m.n, [m.mean, m.variance, m.second_moment].map(f64::to_bits))
+            });
             prop_assert_eq!(
-                q1_mean(&rel, &c, r),
-                q1_mean_materialized(&rel, &c, r),
-                "q1 mismatch on {:?}", path
-            );
-            prop_assert_eq!(
-                q1_moments(&rel, &c, r),
-                q1_moments_materialized(&rel, &c, r),
+                moments(q1_moments(&rel, &c, r)),
+                moments(q1_moments_materialized(&rel, &c, r)),
                 "moments mismatch on {:?}", path
             );
         }

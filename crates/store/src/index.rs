@@ -36,6 +36,21 @@ pub trait SpatialIndex: Send + Sync {
         self.visit_ball(center, radius, |_, _, u| visit(u));
     }
 
+    /// `(n, Σu)` over the same rows: the state of the `AVG` aggregate.
+    /// `Σu` of no rows is `−0.0`, the identity of IEEE addition. The
+    /// default is the serial fold from that identity in visiting order;
+    /// [`KdTree`](crate::KdTree) overrides it with a tree-shaped fold
+    /// (its module docs, **`Σu`**) — equal up to rounding, not bit for
+    /// bit.
+    fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
+        let (mut n, mut sum) = (0, -0.0);
+        self.visit_targets(center, radius, |u| {
+            n += 1;
+            sum += u;
+        });
+        (n, sum)
+    }
+
     /// Append to `out` the ids of all rows within `radius` of `center`.
     /// `out` is cleared first; ids arrive in the
     /// [`SpatialIndex::visit_ball`] traversal order.

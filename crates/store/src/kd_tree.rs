@@ -10,8 +10,9 @@
 //! ascending position. **The visiting order is therefore the order of
 //! `ids`**, a function of the dataset alone. That is a contract, not an
 //! accident: exact answers are floating-point folds over the visited
-//! rows, and the trainer's bit-identity guarantees rest on those folds
-//! (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
+//! rows — in row order for the moments and the OLS Gram state, tree-shaped
+//! for `AVG`'s `Σu` (below) — and the trainer's bit-identity guarantees
+//! rest on those folds (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
 //!
 //! **Pruning.** The traversal carries the current cell's box — the root
 //! box narrowed by one side per split on the way down — and the
@@ -54,9 +55,25 @@
 //! fold that reads nothing else. A traversal never dereferences the
 //! `Dataset`. Membership follows the [`crate::norms::within`] contract.
 //!
+//! **`Σu`.** `AVG`'s sum ([`SpatialIndex::sum_targets`]) is a fold of
+//! the tree's shape, defined without reference to pruning or admission.
+//! Its leaves are the traversal's mask ranges — the highest subtrees one
+//! mask covers — each summing its rows in the ball in ascending
+//! position; above them a node is `left + right` over the build's
+//! halving; a subtree or mask with no row in the ball contributes
+//! nothing (`−0.0`, the identity of addition, not `+0.0`). The build
+//! caches every node's value with all its rows in the ball, computed by
+//! that same recursion, so a subtree admitted whole contributes one load
+//! and the result cannot tell admission happened. The mask width and the
+//! lane offsets are thereby part of `AVG`'s answer, as `LEAF_SIZE` is of
+//! the visiting order. It differs from the serial sum in the last bits:
+//! at most `(63 + ⌈log₂(n/64)⌉)` roundings reach a row's term, against
+//! `n − 1` in a serial fold.
+//!
 //! **Memory.** `8·n·d` bytes of features (as the row-major copy before
 //! it), `8·n` of targets, `4·n` of ids, 16 bytes per node at roughly one
-//! node per six rows, and the root box: `2d` doubles, nothing per node.
+//! node per six rows plus its cached `Σu` (8 bytes, ≈ 1.3 a row), and the
+//! root box: `2d` doubles, no box per node.
 //! A traversal keeps its cell box and the visitor's row on the stack
 //! (`INLINE_SCRATCH`) and makes no allocator call; only a table wider
 //! than that spills to the one `Vec` every traversal used to pay.
@@ -106,6 +123,9 @@ pub struct KdTree {
     quads: Vec<f64>,
     /// Target column in `ids` order.
     leaf_ys: Vec<f64>,
+    /// Per node, indexed like `nodes`: the tree-shaped `Σu` of all its
+    /// rows, what an admitted subtree contributes to a sum.
+    sums: Vec<f64>,
     /// The root cell: per-column minima then maxima (`2d` doubles) under
     /// `f64::total_cmp` — the order the splits use, so a column holding a
     /// NaN has a NaN side.
@@ -115,8 +135,13 @@ pub struct KdTree {
 /// The rows of one subtree that lie in the ball, as positions into the
 /// permuted arrays, ascending.
 enum Hits {
-    /// The cell lies inside the ball: every row of `[start, end)`.
-    All { start: usize, end: usize },
+    /// The cell of `node` lies inside the ball: every row of the
+    /// positions `[start, end)` it owns.
+    All {
+        node: usize,
+        start: usize,
+        end: usize,
+    },
     /// Bit `i` is set iff row `start + i` lies in the ball.
     Mask { start: usize, mask: u64 },
 }
@@ -124,14 +149,14 @@ enum Hits {
 impl Hits {
     fn count(&self) -> usize {
         match *self {
-            Hits::All { start, end } => end - start,
+            Hits::All { start, end, .. } => end - start,
             Hits::Mask { mask, .. } => mask.count_ones() as usize,
         }
     }
 
     fn for_each(self, mut f: impl FnMut(usize)) {
         match self {
-            Hits::All { start, end } => (start..end).for_each(f),
+            Hits::All { start, end, .. } => (start..end).for_each(f),
             Hits::Mask { start, mut mask } => {
                 while mask != 0 {
                     f(start + mask.trailing_zeros() as usize);
@@ -142,9 +167,39 @@ impl Hits {
     }
 }
 
+/// What a traversal makes of the subtrees it reaches: one value per
+/// [`Hits`], joined up the build's halving as `left.join(right)`, with
+/// `MISSED` for a subtree the ball does not reach.
+trait Harvest {
+    const MISSED: Self;
+    fn join(self, right: Self) -> Self;
+}
+
+/// A visitor's traversal: the hits are consumed where they arise.
+impl Harvest for () {
+    const MISSED: Self = ();
+    fn join(self, (): Self) {}
+}
+
+/// `(n, Σu)`, the tree-shaped sum (module docs, **`Σu`**). `−0.0` is
+/// the identity of IEEE addition — `−0.0 + u` is `u` bit for bit, `−0.0`
+/// and `+0.0` included (a NaN stays a NaN) — so a subtree the ball
+/// misses, or an empty mask, leaves the sum as if it were not there.
+impl Harvest for (usize, f64) {
+    const MISSED: Self = (0, -0.0);
+    fn join(self, right: Self) -> Self {
+        (self.0 + right.0, self.1 + right.1)
+    }
+}
+
+/// `Σu` of `ys` in ascending position, from the identity `−0.0`.
+fn serial_sum(ys: &[f64]) -> f64 {
+    ys.iter().fold(-0.0, |sum, &u| sum + u)
+}
+
 /// Run `f` over `len` zeroed doubles of scratch: stack memory up to
 /// [`INLINE_SCRATCH`], one `Vec` beyond.
-fn with_scratch(len: usize, f: impl FnOnce(&mut [f64])) {
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     let mut inline = [0.0; INLINE_SCRATCH];
     match inline.get_mut(..len) {
         Some(scratch) => f(scratch),
@@ -175,7 +230,7 @@ struct Descent<'a, F> {
     on_hits: F,
 }
 
-impl<F: FnMut(Hits)> Descent<'_, F> {
+impl<T: Harvest, F: FnMut(Hits) -> T> Descent<'_, F> {
     /// `(near, far)`: bounds on the squared distance the membership
     /// kernel computes for any row of the current cell, in the kernel's
     /// own operation sequence (module docs, **Pruning**).
@@ -206,22 +261,20 @@ impl<F: FnMut(Hits)> Descent<'_, F> {
 
     /// Visit the subtree at `node`, which owns positions `[start, end)`
     /// and splits on `axis`.
-    fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) {
+    fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) -> T {
         let (near, far) = self.cell_bounds();
         // A NaN bound proves nothing: both tests are false and the
         // subtree is examined row by row.
         if near > self.limit {
-            return;
+            return T::MISSED;
         }
         if far <= self.limit {
-            (self.on_hits)(Hits::All { start, end });
-            return;
+            return (self.on_hits)(Hits::All { node, start, end });
         }
         let tree = self.tree;
         if one_mask_covers(start, end) {
             let mask = tree.range_mask(start, end, self.center, self.limit);
-            (self.on_hits)(Hits::Mask { start, mask });
-            return;
+            return (self.on_hits)(Hits::Mask { start, mask });
         }
         // More than one mask of rows, so more than a leaf: an internal
         // node, whose children own the halves `build_recursive` gave them.
@@ -236,11 +289,12 @@ impl<F: FnMut(Hits)> Descent<'_, F> {
         // The left child holds keys <= split, the right >= split (equal
         // keys may sit on either side): narrow one side, descend, restore.
         let outer = std::mem::replace(&mut self.hi[axis], split);
-        self.visit(node + 1, start, mid, next);
+        let left = self.visit(node + 1, start, mid, next);
         self.hi[axis] = outer;
         let outer = std::mem::replace(&mut self.lo[axis], split);
-        self.visit(link as usize, mid, end, next);
+        let right = self.visit(link as usize, mid, end, next);
         self.lo[axis] = outer;
+        left.join(right)
     }
 }
 
@@ -263,6 +317,10 @@ impl KdTree {
         for (r, &id) in ids.iter().enumerate() {
             simd::aosoa_set_row(&mut quads, r, data.x(id as usize));
             leaf_ys.push(data.y(id as usize));
+        }
+        let mut sums = vec![0.0; nodes.len()];
+        if n > 0 {
+            Self::subtree_sums(&nodes, &leaf_ys, 0, 0, n, &mut sums);
         }
         // An empty table has no root cell, and no traversal asks for one.
         let mut root_box = Vec::with_capacity(2 * d);
@@ -287,8 +345,37 @@ impl KdTree {
             ids,
             quads,
             leaf_ys,
+            sums,
             root_box,
         }
+    }
+
+    /// Fill `sums` for the subtree at `node` (positions `[start, end)`)
+    /// and every node below it, returning its own entry: the tree-shaped
+    /// `Σu` with every row in the ball — what the traversal computes for
+    /// it, so what it may hand on when it admits the subtree.
+    fn subtree_sums(
+        nodes: &[Node],
+        ys: &[f64],
+        node: usize,
+        start: usize,
+        end: usize,
+        sums: &mut [f64],
+    ) -> f64 {
+        let Node { link, rows, .. } = nodes[node];
+        if rows == 0 {
+            let mid = start + (end - start) / 2;
+            let left = Self::subtree_sums(nodes, ys, node + 1, start, mid, sums);
+            let right = Self::subtree_sums(nodes, ys, link as usize, mid, end, sums);
+            sums[node] = left + right;
+        }
+        // A fold leaf sums its rows in order, and so does every node
+        // below one (build leaves are among them); above the fold's
+        // leaves the halves stay joined.
+        if one_mask_covers(start, end) {
+            sums[node] = serial_sum(&ys[start..end]);
+        }
+        sums[node]
     }
 
     fn build_recursive(
@@ -347,15 +434,21 @@ impl KdTree {
     }
 
     /// The one traversal: `on_hits` for every subtree the ball reaches
-    /// that holds a row of it or had to be tested, in visiting order.
-    fn for_each_hits(&self, center: &[f64], radius: f64, on_hits: impl FnMut(Hits)) {
+    /// that holds a row of it or had to be tested, in visiting order; the
+    /// values it returns joined as the build halved the rows.
+    fn fold_hits<T: Harvest>(
+        &self,
+        center: &[f64],
+        radius: f64,
+        on_hits: impl FnMut(Hits) -> T,
+    ) -> T {
         let d = self.data.dim();
         assert_eq!(center.len(), d, "query dimension mismatch");
         // A negative radius admits nothing (`norms::within`); the bounds
         // and the kernel only ever see `radius²`, so the sign is settled
         // here, once per traversal.
         if self.nodes.is_empty() || radius < 0.0 {
-            return;
+            return T::MISSED;
         }
         with_scratch(2 * d, |cell| {
             cell.copy_from_slice(&self.root_box);
@@ -368,15 +461,15 @@ impl KdTree {
                 hi,
                 on_hits,
             };
-            descent.visit(0, 0, self.ids.len(), 0);
-        });
+            descent.visit(0, 0, self.ids.len(), 0)
+        })
     }
 }
 
 impl SpatialIndex for KdTree {
     fn visit_ball(&self, center: &[f64], radius: f64, mut visit: impl FnMut(usize, &[f64], f64)) {
         with_scratch(center.len(), |row| {
-            self.for_each_hits(center, radius, |hits| {
+            self.fold_hits(center, radius, |hits| {
                 hits.for_each(|r| {
                     simd::aosoa_row_into(&self.quads, r, row);
                     visit(self.ids[r] as usize, row, self.leaf_ys[r]);
@@ -388,16 +481,29 @@ impl SpatialIndex for KdTree {
     fn visit_targets(&self, center: &[f64], radius: f64, mut visit: impl FnMut(f64)) {
         // An admitted range is walked as a slice, not position by
         // position: on a ball that holds most of its rows in such ranges
-        // the indexed form doubles the cost of a `Σu` fold.
-        self.for_each_hits(center, radius, |hits| match hits {
-            Hits::All { start, end } => self.leaf_ys[start..end].iter().for_each(|&u| visit(u)),
+        // the indexed form doubles the cost of a serial `Σu` fold.
+        self.fold_hits(center, radius, |hits| match hits {
+            Hits::All { start, end, .. } => self.leaf_ys[start..end].iter().for_each(|&u| visit(u)),
             masked => masked.for_each(|r| visit(self.leaf_ys[r])),
         });
     }
 
+    fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
+        // An admitted subtree is one load of its cached sum; a tested
+        // range sums its hits in order.
+        self.fold_hits(center, radius, |hits| match hits {
+            Hits::All { node, start, end } => (end - start, self.sums[node]),
+            masked => {
+                let (n, mut sum) = (masked.count(), -0.0);
+                masked.for_each(|r| sum += self.leaf_ys[r]);
+                (n, sum)
+            }
+        })
+    }
+
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
         let mut n = 0;
-        self.for_each_hits(center, radius, |hits| n += hits.count());
+        self.fold_hits(center, radius, |hits| n += hits.count());
         n
     }
 
@@ -605,9 +711,9 @@ mod tests {
             // NaN row otherwise.
             let mut admitted = 0;
             let mut hits = 0;
-            tree.for_each_hits(&[10.0, 5.0], 1e3, |h| {
+            tree.fold_hits(&[10.0, 5.0], 1e3, |h| {
                 hits += h.count();
-                if let Hits::All { start, end } = h {
+                if let Hits::All { start, end, .. } = h {
                     admitted += end - start;
                     for &id in &tree.ids[start..end] {
                         assert!(tree.data.x(id as usize).iter().all(|x| !x.is_nan()));
@@ -631,6 +737,70 @@ mod tests {
             tree.visit_ball(&[0.1, -0.2], r, |_, _, u| rows.push(u.to_bits()));
             tree.visit_targets(&[0.1, -0.2], r, |u| targets.push(u.to_bits()));
             assert_eq!(rows, targets, "r {r}");
+        }
+    }
+
+    /// The tree-shaped `Σu` of the rows `[start, end)` of subtree `node`,
+    /// recomputed from the target column.
+    fn fresh_sum(tree: &KdTree, node: usize, start: usize, end: usize) -> f64 {
+        if one_mask_covers(start, end) {
+            return tree.leaf_ys[start..end].iter().fold(-0.0, |s, &u| s + u);
+        }
+        let mid = start + (end - start) / 2;
+        let right = tree.nodes[node].link as usize;
+        fresh_sum(tree, node + 1, start, mid) + fresh_sum(tree, right, mid, end)
+    }
+
+    #[test]
+    fn cached_sums_are_the_tree_shaped_sums_of_their_rows() {
+        for (n, d) in [(1, 1), (64, 1), (127, 2), (1_000, 3), (5_003, 2)] {
+            let mut rng = seeded(n as u64);
+            let mut ds = Dataset::new(d);
+            for i in 0..n {
+                let x: Vec<f64> = (0..d).map(|_| rng.random_range(-1.0..1.0)).collect();
+                // Mixed scales, and a run of `−0.0` that only `−0.0`
+                // leaves alone.
+                let u = if i % 97 < 20 {
+                    -0.0
+                } else {
+                    rng.random_range(-1.0..1.0) * 10f64.powi(i as i32 % 7)
+                };
+                ds.push(&x, u).unwrap();
+            }
+            let tree = KdTree::build(Arc::new(ds));
+            assert_eq!(tree.sums.len(), tree.nodes.len());
+            // Every node, fold leaves and the build leaves below them
+            // included, against its own range.
+            let mut stack = vec![(0, 0, n)];
+            while let Some((node, start, end)) = stack.pop() {
+                let cached = tree.sums[node].to_bits();
+                assert_eq!(cached, fresh_sum(&tree, node, start, end).to_bits());
+                let Node { link, rows, .. } = tree.nodes[node];
+                if rows == 0 {
+                    let mid = start + (end - start) / 2;
+                    stack.extend([(node + 1, start, mid), (link as usize, mid, end)]);
+                }
+            }
+            // Every row in the ball, through the cache at the root and
+            // through a ball just wide enough, around a row, whose cell
+            // bounds do not admit the root (in one column the box's sides
+            // are rows, so there they do): the same bits.
+            let whole = tree.sum_targets(&vec![0.0; d], 2.0 * (d as f64).sqrt());
+            assert_eq!((whole.0, whole.1.to_bits()), (n, tree.sums[0].to_bits()));
+            let row = tree.data.x(0).to_vec();
+            let mut radius = (0..n)
+                .map(|i| regq_linalg::vector::l2_dist(&row, tree.data.x(i)))
+                .fold(0.0, f64::max);
+            while tree.count_ball(&row, radius) < n {
+                radius = radius.next_up();
+            }
+            let mut root_admitted = false;
+            tree.fold_hits(&row, radius, |h| {
+                root_admitted |= matches!(h, Hits::All { node: 0, .. });
+            });
+            assert!(d == 1 || !root_admitted, "n {n}");
+            let tight = tree.sum_targets(&row, radius);
+            assert_eq!((tight.0, tight.1.to_bits()), (n, tree.sums[0].to_bits()));
         }
     }
 

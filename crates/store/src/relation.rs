@@ -109,10 +109,11 @@ impl Relation {
     }
 
     /// [`Relation::fold_ball`] for an aggregate over the output attribute
-    /// alone: `f(&mut state, u_i)` for the same rows in the same order.
-    /// Over the kd-tree no feature row is unpacked and no id is loaded,
-    /// and a cell lying inside the ball is one pass over a contiguous
-    /// slice of the target column.
+    /// alone: `f(&mut state, u_i)` for the same rows in the same order —
+    /// the row-order fold behind the moments (`q1_moments`); `AVG` takes
+    /// [`Relation::sum_targets`]. Over the kd-tree no feature row is
+    /// unpacked and no id is loaded, and a cell lying inside the ball is
+    /// one pass over a contiguous slice of the target column.
     pub fn fold_targets<S>(
         &self,
         center: &[f64],
@@ -122,6 +123,15 @@ impl Relation {
     ) -> S {
         with_index!(&self.index, index => index.visit_targets(center, radius, |u| f(&mut state, u)));
         state
+    }
+
+    /// `(n, Σu)` over `D(center, radius)`, the `AVG` aggregate's state,
+    /// in the access path's own fold shape
+    /// ([`SpatialIndex::sum_targets`]): serial over the scan, tree-shaped
+    /// over the kd-tree, where a cell lying inside the ball costs one
+    /// load of its cached sum.
+    pub fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
+        with_index!(&self.index, index => index.sum_targets(center, radius))
     }
 
     /// Run `f` over the selected row ids using an internal scratch buffer

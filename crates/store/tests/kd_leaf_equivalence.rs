@@ -4,31 +4,39 @@
 //! hands on, untested, one whose cell lies inside. This battery pins that
 //! none of it is observable: the tree must behave **bit for bit** like
 //! the textbook tree that keeps nothing but a permuted id array, prunes
-//! on the splitting plane alone and asks [`norms::within`] about
+//! on the splitting plane alone and asks `norms::within` about
 //! `dataset.x(id)`, one row at a time.
 //!
-//! The reference below is that textbook tree, rebuilt from the documented
-//! shape (median split under `total_cmp`, axis = depth mod `d`, leaves of
-//! at most sixteen rows, prune a child only when proven far). It is the
-//! specification and does not follow the production traversal's changes.
-//! Agreement on the **unsorted** id sequence pins the depth-first
-//! visiting order — the contract every exact answer's floating-point
-//! fold order rests on — together with subtrees that start at every lane
-//! offset of a quad, the padded last quad, the inclusive boundary, and
-//! (the two large sizes, whose balls hold a thousand rows and more) whole
-//! subtrees admitted without a distance test between ones tested a mask
-//! at a time.
+//! The reference is that textbook tree (`textbook/mod.rs`), rebuilt from
+//! the documented shape. It is the specification and does not follow the
+//! production traversal's changes. Agreement on the **unsorted** id
+//! sequence pins the depth-first visiting order — the contract the
+//! row-order folds (moments, the OLS Gram state) rest on — together with
+//! subtrees that start at every lane offset of a quad, the padded last
+//! quad, the inclusive boundary, and (the two large sizes, whose balls
+//! hold a thousand rows and more) whole subtrees admitted without a
+//! distance test between ones tested a mask at a time.
+//!
+//! `AVG`'s `Σu` is tree-shaped instead: the textbook tree computes it by
+//! its own recursion — one `norms::within` per row, the mask-granularity
+//! rule restated — and the production tree's `(n, Σu)`, cached sums of
+//! admitted subtrees included, must carry its bits. Beside the aimed
+//! balls every table gets one that holds all of it (the root admitted)
+//! and one that holds nothing.
 //!
 //! Failures print `REGQ_PROPTEST_SEED=<seed>`; re-run with that variable
 //! set to reproduce the exact case.
+
+mod textbook;
 
 use proptest::prelude::*;
 use rand::RngExt;
 use regq_data::rng::{seeded, SeededRng};
 use regq_data::Dataset;
 use regq_linalg::{vector, GramAccumulator, OnlineStats};
-use regq_store::{norms, KdTree, SpatialIndex};
+use regq_store::{KdTree, SpatialIndex};
 use std::sync::Arc;
+use textbook::walk_reference;
 
 // 35 and 77 split into leaves that start at lanes 1, 2 and 3 of a quad
 // (17 and 33 only ever produce lane-0 starts); 1 000 has every offset.
@@ -43,65 +51,6 @@ const LARGE_BALL_ROWS: usize = 1_000;
 /// Probes per dataset: three aimed at stored rows then one random ball,
 /// four times over.
 const PROBES: usize = 16;
-const LEAF_SIZE: usize = 16;
-
-/// The textbook tree: ids only, rows fetched from the dataset.
-enum RefNode {
-    Leaf(Vec<usize>),
-    Split {
-        axis: usize,
-        split: f64,
-        left: Box<RefNode>,
-        right: Box<RefNode>,
-    },
-}
-
-fn build_reference(data: &Dataset, ids: &mut [usize], depth: usize) -> RefNode {
-    if ids.len() <= LEAF_SIZE {
-        return RefNode::Leaf(ids.to_vec());
-    }
-    let axis = depth % data.dim();
-    let mid = ids.len() / 2;
-    ids.select_nth_unstable_by(mid, |&a, &b| data.x(a)[axis].total_cmp(&data.x(b)[axis]));
-    let split = data.x(ids[mid])[axis];
-    let (lo, hi) = ids.split_at_mut(mid);
-    RefNode::Split {
-        axis,
-        split,
-        left: Box::new(build_reference(data, lo, depth + 1)),
-        right: Box::new(build_reference(data, hi, depth + 1)),
-    }
-}
-
-fn walk_reference(
-    node: &RefNode,
-    data: &Dataset,
-    center: &[f64],
-    radius: f64,
-    out: &mut Vec<usize>,
-) {
-    match node {
-        RefNode::Leaf(ids) => out.extend(
-            ids.iter()
-                .filter(|&&id| norms::within(center, data.x(id), radius)),
-        ),
-        RefNode::Split {
-            axis,
-            split,
-            left,
-            right,
-        } => {
-            let delta = center[*axis] - split;
-            let (left_far, right_far) = (delta > radius, -delta > radius);
-            if !left_far {
-                walk_reference(left, data, center, radius, out);
-            }
-            if !right_far {
-                walk_reference(right, data, center, radius, out);
-            }
-        }
-    }
-}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -144,9 +93,10 @@ impl Folds {
     }
 }
 
-/// One table of `n` rows in `d` columns, [`PROBES`] balls over it. With
-/// `large`, every ball is centred on a stored row and reaches exactly to
-/// the stored row of some rank `≥ LARGE_BALL_ROWS` in distance from it.
+/// One table of `n` rows in `d` columns, [`PROBES`] balls over it, then
+/// one holding the whole table and one holding nothing. With `large`,
+/// every aimed ball is centred on a stored row and reaches exactly to the
+/// stored row of some rank `≥ LARGE_BALL_ROWS` in distance from it.
 fn check_table(rng: &mut SeededRng, n: usize, d: usize, large: bool) -> Result<(), TestCaseError> {
     let mut ds = Dataset::new(d);
     for _ in 0..n {
@@ -155,14 +105,18 @@ fn check_table(rng: &mut SeededRng, n: usize, d: usize, large: bool) -> Result<(
     }
     let data = Arc::new(ds);
     let tree = KdTree::build(data.clone());
-    let mut ids: Vec<usize> = (0..n).collect();
-    let reference = build_reference(&data, &mut ids, 0);
+    let reference = textbook::build(&data);
 
-    for probe in 0..PROBES {
+    for probe in 0..PROBES + 2 {
         // Balls centred on (or near) a stored row, with a radius that
         // puts another stored row exactly on the boundary — or a random
-        // ball when there is no row to aim at.
-        let (center, radius) = if large {
+        // ball when there is no row to aim at. Last, a ball around the
+        // whole table (every row lies in `[−1, 1]^d`) and an empty one.
+        let (center, radius) = if probe == PROBES {
+            (vec![0.0; d], 2.0 * (d as f64).sqrt())
+        } else if probe == PROBES + 1 {
+            (vec![3.0; d], 1.0)
+        } else if large {
             let c = data.x(rng.random_range(0..n)).to_vec();
             let mut dists: Vec<f64> = (0..n).map(|i| vector::l2_dist(&c, data.x(i))).collect();
             let rank = rng.random_range(LARGE_BALL_ROWS..n);
@@ -179,7 +133,9 @@ fn check_table(rng: &mut SeededRng, n: usize, d: usize, large: bool) -> Result<(
 
         let mut want = Vec::new();
         walk_reference(&reference, &data, &center, radius, &mut want);
-        prop_assert!(!large || want.len() >= LARGE_BALL_ROWS);
+        prop_assert!(!large || probe >= PROBES || want.len() >= LARGE_BALL_ROWS);
+        let expected_rows = [n, 0];
+        prop_assert!(probe < PROBES || want.len() == expected_rows[probe - PROBES]);
 
         // (a) the same id sequence, unsorted.
         let mut got = Vec::new();
@@ -229,6 +185,19 @@ fn check_table(rng: &mut SeededRng, n: usize, d: usize, large: bool) -> Result<(
             rows_match &= u.to_bits() == data.y(id).to_bits();
         });
         prop_assert!(rows_match, "n {} d {}: visitor row", n, d);
+
+        // (d) `AVG`'s tree-shaped `(n, Σu)`: the textbook tree's bits.
+        let (rows, sum) = tree.sum_targets(&center, radius);
+        let (want_rows, want_sum) = textbook::sum_targets(&reference, &data, &center, radius);
+        prop_assert_eq!(
+            (rows, sum.to_bits()),
+            (want_rows, want_sum.to_bits()),
+            "n {} d {} r {}: tree-shaped sum",
+            n,
+            d,
+            radius
+        );
+        prop_assert_eq!(rows, want.len());
     }
     Ok(())
 }

@@ -1,6 +1,9 @@
 //! Property tests: the kd-tree implements the same selection semantics as
 //! the linear scan, for random data, centers and *every* radius —
-//! negative, zero, `NaN` and infinite included.
+//! negative, zero, `NaN` and infinite included — and its tree-shaped
+//! `Σu` is the textbook tree's under hostile targets.
+
+mod textbook;
 
 use proptest::prelude::*;
 use regq_data::Dataset;
@@ -65,6 +68,19 @@ fn big_hostile_table() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// The targets a sum can go wrong on: NaN of either sign, ±∞ (whose
+/// meeting is a NaN), `−0.0` (which only `−0.0` leaves alone) and ±1e300
+/// (whose partial sums are far from their neighbours' scale).
+const HOSTILE_TARGETS: [f64; 7] = [
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    1e300,
+    -1e300,
+];
+
 /// [`radius_strategy`], or a radius wide enough to hold whole subtrees
 /// of a table in `[−1, 1]^d` — up to the whole table.
 fn wide_radius_strategy() -> impl Strategy<Value = f64> {
@@ -79,6 +95,18 @@ fn sorted(mut v: Vec<usize>) -> Vec<usize> {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bits of `x`, every NaN as one: Rust leaves the sign and payload of
+/// an arithmetic NaN unspecified (with two NaN operands, which one an
+/// addition returns is the code generator's choice), so only NaN-ness is
+/// an answer.
+fn value_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
 }
 
 /// The visitor, the materialized selection and the count of one access
@@ -324,6 +352,59 @@ proptest! {
         let tree = KdTree::build(data);
         check_tree_against_scan(&tree, &scan, &c, r)?;
         check_tree_against_scan(&tree, &scan, &c, f64::INFINITY)?;
+    }
+
+    /// `AVG`'s tree-shaped `Σu` under hostile targets: in about one row
+    /// in a thousand, ten, a hundred or all of them, `u` is NaN, ±∞,
+    /// `−0.0` or ±1e300. Through admitted subtrees (the wide radii, an
+    /// infinite one) and tested masks alike, `(n, Σu)` carries the bits
+    /// of the textbook tree's own tree-shaped sum ([`value_bits`]: a NaN's
+    /// sign and payload are not the program's); against the serial sum
+    /// over the same rows it is NaN exactly when that is, infinite exactly
+    /// when that is (with its sign), and otherwise within both sums'
+    /// rounding bounds of it.
+    #[test]
+    fn tree_sum_is_its_definition_on_hostile_targets(
+        rows in prop::collection::vec(
+            (prop::collection::vec(-1.0..1.0f64, BIG_DIM), 0..1_000u32, 0..7usize, -5.0..5.0f64),
+            500..=5_000,
+        ),
+        rarity in 0..4u32,
+        c in prop::collection::vec(-1.0..1.0f64, BIG_DIM),
+        r in wide_radius_strategy(),
+    ) {
+        let hostile_below = 10u32.pow(rarity);
+        let mut ds = Dataset::new(BIG_DIM);
+        for (x, draw, kind, finite) in &rows {
+            let u = if *draw < hostile_below { HOSTILE_TARGETS[*kind] } else { *finite };
+            ds.push(x, u).unwrap();
+        }
+        let data = Arc::new(ds);
+        let tree = KdTree::build(data.clone());
+        let scan = LinearScan::new(data.clone());
+        let reference = textbook::build(&data);
+        // Rounds a row's term may go through: within a mask, then one per
+        // level above it (docs/INVARIANTS.md, "kd-tree leaf kernel").
+        let depth = (data.len() as f64 / 64.0).log2().ceil().max(0.0);
+        for r in [r, f64::INFINITY] {
+            let (n, sum) = tree.sum_targets(&c, r);
+            let (want_n, want) = textbook::sum_targets(&reference, &data, &c, r);
+            prop_assert_eq!((n, value_bits(sum)), (want_n, value_bits(want)), "r {}", r);
+
+            let (scan_n, serial) = scan.sum_targets(&c, r);
+            prop_assert_eq!(n, scan_n);
+            prop_assert_eq!(sum.is_nan(), serial.is_nan(), "{} vs serial {}", sum, serial);
+            prop_assert_eq!(sum.is_infinite(), serial.is_infinite());
+            if sum.is_infinite() {
+                prop_assert_eq!(sum, serial);
+            } else if !sum.is_nan() {
+                let mut abs = 0.0;
+                scan.visit_targets(&c, r, |u| abs += u.abs());
+                let rounds = 63.0 + depth + n as f64 - 1.0;
+                let bound = 1.01 * rounds * f64::EPSILON * abs;
+                prop_assert!((sum - serial).abs() <= bound, "{} vs serial {}", sum, serial);
+            }
+        }
     }
 
     /// Selections are monotone in the radius: a bigger ball returns a
