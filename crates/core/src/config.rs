@@ -64,9 +64,6 @@ pub struct ModelConfig {
     /// timescale relative to the prototype motion. `p = 1` recovers the
     /// paper's single shared schedule.
     pub coeff_rate_power: f64,
-    /// Hard cap on training steps when the stream never meets `γ`
-    /// (0 = unlimited).
-    pub max_steps: usize,
 }
 
 impl ModelConfig {
@@ -82,7 +79,6 @@ impl ModelConfig {
             schedule: LearningSchedule::default(),
             slope_update: SlopeUpdate::default(),
             coeff_rate_power: 0.6,
-            max_steps: 0,
         }
     }
 

@@ -61,7 +61,7 @@ pub struct TrainReport {
     pub steps: usize,
     /// Final number of prototypes `K`.
     pub prototypes: usize,
-    /// Whether `Γ ≤ γ` was reached (vs. stream exhausted / max_steps).
+    /// Whether `Γ ≤ γ` was reached (vs. stream exhausted).
     pub converged: bool,
     /// Per-step `Γ = max(Γ_J, Γ_H)` trace (feeds the Fig. 6 experiment).
     pub gamma_trace: Vec<f64>,
@@ -384,8 +384,8 @@ impl LlmModel {
         })
     }
 
-    /// Train on a stream of pairs until convergence, stream exhaustion or
-    /// `config.max_steps` (Algorithm 1).
+    /// Train on a stream of pairs until convergence or stream exhaustion
+    /// (Algorithm 1); cap it with `pairs.take(n)`.
     ///
     /// # Errors
     /// Propagates the first [`CoreError`] from [`LlmModel::train_step`].
@@ -400,9 +400,6 @@ impl LlmModel {
             steps += 1;
             trace.push(out.gamma_j.max(out.gamma_h));
             if out.converged {
-                break;
-            }
-            if self.config.max_steps > 0 && steps >= self.config.max_steps {
                 break;
             }
         }
@@ -634,13 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn max_steps_caps_training() {
+    fn take_caps_training() {
         let mut cfg = ModelConfig::paper_defaults(2);
-        cfg.max_steps = 100;
         // Make convergence impossible quickly: huge gamma requirement off.
         cfg.gamma = 1e-12;
         let mut m = LlmModel::new(cfg).unwrap();
-        let report = m.fit_stream(linear_stream(2, 10_000, 5)).unwrap();
+        let report = m.fit_stream(linear_stream(2, 10_000, 5).take(100)).unwrap();
         assert_eq!(report.steps, 100);
         assert!(!report.converged);
     }

@@ -216,7 +216,6 @@ fn read_model(mut reader: impl BufRead) -> Result<LlmModel, CoreError> {
         schedule: parse_schedule(get("schedule")?)?,
         slope_update: parse_slope(get("slope")?)?,
         coeff_rate_power: parse_f("cpow")?,
-        max_steps: 0,
     };
     let steps = parse_u("steps")?;
     let frozen = parse_u("frozen")? != 0;

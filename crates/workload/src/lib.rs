@@ -14,8 +14,9 @@
 //!   the rate helpers reports print through;
 //! * [`eval`] — the A1 / A2 / FVU / CoD evaluators comparing LLM against
 //!   global REG, per-query REG and PLR on unseen query sets `V`;
-//! * [`experiment`] — tiny series/table printer used by every figure
-//!   binary;
+//! * [`reproduce`] — the paper's §VI figures as one experiment table, run
+//!   over three seeds into `REPRODUCTION.md` by the `reproduce` binary and
+//!   asserted by `tests/paper_claims.rs`;
 //! * [`drift`] — the concept-drift recovery harness: a deterministic
 //!   drifting workload driven through the serve fabric, measuring the
 //!   dip → fallback-spike → retrain → recovery trajectory (with or
@@ -27,8 +28,8 @@
 
 pub mod drift;
 pub mod eval;
-pub mod experiment;
 pub mod querygen;
+pub mod reproduce;
 pub mod stream;
 pub mod throughput;
 pub mod timer;

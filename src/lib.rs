@@ -54,8 +54,9 @@
 //!
 //! See `README.md` for the crate map and how to run things,
 //! `docs/INVARIANTS.md` for the bit-identity and concurrency contracts and
-//! `benchmark/README.md` for the measured end-to-end ledger; the
-//! `regq_bench` binaries reprint the paper's figures.
+//! `benchmark/README.md` for the measured end-to-end ledger;
+//! `REPRODUCTION.md` (written by `regq_workload`'s `reproduce` binary)
+//! reprints the paper's figures beside the paper's values.
 
 pub use regq_core as core;
 pub use regq_data as data;
