@@ -2,14 +2,14 @@
 //! instrumentation.
 //!
 //! Plays the role of "the RDBMS + statistical package" in the paper's
-//! Fig. 2: the training loop calls [`ExactEngine::q1`] to obtain ground
-//! truth answers, and the efficiency experiment (Fig. 12) measures
+//! Fig. 2: the training loop calls [`ExactEngine::q1_batch`] (one batch
+//! per chunk of its query stream) to obtain ground truth answers, and the efficiency experiment (Fig. 12) measures
 //! [`ExactEngine::q1_timed`] / [`ExactEngine::q2_reg_timed`] /
 //! [`ExactEngine::q2_plr_timed`] against the model's prediction latency.
 
 use crate::mars::{Mars, MarsModel, MarsParams};
 use crate::ols::{fit_ols_ball, fit_ols_global, BallFit, LinearModel};
-use crate::q1::{q1_mean, q1_moments, Moments};
+use crate::q1::{avg, q1_mean, q1_moments, Moments};
 use regq_data::Dataset;
 use regq_linalg::LinalgError;
 use regq_store::{AccessPathKind, Relation};
@@ -40,6 +40,23 @@ impl ExactEngine {
     /// Exact Q1: mean of `u` over `D(center, radius)`; `None` when empty.
     pub fn q1(&self, center: &[f64], radius: f64) -> Option<f64> {
         q1_mean(&self.rel, center, radius)
+    }
+
+    /// Exact Q1 over a batch of balls: `out[i]` is
+    /// `q1(centre i, radii[i])` bit for bit, where `centres` holds the
+    /// centres one after another (`radii.len() × dim` values). The access
+    /// path executes the balls in its own order
+    /// ([`Relation::sum_targets_batch`]): over the kd-tree, balls whose
+    /// centres share a build leaf run back to back and find its cells
+    /// still cached.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == radii.len()` and
+    /// `centres.len() == radii.len() × dim`.
+    pub fn q1_batch(&self, centres: &[f64], radii: &[f64], out: &mut [Option<f64>]) {
+        assert_eq!(out.len(), radii.len(), "one answer slot per ball");
+        self.rel
+            .sum_targets_batch(centres, radii, |i, state| out[i] = avg(state));
     }
 
     /// Exact Q1 with second moments.

@@ -41,7 +41,11 @@ pub struct Moments {
 /// Returns `None` when the subspace is empty (the DBMS would return SQL
 /// `NULL` for `AVG` over zero rows).
 pub fn q1_mean(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
-    let (n, sum) = rel.sum_targets(center, radius);
+    avg(rel.sum_targets(center, radius))
+}
+
+/// The `AVG` of an `(n, Σu)` state: SQL `NULL` (`None`) over no rows.
+pub(crate) fn avg((n, sum): (usize, f64)) -> Option<f64> {
     if n == 0 {
         None
     } else {

@@ -7,8 +7,13 @@
 //! nearly everything, one that holds whole subtrees and one that holds
 //! the table. Before the stack scratch every traversal cost one `Vec`.
 //! Only a table wider than the inline scratch (more than 32 columns)
-//! still pays that one allocation, which the last test pins so that the
+//! still pays that one allocation, which a test pins so that the
 //! boundary is a documented fact and not a surprise.
+//!
+//! A batch of `AVG`s (`ExactEngine::q1_batch`, the training stream's
+//! entry) asks for one buffer over the kd-tree — its visiting order, one
+//! key per ball — whatever the batch size, and for nothing over the scan,
+//! which keeps input order; an empty batch asks for nothing on either.
 //!
 //! It is its own test binary because it installs a counting
 //! `#[global_allocator]` (the shape of
@@ -146,4 +151,29 @@ fn a_table_wider_than_the_inline_scratch_pays_one_allocation_a_traversal() {
         [1; 4],
         "the cell box of a 40-column table spills to one Vec"
     );
+}
+
+#[test]
+fn a_warm_batch_asks_for_its_visiting_order_and_nothing_else() {
+    let mut rng = seeded(9);
+    for dim in [2usize, 4] {
+        let kd = engine(20_000, dim);
+        let scan = ExactEngine::new(kd.relation().dataset().clone(), AccessPathKind::Scan);
+        for size in [0usize, 1, 64, 1_000] {
+            let centres: Vec<f64> = (0..size * dim)
+                .map(|_| rng.random_range(0.0..1.0))
+                .collect();
+            let radii: Vec<f64> = (0..size).map(|_| rng.random_range(0.0..0.4)).collect();
+            let mut out = vec![None; size];
+            for (engine, want) in [(&kd, usize::from(size > 0)), (&scan, 0)] {
+                let mut calls = 0;
+                for _ in 0..2 {
+                    calls = counted(|| engine.q1_batch(&centres, &radii, &mut out));
+                }
+                let path = engine.relation();
+                assert_eq!(calls, want, "d {dim}, batch of {size}, {path:?}");
+            }
+            black_box(&out);
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the exact engines: OLS optimality, MARS
-//! dominance over OLS, Q1 consistency, and equivalence of the
+//! dominance over OLS, Q1 consistency, equivalence of the
 //! aggregation-pushdown executors with the materialize-then-recompute
-//! reference path across every access path.
+//! reference path across every access path, and of the batched `AVG`
+//! (`ExactEngine::q1_batch`) with one `q1` per ball.
 
 // The textbook kd-tree of the store's batteries: the specification the
 // kd-tree's tree-shaped `Σu` is held to.
@@ -11,8 +12,8 @@ mod textbook;
 use proptest::prelude::*;
 use regq_data::Dataset;
 use regq_exact::{
-    fit_ols, fit_ols_ball, q1_mean, q1_moments, GoodnessOfFit, LinearModel, Mars, MarsParams,
-    Moments,
+    fit_ols, fit_ols_ball, q1_mean, q1_moments, ExactEngine, GoodnessOfFit, LinearModel, Mars,
+    MarsParams, Moments,
 };
 use regq_linalg::{lstsq, LinalgError, Matrix, OnlineStats};
 use regq_store::{AccessPathKind, Relation};
@@ -151,6 +152,45 @@ fn surface_strategy(d: usize) -> impl Strategy<Value = Dataset> {
 
 const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::KdTree];
 
+/// Columns of the batch arm's tables.
+const BATCH_DIM: usize = 3;
+
+/// Batch sizes around one and around a 64-row mask, and a large one.
+const BATCH_SIZES: [usize; 7] = [0, 1, 2, 63, 64, 65, 1_000];
+
+/// Mostly finite values in `[−scale, scale)`, with NaN (either sign), ±∞
+/// and −0.0 mixed in: five draws in `one_in` are hostile.
+fn hostile(one_in: u32, scale: f64) -> impl Strategy<Value = f64> {
+    (0..one_in, -1.0..1.0f64).prop_map(move |(kind, finite)| match kind {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => -0.0,
+        _ => finite * scale,
+    })
+}
+
+/// Ordinary radii up to wide enough to hold the whole table, with the
+/// hostile ones mixed in: negative, ±0, NaN and +∞.
+fn hostile_radius() -> impl Strategy<Value = f64> {
+    (0..12u32, 0.0..4.0f64).prop_map(|(kind, r)| match kind {
+        0 => -r,
+        1 => 0.0,
+        2 => -0.0,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        _ => r,
+    })
+}
+
+/// An answer by its bits, every NaN as one: with two NaN operands, which
+/// one an addition returns is the code generator's choice, so only
+/// NaN-ness is an answer.
+fn answer_bits(a: Option<f64>) -> Option<u64> {
+    a.map(|x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -222,6 +262,50 @@ proptest! {
                 moments(q1_moments_materialized(&rel, &c, r)),
                 "moments mismatch on {:?}", path
             );
+        }
+    }
+
+    /// `q1_batch` answers every ball as `q1` does, bit for bit, on both
+    /// access paths: tables with NaN, ±∞ and −0.0 in their rows and
+    /// targets; hostile balls (NaN or ±∞ centre coordinates, radii
+    /// negative, ±0, NaN or +∞); every size of [`BATCH_SIZES`], the balls
+    /// drawn repeated cyclically, so every batch past the drawn count
+    /// holds duplicates. A slot the batch never writes keeps a sentinel no
+    /// answer has.
+    #[test]
+    fn batch_q1_equals_one_q1_per_ball(
+        rows in prop::collection::vec(
+            (prop::collection::vec(hostile(64, 2.0), BATCH_DIM), hostile(64, 10.0)),
+            0..600,
+        ),
+        balls in prop::collection::vec(
+            (prop::collection::vec(hostile(16, 2.5), BATCH_DIM), hostile_radius()),
+            1..40,
+        ),
+    ) {
+        let mut ds = Dataset::new(BATCH_DIM);
+        for (x, u) in &rows {
+            ds.push(x, *u).unwrap();
+        }
+        let data = Arc::new(ds);
+        let sentinel = Some(f64::from_bits(1));
+        for path in ALL_PATHS {
+            let engine = ExactEngine::new(data.clone(), path);
+            for size in BATCH_SIZES {
+                let ball = |i: usize| &balls[i % balls.len()];
+                let centres: Vec<f64> = (0..size).flat_map(|i| ball(i).0.clone()).collect();
+                let radii: Vec<f64> = (0..size).map(|i| ball(i).1).collect();
+                let mut out = vec![sentinel; size];
+                engine.q1_batch(&centres, &radii, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let (c, r) = ball(i);
+                    prop_assert_eq!(
+                        answer_bits(*got),
+                        answer_bits(engine.q1(c, *r)),
+                        "{:?} batch of {}, ball {}: {:?} r {}", path, size, i, c, r
+                    );
+                }
+            }
         }
     }
 

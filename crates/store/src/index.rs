@@ -51,6 +51,30 @@ pub trait SpatialIndex: Send + Sync {
         (n, sum)
     }
 
+    /// [`SpatialIndex::sum_targets`] for a batch of balls: `answer(i,
+    /// sum_targets(centre i, radii[i]))` once per ball, where `centres`
+    /// holds the centres one after another (`radii.len() × dim` values).
+    /// Each ball is answered by `sum_targets` itself, so every state is
+    /// bit-identical to a call of its own; only the order the balls are
+    /// answered in is the access path's. The default keeps input order;
+    /// [`KdTree`](crate::KdTree) answers in the order of the build leaves
+    /// holding the centres, so consecutive traversals share their cells.
+    ///
+    /// # Panics
+    /// Panics unless `centres.len() == radii.len() × dim`.
+    fn sum_targets_batch(
+        &self,
+        centres: &[f64],
+        radii: &[f64],
+        mut answer: impl FnMut(usize, (usize, f64)),
+    ) {
+        let d = self.dataset().dim();
+        assert_eq!(centres.len(), radii.len() * d, "batch dimension mismatch");
+        for (i, (center, &radius)) in centres.chunks_exact(d).zip(radii).enumerate() {
+            answer(i, self.sum_targets(center, radius));
+        }
+    }
+
     /// Append to `out` the ids of all rows within `radius` of `center`.
     /// `out` is cleared first; ids arrive in the
     /// [`SpatialIndex::visit_ball`] traversal order.

@@ -70,6 +70,13 @@
 //! at most `(63 + ⌈log₂(n/64)⌉)` roundings reach a row's term, against
 //! `n − 1` in a serial fold.
 //!
+//! **Batches.** [`SpatialIndex::sum_targets_batch`] answers each ball
+//! with `sum_targets` itself, in the order of the build leaves holding
+//! the centres — one root-to-leaf descent per centre under `total_cmp`,
+//! the splits' own comparison — so consecutive traversals walk the same
+//! cells while they are still cached. An exact answer is a pure function
+//! of (table, ball); the order changes what it costs, never what it is.
+//!
 //! **Memory.** `8·n·d` bytes of features (as the row-major copy before
 //! it), `8·n` of targets, `4·n` of ids, 16 bytes per node at roughly one
 //! node per six rows plus its cached `Σu` (8 bytes, ≈ 1.3 a row), and the
@@ -433,6 +440,26 @@ impl KdTree {
         (mask >> (start % QUAD)) & (u64::MAX >> (MASK_ROWS - (end - start)))
     }
 
+    /// The build leaf whose cell holds `center`, as its node index —
+    /// depth-first, so leaves number left to right. One root-to-leaf
+    /// descent under `total_cmp`, the comparison the build splits by, so
+    /// every centre has one, NaN and ±∞ coordinates included; a centre on
+    /// a split plane goes left. `0` in an empty tree.
+    fn leaf_of(&self, center: &[f64]) -> usize {
+        let mut node = 0;
+        for axis in (0..center.len()).cycle() {
+            // A leaf holds rows; an empty tree has no node at all.
+            match self.nodes.get(node) {
+                Some(n) if n.rows == 0 => {
+                    let left = center[axis].total_cmp(&n.split).is_le();
+                    node = if left { node + 1 } else { n.link as usize };
+                }
+                _ => break,
+            }
+        }
+        node
+    }
+
     /// The one traversal: `on_hits` for every subtree the ball reaches
     /// that holds a row of it or had to be tested, in visiting order; the
     /// values it returns joined as the build halved the rows.
@@ -499,6 +526,30 @@ impl SpatialIndex for KdTree {
                 (n, sum)
             }
         })
+    }
+
+    fn sum_targets_batch(
+        &self,
+        centres: &[f64],
+        radii: &[f64],
+        mut answer: impl FnMut(usize, (usize, f64)),
+    ) {
+        let d = self.data.dim();
+        assert_eq!(centres.len(), radii.len() * d, "batch dimension mismatch");
+        let balls = u32::try_from(radii.len()).expect("a batch holds at most u32::MAX balls");
+        // Ball `i` under the key `leaf << 32 | i` (fewer nodes than rows,
+        // so a leaf fits 32 bits): sorted, leaves run left to right and
+        // the balls of one leaf in input order.
+        let mut order: Vec<u64> = centres
+            .chunks_exact(d)
+            .zip(0..balls)
+            .map(|(center, i)| (self.leaf_of(center) as u64) << 32 | u64::from(i))
+            .collect();
+        order.sort_unstable();
+        for key in order {
+            let i = (key & u64::from(u32::MAX)) as usize;
+            answer(i, self.sum_targets(&centres[i * d..][..d], radii[i]));
+        }
     }
 
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
@@ -802,6 +853,38 @@ mod tests {
             let tight = tree.sum_targets(&row, radius);
             assert_eq!((tight.0, tight.1.to_bits()), (n, tree.sums[0].to_bits()));
         }
+    }
+
+    #[test]
+    fn a_batch_answers_each_ball_once_in_build_leaf_order() {
+        let tree = KdTree::build(random_dataset(2_000, 3, 11));
+        let mut rng = seeded(12);
+        let mut centres: Vec<f64> = (0..300 * 3).map(|_| rng.random_range(-1.2..1.2)).collect();
+        // Hostile centres get a leaf too, and a duplicate ball its own slot.
+        centres.extend([
+            f64::NAN,
+            0.0,
+            f64::INFINITY,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -0.0,
+        ]);
+        centres.extend_from_within(..3);
+        let radii: Vec<f64> = (0..centres.len() / 3)
+            .map(|i| 0.1 * (i % 7) as f64)
+            .collect();
+        let mut seen = Vec::new();
+        tree.sum_targets_batch(&centres, &radii, |i, (n, sum)| {
+            let want = tree.sum_targets(&centres[3 * i..][..3], radii[i]);
+            assert_eq!((n, sum.to_bits()), (want.0, want.1.to_bits()), "ball {i}");
+            seen.push((tree.leaf_of(&centres[3 * i..][..3]), i));
+        });
+        assert!(seen.iter().all(|&(leaf, _)| tree.nodes[leaf].rows > 0));
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "leaf, then input order"
+        );
+        assert_eq!(seen.len(), radii.len());
     }
 
     #[test]

@@ -134,6 +134,20 @@ impl Relation {
         with_index!(&self.index, index => index.sum_targets(center, radius))
     }
 
+    /// [`Relation::sum_targets`] for a batch of balls, centres one after
+    /// another in `centres`: `answer(i, state of ball i)` once per ball,
+    /// each state bit-identical to a call of its own, in the access
+    /// path's order ([`SpatialIndex::sum_targets_batch`]) — input order
+    /// over the scan, build-leaf order over the kd-tree.
+    pub fn sum_targets_batch(
+        &self,
+        centres: &[f64],
+        radii: &[f64],
+        answer: impl FnMut(usize, (usize, f64)),
+    ) {
+        with_index!(&self.index, index => index.sum_targets_batch(centres, radii, answer))
+    }
+
     /// Run `f` over the selected row ids using an internal scratch buffer
     /// (no per-query allocation once warmed up). Under concurrent use the
     /// scratch is claimed with `try_lock`; a contending caller — or any

@@ -10,6 +10,7 @@
 //! the list (the paper's "average FVU `s̄ = (1/|S|) Σ s_ℓ`").
 
 use crate::querygen::QueryGenerator;
+use crate::stream::ExactChunk;
 use crate::timer::LatencyStats;
 use rand::Rng;
 use regq_core::metrics::RmseAccumulator;
@@ -29,7 +30,9 @@ pub struct Q1Eval {
     pub n: usize,
 }
 
-/// Evaluate A1 on `m` unseen queries.
+/// Evaluate A1 on `m` unseen queries. The exact answers run as the
+/// training stream's do ([`crate::train_from_engine`]), one ordered
+/// batch per chunk, and are scored in draw order.
 pub fn evaluate_q1<R: Rng + ?Sized>(
     model: &LlmModel,
     engine: &ExactEngine,
@@ -40,15 +43,18 @@ pub fn evaluate_q1<R: Rng + ?Sized>(
     let mut acc = RmseAccumulator::new();
     let mut abs_sum = 0.0;
     let mut issued = 0usize;
+    let mut chunk = ExactChunk::default();
     while issued < m {
-        let q = gen.generate(rng);
-        issued += 1;
-        let Some(actual) = engine.q1(&q.center, q.radius) else {
-            continue;
-        };
-        let predicted = model.predict_q1(&q).expect("trained model");
-        acc.push(actual, predicted);
-        abs_sum += (actual - predicted).abs();
+        chunk.next(engine, gen, m - issued, rng);
+        for (q, actual) in chunk.pairs() {
+            issued += 1;
+            let Some(actual) = actual else {
+                continue;
+            };
+            let predicted = model.predict_q1(q).expect("trained model");
+            acc.push(actual, predicted);
+            abs_sum += (actual - predicted).abs();
+        }
     }
     let n = acc.count() as usize;
     Q1Eval {

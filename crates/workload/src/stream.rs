@@ -26,7 +26,10 @@ pub struct StreamReport {
     pub prototypes: usize,
     /// Per-consumed-step `Γ` trace (Fig. 6).
     pub gamma_trace: Vec<f64>,
-    /// Wall-clock spent executing queries on the engine.
+    /// Wall-clock spent executing queries on the engine. Queries run a
+    /// chunk at a time, so when training converges inside a chunk this
+    /// includes the at most 2,047 executions past the converging query,
+    /// which `issued` does not count.
     pub query_exec_time: Duration,
     /// Wall-clock spent in model updates.
     pub model_update_time: Duration,
@@ -46,12 +49,72 @@ impl StreamReport {
     }
 }
 
+/// Queries per chunk of a stream: the most the exact engine executes as
+/// one ordered batch. Balls whose centres share a build leaf meet within
+/// a chunk this large, and the benchmark fixture's 2,000-query training
+/// calls stay whole.
+const CHUNK: usize = 2048;
+
+/// One chunk of a drawn query stream with its exact Q1 answers: drawn in
+/// stream order, executed as one ordered batch
+/// ([`ExactEngine::q1_batch`]), read back in draw order. An exact answer
+/// is a pure function of (table, ball), so the pairs are the ones a
+/// one-at-a-time loop would see. The buffers are reused chunk to chunk.
+#[derive(Debug, Default)]
+pub(crate) struct ExactChunk {
+    queries: Vec<Query>,
+    centres: Vec<f64>,
+    radii: Vec<f64>,
+    answers: Vec<Option<f64>>,
+}
+
+impl ExactChunk {
+    /// Draw the next `min(left, CHUNK)` queries of `gen`'s stream and
+    /// execute them; returns the wall-clock the execution took.
+    pub(crate) fn next<R: Rng + ?Sized>(
+        &mut self,
+        engine: &ExactEngine,
+        gen: &QueryGenerator,
+        left: usize,
+        rng: &mut R,
+    ) -> Duration {
+        self.queries.clear();
+        self.centres.clear();
+        self.radii.clear();
+        for _ in 0..left.min(CHUNK) {
+            let q = gen.generate(rng);
+            self.centres.extend_from_slice(&q.center);
+            self.radii.push(q.radius);
+            self.queries.push(q);
+        }
+        self.answers.clear();
+        self.answers.resize(self.queries.len(), None);
+        let t0 = Instant::now();
+        engine.q1_batch(&self.centres, &self.radii, &mut self.answers);
+        t0.elapsed()
+    }
+
+    /// The chunk's `(query, exact Q1)` pairs, in draw order.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (&Query, Option<f64>)> {
+        self.queries.iter().zip(self.answers.iter().copied())
+    }
+}
+
 /// Drive the Fig. 2 loop: draw queries, execute Q1 exactly, feed the model,
 /// stop at convergence or after `max_queries` issued queries.
 ///
+/// The stream is drawn a chunk of at most 2,048 queries at a time, each
+/// chunk's exact answers run as one ordered batch
+/// ([`ExactEngine::q1_batch`]) and the pairs are fed in draw order. The
+/// caller gets the report (timings aside), the model and the RNG state
+/// that drawing, executing and feeding one query at a time would leave:
+/// when training stops inside a chunk — convergence, or a `train_step`
+/// error — `rng` is rewound to the chunk's start and the queries up to
+/// the stopping one are drawn again. That rewind is why `R: Clone`.
+///
 /// # Errors
 /// Propagates model-side [`CoreError`]s (dimension mismatch etc.).
-pub fn train_from_engine<R: Rng + ?Sized>(
+pub fn train_from_engine<R: Rng + Clone>(
     model: &mut LlmModel,
     engine: &ExactEngine,
     gen: &QueryGenerator,
@@ -68,28 +131,37 @@ pub fn train_from_engine<R: Rng + ?Sized>(
         query_exec_time: Duration::ZERO,
         model_update_time: Duration::ZERO,
     };
-    while report.issued < max_queries {
-        let q: Query = gen.generate(rng);
-        report.issued += 1;
+    let mut chunk = ExactChunk::default();
+    'stream: while report.issued < max_queries {
+        let start = rng.clone();
+        report.query_exec_time += chunk.next(engine, gen, max_queries - report.issued, rng);
+        for (j, (q, answer)) in chunk.pairs().enumerate() {
+            report.issued += 1;
+            let Some(y) = answer else {
+                report.skipped_empty += 1;
+                continue;
+            };
 
-        let t0 = Instant::now();
-        let answer = engine.q1(&q.center, q.radius);
-        report.query_exec_time += t0.elapsed();
+            let t1 = Instant::now();
+            let step = model.train_step(q, y);
+            report.model_update_time += t1.elapsed();
 
-        let Some(y) = answer else {
-            report.skipped_empty += 1;
-            continue;
-        };
-
-        let t1 = Instant::now();
-        let out = model.train_step(&q, y)?;
-        report.model_update_time += t1.elapsed();
-
-        report.consumed += 1;
-        report.gamma_trace.push(out.gamma_j.max(out.gamma_h));
-        if out.converged {
-            report.converged = true;
-            break;
+            let converged = step.map(|out| {
+                report.consumed += 1;
+                report.gamma_trace.push(out.gamma_j.max(out.gamma_h));
+                out.converged
+            });
+            if let Ok(false) = converged {
+                continue;
+            }
+            // Training stops at the chunk's query `j`, the `j + 1`-th
+            // draw past `start`; the rest of the chunk was never issued.
+            *rng = start;
+            for _ in 0..=j {
+                gen.generate(rng);
+            }
+            converged?;
+            break 'stream;
         }
     }
     report.prototypes = model.k();
@@ -155,7 +227,9 @@ mod tests {
         let mut model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
         let report = train_from_engine(&mut model, &engine, &gen, 300, &mut rng).unwrap();
         assert!(report.skipped_empty > 0);
-        assert_eq!(report.issued, 300.min(report.issued));
+        // Every query of the budget is issued unless training converged.
+        assert!(report.issued <= 300);
+        assert!(report.converged || report.issued == 300, "{report:?}");
         assert_eq!(report.consumed + report.skipped_empty, report.issued);
     }
 
@@ -166,8 +240,18 @@ mod tests {
         cfg.gamma = 1e-15; // unreachable: loop must stop at the cap
         let mut model = LlmModel::new(cfg).unwrap();
         let mut rng = seeded(4);
-        let report = train_from_engine(&mut model, &engine, &gen, 500, &mut rng).unwrap();
-        assert_eq!(report.issued, 500);
+        // Two whole chunks and a part of a third.
+        let budget = 2 * CHUNK + 500;
+        let report = train_from_engine(&mut model, &engine, &gen, budget, &mut rng).unwrap();
+        assert_eq!(report.issued, budget);
+        assert_eq!(report.consumed + report.skipped_empty, budget);
         assert!(!report.converged);
+    }
+
+    #[test]
+    fn chunk_is_the_size_the_stream_equivalence_battery_targets() {
+        // `tests/stream_equivalence.rs` places convergence, errors and
+        // budgets at chunk boundaries of this size.
+        assert_eq!(CHUNK, 2048);
     }
 }
