@@ -18,12 +18,11 @@
 //! ```
 //!
 //! so a scan over the `K` prototypes streams linearly through memory.
-//! Two **scalar passes** over these blocks are the oracle of the crate:
-//! [`PrototypeArena::winner`] — four rows per iteration through
-//! [`regq_linalg::vector::sq_dists4`], pinned to its one-row-at-a-time
-//! definition by `winner_is_its_definition` below — and
-//! [`PrototypeArena::overlap_set_into`], the paper's Eq. 9 evaluated row
-//! by row. `LlmModel`'s predictors and the snapshot's unpruned ones fuse
+//! Two **scalar passes** over these blocks are the oracle of the crate,
+//! each its own definition evaluated row by row:
+//! [`PrototypeArena::winner`], the closest prototype under the joint
+//! distance (Definition 5), and [`PrototypeArena::overlap_set_into`], the
+//! paper's Eq. 9. `LlmModel`'s predictors and the snapshot's unpruned ones fuse
 //! over them (`predict::fuse_oracle`). Production searches go through
 //! the [`BlockLayout`] below instead, and are pinned bit-identical to
 //! the scalar passes: the served path resolves through a capture-time
@@ -226,12 +225,6 @@ impl PrototypeArena {
         &self.radii
     }
 
-    /// The update-count block.
-    #[inline]
-    pub fn update_counts(&self) -> &[u64] {
-        &self.updates
-    }
-
     /// Center of prototype `k`.
     #[inline]
     pub fn center(&self, k: usize) -> &[f64] {
@@ -374,44 +367,28 @@ impl PrototypeArena {
     /// distance (Definition 5) of the prototype closest to
     /// `(center, radius)`; `None` on an empty arena.
     ///
-    /// Single pass over the packed center block, four prototypes per
-    /// iteration ([`vector::sq_dists4`]) — the oracle the trainer's
-    /// search (`BlockLayout::winner`) and the served resolver are held
-    /// to. By definition it is the per-row scan of
-    /// [`Query::sq_dist_parts`] under strict `<`: ties keep the lowest
-    /// index. With non-finite parameters (impossible through validated
-    /// training) the winner choice is unspecified.
+    /// The definition, row by row: `‖x − x_k‖² + (θ − θ_k)²` per
+    /// prototype ([`Query::sq_dist_parts`]'s sequence), from the seed
+    /// `(0, ∞)` under strict `<`, so ties keep the lowest index — the
+    /// oracle the trainer's search (`BlockLayout::winner`) and the served
+    /// resolver are held to, seeded alike. With non-finite parameters
+    /// (impossible through validated training) the winner choice is
+    /// unspecified.
     pub fn winner(&self, center: &[f64], radius: f64) -> Option<(usize, f64)> {
         if self.len == 0 {
             return None;
         }
         debug_assert_eq!(center.len(), self.dim);
-        let d = self.dim;
-        let (mut best_k, mut best) = (0usize, f64::INFINITY);
-        let mut k = 0usize;
-        let mut quads = self.centers.chunks_exact(4 * d);
-        for quad in quads.by_ref() {
-            let sq = vector::sq_dists4(center, quad, d);
-            for (j, &csq) in sq.iter().enumerate() {
-                let dr = radius - self.radii[k + j];
-                let joint = csq + dr * dr;
-                if joint < best {
-                    best = joint;
-                    best_k = k + j;
-                }
-            }
-            k += 4;
-        }
-        for row in quads.remainder().chunks_exact(d) {
-            let dr = radius - self.radii[k];
+        let mut best = (0usize, f64::INFINITY);
+        let rows = self.centers.chunks_exact(self.dim).zip(&self.radii);
+        for (k, (row, &rk)) in rows.enumerate() {
+            let dr = radius - rk;
             let joint = vector::sq_dist(center, row) + dr * dr;
-            if joint < best {
-                best = joint;
-                best_k = k;
+            if joint < best.1 {
+                best = (k, joint);
             }
-            k += 1;
         }
-        Some((best_k, best))
+        Some(best)
     }
 
     /// The overlap neighborhood `W(q)` (Eq. 10): `(k, δ(q, w_k))` for every
@@ -453,26 +430,6 @@ pub struct ScreenCounters {
     pub skipped: u64,
     /// Visits exact-verified by the bit-exact AoSoA kernel.
     pub verified: u64,
-}
-
-impl ScreenCounters {
-    /// Accumulate another counter set into this one.
-    pub fn merge(&mut self, other: &ScreenCounters) {
-        self.blocks += other.blocks;
-        self.screened += other.screened;
-        self.skipped += other.skipped;
-        self.verified += other.verified;
-    }
-
-    /// Fraction of block visits pruned away (`0.0` when nothing was
-    /// visited).
-    pub fn skip_rate(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.skipped as f64 / self.blocks as f64
-        }
-    }
 }
 
 /// Winner slot meaning "this block holds no candidate": the seed index
@@ -1114,83 +1071,22 @@ mod tests {
         assert!((line_val - arena.eval_at_own_radius(0, &x)).abs() < 1e-12);
     }
 
-    /// The winner by definition: one [`Query::sq_dist_parts`] per row,
-    /// strict `<`, first wins.
-    fn winner_by_definition(arena: &PrototypeArena, q: &Query) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for k in 0..arena.len() {
-            let joint = q.sq_dist_parts(arena.center(k), arena.radius(k));
-            if best.is_none_or(|(_, b)| joint < b) {
-                best = Some((k, joint));
-            }
-        }
-        best
-    }
-
-    /// The one optimised pass the oracle keeps (what the trainer's and
-    /// the served searches are held to), against its definition — index
-    /// and distance bits —
-    /// on random and trained arenas: every `K mod 4` (the remainder rows
-    /// behind the last whole quad), `d` on both sides of `sq_dists4`'s
-    /// const-generic cut, and exact ties at every position of a quad and
-    /// in the remainder, where the lowest index must win.
+    /// The tie rule: with row `first` repeated at `twin`, a probe on that
+    /// row is at distance 0 from both, and the lower index wins — twins
+    /// inside one quad of four rows and in different quads alike.
     #[test]
-    fn winner_is_its_definition() {
-        fn check(arena: &PrototypeArena, rng: &mut StdRng, what: &str) {
-            let d = arena.dim();
-            for probe in 0..40 {
-                let c: Vec<f64> = if probe % 4 == 0 {
-                    // On a prototype: a zero distance, and a tie when the
-                    // arena holds the row twice.
-                    arena.center(rng.random_range(0..arena.len())).to_vec()
-                } else {
-                    (0..d).map(|_| rng.random_range(-1.5..1.5)).collect()
-                };
-                let q = Query::new_unchecked(c, rng.random_range(0.01..1.0));
-                let (gk, gsq) = arena.winner(&q.center, q.radius).unwrap();
-                let (wk, wsq) = winner_by_definition(arena, &q).unwrap();
-                assert_eq!(
-                    (gk, gsq.to_bits()),
-                    (wk, wsq.to_bits()),
-                    "{what} probe {probe}"
-                );
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(23);
-        for d in 1..=9usize {
-            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 61, 62, 63, 64] {
-                let protos = random_protos(k, d, (100 * d + k) as u64);
-                let arena = PrototypeArena::from_prototypes(d, &protos);
-                check(&arena, &mut rng, &format!("d={d} K={k}"));
-                // The same rows with row `first` repeated at `twin`:
-                // probed on that row both tie at distance 0, and the
-                // lower index must win — in one quad, across two, in
-                // the remainder.
-                for twin in 1..k.min(8) {
-                    for first in 0..twin {
-                        let mut tied = protos.clone();
-                        tied[twin] = tied[first].clone();
-                        let arena = PrototypeArena::from_prototypes(d, &tied);
-                        let p = &tied[first];
-                        let q = Query::new_unchecked(p.center.clone(), p.radius);
-                        assert_eq!(arena.winner(&q.center, q.radius), Some((first, 0.0)));
-                        assert_eq!(winner_by_definition(&arena, &q), Some((first, 0.0)));
-                    }
-                }
-            }
-        }
-        for (d, steps) in [(1usize, 2_000usize), (2, 3_000), (3, 4_000)] {
-            let mut cfg = crate::ModelConfig::with_vigilance(d, 0.03);
-            cfg.gamma = 1e-9;
-            let mut m = crate::LlmModel::new(cfg).unwrap();
-            for _ in 0..steps {
-                let c: Vec<f64> = (0..d).map(|_| rng.random_range(0.0..1.0)).collect();
-                let y = c.iter().sum::<f64>();
-                m.train_step(&Query::new_unchecked(c, rng.random_range(0.05..0.2)), y)
-                    .unwrap();
-            }
-            assert!(m.k() > 8, "d={d}: K={}", m.k());
-            check(m.arena(), &mut rng, &format!("trained d={d} K={}", m.k()));
+    fn winner_ties_keep_the_lowest_index() {
+        let protos = random_protos(10, 3, 17);
+        for (first, twin) in [(0usize, 1usize), (1, 3), (2, 5), (3, 4), (0, 9), (6, 8)] {
+            let mut tied = protos.clone();
+            tied[twin] = tied[first].clone();
+            let arena = PrototypeArena::from_prototypes(3, &tied);
+            let p = &tied[first];
+            assert_eq!(
+                arena.winner(&p.center, p.radius),
+                Some((first, 0.0)),
+                "first={first} twin={twin}"
+            );
         }
     }
 
@@ -1575,10 +1471,10 @@ mod tests {
         let counters =
             assert_matches_scalar_passes(&arena, &layout, &queries, &mut BatchResolution::new());
         // Each query must at least prune the far cluster (half the blocks).
+        let skip_rate = counters.skipped as f64 / counters.blocks as f64;
         assert!(
-            counters.skip_rate() >= 0.5,
-            "expected >= 50% skip rate on clustered data, got {:.3} ({counters:?})",
-            counters.skip_rate()
+            skip_rate >= 0.5,
+            "expected >= 50% skip rate on clustered data, got {skip_rate:.3} ({counters:?})"
         );
     }
 
@@ -1796,28 +1692,5 @@ mod tests {
             assert_eq!(&copy.aosoa[..], &layout.aosoa[..]);
             assert_eq!(&copy.radii_pad[..], &layout.radii_pad[..]);
         }
-    }
-
-    #[test]
-    fn screening_counters_merge_and_rate() {
-        let mut a = ScreenCounters {
-            blocks: 10,
-            screened: 4,
-            skipped: 6,
-            verified: 4,
-        };
-        let b = ScreenCounters {
-            blocks: 2,
-            screened: 2,
-            skipped: 0,
-            verified: 2,
-        };
-        a.merge(&b);
-        assert_eq!(a.blocks, 12);
-        assert_eq!(a.skipped, 6);
-        assert_eq!(a.verified, 6);
-        assert_eq!(a.screened, 6);
-        assert!((a.skip_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(ScreenCounters::default().skip_rate(), 0.0);
     }
 }

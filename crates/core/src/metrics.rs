@@ -42,18 +42,11 @@ impl RmseAccumulator {
             Some((self.sum_sq / self.n as f64).sqrt())
         }
     }
-
-    /// Merge another accumulator (parallel evaluation sweeps).
-    pub fn merge(&mut self, other: &RmseAccumulator) {
-        self.n += other.n;
-        self.sum_sq += other.sum_sq;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regq_linalg::stats::rmse;
 
     #[test]
     fn accumulator_matches_batch_rmse() {
@@ -63,31 +56,18 @@ mod tests {
         for (a, p) in actual.iter().zip(pred.iter()) {
             acc.push(*a, *p);
         }
-        assert!((acc.rmse().unwrap() - rmse(&actual, &pred)).abs() < 1e-15);
+        let ss: f64 = actual
+            .iter()
+            .zip(&pred)
+            .map(|(a, p)| (a - p) * (a - p))
+            .sum();
+        let batch = (ss / actual.len() as f64).sqrt();
+        assert!((acc.rmse().unwrap() - batch).abs() < 1e-15);
         assert_eq!(acc.count(), 4);
     }
 
     #[test]
     fn empty_accumulator_returns_none() {
         assert!(RmseAccumulator::new().rmse().is_none());
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let mut a = RmseAccumulator::new();
-        let mut b = RmseAccumulator::new();
-        let mut all = RmseAccumulator::new();
-        for i in 0..10 {
-            let (act, pred) = (i as f64, i as f64 * 1.1);
-            if i < 5 {
-                a.push(act, pred);
-            } else {
-                b.push(act, pred);
-            }
-            all.push(act, pred);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.rmse().unwrap() - all.rmse().unwrap()).abs() < 1e-15);
     }
 }

@@ -197,10 +197,9 @@ impl LlmModel {
     }
 
     /// Winner search: index and squared joint distance of the closest
-    /// prototype. `None` for an empty model. Runs the definition — the
-    /// batched single-pass scan over the arena ([`PrototypeArena::winner`],
-    /// pinned to its per-row definition there), which the trainer's
-    /// layout search reproduces bit for bit.
+    /// prototype. `None` for an empty model. Runs the definition — one
+    /// joint distance per row of the arena ([`PrototypeArena::winner`]),
+    /// which the trainer's layout search reproduces bit for bit.
     pub fn winner(&self, q: &Query) -> Option<(usize, f64)> {
         self.arena.winner(&q.center, q.radius)
     }

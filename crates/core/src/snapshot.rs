@@ -23,10 +23,10 @@
 //! members of all parts in global arena order (the only place anything
 //! is ordered, and no comparison sort); one shared fusion fold; a Q1 or a
 //! Q2 head — where scalar is a batch of one and an unsharded snapshot is
-//! one part. The bit-identity chain is therefore two links: the oracle ←
-//! the one resolver (`serving_equivalence`), with the oracle's one
-//! optimised pass, [`PrototypeArena::winner`], pinned to its definition
-//! in `arena.rs`.
+//! one part. The bit-identity chain is therefore the oracle ← the one
+//! resolver (`serving_equivalence`). The oracle keeps no optimised pass
+//! — [`PrototypeArena::winner`] is its definition, row by row — so that
+//! battery holds the served search to the definition directly.
 //!
 //! Cost model: taking a snapshot clones the arena (`O(dK)` — the publish
 //! cost, paid by the trainer at publication cadence); cloning a
@@ -136,12 +136,6 @@ impl ServingSnapshot {
     /// Whether the source model had converged (frozen) at capture time.
     pub fn is_frozen(&self) -> bool {
         self.inner.frozen
-    }
-
-    /// `true` when two snapshots share the same underlying capture (an
-    /// `Arc` identity check — cheap, no parameter comparison).
-    pub fn same_capture(&self, other: &ServingSnapshot) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     fn check_query(&self, q: &Query) -> Result<(), CoreError> {
@@ -777,15 +771,6 @@ mod tests {
             .collect();
         assert_eq!(before, after, "snapshot must be immutable");
         assert!(m.steps() > s.version());
-    }
-
-    #[test]
-    fn clone_shares_the_capture() {
-        let m = trained(4, 500);
-        let a = m.snapshot();
-        let b = a.clone();
-        assert!(a.same_capture(&b));
-        assert!(!a.same_capture(&m.snapshot()));
     }
 
     #[test]

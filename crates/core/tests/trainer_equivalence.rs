@@ -2,9 +2,8 @@
 //!
 //! [`Reference`] below is the oracle of the training side: one
 //! straight-line step, exactly as the paper's Algorithm 1 and Theorem 4
-//! read. The winner comes from [`PrototypeArena::winner`] — the scan that
-//! *defines* it (held to its one-row-at-a-time definition by
-//! `arena::tests::winner_is_its_definition`); a vigilance violation spawns
+//! read. The winner comes from [`PrototypeArena::winner`] — its
+//! definition, one joint distance per row; a vigilance violation spawns
 //! a prototype at the query; otherwise the winner's centre, radius,
 //! intercept and slopes move against the pre-update residual `q − w_j`,
 //! held in a vector; the step's `Γ_J`, `Γ_H` feed the convergence window.
@@ -101,7 +100,12 @@ impl Reference {
                 self.global_step,
                 self.config.coeff_rate_power,
             );
-            let dq = vector::sub(&q.center, self.arena.center(j));
+            let dq: Vec<f64> = q
+                .center
+                .iter()
+                .zip(self.arena.center(j))
+                .map(|(x, c)| x - c)
+                .collect();
             let dtheta = q.radius - self.arena.radius(j);
             let dq_sq = vector::dot(&dq, &dq) + dtheta * dtheta;
             let err = y

@@ -113,22 +113,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Inverse of the factored matrix (solves against each unit vector).
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for c in 0..n {
-            e[c] = 1.0;
-            let col = self.solve(&e)?;
-            for r in 0..n {
-                inv[(r, c)] = col[r];
-            }
-            e[c] = 0.0;
-        }
-        Ok(inv)
-    }
 }
 
 #[cfg(test)]
@@ -204,14 +188,6 @@ mod tests {
         // Rank-1 Gram matrix.
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
         assert!(Cholesky::factor(&x.gram()).is_err());
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::factor(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-10);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! can ride along a single scan of the data — the shape of MADlib-style
 //! shared aggregation, where the aggregate state travels through the
 //! access path instead of materializing a design matrix per query. The
-//! state is `O(d²)` regardless of row count, merges across partial scans
-//! (parallel reduction), and solves via [`crate::solve::solve_normal_equations`].
+//! state is `O(d²)` regardless of row count and solves via
+//! [`crate::solve::solve_normal_equations`].
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -84,26 +84,8 @@ impl GramAccumulator {
         &self.xty
     }
 
-    /// Fold one explicit design row.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `row.len() != cols`.
-    #[inline]
-    pub fn push_row(&mut self, row: &[f64], y: f64) {
-        debug_assert_eq!(row.len(), self.cols, "push_row: width mismatch");
-        let mut idx = 0;
-        for (r, &xr) in row.iter().enumerate() {
-            for &xc in &row[..=r] {
-                self.xtx[idx] += xr * xc;
-                idx += 1;
-            }
-            self.xty[r] += xr * y;
-        }
-        self.account_output(y);
-    }
-
-    /// Fold the affine row `[1, x…]` without materializing it — the OLS
-    /// hot path (intercept column implicit).
+    /// Fold the affine design row `[1, x…]` without materializing it —
+    /// the OLS hot path (intercept column implicit).
     ///
     /// # Panics
     /// Panics in debug builds if `x.len() + 1 != cols`.
@@ -124,32 +106,9 @@ impl GramAccumulator {
             }
             self.xty[r + 1] += xr * y;
         }
-        self.account_output(y);
-    }
-
-    #[inline]
-    fn account_output(&mut self, y: f64) {
         self.sum_y += y;
         self.yty += y * y;
         self.n += 1;
-    }
-
-    /// Merge another accumulator over the same design width (parallel
-    /// partial-scan reduction).
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn merge(&mut self, other: &GramAccumulator) {
-        assert_eq!(self.cols, other.cols, "merge: width mismatch");
-        for (a, b) in self.xtx.iter_mut().zip(other.xtx.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.xty.iter_mut().zip(other.xty.iter()) {
-            *a += b;
-        }
-        self.sum_y += other.sum_y;
-        self.yty += other.yty;
-        self.n += other.n;
     }
 
     /// Expand the packed triangle into a full symmetric [`Matrix`].
@@ -251,46 +210,6 @@ mod tests {
         for (a, b) in via_gram.coeffs.iter().zip(via_design.coeffs.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn push_row_and_push_affine_agree() {
-        let rows = rows_2d();
-        let mut affine = GramAccumulator::new(3);
-        let mut explicit = GramAccumulator::new(3);
-        for (x, u) in &rows {
-            affine.push_affine(x, *u);
-            explicit.push_row(&[1.0, x[0], x[1]], *u);
-        }
-        assert_eq!(affine, explicit);
-    }
-
-    #[test]
-    fn merge_equals_sequential_accumulation() {
-        let rows = rows_2d();
-        let mut all = GramAccumulator::new(3);
-        let mut left = GramAccumulator::new(3);
-        let mut right = GramAccumulator::new(3);
-        for (i, (x, u)) in rows.iter().enumerate() {
-            all.push_affine(x, *u);
-            if i < 13 {
-                left.push_affine(x, *u);
-            } else {
-                right.push_affine(x, *u);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        for (a, b) in left.xty().iter().zip(all.xty().iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        let ga = left.gram_matrix();
-        let gb = all.gram_matrix();
-        assert!(ga
-            .as_slice()
-            .iter()
-            .zip(gb.as_slice())
-            .all(|(a, b)| (a - b).abs() < 1e-9));
     }
 
     #[test]

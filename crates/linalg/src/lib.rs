@@ -8,7 +8,7 @@
 //!   of the paper at `p = 2`),
 //! * ordinary least squares via the normal equations (the exact `REG`
 //!   baseline and the MARS/PLR forward pass), and
-//! * online first/second-moment accumulation (training diagnostics).
+//! * online first/second-moment accumulation (the exact `VAR` aggregate).
 //!
 //! Everything here is hand-rolled on `f64` slices: the matrices involved are
 //! small (`(d+1) × (d+1)` for OLS with `d ≤ ~10`, a few dozen columns for
@@ -25,12 +25,12 @@
 //! * [`tune`] — the serving-path tile-shape constants and their
 //!   divisibility invariants.
 //! * [`matrix`] — row-major dense [`Matrix`].
-//! * [`cholesky`] — SPD factorization, solves, inverse.
+//! * [`cholesky`] — SPD factorization and solves.
 //! * [`qr`] — Householder QR and least-squares solves for `m ≥ n`.
 //! * [`solve`] — high-level least-squares front door with ridge fallback,
 //!   plus the normal-equation entry point for pushed-down aggregates.
 //! * [`gram`] — streaming `XᵀX`/`Xᵀy` accumulation (aggregation pushdown).
-//! * [`stats`] — Welford accumulators and batch summary statistics.
+//! * [`stats`] — the Welford accumulator and a sorted-sample quantile.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -52,4 +52,4 @@ pub use gram::GramAccumulator;
 pub use matrix::Matrix;
 pub use qr::QrFactorization;
 pub use solve::{lstsq, solve_normal_equations, LstsqSolution};
-pub use stats::{OnlineStats, Summary};
+pub use stats::OnlineStats;

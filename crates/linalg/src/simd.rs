@@ -1,13 +1,12 @@
 //! Runtime-dispatched SIMD distance kernels over the **AoSoA**
 //! (quad-interleaved) center layout.
 //!
-//! The plain struct-of-arrays kernels ([`crate::vector::sq_dists4`]) keep
-//! four per-row accumulators in lockstep and rely on the compiler to map
-//! them onto vector registers. That mapping needs a transpose of each
-//! 4-row tile on every load, which the autovectorizer only performs
-//! profitably when AVX2 is assumed at compile time — the old
-//! `target-cpu=x86-64-v3` build flag. This module removes that
-//! assumption:
+//! A row-major kernel that keeps four per-row accumulators in lockstep
+//! relies on the compiler to map them onto vector registers. That mapping
+//! needs a transpose of each 4-row tile on every load, which the
+//! autovectorizer only performs profitably when AVX2 is assumed at
+//! compile time — the old `target-cpu=x86-64-v3` build flag. This module
+//! removes that assumption:
 //!
 //! * **AoSoA layout.** A quad of four rows is stored coordinate-major —
 //!   `quad[4·c + j]` is coordinate `c` of row `j` — so the four lanes of
@@ -131,9 +130,9 @@ pub fn aosoa_row_into(quads: &[f64], r: usize, out: &mut [f64]) {
 /// Squared Euclidean distances of `q` against the four rows of one AoSoA
 /// quad (`quad.len() == 4 * q.len()`, layout per [`pack_quads_aosoa`]).
 ///
-/// Bit-identical to [`crate::vector::sq_dists4`] on the same four rows in
-/// row-major layout (see the module docs for the contract); dispatches to
-/// AVX2 at runtime when available.
+/// Bit-identical to [`crate::vector::sq_dist`] on each of the four rows
+/// (see the module docs for the contract); dispatches to AVX2 at runtime
+/// when available.
 #[inline]
 pub fn sq_dists4_aosoa(q: &[f64], quad: &[f64]) -> [f64; 4] {
     debug_assert_eq!(
@@ -480,8 +479,7 @@ unsafe fn winner_mask_block_aosoa_avx2<const D: usize>(
     let mut mask = 0u64;
     // With `D` known the query is a `D`-long slice from here on: the
     // coordinate loop unrolls into straight-line code with its `D`
-    // broadcasts hoisted out of the quad loop (the way
-    // `vector::sq_dists4` specialises `d ≤ 8`), and the quad stride is a
+    // broadcasts hoisted out of the quad loop, and the quad stride is a
     // constant — the chunk count a shift, not a division per block.
     let q = if D == 0 { q } else { &q[..D] };
     let rows = quads
@@ -977,25 +975,20 @@ mod tests {
     }
 
     #[test]
-    fn aosoa_distances_are_bit_identical_to_row_major_kernels() {
+    fn aosoa_distances_are_bit_identical_to_the_per_row_kernel() {
         for dim in [1usize, 2, 3, 4, 5, 7, 8, 11, 24] {
             let rows = random_rows(4, dim, 10 + dim as u64);
             let q = random_rows(1, dim, 90 + dim as u64);
             let mut aosoa = Vec::new();
             pack_quads_aosoa(&rows, dim, &mut aosoa);
-            let want = vector::sq_dists4(&q, &rows, dim);
             let got = sq_dists4_aosoa(&q, &aosoa);
             for j in 0..4 {
+                let want = vector::sq_dist(&q, &rows[j * dim..(j + 1) * dim]);
                 assert_eq!(
                     got[j].to_bits(),
-                    want[j].to_bits(),
-                    "dim {dim} lane {j}: {} vs {}",
-                    got[j],
-                    want[j]
-                );
-                assert_eq!(
-                    got[j].to_bits(),
-                    vector::sq_dist(&q, &rows[j * dim..(j + 1) * dim]).to_bits()
+                    want.to_bits(),
+                    "dim {dim} lane {j}: {} vs {want}",
+                    got[j]
                 );
             }
         }

@@ -1,6 +1,6 @@
 //! Serving-path tile-shape tuning constants — the single home of the
 //! numbers that used to live as duplicated doc-knowledge in
-//! `regq_core::arena` and [`crate::vector`].
+//! `regq_core::arena` and the kernels.
 //!
 //! The pruned serving layout (`regq_core::arena::BlockLayout`) clusters
 //! the prototypes into blocks of at most [`ROW_TILE`] rows. One block is
@@ -23,7 +23,8 @@
 //! re-asserts it on the block it is handed.
 
 /// Rows processed per fused-kernel iteration (the 4-lane quad of
-/// [`crate::vector::sq_dists4`]). Fixed by the kernel shape, not tunable.
+/// [`crate::simd::sq_dists4_aosoa`]). Fixed by the kernel shape, not
+/// tunable.
 pub const QUAD: usize = 4;
 
 /// Largest prototype block of the pruned serving layout. Must stay a

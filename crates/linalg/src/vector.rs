@@ -72,88 +72,17 @@ pub fn sq_dist_within(a: &[f64], b: &[f64], limit: f64) -> bool {
 }
 
 /// Squared Euclidean distances of `q` against four consecutive
-/// `dim`-strided rows packed in `quad` (`quad.len() == 4 * dim`).
-///
-/// The four accumulators advance in lockstep through one loop over the
-/// coordinates, so the compiler can keep them in independent registers
-/// (4-wide instruction-level parallelism, auto-vectorizer-friendly) while
-/// each accumulator still performs *exactly* the additions of a scalar
-/// [`sq_dist`] over its row, in the same order — batched results are
-/// bit-identical to the per-row kernel.
-#[inline]
-pub fn sq_dists4(q: &[f64], quad: &[f64], dim: usize) -> [f64; 4] {
-    debug_assert_eq!(quad.len(), 4 * dim, "sq_dists4: quad length mismatch");
-    // Monomorphize the common low dimensions: with `D` a compile-time
-    // constant the coordinate loop fully unrolls into straight-line code
-    // (no loop-carried branch, no per-lane bounds checks), which is where
-    // the 4-wide layout pays off. The dispatch branch costs one
-    // well-predicted jump per four rows.
-    match dim {
-        1 => sq_dists4_const::<1>(q, quad),
-        2 => sq_dists4_const::<2>(q, quad),
-        3 => sq_dists4_const::<3>(q, quad),
-        4 => sq_dists4_const::<4>(q, quad),
-        5 => sq_dists4_const::<5>(q, quad),
-        6 => sq_dists4_const::<6>(q, quad),
-        7 => sq_dists4_const::<7>(q, quad),
-        8 => sq_dists4_const::<8>(q, quad),
-        _ => sq_dists4_generic(q, quad, dim),
-    }
-}
-
-#[inline]
-fn sq_dists4_const<const D: usize>(q: &[f64], quad: &[f64]) -> [f64; 4] {
-    // Exact-length reborrows let the optimizer drop every per-lane bounds
-    // check (all five slices are provably `D` long below).
-    let q = &q[..D];
-    let (r0, rest) = quad.split_at(D);
-    let (r1, rest) = rest.split_at(D);
-    let (r2, r3) = rest.split_at(D);
-    let r3 = &r3[..D];
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    for i in 0..D {
-        let qi = q[i];
-        let d0 = r0[i] - qi;
-        let d1 = r1[i] - qi;
-        let d2 = r2[i] - qi;
-        let d3 = r3[i] - qi;
-        a0 += d0 * d0;
-        a1 += d1 * d1;
-        a2 += d2 * d2;
-        a3 += d3 * d3;
-    }
-    [a0, a1, a2, a3]
-}
-
-#[inline]
-fn sq_dists4_generic(q: &[f64], quad: &[f64], dim: usize) -> [f64; 4] {
-    let q = &q[..dim];
-    let (r0, rest) = quad.split_at(dim);
-    let (r1, rest) = rest.split_at(dim);
-    let (r2, r3) = rest.split_at(dim);
-    let r3 = &r3[..dim];
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    for i in 0..dim {
-        let qi = q[i];
-        let d0 = r0[i] - qi;
-        let d1 = r1[i] - qi;
-        let d2 = r2[i] - qi;
-        let d3 = r3[i] - qi;
-        a0 += d0 * d0;
-        a1 += d1 * d1;
-        a2 += d2 * d2;
-        a3 += d3 * d3;
-    }
-    [a0, a1, a2, a3]
-}
-
-/// [`sq_dists4`] with block skipping: the coordinate loop runs in blocks
-/// of eight lanes, and after each block the quad is abandoned when **all
-/// four** partial sums already exceed `limit` (squared distances only
-/// grow, so every row is guaranteed non-matching). Abandoned accumulators
-/// are returned as-is — they are valid for the `≤ limit` test but are not
-/// full distances. Rows that pass the test always carry their exact,
-/// bit-identical [`sq_dist`] value.
+/// `dim`-strided rows packed in `quad` (`quad.len() == 4 * dim`), with
+/// block skipping. The four accumulators advance in lockstep through one
+/// loop over the coordinates (4-wide instruction-level parallelism), each
+/// performing exactly the additions of a scalar [`sq_dist`] over its row.
+/// The loop runs in blocks of eight lanes, and after each block the quad
+/// is abandoned when **all four** partial sums already exceed `limit`
+/// (squared distances only grow, so every row is guaranteed
+/// non-matching). Abandoned accumulators are returned as-is — they are
+/// valid for the `≤ limit` test but are not full distances. Rows that
+/// pass the test always carry their exact, bit-identical [`sq_dist`]
+/// value.
 #[inline]
 fn sq_dists4_bounded(q: &[f64], quad: &[f64], dim: usize, limit: f64) -> [f64; 4] {
     debug_assert_eq!(
@@ -263,38 +192,6 @@ pub fn axpy(alpha: f64, b: &[f64], a: &mut [f64]) {
     }
 }
 
-/// In-place scaling `a *= alpha`.
-#[inline]
-pub fn scale(alpha: f64, a: &mut [f64]) {
-    for x in a.iter_mut() {
-        *x *= alpha;
-    }
-}
-
-/// Element-wise difference `a − b` into a fresh vector.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// Element-wise sum `a + b` into a fresh vector.
-#[inline]
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "add: length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// Arithmetic mean of a slice. Returns `None` on empty input.
-#[inline]
-pub fn mean(a: &[f64]) -> Option<f64> {
-    if a.is_empty() {
-        None
-    } else {
-        Some(a.iter().sum::<f64>() / a.len() as f64)
-    }
-}
-
 /// `true` if every component is finite.
 #[inline]
 pub fn all_finite(a: &[f64]) -> bool {
@@ -401,36 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn sq_dists4_matches_four_scalar_calls() {
-        // Every monomorphized dimension (1..=8) plus the generic loop.
-        for d in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 24, 25, 40] {
-            let (q, rows) = row_block(4, d);
-            let quad = sq_dists4(&q, &rows, d);
-            for (r, &got) in quad.iter().enumerate() {
-                let want = sq_dist(&q, &rows[r * d..(r + 1) * d]);
-                assert!(got == want, "d={d} row {r}: {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = vec![1.0, 1.0];
         axpy(2.0, &[3.0, -1.0], &mut a);
         assert_eq!(a, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut a = vec![2.0, -4.0];
-        scale(0.5, &mut a);
-        assert_eq!(a, vec![1.0, -2.0]);
-    }
-
-    #[test]
-    fn mean_of_empty_is_none() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
     }
 
     #[test]

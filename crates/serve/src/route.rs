@@ -58,7 +58,7 @@ pub struct Served<T> {
     /// considered / bounded / skipped / verified. All-zero when no
     /// snapshot was consulted; for batch entry points the counters of the
     /// whole batch's single consultation are shared by every answer in
-    /// it. `screen.skip_rate()` is the query's pruning win.
+    /// it. `screen.skipped / screen.blocks` is the query's pruning win.
     pub screen: ScreenCounters,
 }
 

@@ -1277,7 +1277,7 @@ impl ShardRouter {
     /// released — before the counted `Dropped`; a shard that cannot
     /// train declines all of its examples). Never blocks on a trainer
     /// lock.
-    pub fn observe_outcome_batch(&self, pairs: &[(Query, f64)]) -> Vec<Feedback> {
+    fn observe_outcome_batch(&self, pairs: &[(Query, f64)]) -> Vec<Feedback> {
         if pairs.is_empty() {
             return Vec::new();
         }

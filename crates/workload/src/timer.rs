@@ -35,25 +35,9 @@ impl LatencyStats {
         total / self.samples.len() as u32
     }
 
-    /// Percentile latency by nearest-rank (`p ∈ [0, 1]`; zero when empty).
-    pub fn percentile(&self, p: f64) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((p.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank]
-    }
-
     /// Mean latency in milliseconds (the unit of the paper's Fig. 12).
     pub fn mean_ms(&self) -> f64 {
         self.mean().as_secs_f64() * 1e3
-    }
-
-    /// Merge another accumulator.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -75,28 +59,5 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = LatencyStats::new();
         assert_eq!(s.mean(), Duration::ZERO);
-        assert_eq!(s.percentile(0.5), Duration::ZERO);
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let mut s = LatencyStats::new();
-        for ms in [5u64, 1, 9, 3, 7] {
-            s.push(Duration::from_millis(ms));
-        }
-        assert_eq!(s.percentile(0.0), Duration::from_millis(1));
-        assert_eq!(s.percentile(0.5), Duration::from_millis(5));
-        assert_eq!(s.percentile(1.0), Duration::from_millis(9));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyStats::new();
-        a.push(Duration::from_millis(1));
-        let mut b = LatencyStats::new();
-        b.push(Duration::from_millis(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), Duration::from_millis(2));
     }
 }
