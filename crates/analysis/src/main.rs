@@ -1,44 +1,26 @@
 //! `cargo run -p regq_analysis -- <command>` — the CI entry point for the
-//! in-tree invariant linter and the hazard-slot schedule checker.
+//! in-tree invariant linter.
 //!
 //! Commands:
 //!
-//! * `check [--fast]` — lint the workspace **and** run the exhaustive
-//!   schedule battery (correct protocol across the 2–3 readers × 2–3
-//!   publishes grid, with the 2×2 case count pinned, plus every seeded
-//!   mutant, which must be caught). `--fast` restricts the battery to the
-//!   2×2 grid point (used by the debug-build CLI tests; CI runs the full
-//!   battery in `--release`).
-//! * `lint [--root <dir>]` — linter only; `--root` lints an arbitrary
-//!   tree (fixture directories in tests).
-//! * `schedules [--readers N] [--publishes N] [--reads N]` — explore one
-//!   configuration and print its exhaustive counts.
+//! * `check` — lint the workspace.
+//! * `lint [--root <dir>]` — lint an arbitrary tree (fixture directories
+//!   in tests); the workspace without `--root`.
 //!
-//! Exit status: 0 when every check passes, 1 on any finding or
-//! violation, 2 on usage errors.
+//! Exit status: 0 when the lint is clean, 1 on any finding, 2 on usage
+//! errors.
 
-use regq_analysis::{
-    explore, lint_dir, lint_workspace, schedule, workspace_root, Config, Protocol, Registry,
-};
+use regq_analysis::{lint_dir, workspace_root, Registry};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str);
-    match cmd {
-        Some("check") => check(args.iter().any(|a| a == "--fast")),
+    match args.first().map(String::as_str) {
+        Some("check") => lint(None),
         Some("lint") => lint(parse_flag(&args, "--root").map(PathBuf::from)),
-        Some("schedules") => schedules(
-            parse_num(&args, "--readers").unwrap_or(2),
-            parse_num(&args, "--publishes").unwrap_or(2),
-            parse_num(&args, "--reads").unwrap_or(1),
-        ),
         _ => {
-            eprintln!(
-                "usage: regq_analysis <check [--fast] | lint [--root DIR] | \
-                 schedules [--readers N] [--publishes N] [--reads N]>"
-            );
+            eprintln!("usage: regq_analysis <check | lint [--root DIR]>");
             ExitCode::from(2)
         }
     }
@@ -51,10 +33,6 @@ fn parse_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn parse_num(args: &[String], name: &str) -> Option<usize> {
-    parse_flag(args, name).and_then(|v| v.parse().ok())
-}
-
 fn lint(root: Option<PathBuf>) -> ExitCode {
     let root = root.unwrap_or_else(workspace_root);
     let findings = match lint_dir(&root, &Registry::workspace()) {
@@ -64,11 +42,7 @@ fn lint(root: Option<PathBuf>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    report_findings(&findings)
-}
-
-fn report_findings(findings: &[regq_analysis::Finding]) -> ExitCode {
-    for f in findings {
+    for f in &findings {
         println!("{f}");
     }
     if findings.is_empty() {
@@ -77,149 +51,5 @@ fn report_findings(findings: &[regq_analysis::Finding]) -> ExitCode {
     } else {
         println!("invariant lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
-    }
-}
-
-fn schedules(readers: usize, publishes: usize, reads: usize) -> ExitCode {
-    let cfg = Config {
-        readers,
-        publishes,
-        reads_per_reader: reads,
-    };
-    match explore(cfg, Protocol::Correct) {
-        Ok(out) => {
-            println!(
-                "schedules: {} readers x {} publishes x {} reads/reader -> \
-                 {} interleavings over {} states, retained after reclaim {} (bound {}), \
-                 transient peak {}",
-                readers,
-                publishes,
-                reads,
-                out.schedules,
-                out.states,
-                out.max_retained_after_reclaim,
-                readers + 1,
-                out.peak_live
-            );
-            ExitCode::SUCCESS
-        }
-        Err(v) => {
-            println!("schedule checker VIOLATION: {v}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The 2 readers × 2 publishes exhaustive schedule count. Pinned so CI
-/// notices if the model's step structure silently changes (a different
-/// count means the explorer is no longer walking the protocol it
-/// documents). Derived once from the DFS; `schedule::explore` recounts it
-/// deterministically on every run.
-const TWO_BY_TWO_SCHEDULES: u128 = schedule::TWO_BY_TWO_SCHEDULES;
-
-fn check(fast: bool) -> ExitCode {
-    let mut failed = false;
-
-    // Half 1: the invariant linter over the real workspace.
-    match lint_workspace() {
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            if findings.is_empty() {
-                println!("invariant lint: clean");
-            } else {
-                println!("invariant lint: {} finding(s)", findings.len());
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!("error: workspace lint failed: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    // Half 2: the exhaustive schedule checker.
-    let grid: &[(usize, usize, usize)] = if fast {
-        &[(2, 2, 1)]
-    } else {
-        &[
-            (2, 2, 1),
-            (2, 2, 2),
-            (2, 3, 1),
-            (3, 2, 1),
-            (3, 3, 1),
-            (3, 3, 2),
-        ]
-    };
-    for &(readers, publishes, reads) in grid {
-        let cfg = Config {
-            readers,
-            publishes,
-            reads_per_reader: reads,
-        };
-        match explore(cfg, Protocol::Correct) {
-            Ok(out) => {
-                println!(
-                    "schedule check: {readers}r x {publishes}p x {reads}rd -> \
-                     {} interleavings / {} states, retained after reclaim {} <= {}",
-                    out.schedules,
-                    out.states,
-                    out.max_retained_after_reclaim,
-                    readers + 1
-                );
-                if (readers, publishes, reads) == (2, 2, 1) && out.schedules != TWO_BY_TWO_SCHEDULES
-                {
-                    println!(
-                        "schedule check FAILED: 2x2 case count {} != pinned {}",
-                        out.schedules, TWO_BY_TWO_SCHEDULES
-                    );
-                    failed = true;
-                }
-            }
-            Err(v) => {
-                println!("schedule check VIOLATION ({readers}r x {publishes}p): {v}");
-                failed = true;
-            }
-        }
-    }
-
-    // The seeded mutants must each be caught — the checker checking
-    // itself (a checker that passes everything is worse than none).
-    let mutants = [
-        Protocol::SkipValidate,
-        Protocol::AnnounceAfterValidate,
-        Protocol::ReclaimIgnoresSlots,
-        Protocol::NoReclaim,
-    ];
-    for proto in mutants {
-        let cfg = Config {
-            readers: 1,
-            publishes: if proto == Protocol::NoReclaim { 3 } else { 1 },
-            reads_per_reader: 1,
-        };
-        match explore(cfg, proto) {
-            Err(v) => println!("mutant {proto:?}: caught ({})", summary(&v.kind)),
-            Ok(_) => {
-                println!("mutant {proto:?}: NOT caught — the checker has lost its teeth");
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        println!("check: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("check: ok");
-        ExitCode::SUCCESS
-    }
-}
-
-fn summary(kind: &regq_analysis::ViolationKind) -> &'static str {
-    match kind {
-        regq_analysis::ViolationKind::UseAfterFree { .. } => "use-after-free",
-        regq_analysis::ViolationKind::RetentionBound { .. } => "retention bound",
-        regq_analysis::ViolationKind::QuiescentRetention { .. } => "quiescent retention",
     }
 }

@@ -19,7 +19,13 @@
 //! A3  re-read current                       nodes that are neither
 //!     == candidate? → deref safely          current nor in any slot
 //!     != candidate? → clear slot, retry
+//! REL slot      = null (guard drop)
 //! ```
+//!
+//! Each step is one function ([`ReaderHandle::announce`] is A1+A2), and
+//! every read and publish path is composed of them. `tests/schedules.rs`
+//! calls the same functions to walk every interleaving of a few readers
+//! and one writer on a real cell (see `docs/INVARIANTS.md`).
 //!
 //! All four steps are `SeqCst`, so they embed in one total order that
 //! respects per-thread program order. If a reader's validate `A3` still
@@ -84,6 +90,36 @@ impl<T> Slot<T> {
             retired: AtomicBool::new(false),
         }
     }
+
+    /// Step REL (and the clear after a failed A3): unpin.
+    #[inline]
+    fn clear(&self) {
+        self.protected.store(std::ptr::null_mut(), Ordering::SeqCst);
+    }
+}
+
+/// What a node pointer names in a [`CellView`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NodeName {
+    /// The null pointer: an empty cell, or a clear slot.
+    Null,
+    /// The retained node published at this epoch.
+    Epoch(u64),
+    /// A pointer to no retained node: one the cell has freed.
+    Freed,
+}
+
+/// [`SnapshotCell::view`]'s snapshot of the protocol state.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CellView {
+    /// What `current` points at.
+    pub current: NodeName,
+    /// Every retained node, in publish order.
+    pub retained: Vec<NodeName>,
+    /// Per reader handle: its candidate, then its slot.
+    pub readers: Vec<(NodeName, NodeName)>,
 }
 
 /// Writer-side state, always mutated under the one `Mutex`.
@@ -191,28 +227,44 @@ impl<T: Send + Sync> SnapshotCell<T> {
         if let Some(plan) = state.fault.clone() {
             plan.stall_publish();
         }
-        // RELAXED: `epoch` is only written here, under the state lock we
-        // hold, so this load cannot race a writer; readers observe epochs
-        // through the SeqCst store below (or the node itself).
-        let epoch = self.inner.epoch.load(Ordering::Relaxed) + 1;
-        // `into_raw` before anything else: the allocation must never be
-        // reachable through a `Box` again once readers can alias it.
-        let node = Box::into_raw(Box::new(Node { value, epoch }));
-        state.retained.push(node);
-        // P1 of the module-docs protocol.
-        self.inner.current.store(node, Ordering::SeqCst);
-        self.inner.epoch.store(epoch, Ordering::SeqCst);
+        let (node, epoch) = self.install_locked(&mut state, value);
         // P2: free everything no longer reachable.
         Self::reclaim_locked(&mut state, node);
         epoch
     }
 
-    /// Run a reclamation pass outside of `publish`: frees every retained
-    /// node that is neither current nor pinned by a reader slot, prunes
-    /// retired slots, and returns the number of nodes freed. `publish`
-    /// already does this; the explicit form exists for the scripted
-    /// interleaving tests and for dropping pins eagerly after readers
-    /// detach.
+    /// Step P1 alone: install `value` as current without the P2 scan,
+    /// returning the new epoch. The schedule explorer's writer step;
+    /// [`SnapshotCell::publish`] is this followed by P2.
+    #[doc(hidden)]
+    #[inline]
+    pub fn publish_unreclaimed(&self, value: T) -> u64 {
+        let mut state = self.lock_state();
+        self.install_locked(&mut state, value).1
+    }
+
+    /// P1 under the held state lock: allocate the node, retain it, make
+    /// it current. Returns the node and its epoch.
+    #[inline]
+    fn install_locked(&self, state: &mut CellState<T>, value: T) -> (*mut Node<T>, u64) {
+        // RELAXED: `epoch` is only written here, under the state lock the
+        // caller holds, so this load cannot race a writer; readers observe
+        // epochs through the SeqCst store below (or the node itself).
+        let epoch = self.inner.epoch.load(Ordering::Relaxed) + 1;
+        // `into_raw` before anything else: the allocation must never be
+        // reachable through a `Box` again once readers can alias it.
+        let node = Box::into_raw(Box::new(Node { value, epoch }));
+        state.retained.push(node);
+        self.inner.current.store(node, Ordering::SeqCst);
+        self.inner.epoch.store(epoch, Ordering::SeqCst);
+        (node, epoch)
+    }
+
+    /// Step P2 of the protocol, and the schedule explorer's writer step:
+    /// frees every retained node that is neither current nor pinned by a
+    /// reader slot, prunes retired slots, and returns the number of nodes
+    /// freed. `publish` already runs it; call it directly to drop pins
+    /// eagerly after readers detach.
     pub fn reclaim(&self) -> usize {
         let mut state = self.lock_state();
         let current = self.inner.current.load(Ordering::SeqCst);
@@ -267,7 +319,7 @@ impl<T: Send + Sync> SnapshotCell<T> {
             .cloned();
         let slot = match reused {
             Some(slot) => {
-                slot.protected.store(std::ptr::null_mut(), Ordering::SeqCst);
+                slot.clear();
                 slot.retired.store(false, Ordering::SeqCst);
                 slot
             }
@@ -324,6 +376,41 @@ impl<T: Send + Sync> SnapshotCell<T> {
             .iter()
             .filter(|s| !s.retired.load(Ordering::SeqCst))
             .count()
+    }
+
+    /// The schedule explorer's view of the protocol state: the current
+    /// node, every retained node, and each of `readers`' candidate and
+    /// slot, every pointer named by its node's publish epoch. A pointer
+    /// is named by comparing it against `retained` under the state lock;
+    /// one that matches no retained node is [`NodeName::Freed`] and is
+    /// never dereferenced.
+    #[doc(hidden)]
+    pub fn view(&self, readers: &[ReaderHandle<T>]) -> CellView {
+        let state = self.lock_state();
+        let name = |p: *mut Node<T>| {
+            if p.is_null() {
+                return NodeName::Null;
+            }
+            match state.retained.iter().find(|&&r| r == p) {
+                // SAFETY: `r` is in `retained`, and every free (P2 reclaim
+                // and `Drop`) runs under the state lock held here.
+                Some(&r) => NodeName::Epoch(unsafe { (*r).epoch }),
+                None => NodeName::Freed,
+            }
+        };
+        CellView {
+            current: name(self.inner.current.load(Ordering::SeqCst)),
+            retained: state.retained.iter().map(|&r| name(r)).collect(),
+            readers: readers
+                .iter()
+                .map(|h| {
+                    (
+                        name(h.candidate),
+                        name(h.slot.protected.load(Ordering::SeqCst)),
+                    )
+                })
+                .collect(),
+        }
     }
 
     /// Arm a fault-injection schedule on this cell's publish path (see
@@ -402,10 +489,13 @@ impl<T> Drop for CellInner<T> {
 /// candidate. Obtain via [`SnapshotCell::reader`] (or thread-cached via
 /// [`SnapshotCell::tls_reader`]); drop to deregister.
 ///
-/// The stepped protocol ([`ReaderHandle::announce`] then
-/// [`ReaderHandle::validate`]) is public so tests can drive interleavings
-/// deterministically; [`ReaderHandle::acquire`] and
-/// [`ReaderHandle::enter`] are the fused forms for real readers.
+/// The stepped protocol is public so tests can drive interleavings
+/// deterministically, at two grains: [`ReaderHandle::announce`] (A1+A2)
+/// then [`ReaderHandle::validate`] (A3), or the single steps the schedule
+/// explorer calls — A1 `load_candidate`, A2 `pin_candidate`, A3
+/// `validate_step` and REL `release`, of which every read path is built.
+/// [`ReaderHandle::acquire`] and [`ReaderHandle::enter`] are the fused
+/// forms for real readers.
 pub struct ReaderHandle<T = ServingSnapshot> {
     cell: Arc<CellInner<T>>,
     slot: Arc<Slot<T>>,
@@ -421,11 +511,45 @@ pub struct ReaderHandle<T = ServingSnapshot> {
 unsafe impl<T: Send + Sync> Send for ReaderHandle<T> {}
 
 impl<T: Send + Sync> ReaderHandle<T> {
-    /// Step A1+A2 of the protocol: load the current pointer as this
+    /// Step A1: load the current pointer as this reader's candidate.
+    #[doc(hidden)]
+    #[inline]
+    pub fn load_candidate(&mut self) {
+        self.candidate = self.cell.current.load(Ordering::SeqCst);
+    }
+
+    /// Step A2: store the candidate into the hazard slot.
+    #[doc(hidden)]
+    #[inline]
+    pub fn pin_candidate(&mut self) {
+        self.slot.protected.store(self.candidate, Ordering::SeqCst);
+    }
+
+    /// Step A3: is the candidate still in the slot and still current?
+    /// On failure the slot is cleared.
+    #[doc(hidden)]
+    #[inline]
+    pub fn validate_step(&mut self) -> bool {
+        let settled = self.slot.protected.load(Ordering::SeqCst) == self.candidate
+            && self.cell.current.load(Ordering::SeqCst) == self.candidate;
+        if !settled {
+            self.release();
+        }
+        settled
+    }
+
+    /// Step REL: clear the hazard slot (what dropping a guard does).
+    #[doc(hidden)]
+    #[inline]
+    pub fn release(&mut self) {
+        self.slot.clear();
+    }
+
+    /// Steps A1+A2 of the protocol: load the current pointer as this
     /// reader's candidate and store it into the hazard slot.
     pub fn announce(&mut self) {
-        self.candidate = self.cell.current.load(Ordering::SeqCst);
-        self.slot.protected.store(self.candidate, Ordering::SeqCst);
+        self.load_candidate();
+        self.pin_candidate();
     }
 
     /// Step A3: re-check that the announced candidate is still current
@@ -433,15 +557,12 @@ impl<T: Send + Sync> ReaderHandle<T> {
     /// guard's lifetime; on failure the slot is cleared and the caller
     /// should re-[`ReaderHandle::announce`].
     pub fn validate(&mut self) -> Option<ReadGuard<'_, T>> {
-        if self.settled() {
+        if self.validate_step() {
             Some(ReadGuard {
                 slot: &self.slot,
                 node: self.candidate,
             })
         } else {
-            self.slot
-                .protected
-                .store(std::ptr::null_mut(), Ordering::SeqCst);
             None
         }
     }
@@ -458,12 +579,9 @@ impl<T: Send + Sync> ReaderHandle<T> {
     pub fn enter(&mut self) -> ReadGuard<'_, T> {
         loop {
             self.announce();
-            if self.settled() {
+            if self.validate_step() {
                 break;
             }
-            self.slot
-                .protected
-                .store(std::ptr::null_mut(), Ordering::SeqCst);
             std::hint::spin_loop();
         }
         ReadGuard {
@@ -471,20 +589,13 @@ impl<T: Send + Sync> ReaderHandle<T> {
             node: self.candidate,
         }
     }
-
-    fn settled(&self) -> bool {
-        self.slot.protected.load(Ordering::SeqCst) == self.candidate
-            && self.cell.current.load(Ordering::SeqCst) == self.candidate
-    }
 }
 
 impl<T> Drop for ReaderHandle<T> {
     fn drop(&mut self) {
         // Clear before retiring: reclaim treats retired slots as prunable
         // and must never prune a live pin.
-        self.slot
-            .protected
-            .store(std::ptr::null_mut(), Ordering::SeqCst);
+        self.slot.clear();
         self.slot.retired.store(true, Ordering::SeqCst);
     }
 }
@@ -526,9 +637,7 @@ impl<T> ReadGuard<'_, T> {
 
 impl<T> Drop for ReadGuard<'_, T> {
     fn drop(&mut self) {
-        self.slot
-            .protected
-            .store(std::ptr::null_mut(), Ordering::SeqCst);
+        self.slot.clear();
     }
 }
 

@@ -85,7 +85,7 @@ pub(crate) mod partition;
 pub mod route;
 pub mod shard;
 
-pub use cell::{ReadGuard, ReaderHandle, SnapshotCell, TlsReader};
+pub use cell::{CellView, NodeName, ReadGuard, ReaderHandle, SnapshotCell, TlsReader};
 pub use fault::{FaultKind, FaultPlan, StallGate};
 pub use route::{Feedback, Route, RoutePolicy, ServeError, Served};
 pub use shard::{RouterStats, ShardRouter, ShardSnapshot};
