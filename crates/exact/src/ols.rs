@@ -122,12 +122,27 @@ pub struct BallFit {
 /// degenerate selections (fewer than `d + 1` distinct points).
 pub fn fit_ols_ball(rel: &Relation, center: &[f64], radius: f64) -> Result<BallFit, LinalgError> {
     let d = rel.dim();
+    // The Gram transition at the rows' width, chosen once per call. One
+    // fold closure for every width keeps the traversal, itself
+    // specialised on the width, from being compiled once per width per
+    // width.
+    let push: fn(&mut GramAccumulator, &[f64], f64) = match d {
+        1 => GramAccumulator::push_affine_width::<1>,
+        2 => GramAccumulator::push_affine_width::<2>,
+        3 => GramAccumulator::push_affine_width::<3>,
+        4 => GramAccumulator::push_affine_width::<4>,
+        5 => GramAccumulator::push_affine_width::<5>,
+        6 => GramAccumulator::push_affine_width::<6>,
+        7 => GramAccumulator::push_affine_width::<7>,
+        8 => GramAccumulator::push_affine_width::<8>,
+        _ => GramAccumulator::push_affine_width::<0>,
+    };
     let (acc, stats) = rel.fold_ball(
         center,
         radius,
         (GramAccumulator::new(d + 1), OnlineStats::new()),
         |s, _, x, u| {
-            s.0.push_affine(x, u);
+            push(&mut s.0, x, u);
             s.1.push(u);
         },
     );

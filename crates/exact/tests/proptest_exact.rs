@@ -1,8 +1,9 @@
 //! Property-based tests for the exact engines: OLS optimality, MARS
 //! dominance over OLS, Q1 consistency, equivalence of the
 //! aggregation-pushdown executors with the materialize-then-recompute
-//! reference path across every access path, and of the batched `AVG`
-//! (`ExactEngine::q1_batch`) with one `q1` per ball.
+//! reference path across every access path, of the batched `AVG`
+//! (`ExactEngine::q1_batch`) with one `q1` per ball, and of the fused
+//! Q1 + OLS fold at the table's width with the runtime-width fold.
 
 // The textbook kd-tree of the store's batteries: the specification the
 // kd-tree's tree-shaped `Σu` is held to.
@@ -12,10 +13,10 @@ mod textbook;
 use proptest::prelude::*;
 use regq_data::Dataset;
 use regq_exact::{
-    fit_ols, fit_ols_ball, q1_mean, q1_moments, ExactEngine, GoodnessOfFit, LinearModel, Mars,
-    MarsParams, Moments,
+    fit_ols, fit_ols_ball, q1_mean, q1_moments, BallFit, ExactEngine, GoodnessOfFit, LinearModel,
+    Mars, MarsParams, Moments,
 };
-use regq_linalg::{lstsq, LinalgError, Matrix, OnlineStats};
+use regq_linalg::{lstsq, GramAccumulator, LinalgError, Matrix, OnlineStats};
 use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
@@ -151,6 +152,72 @@ fn surface_strategy(d: usize) -> impl Strategy<Value = Dataset> {
 }
 
 const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::KdTree];
+
+/// `fit_ols_ball`'s answer from the runtime-width fold: per row of
+/// [`Relation::fold_ball`], the Gram state through
+/// [`GramAccumulator::push_affine`] and the Welford moments beside it,
+/// then the same solve and closed forms.
+fn fit_ols_ball_reference(
+    rel: &Relation,
+    center: &[f64],
+    radius: f64,
+) -> Result<BallFit, LinalgError> {
+    let (acc, stats) = rel.fold_ball(
+        center,
+        radius,
+        (GramAccumulator::new(rel.dim() + 1), OnlineStats::new()),
+        |s, _, x, u| {
+            s.0.push_affine(x, u);
+            s.1.push(u);
+        },
+    );
+    if acc.is_empty() {
+        return Err(LinalgError::Empty);
+    }
+    let sol = acc.solve()?;
+    let n = acc.count();
+    Ok(BallFit {
+        model: LinearModel {
+            intercept: sol.coeffs[0],
+            slope: sol.coeffs[1..].to_vec(),
+            fit: GoodnessOfFit::from_sums(n, acc.ssr(&sol.coeffs), acc.tss()),
+        },
+        moments: Moments {
+            n,
+            mean: stats.mean(),
+            variance: stats.variance(),
+            second_moment: acc.yty() / n as f64,
+        },
+    })
+}
+
+/// A whole [`BallFit`] result by its bits — every float of the model and
+/// the moments, an error by its text — with every NaN as one (see
+/// [`answer_bits`]).
+fn ball_fit_bits(fit: Result<BallFit, LinalgError>) -> Result<Vec<u64>, String> {
+    let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+    let fit = fit.map_err(|e| format!("{e:?}"))?;
+    let (model, moments) = (&fit.model, &fit.moments);
+    let mut out = vec![model.fit.n as u64, moments.n as u64];
+    out.extend(
+        [
+            model.intercept,
+            model.fit.ssr,
+            model.fit.tss,
+            model.fit.fvu,
+            model.fit.cod,
+        ]
+        .into_iter()
+        .chain(model.slope.iter().copied())
+        .chain([moments.mean, moments.variance, moments.second_moment])
+        .map(bits),
+    );
+    Ok(out)
+}
+
+/// Widths of the Gram pin: every width the fold is unrolled at, and the
+/// first it reads at run time.
+const GRAM_DIMS: std::ops::RangeInclusive<usize> = 1..=9;
 
 /// Columns of the batch arm's tables.
 const BATCH_DIM: usize = 3;
@@ -341,6 +408,42 @@ proptest! {
                     (a - b).abs() < 1e-5 * scale,
                     "slope {} vs {} on {:?}", a, b, path
                 );
+            }
+        }
+    }
+
+    /// `fit_ols_ball` folds its Gram state at the table's width; that
+    /// changes no bit. At every width of [`GRAM_DIMS`], on both access
+    /// paths, its whole `BallFit` (or its error) equals the runtime-width
+    /// fold's: tables with NaN, ±∞ and −0.0 in their rows and targets,
+    /// balls with hostile centres and radii. Each table is the first `d`
+    /// columns of one drawn set of rows.
+    #[test]
+    fn fused_fit_at_the_table_width_equals_the_runtime_width_fold(
+        rows in prop::collection::vec(
+            (prop::collection::vec(hostile(64, 2.0), *GRAM_DIMS.end()), hostile(64, 10.0)),
+            0..400,
+        ),
+        balls in prop::collection::vec(
+            (prop::collection::vec(hostile(32, 2.5), *GRAM_DIMS.end()), hostile_radius()),
+            1..8,
+        ),
+    ) {
+        for d in GRAM_DIMS {
+            let mut ds = Dataset::new(d);
+            for (x, u) in &rows {
+                ds.push(&x[..d], *u).unwrap();
+            }
+            let data = Arc::new(ds);
+            for path in ALL_PATHS {
+                let rel = Relation::new(data.clone(), path);
+                for (c, r) in &balls {
+                    prop_assert_eq!(
+                        ball_fit_bits(fit_ols_ball(&rel, &c[..d], *r)),
+                        ball_fit_bits(fit_ols_ball_reference(&rel, &c[..d], *r)),
+                        "d {} {:?}: {:?} r {}", d, path, &c[..d], r
+                    );
+                }
             }
         }
     }

@@ -91,20 +91,39 @@ impl GramAccumulator {
     /// Panics in debug builds if `x.len() + 1 != cols`.
     #[inline]
     pub fn push_affine(&mut self, x: &[f64], y: f64) {
-        debug_assert_eq!(x.len() + 1, self.cols, "push_affine: width mismatch");
+        self.push_affine_width::<0>(x, y);
+    }
+
+    /// [`GramAccumulator::push_affine`] with the row's width known at
+    /// compile time: `D` is `x.len()`, or `0` to read it at run time —
+    /// one body either way. With `D` known the entry loops unroll and
+    /// their indices are constants; every entry still takes its terms in
+    /// row order, so the state is [`GramAccumulator::push_affine`]'s bit
+    /// for bit.
+    ///
+    /// # Panics
+    /// Panics if `D` is neither `0` nor `x.len()`, or if `x.len() + 1`
+    /// exceeds `cols` (in debug builds if it differs from it).
+    #[inline]
+    pub fn push_affine_width<const D: usize>(&mut self, x: &[f64], y: f64) {
+        let x = if D == 0 { x } else { &x[..D] };
+        let cols = x.len() + 1;
+        debug_assert_eq!(cols, self.cols, "push_affine: width mismatch");
+        let xtx = &mut self.xtx[..cols * (cols + 1) / 2];
+        let xty = &mut self.xty[..cols];
         // Row 0 of the triangle: the intercept column against itself.
-        self.xtx[0] += 1.0;
-        self.xty[0] += y;
+        xtx[0] += 1.0;
+        xty[0] += y;
         let mut idx = 1;
         for (r, &xr) in x.iter().enumerate() {
             // Column 0 (intercept), then columns 1..=r+1 (features).
-            self.xtx[idx] += xr;
+            xtx[idx] += xr;
             idx += 1;
             for &xc in &x[..=r] {
-                self.xtx[idx] += xr * xc;
+                xtx[idx] += xr * xc;
                 idx += 1;
             }
-            self.xty[r + 1] += xr * y;
+            xty[r + 1] += xr * y;
         }
         self.sum_y += y;
         self.yty += y * y;

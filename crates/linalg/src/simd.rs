@@ -18,8 +18,8 @@
 //!   [`BoundGroups::bounds_into`] (the serving path's screening bounds,
 //!   four blocks per iteration, one dispatch per query),
 //!   [`within_mask_aosoa`] (the store's kd-tree leaf kernel: one dispatch
-//!   per leaf, a ball-membership bit per row) and [`sq_dists4_aosoa`]
-//!   (one quad) consult
+//!   per tested range of up to 64 rows, a ball-membership bit per row)
+//!   and [`sq_dists4_aosoa`] (one quad) consult
 //!   `is_x86_feature_detected!("avx2")` (a cached atomic load after the
 //!   first call) and route to a hand-written AVX2 kernel when available,
 //!   falling back to a scalar twin otherwise. Release binaries are
@@ -241,12 +241,36 @@ pub const MASK_QUADS: usize = 64 / QUAD;
 /// neighbouring leaf's rows, `+inf` pad rows) trim those bits from the
 /// mask, which is what makes such lanes inert whatever they compare to.
 ///
+/// The width is dispatched once per call, as in
+/// [`winner_mask_block_aosoa`]: one body generic over `D`, unrolled for
+/// `D = 1..=8` (the query's broadcasts hoisted out of the quad loop, the
+/// quad stride a constant) and reading `q.len()` at run time for `D = 0`.
+///
 /// # Panics
 /// Panics on an empty query, a `quads` length that is not a whole number
 /// of quads of dimension `q.len()`, or more than [`MASK_QUADS`] quads
 /// (the AVX2 loads and the mask width rely on these).
 #[inline]
 pub fn within_mask_aosoa(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+    match q.len() {
+        1 => within_mask_aosoa_width::<1>(q, quads, limit),
+        2 => within_mask_aosoa_width::<2>(q, quads, limit),
+        3 => within_mask_aosoa_width::<3>(q, quads, limit),
+        4 => within_mask_aosoa_width::<4>(q, quads, limit),
+        5 => within_mask_aosoa_width::<5>(q, quads, limit),
+        6 => within_mask_aosoa_width::<6>(q, quads, limit),
+        7 => within_mask_aosoa_width::<7>(q, quads, limit),
+        8 => within_mask_aosoa_width::<8>(q, quads, limit),
+        _ => within_mask_aosoa_width::<0>(q, quads, limit),
+    }
+}
+
+/// [`within_mask_aosoa`] at the width `D` (`q.len()`, or `0` = read it at
+/// run time): the shape checks — by a constant stride, so no integer
+/// division — then the AVX2 kernel or the scalar twin.
+#[inline(always)]
+fn within_mask_aosoa_width<const D: usize>(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+    let q = if D == 0 { q } else { &q[..D] };
     assert!(!q.is_empty(), "within_mask_aosoa: dim must be positive");
     assert_eq!(
         quads.len() % (QUAD * q.len()),
@@ -260,10 +284,11 @@ pub fn within_mask_aosoa(q: &[f64], quads: &[f64], limit: f64) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 availability was verified by the runtime check on
-        // the line above, and the asserts establish the shape contract
+        // the line above, the asserts establish the shape contract
         // (non-empty `q`, whole quads of dimension `q.len()`, at most 16
-        // of them) the kernel's loads and shifts rely on.
-        return unsafe { within_mask_aosoa_avx2(q, quads, limit) };
+        // of them) the kernel's loads and shifts rely on, and `D` is `0`
+        // or `q.len()`.
+        return unsafe { within_mask_aosoa_avx2::<D>(q, quads, limit) };
     }
     within_mask_aosoa_scalar(q, quads, limit)
 }
@@ -287,18 +312,23 @@ fn within_mask_aosoa_scalar(q: &[f64], quads: &[f64], limit: f64) -> u64 {
 /// registers.
 ///
 /// # Safety
-/// The caller must ensure the host supports AVX2, that `q` is non-empty
-/// and that `quads` holds at most 16 whole quads of dimension `q.len()`
-/// (all checked at the dispatch site).
+/// The caller must ensure the host supports AVX2, that `q` is non-empty,
+/// that `quads` holds at most 16 whole quads of dimension `q.len()` (all
+/// checked at the dispatch site) and that `D` is `0` or `q.len()`.
 // SAFETY: `unsafe fn` solely for `#[target_feature]`; the body's only
 // unchecked operation is the per-quad call below, and the single caller
 // verifies AVX2 and the shape contract before dispatching here.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn within_mask_aosoa_avx2(q: &[f64], quads: &[f64], limit: f64) -> u64 {
+unsafe fn within_mask_aosoa_avx2<const D: usize>(q: &[f64], quads: &[f64], limit: f64) -> u64 {
     use std::arch::x86_64::{_mm256_cmp_pd, _mm256_movemask_pd, _mm256_set1_pd, _CMP_LE_OQ};
     let lim = _mm256_set1_pd(limit);
     let mut mask = 0u64;
+    // As in `winner_mask_block_aosoa_avx2`: with `D` known the query is
+    // a `D`-long slice, so the coordinate loop unrolls with its `D`
+    // broadcasts hoisted out of the quad loop and the quad stride is a
+    // constant.
+    let q = if D == 0 { q } else { &q[..D] };
     for (k, quad) in quads.chunks_exact(QUAD * q.len()).enumerate() {
         // SAFETY: `quad` is a `chunks_exact(4 * q.len())` chunk — the
         // length `quad_sq_dists_avx2` requires.
@@ -1061,7 +1091,7 @@ mod tests {
 
     #[test]
     fn mask_kernel_matches_sq_dist_exactly_at_the_limit() {
-        for dim in [1usize, 2, 3, 4, 7, 8, 17, 64] {
+        for dim in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 17, 64] {
             for quads in [1usize, 2, 5, MASK_QUADS] {
                 let n = quads * QUAD;
                 let rows = random_rows(n, dim, 700 + (dim * quads) as u64);

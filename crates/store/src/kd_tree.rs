@@ -31,6 +31,14 @@
 //!   kernel would admit them all and the whole range is handed on
 //!   without a distance test.
 //!
+//! Each column's rounded pair `(g_c², f_c²)` is kept beside the box: a
+//! step down narrows one side of one column and recomputes that column's
+//! pair alone, and a visit sums the `d` cached terms in coordinate order
+//! from `0.0` — the same additions of the same rounded squares as
+//! evaluating every column afresh, so the bounds keep their bits. The
+//! traversal is one body generic over the table's width (`1..=8`
+//! unrolled, `0` read at run time), dispatched once per call.
+//!
 //! Neither is a heuristic: a subtree is skipped or admitted exactly when
 //! a per-row test of each of its rows would have said the same. NaN goes
 //! the safe way in both: a NaN term drops out of `near` (less pruning)
@@ -81,9 +89,11 @@
 //! it), `8·n` of targets, `4·n` of ids, 16 bytes per node at roughly one
 //! node per six rows plus its cached `Σu` (8 bytes, ≈ 1.3 a row), and the
 //! root box: `2d` doubles, no box per node.
-//! A traversal keeps its cell box and the visitor's row on the stack
-//! (`INLINE_SCRATCH`) and makes no allocator call; only a table wider
-//! than that spills to the one `Vec` every traversal used to pay.
+//! A traversal keeps its cell box with the per-column bound terms (`4d`
+//! doubles) and the visitor's row on the stack (`INLINE_SCRATCH`, 128
+//! doubles each: 32 columns of box and terms) and makes no allocator
+//! call; only a table wider than 32 columns spills the box and terms to
+//! the one `Vec` every traversal used to pay.
 
 use crate::index::{AccessPathKind, SpatialIndex};
 use regq_data::Dataset;
@@ -99,9 +109,10 @@ const LEAF_SIZE: usize = 16;
 /// Rows one membership-kernel call decides: the width of its mask.
 const MASK_ROWS: usize = MASK_QUADS * QUAD;
 
-/// Doubles of traversal scratch kept on the stack: the cell box of a
-/// table up to 32 columns wide, the visitor's row up to 64.
-const INLINE_SCRATCH: usize = 64;
+/// Doubles of traversal scratch kept on the stack: the cell box and its
+/// per-column bound terms of a table up to 32 columns wide, the
+/// visitor's row up to 128.
+const INLINE_SCRATCH: usize = 128;
 
 /// One 16-byte tree node; `rows == 0` marks an internal node (a leaf is
 /// never empty). The split axis is not stored: it cycles with depth, and
@@ -223,9 +234,33 @@ fn one_mask_covers(start: usize, end: usize) -> bool {
     start % QUAD + (end - start) <= MASK_ROWS
 }
 
-/// The state of one traversal: the ball, the current cell's box and the
-/// consumer of the hits.
-struct Descent<'a, F> {
+/// `(g_c², f_c²)` of one column: the terms the column adds to `near` and
+/// `far` (module docs, **Pruning**) for a cell whose sides in it are `lo`
+/// and `hi`, in the membership kernel's own operation sequence.
+fn bound_terms(q: f64, lo: f64, hi: f64) -> (f64, f64) {
+    // How far the centre sits inside each side; negative when it lies
+    // beyond that side.
+    let (below, above) = (q - lo, hi - q);
+    // A NaN side drops out of `near`: comparisons with it are false,
+    // which leaves the other side or zero.
+    let inside = if below < above { below } else { above };
+    let gap = if inside < 0.0 { -inside } else { 0.0 };
+    // ... and poisons `far`: a cell with a NaN side may hold a NaN row,
+    // which no ball admits.
+    let reach = if below > above {
+        below
+    } else if below <= above {
+        above
+    } else {
+        f64::NAN
+    };
+    (gap * gap, reach * reach)
+}
+
+/// The state of one traversal over a table `D` columns wide (`0` = read
+/// the width at run time): the ball, the current cell's box with each
+/// column's bound terms, and the consumer of the hits.
+struct Descent<'a, F, const D: usize> {
     tree: &'a KdTree,
     center: &'a [f64],
     /// `radius²`, what the membership kernel compares against.
@@ -234,42 +269,43 @@ struct Descent<'a, F> {
     /// current node has `lo[c] ≤ x[c] ≤ hi[c]` under `total_cmp`.
     lo: &'a mut [f64],
     hi: &'a mut [f64],
+    /// Per column, [`bound_terms`] of the current cell: `gaps[c]` is its
+    /// `g_c²`, `reaches[c]` its `f_c²`. A step down changes one side of
+    /// one column, so it recomputes that column's pair and no other.
+    gaps: &'a mut [f64],
+    reaches: &'a mut [f64],
     on_hits: F,
 }
 
-impl<T: Harvest, F: FnMut(Hits) -> T> Descent<'_, F> {
-    /// `(near, far)`: bounds on the squared distance the membership
-    /// kernel computes for any row of the current cell, in the kernel's
-    /// own operation sequence (module docs, **Pruning**).
-    fn cell_bounds(&self) -> (f64, f64) {
-        let (mut near, mut far) = (0.0, 0.0);
-        for ((&q, &lo), &hi) in self.center.iter().zip(&*self.lo).zip(&*self.hi) {
-            // How far the centre sits inside each side; negative when it
-            // lies beyond that side.
-            let (below, above) = (q - lo, hi - q);
-            // A NaN side drops out of `near`: comparisons with it are
-            // false, which leaves the other side or zero.
-            let inside = if below < above { below } else { above };
-            let gap = if inside < 0.0 { -inside } else { 0.0 };
-            near += gap * gap;
-            // ... and poisons `far`: a cell with a NaN side may hold a
-            // NaN row, which no ball admits.
-            let reach = if below > above {
-                below
-            } else if below <= above {
-                above
-            } else {
-                f64::NAN
-            };
-            far += reach * reach;
+impl<T: Harvest, F: FnMut(Hits) -> T, const D: usize> Descent<'_, F, D> {
+    /// The table's width, a constant unless `D` is `0`.
+    fn dim(&self) -> usize {
+        if D == 0 {
+            self.center.len()
+        } else {
+            D
         }
-        (near, far)
+    }
+
+    /// Recompute column `axis`'s bound terms from the cell's sides.
+    fn refresh(&mut self, axis: usize) {
+        (self.gaps[axis], self.reaches[axis]) =
+            bound_terms(self.center[axis], self.lo[axis], self.hi[axis]);
     }
 
     /// Visit the subtree at `node`, which owns positions `[start, end)`
     /// and splits on `axis`.
     fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) -> T {
-        let (near, far) = self.cell_bounds();
+        // Bounds on the squared distance the membership kernel computes
+        // for any row of the current cell: the cached terms summed in
+        // coordinate order from `0.0`, the kernel's own operation
+        // sequence (module docs, **Pruning**).
+        let d = self.dim();
+        let (mut near, mut far) = (0.0, 0.0);
+        for (&gap, &reach) in self.gaps[..d].iter().zip(&self.reaches[..d]) {
+            near += gap;
+            far += reach;
+        }
         // A NaN bound proves nothing: both tests are false and the
         // subtree is examined row by row.
         if near > self.limit {
@@ -288,19 +324,20 @@ impl<T: Harvest, F: FnMut(Hits) -> T> Descent<'_, F> {
         let Node { split, link, rows } = tree.nodes[node];
         debug_assert_eq!(rows, 0, "a range wider than a mask is not a leaf");
         let mid = start + (end - start) / 2;
-        let next = if axis + 1 == self.center.len() {
-            0
-        } else {
-            axis + 1
-        };
+        let next = if axis + 1 == self.dim() { 0 } else { axis + 1 };
         // The left child holds keys <= split, the right >= split (equal
-        // keys may sit on either side): narrow one side, descend, restore.
+        // keys may sit on either side): narrow one side and refresh its
+        // column's terms, descend, restore.
+        let terms = (self.gaps[axis], self.reaches[axis]);
         let outer = std::mem::replace(&mut self.hi[axis], split);
+        self.refresh(axis);
         let left = self.visit(node + 1, start, mid, next);
         self.hi[axis] = outer;
         let outer = std::mem::replace(&mut self.lo[axis], split);
+        self.refresh(axis);
         let right = self.visit(link as usize, mid, end, next);
         self.lo[axis] = outer;
+        (self.gaps[axis], self.reaches[axis]) = terms;
         left.join(right)
     }
 }
@@ -477,17 +514,47 @@ impl KdTree {
         if self.nodes.is_empty() || radius < 0.0 {
             return T::MISSED;
         }
-        with_scratch(2 * d, |cell| {
+        match d {
+            1 => self.descend::<T, _, 1>(center, radius, on_hits),
+            2 => self.descend::<T, _, 2>(center, radius, on_hits),
+            3 => self.descend::<T, _, 3>(center, radius, on_hits),
+            4 => self.descend::<T, _, 4>(center, radius, on_hits),
+            5 => self.descend::<T, _, 5>(center, radius, on_hits),
+            6 => self.descend::<T, _, 6>(center, radius, on_hits),
+            7 => self.descend::<T, _, 7>(center, radius, on_hits),
+            8 => self.descend::<T, _, 8>(center, radius, on_hits),
+            _ => self.descend::<T, _, 0>(center, radius, on_hits),
+        }
+    }
+
+    /// [`KdTree::fold_hits`] over a non-empty tree, `D` columns wide (`0`
+    /// = read the width at run time): the root cell and its bound terms
+    /// in scratch, then the descent from the root.
+    fn descend<T: Harvest, F: FnMut(Hits) -> T, const D: usize>(
+        &self,
+        center: &[f64],
+        radius: f64,
+        on_hits: F,
+    ) -> T {
+        let d = center.len();
+        with_scratch(4 * d, |scratch| {
+            let (cell, terms) = scratch.split_at_mut(2 * d);
             cell.copy_from_slice(&self.root_box);
             let (lo, hi) = cell.split_at_mut(d);
-            let mut descent = Descent {
+            let (gaps, reaches) = terms.split_at_mut(d);
+            let mut descent = Descent::<F, D> {
                 tree: self,
                 center,
                 limit: radius * radius,
                 lo,
                 hi,
+                gaps,
+                reaches,
                 on_hits,
             };
+            for axis in 0..d {
+                descent.refresh(axis);
+            }
             descent.visit(0, 0, self.ids.len(), 0)
         })
     }
