@@ -1,11 +1,11 @@
-//! The exact-engine façade: one relation, three engines, wall-clock
-//! instrumentation.
+//! The exact-engine façade: one relation, three engines.
 //!
 //! Plays the role of "the RDBMS + statistical package" in the paper's
 //! Fig. 2: the training loop calls [`ExactEngine::q1_batch`] (one batch
-//! per chunk of its query stream) to obtain ground truth answers, and the efficiency experiment (Fig. 12) measures
-//! [`ExactEngine::q1_timed`] / [`ExactEngine::q2_reg_timed`] /
-//! [`ExactEngine::q2_plr_timed`] against the model's prediction latency.
+//! per chunk of its query stream) to obtain ground truth answers, and the
+//! efficiency experiment (Fig. 12) times [`ExactEngine::q1`] /
+//! [`ExactEngine::q2_reg`] / [`ExactEngine::q2_plr`] against the model's
+//! prediction latency.
 
 use crate::mars::{Mars, MarsModel, MarsParams};
 use crate::ols::{fit_ols_ball, fit_ols_global, BallFit, LinearModel};
@@ -14,7 +14,6 @@ use regq_data::Dataset;
 use regq_linalg::LinalgError;
 use regq_store::{AccessPathKind, Relation};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
 /// A relation bundled with exact Q1/Q2 executors.
 pub struct ExactEngine {
@@ -104,36 +103,6 @@ impl ExactEngine {
     pub fn select(&self, center: &[f64], radius: f64) -> Vec<usize> {
         self.rel.select(center, radius)
     }
-
-    /// Timed Q1 execution.
-    pub fn q1_timed(&self, center: &[f64], radius: f64) -> (Option<f64>, Duration) {
-        let t0 = Instant::now();
-        let r = self.q1(center, radius);
-        (r, t0.elapsed())
-    }
-
-    /// Timed per-query REG execution (selection + OLS).
-    pub fn q2_reg_timed(
-        &self,
-        center: &[f64],
-        radius: f64,
-    ) -> (Result<LinearModel, LinalgError>, Duration) {
-        let t0 = Instant::now();
-        let r = self.q2_reg(center, radius);
-        (r, t0.elapsed())
-    }
-
-    /// Timed per-query PLR execution (selection + MARS).
-    pub fn q2_plr_timed(
-        &self,
-        center: &[f64],
-        radius: f64,
-        params: MarsParams,
-    ) -> (Result<MarsModel, LinalgError>, Duration) {
-        let t0 = Instant::now();
-        let r = self.q2_plr(center, radius, params);
-        (r, t0.elapsed())
-    }
 }
 
 impl std::fmt::Debug for ExactEngine {
@@ -211,14 +180,6 @@ mod tests {
         let a = e.global_reg().unwrap().clone();
         let b = e.global_reg().unwrap().clone();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn timed_wrappers_return_same_results() {
-        let e = engine();
-        let (r, dur) = e.q1_timed(&[0.5, 0.5], 0.2);
-        assert_eq!(r, e.q1(&[0.5, 0.5], 0.2));
-        assert!(dur.as_nanos() > 0);
     }
 
     #[test]

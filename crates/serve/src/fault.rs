@@ -200,7 +200,7 @@ impl FaultPlan {
 
     /// Advertise a standing exact-path cost (µs) folded into the
     /// deadline-budget estimate — the deterministic stand-in for a slow
-    /// fallback in tests and the drift harness.
+    /// fallback in tests.
     ///
     /// # Panics
     /// As [`FaultPlan::inject`].

@@ -11,13 +11,12 @@
 
 use crate::querygen::QueryGenerator;
 use crate::stream::ExactChunk;
-use crate::timer::LatencyStats;
 use rand::Rng;
 use regq_core::metrics::RmseAccumulator;
-use regq_core::{LlmModel, LocalModel, Query, ScreenCounters};
+use regq_core::{LlmModel, LocalModel, Query};
 use regq_exact::{ExactEngine, GoodnessOfFit, Mars, MarsParams};
 use regq_linalg::vector;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A1 — mean-value prediction accuracy over unseen Q1 queries.
 #[derive(Debug, Clone, Copy)]
@@ -318,85 +317,32 @@ impl SampleAcc {
     }
 }
 
-/// Timed Q1 prediction over a prepared query set (LLM side of Fig. 12).
-/// Times what a statement is served by — the model's snapshot, captured
-/// before the loop, through the pruned resolver — so the paper's speed
-/// claim is made about the path a `USING MODEL` query takes, not about
-/// the unpruned oracle behind [`LlmModel::predict_q1`].
-pub fn time_q1_llm(model: &LlmModel, queries: &[Query]) -> LatencyStats {
-    let snapshot = model.snapshot();
-    let mut counters = ScreenCounters::default();
-    let mut stats = LatencyStats::new();
+/// Mean wall-clock latency of `answer` over `queries` — the unit of the
+/// efficiency experiments (Fig. 12). One sample per query, in order: the
+/// clock runs around the call alone, and the answer is consumed (and
+/// dropped) outside it. Whatever `answer` reads — a served snapshot, an
+/// exact engine — is captured by the caller before the loop, so only the
+/// answer is timed. Zero for an empty slice.
+pub fn mean_latency<T>(queries: &[Query], mut answer: impl FnMut(&Query) -> T) -> Duration {
+    let mut total = Duration::ZERO;
     for q in queries {
         let t0 = Instant::now();
-        let (y, _) = snapshot
-            .predict_q1_with_confidence_pruned(q, &mut counters)
-            .expect("trained model");
-        stats.push(t0.elapsed());
-        std::hint::black_box(y);
+        let out = answer(q);
+        total += t0.elapsed();
+        std::hint::black_box(out);
     }
-    stats
-}
-
-/// Timed Q2 prediction over a prepared query set — the served path, like
-/// [`time_q1_llm`].
-pub fn time_q2_llm(model: &LlmModel, queries: &[Query]) -> LatencyStats {
-    let snapshot = model.snapshot();
-    let mut counters = ScreenCounters::default();
-    let mut stats = LatencyStats::new();
-    for q in queries {
-        let t0 = Instant::now();
-        let (s, _) = snapshot
-            .predict_q2_with_confidence_pruned(q, &mut counters)
-            .expect("trained model");
-        stats.push(t0.elapsed());
-        std::hint::black_box(s.len());
+    if queries.is_empty() {
+        Duration::ZERO
+    } else {
+        total / queries.len() as u32
     }
-    stats
-}
-
-/// Timed exact Q1 execution (selection + aggregate).
-pub fn time_q1_exact(engine: &ExactEngine, queries: &[Query]) -> LatencyStats {
-    let mut stats = LatencyStats::new();
-    for q in queries {
-        let (y, dur) = engine.q1_timed(&q.center, q.radius);
-        stats.push(dur);
-        std::hint::black_box(y);
-    }
-    stats
-}
-
-/// Timed exact per-query REG execution (selection + OLS).
-pub fn time_q2_reg_exact(engine: &ExactEngine, queries: &[Query]) -> LatencyStats {
-    let mut stats = LatencyStats::new();
-    for q in queries {
-        let (m, dur) = engine.q2_reg_timed(&q.center, q.radius);
-        stats.push(dur);
-        std::hint::black_box(m.is_ok());
-    }
-    stats
-}
-
-/// Timed exact per-query PLR execution (selection + MARS fit).
-pub fn time_q2_plr_exact(
-    engine: &ExactEngine,
-    queries: &[Query],
-    params: MarsParams,
-) -> LatencyStats {
-    let mut stats = LatencyStats::new();
-    for q in queries {
-        let (m, dur) = engine.q2_plr_timed(&q.center, q.radius, params);
-        stats.push(dur);
-        std::hint::black_box(m.is_ok());
-    }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::train_from_engine;
-    use regq_core::ModelConfig;
+    use regq_core::{ModelConfig, ScreenCounters};
     use regq_data::generators::GasSensorSurrogate;
     use regq_data::rng::seeded;
     use regq_data::{Dataset, SampleOptions};
@@ -508,21 +454,22 @@ mod tests {
         let (engine, gen, model) = setup();
         let mut rng = seeded(5);
         let queries = gen.generate_many(30, &mut rng);
-        let llm = time_q2_llm(model, &queries);
-        let plr = time_q2_plr_exact(
-            engine,
-            &queries,
-            MarsParams {
-                max_terms: 9,
-                max_knots_per_dim: 8,
-                ..Default::default()
-            },
-        );
+        let snapshot = model.snapshot();
+        let mut counters = ScreenCounters::default();
+        let llm = mean_latency(&queries, |q| {
+            snapshot
+                .predict_q2_with_confidence_pruned(q, &mut counters)
+                .expect("trained model")
+        });
+        let params = MarsParams {
+            max_terms: 9,
+            max_knots_per_dim: 8,
+            ..Default::default()
+        };
+        let plr = mean_latency(&queries, |q| engine.q2_plr(&q.center, q.radius, params));
         assert!(
-            plr.mean().as_secs_f64() > 10.0 * llm.mean().as_secs_f64(),
-            "plr {:?} vs llm {:?}",
-            plr.mean(),
-            llm.mean()
+            plr.as_secs_f64() > 10.0 * llm.as_secs_f64(),
+            "plr {plr:?} vs llm {llm:?}"
         );
     }
 
@@ -531,8 +478,51 @@ mod tests {
         let (engine, gen, model) = setup();
         let mut rng = seeded(6);
         let queries = gen.generate_many(50, &mut rng);
-        assert_eq!(time_q1_llm(model, &queries).count(), 50);
-        assert_eq!(time_q1_exact(engine, &queries).count(), 50);
-        assert_eq!(time_q2_reg_exact(engine, &queries).count(), 50);
+        let snapshot = model.snapshot();
+        let mut counters = ScreenCounters::default();
+        let mut calls = [0usize; 3];
+        mean_latency(&queries, |q| {
+            calls[0] += 1;
+            snapshot.predict_q1_with_confidence_pruned(q, &mut counters)
+        });
+        mean_latency(&queries, |q| {
+            calls[1] += 1;
+            engine.q1(&q.center, q.radius)
+        });
+        mean_latency(&queries, |q| {
+            calls[2] += 1;
+            engine.q2_reg(&q.center, q.radius)
+        });
+        assert_eq!(calls, [50; 3]);
+    }
+
+    #[test]
+    fn mean_latency_times_each_answer_once_in_order_and_not_its_drop() {
+        /// An answer whose drop costs far more than the answer itself.
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(40));
+            }
+        }
+        let queries: Vec<Query> = (1..=4)
+            .map(|i| Query::new_unchecked(vec![f64::from(i)], 0.1))
+            .collect();
+        let mut seen = Vec::new();
+        let mean = mean_latency(&queries, |q| {
+            seen.push(q.clone());
+            std::thread::sleep(Duration::from_millis(2));
+            SlowDrop
+        });
+        assert_eq!(seen, queries, "one call per query, in order");
+        assert!(
+            mean >= Duration::from_millis(2),
+            "the call is timed: {mean:?}"
+        );
+        assert!(
+            mean < Duration::from_millis(40),
+            "the drop is not: {mean:?}"
+        );
+        assert_eq!(mean_latency(&[], |_| SlowDrop), Duration::ZERO);
     }
 }

@@ -23,12 +23,15 @@ impl QueryGenerator {
     /// `θ ~ N(mean, std²)`, truncated to `(0, theta_max)`.
     ///
     /// # Panics
-    /// Panics on empty bounds or non-positive `theta_mean`/`theta_max`.
+    /// Panics on empty bounds, or unless `theta_mean` and `theta_max` are
+    /// finite and positive and `theta_std` finite and non-negative.
     pub fn new(bounds: Vec<(f64, f64)>, theta_mean: f64, theta_std: f64, theta_max: f64) -> Self {
         assert!(!bounds.is_empty(), "need at least one dimension");
-        assert!(theta_mean > 0.0, "theta mean must be positive");
-        assert!(theta_std >= 0.0, "theta std must be non-negative");
-        assert!(theta_max > 0.0, "theta max must be positive");
+        check_theta(theta_mean, theta_std);
+        assert!(
+            theta_max.is_finite() && theta_max > 0.0,
+            "theta max must be finite and positive"
+        );
         for (lo, hi) in &bounds {
             assert!(lo < hi, "degenerate center bound ({lo}, {hi})");
         }
@@ -54,8 +57,11 @@ impl QueryGenerator {
 
     /// Override the radius distribution, keeping the center bounds (used
     /// by the µ_θ sweep of Figs. 13/14).
+    ///
+    /// # Panics
+    /// As [`QueryGenerator::new`] on `mean` and `std`.
     pub fn with_theta(mut self, mean: f64, std: f64) -> Self {
-        assert!(mean > 0.0, "theta mean must be positive");
+        check_theta(mean, std);
         self.theta_mean = mean;
         self.theta_std = std;
         self
@@ -90,6 +96,21 @@ impl QueryGenerator {
     pub fn generate_many<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Query> {
         (0..n).map(|_| self.generate(rng)).collect()
     }
+}
+
+/// The radius distribution's parameters, as [`QueryGenerator::new`] and
+/// [`QueryGenerator::with_theta`] require them: a negative or NaN `std`
+/// would otherwise spin every draw through the truncated sampler's
+/// rejection cap and silently return the clamped mean.
+fn check_theta(mean: f64, std: f64) {
+    assert!(
+        mean.is_finite() && mean > 0.0,
+        "theta mean must be finite and positive"
+    );
+    assert!(
+        std.is_finite() && std >= 0.0,
+        "theta std must be finite and non-negative"
+    );
 }
 
 // `rand::Rng` must be in scope for `random_range`.
@@ -176,5 +197,39 @@ mod tests {
     #[should_panic(expected = "degenerate")]
     fn degenerate_bounds_panic() {
         let _ = QueryGenerator::new(vec![(1.0, 1.0)], 0.1, 0.1, 1.0);
+    }
+
+    fn unit() -> QueryGenerator {
+        QueryGenerator::new(vec![(0.0, 1.0)], 0.1, 0.1, 1.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "theta std must be finite and non-negative")]
+    fn negative_theta_std_panics() {
+        let _ = unit().with_theta(0.1, -0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta std must be finite and non-negative")]
+    fn nan_theta_std_panics() {
+        let _ = unit().with_theta(0.1, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta std must be finite and non-negative")]
+    fn infinite_theta_std_panics() {
+        let _ = QueryGenerator::new(vec![(0.0, 1.0)], 0.1, f64::INFINITY, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta mean must be finite and positive")]
+    fn infinite_theta_mean_panics() {
+        let _ = QueryGenerator::new(vec![(0.0, 1.0)], f64::INFINITY, 0.1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta max must be finite and positive")]
+    fn infinite_theta_max_panics() {
+        let _ = QueryGenerator::new(vec![(0.0, 1.0)], 0.1, 0.1, f64::INFINITY);
     }
 }

@@ -23,14 +23,11 @@
 //! enough rows at the paper's 10¹⁰, none in a 10⁵-row table. **Ridge** is
 //! Fig. 5's one-dimensional illustration.
 
-use crate::eval::{
-    evaluate_data_values, evaluate_q1, evaluate_q2, time_q1_exact, time_q1_llm, time_q2_llm,
-    time_q2_plr_exact, time_q2_reg_exact, Q2Eval,
-};
+use crate::eval::{evaluate_data_values, evaluate_q1, evaluate_q2, mean_latency, Q2Eval};
 use crate::{train_from_engine, QueryGenerator, StreamReport};
 use regq_core::config::SlopeUpdate;
 use regq_core::metrics::RmseAccumulator;
-use regq_core::{LearningSchedule, LlmModel, ModelConfig, Query};
+use regq_core::{LearningSchedule, LlmModel, ModelConfig, Query, ScreenCounters};
 use regq_data::generators::{GasSensorSurrogate, Rosenbrock, SineRidge1d};
 use regq_data::rng::{seeded, SeededRng};
 use regq_data::{DataFunction, Dataset, SampleOptions};
@@ -40,6 +37,7 @@ use regq_store::AccessPathKind;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Rows of every table an accuracy experiment trains and scores on.
 const ROWS: usize = 100_000;
@@ -401,10 +399,7 @@ impl Experiment {
                 let queries = defaults
                     .generator()
                     .generate_many(200, &mut lab.rng(300_000));
-                let (q1, q2) = (
-                    time_q1_llm(&t.model, &queries),
-                    time_q2_llm(&t.model, &queries),
-                );
+                let (q1, q2) = served_ms(&t.model, &queries);
                 Series::scalar(
                     &[
                         "query-time share",
@@ -415,10 +410,12 @@ impl Experiment {
                     ],
                     &[
                         t.report.query_time_fraction(),
-                        q1.mean_ms(),
-                        q2.mean_ms(),
-                        time_q1_exact(&engine, &queries).mean_ms() / q1.mean_ms(),
-                        time_q2_reg_exact(&engine, &queries).mean_ms() / q2.mean_ms(),
+                        q1,
+                        q2,
+                        ms(mean_latency(&queries, |q| engine.q1(&q.center, q.radius))) / q1,
+                        ms(mean_latency(&queries, |q| {
+                            engine.q2_reg(&q.center, q.radius)
+                        })) / q2,
                     ],
                 )
             }
@@ -592,6 +589,31 @@ fn illustration(lab: &mut Lab) -> Series {
     )
 }
 
+/// Mean latencies in ms of the served Q1 and Q2 paths — the model's
+/// snapshot, captured before the loop, through the pruned resolver — so
+/// the paper's speed claim is made about the path a `USING MODEL` query
+/// takes, not about the unpruned oracle behind [`LlmModel::predict_q1`].
+fn served_ms(model: &LlmModel, queries: &[Query]) -> (f64, f64) {
+    let snapshot = model.snapshot();
+    let mut counters = ScreenCounters::default();
+    let q1 = mean_latency(queries, |q| {
+        snapshot
+            .predict_q1_with_confidence_pruned(q, &mut counters)
+            .expect("a trained model")
+    });
+    let q2 = mean_latency(queries, |q| {
+        snapshot
+            .predict_q2_with_confidence_pruned(q, &mut counters)
+            .expect("a trained model")
+    });
+    (ms(q1), ms(q2))
+}
+
+/// A latency in the unit of the paper's Fig. 12.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
 /// Fig. 12: the model answers from its snapshot; the exact engines scan
 /// or walk the kd-tree of a table of each size (PLR on 10 queries: it is
 /// seconds per query at a million rows).
@@ -608,16 +630,21 @@ fn execution_time(lab: &mut Lab, spec: Spec) -> Series {
         let data = Arc::new(spec.family.dataset(spec.d, n, lab.seed));
         let scan = ExactEngine::new(data.clone(), AccessPathKind::Scan);
         let kd = ExactEngine::new(data, AccessPathKind::KdTree);
+        let (q1_llm, q2_llm) = served_ms(&t.model, &queries);
+        let q1 = |e: &ExactEngine| ms(mean_latency(&queries, |q| e.q1(&q.center, q.radius)));
+        let q2 = |e: &ExactEngine| ms(mean_latency(&queries, |q| e.q2_reg(&q.center, q.radius)));
         s.push(
             n,
             &[
-                time_q1_llm(&t.model, &queries).mean_ms(),
-                time_q1_exact(&scan, &queries).mean_ms(),
-                time_q1_exact(&kd, &queries).mean_ms(),
-                time_q2_llm(&t.model, &queries).mean_ms(),
-                time_q2_reg_exact(&scan, &queries).mean_ms(),
-                time_q2_reg_exact(&kd, &queries).mean_ms(),
-                time_q2_plr_exact(&kd, &queries[..10], plr()).mean_ms(),
+                q1_llm,
+                q1(&scan),
+                q1(&kd),
+                q2_llm,
+                q2(&scan),
+                q2(&kd),
+                ms(mean_latency(&queries[..10], |q| {
+                    kd.q2_plr(&q.center, q.radius, plr())
+                })),
             ],
         );
     }

@@ -88,10 +88,7 @@ pub mod prelude {
     };
     pub use regq_store::{AccessPathKind, Relation};
     pub use regq_workload::{
-        eval::{
-            evaluate_data_values, evaluate_q1, evaluate_q2, time_q1_exact, time_q1_llm,
-            time_q2_llm, time_q2_plr_exact, time_q2_reg_exact,
-        },
-        train_from_engine, LatencyStats, QueryGenerator, StreamReport,
+        eval::{evaluate_data_values, evaluate_q1, evaluate_q2, mean_latency},
+        train_from_engine, QueryGenerator, StreamReport,
     };
 }

@@ -2,9 +2,11 @@
 //! exact engine → analyst workload → model training → zero-data-access
 //! prediction — with accuracy assertions against ground truth.
 
+use regq::core::ScreenCounters;
 use regq::prelude::*;
 use std::sync::Arc;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Shared non-linear fixture (expensive: 40k rows + training to Γ ≤ γ).
 fn nonlinear_fixture() -> &'static (ExactEngine, QueryGenerator, LlmModel) {
@@ -25,6 +27,19 @@ fn nonlinear_fixture() -> &'static (ExactEngine, QueryGenerator, LlmModel) {
         let report = train_from_engine(&mut model, &engine, &gen, 120_000, &mut rng).unwrap();
         assert!(report.converged, "fixture must converge");
         (engine, gen, model)
+    })
+}
+
+/// Mean latency of the served Q1 path a `USING MODEL` statement takes:
+/// the model's snapshot, captured before the loop, through the pruned
+/// resolver.
+fn served_q1_latency(model: &LlmModel, queries: &[Query]) -> Duration {
+    let snapshot = model.snapshot();
+    let mut counters = ScreenCounters::default();
+    mean_latency(queries, |q| {
+        snapshot
+            .predict_q1_with_confidence_pruned(q, &mut counters)
+            .expect("trained model")
     })
 }
 
@@ -70,16 +85,11 @@ fn prediction_requires_no_data_access_and_is_fast() {
     let (engine, gen, model) = nonlinear_fixture();
     let mut rng = seeded(102);
     let queries = gen.generate_many(200, &mut rng);
-    let llm = time_q1_llm(model, &queries);
-    let exact = time_q1_exact(engine, &queries);
+    let llm = served_q1_latency(model, &queries);
+    let exact = mean_latency(&queries, |q| engine.q1(&q.center, q.radius));
     // The engine holds 40k rows behind a kd-tree; even so, the model-side
     // answer must be decisively faster on average.
-    assert!(
-        llm.mean() < exact.mean(),
-        "LLM {:?} not faster than exact {:?}",
-        llm.mean(),
-        exact.mean()
-    );
+    assert!(llm < exact, "LLM {llm:?} not faster than exact {exact:?}");
 }
 
 #[test]
@@ -89,12 +99,11 @@ fn model_scales_independently_of_data_size() {
     let (_, gen, model) = nonlinear_fixture();
     let mut rng = seeded(103);
     let queries = gen.generate_many(500, &mut rng);
-    let t = time_q1_llm(model, &queries);
-    // O(dK) per query: sub-10µs each even in CI noise.
+    let t = served_q1_latency(model, &queries);
+    // O(dK) per query: a few µs each, bounded at 200 µs for CI noise.
     assert!(
-        t.mean().as_micros() < 200,
-        "prediction latency {:?} suspiciously high",
-        t.mean()
+        t.as_micros() < 200,
+        "prediction latency {t:?} suspiciously high"
     );
 }
 

@@ -229,40 +229,120 @@ fn frozen_model_serves_concurrently_with_identical_answers() {
     });
 }
 
+/// Closed-loop serving: `readers` threads each auto-route their share of
+/// `reader_queries` through `router` while the calling thread, the one
+/// writer, executes `writer_queries` exactly and feeds the answers back;
+/// then whatever the opportunistic pumps left queued is flushed. Returns
+/// how many reader queries were answered with a value — the rest were
+/// SQL NULL (an empty selection); any other serve error fails the test.
+fn closed_loop(
+    router: &ShardRouter,
+    reader_queries: &[Query],
+    readers: usize,
+    writer_queries: &[Query],
+) -> u64 {
+    let answered = std::thread::scope(|scope| {
+        let handles: Vec<_> = reader_queries
+            .chunks(reader_queries.len().div_ceil(readers))
+            .map(|share| {
+                scope.spawn(move || {
+                    let mut answered = 0;
+                    for q in share {
+                        match router.q1(q) {
+                            Ok(_) => answered += 1,
+                            Err(ServeError::EmptySubspace) => {}
+                            Err(e) => panic!("closed-loop serve failed: {e}"),
+                        }
+                    }
+                    answered
+                })
+            })
+            .collect();
+        for q in writer_queries {
+            if let Some(y) = router.exact_engine().q1(&q.center, q.radius) {
+                router.observe_outcome(q, y);
+            }
+        }
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    router.pump();
+    answered
+}
+
 #[test]
 fn closed_loop_serving_exercises_both_routes_under_live_training() {
-    use regq::workload::serve_closed_loop;
     let field = GasSensorSurrogate::new(2, 33);
     let mut rng = seeded(11);
-    let ds = Dataset::from_function(&field, 20_000, SampleOptions::default(), &mut rng);
-    let exact = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-    let router = ShardRouter::with_model(
-        exact,
-        LlmModel::new(ModelConfig::with_vigilance(2, 0.08)).unwrap(),
-        RoutePolicy {
-            confidence_threshold: 0.3,
-            feedback: true,
-            publish_interval: 64,
-            ..RoutePolicy::default()
-        },
-        1,
-    );
+    let ds = Arc::new(Dataset::from_function(
+        &field,
+        20_000,
+        SampleOptions::default(),
+        &mut rng,
+    ));
+    let exact = || ExactEngine::new(ds.clone(), AccessPathKind::KdTree);
     let gen = QueryGenerator::for_function(&field, 0.1);
-    let reader_queries = gen.generate_many(3_000, &mut rng);
-    let writer_queries = gen.generate_many(20_000, &mut rng);
-    let r = serve_closed_loop(&router, &reader_queries, 4, &writer_queries);
-    assert_eq!(r.queries, 3_000);
-    assert!(r.exact_served > 0, "a fresh router must fall back at first");
-    assert!(
-        r.feedback_fed > 0,
-        "the closed loop must train from fallbacks/writer"
-    );
-    assert!(r.publishes >= 1, "the trainer must republish mid-run");
-    let stats = router.stats();
-    assert_eq!(
-        stats.model_served + stats.exact_served,
-        r.model_served + r.exact_served
-    );
+    let config = ModelConfig::with_vigilance(2, 0.08);
+    let mut trained = LlmModel::new(config.clone()).unwrap();
+    train_from_engine(&mut trained, &exact(), &gen, 10_000, &mut rng).unwrap();
+    let router = |model, shards| {
+        ShardRouter::with_model(
+            exact(),
+            model,
+            RoutePolicy {
+                confidence_threshold: 0.3,
+                feedback: true,
+                publish_interval: 64,
+                ..RoutePolicy::default()
+            },
+            shards,
+        )
+    };
+    for shards in [1, 4] {
+        // A fresh router falls back, learns from the writer and its own
+        // fallbacks, and republishes mid-run.
+        let fresh = router(LlmModel::new(config.clone()).unwrap(), shards);
+        let published = fresh.stats().publishes;
+        let reader_queries = gen.generate_many(6_000, &mut rng);
+        let writer_queries = gen.generate_many(5_000, &mut rng);
+        let answered = closed_loop(&fresh, &reader_queries, 4, &writer_queries);
+        let stats = fresh.stats();
+        // Every reader query routes somewhere; the handful whose fallback
+        // selection is empty are answered as SQL NULL and bump no counter.
+        let routed = stats.model_served + stats.exact_served + stats.degraded_served;
+        assert_eq!(routed, answered, "route accounting at {shards} shards");
+        assert!(
+            routed > 5_500,
+            "too many NULLs at {shards} shards: {routed}/6000"
+        );
+        assert!(
+            stats.exact_served > 0,
+            "a fresh router must fall back at first"
+        );
+        assert!(
+            stats.feedback_fed > 0,
+            "the closed loop must train from fallbacks/writer"
+        );
+        // Nothing leaks from the accounting: everything the fabric
+        // consumed was first enqueued, and every loss is counted.
+        assert!(stats.feedback_fed <= stats.feedback_enqueued);
+        assert!(
+            stats.publishes > published,
+            "the trainer must republish mid-run"
+        );
+
+        // A pre-trained router clears the gate for most in-distribution
+        // queries under the same live training.
+        let served = router(trained.clone(), shards);
+        let reader_queries = gen.generate_many(400, &mut rng);
+        let writer_queries = gen.generate_many(2_000, &mut rng);
+        closed_loop(&served, &reader_queries, 4, &writer_queries);
+        let stats = served.stats();
+        let share = stats.model_served as f64 / (stats.model_served + stats.exact_served) as f64;
+        assert!(
+            share > 0.5,
+            "trained router should serve mostly from the model (share {share} at {shards} shards)"
+        );
+    }
 }
 
 mod snapshot_equivalence {
@@ -674,8 +754,9 @@ mod fault_injection {
     //! [`Route::Degraded`]; every firing is answered by a counted
     //! restart/heal/retry in the stats.
 
+    use rand::RngExt;
+    use regq::data::SeededRng;
     use regq::prelude::*;
-    use regq::workload::{drift_recovery_loop, ShiftingValley};
     use std::sync::{Arc, OnceLock};
 
     fn shared_data() -> Arc<Dataset> {
@@ -737,11 +818,41 @@ mod fault_injection {
         probes
     }
 
-    #[test]
-    fn injected_trainer_panics_recover_in_the_live_closed_loop() {
-        // Silence the supervisor-caught injected panics' default-hook
-        // spam (the test stays single-threaded and deterministic).
-        std::panic::set_hook(Box::new(|_| {}));
+    /// The drift: the workload's focus walks the diagonal from 0.25 to
+    /// 0.75 over `RAMP` queries from query `DRIFT_AT` on.
+    const DRIFT_AT: usize = 3_000;
+    const RAMP: usize = 500;
+    /// Queries per route tally.
+    const WINDOW: usize = 250;
+    /// A post-drift window has recovered once its model share is back to
+    /// this fraction of the last pre-drift window's.
+    const RECOVERY_FRACTION: f64 = 0.7;
+
+    /// Drift progress at stream position `i`: 0 before the drift, a
+    /// linear ramp across it, 1 after.
+    fn phase(i: usize) -> f64 {
+        (i.saturating_sub(DRIFT_AT) as f64 / RAMP as f64).min(1.0)
+    }
+
+    /// The `i`-th query of the drifting stream `rng` draws: centre
+    /// uniform within ±0.08 of the focus, radius uniform in [0.08, 0.16).
+    fn drifting_query(i: usize, rng: &mut SeededRng) -> Query {
+        let focus = 0.25 + phase(i) * 0.5;
+        let center = (0..2)
+            .map(|_| focus + rng.random_range(-0.08..0.08))
+            .collect();
+        Query::new_unchecked(center, rng.random_range(0.08..0.16))
+    }
+
+    /// Drives a fresh learner through 8,000 drifting queries in a
+    /// single-threaded closed loop (`q1` auto-routing: confident snapshot
+    /// serves, exact fallbacks feeding the trainers) under `plan`, and
+    /// tallies `[model-side, exact]` answers per [`WINDOW`] queries; then
+    /// the feedback queues are drained.
+    /// Degraded serves are snapshot answers and count model-side; a NULL
+    /// counts on neither. Deterministic: the recovery point is a property
+    /// of the learner, not of thread timing.
+    fn drift(plan: Option<FaultPlan>) -> (ShardRouter, Vec<[usize; 2]>) {
         let mut router = ShardRouter::with_model(
             exact(),
             LlmModel::new(ModelConfig::with_vigilance(2, 0.08)).unwrap(),
@@ -753,33 +864,127 @@ mod fault_injection {
             },
             2,
         );
-        router.set_fault_plan(FaultPlan::seeded(&[FaultKind::TrainerPanic], 99, 500, 4));
-        let valley = ShiftingValley {
-            start: vec![0.3, 0.3],
-            end: vec![0.7, 0.7],
-            radius_min: 0.08,
-            radius_max: 0.16,
-            jitter: 0.08,
-            drift_at: 1_500,
-            drift_len: 300,
-        };
-        let report = drift_recovery_loop(&router, &valley, 4_000, 200, 101);
-        let _ = std::panic::take_hook();
-        let stats = router.stats();
-        assert!(stats.trainer_panics > 0, "the seeded plan never fired");
-        assert_eq!(
-            stats.trainer_restarts, stats.trainer_panics,
-            "every panic must be answered by a counted restart"
-        );
-        assert_eq!(
-            router.quarantined().len(),
-            stats.trainer_panics as usize,
-            "every poisonous example must be retrievable"
-        );
+        if let Some(plan) = plan {
+            router.set_fault_plan(plan);
+        }
+        let mut rng = seeded(33);
+        let mut windows = vec![[0usize; 2]; 8_000 / WINDOW];
+        for i in 0..8_000 {
+            match router.q1(&drifting_query(i, &mut rng)) {
+                Ok(served) => windows[i / WINDOW][usize::from(served.route == Route::Exact)] += 1,
+                Err(ServeError::EmptySubspace) => {}
+                Err(e) => panic!("drift loop hit a non-workload error: {e}"),
+            }
+        }
+        router.pump();
+        (router, windows)
+    }
+
+    fn model_share([model, exact]: [usize; 2]) -> f64 {
+        model as f64 / (model + exact).max(1) as f64
+    }
+
+    /// The pre-drift baseline share, and the queries from the drift's
+    /// onset to the first window after the ramp whose share is back to
+    /// [`RECOVERY_FRACTION`] of it (`None`: never).
+    fn recovery(windows: &[[usize; 2]]) -> (f64, Option<usize>) {
+        let baseline = model_share(windows[DRIFT_AT / WINDOW - 1]);
+        let at = ((DRIFT_AT + RAMP).div_ceil(WINDOW)..windows.len())
+            .find(|&w| model_share(windows[w]) >= RECOVERY_FRACTION * baseline);
+        (baseline, at.map(|w| w * WINDOW - DRIFT_AT))
+    }
+
+    #[test]
+    fn the_drifting_valley_is_deterministic() {
+        assert_eq!((phase(0), phase(DRIFT_AT)), (0.0, 0.0));
+        assert!(phase(DRIFT_AT + 250) > 0.0 && phase(DRIFT_AT + 250) < 1.0);
+        assert_eq!((phase(DRIFT_AT + RAMP), phase(10_000)), (1.0, 1.0));
+        let (mut a, mut b) = (seeded(7), seeded(7));
+        for i in (0..8_000).step_by(80) {
+            let q = drifting_query(i, &mut a);
+            assert_eq!(q, drifting_query(i, &mut b));
+            let focus = 0.25 + 0.5 * phase(i);
+            assert!(q.center.iter().all(|c| (c - focus).abs() <= 0.08));
+            assert!((0.08..0.16).contains(&q.radius));
+        }
+    }
+
+    #[test]
+    fn a_clean_drift_dips_spikes_and_recovers() {
+        let (_, windows) = drift(None);
+        let (baseline, recovered) = recovery(&windows);
         assert!(
-            report.recovered_at.is_some(),
-            "the supervised loop must still recover from drift: {report:?}"
+            baseline > 0.5,
+            "never learned the pre-drift region: baseline {baseline}"
         );
+        let after = &windows[DRIFT_AT / WINDOW..];
+        let dip = after.iter().copied().map(model_share).fold(1.0, f64::min);
+        assert!(dip < baseline, "drift caused no dip: {dip} vs {baseline}");
+        // The fallback spike is what retrains: some window at/after the
+        // drift leans on the exact engine harder than the last calm one.
+        let spike = after.iter().map(|w| w[1]).max().unwrap();
+        let calm = windows[DRIFT_AT / WINDOW - 1][1];
+        assert!(spike > calm, "no fallback spike: {spike} vs {calm}");
+        let recovered = recovered.expect("the fabric never recovered from the drift");
+        assert!(recovered <= 5_000, "recovery too slow: {recovered} queries");
+    }
+
+    #[test]
+    fn injected_trainer_panics_recover_in_the_live_closed_loop() {
+        let (_, clean) = recovery(&drift(None).1);
+        // Silence the supervisor-caught injected panics' default-hook
+        // spam (the loop stays single-threaded and deterministic).
+        std::panic::set_hook(Box::new(|_| {}));
+        let mix = [
+            FaultKind::TrainerPanic,
+            FaultKind::LockPoison,
+            FaultKind::QueueOverflow,
+        ];
+        for (kinds, seed, horizon) in [(&mix[..1], 99, 500), (&mix[..], 43, 300)] {
+            let plan = FaultPlan::seeded(kinds, seed, horizon, 4);
+            let (router, windows) = drift(Some(plan.clone()));
+            for &kind in kinds {
+                assert!(plan.fired(kind) > 0, "the seeded {kind:?} never fired");
+            }
+            let stats = router.stats();
+            assert_eq!(
+                (stats.trainer_panics, stats.lock_poisonings),
+                (
+                    plan.fired(FaultKind::TrainerPanic),
+                    plan.fired(FaultKind::LockPoison)
+                ),
+                "every firing is counted, and nothing else"
+            );
+            assert_eq!(
+                stats.trainer_restarts,
+                stats.trainer_panics + stats.lock_poisonings,
+                "every fault must be answered by a counted restart"
+            );
+            assert_eq!(
+                router.quarantined().len(),
+                stats.trainer_panics as usize,
+                "every poisonous example must be retrievable"
+            );
+            // No example vanishes: each fallback's is queued or counted as
+            // dropped (one per overflow burst), and each queued one is fed
+            // or quarantined.
+            assert_eq!(
+                stats.feedback_enqueued + stats.feedback_dropped,
+                stats.exact_served
+            );
+            assert_eq!(stats.feedback_dropped, plan.fired(FaultKind::QueueOverflow));
+            assert_eq!(
+                stats.feedback_fed + stats.trainer_panics,
+                stats.feedback_enqueued
+            );
+            let (_, recovered) = recovery(&windows);
+            assert!(
+                recovered.is_some(),
+                "the supervised loop must still recover from drift: {windows:?}"
+            );
+            assert_eq!(recovered, clean, "faults must not delay the recovery");
+        }
+        let _ = std::panic::take_hook();
     }
 
     #[test]
