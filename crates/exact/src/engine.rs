@@ -2,7 +2,8 @@
 //!
 //! Plays the role of "the RDBMS + statistical package" in the paper's
 //! Fig. 2: the training loop calls [`ExactEngine::q1_batch`] (one batch
-//! per chunk of its query stream) to obtain ground truth answers, and the
+//! per contiguous run of a chunk of its query stream, the runs on every
+//! core the host grants) to obtain ground truth answers, and the
 //! efficiency experiment (Fig. 12) times [`ExactEngine::q1`] /
 //! [`ExactEngine::q2_reg`] / [`ExactEngine::q2_plr`] against the model's
 //! prediction latency.

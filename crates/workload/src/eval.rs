@@ -30,8 +30,13 @@ pub struct Q1Eval {
 }
 
 /// Evaluate A1 on `m` unseen queries. The exact answers run as the
-/// training stream's do ([`crate::train_from_engine`]), one ordered
-/// batch per chunk, and are scored in draw order.
+/// training stream's do ([`crate::train_from_engine`]): per chunk,
+/// contiguous draw-order runs on every core the host grants, each run
+/// one ordered batch; they are scored in draw order.
+///
+/// # Panics
+/// Panics, before the first draw, when `gen` draws balls of another
+/// dimension than the table's.
 pub fn evaluate_q1<R: Rng + ?Sized>(
     model: &LlmModel,
     engine: &ExactEngine,
@@ -39,6 +44,13 @@ pub fn evaluate_q1<R: Rng + ?Sized>(
     m: usize,
     rng: &mut R,
 ) -> Q1Eval {
+    let table_dim = engine.relation().dim();
+    assert_eq!(
+        gen.dim(),
+        table_dim,
+        "query generator draws {}-dimensional balls over a {table_dim}-dimensional table",
+        gen.dim()
+    );
     let mut acc = RmseAccumulator::new();
     let mut abs_sum = 0.0;
     let mut issued = 0usize;
@@ -366,6 +378,17 @@ mod tests {
             train_from_engine(&mut model, &engine, &gen, 60_000, &mut rng).unwrap();
             (engine, gen, model)
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "3-dimensional balls over a 2-dimensional table")]
+    fn q1_eval_refuses_a_generator_of_another_dimension() {
+        let mut ds = Dataset::new(2);
+        ds.push(&[0.5, 0.5], 1.0).unwrap();
+        let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
+        let gen = QueryGenerator::new(vec![(0.0, 1.0); 3], 0.1, 0.1, 1.0);
+        let model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
+        evaluate_q1(&model, &engine, &gen, 10, &mut seeded(1));
     }
 
     #[test]

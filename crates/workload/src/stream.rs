@@ -26,10 +26,12 @@ pub struct StreamReport {
     pub prototypes: usize,
     /// Per-consumed-step `Γ` trace (Fig. 6).
     pub gamma_trace: Vec<f64>,
-    /// Wall-clock spent executing queries on the engine. Queries run a
-    /// chunk at a time, so when training converges inside a chunk this
-    /// includes the at most 2,047 executions past the converging query,
-    /// which `issued` does not count.
+    /// Wall-clock spent executing queries on the engine: the time the
+    /// loop waited for each chunk, whose runs execute on every core the
+    /// host grants — not the sum of the runs' times. Queries run a chunk
+    /// at a time, so when training converges inside a chunk this includes
+    /// the at most 2,047 executions past the converging query, which
+    /// `issued` does not count.
     pub query_exec_time: Duration,
     /// Wall-clock spent in model updates.
     pub model_update_time: Duration,
@@ -37,7 +39,9 @@ pub struct StreamReport {
 
 impl StreamReport {
     /// Fraction of training wall-clock spent executing queries (the
-    /// paper reports 99.62 %).
+    /// paper reports 99.62 %). A wall-clock share: the chunks execute on
+    /// every core the host grants, so the share falls as cores are added
+    /// while the work done stays the same.
     pub fn query_time_fraction(&self) -> f64 {
         let q = self.query_exec_time.as_secs_f64();
         let m = self.model_update_time.as_secs_f64();
@@ -56,10 +60,12 @@ impl StreamReport {
 const CHUNK: usize = 2048;
 
 /// One chunk of a drawn query stream with its exact Q1 answers: drawn in
-/// stream order, executed as one ordered batch
-/// ([`ExactEngine::q1_batch`]), read back in draw order. An exact answer
-/// is a pure function of (table, ball), so the pairs are the ones a
-/// one-at-a-time loop would see. The buffers are reused chunk to chunk.
+/// stream order on the calling thread, executed as contiguous draw-order
+/// runs, one per core the host grants ([`q1_runs`]), each run one ordered
+/// batch ([`ExactEngine::q1_batch`]), and read back in draw order. An
+/// exact answer is a pure function of (table, ball), so the pairs are the
+/// ones a one-at-a-time loop would see. The buffers are reused chunk to
+/// chunk.
 #[derive(Debug, Default)]
 pub(crate) struct ExactChunk {
     queries: Vec<Query>,
@@ -70,7 +76,8 @@ pub(crate) struct ExactChunk {
 
 impl ExactChunk {
     /// Draw the next `min(left, CHUNK)` queries of `gen`'s stream and
-    /// execute them; returns the wall-clock the execution took.
+    /// execute them; returns the wall-clock the execution took (the time
+    /// the caller waited, not the sum over the runs).
     pub(crate) fn next<R: Rng + ?Sized>(
         &mut self,
         engine: &ExactEngine,
@@ -89,8 +96,15 @@ impl ExactChunk {
         }
         self.answers.clear();
         self.answers.resize(self.queries.len(), None);
+        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
         let t0 = Instant::now();
-        engine.q1_batch(&self.centres, &self.radii, &mut self.answers);
+        q1_runs(
+            engine,
+            &self.centres,
+            &self.radii,
+            &mut self.answers,
+            workers,
+        );
         t0.elapsed()
     }
 
@@ -100,20 +114,54 @@ impl ExactChunk {
     }
 }
 
+/// Exact Q1 of every ball, `answers[i]` for ball `i`, as at most `workers`
+/// contiguous runs of the balls in input order: the calling thread
+/// executes the first, scoped threads the others, each run one
+/// [`ExactEngine::q1_batch`] into its own slice of `answers`.
+fn q1_runs(
+    engine: &ExactEngine,
+    centres: &[f64],
+    radii: &[f64],
+    answers: &mut [Option<f64>],
+    workers: usize,
+) {
+    if radii.is_empty() {
+        return;
+    }
+    let run = radii.len().div_ceil(workers.clamp(1, radii.len()));
+    let d = engine.relation().dim();
+    let mut runs = centres
+        .chunks(run * d)
+        .zip(radii.chunks(run))
+        .zip(answers.chunks_mut(run));
+    let ((c, r), out) = runs.next().expect("at least one ball");
+    std::thread::scope(|s| {
+        for ((c, r), out) in runs {
+            s.spawn(move || engine.q1_batch(c, r, out));
+        }
+        engine.q1_batch(c, r, out);
+    });
+}
+
 /// Drive the Fig. 2 loop: draw queries, execute Q1 exactly, feed the model,
 /// stop at convergence or after `max_queries` issued queries.
 ///
-/// The stream is drawn a chunk of at most 2,048 queries at a time, each
-/// chunk's exact answers run as one ordered batch
-/// ([`ExactEngine::q1_batch`]) and the pairs are fed in draw order. The
-/// caller gets the report (timings aside), the model and the RNG state
-/// that drawing, executing and feeding one query at a time would leave:
-/// when training stops inside a chunk — convergence, or a `train_step`
-/// error — `rng` is rewound to the chunk's start and the queries up to
-/// the stopping one are drawn again. That rewind is why `R: Clone`.
+/// The stream is drawn a chunk of at most 2,048 queries at a time on the
+/// calling thread. Each chunk's exact answers run as contiguous
+/// draw-order runs, one per core the host grants, each run one ordered
+/// batch ([`ExactEngine::q1_batch`]), and the pairs are fed in draw
+/// order. The caller gets the report (timings aside), the model and the
+/// RNG state that drawing, executing and feeding one query at a time
+/// would leave: when training stops inside a chunk — convergence, or a
+/// `train_step` error — `rng` is rewound to the chunk's start and the
+/// queries up to the stopping one are drawn again. That rewind is why
+/// `R: Clone`.
 ///
 /// # Errors
-/// Propagates model-side [`CoreError`]s (dimension mismatch etc.).
+/// [`CoreError::DimensionMismatch`] before the first draw, leaving `rng`
+/// and `model` untouched, when `gen` draws balls of another dimension
+/// than the table's; otherwise propagates model-side [`CoreError`]s
+/// (a model of another dimension, a non-finite answer, etc.).
 pub fn train_from_engine<R: Rng + Clone>(
     model: &mut LlmModel,
     engine: &ExactEngine,
@@ -121,6 +169,13 @@ pub fn train_from_engine<R: Rng + Clone>(
     max_queries: usize,
     rng: &mut R,
 ) -> Result<StreamReport, CoreError> {
+    let table_dim = engine.relation().dim();
+    if gen.dim() != table_dim {
+        return Err(CoreError::DimensionMismatch {
+            expected: table_dim,
+            actual: gen.dim(),
+        });
+    }
     let mut report = StreamReport {
         issued: 0,
         consumed: 0,
@@ -172,6 +227,7 @@ pub fn train_from_engine<R: Rng + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt;
     use regq_core::ModelConfig;
     use regq_data::generators::GasSensorSurrogate;
     use regq_data::rng::seeded;
@@ -246,6 +302,67 @@ mod tests {
         assert_eq!(report.issued, budget);
         assert_eq!(report.consumed + report.skipped_empty, budget);
         assert!(!report.converged);
+    }
+
+    #[test]
+    fn every_split_of_a_chunk_answers_each_ball_as_one_q1() {
+        let sentinel = Some(f64::from_bits(0x7ff8_dead_beef_0001));
+        for d in [2usize, 4] {
+            let f = GasSensorSurrogate::new(d, 9);
+            let ds = Dataset::from_function(&f, 3_000, SampleOptions::default(), &mut seeded(9));
+            let data = Arc::new(ds);
+            let gen = QueryGenerator::for_function(&f, 0.1);
+            for path in [AccessPathKind::Scan, AccessPathKind::KdTree] {
+                let engine = ExactEngine::new(data.clone(), path);
+                for n in [0usize, 1, 2, 5, CHUNK] {
+                    let mut rng = seeded(n as u64);
+                    let (mut centres, mut radii) = (Vec::new(), Vec::new());
+                    for i in 0..n {
+                        let mut q = gen.generate(&mut rng);
+                        if i % 3 == 1 {
+                            // Far outside the table: an empty ball.
+                            q.center[0] = 10.0;
+                        }
+                        centres.extend_from_slice(&q.center);
+                        radii.push(q.radius);
+                    }
+                    let want: Vec<Option<u64>> = centres
+                        .chunks(d)
+                        .zip(&radii)
+                        .map(|(c, &r)| engine.q1(c, r).map(f64::to_bits))
+                        .collect();
+                    if n >= 2 {
+                        assert!(want.iter().any(Option::is_none), "d {d} {path} n {n}");
+                        assert!(want.iter().any(Option::is_some), "d {d} {path} n {n}");
+                    }
+                    for workers in [1, 2, 3, 7, n + 1] {
+                        let mut answers = vec![sentinel; n];
+                        q1_runs(&engine, &centres, &radii, &mut answers, workers);
+                        let got: Vec<Option<u64>> =
+                            answers.iter().map(|a| a.map(f64::to_bits)).collect();
+                        assert_eq!(got, want, "d {d} {path} n {n} workers {workers}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_generator_of_another_dimension_is_refused_before_the_first_draw() {
+        let (engine, _) = setup(1_000);
+        let gen = QueryGenerator::new(vec![(0.0, 1.0); 3], 0.1, 0.1, 1.0);
+        let mut model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
+        let mut rng = seeded(6);
+        let err = train_from_engine(&mut model, &engine, &gen, 100, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::DimensionMismatch {
+                expected: 2,
+                actual: 3
+            }
+        );
+        assert_eq!(rng.random::<u64>(), seeded(6).random::<u64>(), "RNG drawn");
+        assert_eq!((model.k(), model.steps()), (0, 0), "model fed");
     }
 
     #[test]
