@@ -45,7 +45,7 @@
 //! * [`predict`] — Algorithms 2 & 3 and Eq. 14 prediction.
 //! * [`coeffs`] — the inline coefficient vector of a Q2 list element.
 //! * [`metrics`] — RMSE / FVU / CoD used by the paper's §VI metrics.
-//! * [`moments`] — extension E-1: second-moment head → variance prediction.
+//! * [`moments`] — extension E-1: one variance head → `VAR` prediction.
 //! * [`confidence`] — desideratum D2: when to trust a served answer.
 //! * [`snapshot`] — the immutable, publishable serving half of the
 //!   train/serve split, and the one resolver behind every served answer.

@@ -210,24 +210,6 @@ impl LlmModel {
     /// * [`CoreError::DimensionMismatch`] if `q.dim() != config.dim`;
     /// * [`CoreError::NonFinite`] for NaN/inf query or answer.
     pub fn train_step(&mut self, q: &Query, y: f64) -> Result<StepOutcome, CoreError> {
-        self.step_inner(q, y, true)
-    }
-
-    /// Like [`LlmModel::train_step`] but with the convergence accounting
-    /// disabled: the model never freezes itself. Callers that coordinate
-    /// several heads over one logical codebook (e.g.
-    /// [`crate::moments::MomentsModel`]) drive convergence externally and
-    /// call [`LlmModel::freeze`] themselves.
-    pub fn train_step_plastic(&mut self, q: &Query, y: f64) -> Result<StepOutcome, CoreError> {
-        self.step_inner(q, y, false)
-    }
-
-    fn step_inner(
-        &mut self,
-        q: &Query,
-        y: f64,
-        convergence_accounting: bool,
-    ) -> Result<StepOutcome, CoreError> {
         if q.dim() != self.config.dim {
             return Err(CoreError::DimensionMismatch {
                 expected: self.config.dim,
@@ -362,16 +344,13 @@ impl LlmModel {
         };
 
         // Convergence accounting.
-        if convergence_accounting {
-            let gamma = gamma_j.max(gamma_h);
-            if gamma <= self.config.gamma {
-                self.quiet_steps += 1;
-                if self.quiet_steps >= self.config.convergence_window {
-                    self.freeze();
-                }
-            } else {
-                self.quiet_steps = 0;
+        if gamma_j.max(gamma_h) <= self.config.gamma {
+            self.quiet_steps += 1;
+            if self.quiet_steps >= self.config.convergence_window {
+                self.freeze();
             }
+        } else {
+            self.quiet_steps = 0;
         }
 
         Ok(StepOutcome {

@@ -23,8 +23,9 @@
 //!   split many times;
 //! * repeated queries, and lattice-aligned queries whose joint distances
 //!   to two prototypes tie exactly — across blocks as well as inside one;
-//! * `train_step` (convergence accounting on) and `train_step_plastic`,
-//!   including both heads of a [`MomentsModel`];
+//! * convergence windows that close, freezing the model on the oracle's
+//!   step — for a Q1 model and for a [`MomentsModel`]'s variance head,
+//!   which trains through the same `train_step`;
 //! * a `freeze` → `unfreeze` and a `persist` save → load in mid-stream,
 //!   after which a layout rebuilt from scratch must continue the same
 //!   step sequence;
@@ -65,7 +66,7 @@ impl Reference {
         }
     }
 
-    fn step(&mut self, q: &Query, y: f64, convergence_accounting: bool) -> StepOutcome {
+    fn step(&mut self, q: &Query, y: f64) -> StepOutcome {
         let rho = self.config.rho();
         // Initialisation: the first pair is the first prototype.
         if self.arena.is_empty() {
@@ -143,13 +144,11 @@ impl Reference {
             self.arena.push_query(&q.center, q.radius);
             (rho, 0.0, self.arena.len() - 1, true)
         };
-        if convergence_accounting {
-            if gamma_j.max(gamma_h) <= self.config.gamma {
-                self.quiet_steps += 1;
-                self.frozen |= self.quiet_steps >= self.config.convergence_window;
-            } else {
-                self.quiet_steps = 0;
-            }
+        if gamma_j.max(gamma_h) <= self.config.gamma {
+            self.quiet_steps += 1;
+            self.frozen |= self.quiet_steps >= self.config.convergence_window;
+        } else {
+            self.quiet_steps = 0;
         }
         StepOutcome {
             winner,
@@ -218,23 +217,12 @@ fn stream(d: usize, n: usize, seed: u64) -> Vec<(Query, f64)> {
     pairs
 }
 
-/// Train `model` and `reference` on the same pairs (`plastic`: without
-/// convergence accounting), asserting every outcome equal.
-fn run(
-    model: &mut LlmModel,
-    reference: &mut Reference,
-    pairs: &[(Query, f64)],
-    plastic: bool,
-    ctx: &str,
-) {
+/// Train `model` and `reference` on the same pairs, asserting every
+/// outcome equal.
+fn run(model: &mut LlmModel, reference: &mut Reference, pairs: &[(Query, f64)], ctx: &str) {
     for (i, (q, y)) in pairs.iter().enumerate() {
-        let got = if plastic {
-            model.train_step_plastic(q, *y)
-        } else {
-            model.train_step(q, *y)
-        };
-        let want = reference.step(q, *y, !plastic);
-        assert_outcome(got.unwrap(), want, &format!("{ctx} step {i}"));
+        let got = model.train_step(q, *y).unwrap();
+        assert_outcome(got, reference.step(q, *y), &format!("{ctx} step {i}"));
     }
     assert_arena(model.arena(), &reference.arena, ctx);
     assert_eq!(model.steps(), reference.global_step, "{ctx}: steps");
@@ -253,13 +241,7 @@ fn every_dimension_and_codebook_size_trains_like_the_oracle() {
             let mut model = LlmModel::new(cfg.clone()).unwrap();
             let mut reference = Reference::new(cfg);
             let pairs = stream(d, n, (100 * d) as u64 + n as u64);
-            run(
-                &mut model,
-                &mut reference,
-                &pairs,
-                false,
-                &format!("d={d} a={a}"),
-            );
+            run(&mut model, &mut reference, &pairs, &format!("d={d} a={a}"));
             if a == 1.0 {
                 assert_eq!(model.k(), 1, "d={d}");
             }
@@ -273,7 +255,6 @@ fn every_dimension_and_codebook_size_trains_like_the_oracle() {
         &mut model,
         &mut reference,
         &stream(2, 7_000, 5),
-        false,
         "d=2 large K",
     );
     assert!(model.k() >= 2_000, "K = {}", model.k());
@@ -292,7 +273,6 @@ fn convergence_freezes_on_the_same_step() {
             &mut model,
             &mut reference,
             &stream(d, 30_000, 9),
-            false,
             "defaults",
         );
         assert!(model.is_frozen(), "d={d}: the stream must converge");
@@ -347,7 +327,6 @@ fn exact_ties_and_rows_moved_across_a_block_boundary() {
             &mut model,
             &mut reference,
             &pairs,
-            false,
             &format!("lattice {points}"),
         );
         assert!(model.k() >= points, "every lattice point spawned");
@@ -355,41 +334,26 @@ fn exact_ties_and_rows_moved_across_a_block_boundary() {
 }
 
 #[test]
-fn plastic_steps_and_both_moments_heads_train_like_the_oracle() {
+fn the_moments_head_trains_and_converges_like_the_oracle() {
+    // Default γ: the variance head's window closes (at d = 1 within the
+    // stream), and it must freeze on the oracle's step.
     for d in [1usize, 4, 9] {
-        let mut cfg = ModelConfig::with_vigilance(d, 0.05);
-        cfg.gamma = 1e-300;
-        let pairs = stream(d, 2_000, 40 + d as u64);
-        let mut model = LlmModel::new(cfg.clone()).unwrap();
-        let mut reference = Reference::new(cfg.clone());
-        run(
-            &mut model,
-            &mut reference,
-            &pairs,
-            true,
-            &format!("plastic d={d}"),
-        );
-
-        // The two heads of a moments model step plastic on one query
-        // sequence; each is its own oracle run.
+        let cfg = ModelConfig::with_vigilance(d, 0.05);
         let mut moments = MomentsModel::new(cfg.clone()).unwrap();
-        let mut mean = Reference::new(cfg.clone());
-        let mut second = Reference::new(cfg);
-        for (i, (q, y)) in pairs.iter().enumerate() {
+        let mut reference = Reference::new(cfg);
+        for (i, (q, y)) in stream(d, 2_000, 40 + d as u64).iter().enumerate() {
             let pair = MomentPair {
                 mean: *y,
                 variance: 0.1 + y * y,
             };
-            assert!(!moments.train_step(q, pair).unwrap(), "step {i}: γ is tiny");
-            mean.step(q, pair.mean, false);
-            second.step(q, pair.variance, false);
-            if i % 500 == 0 {
-                assert_arena(moments.mean_head().arena(), &mean.arena, "mean head");
-                assert_arena(moments.second_head().arena(), &second.arena, "second head");
-            }
+            let want = reference.step(q, pair.variance).converged;
+            assert_eq!(moments.train_step(q, pair).unwrap(), want, "d={d} step {i}");
         }
-        assert_arena(moments.mean_head().arena(), &mean.arena, "mean head");
-        assert_arena(moments.second_head().arena(), &second.arena, "second head");
+        let head = moments.head();
+        assert_arena(head.arena(), &reference.arena, &format!("head d={d}"));
+        assert_eq!(head.steps(), reference.global_step, "d={d}: steps");
+        assert_eq!(head.is_frozen(), reference.frozen, "d={d}: frozen");
+        assert!(d > 1 || head.is_frozen(), "the window closes at d = 1");
     }
 }
 
@@ -404,16 +368,16 @@ fn a_rebuilt_layout_continues_the_same_step_sequence() {
         let (second, third) = rest.split_at(1_500);
         let mut model = LlmModel::new(cfg.clone()).unwrap();
         let mut reference = Reference::new(cfg);
-        run(&mut model, &mut reference, first, false, "before freeze");
+        run(&mut model, &mut reference, first, "before freeze");
 
         // Frozen: no layout; steps are answered from the definition and
         // change nothing. Unfrozen: the layout is rebuilt from the arena.
         model.freeze();
         reference.frozen = true;
-        run(&mut model, &mut reference, &first[..50], false, "frozen");
+        run(&mut model, &mut reference, &first[..50], "frozen");
         model.unfreeze();
         (reference.frozen, reference.quiet_steps) = (false, 0);
-        run(&mut model, &mut reference, second, false, "after unfreeze");
+        run(&mut model, &mut reference, second, "after unfreeze");
 
         // Saved and loaded: `from_parts` rebuilds the layout (and the
         // convergence window restarts — it is not persisted).
@@ -426,7 +390,7 @@ fn a_rebuilt_layout_continues_the_same_step_sequence() {
         std::fs::remove_file(&path).unwrap();
         reference.quiet_steps = 0;
         assert_arena(model.arena(), &reference.arena, "loaded");
-        run(&mut model, &mut reference, third, false, "after load");
+        run(&mut model, &mut reference, third, "after load");
     }
 }
 
@@ -463,13 +427,7 @@ fn hostile_parts_train_like_the_scan() {
     cfg.gamma = 1e-300;
     let mut model = LlmModel::from_parts(cfg.clone(), protos.clone(), 400, false).unwrap();
     let mut reference = Reference::from_parts(cfg, &protos, 400, false);
-    run(
-        &mut model,
-        &mut reference,
-        &stream(d, 3_000, 19),
-        false,
-        "hostile",
-    );
+    run(&mut model, &mut reference, &stream(d, 3_000, 19), "hostile");
     assert!(
         model.k() > 1_000,
         "K = {}: the poisoned blocks split",

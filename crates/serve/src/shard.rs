@@ -432,14 +432,13 @@ impl ShardRouter {
     }
 
     /// Attach a trained moments model: enables the model route of
-    /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. Only the
-    /// variance head is kept, as a snapshot: the heads share one codebook
-    /// and its update counts, so its confidence is the mean head's, bit
-    /// for bit. It is served as attached — exact `VAR` fallbacks feed
-    /// their subspace mean to the Q1 trainers, not to this head — and
+    /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. Its variance
+    /// head is kept as a snapshot, and its own confidence gates `VAR`.
+    /// It is served as attached — exact `VAR` fallbacks feed their
+    /// subspace mean to the Q1 trainers, not to this head — and
     /// resharding leaves it untouched.
     pub fn attach_moments(&mut self, model: MomentsModel) {
-        self.moments = Some(model.second_head().snapshot());
+        self.moments = Some(model.head().snapshot());
     }
 
     /// Re-shard in place: drain every queue, merge the per-shard models
@@ -991,11 +990,11 @@ impl ShardRouter {
     /// prediction (clamped non-negative) and its confidence from the one
     /// pruned resolution every served answer takes, telemetry folded into
     /// the router-lifetime counters. No shard guard (the snapshot is
-    /// immutable once attached); the version is the heads' step count.
+    /// immutable once attached); the version is the head's step count.
     /// Predicts nothing without a moments model.
     ///
     /// # Errors
-    /// [`CoreError::EmptyModel`] while the heads are untrained.
+    /// [`CoreError::EmptyModel`] while the head is untrained.
     fn consult_moments(&self, q: &Query) -> Result<Consulted<Predicted<f64>>, CoreError> {
         let Some(head) = self.moments.as_ref() else {
             return Ok(Default::default());
@@ -1237,7 +1236,7 @@ impl ShardRouter {
     ///
     /// # Errors
     /// [`ServeError::NoModel`] without a moments model;
-    /// [`ServeError::Model`] while its heads are untrained or on a
+    /// [`ServeError::Model`] while its head is untrained or on a
     /// dimension mismatch.
     pub fn var_model(&self, q: &Query) -> Result<Served<f64>, ServeError> {
         let q = self.check_dim(q)?;

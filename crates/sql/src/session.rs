@@ -293,11 +293,11 @@ impl Session {
     ) -> Result<(), SqlError> {
         let router = self.router_mut(table)?;
         let expected = router.exact_engine().relation().dim();
-        if model.mean_head().dim() != expected {
+        if model.head().dim() != expected {
             return Err(SqlError::DimensionMismatch {
                 table: table.to_string(),
                 expected,
-                actual: model.mean_head().dim(),
+                actual: model.head().dim(),
             });
         }
         router.attach_moments(model);
@@ -346,11 +346,11 @@ impl Session {
     /// Scope note: `model_served` / `exact_served` / `degraded_served`
     /// count `AVG`/`LINREG` answers in every mode. `VAR` passes the same
     /// router gate (threshold, deadline/pressure degradation, feedback)
-    /// over the moments model's variance-head snapshot, and `COUNT(*)` is
-    /// the one session-level operator (cardinality needs the data by
-    /// definition); neither moves a route counter, though a consulted
-    /// `VAR` moves the `blocks_*` pruning counters and an exact one still
-    /// feeds the trainers.
+    /// over a snapshot of the moments model's one head, taken when it was
+    /// registered, and `COUNT(*)` is the one session-level operator
+    /// (cardinality needs the data by definition); neither moves a route
+    /// counter, though a consulted `VAR` moves the `blocks_*` pruning
+    /// counters and an exact one still feeds the trainers.
     pub fn router(&self, table: &str) -> Option<&ShardRouter> {
         self.tables.get(table)
     }
@@ -807,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn var_auto_is_the_router_gate_over_the_moments_heads() {
+    fn var_auto_is_the_router_gate_over_the_moments_head() {
         let (data, model, moments) = trained_parts();
         let policy = RoutePolicy::default();
         let mut s = session_over(&data, model, moments.clone(), policy);
@@ -816,7 +816,7 @@ mod tests {
         // training-shaped balls) and out-of-distribution ones (far, wide,
         // tiny) that still select rows.
         let mut probes: Vec<(Vec<f64>, f64)> = moments
-            .mean_head()
+            .head()
             .prototypes()
             .into_iter()
             .map(|p| (p.center, p.radius))
@@ -841,12 +841,12 @@ mod tests {
             let mut routes = [0usize; 2];
             for (i, (c, r)) in probes.iter().enumerate() {
                 let out = s.execute(&var_sql(c, *r, "AUTO")).unwrap();
-                // Reference gate: the variance head if the mean head's
-                // score clears the threshold, else the exact moments.
+                // Reference gate: the variance head if its score clears
+                // the threshold, else the exact moments.
                 let q = Query::new_unchecked(c.clone(), *r);
-                let score = moments.mean_head().confidence(&q).unwrap().score;
+                let score = moments.head().confidence(&q).unwrap().score;
                 let (want, route) = if score >= policy.confidence_threshold {
-                    let v = moments.second_head().predict_q1(&q).unwrap().max(0.0);
+                    let v = moments.head().predict_q1(&q).unwrap().max(0.0);
                     (v, Route::Model)
                 } else {
                     (engine.q1_moments(c, *r).unwrap().variance, Route::Exact)
@@ -856,7 +856,7 @@ mod tests {
                 assert_eq!(out.confidence.map(f64::to_bits), Some(score.to_bits()));
                 assert_eq!(
                     out.snapshot_version,
-                    Some(moments.mean_head().steps()),
+                    Some(moments.head().steps()),
                     "a consulted moments model reports its version"
                 );
                 routes[usize::from(route == Route::Exact)] += 1;
@@ -873,7 +873,7 @@ mod tests {
         let (c, r) = &probes[0];
         let q = Query::new_unchecked(c.clone(), *r);
         let forced = s.execute(&var_sql(c, *r, "MODEL")).unwrap();
-        let head = moments.second_head().predict_q1(&q).unwrap().max(0.0);
+        let head = moments.head().predict_q1(&q).unwrap().max(0.0);
         assert_eq!(forced.scalar().unwrap().to_bits(), head.to_bits());
         let forced = s.execute(&var_sql(c, *r, "EXACT")).unwrap();
         let truth = engine.q1_moments(c, *r).unwrap().variance;

@@ -72,7 +72,7 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
         "K = {}",
         model.k()
     );
-    assert!(moments.second_head().snapshot().layout().num_blocks() > 1);
+    assert!(moments.head().snapshot().layout().num_blocks() > 1);
 
     // The statement's ball: a trained prototype's own subspace.
     let p = &model.prototypes()[model.k() / 2];
@@ -111,7 +111,7 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
     };
     let served = |aggregate: &str| match aggregate {
         "AVG(u)" => QueryValue::Scalar(model.predict_q1(&q).unwrap()),
-        "VAR(u)" => QueryValue::Scalar(moments.second_head().predict_q1(&q).unwrap().max(0.0)),
+        "VAR(u)" => QueryValue::Scalar(moments.head().predict_q1(&q).unwrap().max(0.0)),
         _ => QueryValue::Regression(model.predict_q2(&q).unwrap()),
     };
 

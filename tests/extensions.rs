@@ -30,12 +30,14 @@ fn moments_model_tracks_conditional_mean_and_variance() {
     let gen = QueryGenerator::for_function(&field, 0.15);
     let mut cfg = ModelConfig::with_vigilance(2, 0.15);
     cfg.gamma = 1e-3;
+    let mut model = LlmModel::new(cfg.clone()).unwrap();
     let mut mm = MomentsModel::new(cfg).unwrap();
     let mut rng = seeded(2);
     for _ in 0..50_000 {
         let q = gen.generate(&mut rng);
         if let Some(mo) = engine.q1_moments(&q.center, q.radius) {
-            if mm
+            let done_a = model.train_step(&q, mo.mean).unwrap().converged;
+            let done_b = mm
                 .train_step(
                     &q,
                     MomentPair {
@@ -43,8 +45,8 @@ fn moments_model_tracks_conditional_mean_and_variance() {
                         variance: mo.variance,
                     },
                 )
-                .unwrap()
-            {
+                .unwrap();
+            if done_a && done_b {
                 break;
             }
         }
@@ -59,20 +61,19 @@ fn moments_model_tracks_conditional_mean_and_variance() {
         let Some(exact) = engine.q1_moments(&q.center, q.radius) else {
             continue;
         };
-        let p = mm.predict(&q).unwrap();
-        mean_err.push(exact.mean, p.mean);
-        var_err.push(exact.variance, p.variance);
+        mean_err.push(exact.mean, model.predict_q1(&q).unwrap());
+        var_err.push(exact.variance, mm.predict(&q).unwrap());
         exact_means.push(exact.mean);
         var_scale += exact.variance;
         n += 1;
     }
     assert!(n > 300);
-    // The output here is *unnormalized*, so score the mean head against the
+    // The output here is *unnormalized*, so score the Q1 model against the
     // spread of the true conditional means: a trivial predict-the-average
     // model would score ~1.0 on this ratio. The 0.5 budget is not thin —
     // the pinned seeds land at RMSE ≈ 0.185 against a spread of ≈ 1.02
     // (ratio ≈ 0.18, ~2.8× headroom) — it is set at half the trivial
-    // model's score so only a qualitative regression of the mean head
+    // model's score so only a qualitative regression of the Q1 model
     // trips it, not evaluation noise.
     let spread = exact_means.variance().sqrt();
     eprintln!("mean RMSE {} spread {}", mean_err.rmse().unwrap(), spread);
