@@ -35,6 +35,10 @@
 //! serving path it is reduced to the borrowed views [`PrototypeRef`] /
 //! [`PrototypeRefMut`] over the arena blocks.
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::overlap::overlap_degree_parts;
 use crate::prototype::Prototype;
 use crate::query::Query;

@@ -32,6 +32,10 @@
 //! `overlap_mass` is 0 and `support_updates` is the winner's update count,
 //! matching what the prediction actually used.
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::CoreError;
 use crate::model::LlmModel;
 use crate::predict::FusionInfo;

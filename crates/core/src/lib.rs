@@ -52,7 +52,6 @@
 //! * [`persist`] — versioned text persistence.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod arena;
 pub mod coeffs;

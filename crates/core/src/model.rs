@@ -32,6 +32,10 @@
 //! beyond its arena; [`LlmModel::unfreeze`] rebuilds the layout and
 //! re-opens the model for further training.
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::arena::{BlockLayout, PrototypeArena, SearchScratch};
 use crate::config::ModelConfig;
 use crate::error::CoreError;
@@ -245,8 +249,11 @@ impl LlmModel {
             // Paper: after convergence "no further modification is
             // performed". A frozen model holds no layout; the winner it
             // reports comes from the definition.
-            // INVARIANT: the arena is non-empty (the branch above
-            // returned otherwise), and `winner` is `None` only when empty.
+            #[expect(
+                clippy::expect_used,
+                reason = "the arena is non-empty (the branch above returned otherwise), \
+                          and `winner` is `None` only when empty"
+            )]
             let (j, _) = self.winner(q).expect("non-empty codebook");
             return Ok(StepOutcome {
                 winner: j,
@@ -256,12 +263,14 @@ impl LlmModel {
                 converged: true,
             });
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "the live layout covers the non-empty arena (every push is followed \
+                      by a `push_row`), and `winner` is `None` only on an empty layout"
+        )]
         let ((j, sq), nearest) = search
             .layout
             .winner(q, &mut search.scratch)
-            // INVARIANT: the live layout covers the non-empty arena (every
-            // push is followed by a `push_row`), and `winner` is `None`
-            // only on an empty layout.
             .expect("non-empty codebook");
 
         let (gamma_j, gamma_h, winner, spawned) = if sq.sqrt() <= rho {

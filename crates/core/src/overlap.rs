@@ -24,6 +24,10 @@
 //! 0 either way (any computed degree ≤ 0 is clamped out), so predictions
 //! are unaffected.
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::query::Query;
 use regq_linalg::vector;
 

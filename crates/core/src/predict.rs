@@ -17,6 +17,10 @@
 //! fold (`fuse_weights_from_set`) is shared by both, so a served and
 //! an oracle answer can never disagree about the route.
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::arena::PrototypeArena;
 use crate::coeffs::Coeffs;
 use crate::confidence::{self, Confidence};

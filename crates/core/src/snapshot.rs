@@ -33,6 +33,10 @@
 //! `ServingSnapshot` bumps an `Arc` (the reader cost, paid by threads that
 //! pin a version across queries).
 
+// A hot-path module: every panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::arena::{BatchResolution, BlockLayout, PrototypeArena, ScreenCounters};
 use crate::confidence::{self, Confidence};
 use crate::config::ModelConfig;

@@ -22,7 +22,6 @@
 //! bit-for-bit.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod dataset;
 pub mod error;

@@ -17,7 +17,6 @@
 //!   wall-clock instrumentation (feeds the Fig. 12 efficiency experiment).
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod engine;
 pub mod fit;

@@ -16,75 +16,21 @@
 //! which keeps input order; an empty batch asks for nothing on either.
 //!
 //! It is its own test binary because it installs a counting
-//! `#[global_allocator]` (the shape of
-//! `crates/core/tests/served_allocations.rs`); the count is per thread,
-//! so the harness running tests side by side does not disturb it.
+//! `#[global_allocator]` (`tests/support/counting.rs` at the repository
+//! root); the count is per thread, so the harness running tests side by
+//! side does not disturb it.
 
 use rand::RngExt;
 use regq_data::rng::seeded;
 use regq_data::Dataset;
 use regq_exact::ExactEngine;
 use regq_store::AccessPathKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-thread_local! {
-    /// Allocator calls that hand out memory (`alloc`, `alloc_zeroed`,
-    /// `realloc`) made by this thread. `const` and without a destructor,
-    /// so reading it from inside the allocator allocates nothing.
-    static ACQUISITIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting per thread.
-struct Counting;
-
-fn count() {
-    // A thread being torn down may allocate after its locals are gone;
-    // those calls are nobody's to count.
-    let _ = ACQUISITIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// `GlobalAlloc` contract is therefore this type's; counting touches only a
-// `const`-initialised thread-local `Cell`, which neither allocates nor
-// unwinds.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's `layout` obligations pass straight to `System`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    // SAFETY: as `alloc`.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    // SAFETY: `ptr` came from this allocator, which is `System` underneath,
-    // with this `layout` — the caller's obligation, passed on unchanged.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    // SAFETY: as `realloc`; releasing memory is not counted.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocator calls `f` made.
-fn counted(f: impl FnOnce()) -> usize {
-    let before = ACQUISITIONS.with(Cell::get);
-    f();
-    ACQUISITIONS.with(Cell::get) - before
-}
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+use counting::counted;
 
 fn engine(rows: usize, dim: usize) -> ExactEngine {
     let mut rng = seeded(dim as u64);
@@ -103,20 +49,15 @@ fn calls_per_aggregate(engine: &ExactEngine, center: &[f64], radius: f64) -> [us
     let mut calls = [0; 4];
     for pass in 0..2 {
         let measured = [
-            counted(|| {
-                black_box(rel.count(center, radius));
-            }),
+            counted(|| black_box(rel.count(center, radius))).1,
             counted(|| {
                 black_box(rel.fold_ball(center, radius, 0.0, |s, id, x, u| {
                     *s += x[0] * u + id as f64;
-                }));
-            }),
-            counted(|| {
-                black_box(engine.q1(center, radius));
-            }),
-            counted(|| {
-                black_box(engine.q1_moments(center, radius));
-            }),
+                }))
+            })
+            .1,
+            counted(|| black_box(engine.q1(center, radius))).1,
+            counted(|| black_box(engine.q1_moments(center, radius))).1,
         ];
         if pass == 1 {
             calls = measured;
@@ -168,7 +109,7 @@ fn a_warm_batch_asks_for_its_visiting_order_and_nothing_else() {
             for (engine, want) in [(&kd, usize::from(size > 0)), (&scan, 0)] {
                 let mut calls = 0;
                 for _ in 0..2 {
-                    calls = counted(|| engine.q1_batch(&centres, &radii, &mut out));
+                    calls = counted(|| engine.q1_batch(&centres, &radii, &mut out)).1;
                 }
                 let path = engine.relation();
                 assert_eq!(calls, want, "d {dim}, batch of {size}, {path:?}");

@@ -33,7 +33,6 @@
 //! * [`stats`] — the Welford accumulator and a sorted-sample quantile.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod cholesky;
 pub mod error;

@@ -41,6 +41,10 @@
 //! tests below, by the serving equivalence batteries in `regq_core` and by
 //! `regq_store`'s `kd_leaf_equivalence` battery.
 
+// Unsafe by design: the AVX2 kernels are `#[target_feature]` functions
+// over unchecked vector loads.
+#![allow(unsafe_code)]
+
 use crate::tune::{QUAD, ROW_TILE};
 use std::ops::{Deref, DerefMut};
 
@@ -133,9 +137,12 @@ pub fn aosoa_row_into(quads: &[f64], r: usize, out: &mut [f64]) {
 /// Bit-identical to [`crate::vector::sq_dist`] on each of the four rows
 /// (see the module docs for the contract); dispatches to AVX2 at runtime
 /// when available.
+///
+/// # Panics
+/// Panics when `quad.len() != 4 * q.len()` (the AVX2 loads rely on it).
 #[inline]
 pub fn sq_dists4_aosoa(q: &[f64], quad: &[f64]) -> [f64; 4] {
-    debug_assert_eq!(
+    assert_eq!(
         quad.len(),
         QUAD * q.len(),
         "sq_dists4_aosoa: quad length mismatch"
@@ -143,8 +150,8 @@ pub fn sq_dists4_aosoa(q: &[f64], quad: &[f64]) -> [f64; 4] {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 availability was verified by the runtime check on
-        // the line above, which is the only precondition of the
-        // `#[target_feature(enable = "avx2")]` kernel.
+        // the line above and the assert establishes the quad length the
+        // kernel's loads rely on.
         return unsafe { sq_dists4_aosoa_avx2(q, quad) };
     }
     sq_dists4_aosoa_scalar(q, quad)
@@ -172,19 +179,21 @@ fn sq_dists4_aosoa_scalar(q: &[f64], quad: &[f64]) -> [f64; 4] {
 /// AVX2 form of [`sq_dists4_aosoa`]: [`quad_sq_dists_avx2`], stored.
 ///
 /// # Safety
-/// The caller must ensure the host supports AVX2 (checked via
-/// [`avx2_available`] at the dispatch site).
-// SAFETY: `unsafe fn` solely for `#[target_feature]`; the body's only
-// unchecked operations are the call below, whose contract is the
-// caller's, and the store justified at its site.
+/// The caller must ensure the host supports AVX2 and that
+/// `quad.len() == 4 * q.len()` (both checked at the dispatch site).
+// SAFETY: `unsafe fn` for `#[target_feature]` and the quad length the
+// call below requires; the single caller checks both, and the store is
+// justified at its site.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn sq_dists4_aosoa_avx2(q: &[f64], quad: &[f64]) -> [f64; 4] {
-    let acc = quad_sq_dists_avx2(q, quad);
+    // SAFETY: `quad.len() == 4 * q.len()`, this function's contract —
+    // the length `quad_sq_dists_avx2` requires.
+    let acc = unsafe { quad_sq_dists_avx2(q, quad) };
     let mut out = [0.0f64; 4];
     // SAFETY: `out` is exactly four f64s and the unaligned store has no
     // alignment requirement.
-    std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), acc);
+    unsafe { std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr(), acc) };
     out
 }
 
@@ -215,7 +224,7 @@ unsafe fn quad_sq_dists_avx2(q: &[f64], quad: &[f64]) -> std::arch::x86_64::__m2
         // SAFETY: `quad.len() == 4 * q.len()` (this function's contract),
         // so the 4-wide unaligned load at offset `4 * c` is in bounds for
         // every `c < q.len()`.
-        let lanes = _mm256_loadu_pd(quad.as_ptr().add(QUAD * c));
+        let lanes = unsafe { _mm256_loadu_pd(quad.as_ptr().add(QUAD * c)) };
         let d = _mm256_sub_pd(lanes, _mm256_set1_pd(qc));
         acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
     }
@@ -332,7 +341,7 @@ unsafe fn within_mask_aosoa_avx2<const D: usize>(q: &[f64], quads: &[f64], limit
     for (k, quad) in quads.chunks_exact(QUAD * q.len()).enumerate() {
         // SAFETY: `quad` is a `chunks_exact(4 * q.len())` chunk — the
         // length `quad_sq_dists_avx2` requires.
-        let acc = quad_sq_dists_avx2(q, quad);
+        let acc = unsafe { quad_sq_dists_avx2(q, quad) };
         // Ordered, non-signalling compare: a NaN lane is false, exactly
         // like the scalar `<=`. `movemask` yields the four sign bits in
         // lane order (0..=15), and `k < 16`, so the shift stays in range.
@@ -518,14 +527,14 @@ unsafe fn winner_mask_block_aosoa_avx2<const D: usize>(
     for (i, (quad, r)) in rows.enumerate() {
         // SAFETY: `quad` is a `chunks_exact(4 * q.len())` chunk — the
         // length `quad_sq_dists_avx2` requires.
-        let acc = quad_sq_dists_avx2(q, quad);
+        let acc = unsafe { quad_sq_dists_avx2(q, quad) };
         // SAFETY: `radii.len() <= ROW_TILE` (this function's contract)
         // and `i < radii.len() / 4`, so the four slots from `4 * i` lie
         // inside the `ROW_TILE`-long scratch; the unaligned store has no
         // alignment requirement.
-        _mm256_storeu_pd(csq.as_mut_ptr().add(QUAD * i), acc);
+        unsafe { _mm256_storeu_pd(csq.as_mut_ptr().add(QUAD * i), acc) };
         // SAFETY: `r` is a `chunks_exact(4)` chunk — exactly four f64s.
-        let rv = _mm256_loadu_pd(r.as_ptr());
+        let rv = unsafe { _mm256_loadu_pd(r.as_ptr()) };
         let dr = _mm256_sub_pd(qr, rv);
         let joint = _mm256_add_pd(acc, _mm256_mul_pd(dr, dr));
         let rs = _mm256_add_pd(qr, rv);
@@ -540,7 +549,7 @@ unsafe fn winner_mask_block_aosoa_avx2<const D: usize>(
             let mut joints = [0.0f64; QUAD];
             // SAFETY: `joints` is exactly four f64s and the unaligned
             // store has no alignment requirement.
-            _mm256_storeu_pd(joints.as_mut_ptr(), joint);
+            unsafe { _mm256_storeu_pd(joints.as_mut_ptr(), joint) };
             for (t, &j) in joints.iter().enumerate() {
                 if j < best_sq {
                     best_sq = j;
@@ -936,7 +945,7 @@ impl BoundGroups {
                 // (`unbounded`, `grow`), `g < lanes / 4` and `c < q.len() == dim`
                 // (this function's contract), so the four doubles from
                 // `at` are in bounds of both.
-                let (l, h) = (_mm256_loadu_pd(lo.add(at)), _mm256_loadu_pd(hi.add(at)));
+                let (l, h) = unsafe { (_mm256_loadu_pd(lo.add(at)), _mm256_loadu_pd(hi.add(at))) };
                 let qv = _mm256_set1_pd(qc);
                 let gap = _mm256_max_pd(
                     _mm256_max_pd(_mm256_sub_pd(l, qv), _mm256_sub_pd(qv, h)),
@@ -946,9 +955,9 @@ impl BoundGroups {
             }
             // SAFETY: `r_min` and `r_max` hold `lanes` doubles and
             // `g < lanes / 4`, so the four from `4 * g` are in bounds.
-            let r_min = _mm256_loadu_pd(self.r_min.as_ptr().add(QUAD * g));
+            let r_min = unsafe { _mm256_loadu_pd(self.r_min.as_ptr().add(QUAD * g)) };
             // SAFETY: as for `r_min` on the line above.
-            let r_max = _mm256_loadu_pd(self.r_max.as_ptr().add(QUAD * g));
+            let r_max = unsafe { _mm256_loadu_pd(self.r_max.as_ptr().add(QUAD * g)) };
             let rad_gap = _mm256_max_pd(
                 _mm256_max_pd(_mm256_sub_pd(r_min, qr), _mm256_sub_pd(qr, r_max)),
                 zero,
@@ -960,15 +969,13 @@ impl BoundGroups {
             // Ordered, non-signalling `>`: a NaN on either side is false
             // and the lane takes `never`, like the scalar twin's `if`.
             let skip = _mm256_cmp_pd::<_CMP_GT_OQ>(bb, reach);
+            let gate = _mm256_blendv_pd(never, bound, skip);
             // SAFETY: `lb` and `gated` are `lanes` long (this function's
             // contract) and `g < lanes / 4`; the unaligned stores have no
             // alignment requirement.
-            _mm256_storeu_pd(lb.as_mut_ptr().add(QUAD * g), bound);
+            unsafe { _mm256_storeu_pd(lb.as_mut_ptr().add(QUAD * g), bound) };
             // SAFETY: as for `lb` on the line above.
-            _mm256_storeu_pd(
-                gated.as_mut_ptr().add(QUAD * g),
-                _mm256_blendv_pd(never, bound, skip),
-            );
+            unsafe { _mm256_storeu_pd(gated.as_mut_ptr().add(QUAD * g), gate) };
         }
     }
 }
@@ -1039,6 +1046,14 @@ mod tests {
                 assert_eq!(dispatched[j].to_bits(), scalar[j].to_bits(), "dim {dim}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "quad length mismatch")]
+    fn quad_kernel_rejects_a_short_quad() {
+        // Eight coordinates need 32 doubles; the AVX2 kernel would load
+        // all 32 from a buffer of four.
+        sq_dists4_aosoa(&[0.0; 8], &[0.0; QUAD]);
     }
 
     #[test]

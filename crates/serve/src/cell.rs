@@ -60,6 +60,15 @@
 //! one store to a thread-private slot — still wait-free for the reader when
 //! the writer is quiet, and never blocking either way. The writer pays for
 //! reclamation (a lock + slot scan) only on publish.
+//!
+//! atomics: audited — every protocol step is `SeqCst` (above). The two
+//! `Ordering::Relaxed` sites are the cell-id ticket counter
+//! (`next_cell_id`, compared for equality only) and the epoch load under
+//! the state lock that alone writes it, each justified where it stands.
+
+// Unsafe by design: readers dereference raw node pointers under the
+// hazard-slot protocol documented above.
+#![allow(unsafe_code)]
 
 use crate::fault::FaultPlan;
 use regq_core::ServingSnapshot;
@@ -652,16 +661,22 @@ pub struct TlsReader<T: Send + Sync + 'static> {
 
 impl<T: Send + Sync + 'static> std::ops::Deref for TlsReader<T> {
     type Target = ReaderHandle<T>;
+    #[expect(
+        clippy::expect_used,
+        reason = "`handle` is `Some` from construction in `tls_reader` until `Drop::drop` \
+                  takes it; no other code writes the field"
+    )]
     fn deref(&self) -> &ReaderHandle<T> {
-        // INVARIANT: `handle` is `Some` from construction in `tls_reader`
-        // until `Drop::drop` takes it; no other code writes the field.
         self.handle.as_deref().expect("present until drop")
     }
 }
 
 impl<T: Send + Sync + 'static> std::ops::DerefMut for TlsReader<T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "as in `deref` — `Some` until `Drop::drop`"
+    )]
     fn deref_mut(&mut self) -> &mut ReaderHandle<T> {
-        // INVARIANT: as in `deref` — `Some` until `Drop::drop`.
         self.handle.as_deref_mut().expect("present until drop")
     }
 }

@@ -10,13 +10,13 @@
 //!
 //! Exact-path latency samples are folded with a compare-exchange loop,
 //! not a load-then-store. The racy form is a genuine lost-update bug with
-//! an observable effect (the in-tree invariant audit,
-//! `cargo run -p regq_analysis -- check`, flags the pattern): two
-//! concurrent exact calls — one slow, one fast — can interleave so the
-//! fast sample's store *overwrites* (not folds) the slow sample, rolling
-//! the estimate back and flipping `should_degrade` from degrade to exact
-//! on the next deadline check. Under the CAS fold every sample lands
-//! exactly once, in some serial order.
+//! an observable effect: two concurrent exact calls — one slow, one
+//! fast — can interleave so the fast sample's store *overwrites* (not
+//! folds) the slow sample, rolling the estimate back and flipping
+//! `should_degrade` from degrade to exact on the next deadline check.
+//! Under the CAS fold every sample lands exactly once, in some serial
+//! order, which `concurrent_records_form_one_transition_chain` below
+//! pins.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,11 +99,11 @@ mod tests {
         }
     }
 
-    /// The regression test for the lost-update race the invariant audit
-    /// surfaced: every successful `record` returns its (prev, next) bit
-    /// transition, and with a CAS fold those transitions must form one
-    /// single chain from the initial state — one walk that consumes every
-    /// transition exactly once and ends at the published estimate. The
+    /// The regression test for the lost-update race: every successful
+    /// `record` returns its (prev, next) bit transition, and with a CAS
+    /// fold those transitions must form one single chain from the
+    /// initial state — one walk that consumes every transition exactly
+    /// once and ends at the published estimate. The
     /// old load-then-store version forks the chain whenever two threads
     /// read the same `prev` (one branch is a dead end no later fold
     /// consumes), which this test catches deterministically from the

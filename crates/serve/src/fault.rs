@@ -155,11 +155,13 @@ impl FaultPlan {
         Self::default()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "builder methods take `self` by value before the plan is cloned/installed, \
+                  so this `Arc` is still unique; violating that is a documented \
+                  configuration panic (`# Panics` on every builder), not a serving-path hazard"
+    )]
     fn inner_mut(&mut self) -> &mut Inner {
-        // INVARIANT: builder methods take `self` by value before the plan
-        // is cloned/installed, so this `Arc` is still unique; violating
-        // that is a documented configuration panic (`# Panics` on every
-        // builder), not a serving-path hazard.
         Arc::get_mut(&mut self.inner).expect("configure a FaultPlan before sharing/installing it")
     }
 

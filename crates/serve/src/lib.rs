@@ -76,7 +76,9 @@
 //! ```
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
+// Every module is on the hot path: each panic site names its invariant
+// (docs/INVARIANTS.md, the panic policy).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cell;
 pub(crate) mod cost;

@@ -406,15 +406,18 @@ impl ShardRouter {
         self.next_id
             .store(per.iter().map(|(s, _)| s.len()).sum(), Ordering::SeqCst);
         for (shard, (subset, ids)) in self.shards.iter().zip(per) {
+            #[expect(
+                clippy::expect_used,
+                reason = "`from_parts` validates dimensions and finiteness, and every part \
+                          here is a subset of a model that already passed that validation \
+                          with the same config"
+            )]
             let m = LlmModel::from_parts(
                 model.config().clone(),
                 subset,
                 model.steps(),
                 model.is_frozen(),
             )
-            // INVARIANT: `from_parts` validates dimensions and
-            // finiteness, and every part here is a subset of a model that
-            // already passed that validation with the same config.
             .expect("subset of a valid model is valid");
             let snapshot = m.snapshot();
             lock(&shard.queue).clear();
@@ -486,14 +489,15 @@ impl ShardRouter {
         let config = config?;
         entries.sort_unstable_by_key(|e| e.0);
         let protos = entries.into_iter().map(|(_, p)| p).collect();
-        Some(
-            LlmModel::from_parts(config, protos, steps, frozen)
-                // INVARIANT: every prototype being merged came out of a
-                // shard model that passed `from_parts` validation
-                // against a clone of this same config, so re-validation
-                // cannot fail.
-                .expect("merged shard parts are consistent"),
-        )
+        #[expect(
+            clippy::expect_used,
+            reason = "every prototype being merged came out of a shard model that passed \
+                      `from_parts` validation against a clone of this same config, so \
+                      re-validation cannot fail"
+        )]
+        let merged = LlmModel::from_parts(config, protos, steps, frozen)
+            .expect("merged shard parts are consistent");
+        Some(merged)
     }
 
     /// The exact backend.
@@ -768,8 +772,11 @@ impl ShardRouter {
                 }
                 break;
             }
-            // INVARIANT: the `t.model.is_none()` requeue branch above
-            // breaks out of the loop, so reaching here implies `Some`.
+            #[expect(
+                clippy::expect_used,
+                reason = "the `t.model.is_none()` requeue branch above breaks out of the \
+                          loop, so reaching here implies `Some`"
+            )]
             let model = t.model.as_mut().expect("checked above");
             let k_before = model.k();
             let boom = self.fault.fires(FaultKind::TrainerPanic);
@@ -785,10 +792,14 @@ impl ShardRouter {
             }));
             match step {
                 Ok(Ok(_)) => {
-                    // INVARIANT: this arm means `train_step` ran on
-                    // `t.model` above; nothing in between can take it
-                    // (we hold the shard trainer lock throughout).
-                    if t.model.as_ref().expect("just trained").k() > k_before {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this arm means `train_step` ran on `t.model` above; nothing \
+                                  in between can take it (we hold the shard trainer lock \
+                                  throughout)"
+                    )]
+                    let k_after = t.model.as_ref().expect("just trained").k();
+                    if k_after > k_before {
                         // Spawn appends exactly one prototype at the
                         // arena's end, so a fresh (globally unique,
                         // per-shard ascending) id ticket keeps ids

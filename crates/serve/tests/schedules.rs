@@ -20,6 +20,9 @@
 //! no address is reused inside one: the fresh-node assumption of the
 //! protocol proof (with reuse, 2×2×1 counts 221,362,544 schedules).
 
+// Unsafe by design: the `#[global_allocator]` that holds back frees.
+#![allow(unsafe_code)]
+
 use regq_serve::{CellView, NodeName, ReaderHandle, SnapshotCell};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -42,14 +45,16 @@ struct NoReuse;
 unsafe impl GlobalAlloc for NoReuse {
     // SAFETY: the caller's `layout` obligations pass straight to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        System.alloc(layout)
+        // SAFETY: `layout` meets `alloc`'s contract, the caller's obligation.
+        unsafe { System.alloc(layout) }
     }
 
     // SAFETY: `ptr` came from `System` with this `layout` — the caller's
     // obligation, passed on unchanged. Overridden so that growing `HELD`
     // inside `dealloc` never re-enters `dealloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: `ptr` and `layout` are as the caller guarantees them.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     // SAFETY: as `realloc`; a held-back block stays allocated until
@@ -60,7 +65,8 @@ unsafe impl GlobalAlloc for NoReuse {
                 .try_with(|held| held.borrow_mut().push((ptr as usize, layout)))
                 .is_ok();
         if !held {
-            System.dealloc(ptr, layout)
+            // SAFETY: as in `realloc`; a block not held back is freed here, once.
+            unsafe { System.dealloc(ptr, layout) }
         }
     }
 }

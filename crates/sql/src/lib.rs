@@ -58,7 +58,6 @@
 //! the same bind and dispatch on a [`Statement`] the caller built.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod ast;
 pub mod parser;

@@ -24,7 +24,6 @@
 //! negative, zero, `NaN` and infinite included (property-tested).
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod index;
 pub mod kd_tree;

@@ -18,7 +18,6 @@
 //!   asserted by `tests/paper_claims.rs`.
 
 #![deny(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod eval;
 pub mod querygen;
