@@ -168,24 +168,14 @@ mod tests {
     fn is_strongly_non_linear() {
         // The defining property of R1: a least-squares plane fit over the
         // whole domain leaves a large unexplained fraction of variance.
-        use regq_linalg::{lstsq, Matrix};
         let f = GasSensorSurrogate::new(2, 42);
         let mut rng = seeded(123);
-        let n = 2000;
-        let mut rows = Vec::with_capacity(n);
-        let mut ys = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut acc = regq_linalg::GramAccumulator::new(3);
+        for _ in 0..2000 {
             let x: Vec<f64> = (0..2).map(|_| rng.random_range(0.0..1.0)).collect();
-            ys.push(f.eval(&x));
-            rows.push(vec![1.0, x[0], x[1]]);
+            acc.push_affine(&x, f.eval(&x));
         }
-        let xm = Matrix::from_rows(&rows).unwrap();
-        let sol = lstsq(&xm, &ys).unwrap();
-        let pred = xm.matvec(&sol.coeffs).unwrap();
-        let mean = ys.iter().sum::<f64>() / n as f64;
-        let ssr: f64 = ys.iter().zip(&pred).map(|(y, p)| (y - p) * (y - p)).sum();
-        let tss: f64 = ys.iter().map(|y| (y - mean) * (y - mean)).sum();
-        let fvu = ssr / tss;
+        let fvu = acc.ssr(&acc.solve().unwrap()) / acc.tss();
         // A global linear model must be a poor fit (paper: "significant
         // non-linear dependencies").
         assert!(fvu > 0.3, "surrogate too linear: global FVU = {fvu}");

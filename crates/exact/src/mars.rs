@@ -26,7 +26,8 @@
 
 use crate::fit::GoodnessOfFit;
 use regq_data::Dataset;
-use regq_linalg::{Cholesky, LinalgError, Matrix};
+use regq_linalg::vector::{self, dot};
+use regq_linalg::{solve_normal_equations, LinalgError};
 
 /// Direction of a hinge function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,12 +197,18 @@ impl Mars {
     /// Fit a MARS model over rows `ids` of `ds`.
     ///
     /// # Errors
-    /// [`LinalgError::Empty`] on an empty selection; solver errors propagate
-    /// if even the intercept-only model cannot be fit (cannot happen for
-    /// non-empty finite data).
+    /// [`LinalgError::Empty`] on an empty selection,
+    /// [`LinalgError::NonFinite`] when a selected row has a NaN or infinite
+    /// feature; solver errors propagate if even the intercept-only model
+    /// cannot be fit (cannot happen for non-empty finite data).
     pub fn fit(ds: &Dataset, ids: &[usize], params: MarsParams) -> Result<MarsModel, LinalgError> {
         if ids.is_empty() {
             return Err(LinalgError::Empty);
+        }
+        if !ids.iter().all(|&i| vector::all_finite(ds.x(i))) {
+            return Err(LinalgError::NonFinite {
+                location: "Mars::fit: a selected row's features",
+            });
         }
         let n = ids.len();
         let d = ds.dim();
@@ -210,16 +217,16 @@ impl Mars {
 
         let knots = candidate_knots(ds, ids, params.max_knots_per_dim);
 
-        // Column cache: design columns for current basis functions.
+        // Column cache: design columns for current basis functions, and
+        // their normal equations.
         let mut basis = vec![BasisFunction::default()];
         let mut cols: Vec<Vec<f64>> = vec![vec![1.0; n]];
-
-        let mut fwd = ForwardState::new(&cols, &y, yty);
+        let mut fwd = NormalEquations::of(&[&cols[0]], &y);
         let tss = {
             let mean = y.iter().sum::<f64>() / n as f64;
             y.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
         };
-        let mut current_ssr = fwd.ssr(&cols, &y).unwrap_or(tss);
+        let mut current_ssr = fwd.ssr(yty).unwrap_or(tss);
 
         // ---- Forward pass ----
         while basis.len() + 2 <= params.max_terms {
@@ -238,7 +245,11 @@ impl Mars {
                         if is_zero(&cplus) && is_zero(&cminus) {
                             continue;
                         }
-                        if let Some(ssr) = fwd.ssr_with_pair(&cols, &y, &cplus, &cminus) {
+                        // Scoring the pair only needs its border rows.
+                        let mut trial = fwd.clone();
+                        trial.push_column(slices(&cols), &cplus, &y);
+                        trial.push_column(slices(&cols).chain([&cplus[..]]), &cminus, &y);
+                        if let Some(ssr) = trial.ssr(yty) {
                             if best.as_ref().is_none_or(|b| ssr < b.ssr) {
                                 best = Some(Candidate {
                                     parent: pi,
@@ -268,7 +279,7 @@ impl Mars {
                     dir,
                 });
                 basis.push(b);
-                fwd.push_column(&cols, &col, &y);
+                fwd.push_column(slices(&cols), &col, &y);
                 cols.push(col);
             }
             current_ssr = cand.ssr;
@@ -278,8 +289,8 @@ impl Mars {
         let selected = backward_pass(&cols, &y, n, params.gcv_penalty)?;
         let kept_basis: Vec<BasisFunction> =
             selected.kept.iter().map(|&i| basis[i].clone()).collect();
-        let kept_cols: Vec<Vec<f64>> = selected.kept.iter().map(|&i| cols[i].clone()).collect();
-        let coeffs = solve_ols_cols(&kept_cols, &y)?;
+        let kept_cols: Vec<&[f64]> = selected.kept.iter().map(|&i| &cols[i][..]).collect();
+        let coeffs = NormalEquations::of(&kept_cols, &y).solve()?;
 
         let predicted: Vec<f64> = (0..n)
             .map(|r| {
@@ -360,133 +371,66 @@ fn hinge_pair_columns(
     (cp, cm)
 }
 
-/// Cached Gram state for fast candidate evaluation in the forward pass.
+/// Ridge strength of the solve's one retry for MARS fits, relative to the
+/// mean diagonal of the basis Gram matrix. It is not OLS's `1e-8`: a second
+/// knot on a variable makes a hinge pair collinear with the first, so the
+/// retry is common here, and at `1e-8` the Fig. 11 PLR answers move in
+/// their third significant digit.
+const RIDGE: f64 = 1e-10;
+
+/// The normal equations `BᵀB c = Bᵀy` of a list of basis columns `B`: the
+/// packed lower triangle of `BᵀB`, one row per column, and `Bᵀy`.
 ///
-/// Maintains `G = BᵀB` and `Bᵀy` for the committed columns `B`; scoring a
-/// candidate pair `(u, v)` only needs the border blocks (`Bᵀu`, `Bᵀv`,
-/// `uᵀu`, `uᵀv`, `vᵀv`, `uᵀy`, `vᵀy`), each `O(n·m)`/`O(n)`.
-struct ForwardState {
-    gram: Vec<Vec<f64>>, // lower-triangular-ish full storage, m x m
-    bty: Vec<f64>,
-    yty: f64,
+/// Appending a column costs its border row only (`O(n·m)`), which is how
+/// the forward pass scores a candidate pair against the committed
+/// columns without refolding them.
+#[derive(Clone, Default)]
+struct NormalEquations {
+    lower: Vec<f64>,
+    rhs: Vec<f64>,
 }
 
-impl ForwardState {
-    fn new(cols: &[Vec<f64>], y: &[f64], yty: f64) -> Self {
-        let m = cols.len();
-        let mut gram = vec![vec![0.0; m]; m];
-        let mut bty = vec![0.0; m];
-        for i in 0..m {
-            for j in i..m {
-                let v = dot(&cols[i], &cols[j]);
-                gram[i][j] = v;
-                gram[j][i] = v;
-            }
-            bty[i] = dot(&cols[i], y);
+impl NormalEquations {
+    /// The normal equations of `cols`, in order.
+    fn of(cols: &[&[f64]], y: &[f64]) -> Self {
+        let mut eq = NormalEquations::default();
+        for (m, col) in cols.iter().enumerate() {
+            eq.push_column(cols[..m].iter().copied(), col, y);
         }
-        ForwardState { gram, bty, yty }
+        eq
     }
 
-    fn push_column(&mut self, cols: &[Vec<f64>], new_col: &[f64], y: &[f64]) {
-        let m = self.gram.len();
-        let mut row = Vec::with_capacity(m + 1);
-        for c in cols.iter() {
-            row.push(dot(c, new_col));
-        }
-        row.push(dot(new_col, new_col));
-        for (i, g) in self.gram.iter_mut().enumerate() {
-            g.push(row[i]);
-        }
-        self.gram.push(row);
-        self.bty.push(dot(new_col, y));
+    /// Append column `new` after the columns `prior` these equations hold:
+    /// the row `[prior·new…, new·new]` and `new·y`.
+    fn push_column<'a>(
+        &mut self,
+        prior: impl IntoIterator<Item = &'a [f64]>,
+        new: &[f64],
+        y: &[f64],
+    ) {
+        self.lower.extend(prior.into_iter().map(|c| dot(c, new)));
+        self.lower.push(dot(new, new));
+        self.rhs.push(dot(new, y));
     }
 
-    /// SSR of the OLS fit on the current columns.
-    fn ssr(&self, _cols: &[Vec<f64>], _y: &[f64]) -> Option<f64> {
-        let m = self.gram.len();
-        let mut g = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                g[(i, j)] = self.gram[i][j];
-            }
-        }
-        ssr_from_normal_equations(&g, &self.bty, self.yty)
+    /// The least-squares coefficients.
+    fn solve(&self) -> Result<Vec<f64>, LinalgError> {
+        solve_normal_equations(&self.lower, &self.rhs, RIDGE)
     }
 
-    /// SSR of the OLS fit on current columns plus the candidate pair.
-    fn ssr_with_pair(&self, cols: &[Vec<f64>], y: &[f64], u: &[f64], v: &[f64]) -> Option<f64> {
-        let m = self.gram.len();
-        let mut g = Matrix::zeros(m + 2, m + 2);
-        for i in 0..m {
-            for j in 0..m {
-                g[(i, j)] = self.gram[i][j];
-            }
-        }
-        let mut rhs = Vec::with_capacity(m + 2);
-        rhs.extend_from_slice(&self.bty);
-        for (k, c) in [u, v].into_iter().enumerate() {
-            for (i, col) in cols.iter().enumerate() {
-                let val = dot(col, c);
-                g[(i, m + k)] = val;
-                g[(m + k, i)] = val;
-            }
-            rhs.push(dot(c, y));
-        }
-        let uu = dot(u, u);
-        let vv = dot(v, v);
-        let uv = dot(u, v);
-        g[(m, m)] = uu;
-        g[(m + 1, m + 1)] = vv;
-        g[(m, m + 1)] = uv;
-        g[(m + 1, m)] = uv;
-        ssr_from_normal_equations(&g, &rhs, self.yty)
+    /// `SSR = yᵀy − cᵀ(Bᵀy)` of the least-squares fit; `None` when the
+    /// system is numerically singular even with the ridge.
+    fn ssr(&self, yty: f64) -> Option<f64> {
+        let coeffs = self.solve().ok()?;
+        let explained: f64 = coeffs.iter().zip(self.rhs.iter()).map(|(c, b)| c * b).sum();
+        // Clamp tiny negative values from cancellation.
+        Some((yty - explained).max(0.0))
     }
 }
 
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    regq_linalg::vector::dot(a, b)
-}
-
-/// `SSR = yᵀy − cᵀ(Bᵀy)` where `c` solves the (ridged) normal equations.
-/// Returns `None` when the system is numerically singular even with ridge.
-fn ssr_from_normal_equations(gram: &Matrix, bty: &[f64], yty: f64) -> Option<f64> {
-    let solve = |g: &Matrix| -> Option<Vec<f64>> {
-        Cholesky::factor(g).ok().and_then(|ch| ch.solve(bty).ok())
-    };
-    let coeffs = solve(gram).or_else(|| {
-        let n = gram.rows();
-        let mean_diag = (0..n).map(|i| gram[(i, i)]).sum::<f64>() / n as f64;
-        let mut ridged = gram.clone();
-        ridged.add_diagonal((mean_diag * 1e-10).max(1e-300));
-        solve(&ridged)
-    })?;
-    let explained: f64 = coeffs.iter().zip(bty.iter()).map(|(c, b)| c * b).sum();
-    // Clamp tiny negative values from cancellation.
-    Some((yty - explained).max(0.0))
-}
-
-/// Solve OLS on explicit columns, with the same ridge fallback.
-fn solve_ols_cols(cols: &[Vec<f64>], y: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let m = cols.len();
-    let mut g = Matrix::zeros(m, m);
-    let mut bty = vec![0.0; m];
-    for i in 0..m {
-        for j in i..m {
-            let v = dot(&cols[i], &cols[j]);
-            g[(i, j)] = v;
-            g[(j, i)] = v;
-        }
-        bty[i] = dot(&cols[i], y);
-    }
-    match Cholesky::factor(&g) {
-        Ok(ch) => ch.solve(&bty),
-        Err(_) => {
-            let mean_diag = (0..m).map(|i| g[(i, i)]).sum::<f64>() / m as f64;
-            g.add_diagonal((mean_diag * 1e-10).max(1e-300));
-            Cholesky::factor(&g)?.solve(&bty)
-        }
-    }
+/// The columns as slices, the `prior` of [`NormalEquations::push_column`].
+fn slices(cols: &[Vec<f64>]) -> impl Iterator<Item = &[f64]> + '_ {
+    cols.iter().map(Vec::as_slice)
 }
 
 struct BackwardSelection {
@@ -507,18 +451,8 @@ fn backward_pass(
     let full: Vec<usize> = (0..cols.len()).collect();
 
     let subset_ssr = |subset: &[usize]| -> Option<f64> {
-        let m = subset.len();
-        let mut g = Matrix::zeros(m, m);
-        let mut bty = vec![0.0; m];
-        for (a, &i) in subset.iter().enumerate() {
-            for (b, &j) in subset.iter().enumerate().skip(a) {
-                let v = dot(&cols[i], &cols[j]);
-                g[(a, b)] = v;
-                g[(b, a)] = v;
-            }
-            bty[a] = dot(&cols[i], y);
-        }
-        ssr_from_normal_equations(&g, &bty, yty)
+        let sub: Vec<&[f64]> = subset.iter().map(|&i| &cols[i][..]).collect();
+        NormalEquations::of(&sub, y).ssr(yty)
     };
 
     let gcv_of = |ssr: f64, m: usize| -> f64 {
@@ -733,6 +667,71 @@ mod tests {
             Mars::fit(&ds, &[], MarsParams::default()),
             Err(LinalgError::Empty)
         ));
+    }
+
+    #[test]
+    fn non_finite_feature_is_a_typed_error() {
+        let mut ds = Dataset::new(1);
+        for i in 0..20 {
+            let x = i as f64 / 20.0;
+            ds.push(&[x], x).unwrap();
+        }
+        ds.push(&[f64::NAN], 0.5).unwrap();
+        let ids = all_ids(&ds);
+        assert!(matches!(
+            crate::fit_ols(&ds, &ids),
+            Err(LinalgError::NonFinite { .. })
+        ));
+        assert!(matches!(
+            Mars::fit(&ds, &ids, MarsParams::default()),
+            Err(LinalgError::NonFinite { .. })
+        ));
+        // The finite rows alone still fit.
+        assert!(Mars::fit(&ds, &ids[..20], MarsParams::default()).is_ok());
+    }
+
+    /// The solve's operation order, pinned: the coefficient bits of a 1-D
+    /// fit on the zigzag, as recorded from the dense-matrix Cholesky this
+    /// solve replaced. Every hinge pair after the first is collinear with
+    /// the committed columns in 1-D, so the forward pass scores such pairs
+    /// through the ridged retry.
+    #[test]
+    fn zigzag_coefficients_keep_their_literal_bits() {
+        let f = PiecewiseLinear1d::zigzag();
+        let mut ds = Dataset::new(1);
+        for i in 0..=40 {
+            let x = i as f64 / 40.0;
+            ds.push(&[x], f.eval(&[x])).unwrap();
+        }
+        let params = MarsParams {
+            max_terms: 7,
+            max_knots_per_dim: 8,
+            ..Default::default()
+        };
+        let m = Mars::fit(&ds, &all_ids(&ds), params).unwrap();
+        let knots: Vec<(f64, HingeDir)> = m
+            .basis
+            .iter()
+            .flat_map(|b| b.hinges.iter().map(|h| (h.knot, h.dir)))
+            .collect();
+        assert_eq!(
+            knots,
+            [
+                (0.75, HingeDir::Minus),
+                (0.125, HingeDir::Plus),
+                (0.5, HingeDir::Plus)
+            ]
+        );
+        let bits: Vec<u64> = m.coeffs.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x400d_0a18_4232_847e,
+                0xc013_08c8_3aac_292f,
+                0xc015_cf8f_d417_f8b8,
+                0x4005_5da8_198f_95f4
+            ]
+        );
     }
 
     #[test]

@@ -74,9 +74,9 @@ pub fn fit_ols(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> 
     for &i in ids {
         acc.push_affine(ds.x(i), ds.y(i));
     }
-    let sol = acc.solve()?;
-    let intercept = sol.coeffs[0];
-    let slope = sol.coeffs[1..].to_vec();
+    let coeffs = acc.solve()?;
+    let intercept = coeffs[0];
+    let slope = coeffs[1..].to_vec();
     // Exact residual accounting (cheap O(n·d) pass, numerically preferable
     // to the closed form when ids are at hand).
     let mean = acc.sum_y() / acc.count() as f64;
@@ -149,11 +149,11 @@ pub fn fit_ols_ball(rel: &Relation, center: &[f64], radius: f64) -> Result<BallF
     if acc.is_empty() {
         return Err(LinalgError::Empty);
     }
-    let sol = acc.solve()?;
-    let intercept = sol.coeffs[0];
-    let slope = sol.coeffs[1..].to_vec();
+    let coeffs = acc.solve()?;
+    let intercept = coeffs[0];
+    let slope = coeffs[1..].to_vec();
     let n = acc.count();
-    let fit = GoodnessOfFit::from_sums(n, acc.ssr(&sol.coeffs), acc.tss());
+    let fit = GoodnessOfFit::from_sums(n, acc.ssr(&coeffs), acc.tss());
     Ok(BallFit {
         model: LinearModel {
             intercept,

@@ -16,7 +16,8 @@ use regq_exact::{
     fit_ols, fit_ols_ball, q1_mean, q1_moments, BallFit, ExactEngine, GoodnessOfFit, LinearModel,
     Mars, MarsParams, Moments,
 };
-use regq_linalg::{lstsq, GramAccumulator, LinalgError, Matrix, OnlineStats};
+use regq_linalg::vector::dot;
+use regq_linalg::{solve_normal_equations, GramAccumulator, LinalgError, OnlineStats};
 use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
@@ -59,25 +60,24 @@ fn q1_moments_materialized(rel: &Relation, center: &[f64], radius: f64) -> Optio
     })
 }
 
-/// OLS through the full `n × (d+1)` design matrix and `lstsq` (what the
-/// paper's PostgreSQL+XLeratorDB baseline does).
+/// OLS through the full `n × (d+1)` design matrix (what the paper's
+/// PostgreSQL+XLeratorDB baseline does): materialize the design's
+/// columns, form the Gram triangle column by column, then solve.
 fn fit_ols_design(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> {
     if ids.is_empty() {
         return Err(LinalgError::Empty);
     }
-    let d = ds.dim();
-    let n = ids.len();
-    let mut design = Matrix::zeros(n, d + 1);
-    let mut y = Vec::with_capacity(n);
-    for (r, &i) in ids.iter().enumerate() {
-        let row = design.row_mut(r);
-        row[0] = 1.0;
-        row[1..].copy_from_slice(ds.x(i));
-        y.push(ds.y(i));
+    let mut design = vec![vec![1.0; ids.len()]];
+    design.extend((0..ds.dim()).map(|j| ids.iter().map(|&i| ds.x(i)[j]).collect()));
+    let y: Vec<f64> = ids.iter().map(|&i| ds.y(i)).collect();
+    let mut lower = Vec::new();
+    for (r, col) in design.iter().enumerate() {
+        lower.extend(design[..=r].iter().map(|c| dot(c, col)));
     }
-    let sol = lstsq(&design, &y)?;
-    let intercept = sol.coeffs[0];
-    let slope = sol.coeffs[1..].to_vec();
+    let xty: Vec<f64> = design.iter().map(|c| dot(c, &y)).collect();
+    let coeffs = solve_normal_equations(&lower, &xty, 1e-8)?;
+    let intercept = coeffs[0];
+    let slope = coeffs[1..].to_vec();
     let predicted: Vec<f64> = ids
         .iter()
         .map(|&i| {
@@ -174,13 +174,13 @@ fn fit_ols_ball_reference(
     if acc.is_empty() {
         return Err(LinalgError::Empty);
     }
-    let sol = acc.solve()?;
+    let coeffs = acc.solve()?;
     let n = acc.count();
     Ok(BallFit {
         model: LinearModel {
-            intercept: sol.coeffs[0],
-            slope: sol.coeffs[1..].to_vec(),
-            fit: GoodnessOfFit::from_sums(n, acc.ssr(&sol.coeffs), acc.tss()),
+            intercept: coeffs[0],
+            slope: coeffs[1..].to_vec(),
+            fit: GoodnessOfFit::from_sums(n, acc.ssr(&coeffs), acc.tss()),
         },
         moments: Moments {
             n,
@@ -377,7 +377,7 @@ proptest! {
     }
 
     /// The fused in-scan OLS matches the reference pipeline (materialized
-    /// selection + design matrix + lstsq) up to numerical tolerance, on
+    /// selection + design matrix + solve) up to numerical tolerance, on
     /// every access path, whenever the reference succeeds.
     #[test]
     fn pushdown_ols_equals_materialized(ds in surface_strategy(3),

@@ -2,37 +2,16 @@
 
 use std::fmt;
 
-/// Errors produced by factorizations and solvers.
+/// Errors produced by the normal-equations solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
-    /// A matrix that must be square was not (`rows`, `cols`).
-    NotSquare {
-        /// Number of rows observed.
-        rows: usize,
-        /// Number of columns observed.
-        cols: usize,
-    },
-    /// Dimension mismatch between two operands.
-    DimensionMismatch {
-        /// Human-readable description of the operation.
-        op: &'static str,
-        /// Dimension expected by the operation.
-        expected: usize,
-        /// Dimension actually supplied.
-        actual: usize,
-    },
-    /// Cholesky hit a non-positive pivot: the matrix is not positive
-    /// definite (within tolerance).
+    /// A Cholesky pivot fell to the noise level, the ridged retry's too:
+    /// the matrix is not positive definite (within tolerance).
     NotPositiveDefinite {
         /// Index of the failing pivot.
         pivot: usize,
         /// Value of the failing pivot.
         value: f64,
-    },
-    /// The system is (numerically) rank deficient.
-    RankDeficient {
-        /// Index of the first negligible diagonal entry of `R`.
-        column: usize,
     },
     /// An input contained NaN or infinity.
     NonFinite {
@@ -46,21 +25,10 @@ pub enum LinalgError {
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinalgError::NotSquare { rows, cols } => {
-                write!(f, "matrix must be square, got {rows}x{cols}")
-            }
-            LinalgError::DimensionMismatch {
-                op,
-                expected,
-                actual,
-            } => write!(f, "{op}: expected dimension {expected}, got {actual}"),
             LinalgError::NotPositiveDefinite { pivot, value } => write!(
                 f,
                 "matrix is not positive definite (pivot {pivot} = {value:e})"
             ),
-            LinalgError::RankDeficient { column } => {
-                write!(f, "rank-deficient system (column {column})")
-            }
             LinalgError::NonFinite { location } => {
                 write!(f, "non-finite value encountered in {location}")
             }

@@ -1,270 +1,242 @@
-//! High-level least-squares front door.
+//! The one least-squares solve: the normal equations `G b = r` of a Gram
+//! matrix given by its packed lower triangle.
 //!
-//! Both entry points solve the normal equations with Cholesky, falling
-//! back to (a) a small ridge perturbation and then (b) Householder QR when
-//! the system is rank deficient. This mirrors what production in-DBMS
-//! analytics extensions (MADlib, Oracle UTL_NLA) do for robustness, while
-//! keeping the fast path allocation-light.
+//! Both exact least-squares baselines reduce to it. Per-query `REG` folds
+//! its Gram state during the data scan ([`crate::gram::GramAccumulator`])
+//! and hands that triangle over; MARS (`PLR`) builds one triangle per
+//! basis subset from its cached columns. No design matrix is ever formed.
 //!
-//! * [`solve_normal_equations`] is what the exact `REG` engine runs: the
-//!   Gram state is folded during the data scan
-//!   ([`crate::gram::GramAccumulator::solve`]) and no design matrix ever
-//!   exists.
-//! * [`lstsq`] takes a materialized design matrix. Nothing on a served
-//!   path calls it; it is the straight-line reference the pushdown fit is
-//!   tested against (`gram::tests`, `regq_exact`'s proptests) and what the
-//!   gas-sensor surrogate's self-check fits with.
-//!
-//! The MARS fitter calls neither: it factors its own basis Gram matrices
-//! with [`Cholesky`] directly.
+//! The solve is Cholesky, then one retry with a small ridge on the
+//! diagonal when a pivot falls to the noise level, as it does for a
+//! collinear selection (a repeated or constant feature, fewer rows than
+//! columns). A system the ridge cannot rescue is a typed
+//! [`LinalgError::NotPositiveDefinite`]: `λ = ridge · mean diag(G)` is at
+//! least `ridge / n` of the largest diagonal entry and lifts every
+//! eigenvalue of a positive semi-definite `G` to `≥ λ`, which for the
+//! engines' ridges and at most a few dozen columns lies above both the
+//! pivot tolerance and the rounding of the factor. A failed retry
+//! therefore means an indefinite input, not a collinear Gram matrix.
 
-use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
-use crate::matrix::Matrix;
-use crate::qr::QrFactorization;
+use crate::vector;
 
-/// Ridge strength of the one Cholesky retry, relative to the mean diagonal
-/// of the Gram matrix: small enough that a well-posed fit never sees it
-/// (plain Cholesky succeeds first), large enough to make an exactly
-/// collinear Gram matrix positive definite in `f64`.
-const RIDGE_REL: f64 = 1e-8;
-
-/// How a least-squares solution was obtained (diagnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolvePath {
-    /// Plain Cholesky on the normal equations.
-    Cholesky,
-    /// Cholesky after adding a small ridge to the Gram diagonal.
-    Ridged,
-    /// Householder QR on the design matrix.
-    Qr,
+/// Index of entry `(r, c)`, `c ≤ r`, in a packed lower triangle stored
+/// row by row.
+#[inline]
+fn packed(r: usize, c: usize) -> usize {
+    r * (r + 1) / 2 + c
 }
 
-/// Result of [`lstsq`].
-#[derive(Debug, Clone)]
-pub struct LstsqSolution {
-    /// Coefficient vector (length = number of design columns).
-    pub coeffs: Vec<f64>,
-    /// Which numerical path produced the coefficients.
-    pub path: SolvePath,
-}
-
-/// Solve `min_b ‖X b − y‖₂` for a tall design `X` (`m ≥ n`).
+/// Solve `G b = rhs` for the symmetric `G` whose lower triangle `lower`
+/// holds, packed row by row: entry `(r, c)`, `c ≤ r`, at `r(r+1)/2 + c` —
+/// the layout [`crate::gram::GramAccumulator`] folds.
 ///
-/// Strategy: normal equations + Cholesky → ridge retry → QR. Returns the
-/// first path that succeeds.
+/// Cholesky first. When a pivot falls to `≤ 1e-13 · max |diag|` (or is
+/// not finite), one retry factors `G + λI` with
+/// `λ = ridge · mean diag(G)`.
 ///
 /// # Errors
-/// * [`LinalgError::DimensionMismatch`] if `y.len() != X.rows()`.
-/// * [`LinalgError::Empty`] for an empty design.
-/// * [`LinalgError::RankDeficient`] if even QR cannot produce a solution.
-pub fn lstsq(x: &Matrix, y: &[f64]) -> Result<LstsqSolution, LinalgError> {
-    if x.rows() == 0 || x.cols() == 0 {
+/// * [`LinalgError::Empty`] for a system with no column.
+/// * [`LinalgError::NonFinite`] if `lower` holds a NaN or an infinity.
+/// * [`LinalgError::NotPositiveDefinite`] if the ridged retry fails too.
+///
+/// # Panics
+/// Panics if `lower` does not hold `n(n+1)/2` entries for the `n` of
+/// `rhs.len()`: a ragged triangle is a caller bug.
+pub fn solve_normal_equations(
+    lower: &[f64],
+    rhs: &[f64],
+    ridge: f64,
+) -> Result<Vec<f64>, LinalgError> {
+    let n = rhs.len();
+    assert_eq!(
+        lower.len(),
+        packed(n, 0),
+        "solve_normal_equations: a packed triangle of {n} columns"
+    );
+    if n == 0 {
         return Err(LinalgError::Empty);
     }
-    if y.len() != x.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "lstsq",
-            expected: x.rows(),
-            actual: y.len(),
+    if !vector::all_finite(lower) {
+        return Err(LinalgError::NonFinite {
+            location: "solve_normal_equations: Gram triangle",
         });
     }
-    let gram = x.gram();
-    let xty = x.t_matvec(y)?;
-
-    if let Some(sol) = cholesky_then_ridge(&gram, &xty)? {
-        return Ok(sol);
-    }
-
-    // Last resort: QR directly on the design (only valid for m >= n).
-    if x.rows() >= x.cols() {
-        let qr = QrFactorization::factor(x)?;
-        let coeffs = qr.solve(y)?;
-        return Ok(LstsqSolution {
-            coeffs,
-            path: SolvePath::Qr,
-        });
-    }
-    Err(LinalgError::RankDeficient { column: 0 })
-}
-
-/// Solve least squares directly from pre-accumulated normal-equation state
-/// `XᵀX b = Xᵀy` — the entry point for aggregation-pushdown fits where the
-/// Gram matrix was folded during the data scan and no design matrix exists
-/// (see [`crate::gram::GramAccumulator`]).
-///
-/// The fallback chain mirrors [`lstsq`]: Cholesky on the Gram matrix, then
-/// a ridge-perturbed retry, then Householder QR — applied to the (square)
-/// Gram system itself, since the design is not available.
-///
-/// # Errors
-/// * [`LinalgError::Empty`] for a `0 × 0` Gram matrix.
-/// * [`LinalgError::DimensionMismatch`] if `gram` is not square or
-///   `xty.len() != gram.rows()`.
-/// * [`LinalgError::RankDeficient`] when every path fails.
-pub fn solve_normal_equations(gram: &Matrix, xty: &[f64]) -> Result<LstsqSolution, LinalgError> {
-    if gram.rows() == 0 || gram.cols() == 0 {
-        return Err(LinalgError::Empty);
-    }
-    if gram.rows() != gram.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "solve_normal_equations",
-            expected: gram.rows(),
-            actual: gram.cols(),
-        });
-    }
-    if xty.len() != gram.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "solve_normal_equations",
-            expected: gram.rows(),
-            actual: xty.len(),
-        });
-    }
-
-    if let Some(sol) = cholesky_then_ridge(gram, xty)? {
-        return Ok(sol);
-    }
-
-    // Last resort: QR on the (square) Gram system.
-    let qr = QrFactorization::factor(gram)?;
-    let coeffs = qr.solve(xty)?;
-    Ok(LstsqSolution {
-        coeffs,
-        path: SolvePath::Qr,
-    })
-}
-
-/// The shared front of both solve chains: plain Cholesky on the normal
-/// equations, then one ridge-perturbed retry. `Ok(None)` means "fall
-/// through to the caller's QR last resort".
-fn cholesky_then_ridge(gram: &Matrix, xty: &[f64]) -> Result<Option<LstsqSolution>, LinalgError> {
-    match Cholesky::factor(gram) {
-        Ok(ch) => {
-            let coeffs = ch.solve(xty)?;
-            return Ok(Some(LstsqSolution {
-                coeffs,
-                path: SolvePath::Cholesky,
-            }));
+    let l = match factor(lower, n) {
+        Err(LinalgError::NotPositiveDefinite { .. }) => {
+            let mean_diag = (0..n).map(|i| lower[packed(i, i)]).sum::<f64>() / n as f64;
+            // The floor keeps `λ` positive on an all-zero diagonal. It never
+            // binds for the engines' systems: each carries the intercept
+            // column, whose diagonal entry is the row count, so
+            // `mean diag ≥ 1/n`.
+            let lambda = (mean_diag * ridge).max(f64::MIN_POSITIVE);
+            let mut ridged = lower.to_vec();
+            for i in 0..n {
+                ridged[packed(i, i)] += lambda;
+            }
+            factor(&ridged, n)?
         }
-        Err(LinalgError::NotPositiveDefinite { .. }) => {}
-        Err(e) => return Err(e),
-    }
+        factored => factored?,
+    };
+    Ok(substitute(&l, rhs))
+}
 
-    let n = gram.rows();
-    let mean_diag = (0..n).map(|i| gram[(i, i)]).sum::<f64>() / n as f64;
-    let lambda = (mean_diag * RIDGE_REL).max(f64::MIN_POSITIVE);
-    let mut ridged = gram.clone();
-    ridged.add_diagonal(lambda);
-    if let Ok(ch) = Cholesky::factor(&ridged) {
-        let coeffs = ch.solve(xty)?;
-        return Ok(Some(LstsqSolution {
-            coeffs,
-            path: SolvePath::Ridged,
-        }));
+/// The packed lower Cholesky factor `L` of `A = L·Lᵀ`, column by column.
+fn factor(a: &[f64], n: usize) -> Result<Vec<f64>, LinalgError> {
+    let max_diag = (0..n).map(|i| a[packed(i, i)].abs()).fold(0.0, f64::max);
+    // A pivot at the noise level is a failure, so the caller can retry
+    // with the ridge.
+    let tol = max_diag * 1e-13;
+    let mut l = vec![0.0; a.len()];
+    for j in 0..n {
+        let row_j = packed(j, 0);
+        let mut diag = a[packed(j, j)];
+        for &ljk in &l[row_j..row_j + j] {
+            diag -= ljk * ljk;
+        }
+        if diag <= tol || !diag.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite {
+                pivot: j,
+                value: diag,
+            });
+        }
+        let ljj = diag.sqrt();
+        l[packed(j, j)] = ljj;
+        for i in (j + 1)..n {
+            let row_i = packed(i, 0);
+            let mut v = a[row_i + j];
+            for (&lik, &ljk) in l[row_i..row_i + j].iter().zip(&l[row_j..row_j + j]) {
+                v -= lik * ljk;
+            }
+            l[row_i + j] = v / ljj;
+        }
     }
-    Ok(None)
+    Ok(l)
+}
+
+/// Solve `L·Lᵀ x = b`: forward substitution `L y = b`, then backward
+/// `Lᵀ x = y`, both in place in one buffer.
+fn substitute(l: &[f64], b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let mut x = b.to_vec();
+    for i in 0..n {
+        let row_i = packed(i, 0);
+        let mut v = x[i];
+        for (&lik, &yk) in l[row_i..row_i + i].iter().zip(&x[..i]) {
+            v -= lik * yk;
+        }
+        x[i] = v / l[row_i + i];
+    }
+    for i in (0..n).rev() {
+        let mut v = x[i];
+        for (k, &xk) in x.iter().enumerate().skip(i + 1) {
+            v -= l[packed(k, i)] * xk;
+        }
+        x[i] = v / l[packed(i, i)];
+    }
+    x
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gram::GramAccumulator;
 
-    fn design_and_target() -> (Matrix, Vec<f64>) {
-        // y = 1 + 2 x1 - 0.5 x2, exact.
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| {
-                let x1 = i as f64 * 0.1;
-                let x2 = (i as f64 * 0.37).sin();
-                vec![1.0, x1, x2]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = rows.iter().map(|r| 1.0 + 2.0 * r[1] - 0.5 * r[2]).collect();
-        (x, y)
+    #[test]
+    fn identity_system_returns_its_right_hand_side() {
+        let b = solve_normal_equations(&[1.0, 0.0, 1.0], &[3.0, -4.0], 1e-8).unwrap();
+        assert_eq!(b, [3.0, -4.0]);
     }
 
     #[test]
-    fn recovers_exact_coefficients_via_cholesky() {
-        let (x, y) = design_and_target();
-        let sol = lstsq(&x, &y).unwrap();
-        assert_eq!(sol.path, SolvePath::Cholesky);
-        assert!((sol.coeffs[0] - 1.0).abs() < 1e-9);
-        assert!((sol.coeffs[1] - 2.0).abs() < 1e-9);
-        assert!((sol.coeffs[2] + 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn collinear_design_falls_back_and_still_predicts() {
-        // Third column duplicates the second: rank deficient.
-        let rows: Vec<Vec<f64>> = (0..10)
-            .map(|i| {
-                let x1 = i as f64;
-                vec![1.0, x1, x1]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = rows.iter().map(|r| 2.0 + 3.0 * r[1]).collect();
-        let sol = lstsq(&x, &y).unwrap();
-        assert_eq!(sol.path, SolvePath::Ridged);
-        // Prediction must still be exact even though individual coefficients
-        // are not identifiable: b1 + b2 == 3.
-        assert!((sol.coeffs[1] + sol.coeffs[2] - 3.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn empty_design_is_an_error() {
-        let x = Matrix::zeros(0, 0);
-        assert!(matches!(lstsq(&x, &[]), Err(LinalgError::Empty)));
-    }
-
-    #[test]
-    fn mismatched_target_length_is_an_error() {
-        let (x, _) = design_and_target();
+    fn singular_gram_falls_back_to_the_ridge() {
+        // Rank-1 Gram (duplicated column): plain Cholesky fails ...
+        let lower = [2.0, 2.0, 2.0];
         assert!(matches!(
-            lstsq(&x, &[1.0, 2.0]),
-            Err(LinalgError::DimensionMismatch { .. })
+            solve_normal_equations(&lower, &[1.0, 1.0], 0.0),
+            Err(LinalgError::NotPositiveDefinite { pivot: 1, .. })
+        ));
+        // ... and the ridged retry splits the weight across the twins.
+        let b = solve_normal_equations(&lower, &[1.0, 1.0], 1e-8).unwrap();
+        assert!((b[0] + b[1] - 0.5).abs() < 1e-4, "{b:?}");
+    }
+
+    #[test]
+    fn indefinite_system_is_a_typed_error() {
+        // Eigenvalues 3 and -1: no small ridge rescues it.
+        assert!(matches!(
+            solve_normal_equations(&[1.0, 2.0, 1.0], &[0.0, 0.0], 1e-8),
+            Err(LinalgError::NotPositiveDefinite { .. })
         ));
     }
 
     #[test]
-    fn normal_equations_match_design_matrix_path() {
-        let (x, y) = design_and_target();
-        let gram = x.gram();
-        let xty = x.t_matvec(&y).unwrap();
-        let via_gram = solve_normal_equations(&gram, &xty).unwrap();
-        let via_design = lstsq(&x, &y).unwrap();
-        assert_eq!(via_gram.path, SolvePath::Cholesky);
-        for (a, b) in via_gram.coeffs.iter().zip(via_design.coeffs.iter()) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn normal_equations_singular_gram_falls_back_to_ridge() {
-        // Rank-1 Gram (duplicated column): Cholesky fails, ridge succeeds.
-        let gram = Matrix::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]).unwrap();
-        let sol = solve_normal_equations(&gram, &[1.0, 1.0]).unwrap();
-        assert_eq!(sol.path, SolvePath::Ridged);
-        // The ridged solution splits the weight across the twin columns.
-        assert!((sol.coeffs[0] + sol.coeffs[1] - 0.5).abs() < 1e-4);
-    }
-
-    #[test]
-    fn normal_equations_rejects_bad_shapes() {
-        let gram = Matrix::zeros(0, 0);
+    fn non_finite_gram_is_an_error() {
         assert!(matches!(
-            solve_normal_equations(&gram, &[]),
+            solve_normal_equations(&[1.0, f64::NAN, 1.0], &[0.0, 0.0], 1e-8),
+            Err(LinalgError::NonFinite { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_system_is_an_error() {
+        assert!(matches!(
+            solve_normal_equations(&[], &[], 1e-8),
             Err(LinalgError::Empty)
         ));
-        let rect = Matrix::zeros(2, 3);
-        assert!(matches!(
-            solve_normal_equations(&rect, &[0.0, 0.0]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        let sq = Matrix::identity(2);
-        assert!(matches!(
-            solve_normal_equations(&sq, &[0.0]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "packed triangle")]
+    fn ragged_triangle_panics() {
+        let _ = solve_normal_equations(&[1.0, 0.0], &[0.0, 0.0], 1e-8);
+    }
+
+    fn bits(b: &[f64]) -> Vec<u64> {
+        b.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The solve's operation order, pinned: the coefficient bits of two
+    /// four-feature [`GramAccumulator`] fits over the same 40 rows, as
+    /// recorded from the dense-matrix Cholesky this solve replaced. The
+    /// second design repeats its first feature, so its Gram matrix is
+    /// singular and its answer comes from the ridged retry. Reversing any
+    /// of the factor's or the substitutions' inner loops, or dividing by
+    /// a pivot as a product with its reciprocal, changes both answers.
+    #[test]
+    fn ols_coefficients_keep_their_literal_bits() {
+        let mut plane = GramAccumulator::new(5);
+        let mut twins = GramAccumulator::new(5);
+        for i in 0..40 {
+            let x1 = i as f64 * 0.1;
+            let x2 = ((i * 7) % 11) as f64 / 10.0 - 0.5;
+            let x3 = ((i * 5) % 13) as f64 / 13.0;
+            let x4 = ((i * 3) % 7) as f64 / 7.0 - 0.25;
+            let noise = ((i * 3) % 5) as f64 / 40.0;
+            let u = 1.0 + 2.0 * x1 - 0.5 * x2 + 0.25 * x3 - x4 + noise;
+            plane.push_affine(&[x1, x2, x3, x4], u);
+            let noise = ((i * 5) % 7) as f64 / 20.0;
+            twins.push_affine(&[x1, x2, x1, x3], 1.0 + 3.0 * x1 - x2 + 0.5 * x3 + noise);
+        }
+        assert_eq!(
+            bits(&plane.solve().unwrap()),
+            [
+                0x3ff0_e689_b4d8_ebe5,
+                0x4000_0370_582a_8fa7,
+                0xbfdf_3331_8d18_32c8,
+                0x3fcd_4732_9039_90bd,
+                0xbff0_0127_8c20_f5c4
+            ]
+        );
+        assert_eq!(
+            bits(&twins.solve().unwrap()),
+            [
+                0x3ff2_2cfc_54dc_339f,
+                0x3ff8_0912_0902_31b4,
+                0xbff0_644f_0ec6_5604,
+                0x3ff8_0912_06f8_b345,
+                0x3fe0_642e_baef_37a4
+            ]
+        );
     }
 }

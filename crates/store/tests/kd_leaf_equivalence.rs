@@ -88,7 +88,7 @@ impl Folds {
             self.gram.yty(),
         ]));
         out.extend(bits(self.gram.xty()));
-        out.extend(bits(self.gram.gram_matrix().as_slice()));
+        out.extend(bits(self.gram.xtx()));
         out
     }
 }

@@ -165,7 +165,7 @@ fn check_tree_against_scan(
     let state_bits = |s: &(GramAccumulator, OnlineStats)| {
         let mut out = vec![s.1.count(), s.1.mean().to_bits(), s.1.variance().to_bits()];
         out.extend(bits(s.0.xty()));
-        out.extend(bits(s.0.gram_matrix().as_slice()));
+        out.extend(bits(s.0.xtx()));
         out
     };
     prop_assert_eq!(state_bits(&folded), state_bits(&from_data), "fold, r {}", r);

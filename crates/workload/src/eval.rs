@@ -148,25 +148,15 @@ pub struct Q2Eval {
     pub llm_fvu: f64,
     /// Median per-query LLM FVU.
     pub llm_fvu_median: f64,
-    /// Mean CoD of the LLM local models.
-    pub llm_cod: f64,
     /// Mean FVU of the *global* REG inside each query subspace — may
     /// exceed 1 (this is the paper's REG accuracy baseline).
     pub reg_global_fvu: f64,
     /// Median per-query global-REG FVU.
     pub reg_global_fvu_median: f64,
-    /// Mean CoD of global REG.
-    pub reg_global_cod: f64,
-    /// Mean FVU of per-query REG (OLS re-fit inside each subspace; always
-    /// ≤ 1, since an in-sample fit with an intercept cannot do worse than
-    /// the subspace mean — reported for completeness).
-    pub reg_local_fvu: f64,
     /// Mean FVU of per-query PLR (present when requested).
     pub plr_fvu: Option<f64>,
     /// Median per-query PLR FVU.
     pub plr_fvu_median: Option<f64>,
-    /// Mean CoD of per-query PLR.
-    pub plr_cod: Option<f64>,
     /// Mean returned list size `|S|` (paper: 4.62).
     pub avg_s_len: f64,
     /// Variance of `|S|` (paper: 3.88).
@@ -192,7 +182,6 @@ pub fn evaluate_q2<R: Rng + ?Sized>(
 
     let mut llm_fvu = SampleAcc::default();
     let mut reg_g_fvu = SampleAcc::default();
-    let mut reg_l_fvu = SampleAcc::default();
     let mut plr_fvu = SampleAcc::default();
     let mut s_stats = regq_linalg::OnlineStats::new();
     let mut n = 0usize;
@@ -216,11 +205,6 @@ pub fn evaluate_q2<R: Rng + ?Sized>(
                 }
             }
         }
-        if let Ok(local) = regq_exact::fit_ols(&ds, &ids) {
-            if local.fit.fvu.is_finite() {
-                reg_l_fvu.push(local.fit.fvu);
-            }
-        }
         if let Some(params) = plr {
             if let Ok(pm) = Mars::fit(&ds, &ids, params) {
                 if pm.fit.fvu.is_finite() {
@@ -234,14 +218,10 @@ pub fn evaluate_q2<R: Rng + ?Sized>(
     Q2Eval {
         llm_fvu: llm_fvu.mean(),
         llm_fvu_median: llm_fvu.median(),
-        llm_cod: 1.0 - llm_fvu.mean(),
         reg_global_fvu: reg_g_fvu.mean(),
         reg_global_fvu_median: reg_g_fvu.median(),
-        reg_global_cod: 1.0 - reg_g_fvu.mean(),
-        reg_local_fvu: reg_l_fvu.mean(),
         plr_fvu: plr.map(|_| plr_fvu.mean()),
         plr_fvu_median: plr.map(|_| plr_fvu.median()),
-        plr_cod: plr.map(|_| 1.0 - plr_fvu.mean()),
         avg_s_len: s_stats.mean(),
         var_s_len: s_stats.variance(),
         n,
@@ -466,8 +446,6 @@ mod tests {
             eval.llm_fvu,
             eval.reg_global_fvu
         );
-        // Per-query REG is a least-squares fit: FVU ≤ 1 structurally.
-        assert!(eval.reg_local_fvu <= 1.0 + 1e-9);
         assert!(eval.avg_s_len >= 1.0);
         assert!(eval.var_s_len >= 0.0);
     }
