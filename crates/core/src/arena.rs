@@ -436,6 +436,17 @@ pub struct ScreenCounters {
     pub verified: u64,
 }
 
+impl std::ops::AddAssign for ScreenCounters {
+    /// Field-wise sum: the counters of a batch split into runs are the
+    /// sum of the runs' counters.
+    fn add_assign(&mut self, run: Self) {
+        self.blocks += run.blocks;
+        self.screened += run.screened;
+        self.skipped += run.skipped;
+        self.verified += run.verified;
+    }
+}
+
 /// Winner slot meaning "this block holds no candidate": the seed index
 /// handed to the block kernel, left in place when no row's joint distance
 /// reaches the running best.

@@ -23,10 +23,14 @@
 //! members of all parts in global arena order (the only place anything
 //! is ordered, and no comparison sort); one shared fusion fold; a Q1 or a
 //! Q2 head — where scalar is a batch of one and an unsharded snapshot is
-//! one part. The bit-identity chain is therefore the oracle ← the one
-//! resolver (`serving_equivalence`). The oracle keeps no optimised pass
-//! — [`PrototypeArena::winner`] is its definition, row by row — so that
-//! battery holds the served search to the definition directly.
+//! one part. A batch large enough to pay for a thread runs that driver
+//! as contiguous runs of its queries, one per core
+//! ([`regq_linalg::runs`]); an answer is a pure function of (parts,
+//! query), so the split changes no bit. The bit-identity chain is
+//! therefore the oracle ← the one resolver (`serving_equivalence`). The
+//! oracle keeps no optimised pass — [`PrototypeArena::winner`] is its
+//! definition, row by row — so that battery holds the served search to
+//! the definition directly.
 //!
 //! Cost model: taking a snapshot clones the arena (`O(dK)` — the publish
 //! cost, paid by the trainer at publication cadence); cloning a
@@ -45,6 +49,7 @@ use crate::model::LlmModel;
 use crate::predict::{self, LocalModel};
 use crate::prototype::Prototype;
 use crate::query::Query;
+use regq_linalg::runs;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -366,6 +371,23 @@ struct ResolveScratch {
     index_of: Vec<u32>,
 }
 
+/// The fewest query × prototype pairs (prototypes counted over all parts)
+/// a run of a split batch resolves and folds: a batch splits into at most
+/// one run per core, each of at least this many pairs, and a batch of
+/// fewer than twice this stays whole on the calling thread.
+///
+/// Measured on a 2-vCPU host (release; the ledger's fixtures, served Q1,
+/// one part, median of 201 passes): a scoped spawn and join costs
+/// ≈ 30–35 µs, and one run resolves and folds a pair in ≈ 6 ns at K = 39
+/// (d = 2) and ≈ 3.3 ns at K = 3,579 (d = 4). Two runs break even with
+/// one at ≈ 40–60 k pairs in all — between 512 and 1,024 statements at
+/// K = 39, between 8 and 16 at K = 3,579 — and take ≈ 0.7× of one run at
+/// twice this constant, the smallest batch that splits. So at K = 3,579
+/// a 64-statement script (229 k pairs) splits in two, 3-query probes at
+/// K = 1,500 never do, and at K ≈ 40 a batch splits only past ≈ 3,300
+/// statements.
+const MIN_RUN_PAIRS: usize = 1 << 16;
+
 /// Global ids per bitmap word — one word per `ROW_TILE` prototypes, so the
 /// gather's word walk is the same order as the block-bound stage
 /// (`regq_linalg::tune` asserts `ROW_TILE ≤ u64::BITS` at compile time:
@@ -452,6 +474,37 @@ fn order_by_gid(
     );
 }
 
+/// One past the largest global id `parts` can emit — the span
+/// [`resolve_and_fold`] cuts its id tables to. Every served entry point
+/// computes it on the calling thread before anything is resolved or
+/// spawned.
+///
+/// # Panics
+/// If the span does not fit in 32 bits (debug builds also check that
+/// `ids` maps every slot).
+fn id_span(parts: &[ShardPart<'_>]) -> usize {
+    let mut id_span = 0usize;
+    for part in parts {
+        debug_assert!(
+            part.ids.is_none_or(|ids| ids.len() == part.snapshot.k()),
+            "ids must map every slot"
+        );
+        if part.snapshot.k() > 0 {
+            let span = part.ids.map_or(part.snapshot.k(), |ids| {
+                ids.last().map_or(0, |&last| last + 1)
+            });
+            id_span = id_span.max(span);
+        }
+    }
+    // A query stages at most one member per id, so this also bounds
+    // every index `order_by_gid` stores as `u32`.
+    assert!(
+        u32::try_from(id_span).is_ok(),
+        "global prototype ids must fit in 32 bits, got {id_span}"
+    );
+    id_span
+}
+
 /// The **one** resolve-and-fold driver behind every served answer
 /// (PAPER.md Algorithms 2–3: find the winner, find `W(q)`, fuse).
 ///
@@ -473,18 +526,20 @@ fn order_by_gid(
 /// order and the degeneracy rule all equal the oracle's, so every
 /// accumulation replays its exact floating-point operation sequence.
 ///
-/// `emit` receives one answer per query, in order: `None` exactly when
-/// every part is empty. Queries must be dimension-checked by the caller
-/// (the snapshot wrappers and the serve fabric do this up front).
+/// `emit(i, answer)` receives one answer per query, in order: `None`
+/// exactly when every part is empty. Queries must be dimension-checked by
+/// the caller (the snapshot wrappers and the serve fabric do this up
+/// front), and `id_span` is [`id_span`]`(parts)`.
 ///
 /// # Panics
 /// If two parts carry the same global id (see [`order_by_gid`]).
 fn resolve_and_fold<T>(
     parts: &[ShardPart<'_>],
+    id_span: usize,
     queries: &[Query],
     counters: &mut ScreenCounters,
     mut head: impl FnMut(&Query, Scored, &[Scored]) -> T,
-    mut emit: impl FnMut(Option<T>),
+    mut emit: impl FnMut(usize, Option<T>),
 ) {
     RESOLVE_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
@@ -498,29 +553,13 @@ fn resolve_and_fold<T>(
         if resolutions.len() < parts.len() {
             resolutions.resize_with(parts.len(), BatchResolution::new);
         }
-        // One past the largest global id these parts can emit.
-        let mut id_span = 0usize;
         for (part, resolution) in parts.iter().zip(resolutions.iter_mut()) {
-            debug_assert!(
-                part.ids.is_none_or(|ids| ids.len() == part.snapshot.k()),
-                "ids must map every slot"
-            );
             if part.snapshot.k() > 0 {
-                let span = part.ids.map_or(part.snapshot.k(), |ids| {
-                    ids.last().map_or(0, |&last| last + 1)
-                });
-                id_span = id_span.max(span);
                 part.snapshot
                     .layout()
                     .resolve_batch_pruned(queries, resolution, counters);
             }
         }
-        // A query stages at most one member per id, so this also bounds
-        // every index `order_by_gid` stores as `u32`.
-        assert!(
-            u32::try_from(id_span).is_ok(),
-            "global prototype ids must fit in 32 bits, got {id_span}"
-        );
         let id_words = id_span.div_ceil(ID_WORD);
         if bits.len() < id_words {
             bits.resize(id_words, 0);
@@ -559,9 +598,57 @@ fn resolve_and_fold<T>(
                 order_by_gid(staged, ordered, bits, index_of);
                 ordered
             };
-            emit(winner.map(|winner| head(q, winner, set)));
+            emit(i, winner.map(|winner| head(q, winner, set)));
         }
     })
+}
+
+/// How many runs a batch of `queries` against `parts` splits into: at
+/// most [`runs::cores`], each of at least [`MIN_RUN_PAIRS`] query ×
+/// prototype pairs — `workers` is asked only for a batch that large.
+fn batch_runs(parts: &[ShardPart<'_>], queries: usize, workers: impl FnOnce() -> usize) -> usize {
+    let prototypes = parts.iter().map(|part| part.snapshot.k()).sum();
+    runs::run_count(queries, prototypes, MIN_RUN_PAIRS, workers)
+}
+
+/// The batch entry of [`resolve_and_fold`]: `queries` as `runs`
+/// contiguous runs in input order ([`runs::in_runs`]), the calling
+/// thread resolving and folding the first, scoped threads the others,
+/// each run with its own thread's scratch and its own [`ScreenCounters`],
+/// summed into `counters`. The id span is checked here, on the calling
+/// thread, before anything is spawned; workers borrow only `parts`, so
+/// whatever pins them (the serve fabric's read guards) outlives the
+/// join. One answer per query, in input order — bit for bit the one-run
+/// answers, since each is a pure function of (parts, query).
+///
+/// # Panics
+/// As [`resolve_and_fold`]; a panic in a worker's run is re-raised with
+/// its own payload.
+fn resolve_and_fold_in_runs<T: Send>(
+    parts: &[ShardPart<'_>],
+    queries: &[Query],
+    counters: &mut ScreenCounters,
+    runs: usize,
+    head: impl Fn(&Query, Scored, &[Scored]) -> T + Sync,
+) -> Vec<Option<T>> {
+    let id_span = id_span(parts);
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None)
+        .take(queries.len())
+        .collect();
+    runs::in_runs(
+        &mut out,
+        runs,
+        |start, answers| {
+            let mut screened = ScreenCounters::default();
+            let run = &queries[start..start + answers.len()];
+            resolve_and_fold(parts, id_span, run, &mut screened, &head, |i, answer| {
+                answers[i] = answer;
+            });
+            screened
+        },
+        |screened| *counters += screened,
+    );
+    out
 }
 
 /// The Q1 + confidence head over one query's ordered resolution: fuse the
@@ -627,10 +714,11 @@ pub fn sharded_q1_with_confidence_pruned(
     let mut out = None;
     resolve_and_fold(
         parts,
+        id_span(parts),
         std::slice::from_ref(q),
         counters,
         |q, winner, set| head_q1(parts, q, winner, set),
-        |answer| out = answer,
+        |_, answer| out = answer,
     );
     out
 }
@@ -647,51 +735,47 @@ pub fn sharded_q2_with_confidence_pruned(
     let mut out = None;
     resolve_and_fold(
         parts,
+        id_span(parts),
         std::slice::from_ref(q),
         counters,
         |_, winner, set| head_q2(parts, winner, set),
-        |answer| out = answer,
+        |_, answer| out = answer,
     );
     out
 }
 
 /// Served batched Q1 + confidence across parts: `out[i]` is bit-identical
-/// to [`sharded_q1_with_confidence_pruned`] on `queries[i]` — one
-/// resolution of the whole batch per part, amortized over the query
-/// block.
+/// to [`sharded_q1_with_confidence_pruned`] on `queries[i]`, and
+/// `counters` gains what the scalar calls would add. Each part resolves
+/// the batch query by query through its block layout, and each query is
+/// fused across parts. A batch of at least two runs' worth of query ×
+/// prototype pairs (`1 << 16` a run, the prototypes counted over all
+/// parts) runs as contiguous runs of its queries on every core the
+/// process may use, the calling thread taking the first.
 pub fn sharded_q1_with_confidence_batch_pruned(
     parts: &[ShardPart<'_>],
     queries: &[Query],
     counters: &mut ScreenCounters,
 ) -> Vec<Option<(f64, Confidence)>> {
-    let mut out = Vec::with_capacity(queries.len());
-    resolve_and_fold(
-        parts,
-        queries,
-        counters,
-        |q, winner, set| head_q1(parts, q, winner, set),
-        |answer| out.push(answer),
-    );
-    out
+    let runs = batch_runs(parts, queries.len(), runs::cores);
+    resolve_and_fold_in_runs(parts, queries, counters, runs, |q, winner, set| {
+        head_q1(parts, q, winner, set)
+    })
 }
 
 /// Served batched Q2 + confidence across parts: `out[i]` is bit-identical
 /// to [`sharded_q2_with_confidence_pruned`] on `queries[i]`, global
-/// prototype ids included.
+/// prototype ids included; split into runs as
+/// [`sharded_q1_with_confidence_batch_pruned`] is.
 pub fn sharded_q2_with_confidence_batch_pruned(
     parts: &[ShardPart<'_>],
     queries: &[Query],
     counters: &mut ScreenCounters,
 ) -> Vec<Option<(Vec<LocalModel>, Confidence)>> {
-    let mut out = Vec::with_capacity(queries.len());
-    resolve_and_fold(
-        parts,
-        queries,
-        counters,
-        |_, winner, set| head_q2(parts, winner, set),
-        |answer| out.push(answer),
-    );
-    out
+    let runs = batch_runs(parts, queries.len(), runs::cores);
+    resolve_and_fold_in_runs(parts, queries, counters, runs, |_, winner, set| {
+        head_q2(parts, winner, set)
+    })
 }
 
 #[cfg(test)]
@@ -1290,5 +1374,111 @@ mod tests {
         });
         assert_id_bitmap_is_clean();
         std::panic::resume_unwind(caught.expect_err("an undeclared id must not be served"));
+    }
+
+    // --- The batch split (no `screening_` prefix: thousands of
+    // --- prototypes under several thread counts are beyond Miri's pace).
+
+    /// The served batch split: every run count — one per worker, more
+    /// workers than queries included — answers every query with the bits
+    /// of one run and sums to one run's counters, on batches just below
+    /// and just above the split threshold, from one part and from four
+    /// plus an empty one, for Q1 and Q2, with hostile balls and empty
+    /// `W(q)` among the queries.
+    #[test]
+    fn batch_split_every_run_count_answers_as_one_run() {
+        let k = 4_096;
+        let model = scattered(k, 23);
+        let whole = model.snapshot();
+        let empty = LlmModel::new(ModelConfig::with_vigilance(2, 0.15))
+            .unwrap()
+            .snapshot();
+        let split = split_round_robin(&model, 4);
+        let mut four = borrow_parts(&split);
+        four.insert(2, ShardPart::whole(&empty));
+        // Two runs' worth of pairs, the fewest a batch splits at.
+        let split_at = 2 * MIN_RUN_PAIRS / k;
+        let mut rng = StdRng::seed_from_u64(29);
+        let batch: Vec<Query> = ordering_probes()
+            .into_iter()
+            .chain(std::iter::repeat_with(|| {
+                q(
+                    &[rng.random_range(-0.2..1.2), rng.random_range(-0.2..1.2)],
+                    rng.random_range(0.0..0.3),
+                )
+            }))
+            .take(split_at)
+            .collect();
+        for parts in [&[ShardPart::whole(&whole)][..], &four[..]] {
+            for n in [split_at - 1, split_at] {
+                let queries = &batch[..n];
+                let unread =
+                    || -> usize { panic!("a batch below the threshold read the core count") };
+                if n < split_at {
+                    assert_eq!(batch_runs(parts, n, unread), 1, "n {n}");
+                } else {
+                    assert_eq!(batch_runs(parts, n, || 7), 2, "n {n}");
+                }
+                // Both heads' answers as bits, and the counters of both.
+                let serve = |runs: usize| {
+                    let mut counters = ScreenCounters::default();
+                    let q1: Vec<Q1Bits> = resolve_and_fold_in_runs(
+                        parts,
+                        queries,
+                        &mut counters,
+                        runs,
+                        |q, w, set| head_q1(parts, q, w, set),
+                    )
+                    .iter()
+                    .map(|a| q1_bits(a.as_ref().unwrap()))
+                    .collect();
+                    let q2: Vec<Q2Bits> = resolve_and_fold_in_runs(
+                        parts,
+                        queries,
+                        &mut counters,
+                        runs,
+                        |_, w, set| head_q2(parts, w, set),
+                    )
+                    .iter()
+                    .map(|a| q2_bits(a.as_ref().unwrap(), None))
+                    .collect();
+                    (q1, q2, counters)
+                };
+                let one_run = serve(1);
+                for workers in [1, 2, 3, 7, n + 1] {
+                    for runs in [batch_runs(parts, n, || workers), workers] {
+                        let at = format!("{} parts, n {n}, {runs} runs", parts.len());
+                        assert!(serve(runs) == one_run, "{at}");
+                    }
+                }
+                assert_id_bitmap_is_clean();
+            }
+        }
+    }
+
+    /// A panic in a worker's run reaches the caller with its own message,
+    /// not the scope's generic one: the batch's first query (an empty
+    /// `W(q)`) runs on the calling thread, the second — whose members two
+    /// parts share — in a worker.
+    #[test]
+    #[should_panic(expected = "global prototype id 2 is carried by part 0 and by part 1")]
+    fn batch_split_a_workers_panic_keeps_its_message() {
+        let model = scattered(4, 17);
+        let (a, b) = (subset(&model, &[0, 2]), subset(&model, &[1, 2]));
+        let parts = [
+            ShardPart {
+                snapshot: &a,
+                ids: Some(&[0, 2]),
+            },
+            ShardPart {
+                snapshot: &b,
+                ids: Some(&[1, 2]),
+            },
+        ];
+        let batch = [q(&[5.0, 5.0], 0.01), q(&[0.5, 0.5], 3.0)];
+        let mut c = ScreenCounters::default();
+        resolve_and_fold_in_runs(&parts, &batch, &mut c, 2, |q, w, set| {
+            head_q1(&parts, q, w, set)
+        });
     }
 }

@@ -26,6 +26,9 @@
 //!   over the AoSoA quad-interleaved layout.
 //! * [`tune`] — the serving-path tile-shape constants and their
 //!   divisibility invariants.
+//! * [`runs`] — contiguous runs of an independent batch on every core,
+//!   the calling thread first (the served batch and the training
+//!   stream's exact chunks).
 //! * [`solve`] — [`solve_normal_equations`]: Cholesky over a packed Gram
 //!   triangle, one ridged retry.
 //! * [`gram`] — streaming `XᵀX`/`Xᵀy` accumulation (aggregation pushdown).
@@ -35,6 +38,7 @@
 
 pub mod error;
 pub mod gram;
+pub mod runs;
 pub mod simd;
 pub mod solve;
 pub mod stats;

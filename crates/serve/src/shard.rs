@@ -1270,13 +1270,14 @@ impl ShardRouter {
     // ---- Batched serving ----------------------------------------------
     //
     // The batch entry points resolve the shard read guards ONCE for the
-    // whole `&[Query]`, run the blocked cross-shard batch predictors,
-    // and enqueue the exact-fallback feedback with one queue lock per
-    // involved shard plus a single drain pass. Per-query answers are
-    // bit-identical to the scalar path (the batch predictors replay the
-    // scalar kernels' floating-point operation sequence exactly); the
-    // observable difference is consistency — a batch never straddles a
-    // shard republish, whereas a scalar loop can.
+    // whole `&[Query]`, run the cross-shard batch predictors (split into
+    // runs on every core when the batch is large enough; the guards stay
+    // pinned on this thread until every run has joined), and enqueue the
+    // exact-fallback feedback with one queue lock per involved shard plus
+    // a single drain pass. Per-query answers are bit-identical to the
+    // scalar path (the batch predictors run the scalar path's resolver
+    // and fold per query); the observable difference is consistency — a
+    // batch never straddles a shard republish, whereas a scalar loop can.
 
     /// Offer a batch of `(q, y)` feedback examples to the fabric:
     /// examples are grouped per shard, each involved shard's bounded
@@ -1341,7 +1342,9 @@ impl ShardRouter {
     /// each query exactly as the scalar driver does (exact executions run
     /// after the guards drop), and offer the fallbacks' labels in one
     /// batched fabric offer. Fails fast on the first exact error (a batch
-    /// is one all-or-nothing call).
+    /// is one all-or-nothing call) — after offering the labels gathered
+    /// before it, so the fabric is fed as a statement-at-a-time loop that
+    /// stopped at the same query would feed it.
     fn route_batch<T>(
         &self,
         queries: &[Query],
@@ -1361,8 +1364,15 @@ impl ShardRouter {
         let mut fb_slots: Vec<usize> = Vec::new();
         // Every answer carries the aggregate counters of the batch's
         // single consultation, which covered all of them.
+        let mut routed = Ok(());
         for (q, predicted) in queries.iter().zip(predicted) {
-            let (served, label) = self.route_one(q, predicted, version, screen, &exact)?;
+            let (served, label) = match self.route_one(q, predicted, version, screen, &exact) {
+                Ok(served) => served,
+                Err(e) => {
+                    routed = Err(e);
+                    break;
+                }
+            };
             if let (true, Some(y)) = (self.policy.feedback, label) {
                 fb_pairs.push((q.clone(), y));
                 fb_slots.push(out.len());
@@ -1370,6 +1380,7 @@ impl ShardRouter {
             out.push(served);
         }
         let feedback = self.observe_outcome_batch(&fb_pairs);
+        routed?;
         for (&slot, fb) in fb_slots.iter().zip(feedback) {
             out[slot].feedback_dropped = fb.is_lost();
         }
@@ -1377,10 +1388,13 @@ impl ShardRouter {
     }
 
     /// **Batched auto-routed Q1**: [`ShardRouter::q1`] over a slice with
-    /// one guard resolution, the blocked Q×K distance kernels, and one
-    /// batched feedback offer. Answers are bit-identical to per-query
-    /// [`ShardRouter::q1`] calls against the same pinned snapshots. An
-    /// empty batch returns an empty vec.
+    /// one guard resolution, one batched resolve-and-fold
+    /// ([`sharded_q1_with_confidence_batch_pruned`]: each query resolved
+    /// through every shard's block layout and fused, a batch large
+    /// enough to pay for a thread split into contiguous runs on every
+    /// core) and one batched feedback offer. Answers are bit-identical to
+    /// per-query [`ShardRouter::q1`] calls against the same pinned
+    /// snapshots. An empty batch returns an empty vec.
     ///
     /// # Errors
     /// As [`ShardRouter::q1`]; the typed dimension mismatch is checked
@@ -1686,6 +1700,52 @@ mod tests {
         assert_eq!(stats.feedback_enqueued, exact_count);
         assert_eq!(stats.feedback_fed, exact_count);
         assert!(served.iter().all(|s| !s.feedback_dropped));
+    }
+
+    /// A batch that fails at an exact fallback has still run the
+    /// fallbacks before it: their labels are offered, and the fabric ends
+    /// where a query-at-a-time loop that stops at the same query leaves
+    /// it. (They used to be neither enqueued nor counted as lost.)
+    #[test]
+    fn a_failing_batch_offers_the_labels_gathered_before_its_error() {
+        let forced_exact = RoutePolicy {
+            confidence_threshold: 2.0, // every answer is a fallback with a label
+            ..RoutePolicy::default()
+        };
+        let queries = [
+            q(&[0.5, 0.5], 0.2),
+            q(&[0.3, 0.6], 0.2),
+            q(&[30.0, 30.0], 0.01), // an empty ball
+        ];
+        let looped = fixture_router(forced_exact, 1);
+        for query in &queries[..2] {
+            assert_eq!(looped.q1(query).unwrap().route, Route::Exact);
+        }
+        assert!(matches!(
+            looped.q1(&queries[2]),
+            Err(ServeError::EmptySubspace)
+        ));
+        let want = looped.stats();
+        assert_eq!(
+            (want.exact_served, want.feedback_enqueued, want.feedback_fed),
+            (2, 2, 2)
+        );
+        let q1 = fixture_router(forced_exact, 1);
+        assert!(matches!(
+            q1.q1_batch(&queries),
+            Err(ServeError::EmptySubspace)
+        ));
+        assert_eq!(q1.stats(), want);
+        let q2 = fixture_router(forced_exact, 1);
+        assert!(matches!(
+            q2.q2_batch(&queries),
+            Err(ServeError::EmptySubspace)
+        ));
+        let got = q2.stats();
+        assert_eq!(
+            (got.exact_served, got.feedback_enqueued, got.feedback_fed),
+            (2, 2, 2)
+        );
     }
 
     #[test]

@@ -403,9 +403,11 @@ impl Session {
     /// same aggregate (`AVG` or `LINREG`) and `USING AUTO` execute
     /// through the router's batched serving path
     /// ([`ShardRouter::q1_batch`] / [`ShardRouter::q2_batch`]): one
-    /// snapshot-guard resolution and the blocked Q×K distance kernels
-    /// for the whole run, with the exact-fallback answers fed back in
-    /// one batched offer. Per-statement outputs are bit-identical to
+    /// snapshot-guard resolution for the whole run, each statement
+    /// resolved through every shard's block layout and fused — a run
+    /// with enough query × prototype pairs split into contiguous runs of
+    /// statements, one per core — and the exact-fallback answers fed back
+    /// in one batched offer. Per-statement outputs are bit-identical to
     /// executing the statements one by one against the same snapshots;
     /// a run additionally sees **one consistent snapshot version**
     /// (a scalar loop may straddle a republish). Everything else —
@@ -1232,6 +1234,50 @@ mod tests {
         assert_eq!(batched[0].route, Route::Model);
         assert_eq!(batched[1].route, Route::Exact);
         assert!(batched[5].count().unwrap() > 0);
+    }
+
+    /// A batched run that fails feeds the fallbacks answered before the
+    /// failing statement, as executing the script statement by statement
+    /// does.
+    #[test]
+    fn a_failing_batched_run_feeds_the_fallbacks_before_it() {
+        let (data, mut model, moments) = trained_parts();
+        model.unfreeze(); // a trainer that learns is offered the labels
+        let forced_exact = RoutePolicy {
+            confidence_threshold: 2.0,
+            ..RoutePolicy::default()
+        };
+        let script = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO;
+             SELECT AVG(u) FROM readings WHERE DIST(x, [0.3, 0.6]) <= 0.2 USING AUTO;
+             SELECT AVG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 0.01 USING AUTO;";
+        let looped = session_over(&data, model.clone(), moments.clone(), forced_exact);
+        let outcomes: Vec<_> = parse_script(script)
+            .unwrap()
+            .iter()
+            .map(|stmt| looped.execute_statement(stmt).map(|out| out.route))
+            .collect();
+        assert!(matches!(
+            outcomes[..],
+            [
+                Ok(Route::Exact),
+                Ok(Route::Exact),
+                Err(SqlError::EmptySubspace)
+            ]
+        ));
+        let batched = session_over(&data, model, moments, forced_exact);
+        assert!(matches!(
+            batched.execute_batch(script),
+            Err(SqlError::EmptySubspace)
+        ));
+        let stats = |s: &Session| s.router("readings").unwrap().stats();
+        assert_eq!(stats(&batched), stats(&looped));
+        assert_eq!(
+            (
+                stats(&batched).feedback_enqueued,
+                stats(&batched).feedback_fed
+            ),
+            (2, 2)
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::querygen::QueryGenerator;
 use rand::Rng;
 use regq_core::{CoreError, LlmModel, Query};
 use regq_exact::ExactEngine;
+use regq_linalg::runs;
 use std::time::{Duration, Instant};
 
 /// Outcome of a training run against the exact engine.
@@ -61,11 +62,11 @@ const CHUNK: usize = 2048;
 
 /// One chunk of a drawn query stream with its exact Q1 answers: drawn in
 /// stream order on the calling thread, executed as contiguous draw-order
-/// runs, one per core the host grants ([`q1_runs`]), each run one ordered
-/// batch ([`ExactEngine::q1_batch`]), and read back in draw order. An
-/// exact answer is a pure function of (table, ball), so the pairs are the
-/// ones a one-at-a-time loop would see. The buffers are reused chunk to
-/// chunk.
+/// runs, one per core the process may use ([`runs::in_runs`]), each run
+/// one ordered batch ([`ExactEngine::q1_batch`]), and read back in draw
+/// order. An exact answer is a pure function of (table, ball), so the
+/// pairs are the ones a one-at-a-time loop would see. The buffers are
+/// reused chunk to chunk.
 #[derive(Debug, Default)]
 pub(crate) struct ExactChunk {
     queries: Vec<Query>,
@@ -96,16 +97,27 @@ impl ExactChunk {
         }
         self.answers.clear();
         self.answers.resize(self.queries.len(), None);
-        let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
         let t0 = Instant::now();
-        q1_runs(
-            engine,
-            &self.centres,
-            &self.radii,
-            &mut self.answers,
-            workers,
-        );
+        self.execute(engine, runs::cores);
         t0.elapsed()
+    }
+
+    /// Exact Q1 of ball `i` into `answers[i]`, as at most `workers()`
+    /// contiguous runs of one ball or more, each run one
+    /// [`ExactEngine::q1_batch`] into its own slice of the answers.
+    fn execute(&mut self, engine: &ExactEngine, workers: impl FnOnce() -> usize) {
+        let d = engine.relation().dim();
+        let (centres, radii) = (&self.centres, &self.radii);
+        let runs = runs::run_count(radii.len(), 1, 1, workers);
+        runs::in_runs(
+            &mut self.answers,
+            runs,
+            |start, answers| {
+                let end = start + answers.len();
+                engine.q1_batch(&centres[start * d..end * d], &radii[start..end], answers);
+            },
+            drop,
+        );
     }
 
     /// The chunk's `(query, exact Q1)` pairs, in draw order.
@@ -114,43 +126,14 @@ impl ExactChunk {
     }
 }
 
-/// Exact Q1 of every ball, `answers[i]` for ball `i`, as at most `workers`
-/// contiguous runs of the balls in input order: the calling thread
-/// executes the first, scoped threads the others, each run one
-/// [`ExactEngine::q1_batch`] into its own slice of `answers`.
-fn q1_runs(
-    engine: &ExactEngine,
-    centres: &[f64],
-    radii: &[f64],
-    answers: &mut [Option<f64>],
-    workers: usize,
-) {
-    if radii.is_empty() {
-        return;
-    }
-    let run = radii.len().div_ceil(workers.clamp(1, radii.len()));
-    let d = engine.relation().dim();
-    let mut runs = centres
-        .chunks(run * d)
-        .zip(radii.chunks(run))
-        .zip(answers.chunks_mut(run));
-    let ((c, r), out) = runs.next().expect("at least one ball");
-    std::thread::scope(|s| {
-        for ((c, r), out) in runs {
-            s.spawn(move || engine.q1_batch(c, r, out));
-        }
-        engine.q1_batch(c, r, out);
-    });
-}
-
 /// Drive the Fig. 2 loop: draw queries, execute Q1 exactly, feed the model,
 /// stop at convergence or after `max_queries` issued queries.
 ///
 /// The stream is drawn a chunk of at most 2,048 queries at a time on the
 /// calling thread. Each chunk's exact answers run as contiguous
-/// draw-order runs, one per core the host grants, each run one ordered
-/// batch ([`ExactEngine::q1_batch`]), and the pairs are fed in draw
-/// order. The caller gets the report (timings aside), the model and the
+/// draw-order runs, one per core the process may use, each run one
+/// ordered batch ([`ExactEngine::q1_batch`]), and the pairs are fed in
+/// draw order. The caller gets the report (timings aside), the model and the
 /// RNG state that drawing, executing and feeding one query at a time
 /// would leave: when training stops inside a chunk — convergence, or a
 /// `train_step` error — `rng` is rewound to the chunk's start and the
@@ -336,10 +319,15 @@ mod tests {
                         assert!(want.iter().any(Option::is_some), "d {d} {path} n {n}");
                     }
                     for workers in [1, 2, 3, 7, n + 1] {
-                        let mut answers = vec![sentinel; n];
-                        q1_runs(&engine, &centres, &radii, &mut answers, workers);
+                        let mut chunk = ExactChunk {
+                            centres: centres.clone(),
+                            radii: radii.clone(),
+                            answers: vec![sentinel; n],
+                            ..ExactChunk::default()
+                        };
+                        chunk.execute(&engine, || workers);
                         let got: Vec<Option<u64>> =
-                            answers.iter().map(|a| a.map(f64::to_bits)).collect();
+                            chunk.answers.iter().map(|a| a.map(f64::to_bits)).collect();
                         assert_eq!(got, want, "d {d} {path} n {n} workers {workers}");
                     }
                 }
