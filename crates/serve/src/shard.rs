@@ -4,7 +4,7 @@
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
 //! counter or a per-shard advisory flag: `degraded`, read only for
-//! [`RouterStats`], and `trainable`, read by the feedback doors — a stale
+//! [`RouterStats`], and `trainable`, read by the feedback door — a stale
 //! read queues one example for a trainer that just froze (it stays
 //! queued, bounded) or declines one for a trainer that just came back;
 //! both tolerate staleness. The two orderings
@@ -25,12 +25,14 @@
 //! 3. serve from the snapshots when the score clears
 //!    [`RoutePolicy::confidence_threshold`]; otherwise execute on the
 //!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
-//!    answer on its shard's bounded feedback queue. Feedback never blocks
-//!    a serving thread: queues are drained under `try_lock`, a contended
-//!    trainer leaves the example queued for the next drain, only a
-//!    full queue loses one, and a shard whose trainer cannot learn (no
-//!    model, or a frozen one) is not offered any (both counted, see
-//!    [`Feedback`]);
+//!    answer on its shard's bounded feedback queue. One gate loop does
+//!    this for a scalar call and a batch alike (a scalar call is a batch
+//!    of one), and one feedback door offers every label, in the order the
+//!    labels were gathered. Feedback never blocks a serving thread:
+//!    queues are drained under `try_lock`, a contended trainer leaves the
+//!    example queued for the next drain, only a full queue loses one,
+//!    and a shard whose trainer cannot learn (no model, or a frozen one)
+//!    is not offered any (both counted, see [`Feedback`]);
 //! 4. each shard's trainer republishes a fresh snapshot every
 //!    [`RoutePolicy::publish_interval`] consumed examples.
 //!
@@ -93,6 +95,7 @@ use regq_exact::ExactEngine;
 use regq_linalg::LinalgError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
@@ -160,7 +163,7 @@ struct Shard {
     /// Whether this shard's trainer holds a model that still learns
     /// (present and not frozen). Advisory: written where the model changes
     /// hands — `attach_model`, `recover_shard_trainer`, the end of a drain
-    /// (a step may have frozen it) — so the feedback doors can decline
+    /// (a step may have frozen it) — so the feedback door can decline
     /// examples nobody would ever drain without locking the trainer.
     trainable: AtomicBool,
 }
@@ -270,13 +273,14 @@ pub struct ShardRouter {
     exact_cost: CostEma,
     /// Next unassigned global prototype id (spawn ticket counter).
     next_id: AtomicUsize,
-    model_served: AtomicU64,
-    exact_served: AtomicU64,
+    /// Answers per [`Route`], indexed `route as usize`, of the heads that
+    /// count theirs: `AVG` and `LINREG` ([`RouterStats::model_served`],
+    /// `exact_served`, `degraded_served`). `VAR` answers move none.
+    routes: [AtomicU64; 3],
     feedback_enqueued: AtomicU64,
     feedback_fed: AtomicU64,
     feedback_dropped: AtomicU64,
     feedback_declined: AtomicU64,
-    degraded_served: AtomicU64,
     trainer_panics: AtomicU64,
     trainer_restarts: AtomicU64,
     lock_poisonings: AtomicU64,
@@ -297,6 +301,46 @@ type Consulted<P> = (P, u64, ScreenCounters);
 /// One gated query: the answer and, on the exact route, the label its
 /// caller owes the fabric as feedback.
 type Routed<T> = (Served<T>, Option<f64>);
+
+/// Where the gate loop writes: the answers in query order, and the labels
+/// they owe as `(answer index, label)` in the order gathered.
+trait Answers<T> {
+    /// Append the next query's answer and, on the exact route, its label.
+    fn put(&mut self, served: Served<T>, label: Option<f64>);
+    /// The answers so far, and the labels they owe.
+    fn parts(&mut self) -> (&mut [Served<T>], &[(usize, f64)]);
+}
+
+/// A scalar call's answer and label, in place: a scalar call allocates
+/// nothing for them.
+type One<T> = (Option<Served<T>>, Option<(usize, f64)>);
+
+/// A batch's answers and labels.
+type Many<T> = (Vec<Served<T>>, Vec<(usize, f64)>);
+
+impl<T> Answers<T> for One<T> {
+    fn put(&mut self, served: Served<T>, label: Option<f64>) {
+        self.0 = Some(served);
+        self.1 = label.map(|y| (0, y));
+    }
+
+    fn parts(&mut self) -> (&mut [Served<T>], &[(usize, f64)]) {
+        (self.0.as_mut_slice(), self.1.as_slice())
+    }
+}
+
+impl<T> Answers<T> for Many<T> {
+    fn put(&mut self, served: Served<T>, label: Option<f64>) {
+        if let Some(y) = label {
+            self.1.push((self.0.len(), y));
+        }
+        self.0.push(served);
+    }
+
+    fn parts(&mut self) -> (&mut [Served<T>], &[(usize, f64)]) {
+        (&mut self.0, &self.1)
+    }
+}
 
 /// Poison-tolerant lock for *queue* mutexes and read-only test access.
 ///
@@ -351,13 +395,11 @@ impl ShardRouter {
             quarantine: Mutex::new(Vec::new()),
             exact_cost: CostEma::new(),
             next_id: AtomicUsize::new(0),
-            model_served: AtomicU64::new(0),
-            exact_served: AtomicU64::new(0),
+            routes: Default::default(),
             feedback_enqueued: AtomicU64::new(0),
             feedback_fed: AtomicU64::new(0),
             feedback_dropped: AtomicU64::new(0),
             feedback_declined: AtomicU64::new(0),
-            degraded_served: AtomicU64::new(0),
             trainer_panics: AtomicU64::new(0),
             trainer_restarts: AtomicU64::new(0),
             lock_poisonings: AtomicU64::new(0),
@@ -524,8 +566,8 @@ impl ShardRouter {
     /// Counters so far.
     pub fn stats(&self) -> RouterStats {
         RouterStats {
-            model_served: self.model_served.load(Ordering::Relaxed),
-            exact_served: self.exact_served.load(Ordering::Relaxed),
+            model_served: self.routes[Route::Model as usize].load(Ordering::Relaxed),
+            exact_served: self.routes[Route::Exact as usize].load(Ordering::Relaxed),
             feedback_enqueued: self.feedback_enqueued.load(Ordering::Relaxed),
             feedback_fed: self.feedback_fed.load(Ordering::Relaxed),
             feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
@@ -533,7 +575,7 @@ impl ShardRouter {
             publishes: self.shards.iter().map(|s| s.cell.epoch()).sum(),
             shards: self.shards.len(),
             retained: self.shards.iter().map(|s| s.cell.retained()).sum(),
-            degraded_served: self.degraded_served.load(Ordering::Relaxed),
+            degraded_served: self.routes[Route::Degraded as usize].load(Ordering::Relaxed),
             trainer_panics: self.trainer_panics.load(Ordering::Relaxed),
             trainer_restarts: self.trainer_restarts.load(Ordering::Relaxed),
             lock_poisonings: self.lock_poisonings.load(Ordering::Relaxed),
@@ -636,72 +678,89 @@ impl ShardRouter {
         shard.degraded.store(true, Ordering::Relaxed);
     }
 
-    /// Offer one `(q, y)` feedback example to the fabric. The example is
-    /// routed to its shard's bounded queue; `Accepted` means *enqueued*
-    /// (a trainer consumes it at the next drain). A full queue gets the
-    /// bounded retry-with-backoff budget of
+    /// Offer one `(q, y)` feedback example to the fabric: the feedback
+    /// door over one pair. `Accepted` means *enqueued* on its shard's
+    /// bounded queue (a trainer consumes it at the next drain). A full
+    /// queue gets the bounded retry-with-backoff budget of
     /// [`RoutePolicy::overflow_retries`] (each attempt pumps the fabric
     /// first, so retries actively make room) before the example is lost
     /// as a `Dropped` — counted in [`RouterStats::feedback_dropped`]. A
     /// shard whose trainer cannot learn (no model, or a frozen one) is
     /// offered nothing: the example is `Declined`, counted in
     /// [`RouterStats::feedback_declined`], and no queue fills up with
-    /// examples nobody would drain. Never blocks on a trainer lock.
+    /// examples nobody would drain. A trainer that is busy leaves the
+    /// example queued for the next drain. Never blocks on a trainer lock.
     pub fn observe_outcome(&self, q: &Query, y: f64) -> Feedback {
-        let idx = self.partitioner.route(&q.center, q.radius);
-        if self.declines(&self.shards[idx], 1) {
-            return Feedback::Declined;
-        }
-        // An injected overflow burst makes the first offer behave as if
-        // the queue were full — the retry/drop path must absorb it.
-        if !self.fault.fires(FaultKind::QueueOverflow) && self.try_enqueue(idx, q, y) {
-            self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
-            // Opportunistic drain: this caller steals whatever shard work
-            // it can grab without blocking (its own shard included).
-            self.pump();
-            return Feedback::Accepted;
-        }
-        self.retry_enqueue(idx, q, y)
+        let mut feedback = Feedback::Dropped;
+        self.offer([(0, q, y)], |_, outcome| feedback = outcome);
+        feedback
     }
 
-    /// Whether `shard` cannot train and so declines the `n` examples on
-    /// offer — counted here, for both feedback doors.
-    fn declines(&self, shard: &Shard, n: usize) -> bool {
-        let declines = !shard.trainable.load(Ordering::Relaxed);
-        if declines {
-            self.feedback_declined
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
-        declines
-    }
-
-    /// One lock-and-offer against shard `idx`'s bounded queue.
-    fn try_enqueue(&self, idx: usize, q: &Query, y: f64) -> bool {
-        let mut queue = lock(&self.shards[idx].queue);
-        if queue.len() >= self.queue_capacity {
-            return false;
-        }
-        queue.push_back((q.clone(), y));
-        true
-    }
-
-    /// Deterministic bounded retry after a full-queue offer: up to
-    /// [`RoutePolicy::overflow_retries`] rounds of exponential spin
-    /// backoff, each preceded by a drain pass so the retry has a reason
-    /// to succeed. Exhausting the budget is a counted drop.
-    fn retry_enqueue(&self, idx: usize, q: &Query, y: f64) -> Feedback {
-        for attempt in 0..self.policy.overflow_retries {
-            self.feedback_retried.fetch_add(1, Ordering::Relaxed);
-            backoff(attempt);
-            self.pump();
-            if self.try_enqueue(idx, q, y) {
-                self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
-                self.pump();
-                return Feedback::Accepted;
+    /// The feedback door: the only code that offers labels to the shard
+    /// queues. Walks `(slot, query, label)` pairs in the order given — the
+    /// order their labels were gathered — and reports each pair's
+    /// [`Feedback`] to `outcome` under its slot. A pair whose shard cannot
+    /// learn is declined; one that meets an injected overflow burst or a
+    /// full queue waits; any other is enqueued. So declines, fault
+    /// occurrences and enqueues happen in offer order, whatever shards
+    /// the pairs go to. One pump follows a pass that enqueued anything,
+    /// then each waiting pair, in order, gets the retry budget of
+    /// [`ShardRouter::observe_outcome`]. A pair offered alone is that
+    /// call.
+    fn offer<'q>(
+        &self,
+        pairs: impl IntoIterator<Item = (usize, &'q Query, f64)>,
+        mut outcome: impl FnMut(usize, Feedback),
+    ) {
+        let enqueue = |shard: &Shard, q: &Query, y: f64| {
+            let mut queue = lock(&shard.queue);
+            let room = queue.len() < self.queue_capacity;
+            if room {
+                queue.push_back((q.clone(), y));
+            }
+            room
+        };
+        let mut enqueued = 0;
+        let mut waiting = Vec::new();
+        for (slot, q, y) in pairs {
+            let shard = &self.shards[self.partitioner.route(&q.center, q.radius)];
+            if !shard.trainable.load(Ordering::Relaxed) {
+                self.feedback_declined.fetch_add(1, Ordering::Relaxed);
+                outcome(slot, Feedback::Declined);
+            } else if self.fault.fires(FaultKind::QueueOverflow) || !enqueue(shard, q, y) {
+                waiting.push((slot, shard, q, y));
+            } else {
+                enqueued += 1;
+                outcome(slot, Feedback::Accepted);
             }
         }
-        self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
-        Feedback::Dropped
+        if enqueued > 0 {
+            self.feedback_enqueued
+                .fetch_add(enqueued, Ordering::Relaxed);
+            // Opportunistic drain: this caller steals whatever shard work
+            // it can grab without blocking (its own shards included).
+            self.pump();
+        }
+        // Deterministic bounded retry, no queue lock held: each round of
+        // exponential spin backoff is preceded by a drain pass so the
+        // retry has a reason to succeed. Exhausting the budget (at once
+        // when it is zero) is a counted drop.
+        for (slot, shard, q, y) in waiting {
+            let accepted = (0..self.policy.overflow_retries).any(|attempt| {
+                self.feedback_retried.fetch_add(1, Ordering::Relaxed);
+                backoff(attempt);
+                self.pump();
+                enqueue(shard, q, y)
+            });
+            if accepted {
+                self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
+                self.pump();
+                outcome(slot, Feedback::Accepted);
+            } else {
+                self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
+                outcome(slot, Feedback::Dropped);
+            }
+        }
     }
 
     /// Drain queued feedback into whichever shard trainers are free
@@ -740,10 +799,12 @@ impl ShardRouter {
         trained
     }
 
-    /// Drain one shard's queue into its trainer (caller holds the lock).
-    /// A shard that cannot train (no model, frozen) leaves its queue
-    /// untouched; the feedback doors stop offering it examples
-    /// (`Shard::trainable`), so what a freeze left behind stays bounded.
+    /// Drain one shard's queue into its trainer (caller holds the lock):
+    /// the examples queued when it starts, oldest first, each taken off
+    /// the queue as it is trained. A shard that cannot train (no model,
+    /// frozen) leaves its queue untouched; the feedback door stops
+    /// offering it examples (`Shard::trainable`), so what a freeze left
+    /// behind stays bounded.
     ///
     /// Every `train_step` runs supervised: a panic (real or injected)
     /// quarantines the offending example, restarts this shard's trainer
@@ -754,28 +815,26 @@ impl ShardRouter {
         if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
             return 0;
         }
-        let batch: Vec<(Query, f64)> = lock(&shard.queue).drain(..).collect();
-        if batch.is_empty() {
+        let queued = lock(&shard.queue).len();
+        if queued == 0 {
             return 0;
         }
         let mut trained = 0usize;
-        let mut batch = batch.into_iter();
-        while let Some((q, y)) = batch.next() {
-            // Re-check per example: a mid-batch restart may have landed
-            // on a frozen (or unrecoverable) model. Untrainable leftovers
-            // go back to the queue front, order preserved.
+        for _ in 0..queued {
+            // Re-check per example: a mid-drain restart may have landed
+            // on a frozen (or unrecoverable) model. Untrainable examples
+            // stay queued, order preserved.
             if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
-                let rest: Vec<(Query, f64)> = std::iter::once((q, y)).chain(batch).collect();
-                let mut queue = lock(&shard.queue);
-                for pair in rest.into_iter().rev() {
-                    queue.push_front(pair);
-                }
                 break;
             }
+            // Only the trainer's holder takes examples off its queue.
+            let Some((q, y)) = lock(&shard.queue).pop_front() else {
+                break;
+            };
             #[expect(
                 clippy::expect_used,
-                reason = "the `t.model.is_none()` requeue branch above breaks out of the \
-                          loop, so reaching here implies `Some`"
+                reason = "the untrainable-model check above breaks out of the loop, so \
+                          reaching here implies `Some`"
             )]
             let model = t.model.as_mut().expect("checked above");
             let k_before = model.k();
@@ -940,15 +999,6 @@ impl ShardRouter {
         (predicted, version, screen)
     }
 
-    /// Offer a routed answer's label (exact route only, policy
-    /// permitting) to the fabric, surfacing a lost example on the answer.
-    fn feed_back<T>(&self, q: &Query, (mut served, label): Routed<T>) -> Served<T> {
-        if let (true, Some(y)) = (self.policy.feedback, label) {
-            served.feedback_dropped = self.observe_outcome(q, y).is_lost();
-        }
-        served
-    }
-
     /// The exact Q1 execution: the subspace mean, which is both the
     /// answer and the label to feed back.
     fn exact_q1(&self, q: &Query) -> Result<(f64, f64), ServeError> {
@@ -1063,8 +1113,8 @@ impl ShardRouter {
     /// it. Serves the prediction when its score clears the threshold,
     /// flags it [`Route::Degraded`] when the exact fallback is refused,
     /// and otherwise runs `exact` — annotated with the rejecting score
-    /// when there was one. Offering the label is the caller's job: scalar
-    /// callers do it at once, batches offer all of theirs together.
+    /// when there was one. Offering the label is the gate loop's job
+    /// ([`ShardRouter::route_batch`]).
     fn gate<T>(
         &self,
         q: &Query,
@@ -1099,36 +1149,85 @@ impl ShardRouter {
         }
     }
 
-    /// [`ShardRouter::gate`] for the snapshot-served heads (`AVG`,
-    /// `LINREG`), counting the route taken.
+    /// The gate loop behind every auto-routed and forced-exact answer,
+    /// scalar and batched: gate each query against what `consulted`
+    /// predicted for it (exact executions run after the guards dropped),
+    /// count its route in `routes` (`None` for `VAR`, whose answers move
+    /// no route counter), write its answer into `answers` — one slot for
+    /// a scalar call, a vector for a batch — and offer its fallbacks'
+    /// labels through the feedback door in the order they were gathered.
+    /// Fails fast on the first exact error (a batch is one
+    /// all-or-nothing call) — after offering the labels gathered before
+    /// it, so the fabric is fed as a query-at-a-time loop that stopped at
+    /// the same query would feed it.
+    fn route_batch<T, A: Answers<T>>(
+        &self,
+        queries: &[Query],
+        (predicted, version, screen): Consulted<impl IntoIterator<Item = Predicted<T>>>,
+        routes: Option<&[AtomicU64; 3]>,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+        mut answers: A,
+    ) -> Result<A, ServeError> {
+        let mut routed = Ok(());
+        // Every answer carries the counters of the one consultation,
+        // which covered all of them.
+        for (q, predicted) in queries.iter().zip(predicted) {
+            match self.gate(q, predicted, version, screen, &exact) {
+                Ok((served, label)) => {
+                    if let Some(routes) = routes {
+                        routes[served.route as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                    answers.put(served, label.filter(|_| self.policy.feedback));
+                }
+                Err(e) => {
+                    routed = Err(e);
+                    break;
+                }
+            }
+        }
+        let (served, labels) = answers.parts();
+        self.offer(
+            labels.iter().map(|&(slot, y)| (slot, &queries[slot], y)),
+            |slot, feedback| served[slot].feedback_dropped = feedback.is_lost(),
+        );
+        routed.map(|()| answers)
+    }
+
+    /// [`ShardRouter::route_batch`] over one query, answered in one slot.
     fn route_one<T>(
         &self,
         q: &Query,
-        predicted: Predicted<T>,
-        version: u64,
-        screen: ScreenCounters,
-        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
-    ) -> Result<Routed<T>, ServeError> {
-        let routed = self.gate(q, predicted, version, screen, exact)?;
-        let counter = match routed.0.route {
-            Route::Model => &self.model_served,
-            Route::Exact => &self.exact_served,
-            Route::Degraded => &self.degraded_served,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Ok(routed)
-    }
-
-    /// Scalar auto-routing driver: consult the snapshots once, gate, and
-    /// offer the fallback's label to the fabric.
-    fn serve_auto<T>(
-        &self,
-        q: &Query,
-        predict: impl FnOnce(&[ShardPart<'_>], &Query, &mut ScreenCounters) -> Predicted<T>,
+        (predicted, version, screen): Consulted<Predicted<T>>,
+        routes: Option<&[AtomicU64; 3]>,
         exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
     ) -> Result<Served<T>, ServeError> {
-        let (predicted, version, screen) = self.consult(q, predict);
-        Ok(self.feed_back(q, self.route_one(q, predicted, version, screen, exact)?))
+        let consulted = ([predicted], version, screen);
+        let one = (None, None);
+        let (served, _) = self.route_batch(slice::from_ref(q), consulted, routes, exact, one)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the gate loop answers every query of a call it returns `Ok` for"
+        )]
+        Ok(served.expect("one query, one answer"))
+    }
+
+    /// The batched entries: every query's dimensionality checked up
+    /// front, before any work runs, one pinned set of shard snapshots
+    /// consulted for the whole batch, then the gate loop.
+    fn serve_batch<T>(
+        &self,
+        queries: &[Query],
+        predict: impl FnOnce(&[ShardPart<'_>], &[Query], &mut ScreenCounters) -> Vec<Predicted<T>>,
+        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
+    ) -> Result<Vec<Served<T>>, ServeError> {
+        for q in queries {
+            self.check_dim(q)?;
+        }
+        let consulted = self.consult(queries, predict);
+        debug_assert_eq!(consulted.0.len(), queries.len());
+        let out = (Vec::with_capacity(queries.len()), Vec::new());
+        let (served, _) = self.route_batch(queries, consulted, Some(&self.routes), exact, out)?;
+        Ok(served)
     }
 
     /// Scalar forced-model driver: the fused snapshot answer at whatever
@@ -1140,20 +1239,8 @@ impl ShardRouter {
     ) -> Result<Served<T>, ServeError> {
         let (predicted, version, screen) = self.consult(q, predict);
         let (value, conf) = predicted.ok_or(ServeError::NoModel)?;
-        self.model_served.fetch_add(1, Ordering::Relaxed);
+        self.routes[Route::Model as usize].fetch_add(1, Ordering::Relaxed);
         Ok(Served::model(value, conf.score, version, screen))
-    }
-
-    /// Scalar forced-exact driver: no snapshot consulted, the label still
-    /// offered — analyst-issued exact queries *are* the paper's training
-    /// stream.
-    fn serve_exact<T>(
-        &self,
-        q: &Query,
-        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
-    ) -> Result<Served<T>, ServeError> {
-        let routed = self.route_one(q, None, 0, ScreenCounters::default(), exact)?;
-        Ok(self.feed_back(q, routed))
     }
 
     /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the fused
@@ -1165,7 +1252,8 @@ impl ShardRouter {
     /// empty; [`ServeError::Model`] on a dimension mismatch.
     pub fn q1(&self, q: &Query) -> Result<Served<f64>, ServeError> {
         let q = self.check_dim(q)?;
-        self.serve_auto(q, sharded_q1_with_confidence_pruned, Self::exact_q1)
+        let consulted = self.consult(q, sharded_q1_with_confidence_pruned);
+        self.route_one(q, consulted, Some(&self.routes), Self::exact_q1)
     }
 
     /// **Forced model Q1** (the SQL `USING MODEL` route).
@@ -1177,13 +1265,15 @@ impl ShardRouter {
         self.serve_model(self.check_dim(q)?, sharded_q1_with_confidence_pruned)
     }
 
-    /// **Forced exact Q1** (the SQL `USING EXACT` route); still feeds the
-    /// fabric when feedback is on.
+    /// **Forced exact Q1** (the SQL `USING EXACT` route): no snapshot
+    /// consulted, the label still offered when feedback is on —
+    /// analyst-issued exact queries *are* the paper's training stream.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the selection is empty.
     pub fn q1_exact(&self, q: &Query) -> Result<Served<f64>, ServeError> {
-        self.serve_exact(self.check_dim(q)?, Self::exact_q1)
+        let q = self.check_dim(q)?;
+        self.route_one(q, Default::default(), Some(&self.routes), Self::exact_q1)
     }
 
     /// **Auto-routed Q2** (regression-model list vs per-query OLS). List
@@ -1195,7 +1285,8 @@ impl ShardRouter {
     /// fallback; [`ServeError::Model`] on a dimension mismatch.
     pub fn q2(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
         let q = self.check_dim(q)?;
-        self.serve_auto(q, sharded_q2_with_confidence_pruned, Self::exact_q2)
+        let consulted = self.consult(q, sharded_q2_with_confidence_pruned);
+        self.route_one(q, consulted, Some(&self.routes), Self::exact_q2)
     }
 
     /// **Forced model Q2** (Algorithm 3's list `S`).
@@ -1214,14 +1305,15 @@ impl ShardRouter {
     /// [`ServeError::EmptySubspace`] on an empty selection;
     /// [`ServeError::Numeric`] on a numerical failure.
     pub fn q2_exact(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
-        self.serve_exact(self.check_dim(q)?, Self::exact_q2)
+        let q = self.check_dim(q)?;
+        self.route_one(q, Default::default(), Some(&self.routes), Self::exact_q2)
     }
 
     // ---- VAR -----------------------------------------------------------
     //
     // The variance head is resolved by the same pruned driver and passes
-    // the same gate, deadline/pressure degradation, exact-cost clock and
-    // feedback seam as the shard-snapshot heads. It moves none of
+    // the same gate loop — deadline/pressure degradation, exact-cost clock
+    // and feedback door — as the shard-snapshot heads. It moves none of
     // `model_served` / `exact_served` / `degraded_served`: those count
     // `AVG` + `LINREG` answers, a scope the ledger's smoke test pins
     // (`benchmark/tests/smoke.rs`).
@@ -1238,9 +1330,8 @@ impl ShardRouter {
     /// empty; [`ServeError::Model`] on a dimension mismatch.
     pub fn var(&self, q: &Query) -> Result<Served<f64>, ServeError> {
         let q = self.check_dim(q)?;
-        let (predicted, version, screen) = self.consult_moments(q).unwrap_or_default();
-        let routed = self.gate(q, predicted, version, screen, Self::exact_var)?;
-        Ok(self.feed_back(q, routed))
+        let consulted = self.consult_moments(q).unwrap_or_default();
+        self.route_one(q, consulted, None, Self::exact_var)
     }
 
     /// **Forced model `VAR`** (the SQL `USING MODEL` route).
@@ -1263,144 +1354,36 @@ impl ShardRouter {
     /// [`ServeError::EmptySubspace`] when the selection is empty.
     pub fn var_exact(&self, q: &Query) -> Result<Served<f64>, ServeError> {
         let q = self.check_dim(q)?;
-        let routed = self.gate(q, None, 0, ScreenCounters::default(), Self::exact_var)?;
-        Ok(self.feed_back(q, routed))
+        self.route_one(q, Default::default(), None, Self::exact_var)
     }
 
     // ---- Batched serving ----------------------------------------------
     //
     // The batch entry points resolve the shard read guards ONCE for the
-    // whole `&[Query]`, run the cross-shard batch predictors (split into
-    // runs on every core when the batch is large enough; the guards stay
-    // pinned on this thread until every run has joined), and enqueue the
-    // exact-fallback feedback with one queue lock per involved shard plus
-    // a single drain pass. Per-query answers are bit-identical to the
-    // scalar path (the batch predictors run the scalar path's resolver
-    // and fold per query); the observable difference is consistency — a
-    // batch never straddles a shard republish, whereas a scalar loop can.
-
-    /// Offer a batch of `(q, y)` feedback examples to the fabric:
-    /// examples are grouped per shard, each involved shard's bounded
-    /// queue is locked once, and one drain pass runs at the end.
-    /// Per-example outcomes match [`ShardRouter::observe_outcome`]
-    /// (`Accepted` = enqueued; a full shard queue gets the bounded
-    /// retry-with-backoff budget — after the batch's queue locks are
-    /// released — before the counted `Dropped`; a shard that cannot
-    /// train declines all of its examples). Never blocks on a trainer
-    /// lock.
-    fn observe_outcome_batch(&self, pairs: &[(Query, f64)]) -> Vec<Feedback> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![Feedback::Dropped; pairs.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (q, _)) in pairs.iter().enumerate() {
-            by_shard[self.partitioner.route(&q.center, q.radius)].push(i);
-        }
-        let mut enqueued = 0u64;
-        // (pair index, shard index) of offers that found the queue full
-        // (or hit an injected overflow burst): retried after this pass.
-        let mut overflowed: Vec<(usize, usize)> = Vec::new();
-        for (shard_idx, (shard, idxs)) in self.shards.iter().zip(&by_shard).enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            if self.declines(shard, idxs.len()) {
-                for &i in idxs {
-                    out[i] = Feedback::Declined;
-                }
-                continue;
-            }
-            let mut queue = lock(&shard.queue);
-            for &i in idxs {
-                if self.fault.fires(FaultKind::QueueOverflow) || queue.len() >= self.queue_capacity
-                {
-                    overflowed.push((i, shard_idx));
-                } else {
-                    let (q, y) = &pairs[i];
-                    queue.push_back((q.clone(), *y));
-                    out[i] = Feedback::Accepted;
-                    enqueued += 1;
-                }
-            }
-        }
-        self.feedback_enqueued
-            .fetch_add(enqueued, Ordering::Relaxed);
-        self.pump();
-        // Retry pass with no queue lock held: each overflowed example
-        // gets its own bounded backoff budget (or the immediate counted
-        // drop when the budget is zero).
-        for (i, shard_idx) in overflowed {
-            let (q, y) = &pairs[i];
-            out[i] = self.retry_enqueue(shard_idx, q, *y);
-        }
-        out
-    }
-
-    /// Batch auto-routing driver: dimension-check every query up front,
-    /// consult one pinned set of shard snapshots for the whole batch, gate
-    /// each query exactly as the scalar driver does (exact executions run
-    /// after the guards drop), and offer the fallbacks' labels in one
-    /// batched fabric offer. Fails fast on the first exact error (a batch
-    /// is one all-or-nothing call) — after offering the labels gathered
-    /// before it, so the fabric is fed as a statement-at-a-time loop that
-    /// stopped at the same query would feed it.
-    fn route_batch<T>(
-        &self,
-        queries: &[Query],
-        predict: impl FnOnce(&[ShardPart<'_>], &[Query], &mut ScreenCounters) -> Vec<Predicted<T>>,
-        exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
-    ) -> Result<Vec<Served<T>>, ServeError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        for q in queries {
-            self.check_dim(q)?;
-        }
-        let (predicted, version, screen) = self.consult(queries, predict);
-        debug_assert_eq!(predicted.len(), queries.len());
-        let mut out: Vec<Served<T>> = Vec::with_capacity(queries.len());
-        let mut fb_pairs: Vec<(Query, f64)> = Vec::new();
-        let mut fb_slots: Vec<usize> = Vec::new();
-        // Every answer carries the aggregate counters of the batch's
-        // single consultation, which covered all of them.
-        let mut routed = Ok(());
-        for (q, predicted) in queries.iter().zip(predicted) {
-            let (served, label) = match self.route_one(q, predicted, version, screen, &exact) {
-                Ok(served) => served,
-                Err(e) => {
-                    routed = Err(e);
-                    break;
-                }
-            };
-            if let (true, Some(y)) = (self.policy.feedback, label) {
-                fb_pairs.push((q.clone(), y));
-                fb_slots.push(out.len());
-            }
-            out.push(served);
-        }
-        let feedback = self.observe_outcome_batch(&fb_pairs);
-        routed?;
-        for (&slot, fb) in fb_slots.iter().zip(feedback) {
-            out[slot].feedback_dropped = fb.is_lost();
-        }
-        Ok(out)
-    }
+    // whole `&[Query]` and run the cross-shard batch predictors (split
+    // into runs on every core when the batch is large enough; the guards
+    // stay pinned on this thread until every run has joined). From the
+    // gate on, a batch runs the scalar calls' lines: the one gate loop
+    // and the one feedback door. Per-query answers are bit-identical to
+    // the scalar path (the batch predictors run the scalar path's
+    // resolver and fold per query); the observable difference is
+    // consistency — a batch never straddles a shard republish, whereas a
+    // scalar loop can.
 
     /// **Batched auto-routed Q1**: [`ShardRouter::q1`] over a slice with
-    /// one guard resolution, one batched resolve-and-fold
+    /// one guard resolution and one batched resolve-and-fold
     /// ([`sharded_q1_with_confidence_batch_pruned`]: each query resolved
     /// through every shard's block layout and fused, a batch large
     /// enough to pay for a thread split into contiguous runs on every
-    /// core) and one batched feedback offer. Answers are bit-identical to
-    /// per-query [`ShardRouter::q1`] calls against the same pinned
-    /// snapshots. An empty batch returns an empty vec.
+    /// core). Answers are bit-identical to per-query [`ShardRouter::q1`]
+    /// calls against the same pinned snapshots, and the fabric is fed as
+    /// those calls feed it. An empty batch returns an empty vec.
     ///
     /// # Errors
     /// As [`ShardRouter::q1`]; the typed dimension mismatch is checked
     /// up front for every query before any work runs.
     pub fn q1_batch(&self, queries: &[Query]) -> Result<Vec<Served<f64>>, ServeError> {
-        self.route_batch(
+        self.serve_batch(
             queries,
             sharded_q1_with_confidence_batch_pruned,
             Self::exact_q1,
@@ -1414,7 +1397,7 @@ impl ShardRouter {
     /// # Errors
     /// As [`ShardRouter::q2`], plus the up-front batched dimension check.
     pub fn q2_batch(&self, queries: &[Query]) -> Result<Vec<Served<Vec<LocalModel>>>, ServeError> {
-        self.route_batch(
+        self.serve_batch(
             queries,
             sharded_q2_with_confidence_batch_pruned,
             Self::exact_q2,
@@ -1446,6 +1429,17 @@ mod tests {
 
     fn q(center: &[f64], r: f64) -> Query {
         Query::new_unchecked(center.to_vec(), r)
+    }
+
+    impl ShardRouter {
+        /// The feedback door over a slice of pairs, each outcome in its
+        /// pair's place.
+        fn observe_outcome_batch(&self, pairs: &[(Query, f64)]) -> Vec<Feedback> {
+            let mut out = vec![Feedback::Dropped; pairs.len()];
+            let pairs = pairs.iter().enumerate().map(|(i, (q, y))| (i, q, *y));
+            self.offer(pairs, |i, feedback| out[i] = feedback);
+            out
+        }
     }
 
     fn dataset(rows: usize, seed: u64) -> Arc<Dataset> {
@@ -2339,5 +2333,41 @@ mod tests {
         let batch = slow.q1_batch(std::slice::from_ref(&probe)).unwrap();
         assert_eq!(batch[0].route, Route::Degraded);
         assert_eq!(slow.stats().degraded_served, 3);
+    }
+
+    /// A pass that enqueued nothing runs no pump, as the scalar door never
+    /// did for a declined or dropped example: the door over one pair is
+    /// the scalar offer. (Each trainer lock a pump takes is a `LockPoison`
+    /// injection point, armed here far beyond the test to count them.)
+    #[test]
+    fn an_offer_that_enqueues_nothing_runs_no_pump() {
+        let data = dataset(5_000, 29);
+        let probe = q(&[0.5, 0.5], 0.2);
+        let pumps = |plan: &FaultPlan| plan.seen(FaultKind::LockPoison);
+        let mut frozen = trained_model(&exact_over(&data), 2_000, 30);
+        frozen.freeze();
+        let mut declining =
+            ShardRouter::with_model(exact_over(&data), frozen, RoutePolicy::default(), 2);
+        let plan = FaultPlan::new().inject(FaultKind::LockPoison, &[1_000]);
+        declining.set_fault_plan(plan.clone());
+        assert_eq!(declining.observe_outcome(&probe, 1.0), Feedback::Declined);
+        let pairs = vec![(probe.clone(), 1.0); 3];
+        assert_eq!(
+            declining.observe_outcome_batch(&pairs),
+            vec![Feedback::Declined; 3]
+        );
+        assert_eq!(pumps(&plan), 0, "a declined offer pumped");
+
+        let learner = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
+        let mut dropping =
+            ShardRouter::with_model(exact_over(&data), learner, RoutePolicy::default(), 1);
+        let plan = FaultPlan::new()
+            .inject(FaultKind::QueueOverflow, &[1])
+            .inject(FaultKind::LockPoison, &[1_000]);
+        dropping.set_fault_plan(plan.clone());
+        assert_eq!(dropping.observe_outcome(&probe, 1.0), Feedback::Dropped);
+        assert_eq!(pumps(&plan), 0, "a dropped offer pumped");
+        assert_eq!(dropping.observe_outcome(&probe, 1.0), Feedback::Accepted);
+        assert_eq!(pumps(&plan), 1, "an enqueued offer pumps once");
     }
 }

@@ -162,7 +162,9 @@ pub struct QueryOutput {
     /// Version of the model snapshot consulted, if any.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was dropped by the
-    /// serving fabric (bounded queue full / trainer lock contended) — the
+    /// serving fabric: its shard's bounded queue was still full after the
+    /// retry budget ([`RoutePolicy::overflow_retries`]). A busy trainer
+    /// drops nothing — the example stays queued for the next drain. The
     /// answer itself is unaffected, but the example did not train anyone.
     pub feedback_dropped: bool,
 }
@@ -407,7 +409,9 @@ impl Session {
     /// resolved through every shard's block layout and fused — a run
     /// with enough query × prototype pairs split into contiguous runs of
     /// statements, one per core — and the exact-fallback answers fed back
-    /// in one batched offer. Per-statement outputs are bit-identical to
+    /// through the router's one gate loop and feedback door, as executing
+    /// the statements one by one feeds them: the same labels offered in
+    /// the same order. Per-statement outputs are bit-identical to
     /// executing the statements one by one against the same snapshots;
     /// a run additionally sees **one consistent snapshot version**
     /// (a scalar loop may straddle a republish). Everything else —

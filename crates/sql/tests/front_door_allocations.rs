@@ -13,7 +13,11 @@
 //!   allocator call: the centre;
 //! * `LINREG … USING MODEL` makes **two**: the centre and the answer list;
 //! * beneath the session, [`ShardRouter::q1_model`] makes **none** and
-//!   [`ShardRouter::q2_model`] **one** (its list).
+//!   [`ShardRouter::q2_model`] **one** (its list);
+//! * an exact answer on a model that learns adds **one** for its label,
+//!   the query's copy on the shard's queue: at `d = 4`, `AVG` and `VAR`
+//!   make two, `LINREG` eight (nine `USING AUTO`, which discards a model
+//!   list), and [`ShardRouter::q1_exact`] one.
 //!
 //! Before the front door stopped allocating, the same warm calls cost 7
 //! (`AVG`), 8 (`LINREG`) and 4 (`q1_model`) at one shard and `d ≤ 4`: the
@@ -34,7 +38,7 @@ use regq_data::generators::GasSensorSurrogate;
 use regq_data::rng::seeded;
 use regq_data::{Dataset, SampleOptions};
 use regq_exact::ExactEngine;
-use regq_serve::ShardRouter;
+use regq_serve::{Route, RoutePolicy, ShardRouter};
 use regq_sql::Session;
 use regq_store::AccessPathKind;
 use std::sync::Arc;
@@ -46,11 +50,16 @@ use counting::counted;
 /// A `d`-dimensional table `t` with a trained model and moments model,
 /// served over `shards` shards.
 fn session(dim: usize, shards: usize) -> Session {
+    let cfg = ModelConfig::with_vigilance(dim, 0.15);
+    session_with(dim, shards, RoutePolicy::default(), cfg)
+}
+
+/// [`session`] under `policy`, its models trained with `cfg`.
+fn session_with(dim: usize, shards: usize, policy: RoutePolicy, cfg: ModelConfig) -> Session {
     let field = GasSensorSurrogate::new(dim, 5);
     let mut rng = seeded(dim as u64);
     let data = Dataset::from_function(&field, 4_000, SampleOptions::default(), &mut rng);
     let engine = ExactEngine::new(Arc::new(data), AccessPathKind::KdTree);
-    let cfg = ModelConfig::with_vigilance(dim, 0.15);
     let mut model = LlmModel::new(cfg.clone()).unwrap();
     let mut moments = MomentsModel::new(cfg).unwrap();
     let scale = (dim as f64).sqrt();
@@ -69,7 +78,7 @@ fn session(dim: usize, shards: usize) -> Session {
     }
     assert!(model.k() > 1, "K = {}", model.k());
     let mut s = Session::new();
-    s.register_table("t", engine);
+    s.register_table_with_policy("t", engine, policy);
     s.register_model("t", model).unwrap();
     s.register_moments_model("t", moments).unwrap();
     s.execute_command(&format!("SET SHARDS {shards}")).unwrap();
@@ -149,5 +158,70 @@ fn beneath_the_session_the_router_allocates_only_the_answer() {
                 );
             }
         }
+    }
+}
+
+/// Exact answers on a model that learns: each one's label is queued on
+/// its shard and trained at once. Beyond the centre and what the exact
+/// answer owns, a label costs one allocator call, its queued copy of the
+/// query; the drain takes each example off the queue in place. `USING
+/// AUTO` on a table whose threshold routes everything exact costs what
+/// `USING EXACT` does, plus the discarded model list of a `LINREG`.
+#[test]
+fn a_warm_labelled_statement_allocates_its_centre_its_answer_and_its_queued_label() {
+    // (aggregate, mode, allocator calls once warm)
+    let statements = [
+        ("AVG(u)", "EXACT", 2),
+        ("VAR(u)", "EXACT", 2),
+        ("LINREG(u)", "EXACT", 8),
+        ("AVG(u)", "AUTO", 2),
+        ("VAR(u)", "AUTO", 2),
+        ("LINREG(u)", "AUTO", 9),
+    ];
+    // Balls with rows: every statement answers, with a label.
+    let balls = [
+        (vec![0.5; 4], 0.4),
+        (vec![0.4; 4], 0.35),
+        (vec![0.6; 4], 0.3),
+    ];
+    // Γ never falls to this γ, so the model never freezes: every label
+    // is queued and trained.
+    let learning = ModelConfig {
+        gamma: 1e-300,
+        ..ModelConfig::with_vigilance(4, 0.15)
+    };
+    let all_exact = RoutePolicy {
+        confidence_threshold: 2.0,
+        ..RoutePolicy::default()
+    };
+    for shards in [1usize, 4] {
+        let s = session_with(4, shards, all_exact, learning.clone());
+        let router = s.router("t").unwrap();
+        for pass in 0..3 {
+            for ball in &balls {
+                for (aggregate, mode, want) in statements {
+                    let text = sql(aggregate, ball, mode);
+                    let (out, calls) = counted(|| s.execute(&text));
+                    let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
+                    assert_eq!(out.route, Route::Exact, "{text}");
+                    assert!(
+                        pass == 0 || calls == want,
+                        "{calls} calls (want {want}) for {aggregate} USING {mode}, \
+                         {shards} shards, pass {pass}"
+                    );
+                }
+                let q = Query::new(ball.0.clone(), ball.1).unwrap();
+                let (out, calls) = counted(|| router.q1_exact(&q));
+                out.unwrap();
+                assert!(
+                    pass == 0 || calls == 1,
+                    "q1_exact: {calls} calls, {shards} shards"
+                );
+            }
+        }
+        let stats = router.stats();
+        assert_eq!(stats.feedback_declined + stats.feedback_dropped, 0);
+        assert_eq!(stats.feedback_fed, stats.feedback_enqueued);
+        assert_eq!(stats.feedback_fed, 3 * 3 * 7, "every label trained");
     }
 }
