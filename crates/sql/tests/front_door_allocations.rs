@@ -3,15 +3,18 @@
 //! Text in, answer out: [`Session::execute`] parses a statement, binds it
 //! to its table and consults the table's shard snapshots. The parse
 //! borrows its table name from the text and allocates the centre once, at
-//! its final size; the bind moves that centre into the [`Query`]; the
-//! router pins its shards' read state in place; the model path beneath
-//! allocates only what the answer owns (`served_allocations` in
-//! `regq_core`). So, once a thread is warm, at 1 and at 4 shards and for
-//! `d ∈ {2, 4, 8}`:
+//! its final size (read in place up to 8 components, counted first
+//! beyond); the bind moves that centre into the [`Query`]; the router
+//! pins its shards' read state in place; the model path beneath allocates
+//! only what the answer owns (`served_allocations` in `regq_core`). So,
+//! once a thread is warm, at 1 and at 4 shards and for
+//! `d ∈ {2, 4, 8, 9, 64}`:
 //!
 //! * `AVG … USING MODEL`, `VAR … USING MODEL` and `COUNT(*)` make **one**
-//!   allocator call: the centre;
-//! * `LINREG … USING MODEL` makes **two**: the centre and the answer list;
+//!   allocator call: the centre (a `COUNT(*)` at `d = 64` one more, its
+//!   kd-tree traversal's scratch past 32 columns);
+//! * `LINREG … USING MODEL` makes **two**: the centre and the answer list
+//!   (past `d = 8` also two per listed model, its slope and centre);
 //! * beneath the session, [`ShardRouter::q1_model`] makes **none** and
 //!   [`ShardRouter::q2_model`] **one** (its list);
 //! * an exact answer on a model that learns adds **one** for its label,
@@ -39,7 +42,7 @@ use regq_data::rng::seeded;
 use regq_data::{Dataset, SampleOptions};
 use regq_exact::ExactEngine;
 use regq_serve::{Route, RoutePolicy, ShardRouter};
-use regq_sql::Session;
+use regq_sql::{QueryValue, Session};
 use regq_store::AccessPathKind;
 use std::sync::Arc;
 
@@ -64,8 +67,16 @@ fn session_with(dim: usize, shards: usize, policy: RoutePolicy, cfg: ModelConfig
     let mut moments = MomentsModel::new(cfg).unwrap();
     let scale = (dim as f64).sqrt();
     for _ in 0..1_500 {
-        let c: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..1.0)).collect();
-        let r = scale * rng.random_range(0.1..0.25);
+        let (c, r) = if dim <= 9 {
+            let c: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..1.0)).collect();
+            (c, scale * rng.random_range(0.1..0.25))
+        } else {
+            // Wide: uniform rows sit ≈ √(d/12) from the cube's middle and
+            // further from anywhere else, so the balls that select rows
+            // are wide ones around the middle (as in `high_dim.rs`).
+            let c: Vec<f64> = (0..dim).map(|_| rng.random_range(0.3..0.7)).collect();
+            (c, rng.random_range(1.1..1.3) * (dim as f64 / 12.0).sqrt())
+        };
         if let Some(mo) = engine.q1_moments(&c, r) {
             let q = Query::new_unchecked(c, r);
             model.train_step(&q, mo.mean).unwrap();
@@ -114,7 +125,7 @@ fn a_warm_statement_allocates_its_centre_and_what_its_answer_owns() {
         ("COUNT(*)", "MODEL", 1),
         ("LINREG(u)", "MODEL", 2),
     ];
-    for dim in [2usize, 4, 8] {
+    for dim in [2usize, 4, 8, 9, 64] {
         for shards in [1usize, 4] {
             let s = session(dim, shards);
             assert_eq!(s.router("t").unwrap().shards(), shards);
@@ -123,7 +134,17 @@ fn a_warm_statement_allocates_its_centre_and_what_its_answer_owns() {
                     for (aggregate, mode, want) in statements {
                         let text = sql(aggregate, probe, mode);
                         let (out, calls) = counted(|| s.execute(&text));
-                        out.unwrap_or_else(|e| panic!("{text}: {e}"));
+                        let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
+                        // Past `Coeffs`' inline width (d = 8) each listed
+                        // model owns its slope and its centre buffers too;
+                        // past 32 columns the kd-tree traversal behind a
+                        // `COUNT(*)` spills its box and bound terms to one
+                        // `Vec`.
+                        let want =
+                            want + match &out.value {
+                                QueryValue::Regression(list) if dim > 8 => 2 * list.len(),
+                                _ => 0,
+                            } + usize::from(aggregate == "COUNT(*)" && dim > 32);
                         assert!(
                             pass == 0 || calls == want,
                             "{calls} calls (want {want}) for {aggregate} USING {mode}, \

@@ -640,6 +640,17 @@ mod lockstep {
             ball("0.5, 0.5", "-0.25"),
             ball("0.5, 0.5", "1e999"),
             ball("1e999, 0.5", "0.1"),
+            // Literals at the edges of the parser's own conversion: 15 and
+            // 16 digits, no digit on one side of the dot, signed zero, and
+            // ones only `str::parse` reads or rejects.
+            ball("0.123456789012345, 0.1234567890123456", "0.1"),
+            ball("0.5, 0.5", "123456789012345"),
+            ball("0.5, 0.5", "1234567890123456"),
+            ball("0.10000000000000001, -0", "0.1"),
+            ball("5., .5", "+.5"),
+            ball("0.5, .", "0.1"),
+            ball("1e, 0.5", "0.1"),
+            ball("0.5, 0.5", "1e-400"),
             ball("0.5, 0.5", "0.1; garbage"),
             ball("0.5, 0.5", "0.1 é"),
             ball("0.5, 0.5🦀", "0.1"),
