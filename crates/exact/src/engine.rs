@@ -188,8 +188,8 @@ mod tests {
         let e = engine();
         let (c, r) = ([0.5, 0.5], 0.3);
         let fused = e.q1_reg_fused(&c, r).unwrap();
-        // Welford mean vs tree-shaped sum: equal up to rounding.
-        assert!((fused.moments.mean - e.q1(&c, r).unwrap()).abs() < 1e-12);
+        // One mean of a ball: the tree-shaped sum over n, bit for bit.
+        assert_eq!(fused.moments.mean.to_bits(), e.q1(&c, r).unwrap().to_bits());
         let reg = e.q2_reg(&c, r).unwrap();
         assert_eq!(fused.model, reg);
         assert_eq!(fused.moments.n, e.select(&c, r).len());

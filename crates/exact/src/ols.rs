@@ -10,9 +10,9 @@
 //!   report — see `fit.rs` for why its FVU may exceed 1 locally).
 
 use crate::fit::GoodnessOfFit;
-use crate::q1::Moments;
+use crate::q1::{moments_of, Moments};
 use regq_data::Dataset;
-use regq_linalg::{GramAccumulator, LinalgError, OnlineStats};
+use regq_linalg::{GramAccumulator, LinalgError};
 use regq_store::Relation;
 
 /// A fitted linear model `u ≈ intercept + slope · x`.
@@ -110,12 +110,12 @@ pub struct BallFit {
 }
 
 /// Fused exact Q1 + OLS over `D(center, radius)` in a **single** index
-/// traversal: the Gram state `XᵀX`, `Xᵀy`, `yᵀy` and the Welford output
-/// moments fold per visited row ([`Relation::fold_ball`]), then the normal
-/// equations are solved directly and SSR/TSS come from the closed forms
-/// over the accumulated state. No id buffer, no design matrix, no second
-/// data pass — the full aggregation-pushdown execution of the paper's
-/// ground-truth query pair.
+/// traversal ([`Relation::visit_ball`]): the Gram state `XᵀX`, `Xᵀy`,
+/// `yᵀy` folds per visited row, then the normal equations are solved
+/// directly and SSR/TSS come from the closed forms over the accumulated
+/// state. No id buffer, no design matrix, no second pass over the rows —
+/// the full aggregation-pushdown execution of the paper's ground-truth
+/// query pair. The moments are `q1_moments`', bit for bit.
 ///
 /// # Errors
 /// [`LinalgError::Empty`] for an empty subspace; solver errors for
@@ -137,35 +137,25 @@ pub fn fit_ols_ball(rel: &Relation, center: &[f64], radius: f64) -> Result<BallF
         8 => GramAccumulator::push_affine_width::<8>,
         _ => GramAccumulator::push_affine_width::<0>,
     };
-    let (acc, stats) = rel.fold_ball(
-        center,
-        radius,
-        (GramAccumulator::new(d + 1), OnlineStats::new()),
-        |s, _, x, u| {
-            push(&mut s.0, x, u);
-            s.1.push(u);
-        },
-    );
-    if acc.is_empty() {
-        return Err(LinalgError::Empty);
-    }
+    let mut acc = GramAccumulator::new(d + 1);
+    let moments = moments_of(|targets| {
+        rel.visit_ball(center, radius, |_, x, u| {
+            push(&mut acc, x, u);
+            targets.push(u);
+        })
+    })
+    .ok_or(LinalgError::Empty)?;
     let coeffs = acc.solve()?;
     let intercept = coeffs[0];
     let slope = coeffs[1..].to_vec();
-    let n = acc.count();
-    let fit = GoodnessOfFit::from_sums(n, acc.ssr(&coeffs), acc.tss());
+    let fit = GoodnessOfFit::from_sums(moments.n, acc.ssr(&coeffs), acc.tss());
     Ok(BallFit {
         model: LinearModel {
             intercept,
             slope,
             fit,
         },
-        moments: Moments {
-            n,
-            mean: stats.mean(),
-            variance: stats.variance(),
-            second_moment: acc.yty() / n as f64,
-        },
+        moments,
     })
 }
 

@@ -4,15 +4,14 @@
 //! query whose `(q, y)` answers train the model, and whose execution cost
 //! the model's `O(dK)` prediction replaces.
 //!
-//! The two executors fold differently. [`q1_mean`] takes the access
-//! path's `(n, Σu)`: serial over the scan, tree-shaped over the kd-tree,
-//! whose nodes carry their `Σu` so a subtree inside the ball costs one
-//! load — equal to the serial mean up to rounding, not bit for bit.
-//! [`q1_moments`] folds its Welford state row by row in visiting order,
-//! the order the OLS Gram state folds in too.
+//! Every exact mean of a ball — [`q1_mean`]'s, [`q1_moments`]' and the
+//! fused fit's — is the access path's `(n, Σu)` over `n`: serial over the
+//! scan, tree-shaped over the kd-tree, whose nodes carry their `Σu` so a
+//! subtree inside the ball costs one load. The moments' spread is a
+//! second pass, about that mean, over the targets the traversal handed on.
 
-use regq_linalg::OnlineStats;
 use regq_store::Relation;
+use std::cell::RefCell;
 
 /// First and second moments of the output attribute over a selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,45 +29,52 @@ pub struct Moments {
 /// Execute Q1 exactly: average of `u` over `D(center, radius)`.
 ///
 /// The `SUM`/`COUNT` state is computed *inside* the index traversal
-/// ([`Relation::sum_targets`]) — no id buffer is materialized, no
+/// ([`Relation::visit_targets`]) — no id buffer is materialized, no
 /// feature row is handed over and the rows are never read a second time,
 /// exactly how a DBMS executor pushes an `AVG` aggregate into the scan.
-/// Over the kd-tree the sum is tree-shaped — per-mask partial sums
-/// joined up the build's halving, a subtree inside the ball contributing
-/// its sum cached at build — so it differs from the serial sum in the
-/// last bits only (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
+/// Over the kd-tree the sum differs from the serial one in the last bits
+/// only (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
 ///
 /// Returns `None` when the subspace is empty (the DBMS would return SQL
 /// `NULL` for `AVG` over zero rows).
 pub fn q1_mean(rel: &Relation, center: &[f64], radius: f64) -> Option<f64> {
-    avg(rel.sum_targets(center, radius))
+    avg(rel.visit_targets(center, radius, |_| {}))
 }
 
 /// The `AVG` of an `(n, Σu)` state: SQL `NULL` (`None`) over no rows.
 pub(crate) fn avg((n, sum): (usize, f64)) -> Option<f64> {
-    if n == 0 {
-        None
-    } else {
-        Some(sum / n as f64)
-    }
+    (n > 0).then(|| sum / n as f64)
 }
 
 /// Execute Q1 with second-moment extension (feeds the paper's "high-order
-/// moments" future-work item, implemented in `regq-core::moments`). The
-/// Welford state folds during the traversal, like [`q1_mean`].
+/// moments" future-work item, implemented in `regq-core::moments`); its
+/// mean is [`q1_mean`]'s, bit for bit.
 pub fn q1_moments(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments> {
-    let (acc, sum_sq) = rel.fold_targets(center, radius, (OnlineStats::new(), 0.0f64), |s, u| {
-        s.0.push(u);
-        s.1 += u * u;
-    });
-    if acc.count() == 0 {
-        return None;
-    }
-    Some(Moments {
-        n: acc.count() as usize,
-        mean: acc.mean(),
-        variance: acc.variance(),
-        second_moment: sum_sq / acc.count() as f64,
+    moments_of(|targets| rel.visit_targets(center, radius, |u| targets.push(u)))
+}
+
+thread_local! {
+    /// A ball's targets, kept between calls: warm, no allocator call.
+    static TARGETS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The [`Moments`] of the ball `traverse` walks: it pushes the targets in
+/// visiting order and returns `(n, Σu)`. `variance` is `Σ(u − mean)²/n`,
+/// not `Σu²/n − mean²`, which cancels when the mean dwarfs the spread.
+pub(crate) fn moments_of(traverse: impl FnOnce(&mut Vec<f64>) -> (usize, f64)) -> Option<Moments> {
+    TARGETS.with_borrow_mut(|targets| {
+        targets.clear();
+        let (n, sum) = traverse(targets);
+        let mean = avg((n, sum))?;
+        let (deviations, squares) = targets.iter().fold((0.0, 0.0), |(dev, sq), &u| {
+            (dev + (u - mean) * (u - mean), sq + u * u)
+        });
+        Some(Moments {
+            n,
+            mean,
+            variance: deviations / n as f64,
+            second_moment: squares / n as f64,
+        })
     })
 }
 

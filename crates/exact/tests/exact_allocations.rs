@@ -10,6 +10,11 @@
 //! still pays that one allocation, which a test pins so that the
 //! boundary is a documented fact and not a surprise.
 //!
+//! The moments' second pass reads the ball's targets from a per-thread
+//! buffer kept between calls, so it too asks for nothing warm, and a
+//! fused Q1 + OLS fit (`q1_reg_fused`) asks for the fit's own buffers
+//! and nothing for its moments.
+//!
 //! A batch of `AVG`s (`ExactEngine::q1_batch`, the training stream's
 //! entry) asks for one buffer over the kd-tree — its visiting order, one
 //! key per ball — whatever the batch size, and for nothing over the scan,
@@ -117,4 +122,43 @@ fn a_warm_batch_asks_for_its_visiting_order_and_nothing_else() {
             black_box(&out);
         }
     }
+}
+
+/// Allocator calls of a warm `q1_reg_fused` over one ball.
+fn fused_calls(engine: &ExactEngine, center: &[f64], radius: f64) -> usize {
+    let mut calls = 0;
+    for _ in 0..2 {
+        calls = counted(|| black_box(engine.q1_reg_fused(center, radius))).1;
+    }
+    calls
+}
+
+/// A fused Q1 + OLS fit asks for the fit's own buffers — two for the
+/// Gram state, two for the solve, one for the slope — and nothing for
+/// its moments: warm, the targets they are taken over fill a per-thread
+/// buffer kept between calls, so a ball of half the table and one of
+/// all of it ask for the same. An empty ball stops at the Gram state.
+#[test]
+fn a_warm_fused_fit_asks_for_its_fit_and_nothing_for_its_moments() {
+    const FIT_BUFFERS: usize = 5;
+    for dim in [2usize, 4, 32] {
+        let engine = engine(20_000, dim);
+        let center = vec![0.5; dim];
+        for radius in [0.3 * (dim as f64).sqrt(), 10.0] {
+            assert!(engine.q1_reg_fused(&center, radius).is_ok());
+            assert_eq!(
+                fused_calls(&engine, &center, radius),
+                FIT_BUFFERS,
+                "d {dim} r {radius}"
+            );
+        }
+        assert_eq!(
+            fused_calls(&engine, &[9.0; 32][..dim], 0.1),
+            2,
+            "d {dim}: empty ball"
+        );
+    }
+    // The cell box of a 40-column table spills to one `Vec` more.
+    let wide = engine(2_000, 40);
+    assert_eq!(fused_calls(&wide, &[0.5; 40], 10.0), FIT_BUFFERS + 1);
 }

@@ -2,8 +2,11 @@
 //! dominance over OLS, Q1 consistency, equivalence of the
 //! aggregation-pushdown executors with the materialize-then-recompute
 //! reference path across every access path, of the batched `AVG`
-//! (`ExactEngine::q1_batch`) with one `q1` per ball, and of the fused
-//! Q1 + OLS fold at the table's width with the runtime-width fold.
+//! (`ExactEngine::q1_batch`) with one `q1` per ball, of the fused
+//! Q1 + OLS fold at the table's width with the runtime-width fold, and
+//! of every exact mean of a ball — `q1`'s, `q1_moments`' and the fused
+//! fit's — with one another; plus the moments' variance on targets whose
+//! mean dwarfs their spread.
 
 // The textbook kd-tree of the store's batteries: the specification the
 // kd-tree's tree-shaped `Σu` is held to.
@@ -17,7 +20,7 @@ use regq_exact::{
     Mars, MarsParams, Moments,
 };
 use regq_linalg::vector::dot;
-use regq_linalg::{solve_normal_equations, GramAccumulator, LinalgError, OnlineStats};
+use regq_linalg::{solve_normal_equations, GramAccumulator, LinalgError};
 use regq_store::{AccessPathKind, Relation};
 use std::sync::Arc;
 
@@ -38,24 +41,48 @@ fn q1_mean_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<f
     })
 }
 
-/// Q1 moments over a materialized id list.
-fn q1_moments_materialized(rel: &Relation, center: &[f64], radius: f64) -> Option<Moments> {
+/// The `(n, Σu)` a relation over `path` must return for a ball: the
+/// serial sum from `−0.0` in visiting order over the scan, the textbook
+/// tree's tree-shaped sum over the kd-tree.
+fn avg_state(rel: &Relation, path: AccessPathKind, center: &[f64], radius: f64) -> (usize, f64) {
+    let data = rel.dataset();
+    match path {
+        AccessPathKind::Scan => {
+            let ids = rel.select(center, radius);
+            (ids.len(), ids.iter().fold(-0.0, |sum, &i| sum + data.y(i)))
+        }
+        AccessPathKind::KdTree => {
+            textbook::sum_targets(&textbook::build(data), data, center, radius)
+        }
+    }
+}
+
+/// Q1 moments over a materialized id list, from the ball's `(n, Σu)`:
+/// `mean = Σu / n`, then `Σ(u − mean)²` and `Σu²`, each serial from
+/// `+0.0` in visiting order, over `n`.
+fn q1_moments_materialized(
+    rel: &Relation,
+    center: &[f64],
+    radius: f64,
+    (n, sum): (usize, f64),
+) -> Option<Moments> {
     rel.with_selection(center, radius, |ds, ids| {
+        assert_eq!(ids.len(), n, "the state counts the selection");
         if ids.is_empty() {
             return None;
         }
-        let mut acc = OnlineStats::new();
-        let mut sum_sq = 0.0;
+        let mean = sum / n as f64;
+        let (mut deviations, mut squares) = (0.0, 0.0);
         for &i in ids {
             let u = ds.y(i);
-            acc.push(u);
-            sum_sq += u * u;
+            deviations += (u - mean) * (u - mean);
+            squares += u * u;
         }
         Some(Moments {
-            n: ids.len(),
-            mean: acc.mean(),
-            variance: acc.variance(),
-            second_moment: sum_sq / ids.len() as f64,
+            n,
+            mean,
+            variance: deviations / n as f64,
+            second_moment: squares / n as f64,
         })
     })
 }
@@ -107,9 +134,10 @@ fn pushdown_and_materialized_q1_agree_exactly_on_a_known_line() {
     let rel = Relation::new(Arc::new(ds), AccessPathKind::Scan);
     for (c, r) in [(5.0, 1.5), (3.0, 0.0), (4.5, 100.0), (100.0, 0.5)] {
         assert_eq!(q1_mean(&rel, &[c], r), q1_mean_materialized(&rel, &[c], r));
+        let state = avg_state(&rel, AccessPathKind::Scan, &[c], r);
         assert_eq!(
             q1_moments(&rel, &[c], r),
-            q1_moments_materialized(&rel, &[c], r)
+            q1_moments_materialized(&rel, &[c], r, state)
         );
     }
 }
@@ -155,39 +183,31 @@ const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::Kd
 
 /// `fit_ols_ball`'s answer from the runtime-width fold: per row of
 /// [`Relation::fold_ball`], the Gram state through
-/// [`GramAccumulator::push_affine`] and the Welford moments beside it,
-/// then the same solve and closed forms.
+/// [`GramAccumulator::push_affine`], then the same solve and closed
+/// forms; the moments [`q1_moments_materialized`]'s over the `(n, Σu)`
+/// the access path must return.
 fn fit_ols_ball_reference(
     rel: &Relation,
+    path: AccessPathKind,
     center: &[f64],
     radius: f64,
 ) -> Result<BallFit, LinalgError> {
-    let (acc, stats) = rel.fold_ball(
+    let acc = rel.fold_ball(
         center,
         radius,
-        (GramAccumulator::new(rel.dim() + 1), OnlineStats::new()),
-        |s, _, x, u| {
-            s.0.push_affine(x, u);
-            s.1.push(u);
-        },
+        GramAccumulator::new(rel.dim() + 1),
+        |acc, _, x, u| acc.push_affine(x, u),
     );
-    if acc.is_empty() {
-        return Err(LinalgError::Empty);
-    }
+    let state = avg_state(rel, path, center, radius);
+    let moments = q1_moments_materialized(rel, center, radius, state).ok_or(LinalgError::Empty)?;
     let coeffs = acc.solve()?;
-    let n = acc.count();
     Ok(BallFit {
         model: LinearModel {
             intercept: coeffs[0],
             slope: coeffs[1..].to_vec(),
-            fit: GoodnessOfFit::from_sums(n, acc.ssr(&coeffs), acc.tss()),
+            fit: GoodnessOfFit::from_sums(moments.n, acc.ssr(&coeffs), acc.tss()),
         },
-        moments: Moments {
-            n,
-            mean: stats.mean(),
-            variance: stats.variance(),
-            second_moment: acc.yty() / n as f64,
-        },
+        moments,
     })
 }
 
@@ -297,8 +317,8 @@ proptest! {
     /// Pushed-down Q1 against the materialize-then-recompute path. Over
     /// the scan `AVG` is the serial sum, bit for bit; over the kd-tree it
     /// is tree-shaped — the textbook tree's sum bit for bit, the serial
-    /// one within rounding. The moments fold row by row on both paths and
-    /// stay bit-exact.
+    /// one within rounding. The moments take that mean and the spread
+    /// about it over the targets in visiting order, bit for bit.
     #[test]
     fn pushdown_q1_equals_materialized(ds in surface_strategy(2),
                                        c in prop::collection::vec(-2.5..2.5f64, 2),
@@ -324,9 +344,10 @@ proptest! {
             let moments = |m: Option<Moments>| m.map(|m| {
                 (m.n, [m.mean, m.variance, m.second_moment].map(f64::to_bits))
             });
+            let state = avg_state(&rel, path, &c, r);
             prop_assert_eq!(
                 moments(q1_moments(&rel, &c, r)),
-                moments(q1_moments_materialized(&rel, &c, r)),
+                moments(q1_moments_materialized(&rel, &c, r, state)),
                 "moments mismatch on {:?}", path
             );
         }
@@ -371,6 +392,60 @@ proptest! {
                         answer_bits(engine.q1(c, *r)),
                         "{:?} batch of {}, ball {}: {:?} r {}", path, size, i, c, r
                     );
+                }
+            }
+        }
+    }
+
+    /// Every exact mean of a ball has one set of bits, on both access
+    /// paths, over tables with NaN, ±∞ and −0.0 in their rows and
+    /// targets and hostile balls: `q1_moments`' mean is `q1`'s, its
+    /// moments are the materialized two-pass oracle's, and the fused
+    /// fit's moments are `q1_moments`' whenever the fit solves (NaN by
+    /// NaN-ness, see [`answer_bits`]).
+    #[test]
+    fn every_exact_mean_of_a_ball_is_one(
+        rows in prop::collection::vec(
+            (prop::collection::vec(hostile(64, 2.0), BATCH_DIM), hostile(32, 10.0)),
+            0..600,
+        ),
+        balls in prop::collection::vec(
+            (prop::collection::vec(hostile(16, 2.5), BATCH_DIM), hostile_radius()),
+            1..12,
+        ),
+    ) {
+        let mut ds = Dataset::new(BATCH_DIM);
+        for (x, u) in &rows {
+            ds.push(x, *u).unwrap();
+        }
+        let data = Arc::new(ds);
+        let moments_bits = |m: Option<Moments>| m.map(|m| {
+            (m.n, [m.mean, m.variance, m.second_moment].map(|x| answer_bits(Some(x))))
+        });
+        for path in ALL_PATHS {
+            let engine = ExactEngine::new(data.clone(), path);
+            let rel = engine.relation();
+            for (c, r) in &balls {
+                let moments = engine.q1_moments(c, *r);
+                prop_assert_eq!(
+                    answer_bits(moments.map(|m| m.mean)),
+                    answer_bits(engine.q1(c, *r)),
+                    "{:?}: {:?} r {}", path, c, r
+                );
+                let state = avg_state(rel, path, c, *r);
+                prop_assert_eq!(
+                    moments_bits(moments),
+                    moments_bits(q1_moments_materialized(rel, c, *r, state)),
+                    "{:?}: {:?} r {}", path, c, r
+                );
+                match engine.q1_reg_fused(c, *r) {
+                    Ok(fit) => prop_assert_eq!(
+                        moments_bits(Some(fit.moments)),
+                        moments_bits(moments),
+                        "{:?}: {:?} r {}", path, c, r
+                    ),
+                    Err(LinalgError::Empty) => prop_assert!(moments.is_none()),
+                    Err(_) => {}
                 }
             }
         }
@@ -440,7 +515,7 @@ proptest! {
                 for (c, r) in &balls {
                     prop_assert_eq!(
                         ball_fit_bits(fit_ols_ball(&rel, &c[..d], *r)),
-                        ball_fit_bits(fit_ols_ball_reference(&rel, &c[..d], *r)),
+                        ball_fit_bits(fit_ols_ball_reference(&rel, path, &c[..d], *r)),
                         "d {} {:?}: {:?} r {}", d, path, &c[..d], r
                     );
                 }
@@ -529,5 +604,47 @@ proptest! {
             ..Default::default()
         }) else { return Ok(()) };
         prop_assert!(m.n_basis() <= cap);
+    }
+}
+
+/// The variance of `n` targets `1e9 + k·1e-3`, `k = 0..n`, whose mean is
+/// nine to twelve orders of magnitude above their spread, on both access
+/// paths. The reference is exact: every double near `1e9` — each stored
+/// target and the mean `q1` answers — is `1e9 + m·2⁻²³` for an integer
+/// `m`, so `Σ(u − mean)²` is `Σ(m_k − m_mean)²·2⁻⁴⁶`, summed in integers
+/// and rounded once before the division by `n`. It is the variance about the answered mean, which
+/// exceeds the variance about the true mean by the mean's rounding
+/// squared. The two-pass variance stays within `4n` ulps of it;
+/// `Σu²/n − mean²` cancels every digit of the spread.
+#[test]
+fn variance_keeps_its_digits_under_a_large_mean() {
+    let units = |u: f64| ((u - 1e9) * 2f64.powi(23)) as i128;
+    for n in [2usize, 17, 64, 1_000, 20_000] {
+        let targets: Vec<f64> = (0..n).map(|k| 1e9 + k as f64 * 1e-3).collect();
+        let mut ds = Dataset::new(1);
+        for (k, &u) in targets.iter().enumerate() {
+            assert_eq!(
+                1e9 + units(u) as f64 * 2f64.powi(-23),
+                u,
+                "u = 1e9 + m·2⁻²³"
+            );
+            ds.push(&[k as f64], u).unwrap();
+        }
+        let data = Arc::new(ds);
+        for path in ALL_PATHS {
+            let rel = Relation::new(data.clone(), path);
+            let ball = ([n as f64 / 2.0], n as f64);
+            let m = q1_moments(&rel, &ball.0, ball.1).expect("the ball holds the table");
+            assert_eq!((m.n, Some(m.mean)), (n, q1_mean(&rel, &ball.0, ball.1)));
+            let centre = units(m.mean);
+            let squares: i128 = targets.iter().map(|&u| (units(u) - centre).pow(2)).sum();
+            let exact = squares as f64 * 2f64.powi(-46) / n as f64;
+            let ulps = (m.variance - exact).abs() / (exact * f64::EPSILON);
+            assert!(
+                ulps <= 4.0 * n as f64,
+                "n {n} {path:?}: {} vs {exact}, {ulps} ulps",
+                m.variance
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Streaming statistics and a sorted-sample quantile.
 //!
 //! [`OnlineStats`] is a Welford accumulator — numerically stable single-pass
-//! mean/variance, used by the exact Q1 executor's moment extension and by
-//! experiment reporting. [`quantile_sorted`] reads a quantile off an
+//! mean/variance, used by experiment reporting and as a reference fold in
+//! the access paths' tests. [`quantile_sorted`] reads a quantile off an
 //! already-sorted sample.
 
 /// Welford single-pass accumulator for mean and variance.

@@ -11,44 +11,47 @@ use std::sync::Arc;
 ///
 /// The required primitive is [`SpatialIndex::visit_ball`]: a push-based
 /// traversal that hands every qualifying row to a visitor *during* the
-/// scan. Aggregates (Q1 means, moments, OLS Gram state) fold over the
-/// visitor and never materialize an id list — the aggregation-pushdown
-/// shape of MADlib-style in-DBMS analytics. The visitor is a generic
+/// scan and returns their `AVG` state `(n, Σu)`. Aggregates (Q1 means,
+/// moments, OLS Gram state) fold over the visitor and never materialize
+/// an id list — the aggregation-pushdown shape of MADlib-style in-DBMS
+/// analytics. The visitor is a generic
 /// parameter: the aggregate's transition function is compiled into the
 /// scan loop, not called through a pointer per row. Materializing
 /// selections ([`SpatialIndex::query_ball`]) is a derived convenience.
 pub trait SpatialIndex: Send + Sync {
     /// Invoke `visit(id, x_i, u_i)` for every row `i` with
-    /// `‖x_i − center‖₂ ≤ radius`, during a single index traversal.
+    /// `‖x_i − center‖₂ ≤ radius`, during a single index traversal, and
+    /// return their `(n, Σu)` ([`SpatialIndex::visit_targets`]).
     ///
     /// Rows arrive in ascending id order for
     /// [`LinearScan`](crate::LinearScan) and in the depth-first order of
     /// the permuted id array for [`KdTree`](crate::KdTree) (a contract:
     /// exact answers fold in that order, see the
     /// [`kd_tree`](crate::kd_tree) module docs).
-    fn visit_ball(&self, center: &[f64], radius: f64, visit: impl FnMut(usize, &[f64], f64));
+    fn visit_ball(
+        &self,
+        center: &[f64],
+        radius: f64,
+        visit: impl FnMut(usize, &[f64], f64),
+    ) -> (usize, f64);
 
-    /// [`SpatialIndex::visit_ball`] for an aggregate over the output
-    /// attribute alone: `visit(u_i)` for the same rows in the same order.
-    /// An access path that stores `u` beside its rows answers without
-    /// reading a feature row or an id.
-    fn visit_targets(&self, center: &[f64], radius: f64, mut visit: impl FnMut(f64)) {
-        self.visit_ball(center, radius, |_, _, u| visit(u));
+    /// `visit(u_i)` for the rows of [`SpatialIndex::visit_ball`], in its
+    /// order and with its `(n, Σu)`: serial from `−0.0` (the identity of
+    /// addition) over the scan, tree-shaped over the [`KdTree`](crate::KdTree)
+    /// (its module docs, **`Σu`**), which reads no feature row and no id.
+    fn visit_targets(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(f64),
+    ) -> (usize, f64) {
+        self.visit_ball(center, radius, |_, _, u| visit(u))
     }
 
-    /// `(n, Σu)` over the same rows: the state of the `AVG` aggregate.
-    /// `Σu` of no rows is `−0.0`, the identity of IEEE addition. The
-    /// default is the serial fold from that identity in visiting order;
-    /// [`KdTree`](crate::KdTree) overrides it with a tree-shaped fold
-    /// (its module docs, **`Σu`**) — equal up to rounding, not bit for
-    /// bit.
+    /// `(n, Σu)` alone: [`SpatialIndex::visit_targets`] with nothing to
+    /// hand on.
     fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
-        let (mut n, mut sum) = (0, -0.0);
-        self.visit_targets(center, radius, |u| {
-            n += 1;
-            sum += u;
-        });
-        (n, sum)
+        self.visit_targets(center, radius, |_| {})
     }
 
     /// [`SpatialIndex::sum_targets`] for a batch of balls: `answer(i,
@@ -85,9 +88,7 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Number of rows within `radius` of `center` (no materialization).
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
-        let mut n = 0;
-        self.visit_ball(center, radius, |_, _, _| n += 1);
-        n
+        self.sum_targets(center, radius).0
     }
 
     /// Fold `state` over the selection: `f(&mut state, id, x_i, u_i)` per

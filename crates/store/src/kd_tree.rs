@@ -10,9 +10,9 @@
 //! ascending position. **The visiting order is therefore the order of
 //! `ids`**, a function of the dataset alone. That is a contract, not an
 //! accident: exact answers are floating-point folds over the visited
-//! rows — in row order for the moments and the OLS Gram state, tree-shaped
-//! for `AVG`'s `Σu` (below) — and the trainer's bit-identity guarantees
-//! rest on those folds (`docs/INVARIANTS.md`, "kd-tree leaf kernel").
+//! rows — in row order for the OLS Gram state and the moments' spread,
+//! tree-shaped for `Σu`, every mean's sum (below) — and the trainer's
+//! bit-identity guarantees rest on those folds (`docs/INVARIANTS.md`).
 //!
 //! **Pruning.** The traversal carries the current cell's box — the root
 //! box narrowed by one side per split on the way down — and the
@@ -63,20 +63,20 @@
 //! fold that reads nothing else. A traversal never dereferences the
 //! `Dataset`. Membership follows the [`crate::norms::within`] contract.
 //!
-//! **`Σu`.** `AVG`'s sum ([`SpatialIndex::sum_targets`]) is a fold of
-//! the tree's shape, defined without reference to pruning or admission.
-//! Its leaves are the traversal's mask ranges — the highest subtrees one
-//! mask covers — each summing its rows in the ball in ascending
-//! position; above them a node is `left + right` over the build's
-//! halving; a subtree or mask with no row in the ball contributes
-//! nothing (`−0.0`, the identity of addition, not `+0.0`). The build
-//! caches every node's value with all its rows in the ball, computed by
-//! that same recursion, so a subtree admitted whole contributes one load
+//! **`Σu`.** The sum every traversal returns is a fold of the tree's
+//! shape, defined without reference to pruning or admission. Its leaves
+//! are the traversal's mask ranges — the highest subtrees one mask covers
+//! — each summing its rows in the ball in ascending position; above them
+//! a node is `left + right` over the build's halving; a subtree or mask
+//! with no row in the ball contributes nothing (`−0.0`, the identity of
+//! addition, not `+0.0`). The build caches every node's value with all
+//! its rows in the ball, computed by that same recursion, so a subtree
+//! admitted whole contributes one load (its rows are still handed on)
 //! and the result cannot tell admission happened. The mask width and the
-//! lane offsets are thereby part of `AVG`'s answer, as `LEAF_SIZE` is of
-//! the visiting order. It differs from the serial sum in the last bits:
-//! at most `(63 + ⌈log₂(n/64)⌉)` roundings reach a row's term, against
-//! `n − 1` in a serial fold.
+//! lane offsets are thereby part of every exact mean, as `LEAF_SIZE` is
+//! of the visiting order. It differs from the serial sum in the last
+//! bits: at most `(63 + ⌈log₂(n/64)⌉)` roundings reach a row's term,
+//! against `n − 1` in a serial fold.
 //!
 //! **Batches.** [`SpatialIndex::sum_targets_batch`] answers each ball
 //! with `sum_targets` itself, in the order of the build leaves holding
@@ -185,30 +185,11 @@ impl Hits {
     }
 }
 
-/// What a traversal makes of the subtrees it reaches: one value per
-/// [`Hits`], joined up the build's halving as `left.join(right)`, with
-/// `MISSED` for a subtree the ball does not reach.
-trait Harvest {
-    const MISSED: Self;
-    fn join(self, right: Self) -> Self;
-}
-
-/// A visitor's traversal: the hits are consumed where they arise.
-impl Harvest for () {
-    const MISSED: Self = ();
-    fn join(self, (): Self) {}
-}
-
-/// `(n, Σu)`, the tree-shaped sum (module docs, **`Σu`**). `−0.0` is
-/// the identity of IEEE addition — `−0.0 + u` is `u` bit for bit, `−0.0`
-/// and `+0.0` included (a NaN stays a NaN) — so a subtree the ball
-/// misses, or an empty mask, leaves the sum as if it were not there.
-impl Harvest for (usize, f64) {
-    const MISSED: Self = (0, -0.0);
-    fn join(self, right: Self) -> Self {
-        (self.0 + right.0, self.1 + right.1)
-    }
-}
+/// `(n, Σu)` (module docs, **`Σu`**) of a subtree the ball misses:
+/// `−0.0` is the identity of IEEE addition — `−0.0 + u` is `u` bit for
+/// bit, `±0.0` included (a NaN stays a NaN) — so it leaves the sum as if
+/// the subtree were not there.
+const MISSED: (usize, f64) = (0, -0.0);
 
 /// `Σu` of `ys` in ascending position, from the identity `−0.0`.
 fn serial_sum(ys: &[f64]) -> f64 {
@@ -277,7 +258,7 @@ struct Descent<'a, F, const D: usize> {
     on_hits: F,
 }
 
-impl<T: Harvest, F: FnMut(Hits) -> T, const D: usize> Descent<'_, F, D> {
+impl<F: FnMut(Hits) -> (usize, f64), const D: usize> Descent<'_, F, D> {
     /// The table's width, a constant unless `D` is `0`.
     fn dim(&self) -> usize {
         if D == 0 {
@@ -295,7 +276,7 @@ impl<T: Harvest, F: FnMut(Hits) -> T, const D: usize> Descent<'_, F, D> {
 
     /// Visit the subtree at `node`, which owns positions `[start, end)`
     /// and splits on `axis`.
-    fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) -> T {
+    fn visit(&mut self, node: usize, start: usize, end: usize, axis: usize) -> (usize, f64) {
         // Bounds on the squared distance the membership kernel computes
         // for any row of the current cell: the cached terms summed in
         // coordinate order from `0.0`, the kernel's own operation
@@ -309,7 +290,7 @@ impl<T: Harvest, F: FnMut(Hits) -> T, const D: usize> Descent<'_, F, D> {
         // A NaN bound proves nothing: both tests are false and the
         // subtree is examined row by row.
         if near > self.limit {
-            return T::MISSED;
+            return MISSED;
         }
         if far <= self.limit {
             return (self.on_hits)(Hits::All { node, start, end });
@@ -338,7 +319,7 @@ impl<T: Harvest, F: FnMut(Hits) -> T, const D: usize> Descent<'_, F, D> {
         let right = self.visit(link as usize, mid, end, next);
         self.lo[axis] = outer;
         (self.gaps[axis], self.reaches[axis]) = terms;
-        left.join(right)
+        (left.0 + right.0, left.1 + right.1)
     }
 }
 
@@ -497,45 +478,69 @@ impl KdTree {
         node
     }
 
+    /// `(n, Σu)` of one subtree's hits (module docs, **`Σu`**), each hit
+    /// handed on as `visit(position, u)` in ascending position. An
+    /// admitted range is walked as a slice: indexing each position
+    /// doubled the cost of a serial fold over it.
+    fn sum_hits(&self, hits: Hits, mut visit: impl FnMut(usize, f64)) -> (usize, f64) {
+        match hits {
+            Hits::All { node, start, end } => {
+                for (r, &u) in (start..).zip(&self.leaf_ys[start..end]) {
+                    visit(r, u);
+                }
+                (end - start, self.sums[node])
+            }
+            masked => {
+                let (n, mut sum) = (masked.count(), -0.0);
+                masked.for_each(|r| {
+                    let u = self.leaf_ys[r];
+                    sum += u;
+                    visit(r, u);
+                });
+                (n, sum)
+            }
+        }
+    }
+
     /// The one traversal: `on_hits` for every subtree the ball reaches
     /// that holds a row of it or had to be tested, in visiting order; the
     /// values it returns joined as the build halved the rows.
-    fn fold_hits<T: Harvest>(
+    fn fold_hits(
         &self,
         center: &[f64],
         radius: f64,
-        on_hits: impl FnMut(Hits) -> T,
-    ) -> T {
+        on_hits: impl FnMut(Hits) -> (usize, f64),
+    ) -> (usize, f64) {
         let d = self.data.dim();
         assert_eq!(center.len(), d, "query dimension mismatch");
         // A negative radius admits nothing (`norms::within`); the bounds
         // and the kernel only ever see `radius²`, so the sign is settled
         // here, once per traversal.
         if self.nodes.is_empty() || radius < 0.0 {
-            return T::MISSED;
+            return MISSED;
         }
         match d {
-            1 => self.descend::<T, _, 1>(center, radius, on_hits),
-            2 => self.descend::<T, _, 2>(center, radius, on_hits),
-            3 => self.descend::<T, _, 3>(center, radius, on_hits),
-            4 => self.descend::<T, _, 4>(center, radius, on_hits),
-            5 => self.descend::<T, _, 5>(center, radius, on_hits),
-            6 => self.descend::<T, _, 6>(center, radius, on_hits),
-            7 => self.descend::<T, _, 7>(center, radius, on_hits),
-            8 => self.descend::<T, _, 8>(center, radius, on_hits),
-            _ => self.descend::<T, _, 0>(center, radius, on_hits),
+            1 => self.descend::<_, 1>(center, radius, on_hits),
+            2 => self.descend::<_, 2>(center, radius, on_hits),
+            3 => self.descend::<_, 3>(center, radius, on_hits),
+            4 => self.descend::<_, 4>(center, radius, on_hits),
+            5 => self.descend::<_, 5>(center, radius, on_hits),
+            6 => self.descend::<_, 6>(center, radius, on_hits),
+            7 => self.descend::<_, 7>(center, radius, on_hits),
+            8 => self.descend::<_, 8>(center, radius, on_hits),
+            _ => self.descend::<_, 0>(center, radius, on_hits),
         }
     }
 
     /// [`KdTree::fold_hits`] over a non-empty tree, `D` columns wide (`0`
     /// = read the width at run time): the root cell and its bound terms
     /// in scratch, then the descent from the root.
-    fn descend<T: Harvest, F: FnMut(Hits) -> T, const D: usize>(
+    fn descend<F: FnMut(Hits) -> (usize, f64), const D: usize>(
         &self,
         center: &[f64],
         radius: f64,
         on_hits: F,
-    ) -> T {
+    ) -> (usize, f64) {
         let d = center.len();
         with_scratch(4 * d, |scratch| {
             let (cell, terms) = scratch.split_at_mut(2 * d);
@@ -561,38 +566,29 @@ impl KdTree {
 }
 
 impl SpatialIndex for KdTree {
-    fn visit_ball(&self, center: &[f64], radius: f64, mut visit: impl FnMut(usize, &[f64], f64)) {
+    fn visit_ball(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(usize, &[f64], f64),
+    ) -> (usize, f64) {
         with_scratch(center.len(), |row| {
             self.fold_hits(center, radius, |hits| {
-                hits.for_each(|r| {
+                self.sum_hits(hits, |r, u| {
                     simd::aosoa_row_into(&self.quads, r, row);
-                    visit(self.ids[r] as usize, row, self.leaf_ys[r]);
-                });
-            });
-        });
-    }
-
-    fn visit_targets(&self, center: &[f64], radius: f64, mut visit: impl FnMut(f64)) {
-        // An admitted range is walked as a slice, not position by
-        // position: on a ball that holds most of its rows in such ranges
-        // the indexed form doubles the cost of a serial `Σu` fold.
-        self.fold_hits(center, radius, |hits| match hits {
-            Hits::All { start, end, .. } => self.leaf_ys[start..end].iter().for_each(|&u| visit(u)),
-            masked => masked.for_each(|r| visit(self.leaf_ys[r])),
-        });
-    }
-
-    fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
-        // An admitted subtree is one load of its cached sum; a tested
-        // range sums its hits in order.
-        self.fold_hits(center, radius, |hits| match hits {
-            Hits::All { node, start, end } => (end - start, self.sums[node]),
-            masked => {
-                let (n, mut sum) = (masked.count(), -0.0);
-                masked.for_each(|r| sum += self.leaf_ys[r]);
-                (n, sum)
-            }
+                    visit(self.ids[r] as usize, row, u);
+                })
+            })
         })
+    }
+
+    fn visit_targets(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(f64),
+    ) -> (usize, f64) {
+        self.fold_hits(center, radius, |hits| self.sum_hits(hits, |_, u| visit(u)))
     }
 
     fn sum_targets_batch(
@@ -620,9 +616,9 @@ impl SpatialIndex for KdTree {
     }
 
     fn count_ball(&self, center: &[f64], radius: f64) -> usize {
-        let mut n = 0;
-        self.fold_hits(center, radius, |hits| n += hits.count());
-        n
+        // The hits are counted, not walked: no sum is taken.
+        self.fold_hits(center, radius, |hits| (hits.count(), -0.0))
+            .0
     }
 
     fn dataset(&self) -> &Arc<Dataset> {
@@ -837,6 +833,7 @@ mod tests {
                         assert!(tree.data.x(id as usize).iter().all(|x| !x.is_nan()));
                     }
                 }
+                MISSED
             });
             assert_eq!(hits, rows);
             assert!(admitted > 0 && admitted <= rows);
@@ -915,6 +912,7 @@ mod tests {
             let mut root_admitted = false;
             tree.fold_hits(&row, radius, |h| {
                 root_admitted |= matches!(h, Hits::All { node: 0, .. });
+                MISSED
             });
             assert!(d == 1 || !root_admitted, "n {n}");
             let tight = tree.sum_targets(&row, radius);

@@ -20,16 +20,24 @@ impl LinearScan {
 }
 
 impl SpatialIndex for LinearScan {
-    fn visit_ball(&self, center: &[f64], radius: f64, mut visit: impl FnMut(usize, &[f64], f64)) {
+    fn visit_ball(
+        &self,
+        center: &[f64],
+        radius: f64,
+        mut visit: impl FnMut(usize, &[f64], f64),
+    ) -> (usize, f64) {
         debug_assert_eq!(center.len(), self.data.dim());
         let d = self.data.dim();
         let ys = self.data.ys();
         let xs = self.data.xs_flat();
         // The dataset's feature block is already the contiguous
         // dimension-strided layout the batched membership kernel wants.
+        let mut state = (0, -0.0);
         norms::within_batch(center, xs, d, radius, &mut |i| {
+            state = (state.0 + 1, state.1 + ys[i]);
             visit(i, &xs[i * d..(i + 1) * d], ys[i]);
         });
+        state
     }
 
     fn dataset(&self) -> &Arc<Dataset> {

@@ -93,7 +93,7 @@ impl Relation {
     /// index traversal: `f(&mut state, id, x_i, u_i)` per qualifying row.
     ///
     /// This is the aggregation-pushdown path (no id buffer, no second data
-    /// pass): moment accumulators and OLS Gram state ride the scan itself,
+    /// pass): an aggregate's transition state rides the scan itself,
     /// the way a user-defined aggregate runs inside a DBMS executor — `f`
     /// is compiled into the traversal. Lock-free and allocation-free (up
     /// to the kd-tree's inline scratch width), so concurrent readers scale
@@ -108,33 +108,31 @@ impl Relation {
         with_index!(&self.index, index => index.fold_ball(center, radius, state, f))
     }
 
-    /// [`Relation::fold_ball`] for an aggregate over the output attribute
-    /// alone: `f(&mut state, u_i)` for the same rows in the same order —
-    /// the row-order fold behind the moments (`q1_moments`); `AVG` takes
-    /// [`Relation::sum_targets`]. Over the kd-tree no feature row is
-    /// unpacked and no id is loaded, and a cell lying inside the ball is
-    /// one pass over a contiguous slice of the target column.
-    pub fn fold_targets<S>(
+    /// [`Relation::visit_targets`] handing on whole rows:
+    /// `visit(id, x_i, u_i)`, the same `(n, Σu)` bit for bit.
+    pub fn visit_ball(
         &self,
         center: &[f64],
         radius: f64,
-        mut state: S,
-        mut f: impl FnMut(&mut S, f64),
-    ) -> S {
-        with_index!(&self.index, index => index.visit_targets(center, radius, |u| f(&mut state, u)));
-        state
+        visit: impl FnMut(usize, &[f64], f64),
+    ) -> (usize, f64) {
+        with_index!(&self.index, index => index.visit_ball(center, radius, visit))
     }
 
-    /// `(n, Σu)` over `D(center, radius)`, the `AVG` aggregate's state,
-    /// in the access path's own fold shape
-    /// ([`SpatialIndex::sum_targets`]): serial over the scan, tree-shaped
-    /// over the kd-tree, where a cell lying inside the ball costs one
-    /// load of its cached sum.
-    pub fn sum_targets(&self, center: &[f64], radius: f64) -> (usize, f64) {
-        with_index!(&self.index, index => index.sum_targets(center, radius))
+    /// `visit(u_i)` for the rows of `D(center, radius)` in visiting
+    /// order, returning `(n, Σu)`, the `AVG` state, in the access path's
+    /// fold shape ([`SpatialIndex::visit_targets`]): serial over the
+    /// scan, tree-shaped over the kd-tree (no row unpacked, no id loaded).
+    pub fn visit_targets(
+        &self,
+        center: &[f64],
+        radius: f64,
+        visit: impl FnMut(f64),
+    ) -> (usize, f64) {
+        with_index!(&self.index, index => index.visit_targets(center, radius, visit))
     }
 
-    /// [`Relation::sum_targets`] for a batch of balls, centres one after
+    /// `(n, Σu)` for a batch of balls, centres one after
     /// another in `centres`: `answer(i, state of ball i)` once per ball,
     /// each state bit-identical to a call of its own, in the access
     /// path's order ([`SpatialIndex::sum_targets_batch`]) — input order
