@@ -56,10 +56,10 @@ use regq_linalg::vector;
 /// The members of one query are left in **block order**: the verified
 /// blocks in the order they were verified, ascending arena index inside
 /// each. That is the set the scalar pass finds, every degree bit for bit,
-/// but not its order — putting `W(q)` in ascending id is done once, for
-/// all parts of a served answer, by `regq_core::snapshot`'s
-/// resolve-and-fold driver (`docs/INVARIANTS.md`, "ordered emission"),
-/// so a part never pays for an order its caller is about to redo.
+/// but not its order — putting `W(q)` in ascending index is done once per
+/// served answer, by `regq_core::snapshot`'s resolve-and-fold driver
+/// (`docs/INVARIANTS.md`, "ordered emission"), and only for the queries
+/// whose members arrive out of order.
 #[derive(Debug, Default)]
 pub struct BatchResolution {
     winners: Vec<(usize, f64)>,
@@ -194,7 +194,14 @@ impl PrototypeArena {
     pub fn from_prototypes(dim: usize, protos: &[Prototype]) -> Self {
         let mut arena = Self::new(dim);
         for p in protos {
-            arena.push(p);
+            arena.push(PrototypeRef {
+                center: &p.center,
+                radius: p.radius,
+                y: p.y,
+                b_x: &p.b_x,
+                b_theta: p.b_theta,
+                updates: p.updates,
+            });
         }
         arena
     }
@@ -321,17 +328,19 @@ impl PrototypeArena {
         self.len += 1;
     }
 
-    /// Append an owned prototype.
+    /// Append a prototype given as a view: of an owned [`Prototype`]
+    /// ([`PrototypeArena::from_prototypes`]) or of another arena's row
+    /// ([`PrototypeArena::view`]; a serving fabric's merge of its shards).
     ///
     /// # Panics
     /// Panics on a `center`/`b_x` length mismatch with the arena dimension.
-    pub fn push(&mut self, p: &Prototype) {
+    pub fn push(&mut self, p: PrototypeRef<'_>) {
         assert_eq!(p.center.len(), self.dim, "push: center dimension mismatch");
         assert_eq!(p.b_x.len(), self.dim, "push: slope dimension mismatch");
-        self.centers.extend_from_slice(&p.center);
+        self.centers.extend_from_slice(p.center);
         self.radii.push(p.radius);
         self.ys.push(p.y);
-        self.b_xs.extend_from_slice(&p.b_x);
+        self.b_xs.extend_from_slice(p.b_x);
         self.b_thetas.push(p.b_theta);
         self.updates.push(p.updates);
         self.len += 1;

@@ -65,7 +65,7 @@ pub struct Confidence {
 }
 
 /// Fold the three axes into a [`Confidence`] (shared by the oracle and
-/// the served cross-shard heads so the heuristic is combined identically
+/// the served heads so the heuristic is combined identically
 /// everywhere).
 pub(crate) fn combine(
     winner_sq: f64,

@@ -48,7 +48,9 @@
 //! * [`moments`] — extension E-1: one variance head → `VAR` prediction.
 //! * [`confidence`] — desideratum D2: when to trust a served answer.
 //! * [`snapshot`] — the immutable, publishable serving half of the
-//!   train/serve split, and the one resolver behind every served answer.
+//!   train/serve split (a sharded serving fabric publishes one, its
+//!   shards merged in global-id order), and the one resolver behind
+//!   every served answer.
 //! * [`persist`] — versioned text persistence.
 
 #![deny(missing_docs)]
@@ -83,8 +85,4 @@ pub use predict::LocalModel;
 pub use prototype::Prototype;
 pub use query::Query;
 pub use schedule::LearningSchedule;
-pub use snapshot::{
-    sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
-    sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, ServingSnapshot,
-    ShardPart,
-};
+pub use snapshot::ServingSnapshot;

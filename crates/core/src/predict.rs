@@ -60,8 +60,8 @@ pub(crate) struct FusionInfo {
 ///
 /// This is the **single fusion fold** of the crate. The oracle runs it
 /// over `(arena index, δ)` pairs ([`fuse_oracle`]); the served path
-/// ([`crate::snapshot`]) runs it over `((global id, part, local index),
-/// δ)` entries of all parts, gathered into global arena order. One
+/// ([`crate::snapshot`]) runs it over the same pairs from the pruned
+/// resolution, gathered back into arena order. One
 /// function, so the served path replays the exact floating-point
 /// operation sequence of the oracle — summation order, degeneracy rule,
 /// division — and stays bit-identical to it.
@@ -165,7 +165,8 @@ pub struct LocalModel {
     pub intercept: f64,
     /// `u`-slope `b_{X,k}`.
     pub slope: Coeffs,
-    /// Index of the prototype this model comes from.
+    /// Index of the prototype this model comes from — its global id when
+    /// it was served from a sharded fabric's merged snapshot.
     pub prototype: usize,
     /// Normalized overlap weight `δ̃(q, w_k)` (1.0 for the closest-prototype
     /// fallback) — diagnostic, not part of the paper's `S`.

@@ -5,8 +5,8 @@
 //! a `LINREG` list element holds its coefficients inline
 //! ([`regq_core::Coeffs`]). So, once a thread is warm:
 //!
-//! * a scalar Q1 makes **no** allocator call, from one part or from four;
-//! * a Q1 batch allocates its output vector(s) and nothing else;
+//! * a scalar Q1 makes **no** allocator call;
+//! * a Q1 batch allocates its output vector and nothing else;
 //! * a Q2 answer allocates **its list, once** — however many members
 //!   `W(q)` has, fused or winner fallback — for `d ≤ 8`, and two more per
 //!   list element beyond that (the heap spill of `Coeffs`).
@@ -19,11 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use regq_core::{
-    sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
-    sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, LlmModel,
-    ModelConfig, Prototype, Query, ScreenCounters, ServingSnapshot, ShardPart,
-};
+use regq_core::{LlmModel, ModelConfig, Prototype, Query, ScreenCounters, ServingSnapshot};
 
 #[path = "../../../tests/support/counting.rs"]
 mod counting;
@@ -31,9 +27,9 @@ use counting::counted;
 
 const K: usize = 1_500;
 
-/// `K` seeded prototypes in the unit cube of dimension `dim`, split
-/// round-robin into `parts` snapshots with their ascending global ids.
-fn fixture(dim: usize, parts: usize) -> Vec<(ServingSnapshot, Vec<usize>)> {
+/// `K` seeded prototypes in the unit cube of dimension `dim`, as one
+/// snapshot.
+fn fixture(dim: usize) -> ServingSnapshot {
     let mut rng = StdRng::seed_from_u64(dim as u64);
     let mut coords = |scale: f64| -> Vec<f64> {
         (0..dim)
@@ -50,33 +46,17 @@ fn fixture(dim: usize, parts: usize) -> Vec<(ServingSnapshot, Vec<usize>)> {
             updates: 3,
         })
         .collect();
-    (0..parts)
-        .map(|part| {
-            let ids: Vec<usize> = (part..K).step_by(parts).collect();
-            let subset = ids.iter().map(|&g| protos[g].clone()).collect();
-            let model = LlmModel::from_parts(
-                ModelConfig::with_vigilance(dim, 0.15),
-                subset,
-                K as u64,
-                true,
-            );
-            (model.unwrap().snapshot(), ids)
-        })
-        .collect()
+    LlmModel::from_parts(
+        ModelConfig::with_vigilance(dim, 0.15),
+        protos,
+        K as u64,
+        true,
+    )
+    .unwrap()
+    .snapshot()
 }
 
-fn borrow(fixture: &[(ServingSnapshot, Vec<usize>)]) -> Vec<ShardPart<'_>> {
-    fixture
-        .iter()
-        .map(|(snapshot, ids)| ShardPart {
-            snapshot,
-            ids: Some(ids),
-        })
-        .collect()
-}
-
-/// A ball whose members come from many blocks of every part (the
-/// scatter/gather runs), one that fits inside a block, and one that
+/// A ball whose members come from many blocks (the scatter/gather runs), one that fits inside a block, and one that
 /// overlaps nothing (winner fallback).
 fn probes(dim: usize) -> [Query; 3] {
     let ball = |at: f64, radius: f64| Query::new_unchecked(vec![at; dim], radius);
@@ -100,23 +80,14 @@ fn list_lengths(whole: &ServingSnapshot, probes: &[Query]) -> Vec<usize> {
 fn a_warm_scalar_q1_never_calls_the_allocator() {
     let dim = 4;
     let probes = probes(dim);
-    for parts in [1usize, 4] {
-        let fixture = fixture(dim, parts);
-        let parts = borrow(&fixture);
-        let whole = &fixture[0].0;
-        let mut counters = ScreenCounters::default();
-        for pass in 0..3 {
-            for q in &probes {
-                let (answer, calls) =
-                    counted(|| sharded_q1_with_confidence_pruned(&parts, q, &mut counters));
-                assert!(answer.is_some());
-                assert!(pass == 0 || calls == 0, "{calls} calls, pass {pass}");
-                // The unsharded wrapper is the one-part case of the same.
-                let (answer, calls) =
-                    counted(|| whole.predict_q1_with_confidence_pruned(q, &mut counters));
-                assert!(answer.is_ok());
-                assert!(pass == 0 || calls == 0, "{calls} calls, pass {pass}");
-            }
+    let whole = fixture(dim);
+    let mut counters = ScreenCounters::default();
+    for pass in 0..3 {
+        for q in &probes {
+            let (answer, calls) =
+                counted(|| whole.predict_q1_with_confidence_pruned(q, &mut counters));
+            assert!(answer.is_ok());
+            assert!(pass == 0 || calls == 0, "{calls} calls, pass {pass}");
         }
     }
 }
@@ -125,26 +96,15 @@ fn a_warm_scalar_q1_never_calls_the_allocator() {
 fn a_warm_q1_batch_allocates_only_its_output() {
     let dim = 4;
     let probes = probes(dim);
-    for parts in [1usize, 4] {
-        let fixture = fixture(dim, parts);
-        let parts = borrow(&fixture);
-        let whole = &fixture[0].0;
-        let mut counters = ScreenCounters::default();
-        for pass in 0..3 {
-            let (answers, calls) =
-                counted(|| sharded_q1_with_confidence_batch_pruned(&parts, &probes, &mut counters));
-            assert_eq!(answers.len(), probes.len());
-            assert!(pass == 0 || calls == 1, "{calls} calls, pass {pass}");
-            // The wrapper turns `Vec<Option<_>>` into `Result<Vec<_>, _>`:
-            // a second output vector, unless `collect` reuses the first.
-            let (answers, calls) =
-                counted(|| whole.predict_q1_with_confidence_batch_pruned(&probes, &mut counters));
-            assert_eq!(answers.unwrap().len(), probes.len());
-            assert!(
-                pass == 0 || (1..=2).contains(&calls),
-                "{calls} calls, pass {pass}"
-            );
-        }
+    let whole = fixture(dim);
+    let mut counters = ScreenCounters::default();
+    for pass in 0..3 {
+        // The driver fills one `Option` per answer and the method turns
+        // that into `Result<Vec<_>, _>` in the same buffer.
+        let (answers, calls) =
+            counted(|| whole.predict_q1_with_confidence_batch_pruned(&probes, &mut counters));
+        assert_eq!(answers.unwrap().len(), probes.len());
+        assert!(pass == 0 || calls == 1, "{calls} calls, pass {pass}");
     }
 }
 
@@ -152,42 +112,29 @@ fn a_warm_q1_batch_allocates_only_its_output() {
 fn a_warm_q2_allocates_its_list_and_nothing_else_up_to_eight_dimensions() {
     for dim in [1usize, 4, 8] {
         let probes = probes(dim);
-        for parts in [1usize, 4] {
-            let fixture = fixture(dim, parts);
-            let parts = borrow(&fixture);
-            let whole = &fixture[0].0;
-            let mut counters = ScreenCounters::default();
-            for pass in 0..3 {
-                for q in &probes {
-                    let (answer, calls) =
-                        counted(|| sharded_q2_with_confidence_pruned(&parts, q, &mut counters));
-                    assert!(!answer.unwrap().0.is_empty());
-                    assert!(
-                        pass == 0 || calls == 1,
-                        "{calls} calls, d {dim}, pass {pass}"
-                    );
-                    let (answer, calls) =
-                        counted(|| whole.predict_q2_with_confidence_pruned(q, &mut counters));
-                    assert!(!answer.unwrap().0.is_empty());
-                    assert!(
-                        pass == 0 || calls == 1,
-                        "{calls} calls, d {dim}, pass {pass}"
-                    );
-                }
-                // A batch: one list per answer plus the output vector.
-                let (answers, calls) = counted(|| {
-                    sharded_q2_with_confidence_batch_pruned(&parts, &probes, &mut counters)
-                });
-                assert_eq!(answers.len(), probes.len());
-                assert!(pass == 0 || calls == probes.len() + 1, "{calls} calls");
+        let whole = fixture(dim);
+        let mut counters = ScreenCounters::default();
+        for pass in 0..3 {
+            for q in &probes {
+                let (answer, calls) =
+                    counted(|| whole.predict_q2_with_confidence_pruned(q, &mut counters));
+                assert!(!answer.unwrap().0.is_empty());
+                assert!(
+                    pass == 0 || calls == 1,
+                    "{calls} calls, d {dim}, pass {pass}"
+                );
             }
+            // A batch: one list per answer plus the output vector.
+            let (answers, calls) =
+                counted(|| whole.predict_q2_with_confidence_batch_pruned(&probes, &mut counters));
+            assert_eq!(answers.unwrap().len(), probes.len());
+            assert!(pass == 0 || calls == probes.len() + 1, "{calls} calls");
         }
     }
     // The fixture is worth the name: the first probe's list is long (the
     // parent commit paid two allocations for each element), the last
     // probe's is the winner alone.
-    let whole = fixture(4, 1).remove(0).0;
-    let lengths = list_lengths(&whole, &probes(4));
+    let lengths = list_lengths(&fixture(4), &probes(4));
     assert!(lengths[0] > 200, "{lengths:?}");
     assert_eq!(lengths[2], 1);
 }
@@ -196,9 +143,8 @@ fn a_warm_q2_allocates_its_list_and_nothing_else_up_to_eight_dimensions() {
 fn beyond_eight_dimensions_each_list_element_spills_twice() {
     let dim = 9;
     let probes = probes(dim);
-    let fixture = fixture(dim, 1);
-    let whole = &fixture[0].0;
-    let lengths = list_lengths(whole, &probes);
+    let whole = fixture(dim);
+    let lengths = list_lengths(&whole, &probes);
     let mut counters = ScreenCounters::default();
     for pass in 0..3 {
         for (q, len) in probes.iter().zip(&lengths) {

@@ -3,9 +3,9 @@
 //! # Equivalence contract
 //!
 //! Every served answer comes out of one resolve-and-fold driver
-//! (`regq_core::snapshot`): bound-and-verify resolution per part
-//! ([`regq_core::BlockLayout::resolve_batch_pruned`], members left in
-//! block order), one scatter/gather of all parts' members into global
+//! (`regq_core::snapshot`): bound-and-verify resolution through the
+//! snapshot's layout ([`regq_core::BlockLayout::resolve_batch_pruned`],
+//! members left in block order), one scatter/gather of the members into
 //! arena order, one fusion fold, a Q1 or Q2 head. That path is
 //! **bit-identical** — not merely close — to the scalar unpruned oracle,
 //! and the oracle is consulted *directly*, not through a chain:
@@ -18,18 +18,17 @@
 //!   operation sequence on the block's box, so it never exceeds what the
 //!   kernel computes for any row — no slack, pinned by
 //!   `screening_bounds_never_exceed_any_row` in `arena.rs`);
-//! * **answer level** — the four `ServingSnapshot::*_pruned` wrappers and
-//!   the four `sharded_*_pruned` drivers equal
-//!   `predict_q{1,2}_with_confidence` on the *unsharded* snapshot: a
-//!   batch is its scalar calls, any partition is the whole (winner ties
-//!   keep the lowest **global** id, members fuse in ascending global
-//!   order, Q2 lists carry global ids).
+//! * **answer level** — the four `ServingSnapshot::*_pruned` methods
+//!   equal `predict_q{1,2}_with_confidence` on the same snapshot: a batch
+//!   is its scalar calls (winner ties keep the lowest index, members fuse
+//!   in ascending index). A sharded fabric serves one such snapshot, the
+//!   merge of its shards in ascending global id, so this is its contract
+//!   too (`shard_equivalence` in `tests/sql_and_concurrency.rs` holds the
+//!   router to it).
 //!
 //! The matrix: K ∈ {64, 257, 1024, 4096} × batch {1, 7, 64, 1000} ×
-//! shards {1, 2, 4, 8} (counts > 2 keep an empty shard; spatial-slab and
-//! round-robin partitions, parts handed over in both orders) × {Q1, Q2},
-//! with balls straddling cluster and shard boundaries, exact and
-//! few-ulp ties, geometry at magnitude 3 × 10⁸, blocks poisoned with
+//! {Q1, Q2}, with balls straddling cluster and block boundaries, exact
+//! and few-ulp ties, geometry at magnitude 3 × 10⁸, blocks poisoned with
 //! NaN / ±∞ parameters, and hostile *query* balls. Every comparison is on
 //! `to_bits`, and the pruning telemetry must balance everywhere.
 //!
@@ -40,15 +39,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use regq_core::{
-    sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
-    sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, BatchResolution,
-    Confidence, LlmModel, LocalModel, ModelConfig, Prototype, PrototypeArena, Query,
-    ScreenCounters, ServingSnapshot, ShardPart,
+    BatchResolution, Confidence, LlmModel, LocalModel, ModelConfig, Prototype, PrototypeArena,
+    Query, ScreenCounters, ServingSnapshot,
 };
 
 const ARENA_KS: [usize; 4] = [64, 257, 1024, 4096];
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1000];
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// `k` synthetic prototypes in `dim` dimensions: half clustered tightly
 /// around seeded anchors (so block pruning has something to skip), half
@@ -153,41 +149,6 @@ fn snapshot_of(dim: usize, protos: Vec<Prototype>) -> ServingSnapshot {
         .snapshot()
 }
 
-/// How the global prototype set is cut into parts.
-#[derive(Clone, Copy)]
-enum Cut {
-    /// `gid % parts` — every part's overlap members interleave in gid.
-    RoundRobin,
-    /// Equal slabs of `[-10, 10]` along axis 0 — part boundaries fall
-    /// inside the domain, so wide probe balls straddle them.
-    Slabs,
-}
-
-/// Cut `protos` into `shards` parts of `(snapshot, ascending global ids)`.
-/// For `shards > 2` the last part is left **empty**, pinning the
-/// empty-part skip.
-fn cut(
-    protos: &[Prototype],
-    dim: usize,
-    shards: usize,
-    how: Cut,
-) -> Vec<(ServingSnapshot, Vec<usize>)> {
-    let filled = if shards > 2 { shards - 1 } else { shards };
-    let mut members: Vec<(Vec<Prototype>, Vec<usize>)> = vec![Default::default(); shards];
-    for (gid, p) in protos.iter().enumerate() {
-        let part = match how {
-            Cut::RoundRobin => gid % filled,
-            Cut::Slabs => (((p.center[0] + 10.0) / 20.0 * filled as f64) as usize).min(filled - 1),
-        };
-        members[part].0.push(p.clone());
-        members[part].1.push(gid);
-    }
-    members
-        .into_iter()
-        .map(|(subset, ids)| (snapshot_of(dim, subset), ids))
-        .collect()
-}
-
 fn conf_bits(c: &Confidence) -> ([u64; 4], bool) {
     let axes = [
         c.overlap_mass,
@@ -220,7 +181,7 @@ fn q2_bits((list, c): &(Vec<LocalModel>, Confidence)) -> Q2Bits {
     (list, conf_bits(c))
 }
 
-/// The unsharded scalar oracle's answers to `queries`, as bits (`None`
+/// The scalar oracle's answers to `queries`, as bits (`None`
 /// where it errs).
 fn oracle_bits(
     full: &ServingSnapshot,
@@ -244,41 +205,35 @@ fn oracle_bits(
     )
 }
 
-/// Assert that serving `queries` from `parts` — batched, and scalar for
-/// the first few — returns exactly the oracle's bits `want` (`Err` in the
-/// oracle ⇔ `None` served), with conserved counters.
-fn assert_parts_serve(
-    parts: &[ShardPart<'_>],
-    queries: &[Query],
-    (want_q1, want_q2): &(Vec<Option<Q1Bits>>, Vec<Option<Q2Bits>>),
-) {
+/// Assert that serving `queries` from the snapshot of `protos` —
+/// batched, and scalar for the first few — returns exactly its oracle's
+/// bits (`Err` in the oracle ⇔ `Err` served), with conserved counters.
+fn assert_serves_the_oracle(protos: &[Prototype], dim: usize, queries: &[Query]) {
+    let full = snapshot_of(dim, protos.to_vec());
+    let (want_q1, want_q2) = oracle_bits(&full, queries);
     let (mut c1, mut c2) = (ScreenCounters::default(), ScreenCounters::default());
-    let q1 = sharded_q1_with_confidence_batch_pruned(parts, queries, &mut c1);
-    let q2 = sharded_q2_with_confidence_batch_pruned(parts, queries, &mut c2);
-    let got_q1: Vec<_> = q1.iter().map(|a| a.as_ref().map(q1_bits)).collect();
-    let got_q2: Vec<_> = q2.iter().map(|a| a.as_ref().map(q2_bits)).collect();
-    assert!(&got_q1 == want_q1, "batched Q1 diverged from the oracle");
-    assert!(&got_q2 == want_q2, "batched Q2 diverged from the oracle");
-    // One visit per (query, block of a non-empty part), on both heads.
-    let blocks: usize = parts
-        .iter()
-        .filter(|p| p.snapshot.k() > 0)
-        .map(|p| p.snapshot.layout().num_blocks())
-        .sum();
+    let q1 = full.predict_q1_with_confidence_batch_pruned(queries, &mut c1);
+    let q2 = full.predict_q2_with_confidence_batch_pruned(queries, &mut c2);
+    let got_q1: Vec<_> = q1.unwrap().iter().map(|a| Some(q1_bits(a))).collect();
+    let got_q2: Vec<_> = q2.unwrap().iter().map(|a| Some(q2_bits(a))).collect();
+    assert!(got_q1 == want_q1, "batched Q1 diverged from the oracle");
+    assert!(got_q2 == want_q2, "batched Q2 diverged from the oracle");
+    // One visit per (query, block), on both heads.
+    let blocks = full.layout().num_blocks();
     assert_eq!(c1, c2, "the head must not change what is resolved");
     assert_eq!(c1.blocks, (queries.len() * blocks) as u64);
     assert_eq!(c1.blocks, c1.skipped + c1.verified);
     // Scalar = batch of one, telemetry included.
     let mut scalar = ScreenCounters::default();
     for (i, q) in queries.iter().enumerate().take(8) {
-        let y = sharded_q1_with_confidence_pruned(parts, q, &mut scalar);
+        let y = full.predict_q1_with_confidence_pruned(q, &mut scalar);
         assert!(
-            y.as_ref().map(q1_bits) == want_q1[i],
+            y.ok().as_ref().map(q1_bits) == want_q1[i],
             "scalar Q1, query {i}"
         );
-        let s = sharded_q2_with_confidence_pruned(parts, q, &mut scalar);
+        let s = full.predict_q2_with_confidence_pruned(q, &mut scalar);
         assert!(
-            s.as_ref().map(q2_bits) == want_q2[i],
+            s.ok().as_ref().map(q2_bits) == want_q2[i],
             "scalar Q2, query {i}"
         );
     }
@@ -286,55 +241,9 @@ fn assert_parts_serve(
     assert_eq!(scalar.blocks, scalar.skipped + scalar.verified);
 }
 
-/// [`assert_parts_serve`] against the unsharded oracle over every
-/// partition of the shard matrix — each [`Cut`], parts in both orders —
-/// plus the unsharded `ServingSnapshot::*_pruned` wrappers (the
-/// [`ShardPart::whole`] case).
-fn assert_every_partition_serves_the_oracle(protos: &[Prototype], dim: usize, queries: &[Query]) {
-    let full = snapshot_of(dim, protos.to_vec());
-    let want = oracle_bits(&full, queries);
-    assert_parts_serve(&[ShardPart::whole(&full)], queries, &want);
-    let mut c = ScreenCounters::default();
-    let q1 = full
-        .predict_q1_with_confidence_batch_pruned(queries, &mut c)
-        .unwrap();
-    let q2 = full
-        .predict_q2_with_confidence_batch_pruned(queries, &mut c)
-        .unwrap();
-    let got: (Vec<_>, Vec<_>) = (
-        q1.iter().map(|a| Some(q1_bits(a))).collect(),
-        q2.iter().map(|a| Some(q2_bits(a))).collect(),
-    );
-    assert!(got == want, "unsharded batch wrappers");
-    for (i, q) in queries.iter().enumerate().take(8) {
-        let y = full.predict_q1_with_confidence_pruned(q, &mut c).unwrap();
-        let s = full.predict_q2_with_confidence_pruned(q, &mut c).unwrap();
-        assert!(Some(q1_bits(&y)) == want.0[i], "unsharded scalar Q1 {i}");
-        assert!(Some(q2_bits(&s)) == want.1[i], "unsharded scalar Q2 {i}");
-    }
-    assert_eq!(c.blocks, c.skipped + c.verified);
-    for &shards in &SHARD_COUNTS {
-        for how in [Cut::RoundRobin, Cut::Slabs] {
-            let fixtures = cut(protos, dim, shards, how);
-            assert_eq!(fixtures.len(), shards);
-            assert!(shards <= 2 || fixtures[shards - 1].0.k() == 0);
-            let mut parts: Vec<ShardPart<'_>> = fixtures
-                .iter()
-                .map(|(snapshot, ids)| ShardPart {
-                    snapshot,
-                    ids: Some(ids),
-                })
-                .collect();
-            assert_parts_serve(&parts, queries, &want);
-            parts.reverse();
-            assert_parts_serve(&parts, queries, &want);
-        }
-    }
-}
-
 // ---- The matrix ------------------------------------------------------------
 
-/// The full K × batch × shards × head sweep on deterministic seeds — the
+/// The full K × batch × head sweep on deterministic seeds — the
 /// directed backbone, so the 4096-prototype point is always exercised
 /// even if the proptest case budget is tiny.
 #[test]
@@ -353,18 +262,19 @@ fn served_answers_match_the_oracle_across_the_matrix() {
             }
             let queries = probe_balls(dim, &seed_ball, 7 * k as u64 + size as u64, size);
             assert_resolution_matches(&arena, &queries);
-            assert_every_partition_serves_the_oracle(&protos, dim, &queries);
+            assert_serves_the_oracle(&protos, dim, &queries);
         }
     }
 }
 
-/// Directed: exact ties. Every prototype exists twice, at adjacent global
-/// ids, with different coefficients — so any partition separates the
-/// twins, and both the winner (fallback probes: tiny far-away balls) and
-/// the fused sum depend on the `(distance, global id)` tie-break and on
-/// the merge restoring ascending global order.
+/// Directed: exact ties. Every prototype exists twice, at adjacent
+/// indices, with different coefficients — the layout's median splits may
+/// put the twins in different blocks — so both the winner (fallback
+/// probes: tiny far-away balls) and the fused sum depend on the
+/// `(distance, index)` tie-break and on the gather restoring ascending
+/// index order.
 #[test]
-fn exact_ties_across_parts_keep_the_lowest_global_id() {
+fn exact_ties_keep_the_lowest_index() {
     let dim = 2;
     let mut protos = Vec::new();
     for p in synthetic_protos(96, dim, 0x71E5) {
@@ -384,7 +294,7 @@ fn exact_ties_across_parts_keep_the_lowest_global_id() {
         let (winner, _) = full.arena().winner(&q.center, q.radius).unwrap();
         assert!(winner.is_multiple_of(2), "the lower twin always wins");
     }
-    assert_every_partition_serves_the_oracle(&protos, dim, &queries);
+    assert_serves_the_oracle(&protos, dim, &queries);
 }
 
 /// Directed: near-tie queries whose best candidates sit within a few
@@ -425,7 +335,7 @@ fn near_ties_within_a_few_ulps_survive_pruning() {
             .map(|j| Query::new_unchecked(q_center.clone(), 1.9 + 0.05 * j as f64))
             .collect();
         assert_resolution_matches(&arena, &queries);
-        assert_every_partition_serves_the_oracle(&protos, dim, &queries);
+        assert_serves_the_oracle(&protos, dim, &queries);
     }
 }
 
@@ -548,7 +458,7 @@ fn hostile_block_is_always_verified_never_skipped() {
 
 /// Hostile *query* balls — NaN / ±∞ centre coordinates, θ ∈ {0, −0.1, +∞,
 /// NaN} and their combinations — through every served head (Q1, Q2 ×
-/// scalar, batch × every partition): no panic, the oracle's `Ok`/`Some`
+/// scalar, batch): no panic, the oracle's `Ok`
 /// shape, answers and confidence equal by `to_bits` (NaN included),
 /// counters conserved. An empty model and a wrong dimension keep the
 /// oracle's typed errors whatever the ball holds.
@@ -578,7 +488,7 @@ fn hostile_query_balls_take_the_oracles_shape_through_every_head() {
         .iter()
         .all(|q| full.predict_q1_with_confidence(q).is_ok()));
     assert_resolution_matches(full.arena(), &queries);
-    assert_every_partition_serves_the_oracle(&protos, dim, &queries);
+    assert_serves_the_oracle(&protos, dim, &queries);
 
     let mut c = ScreenCounters::default();
     let empty = snapshot_of(dim, Vec::new());
@@ -607,7 +517,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random arenas × random boundary-straddling batches: the resolution
-    /// equals the scalar passes, every partition serves the oracle's
+    /// equals the scalar passes, the served path returns the oracle's
     /// bits, and the telemetry always balances.
     #[test]
     fn served_answers_match_on_random_arenas(
@@ -623,7 +533,7 @@ proptest! {
         for &size in &[1usize, 7, 64] {
             let queries = probe_balls(dim, &seed_ball, rng_seed ^ size as u64, size);
             assert_resolution_matches(&arena, &queries);
-            assert_every_partition_serves_the_oracle(&protos, dim, &queries);
+            assert_serves_the_oracle(&protos, dim, &queries);
         }
     }
 }

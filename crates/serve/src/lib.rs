@@ -16,14 +16,16 @@
 //!   retention stays bounded by the reader count (not the publish count);
 //! * [`ShardRouter`] — the one serving engine: confidence-gated hybrid
 //!   routing (score each query with [`regq_core::confidence`], serve from
-//!   the snapshots above the [`RoutePolicy`] threshold, fall back to the
+//!   the snapshot above the [`RoutePolicy`] threshold, fall back to the
 //!   [`regq_exact::ExactEngine`] below it — and feed the exact answer
 //!   back to the trainer as a free training example, closing Algorithm
-//!   1's loop in production) over a sharded fabric: a kd-split of the
-//!   joint query space `[x, θ]` assigns each feedback example to one of
-//!   `n` trainer+cell shards (bounded per-shard queues, work-stealing
-//!   drain), while predictions fuse overlap weights **across** shards
-//!   bit-identically to the single-model answer. One shard is the
+//!   1's loop in production) over a sharded train fabric: a kd-split of
+//!   the joint query space `[x, θ]` assigns each feedback example to one
+//!   of `n` trainer shards (bounded per-shard queues, work-stealing
+//!   drain). Shards train apart and serve one snapshot: each publish
+//!   merges every shard's part in ascending global id into one
+//!   [`regq_core::ServingSnapshot`] in one cell, so answers are the
+//!   single model's, bit for bit, at any shard count. One shard is the
 //!   smallest fabric, not a separate engine;
 //! * [`FaultPlan`] — the deterministic fault-injection plane behind the
 //!   self-healing story: scripted trainer panics, lock poisonings, queue
@@ -90,4 +92,4 @@ pub mod shard;
 pub use cell::{CellView, NodeName, ReadGuard, ReaderHandle, SnapshotCell, TlsReader};
 pub use fault::{FaultKind, FaultPlan, StallGate};
 pub use route::{Feedback, Route, RoutePolicy, ServeError, Served};
-pub use shard::{RouterStats, ShardRouter, ShardSnapshot};
+pub use shard::{RouterStats, ShardRouter};

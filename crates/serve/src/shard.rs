@@ -1,6 +1,6 @@
 //! [`ShardRouter`]: the serving engine — confidence-gated routing
-//! between the learned snapshots and the exact DBMS backend, with the
-//! training loop closed in production over a sharded serve/train fabric.
+//! between the learned snapshot and the exact DBMS backend, with the
+//! training loop closed in production over a sharded train fabric.
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
 //! counter or a per-shard advisory flag: `degraded`, read only for
@@ -16,24 +16,27 @@
 //!
 //! # Query flow (the paper's desideratum D2 made operational)
 //!
-//! 1. resolve one hazard-slot read guard per shard — the serve path holds
-//!    **no `Mutex`/`RwLock`**, and the guards pin every involved epoch
-//!    for exactly the prediction's duration;
+//! 1. resolve one hazard-slot read guard on the router's one
+//!    [`SnapshotCell`] — the serve path holds **no `Mutex`/`RwLock`**, and
+//!    the guard pins the snapshot's epoch for exactly the prediction's
+//!    duration;
 //! 2. predict and score in one pass: the confidence assessment
 //!    ([`regq_core::confidence`]) shares the prediction's own
 //!    overlap-weight resolution;
-//! 3. serve from the snapshots when the score clears
+//! 3. serve from the snapshot when the score clears
 //!    [`RoutePolicy::confidence_threshold`]; otherwise execute on the
 //!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
 //!    answer on its shard's bounded feedback queue. One gate loop does
 //!    this for a scalar call and a batch alike (a scalar call is a batch
 //!    of one), and one feedback door offers every label, in the order the
-//!    labels were gathered. Feedback never blocks a serving thread:
+//!    labels were gathered. Feedback never waits for a busy trainer:
 //!    queues are drained under `try_lock`, a contended trainer leaves the
 //!    example queued for the next drain, only a full queue loses one,
 //!    and a shard whose trainer cannot learn (no model, or a frozen one)
-//!    is not offered any (both counted, see [`Feedback`]);
-//! 4. each shard's trainer republishes a fresh snapshot every
+//!    is not offered any (both counted, see [`Feedback`]). A drain that
+//!    reaches its publish cadence publishes, and may wait for another
+//!    shard's publish in flight (below); a read never waits;
+//! 4. each shard's trainer republishes every
 //!    [`RoutePolicy::publish_interval`] consumed examples.
 //!
 //! # Shards
@@ -45,23 +48,27 @@
 //! owning
 //!
 //! * its own trainer (an [`LlmModel`] over the shard's prototype subset),
-//! * its own [`SnapshotCell`] (so publishes on one shard never disturb
-//!   readers of another),
 //! * a bounded feedback queue drained with work stealing: any caller
 //!   drains whichever shard's trainer lock it can grab.
 //!
-//! A query ball near a shard boundary overlaps prototypes in *several*
-//! shards, and the paper's fused answer (Algorithm 3) is a normalized
-//! overlap-weighted sum over **all** of them. The router therefore hands
-//! every shard's guarded snapshot to the cross-shard predictors of
-//! `regq_core`, which replay the exact floating-point operation sequence
-//! of the single-arena predictors — the answer is **bit-identical** to
-//! the unsharded model's at any shard count, not merely close. The
-//! contract making that possible: every prototype carries a *global id*
-//! (its index in the pre-split arena, or a fresh `next_id` ticket on
-//! spawn), per-shard id lists stay strictly ascending (training only
-//! ever appends), and the fusion driver merges the per-shard overlap sets
-//! back into global-id order. One shard is simply the smallest fabric.
+//! Shards train apart and serve **one snapshot**. Every prototype
+//! carries a *global id* (its index in the pre-split arena, or a fresh
+//! `next_id` ticket on spawn; per-shard ids ascend, training only
+//! appends). A shard's publish stores its *part* (prototypes, ids, steps,
+//! frozen flag), merges every shard's part in ascending global id — the
+//! merge [`ShardRouter::merged_model`] makes — and publishes the merge as
+//! one [`ServingSnapshot`] into the router's one [`SnapshotCell`]. Arena
+//! order is global-id order, so the fused answer (Algorithm 3, over the
+//! prototypes of **all** shards, ties to the lowest id) is the unsharded
+//! model's, bit for bit, at any shard count. One shard is simply the
+//! smallest fabric.
+//!
+//! The write-side rule: one lock is held across storing the part, the
+//! merge and the cell publish, taken in the order shard trainer → parts
+//! → cell, so an older merge never lands after a newer one. A publish
+//! costs `O(d·K + K log K)` over the `K` of **all** shards, and a pump
+//! that publishes may wait for another shard's publish in flight.
+//! Serving reads take no lock.
 //!
 //! # Fault tolerance
 //!
@@ -69,10 +76,10 @@
 //! `catch_unwind`. A panicking drain (including injected
 //! [`FaultKind::TrainerPanic`] faults) quarantines the offending example
 //! ([`ShardRouter::quarantined`]), restarts that shard's trainer from its
-//! last published [`ShardSnapshot`], flags the shard *degraded* until its
-//! next publish, and counts everything in [`RouterStats`] — serving never
+//! last published part, flags the shard *degraded* until its next
+//! publish, and counts everything in [`RouterStats`] — serving never
 //! stops and recovery is never silent. A poisoned trainer lock gets the
-//! same restart-from-snapshot before the poison is cleared (a poisoned
+//! same restart-from-part before the poison is cleared (a poisoned
 //! guard may hold a half-applied update, which must be neither trained on
 //! nor published). Feedback that hits a full bounded queue gets a bounded
 //! deterministic retry-with-backoff budget
@@ -80,16 +87,15 @@
 //! fallbacks degrade to the flagged snapshot answer under a deadline
 //! budget or queue-pressure watermark ([`Route::Degraded`]).
 
-use crate::cell::{ReadGuard, SnapshotCell};
+use crate::cell::SnapshotCell;
 use crate::cost::CostEma;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::partition::{joint_point, Partitioner};
 use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
 use regq_core::moments::MomentsModel;
 use regq_core::{
-    sharded_q1_with_confidence_batch_pruned, sharded_q1_with_confidence_pruned,
-    sharded_q2_with_confidence_batch_pruned, sharded_q2_with_confidence_pruned, Confidence,
-    CoreError, LlmModel, LocalModel, Prototype, Query, ScreenCounters, ServingSnapshot, ShardPart,
+    Confidence, CoreError, LlmModel, LocalModel, ModelConfig, Prototype, PrototypeArena, Query,
+    ScreenCounters, ServingSnapshot,
 };
 use regq_exact::ExactEngine;
 use regq_linalg::LinalgError;
@@ -97,51 +103,68 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
 /// Default bound on each shard's feedback queue (examples, not bytes).
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Shards whose read state a consultation keeps in place; a fabric with
-/// more spills it to the heap (the `regq_core::Coeffs` pattern). Covers
-/// every shard count the workloads and tests run.
-const INLINE_SHARDS: usize = 8;
-
-/// One empty slot per shard: in place up to [`INLINE_SHARDS`] shards, on
-/// the heap beyond.
-enum PerShard<T> {
-    Inline([Option<T>; INLINE_SHARDS]),
-    Heap(Vec<Option<T>>),
-}
-
-impl<T> PerShard<T> {
-    fn new(shards: usize) -> Self {
-        if shards <= INLINE_SHARDS {
-            PerShard::Inline(std::array::from_fn(|_| None))
-        } else {
-            PerShard::Heap(std::iter::repeat_with(|| None).take(shards).collect())
-        }
-    }
-
-    /// The slots; zip them with the shards (an inline buffer has spares).
-    fn slots(&mut self) -> &mut [Option<T>] {
-        match self {
-            PerShard::Inline(slots) => slots,
-            PerShard::Heap(slots) => slots,
-        }
-    }
-}
-
-/// What one shard publishes: its snapshot plus the global prototype id of
-/// each local arena slot, as **one atomic unit** — a reader never sees a
-/// snapshot paired with another version's id map.
-#[derive(Debug, Clone)]
-pub struct ShardSnapshot {
-    /// The shard's model snapshot.
-    pub snapshot: ServingSnapshot,
+/// What one shard last published, with the global id of each arena slot:
+/// the router serves the merge of all parts, a restarted trainer resumes
+/// from its shard's.
+struct Part {
+    config: ModelConfig,
+    arena: PrototypeArena,
     /// Global prototype ids, one per arena slot, strictly ascending.
-    pub ids: Arc<Vec<usize>>,
+    ids: Vec<usize>,
+    steps: u64,
+    frozen: bool,
+}
+
+impl Part {
+    /// The part of `model`, whose slots carry `ids` (`O(dK)`).
+    fn of(model: &LlmModel, ids: &[usize]) -> Self {
+        Part {
+            config: model.config().clone(),
+            arena: model.arena().clone(),
+            ids: ids.to_vec(),
+            steps: model.steps(),
+            frozen: model.is_frozen(),
+        }
+    }
+
+    /// The model this part was taken from, rebuilt (`O(dK)`).
+    fn to_model(&self) -> Result<LlmModel, CoreError> {
+        LlmModel::from_parts(
+            self.config.clone(),
+            self.arena.to_prototypes(),
+            self.steps,
+            self.frozen,
+        )
+    }
+
+    /// The one merge: all parts' prototypes in ascending global id, steps
+    /// the max, frozen iff every part is. `None` without parts.
+    fn merge<'p>(parts: impl IntoIterator<Item = &'p Part>) -> Option<Part> {
+        let parts: Vec<&Part> = parts.into_iter().collect();
+        let first = parts.first()?;
+        let mut slots: Vec<(usize, &PrototypeArena, usize)> = parts
+            .iter()
+            .flat_map(|p| p.ids.iter().enumerate().map(|(k, &gid)| (gid, &p.arena, k)))
+            .collect();
+        slots.sort_unstable_by_key(|&(gid, ..)| gid);
+        let mut arena = PrototypeArena::new(first.arena.dim());
+        for &(_, from, k) in &slots {
+            arena.push(from.view(k));
+        }
+        Some(Part {
+            config: first.config.clone(),
+            arena,
+            ids: slots.iter().map(|&(gid, ..)| gid).collect(),
+            steps: parts.iter().map(|p| p.steps).max().unwrap_or_default(),
+            frozen: parts.iter().all(|p| p.frozen),
+        })
+    }
 }
 
 struct ShardTrainer {
@@ -154,9 +177,8 @@ struct ShardTrainer {
 
 struct Shard {
     trainer: Mutex<ShardTrainer>,
-    cell: SnapshotCell<ShardSnapshot>,
     queue: Mutex<VecDeque<(Query, f64)>>,
-    /// Set when this shard's trainer was restarted from its snapshot,
+    /// Set when this shard's trainer was restarted from its part,
     /// cleared at its next publish: answers stay correct (they come from
     /// the published snapshot) but learning regressed to it.
     degraded: AtomicBool,
@@ -176,7 +198,6 @@ impl Shard {
                 ids: Vec::new(),
                 since_publish: 0,
             }),
-            cell: SnapshotCell::new(),
             queue: Mutex::new(VecDeque::new()),
             degraded: AtomicBool::new(false),
             trainable: AtomicBool::new(false),
@@ -193,10 +214,10 @@ impl Shard {
 /// Counter snapshot from [`ShardRouter::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterStats {
-    /// Queries answered from the fused shard snapshots.
+    /// Queries answered from the merged snapshot.
     pub model_served: u64,
     /// Queries answered by the exact engine. Like its two siblings this
-    /// counts the shard-snapshot heads (`AVG`, `LINREG`); `VAR` passes
+    /// counts the merged snapshot's heads (`AVG`, `LINREG`); `VAR` passes
     /// the same gate and moves only the `blocks_*` counters.
     pub exact_served: u64,
     /// Feedback examples accepted into a shard queue.
@@ -211,21 +232,22 @@ pub struct RouterStats {
     /// model or a frozen one, so nothing could have been learned and
     /// nothing was queued ([`Feedback::Declined`]) — not a loss.
     pub feedback_declined: u64,
-    /// Snapshot publishes summed over all shard cells.
+    /// Snapshot publishes into the router's one cell: one per drain that
+    /// reaches its cadence, per `publish_now` and per `attach_model`.
     pub publishes: u64,
     /// Number of shards.
     pub shards: usize,
-    /// Retained snapshot epochs summed over all shard cells (bounded by
+    /// Snapshot epochs the router's one cell retains (bounded by
     /// readers, not publishes — the reclamation invariant).
     pub retained: usize,
-    /// Below-threshold queries served from the snapshots as
+    /// Below-threshold queries served from the snapshot as
     /// [`Route::Degraded`] (deadline budget / pressure watermark).
     pub degraded_served: u64,
     /// Shard-trainer panics caught mid-drain; each quarantined its
     /// example ([`ShardRouter::quarantined`]) and restarted that shard's
     /// trainer.
     pub trainer_panics: u64,
-    /// Shard-trainer restarts from the shard's last published snapshot
+    /// Shard-trainer restarts from the shard's last published part
     /// (panic or poison recovery). Recovery is never silent.
     pub trainer_restarts: u64,
     /// Poisoned shard-trainer locks encountered and healed.
@@ -237,9 +259,8 @@ pub struct RouterStats {
     /// next publish).
     pub degraded_shards: usize,
     /// Prototype block visits whose lower bound was evaluated during
-    /// pruned snapshot consultations (none on single-block layouts),
-    /// summed over every shard consulted — and, for `VAR`, over the
-    /// variance head's snapshot.
+    /// pruned consultations of the merged snapshot (none on single-block
+    /// layouts) — and, for `VAR`, of the variance head's.
     pub blocks_screened: u64,
     /// Prototype blocks pruned away because their bound ruled them out —
     /// the fabric's output-sensitivity win.
@@ -258,6 +279,11 @@ pub struct ShardRouter {
     policy: RoutePolicy,
     partitioner: Partitioner,
     shards: Vec<Shard>,
+    /// Each shard's last published part, by shard index (the lock a
+    /// publish holds, see the module docs' write-side rule).
+    parts: Mutex<Vec<Option<Part>>>,
+    /// The one snapshot every answer is served from.
+    cell: SnapshotCell,
     /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]),
     /// captured once: immutable and consulted whole, so it lives beside
     /// the shards, not in them, and needs no cell.
@@ -290,12 +316,12 @@ pub struct ShardRouter {
     blocks_verified: AtomicU64,
 }
 
-/// What the snapshots said about one query: the fused prediction with its
-/// confidence, or `None` when no shard has a non-empty snapshot.
+/// What the snapshot said about one query: the fused prediction with its
+/// confidence, or `None` while there is no non-empty snapshot.
 type Predicted<T> = Option<(T, Confidence)>;
 
-/// One consultation: what it predicted, the newest model version
-/// involved and its pruning telemetry.
+/// One consultation: what it predicted, the snapshot's version and its
+/// pruning telemetry.
 type Consulted<P> = (P, u64, ScreenCounters);
 
 /// One gated query: the answer and, on the exact route, the label its
@@ -342,16 +368,13 @@ impl<T> Answers<T> for Many<T> {
     }
 }
 
-/// Poison-tolerant lock for *queue* mutexes and read-only test access.
-///
-/// Deliberately **not** used for trainer locks. A `VecDeque` of
-/// `(Query, f64)` pairs has no
-/// cross-field invariant a mid-operation panic could break (an element is
-/// either in the queue or it isn't), so `into_inner` is sound here. A
-/// *trainer* guard, by contrast, may hold a half-applied SGD update —
-/// those locks go through [`ShardRouter::lock_shard_trainer`], which
-/// restarts the trainer from its last published snapshot and counts the
-/// health event before handing the guard out.
+/// Poison-tolerant lock for the queue, quarantine and parts mutexes and
+/// read-only test access: none holds a cross-field invariant a
+/// mid-operation panic could break (an element or a part is either in
+/// or not), so `into_inner` is sound. Deliberately **not** used for
+/// trainer locks, whose guard may hold a half-applied SGD update — those
+/// go through [`ShardRouter::lock_shard_trainer`], which restarts the
+/// trainer from its last published part, counted, before handing it out.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -389,6 +412,8 @@ impl ShardRouter {
             policy,
             partitioner: Partitioner::Hash { shards },
             shards: (0..shards).map(|_| Shard::empty()).collect(),
+            parts: Mutex::new(std::iter::repeat_with(|| None).take(shards).collect()),
+            cell: SnapshotCell::new(),
             moments: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fault: FaultPlan::new(),
@@ -410,8 +435,8 @@ impl ShardRouter {
         }
     }
 
-    /// Router with `model` partitioned across `shards` shards and every
-    /// shard's first snapshot published.
+    /// Router with `model` partitioned across `shards` shards and its
+    /// first snapshot published.
     ///
     /// # Panics
     /// Panics when `shards == 0`.
@@ -428,8 +453,9 @@ impl ShardRouter {
 
     /// Partition `model` across the current shards: a kd-split is built
     /// from the prototypes' joint points `[center, radius]`, each
-    /// prototype keeps its arena index as its global id, and every shard
-    /// publishes its subset snapshot. Pending queued feedback is
+    /// prototype keeps its arena index as its global id, every shard's
+    /// trainer takes its subset, and the merge of the shards' parts — the
+    /// model itself — is published once. Pending queued feedback is
     /// discarded (it belonged to the replaced model).
     pub fn attach_model(&mut self, model: LlmModel) {
         let protos = model.prototypes();
@@ -447,7 +473,8 @@ impl ShardRouter {
         }
         self.next_id
             .store(per.iter().map(|(s, _)| s.len()).sum(), Ordering::SeqCst);
-        for (shard, (subset, ids)) in self.shards.iter().zip(per) {
+        let mut trainers = Vec::with_capacity(per.len());
+        for (i, (subset, ids)) in per.into_iter().enumerate() {
             #[expect(
                 clippy::expect_used,
                 reason = "`from_parts` validates dimensions and finiteness, and every part \
@@ -461,19 +488,16 @@ impl ShardRouter {
                 model.is_frozen(),
             )
             .expect("subset of a valid model is valid");
-            let snapshot = m.snapshot();
+            let shard = &self.shards[i];
             lock(&shard.queue).clear();
-            let mut t = self.lock_shard_trainer(shard);
+            let mut t = self.lock_shard_trainer(i);
             t.model = Some(m);
-            t.ids = ids.clone();
+            t.ids = ids;
             t.since_publish = 0;
             shard.note_trainable(&t);
-            shard.cell.publish(ShardSnapshot {
-                snapshot,
-                ids: Arc::new(ids),
-            });
-            shard.degraded.store(false, Ordering::Relaxed);
+            trainers.push(t);
         }
+        self.publish(trainers.iter().map(|t| &**t).enumerate());
     }
 
     /// Attach a trained moments model: enables the model route of
@@ -495,49 +519,40 @@ impl ShardRouter {
     /// Panics when `shards == 0`.
     pub fn set_shards(&mut self, shards: usize) {
         assert!(shards >= 1, "a router needs at least one shard");
-        self.drain_all_blocking();
+        for i in 0..self.shards.len() {
+            let mut t = self.lock_shard_trainer(i);
+            self.drain_shard(i, &mut t);
+        }
         let merged = self.merged_model();
         self.partitioner = Partitioner::Hash { shards };
         self.shards = (0..shards).map(|_| Shard::empty()).collect();
-        for shard in &self.shards {
-            shard.cell.arm_faults(self.fault.clone());
-        }
+        *lock(&self.parts) = std::iter::repeat_with(|| None).take(shards).collect();
         self.next_id.store(0, Ordering::SeqCst);
         if let Some(model) = merged {
             self.attach_model(model);
         }
     }
 
-    /// Reassemble the single unsharded model: all shard prototypes in
-    /// ascending global-id order, `steps` = the max over shards, frozen
-    /// iff every shard is. `None` when no shard has a trainer.
+    /// Reassemble the single unsharded model from the shard trainers: the
+    /// merge every publish makes (all prototypes in ascending global-id
+    /// order, `steps` = the max over shards, frozen iff every shard is),
+    /// over the trainers as they stand. `None` when no shard has a
+    /// trainer.
     pub fn merged_model(&self) -> Option<LlmModel> {
-        let mut entries: Vec<(usize, Prototype)> = Vec::new();
-        let mut config = None;
-        let mut steps = 0u64;
-        let mut frozen = true;
-        for shard in &self.shards {
-            let t = self.lock_shard_trainer(shard);
-            let Some(model) = t.model.as_ref() else {
-                continue;
-            };
-            config.get_or_insert_with(|| model.config().clone());
-            steps = steps.max(model.steps());
-            frozen &= model.is_frozen();
-            for (local, p) in model.prototypes().into_iter().enumerate() {
-                entries.push((t.ids[local], p));
-            }
-        }
-        let config = config?;
-        entries.sort_unstable_by_key(|e| e.0);
-        let protos = entries.into_iter().map(|(_, p)| p).collect();
+        let parts: Vec<Part> = (0..self.shards.len())
+            .filter_map(|i| {
+                let t = self.lock_shard_trainer(i);
+                t.model.as_ref().map(|model| Part::of(model, &t.ids))
+            })
+            .collect();
         #[expect(
             clippy::expect_used,
             reason = "every prototype being merged came out of a shard model that passed \
                       `from_parts` validation against a clone of this same config, so \
                       re-validation cannot fail"
         )]
-        let merged = LlmModel::from_parts(config, protos, steps, frozen)
+        let merged = Part::merge(&parts)?
+            .to_model()
             .expect("merged shard parts are consistent");
         Some(merged)
     }
@@ -572,9 +587,9 @@ impl ShardRouter {
             feedback_fed: self.feedback_fed.load(Ordering::Relaxed),
             feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
             feedback_declined: self.feedback_declined.load(Ordering::Relaxed),
-            publishes: self.shards.iter().map(|s| s.cell.epoch()).sum(),
+            publishes: self.cell.epoch(),
             shards: self.shards.len(),
-            retained: self.shards.iter().map(|s| s.cell.retained()).sum(),
+            retained: self.cell.retained(),
             degraded_served: self.routes[Route::Degraded as usize].load(Ordering::Relaxed),
             trainer_panics: self.trainer_panics.load(Ordering::Relaxed),
             trainer_restarts: self.trainer_restarts.load(Ordering::Relaxed),
@@ -605,14 +620,12 @@ impl ShardRouter {
             .fetch_add(c.verified, Ordering::Relaxed);
     }
 
-    /// Arm a [`FaultPlan`] on the router and every shard's snapshot cell
-    /// (for injected publish stalls). Deterministic: occurrence counters
-    /// live in the shared plan, so a scripted schedule fires at exactly
-    /// the configured sites.
+    /// Arm a [`FaultPlan`] on the router and its snapshot cell (for
+    /// injected publish stalls). Deterministic: occurrence counters live
+    /// in the shared plan, so a scripted schedule fires at exactly the
+    /// configured sites.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for shard in &self.shards {
-            shard.cell.arm_faults(plan.clone());
-        }
+        self.cell.arm_faults(plan.clone());
         self.fault = plan;
     }
 
@@ -620,50 +633,51 @@ impl ShardRouter {
     /// (bounded at [`QUARANTINE_CAP`] retained examples;
     /// [`RouterStats::trainer_panics`] has the unbounded count).
     pub fn quarantined(&self) -> Vec<(Query, f64)> {
-        self.quarantine
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.quarantine).clone()
     }
 
     fn push_quarantine(&self, q: &Query, y: f64) {
-        let mut quarantine = self
-            .quarantine
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut quarantine = lock(&self.quarantine);
         if quarantine.len() < QUARANTINE_CAP {
             quarantine.push((q.clone(), y));
         }
     }
 
-    /// Lock a shard's trainer, healing a poisoned lock on the way in: the
-    /// poisoned guard may expose a half-applied SGD update (the panicking
-    /// thread died mid-`train_step`), which must be neither trained on
-    /// nor published — so restart from the shard's last published
-    /// snapshot and clear the poison. Counted, never silent.
-    fn lock_shard_trainer<'s>(&self, shard: &'s Shard) -> MutexGuard<'s, ShardTrainer> {
-        match shard.trainer.lock() {
-            Ok(t) => t,
-            Err(p) => {
-                let mut t = p.into_inner();
-                self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-                self.recover_shard_trainer(shard, &mut t);
-                shard.trainer.clear_poison();
-                t
-            }
-        }
+    /// Lock shard `i`'s trainer, healing a poisoned lock on the way in
+    /// ([`ShardRouter::heal`]).
+    fn lock_shard_trainer(&self, i: usize) -> MutexGuard<'_, ShardTrainer> {
+        self.shards[i]
+            .trainer
+            .lock()
+            .unwrap_or_else(|poisoned| self.heal(i, poisoned))
     }
 
-    /// Restart one shard's trainer from its last published
-    /// [`ShardSnapshot`] (or, before any publish, from a fresh model with
-    /// the same config and an empty id list). Marks the shard degraded
-    /// until its next publish.
-    fn recover_shard_trainer(&self, shard: &Shard, t: &mut ShardTrainer) {
+    /// Heal shard `i`'s poisoned trainer lock: the guard may expose a
+    /// half-applied SGD update, which must be neither trained on nor
+    /// published — so restart from the shard's last published part and
+    /// clear the poison. Counted, never silent.
+    fn heal<'s>(
+        &'s self,
+        i: usize,
+        poisoned: PoisonError<MutexGuard<'s, ShardTrainer>>,
+    ) -> MutexGuard<'s, ShardTrainer> {
+        let mut t = poisoned.into_inner();
+        self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+        self.recover_shard_trainer(i, &mut t);
+        self.shards[i].trainer.clear_poison();
+        t
+    }
+
+    /// Restart shard `i`'s trainer (the caller holds it) from the shard's
+    /// last published part (or, before any publish, from a fresh model
+    /// with the same config and an empty id list). Marks the shard
+    /// degraded until its next publish.
+    fn recover_shard_trainer(&self, i: usize, t: &mut ShardTrainer) {
         t.since_publish = 0;
-        match shard.cell.load_owned() {
-            Some(ss) => {
-                t.model = ss.snapshot.to_model().ok();
-                t.ids = ss.ids.as_ref().clone();
+        match &lock(&self.parts)[i] {
+            Some(part) => {
+                t.model = part.to_model().ok();
+                t.ids.clone_from(&part.ids);
             }
             None => {
                 t.model = t
@@ -673,9 +687,38 @@ impl ShardRouter {
                 t.ids.clear();
             }
         }
+        let shard = &self.shards[i];
         shard.note_trainable(t);
         self.trainer_restarts.fetch_add(1, Ordering::Relaxed);
         shard.degraded.store(true, Ordering::Relaxed);
+    }
+
+    /// The one publish: store the parts of the trainers the caller holds
+    /// (by shard index; one without a model stores nothing) and clear
+    /// their degraded flags, then merge all parts and publish the merge,
+    /// slots labelled with their global ids — under the parts lock (the
+    /// write-side rule). Nothing is published when nothing was stored.
+    fn publish<'t>(&self, held: impl IntoIterator<Item = (usize, &'t ShardTrainer)>) {
+        let mut parts = lock(&self.parts);
+        let mut stored = false;
+        for (i, t) in held {
+            if let Some(model) = &t.model {
+                parts[i] = Some(Part::of(model, &t.ids));
+                self.shards[i].degraded.store(false, Ordering::Relaxed);
+                stored = true;
+            }
+        }
+        if let Some(merged) = Part::merge(parts.iter().flatten()).filter(|_| stored) {
+            let Part {
+                config,
+                arena,
+                ids,
+                steps,
+                frozen,
+            } = merged;
+            let snapshot = ServingSnapshot::from_arena(config, arena, Some(ids), steps, frozen);
+            self.cell.publish(snapshot);
+        }
     }
 
     /// Offer one `(q, y)` feedback example to the fabric: the feedback
@@ -770,31 +813,23 @@ impl ShardRouter {
     /// examples trained.
     pub fn pump(&self) -> usize {
         let mut trained = 0;
-        for shard in &self.shards {
-            match shard.trainer.try_lock() {
-                Ok(t) => {
-                    if self.fault.fires(FaultKind::LockPoison) {
-                        // Kill this holder mid-critical-section: the
-                        // guard dies inside a panic, genuinely poisoning
-                        // the lock for whoever comes next.
-                        poison_lock(t);
-                        continue;
-                    }
-                    let mut t = t;
-                    trained += self.drain_shard(shard, &mut t);
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut t = match shard.trainer.try_lock() {
+                Ok(t) if self.fault.fires(FaultKind::LockPoison) => {
+                    // Kill this holder mid-critical-section: the guard
+                    // dies inside a panic, genuinely poisoning the lock
+                    // for whoever comes next.
+                    poison_lock(t);
+                    continue;
                 }
-                Err(TryLockError::WouldBlock) => {}
-                Err(TryLockError::Poisoned(p)) => {
-                    // The previous holder panicked mid-update; its model
-                    // state is untrustworthy. Restart from the published
-                    // snapshot before draining anything into it.
-                    let mut t = p.into_inner();
-                    self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-                    self.recover_shard_trainer(shard, &mut t);
-                    shard.trainer.clear_poison();
-                    trained += self.drain_shard(shard, &mut t);
-                }
-            }
+                Ok(t) => t,
+                Err(TryLockError::WouldBlock) => continue,
+                // The previous holder panicked mid-update; its model state
+                // is untrustworthy. Restart from the published part before
+                // draining anything into it.
+                Err(TryLockError::Poisoned(poisoned)) => self.heal(i, poisoned),
+            };
+            trained += self.drain_shard(i, &mut t);
         }
         trained
     }
@@ -808,10 +843,11 @@ impl ShardRouter {
     ///
     /// Every `train_step` runs supervised: a panic (real or injected)
     /// quarantines the offending example, restarts this shard's trainer
-    /// from its last published snapshot, and the drain *continues* on the
+    /// from its last published part, and the drain *continues* on the
     /// restarted model — one poisonous example cannot take the rest of
     /// the batch down with it.
-    fn drain_shard(&self, shard: &Shard, t: &mut ShardTrainer) -> usize {
+    fn drain_shard(&self, i: usize, t: &mut ShardTrainer) -> usize {
+        let shard = &self.shards[i];
         if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
             return 0;
         }
@@ -872,7 +908,7 @@ impl ShardRouter {
                 Err(_) => {
                     self.trainer_panics.fetch_add(1, Ordering::Relaxed);
                     self.push_quarantine(&q, y);
-                    self.recover_shard_trainer(shard, t);
+                    self.recover_shard_trainer(i, t);
                 }
             }
         }
@@ -882,43 +918,23 @@ impl ShardRouter {
         shard.note_trainable(t);
         if t.since_publish >= self.policy.publish_interval {
             t.since_publish = 0;
-            if let Some(model) = t.model.as_ref() {
-                shard.cell.publish(ShardSnapshot {
-                    snapshot: model.snapshot(),
-                    ids: Arc::new(t.ids.clone()),
-                });
-                shard.degraded.store(false, Ordering::Relaxed);
-            }
+            self.publish([(i, &*t)]);
         }
         trained
     }
 
-    /// Blocking drain of every shard (administrative; used by
-    /// [`ShardRouter::set_shards`]).
-    fn drain_all_blocking(&self) {
-        for shard in &self.shards {
-            let mut t = self.lock_shard_trainer(shard);
-            self.drain_shard(shard, &mut t);
-        }
-    }
-
-    /// Force-publish every shard's current parameters (blocks on each
-    /// trainer lock in turn; a poisoned lock heals first, so a
-    /// half-applied update is never published). Returns the total publish
-    /// count.
+    /// Force-publish every shard's current parameters as one merged
+    /// snapshot: locks every trainer in shard order (a poisoned lock heals
+    /// first, so a half-applied update is never published), stores every
+    /// part, then merges and publishes once. Returns the publish count.
     pub fn publish_now(&self) -> u64 {
-        for shard in &self.shards {
-            let mut t = self.lock_shard_trainer(shard);
+        let mut trainers: Vec<_> = (0..self.shards.len())
+            .map(|i| self.lock_shard_trainer(i))
+            .collect();
+        for t in &mut trainers {
             t.since_publish = 0;
-            let ShardTrainer { model, ids, .. } = &*t;
-            if let Some(model) = model {
-                shard.cell.publish(ShardSnapshot {
-                    snapshot: model.snapshot(),
-                    ids: Arc::new(ids.clone()),
-                });
-                shard.degraded.store(false, Ordering::Relaxed);
-            }
         }
+        self.publish(trainers.iter().map(|t| &**t).enumerate());
         self.stats().publishes
     }
 
@@ -935,68 +951,26 @@ impl ShardRouter {
         Ok(q)
     }
 
-    /// Consult the shard snapshots once about `queries` (one query or a
-    /// whole batch): resolve one read guard per shard, run `predict` over
-    /// the non-empty parts, and return what it made of them, the newest
-    /// snapshot version involved and the consultation's pruning telemetry
-    /// (already folded into the router-lifetime counters). The guards pin
-    /// every involved epoch for exactly the prediction's duration —
-    /// publishes land concurrently, reclamation frees what no guard pins.
-    ///
-    /// Readers, guards and parts sit in place for up to [`INLINE_SHARDS`]
-    /// shards, so a warm consultation calls the allocator only for what
-    /// `predict` returns.
+    /// Consult the snapshot once about `queries` (one query or a batch):
+    /// run `predict` on the snapshot one read guard pins for exactly its
+    /// duration, and return what it made of it (`None` while nothing is
+    /// published, or on its error — an empty snapshot), the snapshot's
+    /// version and the pruning telemetry (already folded into the
+    /// router-lifetime counters). Allocates only what `predict` returns.
     fn consult<Q: ?Sized, P>(
         &self,
         queries: &Q,
-        predict: impl FnOnce(&[ShardPart<'_>], &Q, &mut ScreenCounters) -> P,
-    ) -> Consulted<P> {
-        let n = self.shards.len();
-        let mut readers = PerShard::new(n);
-        let mut guards = PerShard::new(n);
-        for ((reader, guard), shard) in readers
-            .slots()
-            .iter_mut()
-            .zip(guards.slots())
-            .zip(&self.shards)
-        {
-            *guard = Some(reader.insert(shard.cell.tls_reader()).enter());
-        }
-        let mut version = 0u64;
-        let mut live = guards
-            .slots()
-            .iter()
-            .flatten()
-            .filter_map(ReadGuard::get)
-            .filter(|ss| ss.snapshot.k() > 0)
-            .inspect(|ss| version = version.max(ss.snapshot.version()))
-            .map(|ss| ShardPart {
-                snapshot: &ss.snapshot,
-                ids: Some(&ss.ids),
-            });
-        // The predictors take the live parts as one slice: in place
-        // (padded with the first) up to INLINE_SHARDS, on the heap beyond.
-        let (mut inline, spilled): (_, Vec<_>);
-        let parts: &[ShardPart<'_>] = match live.next() {
-            None => &[],
-            Some(first) if n <= INLINE_SHARDS => {
-                inline = [first; INLINE_SHARDS];
-                let mut len = 1;
-                for (slot, part) in inline[1..].iter_mut().zip(live) {
-                    *slot = part;
-                    len += 1;
-                }
-                &inline[..len]
-            }
-            Some(first) => {
-                spilled = std::iter::once(first).chain(live).collect();
-                &spilled
-            }
-        };
+        predict: impl FnOnce(&ServingSnapshot, &Q, &mut ScreenCounters) -> Result<P, CoreError>,
+    ) -> Consulted<Option<P>> {
+        let mut reader = self.cell.tls_reader();
+        let guard = reader.enter();
         let mut screen = ScreenCounters::default();
-        let predicted = predict(parts, queries, &mut screen);
+        let Some(snapshot) = guard.get() else {
+            return (None, 0, screen);
+        };
+        let predicted = predict(snapshot, queries, &mut screen).ok();
         self.record_screen(&screen);
-        (predicted, version, screen)
+        (predicted, snapshot.version(), screen)
     }
 
     /// The exact Q1 execution: the subspace mean, which is both the
@@ -1151,7 +1125,7 @@ impl ShardRouter {
 
     /// The gate loop behind every auto-routed and forced-exact answer,
     /// scalar and batched: gate each query against what `consulted`
-    /// predicted for it (exact executions run after the guards dropped),
+    /// predicted for it (exact executions run after the guard dropped),
     /// count its route in `routes` (`None` for `VAR`, whose answers move
     /// no route counter), write its answer into `answers` — one slot for
     /// a scalar call, a vector for a batch — and offer its fallbacks'
@@ -1212,30 +1186,44 @@ impl ShardRouter {
     }
 
     /// The batched entries: every query's dimensionality checked up
-    /// front, before any work runs, one pinned set of shard snapshots
-    /// consulted for the whole batch, then the gate loop.
+    /// front, before any work runs, one pinned snapshot consulted for the
+    /// whole batch, then the gate loop.
     fn serve_batch<T>(
         &self,
         queries: &[Query],
-        predict: impl FnOnce(&[ShardPart<'_>], &[Query], &mut ScreenCounters) -> Vec<Predicted<T>>,
+        predict: impl FnOnce(
+            &ServingSnapshot,
+            &[Query],
+            &mut ScreenCounters,
+        ) -> Result<Vec<(T, Confidence)>, CoreError>,
         exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
     ) -> Result<Vec<Served<T>>, ServeError> {
         for q in queries {
             self.check_dim(q)?;
         }
-        let consulted = self.consult(queries, predict);
-        debug_assert_eq!(consulted.0.len(), queries.len());
+        let (predicted, version, screen) = self.consult(queries, predict);
+        // One prediction per query — or none for any, with nothing served.
+        let predicted = predicted.into_iter().flatten().map(Some);
+        let consulted = (
+            predicted.chain(std::iter::repeat_with(|| None)),
+            version,
+            screen,
+        );
         let out = (Vec::with_capacity(queries.len()), Vec::new());
         let (served, _) = self.route_batch(queries, consulted, Some(&self.routes), exact, out)?;
         Ok(served)
     }
 
-    /// Scalar forced-model driver: the fused snapshot answer at whatever
+    /// Scalar forced-model driver: the snapshot's answer at whatever
     /// score it carries.
     fn serve_model<T>(
         &self,
         q: &Query,
-        predict: impl FnOnce(&[ShardPart<'_>], &Query, &mut ScreenCounters) -> Predicted<T>,
+        predict: impl FnOnce(
+            &ServingSnapshot,
+            &Query,
+            &mut ScreenCounters,
+        ) -> Result<(T, Confidence), CoreError>,
     ) -> Result<Served<T>, ServeError> {
         let (predicted, version, screen) = self.consult(q, predict);
         let (value, conf) = predicted.ok_or(ServeError::NoModel)?;
@@ -1243,8 +1231,8 @@ impl ShardRouter {
         Ok(Served::model(value, conf.score, version, screen))
     }
 
-    /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the fused
-    /// cross-shard answer when the confidence score clears the policy
+    /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the merged
+    /// snapshot's answer when the confidence score clears the policy
     /// threshold, exact fallback (with feedback) otherwise.
     ///
     /// # Errors
@@ -1252,17 +1240,20 @@ impl ShardRouter {
     /// empty; [`ServeError::Model`] on a dimension mismatch.
     pub fn q1(&self, q: &Query) -> Result<Served<f64>, ServeError> {
         let q = self.check_dim(q)?;
-        let consulted = self.consult(q, sharded_q1_with_confidence_pruned);
+        let consulted = self.consult(q, ServingSnapshot::predict_q1_with_confidence_pruned);
         self.route_one(q, consulted, Some(&self.routes), Self::exact_q1)
     }
 
     /// **Forced model Q1** (the SQL `USING MODEL` route).
     ///
     /// # Errors
-    /// [`ServeError::NoModel`] when every shard is empty;
+    /// [`ServeError::NoModel`] when the snapshot is empty;
     /// [`ServeError::Model`] on a dimension mismatch.
     pub fn q1_model(&self, q: &Query) -> Result<Served<f64>, ServeError> {
-        self.serve_model(self.check_dim(q)?, sharded_q1_with_confidence_pruned)
+        self.serve_model(
+            self.check_dim(q)?,
+            ServingSnapshot::predict_q1_with_confidence_pruned,
+        )
     }
 
     /// **Forced exact Q1** (the SQL `USING EXACT` route): no snapshot
@@ -1285,17 +1276,20 @@ impl ShardRouter {
     /// fallback; [`ServeError::Model`] on a dimension mismatch.
     pub fn q2(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
         let q = self.check_dim(q)?;
-        let consulted = self.consult(q, sharded_q2_with_confidence_pruned);
+        let consulted = self.consult(q, ServingSnapshot::predict_q2_with_confidence_pruned);
         self.route_one(q, consulted, Some(&self.routes), Self::exact_q2)
     }
 
     /// **Forced model Q2** (Algorithm 3's list `S`).
     ///
     /// # Errors
-    /// [`ServeError::NoModel`] when every shard is empty;
+    /// [`ServeError::NoModel`] when the snapshot is empty;
     /// [`ServeError::Model`] on a dimension mismatch.
     pub fn q2_model(&self, q: &Query) -> Result<Served<Vec<LocalModel>>, ServeError> {
-        self.serve_model(self.check_dim(q)?, sharded_q2_with_confidence_pruned)
+        self.serve_model(
+            self.check_dim(q)?,
+            ServingSnapshot::predict_q2_with_confidence_pruned,
+        )
     }
 
     /// **Forced exact Q2**: the per-query OLS fit in [`LocalModel`]
@@ -1359,25 +1353,25 @@ impl ShardRouter {
 
     // ---- Batched serving ----------------------------------------------
     //
-    // The batch entry points resolve the shard read guards ONCE for the
-    // whole `&[Query]` and run the cross-shard batch predictors (split
-    // into runs on every core when the batch is large enough; the guards
-    // stay pinned on this thread until every run has joined). From the
-    // gate on, a batch runs the scalar calls' lines: the one gate loop
-    // and the one feedback door. Per-query answers are bit-identical to
-    // the scalar path (the batch predictors run the scalar path's
-    // resolver and fold per query); the observable difference is
-    // consistency — a batch never straddles a shard republish, whereas a
-    // scalar loop can.
+    // The batch entry points resolve the read guard ONCE for the whole
+    // `&[Query]` and run the snapshot's batch predictors (split into runs
+    // on every core when the batch is large enough; the guard stays
+    // pinned on this thread until every run has joined). From the gate
+    // on, a batch runs the scalar calls' lines: the one gate loop and the
+    // one feedback door. Per-query answers are bit-identical to the
+    // scalar path (the batch predictors run the scalar path's resolver
+    // and fold per query); the observable difference is consistency — a
+    // batch never straddles a republish, whereas a scalar loop can.
 
     /// **Batched auto-routed Q1**: [`ShardRouter::q1`] over a slice with
     /// one guard resolution and one batched resolve-and-fold
-    /// ([`sharded_q1_with_confidence_batch_pruned`]: each query resolved
-    /// through every shard's block layout and fused, a batch large
-    /// enough to pay for a thread split into contiguous runs on every
-    /// core). Answers are bit-identical to per-query [`ShardRouter::q1`]
-    /// calls against the same pinned snapshots, and the fabric is fed as
-    /// those calls feed it. An empty batch returns an empty vec.
+    /// ([`ServingSnapshot::predict_q1_with_confidence_batch_pruned`]: each
+    /// query resolved through the snapshot's block layout and fused, a
+    /// batch large enough to pay for a thread split into contiguous runs
+    /// on every core). Answers are bit-identical to per-query
+    /// [`ShardRouter::q1`] calls against the same pinned snapshot, and the
+    /// fabric is fed as those calls feed it. An empty batch returns an
+    /// empty vec.
     ///
     /// # Errors
     /// As [`ShardRouter::q1`]; the typed dimension mismatch is checked
@@ -1385,7 +1379,7 @@ impl ShardRouter {
     pub fn q1_batch(&self, queries: &[Query]) -> Result<Vec<Served<f64>>, ServeError> {
         self.serve_batch(
             queries,
-            sharded_q1_with_confidence_batch_pruned,
+            ServingSnapshot::predict_q1_with_confidence_batch_pruned,
             Self::exact_q1,
         )
     }
@@ -1399,7 +1393,7 @@ impl ShardRouter {
     pub fn q2_batch(&self, queries: &[Query]) -> Result<Vec<Served<Vec<LocalModel>>>, ServeError> {
         self.serve_batch(
             queries,
-            sharded_q2_with_confidence_batch_pruned,
+            ServingSnapshot::predict_q2_with_confidence_batch_pruned,
             Self::exact_q2,
         )
     }
@@ -1425,7 +1419,7 @@ mod tests {
     use regq_data::rng::seeded;
     use regq_data::{Dataset, SampleOptions};
     use regq_store::AccessPathKind;
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     fn q(center: &[f64], r: f64) -> Query {
         Query::new_unchecked(center.to_vec(), r)
@@ -1568,7 +1562,6 @@ mod tests {
         let (data, model) = fixture();
         assert!(model.k() >= 4, "need prototypes to shard: k={}", model.k());
         let (snap, exact) = (model.snapshot(), exact_over(&data));
-        // 12: past the shards a consultation keeps in place (it spills).
         for shards in [1usize, 2, 3, 5, 12] {
             // Feedback off: the published model stays the one under test.
             let router = fixture_router(no_feedback(), shards);
@@ -2110,6 +2103,132 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "global ids collided across shards");
+    }
+
+    /// `(global ids, prototypes)` pairs assembled in ascending global id
+    /// — the merge, written out apart from the fabric's own.
+    fn in_gid_order(
+        parts: impl IntoIterator<Item = (Vec<usize>, Vec<Prototype>)>,
+    ) -> (Vec<usize>, Vec<Prototype>) {
+        let mut all: Vec<(usize, Prototype)> = parts
+            .into_iter()
+            .flat_map(|(ids, protos)| ids.into_iter().zip(protos))
+            .collect();
+        all.sort_by_key(|&(gid, _)| gid);
+        all.into_iter().unzip()
+    }
+
+    /// Shards train apart and serve their merge. A model that never
+    /// freezes (γ tiny) at 2 and 4 shards, every answer exact and every
+    /// label fed (threshold 2.0), wide balls that spawn on several shards,
+    /// a publish every 8 examples and injected trainer panics (a restart
+    /// from the shard's part drops the spawns after its last publish, and
+    /// their ids with them). Between publishes the served snapshot is the
+    /// merge of every shard's last part; after `publish_now` every served
+    /// answer — scalar and batched, Q1 and Q2 — is the oracle of
+    /// `merged_model()`'s snapshot bit for bit, at the trainers' newest
+    /// step, its Q2 lists labelled with the trainers' global ids.
+    #[test]
+    fn a_live_fabric_serves_its_merged_model() {
+        let (data, trained) = fixture();
+        let mut cfg = trained.config().clone();
+        cfg.gamma = 1e-300;
+        let learner =
+            LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), false).unwrap();
+        let attached = learner.k();
+        for shards in [2usize, 4] {
+            let mut router = ShardRouter::with_model(
+                exact_over(&data),
+                learner.clone(),
+                RoutePolicy {
+                    confidence_threshold: 2.0,
+                    publish_interval: 8,
+                    ..RoutePolicy::default()
+                },
+                shards,
+            );
+            router.set_fault_plan(
+                FaultPlan::new().inject(FaultKind::TrainerPanic, &[13, 29, 61, 97, 131, 187, 241]),
+            );
+            let mut rng = StdRng::seed_from_u64(31);
+            for _ in 0..400 {
+                let c = [rng.random_range(-0.2..1.2), rng.random_range(-0.2..1.2)];
+                match router.q1(&q(&c, rng.random_range(0.05..0.8))) {
+                    Ok(served) => assert_eq!(served.route, Route::Exact),
+                    Err(ServeError::EmptySubspace) => {}
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+            let trainers = || {
+                router.shards.iter().map(|shard| {
+                    let t = lock(&shard.trainer);
+                    let model = t.model.as_ref().unwrap();
+                    (t.ids.clone(), model.prototypes(), model.steps())
+                })
+            };
+            let spawning = trainers()
+                .filter(|(ids, ..)| ids.iter().any(|&gid| gid >= attached))
+                .count();
+            assert!(spawning >= 2, "spawned on {spawning} of {shards} shards");
+            assert_eq!(router.stats().trainer_panics, 7);
+
+            // Between publishes: the merge of every shard's last part.
+            let live = router.cell.load_owned().unwrap();
+            let (_, want) = in_gid_order(
+                lock(&router.parts)
+                    .iter()
+                    .flatten()
+                    .map(|part| (part.ids.clone(), part.arena.to_prototypes())),
+            );
+            assert_eq!(
+                live.prototypes(),
+                want,
+                "{shards} shards, between publishes"
+            );
+
+            router.publish_now();
+            let (ids, want) = in_gid_order(trainers().map(|(ids, protos, _)| (ids, protos)));
+            assert!(
+                ids.iter().enumerate().any(|(k, &gid)| gid != k),
+                "the restarts left no gap in the ids"
+            );
+            let steps = trainers().map(|(.., steps)| steps).max().unwrap();
+            let merged = router.merged_model().unwrap();
+            assert_eq!((merged.prototypes(), merged.steps()), (want, steps));
+            let oracle = merged.snapshot();
+            // Serve every answer from the model, and feed nothing back.
+            router.policy.confidence_threshold = f64::NEG_INFINITY;
+            let probes = probes();
+            let q1_batch = router.q1_batch(&probes).unwrap();
+            let q2_batch = router.q2_batch(&probes).unwrap();
+            for (i, probe) in probes.iter().enumerate() {
+                let (y, conf) = oracle.predict_q1_with_confidence(probe).unwrap();
+                let (mut list, list_conf) = oracle.predict_q2_with_confidence(probe).unwrap();
+                for lm in &mut list {
+                    lm.prototype = ids[lm.prototype];
+                }
+                let want_q1 = (y.to_bits(), conf.score.to_bits(), Some(steps));
+                let want_q2 = (list, list_conf.score.to_bits(), Some(steps));
+                let as_q1 = |s: &Served<f64>| {
+                    assert_eq!(s.route, Route::Model);
+                    (
+                        s.value.to_bits(),
+                        s.score.unwrap().to_bits(),
+                        s.snapshot_version,
+                    )
+                };
+                let as_q2 = |s: Served<Vec<LocalModel>>| {
+                    assert_eq!(s.route, Route::Model);
+                    (s.value, s.score.unwrap().to_bits(), s.snapshot_version)
+                };
+                assert_eq!(as_q1(&router.q1(probe).unwrap()), want_q1, "q1 {i}");
+                assert_eq!(as_q1(&router.q1_model(probe).unwrap()), want_q1);
+                assert_eq!(as_q1(&q1_batch[i]), want_q1, "q1 batch {i}");
+                assert_eq!(as_q2(router.q2(probe).unwrap()), want_q2, "q2 {i}");
+                assert_eq!(as_q2(router.q2_model(probe).unwrap()), want_q2);
+                assert_eq!(as_q2(q2_batch[i].clone()), want_q2, "q2 batch {i}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! `USING MODEL` routes to the published model snapshot and never touches
 //! the relation — the paper's prediction-phase deployment; `USING AUTO`
 //! executes through the table's [`regq_serve::ShardRouter`], serving the
-//! cross-shard fused answer when its confidence score clears the route
+//! merged snapshot's answer when its confidence score clears the route
 //! policy and falling back to exact execution (which feeds the online
 //! trainers) otherwise. Every [`QueryOutput`] reports the route taken,
 //! the confidence score, the snapshot version consulted and whether the

@@ -270,16 +270,8 @@ impl Session {
     /// [`SqlError::UnknownTable`] when the table is not registered;
     /// [`SqlError::DimensionMismatch`] when model and table disagree.
     pub fn register_model(&mut self, table: &str, model: LlmModel) -> Result<(), SqlError> {
-        let router = self.router_mut(table)?;
-        let expected = router.exact_engine().relation().dim();
-        if model.dim() != expected {
-            return Err(SqlError::DimensionMismatch {
-                table: table.to_string(),
-                expected,
-                actual: model.dim(),
-            });
-        }
-        router.attach_model(model);
+        self.router_for_model(table, model.dim())?
+            .attach_model(model);
         Ok(())
     }
 
@@ -293,16 +285,8 @@ impl Session {
         table: &str,
         model: MomentsModel,
     ) -> Result<(), SqlError> {
-        let router = self.router_mut(table)?;
-        let expected = router.exact_engine().relation().dim();
-        if model.head().dim() != expected {
-            return Err(SqlError::DimensionMismatch {
-                table: table.to_string(),
-                expected,
-                actual: model.head().dim(),
-            });
-        }
-        router.attach_moments(model);
+        self.router_for_model(table, model.head().dim())?
+            .attach_moments(model);
         Ok(())
     }
 
@@ -361,6 +345,20 @@ impl Session {
         self.tables
             .get_mut(table)
             .ok_or_else(|| SqlError::UnknownTable(table.to_string()))
+    }
+
+    /// The router of `table`, once a model of dimension `dim` fits it.
+    fn router_for_model(&mut self, table: &str, dim: usize) -> Result<&mut ShardRouter, SqlError> {
+        let router = self.router_mut(table)?;
+        let expected = router.exact_engine().relation().dim();
+        if dim != expected {
+            return Err(SqlError::DimensionMismatch {
+                table: table.to_string(),
+                expected,
+                actual: dim,
+            });
+        }
+        Ok(router)
     }
 
     /// Parse and execute one command: `SELECT …` statements return

@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use regq_serve::{
         FaultKind, FaultPlan, Feedback, Route, RoutePolicy, RouterStats, ServeError, Served,
-        ShardRouter, ShardSnapshot, SnapshotCell, StallGate,
+        ShardRouter, SnapshotCell, StallGate,
     };
     pub use regq_store::{AccessPathKind, Relation};
     pub use regq_workload::{
