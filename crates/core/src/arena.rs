@@ -330,7 +330,7 @@ impl PrototypeArena {
 
     /// Append a prototype given as a view: of an owned [`Prototype`]
     /// ([`PrototypeArena::from_prototypes`]) or of another arena's row
-    /// ([`PrototypeArena::view`]; a serving fabric's merge of its shards).
+    /// ([`PrototypeArena::view`]).
     ///
     /// # Panics
     /// Panics on a `center`/`b_x` length mismatch with the arena dimension.

@@ -48,9 +48,8 @@
 //! * [`moments`] — extension E-1: one variance head → `VAR` prediction.
 //! * [`confidence`] — desideratum D2: when to trust a served answer.
 //! * [`snapshot`] — the immutable, publishable serving half of the
-//!   train/serve split (a sharded serving fabric publishes one, its
-//!   shards merged in global-id order), and the one resolver behind
-//!   every served answer.
+//!   train/serve split (a router publishes one capture of its trainer at
+//!   a time), and the one resolver behind every served answer.
 //! * [`persist`] — versioned text persistence.
 
 #![deny(missing_docs)]

@@ -28,7 +28,7 @@
 //!
 //! After convergence the model freezes (the paper performs no further
 //! modification at prediction time) and drops its layout, so a frozen
-//! model — and every serving or shard copy made of it — costs nothing
+//! model — and every serving copy made of it — costs nothing
 //! beyond its arena; [`LlmModel::unfreeze`] rebuilds the layout and
 //! re-opens the model for further training.
 
@@ -400,8 +400,8 @@ impl LlmModel {
 
     /// Assemble a model from explicit parts: configuration, prototype
     /// set, consumed-step count and frozen flag — how `persist` rebuilds a
-    /// saved model and how the serving layer's shard fabric builds
-    /// per-shard models from prototype subsets. An unfrozen model builds
+    /// saved model and how a serving snapshot becomes a trainer again
+    /// (`ServingSnapshot::to_model`). An unfrozen model builds
     /// its winner search's layout here (`O(dK + K log K)`); a frozen one
     /// holds none. Prototypes are not checked for finiteness: a NaN or
     /// infinite parameter is carried as is, and the layout keeps the

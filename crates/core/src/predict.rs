@@ -165,8 +165,7 @@ pub struct LocalModel {
     pub intercept: f64,
     /// `u`-slope `b_{X,k}`.
     pub slope: Coeffs,
-    /// Index of the prototype this model comes from — its global id when
-    /// it was served from a sharded fabric's merged snapshot.
+    /// Arena index of the prototype this model comes from.
     pub prototype: usize,
     /// Normalized overlap weight `δ̃(q, w_k)` (1.0 for the closest-prototype
     /// fallback) — diagnostic, not part of the paper's `S`.

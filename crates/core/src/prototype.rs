@@ -4,8 +4,8 @@
 //!
 //! The model's *storage* is the packed
 //! [`crate::arena::PrototypeArena`]; an owned [`Prototype`] is what
-//! crosses API edges (persistence, assembling per-shard models from
-//! prototype subsets) and what
+//! crosses API edges (persistence, rebuilding a model from a snapshot)
+//! and what
 //! [`LlmModel::prototypes`](crate::model::LlmModel::prototypes)
 //! materializes on demand. It is data only: every evaluation (Eq. 5,
 //! Theorem 3, the joint distance) is a method of the arena, and the

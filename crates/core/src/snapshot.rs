@@ -30,12 +30,8 @@
 //! definition, row by row — so that battery holds the served search to
 //! the definition directly.
 //!
-//! A sharded serving fabric trains its shards apart and serves one
-//! snapshot: it merges the shards' prototypes into one arena in ascending
-//! global id ([`ServingSnapshot::from_arena`]), so arena order is
-//! global-id order and the snapshot's answers are the unsharded model's.
-//! Such a snapshot carries each slot's global id, only to label its Q2
-//! list elements; a snapshot captured from a model labels by index.
+//! A Q2 list element names its prototype by arena index, the model's
+//! own numbering.
 //!
 //! Cost model: taking a snapshot clones the arena and builds the layout
 //! (`O(dK + K log K)` — the publish cost, paid by the trainer at
@@ -67,9 +63,6 @@ struct Inner {
     /// query served from this version) and immutable thereafter, like
     /// everything else in the capture.
     layout: BlockLayout,
-    /// The global id each arena slot carries into a Q2 list, ascending;
-    /// `None` when slot `k` is id `k` (a capture of one model).
-    ids: Option<Vec<usize>>,
     /// Training steps the source model had consumed at capture time — the
     /// snapshot's natural, monotonically increasing version.
     steps: u64,
@@ -88,42 +81,15 @@ impl ServingSnapshot {
     /// Capture the model's current parameters (clones the arena and
     /// builds the pruned serving layout; `O(dK + K log K)`).
     pub fn capture(model: &LlmModel) -> Self {
-        Self::from_arena(
-            model.config().clone(),
-            model.arena().clone(),
-            None,
-            model.steps(),
-            model.is_frozen(),
-        )
-    }
-
-    /// A snapshot of `arena` as given (builds the pruned serving layout;
-    /// `O(dK + K log K)`): `steps` is its version, `frozen` whether its
-    /// source had converged. Slot `k` carries the global id `ids[k]` into
-    /// Q2 lists — a sharded fabric's merge of its shards' parts, in
-    /// ascending global id — or its own index `k` with `ids` `None`.
-    ///
-    /// # Panics
-    /// If `ids` does not hold one id per slot.
-    pub fn from_arena(
-        config: ModelConfig,
-        arena: PrototypeArena,
-        ids: Option<Vec<usize>>,
-        steps: u64,
-        frozen: bool,
-    ) -> Self {
-        if let Some(ids) = &ids {
-            assert_eq!(ids.len(), arena.len(), "one global id per arena slot");
-        }
+        let arena = model.arena().clone();
         let layout = arena.build_layout();
         ServingSnapshot {
             inner: Arc::new(Inner {
-                config,
+                config: model.config().clone(),
                 arena,
                 layout,
-                ids,
-                steps,
-                frozen,
+                steps: model.steps(),
+                frozen: model.is_frozen(),
             }),
         }
     }
@@ -182,12 +148,6 @@ impl ServingSnapshot {
         self.inner.frozen
     }
 
-    /// The id slot `k` carries into a Q2 list (see
-    /// [`ServingSnapshot::from_arena`]).
-    fn label(&self, k: usize) -> usize {
-        self.inner.ids.as_ref().map_or(k, |ids| ids[k])
-    }
-
     fn check_query(&self, q: &Query) -> Result<(), CoreError> {
         if q.dim() != self.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -224,8 +184,7 @@ impl ServingSnapshot {
 
     /// Algorithm 3 (Q2) with its confidence, from the oracle — the list
     /// is bit-identical to [`LlmModel::predict_q2`], the confidence to
-    /// [`LlmModel::confidence`] (list elements carry the slots' global
-    /// ids on a merged snapshot).
+    /// [`LlmModel::confidence`].
     ///
     /// # Errors
     /// Same as [`ServingSnapshot::predict_q1_with_confidence`].
@@ -236,9 +195,7 @@ impl ServingSnapshot {
         let (arena, rho) = (&self.inner.arena, self.inner.config.rho());
         let mut s = Vec::new();
         let confidence = predict::fuse_oracle(arena, rho, q, |k, w| {
-            let mut lm = predict::local_model_at(arena, k, w);
-            lm.prototype = self.label(k);
-            s.push(lm);
+            s.push(predict::local_model_at(arena, k, w));
         })?;
         Ok((s, confidence))
     }
@@ -601,10 +558,10 @@ fn head_q1(
 }
 
 /// The Q2 + confidence head — see [`head_q1`]. List elements carry the
-/// slots' labels (global ids on a merged snapshot). The list is sized
-/// once — one element per member, or the winner alone — and its elements
-/// hold their coefficients inline ([`crate::coeffs::Coeffs`]), so this is
-/// the one allocation of a served `LINREG` answer.
+/// slots' arena indices. The list is sized once — one element per
+/// member, or the winner alone — and its elements hold their
+/// coefficients inline ([`crate::coeffs::Coeffs`]), so this is the one
+/// allocation of a served `LINREG` answer.
 fn head_q2(
     snapshot: &ServingSnapshot,
     (winner, winner_sq): Scored,
@@ -614,9 +571,7 @@ fn head_q2(
     let mut s = Vec::with_capacity(set.len().max(1));
     let mut support_updates = 0.0;
     let info = predict::fuse_weights_from_set(set, winner, |k, w| {
-        let mut lm = predict::local_model_at(arena, k, w);
-        lm.prototype = snapshot.label(k);
-        s.push(lm);
+        s.push(predict::local_model_at(arena, k, w));
         support_updates += w * arena.updates(k) as f64;
     });
     let rho = snapshot.config().rho();
@@ -996,36 +951,6 @@ mod tests {
         edges.overlap_set_into(&ordering_probes()[3], &mut all);
         assert_eq!(all.len(), 2 * ID_WORD);
         assert_served_like_the_oracle(&edges);
-    }
-
-    /// A merged snapshot's slots carry sparse global ids: the oracle and
-    /// the served path both label Q2 elements with them, and order and
-    /// fold by slot exactly as the unlabelled capture of the same arena.
-    #[test]
-    fn screening_labels_are_the_slots_global_ids() {
-        let model = scattered(3, 11);
-        let plain = model.snapshot();
-        let gids = vec![3usize, 1_000, 70_000];
-        let labelled = ServingSnapshot::from_arena(
-            model.config().clone(),
-            model.arena().clone(),
-            Some(gids.clone()),
-            model.steps(),
-            true,
-        );
-        assert_served_like_the_oracle(&labelled);
-        let everything = q(&[0.5, 0.5], 3.0);
-        let mut c = ScreenCounters::default();
-        let (list, conf) = labelled
-            .predict_q2_with_confidence_pruned(&everything, &mut c)
-            .unwrap();
-        let labels: Vec<usize> = list.iter().map(|lm| lm.prototype).collect();
-        assert_eq!(labels, gids);
-        let (mut relabelled, plain_conf) = plain.predict_q2_with_confidence(&everything).unwrap();
-        for lm in &mut relabelled {
-            lm.prototype = gids[lm.prototype];
-        }
-        assert!(q2_bits(&(list, conf)) == q2_bits(&(relabelled, plain_conf)));
     }
 
     // --- The batch split (no `screening_` prefix: thousands of

@@ -21,10 +21,9 @@
 //! * **answer level** — the four `ServingSnapshot::*_pruned` methods
 //!   equal `predict_q{1,2}_with_confidence` on the same snapshot: a batch
 //!   is its scalar calls (winner ties keep the lowest index, members fuse
-//!   in ascending index). A sharded fabric serves one such snapshot, the
-//!   merge of its shards in ascending global id, so this is its contract
-//!   too (`shard_equivalence` in `tests/sql_and_concurrency.rs` holds the
-//!   router to it).
+//!   in ascending index). A router serves one such snapshot, the capture
+//!   of its trainer, so this is its contract too (`shard_equivalence` in
+//!   `tests/sql_and_concurrency.rs` holds the router to it).
 //!
 //! The matrix: K ∈ {64, 257, 1024, 4096} × batch {1, 7, 64, 1000} ×
 //! {Q1, Q2}, with balls straddling cluster and block boundaries, exact

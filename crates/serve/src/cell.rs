@@ -443,7 +443,7 @@ impl<T: Send + Sync + 'static> SnapshotCell<T> {
     /// A reader handle drawn from (and returned to) this thread's handle
     /// cache, so repeated reads on one thread reuse one hazard slot
     /// instead of registering anew per call. Take several at once to read
-    /// multiple cells coherently (the shard router does).
+    /// multiple cells coherently.
     pub fn tls_reader(&self) -> TlsReader<T> {
         TlsReader {
             id: self.inner.id,

@@ -19,14 +19,9 @@
 //!   the snapshot above the [`RoutePolicy`] threshold, fall back to the
 //!   [`regq_exact::ExactEngine`] below it — and feed the exact answer
 //!   back to the trainer as a free training example, closing Algorithm
-//!   1's loop in production) over a sharded train fabric: a kd-split of
-//!   the joint query space `[x, θ]` assigns each feedback example to one
-//!   of `n` trainer shards (bounded per-shard queues, work-stealing
-//!   drain). Shards train apart and serve one snapshot: each publish
-//!   merges every shard's part in ascending global id into one
-//!   [`regq_core::ServingSnapshot`] in one cell, so answers are the
-//!   single model's, bit for bit, at any shard count. One shard is the
-//!   smallest fabric, not a separate engine;
+//!   1's loop in production). One trainer drains one bounded feedback
+//!   queue in order, so it runs Algorithm 1 over that stream, and each
+//!   publish captures its model into the router's one cell;
 //! * [`FaultPlan`] — the deterministic fault-injection plane behind the
 //!   self-healing story: scripted trainer panics, lock poisonings, queue
 //!   overflow bursts, publish stalls and exact-path delays fire at exact
@@ -46,9 +41,9 @@
 //! (drops, quarantines, poisonings in [`RouterStats`]);
 //! trainer panics are contained by `catch_unwind` supervision and
 //! answered with a restart. The few remaining `expect`s in this crate
-//! assert local invariants that hold by construction (a model that was
-//! just trained is present; a [`TlsReader`]'s handle exists until drop;
-//! re-assembling prototypes of a valid model is valid) or document a
+//! assert local invariants that hold by construction (a gate loop that
+//! returns `Ok` answered every query; a [`TlsReader`]'s handle exists
+//! until drop) or document a
 //! builder contract ([`FaultPlan`] must be configured before it is
 //! shared) — each states its invariant at the call site.
 //!
@@ -66,10 +61,10 @@
 //! let data = Dataset::from_function(&field, 5_000, SampleOptions::default(), &mut rng);
 //! let exact = ExactEngine::new(Arc::new(data), AccessPathKind::KdTree);
 //!
-//! // An empty trainer on one shard: the router starts on the exact route
+//! // An empty trainer: the router starts on the exact route
 //! // and trains itself from its own fallbacks (the closed loop).
 //! let model = LlmModel::new(ModelConfig::paper_defaults(2)).unwrap();
-//! let router = ShardRouter::with_model(exact, model, RoutePolicy::default(), 1);
+//! let router = ShardRouter::with_model(exact, model, RoutePolicy::default());
 //!
 //! let q = Query::new(vec![0.4, 0.6], 0.1).unwrap();
 //! let served = router.q1(&q).unwrap();
@@ -85,7 +80,6 @@
 pub mod cell;
 pub(crate) mod cost;
 pub mod fault;
-pub(crate) mod partition;
 pub mod route;
 pub mod shard;
 

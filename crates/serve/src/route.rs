@@ -46,10 +46,10 @@ pub struct Served<T> {
     /// model was attached).
     pub score: Option<f64>,
     /// Version ([`regq_core::ServingSnapshot::version`]) of the snapshot
-    /// consulted (the newest one across the shards).
+    /// consulted: the trainer's step count when it was published.
     pub snapshot_version: Option<u64>,
-    /// `true` when this query's own feedback example was *lost*: its
-    /// shard's bounded queue was still full after the retry budget.
+    /// `true` when this query's own feedback example was *lost*: the
+    /// bounded feedback queue was still full after the retry budget.
     /// Always `false` on model and degraded routes and with feedback
     /// disabled.
     pub feedback_dropped: bool,
@@ -122,14 +122,14 @@ pub struct RoutePolicy {
     /// [`Route::Degraded`] instead of traversing data. `None` (default)
     /// never degrades on cost.
     pub deadline_us: Option<f64>,
-    /// Feedback-pressure watermark: when the routed shard's feedback
-    /// queue holds at least this many pending examples, fallbacks degrade
-    /// to the snapshot answer instead of piling more work onto a
-    /// struggling trainer. `None` (default) never degrades on pressure.
+    /// Feedback-pressure watermark: when the feedback queue holds at
+    /// least this many pending examples, fallbacks degrade to the
+    /// snapshot answer instead of piling more work onto a struggling
+    /// trainer. `None` (default) never degrades on pressure.
     pub pressure_watermark: Option<usize>,
-    /// Bounded retry budget for feedback that hits a full shard queue:
-    /// each retry backs off deterministically (a doubling spin) and pumps
-    /// the fabric once before re-offering. `0` (default) drops
+    /// Bounded retry budget for feedback that hits a full queue: each
+    /// retry backs off deterministically (a doubling spin) and pumps the
+    /// trainer once before re-offering. `0` (default) drops
     /// immediately.
     pub overflow_retries: u32,
 }
@@ -147,21 +147,21 @@ impl Default for RoutePolicy {
     }
 }
 
-/// Outcome of offering one feedback example to the fabric
+/// Outcome of offering one feedback example to the trainer
 /// ([`crate::ShardRouter::observe_outcome`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Feedback {
-    /// The example was enqueued on its shard; a trainer consumes it at
-    /// the next drain (a contended trainer lock leaves it queued, it is
+    /// The example was enqueued; the trainer consumes it at the next
+    /// drain (a contended trainer lock leaves it queued, it is
     /// not lost).
     Accepted,
-    /// The example was lost to a full (or overflowing) shard queue after
+    /// The example was lost to a full (or overflowing) queue after
     /// the retry budget. Counted in
     /// [`crate::RouterStats::feedback_dropped`] and surfaced per-query via
     /// [`Served::feedback_dropped`].
     Dropped,
-    /// The example's shard cannot train — it holds no model, or a frozen
-    /// one — so the example was not enqueued: nothing could have been
+    /// The trainer cannot learn — it holds no model, or a frozen one —
+    /// so the example was not enqueued: nothing could have been
     /// learned from it, and nothing was lost. Counted in
     /// [`crate::RouterStats::feedback_declined`].
     Declined,

@@ -1,18 +1,15 @@
 //! [`ShardRouter`]: the serving engine — confidence-gated routing
 //! between the learned snapshot and the exact DBMS backend, with the
-//! training loop closed in production over a sharded train fabric.
+//! training loop closed in production by one trainer.
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
-//! counter or a per-shard advisory flag: `degraded`, read only for
+//! counter or an advisory flag: `degraded`, read only for
 //! [`RouterStats`], and `trainable`, read by the feedback door — a stale
 //! read queues one example for a trainer that just froze (it stays
 //! queued, bounded) or declines one for a trainer that just came back;
-//! both tolerate staleness. The two orderings
-//! that matter are explicit: `next_id` (the spawn ticket counter whose
-//! values become prototype identities) is SeqCst, and snapshot hand-off
-//! goes through the SeqCst [`SnapshotCell`] protocol. The exact-cost EMA
-//! lives in `crate::cost::CostEma` with its own audit header; the
-//! partitioner (`crate::partition`) has no atomics at all.
+//! both tolerate staleness. Snapshot hand-off goes through the SeqCst
+//! [`SnapshotCell`] protocol. The exact-cost EMA lives in
+//! `crate::cost::CostEma` with its own audit header.
 //!
 //! # Query flow (the paper's desideratum D2 made operational)
 //!
@@ -26,63 +23,42 @@
 //! 3. serve from the snapshot when the score clears
 //!    [`RoutePolicy::confidence_threshold`]; otherwise execute on the
 //!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
-//!    answer on its shard's bounded feedback queue. One gate loop does
-//!    this for a scalar call and a batch alike (a scalar call is a batch
-//!    of one), and one feedback door offers every label, in the order the
-//!    labels were gathered. Feedback never waits for a busy trainer:
-//!    queues are drained under `try_lock`, a contended trainer leaves the
-//!    example queued for the next drain, only a full queue loses one,
-//!    and a shard whose trainer cannot learn (no model, or a frozen one)
-//!    is not offered any (both counted, see [`Feedback`]). A drain that
-//!    reaches its publish cadence publishes, and may wait for another
-//!    shard's publish in flight (below); a read never waits;
-//! 4. each shard's trainer republishes every
-//!    [`RoutePolicy::publish_interval`] consumed examples.
+//!    answer on the bounded feedback queue. One gate loop does this for a
+//!    scalar call and a batch alike (a scalar call is a batch of one), and
+//!    one feedback door offers every label, in the order the labels were
+//!    gathered. Feedback never waits for a busy trainer: the queue is
+//!    drained under `try_lock`, a contended trainer leaves the example
+//!    queued for the next drain, only a full queue loses one, and a
+//!    trainer that cannot learn (no model, or a frozen one) is not
+//!    offered any (both counted, see [`Feedback`]). A read never waits;
+//! 4. the trainer republishes every [`RoutePolicy::publish_interval`]
+//!    consumed examples.
 //!
-//! # Shards
+//! # One trainer
 //!
-//! A single trainer mutex is fine for one feedback stream and a
-//! bottleneck for many, so the router partitions the **joint query
-//! space** `[x, θ]` (a kd-split over the attached model's prototypes,
-//! hash fallback while there is nothing to split) into `n` shards, each
-//! owning
-//!
-//! * its own trainer (an [`LlmModel`] over the shard's prototype subset),
-//! * a bounded feedback queue drained with work stealing: any caller
-//!   drains whichever shard's trainer lock it can grab.
-//!
-//! Shards train apart and serve **one snapshot**. Every prototype
-//! carries a *global id* (its index in the pre-split arena, or a fresh
-//! `next_id` ticket on spawn; per-shard ids ascend, training only
-//! appends). A shard's publish stores its *part* (prototypes, ids, steps,
-//! frozen flag), merges every shard's part in ascending global id — the
-//! merge [`ShardRouter::merged_model`] makes — and publishes the merge as
-//! one [`ServingSnapshot`] into the router's one [`SnapshotCell`]. Arena
-//! order is global-id order, so the fused answer (Algorithm 3, over the
-//! prototypes of **all** shards, ties to the lowest id) is the unsharded
-//! model's, bit for bit, at any shard count. One shard is simply the
-//! smallest fabric.
-//!
-//! The write-side rule: one lock is held across storing the part, the
-//! merge and the cell publish, taken in the order shard trainer → parts
-//! → cell, so an older merge never lands after a newer one. A publish
-//! costs `O(d·K + K log K)` over the `K` of **all** shards, and a pump
-//! that publishes may wait for another shard's publish in flight.
-//! Serving reads take no lock.
+//! The router keeps one trainer, an [`LlmModel`], behind one mutex, and
+//! one bounded feedback queue in front of it. Every label it is fed goes
+//! through [`LlmModel::train_step`] in the order it was queued, so the
+//! trainer *is* Algorithm 1 over that stream: its winner is chosen among
+//! all prototypes and it stops on one Γ. A publish captures the trainer's
+//! model ([`ServingSnapshot::capture`]) into the router's one
+//! [`SnapshotCell`] while the trainer lock is held, so publishes land in
+//! training order, and a snapshot's version is the trainer's step count.
+//! A publish costs `O(d·K + K log K)`; reads take no lock.
 //!
 //! # Fault tolerance
 //!
 //! Training is *supervised*: every SGD ingestion runs under
 //! `catch_unwind`. A panicking drain (including injected
 //! [`FaultKind::TrainerPanic`] faults) quarantines the offending example
-//! ([`ShardRouter::quarantined`]), restarts that shard's trainer from its
-//! last published part, flags the shard *degraded* until its next
-//! publish, and counts everything in [`RouterStats`] — serving never
-//! stops and recovery is never silent. A poisoned trainer lock gets the
-//! same restart-from-part before the poison is cleared (a poisoned
-//! guard may hold a half-applied update, which must be neither trained on
-//! nor published). Feedback that hits a full bounded queue gets a bounded
-//! deterministic retry-with-backoff budget
+//! ([`ShardRouter::quarantined`]), restarts the trainer from the snapshot
+//! the cell serves ([`ServingSnapshot::to_model`]), flags the router
+//! *degraded* until its next publish, and counts everything in
+//! [`RouterStats`] — serving never stops and recovery is never silent. A
+//! poisoned trainer lock gets the same restart before the poison is
+//! cleared (a poisoned guard may hold a half-applied update, which must be
+//! neither trained on nor published). Feedback that hits a full bounded
+//! queue gets a bounded deterministic retry-with-backoff budget
 //! ([`RoutePolicy::overflow_retries`]) before the counted drop, and
 //! fallbacks degrade to the flagged snapshot answer under a deadline
 //! budget or queue-pressure watermark ([`Route::Degraded`]).
@@ -90,180 +66,81 @@
 use crate::cell::SnapshotCell;
 use crate::cost::CostEma;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::partition::{joint_point, Partitioner};
 use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
 use regq_core::moments::MomentsModel;
 use regq_core::{
-    Confidence, CoreError, LlmModel, LocalModel, ModelConfig, Prototype, PrototypeArena, Query,
-    ScreenCounters, ServingSnapshot,
+    Confidence, CoreError, LlmModel, LocalModel, Query, ScreenCounters, ServingSnapshot,
 };
 use regq_exact::ExactEngine;
 use regq_linalg::LinalgError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// Default bound on each shard's feedback queue (examples, not bytes).
+/// Default bound on the feedback queue (examples, not bytes).
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// What one shard last published, with the global id of each arena slot:
-/// the router serves the merge of all parts, a restarted trainer resumes
-/// from its shard's.
-struct Part {
-    config: ModelConfig,
-    arena: PrototypeArena,
-    /// Global prototype ids, one per arena slot, strictly ascending.
-    ids: Vec<usize>,
-    steps: u64,
-    frozen: bool,
-}
-
-impl Part {
-    /// The part of `model`, whose slots carry `ids` (`O(dK)`).
-    fn of(model: &LlmModel, ids: &[usize]) -> Self {
-        Part {
-            config: model.config().clone(),
-            arena: model.arena().clone(),
-            ids: ids.to_vec(),
-            steps: model.steps(),
-            frozen: model.is_frozen(),
-        }
-    }
-
-    /// The model this part was taken from, rebuilt (`O(dK)`).
-    fn to_model(&self) -> Result<LlmModel, CoreError> {
-        LlmModel::from_parts(
-            self.config.clone(),
-            self.arena.to_prototypes(),
-            self.steps,
-            self.frozen,
-        )
-    }
-
-    /// The one merge: all parts' prototypes in ascending global id, steps
-    /// the max, frozen iff every part is. `None` without parts.
-    fn merge<'p>(parts: impl IntoIterator<Item = &'p Part>) -> Option<Part> {
-        let parts: Vec<&Part> = parts.into_iter().collect();
-        let first = parts.first()?;
-        let mut slots: Vec<(usize, &PrototypeArena, usize)> = parts
-            .iter()
-            .flat_map(|p| p.ids.iter().enumerate().map(|(k, &gid)| (gid, &p.arena, k)))
-            .collect();
-        slots.sort_unstable_by_key(|&(gid, ..)| gid);
-        let mut arena = PrototypeArena::new(first.arena.dim());
-        for &(_, from, k) in &slots {
-            arena.push(from.view(k));
-        }
-        Some(Part {
-            config: first.config.clone(),
-            arena,
-            ids: slots.iter().map(|&(gid, ..)| gid).collect(),
-            steps: parts.iter().map(|p| p.steps).max().unwrap_or_default(),
-            frozen: parts.iter().all(|p| p.frozen),
-        })
-    }
-}
-
-struct ShardTrainer {
+/// The one trainer: its model (none until one is attached) and the
+/// examples it consumed since its last publish.
+struct Trainer {
     model: Option<LlmModel>,
-    /// Global id of each arena slot — strictly ascending (training only
-    /// appends; merges/prunes never run inside the fabric).
-    ids: Vec<usize>,
     since_publish: usize,
-}
-
-struct Shard {
-    trainer: Mutex<ShardTrainer>,
-    queue: Mutex<VecDeque<(Query, f64)>>,
-    /// Set when this shard's trainer was restarted from its part,
-    /// cleared at its next publish: answers stay correct (they come from
-    /// the published snapshot) but learning regressed to it.
-    degraded: AtomicBool,
-    /// Whether this shard's trainer holds a model that still learns
-    /// (present and not frozen). Advisory: written where the model changes
-    /// hands — `attach_model`, `recover_shard_trainer`, the end of a drain
-    /// (a step may have frozen it) — so the feedback door can decline
-    /// examples nobody would ever drain without locking the trainer.
-    trainable: AtomicBool,
-}
-
-impl Shard {
-    fn empty() -> Self {
-        Shard {
-            trainer: Mutex::new(ShardTrainer {
-                model: None,
-                ids: Vec::new(),
-                since_publish: 0,
-            }),
-            queue: Mutex::new(VecDeque::new()),
-            degraded: AtomicBool::new(false),
-            trainable: AtomicBool::new(false),
-        }
-    }
-
-    /// Re-derive `trainable` from the trainer the caller holds locked.
-    fn note_trainable(&self, t: &ShardTrainer) {
-        let learns = t.model.as_ref().is_some_and(|m| !m.is_frozen());
-        self.trainable.store(learns, Ordering::Relaxed);
-    }
 }
 
 /// Counter snapshot from [`ShardRouter::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterStats {
-    /// Queries answered from the merged snapshot.
+    /// Queries answered from the snapshot.
     pub model_served: u64,
     /// Queries answered by the exact engine. Like its two siblings this
-    /// counts the merged snapshot's heads (`AVG`, `LINREG`); `VAR` passes
-    /// the same gate and moves only the `blocks_*` counters.
+    /// counts the snapshot's heads (`AVG`, `LINREG`); `VAR` passes the
+    /// same gate and moves only the `blocks_*` counters.
     pub exact_served: u64,
-    /// Feedback examples accepted into a shard queue.
+    /// Feedback examples accepted into the feedback queue.
     pub feedback_enqueued: u64,
-    /// Feedback examples actually consumed by a shard trainer.
+    /// Feedback examples actually consumed by the trainer.
     pub feedback_fed: u64,
-    /// Feedback examples *lost*: the target shard's bounded queue was
-    /// full. Every drop is counted and surfaced per-query via
+    /// Feedback examples *lost*: the bounded queue was full. Every drop
+    /// is counted and surfaced per-query via
     /// [`Served::feedback_dropped`].
     pub feedback_dropped: u64,
-    /// Feedback examples *declined*: the target shard's trainer holds no
-    /// model or a frozen one, so nothing could have been learned and
-    /// nothing was queued ([`Feedback::Declined`]) — not a loss.
+    /// Feedback examples *declined*: the trainer holds no model or a
+    /// frozen one, so nothing could have been learned and nothing was
+    /// queued ([`Feedback::Declined`]) — not a loss.
     pub feedback_declined: u64,
     /// Snapshot publishes into the router's one cell: one per drain that
     /// reaches its cadence, per `publish_now` and per `attach_model`.
     pub publishes: u64,
-    /// Number of shards.
-    pub shards: usize,
     /// Snapshot epochs the router's one cell retains (bounded by
     /// readers, not publishes — the reclamation invariant).
     pub retained: usize,
     /// Below-threshold queries served from the snapshot as
     /// [`Route::Degraded`] (deadline budget / pressure watermark).
     pub degraded_served: u64,
-    /// Shard-trainer panics caught mid-drain; each quarantined its
-    /// example ([`ShardRouter::quarantined`]) and restarted that shard's
-    /// trainer.
+    /// Trainer panics caught mid-drain; each quarantined its example
+    /// ([`ShardRouter::quarantined`]) and restarted the trainer.
     pub trainer_panics: u64,
-    /// Shard-trainer restarts from the shard's last published part
-    /// (panic or poison recovery). Recovery is never silent.
+    /// Trainer restarts from the served snapshot (panic or poison
+    /// recovery). Recovery is never silent.
     pub trainer_restarts: u64,
-    /// Poisoned shard-trainer locks encountered and healed.
+    /// Poisoned trainer locks encountered and healed.
     pub lock_poisonings: u64,
-    /// Retry attempts made for feedback that found its shard queue full
-    /// (the bounded [`RoutePolicy::overflow_retries`] budget).
+    /// Retry attempts made for feedback that found the queue full (the
+    /// bounded [`RoutePolicy::overflow_retries`] budget).
     pub feedback_retried: u64,
-    /// Shards currently flagged degraded (restarted trainer awaiting its
-    /// next publish).
-    pub degraded_shards: usize,
+    /// Whether the trainer was restarted and has not published since:
+    /// answers stay correct (they come from the published snapshot) but
+    /// learning regressed to it.
+    pub degraded: bool,
     /// Prototype block visits whose lower bound was evaluated during
-    /// pruned consultations of the merged snapshot (none on single-block
+    /// pruned consultations of the snapshot (none on single-block
     /// layouts) — and, for `VAR`, of the variance head's.
     pub blocks_screened: u64,
     /// Prototype blocks pruned away because their bound ruled them out —
-    /// the fabric's output-sensitivity win.
+    /// the router's output-sensitivity win.
     pub blocks_skipped: u64,
     /// Prototype blocks exact-verified by the bit-exact kernel.
     pub blocks_verified: u64,
@@ -271,34 +148,38 @@ pub struct RouterStats {
 
 /// The serving engine (see module docs). `&self` prediction/feedback
 /// from any number of threads (`ShardRouter: Send + Sync`); the mutable
-/// trainers live behind writer-side mutexes that the serve path only ever
-/// `try_lock`s. Attaching models and resharding are `&mut self`
-/// administrative operations.
+/// trainer lives behind a writer-side mutex that the serve path only ever
+/// `try_lock`s. Attaching models is a `&mut self` administrative
+/// operation.
 pub struct ShardRouter {
     exact: ExactEngine,
     policy: RoutePolicy,
-    partitioner: Partitioner,
-    shards: Vec<Shard>,
-    /// Each shard's last published part, by shard index (the lock a
-    /// publish holds, see the module docs' write-side rule).
-    parts: Mutex<Vec<Option<Part>>>,
+    trainer: Mutex<Trainer>,
+    queue: Mutex<VecDeque<(Query, f64)>>,
+    /// Set when the trainer was restarted, cleared at its next publish
+    /// ([`RouterStats::degraded`]).
+    degraded: AtomicBool,
+    /// Whether the trainer holds a model that still learns (present and
+    /// not frozen). Advisory: written where the model changes hands —
+    /// `attach_model`, `recover_trainer`, the end of a drain (a step may
+    /// have frozen it) — so the feedback door can decline examples nobody
+    /// would ever drain without locking the trainer.
+    trainable: AtomicBool,
     /// The one snapshot every answer is served from.
     cell: SnapshotCell,
     /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]),
     /// captured once: immutable and consulted whole, so it lives beside
-    /// the shards, not in them, and needs no cell.
+    /// the trainer, not in it, and needs no cell.
     moments: Option<ServingSnapshot>,
     queue_capacity: usize,
     fault: FaultPlan,
-    /// Examples quarantined by panicking shard trainers (bounded at
+    /// Examples quarantined by the panicking trainer (bounded at
     /// [`QUARANTINE_CAP`]; `trainer_panics` has the unbounded count).
     quarantine: Mutex<Vec<(Query, f64)>>,
     /// Exact-path cost EMA in µs (no sample until the first timed exact
     /// call); only maintained when a deadline budget / injected delay
     /// needs it.
     exact_cost: CostEma,
-    /// Next unassigned global prototype id (spawn ticket counter).
-    next_id: AtomicUsize,
     /// Answers per [`Route`], indexed `route as usize`, of the heads that
     /// count theirs: `AVG` and `LINREG` ([`RouterStats::model_served`],
     /// `exact_served`, `degraded_served`). `VAR` answers move none.
@@ -325,7 +206,7 @@ type Predicted<T> = Option<(T, Confidence)>;
 type Consulted<P> = (P, u64, ScreenCounters);
 
 /// One gated query: the answer and, on the exact route, the label its
-/// caller owes the fabric as feedback.
+/// caller owes the trainer as feedback.
 type Routed<T> = (Served<T>, Option<f64>);
 
 /// Where the gate loop writes: the answers in query order, and the labels
@@ -368,23 +249,23 @@ impl<T> Answers<T> for Many<T> {
     }
 }
 
-/// Poison-tolerant lock for the queue, quarantine and parts mutexes and
-/// read-only test access: none holds a cross-field invariant a
-/// mid-operation panic could break (an element or a part is either in
-/// or not), so `into_inner` is sound. Deliberately **not** used for
-/// trainer locks, whose guard may hold a half-applied SGD update — those
-/// go through [`ShardRouter::lock_shard_trainer`], which restarts the
-/// trainer from its last published part, counted, before handing it out.
+/// Poison-tolerant lock for the queue and quarantine mutexes and
+/// read-only test access: neither holds a cross-field invariant a
+/// mid-operation panic could break (an element is either in or not), so
+/// `into_inner` is sound. Deliberately **not** used for the trainer lock,
+/// whose guard may hold a half-applied SGD update — that goes through
+/// [`ShardRouter::lock_trainer`], which restarts the trainer from the
+/// served snapshot, counted, before handing it out.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Die holding `guard`, genuinely poisoning its mutex (the injected
 /// [`FaultKind::LockPoison`] mechanism — no simulation, the real thing).
-fn poison_lock(guard: MutexGuard<'_, ShardTrainer>) {
+fn poison_lock(guard: MutexGuard<'_, Trainer>) {
     let poisoner = catch_unwind(AssertUnwindSafe(move || {
         let _guard = guard;
-        panic!("injected fault: shard trainer lock poisoned");
+        panic!("injected fault: trainer lock poisoned");
     }));
     debug_assert!(poisoner.is_err());
 }
@@ -399,27 +280,26 @@ fn backoff(attempt: u32) {
 }
 
 impl ShardRouter {
-    /// Router over `shards` empty shards — every query routes exact (and,
-    /// with feedback on, the fabric trains itself once models are
-    /// attached or [`ShardRouter::attach_model`] seeds them).
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn new(exact: ExactEngine, policy: RoutePolicy, shards: usize) -> Self {
-        assert!(shards >= 1, "a router needs at least one shard");
+    /// Router without a model — every query routes exact (and, with
+    /// feedback on, the router trains itself once
+    /// [`ShardRouter::attach_model`] seeds its trainer).
+    pub fn new(exact: ExactEngine, policy: RoutePolicy) -> Self {
         ShardRouter {
             exact,
             policy,
-            partitioner: Partitioner::Hash { shards },
-            shards: (0..shards).map(|_| Shard::empty()).collect(),
-            parts: Mutex::new(std::iter::repeat_with(|| None).take(shards).collect()),
+            trainer: Mutex::new(Trainer {
+                model: None,
+                since_publish: 0,
+            }),
+            queue: Mutex::new(VecDeque::new()),
+            degraded: AtomicBool::new(false),
+            trainable: AtomicBool::new(false),
             cell: SnapshotCell::new(),
             moments: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fault: FaultPlan::new(),
             quarantine: Mutex::new(Vec::new()),
             exact_cost: CostEma::new(),
-            next_id: AtomicUsize::new(0),
             routes: Default::default(),
             feedback_enqueued: AtomicU64::new(0),
             feedback_fed: AtomicU64::new(0),
@@ -435,126 +315,36 @@ impl ShardRouter {
         }
     }
 
-    /// Router with `model` partitioned across `shards` shards and its
-    /// first snapshot published.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn with_model(
-        exact: ExactEngine,
-        model: LlmModel,
-        policy: RoutePolicy,
-        shards: usize,
-    ) -> Self {
-        let mut router = Self::new(exact, policy, shards);
+    /// Router training `model`, its first snapshot published.
+    pub fn with_model(exact: ExactEngine, model: LlmModel, policy: RoutePolicy) -> Self {
+        let mut router = Self::new(exact, policy);
         router.attach_model(model);
         router
     }
 
-    /// Partition `model` across the current shards: a kd-split is built
-    /// from the prototypes' joint points `[center, radius]`, each
-    /// prototype keeps its arena index as its global id, every shard's
-    /// trainer takes its subset, and the merge of the shards' parts — the
-    /// model itself — is published once. Pending queued feedback is
-    /// discarded (it belonged to the replaced model).
+    /// Make `model` the trainer's and publish its snapshot. Pending
+    /// queued feedback is discarded (it belonged to the replaced model).
     pub fn attach_model(&mut self, model: LlmModel) {
-        let protos = model.prototypes();
-        let joint: Vec<Vec<f64>> = protos
-            .iter()
-            .map(|p| joint_point(&p.center, p.radius))
-            .collect();
-        self.partitioner = Partitioner::kd(&joint, self.shards.len());
-        let mut per: Vec<(Vec<Prototype>, Vec<usize>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        for (gid, p) in protos.into_iter().enumerate() {
-            let shard = self.partitioner.route(&p.center, p.radius);
-            per[shard].0.push(p);
-            per[shard].1.push(gid);
-        }
-        self.next_id
-            .store(per.iter().map(|(s, _)| s.len()).sum(), Ordering::SeqCst);
-        let mut trainers = Vec::with_capacity(per.len());
-        for (i, (subset, ids)) in per.into_iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "`from_parts` validates dimensions and finiteness, and every part \
-                          here is a subset of a model that already passed that validation \
-                          with the same config"
-            )]
-            let m = LlmModel::from_parts(
-                model.config().clone(),
-                subset,
-                model.steps(),
-                model.is_frozen(),
-            )
-            .expect("subset of a valid model is valid");
-            let shard = &self.shards[i];
-            lock(&shard.queue).clear();
-            let mut t = self.lock_shard_trainer(i);
-            t.model = Some(m);
-            t.ids = ids;
-            t.since_publish = 0;
-            shard.note_trainable(&t);
-            trainers.push(t);
-        }
-        self.publish(trainers.iter().map(|t| &**t).enumerate());
+        lock(&self.queue).clear();
+        let mut t = self.lock_trainer();
+        t.model = Some(model);
+        self.note_trainable(&t);
+        self.publish(&mut t);
     }
 
     /// Attach a trained moments model: enables the model route of
     /// [`ShardRouter::var`] / [`ShardRouter::var_model`]. Its variance
     /// head is kept as a snapshot, and its own confidence gates `VAR`.
     /// It is served as attached — exact `VAR` fallbacks feed their
-    /// subspace mean to the Q1 trainers, not to this head — and
-    /// resharding leaves it untouched.
+    /// subspace mean to the Q1 trainer, not to this head.
     pub fn attach_moments(&mut self, model: MomentsModel) {
         self.moments = Some(model.head().snapshot());
     }
 
-    /// Re-shard in place: drain every queue, merge the per-shard models
-    /// back into one (global-id order), rebuild `shards` fresh shards and
-    /// re-partition. Model parameters survive bit-for-bit; global ids are
-    /// compacted to `0..K`.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "a router needs at least one shard");
-        for i in 0..self.shards.len() {
-            let mut t = self.lock_shard_trainer(i);
-            self.drain_shard(i, &mut t);
-        }
-        let merged = self.merged_model();
-        self.partitioner = Partitioner::Hash { shards };
-        self.shards = (0..shards).map(|_| Shard::empty()).collect();
-        *lock(&self.parts) = std::iter::repeat_with(|| None).take(shards).collect();
-        self.next_id.store(0, Ordering::SeqCst);
-        if let Some(model) = merged {
-            self.attach_model(model);
-        }
-    }
-
-    /// Reassemble the single unsharded model from the shard trainers: the
-    /// merge every publish makes (all prototypes in ascending global-id
-    /// order, `steps` = the max over shards, frozen iff every shard is),
-    /// over the trainers as they stand. `None` when no shard has a
-    /// trainer.
+    /// The trainer's model as it stands, cloned — what the next publish
+    /// captures. `None` before a model is attached.
     pub fn merged_model(&self) -> Option<LlmModel> {
-        let parts: Vec<Part> = (0..self.shards.len())
-            .filter_map(|i| {
-                let t = self.lock_shard_trainer(i);
-                t.model.as_ref().map(|model| Part::of(model, &t.ids))
-            })
-            .collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "every prototype being merged came out of a shard model that passed \
-                      `from_parts` validation against a clone of this same config, so \
-                      re-validation cannot fail"
-        )]
-        let merged = Part::merge(&parts)?
-            .to_model()
-            .expect("merged shard parts are consistent");
-        Some(merged)
+        self.lock_trainer().model.clone()
     }
 
     /// The exact backend.
@@ -567,12 +357,7 @@ impl ShardRouter {
         &self.policy
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Bound each shard's feedback queue to `capacity` examples (an
+    /// Bound the feedback queue to `capacity` examples (an
     /// administrative knob; the default is 1024).
     pub fn set_queue_capacity(&mut self, capacity: usize) {
         self.queue_capacity = capacity.max(1);
@@ -588,18 +373,13 @@ impl ShardRouter {
             feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
             feedback_declined: self.feedback_declined.load(Ordering::Relaxed),
             publishes: self.cell.epoch(),
-            shards: self.shards.len(),
             retained: self.cell.retained(),
             degraded_served: self.routes[Route::Degraded as usize].load(Ordering::Relaxed),
             trainer_panics: self.trainer_panics.load(Ordering::Relaxed),
             trainer_restarts: self.trainer_restarts.load(Ordering::Relaxed),
             lock_poisonings: self.lock_poisonings.load(Ordering::Relaxed),
             feedback_retried: self.feedback_retried.load(Ordering::Relaxed),
-            degraded_shards: self
-                .shards
-                .iter()
-                .filter(|s| s.degraded.load(Ordering::Relaxed))
-                .count(),
+            degraded: self.degraded.load(Ordering::Relaxed),
             blocks_screened: self.blocks_screened.load(Ordering::Relaxed),
             blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
             blocks_verified: self.blocks_verified.load(Ordering::Relaxed),
@@ -629,7 +409,7 @@ impl ShardRouter {
         self.fault = plan;
     }
 
-    /// Examples quarantined by panicking shard trainers, oldest first
+    /// Examples quarantined by the panicking trainer, oldest first
     /// (bounded at [`QUARANTINE_CAP`] retained examples;
     /// [`RouterStats::trainer_panics`] has the unbounded count).
     pub fn quarantined(&self) -> Vec<(Query, f64)> {
@@ -643,120 +423,100 @@ impl ShardRouter {
         }
     }
 
-    /// Lock shard `i`'s trainer, healing a poisoned lock on the way in
-    /// ([`ShardRouter::heal`]).
-    fn lock_shard_trainer(&self, i: usize) -> MutexGuard<'_, ShardTrainer> {
-        self.shards[i]
-            .trainer
-            .lock()
-            .unwrap_or_else(|poisoned| self.heal(i, poisoned))
+    /// Re-derive `trainable` from the trainer the caller holds locked.
+    fn note_trainable(&self, t: &Trainer) {
+        let learns = t.model.as_ref().is_some_and(|m| !m.is_frozen());
+        self.trainable.store(learns, Ordering::Relaxed);
     }
 
-    /// Heal shard `i`'s poisoned trainer lock: the guard may expose a
+    /// Lock the trainer, healing a poisoned lock on the way in
+    /// ([`ShardRouter::heal`]).
+    fn lock_trainer(&self) -> MutexGuard<'_, Trainer> {
+        self.trainer
+            .lock()
+            .unwrap_or_else(|poisoned| self.heal(poisoned))
+    }
+
+    /// Heal the poisoned trainer lock: the guard may expose a
     /// half-applied SGD update, which must be neither trained on nor
-    /// published — so restart from the shard's last published part and
-    /// clear the poison. Counted, never silent.
+    /// published — so restart from the served snapshot and clear the
+    /// poison. Counted, never silent.
     fn heal<'s>(
         &'s self,
-        i: usize,
-        poisoned: PoisonError<MutexGuard<'s, ShardTrainer>>,
-    ) -> MutexGuard<'s, ShardTrainer> {
+        poisoned: PoisonError<MutexGuard<'s, Trainer>>,
+    ) -> MutexGuard<'s, Trainer> {
         let mut t = poisoned.into_inner();
         self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-        self.recover_shard_trainer(i, &mut t);
-        self.shards[i].trainer.clear_poison();
+        self.recover_trainer(&mut t);
+        self.trainer.clear_poison();
         t
     }
 
-    /// Restart shard `i`'s trainer (the caller holds it) from the shard's
-    /// last published part (or, before any publish, from a fresh model
-    /// with the same config and an empty id list). Marks the shard
-    /// degraded until its next publish.
-    fn recover_shard_trainer(&self, i: usize, t: &mut ShardTrainer) {
+    /// Restart the trainer (the caller holds it) from the snapshot the
+    /// cell serves — the last publish, made under this same lock — or,
+    /// before any publish, from a fresh model with the same config. Marks
+    /// the router degraded until the next publish.
+    fn recover_trainer(&self, t: &mut Trainer) {
         t.since_publish = 0;
-        match &lock(&self.parts)[i] {
-            Some(part) => {
-                t.model = part.to_model().ok();
-                t.ids.clone_from(&part.ids);
-            }
-            None => {
-                t.model = t
-                    .model
-                    .as_ref()
-                    .and_then(|m| LlmModel::new(m.config().clone()).ok());
-                t.ids.clear();
-            }
-        }
-        let shard = &self.shards[i];
-        shard.note_trainable(t);
+        t.model = match self.cell.load_owned() {
+            Some(snapshot) => snapshot.to_model().ok(),
+            None => t
+                .model
+                .as_ref()
+                .and_then(|m| LlmModel::new(m.config().clone()).ok()),
+        };
+        self.note_trainable(t);
         self.trainer_restarts.fetch_add(1, Ordering::Relaxed);
-        shard.degraded.store(true, Ordering::Relaxed);
+        self.degraded.store(true, Ordering::Relaxed);
     }
 
-    /// The one publish: store the parts of the trainers the caller holds
-    /// (by shard index; one without a model stores nothing) and clear
-    /// their degraded flags, then merge all parts and publish the merge,
-    /// slots labelled with their global ids — under the parts lock (the
-    /// write-side rule). Nothing is published when nothing was stored.
-    fn publish<'t>(&self, held: impl IntoIterator<Item = (usize, &'t ShardTrainer)>) {
-        let mut parts = lock(&self.parts);
-        let mut stored = false;
-        for (i, t) in held {
-            if let Some(model) = &t.model {
-                parts[i] = Some(Part::of(model, &t.ids));
-                self.shards[i].degraded.store(false, Ordering::Relaxed);
-                stored = true;
-            }
-        }
-        if let Some(merged) = Part::merge(parts.iter().flatten()).filter(|_| stored) {
-            let Part {
-                config,
-                arena,
-                ids,
-                steps,
-                frozen,
-            } = merged;
-            let snapshot = ServingSnapshot::from_arena(config, arena, Some(ids), steps, frozen);
-            self.cell.publish(snapshot);
+    /// The one publish: capture the model of the trainer the caller holds
+    /// into the cell and clear the degraded flag. Nothing is published
+    /// without a model.
+    fn publish(&self, t: &mut Trainer) {
+        t.since_publish = 0;
+        if let Some(model) = &t.model {
+            self.degraded.store(false, Ordering::Relaxed);
+            self.cell.publish(ServingSnapshot::capture(model));
         }
     }
 
-    /// Offer one `(q, y)` feedback example to the fabric: the feedback
-    /// door over one pair. `Accepted` means *enqueued* on its shard's
-    /// bounded queue (a trainer consumes it at the next drain). A full
-    /// queue gets the bounded retry-with-backoff budget of
-    /// [`RoutePolicy::overflow_retries`] (each attempt pumps the fabric
-    /// first, so retries actively make room) before the example is lost
-    /// as a `Dropped` — counted in [`RouterStats::feedback_dropped`]. A
-    /// shard whose trainer cannot learn (no model, or a frozen one) is
-    /// offered nothing: the example is `Declined`, counted in
-    /// [`RouterStats::feedback_declined`], and no queue fills up with
-    /// examples nobody would drain. A trainer that is busy leaves the
-    /// example queued for the next drain. Never blocks on a trainer lock.
+    /// Offer one `(q, y)` feedback example to the trainer: the feedback
+    /// door over one pair. `Accepted` means *enqueued* on the bounded
+    /// queue (the trainer consumes it at the next drain). A full queue
+    /// gets the bounded retry-with-backoff budget of
+    /// [`RoutePolicy::overflow_retries`] (each attempt pumps first, so
+    /// retries actively make room) before the example is lost as a
+    /// `Dropped` — counted in [`RouterStats::feedback_dropped`]. A trainer
+    /// that cannot learn (no model, or a frozen one) is offered nothing:
+    /// the example is `Declined`, counted in
+    /// [`RouterStats::feedback_declined`], and the queue does not fill up
+    /// with examples nobody would drain. A trainer that is busy leaves the
+    /// example queued for the next drain. Never blocks on the trainer
+    /// lock.
     pub fn observe_outcome(&self, q: &Query, y: f64) -> Feedback {
         let mut feedback = Feedback::Dropped;
         self.offer([(0, q, y)], |_, outcome| feedback = outcome);
         feedback
     }
 
-    /// The feedback door: the only code that offers labels to the shard
-    /// queues. Walks `(slot, query, label)` pairs in the order given — the
-    /// order their labels were gathered — and reports each pair's
-    /// [`Feedback`] to `outcome` under its slot. A pair whose shard cannot
-    /// learn is declined; one that meets an injected overflow burst or a
-    /// full queue waits; any other is enqueued. So declines, fault
-    /// occurrences and enqueues happen in offer order, whatever shards
-    /// the pairs go to. One pump follows a pass that enqueued anything,
-    /// then each waiting pair, in order, gets the retry budget of
-    /// [`ShardRouter::observe_outcome`]. A pair offered alone is that
-    /// call.
+    /// The feedback door: the only code that offers labels to the queue.
+    /// Walks `(slot, query, label)` pairs in the order given — the order
+    /// their labels were gathered — and reports each pair's [`Feedback`]
+    /// to `outcome` under its slot. A pair is declined while the trainer
+    /// cannot learn; one that meets an injected overflow burst or a full
+    /// queue waits; any other is enqueued. So declines, fault occurrences
+    /// and enqueues happen in offer order. One pump follows a pass that
+    /// enqueued anything, then each waiting pair, in order, gets the retry
+    /// budget of [`ShardRouter::observe_outcome`]. A pair offered alone is
+    /// that call.
     fn offer<'q>(
         &self,
         pairs: impl IntoIterator<Item = (usize, &'q Query, f64)>,
         mut outcome: impl FnMut(usize, Feedback),
     ) {
-        let enqueue = |shard: &Shard, q: &Query, y: f64| {
-            let mut queue = lock(&shard.queue);
+        let enqueue = |q: &Query, y: f64| {
+            let mut queue = lock(&self.queue);
             let room = queue.len() < self.queue_capacity;
             if room {
                 queue.push_back((q.clone(), y));
@@ -766,12 +526,11 @@ impl ShardRouter {
         let mut enqueued = 0;
         let mut waiting = Vec::new();
         for (slot, q, y) in pairs {
-            let shard = &self.shards[self.partitioner.route(&q.center, q.radius)];
-            if !shard.trainable.load(Ordering::Relaxed) {
+            if !self.trainable.load(Ordering::Relaxed) {
                 self.feedback_declined.fetch_add(1, Ordering::Relaxed);
                 outcome(slot, Feedback::Declined);
-            } else if self.fault.fires(FaultKind::QueueOverflow) || !enqueue(shard, q, y) {
-                waiting.push((slot, shard, q, y));
+            } else if self.fault.fires(FaultKind::QueueOverflow) || !enqueue(q, y) {
+                waiting.push((slot, q, y));
             } else {
                 enqueued += 1;
                 outcome(slot, Feedback::Accepted);
@@ -780,20 +539,20 @@ impl ShardRouter {
         if enqueued > 0 {
             self.feedback_enqueued
                 .fetch_add(enqueued, Ordering::Relaxed);
-            // Opportunistic drain: this caller steals whatever shard work
-            // it can grab without blocking (its own shards included).
+            // Opportunistic drain: this caller trains what it enqueued
+            // unless another caller holds the trainer (and drains it).
             self.pump();
         }
         // Deterministic bounded retry, no queue lock held: each round of
         // exponential spin backoff is preceded by a drain pass so the
         // retry has a reason to succeed. Exhausting the budget (at once
         // when it is zero) is a counted drop.
-        for (slot, shard, q, y) in waiting {
+        for (slot, q, y) in waiting {
             let accepted = (0..self.policy.overflow_retries).any(|attempt| {
                 self.feedback_retried.fetch_add(1, Ordering::Relaxed);
                 backoff(attempt);
                 self.pump();
-                enqueue(shard, q, y)
+                enqueue(q, y)
             });
             if accepted {
                 self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
@@ -806,74 +565,61 @@ impl ShardRouter {
         }
     }
 
-    /// Drain queued feedback into whichever shard trainers are free
-    /// (`try_lock` — contended shards are left for whoever holds them;
-    /// that holder drains the examples this caller enqueued, which is the
-    /// work-stealing contract in both directions). Returns the number of
+    /// Drain queued feedback into the trainer if it is free (`try_lock`
+    /// — a contended trainer is left to whoever holds it; that holder
+    /// drains the examples this caller enqueued). Returns the number of
     /// examples trained.
     pub fn pump(&self) -> usize {
-        let mut trained = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut t = match shard.trainer.try_lock() {
-                Ok(t) if self.fault.fires(FaultKind::LockPoison) => {
-                    // Kill this holder mid-critical-section: the guard
-                    // dies inside a panic, genuinely poisoning the lock
-                    // for whoever comes next.
-                    poison_lock(t);
-                    continue;
-                }
-                Ok(t) => t,
-                Err(TryLockError::WouldBlock) => continue,
-                // The previous holder panicked mid-update; its model state
-                // is untrustworthy. Restart from the published part before
-                // draining anything into it.
-                Err(TryLockError::Poisoned(poisoned)) => self.heal(i, poisoned),
-            };
-            trained += self.drain_shard(i, &mut t);
-        }
-        trained
+        let mut t = match self.trainer.try_lock() {
+            Ok(t) if self.fault.fires(FaultKind::LockPoison) => {
+                // Kill this holder mid-critical-section: the guard dies
+                // inside a panic, genuinely poisoning the lock for
+                // whoever comes next.
+                poison_lock(t);
+                return 0;
+            }
+            Ok(t) => t,
+            Err(TryLockError::WouldBlock) => return 0,
+            // The previous holder panicked mid-update; its model state is
+            // untrustworthy. Restart from the served snapshot before
+            // draining anything into it.
+            Err(TryLockError::Poisoned(poisoned)) => self.heal(poisoned),
+        };
+        self.drain(&mut t)
     }
 
-    /// Drain one shard's queue into its trainer (caller holds the lock):
-    /// the examples queued when it starts, oldest first, each taken off
-    /// the queue as it is trained. A shard that cannot train (no model,
-    /// frozen) leaves its queue untouched; the feedback door stops
-    /// offering it examples (`Shard::trainable`), so what a freeze left
-    /// behind stays bounded.
+    /// Drain the queue into the trainer (caller holds the lock): the
+    /// examples queued when it starts, oldest first, each taken off the
+    /// queue as it is trained. A trainer that cannot train (no model,
+    /// frozen) leaves the queue untouched; the feedback door stops
+    /// offering examples (`trainable`), so what a freeze left behind stays
+    /// bounded.
     ///
     /// Every `train_step` runs supervised: a panic (real or injected)
-    /// quarantines the offending example, restarts this shard's trainer
-    /// from its last published part, and the drain *continues* on the
-    /// restarted model — one poisonous example cannot take the rest of
-    /// the batch down with it.
-    fn drain_shard(&self, i: usize, t: &mut ShardTrainer) -> usize {
-        let shard = &self.shards[i];
+    /// quarantines the offending example, restarts the trainer from the
+    /// served snapshot, and the drain *continues* on the restarted model —
+    /// one poisonous example cannot take the rest of the batch down with
+    /// it.
+    fn drain(&self, t: &mut Trainer) -> usize {
         if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
             return 0;
         }
-        let queued = lock(&shard.queue).len();
+        let queued = lock(&self.queue).len();
         if queued == 0 {
             return 0;
         }
         let mut trained = 0usize;
         for _ in 0..queued {
-            // Re-check per example: a mid-drain restart may have landed
-            // on a frozen (or unrecoverable) model. Untrainable examples
-            // stay queued, order preserved.
-            if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
-                break;
-            }
-            // Only the trainer's holder takes examples off its queue.
-            let Some((q, y)) = lock(&shard.queue).pop_front() else {
+            // Checked per example: a mid-drain restart may have landed on
+            // a frozen (or unrecoverable) model. Untrainable examples stay
+            // queued, order preserved.
+            let Some(model) = t.model.as_mut().filter(|m| !m.is_frozen()) else {
                 break;
             };
-            #[expect(
-                clippy::expect_used,
-                reason = "the untrainable-model check above breaks out of the loop, so \
-                          reaching here implies `Some`"
-            )]
-            let model = t.model.as_mut().expect("checked above");
-            let k_before = model.k();
+            // Only the trainer's holder takes examples off the queue.
+            let Some((q, y)) = lock(&self.queue).pop_front() else {
+                break;
+            };
             let boom = self.fault.fires(FaultKind::TrainerPanic);
             let step = catch_unwind(AssertUnwindSafe(|| {
                 let step = model.train_step(&q, y);
@@ -881,26 +627,12 @@ impl ShardRouter {
                 // mid-update (mutated but unaccounted) when the
                 // supervisor catches it.
                 if boom {
-                    panic!("injected fault: shard trainer panic mid-update");
+                    panic!("injected fault: trainer panic mid-update");
                 }
                 step
             }));
             match step {
                 Ok(Ok(_)) => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "this arm means `train_step` ran on `t.model` above; nothing \
-                                  in between can take it (we hold the shard trainer lock \
-                                  throughout)"
-                    )]
-                    let k_after = t.model.as_ref().expect("just trained").k();
-                    if k_after > k_before {
-                        // Spawn appends exactly one prototype at the
-                        // arena's end, so a fresh (globally unique,
-                        // per-shard ascending) id ticket keeps ids
-                        // aligned slot-for-slot.
-                        t.ids.push(self.next_id.fetch_add(1, Ordering::SeqCst));
-                    }
                     trained += 1;
                     t.since_publish += 1;
                 }
@@ -908,33 +640,26 @@ impl ShardRouter {
                 Err(_) => {
                     self.trainer_panics.fetch_add(1, Ordering::Relaxed);
                     self.push_quarantine(&q, y);
-                    self.recover_shard_trainer(i, t);
+                    self.recover_trainer(t);
                 }
             }
         }
         self.feedback_fed
             .fetch_add(trained as u64, Ordering::Relaxed);
         // A step above may have frozen the model (convergence).
-        shard.note_trainable(t);
+        self.note_trainable(t);
         if t.since_publish >= self.policy.publish_interval {
-            t.since_publish = 0;
-            self.publish([(i, &*t)]);
+            self.publish(t);
         }
         trained
     }
 
-    /// Force-publish every shard's current parameters as one merged
-    /// snapshot: locks every trainer in shard order (a poisoned lock heals
-    /// first, so a half-applied update is never published), stores every
-    /// part, then merges and publishes once. Returns the publish count.
+    /// Force-publish the trainer's current parameters: locks the trainer
+    /// (a poisoned lock heals first, so a half-applied update is never
+    /// published) and captures its model into the cell. Returns the
+    /// publish count.
     pub fn publish_now(&self) -> u64 {
-        let mut trainers: Vec<_> = (0..self.shards.len())
-            .map(|i| self.lock_shard_trainer(i))
-            .collect();
-        for t in &mut trainers {
-            t.since_publish = 0;
-        }
-        self.publish(trainers.iter().map(|t| &**t).enumerate());
+        self.publish(&mut self.lock_trainer());
         self.stats().publishes
     }
 
@@ -1024,7 +749,7 @@ impl ShardRouter {
     /// Consult the moments model about `q`: the variance head's
     /// prediction (clamped non-negative) and its confidence from the one
     /// pruned resolution every served answer takes, telemetry folded into
-    /// the router-lifetime counters. No shard guard (the snapshot is
+    /// the router-lifetime counters. No cell guard (the snapshot is
     /// immutable once attached); the version is the head's step count.
     /// Predicts nothing without a moments model.
     ///
@@ -1066,14 +791,13 @@ impl ShardRouter {
     }
 
     /// Whether a below-threshold query should skip the exact fallback and
-    /// serve the fused snapshot answer as [`Route::Degraded`]: either its
-    /// shard's feedback queue is at the pressure watermark (the fabric is
+    /// serve the fused snapshot answer as [`Route::Degraded`]: either the
+    /// feedback queue is at the pressure watermark (the trainer is
     /// drowning — stop generating more feedback), or the exact-path cost
     /// estimate exceeds the deadline budget.
-    fn should_degrade(&self, q: &Query) -> bool {
+    fn should_degrade(&self) -> bool {
         if let Some(watermark) = self.policy.pressure_watermark {
-            let shard = &self.shards[self.partitioner.route(&q.center, q.radius)];
-            if lock(&shard.queue).len() >= watermark {
+            if lock(&self.queue).len() >= watermark {
                 return true;
             }
         }
@@ -1101,7 +825,7 @@ impl ShardRouter {
             Some((value, conf)) if conf.score >= self.policy.confidence_threshold => {
                 Ok((Served::model(value, conf.score, version, screen), None))
             }
-            Some((value, conf)) if self.should_degrade(q) => {
+            Some((value, conf)) if self.should_degrade() => {
                 let served = Served {
                     route: Route::Degraded,
                     ..Served::model(value, conf.score, version, screen)
@@ -1132,7 +856,7 @@ impl ShardRouter {
     /// labels through the feedback door in the order they were gathered.
     /// Fails fast on the first exact error (a batch is one
     /// all-or-nothing call) — after offering the labels gathered before
-    /// it, so the fabric is fed as a query-at-a-time loop that stopped at
+    /// it, so the trainer is fed as a query-at-a-time loop that stopped at
     /// the same query would feed it.
     fn route_batch<T, A: Answers<T>>(
         &self,
@@ -1231,7 +955,7 @@ impl ShardRouter {
         Ok(Served::model(value, conf.score, version, screen))
     }
 
-    /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the merged
+    /// **Auto-routed Q1** (the paper's D2 serve-or-fall-back): the
     /// snapshot's answer when the confidence score clears the policy
     /// threshold, exact fallback (with feedback) otherwise.
     ///
@@ -1268,8 +992,7 @@ impl ShardRouter {
     }
 
     /// **Auto-routed Q2** (regression-model list vs per-query OLS). List
-    /// elements carry global prototype ids, so the answer does not depend
-    /// on the shard count.
+    /// elements carry the prototypes' arena indices.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] / [`ServeError::Numeric`] from the
@@ -1293,7 +1016,7 @@ impl ShardRouter {
     }
 
     /// **Forced exact Q2**: the per-query OLS fit in [`LocalModel`]
-    /// shape, feeding the subspace mean back to the fabric.
+    /// shape, feeding the subspace mean back to the trainer.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] on an empty selection;
@@ -1307,7 +1030,7 @@ impl ShardRouter {
     //
     // The variance head is resolved by the same pruned driver and passes
     // the same gate loop — deadline/pressure degradation, exact-cost clock
-    // and feedback door — as the shard-snapshot heads. It moves none of
+    // and feedback door — as the snapshot's heads. It moves none of
     // `model_served` / `exact_served` / `degraded_served`: those count
     // `AVG` + `LINREG` answers, a scope the ledger's smoke test pins
     // (`benchmark/tests/smoke.rs`).
@@ -1342,7 +1065,7 @@ impl ShardRouter {
     }
 
     /// **Forced exact `VAR`**; still feeds the subspace mean to the
-    /// fabric when feedback is on.
+    /// trainer when feedback is on.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the selection is empty.
@@ -1370,7 +1093,7 @@ impl ShardRouter {
     /// batch large enough to pay for a thread split into contiguous runs
     /// on every core). Answers are bit-identical to per-query
     /// [`ShardRouter::q1`] calls against the same pinned snapshot, and the
-    /// fabric is fed as those calls feed it. An empty batch returns an
+    /// trainer is fed as those calls feed it. An empty batch returns an
     /// empty vec.
     ///
     /// # Errors
@@ -1385,8 +1108,8 @@ impl ShardRouter {
     }
 
     /// **Batched auto-routed Q2** — same single-resolution semantics as
-    /// [`ShardRouter::q1_batch`], list elements carrying global prototype
-    /// ids, the fused Q1+OLS fallback feeding the subspace mean back.
+    /// [`ShardRouter::q1_batch`], list elements carrying arena indices,
+    /// the fused Q1+OLS fallback feeding the subspace mean back.
     ///
     /// # Errors
     /// As [`ShardRouter::q2`], plus the up-front batched dimension check.
@@ -1402,7 +1125,6 @@ impl ShardRouter {
 impl std::fmt::Debug for ShardRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
-            .field("shards", &self.shards.len())
             .field("policy", &self.policy)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
@@ -1468,8 +1190,8 @@ mod tests {
         model
     }
 
-    /// Probes spanning in-distribution balls, boundary straddlers (wide
-    /// balls overlapping many shards) and out-of-distribution corners.
+    /// Probes spanning in-distribution balls, wide balls overlapping many
+    /// prototypes and out-of-distribution corners.
     fn probes() -> Vec<Query> {
         let mut probes = Vec::new();
         for i in 0..6 {
@@ -1483,7 +1205,7 @@ mod tests {
     }
 
     /// The fixture most tests serve from: 20k rows and a model trained on
-    /// them short of convergence (so its trainers still learn).
+    /// them short of convergence (so its trainer still learns).
     fn fixture() -> (Arc<Dataset>, LlmModel) {
         static FIX: OnceLock<(Arc<Dataset>, LlmModel)> = OnceLock::new();
         FIX.get_or_init(|| {
@@ -1494,12 +1216,12 @@ mod tests {
         .clone()
     }
 
-    fn fixture_router(policy: RoutePolicy, shards: usize) -> ShardRouter {
+    fn fixture_router(policy: RoutePolicy) -> ShardRouter {
         let (data, model) = fixture();
-        ShardRouter::with_model(exact_over(&data), model, policy, shards)
+        ShardRouter::with_model(exact_over(&data), model, policy)
     }
 
-    /// The default policy with the trainers held fixed.
+    /// The default policy with the trainer held fixed.
     fn no_feedback() -> RoutePolicy {
         RoutePolicy {
             feedback: false,
@@ -1531,15 +1253,14 @@ mod tests {
         assert_bounds::<ServingSnapshot>();
     }
 
-    /// The bit-identity oracle: the unsharded model's own **unpruned
-    /// scalar** prediction (the path furthest from production) decides
-    /// the route the router must take and the bits it must serve;
-    /// `exact` is the exact engine's answer (`None` = empty selection).
+    /// The bit-identity oracle: the model's own **unpruned scalar**
+    /// prediction (the path furthest from production) decides the route
+    /// the router must take and the bits it must serve; `exact` is the
+    /// exact engine's answer (`None` = empty selection).
     fn assert_gated_like_the_model<T: PartialEq + std::fmt::Debug>(
         got: Result<Served<T>, ServeError>,
         (value, conf): (T, Confidence),
         exact: Option<T>,
-        shards: usize,
     ) {
         let (route, want) = if conf.score >= no_feedback().confidence_threshold {
             (Route::Model, Some(value))
@@ -1548,51 +1269,46 @@ mod tests {
         };
         match (got, want) {
             (Ok(got), Some(want)) => {
-                assert_eq!(got.route, route, "route diverged at {shards} shards");
-                assert_eq!(got.value, want, "value diverged at {shards} shards");
+                assert_eq!(got.route, route, "route diverged");
+                assert_eq!(got.value, want, "value diverged");
                 assert_eq!(got.score.map(f64::to_bits), Some(conf.score.to_bits()));
             }
             (Err(ServeError::EmptySubspace), None) => {}
-            (got, want) => panic!("outcome diverged at {shards} shards: {got:?} vs {want:?}"),
+            (got, want) => panic!("outcome diverged: {got:?} vs {want:?}"),
         }
     }
 
     #[test]
-    fn router_matches_the_unsharded_model_bit_for_bit() {
+    fn router_matches_the_model_bit_for_bit() {
         let (data, model) = fixture();
-        assert!(model.k() >= 4, "need prototypes to shard: k={}", model.k());
         let (snap, exact) = (model.snapshot(), exact_over(&data));
-        for shards in [1usize, 2, 3, 5, 12] {
-            // Feedback off: the published model stays the one under test.
-            let router = fixture_router(no_feedback(), shards);
-            for probe in probes() {
-                assert_gated_like_the_model(
-                    router.q1(&probe).map(|s| s.map_value(f64::to_bits)),
-                    snap.predict_q1_with_confidence(&probe)
-                        .map(|(y, conf)| (y.to_bits(), conf))
-                        .unwrap(),
-                    exact.q1(&probe.center, probe.radius).map(f64::to_bits),
-                    shards,
-                );
-                let ols = match exact.q1_reg_fused(&probe.center, probe.radius) {
-                    Ok(fit) => Some(vec![LocalModel {
-                        intercept: fit.model.intercept,
-                        slope: fit.model.slope.into(),
-                        prototype: 0,
-                        weight: 1.0,
-                        center: probe.center.clone().into(),
-                        radius: probe.radius,
-                    }]),
-                    Err(LinalgError::Empty) => None,
-                    Err(e) => panic!("unexpected {e}"),
-                };
-                assert_gated_like_the_model(
-                    router.q2(&probe),
-                    snap.predict_q2_with_confidence(&probe).unwrap(),
-                    ols,
-                    shards,
-                );
-            }
+        // Feedback off: the published model stays the one under test.
+        let router = fixture_router(no_feedback());
+        for probe in probes() {
+            assert_gated_like_the_model(
+                router.q1(&probe).map(|s| s.map_value(f64::to_bits)),
+                snap.predict_q1_with_confidence(&probe)
+                    .map(|(y, conf)| (y.to_bits(), conf))
+                    .unwrap(),
+                exact.q1(&probe.center, probe.radius).map(f64::to_bits),
+            );
+            let ols = match exact.q1_reg_fused(&probe.center, probe.radius) {
+                Ok(fit) => Some(vec![LocalModel {
+                    intercept: fit.model.intercept,
+                    slope: fit.model.slope.into(),
+                    prototype: 0,
+                    weight: 1.0,
+                    center: probe.center.clone().into(),
+                    radius: probe.radius,
+                }]),
+                Err(LinalgError::Empty) => None,
+                Err(e) => panic!("unexpected {e}"),
+            };
+            assert_gated_like_the_model(
+                router.q2(&probe),
+                snap.predict_q2_with_confidence(&probe).unwrap(),
+                ols,
+            );
         }
     }
 
@@ -1610,44 +1326,42 @@ mod tests {
             s
         }
         let probes = mixed_probes();
-        for shards in [1usize, 4] {
-            let router = fixture_router(no_feedback(), shards);
-            let batch = router.q1_batch(&probes).unwrap();
-            assert_eq!(batch.len(), probes.len());
-            let shared = batch[0].screen;
-            assert_eq!(shared.blocks, shared.skipped + shared.verified);
-            assert!(shared.blocks > 0, "batch consulted the snapshots");
-            for (query, served) in probes.iter().zip(&batch) {
-                assert_eq!(served.screen, shared);
-                assert_eq!(
-                    descreened(served.clone()),
-                    descreened(router.q1(query).unwrap())
-                );
-            }
-            let model_routes = batch.iter().filter(|s| s.route == Route::Model).count();
-            assert!(
-                model_routes > 0 && model_routes < batch.len(),
-                "probe set must exercise both routes ({model_routes}/{})",
-                batch.len()
+        let router = fixture_router(no_feedback());
+        let batch = router.q1_batch(&probes).unwrap();
+        assert_eq!(batch.len(), probes.len());
+        let shared = batch[0].screen;
+        assert_eq!(shared.blocks, shared.skipped + shared.verified);
+        assert!(shared.blocks > 0, "batch consulted the snapshot");
+        for (query, served) in probes.iter().zip(&batch) {
+            assert_eq!(served.screen, shared);
+            assert_eq!(
+                descreened(served.clone()),
+                descreened(router.q1(query).unwrap())
             );
-            for (query, served) in probes.iter().zip(router.q2_batch(&probes).unwrap()) {
-                assert_eq!(descreened(served), descreened(router.q2(query).unwrap()));
-            }
-            // A singleton batch is the scalar call — including its
-            // counters, because a one-query batch IS one consultation.
-            for query in &probes {
-                assert_eq!(
-                    router.q1_batch(std::slice::from_ref(query)).unwrap()[0],
-                    router.q1(query).unwrap()
-                );
-            }
+        }
+        let model_routes = batch.iter().filter(|s| s.route == Route::Model).count();
+        assert!(
+            model_routes > 0 && model_routes < batch.len(),
+            "probe set must exercise both routes ({model_routes}/{})",
+            batch.len()
+        );
+        for (query, served) in probes.iter().zip(router.q2_batch(&probes).unwrap()) {
+            assert_eq!(descreened(served), descreened(router.q2(query).unwrap()));
+        }
+        // A singleton batch is the scalar call — including its counters,
+        // because a one-query batch IS one consultation.
+        for query in &probes {
+            assert_eq!(
+                router.q1_batch(std::slice::from_ref(query)).unwrap()[0],
+                router.q1(query).unwrap()
+            );
         }
     }
 
     #[test]
     fn empty_batch_is_empty_not_a_panic() {
-        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default(), 1);
-        for router in [fixture_router(RoutePolicy::default(), 2), bare] {
+        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default());
+        for router in [fixture_router(RoutePolicy::default()), bare] {
             assert!(router.q1_batch(&[]).unwrap().is_empty());
             assert!(router.q2_batch(&[]).unwrap().is_empty());
             assert!(router.observe_outcome_batch(&[]).is_empty());
@@ -1659,8 +1373,8 @@ mod tests {
         let queries = vec![q(&[0.5, 0.5], 0.2), q(&[0.5, 0.5, 0.5], 0.2)];
         // With and without a published snapshot: the up-front check must
         // fire before any route would.
-        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default(), 1);
-        for router in [fixture_router(RoutePolicy::default(), 2), bare] {
+        let bare = ShardRouter::new(exact_over(&dataset(500, 9)), RoutePolicy::default());
+        for router in [fixture_router(RoutePolicy::default()), bare] {
             match router.q1_batch(&queries) {
                 Err(ServeError::Model(CoreError::DimensionMismatch { expected, actual })) => {
                     assert_eq!((expected, actual), (2, 3));
@@ -1672,7 +1386,7 @@ mod tests {
 
     #[test]
     fn batched_feedback_feeds_the_trainer_once_per_fallback() {
-        let router = fixture_router(RoutePolicy::default(), 1);
+        let router = fixture_router(RoutePolicy::default());
         // Guaranteed fallbacks: each one produces a feedback example.
         let wide = vec![
             q(&[30.0, 30.0], 50.0),
@@ -1690,7 +1404,7 @@ mod tests {
     }
 
     /// A batch that fails at an exact fallback has still run the
-    /// fallbacks before it: their labels are offered, and the fabric ends
+    /// fallbacks before it: their labels are offered, and the router ends
     /// where a query-at-a-time loop that stops at the same query leaves
     /// it. (They used to be neither enqueued nor counted as lost.)
     #[test]
@@ -1704,7 +1418,7 @@ mod tests {
             q(&[0.3, 0.6], 0.2),
             q(&[30.0, 30.0], 0.01), // an empty ball
         ];
-        let looped = fixture_router(forced_exact, 1);
+        let looped = fixture_router(forced_exact);
         for query in &queries[..2] {
             assert_eq!(looped.q1(query).unwrap().route, Route::Exact);
         }
@@ -1717,13 +1431,13 @@ mod tests {
             (want.exact_served, want.feedback_enqueued, want.feedback_fed),
             (2, 2, 2)
         );
-        let q1 = fixture_router(forced_exact, 1);
+        let q1 = fixture_router(forced_exact);
         assert!(matches!(
             q1.q1_batch(&queries),
             Err(ServeError::EmptySubspace)
         ));
         assert_eq!(q1.stats(), want);
-        let q2 = fixture_router(forced_exact, 1);
+        let q2 = fixture_router(forced_exact);
         assert!(matches!(
             q2.q2_batch(&queries),
             Err(ServeError::EmptySubspace)
@@ -1738,16 +1452,12 @@ mod tests {
     #[test]
     fn contended_trainer_leaves_feedback_queued_not_dropped() {
         let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
-        let router = ShardRouter::with_model(
-            exact_over(&dataset(500, 9)),
-            model,
-            RoutePolicy::default(),
-            1,
-        );
+        let router =
+            ShardRouter::with_model(exact_over(&dataset(500, 9)), model, RoutePolicy::default());
         let probe = q(&[0.5, 0.5], 0.2);
         // Std mutexes are not reentrant: while this thread holds the
         // trainer, every `try_lock` in the pump reports WouldBlock.
-        let guard = router.shards[0].trainer.lock().unwrap();
+        let guard = router.trainer.lock().unwrap();
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
         let held = router.stats();
         assert_eq!((held.feedback_enqueued, held.feedback_fed), (1, 0));
@@ -1763,15 +1473,12 @@ mod tests {
         // directly, skipping `timed_exact` — no injected delay, no cost
         // sample, so a deadline budget never learned from batch-only
         // LINREG traffic.
-        let mut router = fixture_router(
-            RoutePolicy {
-                confidence_threshold: 2.0, // everything falls below
-                feedback: false,
-                deadline_us: Some(1e-3), // any measured exact call blows it
-                ..RoutePolicy::default()
-            },
-            2,
-        );
+        let mut router = fixture_router(RoutePolicy {
+            confidence_threshold: 2.0, // everything falls below
+            feedback: false,
+            deadline_us: Some(1e-3), // any measured exact call blows it
+            ..RoutePolicy::default()
+        });
         let plan = FaultPlan::new().inject(FaultKind::ExactDelay, &[1]);
         router.set_fault_plan(plan.clone());
         let wide = q(&[30.0, 30.0], 50.0);
@@ -1783,7 +1490,7 @@ mod tests {
 
     #[test]
     fn q2_routes_and_shapes_match_the_session_contract() {
-        let router = fixture_router(RoutePolicy::default(), 2);
+        let router = fixture_router(RoutePolicy::default());
         let protos = fixture().1.prototypes();
         let p = protos.iter().max_by_key(|p| p.updates).unwrap();
         let query = q(&p.center, p.radius);
@@ -1805,7 +1512,7 @@ mod tests {
     #[test]
     fn serve_error_sources_chain() {
         use std::error::Error as _;
-        let err = fixture_router(no_feedback(), 1)
+        let err = fixture_router(no_feedback())
             .q1(&q(&[0.5], 0.1))
             .unwrap_err();
         let ServeError::Model(inner) = &err else {
@@ -1834,7 +1541,6 @@ mod tests {
                 publish_interval: 128,
                 ..RoutePolicy::default()
             },
-            1,
         );
         let mut rng = StdRng::seed_from_u64(10);
         let queries: Vec<Query> = (0..400)
@@ -1902,44 +1608,6 @@ mod tests {
     }
 
     #[test]
-    fn kd_partitioner_spreads_prototypes_and_routing_is_consistent() {
-        let data = dataset(20_000, 3);
-        let model = trained_model(&exact_over(&data), 30_000, 4);
-        let k = model.k();
-        let router = ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default(), 4);
-        let per_shard: Vec<usize> = router
-            .shards
-            .iter()
-            .map(|s| lock(&s.trainer).model.as_ref().unwrap().k())
-            .collect();
-        assert_eq!(
-            per_shard.iter().sum::<usize>(),
-            k,
-            "prototypes lost/duplicated"
-        );
-        assert!(
-            per_shard.iter().filter(|&&n| n > 0).count() >= 2,
-            "kd split left everything in one shard: {per_shard:?}"
-        );
-        // Every prototype routes back to the shard that owns it.
-        for (si, shard) in router.shards.iter().enumerate() {
-            let t = lock(&shard.trainer);
-            for p in t.model.as_ref().unwrap().prototypes() {
-                assert_eq!(router.partitioner.route(&p.center, p.radius), si);
-            }
-        }
-        // Ids: disjoint, per-shard ascending, covering 0..k.
-        let mut all: Vec<usize> = Vec::new();
-        for shard in &router.shards {
-            let t = lock(&shard.trainer);
-            assert!(t.ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
-            all.extend_from_slice(&t.ids);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..k).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn bounded_queues_drop_deterministically_and_surface_on_answers() {
         let data = dataset(5_000, 5);
         let mut model = trained_model(&exact_over(&data), 10_000, 6);
@@ -1953,13 +1621,12 @@ mod tests {
                 publish_interval: 8,
                 ..RoutePolicy::default()
             },
-            1, // single shard: every example targets the same queue
         );
         router.set_queue_capacity(2);
         // While someone else holds the trainer lock nothing drains (the
         // feedback doors only ever `try_lock` it), so the third enqueue
         // must drop.
-        let _busy = lock(&router.shards[0].trainer);
+        let _busy = lock(&router.trainer);
         let probe = q(&[0.5, 0.5], 0.2);
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
@@ -1984,8 +1651,8 @@ mod tests {
         let learner = trained_model(&exact_over(&data), 5_000, 24);
         let mut frozen = learner.clone();
         frozen.freeze();
-        let with_frozen = ShardRouter::with_model(exact_over(&data), frozen, forced_exact, 2);
-        let model_less = ShardRouter::new(exact_over(&data), forced_exact, 2);
+        let with_frozen = ShardRouter::with_model(exact_over(&data), frozen, forced_exact);
+        let model_less = ShardRouter::new(exact_over(&data), forced_exact);
         for mut router in [with_frozen, model_less] {
             // Were anything queued, a 1-slot queue would drop the second.
             router.set_queue_capacity(1);
@@ -2015,40 +1682,32 @@ mod tests {
                 ),
                 (0, 0, 0)
             );
-            assert!(router.shards.iter().all(|s| lock(&s.queue).is_empty()));
+            assert!(lock(&router.queue).is_empty());
         }
 
         // A trainer that freezes *inside a drain* (γ so large that its
         // first step converges) stops being offered feedback from the next
-        // example on, while the shard beside it still learns.
+        // example on.
         let mut cfg = learner.config().clone();
         cfg.gamma = 1e9;
         cfg.convergence_window = 1;
         let eager =
             LlmModel::from_parts(cfg, learner.prototypes(), learner.steps(), false).unwrap();
-        let router = ShardRouter::with_model(exact_over(&data), eager, forced_exact, 2);
-        let probe_of = |shard: usize| {
-            (0..400)
-                .map(|i| q(&[(i % 20) as f64 / 20.0, (i / 20) as f64 / 20.0], 0.1))
-                .find(|p| router.partitioner.route(&p.center, p.radius) == shard)
-                .expect("a two-way kd split leaves no shard without a grid point")
-        };
-        let (a, b) = (probe_of(0), probe_of(1));
-        assert_eq!(router.observe_outcome(&a, 1.0), Feedback::Accepted);
+        let router = ShardRouter::with_model(exact_over(&data), eager, forced_exact);
+        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(router.stats().feedback_fed, 1, "drained, and frozen by it");
-        assert_eq!(router.observe_outcome(&a, 1.0), Feedback::Declined);
+        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Declined);
         assert_eq!(
-            router.observe_outcome_batch(&[(a, 1.0), (b.clone(), 1.0)]),
-            vec![Feedback::Declined, Feedback::Accepted]
+            router.observe_outcome_batch(&pairs),
+            vec![Feedback::Declined; 3]
         );
         let stats = router.stats();
-        assert_eq!((stats.feedback_enqueued, stats.feedback_fed), (2, 2));
-        assert_eq!((stats.feedback_declined, stats.feedback_dropped), (2, 0));
-        assert_eq!(router.observe_outcome(&b, 1.0), Feedback::Declined);
+        assert_eq!((stats.feedback_enqueued, stats.feedback_fed), (1, 1));
+        assert_eq!((stats.feedback_declined, stats.feedback_dropped), (4, 0));
     }
 
     #[test]
-    fn sharded_closed_loop_trains_itself_to_model_serving() {
+    fn closed_loop_trains_itself_to_model_serving() {
         let data = dataset(20_000, 7);
         let cfg = ModelConfig::with_vigilance(2, 0.08);
         let router = ShardRouter::with_model(
@@ -2060,7 +1719,6 @@ mod tests {
                 publish_interval: 32,
                 ..RoutePolicy::default()
             },
-            4,
         );
         let attached = router.stats().publishes;
         let mut rng = StdRng::seed_from_u64(8);
@@ -2079,181 +1737,122 @@ mod tests {
         }
         assert!(
             model_routes > 100,
-            "sharded closed loop never graduated: {model_routes} model routes"
+            "closed loop never graduated: {model_routes} model routes"
         );
         let stats = router.stats();
         assert!(stats.feedback_fed > 0 && stats.publishes > attached);
         assert!(stats.model_served > 0 && stats.exact_served > 0);
-        // The served snapshots carry what the fallbacks taught, at a
-        // version no newer than the examples the trainers consumed.
-        let version = router
-            .q1_model(&q(&[0.5, 0.5], 0.15))
-            .unwrap()
-            .snapshot_version
-            .unwrap();
-        assert!(version > 0 && version <= stats.feedback_fed);
-        // Spawned ids stayed disjoint and per-shard ascending.
-        let mut all: Vec<usize> = Vec::new();
-        for shard in &router.shards {
-            let t = lock(&shard.trainer);
-            assert!(t.ids.windows(2).all(|w| w[0] < w[1]));
-            all.extend_from_slice(&t.ids);
-        }
-        let n = all.len();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), n, "global ids collided across shards");
+        // The served snapshot carries what the fallbacks taught, at a
+        // version no newer than the examples the trainer consumed; once
+        // republished, its version is every example consumed.
+        let probe = q(&[0.5, 0.5], 0.15);
+        let version = router.q1_model(&probe).unwrap().snapshot_version;
+        assert!(version.is_some_and(|v| v > 0 && v <= stats.feedback_fed));
+        router.publish_now();
+        let version = router.q1_model(&probe).unwrap().snapshot_version;
+        assert_eq!(version, Some(stats.feedback_fed));
     }
 
-    /// `(global ids, prototypes)` pairs assembled in ascending global id
-    /// — the merge, written out apart from the fabric's own.
-    fn in_gid_order(
-        parts: impl IntoIterator<Item = (Vec<usize>, Vec<Prototype>)>,
-    ) -> (Vec<usize>, Vec<Prototype>) {
-        let mut all: Vec<(usize, Prototype)> = parts
-            .into_iter()
-            .flat_map(|(ids, protos)| ids.into_iter().zip(protos))
-            .collect();
-        all.sort_by_key(|&(gid, _)| gid);
-        all.into_iter().unzip()
-    }
-
-    /// Shards train apart and serve their merge. A model that never
-    /// freezes (γ tiny) at 2 and 4 shards, every answer exact and every
-    /// label fed (threshold 2.0), wide balls that spawn on several shards,
-    /// a publish every 8 examples and injected trainer panics (a restart
-    /// from the shard's part drops the spawns after its last publish, and
-    /// their ids with them). Between publishes the served snapshot is the
-    /// merge of every shard's last part; after `publish_now` every served
-    /// answer — scalar and batched, Q1 and Q2 — is the oracle of
-    /// `merged_model()`'s snapshot bit for bit, at the trainers' newest
-    /// step, its Q2 lists labelled with the trainers' global ids.
+    /// The live trainer serves what it published, and a restart resumes
+    /// from that. A model that never freezes (γ tiny), every answer exact
+    /// and every label fed (threshold 2.0), wide balls that spawn, a
+    /// publish every 8 examples and injected trainer panics. The oracle
+    /// replays the labels through `LlmModel::train_step`, takes a
+    /// snapshot every 8 steps, and at each label a panic hits resumes from
+    /// its last snapshot's model. The trainer is the oracle, step for
+    /// step; between publishes the served snapshot is the oracle's last
+    /// one; after `publish_now` every served answer — scalar and batched,
+    /// Q1 and Q2 — is the oracle's bit for bit at its step, Q2 lists
+    /// labelled with arena indices.
     #[test]
-    fn a_live_fabric_serves_its_merged_model() {
+    fn a_live_trainer_serves_its_publishes_and_restarts_from_them() {
         let (data, trained) = fixture();
         let mut cfg = trained.config().clone();
         cfg.gamma = 1e-300;
         let learner =
             LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), false).unwrap();
-        let attached = learner.k();
-        for shards in [2usize, 4] {
-            let mut router = ShardRouter::with_model(
-                exact_over(&data),
-                learner.clone(),
-                RoutePolicy {
-                    confidence_threshold: 2.0,
-                    publish_interval: 8,
-                    ..RoutePolicy::default()
-                },
-                shards,
-            );
-            router.set_fault_plan(
-                FaultPlan::new().inject(FaultKind::TrainerPanic, &[13, 29, 61, 97, 131, 187, 241]),
-            );
-            let mut rng = StdRng::seed_from_u64(31);
-            for _ in 0..400 {
-                let c = [rng.random_range(-0.2..1.2), rng.random_range(-0.2..1.2)];
-                match router.q1(&q(&c, rng.random_range(0.05..0.8))) {
-                    Ok(served) => assert_eq!(served.route, Route::Exact),
-                    Err(ServeError::EmptySubspace) => {}
-                    Err(e) => panic!("unexpected {e}"),
-                }
-            }
-            let trainers = || {
-                router.shards.iter().map(|shard| {
-                    let t = lock(&shard.trainer);
-                    let model = t.model.as_ref().unwrap();
-                    (t.ids.clone(), model.prototypes(), model.steps())
-                })
-            };
-            let spawning = trainers()
-                .filter(|(ids, ..)| ids.iter().any(|&gid| gid >= attached))
-                .count();
-            assert!(spawning >= 2, "spawned on {spawning} of {shards} shards");
-            assert_eq!(router.stats().trainer_panics, 7);
-
-            // Between publishes: the merge of every shard's last part.
-            let live = router.cell.load_owned().unwrap();
-            let (_, want) = in_gid_order(
-                lock(&router.parts)
-                    .iter()
-                    .flatten()
-                    .map(|part| (part.ids.clone(), part.arena.to_prototypes())),
-            );
-            assert_eq!(
-                live.prototypes(),
-                want,
-                "{shards} shards, between publishes"
-            );
-
-            router.publish_now();
-            let (ids, want) = in_gid_order(trainers().map(|(ids, protos, _)| (ids, protos)));
-            assert!(
-                ids.iter().enumerate().any(|(k, &gid)| gid != k),
-                "the restarts left no gap in the ids"
-            );
-            let steps = trainers().map(|(.., steps)| steps).max().unwrap();
-            let merged = router.merged_model().unwrap();
-            assert_eq!((merged.prototypes(), merged.steps()), (want, steps));
-            let oracle = merged.snapshot();
-            // Serve every answer from the model, and feed nothing back.
-            router.policy.confidence_threshold = f64::NEG_INFINITY;
-            let probes = probes();
-            let q1_batch = router.q1_batch(&probes).unwrap();
-            let q2_batch = router.q2_batch(&probes).unwrap();
-            for (i, probe) in probes.iter().enumerate() {
-                let (y, conf) = oracle.predict_q1_with_confidence(probe).unwrap();
-                let (mut list, list_conf) = oracle.predict_q2_with_confidence(probe).unwrap();
-                for lm in &mut list {
-                    lm.prototype = ids[lm.prototype];
-                }
-                let want_q1 = (y.to_bits(), conf.score.to_bits(), Some(steps));
-                let want_q2 = (list, list_conf.score.to_bits(), Some(steps));
-                let as_q1 = |s: &Served<f64>| {
-                    assert_eq!(s.route, Route::Model);
-                    (
-                        s.value.to_bits(),
-                        s.score.unwrap().to_bits(),
-                        s.snapshot_version,
-                    )
-                };
-                let as_q2 = |s: Served<Vec<LocalModel>>| {
-                    assert_eq!(s.route, Route::Model);
-                    (s.value, s.score.unwrap().to_bits(), s.snapshot_version)
-                };
-                assert_eq!(as_q1(&router.q1(probe).unwrap()), want_q1, "q1 {i}");
-                assert_eq!(as_q1(&router.q1_model(probe).unwrap()), want_q1);
-                assert_eq!(as_q1(&q1_batch[i]), want_q1, "q1 batch {i}");
-                assert_eq!(as_q2(router.q2(probe).unwrap()), want_q2, "q2 {i}");
-                assert_eq!(as_q2(router.q2_model(probe).unwrap()), want_q2);
-                assert_eq!(as_q2(q2_batch[i].clone()), want_q2, "q2 batch {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn set_shards_preserves_predictions_bit_for_bit() {
-        let data = dataset(20_000, 9);
-        let mut model = trained_model(&exact_over(&data), 30_000, 10);
-        model.freeze();
         let policy = RoutePolicy {
-            feedback: false,
+            confidence_threshold: 2.0,
+            publish_interval: 8,
             ..RoutePolicy::default()
         };
-        let mut router = ShardRouter::with_model(exact_over(&data), model, policy, 3);
-        let before: Vec<_> = probes()
-            .iter()
-            .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())
-            .collect();
-        let k_before = router.merged_model().unwrap().k();
-        router.set_shards(2);
-        assert_eq!(router.shards(), 2);
-        assert_eq!(router.merged_model().unwrap().k(), k_before);
-        let after: Vec<_> = probes()
-            .iter()
-            .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())
-            .collect();
-        assert_eq!(before, after, "resharding changed answers");
+        let mut router = ShardRouter::with_model(exact_over(&data), learner.clone(), policy);
+        let panics = [13, 29, 61, 97, 131, 187, 241];
+        router.set_fault_plan(FaultPlan::new().inject(FaultKind::TrainerPanic, &panics));
+        let mut oracle = learner.clone();
+        let mut published = oracle.snapshot();
+        let (mut fed, mut since_publish) = (0, 0);
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..400 {
+            let c = [rng.random_range(-0.2..1.2), rng.random_range(-0.2..1.2)];
+            let probe = q(&c, rng.random_range(0.05..0.8));
+            match router.q1(&probe) {
+                Ok(served) => {
+                    assert_eq!(served.route, Route::Exact);
+                    fed += 1;
+                    if panics.contains(&fed) {
+                        oracle = published.to_model().unwrap();
+                        since_publish = 0;
+                    } else {
+                        oracle.train_step(&probe, served.value).unwrap();
+                        since_publish += 1;
+                        if since_publish == policy.publish_interval {
+                            published = oracle.snapshot();
+                            since_publish = 0;
+                        }
+                    }
+                }
+                Err(ServeError::EmptySubspace) => {}
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert_eq!(router.stats().trainer_panics, panics.len() as u64);
+        let trainer = router.merged_model().unwrap();
+        assert!(trainer.k() > learner.k(), "no label spawned a prototype");
+        assert_eq!(
+            (trainer.prototypes(), trainer.steps(), trainer.is_frozen()),
+            (oracle.prototypes(), oracle.steps(), false)
+        );
+
+        // Between publishes: the oracle's last snapshot.
+        let live = router.cell.load_owned().unwrap();
+        assert_eq!(
+            (live.prototypes(), live.version()),
+            (published.prototypes(), published.version())
+        );
+
+        router.publish_now();
+        let snapshot = oracle.snapshot();
+        let steps = Some(oracle.steps());
+        // Serve every answer from the model, and feed nothing back.
+        router.policy.confidence_threshold = f64::NEG_INFINITY;
+        let probes = probes();
+        let q1_batch = router.q1_batch(&probes).unwrap();
+        let q2_batch = router.q2_batch(&probes).unwrap();
+        for (i, probe) in probes.iter().enumerate() {
+            let (y, conf) = snapshot.predict_q1_with_confidence(probe).unwrap();
+            let (list, list_conf) = snapshot.predict_q2_with_confidence(probe).unwrap();
+            let want_q1 = (y.to_bits(), conf.score.to_bits(), steps);
+            let want_q2 = (list, list_conf.score.to_bits(), steps);
+            let as_q1 = |s: &Served<f64>| {
+                assert_eq!(s.route, Route::Model);
+                (
+                    s.value.to_bits(),
+                    s.score.unwrap().to_bits(),
+                    s.snapshot_version,
+                )
+            };
+            let as_q2 = |s: Served<Vec<LocalModel>>| {
+                assert_eq!(s.route, Route::Model);
+                (s.value, s.score.unwrap().to_bits(), s.snapshot_version)
+            };
+            assert_eq!(as_q1(&router.q1(probe).unwrap()), want_q1, "q1 {i}");
+            assert_eq!(as_q1(&router.q1_model(probe).unwrap()), want_q1);
+            assert_eq!(as_q1(&q1_batch[i]), want_q1, "q1 batch {i}");
+            assert_eq!(as_q2(router.q2(probe).unwrap()), want_q2, "q2 {i}");
+            assert_eq!(as_q2(router.q2_model(probe).unwrap()), want_q2);
+            assert_eq!(as_q2(q2_batch[i].clone()), want_q2, "q2 batch {i}");
+        }
     }
 
     #[test]
@@ -2265,7 +1864,6 @@ mod tests {
                 feedback: false,
                 ..RoutePolicy::default()
             },
-            2,
         );
         let served = router.q1(&q(&[0.5, 0.5], 0.2)).unwrap();
         assert_eq!(served.route, Route::Exact);
@@ -2282,7 +1880,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_shard_trainer_panic_quarantines_restarts_and_keeps_draining() {
+    fn injected_trainer_panic_quarantines_restarts_and_keeps_draining() {
         let data = dataset(5_000, 13);
         let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
         let mut router = ShardRouter::with_model(
@@ -2293,7 +1891,6 @@ mod tests {
                 publish_interval: 1024, // keep the drains unpublished
                 ..RoutePolicy::default()
             },
-            1,
         );
         // Each observe_outcome drains exactly one example, so trainer
         // occurrence 2 is the second example fed.
@@ -2307,7 +1904,7 @@ mod tests {
         let stats = router.stats();
         assert_eq!(stats.trainer_panics, 1);
         assert_eq!(stats.trainer_restarts, 1);
-        assert_eq!(stats.degraded_shards, 1, "restart must flag the shard");
+        assert!(stats.degraded, "restart must flag the router");
         // Examples 1, 3, 4 trained (3 restarted after the panic on 2);
         // the poisonous example is retrievable, not silently gone.
         assert_eq!(stats.feedback_fed, 3);
@@ -2315,14 +1912,14 @@ mod tests {
         assert_eq!(quarantined.len(), 1);
         assert_eq!(quarantined[0].0.center, pairs[1].0.center);
         assert_eq!(quarantined[0].1, pairs[1].1);
-        // The fabric keeps serving, and a publish clears the flag.
+        // The router keeps serving, and a publish clears the flag.
         router.q1(&q(&[0.5, 0.5], 0.2)).unwrap();
         router.publish_now();
-        assert_eq!(router.stats().degraded_shards, 0);
+        assert!(!router.stats().degraded);
     }
 
     #[test]
-    fn poisoned_shard_trainer_lock_heals_and_answers_stay_bit_identical() {
+    fn poisoned_trainer_lock_heals_and_answers_stay_bit_identical() {
         let data = dataset(20_000, 15);
         let mut model = trained_model(&exact_over(&data), 30_000, 16);
         model.freeze();
@@ -2333,27 +1930,26 @@ mod tests {
                 feedback: false,
                 ..RoutePolicy::default()
             },
-            2,
         );
         let before: Vec<_> = probes()
             .iter()
             .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())
             .collect();
         // Occurrence 1 kills the first pump's lock holder mid-section,
-        // genuinely poisoning that shard's trainer mutex.
+        // genuinely poisoning the trainer mutex.
         router.set_fault_plan(FaultPlan::new().inject(FaultKind::LockPoison, &[1]));
         router.pump();
-        // The next pump finds the poison, restarts that trainer from its
-        // published snapshot, and clears it — counted, not silent.
+        // The next pump finds the poison, restarts the trainer from the
+        // served snapshot, and clears it — counted, not silent.
         router.pump();
         let stats = router.stats();
         assert_eq!(stats.lock_poisonings, 1);
         assert_eq!(stats.trainer_restarts, 1);
-        assert_eq!(stats.degraded_shards, 1);
+        assert!(stats.degraded);
         // Publishing the restored (bit-identical) parameters clears the
         // flag, and every answer matches the pre-fault run exactly.
         router.publish_now();
-        assert_eq!(router.stats().degraded_shards, 0);
+        assert!(!router.stats().degraded);
         let after: Vec<_> = probes()
             .iter()
             .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())
@@ -2373,7 +1969,6 @@ mod tests {
                 overflow_retries: 2,
                 ..RoutePolicy::default()
             },
-            1,
         );
         patient.set_fault_plan(FaultPlan::new().inject(FaultKind::QueueOverflow, &[1, 2]));
         assert_eq!(patient.observe_outcome(&probe, 1.0), Feedback::Accepted);
@@ -2387,7 +1982,6 @@ mod tests {
             exact_over(&data),
             LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap(),
             RoutePolicy::default(), // overflow_retries: 0
-            1,
         );
         impatient.set_fault_plan(FaultPlan::new().inject(FaultKind::QueueOverflow, &[1]));
         assert_eq!(impatient.observe_outcome(&probe, 1.0), Feedback::Dropped);
@@ -2401,9 +1995,9 @@ mod tests {
         let mut model = trained_model(&exact_over(&data), 30_000, 20);
         model.freeze();
         let probe = q(&[0.5, 0.5], 0.15);
-        // Queue-pressure watermark: one queued example on a shard whose
-        // trainer is busy (its lock is held, so nothing drains) crosses
-        // watermark 1. The trainer must be one that learns — a frozen one
+        // Queue-pressure watermark: one queued example while the trainer
+        // is busy (its lock is held, so nothing drains) crosses watermark
+        // 1. The trainer must be one that learns — a frozen one
         // is offered no feedback to queue.
         let mut learner = model.clone();
         learner.unfreeze();
@@ -2415,11 +2009,10 @@ mod tests {
                 pressure_watermark: Some(1),
                 ..RoutePolicy::default()
             },
-            1,
         );
         let reference = router.q1_model(&probe).unwrap();
         assert_eq!(router.q1(&probe).unwrap().route, Route::Exact);
-        let busy = lock(&router.shards[0].trainer);
+        let busy = lock(&router.trainer);
         router.observe_outcome(&probe, 1.0); // park one example
         let served = router.q1(&probe).unwrap();
         assert_eq!(served.route, Route::Degraded);
@@ -2444,7 +2037,6 @@ mod tests {
                 deadline_us: Some(50.0),
                 ..RoutePolicy::default()
             },
-            2,
         );
         slow.set_fault_plan(FaultPlan::new().with_exact_cost_hint_us(1e6));
         assert_eq!(slow.q1(&probe).unwrap().route, Route::Degraded);
@@ -2466,7 +2058,7 @@ mod tests {
         let mut frozen = trained_model(&exact_over(&data), 2_000, 30);
         frozen.freeze();
         let mut declining =
-            ShardRouter::with_model(exact_over(&data), frozen, RoutePolicy::default(), 2);
+            ShardRouter::with_model(exact_over(&data), frozen, RoutePolicy::default());
         let plan = FaultPlan::new().inject(FaultKind::LockPoison, &[1_000]);
         declining.set_fault_plan(plan.clone());
         assert_eq!(declining.observe_outcome(&probe, 1.0), Feedback::Declined);
@@ -2479,7 +2071,7 @@ mod tests {
 
         let learner = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
         let mut dropping =
-            ShardRouter::with_model(exact_over(&data), learner, RoutePolicy::default(), 1);
+            ShardRouter::with_model(exact_over(&data), learner, RoutePolicy::default());
         let plan = FaultPlan::new()
             .inject(FaultKind::QueueOverflow, &[1])
             .inject(FaultKind::LockPoison, &[1_000]);

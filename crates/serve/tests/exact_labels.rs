@@ -16,17 +16,17 @@ use regq_serve::{RoutePolicy, ShardRouter};
 use regq_store::AccessPathKind;
 use std::sync::Arc;
 
-/// A router over the kd-tree of `data`, two shards of one untrained
-/// model, every exact answer offered to the trainers.
+/// A router over the kd-tree of `data` training one untrained model,
+/// every exact answer offered to the trainer.
 fn learner(data: &Arc<Dataset>) -> ShardRouter {
     let mut cfg = ModelConfig::with_vigilance(2, 0.15);
     cfg.gamma = 1e-3;
     let model = LlmModel::new(cfg).unwrap();
     let exact = ExactEngine::new(Arc::clone(data), AccessPathKind::KdTree);
-    ShardRouter::with_model(exact, model, RoutePolicy::default(), 2)
+    ShardRouter::with_model(exact, model, RoutePolicy::default())
 }
 
-/// The merged model's prototypes, each by its bits, in global-id order.
+/// The trainer's prototypes, each by its bits, in arena order.
 fn prototypes(router: &ShardRouter) -> Vec<String> {
     let model = router.merged_model().unwrap();
     model

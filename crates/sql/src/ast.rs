@@ -63,8 +63,10 @@ pub struct Statement {
 pub enum Command {
     /// An ordinary `SELECT …` statement.
     Query(Statement),
-    /// `SET SHARDS <n> [FOR <table>];` — re-shard one table's serve/train
-    /// fabric (or every table's, without `FOR`).
+    /// `SET SHARDS <n> [FOR <table>];` — accepted and validated, with no
+    /// effect: a table trains one model, so there is nothing to split.
+    /// The command stays in the grammar because the benchmark's fixture
+    /// for `sql_auto_batch_sharded` still issues it.
     SetShards {
         /// Requested shard count (`>= 1`, enforced by the parser).
         shards: usize,

@@ -28,18 +28,14 @@
 //! `USING MODEL` routes to the published model snapshot and never touches
 //! the relation — the paper's prediction-phase deployment; `USING AUTO`
 //! executes through the table's [`regq_serve::ShardRouter`], serving the
-//! merged snapshot's answer when its confidence score clears the route
-//! policy and falling back to exact execution (which feeds the online
-//! trainers) otherwise. Every [`QueryOutput`] reports the route taken,
+//! snapshot's answer when its confidence score clears the route policy
+//! and falling back to exact execution (which feeds the online trainer)
+//! otherwise. Every [`QueryOutput`] reports the route taken,
 //! the confidence score, the snapshot version consulted and whether the
 //! query's own feedback example was dropped.
 //!
-//! Administration goes through [`Session::execute_command`]:
-//!
-//! ```sql
-//! -- re-shard one table's serve/train fabric (model survives bit-for-bit)
-//! SET SHARDS 4 FOR readings;
-//! ```
+//! [`Session::execute_command`] also accepts `SET SHARDS n [FOR table]`,
+//! which is validated and has no effect ([`Command::SetShards`]).
 //!
 //! ## Modules
 //! * [`ast`] — statements and aggregates;

@@ -1,20 +1,19 @@
-//! The SQL session: a catalog of tables (shard routers over exact
-//! backends) and registered models, plus the executor routing statements.
+//! The SQL session: a catalog of tables (routers over exact backends) and
+//! registered models, plus the executor routing statements.
 //!
-//! Every table is backed by a [`ShardRouter`] (one shard until
-//! `SET SHARDS n` says otherwise): `USING EXACT` forces the DBMS route,
-//! `USING MODEL` forces the published snapshots, and `USING AUTO` lets
-//! the router gate per query on its confidence score — falling back to
-//! exact execution (and feeding the shard trainers) below the threshold.
+//! Every table is backed by a [`ShardRouter`]: `USING EXACT` forces the
+//! DBMS route, `USING MODEL` forces the published snapshot, and `USING
+//! AUTO` lets the router gate per query on its confidence score — falling
+//! back to exact execution (and feeding the table's one trainer) below
+//! the threshold.
 //! That holds for every aggregate but `COUNT(*)`: the router also holds
 //! the variance head of the table's moments model as a snapshot, so `VAR`
 //! is resolved by the same pruned driver and passes the same gate.
 //! Executions take `&self` and the session is `Send + Sync`, so one
 //! session serves any number of threads concurrently; the serve path is
-//! lock-free (see `regq_serve`). Resharding ([`Session::set_shards`],
-//! or `SET SHARDS n [FOR table]` through
-//! [`Session::execute_command`]) takes `&mut self` and preserves the
-//! merged model bit-for-bit.
+//! lock-free (see `regq_serve`). `SET SHARDS n [FOR table]` is accepted
+//! by [`Session::execute_command`] and has no effect: a table trains one
+//! model.
 
 use crate::ast::{Aggregate, CommandRef, ExecMode, Statement, StatementRef};
 use crate::parser::{ParseError, Parser};
@@ -162,7 +161,7 @@ pub struct QueryOutput {
     /// Version of the model snapshot consulted, if any.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was dropped by the
-    /// serving fabric: its shard's bounded queue was still full after the
+    /// router: its bounded feedback queue was still full after the
     /// retry budget ([`RoutePolicy::overflow_retries`]). A busy trainer
     /// drops nothing — the example stays queued for the next drain. The
     /// answer itself is unaffected, but the example did not train anyone.
@@ -249,18 +248,7 @@ impl Session {
         policy: RoutePolicy,
     ) {
         self.tables
-            .insert(name.into(), ShardRouter::new(engine, policy, 1));
-    }
-
-    /// Re-shard a table's serve/train fabric in place (`SET SHARDS n FOR
-    /// table`). The merged model survives bit-for-bit; pending queued
-    /// feedback is drained into the trainers first.
-    ///
-    /// # Errors
-    /// [`SqlError::UnknownTable`] when the table is not registered.
-    pub fn set_shards(&mut self, table: &str, shards: usize) -> Result<(), SqlError> {
-        self.router_mut(table)?.set_shards(shards);
-        Ok(())
+            .insert(name.into(), ShardRouter::new(engine, policy));
     }
 
     /// Attach a trained model to a table (enables `USING MODEL` and the
@@ -297,7 +285,7 @@ impl Session {
         names
     }
 
-    /// Bound a table's per-shard feedback queues to `capacity` examples
+    /// Bound a table's feedback queue to `capacity` examples
     /// (administrative knob; see
     /// [`ShardRouter::set_queue_capacity`]).
     ///
@@ -312,7 +300,7 @@ impl Session {
         Ok(())
     }
 
-    /// Arm a deterministic [`FaultPlan`] on a table's serve fabric
+    /// Arm a deterministic [`FaultPlan`] on a table's router
     /// (testing/chaos knob; see [`ShardRouter::set_fault_plan`]).
     /// Statements keep executing through the fault schedule: supervised
     /// recovery is counted in the router's stats, and deadline- or
@@ -326,8 +314,8 @@ impl Session {
         Ok(())
     }
 
-    /// The shard router backing a table (routing stats, merged-model
-    /// access, manual pump/publish).
+    /// The router backing a table (routing stats, the trainer's model,
+    /// manual pump/publish).
     ///
     /// Scope note: `model_served` / `exact_served` / `degraded_served`
     /// count `AVG`/`LINREG` answers in every mode. `VAR` passes the same
@@ -336,7 +324,7 @@ impl Session {
     /// registered, and `COUNT(*)` is the one session-level operator
     /// (cardinality needs the data by definition); neither moves a route
     /// counter, though a consulted `VAR` moves the `blocks_*` pruning
-    /// counters and an exact one still feeds the trainers.
+    /// counters and an exact one still feeds the trainer.
     pub fn router(&self, table: &str) -> Option<&ShardRouter> {
         self.tables.get(table)
     }
@@ -362,8 +350,8 @@ impl Session {
     }
 
     /// Parse and execute one command: `SELECT …` statements return
-    /// `Some(output)`, administration directives (`SET SHARDS n
-    /// [FOR table]`) apply their effect and return `None`.
+    /// `Some(output)`; `SET SHARDS n [FOR table]` is validated and returns
+    /// `None` with no effect (see [`crate::Command::SetShards`]).
     ///
     /// # Errors
     /// See [`SqlError`]; `SET SHARDS` on an unknown table is
@@ -371,14 +359,9 @@ impl Session {
     pub fn execute_command(&mut self, sql: &str) -> Result<Option<QueryOutput>, SqlError> {
         match Parser::new(sql).command()? {
             CommandRef::Query(stmt) => self.run(stmt).map(Some),
-            CommandRef::SetShards { shards, table } => {
-                match table {
-                    Some(t) => self.set_shards(t, shards)?,
-                    None => {
-                        for router in self.tables.values_mut() {
-                            router.set_shards(shards);
-                        }
-                    }
+            CommandRef::SetShards { table, .. } => {
+                if let Some(t) = table {
+                    self.router_mut(t)?;
                 }
                 Ok(None)
             }
@@ -404,7 +387,7 @@ impl Session {
     /// through the router's batched serving path
     /// ([`ShardRouter::q1_batch`] / [`ShardRouter::q2_batch`]): one
     /// snapshot-guard resolution for the whole run, each statement
-    /// resolved through every shard's block layout and fused — a run
+    /// resolved through the snapshot's block layout and fused — a run
     /// with enough query × prototype pairs split into contiguous runs of
     /// statements, one per core — and the exact-fallback answers fed back
     /// through the router's one gate loop and feedback door, as executing
@@ -814,7 +797,7 @@ mod tests {
     fn var_auto_is_the_router_gate_over_the_moments_head() {
         let (data, model, moments) = trained_parts();
         let policy = RoutePolicy::default();
-        let mut s = session_over(&data, model, moments.clone(), policy);
+        let s = session_over(&data, model, moments.clone(), policy);
         let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
         // In-distribution probes (every prototype's own subspace, random
         // training-shaped balls) and out-of-distribution ones (far, wide,
@@ -837,42 +820,30 @@ mod tests {
             (vec![0.5, 0.5], 3.0),
             (vec![0.5, 0.5], 0.02),
         ]);
-        let mut reference = Vec::new();
-        for shards in [1usize, 4] {
-            if shards > 1 {
-                s.execute_command("SET SHARDS 4").unwrap();
-            }
-            let mut routes = [0usize; 2];
-            for (i, (c, r)) in probes.iter().enumerate() {
-                let out = s.execute(&var_sql(c, *r, "AUTO")).unwrap();
-                // Reference gate: the variance head if its score clears
-                // the threshold, else the exact moments.
-                let q = Query::new_unchecked(c.clone(), *r);
-                let score = moments.head().confidence(&q).unwrap().score;
-                let (want, route) = if score >= policy.confidence_threshold {
-                    let v = moments.head().predict_q1(&q).unwrap().max(0.0);
-                    (v, Route::Model)
-                } else {
-                    (engine.q1_moments(c, *r).unwrap().variance, Route::Exact)
-                };
-                assert_eq!(out.route, route, "probe {i} (score {score})");
-                assert_eq!(out.scalar().unwrap().to_bits(), want.to_bits(), "probe {i}");
-                assert_eq!(out.confidence.map(f64::to_bits), Some(score.to_bits()));
-                assert_eq!(
-                    out.snapshot_version,
-                    Some(moments.head().steps()),
-                    "a consulted moments model reports its version"
-                );
-                routes[usize::from(route == Route::Exact)] += 1;
-                // Resharding leaves every VAR answer bit-identical.
-                if shards == 1 {
-                    reference.push(out);
-                } else {
-                    assert_eq!(out, reference[i], "probe {i} changed at 4 shards");
-                }
-            }
-            assert!(routes[0] > 0 && routes[1] > 0, "both routes: {routes:?}");
+        let mut routes = [0usize; 2];
+        for (i, (c, r)) in probes.iter().enumerate() {
+            let out = s.execute(&var_sql(c, *r, "AUTO")).unwrap();
+            // Reference gate: the variance head if its score clears the
+            // threshold, else the exact moments.
+            let q = Query::new_unchecked(c.clone(), *r);
+            let score = moments.head().confidence(&q).unwrap().score;
+            let (want, route) = if score >= policy.confidence_threshold {
+                let v = moments.head().predict_q1(&q).unwrap().max(0.0);
+                (v, Route::Model)
+            } else {
+                (engine.q1_moments(c, *r).unwrap().variance, Route::Exact)
+            };
+            assert_eq!(out.route, route, "probe {i} (score {score})");
+            assert_eq!(out.scalar().unwrap().to_bits(), want.to_bits(), "probe {i}");
+            assert_eq!(out.confidence.map(f64::to_bits), Some(score.to_bits()));
+            assert_eq!(
+                out.snapshot_version,
+                Some(moments.head().steps()),
+                "a consulted moments model reports its version"
+            );
+            routes[usize::from(route == Route::Exact)] += 1;
         }
+        assert!(routes[0] > 0 && routes[1] > 0, "both routes: {routes:?}");
         // Forced modes answer from the same two sources.
         let (c, r) = &probes[0];
         let q = Query::new_unchecked(c.clone(), *r);
@@ -1067,22 +1038,24 @@ mod tests {
         assert_eq!(s.tables(), vec!["alpha", "zeta"]);
     }
 
+    /// `SET SHARDS` is validated and changes nothing: the same answer,
+    /// the same counters and the same trainer after it.
     #[test]
-    fn set_shards_command_preserves_model_answers() {
+    fn set_shards_command_is_a_validated_no_op() {
         let mut s = session_with_model();
         let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.15 USING MODEL";
         let before = s.execute(sql).unwrap();
-        assert!(s
-            .execute_command("SET SHARDS 4 FOR readings;")
-            .unwrap()
-            .is_none());
-        assert_eq!(s.router("readings").unwrap().shards(), 4);
-        let after = s.execute(sql).unwrap();
-        assert_eq!(before, after, "resharding changed a model-served answer");
-        // Table-less form applies to every table; queries still flow
-        // through the command surface.
-        assert!(s.execute_command("SET SHARDS 2").unwrap().is_none());
-        assert_eq!(s.router("readings").unwrap().shards(), 2);
+        let router = |s: &Session| {
+            let r = s.router("readings").unwrap();
+            (r.stats(), r.merged_model().unwrap().prototypes())
+        };
+        let state = router(&s);
+        for command in ["SET SHARDS 4 FOR readings;", "SET SHARDS 2"] {
+            assert!(s.execute_command(command).unwrap().is_none());
+            assert_eq!(router(&s), state, "{command}");
+        }
+        assert_eq!(s.execute(sql).unwrap(), before);
+        // Queries still flow through the command surface.
         let out = s
             .execute_command("SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
             .unwrap()

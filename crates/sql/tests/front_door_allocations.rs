@@ -1,14 +1,13 @@
 //! What the SQL front door asks of the allocator, counted.
 //!
 //! Text in, answer out: [`Session::execute`] parses a statement, binds it
-//! to its table and consults the table's shard snapshots. The parse
+//! to its table and consults the table's snapshot. The parse
 //! borrows its table name from the text and allocates the centre once, at
 //! its final size (read in place up to 8 components, counted first
 //! beyond); the bind moves that centre into the [`Query`]; the router
-//! pins its shards' read state in place; the model path beneath allocates
+//! pins its cell's read state in place; the model path beneath allocates
 //! only what the answer owns (`served_allocations` in `regq_core`). So,
-//! once a thread is warm, at 1 and at 4 shards and for
-//! `d ∈ {2, 4, 8, 9, 64}`:
+//! once a thread is warm, for `d ∈ {2, 4, 8, 9, 64}`:
 //!
 //! * `AVG … USING MODEL`, `VAR … USING MODEL` and `COUNT(*)` make **one**
 //!   allocator call: the centre (a `COUNT(*)` at `d = 64` one more, its
@@ -18,7 +17,7 @@
 //! * beneath the session, [`ShardRouter::q1_model`] makes **none** and
 //!   [`ShardRouter::q2_model`] **one** (its list);
 //! * an exact answer on a model that learns adds **one** for its label,
-//!   the query's copy on the shard's queue: at `d = 4`, `AVG` and `VAR`
+//!   the query's copy on the feedback queue: at `d = 4`, `AVG` and `VAR`
 //!   make two, `LINREG` eight (nine `USING AUTO`, which discards a model
 //!   list), and [`ShardRouter::q1_exact`] one.
 //!
@@ -26,9 +25,9 @@
 //! (`AVG`), 8 (`LINREG`) and 4 (`q1_model`) at one shard and `d ≤ 4`: the
 //! parser's table `String` and centre `Vec`, the bind's copy of that
 //! centre, three `Vec`s in the router's consultation and a `Box` each time
-//! a thread-cached snapshot reader went back into its cache — three more
-//! at four shards (one `Box` per shard), one more at `d = 8` (the centre
-//! `Vec` grew once). That is what this file would report there.
+//! a thread-cached snapshot reader went back into its cache — one more at
+//! `d = 8` (the centre `Vec` grew once). That is what this file would
+//! report there.
 //!
 //! It is its own test binary because it installs a counting
 //! `#[global_allocator]`; the count is per thread, so the harness running
@@ -50,15 +49,14 @@ use std::sync::Arc;
 mod counting;
 use counting::counted;
 
-/// A `d`-dimensional table `t` with a trained model and moments model,
-/// served over `shards` shards.
-fn session(dim: usize, shards: usize) -> Session {
+/// A `d`-dimensional table `t` with a trained model and moments model.
+fn session(dim: usize) -> Session {
     let cfg = ModelConfig::with_vigilance(dim, 0.15);
-    session_with(dim, shards, RoutePolicy::default(), cfg)
+    session_with(dim, RoutePolicy::default(), cfg)
 }
 
 /// [`session`] under `policy`, its models trained with `cfg`.
-fn session_with(dim: usize, shards: usize, policy: RoutePolicy, cfg: ModelConfig) -> Session {
+fn session_with(dim: usize, policy: RoutePolicy, cfg: ModelConfig) -> Session {
     let field = GasSensorSurrogate::new(dim, 5);
     let mut rng = seeded(dim as u64);
     let data = Dataset::from_function(&field, 4_000, SampleOptions::default(), &mut rng);
@@ -92,7 +90,6 @@ fn session_with(dim: usize, shards: usize, policy: RoutePolicy, cfg: ModelConfig
     s.register_table_with_policy("t", engine, policy);
     s.register_model("t", model).unwrap();
     s.register_moments_model("t", moments).unwrap();
-    s.execute_command(&format!("SET SHARDS {shards}")).unwrap();
     s
 }
 
@@ -126,31 +123,27 @@ fn a_warm_statement_allocates_its_centre_and_what_its_answer_owns() {
         ("LINREG(u)", "MODEL", 2),
     ];
     for dim in [2usize, 4, 8, 9, 64] {
-        for shards in [1usize, 4] {
-            let s = session(dim, shards);
-            assert_eq!(s.router("t").unwrap().shards(), shards);
-            for pass in 0..3 {
-                for probe in &probes(dim) {
-                    for (aggregate, mode, want) in statements {
-                        let text = sql(aggregate, probe, mode);
-                        let (out, calls) = counted(|| s.execute(&text));
-                        let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
-                        // Past `Coeffs`' inline width (d = 8) each listed
-                        // model owns its slope and its centre buffers too;
-                        // past 32 columns the kd-tree traversal behind a
-                        // `COUNT(*)` spills its box and bound terms to one
-                        // `Vec`.
-                        let want =
-                            want + match &out.value {
-                                QueryValue::Regression(list) if dim > 8 => 2 * list.len(),
-                                _ => 0,
-                            } + usize::from(aggregate == "COUNT(*)" && dim > 32);
-                        assert!(
-                            pass == 0 || calls == want,
-                            "{calls} calls (want {want}) for {aggregate} USING {mode}, \
-                             d {dim}, {shards} shards, pass {pass}"
-                        );
-                    }
+        let s = session(dim);
+        for pass in 0..3 {
+            for probe in &probes(dim) {
+                for (aggregate, mode, want) in statements {
+                    let text = sql(aggregate, probe, mode);
+                    let (out, calls) = counted(|| s.execute(&text));
+                    let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
+                    // Past `Coeffs`' inline width (d = 8) each listed model
+                    // owns its slope and its centre buffers too; past 32
+                    // columns the kd-tree traversal behind a `COUNT(*)`
+                    // spills its box and bound terms to one `Vec`.
+                    let want =
+                        want + match &out.value {
+                            QueryValue::Regression(list) if dim > 8 => 2 * list.len(),
+                            _ => 0,
+                        } + usize::from(aggregate == "COUNT(*)" && dim > 32);
+                    assert!(
+                        pass == 0 || calls == want,
+                        "{calls} calls (want {want}) for {aggregate} USING {mode}, \
+                         d {dim}, pass {pass}"
+                    );
                 }
             }
         }
@@ -159,31 +152,23 @@ fn a_warm_statement_allocates_its_centre_and_what_its_answer_owns() {
 
 #[test]
 fn beneath_the_session_the_router_allocates_only_the_answer() {
-    for shards in [1usize, 4] {
-        let s = session(4, shards);
-        let router: &ShardRouter = s.router("t").unwrap();
-        for pass in 0..3 {
-            for (center, radius) in probes(4) {
-                let q = Query::new(center, radius).unwrap();
-                let (out, calls) = counted(|| router.q1_model(&q));
-                out.unwrap();
-                assert!(
-                    pass == 0 || calls == 0,
-                    "q1_model: {calls} calls, {shards} shards"
-                );
-                let (out, calls) = counted(|| router.q2_model(&q));
-                assert!(!out.unwrap().value.is_empty());
-                assert!(
-                    pass == 0 || calls == 1,
-                    "q2_model: {calls} calls, {shards} shards"
-                );
-            }
+    let s = session(4);
+    let router: &ShardRouter = s.router("t").unwrap();
+    for pass in 0..3 {
+        for (center, radius) in probes(4) {
+            let q = Query::new(center, radius).unwrap();
+            let (out, calls) = counted(|| router.q1_model(&q));
+            out.unwrap();
+            assert!(pass == 0 || calls == 0, "q1_model: {calls} calls");
+            let (out, calls) = counted(|| router.q2_model(&q));
+            assert!(!out.unwrap().value.is_empty());
+            assert!(pass == 0 || calls == 1, "q2_model: {calls} calls");
         }
     }
 }
 
-/// Exact answers on a model that learns: each one's label is queued on
-/// its shard and trained at once. Beyond the centre and what the exact
+/// Exact answers on a model that learns: each one's label is queued and
+/// trained at once. Beyond the centre and what the exact
 /// answer owns, a label costs one allocator call, its queued copy of the
 /// query; the drain takes each example off the queue in place. `USING
 /// AUTO` on a table whose threshold routes everything exact costs what
@@ -215,34 +200,28 @@ fn a_warm_labelled_statement_allocates_its_centre_its_answer_and_its_queued_labe
         confidence_threshold: 2.0,
         ..RoutePolicy::default()
     };
-    for shards in [1usize, 4] {
-        let s = session_with(4, shards, all_exact, learning.clone());
-        let router = s.router("t").unwrap();
-        for pass in 0..3 {
-            for ball in &balls {
-                for (aggregate, mode, want) in statements {
-                    let text = sql(aggregate, ball, mode);
-                    let (out, calls) = counted(|| s.execute(&text));
-                    let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
-                    assert_eq!(out.route, Route::Exact, "{text}");
-                    assert!(
-                        pass == 0 || calls == want,
-                        "{calls} calls (want {want}) for {aggregate} USING {mode}, \
-                         {shards} shards, pass {pass}"
-                    );
-                }
-                let q = Query::new(ball.0.clone(), ball.1).unwrap();
-                let (out, calls) = counted(|| router.q1_exact(&q));
-                out.unwrap();
+    let s = session_with(4, all_exact, learning);
+    let router = s.router("t").unwrap();
+    for pass in 0..3 {
+        for ball in &balls {
+            for (aggregate, mode, want) in statements {
+                let text = sql(aggregate, ball, mode);
+                let (out, calls) = counted(|| s.execute(&text));
+                let out = out.unwrap_or_else(|e| panic!("{text}: {e}"));
+                assert_eq!(out.route, Route::Exact, "{text}");
                 assert!(
-                    pass == 0 || calls == 1,
-                    "q1_exact: {calls} calls, {shards} shards"
+                    pass == 0 || calls == want,
+                    "{calls} calls (want {want}) for {aggregate} USING {mode}, pass {pass}"
                 );
             }
+            let q = Query::new(ball.0.clone(), ball.1).unwrap();
+            let (out, calls) = counted(|| router.q1_exact(&q));
+            out.unwrap();
+            assert!(pass == 0 || calls == 1, "q1_exact: {calls} calls");
         }
-        let stats = router.stats();
-        assert_eq!(stats.feedback_declined + stats.feedback_dropped, 0);
-        assert_eq!(stats.feedback_fed, stats.feedback_enqueued);
-        assert_eq!(stats.feedback_fed, 3 * 3 * 7, "every label trained");
     }
+    let stats = router.stats();
+    assert_eq!(stats.feedback_declined + stats.feedback_dropped, 0);
+    assert_eq!(stats.feedback_fed, stats.feedback_enqueued);
+    assert_eq!(stats.feedback_fed, 3 * 3 * 7, "every label trained");
 }

@@ -389,7 +389,7 @@ proptest! {
 // `parse` / `parse_command` / `parse_script` return. Twin sessions, built
 // identically and driven in lockstep — one through each door — must answer
 // every text alike, bit for bit or with the same typed error, and move their
-// routers' counters alike, over frozen and live models at 1 and 4 shards.
+// routers' counters alike, over frozen and live models.
 
 mod lockstep {
     use super::*;
@@ -433,9 +433,9 @@ mod lockstep {
         })
     }
 
-    /// One fabric: the table over a frozen or a live model (feedback on, a
-    /// publish every 8 examples), at `shards` shards.
-    fn session(live: bool, shards: usize) -> Session {
+    /// One table over a frozen or a live model (feedback on, a publish
+    /// every 8 examples).
+    fn session(live: bool) -> Session {
         let (data, model, moments) = trained();
         let mut model = model.clone();
         if live {
@@ -452,7 +452,6 @@ mod lockstep {
         s.register_table_with_policy("t", engine, policy);
         s.register_model("t", model).unwrap();
         s.register_moments_model("t", moments.clone()).unwrap();
-        s.set_shards("t", shards).unwrap();
         s
     }
 
@@ -488,16 +487,11 @@ mod lockstep {
                 let want = match parse_command(text) {
                     Err(e) => Err(SqlError::from(e)),
                     Ok(Command::Query(s)) => slow.execute_statement(&s).map(Some),
-                    Ok(Command::SetShards { shards, table }) => {
-                        let tables = match table {
-                            Some(t) => vec![t],
-                            None => slow.tables().iter().map(|t| t.to_string()).collect(),
-                        };
-                        tables
-                            .iter()
-                            .try_for_each(|t| slow.set_shards(t, shards))
-                            .map(|()| None)
-                    }
+                    // Validated, with no effect.
+                    Ok(Command::SetShards { table, .. }) => match table {
+                        Some(t) if slow.router(&t).is_none() => Err(SqlError::UnknownTable(t)),
+                        _ => Ok(None),
+                    },
                 };
                 (
                     format!("{:?}", fast.execute_command(text)),
@@ -589,7 +583,6 @@ mod lockstep {
                 (script, Door::Batch)
             }
             _ => {
-                // Past the eight shards a consultation keeps in place, too.
                 let (mut toks, _) = set_shards(rng);
                 toks[2] = lit([1, 2, 4, 9][rng.random_range(0..4usize)].to_string());
                 if toks.len() > 3 && rng.random::<bool>() {
@@ -600,14 +593,12 @@ mod lockstep {
         }
     }
 
-    /// Drive `inputs` through twin sessions of each of the four fabrics.
+    /// Drive `inputs` through twin sessions over a frozen and a live model.
     fn lockstep(inputs: &[(String, Door)]) -> Result<(), TestCaseError> {
         for live in [false, true] {
-            for shards in [1usize, 4] {
-                let (mut fast, mut slow) = (session(live, shards), session(live, shards));
-                for (text, door) in inputs {
-                    step(text, *door, &mut fast, &mut slow)?;
-                }
+            let (mut fast, mut slow) = (session(live), session(live));
+            for (text, door) in inputs {
+                step(text, *door, &mut fast, &mut slow)?;
             }
         }
         Ok(())

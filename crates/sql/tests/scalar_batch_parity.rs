@@ -6,7 +6,7 @@
 //! [`Session::execute_batch`] call. Every statement must get the same
 //! answer bits, route, confidence, snapshot version and dropped-label
 //! flag, and the twins must end with the same [`RouterStats`] and the
-//! same merged model.
+//! same trainer, prototype for prototype in arena order.
 //!
 //! The publish interval lies beyond every label a case feeds, so no
 //! republish lands inside a run: a statement-at-a-time loop would see a
@@ -65,7 +65,6 @@ fn ball(rng: &mut impl RngExt) -> (Vec<f64>, f64) {
 fn twins(
     (data, model): &(Arc<Dataset>, LlmModel),
     threshold: f64,
-    shards: usize,
     overflows: &[u64],
 ) -> [Session; 2] {
     std::array::from_fn(|_| {
@@ -78,7 +77,6 @@ fn twins(
         let mut s = Session::new();
         s.register_table_with_policy("t", engine, policy);
         s.register_model("t", model.clone()).unwrap();
-        s.execute_command(&format!("SET SHARDS {shards}")).unwrap();
         let plan = FaultPlan::new().inject(FaultKind::QueueOverflow, overflows);
         s.set_fault_plan("t", plan).unwrap();
         s
@@ -113,19 +111,14 @@ fn stats(s: &Session) -> RouterStats {
     s.router("t").unwrap().stats()
 }
 
-/// The merged model's prototypes, each by its bits, in sorted order: a
-/// prototype spawned by a label takes its global id when a drain trains
-/// it, and one pump after a batch drains shard by shard, where a
-/// statement-at-a-time loop drains in statement order.
+/// The trainer's prototypes, each by its bits, in arena order.
 fn prototypes(s: &Session) -> Vec<String> {
     let model = s.router("t").unwrap().merged_model().unwrap();
-    let mut protos: Vec<String> = model
+    model
         .prototypes()
         .iter()
         .map(|p| format!("{p:?}"))
-        .collect();
-    protos.sort_unstable();
-    protos
+        .collect()
 }
 
 /// Run each script statement by statement on `looped` and as one batch
@@ -169,24 +162,22 @@ fn a_script_answers_and_trains_as_its_statements_one_by_one() {
         .collect();
     let statements = 6 * 64;
     for threshold in [0.3, 0.6, 2.0] {
-        for shards in [1, 4] {
-            let case = format!("threshold {threshold}, {shards} shards");
-            let sessions = twins(&fixture, threshold, shards, &[]);
-            let exact = exact_routes(&assert_twins_agree(&sessions, &scripts, &case));
-            let st = stats(&sessions[1]);
-            assert_eq!(st.exact_served, exact as u64, "{case}");
-            assert_eq!(
-                st.feedback_enqueued + st.feedback_dropped + st.feedback_declined,
-                st.exact_served,
-                "{case}: every exact answer offers its label"
-            );
-            if threshold == 0.6 {
-                assert!(0 < exact && exact < statements, "{case}: {exact} exact");
-                assert!(st.feedback_fed > 0, "{case}: nothing trained");
-            }
-            if threshold > 1.0 {
-                assert_eq!(exact, statements, "{case}");
-            }
+        let case = format!("threshold {threshold}");
+        let sessions = twins(&fixture, threshold, &[]);
+        let exact = exact_routes(&assert_twins_agree(&sessions, &scripts, &case));
+        let st = stats(&sessions[1]);
+        assert_eq!(st.exact_served, exact as u64, "{case}");
+        assert_eq!(
+            st.feedback_enqueued + st.feedback_dropped + st.feedback_declined,
+            st.exact_served,
+            "{case}: every exact answer offers its label"
+        );
+        if threshold == 0.6 {
+            assert!(0 < exact && exact < statements, "{case}: {exact} exact");
+            assert!(st.feedback_fed > 0, "{case}: nothing trained");
+        }
+        if threshold > 1.0 {
+            assert_eq!(exact, statements, "{case}");
         }
     }
 }
@@ -200,7 +191,7 @@ fn a_script_large_enough_to_split_answers_as_its_statements_one_by_one() {
     // The median confidence as the threshold, so both routes are taken:
     // below any threshold above 1 every answer is exact and carries the
     // score that rejected it.
-    let [probe, _] = twins(&fixture, 2.0, 1, &[]);
+    let [probe, _] = twins(&fixture, 2.0, &[]);
     let mut scores: Vec<f64> = probe
         .execute_batch(&scripts[0].join(";"))
         .unwrap()
@@ -208,22 +199,20 @@ fn a_script_large_enough_to_split_answers_as_its_statements_one_by_one() {
         .map(|o| o.confidence.unwrap())
         .collect();
     scores.sort_by(f64::total_cmp);
-    let sessions = twins(&fixture, scores[n / 2], 4, &[]);
+    let sessions = twins(&fixture, scores[n / 2], &[]);
     let exact = exact_routes(&assert_twins_agree(&sessions, &scripts, "splitting run"));
     assert!(0 < exact && exact < n, "{exact} of {n} exact");
 }
 
-/// Over four shards, `QueueOverflow` occurrences 2, 3 and 10 drop the
-/// labels of statements 2, 3 and 10 of this script, in one batch as
-/// statement by statement: labels are offered in the order they were
-/// gathered. (Numbered shard by shard, the batch dropped statements 3, 4
-/// and 10.)
+/// `QueueOverflow` occurrences 2, 3 and 10 drop the labels of statements
+/// 2, 3 and 10 of this script, in one batch as statement by statement:
+/// labels are offered in the order they were gathered.
 #[test]
 fn queue_overflow_drops_the_same_labels_in_a_script_as_one_by_one() {
     let fixture = table(0.15);
     let mut rng = StdRng::seed_from_u64(48);
     let statements = script(&fixture.0, "AVG(u)", 16, &mut rng);
-    let sessions = twins(&fixture, 2.0, 4, &[2, 3, 10]);
+    let sessions = twins(&fixture, 2.0, &[2, 3, 10]);
     let outputs = assert_twins_agree(&sessions, std::slice::from_ref(&statements), "overflow");
     let dropped: Vec<usize> = (0..outputs.len())
         .filter(|&i| outputs[i].feedback_dropped)

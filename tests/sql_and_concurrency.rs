@@ -1,9 +1,10 @@
 //! Integration tests for the declarative front end and concurrent serving
 //! through the facade crate: the SQL surface (`USING EXACT | MODEL |
 //! AUTO`), the train/serve snapshot split, the lock-free serving engine
-//! under live training, and the sharded fabric's battery — shard
-//! bit-identity (proptest), scripted epoch-reclamation interleavings, and
-//! counted feedback drops surfacing on query outputs. The
+//! under live training, and the router's battery — its one trainer is
+//! `LlmModel::train_step` bit for bit, its gate serves the model's
+//! answers bit for bit (proptest), scripted epoch-reclamation
+//! interleavings, and counted feedback drops surfacing on query outputs. The
 //! [`fault_injection`] battery drives deterministic seeded faults
 //! (trainer panics, lock poisoning, queue-overflow bursts, publish
 //! stalls, deadline pressure) through the same facade and proves each
@@ -284,7 +285,7 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
     let config = ModelConfig::with_vigilance(2, 0.08);
     let mut trained = LlmModel::new(config.clone()).unwrap();
     train_from_engine(&mut trained, &exact(), &gen, 10_000, &mut rng).unwrap();
-    let router = |model, shards| {
+    let router = |model| {
         ShardRouter::with_model(
             exact(),
             model,
@@ -294,54 +295,121 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
                 publish_interval: 64,
                 ..RoutePolicy::default()
             },
-            shards,
         )
     };
-    for shards in [1, 4] {
-        // A fresh router falls back, learns from the writer and its own
-        // fallbacks, and republishes mid-run.
-        let fresh = router(LlmModel::new(config.clone()).unwrap(), shards);
-        let published = fresh.stats().publishes;
-        let reader_queries = gen.generate_many(6_000, &mut rng);
-        let writer_queries = gen.generate_many(5_000, &mut rng);
-        let answered = closed_loop(&fresh, &reader_queries, 4, &writer_queries);
-        let stats = fresh.stats();
-        // Every reader query routes somewhere; the handful whose fallback
-        // selection is empty are answered as SQL NULL and bump no counter.
-        let routed = stats.model_served + stats.exact_served + stats.degraded_served;
-        assert_eq!(routed, answered, "route accounting at {shards} shards");
-        assert!(
-            routed > 5_500,
-            "too many NULLs at {shards} shards: {routed}/6000"
-        );
-        assert!(
-            stats.exact_served > 0,
-            "a fresh router must fall back at first"
-        );
-        assert!(
-            stats.feedback_fed > 0,
-            "the closed loop must train from fallbacks/writer"
-        );
-        // Nothing leaks from the accounting: everything the fabric
-        // consumed was first enqueued, and every loss is counted.
-        assert!(stats.feedback_fed <= stats.feedback_enqueued);
-        assert!(
-            stats.publishes > published,
-            "the trainer must republish mid-run"
-        );
+    // A fresh router falls back, learns from the writer and its own
+    // fallbacks, and republishes mid-run.
+    let fresh = router(LlmModel::new(config.clone()).unwrap());
+    let published = fresh.stats().publishes;
+    let reader_queries = gen.generate_many(6_000, &mut rng);
+    let writer_queries = gen.generate_many(5_000, &mut rng);
+    let answered = closed_loop(&fresh, &reader_queries, 4, &writer_queries);
+    let stats = fresh.stats();
+    // Every reader query routes somewhere; the handful whose fallback
+    // selection is empty are answered as SQL NULL and bump no counter.
+    let routed = stats.model_served + stats.exact_served + stats.degraded_served;
+    assert_eq!(routed, answered, "route accounting");
+    assert!(routed > 5_500, "too many NULLs: {routed}/6000");
+    assert!(
+        stats.exact_served > 0,
+        "a fresh router must fall back at first"
+    );
+    assert!(
+        stats.feedback_fed > 0,
+        "the closed loop must train from fallbacks/writer"
+    );
+    // Nothing leaks from the accounting: everything the trainer consumed
+    // was first enqueued, and every loss is counted.
+    assert!(stats.feedback_fed <= stats.feedback_enqueued);
+    assert!(
+        stats.publishes > published,
+        "the trainer must republish mid-run"
+    );
 
-        // A pre-trained router clears the gate for most in-distribution
-        // queries under the same live training.
-        let served = router(trained.clone(), shards);
-        let reader_queries = gen.generate_many(400, &mut rng);
-        let writer_queries = gen.generate_many(2_000, &mut rng);
-        closed_loop(&served, &reader_queries, 4, &writer_queries);
-        let stats = served.stats();
-        let share = stats.model_served as f64 / (stats.model_served + stats.exact_served) as f64;
-        assert!(
-            share > 0.5,
-            "trained router should serve mostly from the model (share {share} at {shards} shards)"
-        );
+    // A pre-trained router clears the gate for most in-distribution
+    // queries under the same live training.
+    let served = router(trained);
+    let reader_queries = gen.generate_many(400, &mut rng);
+    let writer_queries = gen.generate_many(2_000, &mut rng);
+    closed_loop(&served, &reader_queries, 4, &writer_queries);
+    let stats = served.stats();
+    let share = stats.model_served as f64 / (stats.model_served + stats.exact_served) as f64;
+    assert!(
+        share > 0.5,
+        "trained router should serve mostly from the model (share {share})"
+    );
+}
+
+/// The router's one trainer is Algorithm 1 over the labels it is fed:
+/// `LlmModel::train_step` on the same pairs in the same order, bit for
+/// bit. A table after `SET SHARDS 4` (accepted, with no effect), a warmed
+/// model that never freezes (γ = 1e-300), a publish every 16 examples,
+/// and 2,500 analyst balls offered through `observe_outcome`, some of
+/// which spawn. The trainer's prototypes, as a list, its step count and
+/// its frozen flag equal the oracle's; after `publish_now` the served
+/// snapshot's version is that step count, and a Q2 list names each
+/// prototype by its arena index.
+#[test]
+fn the_routers_trainer_is_train_step_bit_for_bit() {
+    let field = GasSensorSurrogate::new(2, 17);
+    let mut rng = seeded(17);
+    let ds = Arc::new(Dataset::from_function(
+        &field,
+        20_000,
+        SampleOptions::default(),
+        &mut rng,
+    ));
+    let engine = ExactEngine::new(Arc::clone(&ds), AccessPathKind::KdTree);
+    let gen = QueryGenerator::for_function(&field, 0.1);
+    let config = ModelConfig {
+        gamma: 1e-300,
+        ..ModelConfig::with_vigilance(2, 0.1)
+    };
+    let mut oracle = LlmModel::new(config).unwrap();
+    train_from_engine(&mut oracle, &engine, &gen, 500, &mut rng).unwrap();
+
+    let mut session = Session::new();
+    let policy = RoutePolicy {
+        publish_interval: 16,
+        ..RoutePolicy::default()
+    };
+    let table = ExactEngine::new(ds, AccessPathKind::KdTree);
+    session.register_table_with_policy("t", table, policy);
+    session.register_model("t", oracle.clone()).unwrap();
+    assert!(session
+        .execute_command("SET SHARDS 4 FOR t")
+        .unwrap()
+        .is_none());
+    let router = session.router("t").unwrap();
+    let (mut fed, mut spawned) = (0, 0);
+    for _ in 0..2_500 {
+        let q = gen.generate(&mut rng);
+        let Some(y) = engine.q1(&q.center, q.radius) else {
+            continue;
+        };
+        assert_eq!(router.observe_outcome(&q, y), Feedback::Accepted);
+        fed += 1;
+        spawned += usize::from(oracle.train_step(&q, y).unwrap().spawned);
+    }
+    assert!(spawned >= 2, "{spawned} spawns");
+    let trainer = router.merged_model().unwrap();
+    assert_eq!(trainer.prototypes(), oracle.prototypes());
+    assert_eq!(
+        (trainer.steps(), trainer.is_frozen()),
+        (oracle.steps(), oracle.is_frozen())
+    );
+    assert_eq!(router.stats().feedback_fed, fed);
+
+    router.publish_now();
+    let probe = Query::new(vec![0.5, 0.5], 0.4).unwrap();
+    let served = router.q2_model(&probe).unwrap();
+    assert_eq!(served.snapshot_version, Some(oracle.steps()));
+    assert_eq!(Ok(served.value.clone()), oracle.predict_q2(&probe));
+    let arena = trainer.prototypes();
+    assert!(served.value.len() > 1, "one prototype in the list");
+    for lm in &served.value {
+        let p = &arena[lm.prototype];
+        assert_eq!((&*lm.center, lm.radius), (&p.center[..], p.radius));
     }
 }
 
@@ -432,15 +500,12 @@ mod snapshot_equivalence {
 }
 
 mod shard_equivalence {
-    //! Proptest: the `ShardRouter`'s fused cross-shard answer is
-    //! **bit-identical** to the unsharded model it was partitioned from
-    //! — routes, values, confidence scores and Q2 lists — at 1, 2, 4 and
-    //! 8 shards, including wide balls that straddle every shard boundary.
-    //! The oracle is the model's own snapshot through the **unpruned
-    //! scalar** predictors (the path furthest from the pruned, fused one
-    //! production runs) plus the exact engine for fallbacks. This is the
-    //! invariant that makes sharding a pure throughput decision: no
-    //! answer may depend on the shard count.
+    //! Proptest: the `ShardRouter`'s gated answer is **bit-identical** to
+    //! the model it serves — routes, values, confidence scores and Q2
+    //! lists — including wide balls whose overlap set spans much of the
+    //! codebook. The oracle is the model's own snapshot through the
+    //! **unpruned scalar** predictors (the path furthest from the pruned,
+    //! fused one production runs) plus the exact engine for fallbacks.
 
     use proptest::prelude::*;
     use regq::linalg::LinalgError;
@@ -464,7 +529,7 @@ mod shard_equivalence {
         ExactEngine::new(data.clone(), AccessPathKind::KdTree)
     }
 
-    /// What the router must answer, decided by the unsharded model alone:
+    /// What the router must answer, decided by the model alone:
     /// its prediction above the threshold, the exact answer (with the
     /// rejecting score attached) below it, `None` = an empty selection.
     fn expected<T>(
@@ -502,8 +567,8 @@ mod shard_equivalence {
             ),
             probes in prop::collection::vec(
                 // Centers beyond the data domain and radii up to 1.2 (the
-                // whole unit square) force boundary-straddling balls whose
-                // overlap set spans several shards.
+                // whole unit square) force balls whose overlap set spans
+                // much of the codebook.
                 (prop::collection::vec(-0.3..1.3f64, 2), 0.01..1.2f64),
                 20..40,
             ),
@@ -512,43 +577,40 @@ mod shard_equivalence {
             for (c, r, y) in &pairs {
                 model.train_step(&Query::new_unchecked(c.clone(), *r), *y).unwrap();
             }
-            // Feedback off: the routers hold the published model fixed, so
+            // Feedback off: the router holds the published model fixed, so
             // any divergence is the fusion itself, not training drift.
             let policy = RoutePolicy { feedback: false, ..RoutePolicy::default() };
             let threshold = policy.confidence_threshold;
             let (snap, exact) = (model.snapshot(), shared_exact());
-            for shards in [1usize, 2, 4, 8] {
-                let router =
-                    ShardRouter::with_model(shared_exact(), model.clone(), policy, shards);
-                for (c, r) in &probes {
-                    let q = Query::new_unchecked(c.clone(), *r);
-                    let (y, conf) = snap.predict_q1_with_confidence(&q).unwrap();
-                    prop_assert_eq!(
-                        observed(router.q1(&q).map(|s| s.map_value(f64::to_bits))),
-                        expected((y.to_bits(), conf), threshold, || {
-                            exact.q1(&q.center, q.radius).map(f64::to_bits)
-                        }),
-                        "q1 at {} shards", shards
-                    );
-                    prop_assert_eq!(
-                        observed(router.q2(&q)),
-                        expected(snap.predict_q2_with_confidence(&q).unwrap(), threshold, || {
-                            match exact.q1_reg_fused(&q.center, q.radius) {
-                                Ok(fit) => Some(vec![LocalModel {
-                                    intercept: fit.model.intercept,
-                                    slope: fit.model.slope.into(),
-                                    prototype: 0,
-                                    weight: 1.0,
-                                    center: q.center.clone().into(),
-                                    radius: q.radius,
-                                }]),
-                                Err(LinalgError::Empty) => None,
-                                Err(e) => panic!("unexpected exact error: {e}"),
-                            }
-                        }),
-                        "q2 at {} shards", shards
-                    );
-                }
+            let router = ShardRouter::with_model(shared_exact(), model, policy);
+            for (c, r) in &probes {
+                let q = Query::new_unchecked(c.clone(), *r);
+                let (y, conf) = snap.predict_q1_with_confidence(&q).unwrap();
+                prop_assert_eq!(
+                    observed(router.q1(&q).map(|s| s.map_value(f64::to_bits))),
+                    expected((y.to_bits(), conf), threshold, || {
+                        exact.q1(&q.center, q.radius).map(f64::to_bits)
+                    }),
+                    "q1"
+                );
+                prop_assert_eq!(
+                    observed(router.q2(&q)),
+                    expected(snap.predict_q2_with_confidence(&q).unwrap(), threshold, || {
+                        match exact.q1_reg_fused(&q.center, q.radius) {
+                            Ok(fit) => Some(vec![LocalModel {
+                                intercept: fit.model.intercept,
+                                slope: fit.model.slope.into(),
+                                prototype: 0,
+                                weight: 1.0,
+                                center: q.center.clone().into(),
+                                radius: q.radius,
+                            }]),
+                            Err(LinalgError::Empty) => None,
+                            Err(e) => panic!("unexpected exact error: {e}"),
+                        }
+                    }),
+                    "q2"
+                );
             }
         }
     }
@@ -846,9 +908,9 @@ mod fault_injection {
 
     /// Drives a fresh learner through 8,000 drifting queries in a
     /// single-threaded closed loop (`q1` auto-routing: confident snapshot
-    /// serves, exact fallbacks feeding the trainers) under `plan`, and
+    /// serves, exact fallbacks feeding the trainer) under `plan`, and
     /// tallies `[model-side, exact]` answers per [`WINDOW`] queries; then
-    /// the feedback queues are drained.
+    /// the feedback queue is drained.
     /// Degraded serves are snapshot answers and count model-side; a NULL
     /// counts on neither. Deterministic: the recovery point is a property
     /// of the learner, not of thread timing.
@@ -862,7 +924,6 @@ mod fault_injection {
                 publish_interval: 32,
                 ..RoutePolicy::default()
             },
-            2,
         );
         if let Some(plan) = plan {
             router.set_fault_plan(plan);
@@ -998,7 +1059,6 @@ mod fault_injection {
                 feedback: false,
                 ..RoutePolicy::default()
             },
-            1,
         );
         let probe = Query::new_unchecked(vec![0.5, 0.5], 0.15);
         // Serve once first: this registers the main thread's hazard-slot
@@ -1105,7 +1165,6 @@ mod fault_injection {
                 feedback: true,
                 ..RoutePolicy::default()
             },
-            2,
         );
         let mut armed = ShardRouter::with_model(
             exact(),
@@ -1116,7 +1175,6 @@ mod fault_injection {
                 overflow_retries: 1,
                 ..RoutePolicy::default()
             },
-            2,
         );
         armed.set_fault_plan(
             FaultPlan::seeded(
@@ -1156,7 +1214,7 @@ mod fault_injection {
             stats.trainer_restarts, stats.lock_poisonings,
             "every poisoning healed by a counted restart (and nothing else fired)"
         );
-        assert_eq!(stats.trainer_panics, 0, "frozen trainers cannot panic");
+        assert_eq!(stats.trainer_panics, 0, "a frozen trainer cannot panic");
         assert_eq!(
             stats.feedback_dropped, 0,
             "retry budget must absorb the bursts"
