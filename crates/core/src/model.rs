@@ -184,6 +184,12 @@ impl LlmModel {
         self.global_step
     }
 
+    /// Consecutive steps with `Γ ≤ γ` so far: how much of the convergence
+    /// window is already behind the model.
+    pub(crate) fn quiet_steps(&self) -> usize {
+        self.quiet_steps
+    }
+
     /// Unfreeze: subsequent [`LlmModel::train_step`] calls
     /// update parameters again. Rebuilds the winner search's layout
     /// (`O(dK + K log K)`).
@@ -399,9 +405,11 @@ impl LlmModel {
     }
 
     /// Assemble a model from explicit parts: configuration, prototype
-    /// set, consumed-step count and frozen flag — how `persist` rebuilds a
-    /// saved model and how a serving snapshot becomes a trainer again
-    /// (`ServingSnapshot::to_model`). An unfrozen model builds
+    /// set, consumed-step count, the quiet steps its convergence window
+    /// has counted so far and frozen flag — how `persist` rebuilds a saved
+    /// model and how a serving snapshot becomes a trainer again
+    /// (`ServingSnapshot::to_model`), each resuming the window where the
+    /// source left it. An unfrozen model builds
     /// its winner search's layout here (`O(dK + K log K)`); a frozen one
     /// holds none. Prototypes are not checked for finiteness: a NaN or
     /// infinite parameter is carried as is, and the layout keeps the
@@ -414,6 +422,7 @@ impl LlmModel {
         config: ModelConfig,
         prototypes: Vec<Prototype>,
         global_step: u64,
+        quiet_steps: usize,
         frozen: bool,
     ) -> Result<Self, CoreError> {
         config.validate()?;
@@ -431,7 +440,7 @@ impl LlmModel {
             config,
             arena,
             global_step,
-            quiet_steps: 0,
+            quiet_steps,
         })
     }
 }

@@ -7,13 +7,16 @@
 //!
 //! ```text
 //! regq-llm v1
-//! dim <d> a <a> gamma <g> window <w> schedule <s> steps <t> frozen <0|1> k <K> [rho <r>]
+//! dim <d> a <a> gamma <g> window <w> schedule <s> steps <t> frozen <0|1> k <K> quiet <q> [rho <r>]
 //! proto <updates> <radius> <y> <b_theta> | <center...> | <b_x...>
 //! ...
 //! ```
 //!
-//! Floats are written with `{:?}` (shortest round-trip representation), so
-//! save → load is bit-exact. Every line ends in `\n` and the header states
+//! `quiet` is the convergence window's count, so a reloaded model freezes
+//! on the step the saved one would have; a file without it (written
+//! before the field existed) loads with a count of 0. Floats are written
+//! with `{:?}` (shortest round-trip representation), so save → load is
+//! bit-exact. Every line ends in `\n` and the header states
 //! the prototype count, so a file cut at any byte short of its full
 //! length fails to load; a damaged byte ends in a typed [`CoreError`] or
 //! in a model whose parameters are all finite (the corruption battery in
@@ -89,7 +92,7 @@ pub fn save_model(model: &LlmModel, path: &Path) -> Result<(), CoreError> {
     writeln!(w, "{MAGIC}").map_err(io)?;
     write!(
         w,
-        "dim {} a {:?} gamma {:?} window {} schedule {} slope {} cpow {:?} steps {} frozen {} k {}",
+        "dim {} a {:?} gamma {:?} window {} schedule {} slope {} cpow {:?} steps {} frozen {} k {} quiet {}",
         c.dim,
         c.vigilance_coeff,
         c.gamma,
@@ -100,6 +103,7 @@ pub fn save_model(model: &LlmModel, path: &Path) -> Result<(), CoreError> {
         model.steps(),
         u8::from(model.is_frozen()),
         arena.len(),
+        model.quiet_steps(),
     )
     .map_err(io)?;
     if let Some(rho) = c.vigilance_override {
@@ -220,6 +224,10 @@ fn read_model(mut reader: impl BufRead) -> Result<LlmModel, CoreError> {
     let steps = parse_u("steps")?;
     let frozen = parse_u("frozen")? != 0;
     let k = parse_u("k")?;
+    let quiet = match fields.get("quiet") {
+        Some(_) => parse_u("quiet")? as usize,
+        None => 0,
+    };
 
     // Grown by the lines actually read, never sized from `k`.
     let mut prototypes = Vec::new();
@@ -289,7 +297,7 @@ fn read_model(mut reader: impl BufRead) -> Result<LlmModel, CoreError> {
             prototypes.len()
         )));
     }
-    LlmModel::from_parts(config, prototypes, steps, frozen)
+    LlmModel::from_parts(config, prototypes, steps, quiet, frozen)
 }
 
 #[cfg(test)]
@@ -329,6 +337,42 @@ mod tests {
         assert_eq!(m.is_frozen(), loaded.is_frozen());
         assert_eq!(m.config(), loaded.config());
         assert_eq!(m.prototypes(), loaded.prototypes());
+    }
+
+    /// The convergence window survives save → load and the restart path
+    /// (`snapshot().to_model()`): with every step quiet (γ = 1e9), a model
+    /// five steps in and its two copies freeze on the same further step; a
+    /// file written before the count was saved restarts the window.
+    #[test]
+    fn the_convergence_window_survives_save_load_and_restore() {
+        let mut cfg = ModelConfig::paper_defaults(1);
+        cfg.gamma = 1e9;
+        let pairs: Vec<(Query, f64)> = (0..30)
+            .map(|i| {
+                (
+                    Query::new_unchecked(vec![(i % 7) as f64 * 0.1], 0.1),
+                    i as f64,
+                )
+            })
+            .collect();
+        let mut original = LlmModel::new(cfg).unwrap();
+        for (q, y) in &pairs[..5] {
+            original.train_step(q, *y).unwrap();
+        }
+        let path = tmp("window.model");
+        save_model(&original, &path).unwrap();
+        let (reloaded, text) = (load_model(&path), std::fs::read_to_string(&path));
+        std::fs::remove_file(&path).ok();
+        let legacy = text.unwrap().replace(" quiet 4", "");
+        let freezes_at = |mut m: LlmModel| {
+            let mut steps = pairs[5..].iter();
+            steps.position(|(q, y)| m.train_step(q, *y).unwrap().converged)
+        };
+        let restored = original.snapshot().to_model().unwrap();
+        assert_eq!(freezes_at(original), Some(5), "window 10, 4 quiet so far");
+        assert_eq!(freezes_at(reloaded.unwrap()), Some(5));
+        assert_eq!(freezes_at(restored), Some(5));
+        assert_eq!(freezes_at(read_model(legacy.as_bytes()).unwrap()), Some(9));
     }
 
     #[test]

@@ -304,7 +304,7 @@ mod tests {
             proto([0.625, 0.0], 0.25, 5.0, [0.5, 0.25], -2.0, 7),
             proto([10.0, 10.0], 0.25, -3.0, [1.0, 1.0], 1.0, 20),
         ];
-        LlmModel::from_parts(ModelConfig::paper_defaults(2), protos, 30, true).unwrap()
+        LlmModel::from_parts(ModelConfig::paper_defaults(2), protos, 30, 0, true).unwrap()
     }
 
     fn close(a: f64, b: f64) -> bool {

@@ -66,6 +66,8 @@ struct Inner {
     /// Training steps the source model had consumed at capture time — the
     /// snapshot's natural, monotonically increasing version.
     steps: u64,
+    /// The source model's convergence-window count at capture time.
+    quiet_steps: usize,
     frozen: bool,
 }
 
@@ -89,13 +91,15 @@ impl ServingSnapshot {
                 arena,
                 layout,
                 steps: model.steps(),
+                quiet_steps: model.quiet_steps(),
                 frozen: model.is_frozen(),
             }),
         }
     }
 
     /// Rebuild a mutable [`LlmModel`] carrying this snapshot's parameters
-    /// (persistence and warm-started trainers; `O(dK)`).
+    /// and convergence-window count (persistence and warm-started
+    /// trainers; `O(dK)`).
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] / [`CoreError::DimensionMismatch`] if
@@ -106,6 +110,7 @@ impl ServingSnapshot {
             self.inner.config.clone(),
             self.prototypes(),
             self.inner.steps,
+            self.inner.quiet_steps,
             self.inner.frozen,
         )
     }
@@ -834,7 +839,14 @@ mod tests {
                 updates: 1 + i as u64 % 7,
             })
             .collect();
-        LlmModel::from_parts(ModelConfig::with_vigilance(2, 0.15), protos, k as u64, true).unwrap()
+        LlmModel::from_parts(
+            ModelConfig::with_vigilance(2, 0.15),
+            protos,
+            k as u64,
+            0,
+            true,
+        )
+        .unwrap()
     }
 
     /// Members from many blocks, from one block, from none (the winner

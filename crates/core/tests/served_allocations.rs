@@ -50,6 +50,7 @@ fn fixture(dim: usize) -> ServingSnapshot {
         ModelConfig::with_vigilance(dim, 0.15),
         protos,
         K as u64,
+        0,
         true,
     )
     .unwrap()

@@ -22,8 +22,8 @@
 //!   equal `predict_q{1,2}_with_confidence` on the same snapshot: a batch
 //!   is its scalar calls (winner ties keep the lowest index, members fuse
 //!   in ascending index). A router serves one such snapshot, the capture
-//!   of its trainer, so this is its contract too (`shard_equivalence` in
-//!   `tests/sql_and_concurrency.rs` holds the router to it).
+//!   of its trainer, so this is its contract too (the root test
+//!   `reference_interpreter.rs` holds the router to it from SQL text).
 //!
 //! The matrix: K ∈ {64, 257, 1024, 4096} × batch {1, 7, 64, 1000} ×
 //! {Q1, Q2}, with balls straddling cluster and block boundaries, exact
@@ -143,9 +143,15 @@ fn assert_resolution_matches(arena: &PrototypeArena, queries: &[Query]) -> Scree
 
 fn snapshot_of(dim: usize, protos: Vec<Prototype>) -> ServingSnapshot {
     let steps = protos.len() as u64;
-    LlmModel::from_parts(ModelConfig::with_vigilance(dim, 0.15), protos, steps, true)
-        .unwrap()
-        .snapshot()
+    LlmModel::from_parts(
+        ModelConfig::with_vigilance(dim, 0.15),
+        protos,
+        steps,
+        0,
+        true,
+    )
+    .unwrap()
+    .snapshot()
 }
 
 fn conf_bits(c: &Confidence) -> ([u64; 4], bool) {

@@ -425,7 +425,7 @@ fn hostile_parts_train_like_the_scan() {
         .collect();
     let mut cfg = ModelConfig::with_vigilance(d, 0.01);
     cfg.gamma = 1e-300;
-    let mut model = LlmModel::from_parts(cfg.clone(), protos.clone(), 400, false).unwrap();
+    let mut model = LlmModel::from_parts(cfg.clone(), protos.clone(), 400, 0, false).unwrap();
     let mut reference = Reference::from_parts(cfg, &protos, 400, false);
     run(&mut model, &mut reference, &stream(d, 3_000, 19), "hostile");
     assert!(

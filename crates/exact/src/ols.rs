@@ -105,7 +105,7 @@ pub fn fit_ols(ds: &Dataset, ids: &[usize]) -> Result<LinearModel, LinalgError> 
 pub struct BallFit {
     /// The per-query `REG` model (paper Definition 1 over the selection).
     pub model: LinearModel,
-    /// Q1 answer and second moments of `u` over the same selection.
+    /// Q1 answer and variance of `u` over the same selection.
     pub moments: Moments,
 }
 

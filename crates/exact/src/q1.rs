@@ -13,7 +13,8 @@
 use regq_store::Relation;
 use std::cell::RefCell;
 
-/// First and second moments of the output attribute over a selection.
+/// Cardinality, mean and variance of the output attribute over a
+/// selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Moments {
     /// Selection cardinality `n_θ(x)`.
@@ -22,8 +23,6 @@ pub struct Moments {
     pub mean: f64,
     /// Population variance of `u` over the selection.
     pub variance: f64,
-    /// Raw second moment `E[u²]` over the selection.
-    pub second_moment: f64,
 }
 
 /// Execute Q1 exactly: average of `u` over `D(center, radius)`.
@@ -66,14 +65,13 @@ pub(crate) fn moments_of(traverse: impl FnOnce(&mut Vec<f64>) -> (usize, f64)) -
         targets.clear();
         let (n, sum) = traverse(targets);
         let mean = avg((n, sum))?;
-        let (deviations, squares) = targets.iter().fold((0.0, 0.0), |(dev, sq), &u| {
-            (dev + (u - mean) * (u - mean), sq + u * u)
-        });
+        let deviations = targets
+            .iter()
+            .fold(0.0, |dev, &u| dev + (u - mean) * (u - mean));
         Some(Moments {
             n,
             mean,
             variance: deviations / n as f64,
-            second_moment: squares / n as f64,
         })
     })
 }
@@ -115,20 +113,16 @@ mod tests {
         assert_eq!(m.n, 1);
         assert_eq!(m.mean, 30.0);
         assert_eq!(m.variance, 0.0);
-        assert_eq!(m.second_moment, 900.0);
     }
 
     #[test]
     fn moments_match_hand_computation() {
         let rel = line_relation();
-        // {4,5,6} -> u in {40,50,60}: mean 50, var 200/3, E[u^2] = 7700/3.
+        // {4,5,6} -> u in {40,50,60}: mean 50, var 200/3.
         let m = q1_moments(&rel, &[5.0], 1.5).unwrap();
         assert_eq!(m.n, 3);
         assert_eq!(m.mean, 50.0);
         assert!((m.variance - 200.0 / 3.0).abs() < 1e-9);
-        assert!((m.second_moment - 7700.0 / 3.0).abs() < 1e-9);
-        // Identity: E[u^2] = var + mean^2.
-        assert!((m.second_moment - (m.variance + m.mean * m.mean)).abs() < 1e-9);
     }
 
     #[test]

@@ -56,9 +56,9 @@ fn calls_per_aggregate(engine: &ExactEngine, center: &[f64], radius: f64) -> [us
         let measured = [
             counted(|| black_box(rel.count(center, radius))).1,
             counted(|| {
-                black_box(rel.fold_ball(center, radius, 0.0, |s, id, x, u| {
-                    *s += x[0] * u + id as f64;
-                }))
+                let mut s = 0.0;
+                rel.visit_ball(center, radius, |id, x, u| s += x[0] * u + id as f64);
+                black_box(s)
             })
             .1,
             counted(|| black_box(engine.q1(center, radius))).1,
@@ -82,7 +82,7 @@ fn exact_answers_over_the_kd_tree_make_no_allocator_call() {
             assert_eq!(
                 calls_per_aggregate(&engine, &center, radius),
                 [0; 4],
-                "d {dim} r {radius}: count / fold_ball / q1 / q1_moments"
+                "d {dim} r {radius}: count / visit_ball / q1 / q1_moments"
             );
         }
         assert_eq!(engine.relation().count(&center, 10.0), 20_000);

@@ -58,8 +58,8 @@ fn avg_state(rel: &Relation, path: AccessPathKind, center: &[f64], radius: f64) 
 }
 
 /// Q1 moments over a materialized id list, from the ball's `(n, Σu)`:
-/// `mean = Σu / n`, then `Σ(u − mean)²` and `Σu²`, each serial from
-/// `+0.0` in visiting order, over `n`.
+/// `mean = Σu / n`, then `Σ(u − mean)²`, serial from `+0.0` in visiting
+/// order, over `n`.
 fn q1_moments_materialized(
     rel: &Relation,
     center: &[f64],
@@ -72,17 +72,15 @@ fn q1_moments_materialized(
             return None;
         }
         let mean = sum / n as f64;
-        let (mut deviations, mut squares) = (0.0, 0.0);
+        let mut deviations = 0.0;
         for &i in ids {
             let u = ds.y(i);
             deviations += (u - mean) * (u - mean);
-            squares += u * u;
         }
         Some(Moments {
             n,
             mean,
             variance: deviations / n as f64,
-            second_moment: squares / n as f64,
         })
     })
 }
@@ -182,7 +180,7 @@ fn surface_strategy(d: usize) -> impl Strategy<Value = Dataset> {
 const ALL_PATHS: [AccessPathKind; 2] = [AccessPathKind::Scan, AccessPathKind::KdTree];
 
 /// `fit_ols_ball`'s answer from the runtime-width fold: per row of
-/// [`Relation::fold_ball`], the Gram state through
+/// [`Relation::visit_ball`], the Gram state through
 /// [`GramAccumulator::push_affine`], then the same solve and closed
 /// forms; the moments [`q1_moments_materialized`]'s over the `(n, Σu)`
 /// the access path must return.
@@ -192,12 +190,8 @@ fn fit_ols_ball_reference(
     center: &[f64],
     radius: f64,
 ) -> Result<BallFit, LinalgError> {
-    let acc = rel.fold_ball(
-        center,
-        radius,
-        GramAccumulator::new(rel.dim() + 1),
-        |acc, _, x, u| acc.push_affine(x, u),
-    );
+    let mut acc = GramAccumulator::new(rel.dim() + 1);
+    rel.visit_ball(center, radius, |_, x, u| acc.push_affine(x, u));
     let state = avg_state(rel, path, center, radius);
     let moments = q1_moments_materialized(rel, center, radius, state).ok_or(LinalgError::Empty)?;
     let coeffs = acc.solve()?;
@@ -229,7 +223,7 @@ fn ball_fit_bits(fit: Result<BallFit, LinalgError>) -> Result<Vec<u64>, String> 
         ]
         .into_iter()
         .chain(model.slope.iter().copied())
-        .chain([moments.mean, moments.variance, moments.second_moment])
+        .chain([moments.mean, moments.variance])
         .map(bits),
     );
     Ok(out)
@@ -342,7 +336,7 @@ proptest! {
                 }
             }
             let moments = |m: Option<Moments>| m.map(|m| {
-                (m.n, [m.mean, m.variance, m.second_moment].map(f64::to_bits))
+                (m.n, [m.mean, m.variance].map(f64::to_bits))
             });
             let state = avg_state(&rel, path, &c, r);
             prop_assert_eq!(
@@ -420,7 +414,7 @@ proptest! {
         }
         let data = Arc::new(ds);
         let moments_bits = |m: Option<Moments>| m.map(|m| {
-            (m.n, [m.mean, m.variance, m.second_moment].map(|x| answer_bits(Some(x))))
+            (m.n, [m.mean, m.variance].map(|x| answer_bits(Some(x))))
         });
         for path in ALL_PATHS {
             let engine = ExactEngine::new(data.clone(), path);

@@ -1253,65 +1253,6 @@ mod tests {
         assert_bounds::<ServingSnapshot>();
     }
 
-    /// The bit-identity oracle: the model's own **unpruned scalar**
-    /// prediction (the path furthest from production) decides the route
-    /// the router must take and the bits it must serve; `exact` is the
-    /// exact engine's answer (`None` = empty selection).
-    fn assert_gated_like_the_model<T: PartialEq + std::fmt::Debug>(
-        got: Result<Served<T>, ServeError>,
-        (value, conf): (T, Confidence),
-        exact: Option<T>,
-    ) {
-        let (route, want) = if conf.score >= no_feedback().confidence_threshold {
-            (Route::Model, Some(value))
-        } else {
-            (Route::Exact, exact)
-        };
-        match (got, want) {
-            (Ok(got), Some(want)) => {
-                assert_eq!(got.route, route, "route diverged");
-                assert_eq!(got.value, want, "value diverged");
-                assert_eq!(got.score.map(f64::to_bits), Some(conf.score.to_bits()));
-            }
-            (Err(ServeError::EmptySubspace), None) => {}
-            (got, want) => panic!("outcome diverged: {got:?} vs {want:?}"),
-        }
-    }
-
-    #[test]
-    fn router_matches_the_model_bit_for_bit() {
-        let (data, model) = fixture();
-        let (snap, exact) = (model.snapshot(), exact_over(&data));
-        // Feedback off: the published model stays the one under test.
-        let router = fixture_router(no_feedback());
-        for probe in probes() {
-            assert_gated_like_the_model(
-                router.q1(&probe).map(|s| s.map_value(f64::to_bits)),
-                snap.predict_q1_with_confidence(&probe)
-                    .map(|(y, conf)| (y.to_bits(), conf))
-                    .unwrap(),
-                exact.q1(&probe.center, probe.radius).map(f64::to_bits),
-            );
-            let ols = match exact.q1_reg_fused(&probe.center, probe.radius) {
-                Ok(fit) => Some(vec![LocalModel {
-                    intercept: fit.model.intercept,
-                    slope: fit.model.slope.into(),
-                    prototype: 0,
-                    weight: 1.0,
-                    center: probe.center.clone().into(),
-                    radius: probe.radius,
-                }]),
-                Err(LinalgError::Empty) => None,
-                Err(e) => panic!("unexpected {e}"),
-            };
-            assert_gated_like_the_model(
-                router.q2(&probe),
-                snap.predict_q2_with_confidence(&probe).unwrap(),
-                ols,
-            );
-        }
-    }
-
     #[test]
     fn batch_q1_and_q2_match_scalar_calls_bit_for_bit() {
         // Feedback off: the scalar loop must not retrain between calls,
@@ -1385,71 +1326,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_feedback_feeds_the_trainer_once_per_fallback() {
-        let router = fixture_router(RoutePolicy::default());
-        // Guaranteed fallbacks: each one produces a feedback example.
-        let wide = vec![
-            q(&[30.0, 30.0], 50.0),
-            q(&[-20.0, 40.0], 60.0),
-            q(&[25.0, -25.0], 55.0),
-        ];
-        let served = router.q1_batch(&wide).unwrap();
-        let exact_count = served.iter().filter(|s| s.route == Route::Exact).count() as u64;
-        assert!(exact_count > 0, "probe set must hit the exact route");
-        let stats = router.stats();
-        assert_eq!(stats.exact_served, exact_count);
-        assert_eq!(stats.feedback_enqueued, exact_count);
-        assert_eq!(stats.feedback_fed, exact_count);
-        assert!(served.iter().all(|s| !s.feedback_dropped));
-    }
-
-    /// A batch that fails at an exact fallback has still run the
-    /// fallbacks before it: their labels are offered, and the router ends
-    /// where a query-at-a-time loop that stops at the same query leaves
-    /// it. (They used to be neither enqueued nor counted as lost.)
-    #[test]
-    fn a_failing_batch_offers_the_labels_gathered_before_its_error() {
-        let forced_exact = RoutePolicy {
-            confidence_threshold: 2.0, // every answer is a fallback with a label
-            ..RoutePolicy::default()
-        };
-        let queries = [
-            q(&[0.5, 0.5], 0.2),
-            q(&[0.3, 0.6], 0.2),
-            q(&[30.0, 30.0], 0.01), // an empty ball
-        ];
-        let looped = fixture_router(forced_exact);
-        for query in &queries[..2] {
-            assert_eq!(looped.q1(query).unwrap().route, Route::Exact);
-        }
-        assert!(matches!(
-            looped.q1(&queries[2]),
-            Err(ServeError::EmptySubspace)
-        ));
-        let want = looped.stats();
-        assert_eq!(
-            (want.exact_served, want.feedback_enqueued, want.feedback_fed),
-            (2, 2, 2)
-        );
-        let q1 = fixture_router(forced_exact);
-        assert!(matches!(
-            q1.q1_batch(&queries),
-            Err(ServeError::EmptySubspace)
-        ));
-        assert_eq!(q1.stats(), want);
-        let q2 = fixture_router(forced_exact);
-        assert!(matches!(
-            q2.q2_batch(&queries),
-            Err(ServeError::EmptySubspace)
-        ));
-        let got = q2.stats();
-        assert_eq!(
-            (got.exact_served, got.feedback_enqueued, got.feedback_fed),
-            (2, 2, 2)
-        );
-    }
-
-    #[test]
     fn contended_trainer_leaves_feedback_queued_not_dropped() {
         let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
         let router =
@@ -1486,27 +1362,6 @@ mod tests {
         assert_eq!(batch[0].route, Route::Exact, "no estimate yet: run exact");
         assert_eq!(plan.fired(FaultKind::ExactDelay), 1);
         assert_eq!(router.q2(&wide).unwrap().route, Route::Degraded);
-    }
-
-    #[test]
-    fn q2_routes_and_shapes_match_the_session_contract() {
-        let router = fixture_router(RoutePolicy::default());
-        let protos = fixture().1.prototypes();
-        let p = protos.iter().max_by_key(|p| p.updates).unwrap();
-        let query = q(&p.center, p.radius);
-        let model_route = router.q2_model(&query).unwrap();
-        assert!(!model_route.value.is_empty());
-        let wsum: f64 = model_route.value.iter().map(|m| m.weight).sum();
-        assert!((wsum - 1.0).abs() < 1e-9);
-
-        let exact_route = router.q2_exact(&query).unwrap();
-        assert_eq!(exact_route.value.len(), 1);
-        assert_eq!(exact_route.value[0].weight, 1.0);
-        assert_eq!(exact_route.value[0].slope.len(), 2);
-
-        let auto = router.q2(&query).unwrap();
-        assert_eq!(auto.route, Route::Model, "in-distribution Q2 must serve");
-        assert_eq!(auto.value, model_route.value);
     }
 
     #[test]
@@ -1692,7 +1547,7 @@ mod tests {
         cfg.gamma = 1e9;
         cfg.convergence_window = 1;
         let eager =
-            LlmModel::from_parts(cfg, learner.prototypes(), learner.steps(), false).unwrap();
+            LlmModel::from_parts(cfg, learner.prototypes(), learner.steps(), 0, false).unwrap();
         let router = ShardRouter::with_model(exact_over(&data), eager, forced_exact);
         assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(router.stats().feedback_fed, 1, "drained, and frozen by it");
@@ -1770,7 +1625,7 @@ mod tests {
         let mut cfg = trained.config().clone();
         cfg.gamma = 1e-300;
         let learner =
-            LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), false).unwrap();
+            LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), 0, false).unwrap();
         let policy = RoutePolicy {
             confidence_threshold: 2.0,
             publish_interval: 8,

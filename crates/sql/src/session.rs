@@ -546,7 +546,6 @@ fn convert_serve_error(aggregate: Aggregate, table: &str, e: ServeError) -> SqlE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_script;
     use rand::RngExt;
     use regq_core::moments::MomentPair;
     use regq_core::ModelConfig;
@@ -610,16 +609,6 @@ mod tests {
     fn session_with_model() -> Session {
         let (data, model, moments) = trained_parts();
         session_over(&data, model, moments, RoutePolicy::default())
-    }
-
-    #[test]
-    fn exact_avg_matches_engine() {
-        let s = session_with_model();
-        let out = s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
-            .unwrap();
-        assert_eq!(out.route, Route::Exact);
-        assert!(out.scalar().expect("scalar").is_finite());
     }
 
     #[test]
@@ -697,44 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn count_star_works_in_every_mode() {
-        let s = session_with_model();
-        let a = s
-            .execute("SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
-            .unwrap();
-        let b = s
-            .execute("SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING MODEL")
-            .unwrap();
-        let c = s
-            .execute("SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO")
-            .unwrap();
-        let (ca, cb, cc) = (a.count().unwrap(), b.count().unwrap(), c.count().unwrap());
-        assert_eq!(ca, cb);
-        assert_eq!(ca, cc);
-        assert!(ca > 10);
-        assert_eq!(b.route, Route::Exact, "COUNT always runs on the data");
-    }
-
-    #[test]
-    fn linreg_exact_returns_single_model_and_model_mode_a_list() {
-        let s = session_with_model();
-        let exact = s
-            .execute("SELECT LINREG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
-            .unwrap();
-        let ms = exact.regression().expect("regression");
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].slope.len(), 2);
-
-        let served = s
-            .execute("SELECT LINREG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING MODEL")
-            .unwrap();
-        let list = served.regression().expect("regression");
-        assert!(!list.is_empty());
-        let wsum: f64 = list.iter().map(|m| m.weight).sum();
-        assert!((wsum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn var_exact_and_model_agree_roughly() {
         let s = session_with_model();
         let e = s
@@ -749,118 +700,11 @@ mod tests {
         assert_eq!(m.route, Route::Model);
     }
 
-    #[test]
-    fn auto_mode_reports_route_and_score_per_query() {
-        let s = session_with_model();
-        // A query far outside the trained region but selecting plenty of
-        // data must fall back to exact execution with the low score
-        // reported; the served answer equals the exact one.
-        let low = s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0 USING AUTO")
-            .unwrap();
-        assert_eq!(low.route, Route::Exact);
-        let score = low.confidence.expect("snapshot was consulted");
-        assert!(score < 1.0);
-        let exact = s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0")
-            .unwrap();
-        assert_eq!(low.scalar().unwrap(), exact.scalar().unwrap());
-
-        // Probe at the most mature prototype's own subspace: the score
-        // clears the default threshold and the model serves.
-        let model = s.router("readings").unwrap().merged_model().unwrap();
-        let protos = model.prototypes();
-        let p = protos.iter().max_by_key(|p| p.updates).unwrap();
-        let sql = format!(
-            "SELECT AVG(u) FROM readings WHERE DIST(x, [{}, {}]) <= {} USING AUTO",
-            p.center[0], p.center[1], p.radius
-        );
-        let high = s.execute(&sql).unwrap();
-        assert_eq!(high.route, Route::Model, "score {:?}", high.confidence);
-        assert!(high.confidence.unwrap() >= 0.3);
-
-        // VAR auto mode routes too (moments head gate).
-        let var = s
-            .execute("SELECT VAR(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0 USING AUTO")
-            .unwrap();
-        assert_eq!(var.route, Route::Exact);
-    }
-
     fn var_sql(c: &[f64], r: f64, mode: &str) -> String {
         format!(
             "SELECT VAR(u) FROM readings WHERE DIST(x, [{}, {}]) <= {r} USING {mode}",
             c[0], c[1]
         )
-    }
-
-    #[test]
-    fn var_auto_is_the_router_gate_over_the_moments_head() {
-        let (data, model, moments) = trained_parts();
-        let policy = RoutePolicy::default();
-        let s = session_over(&data, model, moments.clone(), policy);
-        let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
-        // In-distribution probes (every prototype's own subspace, random
-        // training-shaped balls) and out-of-distribution ones (far, wide,
-        // tiny) that still select rows.
-        let mut probes: Vec<(Vec<f64>, f64)> = moments
-            .head()
-            .prototypes()
-            .into_iter()
-            .map(|p| (p.center, p.radius))
-            .collect();
-        let mut rng = seeded(77);
-        for _ in 0..40 {
-            let c = vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
-            probes.push((c, rng.random_range(0.05..0.2)));
-        }
-        probes.extend([
-            (vec![30.0, 30.0], 50.0),
-            (vec![1.6, 1.6], 1.2),
-            (vec![-0.4, 0.5], 0.6),
-            (vec![0.5, 0.5], 3.0),
-            (vec![0.5, 0.5], 0.02),
-        ]);
-        let mut routes = [0usize; 2];
-        for (i, (c, r)) in probes.iter().enumerate() {
-            let out = s.execute(&var_sql(c, *r, "AUTO")).unwrap();
-            // Reference gate: the variance head if its score clears the
-            // threshold, else the exact moments.
-            let q = Query::new_unchecked(c.clone(), *r);
-            let score = moments.head().confidence(&q).unwrap().score;
-            let (want, route) = if score >= policy.confidence_threshold {
-                let v = moments.head().predict_q1(&q).unwrap().max(0.0);
-                (v, Route::Model)
-            } else {
-                (engine.q1_moments(c, *r).unwrap().variance, Route::Exact)
-            };
-            assert_eq!(out.route, route, "probe {i} (score {score})");
-            assert_eq!(out.scalar().unwrap().to_bits(), want.to_bits(), "probe {i}");
-            assert_eq!(out.confidence.map(f64::to_bits), Some(score.to_bits()));
-            assert_eq!(
-                out.snapshot_version,
-                Some(moments.head().steps()),
-                "a consulted moments model reports its version"
-            );
-            routes[usize::from(route == Route::Exact)] += 1;
-        }
-        assert!(routes[0] > 0 && routes[1] > 0, "both routes: {routes:?}");
-        // Forced modes answer from the same two sources.
-        let (c, r) = &probes[0];
-        let q = Query::new_unchecked(c.clone(), *r);
-        let forced = s.execute(&var_sql(c, *r, "MODEL")).unwrap();
-        let head = moments.head().predict_q1(&q).unwrap().max(0.0);
-        assert_eq!(forced.scalar().unwrap().to_bits(), head.to_bits());
-        let forced = s.execute(&var_sql(c, *r, "EXACT")).unwrap();
-        let truth = engine.q1_moments(c, *r).unwrap().variance;
-        assert_eq!(forced.scalar().unwrap().to_bits(), truth.to_bits());
-        assert_eq!((forced.route, forced.confidence), (Route::Exact, None));
-        // The route counters stay the snapshot heads' (the ledger's smoke
-        // test equates them with the answered `AVG` + `LINREG` statements).
-        let st = s.router("readings").unwrap().stats();
-        assert_eq!(
-            (st.model_served, st.exact_served, st.degraded_served),
-            (0, 0, 0)
-        );
     }
 
     #[test]
@@ -892,102 +736,6 @@ mod tests {
             forced.scalar().unwrap().to_bits()
         );
         assert_eq!(forced.route, Route::Model);
-    }
-
-    #[test]
-    fn var_without_a_trained_moments_model_routes_exact_or_errors_typed() {
-        let (data, model, _) = trained_parts();
-        let untrained = MomentsModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
-        let s = session_over(&data, model, untrained, RoutePolicy::default());
-        // AUTO: an untrained head predicts nothing — exact, no score.
-        let out = s.execute(&var_sql(&[0.5, 0.5], 0.2, "AUTO")).unwrap();
-        assert_eq!((out.route, out.confidence), (Route::Exact, None));
-        assert_eq!(out.snapshot_version, None);
-        // MODEL: the typed model-side error, not "no moments model".
-        assert!(matches!(
-            s.execute(&var_sql(&[0.5, 0.5], 0.2, "MODEL")),
-            Err(SqlError::Model(CoreError::EmptyModel))
-        ));
-    }
-
-    #[test]
-    fn unknown_table_and_dimension_errors() {
-        let s = session_with_model();
-        assert!(matches!(
-            s.execute("SELECT AVG(u) FROM nope WHERE DIST(x, [0.5, 0.5]) <= 0.2"),
-            Err(SqlError::UnknownTable(_))
-        ));
-        assert!(matches!(
-            s.execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5]) <= 0.2"),
-            Err(SqlError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn hand_built_statements_are_validated_when_bound() {
-        // The parser cannot produce these; `execute_statement` is public.
-        let s = session_with_model();
-        for (center, radius) in [
-            (vec![0.5, 0.5], -1.0),
-            (vec![0.5, 0.5], 0.0),
-            (vec![f64::NAN, 0.5], 0.2),
-            (vec![0.5, 0.5], f64::INFINITY),
-        ] {
-            for aggregate in [Aggregate::Avg, Aggregate::Var, Aggregate::Count] {
-                let stmt = Statement {
-                    aggregate,
-                    table: "readings".into(),
-                    center: center.clone(),
-                    radius,
-                    mode: ExecMode::Auto,
-                };
-                assert!(
-                    matches!(s.execute_statement(&stmt), Err(SqlError::Model(_))),
-                    "{stmt:?}"
-                );
-                let run = [stmt.clone(), stmt];
-                assert!(matches!(
-                    s.execute_statements(&run),
-                    Err(SqlError::Model(_))
-                ));
-            }
-        }
-    }
-
-    #[test]
-    fn empty_subspace_is_null() {
-        let s = session_with_model();
-        assert!(matches!(
-            s.execute("SELECT AVG(u) FROM readings WHERE DIST(x, [50.0, 50.0]) <= 0.01"),
-            Err(SqlError::EmptySubspace)
-        ));
-        // But the model extrapolates without data.
-        assert!(s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [50.0, 50.0]) <= 0.01 USING MODEL")
-            .is_ok());
-    }
-
-    #[test]
-    fn model_mode_without_model_errors() {
-        let field = GasSensorSurrogate::new(2, 3);
-        let mut rng = seeded(9);
-        let ds = Dataset::from_function(&field, 1_000, SampleOptions::default(), &mut rng);
-        let mut s = Session::new();
-        s.register_table("t", ExactEngine::new(Arc::new(ds), AccessPathKind::Scan));
-        assert!(matches!(
-            s.execute("SELECT AVG(u) FROM t WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING MODEL"),
-            Err(SqlError::NoModel(_))
-        ));
-        assert!(matches!(
-            s.execute("SELECT VAR(u) FROM t WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING MODEL"),
-            Err(SqlError::NoMomentsModel(_))
-        ));
-        // AUTO without a model degrades gracefully to exact execution.
-        let out = s
-            .execute("SELECT AVG(u) FROM t WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO")
-            .unwrap();
-        assert_eq!(out.route, Route::Exact);
-        assert_eq!(out.confidence, None);
     }
 
     #[test]
@@ -1036,35 +784,6 @@ mod tests {
         s.register_table("zeta", mk());
         s.register_table("alpha", mk());
         assert_eq!(s.tables(), vec!["alpha", "zeta"]);
-    }
-
-    /// `SET SHARDS` is validated and changes nothing: the same answer,
-    /// the same counters and the same trainer after it.
-    #[test]
-    fn set_shards_command_is_a_validated_no_op() {
-        let mut s = session_with_model();
-        let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.15 USING MODEL";
-        let before = s.execute(sql).unwrap();
-        let router = |s: &Session| {
-            let r = s.router("readings").unwrap();
-            (r.stats(), r.merged_model().unwrap().prototypes())
-        };
-        let state = router(&s);
-        for command in ["SET SHARDS 4 FOR readings;", "SET SHARDS 2"] {
-            assert!(s.execute_command(command).unwrap().is_none());
-            assert_eq!(router(&s), state, "{command}");
-        }
-        assert_eq!(s.execute(sql).unwrap(), before);
-        // Queries still flow through the command surface.
-        let out = s
-            .execute_command("SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
-            .unwrap()
-            .expect("queries produce output");
-        assert!(out.count().unwrap() > 10);
-        assert!(matches!(
-            s.execute_command("SET SHARDS 2 FOR nope"),
-            Err(SqlError::UnknownTable(_))
-        ));
     }
 
     #[test]
@@ -1155,149 +874,5 @@ mod tests {
             .unwrap_err();
         assert!(null_err.source().is_none(), "NULL has no deeper cause");
         assert!(matches!(null_err, SqlError::EmptySubspace));
-    }
-
-    /// A frozen-policy session (feedback off) so scalar replay between
-    /// batch calls cannot retrain the model under the comparison.
-    fn frozen_session_with_model() -> Session {
-        let s = session_with_model();
-        let mut frozen = Session::new();
-        let router = s.router("readings").unwrap();
-        let data = Arc::clone(router.exact_engine().relation().dataset());
-        let engine = ExactEngine::new(data, AccessPathKind::KdTree);
-        let model = router.merged_model().unwrap();
-        frozen.register_table_with_policy(
-            "readings",
-            engine,
-            RoutePolicy {
-                feedback: false,
-                ..RoutePolicy::default()
-            },
-        );
-        frozen.register_model("readings", model).unwrap();
-        frozen
-    }
-
-    #[test]
-    fn execute_batch_matches_statement_at_a_time() {
-        let s = frozen_session_with_model();
-        let model = s.router("readings").unwrap().merged_model().unwrap();
-        let protos = model.prototypes();
-        let p = protos.iter().max_by_key(|p| p.updates).unwrap();
-        // A script mixing a batchable AVG AUTO run (model hit + exact
-        // fallback), a batchable LINREG AUTO run, and statements the
-        // batcher must pass through untouched (COUNT, forced EXACT).
-        let script = format!(
-            "SELECT AVG(u) FROM readings WHERE DIST(x, [{cx}, {cy}]) <= {r} USING AUTO;
-             SELECT AVG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0 USING AUTO;
-             SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3 USING AUTO;
-             SELECT LINREG(u) FROM readings WHERE DIST(x, [{cx}, {cy}]) <= {r} USING AUTO;
-             SELECT LINREG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 50.0 USING AUTO;
-             SELECT COUNT(*) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3;
-             SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3 USING EXACT;",
-            cx = p.center[0],
-            cy = p.center[1],
-            r = p.radius
-        );
-        let batched = s.execute_batch(&script).unwrap();
-        assert_eq!(batched.len(), 7);
-        let stmts = parse_script(&script).unwrap();
-        for (stmt, got) in stmts.iter().zip(&batched) {
-            assert_eq!(*got, s.execute_statement(stmt).unwrap());
-        }
-        // The run really exercised both routes.
-        assert_eq!(batched[0].route, Route::Model);
-        assert_eq!(batched[1].route, Route::Exact);
-        assert!(batched[5].count().unwrap() > 0);
-    }
-
-    /// A batched run that fails feeds the fallbacks answered before the
-    /// failing statement, as executing the script statement by statement
-    /// does.
-    #[test]
-    fn a_failing_batched_run_feeds_the_fallbacks_before_it() {
-        let (data, mut model, moments) = trained_parts();
-        model.unfreeze(); // a trainer that learns is offered the labels
-        let forced_exact = RoutePolicy {
-            confidence_threshold: 2.0,
-            ..RoutePolicy::default()
-        };
-        let script = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO;
-             SELECT AVG(u) FROM readings WHERE DIST(x, [0.3, 0.6]) <= 0.2 USING AUTO;
-             SELECT AVG(u) FROM readings WHERE DIST(x, [30.0, 30.0]) <= 0.01 USING AUTO;";
-        let looped = session_over(&data, model.clone(), moments.clone(), forced_exact);
-        let outcomes: Vec<_> = parse_script(script)
-            .unwrap()
-            .iter()
-            .map(|stmt| looped.execute_statement(stmt).map(|out| out.route))
-            .collect();
-        assert!(matches!(
-            outcomes[..],
-            [
-                Ok(Route::Exact),
-                Ok(Route::Exact),
-                Err(SqlError::EmptySubspace)
-            ]
-        ));
-        let batched = session_over(&data, model, moments, forced_exact);
-        assert!(matches!(
-            batched.execute_batch(script),
-            Err(SqlError::EmptySubspace)
-        ));
-        let stats = |s: &Session| s.router("readings").unwrap().stats();
-        assert_eq!(stats(&batched), stats(&looped));
-        assert_eq!(
-            (
-                stats(&batched).feedback_enqueued,
-                stats(&batched).feedback_fed
-            ),
-            (2, 2)
-        );
-    }
-
-    #[test]
-    fn execute_batch_edge_cases_are_typed() {
-        let s = frozen_session_with_model();
-        // Empty script: empty result, no panic.
-        assert!(s.execute_batch("").unwrap().is_empty());
-        // A dimension mismatch inside a batched run is the same typed
-        // error the scalar path produces, before anything executes.
-        let err = s
-            .execute_batch(
-                "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3 USING AUTO;
-                 SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5, 0.5]) <= 0.3 USING AUTO;",
-            )
-            .unwrap_err();
-        match err {
-            SqlError::DimensionMismatch {
-                table,
-                expected,
-                actual,
-            } => {
-                assert_eq!((table.as_str(), expected, actual), ("readings", 2, 3));
-            }
-            other => panic!("expected DimensionMismatch, got {other:?}"),
-        }
-        // Unknown table in a run.
-        let err = s
-            .execute_batch(
-                "SELECT AVG(u) FROM nope WHERE DIST(x, [0.5]) <= 0.3 USING AUTO;
-                 SELECT AVG(u) FROM nope WHERE DIST(x, [0.6]) <= 0.3 USING AUTO;",
-            )
-            .unwrap_err();
-        assert!(matches!(err, SqlError::UnknownTable(t) if t == "nope"));
-        // A singleton "run" goes through the scalar executor and behaves
-        // identically.
-        let one = s
-            .execute_batch(
-                "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3 USING AUTO",
-            )
-            .unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(
-            one[0],
-            s.execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.3 USING AUTO")
-                .unwrap()
-        );
     }
 }

@@ -381,291 +381,3 @@ proptest! {
         }
     }
 }
-
-// ---- The entry points agree -------------------------------------------------
-//
-// `Session::execute`, `execute_command` and `execute_batch` bind the parser's
-// borrowed statement directly; `execute_statement(s)` take what the public
-// `parse` / `parse_command` / `parse_script` return. Twin sessions, built
-// identically and driven in lockstep — one through each door — must answer
-// every text alike, bit for bit or with the same typed error, and move their
-// routers' counters alike, over frozen and live models.
-
-mod lockstep {
-    use super::*;
-    use regq_core::moments::{MomentPair, MomentsModel};
-    use regq_core::{LlmModel, ModelConfig, Query};
-    use regq_data::generators::GasSensorSurrogate;
-    use regq_data::rng::seeded;
-    use regq_data::{Dataset, SampleOptions};
-    use regq_exact::ExactEngine;
-    use regq_serve::RoutePolicy;
-    use regq_sql::{Session, SqlError};
-    use regq_store::AccessPathKind;
-    use std::sync::{Arc, OnceLock};
-
-    /// A 2-d table `t` and the model and moments model trained on it.
-    fn trained() -> &'static (Arc<Dataset>, LlmModel, MomentsModel) {
-        static TRAINED: OnceLock<(Arc<Dataset>, LlmModel, MomentsModel)> = OnceLock::new();
-        TRAINED.get_or_init(|| {
-            let field = GasSensorSurrogate::new(2, 3);
-            let mut rng = seeded(11);
-            let ds = Dataset::from_function(&field, 3_000, SampleOptions::default(), &mut rng);
-            let data = Arc::new(ds);
-            let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
-            let cfg = ModelConfig::with_vigilance(2, 0.15);
-            let mut model = LlmModel::new(cfg.clone()).unwrap();
-            let mut moments = MomentsModel::new(cfg).unwrap();
-            for _ in 0..1_000 {
-                let c = vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
-                let r = rng.random_range(0.05..0.2);
-                if let Some(mo) = engine.q1_moments(&c, r) {
-                    let q = Query::new_unchecked(c, r);
-                    model.train_step(&q, mo.mean).unwrap();
-                    let pair = MomentPair {
-                        mean: mo.mean,
-                        variance: mo.variance,
-                    };
-                    moments.train_step(&q, pair).unwrap();
-                }
-            }
-            (data, model, moments)
-        })
-    }
-
-    /// One table over a frozen or a live model (feedback on, a publish
-    /// every 8 examples).
-    fn session(live: bool) -> Session {
-        let (data, model, moments) = trained();
-        let mut model = model.clone();
-        if live {
-            model.unfreeze();
-        } else {
-            model.freeze();
-        }
-        let policy = RoutePolicy {
-            publish_interval: 8,
-            ..RoutePolicy::default()
-        };
-        let engine = ExactEngine::new(Arc::clone(data), AccessPathKind::KdTree);
-        let mut s = Session::new();
-        s.register_table_with_policy("t", engine, policy);
-        s.register_model("t", model).unwrap();
-        s.register_moments_model("t", moments.clone()).unwrap();
-        s
-    }
-
-    /// The three text doors.
-    #[derive(Debug, Clone, Copy)]
-    enum Door {
-        Execute,
-        Command,
-        Batch,
-    }
-
-    /// `fast` takes `text` through `door`, `slow` through the public parse
-    /// and the owned executors; both must come out the same.
-    fn step(
-        text: &str,
-        door: Door,
-        fast: &mut Session,
-        slow: &mut Session,
-    ) -> Result<(), TestCaseError> {
-        // `Debug` prints every `f64` so that it reads back to the same
-        // bits, and every error with its variant and payload.
-        let (got, want) = match door {
-            Door::Execute => (
-                format!("{:?}", fast.execute(text)),
-                format!(
-                    "{:?}",
-                    parse(text)
-                        .map_err(SqlError::from)
-                        .and_then(|s| slow.execute_statement(&s))
-                ),
-            ),
-            Door::Command => {
-                let want = match parse_command(text) {
-                    Err(e) => Err(SqlError::from(e)),
-                    Ok(Command::Query(s)) => slow.execute_statement(&s).map(Some),
-                    // Validated, with no effect.
-                    Ok(Command::SetShards { table, .. }) => match table {
-                        Some(t) if slow.router(&t).is_none() => Err(SqlError::UnknownTable(t)),
-                        _ => Ok(None),
-                    },
-                };
-                (
-                    format!("{:?}", fast.execute_command(text)),
-                    format!("{want:?}"),
-                )
-            }
-            Door::Batch => (
-                format!("{:?}", fast.execute_batch(text)),
-                format!(
-                    "{:?}",
-                    parse_script(text)
-                        .map_err(SqlError::from)
-                        .and_then(|v| slow.execute_statements(&v))
-                ),
-            ),
-        };
-        prop_assert_eq!(got, want, "{:?} through {:?}", text, door);
-        let stats = |s: &Session| s.router("t").unwrap().stats();
-        prop_assert_eq!(stats(fast), stats(slow), "{:?} through {:?}", text, door);
-        Ok(())
-    }
-
-    /// A coordinate: in the table's unit square half of the time, any of
-    /// the generator's literals otherwise.
-    fn coordinate(rng: &mut StdRng) -> String {
-        if rng.random::<bool>() {
-            format!("{:.4}", rng.random_range(0.0..1.0))
-        } else {
-            number(rng, false).0
-        }
-    }
-
-    /// A generated statement aimed at the session, with its centre's
-    /// dimension: usually the table `t` and a 2-d centre, sometimes a
-    /// radius that selects rows; otherwise as generated (an unknown table,
-    /// a 1- or 3-d centre, any radius).
-    fn aimed(rng: &mut StdRng) -> (Vec<Tok>, usize) {
-        let (mut toks, _) = statement(rng);
-        if rng.random_range(0..6usize) > 0 {
-            toks[6] = lit("t"); // SELECT agg ( arg ) FROM <table>
-        }
-        let dim = [1, 2, 2, 2, 2, 2, 2, 2, 2, 3][rng.random_range(0..10usize)];
-        recentre(&mut toks, dim, rng);
-        if rng.random::<bool>() {
-            let close = toks.iter().position(|t| t.text == "]").unwrap();
-            toks[close + 3] = lit(format!("{:.3}", rng.random_range(0.02..0.3)));
-            // ] ) <= r
-        }
-        (toks, dim)
-    }
-
-    /// Replace the centre between `[` and `]` with `dim` coordinates.
-    fn recentre(toks: &mut Vec<Tok>, dim: usize, rng: &mut StdRng) {
-        let open = toks.iter().position(|t| t.text == "[").unwrap();
-        let close = toks.iter().position(|t| t.text == "]").unwrap();
-        let mut center = Vec::new();
-        for i in 0..dim {
-            if i > 0 {
-                center.push(lit(","));
-            }
-            center.push(lit(coordinate(rng)));
-        }
-        toks.splice(open + 1..close, center);
-    }
-
-    /// One text and the door it goes through: a statement through any
-    /// door, a script of one statement re-centred a few times (batchable
-    /// when it is `AUTO` `AVG`/`LINREG`; `AUTO` half the time), or a
-    /// `SET SHARDS` command.
-    fn input(rng: &mut StdRng) -> (String, Door) {
-        match rng.random_range(0..8usize) {
-            0..=4 => {
-                let sql = render(&aimed(rng).0, rng) + &terminator(rng);
-                let door = [Door::Execute, Door::Command, Door::Batch][rng.random_range(0..3usize)];
-                (sql, door)
-            }
-            5 | 6 => {
-                let (mut toks, dim) = aimed(rng);
-                if rng.random::<bool>() {
-                    toks.truncate(toks.iter().position(|t| t.text == "<=").unwrap() + 2);
-                    toks.extend([kw("USING"), kw("AUTO")]);
-                }
-                let mut script = String::new();
-                for _ in 0..rng.random_range(2..6usize) {
-                    script += &render(&toks, rng);
-                    script.push(';');
-                    recentre(&mut toks, dim, rng);
-                }
-                (script, Door::Batch)
-            }
-            _ => {
-                let (mut toks, _) = set_shards(rng);
-                toks[2] = lit([1, 2, 4, 9][rng.random_range(0..4usize)].to_string());
-                if toks.len() > 3 && rng.random::<bool>() {
-                    toks[4] = lit("t");
-                }
-                (render(&toks, rng) + &terminator(rng), Door::Command)
-            }
-        }
-    }
-
-    /// Drive `inputs` through twin sessions over a frozen and a live model.
-    fn lockstep(inputs: &[(String, Door)]) -> Result<(), TestCaseError> {
-        for live in [false, true] {
-            let (mut fast, mut slow) = (session(live), session(live));
-            for (text, door) in inputs {
-                step(text, *door, &mut fast, &mut slow)?;
-            }
-        }
-        Ok(())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Generated statements, scripts and commands, however spelled.
-        #[test]
-        fn the_text_doors_answer_as_the_owned_ones(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let inputs: Vec<_> = (0..16).map(|_| input(&mut rng)).collect();
-            lockstep(&inputs)?;
-        }
-    }
-
-    #[test]
-    fn hostile_texts_fail_alike_through_every_door() {
-        let wide: Vec<String> = (0..64).map(|i| format!("{:.3}", i as f64 / 64.0)).collect();
-        let ball = |center: &str, radius: &str| {
-            format!("SELECT AVG(u) FROM t WHERE DIST(x, [{center}]) <= {radius} USING AUTO")
-        };
-        let texts = [
-            "SELECT AVG(u) FROM nope WHERE DIST(x, [0.5, 0.5]) <= 0.1 USING MODEL".to_string(),
-            ball("0.5", "0.1"),
-            ball("0.5, 0.5, 0.5", "0.1"),
-            ball(&wide.join(", "), "0.1"),
-            ball("0.5, 0.5", "0"),
-            ball("0.5, 0.5", "-0.25"),
-            ball("0.5, 0.5", "1e999"),
-            ball("1e999, 0.5", "0.1"),
-            // Literals at the edges of the parser's own conversion: 15 and
-            // 16 digits, no digit on one side of the dot, signed zero, and
-            // ones only `str::parse` reads or rejects.
-            ball("0.123456789012345, 0.1234567890123456", "0.1"),
-            ball("0.5, 0.5", "123456789012345"),
-            ball("0.5, 0.5", "1234567890123456"),
-            ball("0.10000000000000001, -0", "0.1"),
-            ball("5., .5", "+.5"),
-            ball("0.5, .", "0.1"),
-            ball("1e, 0.5", "0.1"),
-            ball("0.5, 0.5", "1e-400"),
-            ball("0.5, 0.5", "0.1; garbage"),
-            ball("0.5, 0.5", "0.1 é"),
-            ball("0.5, 0.5🦀", "0.1"),
-            "SELECT VAR(u) FROM tλ WHERE DIST(x, [0.5, 0.5]) <= 0.1".to_string(),
-            "SELECT VAR(u) FROM t WHERE DIST(x, [50.0, 50.0]) <= 0.01".to_string(),
-            "SELECT COUNT(*) FROM t WHERE DIST(x, [50.0, 50.0]) <= 0.01".to_string(),
-            "SELECT LINREG(u) FROM t WHERE DIST(x, [50.0, 50.0]) <= 0.01 USING MODEL".to_string(),
-            // A dimension mismatch inside a batchable run.
-            format!(
-                "{}; {}",
-                ball("0.5, 0.5", "0.3"),
-                ball("0.5, 0.5, 0.5", "0.3")
-            ),
-            format!("{}; {}", ball("0.2, 0.8", "0.2"), ball("0.7, 0.3", "0.2")),
-            "SET SHARDS 4 FOR nope".to_string(),
-            "SET SHARDS 0".to_string(),
-            String::new(),
-        ];
-        let mut inputs = Vec::new();
-        for text in texts {
-            for door in [Door::Execute, Door::Command, Door::Batch] {
-                inputs.push((text.clone(), door));
-            }
-        }
-        lockstep(&inputs).unwrap();
-    }
-}

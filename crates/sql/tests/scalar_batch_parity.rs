@@ -1,19 +1,17 @@
-//! A statement and a script share every line from the gate to the
-//! trainer's queue.
+//! A script drops the labels its statements one by one would drop.
 //!
-//! Twin sessions serve one trainable table. One executes a script
-//! statement by statement ([`Session::execute`]), the other as one
-//! [`Session::execute_batch`] call. Every statement must get the same
-//! answer bits, route, confidence, snapshot version and dropped-label
-//! flag, and the twins must end with the same [`RouterStats`] and the
-//! same trainer, prototype for prototype in arena order.
+//! Twin sessions serve one trainable table under the same `QueueOverflow`
+//! schedule. One executes a script statement by statement
+//! ([`Session::execute`]), the other as one [`Session::execute_batch`]
+//! call. Every statement must get the same answer bits, route, confidence,
+//! snapshot version and dropped-label flag, and the twins must end with
+//! the same [`RouterStats`] and the same trainer, prototype for prototype
+//! in arena order. (Without injected faults, `reference_interpreter.rs`
+//! holds both doors to one reference.)
 //!
 //! The publish interval lies beyond every label a case feeds, so no
 //! republish lands inside a run: a statement-at-a-time loop would see a
-//! snapshot that the batch, which consults once, does not. One case holds
-//! enough query × prototype pairs for its batch to be resolved as runs on
-//! every core; CI runs this file again under `taskset -c 0`, where that
-//! batch is one run.
+//! snapshot that the batch, which consults once, does not.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -22,16 +20,12 @@ use regq_data::generators::GasSensorSurrogate;
 use regq_data::rng::seeded;
 use regq_data::{Dataset, SampleOptions};
 use regq_exact::ExactEngine;
-use regq_serve::{FaultKind, FaultPlan, Route, RoutePolicy, RouterStats};
+use regq_serve::{FaultKind, FaultPlan, RoutePolicy, RouterStats};
 use regq_sql::{QueryOutput, Session};
 use regq_store::AccessPathKind;
 use std::sync::Arc;
 
 const DIM: usize = 4;
-
-/// `regq_core::snapshot`'s smallest run of query × prototype pairs: a
-/// batch of twice as many is split on a multi-core host.
-const MIN_RUN_PAIRS: usize = 1 << 16;
 
 /// A d = 4 table and a model trained on it that still learns.
 fn table(vigilance: f64) -> (Arc<Dataset>, LlmModel) {
@@ -144,64 +138,6 @@ fn assert_twins_agree(
     }
     assert_eq!(prototypes(batched), prototypes(looped), "{case}");
     outputs
-}
-
-fn exact_routes(outputs: &[QueryOutput]) -> usize {
-    outputs.iter().filter(|o| o.route == Route::Exact).count()
-}
-
-#[test]
-fn a_script_answers_and_trains_as_its_statements_one_by_one() {
-    let fixture = table(0.15);
-    let mut rng = StdRng::seed_from_u64(46);
-    let scripts: Vec<Vec<String>> = ["AVG(u)", "LINREG(u)"]
-        .iter()
-        .cycle()
-        .take(6)
-        .map(|aggregate| script(&fixture.0, aggregate, 64, &mut rng))
-        .collect();
-    let statements = 6 * 64;
-    for threshold in [0.3, 0.6, 2.0] {
-        let case = format!("threshold {threshold}");
-        let sessions = twins(&fixture, threshold, &[]);
-        let exact = exact_routes(&assert_twins_agree(&sessions, &scripts, &case));
-        let st = stats(&sessions[1]);
-        assert_eq!(st.exact_served, exact as u64, "{case}");
-        assert_eq!(
-            st.feedback_enqueued + st.feedback_dropped + st.feedback_declined,
-            st.exact_served,
-            "{case}: every exact answer offers its label"
-        );
-        if threshold == 0.6 {
-            assert!(0 < exact && exact < statements, "{case}: {exact} exact");
-            assert!(st.feedback_fed > 0, "{case}: nothing trained");
-        }
-        if threshold > 1.0 {
-            assert_eq!(exact, statements, "{case}");
-        }
-    }
-}
-
-#[test]
-fn a_script_large_enough_to_split_answers_as_its_statements_one_by_one() {
-    let fixture = table(0.05);
-    let n = (2 * MIN_RUN_PAIRS).div_ceil(fixture.1.k());
-    let mut rng = StdRng::seed_from_u64(47);
-    let scripts = [script(&fixture.0, "AVG(u)", n, &mut rng)];
-    // The median confidence as the threshold, so both routes are taken:
-    // below any threshold above 1 every answer is exact and carries the
-    // score that rejected it.
-    let [probe, _] = twins(&fixture, 2.0, &[]);
-    let mut scores: Vec<f64> = probe
-        .execute_batch(&scripts[0].join(";"))
-        .unwrap()
-        .iter()
-        .map(|o| o.confidence.unwrap())
-        .collect();
-    scores.sort_by(f64::total_cmp);
-    let sessions = twins(&fixture, scores[n / 2], &[]);
-    let exact = exact_routes(&assert_twins_agree(&sessions, &scripts, "splitting run"));
-    assert!(0 < exact && exact < n, "{exact} of {n} exact");
 }
 
 /// `QueueOverflow` occurrences 2, 3 and 10 drop the labels of statements

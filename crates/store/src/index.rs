@@ -91,22 +91,6 @@ pub trait SpatialIndex: Send + Sync {
         self.sum_targets(center, radius).0
     }
 
-    /// Fold `state` over the selection: `f(&mut state, id, x_i, u_i)` per
-    /// qualifying row, returning the final state — the typed front door
-    /// over [`SpatialIndex::visit_ball`];
-    /// [`Relation::fold_ball`](crate::relation::Relation::fold_ball) is
-    /// the same fold over whichever access path a relation holds.
-    fn fold_ball<S>(
-        &self,
-        center: &[f64],
-        radius: f64,
-        mut state: S,
-        mut f: impl FnMut(&mut S, usize, &[f64], f64),
-    ) -> S {
-        self.visit_ball(center, radius, |id, x, y| f(&mut state, id, x, y));
-        state
-    }
-
     /// The dataset snapshot this index was built over.
     fn dataset(&self) -> &Arc<Dataset>;
 

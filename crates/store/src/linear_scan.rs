@@ -103,10 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_ball_accumulates_during_the_scan() {
+    fn visit_ball_accumulates_during_the_scan() {
         let scan = LinearScan::new(grid_points());
         // Sum of u over the 3x3 block around (2,2).
-        let sum = scan.fold_ball(&[2.0, 2.0], 1.5, 0.0, |acc, _, _, y| *acc += y);
+        let mut sum = 0.0;
+        scan.visit_ball(&[2.0, 2.0], 1.5, |_, _, y| sum += y);
         let mut out = Vec::new();
         scan.query_ball(&[2.0, 2.0], 1.5, &mut out);
         let want: f64 = out.iter().map(|&i| scan.dataset().y(i)).sum();

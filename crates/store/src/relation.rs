@@ -89,25 +89,6 @@ impl Relation {
         with_index!(&self.index, index => index.count_ball(center, radius))
     }
 
-    /// Fold `state` over the rows of `D(center, radius)` during a single
-    /// index traversal: `f(&mut state, id, x_i, u_i)` per qualifying row.
-    ///
-    /// This is the aggregation-pushdown path (no id buffer, no second data
-    /// pass): an aggregate's transition state rides the scan itself,
-    /// the way a user-defined aggregate runs inside a DBMS executor — `f`
-    /// is compiled into the traversal. Lock-free and allocation-free (up
-    /// to the kd-tree's inline scratch width), so concurrent readers scale
-    /// linearly.
-    pub fn fold_ball<S>(
-        &self,
-        center: &[f64],
-        radius: f64,
-        state: S,
-        f: impl FnMut(&mut S, usize, &[f64], f64),
-    ) -> S {
-        with_index!(&self.index, index => index.fold_ball(center, radius, state, f))
-    }
-
     /// [`Relation::visit_targets`] handing on whole rows:
     /// `visit(id, x_i, u_i)`, the same `(n, Σu)` bit for bit.
     pub fn visit_ball(
@@ -222,16 +203,16 @@ mod tests {
     }
 
     #[test]
-    fn fold_ball_matches_materialized_selection() {
+    fn visit_ball_matches_materialized_selection() {
         for path in [AccessPathKind::Scan, AccessPathKind::KdTree] {
             let rel = relation(path);
             let (c, r) = ([0.4, 0.6], 0.25);
-            let (n, sum_y, sum_x0) =
-                rel.fold_ball(&c, r, (0usize, 0.0f64, 0.0f64), |s, _, x, y| {
-                    s.0 += 1;
-                    s.1 += y;
-                    s.2 += x[0];
-                });
+            let (mut n, mut sum_y, mut sum_x0) = (0usize, 0.0f64, 0.0f64);
+            rel.visit_ball(&c, r, |_, x, y| {
+                n += 1;
+                sum_y += y;
+                sum_x0 += x[0];
+            });
             let ids = rel.select(&c, r);
             assert_eq!(n, ids.len(), "{path:?}");
             let want_y: f64 = ids.iter().map(|&i| rel.dataset().y(i)).sum();
@@ -242,9 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn fold_ball_visits_rows_with_their_own_coordinates() {
+    fn visit_ball_visits_rows_with_their_own_coordinates() {
         let rel = relation(AccessPathKind::KdTree);
-        rel.fold_ball(&[0.5, 0.5], 0.3, (), |_, id, x, y| {
+        rel.visit_ball(&[0.5, 0.5], 0.3, |id, x, y| {
             assert_eq!(x, rel.dataset().x(id));
             assert_eq!(y, rel.dataset().y(id));
         });

@@ -146,7 +146,8 @@ fn check_table(rng: &mut SeededRng, n: usize, d: usize, large: bool) -> Result<(
         // (b) folds over the traversal carry the same bits as folds
         // over the dataset in reference order — through the row
         // visitor and through the target-only one.
-        let folded = tree.fold_ball(&center, radius, Folds::new(d), |s, _, x, u| s.push(x, u));
+        let mut folded = Folds::new(d);
+        tree.visit_ball(&center, radius, |_, x, u| folded.push(x, u));
         let mut from_data = Folds::new(d);
         for &id in &want {
             from_data.push(data.x(id), data.y(id));

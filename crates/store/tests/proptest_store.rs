@@ -157,7 +157,8 @@ fn check_tree_against_scan(
         s.1.push(u);
     };
     let state = || (GramAccumulator::new(data.dim() + 1), OnlineStats::new());
-    let folded = tree.fold_ball(c, r, state(), |s, _, x, u| fold(s, x, u));
+    let mut folded = state();
+    tree.visit_ball(c, r, |_, x, u| fold(&mut folded, x, u));
     let mut from_data = state();
     for &id in &got {
         fold(&mut from_data, data.x(id), data.y(id));
@@ -221,7 +222,7 @@ proptest! {
     /// materializing selection returns — same ids, same coordinates, same
     /// outputs — for both access paths and every radius.
     #[test]
-    fn fold_ball_equals_query_ball_on_every_path(ds in dataset_strategy(3),
+    fn visit_ball_equals_query_ball_on_every_path(ds in dataset_strategy(3),
                                                  c in prop::collection::vec(-1.5..1.5f64, 3),
                                                  r in radius_strategy(1.5)) {
         let data = Arc::new(ds);

@@ -12,13 +12,11 @@
 //! * **deterministic by default** — the per-test seed is derived from the
 //!   test name, so CI runs are reproducible; set `REGQ_PROPTEST_SEED` to
 //!   explore a different stream;
-//! * **regex strategies** support the subset actually used here: literal
-//!   chars, `.`, `[...]` classes with ranges, and `{m,n}`/`*`/`+`/`?`
-//!   quantifiers.
+//! * **regex strategies** support the one shape used here, `.{m,n}`.
 //!
 //! Supported surface: [`proptest!`], [`prop_assert!`], [`prop_assert_eq!`],
 //! [`prop_assume!`], [`prop_oneof!`], `ProptestConfig::with_cases`,
-//! ranges / tuples / `&str` regexes as strategies,
+//! ranges / tuples / a `.{m,n}` `&str` regex as strategies,
 //! `prop::collection::vec`, [`strategy::Just`], `any::<bool>()`,
 //! `prop_map` / `prop_filter`.
 

@@ -1,17 +1,10 @@
-//! String generation from a small regex subset.
-//!
-//! Supports what the workspace's suites use — sequences of atoms, where
-//! an atom is a literal character, `.`, or a `[...]` class with ranges,
-//! optionally quantified by `{m}`, `{m,n}`, `*`, `+` or `?`. Anchors,
-//! groups, alternation and negated classes are *not* supported; using
-//! them is a hard error so a drifting test fails loudly instead of
-//! silently generating the wrong language.
+//! String generation for the one regex shape the workspace's suites use:
+//! `.{m,n}`, between `m` and `n` characters drawn like `.`. Any other
+//! pattern is a hard error, so a suite that starts using more fails
+//! loudly instead of silently generating the wrong language.
 
 use crate::test_runner::TestRng;
 use rand::RngExt;
-
-/// Upper bound used for the open-ended `*` and `+` quantifiers.
-const UNBOUNDED_CAP: usize = 16;
 
 /// Characters `.` draws from: mostly printable ASCII, with a tail of
 /// whitespace/unicode so totality properties see multi-byte input.
@@ -24,138 +17,21 @@ fn dot_char(rng: &mut TestRng) -> char {
     }
 }
 
-#[derive(Debug)]
-enum Atom {
-    Dot,
-    Class(Vec<char>),
-}
-
-#[derive(Debug)]
-struct Piece {
-    atom: Atom,
-    min: usize,
-    max: usize,
-}
-
-fn parse(pattern: &str) -> Result<Vec<Piece>, String> {
-    let mut chars = pattern.chars().peekable();
-    let mut pieces = Vec::new();
-    while let Some(c) = chars.next() {
-        let atom = match c {
-            '.' => Atom::Dot,
-            '[' => {
-                let mut set = Vec::new();
-                let mut prev: Option<char> = None;
-                loop {
-                    match chars.next() {
-                        None => return Err(format!("unterminated class in {pattern:?}")),
-                        Some(']') => break,
-                        Some('^') if prev.is_none() && set.is_empty() => {
-                            return Err(format!("negated class unsupported in {pattern:?}"))
-                        }
-                        Some('-') if prev.is_some() && chars.peek() != Some(&']') => {
-                            let lo = prev.take().unwrap();
-                            let hi = chars.next().unwrap();
-                            if lo > hi {
-                                return Err(format!("bad range {lo}-{hi} in {pattern:?}"));
-                            }
-                            // `lo` was already pushed as a literal; extend
-                            // with the rest of the range.
-                            let mut c = lo;
-                            while c < hi {
-                                c = char::from_u32(c as u32 + 1)
-                                    .ok_or_else(|| format!("bad range in {pattern:?}"))?;
-                                set.push(c);
-                            }
-                        }
-                        Some(ch) => {
-                            set.push(ch);
-                            prev = Some(ch);
-                        }
-                    }
-                }
-                if set.is_empty() {
-                    return Err(format!("empty class in {pattern:?}"));
-                }
-                Atom::Class(set)
-            }
-            '\\' => {
-                let esc = chars
-                    .next()
-                    .ok_or_else(|| format!("trailing backslash in {pattern:?}"))?;
-                Atom::Class(vec![esc])
-            }
-            '(' | ')' | '|' | '^' | '$' => {
-                return Err(format!(
-                    "regex feature {c:?} unsupported by the offline proptest shim \
-                     (pattern {pattern:?})"
-                ))
-            }
-            lit => Atom::Class(vec![lit]),
-        };
-        // Optional quantifier.
-        let (min, max) = match chars.peek() {
-            Some('*') => {
-                chars.next();
-                (0, UNBOUNDED_CAP)
-            }
-            Some('+') => {
-                chars.next();
-                (1, UNBOUNDED_CAP)
-            }
-            Some('?') => {
-                chars.next();
-                (0, 1)
-            }
-            Some('{') => {
-                chars.next();
-                let mut spec = String::new();
-                loop {
-                    match chars.next() {
-                        Some('}') => break,
-                        Some(ch) => spec.push(ch),
-                        None => return Err(format!("unterminated quantifier in {pattern:?}")),
-                    }
-                }
-                let parts: Vec<&str> = spec.split(',').collect();
-                let parse_n = |s: &str| {
-                    s.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad quantifier {{{spec}}} in {pattern:?}"))
-                };
-                match parts.as_slice() {
-                    [n] => {
-                        let n = parse_n(n)?;
-                        (n, n)
-                    }
-                    [m, n] => (parse_n(m)?, parse_n(n)?),
-                    _ => return Err(format!("bad quantifier {{{spec}}} in {pattern:?}")),
-                }
-            }
-            _ => (1, 1),
-        };
-        if min > max {
-            return Err(format!("inverted quantifier in {pattern:?}"));
-        }
-        pieces.push(Piece { atom, min, max });
-    }
-    Ok(pieces)
+/// `(m, n)` of a `.{m,n}` pattern with `m ≤ n`.
+fn bounds(pattern: &str) -> Option<(usize, usize)> {
+    let spec = pattern.strip_prefix(".{")?.strip_suffix('}')?;
+    let (m, n) = spec.split_once(',')?;
+    let (m, n) = (m.parse().ok()?, n.parse().ok()?);
+    (m <= n).then_some((m, n))
 }
 
 /// Generate one string matching `pattern`.
 pub fn generate(pattern: &str, rng: &mut TestRng) -> Result<String, String> {
-    let pieces = parse(pattern)?;
-    let mut out = String::new();
-    for piece in &pieces {
-        let reps = rng.random_range(piece.min..=piece.max);
-        for _ in 0..reps {
-            match &piece.atom {
-                Atom::Dot => out.push(dot_char(rng)),
-                Atom::Class(set) => out.push(set[rng.random_range(0..set.len())]),
-            }
-        }
-    }
-    Ok(out)
+    let (min, max) = bounds(pattern).ok_or_else(|| {
+        format!("pattern {pattern:?} unsupported by the offline proptest shim (only `.{{m,n}}`)")
+    })?;
+    let len = rng.random_range(min..=max);
+    Ok((0..len).map(|_| dot_char(rng)).collect())
 }
 
 #[cfg(test)]
@@ -165,46 +41,36 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn identifier_pattern_generates_identifiers() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..500 {
-            let s = generate("[a-zA-Z_][a-zA-Z0-9_]{0,12}", &mut rng).unwrap();
-            assert!((1..=13).contains(&s.len()), "len {}", s.len());
-            let mut cs = s.chars();
-            let first = cs.next().unwrap();
-            assert!(first.is_ascii_alphabetic() || first == '_');
-            assert!(cs.all(|c| c.is_ascii_alphanumeric() || c == '_'));
-        }
-    }
-
-    #[test]
-    fn dot_quantified_stays_in_bounds() {
+    fn dot_quantified_stays_in_bounds_and_mixes_its_characters() {
         let mut rng = StdRng::seed_from_u64(10);
+        let (mut ascii, mut exotic) = (false, false);
         for _ in 0..200 {
             let s = generate(".{0,200}", &mut rng).unwrap();
             assert!(s.chars().count() <= 200);
+            ascii |= s.chars().any(|c| c.is_ascii_graphic());
+            exotic |= s
+                .chars()
+                .any(|c| !c.is_ascii() || c.is_ascii_whitespace() && c != ' ');
         }
+        assert!(ascii && exotic);
+        let s = generate(".{3,3}", &mut rng).unwrap();
+        assert_eq!(s.chars().count(), 3);
     }
 
     #[test]
-    fn unsupported_features_error() {
+    fn unsupported_patterns_error() {
         let mut rng = StdRng::seed_from_u64(11);
-        assert!(generate("(a|b)", &mut rng).is_err());
-        assert!(generate("[^a]", &mut rng).is_err());
-    }
-
-    #[test]
-    fn class_ranges_cover_endpoints() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut seen_a = false;
-        let mut seen_c = false;
-        for _ in 0..500 {
-            let s = generate("[a-c]", &mut rng).unwrap();
-            let ch = s.chars().next().unwrap();
-            assert!(('a'..='c').contains(&ch));
-            seen_a |= ch == 'a';
-            seen_c |= ch == 'c';
+        for pattern in [
+            "(a|b)",
+            "[^a]",
+            "[a-c]",
+            "a",
+            ".{3,1}",
+            ".{2}",
+            ".*",
+            ".{0,200}x",
+        ] {
+            assert!(generate(pattern, &mut rng).is_err(), "{pattern}");
         }
-        assert!(seen_a && seen_c);
     }
 }

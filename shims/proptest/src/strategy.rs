@@ -180,8 +180,8 @@ tuple_strategy!(A, B, C, D);
 impl Strategy for &'static str {
     type Value = String;
     /// A `&str` strategy is interpreted as a generation *regex*,
-    /// matching real proptest. See [`crate::regex`] for the supported
-    /// subset.
+    /// matching real proptest. See [`crate::regex`] for the one
+    /// supported shape.
     fn new_value(&self, rng: &mut TestRng) -> Result<String, TestCaseError> {
         crate::regex::generate(self, rng).map_err(TestCaseError::fail)
     }

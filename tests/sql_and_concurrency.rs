@@ -1,10 +1,10 @@
 //! Integration tests for the declarative front end and concurrent serving
 //! through the facade crate: the SQL surface (`USING EXACT | MODEL |
 //! AUTO`), the train/serve snapshot split, the lock-free serving engine
-//! under live training, and the router's battery — its one trainer is
-//! `LlmModel::train_step` bit for bit, its gate serves the model's
-//! answers bit for bit (proptest), scripted epoch-reclamation
-//! interleavings, and counted feedback drops surfacing on query outputs. The
+//! under live training, scripted epoch-reclamation interleavings, and
+//! counted feedback drops surfacing on query outputs. (What a statement
+//! answers and how the trainer learns from it, statement by statement, is
+//! `reference_interpreter.rs`.) The
 //! [`fault_injection`] battery drives deterministic seeded faults
 //! (trainer panics, lock poisoning, queue-overflow bursts, publish
 //! stalls, deadline pressure) through the same facade and proves each
@@ -133,39 +133,6 @@ fn sql_errors_are_structured() {
     use std::error::Error as _;
     let err = f.session.execute("this is not sql").unwrap_err();
     assert!(err.source().is_some());
-}
-
-#[test]
-fn sql_auto_mode_gates_on_confidence_end_to_end() {
-    let f = fixture();
-    // Far-but-data-rich ball: the snapshot is consulted, doubts itself,
-    // and the exact engine answers — with the score reported.
-    let low = f
-        .session
-        .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [40.0, 40.0]) <= 60.0 USING AUTO")
-        .unwrap();
-    assert_eq!(low.route, Route::Exact);
-    assert!(low.confidence.is_some(), "snapshot must be consulted");
-    let exact = f
-        .session
-        .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [40.0, 40.0]) <= 60.0")
-        .unwrap();
-    assert_eq!(low.scalar().unwrap(), exact.scalar().unwrap());
-
-    // At a mature prototype's own subspace the gate clears and the model
-    // serves with zero data access.
-    let router = f.session.router("readings").unwrap();
-    let protos = router.merged_model().unwrap().prototypes();
-    let p = protos.iter().max_by_key(|p| p.updates).unwrap();
-    let sql = format!(
-        "SELECT AVG(u) FROM readings WHERE DIST(x, [{}, {}]) <= {} USING AUTO",
-        p.center[0], p.center[1], p.radius
-    );
-    let high = f.session.execute(&sql).unwrap();
-    assert_eq!(high.route, Route::Model, "score {:?}", high.confidence);
-    assert!(high.confidence.unwrap() >= 0.3);
-    assert!(high.scalar().unwrap().is_finite());
-    assert!(high.snapshot_version.is_some());
 }
 
 #[test]
@@ -340,79 +307,6 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
     );
 }
 
-/// The router's one trainer is Algorithm 1 over the labels it is fed:
-/// `LlmModel::train_step` on the same pairs in the same order, bit for
-/// bit. A table after `SET SHARDS 4` (accepted, with no effect), a warmed
-/// model that never freezes (γ = 1e-300), a publish every 16 examples,
-/// and 2,500 analyst balls offered through `observe_outcome`, some of
-/// which spawn. The trainer's prototypes, as a list, its step count and
-/// its frozen flag equal the oracle's; after `publish_now` the served
-/// snapshot's version is that step count, and a Q2 list names each
-/// prototype by its arena index.
-#[test]
-fn the_routers_trainer_is_train_step_bit_for_bit() {
-    let field = GasSensorSurrogate::new(2, 17);
-    let mut rng = seeded(17);
-    let ds = Arc::new(Dataset::from_function(
-        &field,
-        20_000,
-        SampleOptions::default(),
-        &mut rng,
-    ));
-    let engine = ExactEngine::new(Arc::clone(&ds), AccessPathKind::KdTree);
-    let gen = QueryGenerator::for_function(&field, 0.1);
-    let config = ModelConfig {
-        gamma: 1e-300,
-        ..ModelConfig::with_vigilance(2, 0.1)
-    };
-    let mut oracle = LlmModel::new(config).unwrap();
-    train_from_engine(&mut oracle, &engine, &gen, 500, &mut rng).unwrap();
-
-    let mut session = Session::new();
-    let policy = RoutePolicy {
-        publish_interval: 16,
-        ..RoutePolicy::default()
-    };
-    let table = ExactEngine::new(ds, AccessPathKind::KdTree);
-    session.register_table_with_policy("t", table, policy);
-    session.register_model("t", oracle.clone()).unwrap();
-    assert!(session
-        .execute_command("SET SHARDS 4 FOR t")
-        .unwrap()
-        .is_none());
-    let router = session.router("t").unwrap();
-    let (mut fed, mut spawned) = (0, 0);
-    for _ in 0..2_500 {
-        let q = gen.generate(&mut rng);
-        let Some(y) = engine.q1(&q.center, q.radius) else {
-            continue;
-        };
-        assert_eq!(router.observe_outcome(&q, y), Feedback::Accepted);
-        fed += 1;
-        spawned += usize::from(oracle.train_step(&q, y).unwrap().spawned);
-    }
-    assert!(spawned >= 2, "{spawned} spawns");
-    let trainer = router.merged_model().unwrap();
-    assert_eq!(trainer.prototypes(), oracle.prototypes());
-    assert_eq!(
-        (trainer.steps(), trainer.is_frozen()),
-        (oracle.steps(), oracle.is_frozen())
-    );
-    assert_eq!(router.stats().feedback_fed, fed);
-
-    router.publish_now();
-    let probe = Query::new(vec![0.5, 0.5], 0.4).unwrap();
-    let served = router.q2_model(&probe).unwrap();
-    assert_eq!(served.snapshot_version, Some(oracle.steps()));
-    assert_eq!(Ok(served.value.clone()), oracle.predict_q2(&probe));
-    let arena = trainer.prototypes();
-    assert!(served.value.len() > 1, "one prototype in the list");
-    for lm in &served.value {
-        let p = &arena[lm.prototype];
-        assert_eq!((&*lm.center, lm.radius), (&p.center[..], p.radius));
-    }
-}
-
 mod snapshot_equivalence {
     //! Proptest: `ServingSnapshot` predictions are **bit-identical** to
     //! the mutable `LlmModel` at every publish point, observed from any
@@ -495,123 +389,6 @@ mod snapshot_equivalence {
                     h.join().unwrap();
                 }
             });
-        }
-    }
-}
-
-mod shard_equivalence {
-    //! Proptest: the `ShardRouter`'s gated answer is **bit-identical** to
-    //! the model it serves — routes, values, confidence scores and Q2
-    //! lists — including wide balls whose overlap set spans much of the
-    //! codebook. The oracle is the model's own snapshot through the
-    //! **unpruned scalar** predictors (the path furthest from the pruned,
-    //! fused one production runs) plus the exact engine for fallbacks.
-
-    use proptest::prelude::*;
-    use regq::linalg::LinalgError;
-    use regq::prelude::*;
-    use std::sync::{Arc, OnceLock};
-
-    /// One shared dataset (exact fallback must agree too, so every engine
-    /// instance wraps the same rows behind the same access path).
-    fn shared_exact() -> ExactEngine {
-        static DATA: OnceLock<Arc<Dataset>> = OnceLock::new();
-        let data = DATA.get_or_init(|| {
-            let field = GasSensorSurrogate::new(2, 5);
-            let mut rng = seeded(55);
-            Arc::new(Dataset::from_function(
-                &field,
-                8_000,
-                SampleOptions::default(),
-                &mut rng,
-            ))
-        });
-        ExactEngine::new(data.clone(), AccessPathKind::KdTree)
-    }
-
-    /// What the router must answer, decided by the model alone:
-    /// its prediction above the threshold, the exact answer (with the
-    /// rejecting score attached) below it, `None` = an empty selection.
-    fn expected<T>(
-        (value, conf): (T, Confidence),
-        threshold: f64,
-        exact: impl FnOnce() -> Option<T>,
-    ) -> Option<(Route, T, u64)> {
-        if conf.score >= threshold {
-            Some((Route::Model, value, conf.score.to_bits()))
-        } else {
-            exact().map(|y| (Route::Exact, y, conf.score.to_bits()))
-        }
-    }
-
-    fn observed<T>(served: Result<Served<T>, ServeError>) -> Option<(Route, T, u64)> {
-        match served {
-            Ok(s) => Some((
-                s.route,
-                s.value,
-                s.score.expect("snapshot consulted").to_bits(),
-            )),
-            Err(ServeError::EmptySubspace) => None,
-            Err(e) => panic!("unexpected serve error: {e}"),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        #[test]
-        fn shard_router_answers_are_bit_identical_to_the_unsharded_model(
-            pairs in prop::collection::vec(
-                (prop::collection::vec(0.0..1.0f64, 2), 0.02..0.5f64, -3.0..3.0f64),
-                30..90,
-            ),
-            probes in prop::collection::vec(
-                // Centers beyond the data domain and radii up to 1.2 (the
-                // whole unit square) force balls whose overlap set spans
-                // much of the codebook.
-                (prop::collection::vec(-0.3..1.3f64, 2), 0.01..1.2f64),
-                20..40,
-            ),
-        ) {
-            let mut model = LlmModel::new(ModelConfig::with_vigilance(2, 0.2)).unwrap();
-            for (c, r, y) in &pairs {
-                model.train_step(&Query::new_unchecked(c.clone(), *r), *y).unwrap();
-            }
-            // Feedback off: the router holds the published model fixed, so
-            // any divergence is the fusion itself, not training drift.
-            let policy = RoutePolicy { feedback: false, ..RoutePolicy::default() };
-            let threshold = policy.confidence_threshold;
-            let (snap, exact) = (model.snapshot(), shared_exact());
-            let router = ShardRouter::with_model(shared_exact(), model, policy);
-            for (c, r) in &probes {
-                let q = Query::new_unchecked(c.clone(), *r);
-                let (y, conf) = snap.predict_q1_with_confidence(&q).unwrap();
-                prop_assert_eq!(
-                    observed(router.q1(&q).map(|s| s.map_value(f64::to_bits))),
-                    expected((y.to_bits(), conf), threshold, || {
-                        exact.q1(&q.center, q.radius).map(f64::to_bits)
-                    }),
-                    "q1"
-                );
-                prop_assert_eq!(
-                    observed(router.q2(&q)),
-                    expected(snap.predict_q2_with_confidence(&q).unwrap(), threshold, || {
-                        match exact.q1_reg_fused(&q.center, q.radius) {
-                            Ok(fit) => Some(vec![LocalModel {
-                                intercept: fit.model.intercept,
-                                slope: fit.model.slope.into(),
-                                prototype: 0,
-                                weight: 1.0,
-                                center: q.center.clone().into(),
-                                radius: q.radius,
-                            }]),
-                            Err(LinalgError::Empty) => None,
-                            Err(e) => panic!("unexpected exact error: {e}"),
-                        }
-                    }),
-                    "q2"
-                );
-            }
         }
     }
 }
