@@ -14,9 +14,8 @@
 //! |---|---|---|
 //! | [`FaultKind::TrainerPanic`] | each trainer SGD ingestion | panic *after* the step mutates the model (the update is applied but unaccounted — the supervisor must treat the in-lock state as corrupt) |
 //! | [`FaultKind::LockPoison`] | each trainer-lock acquisition | panic while the guard unwinds, genuinely poisoning the `Mutex` |
-//! | [`FaultKind::QueueOverflow`] | each feedback enqueue | the bounded queue reports full (a transient overflow burst) |
+//! | [`FaultKind::QueueOverflow`] | each label offered to a trainer that can learn | the bounded queue reports full (a transient overflow burst): the label is a counted drop |
 //! | [`FaultKind::PublishStall`] | each [`crate::SnapshotCell::publish`] | the writer stalls mid-publish (spin, or block on a [`StallGate`]) |
-//! | [`FaultKind::ExactDelay`] | each exact-engine execution | bounded spin before the traversal (a slow fallback) |
 //!
 //! Each kind fires at an explicit set of 1-based *occurrence numbers*
 //! ([`FaultPlan::inject`]) or at a pseudo-random seeded schedule
@@ -24,19 +23,13 @@
 //! the plan, so every failure mode reproduces exactly in tests. Occurrence
 //! counters are only advanced for armed kinds: an empty plan (the default
 //! everywhere) costs one branch per injection point.
-//!
-//! The plan is also the place where a *standing* slow-fallback signal
-//! lives: [`FaultPlan::with_exact_cost_hint_us`] advertises an exact-path
-//! cost that the deadline-budget router logic
-//! ([`crate::RoutePolicy::deadline_us`]) folds into its estimate, so
-//! degraded routing is deterministically testable without wall clocks.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Bounded spin used for gate-less publish stalls and exact delays: long
-/// enough to be visible in traces, short enough to never wedge a test.
+/// Bounded spin used for gate-less publish stalls: long enough to be
+/// visible in traces, short enough to never wedge a test.
 const SPIN_ITERS: u32 = 50_000;
 
 /// The injectable failure classes (see the module docs table).
@@ -50,38 +43,15 @@ pub enum FaultKind {
     QueueOverflow,
     /// Stall the writer inside a snapshot publish.
     PublishStall,
-    /// Inject latency into the exact-engine path (a slow fallback).
-    ExactDelay,
 }
 
 impl FaultKind {
-    /// All kinds, in arm-index order.
-    pub const ALL: [FaultKind; 5] = [
-        FaultKind::TrainerPanic,
-        FaultKind::LockPoison,
-        FaultKind::QueueOverflow,
-        FaultKind::PublishStall,
-        FaultKind::ExactDelay,
-    ];
-
     fn index(self) -> usize {
         match self {
             FaultKind::TrainerPanic => 0,
             FaultKind::LockPoison => 1,
             FaultKind::QueueOverflow => 2,
             FaultKind::PublishStall => 3,
-            FaultKind::ExactDelay => 4,
-        }
-    }
-
-    /// Short stable label (bench JSON keys, log lines).
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::TrainerPanic => "trainer_panic",
-            FaultKind::LockPoison => "lock_poison",
-            FaultKind::QueueOverflow => "queue_overflow",
-            FaultKind::PublishStall => "publish_stall",
-            FaultKind::ExactDelay => "exact_delay",
         }
     }
 }
@@ -128,11 +98,10 @@ impl StallGate {
 
 #[derive(Debug, Default)]
 struct Inner {
-    arms: [Arm; 5],
+    arms: [Arm; 4],
     /// Pre-computed "this kind can ever fire" flags: the unarmed fast path
     /// is a plain bool load, no atomic traffic.
-    armed: [bool; 5],
-    exact_cost_hint_us: Option<f64>,
+    armed: [bool; 4],
     publish_gate: Option<Arc<GateInner>>,
 }
 
@@ -200,18 +169,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Advertise a standing exact-path cost (µs) folded into the
-    /// deadline-budget estimate — the deterministic stand-in for a slow
-    /// fallback in tests.
-    ///
-    /// # Panics
-    /// As [`FaultPlan::inject`].
-    #[must_use]
-    pub fn with_exact_cost_hint_us(mut self, us: f64) -> Self {
-        self.inner_mut().exact_cost_hint_us = Some(us);
-        self
-    }
-
     /// Make [`FaultKind::PublishStall`] block on a gate instead of
     /// spinning: the returned [`StallGate`] releases the stalled writer.
     /// Used to hold a publish mid-flight deterministically while asserting
@@ -227,11 +184,6 @@ impl FaultPlan {
         });
         self.inner_mut().publish_gate = Some(Arc::clone(&inner));
         (self, StallGate { inner })
-    }
-
-    /// Whether `kind` has any scheduled occurrence at all.
-    pub fn is_armed(&self, kind: FaultKind) -> bool {
-        self.inner.armed[kind.index()]
     }
 
     /// Count one injection point for `kind` and report whether the fault
@@ -261,11 +213,6 @@ impl FaultPlan {
         self.inner.arms[kind.index()].fired.load(Ordering::Relaxed)
     }
 
-    /// The standing exact-path cost hint, if configured.
-    pub fn exact_cost_hint_us(&self) -> Option<f64> {
-        self.inner.exact_cost_hint_us
-    }
-
     /// Publish-stall hook: when a stall fires, either block on the gate
     /// (until [`StallGate::release`]) or spin a bounded number of
     /// iterations. Called by [`crate::SnapshotCell::publish`] with the
@@ -288,25 +235,12 @@ impl FaultPlan {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             }
-            None => spin(SPIN_ITERS),
+            None => {
+                for _ in 0..SPIN_ITERS {
+                    std::hint::spin_loop();
+                }
+            }
         }
-    }
-
-    /// Exact-delay hook: bounded spin when the fault fires. Returns
-    /// whether it fired (callers fold it into latency accounting).
-    pub(crate) fn delay_exact(&self) -> bool {
-        if self.fires(FaultKind::ExactDelay) {
-            spin(SPIN_ITERS);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-fn spin(iters: u32) {
-    for _ in 0..iters {
-        std::hint::spin_loop();
     }
 }
 
@@ -326,8 +260,13 @@ mod tests {
     #[test]
     fn empty_plan_never_fires_and_never_counts() {
         let plan = FaultPlan::new();
-        for kind in FaultKind::ALL {
-            assert!(!plan.is_armed(kind));
+        let kinds = [
+            FaultKind::TrainerPanic,
+            FaultKind::LockPoison,
+            FaultKind::QueueOverflow,
+            FaultKind::PublishStall,
+        ];
+        for kind in kinds {
             for _ in 0..10 {
                 assert!(!plan.fires(kind));
             }
@@ -345,8 +284,9 @@ mod tests {
         assert_eq!(fired, [false, true, false, false, true, false]);
         assert_eq!(plan.seen(FaultKind::TrainerPanic), 6);
         assert_eq!(plan.fired(FaultKind::TrainerPanic), 2);
-        // Other kinds stay unarmed.
-        assert!(!plan.is_armed(FaultKind::LockPoison));
+        // Other kinds stay unarmed: they never fire and never count.
+        assert!(!plan.fires(FaultKind::LockPoison));
+        assert_eq!(plan.seen(FaultKind::LockPoison), 0);
     }
 
     #[test]
@@ -358,7 +298,6 @@ mod tests {
         let fire_vec =
             |p: &FaultPlan, k: FaultKind| -> Vec<bool> { (0..100).map(|_| p.fires(k)).collect() };
         for k in kinds {
-            assert!(a.is_armed(k));
             let (fa, fb, fc) = (fire_vec(&a, k), fire_vec(&b, k), fire_vec(&c, k));
             assert_eq!(fa, fb, "same seed must replay the same schedule");
             assert!(fa.iter().any(|&f| f), "schedule must fire within horizon");
@@ -403,12 +342,5 @@ mod tests {
         // After release, further stalls pass straight through.
         let plan2 = plan.clone();
         plan2.stall_publish(); // occurrence 2: not scheduled, no-op anyway
-    }
-
-    #[test]
-    fn exact_cost_hint_is_advertised() {
-        let plan = FaultPlan::new().with_exact_cost_hint_us(1_234.5);
-        assert_eq!(plan.exact_cost_hint_us(), Some(1_234.5));
-        assert_eq!(FaultPlan::new().exact_cost_hint_us(), None);
     }
 }

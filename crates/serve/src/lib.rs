@@ -24,11 +24,10 @@
 //!   publish captures its model into the router's one cell;
 //! * [`FaultPlan`] — the deterministic fault-injection plane behind the
 //!   self-healing story: scripted trainer panics, lock poisonings, queue
-//!   overflow bursts, publish stalls and exact-path delays fire at exact
-//!   occurrence counts, and the supervision machinery (quarantine +
-//!   restart-from-snapshot, poison healing, bounded retry-with-backoff,
-//!   deadline-bounded [`Route::Degraded`] serving) recovers from each —
-//!   counted in the stats, never silently.
+//!   overflow bursts and publish stalls fire at exact occurrence counts,
+//!   and the supervision machinery (quarantine + restart-from-snapshot,
+//!   poison healing, counted drops of the labels a full queue cannot
+//!   take) answers each — counted in the stats, never silently.
 //!
 //! In the MADlib / unified in-RDBMS architecture sense, this is the
 //! "engine layer" that owns routing across the exact and learned backends
@@ -78,7 +77,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cell;
-pub(crate) mod cost;
 pub mod fault;
 pub mod route;
 pub mod shard;

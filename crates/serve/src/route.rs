@@ -14,13 +14,10 @@ pub enum Route {
     Model,
     /// Executed on the exact engine (data traversal).
     Exact,
-    /// Served from the snapshot **below** the confidence threshold,
-    /// because the exact fallback was refused — its estimated cost blew
-    /// the [`RoutePolicy::deadline_us`] budget, or feedback pressure
-    /// crossed [`RoutePolicy::pressure_watermark`]. The value is the same
-    /// bits the model route would serve; the distinct variant exists so a
-    /// degraded answer is *always* flagged, never mistaken for a
-    /// confident one.
+    /// Nothing produces this route: the gate serves the snapshot or runs
+    /// the query exactly. It stays only because the benchmark package
+    /// still names it (with [`crate::RouterStats::degraded_served`],
+    /// which always reads 0); both go with the benchmark's next change.
     Degraded,
 }
 
@@ -49,9 +46,9 @@ pub struct Served<T> {
     /// consulted: the trainer's step count when it was published.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was *lost*: the
-    /// bounded feedback queue was still full after the retry budget.
-    /// Always `false` on model and degraded routes and with feedback
-    /// disabled.
+    /// bounded feedback queue was full (or an injected
+    /// [`crate::FaultKind::QueueOverflow`] burst said so). Always `false`
+    /// on the model route and with feedback disabled.
     pub feedback_dropped: bool,
     /// Pruning telemetry of the bound-and-verify snapshot consultation
     /// that produced (or rejected) the model answer: prototype blocks
@@ -115,23 +112,6 @@ pub struct RoutePolicy {
     /// examples. Larger intervals amortize the `O(dK)` capture; smaller
     /// ones propagate learning to readers sooner.
     pub publish_interval: usize,
-    /// Deadline budget (µs) for the exact fallback. When set and the
-    /// router's exact-cost estimate (a served-cost EMA, folded with any
-    /// [`crate::fault::FaultPlan::with_exact_cost_hint_us`] hint) exceeds
-    /// it, below-threshold queries are served from the snapshot as
-    /// [`Route::Degraded`] instead of traversing data. `None` (default)
-    /// never degrades on cost.
-    pub deadline_us: Option<f64>,
-    /// Feedback-pressure watermark: when the feedback queue holds at
-    /// least this many pending examples, fallbacks degrade to the
-    /// snapshot answer instead of piling more work onto a struggling
-    /// trainer. `None` (default) never degrades on pressure.
-    pub pressure_watermark: Option<usize>,
-    /// Bounded retry budget for feedback that hits a full queue: each
-    /// retry backs off deterministically (a doubling spin) and pumps the
-    /// trainer once before re-offering. `0` (default) drops
-    /// immediately.
-    pub overflow_retries: u32,
 }
 
 impl Default for RoutePolicy {
@@ -140,9 +120,6 @@ impl Default for RoutePolicy {
             confidence_threshold: 0.3,
             feedback: true,
             publish_interval: 256,
-            deadline_us: None,
-            pressure_watermark: None,
-            overflow_retries: 0,
         }
     }
 }
@@ -155,8 +132,8 @@ pub enum Feedback {
     /// drain (a contended trainer lock leaves it queued, it is
     /// not lost).
     Accepted,
-    /// The example was lost to a full (or overflowing) queue after
-    /// the retry budget. Counted in
+    /// The example was lost to a full queue (or an injected
+    /// [`crate::FaultKind::QueueOverflow`] burst). Counted in
     /// [`crate::RouterStats::feedback_dropped`] and surfaced per-query via
     /// [`Served::feedback_dropped`].
     Dropped,

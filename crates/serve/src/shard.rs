@@ -8,8 +8,7 @@
 //! read queues one example for a trainer that just froze (it stays
 //! queued, bounded) or declines one for a trainer that just came back;
 //! both tolerate staleness. Snapshot hand-off goes through the SeqCst
-//! [`SnapshotCell`] protocol. The exact-cost EMA lives in
-//! `crate::cost::CostEma` with its own audit header.
+//! [`SnapshotCell`] protocol.
 //!
 //! # Query flow (the paper's desideratum D2 made operational)
 //!
@@ -57,14 +56,11 @@
 //! [`RouterStats`] — serving never stops and recovery is never silent. A
 //! poisoned trainer lock gets the same restart before the poison is
 //! cleared (a poisoned guard may hold a half-applied update, which must be
-//! neither trained on nor published). Feedback that hits a full bounded
-//! queue gets a bounded deterministic retry-with-backoff budget
-//! ([`RoutePolicy::overflow_retries`]) before the counted drop, and
-//! fallbacks degrade to the flagged snapshot answer under a deadline
-//! budget or queue-pressure watermark ([`Route::Degraded`]).
+//! neither trained on nor published). Feedback that meets a full bounded
+//! queue (or an injected [`FaultKind::QueueOverflow`] burst) is a counted
+//! drop, flagged on the answer that owed it.
 
 use crate::cell::SnapshotCell;
-use crate::cost::CostEma;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
 use regq_core::moments::MomentsModel;
@@ -78,7 +74,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::Instant;
 
 /// Default bound on the feedback queue (examples, not bytes).
 const DEFAULT_QUEUE_CAPACITY: usize = 1024;
@@ -117,8 +112,8 @@ pub struct RouterStats {
     /// Snapshot epochs the router's one cell retains (bounded by
     /// readers, not publishes — the reclamation invariant).
     pub retained: usize,
-    /// Below-threshold queries served from the snapshot as
-    /// [`Route::Degraded`] (deadline budget / pressure watermark).
+    /// Always 0: nothing produces [`Route::Degraded`]. Kept only while
+    /// the benchmark package still reads it.
     pub degraded_served: u64,
     /// Trainer panics caught mid-drain; each quarantined its example
     /// ([`ShardRouter::quarantined`]) and restarted the trainer.
@@ -128,9 +123,6 @@ pub struct RouterStats {
     pub trainer_restarts: u64,
     /// Poisoned trainer locks encountered and healed.
     pub lock_poisonings: u64,
-    /// Retry attempts made for feedback that found the queue full (the
-    /// bounded [`RoutePolicy::overflow_retries`] budget).
-    pub feedback_retried: u64,
     /// Whether the trainer was restarted and has not published since:
     /// answers stay correct (they come from the published snapshot) but
     /// learning regressed to it.
@@ -176,14 +168,11 @@ pub struct ShardRouter {
     /// Examples quarantined by the panicking trainer (bounded at
     /// [`QUARANTINE_CAP`]; `trainer_panics` has the unbounded count).
     quarantine: Mutex<Vec<(Query, f64)>>,
-    /// Exact-path cost EMA in µs (no sample until the first timed exact
-    /// call); only maintained when a deadline budget / injected delay
-    /// needs it.
-    exact_cost: CostEma,
-    /// Answers per [`Route`], indexed `route as usize`, of the heads that
-    /// count theirs: `AVG` and `LINREG` ([`RouterStats::model_served`],
-    /// `exact_served`, `degraded_served`). `VAR` answers move none.
-    routes: [AtomicU64; 3],
+    /// Answers per [`Route`] the gate gives (`Model`, `Exact`), indexed
+    /// `route as usize`, of the heads that count theirs: `AVG` and
+    /// `LINREG` ([`RouterStats::model_served`], `exact_served`). `VAR`
+    /// answers move none.
+    routes: [AtomicU64; 2],
     feedback_enqueued: AtomicU64,
     feedback_fed: AtomicU64,
     feedback_dropped: AtomicU64,
@@ -191,7 +180,6 @@ pub struct ShardRouter {
     trainer_panics: AtomicU64,
     trainer_restarts: AtomicU64,
     lock_poisonings: AtomicU64,
-    feedback_retried: AtomicU64,
     blocks_screened: AtomicU64,
     blocks_skipped: AtomicU64,
     blocks_verified: AtomicU64,
@@ -270,15 +258,6 @@ fn poison_lock(guard: MutexGuard<'_, Trainer>) {
     debug_assert!(poisoner.is_err());
 }
 
-/// Deterministic exponential spin backoff between overflow retries —
-/// no clocks, no sleeps, so scripted single-threaded tests replay
-/// bit-identically.
-fn backoff(attempt: u32) {
-    for _ in 0..(64u32 << attempt.min(10)) {
-        std::hint::spin_loop();
-    }
-}
-
 impl ShardRouter {
     /// Router without a model — every query routes exact (and, with
     /// feedback on, the router trains itself once
@@ -299,7 +278,6 @@ impl ShardRouter {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fault: FaultPlan::new(),
             quarantine: Mutex::new(Vec::new()),
-            exact_cost: CostEma::new(),
             routes: Default::default(),
             feedback_enqueued: AtomicU64::new(0),
             feedback_fed: AtomicU64::new(0),
@@ -308,7 +286,6 @@ impl ShardRouter {
             trainer_panics: AtomicU64::new(0),
             trainer_restarts: AtomicU64::new(0),
             lock_poisonings: AtomicU64::new(0),
-            feedback_retried: AtomicU64::new(0),
             blocks_screened: AtomicU64::new(0),
             blocks_skipped: AtomicU64::new(0),
             blocks_verified: AtomicU64::new(0),
@@ -374,11 +351,10 @@ impl ShardRouter {
             feedback_declined: self.feedback_declined.load(Ordering::Relaxed),
             publishes: self.cell.epoch(),
             retained: self.cell.retained(),
-            degraded_served: self.routes[Route::Degraded as usize].load(Ordering::Relaxed),
+            degraded_served: 0,
             trainer_panics: self.trainer_panics.load(Ordering::Relaxed),
             trainer_restarts: self.trainer_restarts.load(Ordering::Relaxed),
             lock_poisonings: self.lock_poisonings.load(Ordering::Relaxed),
-            feedback_retried: self.feedback_retried.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             blocks_screened: self.blocks_screened.load(Ordering::Relaxed),
             blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
@@ -484,10 +460,8 @@ impl ShardRouter {
     /// Offer one `(q, y)` feedback example to the trainer: the feedback
     /// door over one pair. `Accepted` means *enqueued* on the bounded
     /// queue (the trainer consumes it at the next drain). A full queue
-    /// gets the bounded retry-with-backoff budget of
-    /// [`RoutePolicy::overflow_retries`] (each attempt pumps first, so
-    /// retries actively make room) before the example is lost as a
-    /// `Dropped` — counted in [`RouterStats::feedback_dropped`]. A trainer
+    /// loses the example at once as a `Dropped` — counted in
+    /// [`RouterStats::feedback_dropped`]. A trainer
     /// that cannot learn (no model, or a frozen one) is offered nothing:
     /// the example is `Declined`, counted in
     /// [`RouterStats::feedback_declined`], and the queue does not fill up
@@ -505,11 +479,10 @@ impl ShardRouter {
     /// their labels were gathered — and reports each pair's [`Feedback`]
     /// to `outcome` under its slot. A pair is declined while the trainer
     /// cannot learn; one that meets an injected overflow burst or a full
-    /// queue waits; any other is enqueued. So declines, fault occurrences
-    /// and enqueues happen in offer order. One pump follows a pass that
-    /// enqueued anything, then each waiting pair, in order, gets the retry
-    /// budget of [`ShardRouter::observe_outcome`]. A pair offered alone is
-    /// that call.
+    /// queue is dropped; any other is enqueued. So declines, fault
+    /// occurrences, drops and enqueues happen in offer order. One pump
+    /// follows a pass that enqueued anything. A pair offered alone is
+    /// [`ShardRouter::observe_outcome`].
     fn offer<'q>(
         &self,
         pairs: impl IntoIterator<Item = (usize, &'q Query, f64)>,
@@ -524,13 +497,13 @@ impl ShardRouter {
             room
         };
         let mut enqueued = 0;
-        let mut waiting = Vec::new();
         for (slot, q, y) in pairs {
             if !self.trainable.load(Ordering::Relaxed) {
                 self.feedback_declined.fetch_add(1, Ordering::Relaxed);
                 outcome(slot, Feedback::Declined);
             } else if self.fault.fires(FaultKind::QueueOverflow) || !enqueue(q, y) {
-                waiting.push((slot, q, y));
+                self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
+                outcome(slot, Feedback::Dropped);
             } else {
                 enqueued += 1;
                 outcome(slot, Feedback::Accepted);
@@ -542,26 +515,6 @@ impl ShardRouter {
             // Opportunistic drain: this caller trains what it enqueued
             // unless another caller holds the trainer (and drains it).
             self.pump();
-        }
-        // Deterministic bounded retry, no queue lock held: each round of
-        // exponential spin backoff is preceded by a drain pass so the
-        // retry has a reason to succeed. Exhausting the budget (at once
-        // when it is zero) is a counted drop.
-        for (slot, q, y) in waiting {
-            let accepted = (0..self.policy.overflow_retries).any(|attempt| {
-                self.feedback_retried.fetch_add(1, Ordering::Relaxed);
-                backoff(attempt);
-                self.pump();
-                enqueue(q, y)
-            });
-            if accepted {
-                self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
-                self.pump();
-                outcome(slot, Feedback::Accepted);
-            } else {
-                self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
-                outcome(slot, Feedback::Dropped);
-            }
         }
     }
 
@@ -701,11 +654,10 @@ impl ShardRouter {
     /// The exact Q1 execution: the subspace mean, which is both the
     /// answer and the label to feed back.
     fn exact_q1(&self, q: &Query) -> Result<(f64, f64), ServeError> {
-        let y = self.timed_exact(|| {
-            self.exact
-                .q1(&q.center, q.radius)
-                .ok_or(ServeError::EmptySubspace)
-        })?;
+        let y = self
+            .exact
+            .q1(&q.center, q.radius)
+            .ok_or(ServeError::EmptySubspace)?;
         Ok((y, y))
     }
 
@@ -715,14 +667,13 @@ impl ShardRouter {
     /// computes it anyway, so the free training example costs no extra
     /// data pass.
     fn exact_q2(&self, q: &Query) -> Result<(Vec<LocalModel>, f64), ServeError> {
-        let fit = self.timed_exact(|| {
-            self.exact
-                .q1_reg_fused(&q.center, q.radius)
-                .map_err(|e| match e {
-                    LinalgError::Empty => ServeError::EmptySubspace,
-                    other => ServeError::Numeric(other),
-                })
-        })?;
+        let fit = self
+            .exact
+            .q1_reg_fused(&q.center, q.radius)
+            .map_err(|e| match e {
+                LinalgError::Empty => ServeError::EmptySubspace,
+                other => ServeError::Numeric(other),
+            })?;
         let list = vec![LocalModel {
             intercept: fit.model.intercept,
             slope: fit.model.slope.into(),
@@ -738,11 +689,10 @@ impl ShardRouter {
     /// the same traversal computed as the label to feed back (a
     /// `VAR`-heavy workload still trains the Q1 model).
     fn exact_var(&self, q: &Query) -> Result<(f64, f64), ServeError> {
-        let m = self.timed_exact(|| {
-            self.exact
-                .q1_moments(&q.center, q.radius)
-                .ok_or(ServeError::EmptySubspace)
-        })?;
+        let m = self
+            .exact
+            .q1_moments(&q.center, q.radius)
+            .ok_or(ServeError::EmptySubspace)?;
         Ok((m.variance, m.mean))
     }
 
@@ -765,54 +715,11 @@ impl ShardRouter {
         Ok((Some((variance.max(0.0), conf)), head.version(), screen))
     }
 
-    /// Run an exact-path computation, timing it when a deadline budget
-    /// (or an injected delay) makes the cost estimate matter. With no
-    /// deadline and no armed delay this is a plain call — zero overhead
-    /// on the default path.
-    fn timed_exact<T>(&self, run: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
-        if self.policy.deadline_us.is_none() && !self.fault.is_armed(FaultKind::ExactDelay) {
-            return run();
-        }
-        let start = Instant::now();
-        self.fault.delay_exact();
-        let out = run();
-        self.exact_cost.record(start.elapsed().as_secs_f64() * 1e6);
-        out
-    }
-
-    /// The exact-path cost estimate driving [`RoutePolicy::deadline_us`]:
-    /// the max of the measured EMA and any standing fault-plan hint.
-    fn exact_cost_estimate_us(&self) -> Option<f64> {
-        let measured = self.exact_cost.estimate_us();
-        match (measured, self.fault.exact_cost_hint_us()) {
-            (Some(m), Some(h)) => Some(m.max(h)),
-            (m, h) => m.or(h),
-        }
-    }
-
-    /// Whether a below-threshold query should skip the exact fallback and
-    /// serve the fused snapshot answer as [`Route::Degraded`]: either the
-    /// feedback queue is at the pressure watermark (the trainer is
-    /// drowning — stop generating more feedback), or the exact-path cost
-    /// estimate exceeds the deadline budget.
-    fn should_degrade(&self) -> bool {
-        if let Some(watermark) = self.policy.pressure_watermark {
-            if lock(&self.queue).len() >= watermark {
-                return true;
-            }
-        }
-        self.policy.deadline_us.is_some_and(|budget| {
-            self.exact_cost_estimate_us()
-                .is_some_and(|cost| cost > budget)
-        })
-    }
-
-    /// The gate: route one query given what the models `predicted` for
-    /// it. Serves the prediction when its score clears the threshold,
-    /// flags it [`Route::Degraded`] when the exact fallback is refused,
-    /// and otherwise runs `exact` — annotated with the rejecting score
-    /// when there was one. Offering the label is the gate loop's job
-    /// ([`ShardRouter::route_batch`]).
+    /// The gate (D2): route one query given what the models `predicted`
+    /// for it. Serves the prediction when its score clears the
+    /// threshold, and otherwise runs `exact` — annotated with the
+    /// rejecting score when there was one. Offering the label is the gate
+    /// loop's job ([`ShardRouter::route_batch`]).
     fn gate<T>(
         &self,
         q: &Query,
@@ -824,13 +731,6 @@ impl ShardRouter {
         match predicted {
             Some((value, conf)) if conf.score >= self.policy.confidence_threshold => {
                 Ok((Served::model(value, conf.score, version, screen), None))
-            }
-            Some((value, conf)) if self.should_degrade() => {
-                let served = Served {
-                    route: Route::Degraded,
-                    ..Served::model(value, conf.score, version, screen)
-                };
-                Ok((served, None))
             }
             below => {
                 let score = below.map(|(_, conf)| conf.score);
@@ -862,7 +762,7 @@ impl ShardRouter {
         &self,
         queries: &[Query],
         (predicted, version, screen): Consulted<impl IntoIterator<Item = Predicted<T>>>,
-        routes: Option<&[AtomicU64; 3]>,
+        routes: Option<&[AtomicU64; 2]>,
         exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
         mut answers: A,
     ) -> Result<A, ServeError> {
@@ -896,7 +796,7 @@ impl ShardRouter {
         &self,
         q: &Query,
         (predicted, version, screen): Consulted<Predicted<T>>,
-        routes: Option<&[AtomicU64; 3]>,
+        routes: Option<&[AtomicU64; 2]>,
         exact: impl Fn(&Self, &Query) -> Result<(T, f64), ServeError>,
     ) -> Result<Served<T>, ServeError> {
         let consulted = ([predicted], version, screen);
@@ -1029,18 +929,15 @@ impl ShardRouter {
     // ---- VAR -----------------------------------------------------------
     //
     // The variance head is resolved by the same pruned driver and passes
-    // the same gate loop — deadline/pressure degradation, exact-cost clock
-    // and feedback door — as the snapshot's heads. It moves none of
-    // `model_served` / `exact_served` / `degraded_served`: those count
+    // the same gate loop and feedback door as the snapshot's heads. It
+    // moves neither `model_served` nor `exact_served`: those count
     // `AVG` + `LINREG` answers, a scope the ledger's smoke test pins
     // (`benchmark/tests/smoke.rs`).
 
     /// **Auto-routed `VAR`**: the moments model's variance head when its
-    /// confidence clears the policy threshold, otherwise the
-    /// gate every answer passes — [`Route::Degraded`] under the deadline
-    /// budget / pressure watermark, else exact execution with the
-    /// subspace mean fed back. No (or an untrained) moments model routes
-    /// exact with no score.
+    /// confidence clears the policy threshold, otherwise exact execution
+    /// with the subspace mean fed back. No (or an untrained) moments
+    /// model routes exact with no score.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the fallback selection is
@@ -1344,27 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_q2_fallbacks_are_timed_and_feed_the_deadline_estimate() {
-        // Regression: `q2_batch` used to call the fused exact kernel
-        // directly, skipping `timed_exact` — no injected delay, no cost
-        // sample, so a deadline budget never learned from batch-only
-        // LINREG traffic.
-        let mut router = fixture_router(RoutePolicy {
-            confidence_threshold: 2.0, // everything falls below
-            feedback: false,
-            deadline_us: Some(1e-3), // any measured exact call blows it
-            ..RoutePolicy::default()
-        });
-        let plan = FaultPlan::new().inject(FaultKind::ExactDelay, &[1]);
-        router.set_fault_plan(plan.clone());
-        let wide = q(&[30.0, 30.0], 50.0);
-        let batch = router.q2_batch(std::slice::from_ref(&wide)).unwrap();
-        assert_eq!(batch[0].route, Route::Exact, "no estimate yet: run exact");
-        assert_eq!(plan.fired(FaultKind::ExactDelay), 1);
-        assert_eq!(router.q2(&wide).unwrap().route, Route::Degraded);
-    }
-
-    #[test]
     fn serve_error_sources_chain() {
         use std::error::Error as _;
         let err = fixture_router(no_feedback())
@@ -1394,7 +1270,6 @@ mod tests {
                 confidence_threshold: 0.25,
                 feedback: false, // readers must not train: the writer owns it
                 publish_interval: 128,
-                ..RoutePolicy::default()
             },
         );
         let mut rng = StdRng::seed_from_u64(10);
@@ -1474,7 +1349,6 @@ mod tests {
                 confidence_threshold: 2.0, // force exact so feedback flows
                 feedback: true,
                 publish_interval: 8,
-                ..RoutePolicy::default()
             },
         );
         router.set_queue_capacity(2);
@@ -1572,7 +1446,6 @@ mod tests {
                 confidence_threshold: 0.3,
                 feedback: true,
                 publish_interval: 32,
-                ..RoutePolicy::default()
             },
         );
         let attached = router.stats().publishes;
@@ -1812,99 +1685,10 @@ mod tests {
         assert_eq!(before, after, "poison recovery changed answers");
     }
 
-    #[test]
-    fn injected_overflow_burst_is_absorbed_by_retries_or_counted_as_drops() {
-        let data = dataset(5_000, 17);
-        let probe = q(&[0.5, 0.5], 0.2);
-        // With a retry budget the burst is invisible: the re-offer lands.
-        let mut patient = ShardRouter::with_model(
-            exact_over(&data),
-            LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap(),
-            RoutePolicy {
-                overflow_retries: 2,
-                ..RoutePolicy::default()
-            },
-        );
-        patient.set_fault_plan(FaultPlan::new().inject(FaultKind::QueueOverflow, &[1, 2]));
-        assert_eq!(patient.observe_outcome(&probe, 1.0), Feedback::Accepted);
-        assert_eq!(patient.observe_outcome(&probe, 2.0), Feedback::Accepted);
-        let stats = patient.stats();
-        assert_eq!(stats.feedback_retried, 2);
-        assert_eq!(stats.feedback_dropped, 0);
-        assert_eq!(stats.feedback_enqueued, 2);
-        // With no budget the same burst is a counted, surfaced drop.
-        let mut impatient = ShardRouter::with_model(
-            exact_over(&data),
-            LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap(),
-            RoutePolicy::default(), // overflow_retries: 0
-        );
-        impatient.set_fault_plan(FaultPlan::new().inject(FaultKind::QueueOverflow, &[1]));
-        assert_eq!(impatient.observe_outcome(&probe, 1.0), Feedback::Dropped);
-        assert_eq!(impatient.stats().feedback_dropped, 1);
-        assert_eq!(impatient.observe_outcome(&probe, 2.0), Feedback::Accepted);
-    }
-
-    #[test]
-    fn pressure_and_deadline_degrade_to_the_flagged_snapshot_answer() {
-        let data = dataset(20_000, 19);
-        let mut model = trained_model(&exact_over(&data), 30_000, 20);
-        model.freeze();
-        let probe = q(&[0.5, 0.5], 0.15);
-        // Queue-pressure watermark: one queued example while the trainer
-        // is busy (its lock is held, so nothing drains) crosses watermark
-        // 1. The trainer must be one that learns — a frozen one
-        // is offered no feedback to queue.
-        let mut learner = model.clone();
-        learner.unfreeze();
-        let router = ShardRouter::with_model(
-            exact_over(&data),
-            learner,
-            RoutePolicy {
-                confidence_threshold: 2.0, // everything falls below
-                pressure_watermark: Some(1),
-                ..RoutePolicy::default()
-            },
-        );
-        let reference = router.q1_model(&probe).unwrap();
-        assert_eq!(router.q1(&probe).unwrap().route, Route::Exact);
-        let busy = lock(&router.trainer);
-        router.observe_outcome(&probe, 1.0); // park one example
-        let served = router.q1(&probe).unwrap();
-        assert_eq!(served.route, Route::Degraded);
-        assert_eq!(
-            served.value.to_bits(),
-            reference.value.to_bits(),
-            "degraded answer must be the fused snapshot answer"
-        );
-        assert_eq!(router.stats().degraded_served, 1);
-        // Batches take the same decision.
-        let batch = router.q1_batch(std::slice::from_ref(&probe)).unwrap();
-        assert_eq!(batch[0].route, Route::Degraded);
-        assert_eq!(batch[0].value.to_bits(), reference.value.to_bits());
-        drop(busy);
-        // Deadline budget: a standing cost hint over the budget degrades
-        // without ever running (or timing) the exact path.
-        let mut slow = ShardRouter::with_model(
-            exact_over(&data),
-            model,
-            RoutePolicy {
-                confidence_threshold: 2.0,
-                deadline_us: Some(50.0),
-                ..RoutePolicy::default()
-            },
-        );
-        slow.set_fault_plan(FaultPlan::new().with_exact_cost_hint_us(1e6));
-        assert_eq!(slow.q1(&probe).unwrap().route, Route::Degraded);
-        assert_eq!(slow.q2(&probe).unwrap().route, Route::Degraded);
-        let batch = slow.q1_batch(std::slice::from_ref(&probe)).unwrap();
-        assert_eq!(batch[0].route, Route::Degraded);
-        assert_eq!(slow.stats().degraded_served, 3);
-    }
-
-    /// A pass that enqueued nothing runs no pump, as the scalar door never
-    /// did for a declined or dropped example: the door over one pair is
-    /// the scalar offer. (Each trainer lock a pump takes is a `LockPoison`
-    /// injection point, armed here far beyond the test to count them.)
+    /// A pass that enqueued nothing runs no pump: a declined or dropped
+    /// example takes no trainer lock, and a drop is counted at once. (Each
+    /// trainer lock a pump takes is a `LockPoison` injection point, armed
+    /// here far beyond the test to count them.)
     #[test]
     fn an_offer_that_enqueues_nothing_runs_no_pump() {
         let data = dataset(5_000, 29);
@@ -1932,6 +1716,7 @@ mod tests {
             .inject(FaultKind::LockPoison, &[1_000]);
         dropping.set_fault_plan(plan.clone());
         assert_eq!(dropping.observe_outcome(&probe, 1.0), Feedback::Dropped);
+        assert_eq!(dropping.stats().feedback_dropped, 1, "a drop is counted");
         assert_eq!(pumps(&plan), 0, "a dropped offer pumped");
         assert_eq!(dropping.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(pumps(&plan), 1, "an enqueued offer pumps once");

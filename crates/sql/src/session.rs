@@ -161,10 +161,11 @@ pub struct QueryOutput {
     /// Version of the model snapshot consulted, if any.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was dropped by the
-    /// router: its bounded feedback queue was still full after the
-    /// retry budget ([`RoutePolicy::overflow_retries`]). A busy trainer
-    /// drops nothing — the example stays queued for the next drain. The
-    /// answer itself is unaffected, but the example did not train anyone.
+    /// router: its bounded feedback queue was full (or an injected
+    /// [`regq_serve::FaultKind::QueueOverflow`] burst said so). A busy
+    /// trainer drops nothing — the example stays queued for the next
+    /// drain. The answer itself is unaffected, but the example did not
+    /// train anyone.
     pub feedback_dropped: bool,
 }
 
@@ -303,9 +304,9 @@ impl Session {
     /// Arm a deterministic [`FaultPlan`] on a table's router
     /// (testing/chaos knob; see [`ShardRouter::set_fault_plan`]).
     /// Statements keep executing through the fault schedule: supervised
-    /// recovery is counted in the router's stats, and deadline- or
-    /// pressure-degraded answers surface as [`Route::Degraded`] on
-    /// [`QueryOutput::route`] exactly as the router reports them.
+    /// recovery is counted in the router's stats, and a label an
+    /// overflow burst drops surfaces as [`QueryOutput::feedback_dropped`]
+    /// exactly as the router reports it.
     ///
     /// # Errors
     /// [`SqlError::UnknownTable`] when the table is not registered.
@@ -317,14 +318,14 @@ impl Session {
     /// The router backing a table (routing stats, the trainer's model,
     /// manual pump/publish).
     ///
-    /// Scope note: `model_served` / `exact_served` / `degraded_served`
-    /// count `AVG`/`LINREG` answers in every mode. `VAR` passes the same
-    /// router gate (threshold, deadline/pressure degradation, feedback)
-    /// over a snapshot of the moments model's one head, taken when it was
-    /// registered, and `COUNT(*)` is the one session-level operator
-    /// (cardinality needs the data by definition); neither moves a route
-    /// counter, though a consulted `VAR` moves the `blocks_*` pruning
-    /// counters and an exact one still feeds the trainer.
+    /// Scope note: `model_served` / `exact_served` count `AVG`/`LINREG`
+    /// answers in every mode. `VAR` passes the same router gate
+    /// (threshold, feedback) over a snapshot of the moments model's one
+    /// head, taken when it was registered, and `COUNT(*)` is the one
+    /// session-level operator (cardinality needs the data by
+    /// definition); neither moves a route counter, though a consulted
+    /// `VAR` moves the `blocks_*` pruning counters and an exact one still
+    /// feeds the trainer.
     pub fn router(&self, table: &str) -> Option<&ShardRouter> {
         self.tables.get(table)
     }
@@ -498,7 +499,7 @@ impl Session {
 
     /// Bind and execute one statement: one `(aggregate, mode)` dispatch
     /// onto the table's router, so every answer but `COUNT(*)` passes the
-    /// same gate, deadline/pressure degradation and feedback seam.
+    /// same gate and feedback seam.
     fn run(&self, stmt: StatementRef<'_>) -> Result<QueryOutput, SqlError> {
         let (aggregate, mode, table) = (stmt.aggregate, stmt.mode, stmt.table);
         let (router, q) = self.bind(stmt)?;
@@ -555,14 +556,12 @@ mod tests {
     use regq_store::AccessPathKind;
     use std::sync::Arc;
 
-    /// The table's rows plus a Q1 model and a moments model trained on
-    /// them.
-    fn trained_parts() -> (Arc<Dataset>, LlmModel, MomentsModel) {
+    /// A `readings` table with a model and a moments model trained on it.
+    fn session_with_model() -> Session {
         let field = GasSensorSurrogate::new(2, 3);
         let mut rng = seeded(1);
         let ds = Dataset::from_function(&field, 20_000, SampleOptions::default(), &mut rng);
-        let data = Arc::new(ds);
-        let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
+        let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
 
         // Train a model + a moments model on the engine.
         let mut cfg = ModelConfig::with_vigilance(2, 0.15);
@@ -589,26 +588,11 @@ mod tests {
                 }
             }
         }
-        (data, model, moments)
-    }
-
-    fn session_over(
-        data: &Arc<Dataset>,
-        model: LlmModel,
-        moments: MomentsModel,
-        policy: RoutePolicy,
-    ) -> Session {
-        let engine = ExactEngine::new(Arc::clone(data), AccessPathKind::KdTree);
         let mut s = Session::new();
-        s.register_table_with_policy("readings", engine, policy);
+        s.register_table("readings", engine);
         s.register_model("readings", model).unwrap();
         s.register_moments_model("readings", moments).unwrap();
         s
-    }
-
-    fn session_with_model() -> Session {
-        let (data, model, moments) = trained_parts();
-        session_over(&data, model, moments, RoutePolicy::default())
     }
 
     #[test]
@@ -628,64 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_degraded_routes_surface_through_sql() {
-        let field = GasSensorSurrogate::new(2, 3);
-        let mut rng = seeded(21);
-        let ds = Dataset::from_function(&field, 20_000, SampleOptions::default(), &mut rng);
-        let engine = ExactEngine::new(Arc::new(ds), AccessPathKind::KdTree);
-        let mut cfg = ModelConfig::with_vigilance(2, 0.15);
-        cfg.gamma = 1e-3;
-        let mut model = LlmModel::new(cfg).unwrap();
-        for _ in 0..30_000 {
-            let c = vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)];
-            let r = rng.random_range(0.05..0.2);
-            if let Some(y) = engine.q1(&c, r) {
-                if model
-                    .train_step(&Query::new_unchecked(c, r), y)
-                    .unwrap()
-                    .converged
-                {
-                    break;
-                }
-            }
-        }
-        let mut s = Session::new();
-        // Everything falls below the threshold; the deadline budget plus
-        // a standing exact-cost hint forces the degraded serve.
-        s.register_table_with_policy(
-            "readings",
-            engine,
-            RoutePolicy {
-                confidence_threshold: 2.0,
-                deadline_us: Some(50.0),
-                ..RoutePolicy::default()
-            },
-        );
-        s.register_model("readings", model).unwrap();
-        s.set_fault_plan("readings", FaultPlan::new().with_exact_cost_hint_us(1e6))
-            .unwrap();
-        let out = s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.15 USING AUTO")
-            .unwrap();
-        assert_eq!(out.route, Route::Degraded, "degraded must never be silent");
-        assert!(out.confidence.is_some() && out.snapshot_version.is_some());
-        // Snapshot answer: bit-identical to the forced model route.
-        let forced = s
-            .execute("SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.15 USING MODEL")
-            .unwrap();
-        assert_eq!(
-            out.scalar().unwrap().to_bits(),
-            forced.scalar().unwrap().to_bits()
-        );
-        assert_eq!(s.router("readings").unwrap().stats().degraded_served, 1);
-        // Unknown tables still error.
-        assert!(matches!(
-            s.set_fault_plan("nope", FaultPlan::new()),
-            Err(SqlError::UnknownTable(_))
-        ));
-    }
-
-    #[test]
     fn var_exact_and_model_agree_roughly() {
         let s = session_with_model();
         let e = s
@@ -698,44 +624,6 @@ mod tests {
         assert!(ev >= 0.0 && mv >= 0.0);
         assert!((ev - mv).abs() < 0.1, "exact {ev} vs model {mv}");
         assert_eq!(m.route, Route::Model);
-    }
-
-    fn var_sql(c: &[f64], r: f64, mode: &str) -> String {
-        format!(
-            "SELECT VAR(u) FROM readings WHERE DIST(x, [{}, {}]) <= {r} USING {mode}",
-            c[0], c[1]
-        )
-    }
-
-    #[test]
-    fn var_degrades_under_the_deadline_like_every_other_answer() {
-        let (data, model, moments) = trained_parts();
-        // Everything falls below the threshold; the deadline budget plus
-        // a standing exact-cost hint refuses the exact fallback.
-        let policy = RoutePolicy {
-            confidence_threshold: 2.0,
-            deadline_us: Some(50.0),
-            ..RoutePolicy::default()
-        };
-        let mut s = session_over(&data, model, moments, policy);
-        let sql = var_sql(&[0.5, 0.5], 0.15, "AUTO");
-        let exact = s.execute(&sql).unwrap();
-        assert_eq!(exact.route, Route::Exact, "no cost estimate yet: exact");
-        s.set_fault_plan("readings", FaultPlan::new().with_exact_cost_hint_us(1e6))
-            .unwrap();
-        let fed = |s: &Session| s.router("readings").unwrap().stats().feedback_enqueued;
-        let fed_before = fed(&s);
-        let out = s.execute(&sql).unwrap();
-        assert_eq!(out.route, Route::Degraded, "degraded must never be silent");
-        assert!(out.confidence.is_some() && out.snapshot_version.is_some());
-        assert_eq!(fed(&s), fed_before, "a degraded serve has no label to feed");
-        // The degraded value is the forced model route's, bit for bit.
-        let forced = s.execute(&var_sql(&[0.5, 0.5], 0.15, "MODEL")).unwrap();
-        assert_eq!(
-            out.scalar().unwrap().to_bits(),
-            forced.scalar().unwrap().to_bits()
-        );
-        assert_eq!(forced.route, Route::Model);
     }
 
     #[test]
@@ -829,6 +717,10 @@ mod tests {
         assert!(var.feedback_dropped);
         assert!(matches!(
             s.set_feedback_queue_capacity("nope", 1),
+            Err(SqlError::UnknownTable(_))
+        ));
+        assert!(matches!(
+            s.set_fault_plan("nope", FaultPlan::new()),
             Err(SqlError::UnknownTable(_))
         ));
     }

@@ -19,6 +19,10 @@
 //!   gathered, queued up to the queue's capacity and drained, oldest
 //!   first, through [`LlmModel::train_step`] (Bismarck's one
 //!   incremental-gradient loop), publishing at the policy's interval;
+//! * a label offered to a trainer that can learn is one occurrence of the
+//!   table's [`FaultKind::QueueOverflow`] injection point: where the
+//!   table's plan fires, the label is dropped at once, counted and
+//!   flagged on the answer that owed it, as a full queue drops one;
 //! * it keeps its own [`RouterStats`].
 //!
 //! After every call the session's answer (bits, route, confidence,
@@ -28,8 +32,9 @@
 //! (`execute`, `execute_command`, `execute_batch`, hand-built
 //! `execute_statement(s)`), over frozen and live tables with and without
 //! feedback, a queue small enough to drop labels, a table with no model,
-//! and hostile input. No table arms a `FaultPlan`, a deadline, a pressure
-//! watermark or overflow retries, and the interpreter models none of them.
+//! and hostile input. The live and tiny tables arm a `QueueOverflow`
+//! schedule drawn from the case seed (the fixed script arms its own); no
+//! other fault kind is armed, and the interpreter models none of them.
 //! Failures print a `REGQ_PROPTEST_SEED=<seed>` line.
 
 use proptest::prelude::*;
@@ -53,6 +58,16 @@ const MIN_RUN_PAIRS: usize = 1 << 16;
 
 /// The tables every case registers, in this order.
 const TABLES: [&str; 5] = ["frozen", "live", "quiet", "tiny", "bare"];
+
+/// The occurrences of label offers at which an injected `QueueOverflow`
+/// fires, for each table that arms one.
+type Overflows = [(&'static str, Vec<u64>)];
+
+/// `name`'s overflow occurrences (none for a table `armed` leaves out).
+fn overflows_of(armed: &Overflows, name: &str) -> Vec<u64> {
+    let arm = armed.iter().find(|(table, _)| *table == name);
+    arm.map_or_else(Vec::new, |(_, at)| at.clone())
+}
 
 struct Fixture {
     data: Arc<Dataset>,
@@ -165,11 +180,15 @@ struct Table {
     since_publish: usize,
     /// Whether the trainer can learn: labels are offered only then.
     trainable: bool,
+    /// Labels offered while it could, and the offers an injected
+    /// `QueueOverflow` drops.
+    offered: u64,
+    overflows: Vec<u64>,
     stats: RouterStats,
 }
 
 impl Table {
-    fn new(name: &'static str) -> Self {
+    fn new(name: &'static str, overflows: Vec<u64>) -> Self {
         let (trainer, head, policy, capacity) = registration(name);
         let mut table = Table {
             name,
@@ -181,6 +200,8 @@ impl Table {
             head: head.map(|m| m.head().snapshot()),
             queue: VecDeque::new(),
             since_publish: 0,
+            offered: 0,
+            overflows,
             stats: RouterStats::default(),
         };
         table.publish();
@@ -257,9 +278,11 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 impl Interpreter {
-    fn new() -> Self {
+    fn new(armed: &Overflows) -> Self {
         Interpreter {
-            tables: TABLES.map(Table::new).into(),
+            tables: TABLES
+                .map(|name| Table::new(name, overflows_of(armed, name)))
+                .into(),
             spawned: 0,
             widest_run: 0,
             faults: Vec::new(),
@@ -526,28 +549,29 @@ impl Interpreter {
     }
 
     /// The feedback door: each label is declined while the trainer
-    /// cannot learn, queued while there is room and lost otherwise; one
-    /// drain follows a pass that queued anything.
+    /// cannot learn; otherwise it is an offer, lost at once when the
+    /// table's overflow schedule fires there or the queue is full, and
+    /// queued if not. One drain follows a pass that queued anything.
     fn offer(&mut self, t: usize, labels: Vec<(usize, &Query, f64)>, outs: &mut [QueryOutput]) {
         let table = &mut self.tables[t];
-        let (mut queued, mut lost) = (0, Vec::new());
+        let mut queued = 0;
         for (slot, q, y) in labels {
             if !table.trainable {
                 table.stats.feedback_declined += 1;
-            } else if table.queue.len() < table.capacity {
+                continue;
+            }
+            table.offered += 1;
+            if table.overflows.contains(&table.offered) || table.queue.len() >= table.capacity {
+                table.stats.feedback_dropped += 1;
+                outs[slot].feedback_dropped = true;
+            } else {
                 table.queue.push_back((q.clone(), y));
                 queued += 1;
-            } else {
-                lost.push(slot);
             }
         }
         if queued > 0 {
             table.stats.feedback_enqueued += queued;
             table.drain(&mut self.spawned);
-        }
-        for slot in lost {
-            table.stats.feedback_dropped += 1;
-            outs[slot].feedback_dropped = true;
         }
     }
 }
@@ -590,7 +614,9 @@ fn trainer_bits(model: &LlmModel) -> (Vec<u64>, u64, bool) {
 }
 
 impl Differential {
-    fn new() -> Self {
+    /// Both sides over the five tables, each table in `armed` with its
+    /// `QueueOverflow` schedule.
+    fn new(armed: &Overflows) -> Self {
         let f = fixture();
         let mut session = Session::new();
         for name in TABLES {
@@ -604,10 +630,13 @@ impl Differential {
                 session.register_moments_model(name, head).unwrap();
             }
             session.set_feedback_queue_capacity(name, capacity).unwrap();
+            let overflows = overflows_of(armed, name);
+            let plan = FaultPlan::new().inject(FaultKind::QueueOverflow, &overflows);
+            session.set_fault_plan(name, plan).unwrap();
         }
         Differential {
             session,
-            reference: Interpreter::new(),
+            reference: Interpreter::new(armed),
         }
     }
 
@@ -847,6 +876,11 @@ fn script(rng: &mut StdRng) -> Vec<Statement> {
     stmts
 }
 
+/// The proptest's overflow occurrences are drawn from the first this
+/// many offers: most cases offer the live table at least that many
+/// labels, so most of their draws fire.
+const OVERFLOW_HORIZON: u64 = 16;
+
 /// Statements in a run large enough to be split across cores.
 fn big_run_len() -> usize {
     (2 * MIN_RUN_PAIRS).div_ceil(fixture().model.k()) + 1
@@ -955,7 +989,11 @@ proptest! {
     #[test]
     fn a_session_answers_counts_and_trains_as_the_reference_interpreter(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut differential = Differential::new();
+        let armed = ["live", "tiny"].map(|name| {
+            let at = (0..4).map(|_| rng.random_range(1..=OVERFLOW_HORIZON)).collect();
+            (name, at)
+        });
+        let mut differential = Differential::new(&armed);
         for _ in 0..40 {
             differential.step(&random_op(&mut rng))?;
         }
@@ -967,9 +1005,22 @@ proptest! {
 #[test]
 fn a_fixed_script_covers_every_case() {
     let f = fixture();
-    let mut d = Differential::new();
     let in_square = (vec![0.4, 0.6], 0.2);
     let (mature, (edge, edge_r, threshold)) = (f.mature.clone(), f.edge.clone());
+
+    // An overflow occurrence drops its label at once, counted and flagged
+    // on the answer that owed it, through every door that feeds: the live
+    // table's offers 1, 3 and 5.
+    let mut d = Differential::new(&[("live", vec![1, 3, 5])]);
+    let dropped =
+        |outs: Vec<QueryOutput>| -> Vec<bool> { outs.iter().map(|o| o.feedback_dropped).collect() };
+    let st = statement(Aggregate::Avg, "live", in_square.clone(), ExecMode::Exact);
+    assert_eq!(dropped(d.call(Op::Execute(text(&st)))), [true]);
+    let two = format!("{}; {}", text(&st), text(&st));
+    assert_eq!(dropped(d.call(Op::Batch(two))), [false, true]);
+    let two = vec![st.clone(), st];
+    assert_eq!(dropped(d.call(Op::Statements(two))), [false, true]);
+    assert_eq!(d.table("live").stats.feedback_dropped, 3);
 
     // Every aggregate × mode on every table, through `execute`,
     // `execute_command` and `execute_statement`.

@@ -7,10 +7,9 @@
 //! `reference_interpreter.rs`.) The
 //! [`fault_injection`] battery drives deterministic seeded faults
 //! (trainer panics, lock poisoning, queue-overflow bursts, publish
-//! stalls, deadline pressure) through the same facade and proves each
-//! class recovers with zero wrong answers: non-degraded routes stay
-//! bit-identical to a fault-free twin and degraded serves are always
-//! flagged.
+//! stalls) through the same facade and proves each class recovers with
+//! zero wrong answers: routes, values and scores stay bit-identical to a
+//! fault-free twin, and every lost label is counted and flagged.
 //!
 //! Property-based suites here run on the in-tree proptest shim: failures
 //! print a `REGQ_PROPTEST_SEED=<seed>` repro line.
@@ -260,7 +259,6 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
                 confidence_threshold: 0.3,
                 feedback: true,
                 publish_interval: 64,
-                ..RoutePolicy::default()
             },
         )
     };
@@ -274,7 +272,7 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
     let stats = fresh.stats();
     // Every reader query routes somewhere; the handful whose fallback
     // selection is empty are answered as SQL NULL and bump no counter.
-    let routed = stats.model_served + stats.exact_served + stats.degraded_served;
+    let routed = stats.model_served + stats.exact_served;
     assert_eq!(routed, answered, "route accounting");
     assert!(routed > 5_500, "too many NULLs: {routed}/6000");
     assert!(
@@ -504,8 +502,8 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
 
     // A self-contained table with a 1-slot feedback queue. A two-statement
     // script offers both fallbacks' labels in one batch: the first takes
-    // the slot, the second overflows, and with no retry budget sustained
-    // pressure becomes a *counted* drop (never a silent one).
+    // the slot, the second overflows, and the overflow is a *counted*
+    // drop (never a silent one).
     let field = GasSensorSurrogate::new(2, 13);
     let mut rng = seeded(17);
     let ds = Arc::new(Dataset::from_function(
@@ -541,7 +539,6 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
                 confidence_threshold: 2.0, // force exact routing; feedback still flows
                 feedback: true,
                 publish_interval: 64,
-                ..RoutePolicy::default()
             },
         );
         session.register_model(table, model).unwrap();
@@ -586,12 +583,11 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
 }
 
 mod fault_injection {
-    //! The PR 8 fault battery: scripted, deterministic injections through
-    //! the facade proving each fault class *recovers* — no wrong answers,
-    //! no silent losses. Non-degraded routes stay bit-identical to a
-    //! fault-free twin; degraded serves are always flagged
-    //! [`Route::Degraded`]; every firing is answered by a counted
-    //! restart/heal/retry in the stats.
+    //! The fault battery: scripted, deterministic injections through the
+    //! facade proving each fault class *recovers* — no wrong answers, no
+    //! silent losses. Routes, values and scores stay bit-identical to a
+    //! fault-free twin; every firing is answered by a counted
+    //! restart/heal or a counted, flagged drop in the stats.
 
     use rand::RngExt;
     use regq::data::SeededRng;
@@ -687,10 +683,9 @@ mod fault_injection {
     /// single-threaded closed loop (`q1` auto-routing: confident snapshot
     /// serves, exact fallbacks feeding the trainer) under `plan`, and
     /// tallies `[model-side, exact]` answers per [`WINDOW`] queries; then
-    /// the feedback queue is drained.
-    /// Degraded serves are snapshot answers and count model-side; a NULL
-    /// counts on neither. Deterministic: the recovery point is a property
-    /// of the learner, not of thread timing.
+    /// the feedback queue is drained. A NULL counts on neither side.
+    /// Deterministic: the recovery point is a property of the learner,
+    /// not of thread timing.
     fn drift(plan: Option<FaultPlan>) -> (ShardRouter, Vec<[usize; 2]>) {
         let mut router = ShardRouter::with_model(
             exact(),
@@ -699,7 +694,6 @@ mod fault_injection {
                 confidence_threshold: 0.3,
                 feedback: true,
                 publish_interval: 32,
-                ..RoutePolicy::default()
             },
         );
         if let Some(plan) = plan {
@@ -867,7 +861,7 @@ mod fault_injection {
     }
 
     #[test]
-    fn overflow_bursts_surface_through_sql_until_given_a_retry_budget() {
+    fn overflow_bursts_surface_through_sql_as_counted_drops() {
         use regq::sql::Session;
         // Unfrozen: a frozen trainer is not offered feedback to begin with.
         let mut model = trained_model();
@@ -880,7 +874,6 @@ mod fault_injection {
                 confidence_threshold: 2.0, // force exact; feedback flows
                 feedback: true,
                 publish_interval: 64,
-                ..RoutePolicy::default()
             },
         );
         session.register_model("readings", model).unwrap();
@@ -893,109 +886,68 @@ mod fault_injection {
         let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2";
         let burst = session.execute(sql).unwrap();
         assert_eq!(burst.route, Route::Exact, "the answer itself is exact");
-        assert!(
-            burst.feedback_dropped,
-            "with no retry budget the burst must surface as a drop"
-        );
+        assert!(burst.feedback_dropped, "the burst must surface as a drop");
         let calm = session.execute(sql).unwrap();
         assert!(!calm.feedback_dropped, "the burst is over");
         let stats = session.router("readings").unwrap().stats();
         assert_eq!(stats.feedback_dropped, 1);
-        // The same burst with a retry budget is absorbed invisibly.
-        let mut learner = trained_model();
-        learner.unfreeze();
-        let mut patient = Session::new();
-        patient.register_table_with_policy(
-            "patient",
-            exact(),
-            RoutePolicy {
-                confidence_threshold: 2.0,
-                feedback: true,
-                publish_interval: 64,
-                overflow_retries: 2,
-                ..RoutePolicy::default()
-            },
-        );
-        patient.register_model("patient", learner).unwrap();
-        patient
-            .set_fault_plan(
-                "patient",
-                FaultPlan::new().inject(FaultKind::QueueOverflow, &[1]),
-            )
-            .unwrap();
-        let sql = "SELECT AVG(u) FROM patient WHERE DIST(x, [0.5, 0.5]) <= 0.2";
-        let absorbed = patient.execute(sql).unwrap();
-        assert!(!absorbed.feedback_dropped, "the retry must absorb it");
-        let stats = patient.router("patient").unwrap().stats();
-        assert_eq!(stats.feedback_dropped, 0);
-        assert!(stats.feedback_retried >= 1, "retries must be counted");
     }
 
     #[test]
     fn fault_battery_answers_match_the_fault_free_twin_bit_for_bit() {
+        // A trainer that learns, so every fallback offers its label and
+        // each enqueue pumps — the injection points of both armed kinds.
+        // The threshold sends about two probes in five to the exact
+        // engine. The publish interval lies beyond every label the probes
+        // feed, so both twins serve their first snapshot throughout: any
+        // divergence in an answer is a serving bug.
         let mut model = trained_model();
-        model.freeze(); // pin training: divergence would be a serving bug
-        let free = ShardRouter::with_model(
-            exact(),
-            model.clone(),
-            RoutePolicy {
-                feedback: true,
-                ..RoutePolicy::default()
-            },
-        );
-        let mut armed = ShardRouter::with_model(
-            exact(),
-            model,
-            RoutePolicy {
-                feedback: true,
-                deadline_us: Some(50.0), // the hint below trips this
-                overflow_retries: 1,
-                ..RoutePolicy::default()
-            },
-        );
-        armed.set_fault_plan(
-            FaultPlan::seeded(
-                &[FaultKind::LockPoison, FaultKind::QueueOverflow],
-                13,
-                40,
-                3,
-            )
-            .with_exact_cost_hint_us(1e6),
-        );
+        model.unfreeze();
+        let policy = RoutePolicy {
+            confidence_threshold: 0.6,
+            feedback: true,
+            publish_interval: 1_024,
+        };
+        let free = ShardRouter::with_model(exact(), model.clone(), policy);
+        let mut armed = ShardRouter::with_model(exact(), model, policy);
+        let plan = FaultPlan::new()
+            .inject(FaultKind::LockPoison, &[2, 5])
+            .inject(FaultKind::QueueOverflow, &[1, 4, 7]);
+        armed.set_fault_plan(plan.clone());
         std::panic::set_hook(Box::new(|_| {})); // injected poisoners
-        let mut degraded = 0usize;
+        let mut routes = [0usize; 2];
         for probe in probes() {
             match (free.q1(&probe), armed.q1(&probe)) {
-                (Ok(f), Ok(a)) if a.route == Route::Degraded => {
-                    degraded += 1;
-                    // A degraded serve is the *flagged* fused snapshot
-                    // answer — provably right, not approximately right.
-                    assert_eq!(f.route, Route::Exact, "both gates saw the same score");
-                    let reference = armed.q1_model(&probe).unwrap();
-                    assert_eq!(a.value.to_bits(), reference.value.to_bits());
-                }
                 (Ok(f), Ok(a)) => {
+                    routes[usize::from(f.route == Route::Exact)] += 1;
                     assert_eq!(f.route, a.route, "routes diverged at {probe:?}");
                     assert_eq!(f.value.to_bits(), a.value.to_bits());
                     assert_eq!(f.score.map(f64::to_bits), a.score.map(f64::to_bits));
+                    assert_eq!(f.snapshot_version, a.snapshot_version);
                 }
                 (Err(ServeError::EmptySubspace), Err(ServeError::EmptySubspace)) => {}
                 (f, a) => panic!("outcomes diverged: {f:?} vs {a:?}"),
             }
         }
         let _ = std::panic::take_hook();
-        assert!(degraded > 0, "the deadline budget never tripped");
+        assert!(routes.iter().all(|&n| n > 0), "one route only: {routes:?}");
+        // Locking the trainer heals a poisoning the last pump left.
+        armed.merged_model();
+        for kind in [FaultKind::LockPoison, FaultKind::QueueOverflow] {
+            assert!(plan.fired(kind) > 0, "the armed {kind:?} never fired");
+        }
         let stats = armed.stats();
-        assert_eq!(stats.degraded_served, degraded as u64);
+        assert_eq!(stats.lock_poisonings, plan.fired(FaultKind::LockPoison));
         assert_eq!(
             stats.trainer_restarts, stats.lock_poisonings,
             "every poisoning healed by a counted restart (and nothing else fired)"
         );
-        assert_eq!(stats.trainer_panics, 0, "a frozen trainer cannot panic");
+        assert_eq!(stats.feedback_dropped, plan.fired(FaultKind::QueueOverflow));
+        assert_eq!(free.stats().feedback_dropped, 0);
         assert_eq!(
-            stats.feedback_dropped, 0,
-            "retry budget must absorb the bursts"
+            (stats.publishes, free.stats().publishes),
+            (1, 1),
+            "both twins serve their first snapshot"
         );
-        assert_eq!(free.stats().degraded_served, 0);
     }
 }
