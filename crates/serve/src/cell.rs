@@ -503,8 +503,7 @@ impl<T> Drop for CellInner<T> {
 /// then [`ReaderHandle::validate`] (A3), or the single steps the schedule
 /// explorer calls — A1 `load_candidate`, A2 `pin_candidate`, A3
 /// `validate_step` and REL `release`, of which every read path is built.
-/// [`ReaderHandle::acquire`] and [`ReaderHandle::enter`] are the fused
-/// forms for real readers.
+/// [`ReaderHandle::enter`] is the fused form for real readers.
 pub struct ReaderHandle<T = ServingSnapshot> {
     cell: Arc<CellInner<T>>,
     slot: Arc<Slot<T>>,
@@ -574,13 +573,6 @@ impl<T: Send + Sync> ReaderHandle<T> {
         } else {
             None
         }
-    }
-
-    /// One announce/validate round trip. `None` means a publish raced the
-    /// announce; retry (or use [`ReaderHandle::enter`], which loops).
-    pub fn acquire(&mut self) -> Option<ReadGuard<'_, T>> {
-        self.announce();
-        self.validate()
     }
 
     /// Announce/validate until a round succeeds (a handful of iterations

@@ -83,5 +83,7 @@ pub mod shard;
 
 pub use cell::{CellView, NodeName, ReadGuard, ReaderHandle, SnapshotCell, TlsReader};
 pub use fault::{FaultKind, FaultPlan, StallGate};
-pub use route::{Feedback, Route, RoutePolicy, ServeError, Served};
+pub use route::{
+    Feedback, Route, RoutePolicy, ServeError, Served, FEEDBACK_QUEUE_CAPACITY, PUBLISH_INTERVAL,
+};
 pub use shard::{RouterStats, ShardRouter};

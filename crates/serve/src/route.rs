@@ -1,6 +1,7 @@
 //! The vocabulary of routed execution: which backend answered
 //! ([`Route`]), the answer with its routing metadata ([`Served`]), the
-//! knobs that decide ([`RoutePolicy`]), what became of a feedback example
+//! gate's threshold ([`RoutePolicy`]) and the feedback loop's constants,
+//! what became of a feedback example
 //! ([`Feedback`]) and what can go wrong ([`ServeError`]).
 
 use regq_core::{CoreError, ScreenCounters};
@@ -46,9 +47,10 @@ pub struct Served<T> {
     /// consulted: the trainer's step count when it was published.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was *lost*: the
-    /// bounded feedback queue was full (or an injected
-    /// [`crate::FaultKind::QueueOverflow`] burst said so). Always `false`
-    /// on the model route and with feedback disabled.
+    /// bounded feedback queue was full while another thread held the
+    /// trainer (or an injected [`crate::FaultKind::QueueOverflow`] burst
+    /// said so). Always `false` on the model route and when the trainer
+    /// declined the example.
     pub feedback_dropped: bool,
     /// Pruning telemetry of the bound-and-verify snapshot consultation
     /// that produced (or rejected) the model answer: prototype blocks
@@ -98,31 +100,32 @@ impl<T> Served<T> {
     }
 }
 
-/// Routing policy for a [`crate::ShardRouter`].
+/// Routing policy for a [`crate::ShardRouter`]: the gate's one setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutePolicy {
     /// Minimum [`regq_core::Confidence::score`] for serving from the
     /// snapshot in auto mode. `0.0` serves everything from the model,
     /// `> 1.0` routes everything to the exact engine.
     pub confidence_threshold: f64,
-    /// Feed exact answers back to the trainer (Algorithm 1's loop, closed
-    /// in production).
-    pub feedback: bool,
-    /// Publish a fresh snapshot after this many accepted feedback
-    /// examples. Larger intervals amortize the `O(dK)` capture; smaller
-    /// ones propagate learning to readers sooner.
-    pub publish_interval: usize,
 }
 
 impl Default for RoutePolicy {
     fn default() -> Self {
         RoutePolicy {
             confidence_threshold: 0.3,
-            feedback: true,
-            publish_interval: 256,
         }
     }
 }
+
+/// Feedback examples the trainer consumes between two publishes: the drain
+/// that reaches this many captures a fresh snapshot. It amortizes the
+/// `O(dK)` capture over many steps.
+pub const PUBLISH_INTERVAL: usize = 256;
+
+/// Bound on a router's feedback queue (examples, not bytes). A label that
+/// meets a full queue drains it first when the trainer is free, so only
+/// a trainer held by another thread loses labels to it.
+pub const FEEDBACK_QUEUE_CAPACITY: usize = 1024;
 
 /// Outcome of offering one feedback example to the trainer
 /// ([`crate::ShardRouter::observe_outcome`]).
@@ -132,7 +135,8 @@ pub enum Feedback {
     /// drain (a contended trainer lock leaves it queued, it is
     /// not lost).
     Accepted,
-    /// The example was lost to a full queue (or an injected
+    /// The example was lost to a queue that stayed full because another
+    /// thread held the trainer (or to an injected
     /// [`crate::FaultKind::QueueOverflow`] burst). Counted in
     /// [`crate::RouterStats::feedback_dropped`] and surfaced per-query via
     /// [`Served::feedback_dropped`].

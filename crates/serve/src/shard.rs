@@ -27,11 +27,13 @@
 //!    one feedback door offers every label, in the order the labels were
 //!    gathered. Feedback never waits for a busy trainer: the queue is
 //!    drained under `try_lock`, a contended trainer leaves the example
-//!    queued for the next drain, only a full queue loses one, and a
-//!    trainer that cannot learn (no model, or a frozen one) is not
-//!    offered any (both counted, see [`Feedback`]). A read never waits;
-//! 4. the trainer republishes every [`RoutePolicy::publish_interval`]
-//!    consumed examples.
+//!    queued for the next drain, a label that meets a full queue drains
+//!    it first when the trainer is free (so only a queue that stays full
+//!    while another thread holds the trainer loses one), and a trainer
+//!    that cannot learn (no model, or a frozen one) is not offered any
+//!    (both counted, see [`Feedback`]). A read never waits;
+//! 4. the trainer republishes every [`PUBLISH_INTERVAL`] consumed
+//!    examples.
 //!
 //! # One trainer
 //!
@@ -57,12 +59,16 @@
 //! poisoned trainer lock gets the same restart before the poison is
 //! cleared (a poisoned guard may hold a half-applied update, which must be
 //! neither trained on nor published). Feedback that meets a full bounded
-//! queue (or an injected [`FaultKind::QueueOverflow`] burst) is a counted
-//! drop, flagged on the answer that owed it.
+//! queue while another thread holds the trainer (or an injected
+//! [`FaultKind::QueueOverflow`] burst) is a counted drop, flagged on the
+//! answer that owed it.
 
 use crate::cell::SnapshotCell;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::route::{Feedback, Route, RoutePolicy, ServeError, Served, QUARANTINE_CAP};
+use crate::route::{
+    Feedback, Route, RoutePolicy, ServeError, Served, FEEDBACK_QUEUE_CAPACITY, PUBLISH_INTERVAL,
+    QUARANTINE_CAP,
+};
 use regq_core::moments::MomentsModel;
 use regq_core::{
     Confidence, CoreError, LlmModel, LocalModel, Query, ScreenCounters, ServingSnapshot,
@@ -74,9 +80,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-
-/// Default bound on the feedback queue (examples, not bytes).
-const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 /// The one trainer: its model (none until one is attached) and the
 /// examples it consumed since its last publish.
@@ -98,7 +101,9 @@ pub struct RouterStats {
     pub feedback_enqueued: u64,
     /// Feedback examples actually consumed by the trainer.
     pub feedback_fed: u64,
-    /// Feedback examples *lost*: the bounded queue was full. Every drop
+    /// Feedback examples *lost*: the bounded queue stayed full while
+    /// another thread held the trainer, or an injected
+    /// [`FaultKind::QueueOverflow`] burst fired. Every drop
     /// is counted and surfaced per-query via
     /// [`Served::feedback_dropped`].
     pub feedback_dropped: u64,
@@ -163,7 +168,6 @@ pub struct ShardRouter {
     /// captured once: immutable and consulted whole, so it lives beside
     /// the trainer, not in it, and needs no cell.
     moments: Option<ServingSnapshot>,
-    queue_capacity: usize,
     fault: FaultPlan,
     /// Examples quarantined by the panicking trainer (bounded at
     /// [`QUARANTINE_CAP`]; `trainer_panics` has the unbounded count).
@@ -259,9 +263,9 @@ fn poison_lock(guard: MutexGuard<'_, Trainer>) {
 }
 
 impl ShardRouter {
-    /// Router without a model — every query routes exact (and, with
-    /// feedback on, the router trains itself once
-    /// [`ShardRouter::attach_model`] seeds its trainer).
+    /// Router without a model — every query routes exact (and the router
+    /// trains itself once [`ShardRouter::attach_model`] seeds its
+    /// trainer).
     pub fn new(exact: ExactEngine, policy: RoutePolicy) -> Self {
         ShardRouter {
             exact,
@@ -275,7 +279,6 @@ impl ShardRouter {
             trainable: AtomicBool::new(false),
             cell: SnapshotCell::new(),
             moments: None,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             fault: FaultPlan::new(),
             quarantine: Mutex::new(Vec::new()),
             routes: Default::default(),
@@ -327,17 +330,6 @@ impl ShardRouter {
     /// The exact backend.
     pub fn exact_engine(&self) -> &ExactEngine {
         &self.exact
-    }
-
-    /// The routing policy.
-    pub fn policy(&self) -> &RoutePolicy {
-        &self.policy
-    }
-
-    /// Bound the feedback queue to `capacity` examples (an
-    /// administrative knob; the default is 1024).
-    pub fn set_queue_capacity(&mut self, capacity: usize) {
-        self.queue_capacity = capacity.max(1);
     }
 
     /// Counters so far.
@@ -459,8 +451,9 @@ impl ShardRouter {
 
     /// Offer one `(q, y)` feedback example to the trainer: the feedback
     /// door over one pair. `Accepted` means *enqueued* on the bounded
-    /// queue (the trainer consumes it at the next drain). A full queue
-    /// loses the example at once as a `Dropped` — counted in
+    /// queue (the trainer consumes it at the next drain). A queue that
+    /// stays full after a pump — another thread holds the trainer — loses
+    /// the example at once as a `Dropped`, counted in
     /// [`RouterStats::feedback_dropped`]. A trainer
     /// that cannot learn (no model, or a frozen one) is offered nothing:
     /// the example is `Declined`, counted in
@@ -478,10 +471,13 @@ impl ShardRouter {
     /// Walks `(slot, query, label)` pairs in the order given — the order
     /// their labels were gathered — and reports each pair's [`Feedback`]
     /// to `outcome` under its slot. A pair is declined while the trainer
-    /// cannot learn; one that meets an injected overflow burst or a full
-    /// queue is dropped; any other is enqueued. So declines, fault
-    /// occurrences, drops and enqueues happen in offer order. One pump
-    /// follows a pass that enqueued anything. A pair offered alone is
+    /// cannot learn; one that meets an injected overflow burst is
+    /// dropped; one that meets a full queue pumps once and is dropped only
+    /// if the queue is still full; any other is enqueued. So declines,
+    /// fault occurrences, drops and enqueues happen in offer order, and a
+    /// pass of any length feeds a free trainer every label, as the same
+    /// pairs offered one at a time would. One pump follows a pass that
+    /// enqueued anything. A pair offered alone is
     /// [`ShardRouter::observe_outcome`].
     fn offer<'q>(
         &self,
@@ -490,28 +486,36 @@ impl ShardRouter {
     ) {
         let enqueue = |q: &Query, y: f64| {
             let mut queue = lock(&self.queue);
-            let room = queue.len() < self.queue_capacity;
+            let room = queue.len() < FEEDBACK_QUEUE_CAPACITY;
             if room {
                 queue.push_back((q.clone(), y));
             }
             room
         };
-        let mut enqueued = 0;
+        let mut enqueued = false;
         for (slot, q, y) in pairs {
             if !self.trainable.load(Ordering::Relaxed) {
                 self.feedback_declined.fetch_add(1, Ordering::Relaxed);
                 outcome(slot, Feedback::Declined);
-            } else if self.fault.fires(FaultKind::QueueOverflow) || !enqueue(q, y) {
+            } else if self.fault.fires(FaultKind::QueueOverflow)
+                || !(enqueue(q, y) || {
+                    // A full queue: train what it holds if the trainer is
+                    // free, then try once more.
+                    self.pump();
+                    enqueue(q, y)
+                })
+            {
                 self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
                 outcome(slot, Feedback::Dropped);
             } else {
-                enqueued += 1;
+                // Counted as it is queued: a mid-pass pump never feeds a
+                // label the counters have not seen enqueued.
+                self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
+                enqueued = true;
                 outcome(slot, Feedback::Accepted);
             }
         }
-        if enqueued > 0 {
-            self.feedback_enqueued
-                .fetch_add(enqueued, Ordering::Relaxed);
+        if enqueued {
             // Opportunistic drain: this caller trains what it enqueued
             // unless another caller holds the trainer (and drains it).
             self.pump();
@@ -601,7 +605,7 @@ impl ShardRouter {
             .fetch_add(trained as u64, Ordering::Relaxed);
         // A step above may have frozen the model (convergence).
         self.note_trainable(t);
-        if t.since_publish >= self.policy.publish_interval {
+        if t.since_publish >= PUBLISH_INTERVAL {
             self.publish(t);
         }
         trained
@@ -775,7 +779,7 @@ impl ShardRouter {
                     if let Some(routes) = routes {
                         routes[served.route as usize].fetch_add(1, Ordering::Relaxed);
                     }
-                    answers.put(served, label.filter(|_| self.policy.feedback));
+                    answers.put(served, label);
                 }
                 Err(e) => {
                     routed = Err(e);
@@ -881,7 +885,7 @@ impl ShardRouter {
     }
 
     /// **Forced exact Q1** (the SQL `USING EXACT` route): no snapshot
-    /// consulted, the label still offered when feedback is on —
+    /// consulted, the label still offered —
     /// analyst-issued exact queries *are* the paper's training stream.
     ///
     /// # Errors
@@ -962,7 +966,7 @@ impl ShardRouter {
     }
 
     /// **Forced exact `VAR`**; still feeds the subspace mean to the
-    /// trainer when feedback is on.
+    /// trainer.
     ///
     /// # Errors
     /// [`ServeError::EmptySubspace`] when the selection is empty.
@@ -1118,12 +1122,41 @@ mod tests {
         ShardRouter::with_model(exact_over(&data), model, policy)
     }
 
-    /// The default policy with the trainer held fixed.
-    fn no_feedback() -> RoutePolicy {
-        RoutePolicy {
-            feedback: false,
-            ..RoutePolicy::default()
-        }
+    /// The fixture's model frozen: it declines every label, so it serves
+    /// one snapshot however many fallbacks it answers.
+    fn frozen_router() -> ShardRouter {
+        let (data, mut model) = fixture();
+        model.freeze();
+        ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default())
+    }
+
+    /// The fixture's model made a learner that never freezes (γ tiny),
+    /// so every label it is offered is queued and trained.
+    fn learner() -> LlmModel {
+        let (_, trained) = fixture();
+        let mut cfg = trained.config().clone();
+        cfg.gamma = 1e-300;
+        LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), 0, false).unwrap()
+    }
+
+    /// A router every answer of which falls back (threshold 2.0), with
+    /// `model` as its trainer.
+    fn all_exact(model: LlmModel) -> ShardRouter {
+        let policy = RoutePolicy {
+            confidence_threshold: 2.0,
+        };
+        ShardRouter::with_model(exact_over(&fixture().0), model, policy)
+    }
+
+    /// `n` in-square balls with rows, drawn from `seed`.
+    fn balls(n: usize, seed: u64) -> Vec<Query> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let c = [rng.random_range(0.1..0.9), rng.random_range(0.1..0.9)];
+                q(&c, rng.random_range(0.05..0.3))
+            })
+            .collect()
     }
 
     /// Mixed-route probe set: prototype-centered balls clear the gate,
@@ -1152,8 +1185,8 @@ mod tests {
 
     #[test]
     fn batch_q1_and_q2_match_scalar_calls_bit_for_bit() {
-        // Feedback off: the scalar loop must not retrain between calls,
-        // so both paths consult the same snapshots. `Served` derives
+        // A frozen trainer: the scalar loop must not retrain between
+        // calls, so both paths consult the same snapshots. `Served` derives
         // `PartialEq`, so this compares value, route, score, version and
         // the feedback flag in one shot — after normalising `screen`,
         // which legitimately differs: a batch shares its single
@@ -1164,7 +1197,7 @@ mod tests {
             s
         }
         let probes = mixed_probes();
-        let router = fixture_router(no_feedback());
+        let router = frozen_router();
         let batch = router.q1_batch(&probes).unwrap();
         assert_eq!(batch.len(), probes.len());
         let shared = batch[0].screen;
@@ -1243,7 +1276,7 @@ mod tests {
     #[test]
     fn serve_error_sources_chain() {
         use std::error::Error as _;
-        let err = fixture_router(no_feedback())
+        let err = fixture_router(RoutePolicy::default())
             .q1(&q(&[0.5], 0.1))
             .unwrap_err();
         let ServeError::Model(inner) = &err else {
@@ -1262,14 +1295,13 @@ mod tests {
         // version: two readers seeing the same (query, version) pair must
         // read the same value, even though publishes land mid-flight (and
         // superseded snapshots are being *freed* mid-flight by the cell's
-        // reclamation).
+        // reclamation). The readers' fallbacks feed the trainer too: a
+        // version is one capture, whoever trained it.
         let router = ShardRouter::with_model(
             exact_over(&dataset(10_000, 9)),
             LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap(),
             RoutePolicy {
                 confidence_threshold: 0.25,
-                feedback: false, // readers must not train: the writer owns it
-                publish_interval: 128,
             },
         );
         let mut rng = StdRng::seed_from_u64(10);
@@ -1337,35 +1369,83 @@ mod tests {
         }
     }
 
+    /// While another thread holds the trainer nothing drains (the
+    /// feedback door only ever `try_lock`s it), so the queue fills to its
+    /// bound and the next label is lost: counted, and flagged on the
+    /// answer that owed it. Released, one pump trains the queue oldest
+    /// first.
     #[test]
-    fn bounded_queues_drop_deterministically_and_surface_on_answers() {
-        let data = dataset(5_000, 5);
-        let mut model = trained_model(&exact_over(&data), 10_000, 6);
-        model.unfreeze();
-        let mut router = ShardRouter::with_model(
-            exact_over(&data),
-            model,
-            RoutePolicy {
-                confidence_threshold: 2.0, // force exact so feedback flows
-                feedback: true,
-                publish_interval: 8,
-            },
-        );
-        router.set_queue_capacity(2);
-        // While someone else holds the trainer lock nothing drains (the
-        // feedback doors only ever `try_lock` it), so the third enqueue
-        // must drop.
-        let _busy = lock(&router.trainer);
-        let probe = q(&[0.5, 0.5], 0.2);
-        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
-        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
-        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Dropped);
-        assert_eq!(router.stats().feedback_dropped, 1);
-        // …and the drop surfaces on the query that caused it.
-        let served = router.q1(&probe).unwrap();
+    fn a_full_queue_drops_only_while_another_thread_holds_the_trainer() {
+        let model = learner();
+        let router = all_exact(model.clone());
+        let labelled: Vec<(Query, f64)> = balls(FEEDBACK_QUEUE_CAPACITY, 3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, ball)| (ball, i as f64 / 100.0))
+            .collect();
+        let busy = lock(&router.trainer);
+        for (ball, y) in &labelled {
+            assert_eq!(router.observe_outcome(ball, *y), Feedback::Accepted);
+        }
+        let served = router.q1(&q(&[0.5, 0.5], 0.2)).unwrap();
         assert_eq!(served.route, Route::Exact);
         assert!(served.feedback_dropped, "drop must surface on the answer");
-        assert_eq!(router.stats().feedback_dropped, 2);
+        let stats = router.stats();
+        assert_eq!(
+            (
+                stats.feedback_enqueued,
+                stats.feedback_dropped,
+                stats.feedback_fed
+            ),
+            (FEEDBACK_QUEUE_CAPACITY as u64, 1, 0)
+        );
+        drop(busy);
+        assert_eq!(router.pump(), FEEDBACK_QUEUE_CAPACITY);
+        let mut oracle = model;
+        for (ball, y) in &labelled {
+            oracle.train_step(ball, *y).unwrap();
+        }
+        let trainer = router.merged_model().unwrap();
+        assert_eq!(
+            (trainer.prototypes(), trainer.steps()),
+            (oracle.prototypes(), oracle.steps()),
+            "oldest first"
+        );
+        assert!(lock(&router.queue).is_empty());
+    }
+
+    /// A batch with more fallbacks than the queue holds feeds a free
+    /// trainer every label, as the scalar calls over the same queries do:
+    /// a label that meets the full queue drains it first.
+    #[test]
+    fn a_batch_larger_than_the_queue_feeds_an_idle_trainer_every_label() {
+        let queries = balls(FEEDBACK_QUEUE_CAPACITY + 76, 4);
+        let (scalar, batched) = (all_exact(learner()), all_exact(learner()));
+        let one_by_one: Vec<Served<f64>> = queries.iter().map(|b| scalar.q1(b).unwrap()).collect();
+        let batch = batched.q1_batch(&queries).unwrap();
+        assert!(batch
+            .iter()
+            .all(|s| s.route == Route::Exact && !s.feedback_dropped));
+        for (a, b) in one_by_one.iter().zip(&batch) {
+            assert_eq!(a.value.to_bits(), b.value.to_bits());
+        }
+        let n = queries.len() as u64;
+        for router in [&scalar, &batched] {
+            let stats = router.stats();
+            assert_eq!(
+                (
+                    stats.feedback_enqueued,
+                    stats.feedback_fed,
+                    stats.feedback_dropped
+                ),
+                (n, n, 0)
+            );
+        }
+        let (a, b) = (
+            scalar.merged_model().unwrap(),
+            batched.merged_model().unwrap(),
+        );
+        assert_eq!((a.prototypes(), a.steps()), (b.prototypes(), b.steps()));
     }
 
     #[test]
@@ -1373,7 +1453,6 @@ mod tests {
         let data = dataset(5_000, 23);
         let forced_exact = RoutePolicy {
             confidence_threshold: 2.0, // every answer is a fallback with a label
-            ..RoutePolicy::default()
         };
         let probe = q(&[0.5, 0.5], 0.2);
         let pairs = vec![(probe.clone(), 1.0); 3];
@@ -1382,9 +1461,7 @@ mod tests {
         frozen.freeze();
         let with_frozen = ShardRouter::with_model(exact_over(&data), frozen, forced_exact);
         let model_less = ShardRouter::new(exact_over(&data), forced_exact);
-        for mut router in [with_frozen, model_less] {
-            // Were anything queued, a 1-slot queue would drop the second.
-            router.set_queue_capacity(1);
+        for router in [with_frozen, model_less] {
             // The scalar door, the batch door, and each behind a fallback.
             assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Declined);
             assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Declined);
@@ -1442,11 +1519,7 @@ mod tests {
         let router = ShardRouter::with_model(
             exact_over(&data),
             LlmModel::new(cfg).unwrap(),
-            RoutePolicy {
-                confidence_threshold: 0.3,
-                feedback: true,
-                publish_interval: 32,
-            },
+            RoutePolicy::default(),
         );
         let attached = router.stats().publishes;
         let mut rng = StdRng::seed_from_u64(8);
@@ -1483,35 +1556,28 @@ mod tests {
 
     /// The live trainer serves what it published, and a restart resumes
     /// from that. A model that never freezes (γ tiny), every answer exact
-    /// and every label fed (threshold 2.0), wide balls that spawn, a
-    /// publish every 8 examples and injected trainer panics. The oracle
-    /// replays the labels through `LlmModel::train_step`, takes a
-    /// snapshot every 8 steps, and at each label a panic hits resumes from
-    /// its last snapshot's model. The trainer is the oracle, step for
-    /// step; between publishes the served snapshot is the oracle's last
-    /// one; after `publish_now` every served answer — scalar and batched,
-    /// Q1 and Q2 — is the oracle's bit for bit at its step, Q2 lists
-    /// labelled with arena indices.
+    /// and every label fed (threshold 2.0), wide balls that spawn, and
+    /// injected trainer panics; over the first 256 labels a `publish_now`
+    /// follows every 8th, after them the drains publish every
+    /// [`PUBLISH_INTERVAL`]. The oracle replays the labels through
+    /// `LlmModel::train_step`, takes a snapshot at each of those publishes,
+    /// and at each label a panic hits resumes from its last snapshot's
+    /// model. The trainer is the oracle, step for step; between publishes
+    /// the served snapshot is the oracle's last one; after `publish_now`
+    /// every served answer — scalar and batched, Q1 and Q2 — is the
+    /// oracle's bit for bit at its step, Q2 lists labelled with arena
+    /// indices.
     #[test]
     fn a_live_trainer_serves_its_publishes_and_restarts_from_them() {
-        let (data, trained) = fixture();
-        let mut cfg = trained.config().clone();
-        cfg.gamma = 1e-300;
-        let learner =
-            LlmModel::from_parts(cfg, trained.prototypes(), trained.steps(), 0, false).unwrap();
-        let policy = RoutePolicy {
-            confidence_threshold: 2.0,
-            publish_interval: 8,
-            ..RoutePolicy::default()
-        };
-        let mut router = ShardRouter::with_model(exact_over(&data), learner.clone(), policy);
+        let learner = learner();
+        let mut router = all_exact(learner.clone());
         let panics = [13, 29, 61, 97, 131, 187, 241];
         router.set_fault_plan(FaultPlan::new().inject(FaultKind::TrainerPanic, &panics));
         let mut oracle = learner.clone();
         let mut published = oracle.snapshot();
-        let (mut fed, mut since_publish) = (0, 0);
+        let (mut fed, mut since_publish, mut publishes) = (0, 0, 1);
         let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..400 {
+        for _ in 0..700 {
             let c = [rng.random_range(-0.2..1.2), rng.random_range(-0.2..1.2)];
             let probe = q(&c, rng.random_range(0.05..0.8));
             match router.q1(&probe) {
@@ -1524,17 +1590,24 @@ mod tests {
                     } else {
                         oracle.train_step(&probe, served.value).unwrap();
                         since_publish += 1;
-                        if since_publish == policy.publish_interval {
-                            published = oracle.snapshot();
-                            since_publish = 0;
-                        }
+                    }
+                    let by_hand = fed <= 256 && fed % 8 == 0;
+                    if by_hand {
+                        router.publish_now();
+                    }
+                    if by_hand || since_publish == PUBLISH_INTERVAL {
+                        published = oracle.snapshot();
+                        (since_publish, publishes) = (0, publishes + 1);
                     }
                 }
                 Err(ServeError::EmptySubspace) => {}
                 Err(e) => panic!("unexpected {e}"),
             }
         }
-        assert_eq!(router.stats().trainer_panics, panics.len() as u64);
+        let stats = router.stats();
+        assert_eq!(stats.trainer_panics, panics.len() as u64);
+        assert!(publishes > 1 + 256 / 8, "no drain reached the interval");
+        assert_eq!(stats.publishes, publishes);
         let trainer = router.merged_model().unwrap();
         assert!(trainer.k() > learner.k(), "no label spawned a prototype");
         assert_eq!(
@@ -1586,13 +1659,7 @@ mod tests {
     #[test]
     fn empty_router_routes_exact_and_reports_no_model() {
         let data = dataset(5_000, 11);
-        let router = ShardRouter::new(
-            exact_over(&data),
-            RoutePolicy {
-                feedback: false,
-                ..RoutePolicy::default()
-            },
-        );
+        let router = ShardRouter::new(exact_over(&data), RoutePolicy::default());
         let served = router.q1(&q(&[0.5, 0.5], 0.2)).unwrap();
         assert_eq!(served.route, Route::Exact);
         assert_eq!(served.score, None);
@@ -1611,15 +1678,8 @@ mod tests {
     fn injected_trainer_panic_quarantines_restarts_and_keeps_draining() {
         let data = dataset(5_000, 13);
         let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
-        let mut router = ShardRouter::with_model(
-            exact_over(&data),
-            model,
-            RoutePolicy {
-                feedback: true,
-                publish_interval: 1024, // keep the drains unpublished
-                ..RoutePolicy::default()
-            },
-        );
+        // Four labels: no drain reaches the publish interval.
+        let mut router = ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default());
         // Each observe_outcome drains exactly one example, so trainer
         // occurrence 2 is the second example fed.
         router.set_fault_plan(FaultPlan::new().inject(FaultKind::TrainerPanic, &[2]));
@@ -1651,14 +1711,7 @@ mod tests {
         let data = dataset(20_000, 15);
         let mut model = trained_model(&exact_over(&data), 30_000, 16);
         model.freeze();
-        let mut router = ShardRouter::with_model(
-            exact_over(&data),
-            model,
-            RoutePolicy {
-                feedback: false,
-                ..RoutePolicy::default()
-            },
-        );
+        let mut router = ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default());
         let before: Vec<_> = probes()
             .iter()
             .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())

@@ -161,11 +161,12 @@ pub struct QueryOutput {
     /// Version of the model snapshot consulted, if any.
     pub snapshot_version: Option<u64>,
     /// `true` when this query's own feedback example was dropped by the
-    /// router: its bounded feedback queue was full (or an injected
+    /// router: its bounded feedback queue stayed full while another
+    /// thread held the trainer (or an injected
     /// [`regq_serve::FaultKind::QueueOverflow`] burst said so). A busy
-    /// trainer drops nothing — the example stays queued for the next
-    /// drain. The answer itself is unaffected, but the example did not
-    /// train anyone.
+    /// trainer with room in the queue drops nothing — the example stays
+    /// queued for the next drain. The answer itself is unaffected, but the
+    /// example did not train anyone.
     pub feedback_dropped: bool,
 }
 
@@ -286,21 +287,6 @@ impl Session {
         names
     }
 
-    /// Bound a table's feedback queue to `capacity` examples
-    /// (administrative knob; see
-    /// [`ShardRouter::set_queue_capacity`]).
-    ///
-    /// # Errors
-    /// [`SqlError::UnknownTable`] when the table is not registered.
-    pub fn set_feedback_queue_capacity(
-        &mut self,
-        table: &str,
-        capacity: usize,
-    ) -> Result<(), SqlError> {
-        self.router_mut(table)?.set_queue_capacity(capacity);
-        Ok(())
-    }
-
     /// Arm a deterministic [`FaultPlan`] on a table's router
     /// (testing/chaos knob; see [`ShardRouter::set_fault_plan`]).
     /// Statements keep executing through the fault schedule: supervised
@@ -319,8 +305,8 @@ impl Session {
     /// manual pump/publish).
     ///
     /// Scope note: `model_served` / `exact_served` count `AVG`/`LINREG`
-    /// answers in every mode. `VAR` passes the same router gate
-    /// (threshold, feedback) over a snapshot of the moments model's one
+    /// answers in every mode. `VAR` passes the same router gate and
+    /// feedback door over a snapshot of the moments model's one
     /// head, taken when it was registered, and `COUNT(*)` is the one
     /// session-level operator (cardinality needs the data by
     /// definition); neither moves a route counter, though a consulted
@@ -701,7 +687,6 @@ mod tests {
         s.register_table("readings", engine);
         s.register_model("readings", model).unwrap();
         s.register_moments_model("readings", moments).unwrap();
-        s.set_feedback_queue_capacity("readings", 1).unwrap();
         let burst = FaultPlan::new().inject(regq_serve::FaultKind::QueueOverflow, &[2, 3]);
         s.set_fault_plan("readings", burst).unwrap();
         let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING EXACT";
@@ -715,10 +700,6 @@ mod tests {
             .execute("SELECT VAR(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2")
             .unwrap();
         assert!(var.feedback_dropped);
-        assert!(matches!(
-            s.set_feedback_queue_capacity("nope", 1),
-            Err(SqlError::UnknownTable(_))
-        ));
         assert!(matches!(
             s.set_fault_plan("nope", FaultPlan::new()),
             Err(SqlError::UnknownTable(_))

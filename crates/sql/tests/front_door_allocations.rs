@@ -198,7 +198,6 @@ fn a_warm_labelled_statement_allocates_its_centre_its_answer_and_its_queued_labe
     };
     let all_exact = RoutePolicy {
         confidence_threshold: 2.0,
-        ..RoutePolicy::default()
     };
     let s = session_with(4, all_exact, learning);
     let router = s.router("t").unwrap();

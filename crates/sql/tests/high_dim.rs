@@ -73,6 +73,7 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
         model.k()
     );
     assert!(moments.head().snapshot().layout().num_blocks() > 1);
+    model.freeze();
 
     // The statement's ball: a trained prototype's own subspace.
     let p = &model.prototypes()[model.k() / 2];
@@ -115,14 +116,12 @@ fn a_64_dimensional_ball_runs_through_every_aggregate_and_mode() {
         _ => QueryValue::Regression(model.predict_q2(&q).unwrap()),
     };
 
-    // Feedback off: the oracles above stay the served parameters. The
-    // threshold decides `AUTO`: 0 always serves the model, 2 never does
-    // (scores live in [0, 1]).
+    // The model is frozen, so it declines every label: the oracles above
+    // stay the served parameters. The threshold decides `AUTO`: 0 always
+    // serves the model, 2 never does (scores live in [0, 1]).
     let session = |confidence_threshold: f64| {
         let policy = RoutePolicy {
             confidence_threshold,
-            feedback: false,
-            ..RoutePolicy::default()
         };
         let engine = ExactEngine::new(Arc::clone(&data), AccessPathKind::KdTree);
         let mut s = Session::new();

@@ -16,13 +16,14 @@
 //!   `LINREG` statements on one table consults one capture for the run;
 //! * every label that goes back — fallbacks, forced `EXACT` answers, the
 //!   mean of a `LINREG` or `VAR` — is offered in the order it was
-//!   gathered, queued up to the queue's capacity and drained, oldest
-//!   first, through [`LlmModel::train_step`] (Bismarck's one
-//!   incremental-gradient loop), publishing at the policy's interval;
+//!   gathered, queued (a full queue of [`FEEDBACK_QUEUE_CAPACITY`] labels
+//!   is drained first) and drained, oldest first, through
+//!   [`LlmModel::train_step`] (Bismarck's one incremental-gradient loop),
+//!   publishing every [`PUBLISH_INTERVAL`] labels;
 //! * a label offered to a trainer that can learn is one occurrence of the
 //!   table's [`FaultKind::QueueOverflow`] injection point: where the
 //!   table's plan fires, the label is dropped at once, counted and
-//!   flagged on the answer that owed it, as a full queue drops one;
+//!   flagged on the answer that owed it;
 //! * it keeps its own [`RouterStats`].
 //!
 //! After every call the session's answer (bits, route, confidence,
@@ -30,11 +31,11 @@
 //! counters and every trainer (prototypes in arena order, steps, frozen
 //! flag) must equal the interpreter's. The scripts go through every door
 //! (`execute`, `execute_command`, `execute_batch`, hand-built
-//! `execute_statement(s)`), over frozen and live tables with and without
-//! feedback, a queue small enough to drop labels, a table with no model,
-//! and hostile input. The live and tiny tables arm a `QueueOverflow`
-//! schedule drawn from the case seed (the fixed script arms its own); no
-//! other fault kind is armed, and the interpreter models none of them.
+//! `execute_statement(s)`), over frozen and live tables with and without a
+//! variance head, a table with no model, and hostile input. The live and
+//! strict tables arm a `QueueOverflow` schedule drawn from the case seed
+//! (the fixed script arms its own); no other fault kind is armed, and the
+//! interpreter models none of them.
 //! Failures print a `REGQ_PROPTEST_SEED=<seed>` line.
 
 use proptest::prelude::*;
@@ -45,6 +46,7 @@ use regq::core::ScreenCounters;
 use regq::exact::BallFit;
 use regq::linalg::LinalgError;
 use regq::prelude::*;
+use regq::serve::{FEEDBACK_QUEUE_CAPACITY, PUBLISH_INTERVAL};
 use regq::sql::{
     parse, parse_command, parse_script, Aggregate, Command, ExecMode, QueryOutput, QueryValue,
     Session, SqlError, Statement,
@@ -57,7 +59,7 @@ use std::sync::{Arc, OnceLock};
 const MIN_RUN_PAIRS: usize = 1 << 16;
 
 /// The tables every case registers, in this order.
-const TABLES: [&str; 5] = ["frozen", "live", "quiet", "tiny", "bare"];
+const TABLES: [&str; 5] = ["frozen", "live", "quiet", "strict", "bare"];
 
 /// The occurrences of label offers at which an injected `QueueOverflow`
 /// fires, for each table that arms one.
@@ -134,9 +136,8 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// One table's registration: its trainer, variance head, policy and
-/// queue capacity.
-fn registration(name: &str) -> (Option<LlmModel>, Option<MomentsModel>, RoutePolicy, usize) {
+/// One table's registration: its trainer, variance head and policy.
+fn registration(name: &str) -> (Option<LlmModel>, Option<MomentsModel>, RoutePolicy) {
     let f = fixture();
     let (mut model, head) = (f.model.clone(), Some(f.moments.clone()));
     let mut policy = RoutePolicy::default();
@@ -144,23 +145,20 @@ fn registration(name: &str) -> (Option<LlmModel>, Option<MomentsModel>, RoutePol
         "frozen" => {
             model.freeze();
             policy.confidence_threshold = f.edge.2;
-            (Some(model), head, policy, 1024)
+            (Some(model), head, policy)
         }
-        "live" => {
-            policy.publish_interval = 4;
-            (Some(model), head, policy, 1024)
-        }
+        "live" => (Some(model), head, policy),
         "quiet" => {
-            policy.feedback = false;
-            (Some(model), None, policy, 1024)
+            model.freeze();
+            (Some(model), None, policy)
         }
-        "tiny" => {
-            (policy.confidence_threshold, policy.publish_interval) = (0.6, 3);
-            (Some(model), head, policy, 2)
+        "strict" => {
+            policy.confidence_threshold = 0.6;
+            (Some(model), head, policy)
         }
         _ => {
             let untrained = MomentsModel::new(model.config().clone()).unwrap();
-            (None, Some(untrained), policy, 1024)
+            (None, Some(untrained), policy)
         }
     }
 }
@@ -171,7 +169,6 @@ fn registration(name: &str) -> (Option<LlmModel>, Option<MomentsModel>, RoutePol
 struct Table {
     name: &'static str,
     policy: RoutePolicy,
-    capacity: usize,
     trainer: Option<LlmModel>,
     /// The capture of the trainer at its last publish.
     served: Option<ServingSnapshot>,
@@ -185,15 +182,16 @@ struct Table {
     offered: u64,
     overflows: Vec<u64>,
     stats: RouterStats,
+    /// Publishes made by drains that reached [`PUBLISH_INTERVAL`].
+    drain_publishes: u64,
 }
 
 impl Table {
     fn new(name: &'static str, overflows: Vec<u64>) -> Self {
-        let (trainer, head, policy, capacity) = registration(name);
+        let (trainer, head, policy) = registration(name);
         let mut table = Table {
             name,
             policy,
-            capacity,
             trainable: trainer.as_ref().is_some_and(|m| !m.is_frozen()),
             trainer,
             served: None,
@@ -203,6 +201,7 @@ impl Table {
             offered: 0,
             overflows,
             stats: RouterStats::default(),
+            drain_publishes: 0,
         };
         table.publish();
         table
@@ -238,8 +237,9 @@ impl Table {
             }
         }
         self.trainable = !model.is_frozen();
-        if self.since_publish >= self.policy.publish_interval {
+        if self.since_publish >= PUBLISH_INTERVAL {
             self.publish();
+            self.drain_publishes += 1;
         }
     }
 }
@@ -253,6 +253,8 @@ struct Interpreter {
     spawned: usize,
     /// The most query × prototype pairs a batched run consulted.
     widest_run: usize,
+    /// Drains run because a label met a full queue.
+    full_drains: usize,
     /// Disagreements of the kd-tree with the scan.
     faults: Vec<String>,
 }
@@ -285,6 +287,7 @@ impl Interpreter {
                 .into(),
             spawned: 0,
             widest_run: 0,
+            full_drains: 0,
             faults: Vec::new(),
         }
     }
@@ -458,10 +461,7 @@ impl Interpreter {
         } else {
             (vec![None; queries.len()], 0)
         };
-        let (threshold, feedback) = {
-            let p = &self.tables[t].policy;
-            (p.confidence_threshold, p.feedback)
-        };
+        let threshold = self.tables[t].policy.confidence_threshold;
         let (mut outs, mut labels, mut failed) = (Vec::new(), Vec::new(), None);
         for (q, predicted) in queries.iter().zip(predicted) {
             let out = match predicted {
@@ -472,9 +472,7 @@ impl Interpreter {
                     let score = below.map(|(_, score)| score);
                     match self.exact(q, aggregate) {
                         Ok((value, label)) => {
-                            if feedback {
-                                labels.push((outs.len(), q, label));
-                            }
+                            labels.push((outs.len(), q, label));
                             output(value, Route::Exact, score, score.map(|_| version))
                         }
                         Err(e) => {
@@ -550,27 +548,36 @@ impl Interpreter {
 
     /// The feedback door: each label is declined while the trainer
     /// cannot learn; otherwise it is an offer, lost at once when the
-    /// table's overflow schedule fires there or the queue is full, and
-    /// queued if not. One drain follows a pass that queued anything.
+    /// table's overflow schedule fires there. A label that finds
+    /// [`FEEDBACK_QUEUE_CAPACITY`] labels queued drains them first, and is
+    /// lost only if the queue is still full. One drain follows a pass that
+    /// queued anything.
     fn offer(&mut self, t: usize, labels: Vec<(usize, &Query, f64)>, outs: &mut [QueryOutput]) {
         let table = &mut self.tables[t];
-        let mut queued = 0;
+        let mut queued = false;
         for (slot, q, y) in labels {
             if !table.trainable {
                 table.stats.feedback_declined += 1;
                 continue;
             }
             table.offered += 1;
-            if table.overflows.contains(&table.offered) || table.queue.len() >= table.capacity {
+            let lost = table.overflows.contains(&table.offered) || {
+                if table.queue.len() == FEEDBACK_QUEUE_CAPACITY {
+                    table.drain(&mut self.spawned);
+                    self.full_drains += 1;
+                }
+                table.queue.len() == FEEDBACK_QUEUE_CAPACITY
+            };
+            if lost {
                 table.stats.feedback_dropped += 1;
                 outs[slot].feedback_dropped = true;
             } else {
                 table.queue.push_back((q.clone(), y));
-                queued += 1;
+                table.stats.feedback_enqueued += 1;
+                queued = true;
             }
         }
-        if queued > 0 {
-            table.stats.feedback_enqueued += queued;
+        if queued {
             table.drain(&mut self.spawned);
         }
     }
@@ -620,7 +627,7 @@ impl Differential {
         let f = fixture();
         let mut session = Session::new();
         for name in TABLES {
-            let (model, head, policy, capacity) = registration(name);
+            let (model, head, policy) = registration(name);
             let engine = ExactEngine::new(Arc::clone(&f.data), AccessPathKind::KdTree);
             session.register_table_with_policy(name, engine, policy);
             if let Some(model) = model {
@@ -629,7 +636,6 @@ impl Differential {
             if let Some(head) = head {
                 session.register_moments_model(name, head).unwrap();
             }
-            session.set_feedback_queue_capacity(name, capacity).unwrap();
             let overflows = overflows_of(armed, name);
             let plan = FaultPlan::new().inject(FaultKind::QueueOverflow, &overflows);
             session.set_fault_plan(name, plan).unwrap();
@@ -833,7 +839,7 @@ fn hostile_balls() -> Vec<(Vec<f64>, f64)> {
 /// and a keyword may be one).
 fn table(rng: &mut StdRng) -> &'static str {
     const MIX: [&str; 8] = [
-        "frozen", "frozen", "live", "live", "live", "quiet", "tiny", "bare",
+        "frozen", "frozen", "live", "live", "live", "quiet", "strict", "bare",
     ];
     match rng.random_range(0..20u32) {
         0 => pick(rng, &["nope", "Live", "FROM"]),
@@ -989,7 +995,7 @@ proptest! {
     #[test]
     fn a_session_answers_counts_and_trains_as_the_reference_interpreter(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let armed = ["live", "tiny"].map(|name| {
+        let armed = ["live", "strict"].map(|name| {
             let at = (0..4).map(|_| rng.random_range(1..=OVERFLOW_HORIZON)).collect();
             (name, at)
         });
@@ -1102,7 +1108,7 @@ fn a_fixed_script_covers_every_case() {
     }
 
     // A batched run that fails at an empty ball offers the labels of the
-    // fallbacks before it; one on the two-label queue drops the rest.
+    // fallbacks before it.
     for (name, aggregate) in TABLES
         .iter()
         .zip([Aggregate::Avg, Aggregate::LinReg].iter().cycle())
@@ -1117,21 +1123,25 @@ fn a_fixed_script_covers_every_case() {
         let empty = sql(*aggregate, name, &[30.0, 30.0], 0.01, ExecMode::Auto);
         d.call(Op::Batch(format!("{};{empty}", run.join(";"))));
     }
-    assert!(d.table("tiny").stats.feedback_dropped > 0);
     assert!(d.table("frozen").stats.feedback_declined > 0);
     assert!(d.table("bare").stats.feedback_declined > 0);
 
     // The trainer is train_step over what it is fed: analyst balls
-    // through forced EXACT, publishing every four labels, some spawning.
+    // through forced EXACT, published by hand every four calls, some
+    // spawning.
     let mut rng = StdRng::seed_from_u64(4);
     let before = (d.table("live").stats.publishes, d.reference.spawned);
     for i in 0..300 {
         let aggregate = [Aggregate::Avg, Aggregate::LinReg, Aggregate::Var][i % 3];
         let st = statement(aggregate, "live", ball(&mut rng), ExecMode::Exact);
         d.call(Op::Execute(text(&st)));
+        if i % 4 == 3 {
+            d.call(Op::PublishNow("live"));
+        }
     }
     assert!(d.table("live").stats.publishes > before.0 + 50);
     assert!(d.reference.spawned >= before.1 + 2, "spawns");
+
     d.call(Op::PublishNow("live"));
     let list = sql(Aggregate::LinReg, "live", &[0.5, 0.5], 0.4, ExecMode::Model);
     let served = d.call(Op::Execute(list)).remove(0);
@@ -1159,4 +1169,21 @@ fn a_fixed_script_covers_every_case() {
         }
     }
     assert!(d.reference.widest_run >= 2 * MIN_RUN_PAIRS);
+
+    // A batched run of more fallbacks than the queue holds: the label
+    // that meets the full queue drains it mid-pass, nothing is lost, and
+    // both that drain and the pass's last one reach the publish interval.
+    let far: Vec<String> = (0..FEEDBACK_QUEUE_CAPACITY + PUBLISH_INTERVAL + 20)
+        .map(|_| {
+            let center = [rng.random_range(30.0..40.0), rng.random_range(30.0..40.0)];
+            sql(Aggregate::Avg, "live", &center, 60.0, ExecMode::Auto)
+        })
+        .collect();
+    let before = (d.reference.full_drains, d.table("live").drain_publishes);
+    let outs = d.call(Op::Batch(far.join(";")));
+    assert!(outs
+        .iter()
+        .all(|o| o.route == Route::Exact && !o.feedback_dropped));
+    assert_eq!(d.reference.full_drains, before.0 + 1);
+    assert_eq!(d.table("live").drain_publishes, before.1 + 2);
 }

@@ -251,17 +251,7 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
     let config = ModelConfig::with_vigilance(2, 0.08);
     let mut trained = LlmModel::new(config.clone()).unwrap();
     train_from_engine(&mut trained, &exact(), &gen, 10_000, &mut rng).unwrap();
-    let router = |model| {
-        ShardRouter::with_model(
-            exact(),
-            model,
-            RoutePolicy {
-                confidence_threshold: 0.3,
-                feedback: true,
-                publish_interval: 64,
-            },
-        )
-    };
+    let router = |model| ShardRouter::with_model(exact(), model, RoutePolicy::default());
     // A fresh router falls back, learns from the writer and its own
     // fallbacks, and republishes mid-run.
     let fresh = router(LlmModel::new(config.clone()).unwrap());
@@ -500,10 +490,10 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
     use regq::core::moments::{MomentPair, MomentsModel};
     use regq::sql::Session;
 
-    // A self-contained table with a 1-slot feedback queue. A two-statement
-    // script offers both fallbacks' labels in one batch: the first takes
-    // the slot, the second overflows, and the overflow is a *counted*
-    // drop (never a silent one).
+    // A self-contained table whose second label offer meets an injected
+    // overflow burst. A two-statement script offers both fallbacks' labels
+    // in one batch: the first is queued, the second is lost, and the loss
+    // is a *counted* drop (never a silent one).
     let field = GasSensorSurrogate::new(2, 13);
     let mut rng = seeded(17);
     let ds = Arc::new(Dataset::from_function(
@@ -537,22 +527,18 @@ fn feedback_queue_drops_are_counted_and_surface_through_sql() {
             ExactEngine::new(ds.clone(), AccessPathKind::KdTree),
             RoutePolicy {
                 confidence_threshold: 2.0, // force exact routing; feedback still flows
-                feedback: true,
-                publish_interval: 64,
             },
         );
         session.register_model(table, model).unwrap();
-        session.set_feedback_queue_capacity(table, 1).unwrap();
+        let burst = FaultPlan::new().inject(FaultKind::QueueOverflow, &[2]);
+        session.set_fault_plan(table, burst).unwrap();
     }
     session.register_moments_model("readings", moments).unwrap();
 
     let sql = "SELECT AVG(u) FROM readings WHERE DIST(x, [0.5, 0.5]) <= 0.2 USING AUTO";
     let out = session.execute_batch(&format!("{sql}; {sql}")).unwrap();
     assert_eq!(out[0].route, Route::Exact);
-    assert!(
-        !out[0].feedback_dropped,
-        "the first example fits the 1-slot queue"
-    );
+    assert!(!out[0].feedback_dropped, "the first example is queued");
     assert!(
         out[1].feedback_dropped,
         "overflow must surface on the answer, not vanish"
@@ -690,22 +676,26 @@ mod fault_injection {
         let mut router = ShardRouter::with_model(
             exact(),
             LlmModel::new(ModelConfig::with_vigilance(2, 0.08)).unwrap(),
-            RoutePolicy {
-                confidence_threshold: 0.3,
-                feedback: true,
-                publish_interval: 32,
-            },
+            RoutePolicy::default(),
         );
         if let Some(plan) = plan {
             router.set_fault_plan(plan);
         }
         let mut rng = seeded(33);
         let mut windows = vec![[0usize; 2]; 8_000 / WINDOW];
+        let mut published_at = 0;
         for i in 0..8_000 {
             match router.q1(&drifting_query(i, &mut rng)) {
                 Ok(served) => windows[i / WINDOW][usize::from(served.route == Route::Exact)] += 1,
                 Err(ServeError::EmptySubspace) => {}
                 Err(e) => panic!("drift loop hit a non-workload error: {e}"),
+            }
+            // A publish every 32 labels fed, by hand: readers see the
+            // retrained model within a window.
+            let fed = router.stats().feedback_fed;
+            if fed >= published_at + 32 {
+                router.publish_now();
+                published_at = fed;
             }
         }
         router.pump();
@@ -823,14 +813,7 @@ mod fault_injection {
     fn a_stalled_publish_never_blocks_serving() {
         let mut model = trained_model();
         model.freeze();
-        let mut router = ShardRouter::with_model(
-            exact(),
-            model,
-            RoutePolicy {
-                feedback: false,
-                ..RoutePolicy::default()
-            },
-        );
+        let mut router = ShardRouter::with_model(exact(), model, RoutePolicy::default());
         let probe = Query::new_unchecked(vec![0.5, 0.5], 0.15);
         // Serve once first: this registers the main thread's hazard-slot
         // reader, which is what lets it ignore the wedged writer below.
@@ -872,8 +855,6 @@ mod fault_injection {
             exact(),
             RoutePolicy {
                 confidence_threshold: 2.0, // force exact; feedback flows
-                feedback: true,
-                publish_interval: 64,
             },
         );
         session.register_model("readings", model).unwrap();
@@ -905,8 +886,6 @@ mod fault_injection {
         model.unfreeze();
         let policy = RoutePolicy {
             confidence_threshold: 0.6,
-            feedback: true,
-            publish_interval: 1_024,
         };
         let free = ShardRouter::with_model(exact(), model.clone(), policy);
         let mut armed = ShardRouter::with_model(exact(), model, policy);
