@@ -1122,14 +1122,6 @@ mod tests {
         ShardRouter::with_model(exact_over(&data), model, policy)
     }
 
-    /// The fixture's model frozen: it declines every label, so it serves
-    /// one snapshot however many fallbacks it answers.
-    fn frozen_router() -> ShardRouter {
-        let (data, mut model) = fixture();
-        model.freeze();
-        ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default())
-    }
-
     /// The fixture's model made a learner that never freezes (γ tiny),
     /// so every label it is offered is queued and trained.
     fn learner() -> LlmModel {
@@ -1197,7 +1189,9 @@ mod tests {
             s
         }
         let probes = mixed_probes();
-        let router = frozen_router();
+        let (data, mut model) = fixture();
+        model.freeze();
+        let router = ShardRouter::with_model(exact_over(&data), model, RoutePolicy::default());
         let batch = router.q1_batch(&probes).unwrap();
         assert_eq!(batch.len(), probes.len());
         let shared = batch[0].screen;
@@ -1253,24 +1247,6 @@ mod tests {
                 other => panic!("expected typed dimension mismatch, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn contended_trainer_leaves_feedback_queued_not_dropped() {
-        let model = LlmModel::new(ModelConfig::with_vigilance(2, 0.15)).unwrap();
-        let router =
-            ShardRouter::with_model(exact_over(&dataset(500, 9)), model, RoutePolicy::default());
-        let probe = q(&[0.5, 0.5], 0.2);
-        // Std mutexes are not reentrant: while this thread holds the
-        // trainer, every `try_lock` in the pump reports WouldBlock.
-        let guard = router.trainer.lock().unwrap();
-        assert_eq!(router.observe_outcome(&probe, 1.0), Feedback::Accepted);
-        let held = router.stats();
-        assert_eq!((held.feedback_enqueued, held.feedback_fed), (1, 0));
-        assert_eq!(held.feedback_dropped, 0, "contention is not a loss");
-        drop(guard);
-        assert_eq!(router.pump(), 1, "the next pump trains the queued example");
-        assert_eq!(router.stats().feedback_fed, 1);
     }
 
     #[test]
@@ -1369,11 +1345,9 @@ mod tests {
         }
     }
 
-    /// While another thread holds the trainer nothing drains (the
-    /// feedback door only ever `try_lock`s it), so the queue fills to its
-    /// bound and the next label is lost: counted, and flagged on the
-    /// answer that owed it. Released, one pump trains the queue oldest
-    /// first.
+    /// While the trainer is held nothing drains (the door only `try_lock`s
+    /// it): the queue fills, the next label is a counted, flagged drop, and
+    /// once released one pump trains the queue oldest first.
     #[test]
     fn a_full_queue_drops_only_while_another_thread_holds_the_trainer() {
         let model = learner();
@@ -1390,15 +1364,9 @@ mod tests {
         let served = router.q1(&q(&[0.5, 0.5], 0.2)).unwrap();
         assert_eq!(served.route, Route::Exact);
         assert!(served.feedback_dropped, "drop must surface on the answer");
-        let stats = router.stats();
-        assert_eq!(
-            (
-                stats.feedback_enqueued,
-                stats.feedback_dropped,
-                stats.feedback_fed
-            ),
-            (FEEDBACK_QUEUE_CAPACITY as u64, 1, 0)
-        );
+        let s = router.stats();
+        let counts = (s.feedback_enqueued, s.feedback_dropped, s.feedback_fed);
+        assert_eq!(counts, (FEEDBACK_QUEUE_CAPACITY as u64, 1, 0));
         drop(busy);
         assert_eq!(router.pump(), FEEDBACK_QUEUE_CAPACITY);
         let mut oracle = model;
@@ -1431,15 +1399,9 @@ mod tests {
         }
         let n = queries.len() as u64;
         for router in [&scalar, &batched] {
-            let stats = router.stats();
-            assert_eq!(
-                (
-                    stats.feedback_enqueued,
-                    stats.feedback_fed,
-                    stats.feedback_dropped
-                ),
-                (n, n, 0)
-            );
+            let s = router.stats();
+            let counts = (s.feedback_enqueued, s.feedback_fed, s.feedback_dropped);
+            assert_eq!(counts, (n, n, 0));
         }
         let (a, b) = (
             scalar.merged_model().unwrap(),
