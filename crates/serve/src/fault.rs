@@ -13,8 +13,8 @@
 //! | kind | injection point | effect when it fires |
 //! |---|---|---|
 //! | [`FaultKind::TrainerPanic`] | each trainer SGD ingestion | panic *after* the step mutates the model (the update is applied but unaccounted — the supervisor must treat the in-lock state as corrupt) |
-//! | [`FaultKind::LockPoison`] | each trainer lock a pump takes: after a pass that queued a label, and when a label meets a full queue | panic while the guard unwinds, genuinely poisoning the `Mutex` |
-//! | [`FaultKind::QueueOverflow`] | each label offered to a trainer that can learn | the bounded queue reports full (a transient overflow burst): the label is a counted drop |
+//! | [`FaultKind::LockPoison`] | each trainer lock a pump takes: after a pass that queued a label, when a label meets a full queue, and again after a kill or a re-check that found labels | panic while the guard unwinds, genuinely poisoning the `Mutex` |
+//! | [`FaultKind::QueueOverflow`] | each well-formed label offered to a trainer that can learn | the bounded queue reports full (a transient overflow burst): the label is a counted drop |
 //! | [`FaultKind::PublishStall`] | each [`crate::SnapshotCell::publish`] | the writer stalls mid-publish (spin, or block on a [`StallGate`]) |
 //!
 //! Each kind fires at an explicit set of 1-based *occurrence numbers*

@@ -117,9 +117,9 @@ impl Default for RoutePolicy {
     }
 }
 
-/// Feedback examples the trainer consumes between two publishes: the drain
-/// that reaches this many captures a fresh snapshot. It amortizes the
-/// `O(dK)` capture over many steps.
+/// Feedback examples the trainer consumes between two publishes: a pump
+/// that reaches this many publishes as it lets the trainer go, amortizing
+/// the `O(dK)` capture over many steps.
 pub const PUBLISH_INTERVAL: usize = 256;
 
 /// Bound on a router's feedback queue (examples, not bytes). A label that
@@ -131,9 +131,8 @@ pub const FEEDBACK_QUEUE_CAPACITY: usize = 1024;
 /// ([`crate::ShardRouter::observe_outcome`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Feedback {
-    /// The example was enqueued; the trainer consumes it at the next
-    /// drain (a contended trainer lock leaves it queued, it is
-    /// not lost).
+    /// The example was enqueued; the offering call, or the thread that
+    /// holds the trainer, trains it before returning unless the trainer froze.
     Accepted,
     /// The example was lost to a queue that stayed full because another
     /// thread held the trainer (or to an injected
@@ -141,9 +140,10 @@ pub enum Feedback {
     /// [`crate::RouterStats::feedback_dropped`] and surfaced per-query via
     /// [`Served::feedback_dropped`].
     Dropped,
-    /// The trainer cannot learn — it holds no model, or a frozen one —
-    /// so the example was not enqueued: nothing could have been
-    /// learned from it, and nothing was lost. Counted in
+    /// Nothing could have been learned from the example, so it was not
+    /// enqueued and nothing was lost: the trainer holds no model or a
+    /// frozen one, or `train_step` would refuse the pair (a dimension not
+    /// the relation's, or a non-finite centre, radius or label). Counted in
     /// [`crate::RouterStats::feedback_declined`].
     Declined,
 }

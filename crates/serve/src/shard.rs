@@ -3,11 +3,9 @@
 //! training loop closed in production by one trainer.
 //!
 //! atomics: audited — every `Ordering::Relaxed` here is a monotonic stat
-//! counter or an advisory flag: `degraded`, read only for
-//! [`RouterStats`], and `trainable`, read by the feedback door — a stale
-//! read queues one example for a trainer that just froze (it stays
-//! queued, bounded) or declines one for a trainer that just came back;
-//! both tolerate staleness. Snapshot hand-off goes through the SeqCst
+//! counter or the advisory `degraded` flag, each read only for
+//! [`RouterStats`]. The feedback door keeps its counts behind its own
+//! mutex, not in atomics. Snapshot hand-off goes through the SeqCst
 //! [`SnapshotCell`] protocol.
 //!
 //! # Query flow (the paper's desideratum D2 made operational)
@@ -21,36 +19,35 @@
 //!    overlap-weight resolution;
 //! 3. serve from the snapshot when the score clears
 //!    [`RoutePolicy::confidence_threshold`]; otherwise execute on the
-//!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — enqueue the exact
-//!    answer on the bounded feedback queue. One gate loop does this for a
-//!    scalar call and a batch alike (a scalar call is a batch of one), and
-//!    one feedback door offers every label, in the order the labels were
-//!    gathered. Feedback never waits for a busy trainer: the queue is
-//!    drained under `try_lock`, a contended trainer leaves the example
-//!    queued for the next drain, a label that meets a full queue drains
-//!    it first when the trainer is free (so only a queue that stays full
-//!    while another thread holds the trainer loses one), and a trainer
-//!    that cannot learn (no model, or a frozen one) is not offered any
-//!    (both counted, see [`Feedback`]). A read never waits;
+//!    [`ExactEngine`] and — Algorithm 1's Fig. 2 loop — offer the exact
+//!    answer to the trainer. One gate loop does this for a scalar call and
+//!    a batch alike (a scalar call is a batch of one), and one feedback
+//!    door offers every label, in the order the labels were gathered (see
+//!    [`Feedback`]). Neither a read nor feedback ever waits;
 //! 4. the trainer republishes every [`PUBLISH_INTERVAL`] consumed
 //!    examples.
 //!
-//! # One trainer
+//! # One trainer, one door
 //!
 //! The router keeps one trainer, an [`LlmModel`], behind one mutex, and
-//! one bounded feedback queue in front of it. Every label it is fed goes
-//! through [`LlmModel::train_step`] in the order it was queued, so the
-//! trainer *is* Algorithm 1 over that stream: its winner is chosen among
-//! all prototypes and it stops on one Γ. A publish captures the trainer's
-//! model ([`ServingSnapshot::capture`]) into the router's one
-//! [`SnapshotCell`] while the trainer lock is held, so publishes land in
-//! training order, and a snapshot's version is the trainer's step count.
-//! A publish costs `O(d·K + K log K)`; reads take no lock.
+//! one feedback door in front of it — the bounded queue, whether the
+//! trainer learns and the feedback counts — behind another. Each of the
+//! door's steps is one critical section on it, and a pump re-checks the
+//! queue after it lets the trainer go, so every label is counted once and
+//! none is left queued for a trainer that learns (`docs/INVARIANTS.md`,
+//! *The feedback contract*). The trainer runs [`LlmModel::train_step`]
+//! over the labels in queue order, so it *is* Algorithm 1 over that
+//! stream: its winner is chosen among all prototypes and it stops on one
+//! Γ. A publish captures the trainer's model ([`ServingSnapshot::capture`])
+//! into the router's one [`SnapshotCell`] under the trainer lock, so
+//! publishes land in training order, and a snapshot's version is the
+//! trainer's step count. A publish costs `O(d·K + K log K)`; reads take no
+//! lock.
 //!
 //! # Fault tolerance
 //!
 //! Training is *supervised*: every SGD ingestion runs under
-//! `catch_unwind`. A panicking drain (including injected
+//! `catch_unwind`. A panicking step (including injected
 //! [`FaultKind::TrainerPanic`] faults) quarantines the offending example
 //! ([`ShardRouter::quarantined`]), restarts the trainer from the snapshot
 //! the cell serves ([`ServingSnapshot::to_model`]), flags the router
@@ -88,6 +85,37 @@ struct Trainer {
     since_publish: usize,
 }
 
+/// The feedback door's state, one piece behind one mutex: the queued
+/// labels, whether the trainer learns, and the counts [`RouterStats`]
+/// reports. Each label is counted in the critical section that declines,
+/// drops, queues, feeds or quarantines it.
+#[derive(Default)]
+struct Door {
+    queue: VecDeque<(Query, f64)>,
+    /// Most labels `queue` holds: [`FEEDBACK_QUEUE_CAPACITY`].
+    bound: usize,
+    /// Whether the trainer holds a model that still learns, written
+    /// under this lock wherever the model changes.
+    learns: bool,
+    enqueued: u64,
+    fed: u64,
+    dropped: u64,
+    declined: u64,
+    /// Queued labels the trainer failed on, and the first
+    /// [`QUARANTINE_CAP`] of them.
+    panics: u64,
+    quarantine: Vec<(Query, f64)>,
+}
+
+/// What a pump's `try_lock` on the trainer got: the trainer (healed if
+/// its lock was poisoned); `Busy`, another thread holds it; or `Killed`,
+/// an injected [`FaultKind::LockPoison`] killed the guard.
+enum Take<'r> {
+    Held(MutexGuard<'r, Trainer>),
+    Busy,
+    Killed,
+}
+
 /// Counter snapshot from [`ShardRouter::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterStats {
@@ -97,9 +125,14 @@ pub struct RouterStats {
     /// counts the snapshot's heads (`AVG`, `LINREG`); `VAR` passes the
     /// same gate and moves only the `blocks_*` counters.
     pub exact_served: u64,
-    /// Feedback examples accepted into the feedback queue.
+    /// Feedback examples accepted into the feedback queue. Each offered
+    /// label is counted once: enqueued, dropped or declined; each enqueued
+    /// one is then fed, quarantined or still queued. One critical section
+    /// reads all five: `feedback_fed + trainer_panics <= feedback_enqueued`.
     pub feedback_enqueued: u64,
-    /// Feedback examples actually consumed by the trainer.
+    /// Queued feedback examples the trainer consumed. Once the offering
+    /// calls return, `feedback_fed + trainer_panics == feedback_enqueued`
+    /// unless the trainer froze with labels queued.
     pub feedback_fed: u64,
     /// Feedback examples *lost*: the bounded queue stayed full while
     /// another thread held the trainer, or an injected
@@ -107,11 +140,11 @@ pub struct RouterStats {
     /// is counted and surfaced per-query via
     /// [`Served::feedback_dropped`].
     pub feedback_dropped: u64,
-    /// Feedback examples *declined*: the trainer holds no model or a
-    /// frozen one, so nothing could have been learned and nothing was
-    /// queued ([`Feedback::Declined`]) — not a loss.
+    /// Feedback examples *declined* ([`Feedback::Declined`]): the trainer
+    /// holds no model or a frozen one, or `train_step` would refuse the
+    /// pair. Nothing was queued — not a loss.
     pub feedback_declined: u64,
-    /// Snapshot publishes into the router's one cell: one per drain that
+    /// Snapshot publishes into the router's one cell: one per pump that
     /// reaches its cadence, per `publish_now` and per `attach_model`.
     pub publishes: u64,
     /// Snapshot epochs the router's one cell retains (bounded by
@@ -120,8 +153,9 @@ pub struct RouterStats {
     /// Always 0: nothing produces [`Route::Degraded`]. Kept only while
     /// the benchmark package still reads it.
     pub degraded_served: u64,
-    /// Trainer panics caught mid-drain; each quarantined its example
-    /// ([`ShardRouter::quarantined`]) and restarted the trainer.
+    /// Queued examples the trainer failed on, each quarantined
+    /// ([`ShardRouter::quarantined`]): a caught panic, which also
+    /// restarted the trainer, or a `train_step` error.
     pub trainer_panics: u64,
     /// Trainer restarts from the served snapshot (panic or poison
     /// recovery). Recovery is never silent.
@@ -152,16 +186,10 @@ pub struct ShardRouter {
     exact: ExactEngine,
     policy: RoutePolicy,
     trainer: Mutex<Trainer>,
-    queue: Mutex<VecDeque<(Query, f64)>>,
+    door: Mutex<Door>,
     /// Set when the trainer was restarted, cleared at its next publish
     /// ([`RouterStats::degraded`]).
     degraded: AtomicBool,
-    /// Whether the trainer holds a model that still learns (present and
-    /// not frozen). Advisory: written where the model changes hands —
-    /// `attach_model`, `recover_trainer`, the end of a drain (a step may
-    /// have frozen it) — so the feedback door can decline examples nobody
-    /// would ever drain without locking the trainer.
-    trainable: AtomicBool,
     /// The one snapshot every answer is served from.
     cell: SnapshotCell,
     /// The variance head behind `VAR` ([`ShardRouter::attach_moments`]),
@@ -169,19 +197,11 @@ pub struct ShardRouter {
     /// the trainer, not in it, and needs no cell.
     moments: Option<ServingSnapshot>,
     fault: FaultPlan,
-    /// Examples quarantined by the panicking trainer (bounded at
-    /// [`QUARANTINE_CAP`]; `trainer_panics` has the unbounded count).
-    quarantine: Mutex<Vec<(Query, f64)>>,
     /// Answers per [`Route`] the gate gives (`Model`, `Exact`), indexed
     /// `route as usize`, of the heads that count theirs: `AVG` and
     /// `LINREG` ([`RouterStats::model_served`], `exact_served`). `VAR`
     /// answers move none.
     routes: [AtomicU64; 2],
-    feedback_enqueued: AtomicU64,
-    feedback_fed: AtomicU64,
-    feedback_dropped: AtomicU64,
-    feedback_declined: AtomicU64,
-    trainer_panics: AtomicU64,
     trainer_restarts: AtomicU64,
     lock_poisonings: AtomicU64,
     blocks_screened: AtomicU64,
@@ -241,10 +261,9 @@ impl<T> Answers<T> for Many<T> {
     }
 }
 
-/// Poison-tolerant lock for the queue and quarantine mutexes and
-/// read-only test access: neither holds a cross-field invariant a
-/// mid-operation panic could break (an element is either in or not), so
-/// `into_inner` is sound. Deliberately **not** used for the trainer lock,
+/// Poison-tolerant lock for the door and read-only test access: no
+/// critical section on the door can panic midway, so `into_inner` is
+/// sound. Deliberately **not** used for the trainer lock,
 /// whose guard may hold a half-applied SGD update — that goes through
 /// [`ShardRouter::lock_trainer`], which restarts the trainer from the
 /// served snapshot, counted, before handing it out.
@@ -274,19 +293,15 @@ impl ShardRouter {
                 model: None,
                 since_publish: 0,
             }),
-            queue: Mutex::new(VecDeque::new()),
+            door: Mutex::new(Door {
+                bound: FEEDBACK_QUEUE_CAPACITY,
+                ..Door::default()
+            }),
             degraded: AtomicBool::new(false),
-            trainable: AtomicBool::new(false),
             cell: SnapshotCell::new(),
             moments: None,
             fault: FaultPlan::new(),
-            quarantine: Mutex::new(Vec::new()),
             routes: Default::default(),
-            feedback_enqueued: AtomicU64::new(0),
-            feedback_fed: AtomicU64::new(0),
-            feedback_dropped: AtomicU64::new(0),
-            feedback_declined: AtomicU64::new(0),
-            trainer_panics: AtomicU64::new(0),
             trainer_restarts: AtomicU64::new(0),
             lock_poisonings: AtomicU64::new(0),
             blocks_screened: AtomicU64::new(0),
@@ -305,10 +320,9 @@ impl ShardRouter {
     /// Make `model` the trainer's and publish its snapshot. Pending
     /// queued feedback is discarded (it belonged to the replaced model).
     pub fn attach_model(&mut self, model: LlmModel) {
-        lock(&self.queue).clear();
         let mut t = self.lock_trainer();
         t.model = Some(model);
-        self.note_trainable(&t);
+        self.settle(&t, |door| door.queue.clear());
         self.publish(&mut t);
     }
 
@@ -332,19 +346,20 @@ impl ShardRouter {
         &self.exact
     }
 
-    /// Counters so far.
+    /// Counters so far; the door's in one critical section.
     pub fn stats(&self) -> RouterStats {
+        let door = lock(&self.door);
         RouterStats {
             model_served: self.routes[Route::Model as usize].load(Ordering::Relaxed),
             exact_served: self.routes[Route::Exact as usize].load(Ordering::Relaxed),
-            feedback_enqueued: self.feedback_enqueued.load(Ordering::Relaxed),
-            feedback_fed: self.feedback_fed.load(Ordering::Relaxed),
-            feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
-            feedback_declined: self.feedback_declined.load(Ordering::Relaxed),
+            feedback_enqueued: door.enqueued,
+            feedback_fed: door.fed,
+            feedback_dropped: door.dropped,
+            feedback_declined: door.declined,
             publishes: self.cell.epoch(),
             retained: self.cell.retained(),
             degraded_served: 0,
-            trainer_panics: self.trainer_panics.load(Ordering::Relaxed),
+            trainer_panics: door.panics,
             trainer_restarts: self.trainer_restarts.load(Ordering::Relaxed),
             lock_poisonings: self.lock_poisonings.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
@@ -381,20 +396,15 @@ impl ShardRouter {
     /// (bounded at [`QUARANTINE_CAP`] retained examples;
     /// [`RouterStats::trainer_panics`] has the unbounded count).
     pub fn quarantined(&self) -> Vec<(Query, f64)> {
-        lock(&self.quarantine).clone()
+        lock(&self.door).quarantine.clone()
     }
 
-    fn push_quarantine(&self, q: &Query, y: f64) {
-        let mut quarantine = lock(&self.quarantine);
-        if quarantine.len() < QUARANTINE_CAP {
-            quarantine.push((q.clone(), y));
-        }
-    }
-
-    /// Re-derive `trainable` from the trainer the caller holds locked.
-    fn note_trainable(&self, t: &Trainer) {
-        let learns = t.model.as_ref().is_some_and(|m| !m.is_frozen());
-        self.trainable.store(learns, Ordering::Relaxed);
+    /// Apply `f` to the door and re-derive its `learns` from the trainer
+    /// the caller holds, in one critical section.
+    fn settle(&self, t: &Trainer, f: impl FnOnce(&mut Door)) {
+        let mut door = lock(&self.door);
+        f(&mut door);
+        door.learns = t.model.as_ref().is_some_and(|m| !m.is_frozen());
     }
 
     /// Lock the trainer, healing a poisoned lock on the way in
@@ -416,6 +426,7 @@ impl ShardRouter {
         let mut t = poisoned.into_inner();
         self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
         self.recover_trainer(&mut t);
+        self.settle(&t, |_| {});
         self.trainer.clear_poison();
         t
     }
@@ -423,7 +434,8 @@ impl ShardRouter {
     /// Restart the trainer (the caller holds it) from the snapshot the
     /// cell serves — the last publish, made under this same lock — or,
     /// before any publish, from a fresh model with the same config. Marks
-    /// the router degraded until the next publish.
+    /// the router degraded until the next publish; the caller settles the
+    /// door's `learns`.
     fn recover_trainer(&self, t: &mut Trainer) {
         t.since_publish = 0;
         t.model = match self.cell.load_owned() {
@@ -433,7 +445,6 @@ impl ShardRouter {
                 .as_ref()
                 .and_then(|m| LlmModel::new(m.config().clone()).ok()),
         };
-        self.note_trainable(t);
         self.trainer_restarts.fetch_add(1, Ordering::Relaxed);
         self.degraded.store(true, Ordering::Relaxed);
     }
@@ -450,16 +461,8 @@ impl ShardRouter {
     }
 
     /// Offer one `(q, y)` feedback example to the trainer: the feedback
-    /// door over one pair. `Accepted` means *enqueued* on the bounded
-    /// queue (the trainer consumes it at the next drain). A queue that
-    /// stays full after a pump — another thread holds the trainer — loses
-    /// the example at once as a `Dropped`, counted in
-    /// [`RouterStats::feedback_dropped`]. A trainer
-    /// that cannot learn (no model, or a frozen one) is offered nothing:
-    /// the example is `Declined`, counted in
-    /// [`RouterStats::feedback_declined`], and the queue does not fill up
-    /// with examples nobody would drain. A trainer that is busy leaves the
-    /// example queued for the next drain. Never blocks on the trainer
+    /// door over one pair ([`Feedback`] says what can become of it, a pair
+    /// `train_step` would refuse included). Never blocks on the trainer
     /// lock.
     pub fn observe_outcome(&self, q: &Query, y: f64) -> Feedback {
         let mut feedback = Feedback::Dropped;
@@ -470,145 +473,140 @@ impl ShardRouter {
     /// The feedback door: the only code that offers labels to the queue.
     /// Walks `(slot, query, label)` pairs in the order given — the order
     /// their labels were gathered — and reports each pair's [`Feedback`]
-    /// to `outcome` under its slot. A pair is declined while the trainer
-    /// cannot learn; one that meets an injected overflow burst is
-    /// dropped; one that meets a full queue pumps once and is dropped only
-    /// if the queue is still full; any other is enqueued. So declines,
-    /// fault occurrences, drops and enqueues happen in offer order, and a
-    /// pass of any length feeds a free trainer every label, as the same
-    /// pairs offered one at a time would. One pump follows a pass that
-    /// enqueued anything. A pair offered alone is
-    /// [`ShardRouter::observe_outcome`].
+    /// to `outcome` under its slot, as `enqueue` decides it; a pair that
+    /// meets a full queue pumps once first. So a pass of any length feeds
+    /// a free trainer every label, as the pairs offered one at a time
+    /// would. One pump follows a pass that enqueued anything.
     fn offer<'q>(
         &self,
         pairs: impl IntoIterator<Item = (usize, &'q Query, f64)>,
         mut outcome: impl FnMut(usize, Feedback),
     ) {
-        let enqueue = |q: &Query, y: f64| {
-            let mut queue = lock(&self.queue);
-            let room = queue.len() < FEEDBACK_QUEUE_CAPACITY;
-            if room {
-                queue.push_back((q.clone(), y));
-            }
-            room
-        };
         let mut enqueued = false;
         for (slot, q, y) in pairs {
-            if !self.trainable.load(Ordering::Relaxed) {
-                self.feedback_declined.fetch_add(1, Ordering::Relaxed);
-                outcome(slot, Feedback::Declined);
-            } else if self.fault.fires(FaultKind::QueueOverflow)
-                || !(enqueue(q, y) || {
-                    // A full queue: train what it holds if the trainer is
-                    // free, then try once more.
-                    self.pump();
-                    enqueue(q, y)
-                })
-            {
-                self.feedback_dropped.fetch_add(1, Ordering::Relaxed);
-                outcome(slot, Feedback::Dropped);
-            } else {
-                // Counted as it is queued: a mid-pass pump never feeds a
-                // label the counters have not seen enqueued.
-                self.feedback_enqueued.fetch_add(1, Ordering::Relaxed);
-                enqueued = true;
-                outcome(slot, Feedback::Accepted);
-            }
+            let feedback = self.enqueue(q, y, false).unwrap_or_else(|| {
+                self.pump();
+                self.enqueue(q, y, true).unwrap_or(Feedback::Dropped)
+            });
+            enqueued |= feedback == Feedback::Accepted;
+            outcome(slot, feedback);
         }
         if enqueued {
-            // Opportunistic drain: this caller trains what it enqueued
-            // unless another caller holds the trainer (and drains it).
             self.pump();
         }
     }
 
-    /// Drain queued feedback into the trainer if it is free (`try_lock`
-    /// — a contended trainer is left to whoever holds it; that holder
-    /// drains the examples this caller enqueued). Returns the number of
-    /// examples trained.
-    pub fn pump(&self) -> usize {
-        let mut t = match self.trainer.try_lock() {
-            Ok(t) if self.fault.fires(FaultKind::LockPoison) => {
-                // Kill this holder mid-critical-section: the guard dies
-                // inside a panic, genuinely poisoning the lock for
-                // whoever comes next.
-                poison_lock(t);
-                return 0;
-            }
-            Ok(t) => t,
-            Err(TryLockError::WouldBlock) => return 0,
-            // The previous holder panicked mid-update; its model state is
-            // untrustworthy. Restart from the served snapshot before
-            // draining anything into it.
-            Err(TryLockError::Poisoned(poisoned)) => self.heal(poisoned),
-        };
-        self.drain(&mut t)
+    /// The door's first step, one critical section: decline `(q, y)` while
+    /// the trainer cannot learn or if `train_step` would refuse it; drop it
+    /// when an injected overflow fires (first offer only) or the queue is
+    /// still full on a `retry`; else queue it — each counted. `None`,
+    /// nothing counted: the queue is full on the first offer.
+    fn enqueue(&self, q: &Query, y: f64, retry: bool) -> Option<Feedback> {
+        let refused = self.check_dim(q).is_err()
+            || ![q.radius, y].iter().chain(&q.center).all(|v| v.is_finite());
+        let mut door = lock(&self.door);
+        let full = door.queue.len() >= door.bound;
+        Some(if refused || !door.learns {
+            door.declined += 1;
+            Feedback::Declined
+        } else if (!retry && self.fault.fires(FaultKind::QueueOverflow)) || (retry && full) {
+            door.dropped += 1;
+            Feedback::Dropped
+        } else if full {
+            return None;
+        } else {
+            door.queue.push_back((q.clone(), y));
+            door.enqueued += 1;
+            Feedback::Accepted
+        })
     }
 
-    /// Drain the queue into the trainer (caller holds the lock): the
-    /// examples queued when it starts, oldest first, each taken off the
-    /// queue as it is trained. A trainer that cannot train (no model,
-    /// frozen) leaves the queue untouched; the feedback door stops
-    /// offering examples (`trainable`), so what a freeze left behind stays
-    /// bounded.
-    ///
-    /// Every `train_step` runs supervised: a panic (real or injected)
-    /// quarantines the offending example, restarts the trainer from the
-    /// served snapshot, and the drain *continues* on the restarted model —
-    /// one poisonous example cannot take the rest of the batch down with
-    /// it.
-    fn drain(&self, t: &mut Trainer) -> usize {
-        if t.model.as_ref().is_none_or(|m| m.is_frozen()) {
-            return 0;
-        }
-        let queued = lock(&self.queue).len();
-        if queued == 0 {
-            return 0;
-        }
-        let mut trained = 0usize;
-        for _ in 0..queued {
-            // Checked per example: a mid-drain restart may have landed on
-            // a frozen (or unrecoverable) model. Untrainable examples stay
-            // queued, order preserved.
-            let Some(model) = t.model.as_mut().filter(|m| !m.is_frozen()) else {
-                break;
-            };
-            // Only the trainer's holder takes examples off the queue.
-            let Some((q, y)) = lock(&self.queue).pop_front() else {
-                break;
-            };
-            let boom = self.fault.fires(FaultKind::TrainerPanic);
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                let step = model.train_step(&q, y);
-                // Injected *after* the step so the model really is
-                // mid-update (mutated but unaccounted) when the
-                // supervisor catches it.
-                if boom {
-                    panic!("injected fault: trainer panic mid-update");
+    /// Train the queue if the trainer is free, and take it again if a
+    /// label arrived while it was let go. Returns once the queue is empty,
+    /// the trainer cannot learn, or another thread holds the trainer
+    /// (that holder re-checks the queue before it lets go).
+    fn pump(&self) {
+        loop {
+            match self.take_trainer() {
+                Take::Held(mut t) => {
+                    while self.train_one(&mut t) {}
+                    if !self.release(t) {
+                        return;
+                    }
                 }
-                step
-            }));
-            match step {
-                Ok(Ok(_)) => {
-                    trained += 1;
-                    t.since_publish += 1;
-                }
-                Ok(Err(_)) => continue,
-                Err(_) => {
-                    self.trainer_panics.fetch_add(1, Ordering::Relaxed);
-                    self.push_quarantine(&q, y);
-                    self.recover_trainer(t);
-                }
+                Take::Busy => return,
+                Take::Killed => {}
             }
         }
-        self.feedback_fed
-            .fetch_add(trained as u64, Ordering::Relaxed);
-        // A step above may have frozen the model (convergence).
-        self.note_trainable(t);
-        if t.since_publish >= PUBLISH_INTERVAL {
-            self.publish(t);
+    }
+
+    /// The pump's first step: `try_lock` the trainer, healing a poisoned
+    /// lock (counted) before handing it out.
+    fn take_trainer(&self) -> Take<'_> {
+        match self.trainer.try_lock() {
+            Ok(t) if self.fault.fires(FaultKind::LockPoison) => {
+                poison_lock(t);
+                Take::Killed
+            }
+            Ok(t) => Take::Held(t),
+            Err(TryLockError::WouldBlock) => Take::Busy,
+            Err(TryLockError::Poisoned(poisoned)) => Take::Held(self.heal(poisoned)),
         }
-        trained
+    }
+
+    /// The pump's middle step, holding the trainer: train the oldest
+    /// queued label (`false`, touching nothing, when the queue is empty or
+    /// the trainer cannot learn). Supervised: a panic quarantines the label
+    /// and restarts the trainer from the served snapshot, and the pump
+    /// goes on; a `train_step` error quarantines it too. Counted, with
+    /// `learns` re-derived, in one critical section.
+    fn train_one(&self, t: &mut Trainer) -> bool {
+        let Some(model) = t.model.as_mut().filter(|m| !m.is_frozen()) else {
+            return false;
+        };
+        let Some((q, y)) = lock(&self.door).queue.pop_front() else {
+            return false;
+        };
+        let boom = self.fault.fires(FaultKind::TrainerPanic);
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            let step = model.train_step(&q, y);
+            // Injected *after* the step so the model really is mid-update
+            // (mutated but unaccounted) when the supervisor catches it.
+            if boom {
+                panic!("injected fault: trainer panic mid-update");
+            }
+            step
+        }));
+        let trained = matches!(step, Ok(Ok(_)));
+        if trained {
+            t.since_publish += 1;
+        } else if step.is_err() {
+            self.recover_trainer(t);
+        }
+        self.settle(t, |door| {
+            if trained {
+                door.fed += 1;
+            } else {
+                door.panics += 1;
+                if door.quarantine.len() < QUARANTINE_CAP {
+                    door.quarantine.push((q, y));
+                }
+            }
+        });
+        true
+    }
+
+    /// The pump's last step: publish once [`PUBLISH_INTERVAL`] examples
+    /// were consumed since the last publish, let the trainer go, and
+    /// re-check the queue — `true` when a trainer that learns has labels
+    /// queued, which a caller that found the trainer busy left to it.
+    fn release(&self, mut t: MutexGuard<'_, Trainer>) -> bool {
+        if t.since_publish >= PUBLISH_INTERVAL {
+            self.publish(&mut t);
+        }
+        drop(t);
+        let door = lock(&self.door);
+        door.learns && !door.queue.is_empty()
     }
 
     /// Force-publish the trainer's current parameters: locks the trainer
@@ -1368,7 +1366,8 @@ mod tests {
         let counts = (s.feedback_enqueued, s.feedback_dropped, s.feedback_fed);
         assert_eq!(counts, (FEEDBACK_QUEUE_CAPACITY as u64, 1, 0));
         drop(busy);
-        assert_eq!(router.pump(), FEEDBACK_QUEUE_CAPACITY);
+        router.pump();
+        assert_eq!(router.stats().feedback_fed, FEEDBACK_QUEUE_CAPACITY as u64);
         let mut oracle = model;
         for (ball, y) in &labelled {
             oracle.train_step(ball, *y).unwrap();
@@ -1379,7 +1378,7 @@ mod tests {
             (oracle.prototypes(), oracle.steps()),
             "oldest first"
         );
-        assert!(lock(&router.queue).is_empty());
+        assert!(lock(&router.door).queue.is_empty());
     }
 
     /// A batch with more fallbacks than the queue holds feeds a free
@@ -1450,7 +1449,7 @@ mod tests {
                 ),
                 (0, 0, 0)
             );
-            assert!(lock(&router.queue).is_empty());
+            assert!(lock(&router.door).queue.is_empty());
         }
 
         // A trainer that freezes *inside a drain* (γ so large that its
@@ -1678,12 +1677,11 @@ mod tests {
             .iter()
             .map(|p| router.q1(p).map(|s| (s.route, s.value.to_bits())).ok())
             .collect();
-        // Occurrence 1 kills the first pump's lock holder mid-section,
-        // genuinely poisoning the trainer mutex.
+        // Occurrence 1 kills the pump's first lock holder mid-section,
+        // genuinely poisoning the trainer mutex; the same pump's next take
+        // finds the poison, restarts the trainer from the served snapshot,
+        // and clears it — counted, not silent.
         router.set_fault_plan(FaultPlan::new().inject(FaultKind::LockPoison, &[1]));
-        router.pump();
-        // The next pump finds the poison, restarts the trainer from the
-        // served snapshot, and clears it — counted, not silent.
         router.pump();
         let stats = router.stats();
         assert_eq!(stats.lock_poisonings, 1);
@@ -1735,5 +1733,598 @@ mod tests {
         assert_eq!(pumps(&plan), 0, "a dropped offer pumped");
         assert_eq!(dropping.observe_outcome(&probe, 1.0), Feedback::Accepted);
         assert_eq!(pumps(&plan), 1, "an enqueued offer pumps once");
+    }
+
+    /// The door declines what `train_step` would refuse, counted, rather
+    /// than queueing it for a drain that would discard it uncounted.
+    #[test]
+    fn the_door_declines_what_the_trainer_would_refuse() {
+        let router = all_exact(learner());
+        let refused = [
+            (q(&[0.5, 0.5, 0.5], 0.2), 1.0),
+            (q(&[f64::NAN, 0.5], 0.2), 1.0),
+            (q(&[0.5, f64::INFINITY], 0.2), 1.0),
+            (q(&[0.5, 0.5], f64::INFINITY), 1.0),
+            (q(&[0.5, 0.5], f64::NAN), 1.0),
+            (q(&[0.5, 0.5], 0.2), f64::NAN),
+            (q(&[0.5, 0.5], 0.2), f64::NEG_INFINITY),
+        ];
+        for (ball, y) in &refused {
+            assert_eq!(router.observe_outcome(ball, *y), Feedback::Declined);
+        }
+        assert_eq!(
+            router.observe_outcome_batch(&refused),
+            vec![Feedback::Declined; refused.len()]
+        );
+        let s = router.stats();
+        let counts = (s.feedback_declined, s.feedback_enqueued, s.feedback_fed);
+        assert_eq!(counts, (2 * refused.len() as u64, 0, 0));
+        assert_eq!((s.feedback_dropped, s.trainer_panics), (0, 0));
+        let well_formed = q(&[0.5, 0.5], 0.2);
+        assert_eq!(
+            router.observe_outcome(&well_formed, 1.0),
+            Feedback::Accepted
+        );
+        assert_eq!(router.stats().feedback_fed, 1);
+    }
+
+    impl Door {
+        /// A door that queues at most `bound` labels.
+        fn bounded(bound: usize) -> Self {
+            Door {
+                bound,
+                ..Door::default()
+            }
+        }
+    }
+
+    /// Every interleaving of the feedback door, walked on a real router
+    /// with a real [`LlmModel`] trainer (`docs/INVARIANTS.md`, *The door
+    /// checker*).
+    ///
+    /// A memoized DFS enumerates every schedule of two offering actors —
+    /// one offers labels 0 and 1 in one pass, the other label 2 — and one
+    /// `stats()` reader, on a door that queues at most two labels. Every
+    /// transition is a call to one of the door's steps; what is restated
+    /// here is only how `offer` and `pump` compose them:
+    ///
+    /// ```text
+    /// offer   E enqueue each label of the pass; a full queue runs a pump,
+    ///         then E again as the retry; one pump after a pass that
+    ///         enqueued anything
+    /// pump    T take_trainer → held: N train_one until false, R release,
+    ///         T again if R re-checked true | busy: done | killed: T
+    /// reader  S stats
+    /// ```
+    ///
+    /// Each edge replays its path on a fresh router. After every step:
+    /// each label offered is exactly one of fed, queued, declined,
+    /// dropped-and-flagged or quarantined, and the counts say so; a
+    /// `stats()` read has `fed + trainer_panics <= enqueued`; the trainer
+    /// is `train_step` replayed over the labels in queue order (a restart
+    /// resumes from the served snapshot), its `learns` flag is the door's,
+    /// each `train_one` took the oldest label, and snapshot versions never
+    /// fall. At quiescence a trainer that learns leaves the queue empty.
+    mod door_explorer {
+        use super::*;
+        use std::collections::{HashMap, HashSet};
+        use std::time::Instant;
+
+        /// The labels each offering actor offers, in one pass.
+        const PASSES: [&[usize]; 2] = [&[0, 1], &[2]];
+        const LABELS: usize = 3;
+        /// The `stats()` reader's actor number.
+        const READER: usize = PASSES.len();
+
+        fn label(l: usize) -> (Query, f64) {
+            (q(&[0.2 + 0.3 * l as f64, 0.5], 0.1), l as f64 + 1.0)
+        }
+
+        /// The label whose pair carries `y`.
+        fn id(&(_, y): &(Query, f64)) -> usize {
+            y as usize - 1
+        }
+
+        /// An offering actor's next step; a pump carries the pass position
+        /// whose label it retries after it (`None`: the pass's last pump).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Pc {
+            Offer { i: usize, retry: bool },
+            Take(Option<usize>),
+            Train(Option<usize>),
+            Release(Option<usize>),
+            Done,
+        }
+
+        /// Where a pump returns to.
+        fn after_pump(back: Option<usize>) -> Pc {
+            back.map_or(Pc::Done, |i| Pc::Offer { i, retry: true })
+        }
+
+        /// What became of the trainer, in order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Event {
+            Trained(usize),
+            /// Quarantined; `true` when the trainer was restarted.
+            Failed(usize, bool),
+            Healed,
+        }
+
+        /// The property a schedule broke.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Kind {
+            Conservation,
+            Counts,
+            StatsLaw,
+            Trainer,
+            NotOldest,
+            Version,
+            Stranded,
+        }
+
+        #[derive(Debug)]
+        struct Violation {
+            kind: Kind,
+            trace: Vec<String>,
+        }
+
+        impl std::fmt::Display for Violation {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(f, "{:?}; schedule: {}", self.kind, self.trace.join(" "))
+            }
+        }
+
+        /// One walk: the trainer the router starts with, the faults armed
+        /// on it, the exact number of schedules, and what some schedule
+        /// must reach (an outcome, an event, or a step's result).
+        struct Setup {
+            name: &'static str,
+            model: fn() -> LlmModel,
+            faults: &'static [(FaultKind, u64)],
+            schedules: u128,
+            covers: &'static [&'static str],
+        }
+
+        /// The learner made to freeze at its first step.
+        fn freezing() -> LlmModel {
+            let model = learner();
+            let mut cfg = model.config().clone();
+            cfg.gamma = 1e9;
+            cfg.convergence_window = 1;
+            LlmModel::from_parts(cfg, model.prototypes(), model.steps(), 0, false).unwrap()
+        }
+
+        const SETUPS: [Setup; 5] = [
+            Setup {
+                name: "learns",
+                model: learner,
+                faults: &[],
+                schedules: 10_222,
+                covers: &["Dropped", "busy", "retry", "recheck"],
+            },
+            Setup {
+                name: "freezes",
+                model: freezing,
+                faults: &[],
+                schedules: 2_154,
+                covers: &["Declined", "Trained"],
+            },
+            Setup {
+                name: "panics",
+                model: learner,
+                faults: &[(FaultKind::TrainerPanic, 2)],
+                schedules: 10_222,
+                covers: &["Failed"],
+            },
+            Setup {
+                name: "poisons",
+                model: learner,
+                faults: &[(FaultKind::LockPoison, 1)],
+                schedules: 23_004,
+                covers: &["killed", "Healed"],
+            },
+            Setup {
+                name: "overflows",
+                model: learner,
+                faults: &[(FaultKind::QueueOverflow, 2)],
+                schedules: 1_218,
+                covers: &["Dropped", "Trained"],
+            },
+        ];
+
+        /// A fresh router for `setup`: a door bounded at two labels, its
+        /// faults armed, its trainer attached and published.
+        fn router(setup: &Setup, model: &LlmModel) -> ShardRouter {
+            static DATA: OnceLock<Arc<Dataset>> = OnceLock::new();
+            let data = DATA.get_or_init(|| dataset(64, 5));
+            let mut router = ShardRouter::new(exact_over(data), RoutePolicy::default());
+            router.door = Mutex::new(Door::bounded(2));
+            let mut plan = FaultPlan::new();
+            for &(kind, at) in setup.faults {
+                plan = plan.inject(kind, &[at]);
+            }
+            router.set_fault_plan(plan);
+            router.attach_model(model.clone());
+            router
+        }
+
+        /// The labels queued, oldest first.
+        fn queued(router: &ShardRouter) -> Vec<usize> {
+            lock(&router.door).queue.iter().map(id).collect()
+        }
+
+        struct Offerer<'r> {
+            pc: Pc,
+            /// Whether the pass enqueued anything.
+            enqueued: bool,
+            guard: Option<MutexGuard<'r, Trainer>>,
+        }
+
+        /// One replay: the router, its actors and the oracle beside it.
+        struct Run<'r> {
+            router: &'r ShardRouter,
+            offerers: Vec<Offerer<'r>>,
+            read: bool,
+            outcomes: [Option<Feedback>; LABELS],
+            events: Vec<Event>,
+            /// `train_step` over the labels trained, restarted where the
+            /// trainer was.
+            oracle: LlmModel,
+            /// The model a restart resumes from: the attached one, the
+            /// only publish a walk makes.
+            published: ServingSnapshot,
+            version: u64,
+            /// What this replay reached, for `Setup::covers`.
+            reached: Vec<&'static str>,
+        }
+
+        impl<'r> Run<'r> {
+            fn new(router: &'r ShardRouter, model: &LlmModel) -> Self {
+                Run {
+                    router,
+                    offerers: (0..PASSES.len())
+                        .map(|_| Offerer {
+                            pc: Pc::Offer { i: 0, retry: false },
+                            enqueued: false,
+                            guard: None,
+                        })
+                        .collect(),
+                    read: false,
+                    outcomes: [None; LABELS],
+                    events: Vec::new(),
+                    oracle: model.clone(),
+                    published: model.snapshot(),
+                    version: 0,
+                    reached: Vec::new(),
+                }
+            }
+
+            fn enabled(&self) -> Vec<usize> {
+                let offerers = (0..PASSES.len()).filter(|&a| self.offerers[a].pc != Pc::Done);
+                offerers.chain((!self.read).then_some(READER)).collect()
+            }
+
+            fn event(&mut self, event: Event) {
+                self.events.push(event);
+                self.reached.push(match event {
+                    Event::Trained(_) => "Trained",
+                    Event::Failed(..) => "Failed",
+                    Event::Healed => "Healed",
+                });
+                match event {
+                    Event::Trained(l) => {
+                        let (q, y) = label(l);
+                        self.oracle.train_step(&q, y).unwrap();
+                    }
+                    Event::Failed(_, false) => {}
+                    Event::Failed(_, true) | Event::Healed => {
+                        self.oracle = self.published.to_model().unwrap();
+                    }
+                }
+            }
+
+            /// Take `actor`'s next step; a label for the trace.
+            fn step(&mut self, actor: usize) -> Result<String, Kind> {
+                let router = self.router;
+                if actor == READER {
+                    self.read = true;
+                    law(&router.stats())?;
+                    return Ok("S".into());
+                }
+                let (before, queue) = (router.stats(), queued(router));
+                let pass = PASSES[actor];
+                let offerer = &mut self.offerers[actor];
+                let pc = offerer.pc;
+                let mut events = Vec::new();
+                let mut reached = None;
+                offerer.pc = match pc {
+                    Pc::Offer { i, retry } => {
+                        let (q, y) = label(pass[i]);
+                        match router.enqueue(&q, y, retry) {
+                            None if !retry => Pc::Take(Some(i)),
+                            offered => {
+                                let feedback = offered.unwrap_or(Feedback::Dropped);
+                                reached = Some(if retry { "retry" } else { "offer" });
+                                self.reached.push(match feedback {
+                                    Feedback::Accepted => "Accepted",
+                                    Feedback::Dropped => "Dropped",
+                                    Feedback::Declined => "Declined",
+                                });
+                                self.outcomes[pass[i]] = Some(feedback);
+                                offerer.enqueued |= feedback == Feedback::Accepted;
+                                if i + 1 < pass.len() {
+                                    Pc::Offer {
+                                        i: i + 1,
+                                        retry: false,
+                                    }
+                                } else if offerer.enqueued {
+                                    Pc::Take(None)
+                                } else {
+                                    Pc::Done
+                                }
+                            }
+                        }
+                    }
+                    Pc::Take(back) => match router.take_trainer() {
+                        Take::Held(t) => {
+                            if router.stats().lock_poisonings > before.lock_poisonings {
+                                events.push(Event::Healed);
+                            }
+                            offerer.guard = Some(t);
+                            Pc::Train(back)
+                        }
+                        Take::Busy => {
+                            reached = Some("busy");
+                            after_pump(back)
+                        }
+                        Take::Killed => {
+                            reached = Some("killed");
+                            Pc::Take(back)
+                        }
+                    },
+                    Pc::Train(back) => {
+                        let t = offerer.guard.as_mut().expect("a pump holds the trainer");
+                        if router.train_one(t) {
+                            let (after, left) = (router.stats(), queued(router));
+                            let popped = *queue.iter().find(|l| !left.contains(l)).unwrap();
+                            if popped != queue[0] {
+                                return Err(Kind::NotOldest);
+                            }
+                            events.push(if after.feedback_fed > before.feedback_fed {
+                                Event::Trained(popped)
+                            } else {
+                                let restarted = after.trainer_restarts > before.trainer_restarts;
+                                Event::Failed(popped, restarted)
+                            });
+                            Pc::Train(back)
+                        } else {
+                            Pc::Release(back)
+                        }
+                    }
+                    Pc::Release(back) => {
+                        let t = offerer.guard.take().expect("a pump holds the trainer");
+                        if router.release(t) {
+                            reached = Some("recheck");
+                            Pc::Take(back)
+                        } else {
+                            after_pump(back)
+                        }
+                    }
+                    Pc::Done => unreachable!("a finished actor is never scheduled"),
+                };
+                self.reached.extend(reached);
+                for event in events {
+                    self.event(event);
+                }
+                Ok(format!("{}:{pc:?}", ["a", "b"][actor]))
+            }
+
+            /// The checks every step must pass.
+            fn check(&mut self) -> Result<(), Kind> {
+                let router = self.router;
+                let stats = router.stats();
+                law(&stats)?;
+                let queued = queued(router);
+                let quarantined: Vec<usize> = router.quarantined().iter().map(id).collect();
+                let fed: Vec<usize> = self
+                    .events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        Event::Trained(l) => Some(l),
+                        _ => None,
+                    })
+                    .collect();
+                for l in 0..LABELS {
+                    let places = [
+                        queued.contains(&l),
+                        fed.contains(&l),
+                        quarantined.contains(&l),
+                        self.outcomes[l] == Some(Feedback::Declined),
+                        self.outcomes[l] == Some(Feedback::Dropped),
+                    ];
+                    let places = places.iter().filter(|&&p| p).count();
+                    if places != usize::from(self.outcomes[l].is_some()) {
+                        return Err(Kind::Conservation);
+                    }
+                }
+                let count = |f| self.outcomes.iter().filter(|&&o| o == Some(f)).count() as u64;
+                let counted = (
+                    stats.feedback_enqueued,
+                    stats.feedback_declined,
+                    stats.feedback_dropped,
+                    stats.feedback_fed,
+                    stats.trainer_panics,
+                );
+                let seen = (
+                    count(Feedback::Accepted),
+                    count(Feedback::Declined),
+                    count(Feedback::Dropped),
+                    fed.len() as u64,
+                    quarantined.len() as u64,
+                );
+                if counted != seen {
+                    return Err(Kind::Counts);
+                }
+                let held = self.offerers.iter().find_map(|o| o.guard.as_ref());
+                let model = match held {
+                    Some(t) => t.model.clone(),
+                    None => match router.trainer.try_lock() {
+                        Ok(t) => t.model.clone(),
+                        Err(TryLockError::Poisoned(t)) => t.into_inner().model.clone(),
+                        Err(TryLockError::WouldBlock) => unreachable!("no actor holds it"),
+                    },
+                };
+                let model = model.expect("a model is attached");
+                let (o, m) = (&self.oracle, &model);
+                let learns = !m.is_frozen();
+                if (m.prototypes(), m.steps(), learns)
+                    != (o.prototypes(), o.steps(), !o.is_frozen())
+                    || lock(&router.door).learns != learns
+                {
+                    return Err(Kind::Trainer);
+                }
+                let version = router.cell.load_owned().map_or(0, |s| s.version());
+                if version < self.version {
+                    return Err(Kind::Version);
+                }
+                self.version = version;
+                if self.enabled().is_empty() && learns && !queued.is_empty() {
+                    return Err(Kind::Stranded);
+                }
+                Ok(())
+            }
+
+            /// The memo key: everything the rest of a schedule depends on.
+            fn key(&self) -> String {
+                let router = self.router;
+                let offerers: Vec<_> = self
+                    .offerers
+                    .iter()
+                    .map(|o| (o.pc, o.enqueued, o.guard.is_some()))
+                    .collect();
+                let kinds = [
+                    FaultKind::TrainerPanic,
+                    FaultKind::LockPoison,
+                    FaultKind::QueueOverflow,
+                ];
+                let seen = kinds.map(|k| router.fault.seen(k));
+                format!(
+                    "{offerers:?} {} {:?} {:?} {:?} {:?} {} {seen:?}",
+                    self.read,
+                    self.outcomes,
+                    self.events,
+                    queued(router),
+                    router.stats(),
+                    router.trainer.is_poisoned(),
+                )
+            }
+        }
+
+        /// The law every `stats()` read keeps.
+        fn law(s: &RouterStats) -> Result<(), Kind> {
+            if s.feedback_fed + s.trainer_panics > s.feedback_enqueued {
+                return Err(Kind::StatsLaw);
+            }
+            Ok(())
+        }
+
+        struct Explorer<'s> {
+            setup: &'s Setup,
+            model: LlmModel,
+            /// Explored states → maximal schedules from them.
+            memo: HashMap<String, u128>,
+            path: Vec<usize>,
+            covered: HashSet<&'static str>,
+        }
+
+        impl Explorer<'_> {
+            /// Replay the path on a fresh router: the state it reaches and
+            /// the actors that may move next, or what a step broke.
+            fn replay(&mut self) -> Result<(String, Vec<usize>), Violation> {
+                let router = router(self.setup, &self.model);
+                let mut run = Run::new(&router, &self.model);
+                let mut trace = Vec::new();
+                for &actor in &self.path {
+                    let stepped = run.step(actor).and_then(|label| {
+                        trace.push(label);
+                        run.check()
+                    });
+                    if let Err(kind) = stepped {
+                        return Err(Violation { kind, trace });
+                    }
+                }
+                self.covered.extend(run.reached.drain(..));
+                Ok((run.key(), run.enabled()))
+            }
+
+            fn dfs(&mut self) -> Result<u128, Violation> {
+                let (key, enabled) = self.replay()?;
+                if let Some(&count) = self.memo.get(&key) {
+                    return Ok(count);
+                }
+                let mut total = u128::from(enabled.is_empty());
+                for actor in enabled {
+                    self.path.push(actor);
+                    total += self.dfs()?;
+                    self.path.pop();
+                }
+                self.memo.insert(key, total);
+                Ok(total)
+            }
+        }
+
+        /// Drop the default hook's report of an injected panic; pass any
+        /// other on.
+        fn quiet_injected_panics() {
+            static QUIET: std::sync::Once = std::sync::Once::new();
+            QUIET.call_once(|| {
+                let report = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    let message = info.payload().downcast_ref::<&str>();
+                    if !message.is_some_and(|m| m.starts_with("injected fault")) {
+                        report(info);
+                    }
+                }));
+            });
+        }
+
+        #[test]
+        fn every_interleaving_of_the_door_keeps_the_feedback_contract() {
+            quiet_injected_panics();
+            let start = Instant::now();
+            let mut total = 0;
+            for setup in &SETUPS {
+                let at = Instant::now();
+                let mut explorer = Explorer {
+                    setup,
+                    model: (setup.model)(),
+                    memo: HashMap::new(),
+                    path: Vec::new(),
+                    covered: HashSet::new(),
+                };
+                let schedules = explorer
+                    .dfs()
+                    .unwrap_or_else(|v| panic!("{}: {v}", setup.name));
+                eprintln!(
+                    "{}: {schedules} schedules over {} states in {:.2?}",
+                    setup.name,
+                    explorer.memo.len(),
+                    at.elapsed()
+                );
+                assert_eq!(schedules, setup.schedules, "{}", setup.name);
+                let missed: Vec<_> = setup
+                    .covers
+                    .iter()
+                    .filter(|c| !explorer.covered.contains(*c))
+                    .collect();
+                assert!(
+                    missed.is_empty(),
+                    "{}: no schedule reached {missed:?}",
+                    setup.name
+                );
+                total += schedules;
+            }
+            eprintln!("door: {total} schedules in {:.2?}", start.elapsed());
+        }
     }
 }

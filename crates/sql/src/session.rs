@@ -302,7 +302,7 @@ impl Session {
     }
 
     /// The router backing a table (routing stats, the trainer's model,
-    /// manual pump/publish).
+    /// manual publish).
     ///
     /// Scope note: `model_served` / `exact_served` count `AVG`/`LINREG`
     /// answers in every mode. `VAR` passes the same router gate and

@@ -198,10 +198,12 @@ fn frozen_model_serves_concurrently_with_identical_answers() {
 
 /// Closed-loop serving: `readers` threads each auto-route their share of
 /// `reader_queries` through `router` while the calling thread, the one
-/// writer, executes `writer_queries` exactly and feeds the answers back;
-/// then whatever the opportunistic pumps left queued is flushed. Returns
-/// how many reader queries were answered with a value — the rest were
-/// SQL NULL (an empty selection); any other serve error fails the test.
+/// writer, executes `writer_queries` exactly and feeds the answers back.
+/// Nothing is flushed afterwards: once every thread has returned, a
+/// trainer that still learns has consumed every label it was offered.
+/// Returns how many reader queries were answered with a value — the rest
+/// were SQL NULL (an empty selection); any other serve error fails the
+/// test.
 fn closed_loop(
     router: &ShardRouter,
     reader_queries: &[Query],
@@ -232,7 +234,18 @@ fn closed_loop(
         }
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
-    router.pump();
+    // Nothing panics here, so every enqueued label was fed, unless the
+    // trainer froze with labels queued.
+    let stats = router.stats();
+    assert_eq!(stats.trainer_panics, 0);
+    if router.merged_model().is_some_and(|m| !m.is_frozen()) {
+        assert_eq!(
+            stats.feedback_fed, stats.feedback_enqueued,
+            "a label stranded"
+        );
+    } else {
+        assert!(stats.feedback_fed <= stats.feedback_enqueued);
+    }
     answered
 }
 
@@ -273,9 +286,6 @@ fn closed_loop_serving_exercises_both_routes_under_live_training() {
         stats.feedback_fed > 0,
         "the closed loop must train from fallbacks/writer"
     );
-    // Nothing leaks from the accounting: everything the trainer consumed
-    // was first enqueued, and every loss is counted.
-    assert!(stats.feedback_fed <= stats.feedback_enqueued);
     assert!(
         stats.publishes > published,
         "the trainer must republish mid-run"
@@ -668,8 +678,8 @@ mod fault_injection {
     /// Drives a fresh learner through 8,000 drifting queries in a
     /// single-threaded closed loop (`q1` auto-routing: confident snapshot
     /// serves, exact fallbacks feeding the trainer) under `plan`, and
-    /// tallies `[model-side, exact]` answers per [`WINDOW`] queries; then
-    /// the feedback queue is drained. A NULL counts on neither side.
+    /// tallies `[model-side, exact]` answers per [`WINDOW`] queries. A
+    /// NULL counts on neither side.
     /// Deterministic: the recovery point is a property of the learner,
     /// not of thread timing.
     fn drift(plan: Option<FaultPlan>) -> (ShardRouter, Vec<[usize; 2]>) {
@@ -698,7 +708,6 @@ mod fault_injection {
                 published_at = fed;
             }
         }
-        router.pump();
         (router, windows)
     }
 
@@ -787,9 +796,9 @@ mod fault_injection {
                 stats.trainer_panics as usize,
                 "every poisonous example must be retrievable"
             );
-            // No example vanishes: each fallback's is queued or counted as
-            // dropped (one per overflow burst), and each queued one is fed
-            // or quarantined.
+            // No example vanishes, with nothing flushed: each fallback's is
+            // queued or counted as dropped (one per overflow burst), and
+            // each queued one is fed or quarantined.
             assert_eq!(
                 stats.feedback_enqueued + stats.feedback_dropped,
                 stats.exact_served
@@ -910,8 +919,7 @@ mod fault_injection {
         }
         let _ = std::panic::take_hook();
         assert!(routes.iter().all(|&n| n > 0), "one route only: {routes:?}");
-        // Locking the trainer heals a poisoning the last pump left.
-        armed.merged_model();
+        // No pump leaves its poisoning behind: its next take heals it.
         for kind in [FaultKind::LockPoison, FaultKind::QueueOverflow] {
             assert!(plan.fired(kind) > 0, "the armed {kind:?} never fired");
         }
